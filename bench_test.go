@@ -521,7 +521,7 @@ func BenchmarkExternalSort(b *testing.B) {
 				QC:    qc,
 				Spill: sess,
 			}
-			rows, err := exec.Drain(s)
+			rows, err := exec.Drain(s, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

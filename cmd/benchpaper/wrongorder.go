@@ -76,7 +76,7 @@ func restrictionAfterOuterJoin(db *engine.DB) []storage.Tuple {
 			{Agg: value.AggCount, Col: 3, Out: exec.ColID{Column: "CT"}},
 		},
 	}
-	rows, err := exec.Drain(group)
+	rows, err := exec.Drain(group, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -68,8 +68,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long in-flight queries may finish on shutdown")
 	heartbeat := flag.Duration("heartbeat", 0, "ping interval for idle sessions that negotiated heartbeats; two unanswered pings evict the peer (0 = 15s)")
 	writeDeadline := flag.Duration("write-deadline", 0, "per-frame write deadline; a consumer stalled past it is evicted, its query cancelled (0 = 30s)")
-	noChecksum := flag.Bool("no-checksum", false, "refuse checksummed framing in negotiation (for overhead measurements)")
-	noHeartbeat := flag.Bool("no-heartbeat", false, "refuse heartbeat liveness in negotiation")
 	dataDir := flag.String("data-dir", "", "durability: write-ahead log + checkpoint directory; recovers prior state on start, checkpoints on clean shutdown (empty = in-memory only)")
 	fsync := flag.Bool("fsync", false, "durability: fsync every commit batch (with -data-dir); off = commits survive a process crash, not host power loss")
 	walFaultRate := flag.Float64("wal-fault-rate", 0, "testing: probability that a WAL append tears mid-record and poisons the log")
@@ -94,8 +92,6 @@ func main() {
 		Parallelism:       *parallel,
 		WriteTimeout:      *writeDeadline,
 		HeartbeatInterval: *heartbeat,
-		DisableChecksum:   *noChecksum,
-		DisableHeartbeat:  *noHeartbeat,
 	}
 
 	if *coordinator != "" {

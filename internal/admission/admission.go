@@ -394,20 +394,16 @@ func (c *Controller) release(t *Ticket) {
 }
 
 // RetryDelay reports whether a transient-fault retry number `attempt`
-// (0-based) is allowed, and the jittered backoff to sleep first:
-// base·2^attempt capped at RetryCap, jittered to [d/2, d).
+// (0-based) is allowed, and the jittered backoff to sleep first
+// (qctx.Backoff over RetryBase and RetryCap).
 func (c *Controller) RetryDelay(attempt int) (time.Duration, bool) {
 	if attempt >= c.cfg.RetryMax {
 		return 0, false
 	}
-	d := c.cfg.RetryBase << uint(attempt)
-	if d > c.cfg.RetryCap || d <= 0 {
-		d = c.cfg.RetryCap
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.retries++
-	return d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1)), true
+	return qctx.Backoff(c.cfg.RetryBase, c.cfg.RetryCap, attempt, c.rng), true
 }
 
 // AllowParallel gates the parallel execution path through the circuit

@@ -260,6 +260,14 @@ func TestRetryDelayBackoff(t *testing.T) {
 	if s := c.Stats(); s.Retries != 3 {
 		t.Fatalf("retries = %d, want 3", s.Retries)
 	}
+	// Far past the attempt where RetryBase·2^attempt overflows int64 the
+	// delay must stay positive and capped.
+	c = NewController(Config{RetryMax: 81, Seed: 42})
+	for attempt := 0; attempt <= 80; attempt++ {
+		if d, ok := c.RetryDelay(attempt); !ok || d <= 0 || d > 250*time.Millisecond {
+			t.Fatalf("attempt %d: delay %v, allowed %v; want a delay in (0, 250ms]", attempt, d, ok)
+		}
+	}
 }
 
 func TestDrain(t *testing.T) {

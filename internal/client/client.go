@@ -9,7 +9,7 @@
 // # Fault tolerance
 //
 // A connection negotiates checksummed frames and heartbeats during the
-// Hello exchange (DialOptions opts out), answers server Pings from a
+// Hello exchange, answers server Pings from a
 // background read pump, and — when DialOptions.Reconnect is set —
 // survives connection loss transparently: the query is resubmitted on a
 // fresh connection after a capped, jittered backoff, but only if zero
@@ -102,10 +102,6 @@ type DialOptions struct {
 	// flight (0 = no bound). It does not apply to an idle connection,
 	// which may sit quietly between queries answering heartbeats.
 	IOTimeout time.Duration
-	// DisableChecksum keeps FeatureChecksum out of the Hello.
-	DisableChecksum bool
-	// DisableHeartbeat keeps FeatureHeartbeat out of the Hello.
-	DisableHeartbeat bool
 	// Reconnect enables transparent redialing; nil disables it.
 	Reconnect *ReconnectConfig
 }
@@ -229,23 +225,8 @@ func DialOpts(addr string, opts DialOptions) (*Conn, error) {
 	return &Conn{addr: addr, opts: opts, tr: tr, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
-// dialTransport dials and handshakes. It first offers the extended
-// Hello with feature flags; a server old enough to reject it as a
-// protocol error gets one more dial with the legacy five-byte form —
-// feature-free, but interoperable.
+// dialTransport dials and handshakes, asking for every feature.
 func dialTransport(addr string, opts DialOptions) (*transport, error) {
-	tr, err := dialOnce(addr, opts, false)
-	if err == nil {
-		return tr, nil
-	}
-	var re *wire.RemoteError
-	if errors.As(err, &re) && re.Frame.Code == wire.CodeProtocol {
-		return dialOnce(addr, opts, true)
-	}
-	return nil, err
-}
-
-func dialOnce(addr string, opts DialOptions, legacy bool) (*transport, error) {
 	nc, err := net.DialTimeout("tcp", addr, opts.timeout())
 	if err != nil {
 		return nil, err
@@ -254,18 +235,9 @@ func dialOnce(addr string, opts DialOptions, legacy bool) (*transport, error) {
 	br := bufio.NewReader(nc)
 	bw := bufio.NewWriter(nc)
 
-	h := wire.Hello{Version: wire.Version, Legacy: legacy}
-	if !legacy {
-		if !opts.DisableChecksum {
-			h.Flags |= wire.FeatureChecksum
-		}
-		if !opts.DisableHeartbeat {
-			h.Flags |= wire.FeatureHeartbeat
-		}
-		// Always offered; only worker servers (those fronting a local
-		// engine) grant it back.
-		h.Flags |= wire.FeatureCluster
-	}
+	// Only worker servers (those fronting a local engine) grant
+	// FeatureCluster back.
+	h := wire.Hello{Version: wire.Version, Flags: wire.FeatureChecksum | wire.FeatureHeartbeat | wire.FeatureCluster}
 	// The Hello exchange is always plain framing; the negotiated codec
 	// takes over afterwards.
 	if err := wire.WriteFrame(bw, wire.FrameHello, wire.EncodeHello(h)); err != nil {
@@ -331,9 +303,6 @@ func (c *Conn) Close() error {
 	return nil
 }
 
-// Checksums reports whether the server granted checksummed framing.
-func (c *Conn) Checksums() bool { return c.tr.codec.Checksums }
-
 // Heartbeats reports whether the server granted heartbeat liveness.
 func (c *Conn) Heartbeats() bool { return c.tr.heartbeat }
 
@@ -363,13 +332,7 @@ func (c *Conn) redial(cancel <-chan struct{}) error {
 	rc := c.opts.Reconnect
 	var lastErr error = ErrConnectionLost
 	for attempt := 0; attempt < rc.maxAttempts(); attempt++ {
-		d := rc.baseDelay() << uint(attempt)
-		if max := rc.maxDelay(); d > max {
-			d = max
-		}
-		// ±half jitter keeps a fleet of reconnecting clients from
-		// stampeding in lockstep.
-		d = d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
+		d := qctx.Backoff(rc.baseDelay(), rc.maxDelay(), attempt, c.rng)
 		if floor := time.Until(c.retryFloor); floor > d {
 			d = floor
 		}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -67,7 +68,7 @@ func serverHandshake(t *testing.T, nc net.Conn, br *bufio.Reader) wire.Codec {
 		t.Error(err)
 		return wire.Codec{}
 	}
-	reply := wire.Hello{Version: wire.Version, Flags: h.Flags, Legacy: h.Legacy}
+	reply := wire.Hello{Version: wire.Version, Flags: h.Flags}
 	if err := wire.WriteFrame(nc, wire.FrameHello, wire.EncodeHello(reply)); err != nil {
 		t.Error(err)
 	}
@@ -305,50 +306,6 @@ func TestCancelDuringReconnect(t *testing.T) {
 	}
 }
 
-// TestDialDowngradesForLegacyServer: a server that rejects the extended
-// Hello as a protocol error (the pre-feature protocol) gets one more
-// dial with the legacy five-byte form, and the connection works —
-// without checksums or heartbeats.
-func TestDialDowngradesForLegacyServer(t *testing.T) {
-	fs := newFakeServer(t, func(idx int, nc net.Conn) {
-		br := bufio.NewReader(nc)
-		typ, payload, err := wire.ReadFrame(br)
-		if err != nil || typ != wire.FrameHello {
-			return
-		}
-		// A pre-feature server: five bytes or nothing.
-		if len(payload) != 5 {
-			wire.WriteFrame(nc, wire.FrameError, wire.EncodeError(wire.ErrorFrame{
-				Code: wire.CodeProtocol, Message: "bad hello payload",
-			}))
-			return
-		}
-		wire.WriteFrame(nc, wire.FrameHello, wire.EncodeHello(wire.Hello{Version: wire.Version, Legacy: true}))
-		q, ok := readQuery(t, wire.Codec{}, br)
-		if !ok || q.SQL == "" {
-			return
-		}
-		batch, done := oneRowResult()
-		wire.WriteFrame(nc, wire.FrameRowBatch, wire.EncodeRowBatch(batch))
-		wire.WriteFrame(nc, wire.FrameDone, wire.EncodeDone(done))
-	})
-	c, err := client.Dial(fs.addr(), 5*time.Second)
-	if err != nil {
-		t.Fatalf("downgrade dial failed: %v", err)
-	}
-	defer c.Close()
-	if c.Checksums() || c.Heartbeats() {
-		t.Error("legacy downgrade still claims negotiated features")
-	}
-	res, err := c.Collect("SELECT 1", client.Options{})
-	if err != nil || len(res.Rows) != 1 {
-		t.Fatalf("legacy-mode query: rows=%d err=%v", len(res.Rows), err)
-	}
-	if n := fs.conns.Load(); n != 2 {
-		t.Errorf("server saw %d connections, want 2 (rejected extended + legacy retry)", n)
-	}
-}
-
 // TestClientAnswersPings: the read pump answers a server Ping with a
 // Pong echoing the sequence, even while the caller is idle.
 func TestClientAnswersPings(t *testing.T) {
@@ -432,5 +389,34 @@ func TestReconnectGivesUpTyped(t *testing.T) {
 	_, err = c.Collect("SELECT 1", client.Options{})
 	if err == nil {
 		t.Fatal("query succeeded against a dead server")
+	}
+}
+
+// TestRedialBackoffNeverOverflows: 81 redials against a dead server walk
+// the backoff far past the attempt where BaseDelay·2^attempt overflows
+// int64 (the 40th, at the default 20ms). Every delay must stay in
+// (0, MaxDelay]: a negative one panics the jitter roll, an uncapped one
+// blows the time bound.
+func TestRedialBackoffNeverOverflows(t *testing.T) {
+	fs := newFakeServer(t, func(idx int, nc net.Conn) {
+		br := bufio.NewReader(nc)
+		codec := serverHandshake(t, nc, br)
+		readQuery(t, codec, br)
+	})
+	c, err := client.DialOpts(fs.addr(), client.DialOptions{
+		Reconnect: &client.ReconnectConfig{MaxDelay: time.Millisecond, MaxAttempts: 81, Seed: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fs.lis.Close()
+	start := time.Now()
+	_, err = c.Collect("SELECT 1", client.Options{})
+	if err == nil || !strings.Contains(err.Error(), "gave up after 81 attempts") {
+		t.Fatalf("err = %v, want the give-up report after 81 attempts", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("81 redials capped at 1ms each took %v", elapsed)
 	}
 }

@@ -65,10 +65,7 @@ func (a *AntiJoin) qualifies(l storage.Tuple) (bool, error) {
 	for pg := 0; pg < a.Right.NumPages(); pg++ {
 		for _, r := range a.Right.ReadPage(pg) {
 			if a.Corr != nil {
-				combined := make(storage.Tuple, 0, len(l)+len(r))
-				combined = append(combined, l...)
-				combined = append(combined, r...)
-				tri, err := a.Corr(combined)
+				tri, err := a.Corr(concat(l, r))
 				if err != nil {
 					return false, err
 				}

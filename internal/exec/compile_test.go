@@ -72,7 +72,7 @@ func TestCompileNotWithNulls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := exec.Drain(&exec.Filter{Child: scan, Pred: pred})
+	rows, err := exec.Drain(&exec.Filter{Child: scan, Pred: pred}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestCompileNotWithNulls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err = exec.Drain(&exec.Filter{Child: exec.NewSeqScan(f, "R", []string{"K"}), Pred: notEq})
+	rows, err = exec.Drain(&exec.Filter{Child: exec.NewSeqScan(f, "R", []string{"K"}), Pred: notEq}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestCompiledPredicateRuntimeError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = exec.Drain(&exec.Filter{Child: scan, Pred: pred})
+	_, err = exec.Drain(&exec.Filter{Child: scan, Pred: pred}, nil)
 	if err == nil || !strings.Contains(err.Error(), "cannot compare") {
 		t.Errorf("runtime type error = %v", err)
 	}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/ast"
 	"repro/internal/qctx"
@@ -115,7 +116,10 @@ func (ev *Evaluator) evalBlock(qb *ast.QueryBlock, env *Env) ([]storage.Tuple, R
 	hasAgg := qb.HasAggregate()
 
 	var rows []storage.Tuple
-	groups := newGroupTable(qb)
+	var groups *groupTable
+	if hasAgg {
+		groups = newGroupTable(qb)
+	}
 
 	err := ev.scanProduct(files, schemas, 0, env, func(rowEnv *Env) error {
 		for _, p := range simple {
@@ -163,7 +167,7 @@ func (ev *Evaluator) evalBlock(qb *ast.QueryBlock, env *Env) ([]storage.Tuple, R
 	}
 
 	if hasAgg {
-		rows = groups.results(qb)
+		rows = groups.results()
 		rows, err = filterHaving(rows, qb.Having)
 		if err != nil {
 			return nil, nil, err
@@ -214,25 +218,12 @@ func filterHaving(rows []storage.Tuple, having []ast.HavingPred) ([]storage.Tupl
 // sortRowsBy orders result rows by the resolved ORDER BY positions. An
 // incomparable pair of sort keys surfaces as an error after the sort.
 func sortRowsBy(rows []storage.Tuple, order []ast.OrderItem) error {
+	keys, desc := make([]int, len(order)), make([]bool, len(order))
+	for i, o := range order {
+		keys[i], desc[i] = o.Pos, o.Desc
+	}
 	var cmpErr error
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, o := range order {
-			c, err := value.TotalCompare(rows[i][o.Pos], rows[j][o.Pos])
-			if err != nil {
-				if cmpErr == nil {
-					cmpErr = err
-				}
-				return false
-			}
-			if c != 0 {
-				if o.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-		}
-		return false
-	})
+	sort.SliceStable(rows, func(i, j int) bool { return lessBy(rows[i], rows[j], keys, desc, &cmpErr) })
 	return cmpErr
 }
 
@@ -277,94 +268,81 @@ func (ev *Evaluator) scanProduct(files []*storage.HeapFile, schemas []RowSchema,
 }
 
 // groupTable accumulates grouped (or global) aggregates in deterministic
-// first-seen order.
+// first-seen order. It runs the aggregation kernel of group.go over a
+// scratch row laid out as the GROUP BY values followed by one slot per
+// select item (holding the item's aggregate argument).
 type groupTable struct {
-	order []string
-	accs  map[string][]*value.Accumulator
-	keys  map[string][]value.Value
+	cols    []int
+	items   []GroupItem
+	scratch storage.Tuple
+	groups  map[string]*groupState
+	order   []*groupState
 }
 
 func newGroupTable(qb *ast.QueryBlock) *groupTable {
-	return &groupTable{accs: make(map[string][]*value.Accumulator), keys: make(map[string][]value.Value)}
+	k := len(qb.GroupBy)
+	g := &groupTable{
+		cols:    make([]int, k),
+		items:   make([]GroupItem, len(qb.Select)),
+		scratch: make(storage.Tuple, k+len(qb.Select)),
+		groups:  make(map[string]*groupState),
+	}
+	for i := range g.cols {
+		g.cols[i] = i
+	}
+	for i, item := range qb.Select {
+		g.items[i] = GroupItem{Agg: item.Agg, Col: k + i}
+		if !item.IsAggregate() {
+			// Plain column: resolver guarantees it is a GROUP BY column.
+			for j, col := range qb.GroupBy {
+				if col == item.Col {
+					g.items[i].Col = j
+				}
+			}
+		}
+	}
+	return g
 }
 
 func (g *groupTable) add(qb *ast.QueryBlock, rowEnv *Env) error {
-	keyVals := make([]value.Value, len(qb.GroupBy))
+	k := len(g.cols)
 	for i, col := range qb.GroupBy {
 		v, ok := rowEnv.Lookup(col)
 		if !ok {
 			return errUnknownColumn(col)
 		}
-		keyVals[i] = v
-	}
-	key := encodeKey(keyVals)
-	accs, ok := g.accs[key]
-	if !ok {
-		accs = make([]*value.Accumulator, len(qb.Select))
-		for i, item := range qb.Select {
-			if item.IsAggregate() {
-				accs[i] = value.NewAccumulator(item.Agg)
-			}
-		}
-		g.accs[key] = accs
-		g.keys[key] = keyVals
-		g.order = append(g.order, key)
+		g.scratch[i] = v
 	}
 	for i, item := range qb.Select {
-		if !item.IsAggregate() {
-			continue
-		}
-		var v value.Value
-		if item.Agg == value.AggCountStar {
-			v = value.NewInt(1) // COUNT(*) counts rows; argument unused
-		} else {
-			var ok bool
-			v, ok = rowEnv.Lookup(item.Col)
+		// COUNT(*) counts rows; its argument is unused.
+		if item.IsAggregate() && item.Agg != value.AggCountStar {
+			v, ok := rowEnv.Lookup(item.Col)
 			if !ok {
 				return errUnknownColumn(item.Col)
 			}
-		}
-		if err := accs[i].Add(v); err != nil {
-			return err
+			g.scratch[k+i] = v
 		}
 	}
-	return nil
+	key := encodeKey(g.scratch[:k])
+	gs := g.groups[key]
+	if gs == nil {
+		gs = newGroup(append([]value.Value(nil), g.scratch[:k]...), g.items)
+		g.groups[key] = gs
+		g.order = append(g.order, gs)
+	}
+	return gs.add(g.scratch, g.items)
 }
 
 // results emits one row per group. With no GROUP BY, aggregates over an
 // empty input still produce one row (COUNT = 0, MAX = NULL) — the
 // semantics the COUNT bug of section 5.1 loses.
-func (g *groupTable) results(qb *ast.QueryBlock) []storage.Tuple {
-	if len(qb.GroupBy) == 0 && len(g.order) == 0 {
-		row := make(storage.Tuple, len(qb.Select))
-		for i, item := range qb.Select {
-			if item.IsAggregate() {
-				row[i] = value.NewAccumulator(item.Agg).Result()
-			} else {
-				row[i] = value.Null
-			}
-		}
-		return []storage.Tuple{row}
+func (g *groupTable) results() []storage.Tuple {
+	if len(g.cols) == 0 && len(g.order) == 0 {
+		g.order = append(g.order, newGroup(nil, g.items))
 	}
-	out := make([]storage.Tuple, 0, len(g.order))
-	for _, key := range g.order {
-		accs := g.accs[key]
-		keyVals := g.keys[key]
-		row := make(storage.Tuple, len(qb.Select))
-		for i, item := range qb.Select {
-			if item.IsAggregate() {
-				row[i] = accs[i].Result()
-				continue
-			}
-			// Plain column: resolver guarantees it is a GROUP BY column.
-			for j, col := range qb.GroupBy {
-				if col == item.Col {
-					row[i] = keyVals[j]
-					break
-				}
-			}
-		}
-		out = append(out, row)
+	out := make([]storage.Tuple, len(g.order))
+	for i, gs := range g.order {
+		out[i] = gs.row(g.cols, g.items)
 	}
 	return out
 }
@@ -696,12 +674,8 @@ func encodeKey(vs []value.Value) string {
 func appendValueKey(b []byte, v value.Value) []byte {
 	s := v.String()
 	b = append(b, byte('0'+int(v.Kind())))
-	b = appendInt(b, len(s))
+	b = strconv.AppendInt(b, int64(len(s)), 10)
 	b = append(b, ':')
 	b = append(b, s...)
 	return b
-}
-
-func appendInt(b []byte, n int) []byte {
-	return fmt.Appendf(b, "%d", n)
 }

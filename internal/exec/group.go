@@ -6,12 +6,116 @@ import (
 	"repro/internal/value"
 )
 
-// GroupItem describes one output of a GroupAgg: either a grouping column
-// passed through, or an aggregate over a child column.
+// GroupItem describes one output of a grouping operator: either a grouping
+// column passed through, or an aggregate over a child column.
 type GroupItem struct {
 	Agg value.AggFunc // AggNone for a grouping column
 	Col int           // child column position; ignored for AggCountStar
 	Out ColID         // output column identity
+}
+
+// The aggregation kernel: what GroupAgg and every level of
+// ParallelHashGroup do with a (group columns, items) pair — schema, key
+// extraction and hashing, accumulator construction, accumulate, output
+// row. The operators differ only in how they find a row's group.
+
+// groupState is one group's key and accumulators (nil for the items that
+// pass a grouping column through).
+type groupState struct {
+	key  []value.Value
+	accs []*value.Accumulator
+}
+
+// aggSchema lists the items' output columns.
+func aggSchema(items []GroupItem) RowSchema {
+	sch := make(RowSchema, len(items))
+	for i, it := range items {
+		sch[i] = it.Out
+	}
+	return sch
+}
+
+// groupKey extracts t's grouping columns.
+func groupKey(t storage.Tuple, cols []int) []value.Value {
+	key := make([]value.Value, len(cols))
+	for i, c := range cols {
+		key[i] = t[c]
+	}
+	return key
+}
+
+// hashKey combines the hashes of t's key columns; over one column it is
+// that column's hash, over none it is 0. Values that are Equal (NULL with
+// NULL, int with equal float) hash identically, so a key never splits
+// across partitions.
+func hashKey(t storage.Tuple, cols []int) uint64 {
+	var h uint64
+	for _, c := range cols {
+		h = h*1099511628211 + t[c].Hash()
+	}
+	return h
+}
+
+func sameKey(a, b []value.Value) bool {
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// groupBytes is the budget charge for one live group: its key plus
+// accumulator state.
+func groupBytes(key []value.Value, items []GroupItem) int64 {
+	return tupleBytes(storage.Tuple(key)) + 64*int64(len(items))
+}
+
+// newGroup allocates the accumulators of the group keyed by key.
+func newGroup(key []value.Value, items []GroupItem) *groupState {
+	accs := make([]*value.Accumulator, len(items))
+	for i, it := range items {
+		if it.Agg != value.AggNone {
+			accs[i] = value.NewAccumulator(it.Agg)
+		}
+	}
+	return &groupState{key: key, accs: accs}
+}
+
+// add folds one input row into the group's accumulators.
+func (gs *groupState) add(t storage.Tuple, items []GroupItem) error {
+	for i, it := range items {
+		if it.Agg == value.AggNone {
+			continue
+		}
+		v := value.NewInt(1)
+		if it.Agg != value.AggCountStar {
+			v = t[it.Col]
+		}
+		if err := gs.accs[i].Add(v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// row renders the finished group as an output row.
+func (gs *groupState) row(groupCols []int, items []GroupItem) storage.Tuple {
+	out := make(storage.Tuple, len(items))
+	for i, it := range items {
+		if it.Agg != value.AggNone {
+			out[i] = gs.accs[i].Result()
+			continue
+		}
+		// A grouping column: constant within the group.
+		for j, gc := range groupCols {
+			if gc == it.Col {
+				out[i] = gs.key[j]
+				break
+			}
+		}
+	}
+	return out
 }
 
 // GroupAgg implements GROUP BY aggregation over an input sorted on the
@@ -33,103 +137,15 @@ type GroupAgg struct {
 	// group at a time — so the charge is small but honest.
 	QC *qctx.QueryContext
 
-	sch     RowSchema
-	curKey  []value.Value
-	accs    []*value.Accumulator
+	cur     *groupState // the in-flight group, nil before the first row
 	charged int64
-	started bool
 	eof     bool
-	emitted bool // at least one group emitted (for the global empty case)
 }
 
 // Open prepares the child.
 func (g *GroupAgg) Open() error {
-	if err := g.Child.Open(); err != nil {
-		return err
-	}
-	g.sch = make(RowSchema, len(g.Items))
-	for i, it := range g.Items {
-		g.sch[i] = it.Out
-	}
-	g.curKey, g.accs = nil, nil
-	g.charged = 0
-	g.started, g.eof, g.emitted = false, false, false
-	return nil
-}
-
-// chargeGroup swaps the budget charge from the finished group to the one
-// keyed by key.
-func (g *GroupAgg) chargeGroup(key []value.Value) error {
-	g.QC.ReleaseBuffered(g.charged)
-	g.charged = 0
-	n := tupleBytes(storage.Tuple(key)) + 64*int64(len(g.Items))
-	if err := g.QC.AddBuffered(n); err != nil {
-		return err
-	}
-	g.charged = n
-	return nil
-}
-
-func (g *GroupAgg) newAccs() []*value.Accumulator {
-	accs := make([]*value.Accumulator, len(g.Items))
-	for i, it := range g.Items {
-		if it.Agg != value.AggNone {
-			accs[i] = value.NewAccumulator(it.Agg)
-		}
-	}
-	return accs
-}
-
-func (g *GroupAgg) accumulate(t storage.Tuple) error {
-	for i, it := range g.Items {
-		if it.Agg == value.AggNone {
-			continue
-		}
-		v := value.NewInt(1)
-		if it.Agg != value.AggCountStar {
-			v = t[it.Col]
-		}
-		if err := g.accs[i].Add(v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (g *GroupAgg) emit() storage.Tuple {
-	g.emitted = true
-	out := make(storage.Tuple, len(g.Items))
-	for i, it := range g.Items {
-		if it.Agg == value.AggNone {
-			// A grouping column: constant within the group.
-			for j, gc := range g.GroupCols {
-				if gc == it.Col {
-					out[i] = g.curKey[j]
-					break
-				}
-			}
-		} else {
-			out[i] = g.accs[i].Result()
-		}
-	}
-	return out
-}
-
-func (g *GroupAgg) keyOf(t storage.Tuple) []value.Value {
-	key := make([]value.Value, len(g.GroupCols))
-	for i, c := range g.GroupCols {
-		key[i] = t[c]
-	}
-	return key
-}
-
-func sameKey(a, b []value.Value) bool {
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
+	g.cur, g.charged, g.eof = nil, 0, false
+	return g.Child.Open()
 }
 
 // Next emits one group per call.
@@ -144,44 +160,35 @@ func (g *GroupAgg) Next() (storage.Tuple, bool, error) {
 		}
 		if !ok {
 			g.eof = true
-			if g.started {
-				return g.emit(), true, nil
-			}
-			if len(g.GroupCols) == 0 && !g.emitted {
+			if g.cur == nil && len(g.GroupCols) == 0 {
 				// Global aggregate over empty input.
-				g.curKey, g.accs = nil, g.newAccs()
-				return g.emit(), true, nil
+				g.cur = newGroup(nil, g.Items)
 			}
-			return nil, false, nil
+			if g.cur == nil {
+				return nil, false, nil
+			}
+			return g.cur.row(g.GroupCols, g.Items), true, nil
 		}
-		key := g.keyOf(t)
-		if !g.started {
-			g.started = true
-			g.curKey, g.accs = key, g.newAccs()
-			if err := g.chargeGroup(key); err != nil {
+		var out storage.Tuple
+		if key := groupKey(t, g.GroupCols); g.cur == nil || !sameKey(g.cur.key, key) {
+			// Group boundary: the finished group is emitted once the new
+			// one is charged and has taken this row.
+			if g.cur != nil {
+				out = g.cur.row(g.GroupCols, g.Items)
+			}
+			g.QC.ReleaseBuffered(g.charged)
+			g.charged = groupBytes(key, g.Items)
+			if _, err := reserve(g.QC, nil, g.charged, 0); err != nil {
 				return nil, false, err
 			}
-			if err := g.accumulate(t); err != nil {
-				return nil, false, err
-			}
-			continue
+			g.cur = newGroup(key, g.Items)
 		}
-		if sameKey(g.curKey, key) {
-			if err := g.accumulate(t); err != nil {
-				return nil, false, err
-			}
-			continue
-		}
-		// Group boundary: emit the finished group, start the new one.
-		out := g.emit()
-		g.curKey, g.accs = key, g.newAccs()
-		if err := g.chargeGroup(key); err != nil {
+		if err := g.cur.add(t, g.Items); err != nil {
 			return nil, false, err
 		}
-		if err := g.accumulate(t); err != nil {
-			return nil, false, err
+		if out != nil {
+			return out, true, nil
 		}
-		return out, true, nil
 	}
 }
 
@@ -193,13 +200,4 @@ func (g *GroupAgg) Close() error {
 }
 
 // Schema lists the configured output columns.
-func (g *GroupAgg) Schema() RowSchema {
-	if g.sch == nil {
-		sch := make(RowSchema, len(g.Items))
-		for i, it := range g.Items {
-			sch[i] = it.Out
-		}
-		return sch
-	}
-	return g.sch
-}
+func (g *GroupAgg) Schema() RowSchema { return aggSchema(g.Items) }

@@ -2,13 +2,30 @@ package exec
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/qctx"
 	"repro/internal/spill"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
+
+// concat builds the joined row left ++ right; every join goes through it.
+func concat(left, right storage.Tuple) storage.Tuple {
+	out := make(storage.Tuple, 0, len(left)+len(right))
+	out = append(out, left...)
+	return append(out, right...)
+}
+
+// padNull builds the outer-join row for an unmatched left row: left
+// followed by width NULLs — the row that makes COUNT(col) yield 0.
+func padNull(left storage.Tuple, width int) storage.Tuple {
+	out := make(storage.Tuple, 0, len(left)+width)
+	out = append(out, left...)
+	for range width {
+		out = append(out, value.Null)
+	}
+	return out
+}
 
 // MergeJoin is a sort-merge equality join over children sorted on the join
 // keys. With Outer set it is the left outer merge join of section 5.2: the
@@ -36,7 +53,6 @@ type MergeJoin struct {
 	// is re-read once per duplicate left key instead of failing the query.
 	Spill *spill.Session
 
-	sch        RowSchema
 	rightWidth int
 
 	cur      storage.Tuple   // current left row, nil when exhausted/consumed
@@ -45,10 +61,10 @@ type MergeJoin struct {
 	groupSet bool
 	gi       int
 
-	groupCharged int64         // bytes charged for group
-	groupRun     *spill.Run    // spilled group, nil when resident
-	groupRd      *spill.Reader // open scan of groupRun for the current left row
-	groupLen     int           // rows in the current group, resident or spilled
+	groupCharged int64      // bytes charged for group
+	groupRun     *spill.Run // spilled group, nil when resident
+	groupSrc     source     // scan of groupRun for the current left row
+	groupLen     int        // rows in the current group, resident or spilled
 
 	pendRight storage.Tuple // lookahead right row
 	rightEOF  bool
@@ -62,10 +78,9 @@ func (m *MergeJoin) Open() error {
 	if err := m.Right.Open(); err != nil {
 		return err
 	}
-	m.sch = m.Left.Schema().Concat(m.Right.Schema())
 	m.rightWidth = len(m.Right.Schema())
 	m.cur, m.group, m.groupSet, m.gi = nil, nil, false, 0
-	m.groupCharged, m.groupRun, m.groupRd, m.groupLen = 0, nil, nil, 0
+	m.groupCharged, m.groupRun, m.groupSrc, m.groupLen = 0, nil, source{}, 0
 	m.pendRight, m.rightEOF = nil, false
 	return nil
 }
@@ -75,14 +90,9 @@ func (m *MergeJoin) dropGroup() {
 	m.QC.ReleaseBuffered(m.groupCharged)
 	m.groupCharged = 0
 	m.group = m.group[:0]
-	if m.groupRd != nil {
-		m.groupRd.Close()
-		m.groupRd = nil
-	}
-	if m.groupRun != nil {
-		m.groupRun.Remove()
-		m.groupRun = nil
-	}
+	m.groupSrc.close()
+	removeRuns(m.groupRun)
+	m.groupRun = nil
 	m.groupLen = 0
 }
 
@@ -109,23 +119,22 @@ func (m *MergeJoin) nextRight() (storage.Tuple, bool, error) {
 // loadGroup positions the right side at key and buffers the rows equal to
 // it. The buffered group is reused for consecutive left rows with the same
 // key (duplicate outer values).
-func (m *MergeJoin) loadGroup(key value.Value) error {
+func (m *MergeJoin) loadGroup(key value.Value) (err error) {
 	if m.groupSet && m.groupKey.Equal(key) {
 		return nil
 	}
 	m.dropGroup()
 	m.groupKey, m.groupSet = key, true
-	var wr *spill.Writer
-	fail := func(err error) error {
-		if wr != nil {
-			wr.Abort()
+	var wr *spill.Writer // set once the group has outgrown memory
+	defer func() {
+		if err != nil {
+			abortWriters(wr)
 		}
-		return err
-	}
+	}()
 	for {
 		t, ok, err := m.nextRight()
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		if !ok {
 			break
@@ -136,7 +145,7 @@ func (m *MergeJoin) loadGroup(key value.Value) error {
 		}
 		c, err := value.TotalCompare(rk, key)
 		if err != nil {
-			return fail(err) // incomparable join keys: a per-query type error
+			return err // incomparable join keys: a per-query type error
 		}
 		if c < 0 {
 			continue // smaller keys can never match again
@@ -145,62 +154,41 @@ func (m *MergeJoin) loadGroup(key value.Value) error {
 			m.pendRight = t // beyond the group; keep for the next key
 			break
 		}
-		if wr != nil {
-			if err := wr.Append(t); err != nil {
-				return fail(err)
+		if wr == nil {
+			n := tupleBytes(t)
+			fits, err := reserve(m.QC, m.Spill, n, 0)
+			if err != nil {
+				return err
 			}
-			m.groupLen++
-			continue
-		}
-		n := tupleBytes(t)
-		if m.Spill.Enabled() && !m.QC.ReserveBuffered(n) {
+			if fits {
+				m.groupCharged += n
+				m.group = append(m.group, t)
+				m.groupLen++
+				continue
+			}
 			// The group no longer fits: move what is buffered to a run
 			// file and divert the rest of the group there.
-			w2, werr := m.Spill.NewWriter()
-			if werr != nil {
-				return werr
+			if wr, err = m.Spill.NewWriter(); err != nil {
+				return err
 			}
-			wr = w2
 			for _, r := range m.group {
 				if err := wr.Append(r); err != nil {
-					return fail(err)
+					return err
 				}
-			}
-			if err := wr.Append(t); err != nil {
-				return fail(err)
 			}
 			m.QC.ReleaseBuffered(m.groupCharged)
 			m.groupCharged = 0
 			m.group = m.group[:0]
-			m.groupLen++
-			continue
 		}
-		if !m.Spill.Enabled() {
-			if err := m.QC.AddBuffered(n); err != nil {
-				return err
-			}
+		if err := wr.Append(t); err != nil {
+			return err
 		}
-		m.groupCharged += n
-		m.group = append(m.group, t)
 		m.groupLen++
 	}
 	if wr != nil {
-		run, err := wr.Finish()
-		if err != nil {
-			return err
-		}
-		m.groupRun = run
+		m.groupRun, err = wr.Finish()
 	}
-	return nil
-}
-
-func (m *MergeJoin) padRight(left storage.Tuple) storage.Tuple {
-	out := make(storage.Tuple, 0, len(left)+m.rightWidth)
-	out = append(out, left...)
-	for range m.rightWidth {
-		out = append(out, value.Null)
-	}
-	return out
+	return err
 }
 
 // Next produces the next joined row.
@@ -214,22 +202,18 @@ func (m *MergeJoin) Next() (storage.Tuple, bool, error) {
 			m.cur, m.gi = t, 0
 		}
 		key := m.cur[m.LeftKey]
-		if key.IsNull() && !m.NullEq {
-			left := m.cur
-			m.cur = nil
-			if m.Outer {
-				return m.padRight(left), true, nil
+		matched := m.NullEq || !key.IsNull() // a NULL key matches nothing unless NULL-safe
+		if matched {
+			if err := m.loadGroup(key); err != nil {
+				return nil, false, err
 			}
-			continue
+			matched = m.groupLen > 0
 		}
-		if err := m.loadGroup(key); err != nil {
-			return nil, false, err
-		}
-		if m.groupLen == 0 {
+		if !matched {
 			left := m.cur
 			m.cur = nil
 			if m.Outer {
-				return m.padRight(left), true, nil
+				return padNull(left, m.rightWidth), true, nil
 			}
 			continue
 		}
@@ -237,15 +221,14 @@ func (m *MergeJoin) Next() (storage.Tuple, bool, error) {
 		if m.groupRun != nil {
 			// Spilled group: stream the run, re-opened once per left row
 			// with this key.
-			if m.groupRd == nil {
-				rd, err := m.groupRun.Open()
-				if err != nil {
+			if m.gi == 0 {
+				var err error
+				if m.groupSrc, err = openRun(m.QC, m.groupRun); err != nil {
 					return nil, false, err
 				}
-				m.groupRd = rd
 			}
-			t, err := m.groupRd.Next()
-			if err == io.EOF {
+			t, ok, err := m.groupSrc.next()
+			if err == nil && !ok {
 				err = fmt.Errorf("merge join: spill group shorter than written: %w", qctx.ErrSpillCorrupt)
 			}
 			if err != nil {
@@ -255,15 +238,10 @@ func (m *MergeJoin) Next() (storage.Tuple, bool, error) {
 		} else {
 			right = m.group[m.gi]
 		}
-		out := make(storage.Tuple, 0, len(m.cur)+m.rightWidth)
-		out = append(out, m.cur...)
-		out = append(out, right...)
+		out := concat(m.cur, right)
 		m.gi++
 		if m.gi == m.groupLen {
-			if m.groupRd != nil {
-				m.groupRd.Close()
-				m.groupRd = nil
-			}
+			m.groupSrc.close()
 			m.cur = nil
 		}
 		return out, true, nil
@@ -282,12 +260,7 @@ func (m *MergeJoin) Close() error {
 }
 
 // Schema is the concatenation of the children's schemas.
-func (m *MergeJoin) Schema() RowSchema {
-	if m.sch == nil {
-		return m.Left.Schema().Concat(m.Right.Schema())
-	}
-	return m.sch
-}
+func (m *MergeJoin) Schema() RowSchema { return m.Left.Schema().Concat(m.Right.Schema()) }
 
 // NestedLoopJoin joins a streamed left side against a stored right side,
 // re-scanning the right heap file once per left row through the buffer
@@ -316,7 +289,6 @@ type NestedLoopJoin struct {
 	pageIdx int
 	tuples  []storage.Tuple
 	tupIdx  int
-	sch     RowSchema
 }
 
 // Open prepares the left child.
@@ -324,7 +296,6 @@ func (n *NestedLoopJoin) Open() error {
 	if err := n.Left.Open(); err != nil {
 		return err
 	}
-	n.sch = n.Left.Schema().Concat(n.RightSch)
 	n.cur = nil
 	return nil
 }
@@ -355,9 +326,7 @@ func (n *NestedLoopJoin) Next() (storage.Tuple, bool, error) {
 			}
 			r := n.tuples[n.tupIdx]
 			n.tupIdx++
-			out := make(storage.Tuple, 0, len(n.cur)+len(r))
-			out = append(out, n.cur...)
-			out = append(out, r...)
+			out := concat(n.cur, r)
 			tri, err := n.Pred(out)
 			if err != nil {
 				return nil, false, err
@@ -371,12 +340,7 @@ func (n *NestedLoopJoin) Next() (storage.Tuple, bool, error) {
 		left, matched := n.cur, n.matched
 		n.cur = nil
 		if n.Outer && !matched {
-			out := make(storage.Tuple, 0, len(left)+len(n.RightSch))
-			out = append(out, left...)
-			for range n.RightSch {
-				out = append(out, value.Null)
-			}
-			return out, true, nil
+			return padNull(left, len(n.RightSch)), true, nil
 		}
 	}
 }
@@ -385,9 +349,4 @@ func (n *NestedLoopJoin) Next() (storage.Tuple, bool, error) {
 func (n *NestedLoopJoin) Close() error { return n.Left.Close() }
 
 // Schema is the concatenation of left and right schemas.
-func (n *NestedLoopJoin) Schema() RowSchema {
-	if n.sch == nil {
-		return n.Left.Schema().Concat(n.RightSch)
-	}
-	return n.sch
-}
+func (n *NestedLoopJoin) Schema() RowSchema { return n.Left.Schema().Concat(n.RightSch) }

@@ -160,7 +160,7 @@ func (d *Distinct) Next() (storage.Tuple, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		if d.prev != nil && tuplesEqual(d.prev, t) {
+		if d.prev != nil && sameKey(d.prev, t) {
 			continue
 		}
 		d.prev = t
@@ -171,29 +171,11 @@ func (d *Distinct) Next() (storage.Tuple, bool, error) {
 func (d *Distinct) Close() error      { return d.Child.Close() }
 func (d *Distinct) Schema() RowSchema { return d.Child.Schema() }
 
-func tuplesEqual(a, b storage.Tuple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Materialize drains an operator into a new temporary heap file, counting
 // the writes — the +Pt terms of the paper's cost formulas. On any failure
 // — an error, or a panic (torn-write fault) unwinding through an append —
 // the temp file is dropped, so failed materializations leak nothing.
 func Materialize(op Operator, store *storage.Store, tuplesPerPage int) (*storage.HeapFile, error) {
-	return MaterializeBudget(op, store, tuplesPerPage, nil)
-}
-
-// MaterializeBudget is Materialize with the partial-page buffer charged
-// against qc's memory budget (see MaterializeIntoBudget).
-func MaterializeBudget(op Operator, store *storage.Store, tuplesPerPage int, qc *qctx.QueryContext) (*storage.HeapFile, error) {
 	f := store.CreateTemp(tuplesPerPage)
 	done := false
 	defer func() {
@@ -201,7 +183,7 @@ func MaterializeBudget(op Operator, store *storage.Store, tuplesPerPage int, qc 
 			store.Drop(f.Name())
 		}
 	}()
-	if err := MaterializeIntoBudget(op, f, qc); err != nil {
+	if err := MaterializeInto(op, f, nil); err != nil {
 		return nil, err
 	}
 	done = true
@@ -213,16 +195,13 @@ func MaterializeBudget(op Operator, store *storage.Store, tuplesPerPage int, qc 
 // partially successful Open (sort runs, worker goroutines) are released
 // even when Open itself errors or panics; Operator.Close is required to
 // be safe in that state (see DESIGN.md, "Operator lifecycle contract").
-func MaterializeInto(op Operator, f *storage.HeapFile) error {
-	return MaterializeIntoBudget(op, f, nil)
-}
-
-// MaterializeIntoBudget is MaterializeInto with memory governance: the
-// tuples accumulating in the heap file's open page are charged against
-// qc's memory budget and released every time a page fills — heap pages
-// model disk, so only the partial-page working set counts as memory.
-// A nil qc means ungoverned.
-func MaterializeIntoBudget(op Operator, f *storage.HeapFile, qc *qctx.QueryContext) error {
+//
+// The tuples accumulating in the heap file's open page are charged
+// against qc's memory budget (nil = ungoverned) and released every time a
+// page fills — heap pages model disk, so only the partial-page working
+// set counts as memory. A page buffer has nowhere to spill, so the charge
+// is a hard one.
+func MaterializeInto(op Operator, f *storage.HeapFile, qc *qctx.QueryContext) error {
 	defer op.Close()
 	if err := op.Open(); err != nil {
 		return err
@@ -239,10 +218,11 @@ func MaterializeIntoBudget(op Operator, f *storage.HeapFile, qc *qctx.QueryConte
 		if !ok {
 			break
 		}
-		if err := qc.AddBuffered(tupleBytes(t)); err != nil {
+		n := tupleBytes(t)
+		if _, err := reserve(qc, nil, n, 0); err != nil {
 			return err
 		}
-		pageBytes += tupleBytes(t)
+		pageBytes += n
 		f.Append(t)
 		count++
 		if tpp > 0 && count%tpp == 0 {
@@ -254,16 +234,10 @@ func MaterializeIntoBudget(op Operator, f *storage.HeapFile, qc *qctx.QueryConte
 	return nil
 }
 
-// Drain runs an operator to completion collecting all rows (used by the
-// engine to produce final results and by tests).
-func Drain(op Operator) ([]storage.Tuple, error) {
-	return DrainBudget(op, nil)
-}
-
-// DrainBudget is Drain with lifecycle governance: every produced row is
-// charged against qc's row budget, so a query exceeding its row limit
-// stops within one row of the limit. A nil qc means ungoverned.
-func DrainBudget(op Operator, qc *qctx.QueryContext) ([]storage.Tuple, error) {
+// Drain runs an operator to completion collecting all rows, charging each
+// against qc's row budget (nil = ungoverned), so a query exceeding its row
+// limit stops within one row of the limit.
+func Drain(op Operator, qc *qctx.QueryContext) ([]storage.Tuple, error) {
 	defer op.Close() // see MaterializeInto for why this precedes Open
 	if err := op.Open(); err != nil {
 		return nil, err

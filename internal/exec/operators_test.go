@@ -31,7 +31,7 @@ func scanOf(f *storage.HeapFile, binding string) *exec.SeqScan {
 
 func drainInts(t *testing.T, op exec.Operator) [][]int64 {
 	t.Helper()
-	rows, err := exec.Drain(op)
+	rows, err := exec.Drain(op, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestSortByMultipleKeysAndNulls(t *testing.T) {
 	f.Append(storage.Tuple{intv(1), intv(2)})
 	f.Seal()
 	srt := &exec.Sort{Child: scanOf(f, "R"), Keys: []int{0, 1}, Store: s}
-	rows, err := exec.Drain(srt)
+	rows, err := exec.Drain(srt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestDistinctTreatsNullsEqual(t *testing.T) {
 	f.Append(storage.Tuple{intv(1)})
 	f.Seal()
 	d := &exec.Distinct{Child: exec.NewSeqScan(f, "R", []string{"K"})}
-	rows, err := exec.Drain(d)
+	rows, err := exec.Drain(d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestGroupAggGlobalEmpty(t *testing.T) {
 			{Agg: value.AggMax, Col: 1, Out: exec.ColID{Column: "MX"}},
 		},
 	}
-	rows, err := exec.Drain(g)
+	rows, err := exec.Drain(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestGroupAggGlobalEmpty(t *testing.T) {
 			{Agg: value.AggCount, Col: 1, Out: exec.ColID{Column: "CT"}},
 		},
 	}
-	rows, err = exec.Drain(g2)
+	rows, err = exec.Drain(g2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestMergeJoinEquivalentToNaive(t *testing.T) {
 		lsort := &exec.Sort{Child: scanOf(l, "L"), Keys: []int{0}, Store: s}
 		rsort := &exec.Sort{Child: scanOf(r, "R"), Keys: []int{0}, Store: s}
 		j := &exec.MergeJoin{Left: lsort, Right: rsort, LeftKey: 0, RightKey: 0, Outer: outer}
-		rows, err := exec.Drain(j)
+		rows, err := exec.Drain(j, nil)
 		if err != nil {
 			return false
 		}
@@ -527,7 +527,7 @@ func TestSortEquivalentToInMemory(t *testing.T) {
 		}
 		f := loadFile(s, "R", 2, rows)
 		srt := &exec.Sort{Child: scanOf(f, "R"), Keys: []int{0}, Store: s, TuplesPerPage: 2}
-		got, err := exec.Drain(srt)
+		got, err := exec.Drain(srt, nil)
 		if err != nil {
 			return false
 		}
@@ -571,7 +571,7 @@ func TestOuterMergeJoinCostEqualsStandard(t *testing.T) {
 			LeftKey: 0, RightKey: 0,
 			Outer: outer,
 		}
-		out, err := exec.Drain(j)
+		out, err := exec.Drain(j, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -607,7 +607,7 @@ func TestGroupAggEquivalentToNaive(t *testing.T) {
 				{Agg: value.AggMax, Col: 1, Out: exec.ColID{Column: "MX"}},
 			},
 		}
-		got, err := exec.Drain(g)
+		got, err := exec.Drain(g, nil)
 		if err != nil {
 			return false
 		}
@@ -670,7 +670,7 @@ func TestAntiJoinEquivalentToNaive(t *testing.T) {
 			LeftVal:   func(t storage.Tuple) value.Value { return t[0] },
 			MemberCol: 0,
 		}
-		got, err := exec.Drain(aj)
+		got, err := exec.Drain(aj, nil)
 		if err != nil {
 			return false
 		}

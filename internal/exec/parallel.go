@@ -2,23 +2,25 @@ package exec
 
 import (
 	"errors"
-	"io"
 	"runtime"
 	"sync"
 
 	"repro/internal/qctx"
 	"repro/internal/spill"
 	"repro/internal/storage"
-	"repro/internal/value"
 )
 
-// This file implements morsel-driven parallel execution. A distributor
-// goroutine pulls the (single-threaded) child iterator and hash-partitions
-// its tuples by join/group key into per-worker channels of "morsels" —
-// batches of tuples that amortize channel synchronization. Workers do pure
-// in-memory hash join / hash aggregation on their partition and push output
-// morsels into a shared channel; ExchangeMerge drains that channel back
-// into the pull-iterator model.
+// This file implements morsel-driven parallel execution. There is one
+// partitioning exchange: a distributor goroutine pulls the
+// (single-threaded) child iterator and hash-partitions its tuples by
+// join/group key into per-worker channels of "morsels" — batches of tuples
+// that amortize channel synchronization. Workers run an operator kernel
+// (the hash-probe kernel of ParallelHashJoin, the group-admit kernel of
+// ParallelHashGroup) on their partition and push output morsels into a
+// shared channel; ExchangeMerge drains that channel back into the
+// pull-iterator model. Under memory pressure a kernel's overflow goes to
+// spill runs, and the same kernel then reads those runs instead of the
+// channel (see budget.go for the reserve-or-spill rule).
 //
 // Partitioning by key hash is what preserves the paper's COUNT-bug
 // semantics under parallelism: every row of a given key lands on exactly
@@ -47,17 +49,6 @@ type exchange struct {
 	wg   sync.WaitGroup
 }
 
-// send delivers a morsel to the consumer; it returns false when the
-// consumer has closed the exchange and the producer should exit.
-func (ex *exchange) send(m Morsel) bool {
-	select {
-	case ex.out <- m:
-		return true
-	case <-ex.stop:
-		return false
-	}
-}
-
 // fail records the first error; later errors are dropped.
 func (ex *exchange) fail(err error) {
 	select {
@@ -67,10 +58,10 @@ func (ex *exchange) fail(err error) {
 }
 
 // guard is the deferred panic handler of every producer goroutine: a
-// panic in a distributor or worker (a storage fault, a bug) becomes a
+// panic in the distributor or a worker (a storage fault, a bug) becomes a
 // recorded exchange error instead of killing the process. Register it
 // LAST among a goroutine's defers, so it runs before wg.Done and before
-// a distributor closes its worker channels. A worker passes its input
+// the distributor closes its worker channels. A worker passes its input
 // channel so the guard can drain it — otherwise the distributor could
 // block forever on the dead worker's full channel.
 func (ex *exchange) guard(in <-chan Morsel) {
@@ -80,6 +71,158 @@ func (ex *exchange) guard(in <-chan Morsel) {
 			for range in {
 			}
 		}
+	}
+}
+
+// partitioning describes what the exchange's distributor routes: child's
+// tuples, by the hash of their key columns (no columns: all to worker 0),
+// to one of workers goroutines.
+type partitioning struct {
+	child   Operator
+	keys    []int
+	workers int
+	qc      *qctx.QueryContext
+	// divert, when set, is offered every routed tuple and reports whether
+	// it took it — a partition whose state lives on disk has its input
+	// diverted there too. seal then runs after the last tuple, before the
+	// worker channels close: the close is the happens-before edge that
+	// publishes what divert wrote to the workers.
+	divert func(part int, t storage.Tuple) (bool, error)
+	seal   func() error
+}
+
+// start runs the exchange below ex: one distributor and p.workers workers,
+// each running work over its partition's tuples (src) and emitting through
+// out. Every goroutine is registered with ex.wg before start returns.
+func (ex *exchange) start(p partitioning, work func(id int, src *source, out *emitter) error) {
+	inputs := make([]chan Morsel, p.workers)
+	for i := range inputs {
+		// Two morsels of slack let the distributor run ahead of a busy
+		// worker without buffering unboundedly.
+		inputs[i] = make(chan Morsel, 2)
+	}
+	ex.wg.Add(p.workers + 1)
+	go ex.distribute(p, inputs)
+	for i, in := range inputs {
+		go ex.worker(i, in, p.qc, work)
+	}
+}
+
+// distribute is the one distributor loop: pull the child, route by key
+// hash, buffer a morsel per worker, flush.
+func (ex *exchange) distribute(p partitioning, inputs []chan Morsel) {
+	defer ex.wg.Done()
+	defer func() {
+		for _, ch := range inputs {
+			close(ch)
+		}
+	}()
+	defer ex.guard(nil) // runs first: recover, then close inputs, then Done
+	bufs := make([]Morsel, len(inputs))
+	flush := func(i int) bool {
+		if len(bufs[i]) == 0 {
+			return true
+		}
+		m := bufs[i]
+		bufs[i] = nil
+		select {
+		case inputs[i] <- m:
+			return true
+		case <-ex.stop:
+			return false
+		}
+	}
+	for {
+		if err := p.qc.Check(); err != nil {
+			ex.fail(err)
+			return
+		}
+		t, ok, err := p.child.Next()
+		if err != nil {
+			ex.fail(err)
+			return
+		}
+		if !ok {
+			break
+		}
+		i := int(hashKey(t, p.keys) % uint64(len(inputs)))
+		if p.divert != nil {
+			taken, err := p.divert(i, t)
+			if err != nil {
+				ex.fail(err)
+				return
+			}
+			if taken {
+				continue
+			}
+		}
+		bufs[i] = append(bufs[i], t)
+		if len(bufs[i]) >= MorselSize && !flush(i) {
+			return
+		}
+	}
+	if p.seal != nil {
+		if err := p.seal(); err != nil {
+			ex.fail(err)
+			return
+		}
+	}
+	for i := range bufs {
+		if !flush(i) {
+			return
+		}
+	}
+}
+
+// worker runs one worker goroutine: work over the partition's input, then
+// the trailing output morsel. After any failure it keeps consuming its
+// channel so the distributor is never left blocked on it.
+func (ex *exchange) worker(id int, in <-chan Morsel, qc *qctx.QueryContext, work func(int, *source, *emitter) error) {
+	defer ex.wg.Done()
+	defer ex.guard(in) // runs first: recover + drain, then Done
+	out := emitter{ex: ex}
+	err := work(id, &source{qc: qc, in: in}, &out)
+	if err == nil {
+		err = out.flush()
+	}
+	if err != nil {
+		if err != errExchangeStopped {
+			ex.fail(err)
+		}
+		for range in {
+		}
+	}
+}
+
+// errExchangeStopped aborts a worker when the consumer has closed the
+// exchange; it is never surfaced to the query.
+var errExchangeStopped = errors.New("exchange stopped")
+
+// emitter batches a worker's output rows into morsels for the consumer.
+type emitter struct {
+	ex  *exchange
+	buf Morsel
+}
+
+func (e *emitter) emit(t storage.Tuple) error {
+	e.buf = append(e.buf, t)
+	if len(e.buf) < MorselSize {
+		return nil
+	}
+	return e.flush()
+}
+
+func (e *emitter) flush() error {
+	if len(e.buf) == 0 {
+		return nil
+	}
+	m := e.buf
+	e.buf = nil
+	select {
+	case e.ex.out <- m:
+		return nil
+	case <-e.ex.stop:
+		return errExchangeStopped
 	}
 }
 
@@ -107,8 +250,7 @@ type ExchangeMerge struct {
 	QC *qctx.QueryContext
 
 	ex     *exchange
-	cur    Morsel
-	idx    int
+	src    source // the workers' merged output
 	closed bool
 }
 
@@ -123,7 +265,7 @@ func (e *ExchangeMerge) Open() error {
 		errc: make(chan error, w+1),
 		stop: make(chan struct{}),
 	}
-	e.ex, e.cur, e.idx, e.closed = ex, nil, 0, false
+	e.ex, e.src, e.closed = ex, source{qc: e.QC, in: ex.out}, false
 	e.Source.run(ex)
 	go func() {
 		ex.wg.Wait()
@@ -137,30 +279,15 @@ func (e *ExchangeMerge) Next() (storage.Tuple, bool, error) {
 	if e.ex == nil {
 		return nil, false, nil
 	}
-	for {
-		if e.idx < len(e.cur) {
-			t := e.cur[e.idx]
-			e.idx++
-			return t, true, nil
-		}
-		var m Morsel
-		var ok bool
+	t, ok, err := e.src.next()
+	if !ok && err == nil {
+		// All producers exited; surface a recorded error, if any.
 		select {
-		case m, ok = <-e.ex.out:
-		case <-e.QC.Done():
-			return nil, false, e.QC.Err()
+		case err = <-e.ex.errc:
+		default:
 		}
-		if !ok {
-			// All producers exited; surface a recorded error, if any.
-			select {
-			case err := <-e.ex.errc:
-				return nil, false, err
-			default:
-				return nil, false, nil
-			}
-		}
-		e.cur, e.idx = m, 0
 	}
+	return t, ok, err
 }
 
 // Close signals producers to stop, waits for every goroutine to exit, and
@@ -178,7 +305,7 @@ func (e *ExchangeMerge) Close() error {
 		for range e.ex.out {
 		}
 		e.ex.wg.Wait()
-		e.ex, e.cur = nil, nil
+		e.ex = nil
 	}
 	return e.Source.Close()
 }
@@ -197,14 +324,14 @@ func defaultWorkers(n int) int {
 
 // ParallelHashJoin is an equality hash join executed by Workers goroutines.
 // Open drains the Right (build) side sequentially, partitioning it by key
-// hash; run starts a distributor that partitions the Left (probe) side the
+// hash; run starts the exchange that partitions the Left (probe) side the
 // same way, so matching keys meet on the same worker. Semantics match
 // MergeJoin: rows whose join key is NULL match nothing, and with Outer set
 // every unmatched left row is emitted NULL-padded — the left outer join
 // NEST-JA2's COUNT fix depends on. With NullEq set the key comparison is
 // NULL-safe, matching MergeJoin.NullEq: NULL hashes like any other value
-// (to a fixed bucket), so NULL build and probe keys still meet on one
-// worker and join with each other.
+// (to a fixed bucket), so NULL build and probe keys meet on one worker and
+// join with each other.
 type ParallelHashJoin struct {
 	Left, Right       Operator
 	LeftKey, RightKey int
@@ -221,16 +348,35 @@ type ParallelHashJoin struct {
 	// on the owning worker (recursively sub-partitioned if still too big).
 	Spill *spill.Session
 
-	sch        RowSchema
 	rightWidth int
-	buildParts [][]storage.Tuple
-	buildBytes int64   // bytes charged for buildParts, released in Close
-	partBytes  []int64 // per-partition share of buildBytes
-	spilled    []bool  // partitions evicted to spill runs
-	buildWr    []*spill.Writer
-	buildRuns  []*spill.Run
-	probeWr    []*spill.Writer // written only by the distributor goroutine
-	probeRuns  []*spill.Run    // published before worker channels close
+	parts      []joinPart
+}
+
+// The two sides of a spilled partition's state.
+const (
+	buildSide = iota
+	probeSide
+)
+
+// joinPart is one hash partition of the build side: its rows while it is
+// resident, its (build, probe) run pair once it has been evicted. The
+// probe writer is touched only by the distributor goroutine, and the
+// probe run is published to the worker by the channel close.
+type joinPart struct {
+	rows    []storage.Tuple
+	bytes   int64 // charged for rows, released on eviction or Close
+	spilled bool
+	wr      [2]*spill.Writer
+	run     [2]*spill.Run
+}
+
+// seal finishes the side's writer, if any, into its run.
+func (p *joinPart) seal(side int) (err error) {
+	if wr := p.wr[side]; wr != nil {
+		p.wr[side] = nil
+		p.run[side], err = wr.Finish()
+	}
+	return err
 }
 
 // NumWorkers reports the resolved worker count.
@@ -247,16 +393,9 @@ func (j *ParallelHashJoin) Open() error {
 		j.Left.Close()
 		return err
 	}
-	j.sch = j.Left.Schema().Concat(j.Right.Schema())
 	j.rightWidth = len(j.Right.Schema())
-	w := j.NumWorkers()
-	j.buildParts = make([][]storage.Tuple, w)
-	j.partBytes = make([]int64, w)
-	j.spilled = make([]bool, w)
-	j.buildWr = make([]*spill.Writer, w)
-	j.buildRuns = make([]*spill.Run, w)
-	j.probeWr = make([]*spill.Writer, w)
-	j.probeRuns = make([]*spill.Run, w)
+	j.parts = make([]joinPart, j.NumWorkers())
+	key := []int{j.RightKey}
 	for {
 		t, ok, err := j.Right.Next()
 		if err != nil {
@@ -268,370 +407,129 @@ func (j *ParallelHashJoin) Open() error {
 		if err := j.QC.Check(); err != nil {
 			return err
 		}
-		k := t[j.RightKey]
-		if k.IsNull() && !j.NullEq {
+		if t[j.RightKey].IsNull() && !j.NullEq {
 			continue // NULL build keys can never match
 		}
+		p := &j.parts[hashKey(t, key)%uint64(len(j.parts))]
+		// On refusal evict the largest resident partition to disk until
+		// the reservation fits or this tuple's own partition has spilled.
 		n := tupleBytes(t)
-		p := int(k.Hash() % uint64(w))
-		if j.spilled[p] {
-			if err := j.buildWr[p].Append(t); err != nil {
+		for !p.spilled {
+			fits, err := reserve(j.QC, j.Spill, n, 0)
+			if err != nil {
 				return err
 			}
-			continue
-		}
-		if !j.Spill.Enabled() {
-			if err := j.QC.AddBuffered(n); err != nil {
-				return err
-			}
-			j.buildBytes += n
-			j.partBytes[p] += n
-			j.buildParts[p] = append(j.buildParts[p], t)
-			continue
-		}
-		// Spill-capable path: reserve, and on refusal evict the largest
-		// resident partition to disk until the reservation fits or this
-		// tuple's own partition has spilled.
-		for !j.spilled[p] {
-			if j.QC.ReserveBuffered(n) {
-				j.buildBytes += n
-				j.partBytes[p] += n
-				j.buildParts[p] = append(j.buildParts[p], t)
+			if fits {
+				p.bytes += n
+				p.rows = append(p.rows, t)
 				break
 			}
 			if err := j.spillPartition(j.largestResident(p)); err != nil {
 				return err
 			}
 		}
-		if j.spilled[p] {
-			if err := j.buildWr[p].Append(t); err != nil {
+		if p.spilled {
+			if err := p.wr[buildSide].Append(t); err != nil {
 				return err
 			}
 		}
 	}
 	// Seal the build runs; probe runs are written during distribution.
-	for p, wr := range j.buildWr {
-		if wr == nil {
-			continue
-		}
-		run, err := wr.Finish()
-		j.buildWr[p] = nil
-		if err != nil {
+	for i := range j.parts {
+		if err := j.parts[i].seal(buildSide); err != nil {
 			return err
 		}
-		j.buildRuns[p] = run
 	}
 	return nil
 }
 
 // largestResident picks the spill victim: the resident partition holding
 // the most charged bytes (fallback, the requesting partition itself).
-func (j *ParallelHashJoin) largestResident(p int) int {
-	best := p
-	for i := range j.partBytes {
-		if !j.spilled[i] && j.partBytes[i] > j.partBytes[best] {
-			best = i
+func (j *ParallelHashJoin) largestResident(p *joinPart) *joinPart {
+	for i := range j.parts {
+		if q := &j.parts[i]; !q.spilled && q.bytes > p.bytes {
+			p = q
 		}
 	}
-	return best
+	return p
 }
 
 // spillPartition evicts one build partition: its tuples move to a fresh
 // run file, its budget charge is released, and all later build and probe
 // tuples for the partition divert to runs.
-func (j *ParallelHashJoin) spillPartition(p int) error {
+func (j *ParallelHashJoin) spillPartition(p *joinPart) error {
 	wr, err := j.Spill.NewWriter()
 	if err != nil {
 		return err
 	}
-	j.buildWr[p] = wr
-	j.spilled[p] = true
-	for _, t := range j.buildParts[p] {
+	p.wr[buildSide], p.spilled = wr, true
+	for _, t := range p.rows {
 		if err := wr.Append(t); err != nil {
 			return err
 		}
 	}
-	j.buildParts[p] = nil
-	j.QC.ReleaseBuffered(j.partBytes[p])
-	j.buildBytes -= j.partBytes[p]
-	j.partBytes[p] = 0
+	p.rows = nil
+	j.QC.ReleaseBuffered(p.bytes)
+	p.bytes = 0
 	return nil
 }
 
 func (j *ParallelHashJoin) run(ex *exchange) {
-	w := j.NumWorkers()
-	inputs := make([]chan Morsel, w)
-	for i := range inputs {
-		inputs[i] = make(chan Morsel, 2)
-	}
-	ex.wg.Add(w + 1)
-	go j.distribute(ex, inputs)
-	for i := range w {
-		go j.worker(ex, i, inputs[i])
-	}
+	ex.start(partitioning{child: j.Left, keys: []int{j.LeftKey}, workers: len(j.parts), qc: j.QC,
+		divert: j.divertProbe, seal: j.sealProbes}, j.work)
 }
 
-// distribute pulls the probe side and routes tuples to workers by key
-// hash. NULL probe keys match nothing regardless of worker, so they are
-// routed to worker 0, which pads them when Outer.
-func (j *ParallelHashJoin) distribute(ex *exchange, inputs []chan Morsel) {
-	defer ex.wg.Done()
-	defer func() {
-		for _, ch := range inputs {
-			close(ch)
-		}
-	}()
-	defer ex.guard(nil) // runs first: recover, then close inputs, then Done
-	w := len(inputs)
-	bufs := make([]Morsel, w)
-	flush := func(i int) bool {
-		if len(bufs[i]) == 0 {
-			return true
-		}
-		m := bufs[i]
-		bufs[i] = nil
-		select {
-		case inputs[i] <- m:
-			return true
-		case <-ex.stop:
-			return false
-		}
+// divertProbe takes the probe tuples of partitions whose build side lives
+// on disk and appends them to the partition's probe run, for the owning
+// worker's post-pass.
+func (j *ParallelHashJoin) divertProbe(part int, t storage.Tuple) (bool, error) {
+	p := &j.parts[part]
+	if !p.spilled {
+		return false, nil
 	}
-	for {
-		if err := j.QC.Check(); err != nil {
-			ex.fail(err)
-			return
-		}
-		t, ok, err := j.Left.Next()
+	if p.wr[probeSide] == nil {
+		wr, err := j.Spill.NewWriter()
 		if err != nil {
-			ex.fail(err)
-			return
+			return false, err
 		}
-		if !ok {
-			break
-		}
-		p := 0
-		if k := t[j.LeftKey]; j.NullEq || !k.IsNull() {
-			p = int(k.Hash() % uint64(w))
-		}
-		if j.spilled[p] {
-			// The build side of this partition lives on disk; divert its
-			// probe tuples to a probe run for the worker's post-pass.
-			if j.probeWr[p] == nil {
-				wr, err := j.Spill.NewWriter()
-				if err != nil {
-					ex.fail(err)
-					return
-				}
-				j.probeWr[p] = wr
-			}
-			if err := j.probeWr[p].Append(t); err != nil {
-				ex.fail(err)
-				return
-			}
-			continue
-		}
-		bufs[p] = append(bufs[p], t)
-		if len(bufs[p]) >= MorselSize {
-			if !flush(p) {
-				return
-			}
-		}
+		p.wr[probeSide] = wr
 	}
-	// Seal the probe runs before the deferred channel close publishes
-	// them to the workers (channel close is the happens-before edge).
-	for p, wr := range j.probeWr {
-		if wr == nil {
-			continue
-		}
-		run, err := wr.Finish()
-		j.probeWr[p] = nil
-		if err != nil {
-			ex.fail(err)
-			return
-		}
-		j.probeRuns[p] = run
-	}
-	for i := range bufs {
-		if !flush(i) {
-			return
-		}
-	}
+	return true, p.wr[probeSide].Append(t)
 }
 
-func (j *ParallelHashJoin) worker(ex *exchange, id int, in <-chan Morsel) {
-	defer ex.wg.Done()
-	defer ex.guard(in) // runs first: recover + drain, then Done
+func (j *ParallelHashJoin) sealProbes() error {
+	for i := range j.parts {
+		if err := j.parts[i].seal(probeSide); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// work is one worker: probe the resident build rows with the partition's
+// input, then join the partition's spilled pair, if any.
+func (j *ParallelHashJoin) work(id int, src *source, out *emitter) error {
+	p := &j.parts[id]
 	table := make(map[uint64][]storage.Tuple)
-	for _, r := range j.buildParts[id] {
+	for _, r := range p.rows {
 		h := r[j.RightKey].Hash()
 		table[h] = append(table[h], r)
 	}
-	var out Morsel
-	emit := func(t storage.Tuple) bool {
-		out = append(out, t)
-		if len(out) >= MorselSize {
-			m := out
-			out = nil
-			return ex.send(m)
-		}
-		return true
-	}
-	for m := range in {
-		if err := j.QC.Check(); err != nil {
-			ex.fail(err)
-			for range in {
-			}
-			return
-		}
-		for _, l := range m {
-			matched := false
-			if k := l[j.LeftKey]; j.NullEq || !k.IsNull() {
-				for _, r := range table[k.Hash()] {
-					if !r[j.RightKey].Equal(k) {
-						continue // hash collision
-					}
-					matched = true
-					row := make(storage.Tuple, 0, len(l)+j.rightWidth)
-					row = append(row, l...)
-					row = append(row, r...)
-					if !emit(row) {
-						return
-					}
-				}
-			}
-			if !matched && j.Outer {
-				row := make(storage.Tuple, 0, len(l)+j.rightWidth)
-				row = append(row, l...)
-				for range j.rightWidth {
-					row = append(row, value.Null)
-				}
-				if !emit(row) {
-					return
-				}
-			}
-		}
-	}
-	if j.spilled[id] {
-		// Post-pass: join this worker's spilled (build run, probe run)
-		// pair. The input channel is closed, so the distributor has
-		// sealed and published the probe run.
-		if err := j.joinSpilled(emit, j.buildRuns[id], j.probeRuns[id], 0); err != nil {
-			if err != errExchangeStopped {
-				ex.fail(err)
-			}
-			return
-		}
-		if j.buildRuns[id] != nil {
-			j.buildRuns[id].Remove()
-			j.buildRuns[id] = nil
-		}
-		if j.probeRuns[id] != nil {
-			j.probeRuns[id].Remove()
-			j.probeRuns[id] = nil
-		}
-	}
-	if len(out) > 0 {
-		ex.send(out)
-	}
-}
-
-// errExchangeStopped aborts spilled post-pass processing when the
-// consumer has closed the exchange; it is never surfaced to the query.
-var errExchangeStopped = errors.New("exchange stopped")
-
-// maxSpillDepth caps recursive sub-partitioning of spilled data. Splits
-// past this depth cannot help (e.g. one giant duplicate key), so the
-// data is hard-charged instead and the memory budget's typed error is
-// allowed to surface.
-const maxSpillDepth = 6
-
-// rehashSpill re-salts a key hash for sub-partitioning at the given
-// recursion depth, so each level cuts along an independent boundary.
-func rehashSpill(h uint64, depth int) uint64 {
-	h ^= uint64(depth+1) * 0x9E3779B97F4A7C15
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h
-}
-
-// reserveSpillDepth is the depth-aware reservation used while rebuilding
-// spilled data: under SpillForced (which refuses every reservation by
-// design) and at the recursion cap it hard-charges via AddBuffered, so
-// forced runs terminate and over-budget data surfaces ErrMemoryBudget.
-func reserveSpillDepth(qc *qctx.QueryContext, n int64, depth int) (bool, error) {
-	if qc.SpillPolicy() == qctx.SpillForced || depth >= maxSpillDepth {
-		return true, qc.AddBuffered(n)
-	}
-	return qc.ReserveBuffered(n), nil
-}
-
-// joinSpilled joins one spilled partition: it rebuilds the hash table
-// from the build run under reservation, streams the probe run against
-// it, and emits matches (padding unmatched probe rows when Outer). If
-// the build side still cannot be reserved, both runs are sub-partitioned
-// and joined recursively.
-func (j *ParallelHashJoin) joinSpilled(emit func(storage.Tuple) bool, br, pr *spill.Run, depth int) error {
-	if pr == nil || pr.Tuples == 0 {
-		// No probe rows reached this partition: inner and left-outer
-		// joins emit nothing (Outer pads probe rows, and there are none).
-		return nil
-	}
-	var charged int64
-	defer func() { j.QC.ReleaseBuffered(charged) }()
-	table := make(map[uint64][]storage.Tuple)
-	if br != nil && br.Tuples > 0 {
-		rd, err := br.Open()
-		if err != nil {
-			return err
-		}
-		for {
-			t, err := rd.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				rd.Close()
-				return err
-			}
-			if err := j.QC.Check(); err != nil {
-				rd.Close()
-				return err
-			}
-			n := tupleBytes(t)
-			ok, err := reserveSpillDepth(j.QC, n, depth)
-			if err != nil {
-				rd.Close()
-				return err
-			}
-			if !ok {
-				rd.Close()
-				j.QC.ReleaseBuffered(charged)
-				charged = 0
-				return j.splitSpilled(emit, br, pr, depth)
-			}
-			charged += n
-			h := t[j.RightKey].Hash()
-			table[h] = append(table[h], t)
-		}
-		if err := rd.Close(); err != nil {
-			return err
-		}
-	}
-	prd, err := pr.Open()
-	if err != nil {
+	if err := j.probe(out, table, src); err != nil || !p.spilled {
 		return err
 	}
-	defer prd.Close()
+	// The input channel is closed, so the distributor has sealed and
+	// published the probe run.
+	return j.joinSpilled(out, p.run, 1)
+}
+
+// probe is the one hash-probe loop: every tuple of src against table,
+// matches emitted joined, unmatched tuples NULL-padded when Outer. NULL
+// probe keys match nothing unless NullEq.
+func (j *ParallelHashJoin) probe(out *emitter, table map[uint64][]storage.Tuple, src *source) error {
 	for {
-		l, err := prd.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := j.QC.Check(); err != nil {
+		l, ok, err := src.next()
+		if err != nil || !ok {
 			return err
 		}
 		matched := false
@@ -641,167 +539,170 @@ func (j *ParallelHashJoin) joinSpilled(emit func(storage.Tuple) bool, br, pr *sp
 					continue // hash collision
 				}
 				matched = true
-				row := make(storage.Tuple, 0, len(l)+j.rightWidth)
-				row = append(row, l...)
-				row = append(row, r...)
-				if !emit(row) {
-					return errExchangeStopped
+				if err := out.emit(concat(l, r)); err != nil {
+					return err
 				}
 			}
 		}
 		if !matched && j.Outer {
-			row := make(storage.Tuple, 0, len(l)+j.rightWidth)
-			row = append(row, l...)
-			for range j.rightWidth {
-				row = append(row, value.Null)
-			}
-			if !emit(row) {
-				return errExchangeStopped
+			if err := out.emit(padNull(l, j.rightWidth)); err != nil {
+				return err
 			}
 		}
 	}
 }
 
-// splitSpilled sub-partitions a too-large spilled pair by a re-salted
-// hash and joins each sub-pair recursively.
-func (j *ParallelHashJoin) splitSpilled(emit func(storage.Tuple) bool, br, pr *spill.Run, depth int) error {
-	const fanout = 4
-	var subB, subP [fanout]*spill.Run
-	cleanup := func() {
-		for i := range fanout {
-			if subB[i] != nil {
-				subB[i].Remove()
-			}
-			if subP[i] != nil {
-				subP[i].Remove()
-			}
-		}
+// joinSpilled joins one spilled (build run, probe run) pair at the given
+// level and removes both runs: it rebuilds the hash table from the build
+// run under reservation and probes it with the probe run. If the build
+// side is refused memory again, both runs are sub-partitioned and joined
+// recursively.
+func (j *ParallelHashJoin) joinSpilled(out *emitter, runs [2]*spill.Run, depth int) error {
+	defer removeRuns(runs[:]...)
+	if runs[probeSide] == nil {
+		// No probe rows reached this partition: inner and left-outer
+		// joins emit nothing (Outer pads probe rows, and there are none).
+		return nil
 	}
-	split := func(src *spill.Run, key int, dst *[fanout]*spill.Run) error {
-		wrs := make([]*spill.Writer, fanout)
-		abort := func() {
-			for _, wr := range wrs {
-				if wr != nil {
-					wr.Abort()
-				}
-			}
-		}
-		rd, err := src.Open()
+	var charged int64
+	defer func() { j.QC.ReleaseBuffered(charged) }()
+	table := make(map[uint64][]storage.Tuple)
+	if runs[buildSide] != nil {
+		build, err := openRun(j.QC, runs[buildSide])
 		if err != nil {
 			return err
 		}
+		defer build.close()
 		for {
-			t, err := rd.Next()
-			if err == io.EOF {
+			t, ok, err := build.next()
+			if err != nil {
+				return err
+			}
+			if !ok {
 				break
 			}
+			n := tupleBytes(t)
+			fits, err := reserve(j.QC, j.Spill, n, depth)
 			if err != nil {
-				rd.Close()
-				abort()
 				return err
 			}
-			if err := j.QC.Check(); err != nil {
-				rd.Close()
-				abort()
-				return err
+			if !fits {
+				build.close()
+				j.QC.ReleaseBuffered(charged)
+				charged = 0
+				return j.splitSpilled(out, runs, depth)
 			}
-			b := int(rehashSpill(t[key].Hash(), depth) % fanout)
-			if wrs[b] == nil {
-				if wrs[b], err = j.Spill.NewWriter(); err != nil {
-					rd.Close()
-					abort()
-					return err
-				}
-			}
-			if err := wrs[b].Append(t); err != nil {
-				rd.Close()
-				abort()
-				return err
-			}
-		}
-		if err := rd.Close(); err != nil {
-			abort()
-			return err
-		}
-		for i, wr := range wrs {
-			if wr == nil {
-				continue
-			}
-			run, err := wr.Finish()
-			wrs[i] = nil
-			if err != nil {
-				abort()
-				return err
-			}
-			dst[i] = run
-		}
-		return nil
-	}
-	if br != nil {
-		if err := split(br, j.RightKey, &subB); err != nil {
-			cleanup()
-			return err
+			charged += n
+			h := t[j.RightKey].Hash()
+			table[h] = append(table[h], t)
 		}
 	}
-	if err := split(pr, j.LeftKey, &subP); err != nil {
-		cleanup()
+	probe, err := openRun(j.QC, runs[probeSide])
+	if err != nil {
 		return err
 	}
-	// The parents are fully rewritten into the children; drop them now so
-	// peak disk stays proportional to one level of the recursion.
-	if br != nil {
-		br.Remove()
+	defer probe.close()
+	return j.probe(out, table, &probe)
+}
+
+// spillFanout is how many sub-runs one level of splitting cuts a spilled
+// run into.
+const spillFanout = 4
+
+// rehashSpill re-salts a key hash for sub-partitioning at the given
+// level, so each level cuts along an independent boundary.
+func rehashSpill(h uint64, depth int) uint64 {
+	h ^= uint64(depth+1) * 0x9E3779B97F4A7C15
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
+}
+
+// splitSpilled sub-partitions a too-large spilled pair by a re-salted
+// hash and joins each sub-pair one level down.
+func (j *ParallelHashJoin) splitSpilled(out *emitter, runs [2]*spill.Run, depth int) error {
+	var subs [2][spillFanout]*spill.Run
+	var err error
+	for side, key := range [2]int{buildSide: j.RightKey, probeSide: j.LeftKey} {
+		if err == nil {
+			subs[side], err = j.splitRun(runs[side], key, depth)
+		}
 	}
-	pr.Remove()
-	for i := range fanout {
-		if err := j.joinSpilled(emit, subB[i], subP[i], depth+1); err != nil {
-			cleanup()
-			return err
-		}
-		if subB[i] != nil {
-			subB[i].Remove()
-			subB[i] = nil
-		}
-		if subP[i] != nil {
-			subP[i].Remove()
-			subP[i] = nil
+	// The parents are fully rewritten into the children (or the split
+	// failed); drop them now so peak disk stays proportional to one level
+	// of the recursion.
+	removeRuns(runs[:]...)
+	for i := range spillFanout {
+		pair := [2]*spill.Run{subs[buildSide][i], subs[probeSide][i]}
+		if err == nil {
+			err = j.joinSpilled(out, pair, depth+1)
+		} else {
+			removeRuns(pair[:]...)
 		}
 	}
-	return nil
+	return err
+}
+
+// splitRun rewrites run (nil: nothing to do) into up to spillFanout
+// sub-runs by the re-salted hash of column key. On failure none survive.
+func (j *ParallelHashJoin) splitRun(run *spill.Run, key, depth int) (subs [spillFanout]*spill.Run, err error) {
+	if run == nil {
+		return subs, nil
+	}
+	var wrs [spillFanout]*spill.Writer
+	defer func() {
+		if err != nil {
+			abortWriters(wrs[:]...)
+			removeRuns(subs[:]...)
+			subs = [spillFanout]*spill.Run{}
+		}
+	}()
+	src, err := openRun(j.QC, run)
+	if err != nil {
+		return subs, err
+	}
+	defer src.close()
+	for {
+		t, ok, err := src.next()
+		if err != nil {
+			return subs, err
+		}
+		if !ok {
+			break
+		}
+		b := rehashSpill(t[key].Hash(), depth) % spillFanout
+		if wrs[b] == nil {
+			if wrs[b], err = j.Spill.NewWriter(); err != nil {
+				return subs, err
+			}
+		}
+		if err := wrs[b].Append(t); err != nil {
+			return subs, err
+		}
+	}
+	for i, wr := range wrs {
+		if wr != nil {
+			wrs[i] = nil
+			if subs[i], err = wr.Finish(); err != nil {
+				return subs, err
+			}
+		}
+	}
+	return subs, nil
 }
 
 // Close releases the build partitions, drops any spill state the workers
 // did not consume (error and early-close paths), and closes both
 // children. It runs after ExchangeMerge has joined every goroutine, so
-// touching the writer and run slices is race-free.
+// touching the writers and runs is race-free.
 func (j *ParallelHashJoin) Close() error {
-	j.buildParts = nil
-	j.QC.ReleaseBuffered(j.buildBytes)
-	j.buildBytes = 0
-	for i := range j.buildWr {
-		if j.buildWr[i] != nil {
-			j.buildWr[i].Abort()
-			j.buildWr[i] = nil
-		}
+	for i := range j.parts {
+		p := &j.parts[i]
+		j.QC.ReleaseBuffered(p.bytes)
+		abortWriters(p.wr[:]...)
+		removeRuns(p.run[:]...)
 	}
-	for i := range j.probeWr {
-		if j.probeWr[i] != nil {
-			j.probeWr[i].Abort()
-			j.probeWr[i] = nil
-		}
-	}
-	for i := range j.buildRuns {
-		if j.buildRuns[i] != nil {
-			j.buildRuns[i].Remove()
-			j.buildRuns[i] = nil
-		}
-	}
-	for i := range j.probeRuns {
-		if j.probeRuns[i] != nil {
-			j.probeRuns[i].Remove()
-			j.probeRuns[i] = nil
-		}
-	}
+	j.parts = nil
 	err := j.Left.Close()
 	if err2 := j.Right.Close(); err == nil {
 		err = err2
@@ -810,22 +711,11 @@ func (j *ParallelHashJoin) Close() error {
 }
 
 // Schema is the concatenation of the children's schemas.
-func (j *ParallelHashJoin) Schema() RowSchema {
-	if j.sch == nil {
-		return j.Left.Schema().Concat(j.Right.Schema())
-	}
-	return j.sch
-}
-
-// groupState is one group's accumulated state on one worker.
-type groupState struct {
-	key  []value.Value
-	accs []*value.Accumulator
-}
+func (j *ParallelHashJoin) Schema() RowSchema { return j.Left.Schema().Concat(j.Right.Schema()) }
 
 // ParallelHashGroup is GROUP BY aggregation executed by Workers goroutines
-// over an unsorted input. The distributor routes every row of a group key
-// to the same worker (hash partitioning on the full key), so each group is
+// over an unsorted input. The exchange routes every row of a group key to
+// the same worker (hash partitioning on the full key), so each group is
 // aggregated entirely on one worker and no accumulator merging — with its
 // COUNT-vs-COUNT(*) and MAX({}) = NULL subtleties — is ever needed.
 //
@@ -844,385 +734,120 @@ type ParallelHashGroup struct {
 	// Spill, when set, enables hybrid aggregation: once a worker's group
 	// table cannot grow, rows for unseen keys are diverted to a spill run
 	// (resident keys keep accumulating) and the run is aggregated in
-	// recursive passes after the input drains.
+	// further passes after the input drains.
 	Spill *spill.Session
-
-	sch RowSchema
 }
 
 // NumWorkers reports the resolved worker count.
 func (g *ParallelHashGroup) NumWorkers() int { return defaultWorkers(g.Workers) }
 
 // Open opens the child.
-func (g *ParallelHashGroup) Open() error {
-	if err := g.Child.Open(); err != nil {
-		return err
-	}
-	g.sch = make(RowSchema, len(g.Items))
-	for i, it := range g.Items {
-		g.sch[i] = it.Out
-	}
-	return nil
-}
+func (g *ParallelHashGroup) Open() error { return g.Child.Open() }
 
 func (g *ParallelHashGroup) run(ex *exchange) {
-	w := g.NumWorkers()
-	inputs := make([]chan Morsel, w)
-	for i := range inputs {
-		inputs[i] = make(chan Morsel, 2)
-	}
-	ex.wg.Add(w + 1)
-	go g.distribute(ex, inputs)
-	for i := range w {
-		go g.worker(ex, i, inputs[i])
-	}
+	ex.start(partitioning{child: g.Child, keys: g.GroupCols, workers: g.NumWorkers(), qc: g.QC}, g.work)
 }
 
-// keyHash combines the group-key column hashes. Values that are Equal
-// (NULL with NULL, int with equal float) hash identically, so a group
-// never splits across workers.
-func (g *ParallelHashGroup) keyHash(t storage.Tuple) uint64 {
-	var h uint64
-	for _, c := range g.GroupCols {
-		h = h*1099511628211 + t[c].Hash()
-	}
-	return h
-}
-
-func (g *ParallelHashGroup) distribute(ex *exchange, inputs []chan Morsel) {
-	defer ex.wg.Done()
-	defer func() {
-		for _, ch := range inputs {
-			close(ch)
+// work is one worker: level 0 aggregates the partition's input, and every
+// level that overflowed into a spill run is followed by one that reads it.
+func (g *ParallelHashGroup) work(id int, src *source, out *emitter) error {
+	var run *spill.Run
+	for depth := 0; ; depth++ {
+		next, err := g.aggregate(out, src, depth, id == 0)
+		// This level's run is fully read (or the level failed); drop it
+		// so peak disk stays proportional to one level.
+		src.close()
+		removeRuns(run)
+		if err != nil || next == nil {
+			return err
 		}
-	}()
-	defer ex.guard(nil) // runs first: recover, then close inputs, then Done
-	w := len(inputs)
-	bufs := make([]Morsel, w)
-	flush := func(i int) bool {
-		if len(bufs[i]) == 0 {
-			return true
-		}
-		m := bufs[i]
-		bufs[i] = nil
-		select {
-		case inputs[i] <- m:
-			return true
-		case <-ex.stop:
-			return false
-		}
-	}
-	for {
-		if err := g.QC.Check(); err != nil {
-			ex.fail(err)
-			return
-		}
-		t, ok, err := g.Child.Next()
+		run = next
+		level, err := openRun(g.QC, run)
 		if err != nil {
-			ex.fail(err)
-			return
+			removeRuns(run)
+			return err
+		}
+		src = &level
+	}
+}
+
+// aggregate is the one group-admit loop, run once per level: it admits
+// groups from src while the budget allows and folds their rows in; from
+// the first refusal on the table is frozen — rows of unseen keys go to a
+// next-level run, rows of resident keys keep accumulating, so the keys of
+// this level and the next stay disjoint. It emits the finished groups and
+// returns the next-level run, nil when nothing overflowed. The level's
+// charge is released on return, handing the budget to the next level,
+// which holds strictly fewer keys; past maxSpillDepth reserve stops
+// refusing, so the levels terminate — or surface ErrMemoryBudget if the
+// data truly cannot fit.
+func (g *ParallelHashGroup) aggregate(out *emitter, src *source, depth int, first bool) (*spill.Run, error) {
+	var charged int64
+	defer func() { g.QC.ReleaseBuffered(charged) }()
+	var overflow *spill.Writer
+	defer func() { abortWriters(overflow) }()
+	groups := make(map[uint64][]*groupState)
+	var order []*groupState
+	for {
+		t, ok, err := src.next()
+		if err != nil {
+			return nil, err
 		}
 		if !ok {
 			break
 		}
-		p := 0
-		if len(g.GroupCols) > 0 {
-			p = int(g.keyHash(t) % uint64(w))
-		}
-		bufs[p] = append(bufs[p], t)
-		if len(bufs[p]) >= MorselSize {
-			if !flush(p) {
-				return
+		key, h := groupKey(t, g.GroupCols), hashKey(t, g.GroupCols)
+		var gs *groupState
+		for _, cand := range groups[h] {
+			if sameKey(cand.key, key) {
+				gs = cand
+				break
 			}
 		}
-	}
-	for i := range bufs {
-		if !flush(i) {
-			return
+		if gs == nil && overflow == nil {
+			n := groupBytes(key, g.Items)
+			fits, err := reserve(g.QC, g.Spill, n, depth)
+			if err != nil {
+				return nil, err
+			}
+			if fits {
+				charged += n
+				gs = newGroup(key, g.Items)
+				order = append(order, gs)
+				groups[h] = append(groups[h], gs)
+			} else if overflow, err = g.Spill.NewWriter(); err != nil {
+				return nil, err
+			}
 		}
-	}
-}
-
-// newGroupState allocates one group's accumulators and appends it to the
-// emission order.
-func (g *ParallelHashGroup) newGroupState(key []value.Value, order *[]*groupState) *groupState {
-	accs := make([]*value.Accumulator, len(g.Items))
-	for i, it := range g.Items {
-		if it.Agg != value.AggNone {
-			accs[i] = value.NewAccumulator(it.Agg)
-		}
-	}
-	gs := &groupState{key: key, accs: accs}
-	*order = append(*order, gs)
-	return gs
-}
-
-// lookupGroup finds the state for t's key in groups, returning the key
-// and hash for insertion when absent.
-func (g *ParallelHashGroup) lookupGroup(groups map[uint64][]*groupState, t storage.Tuple) (*groupState, []value.Value, uint64) {
-	key := make([]value.Value, len(g.GroupCols))
-	for i, c := range g.GroupCols {
-		key[i] = t[c]
-	}
-	h := g.keyHash(t)
-	for _, cand := range groups[h] {
-		if sameKey(cand.key, key) {
-			return cand, key, h
-		}
-	}
-	return nil, key, h
-}
-
-// accumulate folds one input row into its group's accumulators.
-func (g *ParallelHashGroup) accumulate(gs *groupState, t storage.Tuple) error {
-	for i, it := range g.Items {
-		if it.Agg == value.AggNone {
+		if gs == nil {
+			if err := overflow.Append(t); err != nil {
+				return nil, err
+			}
 			continue
 		}
-		v := value.NewInt(1)
-		if it.Agg != value.AggCountStar {
-			v = t[it.Col]
-		}
-		if err := gs.accs[i].Add(v); err != nil {
-			return err
+		if err := gs.add(t, g.Items); err != nil {
+			return nil, err
 		}
 	}
-	return nil
-}
-
-// groupRow renders one finished group as an output row.
-func (g *ParallelHashGroup) groupRow(gs *groupState) storage.Tuple {
-	row := make(storage.Tuple, len(g.Items))
-	for i, it := range g.Items {
-		if it.Agg == value.AggNone {
-			for jdx, gc := range g.GroupCols {
-				if gc == it.Col {
-					row[i] = gs.key[jdx]
-					break
-				}
-			}
-		} else {
-			row[i] = gs.accs[i].Result()
-		}
-	}
-	return row
-}
-
-func (g *ParallelHashGroup) worker(ex *exchange, id int, in <-chan Morsel) {
-	defer ex.wg.Done()
-	var charged int64
-	defer func() { g.QC.ReleaseBuffered(charged) }()
-	var spillWr *spill.Writer
-	defer func() {
-		if spillWr != nil {
-			spillWr.Abort()
-		}
-	}()
-	defer ex.guard(in) // runs first: recover + drain, then cleanup, then Done
-	groups := make(map[uint64][]*groupState)
-	var order []*groupState
-	// drainFail records err and keeps consuming input so the distributor
-	// is never left blocked on this worker's full channel.
-	drainFail := func(err error) {
-		ex.fail(err)
-		for range in {
-		}
-	}
-	spilling := false
-	for m := range in {
-		if err := g.QC.Check(); err != nil {
-			drainFail(err)
-			return
-		}
-		for _, t := range m {
-			gs, key, h := g.lookupGroup(groups, t)
-			if gs == nil {
-				if spilling {
-					// Hybrid aggregation: no new keys once the table is
-					// frozen; their raw rows go to the spill run. Rows for
-					// resident keys keep accumulating in memory, so run
-					// keys and resident keys stay disjoint.
-					if err := spillWr.Append(t); err != nil {
-						drainFail(err)
-						return
-					}
-					continue
-				}
-				// Each live group buffers its key plus accumulator state.
-				n := tupleBytes(storage.Tuple(key)) + 64*int64(len(g.Items))
-				if g.Spill.Enabled() {
-					if !g.QC.ReserveBuffered(n) {
-						wr, err := g.Spill.NewWriter()
-						if err != nil {
-							drainFail(err)
-							return
-						}
-						spillWr = wr
-						spilling = true
-						if err := spillWr.Append(t); err != nil {
-							drainFail(err)
-							return
-						}
-						continue
-					}
-				} else if err := g.QC.AddBuffered(n); err != nil {
-					drainFail(err)
-					return
-				}
-				charged += n
-				gs = g.newGroupState(key, &order)
-				groups[h] = append(groups[h], gs)
-			}
-			if err := g.accumulate(gs, t); err != nil {
-				drainFail(err)
-				return
-			}
-		}
-	}
-	if id == 0 && len(g.GroupCols) == 0 && len(order) == 0 && !spilling {
+	if first && depth == 0 && len(g.GroupCols) == 0 && len(order) == 0 && overflow == nil {
 		// Global aggregate over empty input: one row, COUNT = 0.
-		g.newGroupState(nil, &order)
-	}
-	var out Morsel
-	emit := func(row storage.Tuple) bool {
-		out = append(out, row)
-		if len(out) >= MorselSize {
-			m := out
-			out = nil
-			return ex.send(m)
-		}
-		return true
+		order = append(order, newGroup(nil, g.Items))
 	}
 	for _, gs := range order {
-		if !emit(g.groupRow(gs)) {
-			return
+		if err := out.emit(gs.row(g.GroupCols, g.Items)); err != nil {
+			return nil, err
 		}
 	}
-	if spilling {
-		run, err := spillWr.Finish()
-		spillWr = nil
-		if err != nil {
-			ex.fail(err)
-			return
-		}
-		// The resident groups are emitted; release their charge so the
-		// recursive passes get the budget back.
-		g.QC.ReleaseBuffered(charged)
-		charged = 0
-		if err := g.groupSpilled(emit, run, 1); err != nil {
-			if err != errExchangeStopped {
-				ex.fail(err)
-			}
-			return
-		}
+	if overflow == nil {
+		return nil, nil
 	}
-	if len(out) > 0 {
-		ex.send(out)
-	}
-}
-
-// groupSpilled aggregates one spill run of raw input rows: it admits as
-// many groups as the budget allows, diverts rows of unadmitted keys to a
-// next-level run, emits the finished groups, and recurses. The first key
-// of every level is hard-charged (and forced/capped levels hard-charge
-// everything), so each pass strictly shrinks the key set and the
-// recursion terminates — or surfaces ErrMemoryBudget if the data truly
-// cannot fit.
-func (g *ParallelHashGroup) groupSpilled(emit func(storage.Tuple) bool, run *spill.Run, depth int) error {
-	var charged int64
-	defer func() { g.QC.ReleaseBuffered(charged) }()
-	var nextWr *spill.Writer
-	defer func() {
-		if nextWr != nil {
-			nextWr.Abort()
-		}
-	}()
-	groups := make(map[uint64][]*groupState)
-	var order []*groupState
-	rd, err := run.Open()
-	if err != nil {
-		return err
-	}
-	for {
-		t, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			rd.Close()
-			return err
-		}
-		if err := g.QC.Check(); err != nil {
-			rd.Close()
-			return err
-		}
-		gs, key, h := g.lookupGroup(groups, t)
-		if gs == nil {
-			n := tupleBytes(storage.Tuple(key)) + 64*int64(len(g.Items))
-			ok, rerr := reserveSpillDepth(g.QC, n, depth)
-			if rerr == nil && !ok && len(order) == 0 {
-				// Progress guarantee: admit at least one group per level.
-				ok, rerr = true, g.QC.AddBuffered(n)
-			}
-			if rerr != nil {
-				rd.Close()
-				return rerr
-			}
-			if !ok {
-				if nextWr == nil {
-					if nextWr, err = g.Spill.NewWriter(); err != nil {
-						rd.Close()
-						return err
-					}
-				}
-				if err := nextWr.Append(t); err != nil {
-					rd.Close()
-					return err
-				}
-				continue
-			}
-			charged += n
-			gs = g.newGroupState(key, &order)
-			groups[h] = append(groups[h], gs)
-		}
-		if err := g.accumulate(gs, t); err != nil {
-			rd.Close()
-			return err
-		}
-	}
-	if err := rd.Close(); err != nil {
-		return err
-	}
-	run.Remove()
-	for _, gs := range order {
-		if !emit(g.groupRow(gs)) {
-			return errExchangeStopped
-		}
-	}
-	if nextWr == nil {
-		return nil
-	}
-	next, err := nextWr.Finish()
-	nextWr = nil
-	if err != nil {
-		return err
-	}
-	g.QC.ReleaseBuffered(charged)
-	charged = 0
-	return g.groupSpilled(emit, next, depth+1)
+	wr := overflow
+	overflow = nil
+	return wr.Finish()
 }
 
 // Close closes the child.
 func (g *ParallelHashGroup) Close() error { return g.Child.Close() }
 
 // Schema lists the configured output columns.
-func (g *ParallelHashGroup) Schema() RowSchema {
-	if g.sch == nil {
-		sch := make(RowSchema, len(g.Items))
-		for i, it := range g.Items {
-			sch[i] = it.Out
-		}
-		return sch
-	}
-	return g.sch
-}
+func (g *ParallelHashGroup) Schema() RowSchema { return aggSchema(g.Items) }

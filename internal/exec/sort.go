@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"io"
 	"sort"
 
 	"repro/internal/qctx"
@@ -47,19 +46,13 @@ type Sort struct {
 	// ErrMemoryBudget when a buffer reservation is refused.
 	Spill *spill.Session
 
-	mem        []storage.Tuple // in-memory result when input fits in B pages
-	runs       []sortRun       // initial/merged runs in creation order
-	final      sortRun         // the single fully-merged run
-	haveFinal  bool
-	finalRd    *spill.Reader // streaming cursor when final is a spill run
-	pos        int           // cursor into mem
-	pageIdx    int           // cursor into a heap-file final run
-	tuples     []storage.Tuple
-	tupIdx     int
-	cmpErr     error // first key-comparison type error, surfaced by Open
-	charged    int64 // bytes currently charged against the memory budget
-	spillMode  bool  // a reservation was refused; all new runs spill
-	spillBatch int   // tuples per spill run once in spill mode
+	mem       []storage.Tuple // in-memory result when input fits in B pages
+	pos       int             // cursor into mem
+	runs      []sortRun       // initial/merged runs in creation order
+	final     *runCursor      // streams the single fully-merged run; nil when mem holds the result
+	cmpErr    error           // first key-comparison type error, surfaced by Open
+	charged   int64           // bytes currently charged against the memory budget
+	spillMode bool            // a reservation was refused; all new runs spill
 }
 
 // sortRun is one sorted run, on the paged heap "disk" or in a spill
@@ -69,26 +62,27 @@ type sortRun struct {
 	sp   *spill.Run
 }
 
-func (s *Sort) less(a, b storage.Tuple) bool {
-	for i, k := range s.Keys {
+// lessBy reports whether a orders before b on the key columns, desc
+// flipping the direction per key (nil = all ascending). sort.SliceStable
+// cannot propagate errors, so the first incomparable pair of keys is
+// recorded in *cmpErr for the caller to report after the sort completes.
+func lessBy(a, b storage.Tuple, keys []int, desc []bool, cmpErr *error) bool {
+	for i, k := range keys {
 		c, err := value.TotalCompare(a[k], b[k])
 		if err != nil {
-			// sort.SliceStable cannot propagate errors; record the first
-			// one and let Open report it after the sort completes.
-			if s.cmpErr == nil {
-				s.cmpErr = err
+			if *cmpErr == nil {
+				*cmpErr = err
 			}
 			return false
 		}
 		if c != 0 {
-			if s.Desc != nil && s.Desc[i] {
-				return c > 0
-			}
-			return c < 0
+			return (c < 0) != (desc != nil && desc[i])
 		}
 	}
 	return false
 }
+
+func (s *Sort) less(a, b storage.Tuple) bool { return lessBy(a, b, s.Keys, s.Desc, &s.cmpErr) }
 
 // Open drains the child, forms sorted runs, and merges them down to one.
 func (s *Sort) Open() error {
@@ -96,9 +90,7 @@ func (s *Sort) Open() error {
 		return err
 	}
 	defer s.Child.Close()
-	s.mem, s.runs = nil, nil
-	s.final, s.haveFinal, s.finalRd = sortRun{}, false, nil
-	s.pos, s.pageIdx, s.tupIdx, s.tuples = 0, 0, 0, nil
+	s.mem, s.pos, s.runs, s.final = nil, 0, nil, nil
 	s.cmpErr, s.charged, s.spillMode = nil, 0, false
 
 	tpp := s.TuplesPerPage
@@ -113,35 +105,13 @@ func (s *Sort) Open() error {
 	// Once spilling, cut runs at a morsel of tuples: small enough that
 	// the uncharged slack between flushes stays bounded, large enough to
 	// amortize file creation.
-	s.spillBatch = MorselSize
-	if runCap < s.spillBatch {
-		s.spillBatch = runCap
-	}
+	spillBatch := min(MorselSize, runCap)
 
 	var buf []storage.Tuple
-	var bufBytes int64
-	flushHeap := func() {
-		if len(buf) == 0 {
-			return
-		}
-		sort.SliceStable(buf, func(i, j int) bool { return s.less(buf[i], buf[j]) })
-		f := s.Store.CreateTemp(tpp)
-		// Register for cleanup before filling: an append that panics (torn
-		// write) must leave the half-written run where Close can drop it.
-		s.runs = append(s.runs, sortRun{heap: f})
-		for _, t := range buf {
-			f.Append(t)
-		}
-		f.Seal()
-		// Run pages were just produced in memory; the writes above are
-		// their cost. Reads during merging use ReadPageDirect.
-		buf = nil
-		// The run now lives on "disk"; return its bytes to the budget.
-		s.QC.ReleaseBuffered(bufBytes)
-		s.charged -= bufBytes
-		bufBytes = 0
-	}
-	flushSpill := func() error {
+	var bufBytes int64 // charged bytes in buf
+	// flush sorts buf and writes it as the next run, returning its bytes
+	// to the budget: the run now lives on "disk".
+	flush := func() error {
 		if len(buf) == 0 {
 			return nil
 		}
@@ -149,11 +119,18 @@ func (s *Sort) Open() error {
 		if s.cmpErr != nil {
 			return s.cmpErr
 		}
-		run, err := s.writeSpillRun(buf)
+		run, err := s.writeRun(tpp, func(w *runWriter) error {
+			for _, t := range buf {
+				if err := w.append(t); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		s.runs = append(s.runs, sortRun{sp: run})
+		s.runs = append(s.runs, run)
 		buf = nil
 		s.QC.ReleaseBuffered(bufBytes)
 		s.charged -= bufBytes
@@ -172,39 +149,33 @@ func (s *Sort) Open() error {
 		if err := s.QC.Check(); err != nil {
 			return err
 		}
-		n := tupleBytes(t)
-		if s.spillMode {
-			// Tuples between spill flushes ride uncharged; the batch cap
-			// bounds the slack to one morsel.
-			buf = append(buf, t)
-			if len(buf) >= s.spillBatch {
-				if err := flushSpill(); err != nil {
-					return err
-				}
+		if !s.spillMode {
+			n := tupleBytes(t)
+			fits, err := reserve(s.QC, s.Spill, n, 0)
+			if err != nil {
+				return err
 			}
-			continue
-		}
-		if s.Spill.Enabled() && s.QC != nil {
-			if !s.QC.ReserveBuffered(n) {
-				// Memory pressure: spill what is buffered (plus this
-				// uncharged tuple) and degrade to spill runs from here on.
-				s.spillMode = true
+			if fits {
+				s.charged += n
+				bufBytes += n
 				buf = append(buf, t)
-				if err := flushSpill(); err != nil {
-					return err
+				if len(buf) == runCap {
+					if err := flush(); err != nil {
+						return err
+					}
 				}
 				continue
 			}
-		} else if err := s.QC.AddBuffered(n); err != nil {
-			return err
+			// Memory pressure: degrade to spill runs from here on.
+			s.spillMode = true
 		}
-		s.charged += n
-		bufBytes += n
+		// Tuples between spill flushes ride uncharged; the batch cap
+		// bounds the slack to one morsel. Charged tuples still in buf
+		// when the sort degrades are spilled at once.
 		buf = append(buf, t)
-		if len(buf) == runCap {
-			flushHeap()
-			if s.cmpErr != nil {
-				return s.cmpErr
+		if len(buf) >= spillBatch || bufBytes > 0 {
+			if err := flush(); err != nil {
+				return err
 			}
 		}
 	}
@@ -212,21 +183,11 @@ func (s *Sort) Open() error {
 		// Entire input fits in the sort's memory: no run I/O. The charge
 		// for buf stays until Close — the rows remain buffered.
 		sort.SliceStable(buf, func(i, j int) bool { return s.less(buf[i], buf[j]) })
-		if s.cmpErr != nil {
-			return s.cmpErr
-		}
 		s.mem = buf
-		return nil
-	}
-	if s.spillMode {
-		if err := flushSpill(); err != nil {
-			return err
-		}
-	} else {
-		flushHeap()
-	}
-	if s.cmpErr != nil {
 		return s.cmpErr
+	}
+	if err := flush(); err != nil {
+		return err
 	}
 
 	// Merge passes, B-1 runs at a time, over adjacent runs in creation
@@ -234,71 +195,92 @@ func (s *Sort) Open() error {
 	for len(s.runs) > 1 {
 		var next []sortRun
 		for i := 0; i < len(s.runs); i += b - 1 {
-			j := min(i+b-1, len(s.runs))
-			merged, err := s.mergeRuns(s.runs[i:j], tpp)
-			if err != nil {
-				// Runs created so far (including partial output) are in
-				// s.runs; Close drops them.
-				s.runs = append(s.runs, next...)
-				return err
+			group := s.runs[i:min(i+b-1, len(s.runs))]
+			merged := group[0] // a lone trailing run passes through as it is
+			if len(group) > 1 {
+				var err error
+				if merged, err = s.mergeRuns(group, tpp); err != nil {
+					// Close drops s.runs: the inputs and the runs merged
+					// so far alike (dropping a run twice is harmless).
+					s.runs = append(s.runs, next...)
+					return err
+				}
+				for _, r := range group {
+					s.dropRun(r)
+				}
 			}
 			next = append(next, merged)
 		}
-		for _, r := range s.runs {
-			found := false
-			for _, n := range next {
-				if n == r {
-					found = true
-					break
-				}
-			}
-			if !found {
-				s.dropRun(r)
-			}
-		}
 		s.runs = next
 	}
-	s.final, s.haveFinal = s.runs[0], true
-	if s.final.sp != nil {
-		rd, err := s.final.sp.Open()
-		if err != nil {
-			return err
-		}
-		s.finalRd = rd
+	var err error
+	s.final, err = s.openCursor(s.runs[0])
+	return err
+}
+
+// runWriter writes one run: a heap temp file normally, a checksummed
+// spill run once the sort is in spill mode. Exactly one field is set.
+type runWriter struct {
+	heap *storage.HeapFile
+	sp   *spill.Writer
+}
+
+func (w *runWriter) append(t storage.Tuple) error {
+	if w.sp != nil {
+		return w.sp.Append(t)
 	}
+	w.heap.Append(t)
 	return nil
 }
 
-// writeSpillRun sorts and writes one buffer as a checksummed spill run.
-func (s *Sort) writeSpillRun(buf []storage.Tuple) (*spill.Run, error) {
-	w, err := s.Spill.NewWriter()
-	if err != nil {
-		return nil, err
+// writeRun creates a run, has fill write its tuples in sorted order, and
+// seals it. On any failure — an error, or a panic (torn-write fault)
+// unwinding through an append — the partial run is dropped. Heap run
+// pages are produced in memory, so their writes are the whole cost; reads
+// during merging use ReadPageDirect.
+func (s *Sort) writeRun(tpp int, fill func(*runWriter) error) (run sortRun, err error) {
+	var w runWriter
+	if !s.spillMode {
+		w.heap = s.Store.CreateTemp(tpp)
+	} else if w.sp, err = s.Spill.NewWriter(); err != nil {
+		return run, err
 	}
-	for _, t := range buf {
-		if err := w.Append(t); err != nil {
-			w.Abort()
-			return nil, err
+	done := false
+	defer func() {
+		if done {
+			return
 		}
+		if w.heap != nil {
+			s.Store.Drop(w.heap.Name())
+		} else {
+			w.sp.Abort()
+		}
+	}()
+	if err = fill(&w); err != nil {
+		return run, err
 	}
-	return w.Finish()
+	if w.heap != nil {
+		w.heap.Seal()
+		run.heap = w.heap
+	} else if run.sp, err = w.sp.Finish(); err != nil {
+		return run, err
+	}
+	done = true
+	return run, nil
 }
 
 func (s *Sort) dropRun(r sortRun) {
 	if r.heap != nil {
 		s.Store.Drop(r.heap.Name())
 	}
-	if r.sp != nil {
-		r.sp.Remove()
-	}
+	removeRuns(r.sp)
 }
 
 // runCursor reads one run sequentially: heap runs with direct
-// (always-counted) page I/O, spill runs through a checksum-verifying
-// reader.
+// (always-counted) page I/O, spill runs through the checked iterator.
 type runCursor struct {
 	file    *storage.HeapFile
-	rd      *spill.Reader
+	src     source // the spill run when file is nil
 	pageIdx int
 	tuples  []storage.Tuple
 	tupIdx  int
@@ -306,30 +288,21 @@ type runCursor struct {
 	done    bool
 }
 
-func newRunCursor(r sortRun) (*runCursor, error) {
+func (s *Sort) openCursor(r sortRun) (*runCursor, error) {
 	c := &runCursor{file: r.heap}
-	if r.sp != nil {
-		rd, err := r.sp.Open()
-		if err != nil {
-			return nil, err
-		}
-		c.rd = rd
+	if r.sp == nil {
+		return c, nil
 	}
-	return c, nil
+	var err error
+	c.src, err = openRun(s.QC, r.sp)
+	return c, err
 }
 
 func (c *runCursor) advance() error {
-	if c.rd != nil {
-		t, err := c.rd.Next()
-		if err == io.EOF {
-			c.cur, c.done = nil, true
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		c.cur = t
-		return nil
+	if c.file == nil {
+		t, ok, err := c.src.next()
+		c.cur, c.done = t, !ok
+		return err
 	}
 	for c.tupIdx >= len(c.tuples) {
 		if c.pageIdx >= c.file.NumPages() {
@@ -345,29 +318,18 @@ func (c *runCursor) advance() error {
 	return nil
 }
 
-func (c *runCursor) close() {
-	if c.rd != nil {
-		c.rd.Close()
-	}
-}
-
-// mergeRuns merges sorted runs into a single new run — a heap temp
-// normally, a spill run once the sort is in spill mode. On error the
-// partial output is dropped before returning.
+// mergeRuns merges sorted runs into a single new run.
 func (s *Sort) mergeRuns(runs []sortRun, tpp int) (sortRun, error) {
-	if len(runs) == 1 {
-		return runs[0], nil
-	}
 	cursors := make([]*runCursor, len(runs))
 	defer func() {
 		for _, c := range cursors {
 			if c != nil {
-				c.close()
+				c.src.close()
 			}
 		}
 	}()
 	for i, r := range runs {
-		c, err := newRunCursor(r)
+		c, err := s.openCursor(r)
 		if err != nil {
 			return sortRun{}, err
 		}
@@ -376,122 +338,60 @@ func (s *Sort) mergeRuns(runs []sortRun, tpp int) (sortRun, error) {
 			return sortRun{}, err
 		}
 	}
-
-	var outHeap *storage.HeapFile
-	var outSpill *spill.Writer
-	if s.spillMode {
-		w, err := s.Spill.NewWriter()
-		if err != nil {
-			return sortRun{}, err
-		}
-		outSpill = w
-	} else {
-		outHeap = s.Store.CreateTemp(tpp)
-	}
-	done := false
-	// Drop the partial output on any failure — error return or a panic
-	// unwinding through an append (Store.Drop is idempotent; the spill
-	// session removes aborted files too).
-	defer func() {
-		if done {
-			return
-		}
-		if outHeap != nil {
-			s.Store.Drop(outHeap.Name())
-		}
-		if outSpill != nil {
-			outSpill.Abort()
-		}
-	}()
-	for {
-		if err := s.QC.Check(); err != nil {
-			return sortRun{}, err
-		}
-		best := -1
-		for i, c := range cursors {
-			if c.done {
-				continue
+	return s.writeRun(tpp, func(w *runWriter) error {
+		for {
+			if err := s.QC.Check(); err != nil {
+				return err
 			}
-			if best < 0 || s.less(c.cur, cursors[best].cur) {
-				best = i
+			best := -1
+			for i, c := range cursors {
+				if c.done {
+					continue
+				}
+				if best < 0 || s.less(c.cur, cursors[best].cur) {
+					best = i
+				}
+			}
+			if s.cmpErr != nil || best < 0 {
+				return s.cmpErr
+			}
+			if err := w.append(cursors[best].cur); err != nil {
+				return err
+			}
+			if err := cursors[best].advance(); err != nil {
+				return err
 			}
 		}
-		if s.cmpErr != nil {
-			return sortRun{}, s.cmpErr
-		}
-		if best < 0 {
-			break
-		}
-		if outSpill != nil {
-			if err := outSpill.Append(cursors[best].cur); err != nil {
-				return sortRun{}, err
-			}
-		} else {
-			outHeap.Append(cursors[best].cur)
-		}
-		if err := cursors[best].advance(); err != nil {
-			return sortRun{}, err
-		}
-	}
-	if outSpill != nil {
-		run, err := outSpill.Finish()
-		if err != nil {
-			return sortRun{}, err
-		}
-		outSpill = nil // Finished: the deferred Abort must not fire.
-		done = true
-		return sortRun{sp: run}, nil
-	}
-	outHeap.Seal()
-	done = true
-	return sortRun{heap: outHeap}, nil
+	})
 }
 
 // Next streams the sorted rows.
 func (s *Sort) Next() (storage.Tuple, bool, error) {
-	if !s.haveFinal {
-		if s.pos >= len(s.mem) {
-			return nil, false, nil
-		}
-		t := s.mem[s.pos]
-		s.pos++
-		return t, true, nil
-	}
-	if s.finalRd != nil {
-		t, err := s.finalRd.Next()
-		if err == io.EOF {
-			return nil, false, nil
-		}
-		if err != nil {
+	if s.final != nil {
+		if err := s.final.advance(); err != nil || s.final.done {
 			return nil, false, err
 		}
-		return t, true, nil
+		return s.final.cur, true, nil
 	}
-	for s.tupIdx >= len(s.tuples) {
-		if s.pageIdx >= s.final.heap.NumPages() {
-			return nil, false, nil
-		}
-		s.tuples = s.final.heap.ReadPageDirect(s.pageIdx)
-		s.pageIdx++
-		s.tupIdx = 0
+	if s.pos >= len(s.mem) {
+		return nil, false, nil
 	}
-	t := s.tuples[s.tupIdx]
-	s.tupIdx++
+	t := s.mem[s.pos]
+	s.pos++
 	return t, true, nil
 }
 
 // Close drops the remaining run files and returns any buffered-byte
 // charge. It is safe to call before Open and more than once.
 func (s *Sort) Close() error {
-	if s.finalRd != nil {
-		s.finalRd.Close()
-		s.finalRd = nil
+	if s.final != nil {
+		s.final.src.close()
+		s.final = nil
 	}
 	for _, r := range s.runs {
 		s.dropRun(r)
 	}
 	s.runs, s.mem = nil, nil
-	s.final, s.haveFinal = sortRun{}, false
 	s.QC.ReleaseBuffered(s.charged)
 	s.charged = 0
 	return nil

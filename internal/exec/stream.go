@@ -22,7 +22,7 @@ const DefaultBatchRows = 64
 
 // DrainInto runs an operator to completion, delivering rows to sink in
 // batches of at most batchRows, charging each row against qc's row budget
-// exactly like DrainBudget. It returns the number of rows delivered —
+// exactly like Drain. It returns the number of rows delivered —
 // including those already handed to the sink when an error occurs
 // mid-stream, so callers that retry can tell whether anything escaped.
 func DrainInto(op Operator, qc *qctx.QueryContext, batchRows int, sink BatchSink) (int64, error) {

@@ -65,11 +65,10 @@ func (p *Planner) antiJoin(cur input, ip *ast.InPred, outerFrom []ast.TableRef, 
 	if err != nil {
 		return input{}, err
 	}
-	file, err := exec.MaterializeBudget(right.op, p.store, p.opts.TempTuplesPerPage, p.opts.QC)
+	file, err := p.materialize(right.op)
 	if err != nil {
 		return input{}, err
 	}
-	p.dropLater = append(p.dropLater, file.Name())
 
 	combined := cur.op.Schema().Concat(right.op.Schema())
 	var corr exec.RowPred

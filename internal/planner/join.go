@@ -277,11 +277,10 @@ func (p *Planner) nlJoin(cur, right input, tr ast.TableRef, joinConjs []ast.Pred
 	if scan, ok := right.op.(*exec.SeqScan); ok {
 		file = scan.File
 	} else {
-		f, err := exec.MaterializeBudget(right.op, p.store, p.opts.TempTuplesPerPage, p.opts.QC)
+		f, err := p.materialize(right.op)
 		if err != nil {
 			return input{}, err
 		}
-		p.dropLater = append(p.dropLater, f.Name())
 		file = f
 		p.notef("%s: right side restricted and materialized (%d pages)", label, file.NumPages())
 	}

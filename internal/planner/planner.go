@@ -185,11 +185,20 @@ func (p *Planner) Run(res *transform.Result) (rows []storage.Tuple, sch exec.Row
 		}
 		return nil, final.op.Schema(), nil
 	}
-	rows, err = exec.DrainBudget(final.op, p.opts.QC)
+	rows, err = exec.Drain(final.op, p.opts.QC)
 	if err != nil {
 		return nil, nil, err
 	}
 	return rows, final.op.Schema(), nil
+}
+
+// materialize drains op into an anonymous temp file under the query's
+// memory budget. The file is registered for cleanup before it is filled,
+// so a failed materialization is dropped with the rest at the end of Run.
+func (p *Planner) materialize(op exec.Operator) (*storage.HeapFile, error) {
+	f := p.store.CreateTemp(p.opts.TempTuplesPerPage)
+	p.dropLater = append(p.dropLater, f.Name())
+	return f, exec.MaterializeInto(op, f, p.opts.QC)
 }
 
 func (p *Planner) cleanup() {
@@ -237,7 +246,7 @@ func (p *Planner) buildTemp(temp transform.TempTable) error {
 		return fmt.Errorf("planner: temp %s: %w", temp.Name, err)
 	}
 	p.notef("%s plan:\n%s", temp.Name, exec.Describe(plan.op))
-	if err := exec.MaterializeIntoBudget(plan.op, file, p.opts.QC); err != nil {
+	if err := exec.MaterializeInto(plan.op, file, p.opts.QC); err != nil {
 		return err
 	}
 	if plan.sortedOn >= 0 && plan.sortedOn < len(temp.Rel.Columns) {

@@ -3,6 +3,7 @@ package qctx
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -195,5 +196,27 @@ func TestPanicError(t *testing.T) {
 	}
 	if pe2.Error() == "" {
 		t.Error("empty message")
+	}
+}
+
+// TestBackoffBounds walks far past the attempt where base·2^attempt
+// overflows int64, with the knobs of both callers (admission's retry
+// defaults, the client's reconnect defaults): every delay stays in
+// (0, limit] and the early ones double.
+func TestBackoffBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, k := range []struct{ base, limit time.Duration }{
+		{2 * time.Millisecond, 250 * time.Millisecond},
+		{20 * time.Millisecond, time.Second},
+	} {
+		for attempt := 0; attempt <= 80; attempt++ {
+			d := Backoff(k.base, k.limit, attempt, rng)
+			if d <= 0 || d > k.limit {
+				t.Fatalf("base %v limit %v attempt %d: delay %v outside (0, %v]", k.base, k.limit, attempt, d, k.limit)
+			}
+			if full := k.base << uint(attempt); attempt < 4 && (d < full/2 || d > full) {
+				t.Fatalf("base %v attempt %d: delay %v outside [%v, %v]", k.base, attempt, d, full/2, full)
+			}
+		}
 	}
 }

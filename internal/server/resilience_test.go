@@ -21,7 +21,7 @@ import (
 
 // Resilience tests: the failure modes a hostile network inflicts on a
 // session — consumers that stop reading, peers that die silently,
-// frames corrupted in flight, legacy clients — must each resolve into
+// frames corrupted in flight, malformed Hellos — must each resolve into
 // a typed error and a released resource, never a wedged goroutine.
 
 // wideDB builds BIG(K, V, P) with rows rows and a ~1 KiB string payload
@@ -299,57 +299,26 @@ func TestHeartbeatSparesResponsivePeer(t *testing.T) {
 	}
 }
 
-// TestLegacyClientInterop: a peer sending the original five-byte Hello
-// gets a five-byte, feature-free reply and plain framing — the old
-// protocol, bit for bit.
-func TestLegacyClientInterop(t *testing.T) {
+// TestHelloWithoutFlagsRejected: a peer sending a five-byte Hello (magic
+// and version, no flags byte) is answered with a typed protocol Error
+// frame, not a hang or a silent drop.
+func TestHelloWithoutFlagsRejected(t *testing.T) {
 	_, addr := startServer(t, serverDB(t), server.Config{Strategy: engine.TransformJA2})
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	legacy := wire.EncodeHello(wire.Hello{Version: wire.Version, Legacy: true})
-	if len(legacy) != 5 {
-		t.Fatalf("legacy hello is %d bytes, want 5", len(legacy))
-	}
-	if err := wire.WriteFrame(nc, wire.FrameHello, legacy); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(nc)
-	typ, payload, err := wire.ReadFrame(br)
-	if err != nil || typ != wire.FrameHello {
-		t.Fatalf("reply: typ=0x%02x err=%v", typ, err)
-	}
-	if len(payload) != 5 {
-		t.Fatalf("reply payload is %d bytes, want the legacy 5 (old clients cannot parse more)", len(payload))
-	}
-	// Plain framing end to end: run a query the old way.
-	if err := wire.WriteFrame(nc, wire.FrameQuery, wire.EncodeQuery(wire.Query{SQL: serverQuery})); err != nil {
+	if err := wire.WriteFrame(nc, wire.FrameHello, []byte{'N', 'S', 'Q', 'D', wire.Version}); err != nil {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	rows := 0
-	for {
-		typ, payload, err := wire.ReadFrame(br)
-		if err != nil {
-			t.Fatalf("legacy stream broke: %v", err)
-		}
-		switch typ {
-		case wire.FrameRowBatch:
-			b, err := wire.DecodeRowBatch(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows += len(b.Rows)
-		case wire.FrameDone:
-			if rows == 0 {
-				t.Error("legacy query returned no rows")
-			}
-			return
-		default:
-			t.Fatalf("unexpected frame 0x%02x", typ)
-		}
+	typ, payload, err := wire.ReadFrame(bufio.NewReader(nc))
+	if err != nil || typ != wire.FrameError {
+		t.Fatalf("reply: typ=0x%02x err=%v, want an Error frame", typ, err)
+	}
+	if f, err := wire.DecodeError(payload); err != nil || f.Code != wire.CodeProtocol {
+		t.Errorf("got %+v, %v; want CodeProtocol", f, err)
 	}
 }
 
@@ -391,18 +360,35 @@ func TestCorruptQueryFrameTypedError(t *testing.T) {
 	}
 }
 
-// TestChecksumNegotiationOptOut: DisableChecksum on either side falls
-// back to plain framing without breaking the session.
+// TestChecksumNegotiationOptOut: a peer that leaves FeatureChecksum out
+// of its Hello gets plain framing without breaking the session.
 func TestChecksumNegotiationOptOut(t *testing.T) {
-	_, addr := startServer(t, serverDB(t), server.Config{
-		Strategy: engine.TransformJA2, DisableChecksum: true,
-	})
-	c := dial(t, addr)
-	if c.Checksums() {
-		t.Error("client negotiated checksums against a server that refused them")
+	_, addr := startServer(t, serverDB(t), server.Config{Strategy: engine.TransformJA2})
+	nc, br, codec := rawHandshake(t, addr, wire.Hello{Version: wire.Version, Flags: wire.FeatureHeartbeat})
+	if codec.Checksums {
+		t.Fatal("server granted checksums the peer never asked for")
 	}
-	if got, err := c.Collect(serverQuery, client.Options{}); err != nil || len(got.Rows) == 0 {
-		t.Fatalf("plain-framing fallback broken: %v", err)
+	// Plain framing end to end: a query must stream back and finish.
+	if err := codec.WriteFrame(nc, wire.FrameQuery, wire.EncodeQuery(wire.Query{SQL: serverQuery})); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for rows := 0; ; {
+		typ, payload, err := codec.ReadFrame(br)
+		if err != nil {
+			t.Fatalf("plain-framing stream broke: %v", err)
+		}
+		if typ == wire.FrameDone {
+			if rows == 0 {
+				t.Error("plain-framing query returned no rows")
+			}
+			return
+		}
+		b, err := wire.DecodeRowBatch(payload)
+		if typ != wire.FrameRowBatch || err != nil {
+			t.Fatalf("unexpected frame 0x%02x (%v)", typ, err)
+		}
+		rows += len(b.Rows)
 	}
 }
 

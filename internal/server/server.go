@@ -50,14 +50,8 @@ type Config struct {
 	WriteTimeout time.Duration
 	// HeartbeatInterval paces Ping frames on idle sessions whose client
 	// negotiated FeatureHeartbeat (0 = 15s). Two unanswered pings in a
-	// row evict the peer as dead. DisableHeartbeat turns the feature off
-	// in negotiation entirely.
+	// row evict the peer as dead.
 	HeartbeatInterval time.Duration
-	// DisableHeartbeat refuses FeatureHeartbeat during negotiation.
-	DisableHeartbeat bool
-	// DisableChecksum refuses FeatureChecksum during negotiation (for
-	// overhead measurements; corruption then passes undetected).
-	DisableChecksum bool
 }
 
 func (c Config) handshakeTimeout() time.Duration {

@@ -187,11 +187,9 @@ func (s *session) serve() {
 
 // handshake validates the client Hello under a read deadline, negotiates
 // the feature flags, and answers with the server's version plus the
-// granted subset — mirroring the client's payload form, so a legacy peer
-// gets a legacy (5-byte, feature-free) reply it can parse. Protocol
-// violations get an Error frame (best effort) before the connection
-// drops. The negotiated codec takes effect after the reply: the Hello
-// exchange itself is always plain.
+// granted subset. Protocol violations get an Error frame (best effort)
+// before the connection drops. The negotiated codec takes effect after
+// the reply: the Hello exchange itself is always plain.
 func (s *session) handshake() bool {
 	s.conn.SetReadDeadline(time.Now().Add(s.srv.cfg.handshakeTimeout()))
 	typ, payload, err := wire.ReadFrame(s.br)
@@ -214,24 +212,15 @@ func (s *session) handshake() bool {
 		})
 		return false
 	}
-	var granted byte
-	if !h.Legacy {
-		mask := wire.FeatureChecksum | wire.FeatureHeartbeat
-		if s.srv.cfg.DisableChecksum {
-			mask &^= wire.FeatureChecksum
-		}
-		if s.srv.cfg.DisableHeartbeat {
-			mask &^= wire.FeatureHeartbeat
-		}
-		if s.srv.eng != nil {
-			// Only a local engine can execute-and-scatter; a coordinator
-			// backend never grants the cluster feature.
-			mask |= wire.FeatureCluster
-		}
-		granted = h.Flags & mask
+	mask := wire.FeatureChecksum | wire.FeatureHeartbeat
+	if s.srv.eng != nil {
+		// Only a local engine can execute-and-scatter; a coordinator
+		// backend never grants the cluster feature.
+		mask |= wire.FeatureCluster
 	}
+	granted := h.Flags & mask
 	s.conn.SetReadDeadline(time.Time{})
-	reply := wire.Hello{Version: wire.Version, Flags: granted, Legacy: h.Legacy}
+	reply := wire.Hello{Version: wire.Version, Flags: granted}
 	if err := s.writeFrame(wire.FrameHello, wire.EncodeHello(reply)); err != nil {
 		return false
 	}

@@ -91,11 +91,21 @@ type HeapFile struct {
 // Name returns the file's name.
 func (f *HeapFile) Name() string { return f.name }
 
-// NumPages returns the file's size in pages — the paper's Pk.
-func (f *HeapFile) NumPages() int { return len(f.pages) }
+// NumPages returns the file's size in pages — the paper's Pk. Like
+// NumTuples it takes the store mutex: a query may plan and scan a file
+// while a DML statement appends to it.
+func (f *HeapFile) NumPages() int {
+	f.store.mu.Lock()
+	defer f.store.mu.Unlock()
+	return len(f.pages)
+}
 
 // NumTuples returns the number of stored tuples — the paper's Nk.
-func (f *HeapFile) NumTuples() int { return f.nTuples }
+func (f *HeapFile) NumTuples() int {
+	f.store.mu.Lock()
+	defer f.store.mu.Unlock()
+	return f.nTuples
+}
 
 // TuplesPerPage returns the page capacity.
 func (f *HeapFile) TuplesPerPage() int { return f.tuplesPerPage }

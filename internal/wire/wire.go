@@ -34,9 +34,8 @@
 // corrupted in flight surfaces as ErrCorruptFrame instead of a garbled
 // row, and Ping/Pong heartbeat frames, so an idle server can tell a dead
 // peer from a quiet one. Hello frames themselves are always plain — they
-// are what carries the negotiation — and a legacy 5-byte Hello (or a
-// zero flags byte) downgrades the connection to the original framing, so
-// version-1 peers interoperate unchanged.
+// are what carries the negotiation — and a zero flags byte keeps the
+// connection on plain framing.
 package wire
 
 import (
@@ -209,37 +208,24 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 
 // Hello is the handshake payload in both directions. Flags carries the
 // Feature* bits: a client requests, the server answers with the granted
-// subset. Legacy marks the original 5-byte payload (no flags byte); a
-// legacy Hello is answered in kind and negotiates nothing, which is how
-// version-1 peers keep working.
+// subset.
 type Hello struct {
 	Version byte
 	Flags   byte
-	Legacy  bool
 }
 
-// EncodeHello builds a Hello payload.
+// EncodeHello builds a Hello payload: magic, version, flags.
 func EncodeHello(h Hello) []byte {
-	p := append([]byte(Magic), h.Version)
-	if h.Legacy {
-		return p
-	}
-	return append(p, h.Flags)
+	return append([]byte(Magic), h.Version, h.Flags)
 }
 
-// DecodeHello parses a Hello payload, accepting both the legacy 5-byte
-// form and the extended form with a trailing flags byte.
+// DecodeHello parses a Hello payload. Anything but magic + version +
+// flags byte is rejected, a Hello without the flags byte included.
 func DecodeHello(p []byte) (Hello, error) {
-	if len(p) < len(Magic)+1 || len(p) > len(Magic)+2 || string(p[:len(Magic)]) != Magic {
+	if len(p) != len(Magic)+2 || string(p[:len(Magic)]) != Magic {
 		return Hello{}, fmt.Errorf("wire: bad hello")
 	}
-	h := Hello{Version: p[len(Magic)]}
-	if len(p) == len(Magic)+1 {
-		h.Legacy = true
-	} else {
-		h.Flags = p[len(Magic)+1]
-	}
-	return h, nil
+	return Hello{Version: p[len(Magic)], Flags: p[len(Magic)+1]}, nil
 }
 
 // EncodePing builds a Ping (or Pong) payload: a uvarint sequence number.

@@ -60,32 +60,23 @@ func TestFrameLengthBounds(t *testing.T) {
 
 func TestHelloRoundTrip(t *testing.T) {
 	h, err := DecodeHello(EncodeHello(Hello{Version: Version}))
-	if err != nil || h.Version != Version || h.Legacy || h.Flags != 0 {
+	if err != nil || h.Version != Version || h.Flags != 0 {
 		t.Fatalf("hello round trip: %+v, %v", h, err)
 	}
-	for _, bad := range [][]byte{nil, []byte("NSQ"), []byte("XXXX\x01"), []byte("NSQD"), []byte("NSQD\x01\x03\x00")} {
+	// A Hello without the flags byte ("NSQD\x01") is malformed like the rest.
+	for _, bad := range [][]byte{nil, []byte("NSQ"), []byte("XXXX\x01\x00"), []byte("NSQD"), []byte("NSQD\x01"), []byte("NSQD\x01\x03\x00")} {
 		if _, err := DecodeHello(bad); err == nil {
 			t.Errorf("DecodeHello(%q) accepted", bad)
 		}
 	}
 }
 
-// TestHelloFeatureNegotiation: the extended Hello carries feature flags,
-// the legacy 5-byte form decodes as Legacy with none, and each form
-// re-encodes to exactly the bytes it came from (old peers interop).
+// TestHelloFeatureNegotiation: the Hello carries the feature flags.
 func TestHelloFeatureNegotiation(t *testing.T) {
 	ext := Hello{Version: Version, Flags: FeatureChecksum | FeatureHeartbeat}
 	got, err := DecodeHello(EncodeHello(ext))
 	if err != nil || got != ext {
-		t.Fatalf("extended hello: %+v, %v", got, err)
-	}
-	legacy := []byte(Magic + "\x01")
-	h, err := DecodeHello(legacy)
-	if err != nil || !h.Legacy || h.Flags != 0 {
-		t.Fatalf("legacy hello: %+v, %v", h, err)
-	}
-	if !bytes.Equal(EncodeHello(h), legacy) {
-		t.Errorf("legacy hello does not re-encode to its 5-byte form")
+		t.Fatalf("hello with flags: %+v, %v", got, err)
 	}
 }
 
