@@ -48,7 +48,7 @@ type HavingPred struct {
 
 // String renders the HAVING conjunct.
 func (h HavingPred) String() string {
-	return h.Col.String() + " " + h.Op.String() + " " + h.Val.String()
+	return h.Col.String() + " " + h.Op.String() + " " + h.Val.Literal()
 }
 
 // OrderItem is one ORDER BY key: a position into the block's SELECT list

@@ -19,8 +19,8 @@ func (c ColumnRef) String() string {
 	return c.Table + "." + c.Column
 }
 
-// String renders the literal.
-func (c Const) String() string { return c.Val.String() }
+// String renders the literal as SQL the lexer reads back unchanged.
+func (c Const) String() string { return c.Val.Literal() }
 
 // String renders the subquery in parentheses.
 func (s *Subquery) String() string { return "(" + s.Block.String() + ")" }

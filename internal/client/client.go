@@ -23,6 +23,8 @@ package client
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -73,26 +75,13 @@ type ReconnectConfig struct {
 	Seed int64
 }
 
-func (rc *ReconnectConfig) maxAttempts() int {
-	if rc.MaxAttempts <= 0 {
-		return 5
-	}
-	return rc.MaxAttempts
-}
+func (rc *ReconnectConfig) maxAttempts() int { return cmp.Or(max(rc.MaxAttempts, 0), 5) }
 
 func (rc *ReconnectConfig) baseDelay() time.Duration {
-	if rc.BaseDelay <= 0 {
-		return 20 * time.Millisecond
-	}
-	return rc.BaseDelay
+	return cmp.Or(max(rc.BaseDelay, 0), 20*time.Millisecond)
 }
 
-func (rc *ReconnectConfig) maxDelay() time.Duration {
-	if rc.MaxDelay <= 0 {
-		return time.Second
-	}
-	return rc.MaxDelay
-}
+func (rc *ReconnectConfig) maxDelay() time.Duration { return cmp.Or(max(rc.MaxDelay, 0), time.Second) }
 
 // DialOptions tunes a connection beyond the plain Dial signature.
 type DialOptions struct {
@@ -106,12 +95,7 @@ type DialOptions struct {
 	Reconnect *ReconnectConfig
 }
 
-func (o DialOptions) timeout() time.Duration {
-	if o.Timeout <= 0 {
-		return 10 * time.Second
-	}
-	return o.Timeout
-}
+func (o DialOptions) timeout() time.Duration { return cmp.Or(max(o.Timeout, 0), 10*time.Second) }
 
 // transport is one live TCP connection plus its read pump. The pump
 // owns all reads: it answers server Pings inline (under the write
@@ -199,7 +183,8 @@ type Conn struct {
 	active *Stream
 	err    error // sticky failure; a reconnectable loss can clear it
 
-	retryFloor time.Time // earliest next submission after an overload shed
+	retryFloor time.Time   // earliest next submission after an overload shed
+	timer      *time.Timer // recv's IOTimeout timer, reused across waits
 	rng        *rand.Rand
 }
 
@@ -225,57 +210,51 @@ func DialOpts(addr string, opts DialOptions) (*Conn, error) {
 	return &Conn{addr: addr, opts: opts, tr: tr, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
-// dialTransport dials and handshakes, asking for every feature.
-func dialTransport(addr string, opts DialOptions) (*transport, error) {
+// dialTransport dials and handshakes, asking for every feature (only
+// worker servers — those fronting a local engine — grant FeatureCluster
+// back). The Hello exchange is always plain framing; the negotiated
+// codec takes over afterwards.
+func dialTransport(addr string, opts DialOptions) (_ *transport, err error) {
 	nc, err := net.DialTimeout("tcp", addr, opts.timeout())
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			nc.Close()
+		}
+	}()
 	nc.SetDeadline(time.Now().Add(opts.timeout()))
 	br := bufio.NewReader(nc)
 	bw := bufio.NewWriter(nc)
 
-	// Only worker servers (those fronting a local engine) grant
-	// FeatureCluster back.
 	h := wire.Hello{Version: wire.Version, Flags: wire.FeatureChecksum | wire.FeatureHeartbeat | wire.FeatureCluster}
-	// The Hello exchange is always plain framing; the negotiated codec
-	// takes over afterwards.
 	if err := wire.WriteFrame(bw, wire.FrameHello, wire.EncodeHello(h)); err != nil {
-		nc.Close()
 		return nil, err
 	}
 	if err := bw.Flush(); err != nil {
-		nc.Close()
 		return nil, err
 	}
 	typ, payload, err := wire.ReadFrame(br)
 	if err != nil {
-		nc.Close()
 		return nil, fmt.Errorf("client: handshake: %w", err)
 	}
-	var granted byte
 	switch typ {
 	case wire.FrameHello:
-		reply, err := wire.DecodeHello(payload)
-		if err != nil {
-			nc.Close()
-			return nil, err
+		h, err = wire.DecodeHello(payload)
+		if err == nil && h.Version != wire.Version {
+			err = fmt.Errorf("client: server speaks version %d, want %d", h.Version, wire.Version)
 		}
-		if reply.Version != wire.Version {
-			nc.Close()
-			return nil, fmt.Errorf("client: server speaks version %d, want %d", reply.Version, wire.Version)
-		}
-		granted = reply.Flags
 	case wire.FrameError:
-		f, err := wire.DecodeError(payload)
-		nc.Close()
-		if err != nil {
-			return nil, err
+		var f wire.ErrorFrame
+		if f, err = wire.DecodeError(payload); err == nil {
+			err = &wire.RemoteError{Frame: f}
 		}
-		return nil, &wire.RemoteError{Frame: f}
 	default:
-		nc.Close()
-		return nil, fmt.Errorf("client: unexpected handshake frame 0x%02x", typ)
+		err = fmt.Errorf("client: unexpected handshake frame 0x%02x", typ)
+	}
+	if err != nil {
+		return nil, err
 	}
 	nc.SetDeadline(time.Time{})
 
@@ -283,9 +262,9 @@ func dialTransport(addr string, opts DialOptions) (*transport, error) {
 		nc:        nc,
 		br:        br,
 		bw:        bw,
-		codec:     wire.Codec{Checksums: granted&wire.FeatureChecksum != 0},
-		heartbeat: granted&wire.FeatureHeartbeat != 0,
-		cluster:   granted&wire.FeatureCluster != 0,
+		codec:     wire.Codec{Checksums: h.Flags&wire.FeatureChecksum != 0},
+		heartbeat: h.Flags&wire.FeatureHeartbeat != 0,
+		cluster:   h.Flags&wire.FeatureCluster != 0,
 		recv:      make(chan recvMsg),
 		done:      make(chan struct{}),
 		quit:      make(chan struct{}),
@@ -351,45 +330,50 @@ func (c *Conn) redial(cancel <-chan struct{}) error {
 	return fmt.Errorf("client: reconnect gave up after %d attempts: %w", rc.maxAttempts(), lastErr)
 }
 
-// Query sends one SQL statement and returns the result stream. The
-// stream must be drained (Next until false) or Closed before the next
-// Query on this connection.
-func (c *Conn) Query(sql string, opts Options) (*Stream, error) {
+// ready reports whether a new request may start, first healing a
+// reconnectable connection loss by redialing: that loss is not fatal to
+// a Conn configured to reconnect, any other sticky error is.
+func (c *Conn) ready(cancel <-chan struct{}) error {
 	if c.err != nil {
-		// A reconnectable connection loss is not fatal to the Conn: the
-		// next query may transparently redial.
 		if !c.canReconnect() || !errors.Is(c.err, ErrConnectionLost) {
-			return nil, c.err
+			return c.err
 		}
-		if err := c.redial(opts.Cancel); err != nil {
-			return nil, c.poison(err)
+		if err := c.redial(cancel); err != nil {
+			return err
 		}
 		c.err = nil
 	}
 	if c.active != nil {
-		return nil, errors.New("client: previous stream not closed")
+		return errors.New("client: previous stream not closed")
 	}
-	q := wire.Query{
+	return nil
+}
+
+// Query sends one SQL statement and returns the result stream. The
+// stream must be drained (Next until false) or Closed before the next
+// Query on this connection.
+func (c *Conn) Query(sql string, opts Options) (*Stream, error) {
+	if err := c.ready(opts.Cancel); err != nil {
+		return nil, err
+	}
+	st := &Stream{conn: c, cancel: opts.Cancel, q: wire.Query{
 		TimeoutMicros: opts.Timeout.Microseconds(),
 		MaxRows:       opts.MaxRows,
 		Strategy:      opts.Strategy,
 		Parallelism:   int64(opts.Parallelism),
 		SQL:           sql,
-	}
-	if err := c.sendQuery(q); err != nil {
+	}}
+	if err := c.sendQuery(st.q); err != nil {
 		// The write failed before anything was received; resubmitting on
 		// a fresh connection is always safe here.
+		c.err = &ConnectionLostError{Cause: err}
 		if !c.canReconnect() {
-			return nil, c.poison(err)
+			return nil, c.err
 		}
-		if rerr := c.redial(opts.Cancel); rerr != nil {
-			return nil, c.poison(rerr)
-		}
-		if rerr := c.sendQuery(q); rerr != nil {
-			return nil, c.poison(rerr)
+		if err := st.resubmit(); err != nil {
+			return nil, err
 		}
 	}
-	st := &Stream{conn: c, q: q, cancel: opts.Cancel}
 	c.active = st
 	return st, nil
 }
@@ -455,130 +439,131 @@ func (s *Stream) Next() bool {
 	return true
 }
 
-// fetch waits for the next frame from the read pump, refilling the
-// batch. Returns false when the stream ended (Done, Error, cancel, or
-// transport failure that could not be healed by a reconnect).
+// fetch waits for the next frame of the result, refilling the batch.
+// Returns false when the stream ended: Done, or any error recv reports
+// that a reconnect could not heal.
 func (s *Stream) fetch() bool {
 	for {
-		tr := s.conn.tr
-		var timeout <-chan time.Time
-		if io := s.conn.opts.IOTimeout; io > 0 {
-			tm := time.NewTimer(io)
-			defer tm.Stop()
-			timeout = tm.C
-		}
-		select {
-		case m := <-tr.recv:
-			return s.handleFrame(m)
-		case <-tr.done:
-			if s.handleLost(tr.readErr) {
-				continue // reconnected and resubmitted; keep fetching
+		m, err := s.conn.recv(s.cancel, wire.FrameRowBatch, wire.FrameDone)
+		switch {
+		case err != nil:
+			// A transport that died with no rows delivered can be healed:
+			// resubmitting on a fresh connection cannot duplicate anything.
+			// Once a batch has arrived it could, so the stream fails typed.
+			var lost *ConnectionLostError
+			if errors.As(err, &lost) && !s.gotBatch && s.conn.canReconnect() {
+				if err = s.resubmit(); err == nil {
+					continue
+				}
 			}
-			return false
-		case <-s.cancel:
-			// The server-side query is abandoned; this connection has an
-			// answer in flight we will never read, so it cannot be reused.
-			s.conn.tr.close()
-			s.conn.poison(qctx.ErrCanceled)
-			s.fail(qctx.ErrCanceled)
-			// Detach: the response is undeliverable and the conn poisoned;
-			// a long-lived caller that heals the conn by redialing must
-			// not find a dead stream still registered as active.
-			s.finish()
-			return false
-		case <-timeout:
-			s.conn.tr.close()
-			err := fmt.Errorf("client: no frame within %v: %w", s.conn.opts.IOTimeout, ErrConnectionLost)
-			s.conn.poison(err)
-			s.fail(err)
-			s.finish()
-			return false
+		case m.typ == wire.FrameRowBatch:
+			var b wire.RowBatch
+			if b, err = wire.DecodeRowBatch(m.payload); err == nil {
+				s.gotBatch = true
+				if s.cols == nil {
+					s.cols = b.Columns
+				}
+				s.batch, s.idx = b.Rows, 0
+				return true
+			}
+			s.conn.abandon(err)
+		default:
+			if s.doneInfo, err = wire.DecodeDone(m.payload); err != nil {
+				s.conn.abandon(err)
+			}
 		}
-	}
-}
-
-func (s *Stream) handleFrame(m recvMsg) bool {
-	switch m.typ {
-	case wire.FrameRowBatch:
-		b, err := wire.DecodeRowBatch(m.payload)
-		if err != nil {
-			s.fail(s.conn.poison(err))
-			return false
+		// Done, failed or abandoned: the response is over and the stream
+		// detaches, so a long-lived caller that heals the conn by
+		// redialing never finds a dead stream still registered active.
+		s.err, s.done = err, true
+		if s.conn.active == s {
+			s.conn.active = nil
 		}
-		s.gotBatch = true
-		if s.cols == nil {
-			s.cols = b.Columns
-		}
-		s.batch, s.idx = b.Rows, 0
-		return true
-	case wire.FrameDone:
-		d, err := wire.DecodeDone(m.payload)
-		if err != nil {
-			s.fail(s.conn.poison(err))
-			return false
-		}
-		s.doneInfo = d
-		s.finish()
-		return false
-	case wire.FrameError:
-		f, err := wire.DecodeError(m.payload)
-		if err != nil {
-			s.fail(s.conn.poison(err))
-			return false
-		}
-		rerr := &wire.RemoteError{Frame: f}
-		s.conn.noteOverload(rerr)
-		s.fail(rerr)
-		s.finish()
-		return false
-	default:
-		s.fail(s.conn.poison(fmt.Errorf("client: unexpected frame 0x%02x", m.typ)))
 		return false
 	}
 }
 
-// handleLost reacts to the transport dying mid-stream. If no rows were
-// received and reconnection is configured, it redials and resubmits the
-// query, reporting true so fetch continues on the new transport. Any
-// rows already delivered fence off resubmission — a second execution
-// would duplicate them — so the stream fails typed instead.
-func (s *Stream) handleLost(cause error) bool {
-	lost := &ConnectionLostError{Cause: cause}
-	if s.gotBatch || !s.conn.canReconnect() {
-		s.conn.poison(lost)
-		s.fail(lost)
-		s.finish()
-		return false
+// resubmit redials after the backoff and sends the query again. On
+// failure the error it returns is the connection's sticky one.
+func (s *Stream) resubmit() error {
+	c := s.conn
+	if err := c.redial(s.cancel); err != nil {
+		c.err = err
+		return err
 	}
-	if err := s.conn.redial(s.cancel); err != nil {
-		s.conn.poison(err)
-		s.fail(err)
-		s.finish()
-		return false
+	if err := c.sendQuery(s.q); err != nil {
+		c.err = &ConnectionLostError{Cause: err}
+		return c.err
 	}
-	if err := s.conn.sendQuery(s.q); err != nil {
-		s.conn.poison(&ConnectionLostError{Cause: err})
-		s.fail(s.conn.err)
-		s.finish()
-		return false
-	}
+	c.err = nil
 	s.cols, s.batch, s.idx = nil, nil, 0
-	return true
+	return nil
 }
 
-func (s *Stream) fail(err error) {
-	if s.err == nil {
-		s.err = err
+// recv is the client's one frame-wait: every response frame of every
+// request — Query streams, Scatter, Snapshot, Load — is received here.
+// It returns the next frame when its type is one of want, and otherwise
+// an error with the connection's fate already settled:
+//
+//   - an Error frame comes back as *wire.RemoteError, its overload
+//     retry-after hint noted; the connection stays usable;
+//   - a transport that died comes back as *ConnectionLostError and
+//     poisons the connection (a reconnecting Conn heals on its next use);
+//   - no frame within IOTimeout, a closed cancel channel, a frame type
+//     the request does not expect or an Error frame that does not decode
+//     abandon the connection: the transport closes — an answer still in
+//     flight could never be matched up again — and the error returned
+//     (matching ErrConnectionLost, qctx.ErrCanceled, or neither) is
+//     sticky.
+func (c *Conn) recv(cancel <-chan struct{}, want ...byte) (recvMsg, error) {
+	var timeout <-chan time.Time
+	if io := c.opts.IOTimeout; io > 0 {
+		if c.timer == nil {
+			c.timer = time.NewTimer(io)
+		} else {
+			c.timer.Reset(io)
+		}
+		defer func() {
+			if !c.timer.Stop() {
+				select { // fired unread: drain so the next Reset starts clean
+				case <-c.timer.C:
+				default:
+				}
+			}
+		}()
+		timeout = c.timer.C
+	}
+	tr := c.tr
+	select {
+	case m := <-tr.recv:
+		if m.typ == wire.FrameError {
+			f, err := wire.DecodeError(m.payload)
+			if err != nil {
+				return m, c.abandon(err)
+			}
+			rerr := &wire.RemoteError{Frame: f}
+			c.noteOverload(rerr)
+			return m, rerr
+		}
+		if bytes.IndexByte(want, m.typ) < 0 {
+			return m, c.abandon(fmt.Errorf("client: unexpected frame 0x%02x", m.typ))
+		}
+		return m, nil
+	case <-tr.done:
+		return recvMsg{}, c.poison(&ConnectionLostError{Cause: tr.readErr})
+	case <-cancel:
+		return recvMsg{}, c.abandon(qctx.ErrCanceled)
+	case <-timeout:
+		return recvMsg{}, c.abandon(fmt.Errorf("client: no frame within %v: %w", c.opts.IOTimeout, ErrConnectionLost))
 	}
 }
 
-// finish detaches the stream from the connection: the response is
-// complete (or undeliverable) and the conn may run its next query.
-func (s *Stream) finish() {
-	s.done = true
-	if s.conn.active == s {
-		s.conn.active = nil
-	}
+// abandon gives up on the response in flight: the transport closes (its
+// remaining frames are undeliverable) and err becomes the connection's
+// sticky error.
+func (c *Conn) abandon(err error) error {
+	c.tr.close()
+	return c.poison(err)
 }
 
 // Row returns the current row after a true Next.
@@ -608,187 +593,97 @@ func (s *Stream) Close() error {
 	return s.err
 }
 
-// Scatter sends one ShardQuery and consumes the shard stream: fn is
-// called for every partition-tagged ShardBatch in arrival order, and the
-// worker's ShardDone summary is returned on success. Unlike Query,
-// Scatter never resubmits after a connection loss — a shuffle is
-// coordinated above this layer, where a partial scatter must be torn
-// down (staging tables dropped), not silently retried with rows already
+// roundTrip runs one cluster request: it sends the frame and hands every
+// response frame whose type is in want to on, until on reports the
+// response complete. An error from on — a payload that does not decode,
+// a consumer that bails — abandons the connection mid-stream, as
+// ErrConnectionLost so a reconnecting Conn heals on its next use. Unlike
+// Query, a cluster request is never resubmitted: a shuffle, a re-ship
+// or a load is coordinated above this layer, where a partial one must
+// be torn down or redone whole, not silently retried with rows already
 // landed.
-func (c *Conn) Scatter(q wire.ShardQuery, fn func(wire.ShardBatch) error) (wire.ShardDone, error) {
-	var zero wire.ShardDone
-	if c.err != nil {
-		if !c.canReconnect() || !errors.Is(c.err, ErrConnectionLost) {
-			return zero, c.err
-		}
-		if err := c.redial(nil); err != nil {
-			return zero, c.poison(err)
-		}
-		c.err = nil
-	}
-	if c.active != nil {
-		return zero, errors.New("client: previous stream not closed")
+func (c *Conn) roundTrip(typ byte, payload []byte, on func(recvMsg) (done bool, err error), want ...byte) error {
+	if err := c.ready(nil); err != nil {
+		return err
 	}
 	if !c.Cluster() {
-		return zero, errors.New("client: server did not grant the cluster feature")
+		return errors.New("client: server did not grant the cluster feature")
 	}
-	if err := c.tr.write(wire.FrameShardQuery, wire.EncodeShardQuery(q), 0); err != nil {
-		return zero, c.poison(&ConnectionLostError{Cause: err})
-	}
-	var tm *time.Timer
-	var timeout <-chan time.Time
-	if io := c.opts.IOTimeout; io > 0 {
-		tm = time.NewTimer(io)
-		defer tm.Stop()
-		timeout = tm.C
+	if err := c.tr.write(typ, payload, 0); err != nil {
+		return c.poison(&ConnectionLostError{Cause: err})
 	}
 	for {
-		tr := c.tr
-		if tm != nil {
-			if !tm.Stop() {
-				select {
-				case <-tm.C:
-				default:
-				}
-			}
-			tm.Reset(c.opts.IOTimeout)
+		m, err := c.recv(nil, want...)
+		if err != nil {
+			return err
 		}
-		select {
-		case m := <-tr.recv:
-			switch m.typ {
-			case wire.FrameShardBatch:
-				b, err := wire.DecodeShardBatch(m.payload)
-				if err != nil {
-					return zero, c.poison(err)
-				}
-				if err := fn(b); err != nil {
-					// The consumer bailed with frames still in flight; this
-					// transport cannot be reused mid-stream. Mark it lost so
-					// a reconnect-configured conn heals on its next use.
-					c.tr.close()
-					c.poison(&ConnectionLostError{Cause: err})
-					return zero, err
-				}
-			case wire.FrameShardDone:
-				d, err := wire.DecodeShardDone(m.payload)
-				if err != nil {
-					return zero, c.poison(err)
-				}
-				return d, nil
-			case wire.FrameError:
-				f, err := wire.DecodeError(m.payload)
-				if err != nil {
-					return zero, c.poison(err)
-				}
-				rerr := &wire.RemoteError{Frame: f}
-				c.noteOverload(rerr)
-				// A typed query failure leaves the connection usable.
-				return zero, rerr
-			default:
-				return zero, c.poison(fmt.Errorf("client: unexpected frame 0x%02x during scatter", m.typ))
-			}
-		case <-tr.done:
-			lost := &ConnectionLostError{Cause: tr.readErr}
-			return zero, c.poison(lost)
-		case <-timeout:
-			c.tr.close()
-			err := fmt.Errorf("client: no frame within %v: %w", c.opts.IOTimeout, ErrConnectionLost)
-			return zero, c.poison(err)
+		if done, err := on(m); err != nil {
+			c.abandon(&ConnectionLostError{Cause: err})
+			return err
+		} else if done {
+			return nil
 		}
 	}
 }
 
+// Scatter sends one ShardQuery and consumes the shard stream: fn is
+// called for every partition-tagged ShardBatch in arrival order, and the
+// worker's ShardDone summary is returned on success.
+func (c *Conn) Scatter(q wire.ShardQuery, fn func(wire.ShardBatch) error) (wire.ShardDone, error) {
+	var done wire.ShardDone
+	err := c.roundTrip(wire.FrameShardQuery, wire.EncodeShardQuery(q), func(m recvMsg) (end bool, err error) {
+		if m.typ == wire.FrameShardDone {
+			done, err = wire.DecodeShardDone(m.payload)
+			return true, err
+		}
+		b, err := wire.DecodeShardBatch(m.payload)
+		if err != nil {
+			return false, err
+		}
+		return false, fn(b)
+	}, wire.FrameShardBatch, wire.FrameShardDone)
+	return done, err
+}
+
 // Snapshot asks a worker for a full copy of one table: the table's
 // schema comes back first, then fn is called for every RowBatch, and the
-// Done summary is returned on success. Like Scatter it never resubmits —
-// a rejoin re-ships the whole snapshot from scratch if the link dies.
+// Done summary is returned on success.
 func (c *Conn) Snapshot(table string, fn func(wire.RowBatch) error) (wire.SnapshotMeta, wire.Done, error) {
 	var meta wire.SnapshotMeta
 	var done wire.Done
-	if c.err != nil {
-		return meta, done, c.err
-	}
-	if c.active != nil {
-		return meta, done, errors.New("client: previous stream not closed")
-	}
-	if !c.Cluster() {
-		return meta, done, errors.New("client: server did not grant the cluster feature")
-	}
-	if err := c.tr.write(wire.FrameSnapshot, wire.EncodeSnapshot(wire.Snapshot{Table: table}), 0); err != nil {
-		return meta, done, c.poison(&ConnectionLostError{Cause: err})
-	}
-	var tm *time.Timer
-	var timeout <-chan time.Time
-	if io := c.opts.IOTimeout; io > 0 {
-		tm = time.NewTimer(io)
-		defer tm.Stop()
-		timeout = tm.C
-	}
 	gotMeta := false
-	for {
-		tr := c.tr
-		if tm != nil {
-			if !tm.Stop() {
-				select {
-				case <-tm.C:
-				default:
-				}
-			}
-			tm.Reset(c.opts.IOTimeout)
+	err := c.roundTrip(wire.FrameSnapshot, wire.EncodeSnapshot(wire.Snapshot{Table: table}), func(m recvMsg) (end bool, err error) {
+		switch {
+		case m.typ == wire.FrameSnapshotMeta:
+			meta, err = wire.DecodeSnapshotMeta(m.payload)
+			gotMeta = true
+			return false, err
+		case !gotMeta:
+			return false, errors.New("client: snapshot frame before meta")
+		case m.typ == wire.FrameDone:
+			done, err = wire.DecodeDone(m.payload)
+			return true, err
 		}
-		select {
-		case m := <-tr.recv:
-			switch m.typ {
-			case wire.FrameSnapshotMeta:
-				sm, err := wire.DecodeSnapshotMeta(m.payload)
-				if err != nil {
-					return meta, done, c.poison(err)
-				}
-				meta, gotMeta = sm, true
-			case wire.FrameRowBatch:
-				if !gotMeta {
-					return meta, done, c.poison(errors.New("client: snapshot rows before meta"))
-				}
-				b, err := wire.DecodeRowBatch(m.payload)
-				if err != nil {
-					return meta, done, c.poison(err)
-				}
-				if err := fn(b); err != nil {
-					c.tr.close()
-					c.poison(&ConnectionLostError{Cause: err})
-					return meta, done, err
-				}
-			case wire.FrameDone:
-				d, err := wire.DecodeDone(m.payload)
-				if err != nil {
-					return meta, done, c.poison(err)
-				}
-				if !gotMeta {
-					return meta, done, c.poison(errors.New("client: snapshot ended before meta"))
-				}
-				return meta, d, nil
-			case wire.FrameError:
-				f, err := wire.DecodeError(m.payload)
-				if err != nil {
-					return meta, done, c.poison(err)
-				}
-				rerr := &wire.RemoteError{Frame: f}
-				c.noteOverload(rerr)
-				// A typed failure (e.g. unknown relation) leaves the
-				// connection usable.
-				return meta, done, rerr
-			default:
-				return meta, done, c.poison(fmt.Errorf("client: unexpected frame 0x%02x during snapshot", m.typ))
-			}
-		case <-tr.done:
-			lost := &ConnectionLostError{Cause: tr.readErr}
-			return meta, done, c.poison(lost)
-		case <-timeout:
-			c.tr.close()
-			err := fmt.Errorf("client: no frame within %v: %w", c.opts.IOTimeout, ErrConnectionLost)
-			return meta, done, c.poison(err)
+		b, err := wire.DecodeRowBatch(m.payload)
+		if err != nil {
+			return false, err
 		}
-	}
+		return false, fn(b)
+	}, wire.FrameSnapshotMeta, wire.FrameRowBatch, wire.FrameDone)
+	return meta, done, err
+}
+
+// Load lands one batch of typed rows in a worker's table and returns the
+// worker's Done (Rows = rows stored). The worker checks the batch's
+// column names and value kinds against its catalog; a mismatch comes
+// back as a *wire.RemoteError with nothing stored.
+func (c *Conn) Load(table string, b wire.RowBatch) (wire.Done, error) {
+	var done wire.Done
+	err := c.roundTrip(wire.FrameLoad, wire.EncodeLoad(wire.Load{Table: table, Batch: b}), func(m recvMsg) (end bool, err error) {
+		done, err = wire.DecodeDone(m.payload)
+		return true, err
+	}, wire.FrameDone)
+	return done, err
 }
 
 // Result is a fully materialized query result, for callers that do not

@@ -39,30 +39,18 @@ type Config struct {
 	DialTimeout time.Duration
 	// IOTimeout bounds each per-frame wait on worker connections.
 	IOTimeout time.Duration
-	// InsertBatch bounds rows per INSERT statement when routing loads
-	// and flushing shuffles (0 = 256).
-	InsertBatch int
-	// PoolIdle bounds idle pooled connections per worker (0 = 4).
-	PoolIdle int
 	// ProbeInterval is the health prober's cadence: suspect workers are
 	// probe-dialed back to healthy, dead workers are automatically
 	// rejoined via snapshot re-ship (0 = 1s, negative = no prober).
 	ProbeInterval time.Duration
 }
 
-func (c Config) insertBatch() int {
-	if c.InsertBatch <= 0 {
-		return 256
-	}
-	return c.InsertBatch
-}
+// loadChunkBytes bounds the rows of one Load frame by (an upper bound
+// on) their encoded size — big enough to amortise the round trip, a
+// small fraction of wire.MaxFrame.
+const loadChunkBytes = 1 << 20
 
-func (c Config) replicas() int {
-	if c.Replicas <= 1 {
-		return 1
-	}
-	return c.Replicas
-}
+func (c Config) replicas() int { return max(c.Replicas, 1) }
 
 // Coordinator is the cluster's client-facing backend: it owns the
 // catalog mirror and the placement map, fans DDL and DML out to all
@@ -129,15 +117,13 @@ func New(cfg Config) (*Coordinator, error) {
 	co.staging.tables = make(map[string]map[int]bool)
 	opts := client.DialOptions{Timeout: cfg.DialTimeout, IOTimeout: cfg.IOTimeout}
 	for _, addr := range cfg.Workers {
-		co.pools = append(co.pools, client.NewPool(addr, opts, cfg.PoolIdle))
+		co.pools = append(co.pools, client.NewPool(addr, opts, 0))
 	}
 	for w := range co.pools {
-		conn, err := co.getConn(w)
-		if err != nil {
+		if err := co.withWorker(w, func(*client.Conn) error { return nil }); err != nil {
 			co.Close()
 			return nil, err
 		}
-		co.pools[w].Put(conn)
 	}
 	if interval := cfg.ProbeInterval; interval >= 0 {
 		if interval == 0 {
@@ -220,44 +206,207 @@ func (co *Coordinator) hostedShards(w int) []int {
 	return out
 }
 
-// getConn checks a connection to worker w out of its pool. Failures are
-// transport-class by construction (dial refusal, handshake loss), so
-// they count against the breaker and come back as *WorkerLostError.
-func (co *Coordinator) getConn(w int) (*client.Conn, error) {
-	conn, err := co.pools[w].Get()
+// withWorker runs one exchange with worker w on a pooled connection. It
+// is the worker-attempt rule — the only place an attempt's outcome is
+// classified, whatever the exchange was:
+//
+//   - no connection (dial refused, handshake lost, cluster feature not
+//     granted) or a transport failure inside fn: the connection is
+//     discarded, the breaker takes a strike, and the error comes back
+//     as *WorkerLostError;
+//   - any other error is a typed answer and proves the worker alive: the
+//     connection returns to the pool (which closes it if fn abandoned
+//     the exchange mid-stream) and the error passes through untouched —
+//     except that "unknown relation" also marks the worker dead: it is
+//     missing a table it was sent to because it hosts it, so it
+//     restarted empty and must rejoin from a snapshot. (A drop, for
+//     which missing means done, filters that answer inside fn.)
+//   - success returns the connection and heals a suspect worker.
+func (co *Coordinator) withWorker(w int, fn func(*client.Conn) error) error {
+	pool := co.pools[w]
+	conn, err := pool.Get()
+	lost := err != nil // a failed dial or handshake is transport-class by construction
 	if err == nil && !conn.Cluster() {
-		co.pools[w].Discard(conn)
-		err = errors.New("did not grant the cluster feature")
+		err, lost = errors.New("did not grant the cluster feature"), true
 	}
-	if err != nil {
+	if err == nil {
+		err = fn(conn)
+		lost = transportFailure(err)
+	}
+	switch {
+	case lost:
+		pool.Discard(conn)
 		co.health.markFailure(w)
-		return nil, &WorkerLostError{Worker: w, Addr: co.pools[w].Addr(), Cause: err}
+		return &WorkerLostError{Worker: w, Addr: pool.Addr(), Cause: err}
+	case err == nil:
+		co.health.markSuccess(w)
+	case unknownRelation(err):
+		co.health.markDead(w)
 	}
-	return conn, nil
+	pool.Put(conn)
+	return err
 }
 
-// collect runs one statement on worker w through its pool, classifying
-// the outcome: transport failures discard the conn, trip the breaker,
-// and come back as *WorkerLostError; typed answers return the conn and
-// pass through untouched.
-func (co *Coordinator) collect(w int, sql string) (*client.Result, error) {
-	conn, err := co.getConn(w)
-	if err != nil {
-		return nil, err
-	}
-	res, err := conn.Collect(sql, client.Options{Timeout: co.cfg.IOTimeout})
-	if err != nil {
-		if transportFailure(err) {
-			co.pools[w].Discard(conn)
-			co.health.markFailure(w)
-			return nil, &WorkerLostError{Worker: w, Addr: co.pools[w].Addr(), Cause: err}
+// collect runs one statement on worker w and returns its affected-row
+// count (the Done frame's Rows).
+func (co *Coordinator) collect(w int, sql string) (n int64, err error) {
+	err = co.withWorker(w, func(c *client.Conn) error {
+		res, err := c.Collect(sql, client.Options{Timeout: co.cfg.IOTimeout})
+		if err == nil {
+			n = res.Done.Rows
 		}
-		co.pools[w].Put(conn)
-		return nil, err
+		return err
+	})
+	return n, err
+}
+
+// drop removes one physical table from one worker; a table that is
+// already gone is a drop that succeeded.
+func (co *Coordinator) drop(w int, phys string) error {
+	return co.withWorker(w, func(c *client.Conn) error {
+		_, err := c.Collect("DROP TABLE "+phys, client.Options{Timeout: co.cfg.IOTimeout})
+		if unknownRelation(err) {
+			return nil
+		}
+		return err
+	})
+}
+
+// onReplica is the replica-failover iterator: it offers shard s's live
+// replicas (those ok admits, when given), in placement order, to try —
+// one withWorker attempt each — until one succeeds. A lost worker or one
+// found dead (unknown relation) fails over to the next replica; any
+// other error is a typed, deterministic answer that a peer would only
+// repeat, and ends the iteration. try must buffer what it gathers per
+// attempt: a mid-stream loss discards the partial buffer and the next
+// replica starts from scratch, so nothing is ever counted twice.
+func (co *Coordinator) onReplica(s int, ok []bool, try func(w int, c *client.Conn) error) error {
+	var lastErr error
+	for _, w := range co.replicasOf(s) {
+		if !co.health.live(w) || (ok != nil && !ok[w]) {
+			continue
+		}
+		err := co.withWorker(w, func(c *client.Conn) error { return try(w, c) })
+		if err == nil || !(transportFailure(err) || unknownRelation(err)) {
+			return err
+		}
+		lastErr = err
 	}
-	co.pools[w].Put(conn)
-	co.health.markSuccess(w)
-	return res, nil
+	if lastErr != nil {
+		return lastErr
+	}
+	return fmt.Errorf("%w %d", ErrShardUnavailable, s)
+}
+
+// replicate is the fan-out-and-settle under every replicated write: DDL,
+// routed and filtered DML, and a shuffle's staging creates and landings.
+// write runs concurrently on every live replica (that ok admits, when
+// given) of each listed shard — nil lists them all — and each shard then
+// settles by one rule: at least one ack commits it, its row count taken
+// once (the copies are identical); every replica that failed, or was
+// passed over, where a peer acked has missed something the shard now
+// holds and is reported to failed; a shard nobody acked fails the
+// statement with its first error, ErrShardUnavailable when no replica
+// was left to try.
+func (co *Coordinator) replicate(shards []int, ok [][]bool, write func(s, w int) (int64, error), failed func(s, w int)) (int64, error) {
+	if shards == nil {
+		for s := 0; s < co.nshards; s++ {
+			shards = append(shards, s)
+		}
+	}
+	type attempt struct {
+		w   int
+		n   int64
+		err error
+	}
+	tries := make([][]*attempt, len(shards))
+	var wg sync.WaitGroup
+	for i, s := range shards {
+		for _, w := range co.replicasOf(s) {
+			a := &attempt{w: w}
+			tries[i] = append(tries[i], a)
+			if !co.health.live(w) || (ok != nil && !ok[s][w]) {
+				a.err = fmt.Errorf("%w %d", ErrShardUnavailable, s) // passed over
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				a.n, a.err = write(s, a.w)
+			}()
+		}
+	}
+	wg.Wait()
+	var affected int64
+	var firstErr error
+	for i, s := range shards {
+		var acked *attempt
+		var shardErr error
+		for _, a := range tries[i] {
+			if a.err == nil && acked == nil {
+				acked = a
+			} else if a.err != nil && (shardErr == nil || errors.Is(shardErr, ErrShardUnavailable)) {
+				shardErr = a.err // an attempt's own error outranks "passed over"
+			}
+		}
+		if acked == nil {
+			if firstErr == nil {
+				firstErr = shardErr
+			}
+			continue
+		}
+		affected += acked.n
+		for _, a := range tries[i] {
+			if a.err != nil {
+				failed(s, a.w)
+			}
+		}
+	}
+	return affected, firstErr
+}
+
+// diverged is replicate's failed hook for durable state: the replica
+// missed a write its shard committed, so it must rejoin from a snapshot
+// before serving again.
+func (co *Coordinator) diverged(_, w int) { co.health.markDead(w) }
+
+// load lands rows in one worker's physical table as Load frames of about
+// loadChunkBytes each — rows travel coordinator→worker as rows, the way
+// they travel back — and returns the count the worker stored.
+func (co *Coordinator) load(w int, table string, cols []string, rows []storage.Tuple) (int64, error) {
+	var stored int64
+	for len(rows) > 0 {
+		n, size := 0, 0
+		for n < len(rows) && (n == 0 || size < loadChunkBytes) {
+			for _, v := range rows[n] {
+				size += 1 + binary.MaxVarintLen64
+				if v.Kind() == value.KindString {
+					size += len(v.Str())
+				}
+			}
+			n++
+		}
+		chunk := wire.RowBatch{Columns: cols, Rows: rows[:n]}
+		err := co.withWorker(w, func(c *client.Conn) error {
+			done, err := c.Load(table, chunk)
+			stored += done.Rows
+			return err
+		})
+		if err != nil {
+			return stored, err
+		}
+		rows = rows[n:]
+	}
+	return stored, nil
+}
+
+// columnNames lists a relation's column names in order.
+func columnNames(rel *schema.Relation) []string {
+	names := make([]string, len(rel.Columns))
+	for i, c := range rel.Columns {
+		names[i] = c.Name
+	}
+	return names
 }
 
 // ExecSQL runs a script of statements against the cluster, mirroring
@@ -318,10 +467,10 @@ func (co *Coordinator) execWrite(stmt sqlparser.Statement) (int64, error) {
 
 // execCreate defines the relation in the catalog mirror, picks its
 // placement column, and creates each shard's physical slice on every
-// live replica of that shard. A replica that drops its link mid-CREATE
-// is marked dead (it missed DDL another replica applied) rather than
-// failing the statement — as long as every shard lands on at least one
-// replica.
+// live replica of that shard. A replica that fails its CREATE where a
+// peer succeeded is marked dead (it missed DDL the shard now holds)
+// rather than failing the statement; a shard no replica could create
+// fails it, and what the other shards created is dropped again.
 func (co *Coordinator) execCreate(rel *schema.Relation) error {
 	if strings.Contains(rel.Name, "__") {
 		return fmt.Errorf("cluster: table name %s collides with the reserved __ shard namespace", rel.Name)
@@ -330,7 +479,7 @@ func (co *Coordinator) execCreate(rel *schema.Relation) error {
 		return err
 	}
 	up := strings.ToUpper(rel.Name)
-	place := ""
+	place := strings.ToUpper(rel.Columns[0].Name)
 	if p, ok := co.cfg.Placement[up]; ok {
 		if rel.ColumnIndex(p) < 0 {
 			co.cat.Drop(rel.Name)
@@ -339,54 +488,41 @@ func (co *Coordinator) execCreate(rel *schema.Relation) error {
 		place = strings.ToUpper(p)
 	} else if len(rel.Key) > 0 {
 		place = strings.ToUpper(rel.Key[0])
-	} else {
-		place = strings.ToUpper(rel.Columns[0].Name)
 	}
-	type site struct{ w, s int }
-	var created []site
-	undo := func() {
-		for _, c := range created {
-			co.dropIgnoreMissing(c.w, physName(rel.Name, c.s))
+	var mu sync.Mutex
+	var created [][2]int // (shard, worker) sites to undo
+	_, err := co.replicate(nil, nil, func(s, w int) (int64, error) {
+		_, err := co.collect(w, RenderCreate(shardRelation(rel, rel.Name, s)))
+		if err == nil {
+			mu.Lock()
+			created = append(created, [2]int{s, w})
+			mu.Unlock()
+		}
+		return 0, err
+	}, co.diverged)
+	if err != nil {
+		for _, site := range created {
+			co.drop(site[1], physName(rel.Name, site[0]))
 		}
 		co.cat.Drop(rel.Name)
-	}
-	for s := 0; s < co.nshards; s++ {
-		acks := 0
-		var lastErr error
-		for _, w := range co.replicasOf(s) {
-			if !co.health.live(w) {
-				continue
-			}
-			srel := &schema.Relation{Name: physName(rel.Name, s), Columns: rel.Columns, Key: rel.Key}
-			if _, err := co.collect(w, RenderCreate(srel)); err != nil {
-				if transportFailure(err) {
-					// This replica missed DDL its peers applied: diverged.
-					co.health.markDead(w)
-					lastErr = err
-					continue
-				}
-				undo()
-				return err
-			}
-			created = append(created, site{w, s})
-			acks++
-		}
-		if acks == 0 {
-			undo()
-			if lastErr != nil {
-				return fmt.Errorf("%w %d: %w", ErrShardUnavailable, s, lastErr)
-			}
-			return fmt.Errorf("%w %d", ErrShardUnavailable, s)
-		}
+		return err
 	}
 	co.place[up] = place
 	return nil
 }
 
+// shardRelation is rel's schema under shard s's physical name for the
+// logical table name. Key columns carry over — a per-shard subset of a
+// globally unique key is still unique — which keeps the planner's
+// duplicate-safety reasoning intact on workers.
+func shardRelation(rel *schema.Relation, name string, s int) *schema.Relation {
+	return &schema.Relation{Name: physName(name, s), Columns: rel.Columns, Key: rel.Key}
+}
+
 // execInsert coerces each row's literals against the schema — hashing
 // must see the value a worker will store, not the raw literal, or a
 // DATE partition key would land rows on the wrong shard — then routes
-// every row to its shard and fans each shard's rows out to all live
+// every row to its shard and loads each shard's rows into all live
 // replicas synchronously: the client's ack means every live replica
 // logged the rows.
 func (co *Coordinator) execInsert(stmt *sqlparser.InsertStmt) (int64, error) {
@@ -399,7 +535,7 @@ func (co *Coordinator) execInsert(stmt *sqlparser.InsertStmt) (int64, error) {
 		return 0, fmt.Errorf("cluster: relation %s has no placement column", rel.Name)
 	}
 	part := Partitioner{NumShards: co.nshards, KeyCols: []int{pidx}}
-	routed := make([][][]value.Value, co.nshards)
+	routed := make([][]storage.Tuple, co.nshards)
 	for _, row := range stmt.Rows {
 		if len(row) != len(rel.Columns) {
 			return 0, fmt.Errorf("cluster: INSERT row has %d values, %s has %d columns",
@@ -416,97 +552,19 @@ func (co *Coordinator) execInsert(stmt *sqlparser.InsertStmt) (int64, error) {
 		d := part.Shard(t)
 		routed[d] = append(routed[d], t)
 	}
-	write := func(w, s int) (int64, error) {
-		return co.insertRows(w, physName(rel.Name, s), routed[s])
-	}
-	return co.fanOutWrite(routed, write)
-}
-
-// fanOutWrite runs one write per (shard, live replica) concurrently and
-// settles each shard: at least one ack commits the shard (its row count
-// counted once); a replica that failed while a peer acked has diverged
-// and is marked dead; a shard with zero acks fails the statement.
-func (co *Coordinator) fanOutWrite(routed [][][]value.Value, write func(w, s int) (int64, error)) (int64, error) {
-	type attempt struct {
-		w, s int
-		n    int64
-		err  error
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	attempts := make(map[int][]*attempt) // shard -> replica attempts
-	for s := 0; s < co.nshards; s++ {
-		if routed != nil && len(routed[s]) == 0 {
-			continue
-		}
-		for _, w := range co.replicasOf(s) {
-			if !co.health.live(w) {
-				continue
-			}
-			a := &attempt{w: w, s: s}
-			mu.Lock()
-			attempts[s] = append(attempts[s], a)
-			mu.Unlock()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				a.n, a.err = write(a.w, a.s)
-			}()
+	var shards []int
+	for s, rows := range routed {
+		if len(rows) > 0 {
+			shards = append(shards, s)
 		}
 	}
-	wg.Wait()
-	var affected int64
-	for s := 0; s < co.nshards; s++ {
-		as := attempts[s]
-		if routed != nil && len(routed[s]) == 0 {
-			continue
-		}
-		if len(as) == 0 {
-			return affected, fmt.Errorf("%w %d", ErrShardUnavailable, s)
-		}
-		acked := false
-		var firstErr error
-		for _, a := range as {
-			if a.err == nil && !acked {
-				affected += a.n
-				acked = true
-			} else if a.err != nil && firstErr == nil {
-				firstErr = a.err
-			}
-		}
-		if !acked {
-			return affected, firstErr
-		}
-		for _, a := range as {
-			if a.err != nil {
-				// A peer acked what this replica missed: it has diverged
-				// and must rejoin from a snapshot before serving again.
-				co.health.markDead(a.w)
-			}
-		}
+	if shards == nil {
+		return 0, nil
 	}
-	return affected, nil
-}
-
-// insertRows flushes rows to one worker's physical table in
-// InsertBatch-sized chunks.
-func (co *Coordinator) insertRows(worker int, table string, rows [][]value.Value) (int64, error) {
-	var n int64
-	batch := co.cfg.insertBatch()
-	for len(rows) > 0 {
-		chunk := rows
-		if len(chunk) > batch {
-			chunk = chunk[:batch]
-		}
-		rows = rows[len(chunk):]
-		stmt := &sqlparser.InsertStmt{Table: table, Rows: chunk}
-		res, err := co.collect(worker, stmt.String())
-		if err != nil {
-			return n, err
-		}
-		n += res.Done.Rows
-	}
-	return n, nil
+	cols := columnNames(rel)
+	return co.replicate(shards, nil, func(s, w int) (int64, error) {
+		return co.load(w, physName(rel.Name, s), cols, routed[s])
+	}, co.diverged)
 }
 
 // execFilterDML fans a DELETE or UPDATE whose WHERE clause is row-local
@@ -527,14 +585,7 @@ func (co *Coordinator) execFilterDML(table string, where []ast.Predicate, stmt s
 	for s := range sqls {
 		sqls[s] = renderShardDML(stmt, s)
 	}
-	write := func(w, s int) (int64, error) {
-		res, err := co.collect(w, sqls[s])
-		if err != nil {
-			return 0, err
-		}
-		return res.Done.Rows, nil
-	}
-	return co.fanOutWrite(nil, write)
+	return co.replicate(nil, nil, func(s, w int) (int64, error) { return co.collect(w, sqls[s]) }, co.diverged)
 }
 
 // renderShardDML rewrites a single-table DELETE/UPDATE against one
@@ -572,41 +623,23 @@ func stripQualifiers(where []ast.Predicate) []ast.Predicate {
 	return out
 }
 
-// execDrop removes every shard slice from every live replica. Transport
-// failures mark the replica dead and move on — the table is gone from
-// the catalog either way, and a rejoin rebuilds only cataloged tables.
+// execDrop removes every shard slice from every live replica, under the
+// rule of every replicated write: a replica that fails where a peer
+// dropped is marked dead, a shard nobody could drop fails the statement.
 func (co *Coordinator) execDrop(table string) error {
 	rel, ok := co.cat.Lookup(table)
 	if !ok {
 		return fmt.Errorf("cluster: unknown relation %s", table)
 	}
-	for s := 0; s < co.nshards; s++ {
-		for _, w := range co.replicasOf(s) {
-			if !co.health.live(w) {
-				continue
-			}
-			if err := co.dropIgnoreMissing(w, physName(rel.Name, s)); err != nil {
-				if transportFailure(err) {
-					co.health.markDead(w)
-					continue
-				}
-				return err
-			}
-		}
+	_, err := co.replicate(nil, nil, func(s, w int) (int64, error) {
+		return 0, co.drop(w, physName(rel.Name, s))
+	}, co.diverged)
+	if err != nil {
+		return err
 	}
 	co.cat.Drop(table)
 	delete(co.place, strings.ToUpper(table))
 	return nil
-}
-
-// dropIgnoreMissing drops one physical table on one worker, treating
-// "unknown relation" as success (already gone).
-func (co *Coordinator) dropIgnoreMissing(w int, phys string) error {
-	_, err := co.collect(w, "DROP TABLE "+phys)
-	if err != nil && unknownRelation(err) {
-		return nil
-	}
-	return err
 }
 
 // query runs one SELECT as a distributed plan:
@@ -701,9 +734,11 @@ func (co *Coordinator) query(qb *ast.QueryBlock, opts engine.Options) (*engine.R
 // per-shard staging tables on every replica (round 1). Each shard's
 // slice is scattered from one live replica — failing over like a
 // gather — and every landed row fans out to all replicas of its
-// destination shard, so round 2 can fail over too. Returns the staging
-// logical name and every physical staging table created (for cleanup,
-// even on error).
+// destination shard, so round 2 can fail over too. A replica that
+// cannot take its staging slice or its rows is struck from okBy — this
+// query's round-2 candidates — not failed: replication exists to absorb
+// exactly this. Returns the staging logical name and the physical
+// staging tables to clean up (even on error).
 func (co *Coordinator) shuffle(table, keyCol string, opts engine.Options, okBy [][]bool) (string, []string, error) {
 	rel, ok := co.cat.Lookup(table)
 	if !ok {
@@ -718,65 +753,53 @@ func (co *Coordinator) shuffle(table, keyCol string, opts engine.Options, okBy [
 	// cleanup is best-effort, so a counter alone — restarting at 1 —
 	// would collide with a remnant leaked by a crashed run.
 	sname := fmt.Sprintf("%s__X%s_%d", rel.Name, co.runToken, co.qid.Add(1))
+	phys := make([]string, co.nshards)
+	for d := range phys {
+		phys[d] = physName(sname, d)
+	}
+	struck := func(s, w int) { okBy[s][w] = false }
 
-	// Create the staging slices. A replica that cannot take its slice is
-	// excluded from this query's round-2 candidates for that shard, not
-	// failed — replication exists to absorb exactly this.
-	var phys []string
-	for d := 0; d < co.nshards; d++ {
-		pname := physName(sname, d)
-		// Key columns survive re-partitioning (a per-shard subset of a
-		// globally unique key is still unique), and keeping them
-		// preserves the planner's duplicate-safety reasoning.
-		srel := &schema.Relation{Name: pname, Columns: rel.Columns, Key: rel.Key}
-		acks := 0
-		for _, w := range co.replicasOf(d) {
-			if !co.health.live(w) {
-				okBy[d][w] = false
-				continue
-			}
-			if _, err := co.collect(w, RenderCreate(srel)); err != nil {
-				if transportFailure(err) {
-					okBy[d][w] = false
-					continue
-				}
-				return "", phys, err
-			}
-			co.stagingAdd(pname, w)
-			if acks == 0 {
-				phys = append(phys, pname)
-			}
-			acks++
+	if _, err := co.replicate(nil, okBy, func(d, w int) (int64, error) {
+		_, err := co.collect(w, RenderCreate(shardRelation(rel, sname, d)))
+		if err == nil {
+			co.stagingAdd(phys[d], w)
 		}
-		if acks == 0 {
-			return "", phys, fmt.Errorf("%w %d: no replica can stage %s", ErrShardUnavailable, d, sname)
-		}
+		return 0, err
+	}, struck); err != nil {
+		return "", phys, fmt.Errorf("cluster: staging %s: %w", sname, err)
 	}
 
 	// Scatter: each source shard's slice partitions by the new key on
-	// whichever live replica serves it, buffered per attempt so a
-	// failover never double-counts rows.
+	// whichever live replica serves it.
+	cols := columnNames(rel)
 	sq := wire.ShardQuery{
 		TimeoutMicros: opts.Timeout.Microseconds(),
 		Strategy:      wire.StrategyNested, // a flat scan; no transform to pick
 		NumShards:     int64(co.nshards),
 		KeyCols:       []int64{int64(kidx)},
 	}
-	colNames := make([]string, len(rel.Columns))
-	for i, c := range rel.Columns {
-		colNames[i] = c.Name
-	}
-	sourced := make([][][][]value.Value, co.nshards)
+	sourced := make([][][]storage.Tuple, co.nshards) // [source][destination]rows
 	scatterErr := make([]error, co.nshards)
 	var wg sync.WaitGroup
 	for s := 0; s < co.nshards; s++ {
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
 			q := sq
-			q.SQL = "SELECT " + strings.Join(colNames, ", ") + " FROM " + physName(rel.Name, s)
-			sourced[s], scatterErr[s] = co.scatterShard(s, q)
-		}(s)
+			q.SQL = "SELECT " + strings.Join(cols, ", ") + " FROM " + physName(rel.Name, s)
+			scatterErr[s] = co.onReplica(s, nil, func(w int, c *client.Conn) error {
+				local := make([][]storage.Tuple, co.nshards)
+				_, err := c.Scatter(q, func(b wire.ShardBatch) error {
+					if int(b.Shard) >= len(local) {
+						return fmt.Errorf("cluster: worker %d sent shard %d of %d", w, b.Shard, len(local))
+					}
+					local[b.Shard] = append(local[b.Shard], b.Batch.Rows...)
+					return nil
+				})
+				sourced[s] = local
+				return err
+			})
+		}()
 	}
 	wg.Wait()
 	for s, err := range scatterErr {
@@ -784,7 +807,7 @@ func (co *Coordinator) shuffle(table, keyCol string, opts engine.Options, okBy [
 			return "", phys, fmt.Errorf("cluster: scatter of %s shard %d: %w", rel.Name, s, err)
 		}
 	}
-	routed := make([][][]value.Value, co.nshards)
+	routed := make([][]storage.Tuple, co.nshards)
 	for _, local := range sourced {
 		for d, rows := range local {
 			routed[d] = append(routed[d], rows...)
@@ -792,127 +815,23 @@ func (co *Coordinator) shuffle(table, keyCol string, opts engine.Options, okBy [
 	}
 
 	// Land each destination slice on every replica still in the running.
-	type landing struct {
-		d, w int
-		err  error
-	}
-	var landings []*landing
-	for d := 0; d < co.nshards; d++ {
-		for _, w := range co.replicasOf(d) {
-			if !okBy[d][w] || !co.health.live(w) {
-				okBy[d][w] = false
-				continue
-			}
-			l := &landing{d: d, w: w}
-			landings = append(landings, l)
-			wg.Add(1)
-			go func(l *landing) {
-				defer wg.Done()
-				_, l.err = co.insertRows(l.w, physName(sname, l.d), routed[l.d])
-			}(l)
-		}
-	}
-	wg.Wait()
-	acked := make([]int, co.nshards)
-	var firstErr error
-	for _, l := range landings {
-		if l.err != nil {
-			if !transportFailure(l.err) && firstErr == nil {
-				firstErr = l.err
-			}
-			okBy[l.d][l.w] = false
-			continue
-		}
-		acked[l.d]++
-	}
-	if firstErr != nil {
-		return "", phys, fmt.Errorf("cluster: landing shuffle of %s: %w", rel.Name, firstErr)
-	}
-	for d, n := range acked {
-		if n == 0 {
-			return "", phys, fmt.Errorf("%w %d: no replica landed %s", ErrShardUnavailable, d, sname)
-		}
+	if _, err := co.replicate(nil, okBy, func(d, w int) (int64, error) {
+		return co.load(w, phys[d], cols, routed[d])
+	}, struck); err != nil {
+		return "", phys, fmt.Errorf("cluster: landing shuffle of %s: %w", rel.Name, err)
 	}
 	return sname, phys, nil
 }
 
-// scatterShard streams one shard's scatter from the first live replica
-// that can serve it, returning rows routed by destination. Rows buffer
-// per attempt: a mid-stream loss discards the partial buffer and the
-// next replica restarts the scatter from scratch.
-func (co *Coordinator) scatterShard(s int, q wire.ShardQuery) ([][][]value.Value, error) {
-	var lastErr error
-	for _, w := range co.replicasOf(s) {
-		if !co.health.live(w) {
-			continue
-		}
-		conn, err := co.getConn(w)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		local := make([][][]value.Value, co.nshards)
-		_, err = conn.Scatter(q, func(b wire.ShardBatch) error {
-			if int(b.Shard) >= len(local) {
-				return fmt.Errorf("cluster: worker %d sent shard %d of %d", w, b.Shard, len(local))
-			}
-			for _, row := range b.Batch.Rows {
-				local[b.Shard] = append(local[b.Shard], []value.Value(row))
-			}
-			return nil
-		})
-		if err == nil {
-			co.pools[w].Put(conn)
-			co.health.markSuccess(w)
-			return local, nil
-		}
-		if transportFailure(err) {
-			co.pools[w].Discard(conn)
-			co.health.markFailure(w)
-			lastErr = &WorkerLostError{Worker: w, Addr: co.pools[w].Addr(), Cause: err}
-			continue
-		}
-		co.pools[w].Put(conn)
-		if unknownRelation(err) {
-			// The replica is missing a physical table it must host: it
-			// restarted empty and needs a snapshot rejoin.
-			co.health.markDead(w)
-			lastErr = err
-			continue
-		}
-		return nil, err
-	}
-	if lastErr != nil {
-		return nil, lastErr
-	}
-	return nil, fmt.Errorf("%w %d", ErrShardUnavailable, s)
-}
-
 // gather runs each shard's round-2 SQL against one live replica,
 // concurrently across shards, failing over within a shard on transport
-// loss — each attempt buffers its rows, so a retried round never
-// double-counts. Results concatenate in shard order, keeping gathered
-// row order as deterministic as the sequential version's. Results
-// stream through opts.Sink when the caller set one (the network server
-// does) and materialize otherwise. Columns come from the coordinator's
-// own resolution, so empty results still carry the full schema.
+// loss. Results concatenate in shard order, keeping gathered row order
+// as deterministic as the sequential version's. Results stream through
+// opts.Sink when the caller set one (the network server does) and
+// materialize otherwise. Columns come from the coordinator's own
+// resolution, so empty results still carry the full schema.
 func (co *Coordinator) gather(sqls []string, cols []string, opts engine.Options, okBy [][]bool) (*engine.Result, error) {
-	sink := opts.Sink
-	batchRows := 64
-	if sink != nil {
-		if sink.BatchRows > 0 {
-			batchRows = sink.BatchRows
-		}
-		if err := sink.Columns(cols); err != nil {
-			return nil, err
-		}
-	}
-	res := &engine.Result{Columns: cols, Strategy: opts.Strategy}
-	copts := client.Options{
-		Timeout:  opts.Timeout,
-		Strategy: wireStrategy(opts.Strategy),
-	}
-
+	copts := client.Options{Timeout: opts.Timeout, Strategy: wireStrategy(opts.Strategy)}
 	type shard struct {
 		rows  []storage.Tuple
 		stats wire.Done
@@ -920,43 +839,34 @@ func (co *Coordinator) gather(sqls []string, cols []string, opts engine.Options,
 	}
 	shards := make([]shard, co.nshards)
 	var wg sync.WaitGroup
-	for s := 0; s < co.nshards; s++ {
+	for s := range shards {
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
 			sh := &shards[s]
-			var lastErr error
-			tried := 0
-			for _, w := range co.replicasOf(s) {
-				if !co.health.live(w) || (okBy != nil && !okBy[s][w]) {
-					continue
+			sh.err = co.onReplica(s, okBy[s], func(w int, c *client.Conn) error {
+				st, err := c.Query(sqls[s], copts)
+				if err != nil {
+					return err
 				}
-				tried++
-				rows, stats, err := co.shardRound(w, sqls[s], copts, opts.MaxRows)
-				if err == nil {
-					sh.rows, sh.stats = rows, stats
-					atomic.AddInt64(&co.perWorker[w], 1)
-					return
+				sh.rows = nil // a failed-over attempt's partial rows never merge
+				for st.Next() {
+					sh.rows = append(sh.rows, append(storage.Tuple(nil), st.Row()...))
+					if opts.MaxRows > 0 && int64(len(sh.rows)) > opts.MaxRows {
+						// One shard already exceeds the global budget: stop
+						// buffering before a runaway result fills the heap.
+						st.Close()
+						return qctx.ErrRowBudget
+					}
 				}
-				if transportFailure(err) {
-					lastErr = err
-					continue
+				if err := st.Close(); err != nil {
+					return err
 				}
-				if unknownRelation(err) {
-					co.health.markDead(w)
-					lastErr = err
-					continue
-				}
-				sh.err = err // typed and deterministic: propagate, no failover
-				return
-			}
-			switch {
-			case lastErr != nil:
-				sh.err = lastErr
-			case tried == 0:
-				sh.err = fmt.Errorf("%w %d", ErrShardUnavailable, s)
-			}
-		}(s)
+				sh.stats = st.Stats()
+				atomic.AddInt64(&co.perWorker[w], 1)
+				return nil
+			})
+		}()
 	}
 	wg.Wait()
 
@@ -964,88 +874,40 @@ func (co *Coordinator) gather(sqls []string, cols []string, opts engine.Options,
 	// buffered at this point, so a failed shard (or a blown row budget)
 	// can surface as one clean typed error instead of partial rows
 	// already flushed to the client followed by an error frame.
-	var total int64
+	res := &engine.Result{Columns: cols, Strategy: opts.Strategy}
+	total := 0
 	for s := range shards {
 		if shards[s].err != nil {
 			return nil, fmt.Errorf("cluster: shard %d: %w", s, shards[s].err)
 		}
-		total += int64(len(shards[s].rows))
+		total += len(shards[s].rows)
 	}
-	if opts.MaxRows > 0 && total > opts.MaxRows {
+	if opts.MaxRows > 0 && int64(total) > opts.MaxRows {
 		return nil, qctx.ErrRowBudget
 	}
-
-	var pending []storage.Tuple
-	for s := range shards {
-		sh := &shards[s]
-		for _, row := range sh.rows {
-			if sink != nil {
-				pending = append(pending, row)
-				if len(pending) >= batchRows {
-					if err := sink.Batch(pending); err != nil {
-						return nil, err
-					}
-					pending = nil
-				}
-			} else {
-				res.Rows = append(res.Rows, row)
-			}
-		}
+	res.Rows = make([]storage.Tuple, 0, total)
+	for _, sh := range shards {
+		res.Rows = append(res.Rows, sh.rows...)
 		res.Stats.Reads += sh.stats.Reads
 		res.Stats.Writes += sh.stats.Writes
 		res.FellBack = res.FellBack || sh.stats.FellBack
 	}
-	if sink != nil && len(pending) > 0 {
-		if err := sink.Batch(pending); err != nil {
+	if sink := opts.Sink; sink != nil {
+		if err := sink.Columns(cols); err != nil {
 			return nil, err
 		}
+		batch := sink.BatchRows
+		if batch <= 0 {
+			batch = 64
+		}
+		for rows := res.Rows; len(rows) > 0; rows = rows[min(batch, len(rows)):] {
+			if err := sink.Batch(rows[:min(batch, len(rows))]); err != nil {
+				return nil, err
+			}
+		}
+		res.Rows = nil
 	}
 	return res, nil
-}
-
-// shardRound runs one shard's round-2 query on one worker, buffering
-// the rows (the failover fence: nothing merges until the round
-// succeeds whole).
-func (co *Coordinator) shardRound(w int, sql string, copts client.Options, maxRows int64) ([]storage.Tuple, wire.Done, error) {
-	var zero wire.Done
-	conn, err := co.getConn(w)
-	if err != nil {
-		return nil, zero, err
-	}
-	st, err := conn.Query(sql, copts)
-	if err != nil {
-		if transportFailure(err) {
-			co.pools[w].Discard(conn)
-			co.health.markFailure(w)
-			return nil, zero, &WorkerLostError{Worker: w, Addr: co.pools[w].Addr(), Cause: err}
-		}
-		co.pools[w].Put(conn)
-		return nil, zero, err
-	}
-	var rows []storage.Tuple
-	for st.Next() {
-		rows = append(rows, append(storage.Tuple(nil), st.Row()...))
-		if maxRows > 0 && int64(len(rows)) > maxRows {
-			// One shard already exceeds the global budget: stop pulling
-			// before a runaway result fills the heap.
-			st.Close()
-			co.pools[w].Discard(conn)
-			return nil, zero, qctx.ErrRowBudget
-		}
-	}
-	if err := st.Close(); err != nil {
-		if transportFailure(err) {
-			co.pools[w].Discard(conn)
-			co.health.markFailure(w)
-			return nil, zero, &WorkerLostError{Worker: w, Addr: co.pools[w].Addr(), Cause: err}
-		}
-		co.pools[w].Put(conn)
-		return nil, zero, err
-	}
-	stats := st.Stats()
-	co.pools[w].Put(conn)
-	co.health.markSuccess(w)
-	return rows, stats, nil
 }
 
 // wireStrategy maps the engine strategy the session resolved into the

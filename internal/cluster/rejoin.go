@@ -2,10 +2,10 @@ package cluster
 
 // Worker rejoin and the health prober. A dead worker (crashed,
 // restarted empty, or partitioned past the breaker) re-enters the
-// routing table only after catching up: for every shard slice it hosts,
-// a live replica ships a full snapshot — schema first, then rows — and
-// the coordinator rebuilds the slice on the returning worker before
-// flipping it healthy. The prober drives this automatically: suspect
+// routing table only after catching up: for every shard slice it hosts
+// that may have diverged, a live replica ships a full snapshot — schema
+// first, then rows — and the coordinator rebuilds the slice on the
+// returning worker before flipping it healthy. The prober drives this automatically: suspect
 // workers are probe-dialed back to healthy, dead workers get a rejoin
 // attempt each tick.
 
@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/schema"
-	"repro/internal/value"
 	"repro/internal/wire"
 )
 
@@ -45,6 +44,24 @@ func (co *Coordinator) rejoinLocked(w int) error {
 			continue
 		}
 		for _, s := range co.hostedShards(w) {
+			srel := shardRelation(rel, rel.Name, s)
+			if !co.health.isDiverged(w) {
+				// The breaker tripped on transport evidence alone and no
+				// write has been committed past this worker, so a slice
+				// that is still there is current. A Load of zero rows asks
+				// exactly that — table present, columns as cataloged — and
+				// stores nothing; "unknown relation" means the worker
+				// restarted empty, marks it diverged, and re-ships from here.
+				err := co.withWorker(w, func(c *client.Conn) error {
+					_, err := c.Load(srel.Name, wire.RowBatch{Columns: columnNames(rel)})
+					return err
+				})
+				if err == nil {
+					continue
+				} else if !unknownRelation(err) {
+					return fmt.Errorf("cluster: rejoin of worker %d: %s: %w", w, srel.Name, err)
+				}
+			}
 			src := -1
 			for _, r := range co.replicasOf(s) {
 				if r != w && co.health.live(r) {
@@ -55,7 +72,6 @@ func (co *Coordinator) rejoinLocked(w int) error {
 			if src < 0 {
 				return fmt.Errorf("cluster: rejoin of worker %d: %w %d", w, ErrShardUnavailable, s)
 			}
-			srel := &schema.Relation{Name: physName(rel.Name, s), Columns: rel.Columns, Key: rel.Key}
 			if err := co.shipSnapshot(src, w, srel); err != nil {
 				return fmt.Errorf("cluster: rejoin of worker %d: %s: %w", w, srel.Name, err)
 			}
@@ -66,59 +82,38 @@ func (co *Coordinator) rejoinLocked(w int) error {
 
 // shipSnapshot rebuilds one physical table on dst from src's copy: drop
 // any stale remnant, recreate from the coordinator's schema, stream the
-// snapshot across in InsertBatch-sized chunks, and verify src's shipped
-// schema matches — a mismatch means the replicas diverged structurally
-// and the rejoin must not paper over it.
+// snapshot across — each batch src sends lands on dst as a Load — and
+// verify src's shipped schema matches: a mismatch means the replicas
+// diverged structurally and the rejoin must not paper over it.
 func (co *Coordinator) shipSnapshot(src, dst int, srel *schema.Relation) error {
 	create := RenderCreate(srel)
-	if err := co.dropIgnoreMissing(dst, srel.Name); err != nil {
+	if err := co.drop(dst, srel.Name); err != nil {
 		return err
 	}
 	if _, err := co.collect(dst, create); err != nil {
 		return err
 	}
-	sconn, err := co.getConn(src)
-	if err != nil {
-		return err
-	}
-	var chunk [][]value.Value
-	batch := co.cfg.insertBatch()
-	flush := func() error {
-		if len(chunk) == 0 {
+	var meta wire.SnapshotMeta
+	var landErr error // dst's failure, classified by its own attempt — not src's
+	err := co.withWorker(src, func(c *client.Conn) error {
+		var err error
+		meta, _, err = c.Snapshot(srel.Name, func(b wire.RowBatch) error {
+			_, landErr = co.load(dst, srel.Name, b.Columns, b.Rows)
+			return landErr
+		})
+		if landErr != nil {
 			return nil
 		}
-		_, err := co.insertRows(dst, srel.Name, chunk)
-		chunk = chunk[:0]
 		return err
-	}
-	meta, _, err := sconn.Snapshot(srel.Name, func(b wire.RowBatch) error {
-		for _, row := range b.Rows {
-			chunk = append(chunk, append([]value.Value(nil), row...))
-		}
-		if len(chunk) >= batch {
-			return flush()
-		}
-		return nil
 	})
-	if err != nil {
-		if transportFailure(err) {
-			co.pools[src].Discard(sconn)
-			co.health.markFailure(src)
-			return &WorkerLostError{Worker: src, Addr: co.pools[src].Addr(), Cause: err}
-		}
-		co.pools[src].Put(sconn)
-		return err
+	if err == nil {
+		err = landErr
 	}
-	co.pools[src].Put(sconn)
-	co.health.markSuccess(src)
-	if err := flush(); err != nil {
-		return err
-	}
-	if meta.CreateSQL != create {
-		return fmt.Errorf("cluster: snapshot schema diverged: worker %d has %q, catalog says %q",
+	if err == nil && meta.CreateSQL != create {
+		err = fmt.Errorf("cluster: snapshot schema diverged: worker %d has %q, catalog says %q",
 			src, meta.CreateSQL, create)
 	}
-	return nil
+	return err
 }
 
 // probeLoop is the background health prober.
@@ -157,12 +152,15 @@ func (co *Coordinator) Probe(w int) bool {
 	return co.health.live(w)
 }
 
-// probeWorker checks reachability with a trivial statement. A healthy
-// exchange heals a suspect worker (collect marks success); for a dead
-// worker it only reports reachability — rejoin decides the rest.
+// probeWorker checks reachability with a trivial statement. It is the
+// prober's own attempt rule, gentler than withWorker's: a worker that
+// cannot be dialed takes a strike, but one that dials and then fails
+// the exchange (a faulty link) is merely not healed this tick. For a
+// dead worker it only reports reachability — rejoin decides the rest.
 func (co *Coordinator) probeWorker(w int) bool {
-	conn, err := co.getConn(w)
+	conn, err := co.pools[w].Get()
 	if err != nil {
+		co.health.markFailure(w)
 		return false
 	}
 	// An idle pooled conn can be stale; a real round-trip proves the

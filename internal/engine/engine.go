@@ -79,13 +79,14 @@ type DB struct {
 	spill          *spill.Manager // nil unless EnableSpill was called
 	spillThreshold int64
 
-	// Durability (nil/zero unless EnableDurability was called). dmlMu is
-	// the commit-order lock: DML and Checkpoint hold it exclusively,
-	// queries hold it shared, so readers never see a half-applied
-	// statement and WAL append order equals apply order. Internal
-	// re-runs (noAdmission) skip the shared acquire — they execute
-	// inside a query that already holds it.
-	dmlMu    sync.RWMutex
+	// dmlMu is the commit-order lock: DDL, DML and Checkpoint hold it
+	// exclusively (see commit), queries hold it shared, so readers never
+	// see a half-applied statement and WAL append order equals apply
+	// order — with or without a log attached. Internal re-runs
+	// (noAdmission) skip the shared acquire — they execute inside a
+	// query that already holds it.
+	dmlMu sync.RWMutex
+	// Durability (nil/zero unless EnableDurability was called).
 	wal      *wal.Log
 	recovery RecoveryInfo
 }
@@ -199,45 +200,55 @@ func (db *DB) CreateIndex(table, column string) error {
 // Indexes exposes the index registry (for tools).
 func (db *DB) Indexes() *index.Registry { return db.indexes }
 
+// commit is the one way the database changes: apply runs under the
+// exclusive commit-order lock — never beside a query, a checkpoint or
+// another statement — and must leave state untouched when it fails (an
+// injected fault panic unwinds through the deferred unlock). With a WAL
+// attached a poisoned log is refused before apply touches anything, the
+// record apply returns is appended under the same hold (log order is
+// apply order), and the call returns only once that record is durable;
+// a nil record (nothing changed) logs nothing.
+func (db *DB) commit(apply func() (*wal.Record, error)) error {
+	var c wal.Commit
+	err := func() error {
+		db.dmlMu.Lock()
+		defer db.dmlMu.Unlock()
+		if db.wal != nil {
+			if err := db.wal.Err(); err != nil {
+				return err
+			}
+		}
+		rec, err := apply()
+		if err != nil || rec == nil || db.wal == nil {
+			return err
+		}
+		c, err = db.wal.Append(*rec)
+		return err
+	}()
+	if err != nil {
+		return err
+	}
+	return c.Wait()
+}
+
 // CreateRelation defines a relation and its backing heap file.
 // tuplesPerPage <= 0 uses the storage default. With durability enabled
 // it is acknowledged only after the schema record is logged.
 func (db *DB) CreateRelation(rel *schema.Relation, tuplesPerPage int) error {
-	if db.wal == nil {
-		return db.createRelationApply(rel, tuplesPerPage)
-	}
-	commit, err := db.createRelationDurable(rel, tuplesPerPage)
-	if err != nil {
-		return err
-	}
-	return commit.Wait()
-}
-
-func (db *DB) createRelationDurable(rel *schema.Relation, tuplesPerPage int) (wal.Commit, error) {
-	db.dmlMu.Lock()
-	defer db.dmlMu.Unlock()
-	if err := db.wal.Err(); err != nil {
-		return wal.Commit{}, err // poisoned: refuse before touching state
-	}
-	if err := db.createRelationApply(rel, tuplesPerPage); err != nil {
-		return wal.Commit{}, err
-	}
-	sch := &wal.TableSchema{Name: rel.Name, Key: rel.Key, TuplesPerPage: tuplesPerPage}
-	for _, c := range rel.Columns {
-		sch.Columns = append(sch.Columns, wal.TableColumn{Name: c.Name, Kind: uint8(c.Type)})
-	}
-	return db.wal.Append(wal.Record{Type: wal.RecCreateTable, Schema: sch})
-}
-
-func (db *DB) createRelationApply(rel *schema.Relation, tuplesPerPage int) error {
-	if err := db.cat.Define(rel); err != nil {
-		return err
-	}
-	if _, err := db.store.Create(rel.Name, tuplesPerPage); err != nil {
-		db.cat.Drop(rel.Name)
-		return err
-	}
-	return nil
+	return db.commit(func() (*wal.Record, error) {
+		if err := db.cat.Define(rel); err != nil {
+			return nil, err
+		}
+		if _, err := db.store.Create(rel.Name, tuplesPerPage); err != nil {
+			db.cat.Drop(rel.Name)
+			return nil, err
+		}
+		sch := &wal.TableSchema{Name: rel.Name, Key: rel.Key, TuplesPerPage: tuplesPerPage}
+		for _, c := range rel.Columns {
+			sch.Columns = append(sch.Columns, wal.TableColumn{Name: c.Name, Kind: uint8(c.Type)})
+		}
+		return &wal.Record{Type: wal.RecCreateTable, Schema: sch}, nil
+	})
 }
 
 // DropRelation removes a relation: its schema, heap file, and any
@@ -245,100 +256,57 @@ func (db *DB) createRelationApply(rel *schema.Relation, tuplesPerPage int) error
 // only after the record is logged — replaying a log that creates and
 // later drops a table converges to the same catalog.
 func (db *DB) DropRelation(name string) error {
-	if db.wal == nil {
-		return db.dropRelationApply(name)
-	}
-	commit, err := db.dropRelationDurable(name)
-	if err != nil {
-		return err
-	}
-	return commit.Wait()
-}
-
-func (db *DB) dropRelationDurable(name string) (wal.Commit, error) {
-	db.dmlMu.Lock()
-	defer db.dmlMu.Unlock()
-	if err := db.wal.Err(); err != nil {
-		return wal.Commit{}, err // poisoned: refuse before touching state
-	}
-	if err := db.dropRelationApply(name); err != nil {
-		return wal.Commit{}, err
-	}
-	return db.wal.Append(wal.Record{Type: wal.RecDrop, Table: name})
-}
-
-func (db *DB) dropRelationApply(name string) error {
-	rel, ok := db.cat.Lookup(name)
-	if !ok {
-		return fmt.Errorf("engine: unknown relation %s", name)
-	}
-	db.indexes.DropRelation(rel.Name)
-	db.cat.Drop(rel.Name)
-	db.store.Drop(rel.Name)
-	return nil
+	return db.commit(func() (*wal.Record, error) {
+		rel, ok := db.cat.Lookup(name)
+		if !ok {
+			return nil, fmt.Errorf("engine: unknown relation %s", name)
+		}
+		db.indexes.DropRelation(rel.Name)
+		db.cat.Drop(rel.Name)
+		db.store.Drop(rel.Name)
+		return &wal.Record{Type: wal.RecDrop, Table: name}, nil
+	})
 }
 
 // Insert appends rows to a relation. Call Seal (or run a query, which does
 // not require sealing) when bulk loading is done; Insert seals lazily via
 // the storage layer's accounting only when pages fill. With durability
-// enabled the rows are applied and logged under the DML lock and the call
-// returns only once the commit record is durable.
+// enabled the call returns only once the commit record is durable.
 func (db *DB) Insert(relation string, rows ...storage.Tuple) error {
-	if db.wal == nil {
-		return db.insertApply(relation, rows...)
-	}
-	commit, err := db.insertDurable(relation, rows)
-	if err != nil {
-		return err
-	}
-	return commit.Wait()
-}
-
-func (db *DB) insertDurable(relation string, rows []storage.Tuple) (wal.Commit, error) {
-	db.dmlMu.Lock()
-	defer db.dmlMu.Unlock()
-	if err := db.wal.Err(); err != nil {
-		return wal.Commit{}, err // poisoned: refuse before touching state
-	}
-	if err := db.insertApply(relation, rows...); err != nil {
-		return wal.Commit{}, err
-	}
-	if len(rows) == 0 {
-		return wal.Commit{}, nil
-	}
-	return db.wal.Append(wal.Record{Type: wal.RecInsert, Table: relation, Rows: rows})
-}
-
-func (db *DB) insertApply(relation string, rows ...storage.Tuple) error {
-	rel, ok := db.cat.Lookup(relation)
-	if !ok {
-		return fmt.Errorf("engine: unknown relation %s", relation)
-	}
-	f, ok := db.store.Lookup(rel.Name)
-	if !ok {
-		return fmt.Errorf("engine: relation %s has no storage", relation)
-	}
-	// Validate the whole batch before touching storage, and unwind a
-	// fault panic mid-batch back to the pre-insert boundary: the batch
-	// lands whole or not at all.
-	for _, r := range rows {
-		if len(r) != len(rel.Columns) {
-			return fmt.Errorf("engine: row %v does not match schema of %s", r, relation)
+	return db.commit(func() (*wal.Record, error) {
+		rel, ok := db.cat.Lookup(relation)
+		if !ok {
+			return nil, fmt.Errorf("engine: unknown relation %s", relation)
 		}
-	}
-	before := f.NumTuples()
-	defer func() {
-		if r := recover(); r != nil {
-			f.TruncateTo(before)
-			panic(r)
+		f, ok := db.store.Lookup(rel.Name)
+		if !ok {
+			return nil, fmt.Errorf("engine: relation %s has no storage", relation)
 		}
-	}()
-	for _, r := range rows {
-		f.Append(r)
-	}
-	// Indexes are snapshots of the data at build time.
-	db.indexes.DropRelation(rel.Name)
-	return nil
+		// Validate the whole batch before touching storage, and unwind a
+		// fault panic mid-batch back to the pre-insert boundary: the batch
+		// lands whole or not at all.
+		for _, r := range rows {
+			if len(r) != len(rel.Columns) {
+				return nil, fmt.Errorf("engine: row %v does not match schema of %s", r, relation)
+			}
+		}
+		if len(rows) == 0 {
+			return nil, nil
+		}
+		before := f.NumTuples()
+		defer func() {
+			if r := recover(); r != nil {
+				f.TruncateTo(before)
+				panic(r)
+			}
+		}()
+		for _, r := range rows {
+			f.Append(r)
+		}
+		// Indexes are snapshots of the data at build time.
+		db.indexes.DropRelation(rel.Name)
+		return &wal.Record{Type: wal.RecInsert, Table: relation, Rows: rows}, nil
+	})
 }
 
 // Seal finishes bulk loading a relation (accounts the final partial page).
@@ -430,6 +398,17 @@ type Result struct {
 // slot frees, or run with a degraded (smaller) memory lease and a
 // sequential plan under pool pressure.
 func (db *DB) Query(sql string, opts Options) (*Result, error) {
+	qb, err := sqlparser.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return db.queryBlock(qb, opts)
+}
+
+// queryBlock is Query from the parsed block on: every caller that
+// already holds one (Exec, ExecSQL, Explain, the parallel oracle) enters
+// here, so a statement is parsed once however it arrived.
+func (db *DB) queryBlock(qb *ast.QueryBlock, opts Options) (*Result, error) {
 	if db.admit != nil && !opts.noAdmission {
 		ticket, err := db.admit.Admit(admission.Request{
 			Timeout:  opts.Timeout,
@@ -450,12 +429,12 @@ func (db *DB) Query(sql string, opts Options) (*Result, error) {
 		}
 		opts.ticket = ticket
 	}
-	return db.run(sql, opts)
+	return db.run(qb, opts)
 }
 
 // run executes one already-admitted (or ungoverned) statement.
-func (db *DB) run(sql string, opts Options) (*Result, error) {
-	if db.wal != nil && !opts.noAdmission {
+func (db *DB) run(qb *ast.QueryBlock, opts Options) (*Result, error) {
+	if !opts.noAdmission {
 		// Shared commit-order lock: a query never observes a DML
 		// statement half-applied, and a checkpoint never snapshots one.
 		// Internal oracle re-runs (noAdmission) already execute under
@@ -469,10 +448,6 @@ func (db *DB) run(sql string, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("engine: streaming sink is incompatible with VerifyParallel")
 		}
 		opts.stream = &streamState{sink: opts.Sink}
-	}
-	qb, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, err
 	}
 	out, err := schema.Resolve(db.cat, qb)
 	if err != nil {
@@ -607,7 +582,7 @@ func (db *DB) run(sql string, opts Options) (*Result, error) {
 	}
 	if opts.VerifyParallel && parallelRequested(opts) && !res.FellBack &&
 		(opts.Strategy == TransformJA2 || opts.Strategy == TransformKim) {
-		if err := db.verifyParallel(sql, qb, opts, res); err != nil {
+		if err := db.verifyParallel(qb, opts, res); err != nil {
 			return nil, err
 		}
 	}
@@ -807,7 +782,7 @@ func (db *DB) Explain(sql string, opts Options) (string, error) {
 	if _, err := schema.Resolve(db.cat, qb); err != nil {
 		return "", err
 	}
-	res, err := db.Query(sql, opts)
+	res, err := db.queryBlock(qb, opts)
 	if err != nil {
 		return "", err
 	}

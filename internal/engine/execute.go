@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/exec"
@@ -26,69 +27,53 @@ func (db *DB) Exec(script string, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return db.execStmts(stmts, opts)
+}
+
+// ExecSQL is the statement entry point for the network server: it
+// accepts any statement kind, and a lone SELECT streams through the
+// query path (admission, sinks, strategies) exactly as Query runs it.
+func (db *DB) ExecSQL(sql string, opts Options) (*Result, error) {
+	return db.Exec(sql, opts)
+}
+
+// execStmts runs parsed statements in order; SELECTs go to the query
+// path as the blocks they already are.
+func (db *DB) execStmts(stmts []sqlparser.Statement, opts Options) (*Result, error) {
 	var last *Result
 	var affected int64
 	for _, stmt := range stmts {
+		var n int
+		var err error
+		dml := func(fn func() (int, error)) {
+			err = contain(func() (e error) { n, e = fn(); return e })
+		}
 		switch stmt := stmt.(type) {
 		case *sqlparser.CreateTableStmt:
-			if err := db.CreateRelation(stmt.Relation, 0); err != nil {
-				return nil, err
-			}
+			err = db.CreateRelation(stmt.Relation, 0)
 		case *sqlparser.InsertStmt:
-			var n int
-			if err := contain(func() error { var err error; n, err = db.execInsert(stmt); return err }); err != nil {
-				return nil, err
-			}
-			affected += int64(n)
+			dml(func() (int, error) { return db.execInsert(stmt) })
 		case *sqlparser.DeleteStmt:
-			var n int
-			err := contain(func() error { var err error; n, err = db.execDelete(stmt); return err })
-			if err != nil {
-				return nil, err
-			}
-			affected += int64(n)
+			dml(func() (int, error) { return db.execDelete(stmt) })
 		case *sqlparser.UpdateStmt:
-			var n int
-			err := contain(func() error { var err error; n, err = db.execUpdate(stmt); return err })
-			if err != nil {
-				return nil, err
-			}
-			affected += int64(n)
+			dml(func() (int, error) { return db.execUpdate(stmt) })
 		case *sqlparser.DropTableStmt:
-			if err := contain(func() error { return db.DropRelation(stmt.Table) }); err != nil {
-				return nil, err
-			}
+			err = contain(func() error { return db.DropRelation(stmt.Table) })
 		case *sqlparser.SelectStmt:
-			res, err := db.Query(stmt.Query.String(), opts)
-			if err != nil {
-				return nil, err
-			}
-			last = res
+			last, err = db.queryBlock(stmt.Query, opts)
 		default:
-			return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
+			err = fmt.Errorf("engine: unsupported statement %T", stmt)
 		}
+		if err != nil {
+			return nil, err
+		}
+		affected += int64(n)
 	}
 	if last == nil {
 		last = &Result{Strategy: opts.Strategy}
 	}
 	last.Affected = affected
 	return last, nil
-}
-
-// ExecSQL is the statement entry point for the network server: SELECTs
-// stream through Query (admission, sinks, strategies), everything else
-// goes through Exec. Unlike Query it accepts any statement kind.
-func (db *DB) ExecSQL(sql string, opts Options) (*Result, error) {
-	stmts, err := sqlparser.ParseScript(sql)
-	if err != nil {
-		return nil, err
-	}
-	if len(stmts) == 1 {
-		if sel, ok := stmts[0].(*sqlparser.SelectStmt); ok {
-			return db.Query(sel.Query.String(), opts)
-		}
-	}
-	return db.Exec(sql, opts)
 }
 
 // execInsert type-checks literals against the table schema (coercing
@@ -119,6 +104,42 @@ func (db *DB) execInsert(stmt *sqlparser.InsertStmt) (int, error) {
 		return 0, err
 	}
 	return len(rows), db.Seal(stmt.Table)
+}
+
+// Load appends already-typed rows on behalf of a peer node: a
+// coordinator's routed INSERT, shuffle landing and snapshot re-ship
+// arrive as rows (a wire Load frame), not as SQL to lex, parse and
+// coerce. The batch is outside input, so it is checked against the
+// catalog first — the table's column names in order, every value NULL
+// or of its column's kind — and then commits and seals exactly as an
+// INSERT statement does.
+func (db *DB) Load(table string, cols []string, rows []storage.Tuple) error {
+	rel, ok := db.cat.Lookup(table)
+	if !ok {
+		return fmt.Errorf("engine: unknown relation %s", table)
+	}
+	if len(cols) != len(rel.Columns) {
+		return fmt.Errorf("engine: load names %d columns, %s has %d", len(cols), rel.Name, len(rel.Columns))
+	}
+	for i, c := range rel.Columns {
+		if !strings.EqualFold(cols[i], c.Name) {
+			return fmt.Errorf("engine: load column %d is %s, %s has %s", i, cols[i], rel.Name, c.Name)
+		}
+	}
+	for _, row := range rows {
+		for i, v := range row {
+			if i < len(rel.Columns) && !v.IsNull() && v.Kind() != rel.Columns[i].Type {
+				return fmt.Errorf("engine: column %s of %s: cannot store %s into %s column",
+					rel.Columns[i].Name, rel.Name, v.Kind(), rel.Columns[i].Type)
+			}
+		}
+	}
+	return contain(func() error {
+		if err := db.Insert(rel.Name, rows...); err != nil {
+			return err
+		}
+		return db.Seal(rel.Name)
+	})
 }
 
 // resolveDMLWhere resolves a DELETE/UPDATE WHERE clause by wrapping it in
@@ -155,7 +176,7 @@ func (db *DB) execDelete(stmt *sqlparser.DeleteStmt) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	commit, n, err := db.applyDML(rel.Name, wal.RecDelete, stmt.String(), func(f *storage.HeapFile) (int, error) {
+	return db.applyDML(rel.Name, wal.RecDelete, stmt.String, func(f *storage.HeapFile) (int, error) {
 		ev := exec.NewEvaluator(db.cat, db.store)
 		defer ev.Close()
 		var kept []storage.Tuple
@@ -182,10 +203,6 @@ func (db *DB) execDelete(stmt *sqlparser.DeleteStmt) (int, error) {
 		}
 		return removed, nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	return n, commit.Wait()
 }
 
 // execUpdate assigns the SET literals to the rows matching the WHERE
@@ -211,7 +228,7 @@ func (db *DB) execUpdate(stmt *sqlparser.UpdateStmt) (int, error) {
 		}
 		sets[i] = setIdx{pos: pos, val: v}
 	}
-	commit, n, err := db.applyDML(rel.Name, wal.RecUpdate, stmt.String(), func(f *storage.HeapFile) (int, error) {
+	return db.applyDML(rel.Name, wal.RecUpdate, stmt.String, func(f *storage.HeapFile) (int, error) {
 		ev := exec.NewEvaluator(db.cat, db.store)
 		defer ev.Close()
 		var rows []storage.Tuple
@@ -241,44 +258,25 @@ func (db *DB) execUpdate(stmt *sqlparser.UpdateStmt) (int, error) {
 		}
 		return changed, nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	return n, commit.Wait()
 }
 
-// applyDML runs a DELETE/UPDATE body under the durability discipline:
-// with the WAL enabled it holds the exclusive DML lock across decide,
-// apply, and log append (so log order equals apply order), then hands
-// the commit back for the caller to Wait on outside the lock. The body
-// is two-phase by contract — it must not mutate the heap file before
-// its row decisions are complete — so errors and injected fault panics
-// (which unwind through the deferred unlock) leave the table intact.
-// Mutations that touched no rows are not logged.
-func (db *DB) applyDML(table string, rt wal.RecType, sql string, body func(*storage.HeapFile) (int, error)) (wal.Commit, int, error) {
-	f, _ := db.store.Lookup(table)
-	if db.wal == nil {
-		n, err := body(f)
-		if err == nil && n > 0 {
-			db.indexes.DropRelation(table)
+// applyDML commits a DELETE/UPDATE body: decide, apply and log append
+// all happen under one hold of the commit lock (see commit), the
+// statement's text being what the log replays. The body is two-phase by
+// contract — it must not mutate the heap file before its row decisions
+// are complete — so errors and injected fault panics leave the table
+// intact. Mutations that touched no rows are not logged.
+func (db *DB) applyDML(table string, rt wal.RecType, sql func() string, body func(*storage.HeapFile) (int, error)) (n int, err error) {
+	err = db.commit(func() (*wal.Record, error) {
+		f, _ := db.store.Lookup(table)
+		var err error
+		if n, err = body(f); err != nil || n == 0 {
+			return nil, err
 		}
-		return wal.Commit{}, n, err
-	}
-	db.dmlMu.Lock()
-	defer db.dmlMu.Unlock()
-	if err := db.wal.Err(); err != nil {
-		return wal.Commit{}, 0, err // poisoned: refuse before touching state
-	}
-	n, err := body(f)
-	if err != nil || n == 0 {
-		return wal.Commit{}, n, err
-	}
-	db.indexes.DropRelation(table)
-	commit, err := db.wal.Append(wal.Record{Type: rt, SQL: sql})
-	if err != nil {
-		return wal.Commit{}, n, err
-	}
-	return commit, n, nil
+		db.indexes.DropRelation(table)
+		return &wal.Record{Type: rt, SQL: sql()}, nil
+	})
+	return n, err
 }
 
 // CoerceInsertValue applies INSERT literal coercion (string→date,

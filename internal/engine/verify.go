@@ -31,7 +31,7 @@ func parallelRequested(opts Options) bool {
 // a set, and only for NEST-JA2: Kim's NEST-JA reproduces the COUNT bug by
 // design, and ALL-quantifier rewrites deliberately diverge from nested
 // iteration on empty subquery results.
-func (db *DB) verifyParallel(sql string, qb *ast.QueryBlock, opts Options, res *Result) error {
+func (db *DB) verifyParallel(qb *ast.QueryBlock, opts Options, res *Result) error {
 	seqOpts := opts
 	seqOpts.VerifyParallel = false
 	seqOpts.Planner.Parallelism = 0
@@ -41,7 +41,7 @@ func (db *DB) verifyParallel(sql string, qb *ast.QueryBlock, opts Options, res *
 	// the admission counters.
 	seqOpts.noAdmission = true
 	seqOpts.ticket = nil
-	seq, err := db.Query(sql, seqOpts)
+	seq, err := db.queryBlock(qb, seqOpts)
 	if err != nil {
 		return fmt.Errorf("engine: parallel oracle: sequential re-run failed: %w", err)
 	}
@@ -52,7 +52,7 @@ func (db *DB) verifyParallel(sql string, qb *ast.QueryBlock, opts Options, res *
 	if opts.Strategy != TransformJA2 || hasAllQuantifier(qb) {
 		return nil
 	}
-	ni, err := db.Query(sql, Options{Strategy: NestedIteration, noAdmission: true})
+	ni, err := db.queryBlock(qb, Options{Strategy: NestedIteration, noAdmission: true})
 	if err != nil {
 		return fmt.Errorf("engine: parallel oracle: nested-iteration re-run failed: %w", err)
 	}

@@ -1,10 +1,11 @@
-// Package rowcodec is the shared binary encoding for tuples at rest: a
-// uvarint column count followed by one kind-tagged value per column.
-// The spill run files (internal/spill) and the write-ahead log
-// (internal/wal) both frame sequences of these payloads with a uint32
-// length prefix and a CRC32C trailer, mirroring the wire protocol's
-// codec shape (internal/wire) — one encoding, three consumers, so a
-// tuple that round-trips in one subsystem round-trips in all of them.
+// Package rowcodec is the shared binary encoding for values and tuples:
+// a tuple is a uvarint column count followed by one kind-tagged value
+// per column. The spill run files (internal/spill) and the write-ahead
+// log (internal/wal) both frame sequences of tuple payloads with a
+// uint32 length prefix and a CRC32C trailer, mirroring the wire
+// protocol's codec shape (internal/wire), whose row batches carry the
+// same per-value encoding — one encoding, three consumers, so a value
+// that round-trips in one subsystem round-trips in all of them.
 package rowcodec
 
 import (
@@ -20,31 +21,83 @@ import (
 // treated as corruption rather than attempted as an allocation.
 const MaxLen = 1 << 28
 
-// AppendTuple appends the encoding of t to dst: uvarint column count,
-// then per column a kind byte followed by the payload — varint for
-// integers and dates (dates as their year*10000+month*100+day encoding),
-// 8-byte big-endian IEEE bits for floats, uvarint-length-prefixed bytes
-// for strings, nothing for NULL.
+// AppendValue appends the encoding of one value: a kind byte, then a
+// payload shaped by the kind — varint for integers and dates (dates as
+// their year*10000+month*100+day encoding), 8-byte big-endian IEEE bits
+// for floats, uvarint-length-prefixed bytes for strings, nothing for
+// NULL. It is the system's one per-value encoding: tuples at rest here,
+// and the wire protocol's row batches through wire.AppendValue.
+func AppendValue(dst []byte, v value.Value) []byte {
+	switch v.Kind() {
+	case value.KindInt:
+		dst = append(dst, byte(value.KindInt))
+		return binary.AppendVarint(dst, v.Int())
+	case value.KindFloat:
+		dst = append(dst, byte(value.KindFloat))
+		return binary.BigEndian.AppendUint64(dst, math.Float64bits(v.Float()))
+	case value.KindString:
+		s := v.Str()
+		dst = append(dst, byte(value.KindString))
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		return append(dst, s...)
+	case value.KindDate:
+		d := v.DateOf()
+		dst = append(dst, byte(value.KindDate))
+		return binary.AppendVarint(dst, int64(d.Year())*10000+int64(d.Month())*100+int64(d.Day()))
+	default:
+		// NULL — and, rather than corrupting the stream, any kind a
+		// well-formed value cannot have.
+		return append(dst, byte(value.KindNull))
+	}
+}
+
+// DecodeValue parses one value from the front of p, returning the
+// remainder. Malformed input is an error, never a panic.
+func DecodeValue(p []byte) (value.Value, []byte, error) {
+	if len(p) == 0 {
+		return value.Null, nil, fmt.Errorf("short value")
+	}
+	kind := value.Kind(p[0])
+	p = p[1:]
+	switch kind {
+	case value.KindNull:
+		return value.Null, p, nil
+	case value.KindInt, value.KindDate:
+		x, n := binary.Varint(p)
+		if n <= 0 {
+			return value.Null, nil, fmt.Errorf("bad %s", kind)
+		}
+		if kind == value.KindInt {
+			return value.NewInt(x), p[n:], nil
+		}
+		d, err := value.NewDate(int(x/10000), int(x/100)%100, int(x%100))
+		if err != nil {
+			return value.Null, nil, fmt.Errorf("bad date payload")
+		}
+		return value.NewDateValue(d), p[n:], nil
+	case value.KindFloat:
+		if len(p) < 8 {
+			return value.Null, nil, fmt.Errorf("short float")
+		}
+		return value.NewFloat(math.Float64frombits(binary.BigEndian.Uint64(p[:8]))), p[8:], nil
+	case value.KindString:
+		l, n := binary.Uvarint(p)
+		if n <= 0 || uint64(len(p)-n) < l {
+			return value.Null, nil, fmt.Errorf("bad string length")
+		}
+		p = p[n:]
+		return value.NewString(string(p[:l])), p[l:], nil
+	default:
+		return value.Null, nil, fmt.Errorf("unknown kind %d", kind)
+	}
+}
+
+// AppendTuple appends the encoding of t to dst: a uvarint column count,
+// then each column's AppendValue encoding.
 func AppendTuple(dst []byte, t storage.Tuple) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(t)))
 	for _, v := range t {
-		dst = append(dst, byte(v.Kind()))
-		switch v.Kind() {
-		case value.KindNull:
-		case value.KindInt:
-			dst = binary.AppendVarint(dst, v.Int())
-		case value.KindFloat:
-			var b [8]byte
-			binary.BigEndian.PutUint64(b[:], math.Float64bits(v.Float()))
-			dst = append(dst, b[:]...)
-		case value.KindString:
-			s := v.Str()
-			dst = binary.AppendUvarint(dst, uint64(len(s)))
-			dst = append(dst, s...)
-		case value.KindDate:
-			d := v.DateOf()
-			dst = binary.AppendVarint(dst, int64(d.Year())*10000+int64(d.Month())*100+int64(d.Day()))
-		}
+		dst = AppendValue(dst, v)
 	}
 	return dst
 }
@@ -53,7 +106,7 @@ func AppendTuple(dst []byte, t storage.Tuple) []byte {
 // malformed input with an error (never a panic). The whole payload must
 // be consumed: trailing bytes are corruption.
 func DecodeTuple(p []byte) (storage.Tuple, error) {
-	t, rest, err := decode(p)
+	t, rest, err := DecodeTuplePrefix(p)
 	if err != nil {
 		return nil, err
 	}
@@ -66,59 +119,16 @@ func DecodeTuple(p []byte) (storage.Tuple, error) {
 // DecodeTuplePrefix parses one tuple from the front of p, returning the
 // remainder — for payloads that carry several tuples back to back.
 func DecodeTuplePrefix(p []byte) (storage.Tuple, []byte, error) {
-	return decode(p)
-}
-
-func decode(p []byte) (storage.Tuple, []byte, error) {
 	ncols, n := binary.Uvarint(p)
-	if n <= 0 || ncols > uint64(MaxLen) {
+	if n <= 0 || ncols > uint64(len(p)-n) { // every column takes a byte at least
 		return nil, nil, fmt.Errorf("bad column count")
 	}
 	p = p[n:]
 	t := make(storage.Tuple, ncols)
 	for i := range t {
-		if len(p) == 0 {
-			return nil, nil, fmt.Errorf("short value")
-		}
-		kind := value.Kind(p[0])
-		p = p[1:]
-		switch kind {
-		case value.KindNull:
-			t[i] = value.Null
-		case value.KindInt:
-			x, n := binary.Varint(p)
-			if n <= 0 {
-				return nil, nil, fmt.Errorf("bad int")
-			}
-			p = p[n:]
-			t[i] = value.NewInt(x)
-		case value.KindFloat:
-			if len(p) < 8 {
-				return nil, nil, fmt.Errorf("short float")
-			}
-			t[i] = value.NewFloat(math.Float64frombits(binary.BigEndian.Uint64(p[:8])))
-			p = p[8:]
-		case value.KindString:
-			l, n := binary.Uvarint(p)
-			if n <= 0 || uint64(len(p)-n) < l {
-				return nil, nil, fmt.Errorf("bad string length")
-			}
-			p = p[n:]
-			t[i] = value.NewString(string(p[:l]))
-			p = p[l:]
-		case value.KindDate:
-			enc, n := binary.Varint(p)
-			if n <= 0 {
-				return nil, nil, fmt.Errorf("bad date")
-			}
-			p = p[n:]
-			d, err := value.NewDate(int(enc/10000), int(enc/100)%100, int(enc%100))
-			if err != nil {
-				return nil, nil, fmt.Errorf("bad date payload")
-			}
-			t[i] = value.NewDateValue(d)
-		default:
-			return nil, nil, fmt.Errorf("unknown kind %d", kind)
+		var err error
+		if t[i], p, err = DecodeValue(p); err != nil {
+			return nil, nil, err
 		}
 	}
 	return t, p, nil

@@ -118,53 +118,17 @@ func (s *session) serve() {
 					return
 				}
 				continue
-			case wire.FrameQuery:
-				q, err := wire.DecodeQuery(f.payload)
-				if err != nil {
-					s.sendError(wire.ErrorFrame{Code: wire.CodeProtocol, Message: err.Error()})
-					return
-				}
-				if !s.runQuery(q) {
-					return
-				}
-			case wire.FrameShardQuery:
-				if !s.cluster {
-					s.sendError(wire.ErrorFrame{
-						Code:    wire.CodeProtocol,
-						Message: "shard query without negotiated cluster feature",
-					})
-					return
-				}
-				q, err := wire.DecodeShardQuery(f.payload)
-				if err != nil {
-					s.sendError(wire.ErrorFrame{Code: wire.CodeProtocol, Message: err.Error()})
-					return
-				}
-				if !s.runShardQuery(q) {
-					return
-				}
-			case wire.FrameSnapshot:
-				if !s.cluster {
-					s.sendError(wire.ErrorFrame{
-						Code:    wire.CodeProtocol,
-						Message: "snapshot without negotiated cluster feature",
-					})
-					return
-				}
-				sn, err := wire.DecodeSnapshot(f.payload)
-				if err != nil {
-					s.sendError(wire.ErrorFrame{Code: wire.CodeProtocol, Message: err.Error()})
-					return
-				}
-				if !s.runSnapshot(sn.Table) {
-					return
-				}
 			default:
-				s.sendError(wire.ErrorFrame{
-					Code:    wire.CodeProtocol,
-					Message: fmt.Sprintf("unexpected frame type 0x%02x", f.typ),
-				})
-				return
+				// A request — or a frame that is none: request says which,
+				// and either way a protocol violation ends the session.
+				run, err := s.request(f)
+				if err != nil {
+					s.sendError(wire.ErrorFrame{Code: wire.CodeProtocol, Message: err.Error()})
+					return
+				}
+				if !run() {
+					return
+				}
 			}
 		case <-ticks:
 			if unanswered >= 2 {
@@ -256,30 +220,84 @@ func (s *session) readLoop() {
 	}
 }
 
-// runQuery executes one Query frame, streaming RowBatch frames as the
-// executor produces them. It reports whether the session should keep
-// serving: query failures are answered with an Error frame and the
-// session survives; write failures mean the client is gone or too slow,
-// and either way the session ends.
-func (s *session) runQuery(q wire.Query) bool {
-	opts, ferr := s.queryOptions(q)
-	if ferr != nil {
-		return s.sendError(*ferr)
+// request decodes one request frame into the handler that answers it.
+// Anything else is a protocol violation: a frame type that is no
+// request, a cluster request on a session that did not negotiate the
+// feature, a payload that does not decode.
+func (s *session) request(f recvFrame) (run func() bool, err error) {
+	switch f.typ {
+	case wire.FrameShardQuery, wire.FrameSnapshot, wire.FrameLoad:
+		if !s.cluster {
+			return nil, fmt.Errorf("frame type 0x%02x without negotiated cluster feature", f.typ)
+		}
 	}
+	switch f.typ {
+	case wire.FrameQuery:
+		q, err := wire.DecodeQuery(f.payload)
+		return func() bool { return s.runQuery(q) }, err
+	case wire.FrameShardQuery:
+		q, err := wire.DecodeShardQuery(f.payload)
+		return func() bool { return s.runShardQuery(q) }, err
+	case wire.FrameSnapshot:
+		sn, err := wire.DecodeSnapshot(f.payload)
+		return func() bool { return s.runSnapshot(sn.Table) }, err
+	case wire.FrameLoad:
+		l, err := wire.DecodeLoad(f.payload)
+		return func() bool { return s.runLoad(l) }, err
+	default:
+		return nil, fmt.Errorf("unexpected frame type 0x%02x", f.typ)
+	}
+}
 
+// statement is one streaming statement, as the skeleton in stream needs
+// it: what to run, how a batch of result rows becomes frames, and which
+// frames end a successful response.
+type statement struct {
+	// run executes the statement with the sink stream built.
+	run func(engine.Options) (*engine.Result, error)
+	// columns, when set, vets the result columns before any row.
+	columns func(cols []string) error
+	// emit writes one batch of rows as frames; stream flushes after it.
+	emit func(cols []string, rows []storage.Tuple) error
+	// trailer writes the closing frames of a successful response, given
+	// the result and the rows emitted; stream flushes after it.
+	trailer func(res *engine.Result, cols []string, sent int64) error
+}
+
+// stream is the one streaming-statement skeleton under runQuery,
+// runShardQuery and runSnapshot: it runs st with a sink that turns each
+// batch into frames as the executor produces it — flushed per batch, so
+// the buffered writer is the only server-side buffering and a full
+// socket blocks the executor's pull loop, up to the write deadline — and
+// then settles the outcome. A failed statement is answered with an
+// Error frame and the session survives. A failed write is not the
+// statement's failure: the client is gone or too slow, the session ends
+// either way (the query's admission slot and pool lease were already
+// released by the engine's return), and only a stalled consumer — write
+// deadline exceeded — earns a typed eviction notice; a vanished one has
+// no pipe left to talk down. It reports whether the session should keep
+// serving.
+func (s *session) stream(opts engine.Options, st statement) bool {
 	var (
 		cols     []string
 		sent     int64
-		batchErr error // the sink's own write failure, distinct from query failure
+		batchErr error // the sink's own write failure, distinct from a query failure
 	)
 	opts.Sink = &engine.RowSink{
 		BatchRows: s.srv.cfg.BatchRows,
 		Columns: func(c []string) error {
 			cols = append([]string(nil), c...)
+			if st.columns != nil {
+				return st.columns(cols)
+			}
 			return nil
 		},
 		Batch: func(rows []storage.Tuple) error {
-			if err := s.writeRowBatch(cols, rows); err != nil {
+			err := st.emit(cols, rows)
+			if err == nil {
+				err = s.flush()
+			}
+			if err != nil {
 				batchErr = err
 				return &writeError{err}
 			}
@@ -287,48 +305,53 @@ func (s *session) runQuery(q wire.Query) bool {
 			return nil
 		},
 	}
-
-	// ExecSQL routes a single SELECT through the streaming query path
-	// (sink above) and everything else — DDL and DML — through Exec,
-	// which acknowledges only after the commit record is durable when a
-	// WAL is enabled. DML answers with an empty column set and its
-	// affected-row count riding the Done frame's Rows field.
-	res, err := s.srv.db.ExecSQL(q.SQL, opts)
-	if err != nil {
-		if batchErr != nil {
-			// The write path failed, not the query. A stalled consumer
-			// (write deadline exceeded) earns a typed eviction notice; a
-			// vanished one gets nothing — there is no pipe left to talk
-			// down. Either way the session ends and the query's admission
-			// slot and pool lease were already released by Query's return.
-			var ne net.Error
-			if errors.As(batchErr, &ne) && ne.Timeout() {
-				s.evictSlowClient()
-			}
-			return false
+	res, err := st.run(opts)
+	if batchErr != nil {
+		var ne net.Error
+		if errors.As(batchErr, &ne) && ne.Timeout() {
+			s.evictSlowClient()
 		}
-		return s.sendError(wire.ErrorFrameFor(err))
-	}
-
-	// An empty result still announces its columns: one zero-row batch.
-	if sent == 0 {
-		if err := s.writeRowBatch(cols, nil); err != nil {
-			return false
-		}
-	}
-	done := wire.Done{
-		Rows:     sent,
-		Reads:    res.Stats.Reads,
-		Writes:   res.Stats.Writes,
-		FellBack: res.FellBack,
-	}
-	if len(res.Columns) == 0 && sent == 0 {
-		done.Rows = res.Affected
-	}
-	if err := s.writeFrame(wire.FrameDone, wire.EncodeDone(done)); err != nil {
 		return false
 	}
-	return s.flush() == nil
+	if err != nil {
+		return s.sendError(wire.ErrorFrameFor(err))
+	}
+	return st.trailer(res, cols, sent) == nil && s.flush() == nil
+}
+
+// rowBatch frames rows as one RowBatch — the emit of every statement
+// whose rows are not partitioned.
+func (s *session) rowBatch(cols []string, rows []storage.Tuple) error {
+	return s.writeFrame(wire.FrameRowBatch, wire.EncodeRowBatch(wire.RowBatch{Columns: cols, Rows: rows}))
+}
+
+// runQuery executes one Query frame. The backend routes a single SELECT
+// through the streaming query path and everything else — DDL and DML —
+// through Exec, which acknowledges only after the commit record is
+// durable when a WAL is enabled. DML answers with an empty column set
+// and its affected-row count riding the Done frame's Rows field.
+func (s *session) runQuery(q wire.Query) bool {
+	opts, ferr := s.queryOptions(q)
+	if ferr != nil {
+		return s.sendError(*ferr)
+	}
+	return s.stream(opts, statement{
+		run:  func(o engine.Options) (*engine.Result, error) { return s.srv.db.ExecSQL(q.SQL, o) },
+		emit: s.rowBatch,
+		trailer: func(res *engine.Result, cols []string, sent int64) error {
+			done := wire.Done{Rows: sent, Reads: res.Stats.Reads, Writes: res.Stats.Writes, FellBack: res.FellBack}
+			if sent == 0 {
+				// An empty result still announces its columns: one zero-row batch.
+				if err := s.rowBatch(cols, nil); err != nil {
+					return err
+				}
+				if len(res.Columns) == 0 {
+					done.Rows = res.Affected
+				}
+			}
+			return s.writeFrame(wire.FrameDone, wire.EncodeDone(done))
+		},
+	})
 }
 
 // runShardQuery executes one ShardQuery frame: the query runs on the
@@ -337,83 +360,54 @@ func (s *session) runQuery(q wire.Query) bool {
 // accounted in the closing ShardDone's per-partition counts (the
 // coordinator cross-checks them against what it gathered). Partitioning
 // happens here, worker-side, so shuffle traffic ships each row exactly
-// once. Like runQuery it reports whether the session should keep
-// serving.
+// once.
 func (s *session) runShardQuery(q wire.ShardQuery) bool {
 	opts, ferr := s.queryOptions(wire.Query{TimeoutMicros: q.TimeoutMicros, Strategy: q.Strategy})
 	if ferr != nil {
 		return s.sendError(*ferr)
 	}
-
 	n := int(q.NumShards)
-	keys := make([]int, len(q.KeyCols))
+	part := cluster.Partitioner{NumShards: n, KeyCols: make([]int, len(q.KeyCols))}
 	for i, k := range q.KeyCols {
-		keys[i] = int(k)
+		part.KeyCols[i] = int(k)
 	}
-	part := cluster.Partitioner{NumShards: n, KeyCols: keys}
-
-	var (
-		cols     []string
-		perShard = make([]int64, n)
-		batchErr error
-	)
-	opts.Sink = &engine.RowSink{
-		BatchRows: s.srv.cfg.BatchRows,
-		Columns: func(c []string) error {
-			for _, k := range keys {
-				if k >= len(c) {
-					return fmt.Errorf("server: shard key column %d out of range (%d result columns)", k, len(c))
+	perShard := make([]int64, n)
+	return s.stream(opts, statement{
+		run: func(o engine.Options) (*engine.Result, error) { return s.srv.eng.ExecSQL(q.SQL, o) },
+		columns: func(cols []string) error {
+			for _, k := range part.KeyCols {
+				if k >= len(cols) {
+					return fmt.Errorf("server: shard key column %d out of range (%d result columns)", k, len(cols))
 				}
 			}
-			cols = append([]string(nil), c...)
 			return nil
 		},
-		Batch: func(rows []storage.Tuple) error {
+		emit: func(cols []string, rows []storage.Tuple) error {
 			// Group this batch by destination partition and emit one
 			// ShardBatch per non-empty partition. No cross-batch buffering:
 			// executor backpressure reaches the socket per batch.
-			byShard := make(map[int][]storage.Tuple, n)
+			byShard := make([][]storage.Tuple, n)
 			for _, row := range rows {
 				sh := part.Shard(row)
 				byShard[sh] = append(byShard[sh], row)
 			}
-			for sh := 0; sh < n; sh++ {
-				chunk := byShard[sh]
+			for sh, chunk := range byShard {
 				if len(chunk) == 0 {
 					continue
 				}
 				b := wire.ShardBatch{Shard: uint32(sh), Batch: wire.RowBatch{Columns: cols, Rows: chunk}}
 				if err := s.writeFrame(wire.FrameShardBatch, wire.EncodeShardBatch(b)); err != nil {
-					batchErr = err
-					return &writeError{err}
-				}
-				if err := s.flush(); err != nil {
-					batchErr = err
-					return &writeError{err}
+					return err
 				}
 				perShard[sh] += int64(len(chunk))
 			}
 			return nil
 		},
-	}
-
-	res, err := s.srv.eng.ExecSQL(q.SQL, opts)
-	if err != nil {
-		if batchErr != nil {
-			var ne net.Error
-			if errors.As(batchErr, &ne) && ne.Timeout() {
-				s.evictSlowClient()
-			}
-			return false
-		}
-		return s.sendError(wire.ErrorFrameFor(err))
-	}
-
-	done := wire.ShardDone{Reads: res.Stats.Reads, Writes: res.Stats.Writes, PerShard: perShard}
-	if err := s.writeFrame(wire.FrameShardDone, wire.EncodeShardDone(done)); err != nil {
-		return false
-	}
-	return s.flush() == nil
+		trailer: func(res *engine.Result, _ []string, _ int64) error {
+			done := wire.ShardDone{Reads: res.Stats.Reads, Writes: res.Stats.Writes, PerShard: perShard}
+			return s.writeFrame(wire.FrameShardDone, wire.EncodeShardDone(done))
+		},
+	})
 }
 
 // runSnapshot streams one physical table to a coordinator rebuilding a
@@ -434,43 +428,31 @@ func (s *session) runSnapshot(table string) bool {
 	if err := s.writeFrame(wire.FrameSnapshotMeta, wire.EncodeSnapshotMeta(meta)); err != nil {
 		return false
 	}
-
-	cols := make([]string, len(rel.Columns))
+	names := make([]string, len(rel.Columns))
 	for i, c := range rel.Columns {
-		cols[i] = c.Name
+		names[i] = c.Name
 	}
-	var (
-		sent     int64
-		batchErr error
-	)
-	opts := engine.Options{
-		Cancel:   s.dead,
-		Strategy: s.srv.cfg.Strategy,
-		Timeout:  s.srv.cfg.MaxTimeout,
-		Sink: &engine.RowSink{
-			BatchRows: s.srv.cfg.BatchRows,
-			Batch: func(rows []storage.Tuple) error {
-				if err := s.writeRowBatch(cols, rows); err != nil {
-					batchErr = err
-					return &writeError{err}
-				}
-				sent += int64(len(rows))
-				return nil
-			},
+	sql := fmt.Sprintf("SELECT %s FROM %s", strings.Join(names, ", "), rel.Name)
+	opts := engine.Options{Cancel: s.dead, Strategy: s.srv.cfg.Strategy, Timeout: s.srv.cfg.MaxTimeout}
+	return s.stream(opts, statement{
+		run:  func(o engine.Options) (*engine.Result, error) { return s.srv.eng.ExecSQL(sql, o) },
+		emit: s.rowBatch,
+		trailer: func(_ *engine.Result, _ []string, sent int64) error {
+			return s.writeFrame(wire.FrameDone, wire.EncodeDone(wire.Done{Rows: sent}))
 		},
-	}
-	sql := fmt.Sprintf("SELECT %s FROM %s", strings.Join(cols, ", "), rel.Name)
-	if _, err := s.srv.eng.ExecSQL(sql, opts); err != nil {
-		if batchErr != nil {
-			var ne net.Error
-			if errors.As(batchErr, &ne) && ne.Timeout() {
-				s.evictSlowClient()
-			}
-			return false
-		}
+	})
+}
+
+// runLoad lands one Load frame's rows in a local table — the receiving
+// end of the coordinator's row path — and answers Done with the count.
+// The engine vets the batch against its catalog before storing anything,
+// so a wrong column list or value kind comes back as a typed Error frame
+// with the table untouched.
+func (s *session) runLoad(l wire.Load) bool {
+	if err := s.srv.eng.Load(l.Table, l.Batch.Columns, l.Batch.Rows); err != nil {
 		return s.sendError(wire.ErrorFrameFor(err))
 	}
-	if err := s.writeFrame(wire.FrameDone, wire.EncodeDone(wire.Done{Rows: sent})); err != nil {
+	if err := s.writeFrame(wire.FrameDone, wire.EncodeDone(wire.Done{Rows: int64(len(l.Batch.Rows))})); err != nil {
 		return false
 	}
 	return s.flush() == nil
@@ -532,19 +514,6 @@ func (s *session) queryOptions(q wire.Query) (engine.Options, *wire.ErrorFrame) 
 		opts.Planner.Parallelism = int(q.Parallelism)
 	}
 	return opts, nil
-}
-
-// writeRowBatch frames and flushes one batch. Flushing per batch keeps
-// the client's view current and makes the buffered writer the only
-// server-side buffering — when the socket is full, the flush blocks and
-// backpressure reaches the executor through the sink, up to the write
-// deadline that evicts a consumer who never drains it.
-func (s *session) writeRowBatch(cols []string, rows []storage.Tuple) error {
-	b := wire.RowBatch{Columns: cols, Rows: rows}
-	if err := s.writeFrame(wire.FrameRowBatch, wire.EncodeRowBatch(b)); err != nil {
-		return err
-	}
-	return s.flush()
 }
 
 // sendError reports a query or protocol failure and keeps the session

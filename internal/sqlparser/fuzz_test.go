@@ -1,6 +1,8 @@
 package sqlparser
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -10,52 +12,7 @@ import (
 // and the second print is identical. Run with `go test -fuzz FuzzParseScript`
 // for coverage-guided exploration; the seed corpus runs as a normal test.
 func FuzzParseScript(f *testing.F) {
-	seeds := []string{
-		"SELECT SNAME FROM S WHERE SNO IN (SELECT SNO FROM SP WHERE PNO = 'P2')",
-		"SELECT PNUM FROM PARTS WHERE QOH = (SELECT COUNT(SHIPDATE) FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < 1-1-80)",
-		"CREATE TABLE T (X INT, D DATE, PRIMARY KEY (X)); INSERT INTO T VALUES (1, 7-3-79), (2, NULL)",
-		"UPDATE T SET X = 1 WHERE X NOT IN (SELECT Y FROM U); DELETE FROM T",
-		"SELECT A, COUNT(B) AS C FROM T GROUP BY A HAVING C > 1 ORDER BY A DESC",
-		"SELECT X FROM T WHERE NOT (A = 1 OR B != 2) AND C >= ALL (SELECT D FROM U)",
-		"SELECT X FROM T WHERE A =+ B AND C <+ 1-1-80",
-		"select x from t where y is not in (select z from u) -- comment",
-		// One seed per metamorph generator query class (internal/metamorph),
-		// so coverage-guided runs start from every nesting shape the
-		// correctness fuzzer exercises.
-		"SELECT A.R, A.K FROM MM0A A WHERE A.V <= (SELECT MAX(B.W) FROM MM0B B WHERE B.G = 1)",
-		"SELECT A.R, A.K FROM MM0A A WHERE A.V < (SELECT AVG(C.W) FROM MM0C C)",
-		"SELECT A.R, A.K FROM MM0A A WHERE A.K IN (SELECT B.K FROM MM0B B WHERE B.W <= 5)",
-		"SELECT A.R, A.K FROM MM0A A WHERE A.V = ANY (SELECT C.W FROM MM0C C WHERE C.G = 0)",
-		"SELECT A.R, A.K FROM MM0A A WHERE A.R IN (SELECT B.ID FROM MM0B B)",
-		"SELECT A.R, A.K FROM MM0A A WHERE EXISTS (SELECT B.ID FROM MM0B B WHERE B.K = A.K)",
-		"SELECT A.R, A.K FROM MM0A A WHERE A.G IN (SELECT B.G FROM MM0B B WHERE B.K = A.K)",
-		"SELECT A.R, A.K FROM MM0A A WHERE A.V >= (SELECT COUNT(*) FROM MM0B B WHERE B.K = A.K)",
-		"SELECT A.R, A.K FROM MM0A A WHERE A.V <= (SELECT MIN(B.W) FROM MM0B B WHERE B.K = A.K)",
-		"SELECT A.R, A.K FROM MM0A A WHERE A.V >= ALL (SELECT B.W FROM MM0B B WHERE B.K = A.K)",
-		"SELECT A.R, A.K FROM MM0A A WHERE A.K IN (SELECT B.K FROM MM0B B WHERE B.W = (SELECT COUNT(*) FROM MM0C C WHERE C.K = B.K))",
-		"SELECT A.R, A.K FROM MM0A A WHERE EXISTS (SELECT B.ID FROM MM0B B WHERE B.K = A.K AND B.W = (SELECT COUNT(*) FROM MM0C C WHERE C.G = A.G))",
-		"SELECT A.R, A.K FROM MM0A A WHERE NOT EXISTS (SELECT B.ID FROM MM0B B WHERE B.K = A.K) AND A.S = 'oak'",
-		"SELECT A.R, A.K FROM MM0A A WHERE A.K NOT IN (SELECT B.K FROM MM0B B WHERE B.W <= 6) ORDER BY A.R",
-		"SELECT DISTINCT A.K, A.G FROM MM0A A WHERE A.K IN (SELECT B.K FROM MM0B B) AND A.D <= 6-15-79",
-		"SELECT A.K, COUNT(*) AS CNT FROM MM0A A WHERE EXISTS (SELECT B.ID FROM MM0B B WHERE B.K = A.K) GROUP BY A.K HAVING CNT >= 2",
-		"SELECT MIN(A.V) AS LO, MAX(A.V) AS HI FROM MM0A A WHERE A.G = 2",
-		"SELECT COUNT(*) FROM MM0A A WHERE A.K IN (SELECT C.K FROM MM0C C)",
-		// The NULL-safe back-join operator NEST-JA2 emits (and the parser
-		// accepts so transformed programs re-parse).
-		"SELECT PARTS.PNUM FROM PARTS, TEMP3 WHERE PARTS.QOH = TEMP3.CT AND TEMP3.PNUM <=> PARTS.PNUM",
-		"'unterminated",
-		"SELECT 1-2-3-4 FROM",
-		"((((((",
-		"\x00\xff",
-		// Nesting bombs: each would overflow the stack (parse-time or in a
-		// later tree walk) without the maxParseDepth budget.
-		"SELECT X FROM T WHERE " + strings.Repeat("(", 100000) + "A = 1",
-		"SELECT X FROM T WHERE " + strings.Repeat("NOT ", 100000) + "A = 1",
-		"SELECT X FROM T WHERE " + strings.Repeat("A = 1 AND ", 100000) + "A = 1",
-		"SELECT X FROM T WHERE " + strings.Repeat("A = 1 OR ", 100000) + "A = 1",
-		"SELECT X FROM T WHERE A IN " + strings.Repeat("(SELECT X FROM T WHERE A IN ", 100000) + "(SELECT X FROM T)",
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -79,6 +36,101 @@ func FuzzParseScript(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzRenderParse pins the renderer the system's remaining text paths
+// depend on (per-shard SELECT, DELETE/UPDATE fan-out, logical WAL
+// records): whatever the parser accepted, String() must render as SQL
+// that parses back to the very same statement — literals included, so
+// a FLOAT stays that FLOAT (no exponent the lexer cannot read, no 3.0
+// coming back INTEGER, -0.0 keeping its sign).
+func FuzzRenderParse(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		stmts, err := ParseScript(src)
+		if err != nil {
+			return
+		}
+		for _, stmt := range stmts {
+			printed, ok := render(stmt)
+			if !ok {
+				continue // CREATE TABLE has no SQL renderer here
+			}
+			re, err := ParseStatement(printed)
+			if err != nil {
+				t.Fatalf("accepted %q but rendered form %q does not re-parse: %v", trim(src), printed, err)
+			}
+			if !reflect.DeepEqual(re, stmt) {
+				again, _ := render(re)
+				t.Fatalf("render→parse changed the statement:\n  source:   %s\n  rendered: %s\n  reparsed: %s",
+					trim(src), printed, again)
+			}
+		}
+	})
+}
+
+func render(stmt Statement) (string, bool) {
+	if sel, ok := stmt.(*SelectStmt); ok {
+		return sel.Query.String(), true
+	}
+	s, ok := stmt.(fmt.Stringer)
+	if !ok {
+		return "", false
+	}
+	return s.String(), true
+}
+
+var fuzzSeeds = []string{
+	"SELECT SNAME FROM S WHERE SNO IN (SELECT SNO FROM SP WHERE PNO = 'P2')",
+	"SELECT PNUM FROM PARTS WHERE QOH = (SELECT COUNT(SHIPDATE) FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < 1-1-80)",
+	"CREATE TABLE T (X INT, D DATE, PRIMARY KEY (X)); INSERT INTO T VALUES (1, 7-3-79), (2, NULL)",
+	"UPDATE T SET X = 1 WHERE X NOT IN (SELECT Y FROM U); DELETE FROM T",
+	"SELECT A, COUNT(B) AS C FROM T GROUP BY A HAVING C > 1 ORDER BY A DESC",
+	"SELECT X FROM T WHERE NOT (A = 1 OR B != 2) AND C >= ALL (SELECT D FROM U)",
+	"SELECT X FROM T WHERE A =+ B AND C <+ 1-1-80",
+	"select x from t where y is not in (select z from u) -- comment",
+	// One seed per metamorph generator query class (internal/metamorph),
+	// so coverage-guided runs start from every nesting shape the
+	// correctness fuzzer exercises.
+	"SELECT A.R, A.K FROM MM0A A WHERE A.V <= (SELECT MAX(B.W) FROM MM0B B WHERE B.G = 1)",
+	"SELECT A.R, A.K FROM MM0A A WHERE A.V < (SELECT AVG(C.W) FROM MM0C C)",
+	"SELECT A.R, A.K FROM MM0A A WHERE A.K IN (SELECT B.K FROM MM0B B WHERE B.W <= 5)",
+	"SELECT A.R, A.K FROM MM0A A WHERE A.V = ANY (SELECT C.W FROM MM0C C WHERE C.G = 0)",
+	"SELECT A.R, A.K FROM MM0A A WHERE A.R IN (SELECT B.ID FROM MM0B B)",
+	"SELECT A.R, A.K FROM MM0A A WHERE EXISTS (SELECT B.ID FROM MM0B B WHERE B.K = A.K)",
+	"SELECT A.R, A.K FROM MM0A A WHERE A.G IN (SELECT B.G FROM MM0B B WHERE B.K = A.K)",
+	"SELECT A.R, A.K FROM MM0A A WHERE A.V >= (SELECT COUNT(*) FROM MM0B B WHERE B.K = A.K)",
+	"SELECT A.R, A.K FROM MM0A A WHERE A.V <= (SELECT MIN(B.W) FROM MM0B B WHERE B.K = A.K)",
+	"SELECT A.R, A.K FROM MM0A A WHERE A.V >= ALL (SELECT B.W FROM MM0B B WHERE B.K = A.K)",
+	"SELECT A.R, A.K FROM MM0A A WHERE A.K IN (SELECT B.K FROM MM0B B WHERE B.W = (SELECT COUNT(*) FROM MM0C C WHERE C.K = B.K))",
+	"SELECT A.R, A.K FROM MM0A A WHERE EXISTS (SELECT B.ID FROM MM0B B WHERE B.K = A.K AND B.W = (SELECT COUNT(*) FROM MM0C C WHERE C.G = A.G))",
+	"SELECT A.R, A.K FROM MM0A A WHERE NOT EXISTS (SELECT B.ID FROM MM0B B WHERE B.K = A.K) AND A.S = 'oak'",
+	"SELECT A.R, A.K FROM MM0A A WHERE A.K NOT IN (SELECT B.K FROM MM0B B WHERE B.W <= 6) ORDER BY A.R",
+	"SELECT DISTINCT A.K, A.G FROM MM0A A WHERE A.K IN (SELECT B.K FROM MM0B B) AND A.D <= 6-15-79",
+	"SELECT A.K, COUNT(*) AS CNT FROM MM0A A WHERE EXISTS (SELECT B.ID FROM MM0B B WHERE B.K = A.K) GROUP BY A.K HAVING CNT >= 2",
+	"SELECT MIN(A.V) AS LO, MAX(A.V) AS HI FROM MM0A A WHERE A.G = 2",
+	"SELECT COUNT(*) FROM MM0A A WHERE A.K IN (SELECT C.K FROM MM0C C)",
+	// The NULL-safe back-join operator NEST-JA2 emits (and the parser
+	// accepts so transformed programs re-parse).
+	"SELECT PARTS.PNUM FROM PARTS, TEMP3 WHERE PARTS.QOH = TEMP3.CT AND TEMP3.PNUM <=> PARTS.PNUM",
+	"'unterminated",
+	"SELECT 1-2-3-4 FROM",
+	"((((((",
+	"\x00\xff",
+	// Nesting bombs: each would overflow the stack (parse-time or in a
+	// later tree walk) without the maxParseDepth budget.
+	"SELECT X FROM T WHERE " + strings.Repeat("(", 100000) + "A = 1",
+	"SELECT X FROM T WHERE " + strings.Repeat("NOT ", 100000) + "A = 1",
+	"SELECT X FROM T WHERE " + strings.Repeat("A = 1 AND ", 100000) + "A = 1",
+	"SELECT X FROM T WHERE " + strings.Repeat("A = 1 OR ", 100000) + "A = 1",
+	"SELECT X FROM T WHERE A IN " + strings.Repeat("(SELECT X FROM T WHERE A IN ", 100000) + "(SELECT X FROM T)",
+	// Literals whose display form is not their SQL form.
+	"DELETE FROM T WHERE A < 1000000000000000000000.0 OR A = -0.0",
+	"INSERT INTO T VALUES (3.0, -0.0, 0.000001, 'it''s; -- not a comment\n', 2001-05-06)",
+	"UPDATE T SET X = 12345678901234567890.5, Y = '1-1-80' WHERE Z >= 2.50",
+	"SELECT A FROM T GROUP BY A HAVING A > 1000000000000000000000.0",
 }
 
 func trim(s string) string {

@@ -348,7 +348,10 @@ func (p *parser) parseTableRef() (ast.TableRef, error) {
 		return tr, err
 	}
 	if p.tok.kind == tokIdent {
-		tr.Alias = p.tok.text
+		// "FROM M M" binds exactly as "FROM M" does and renders as it.
+		if p.tok.text != tr.Relation {
+			tr.Alias = p.tok.text
+		}
 		if err := p.advance(); err != nil {
 			return tr, err
 		}

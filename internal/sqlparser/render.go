@@ -1,25 +1,24 @@
 package sqlparser
 
 import (
-	"strconv"
 	"strings"
 
-	"repro/internal/value"
+	"repro/internal/ast"
 )
 
 // DML statements render back to parseable SQL text: the write-ahead log
 // stores DELETE and UPDATE records logically (the statement, not the
 // row images), and replays them by re-parsing. Predicates reuse the ast
-// String renderers the EXPLAIN traces use; literals go through
-// renderLiteral, which keeps every value in a form the lexer accepts
-// (ISO dates as quoted strings, floats without exponents).
+// String renderers the EXPLAIN traces use, and every literal — in a
+// predicate, a SET clause or a VALUES row — goes through
+// value.Value.Literal, the one form the lexer reads back unchanged.
 
 // String renders the statement as parseable SQL.
 func (s *DeleteStmt) String() string {
 	var b strings.Builder
 	b.WriteString("DELETE FROM ")
 	b.WriteString(s.Table)
-	writeWhere(&b, s)
+	writeWhere(&b, s.Where)
 	return b.String()
 }
 
@@ -35,9 +34,9 @@ func (s *UpdateStmt) String() string {
 		}
 		b.WriteString(sc.Column)
 		b.WriteString(" = ")
-		b.WriteString(renderLiteral(sc.Val))
+		b.WriteString(sc.Val.Literal())
 	}
-	writeWhere(&b, s)
+	writeWhere(&b, s.Where)
 	return b.String()
 }
 
@@ -46,10 +45,7 @@ func (s *DropTableStmt) String() string {
 	return "DROP TABLE " + s.Table
 }
 
-// String renders the statement as parseable SQL. The cluster coordinator
-// uses it to forward partitioned row batches to their destination worker
-// as plain INSERT statements, so shuffle traffic reuses the engine's
-// ordinary DML path (coercion, WAL logging, admission) unchanged.
+// String renders the statement as parseable SQL.
 func (s *InsertStmt) String() string {
 	var b strings.Builder
 	b.WriteString("INSERT INTO ")
@@ -64,26 +60,15 @@ func (s *InsertStmt) String() string {
 			if j > 0 {
 				b.WriteString(", ")
 			}
-			b.WriteString(renderLiteral(v))
+			b.WriteString(v.Literal())
 		}
 		b.WriteByte(')')
 	}
 	return b.String()
 }
 
-func writeWhere(b *strings.Builder, s Statement) {
-	var preds []interface{ String() string }
-	switch s := s.(type) {
-	case *DeleteStmt:
-		for _, p := range s.Where {
-			preds = append(preds, p)
-		}
-	case *UpdateStmt:
-		for _, p := range s.Where {
-			preds = append(preds, p)
-		}
-	}
-	for i, p := range preds {
+func writeWhere(b *strings.Builder, where []ast.Predicate) {
+	for i, p := range where {
 		if i == 0 {
 			b.WriteString(" WHERE ")
 		} else {
@@ -91,28 +76,4 @@ func writeWhere(b *strings.Builder, s Statement) {
 		}
 		b.WriteString(p.String())
 	}
-}
-
-// renderLiteral renders one literal value so that parseLiteral reads it
-// back to an equivalent value (after the engine's column coercion).
-func renderLiteral(v value.Value) string {
-	switch v.Kind() {
-	case value.KindDate:
-		d := v.DateOf()
-		return "'" + strconv.Itoa(d.Year()) + "-" +
-			pad2(d.Month()) + "-" + pad2(d.Day()) + "'"
-	case value.KindFloat:
-		// 'f' keeps the text free of exponents the lexer cannot read.
-		return strconv.FormatFloat(v.Float(), 'f', -1, 64)
-	default:
-		// NULL, integers, and quoted strings already render parseably.
-		return v.String()
-	}
-}
-
-func pad2(n int) string {
-	if n < 10 {
-		return "0" + strconv.Itoa(n)
-	}
-	return strconv.Itoa(n)
 }

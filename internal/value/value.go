@@ -125,6 +125,23 @@ func (v Value) String() string {
 	}
 }
 
+// Literal renders the value as SQL source text the lexer reads back as
+// the same value. It is String for every kind but FLOAT, whose display
+// form ('g': 1e+21, 3, -0) either does not lex or comes back INTEGER:
+// the literal form has no exponent and always a fractional part. Every
+// renderer that produces SQL — predicates, query blocks, DML
+// statements — goes through it; String stays the display form.
+func (v Value) Literal() string {
+	if v.kind != KindFloat {
+		return v.String()
+	}
+	s := strconv.FormatFloat(v.f, 'f', -1, 64)
+	if !strings.Contains(s, ".") {
+		s += ".0"
+	}
+	return s
+}
+
 // isNumeric reports whether the value is an integer or float.
 func (v Value) isNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 

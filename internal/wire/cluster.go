@@ -9,6 +9,11 @@
 // checksums and heartbeats cover shuffle traffic exactly as they cover
 // client traffic.
 //
+// Two more requests serve replication: FrameSnapshot streams one table
+// out of a worker, and FrameLoad lands typed rows in one — the single
+// way the coordinator moves rows to a worker, so no row is ever rendered
+// to SQL text and parsed back on its way between nodes.
+//
 // Partitioning happens worker-side (internal/cluster.Partitioner) so a
 // shuffle ships each row once; the coordinator only forwards batches to
 // their destination. The hash is value.Hash, which is Equal-consistent
@@ -38,12 +43,17 @@ const (
 	// FrameSnapshotMeta opens a snapshot stream with the schema needed
 	// to recreate the table on the receiving side.
 	FrameSnapshotMeta byte = 0x0C
+	// FrameLoad lands typed rows in one of a worker's tables — the way a
+	// coordinator moves rows to a worker (routed INSERT, shuffle
+	// landing, snapshot re-ship). The worker answers FrameDone with the
+	// row count, or FrameError.
+	FrameLoad byte = 0x0D
 )
 
-// FeatureCluster is the Hello feature bit for the shard frames. A server
-// grants it only when it fronts a local engine (a worker); coordinators
-// and pre-cluster servers leave it unset, and clients must not send
-// FrameShardQuery without it.
+// FeatureCluster is the Hello feature bit for the frames in this file. A
+// server grants it only when it fronts a local engine (a worker);
+// coordinators leave it unset, and clients must not send
+// FrameShardQuery, FrameSnapshot or FrameLoad without it.
 const FeatureCluster byte = 1 << 2
 
 // maxShards bounds the partition counts a decoder will believe. Far above
@@ -119,8 +129,7 @@ type ShardBatch struct {
 
 // EncodeShardBatch builds a ShardBatch payload.
 func EncodeShardBatch(b ShardBatch) []byte {
-	p := binary.AppendUvarint(nil, uint64(b.Shard))
-	return append(p, EncodeRowBatch(b.Batch)...)
+	return appendRowBatch(binary.AppendUvarint(nil, uint64(b.Shard)), b.Batch)
 }
 
 // DecodeShardBatch parses a ShardBatch payload.
@@ -162,6 +171,34 @@ func DecodeSnapshot(p []byte) (Snapshot, error) {
 		return Snapshot{}, fmt.Errorf("wire: snapshot table name %d bytes exceeds limit", len(p))
 	}
 	return Snapshot{Table: string(p)}, nil
+}
+
+// Load is a batch of rows bound for Table: a RowBatch whose columns name
+// the table's columns in order and whose values already have the
+// columns' kinds. The receiver checks both — a Load is outside input.
+type Load struct {
+	Table string
+	Batch RowBatch
+}
+
+// EncodeLoad builds a Load payload: the table name, then the RowBatch
+// body.
+func EncodeLoad(l Load) []byte {
+	return appendRowBatch(appendString(nil, l.Table), l.Batch)
+}
+
+// DecodeLoad parses a Load payload.
+func DecodeLoad(p []byte) (Load, error) {
+	var l Load
+	var err error
+	if l.Table, p, err = getString(p, "load table name"); err != nil {
+		return l, err
+	}
+	if l.Table == "" || len(l.Table) > maxSnapshotName {
+		return l, fmt.Errorf("wire: load table name of %d bytes out of range", len(l.Table))
+	}
+	l.Batch, err = DecodeRowBatch(p)
+	return l, err
 }
 
 // SnapshotMeta opens a snapshot stream: the CREATE TABLE statement that

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"repro/internal/storage"
+	"repro/internal/value"
 )
 
 // FuzzDecodeFrame asserts the wire decoder's defensive contract: arbitrary
@@ -63,6 +66,17 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frame(FrameSnapshot, EncodeSnapshot(Snapshot{Table: "SP__S1"})))
 	f.Add(frame(FrameSnapshotMeta, EncodeSnapshotMeta(SnapshotMeta{CreateSQL: "CREATE TABLE SP__S1 (SNO INTEGER)"})))
 	f.Add(cframe(FrameSnapshot, EncodeSnapshot(Snapshot{Table: "S__S0"})))
+	// The coordinator→worker row path: a Load is a table name in front
+	// of a RowBatch body, and is outside input to the worker.
+	load := EncodeLoad(Load{Table: "SP__S1", Batch: RowBatch{
+		Columns: []string{"SNO", "NOTE"},
+		Rows:    []storage.Tuple{{value.NewInt(-1), value.NewString("it's")}, {value.Null, value.NewFloat(1e21)}},
+	}})
+	f.Add(frame(FrameLoad, load))
+	f.Add(cframe(FrameLoad, load))
+	f.Add(frame(FrameLoad, []byte{0}))                       // no table name
+	f.Add(frame(FrameLoad, []byte{2, 'T'}))                  // name longer than the payload
+	f.Add(frame(FrameLoad, []byte{1, 'T', 1, 1, 'A', 0xFF})) // row count runs off the end
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// The checksummed reader must be as panic-proof as the plain one,
@@ -153,6 +167,14 @@ func FuzzDecodeFrame(f *testing.F) {
 					t.Fatalf("snapshot meta not stable: %+v vs %+v (%v)", m2, m, err)
 				}
 			}
+		case FrameLoad:
+			if l, err := DecodeLoad(payload); err == nil {
+				l2, err := DecodeLoad(EncodeLoad(l))
+				if err != nil || l2.Table != l.Table ||
+					len(l2.Batch.Rows) != len(l.Batch.Rows) || len(l2.Batch.Columns) != len(l.Batch.Columns) {
+					t.Fatalf("load not stable: %+v vs %+v (%v)", l2, l, err)
+				}
+			}
 		case FramePing, FramePong:
 			if seq, err := DecodePing(payload); err == nil {
 				// Over-long varint forms are accepted, so bytes need not
@@ -180,6 +202,7 @@ func FuzzFrameCorruption(f *testing.F) {
 	f.Add(FrameShardQuery, EncodeShardQuery(ShardQuery{NumShards: 3, KeyCols: []int64{1}, SQL: "SELECT PNUM FROM SUPPLY"}), uint16(6), byte(0x02))
 	f.Add(FrameShardBatch, EncodeShardBatch(ShardBatch{Shard: 1, Batch: RowBatch{Columns: []string{"PNUM"}}}), uint16(2), byte(0x08))
 	f.Add(FrameShardDone, EncodeShardDone(ShardDone{Reads: 2, PerShard: []int64{1, 1, 0}}), uint16(3), byte(0x20))
+	f.Add(FrameLoad, EncodeLoad(Load{Table: "SP__S1", Batch: RowBatch{Columns: []string{"SNO"}, Rows: []storage.Tuple{{value.NewInt(7)}}}}), uint16(8), byte(0x10))
 
 	f.Fuzz(func(t *testing.T, typ byte, payload []byte, idx uint16, mask byte) {
 		codec := Codec{Checksums: true}

@@ -28,6 +28,7 @@ crash             TestDurability|TestCrashStorm|TestGoldenCorpus            ./in
 '
 FUZZ='
 FuzzParseScript       ./internal/sqlparser
+FuzzRenderParse       ./internal/sqlparser
 FuzzDecodeFrame       ./internal/wire
 FuzzFrameCorruption   ./internal/wire
 FuzzWALReplay         ./internal/wal
