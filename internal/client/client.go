@@ -24,7 +24,6 @@ package client
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -75,13 +74,26 @@ type ReconnectConfig struct {
 	Seed int64
 }
 
-func (rc *ReconnectConfig) maxAttempts() int { return cmp.Or(max(rc.MaxAttempts, 0), 5) }
-
-func (rc *ReconnectConfig) baseDelay() time.Duration {
-	return cmp.Or(max(rc.BaseDelay, 0), 20*time.Millisecond)
+func (rc *ReconnectConfig) maxAttempts() int {
+	if rc.MaxAttempts <= 0 {
+		return 5
+	}
+	return rc.MaxAttempts
 }
 
-func (rc *ReconnectConfig) maxDelay() time.Duration { return cmp.Or(max(rc.MaxDelay, 0), time.Second) }
+func (rc *ReconnectConfig) baseDelay() time.Duration {
+	if rc.BaseDelay <= 0 {
+		return 20 * time.Millisecond
+	}
+	return rc.BaseDelay
+}
+
+func (rc *ReconnectConfig) maxDelay() time.Duration {
+	if rc.MaxDelay <= 0 {
+		return time.Second
+	}
+	return rc.MaxDelay
+}
 
 // DialOptions tunes a connection beyond the plain Dial signature.
 type DialOptions struct {
@@ -95,7 +107,12 @@ type DialOptions struct {
 	Reconnect *ReconnectConfig
 }
 
-func (o DialOptions) timeout() time.Duration { return cmp.Or(max(o.Timeout, 0), 10*time.Second) }
+func (o DialOptions) timeout() time.Duration {
+	if o.Timeout <= 0 {
+		return 10 * time.Second
+	}
+	return o.Timeout
+}
 
 // transport is one live TCP connection plus its read pump. The pump
 // owns all reads: it answers server Pings inline (under the write

@@ -97,19 +97,6 @@ func (p *Pool) Put(c *Conn) {
 	p.mu.Unlock()
 }
 
-// Idle reports how many healthy connections sit in the free list.
-func (p *Pool) Idle() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, c := range p.idle {
-		if c.Healthy() {
-			n++
-		}
-	}
-	return n
-}
-
 // Discard closes a checked-out connection that failed; nothing returns
 // to the free list.
 func (p *Pool) Discard(c *Conn) {

@@ -21,10 +21,11 @@ import (
 // fate behind every kind of exchange the coordinator runs: it grants the
 // cluster feature, then answers each request frame the way its mode says.
 type fakeWorker struct {
-	lis   net.Listener
-	mode  atomic.Value // string: ok | reset | silent | typed | unknown
-	mu    sync.Mutex
-	conns []net.Conn
+	lis      net.Listener
+	mode     atomic.Value // string: ok | reset | silent | typed | unknown
+	accepted atomic.Int64 // connections accepted so far
+	mu       sync.Mutex
+	conns    []net.Conn
 }
 
 func startFakeWorker(t *testing.T) *fakeWorker {
@@ -41,6 +42,7 @@ func startFakeWorker(t *testing.T) *fakeWorker {
 			if err != nil {
 				return
 			}
+			fw.accepted.Add(1)
 			fw.mu.Lock()
 			fw.conns = append(fw.conns, nc)
 			fw.mu.Unlock()
@@ -237,12 +239,27 @@ func TestWorkerAttemptRule(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer co.Close()
-				if n := co.pools[0].Idle(); n != 1 {
+				// idle counts the healthy connections in the pool (0 or 1) by
+				// what the worker sees: the next checkout reuses a pooled
+				// connection, or has to dial.
+				idle := func() int {
+					before := fw.accepted.Load()
+					c, err := co.pools[0].Get()
+					if err != nil {
+						return 0
+					}
+					co.pools[0].Put(c)
+					if fw.accepted.Load() != before {
+						return 0
+					}
+					return 1
+				}
+				if n := idle(); n != 1 {
 					t.Fatalf("bootstrap left %d idle connections, want 1", n)
 				}
 				if oc.mode == "refuse" {
 					fw.stop()
-					for deadline := time.Now().Add(5 * time.Second); co.pools[0].Idle() > 0; time.Sleep(time.Millisecond) {
+					for deadline := time.Now().Add(5 * time.Second); idle() > 0; time.Sleep(time.Millisecond) {
 						if time.Now().After(deadline) {
 							t.Fatal("pooled connection never noticed the worker going away")
 						}
@@ -254,7 +271,7 @@ func TestWorkerAttemptRule(t *testing.T) {
 				if !want.check(err) {
 					t.Errorf("error %T %v is not what this outcome must return", err, err)
 				}
-				if got := co.pools[0].Idle(); got != want.idle {
+				if got := idle(); got != want.idle {
 					t.Errorf("%d idle pooled connections, want %d", got, want.idle)
 				}
 				if got := co.WorkerStates()[0]; got != want.state {

@@ -50,7 +50,12 @@ type Config struct {
 // small fraction of wire.MaxFrame.
 const loadChunkBytes = 1 << 20
 
-func (c Config) replicas() int { return max(c.Replicas, 1) }
+func (c Config) replicas() int {
+	if c.Replicas <= 1 {
+		return 1
+	}
+	return c.Replicas
+}
 
 // Coordinator is the cluster's client-facing backend: it owns the
 // catalog mirror and the placement map, fans DDL and DML out to all
@@ -623,20 +628,22 @@ func stripQualifiers(where []ast.Predicate) []ast.Predicate {
 	return out
 }
 
-// execDrop removes every shard slice from every live replica, under the
-// rule of every replicated write: a replica that fails where a peer
-// dropped is marked dead, a shard nobody could drop fails the statement.
+// execDrop removes every shard slice from every live replica, best
+// effort, and always forgets the table: a replica that fails where a
+// peer dropped is marked dead like after any replicated write, but a
+// shard nobody could drop — every replica down, or refusing — does not
+// fail the statement. Its replicas are at worst left holding a stray
+// slice that no statement can name and a rejoin never looks at, whereas
+// a catalog entry kept over half-dropped slices would turn the next
+// SELECT's "unknown relation" into dead workers nothing can re-ship.
 func (co *Coordinator) execDrop(table string) error {
 	rel, ok := co.cat.Lookup(table)
 	if !ok {
 		return fmt.Errorf("cluster: unknown relation %s", table)
 	}
-	_, err := co.replicate(nil, nil, func(s, w int) (int64, error) {
+	co.replicate(nil, nil, func(s, w int) (int64, error) {
 		return 0, co.drop(w, physName(rel.Name, s))
 	}, co.diverged)
-	if err != nil {
-		return err
-	}
 	co.cat.Drop(table)
 	delete(co.place, strings.ToUpper(table))
 	return nil
@@ -885,27 +892,41 @@ func (co *Coordinator) gather(sqls []string, cols []string, opts engine.Options,
 	if opts.MaxRows > 0 && int64(total) > opts.MaxRows {
 		return nil, qctx.ErrRowBudget
 	}
-	res.Rows = make([]storage.Tuple, 0, total)
-	for _, sh := range shards {
-		res.Rows = append(res.Rows, sh.rows...)
-		res.Stats.Reads += sh.stats.Reads
-		res.Stats.Writes += sh.stats.Writes
-		res.FellBack = res.FellBack || sh.stats.FellBack
-	}
-	if sink := opts.Sink; sink != nil {
+	sink, batch := opts.Sink, 64
+	if sink == nil {
+		res.Rows = make([]storage.Tuple, 0, total)
+	} else {
 		if err := sink.Columns(cols); err != nil {
 			return nil, err
 		}
-		batch := sink.BatchRows
-		if batch <= 0 {
-			batch = 64
+		if sink.BatchRows > 0 {
+			batch = sink.BatchRows
 		}
-		for rows := res.Rows; len(rows) > 0; rows = rows[min(batch, len(rows)):] {
-			if err := sink.Batch(rows[:min(batch, len(rows))]); err != nil {
-				return nil, err
+	}
+	var pending []storage.Tuple // a sink's batches fill across shard boundaries
+	for _, sh := range shards {
+		res.Stats.Reads += sh.stats.Reads
+		res.Stats.Writes += sh.stats.Writes
+		res.FellBack = res.FellBack || sh.stats.FellBack
+		if sink == nil {
+			res.Rows = append(res.Rows, sh.rows...)
+			continue
+		}
+		for rows := sh.rows; len(rows) > 0; {
+			n := min(batch-len(pending), len(rows))
+			pending, rows = append(pending, rows[:n]...), rows[n:]
+			if len(pending) == batch {
+				if err := sink.Batch(pending); err != nil {
+					return nil, err
+				}
+				pending = nil
 			}
 		}
-		res.Rows = nil
+	}
+	if len(pending) > 0 {
+		if err := sink.Batch(pending); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }

@@ -208,6 +208,107 @@ func TestClusterFailover(t *testing.T) {
 	}
 }
 
+// TestClusterFailoverDropDuringOutage: DROP TABLE is best effort on the
+// workers and always forgets the table. With workers 1 and 2 of a 3-node
+// R=2 cluster dead, shard 1 has no live replica at all; a DROP that
+// failed there — after worker 0 had already dropped its slices — would
+// keep a catalog entry over half-dropped slices, and the next SELECT's
+// "unknown relation" would take the last healthy worker down with
+// nothing left to re-ship any of them from.
+func TestClusterFailoverDropDuringOutage(t *testing.T) {
+	addrs, dbs := startWorkers(t, 3, false)
+	var proxies []*netfault.Proxy
+	proxyAddrs := make([]string, len(addrs))
+	for i, addr := range addrs {
+		p, err := netfault.New(addr, netfault.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		proxies = append(proxies, p)
+		proxyAddrs[i] = p.Addr()
+	}
+	co, err := cluster.New(cluster.Config{
+		Workers:       proxyAddrs,
+		Replicas:      2,
+		DialTimeout:   time.Second,
+		IOTimeout:     2 * time.Second,
+		ProbeInterval: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	if _, err := co.ExecSQL(clusterScript, engine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+
+	killProxy(proxies[1])
+	killProxy(proxies[2])
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if st := co.WorkerStates(); st[1] == "dead" && st[2] == "dead" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("breaker never tripped workers 1 and 2: %v", co.WorkerStates())
+		}
+		co.ExecSQL(clusterQueries[0], engine.Options{})
+	}
+	if _, err := co.ExecSQL(clusterQueries[0], engine.Options{}); !errors.Is(err, cluster.ErrShardUnavailable) {
+		t.Fatalf("read with a whole shard down: %v, want ErrShardUnavailable", err)
+	}
+
+	if _, err := co.ExecSQL("DROP TABLE SP", engine.Options{}); err != nil {
+		t.Fatalf("DROP TABLE with a whole shard down: %v", err)
+	}
+	for _, phys := range []string{"SP__S0", "SP__S2"} {
+		if _, ok := engineTable(t, dbs[0], phys, []string{"SNO"}); ok {
+			t.Errorf("live worker 0 still holds %s after the DROP", phys)
+		}
+	}
+	// The table is gone for the coordinator too: naming it is a user
+	// error answered from the catalog, which no worker pays for.
+	for _, sql := range []string{"SELECT SP.SNO FROM SP", "DROP TABLE SP"} {
+		_, err := co.ExecSQL(sql, engine.Options{})
+		if err == nil || !strings.Contains(err.Error(), "unknown relation") || errors.Is(err, cluster.ErrShardUnavailable) {
+			t.Errorf("%q after the DROP: %v, want unknown relation", sql, err)
+		}
+	}
+	if st := co.WorkerStates()[0]; st == "dead" {
+		t.Fatalf("worker 0 was killed by a statement on a dropped table: %v", co.WorkerStates())
+	}
+	if _, err := co.ExecSQL("DROP TABLE S", engine.Options{}); err != nil {
+		t.Fatalf("DROP TABLE with a whole shard down: %v", err)
+	}
+
+	// Heal. Nothing is cataloged any more, so both workers rejoin with
+	// nothing to re-ship (the stray slices they kept are never named
+	// again), and the fleet serves a new table whole.
+	healProxy(proxies[1])
+	healProxy(proxies[2])
+	waitStates(t, co, "healthy", 20*time.Second)
+	const script = "CREATE TABLE U (A INTEGER, B TEXT, PRIMARY KEY (A)); INSERT INTO U VALUES (1, 'x'), (2, 'y'), (3, 'z'), (4, 'w'), (5, 'v')"
+	if _, err := co.ExecSQL(script, engine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	oracle := engine.New(6)
+	if _, err := oracle.Exec(script, engine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracle.Query("SELECT U.A, U.B FROM U", engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := co.ExecSQL("SELECT U.A, U.B FROM U", engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(canonSorted(want.Columns, want.Rows), canonSorted(got.Columns, got.Rows)) {
+		t.Errorf("healed cluster returns %d rows of U, oracle %d", len(got.Rows), len(want.Rows))
+	}
+	waitStates(t, co, "healthy", 5*time.Second)
+}
+
 // TestWorkerLostFastFailure (the typed-error fast path): a severed
 // worker link must surface ErrWorkerLost immediately — the connection
 // reset is the signal — not after waiting out the 10s IOTimeout.

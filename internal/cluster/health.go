@@ -10,15 +10,13 @@
 //	   └──────snapshot re-ship ok────── rejoining ◀───probe dials OK
 //
 // A suspect worker stays in the routing table (its next success heals
-// it); a dead worker does not, and can only return through Rejoin.
-// Two things kill a worker outright, skipping suspect, and mark it
-// diverged: missing a DML/DDL write that its shard committed, and
-// answering "unknown relation" for a physical table it is supposed to
-// host (the restarted-empty detector). A diverged worker must not serve
-// reads until Rejoin has re-shipped every slice it hosts from a live
-// replica. A worker the breaker tripped on transport evidence alone has
-// missed nothing — every write committed in its absence marks it
-// diverged — so Rejoin only checks that its slices are still there.
+// it); a dead worker does not, and can only return through Rejoin — a
+// full snapshot re-ship from a live replica — because a worker that
+// missed even one committed write has diverged and must not serve
+// reads. Two things kill a worker outright, skipping suspect: missing a
+// DML/DDL write that another replica acknowledged, and answering
+// "unknown relation" for a physical table it is supposed to host (the
+// restarted-empty detector).
 //
 // Only transport-class failures move the state machine. A typed server
 // error (overload shed, timeout, row budget, user error) proves the
@@ -97,21 +95,13 @@ const breakerThreshold = 2
 // from the coordinator's statement lock so health reads never contend
 // with query execution.
 type healthTracker struct {
-	mu       sync.Mutex
-	states   []workerState
-	fails    []int  // consecutive transport failures
-	diverged []bool // missed a committed write or lost a table: only a re-ship heals it
+	mu     sync.Mutex
+	states []workerState
+	fails  []int // consecutive transport failures
 }
 
 func newHealthTracker(n int) *healthTracker {
-	return &healthTracker{states: make([]workerState, n), fails: make([]int, n), diverged: make([]bool, n)}
-}
-
-// isDiverged reports whether w's slices may differ from its peers'.
-func (h *healthTracker) isDiverged(w int) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.diverged[w]
+	return &healthTracker{states: make([]workerState, n), fails: make([]int, n)}
 }
 
 func (h *healthTracker) state(w int) workerState {
@@ -149,7 +139,6 @@ func (h *healthTracker) markFailure(w int) {
 func (h *healthTracker) markDead(w int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.diverged[w] = true
 	if h.states[w] != workerRejoining {
 		h.states[w] = workerDead
 	}
@@ -186,7 +175,7 @@ func (h *healthTracker) finishRejoin(w int, ok bool) {
 		return
 	}
 	if ok {
-		h.states[w], h.fails[w], h.diverged[w] = workerHealthy, 0, false
+		h.states[w], h.fails[w] = workerHealthy, 0
 	} else {
 		h.states[w] = workerDead
 	}
@@ -223,8 +212,8 @@ func transportFailure(err error) bool {
 		// is slow, not gone — breaker evidence is link death only. Real
 		// silent partitions still count: the client's frame-wait IOTimeout
 		// arrives wrapped in ErrConnectionLost (matched above), and dial
-		// timeouts to an unreachable worker are counted by withWorker
-		// without consulting this classifier.
+		// timeouts to an unreachable worker are counted by withWorker without
+		// consulting this classifier.
 		return !ne.Timeout()
 	}
 	return false

@@ -2,10 +2,10 @@ package cluster
 
 // Worker rejoin and the health prober. A dead worker (crashed,
 // restarted empty, or partitioned past the breaker) re-enters the
-// routing table only after catching up: for every shard slice it hosts
-// that may have diverged, a live replica ships a full snapshot — schema
-// first, then rows — and the coordinator rebuilds the slice on the
-// returning worker before flipping it healthy. The prober drives this automatically: suspect
+// routing table only after catching up: for every shard slice it hosts,
+// a live replica ships a full snapshot — schema first, then rows — and
+// the coordinator rebuilds the slice on the returning worker before
+// flipping it healthy. The prober drives this automatically: suspect
 // workers are probe-dialed back to healthy, dead workers get a rejoin
 // attempt each tick.
 
@@ -44,24 +44,6 @@ func (co *Coordinator) rejoinLocked(w int) error {
 			continue
 		}
 		for _, s := range co.hostedShards(w) {
-			srel := shardRelation(rel, rel.Name, s)
-			if !co.health.isDiverged(w) {
-				// The breaker tripped on transport evidence alone and no
-				// write has been committed past this worker, so a slice
-				// that is still there is current. A Load of zero rows asks
-				// exactly that — table present, columns as cataloged — and
-				// stores nothing; "unknown relation" means the worker
-				// restarted empty, marks it diverged, and re-ships from here.
-				err := co.withWorker(w, func(c *client.Conn) error {
-					_, err := c.Load(srel.Name, wire.RowBatch{Columns: columnNames(rel)})
-					return err
-				})
-				if err == nil {
-					continue
-				} else if !unknownRelation(err) {
-					return fmt.Errorf("cluster: rejoin of worker %d: %s: %w", w, srel.Name, err)
-				}
-			}
 			src := -1
 			for _, r := range co.replicasOf(s) {
 				if r != w && co.health.live(r) {
@@ -72,6 +54,7 @@ func (co *Coordinator) rejoinLocked(w int) error {
 			if src < 0 {
 				return fmt.Errorf("cluster: rejoin of worker %d: %w %d", w, ErrShardUnavailable, s)
 			}
+			srel := shardRelation(rel, rel.Name, s)
 			if err := co.shipSnapshot(src, w, srel); err != nil {
 				return fmt.Errorf("cluster: rejoin of worker %d: %s: %w", w, srel.Name, err)
 			}

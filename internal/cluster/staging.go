@@ -8,8 +8,6 @@ package cluster
 // leak probe — mirroring spill.LiveFiles) and recoverable
 // (SweepStaging retries the drops once the fleet heals).
 
-import "errors"
-
 // stagingAdd records that worker w holds physical staging table phys.
 func (co *Coordinator) stagingAdd(phys string, w int) {
 	co.staging.Lock()
@@ -57,13 +55,7 @@ func (co *Coordinator) dropStaging(phys string) {
 		if !co.health.live(w) {
 			continue
 		}
-		err := co.drop(w, phys)
-		if errors.Is(err, ErrWorkerLost) {
-			// A pooled link that fell silent while idle costs its first
-			// user one attempt; a drop is idempotent, so try a fresh one.
-			err = co.drop(w, phys)
-		}
-		if err == nil {
+		if err := co.drop(w, phys); err == nil {
 			co.stagingForget(phys, w)
 		}
 	}

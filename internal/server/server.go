@@ -6,7 +6,6 @@
 package server
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -55,14 +54,32 @@ type Config struct {
 	HeartbeatInterval time.Duration
 }
 
-// The documented defaults: a zero or negative field selects them.
 func (c Config) handshakeTimeout() time.Duration {
-	return cmp.Or(max(c.HandshakeTimeout, 0), 5*time.Second)
+	if c.HandshakeTimeout <= 0 {
+		return 5 * time.Second
+	}
+	return c.HandshakeTimeout
 }
-func (c Config) writeTimeout() time.Duration { return cmp.Or(max(c.WriteTimeout, 0), 30*time.Second) }
-func (c Config) writeBuffer() int            { return cmp.Or(max(c.WriteBufferBytes, 0), 32<<10) }
+
+func (c Config) writeTimeout() time.Duration {
+	if c.WriteTimeout <= 0 {
+		return 30 * time.Second
+	}
+	return c.WriteTimeout
+}
+
+func (c Config) writeBuffer() int {
+	if c.WriteBufferBytes <= 0 {
+		return 32 << 10
+	}
+	return c.WriteBufferBytes
+}
+
 func (c Config) heartbeatInterval() time.Duration {
-	return cmp.Or(max(c.HeartbeatInterval, 0), 15*time.Second)
+	if c.HeartbeatInterval <= 0 {
+		return 15 * time.Second
+	}
+	return c.HeartbeatInterval
 }
 
 // Backend is what a Server fronts: a local engine.DB, or a cluster
