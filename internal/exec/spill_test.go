@@ -51,11 +51,14 @@ var spillRegimes = []spillRegime{
 
 // spillCase builds one operator tree. autoRuns and forcedRuns are lower
 // bounds on the spill runs written under the auto/budget and forced
-// regimes; zero means the case must not spill there at all.
+// regimes; zero means the case must not spill there at all, negative that
+// the case does not care. oracle, when set, builds a reference plan whose
+// output bag the case must equal under every regime.
 type spillCase struct {
 	name       string
 	ordered    bool
 	build      func(e spillEnv) exec.Operator
+	oracle     func(e spillEnv) exec.Operator
 	autoRuns   int64
 	forcedRuns int64
 }
@@ -189,7 +192,7 @@ func spillCases() []spillCase {
 				Child: scanOf(f, "G"), GroupCols: []int{0}, Items: spillItems, Workers: 2, QC: e.qc, Spill: e.sess,
 			}, QC: e.qc}
 		}})
-	return cases
+	return append(cases, joinOracleCases()...)
 }
 
 // newSpillEnv opens a fresh store, query context and (for spilling
@@ -263,6 +266,7 @@ func TestSpillRegimesAgree(t *testing.T) {
 				switch st := e.sess.Stats(); {
 				case !r.spill:
 					want = got
+				case bound < 0:
 				case bound == 0 && st.Runs != 0:
 					t.Errorf("%s: spilled %v, want nothing spilled", r.name, st)
 				case st.Runs < bound || (bound > 0 && st.Bytes == 0):
@@ -270,6 +274,18 @@ func TestSpillRegimesAgree(t *testing.T) {
 				}
 				if !eqStrings(got, want) {
 					t.Errorf("%s: output differs from unbudgeted run\n  want: %v\n  got:  %v", r.name, want, got)
+				}
+				if c.oracle != nil && !r.spill {
+					ref, err := renderAll(c.oracle(e))
+					if err != nil {
+						t.Fatalf("oracle: %v", err)
+					}
+					bag := append([]string(nil), got...)
+					sort.Strings(bag)
+					sort.Strings(ref)
+					if !eqStrings(bag, ref) {
+						t.Errorf("output differs from the nested-loops oracle\n  want: %v\n  got:  %v", ref, bag)
+					}
 				}
 				done()
 			}
