@@ -265,7 +265,9 @@ func BenchmarkGeneralNesting(b *testing.B) {
 // ---- Morsel-driven parallel execution: sequential vs N workers ----
 
 // BenchmarkParallelNestJA2 runs a type-JA query at a scale where the
-// joins dominate, comparing the sequential NEST-JA2 pipeline against the
+// joins dominate, comparing the sequential NEST-JA2 pipeline — with merge
+// joins forced, and as the cost rule plans it (sort-merge for the temp
+// table, the inline hash join for the back-join) — against the
 // morsel-driven parallel one at 2, 4, and 8 workers. ForceParallel
 // bypasses the cost gate so every worker count actually parallelizes;
 // the pageIO metric stays comparable because parallelism does not change
@@ -284,6 +286,10 @@ func BenchmarkParallelNestJA2(b *testing.B) {
 		cfg.OuterTuples, cfg.InnerTuples, cfg.JoinDomain = 2000, 4000, 200
 	}
 	sql := workload.TypeJAQuery(cfg)
+	b.Run("sequential-merge", func(b *testing.B) {
+		benchQuery(b, mkSynthetic(64, cfg), sql, engine.Options{Strategy: engine.TransformJA2,
+			Planner: planner.Options{TempJoin: planner.JoinMerge, FinalJoin: planner.JoinMerge}})
+	})
 	b.Run("sequential", func(b *testing.B) {
 		benchQuery(b, mkSynthetic(64, cfg), sql, engine.Options{Strategy: engine.TransformJA2})
 	})

@@ -34,6 +34,8 @@ type AntiJoin struct {
 	// QC, when set, is checked once per left row — each left row can cost
 	// a full scan of the right side.
 	QC *qctx.QueryContext
+
+	pair storage.Tuple // scratch: the left row ++ the right row under Corr
 }
 
 // Open prepares the left child.
@@ -61,11 +63,13 @@ func (a *AntiJoin) Next() (storage.Tuple, bool, error) {
 
 func (a *AntiJoin) qualifies(l storage.Tuple) (bool, error) {
 	lv := a.LeftVal(l)
+	a.pair = append(a.pair[:0], l...)
 	relevant, matched, sawNull := 0, false, false
 	for pg := 0; pg < a.Right.NumPages(); pg++ {
 		for _, r := range a.Right.ReadPage(pg) {
 			if a.Corr != nil {
-				tri, err := a.Corr(concat(l, r))
+				a.pair = append(a.pair[:len(l)], r...)
+				tri, err := a.Corr(a.pair)
 				if err != nil {
 					return false, err
 				}

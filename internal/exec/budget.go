@@ -41,15 +41,17 @@ func reserve(qc *qctx.QueryContext, sess *spill.Session, n int64, depth int) (bo
 
 // source feeds an operator kernel its input one tuple at a time: a
 // worker's morsel channel at level 0 (and ExchangeMerge the workers'
-// output), a spill run at the levels below. Over a channel, cancellation
-// wakes a blocked receive. Over a run it is the checked iterator every
-// spill reader goes through: io.EOF ends the stream, the query context is
-// consulted per tuple, and the file is closed at end of stream and on
-// every error, so only a caller that stops early has to call close.
+// output), a spill run at the levels below, the probe child itself under
+// the inline hash join. Over a channel, cancellation wakes a blocked
+// receive. Over a run it is the checked iterator every spill reader goes
+// through: io.EOF ends the stream, the query context is consulted per
+// tuple, and the file is closed at end of stream and on every error, so
+// only a caller that stops early has to call close.
 type source struct {
 	qc  *qctx.QueryContext
 	in  <-chan Morsel
 	rd  *spill.Reader
+	op  Operator
 	cur Morsel
 	idx int
 }
@@ -62,6 +64,9 @@ func openRun(qc *qctx.QueryContext, run *spill.Run) (source, error) {
 
 func (s *source) next() (storage.Tuple, bool, error) {
 	for s.idx >= len(s.cur) {
+		if s.op != nil {
+			return s.op.Next()
+		}
 		if s.in == nil {
 			return s.readRun()
 		}

@@ -38,13 +38,10 @@ func describe(b *strings.Builder, op Operator, indent string) {
 		fmt.Fprintf(b, "Sort(keys=%v%s)\n", op.Keys, dirs)
 		describe(b, op.Child, child)
 	case *MergeJoin:
-		kind := "MergeJoin"
-		if op.Outer {
-			kind = "OuterMergeJoin"
-		}
-		fmt.Fprintf(b, "%s(left#%d = right#%d)\n", kind, op.LeftKey, op.RightKey)
-		describe(b, op.Left, child)
-		describe(b, op.Right, child)
+		describeJoin(b, "MergeJoin", op.Outer, newJoinKey(op.LeftKey, op.RightKey, op.NullEq, op.More).String(), op.Left, op.Right, child)
+	case *ParallelHashJoin:
+		// Not under an ExchangeMerge: the join runs inline.
+		describeJoin(b, "HashJoin", op.Outer, newJoinKey(op.LeftKey, op.RightKey, op.NullEq, op.More).String(), op.Left, op.Right, child)
 	case *NestedLoopJoin:
 		kind := "NestedLoopJoin"
 		if op.Outer {
@@ -69,19 +66,24 @@ func describeSource(b *strings.Builder, src ParallelSource, indent string) {
 	child := indent + "  "
 	switch src := src.(type) {
 	case *ParallelHashJoin:
-		kind := "ParallelHashJoin"
-		if src.Outer {
-			kind = "OuterParallelHashJoin"
-		}
-		fmt.Fprintf(b, "%s(left#%d = right#%d, workers=%d)\n", kind, src.LeftKey, src.RightKey, src.NumWorkers())
-		describe(b, src.Left, child)
-		describe(b, src.Right, child)
+		key := newJoinKey(src.LeftKey, src.RightKey, src.NullEq, src.More)
+		describeJoin(b, "ParallelHashJoin", src.Outer, fmt.Sprintf("%s, workers=%d", key, src.NumWorkers()), src.Left, src.Right, child)
 	case *ParallelHashGroup:
 		fmt.Fprintf(b, "ParallelHashGroup(group=%v, out=[%s], workers=%d)\n", src.GroupCols, describeItems(src.Items), src.NumWorkers())
 		describe(b, src.Child, child)
 	default:
 		fmt.Fprintf(b, "%T\n", src)
 	}
+}
+
+// describeJoin renders a keyed join, its key and its two inputs.
+func describeJoin(b *strings.Builder, kind string, outer bool, detail string, left, right Operator, child string) {
+	if outer {
+		kind = "Outer" + kind
+	}
+	fmt.Fprintf(b, "%s(%s)\n", kind, detail)
+	describe(b, left, child)
+	describe(b, right, child)
 }
 
 func describeItems(items []GroupItem) string {

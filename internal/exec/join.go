@@ -27,24 +27,108 @@ func padNull(left storage.Tuple, width int) storage.Tuple {
 	return out
 }
 
+// KeyPair is one equality conjunct of a join key: left column Left equals
+// right column Right, NULL-safely (<=>, value.OpEqNull) when NullEq is set.
+type KeyPair struct {
+	Left, Right int
+	NullEq      bool
+}
+
+// joinKey is a join's whole key: every equality conjunct relating the two
+// sides, the leading pair first. A row holding NULL in a column whose pair
+// is not NULL-safe matches nothing.
+type joinKey struct {
+	left, right []int
+	nullEq      []bool
+}
+
+// newJoinKey assembles the key from an operator's leading pair and the
+// pairs beside it. The zero-value operator joins column 0 with column 0;
+// a join always has a key.
+func newJoinKey(lkey, rkey int, nullEq bool, more []KeyPair) joinKey {
+	n := 1 + len(more)
+	cols := make([]int, 2*n)
+	k := joinKey{left: cols[:n], right: cols[n:], nullEq: make([]bool, n)}
+	k.left[0], k.right[0], k.nullEq[0] = lkey, rkey, nullEq
+	for i, p := range more {
+		k.left[i+1], k.right[i+1], k.nullEq[i+1] = p.Left, p.Right, p.NullEq
+	}
+	return k
+}
+
+// dead reports whether t, a row of the side whose key columns are cols,
+// holds a NULL that no row of the other side can match.
+func (k joinKey) dead(t storage.Tuple, cols []int) bool {
+	for i, c := range cols {
+		if !k.nullEq[i] && t[c].IsNull() {
+			return true
+		}
+	}
+	return false
+}
+
+// equal reports whether live rows l and r agree on the pairs from index
+// from on (NULL meets NULL only in a NULL-safe pair, which dead has
+// already established).
+func (k joinKey) equal(l, r storage.Tuple, from int) bool {
+	for i := from; i < len(k.left); i++ {
+		if !l[k.left[i]].Equal(r[k.right[i]]) {
+			return false
+		}
+	}
+	return true
+}
+
+// compare orders right row r against left row l on the first n pairs, in
+// the total order both inputs are sorted in.
+func (k joinKey) compare(r, l storage.Tuple, n int) (int, error) {
+	for i := range n {
+		if c, err := value.TotalCompare(r[k.right[i]], l[k.left[i]]); c != 0 || err != nil {
+			return c, err // incomparable join keys: a per-query type error
+		}
+	}
+	return 0, nil
+}
+
+// String renders the key pairs for EXPLAIN.
+func (k joinKey) String() string {
+	s := ""
+	for i := range k.left {
+		op := "="
+		if k.nullEq[i] {
+			op = "<=>"
+		}
+		s += fmt.Sprintf(", left#%d %s right#%d", k.left[i], op, k.right[i])
+	}
+	return s[2:]
+}
+
 // MergeJoin is a sort-merge equality join over children sorted on the join
-// keys. With Outer set it is the left outer merge join of section 5.2: the
+// key. With Outer set it is the left outer merge join of section 5.2: the
 // paper notes its cost function is "identical to that for a standard join,
 // since the two relations are scanned in sorted order, and no extra cost is
 // involved in determining which tuples have no matching tuples".
 //
+// The key is every equality conjunct of the join: the leading pair
+// (LeftKey, RightKey, NullEq) and More. Both inputs arrive ordered on the
+// leading pair's columns and the remaining pairs are checked on each
+// candidate pair of rows before it is built — or, with FullOrder, ordered
+// on all key columns in key order, and the merge runs on the whole key.
+//
 // Rows whose join key is NULL match nothing; under Outer they are emitted
-// NULL-padded, preserving every left row as the =+ operator requires. With
-// NullEq set the key comparison is NULL-safe (value.OpEqNull): NULL keys
-// join with NULL keys, which NEST-JA2's back-join needs so the COUNT=0
-// groups materialized for NULL-keyed outer rows are not dropped. The sort
-// order both sides arrive in (TotalCompare, NULLs first) already groups
-// NULL keys, so the merge needs no extra passes.
+// NULL-padded, preserving every left row as the =+ operator requires. A
+// NULL-safe pair (value.OpEqNull) joins NULL keys with NULL keys, which
+// NEST-JA2's back-join needs so the COUNT=0 groups materialized for
+// NULL-keyed outer rows are not dropped. The sort order both sides arrive
+// in (TotalCompare, NULLs first) already groups NULL keys, so the merge
+// needs no extra passes.
 type MergeJoin struct {
 	Left, Right       Operator
 	LeftKey, RightKey int
-	Outer             bool
 	NullEq            bool
+	More              []KeyPair
+	FullOrder         bool
+	Outer             bool
 	// QC, when set, charges the buffered right-side group against the
 	// memory budget — the sequential join's only unbounded buffer is a
 	// run of duplicate right keys.
@@ -53,13 +137,16 @@ type MergeJoin struct {
 	// is re-read once per duplicate left key instead of failing the query.
 	Spill *spill.Session
 
+	key        joinKey
+	merged     int // leading key pairs the merge runs on
 	rightWidth int
 
-	cur      storage.Tuple   // current left row, nil when exhausted/consumed
-	group    []storage.Tuple // right rows matching groupKey (resident case)
-	groupKey value.Value
-	groupSet bool
-	gi       int
+	cur     storage.Tuple   // current left row, nil when exhausted/consumed
+	live    bool            // cur can match: no NULL a pair cannot meet
+	matched bool            // cur has been joined to a right row
+	group   []storage.Tuple // right rows equal to groupOf on the merged pairs (resident case)
+	groupOf storage.Tuple   // the left row the group was loaded for
+	gi      int
 
 	groupCharged int64      // bytes charged for group
 	groupRun     *spill.Run // spilled group, nil when resident
@@ -78,8 +165,12 @@ func (m *MergeJoin) Open() error {
 	if err := m.Right.Open(); err != nil {
 		return err
 	}
+	m.key, m.merged = newJoinKey(m.LeftKey, m.RightKey, m.NullEq, m.More), 1
+	if m.FullOrder {
+		m.merged = len(m.key.left)
+	}
 	m.rightWidth = len(m.Right.Schema())
-	m.cur, m.group, m.groupSet, m.gi = nil, nil, false, 0
+	m.cur, m.group, m.groupOf, m.gi = nil, nil, nil, 0
 	m.groupCharged, m.groupRun, m.groupSrc, m.groupLen = 0, nil, source{}, 0
 	m.pendRight, m.rightEOF = nil, false
 	return nil
@@ -116,15 +207,19 @@ func (m *MergeJoin) nextRight() (storage.Tuple, bool, error) {
 	return t, true, nil
 }
 
-// loadGroup positions the right side at key and buffers the rows equal to
-// it. The buffered group is reused for consecutive left rows with the same
-// key (duplicate outer values).
-func (m *MergeJoin) loadGroup(key value.Value) (err error) {
-	if m.groupSet && m.groupKey.Equal(key) {
+// loadGroup positions the right side at left row l's merged key columns
+// and buffers the rows equal to them. The buffered group is reused for
+// consecutive left rows with the same key (duplicate outer values).
+func (m *MergeJoin) loadGroup(l storage.Tuple) (err error) {
+	same := m.groupOf != nil
+	for _, c := range m.key.left[:m.merged] {
+		same = same && m.groupOf[c].Equal(l[c])
+	}
+	if same {
 		return nil
 	}
 	m.dropGroup()
-	m.groupKey, m.groupSet = key, true
+	m.groupOf = l
 	var wr *spill.Writer // set once the group has outgrown memory
 	defer func() {
 		if err != nil {
@@ -139,13 +234,12 @@ func (m *MergeJoin) loadGroup(key value.Value) (err error) {
 		if !ok {
 			break
 		}
-		rk := t[m.RightKey]
-		if rk.IsNull() && !m.NullEq {
+		if m.key.dead(t, m.key.right) {
 			continue // NULL keys can never match
 		}
-		c, err := value.TotalCompare(rk, key)
+		c, err := m.key.compare(t, l, m.merged)
 		if err != nil {
-			return err // incomparable join keys: a per-query type error
+			return err
 		}
 		if c < 0 {
 			continue // smaller keys can never match again
@@ -191,6 +285,26 @@ func (m *MergeJoin) loadGroup(key value.Value) (err error) {
 	return err
 }
 
+// nextInGroup returns the group's next row for the current left row: from
+// memory, or from the spilled run, re-opened once per left row.
+func (m *MergeJoin) nextInGroup() (storage.Tuple, error) {
+	m.gi++
+	if m.groupRun == nil {
+		return m.group[m.gi-1], nil
+	}
+	if m.gi == 1 {
+		var err error
+		if m.groupSrc, err = openRun(m.QC, m.groupRun); err != nil {
+			return nil, err
+		}
+	}
+	t, ok, err := m.groupSrc.next()
+	if err == nil && !ok {
+		err = fmt.Errorf("merge join: spill group shorter than written: %w", qctx.ErrSpillCorrupt)
+	}
+	return t, err
+}
+
 // Next produces the next joined row.
 func (m *MergeJoin) Next() (storage.Tuple, bool, error) {
 	for {
@@ -199,52 +313,29 @@ func (m *MergeJoin) Next() (storage.Tuple, bool, error) {
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			m.cur, m.gi = t, 0
-		}
-		key := m.cur[m.LeftKey]
-		matched := m.NullEq || !key.IsNull() // a NULL key matches nothing unless NULL-safe
-		if matched {
-			if err := m.loadGroup(key); err != nil {
-				return nil, false, err
-			}
-			matched = m.groupLen > 0
-		}
-		if !matched {
-			left := m.cur
-			m.cur = nil
-			if m.Outer {
-				return padNull(left, m.rightWidth), true, nil
-			}
-			continue
-		}
-		var right storage.Tuple
-		if m.groupRun != nil {
-			// Spilled group: stream the run, re-opened once per left row
-			// with this key.
-			if m.gi == 0 {
-				var err error
-				if m.groupSrc, err = openRun(m.QC, m.groupRun); err != nil {
+			m.cur, m.gi, m.matched = t, 0, false
+			if m.live = !m.key.dead(t, m.key.left); m.live {
+				if err := m.loadGroup(t); err != nil {
 					return nil, false, err
 				}
 			}
-			t, ok, err := m.groupSrc.next()
-			if err == nil && !ok {
-				err = fmt.Errorf("merge join: spill group shorter than written: %w", qctx.ErrSpillCorrupt)
-			}
+		}
+		for m.live && m.gi < m.groupLen {
+			right, err := m.nextInGroup()
 			if err != nil {
 				return nil, false, err
 			}
-			right = t
-		} else {
-			right = m.group[m.gi]
+			if m.key.equal(m.cur, right, m.merged) {
+				m.matched = true
+				return concat(m.cur, right), true, nil
+			}
 		}
-		out := concat(m.cur, right)
-		m.gi++
-		if m.gi == m.groupLen {
-			m.groupSrc.close()
-			m.cur = nil
+		m.groupSrc.close()
+		left := m.cur
+		m.cur = nil
+		if m.Outer && !m.matched {
+			return padNull(left, m.rightWidth), true, nil
 		}
-		return out, true, nil
 	}
 }
 
@@ -285,6 +376,7 @@ type NestedLoopJoin struct {
 	QC *qctx.QueryContext
 
 	cur     storage.Tuple
+	pair    storage.Tuple // scratch: cur ++ the right row under test
 	matched bool
 	pageIdx int
 	tuples  []storage.Tuple
@@ -312,6 +404,7 @@ func (n *NestedLoopJoin) Next() (storage.Tuple, bool, error) {
 				return nil, false, err
 			}
 			n.cur, n.matched = t, false
+			n.pair = append(n.pair[:0], t...)
 			n.pageIdx, n.tupIdx, n.tuples = 0, 0, nil
 		}
 		for {
@@ -326,14 +419,16 @@ func (n *NestedLoopJoin) Next() (storage.Tuple, bool, error) {
 			}
 			r := n.tuples[n.tupIdx]
 			n.tupIdx++
-			out := concat(n.cur, r)
-			tri, err := n.Pred(out)
+			// The predicate sees the pair in the scratch row; only a pair
+			// that holds is built.
+			n.pair = append(n.pair[:len(n.cur)], r...)
+			tri, err := n.Pred(n.pair)
 			if err != nil {
 				return nil, false, err
 			}
 			if tri.IsTrue() {
 				n.matched = true
-				return out, true, nil
+				return concat(n.cur, r), true, nil
 			}
 		}
 	rightDone:

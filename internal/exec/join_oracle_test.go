@@ -3,7 +3,9 @@ package exec_test
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
+	"testing"
 
 	"repro/internal/exec"
 	"repro/internal/storage"
@@ -65,24 +67,21 @@ func (c joinCase) name() string {
 	return fmt.Sprintf("JoinOracle/%s/outer=%v/keys=%s", c.kind, c.outer, strings.Join(ops, "+"))
 }
 
-// pred is the full join predicate over the concatenated row, from column
-// from on.
-func (c joinCase) pred(from int) exec.RowPred {
-	return func(t storage.Tuple) (value.Tri, error) {
-		out := value.True
-		for i := from; i < len(c.nullEq); i++ {
-			op := value.OpEq
-			if c.nullEq[i] {
-				op = value.OpEqNull
-			}
-			tri, err := op.Apply(t[i], t[oracleWidth+i])
-			if err != nil {
-				return value.Unknown, err
-			}
-			out = out.And(tri)
+// pred is the full join predicate over the concatenated row.
+func (c joinCase) pred(t storage.Tuple) (value.Tri, error) {
+	out := value.True
+	for i, ne := range c.nullEq {
+		op := value.OpEq
+		if ne {
+			op = value.OpEqNull
 		}
-		return out, nil
+		tri, err := op.Apply(t[i], t[oracleWidth+i])
+		if err != nil {
+			return value.Unknown, err
+		}
+		out = out.And(tri)
 	}
+	return out, nil
 }
 
 func (c joinCase) inputs(e spillEnv, prefix string) (left, right *storage.HeapFile) {
@@ -96,62 +95,105 @@ func (c joinCase) inputs(e spillEnv, prefix string) (left, right *storage.HeapFi
 func (c joinCase) oracle(e spillEnv) exec.Operator {
 	left, right := c.inputs(e, "O")
 	return &exec.NestedLoopJoin{Left: scanOf(left, "L"), Right: right, RightSch: scanOf(right, "R").Schema(),
-		Pred: c.pred(0), Outer: c.outer}
+		Pred: c.pred, Outer: c.outer}
 }
 
-// build is the join under test. On this commit a join has one key: the
-// further equalities are a filter above it, which an outer join cannot
-// take (joinOracleCases leaves those cells out).
-func (c joinCase) build(e spillEnv) exec.Operator {
+// build is the join under test: column i joins column i. mutant, when
+// set, corrupts the key pairs beside the leading one (the teeth check).
+func (c joinCase) build(e spillEnv, mutant func([]exec.KeyPair)) exec.Operator {
 	left, right := c.inputs(e, "")
+	var more []exec.KeyPair
+	for i, ne := range c.nullEq[1:] {
+		more = append(more, exec.KeyPair{Left: i + 1, Right: i + 1, NullEq: ne})
+	}
+	if mutant != nil {
+		mutant(more)
+	}
 	sorted := func(f *storage.HeapFile, binding string, keys int) exec.Operator {
 		cols := []int{0, 1, 2}[:keys]
 		return &exec.Sort{Child: scanOf(f, binding), Keys: cols, Store: e.s, TuplesPerPage: 2, QC: e.qc, Spill: e.sess}
 	}
-	hash := func(workers int) exec.Operator {
-		return &exec.ExchangeMerge{Source: &exec.ParallelHashJoin{Left: scanOf(left, "L"), Right: scanOf(right, "R"),
-			Outer: c.outer, NullEq: c.nullEq[0], Workers: workers, QC: e.qc, Spill: e.sess}, QC: e.qc}
+	hash := func(workers int) *exec.ParallelHashJoin {
+		return &exec.ParallelHashJoin{Left: scanOf(left, "L"), Right: scanOf(right, "R"),
+			Outer: c.outer, NullEq: c.nullEq[0], More: more, Workers: workers, QC: e.qc, Spill: e.sess}
 	}
-	var op exec.Operator
 	switch c.kind {
 	case "merge-lead", "merge-full":
-		n := 1
-		if c.kind == "merge-full" {
+		n, full := 1, c.kind == "merge-full"
+		if full {
 			n = len(c.nullEq)
 		}
-		op = &exec.MergeJoin{Left: sorted(left, "L", n), Right: sorted(right, "R", n),
-			Outer: c.outer, NullEq: c.nullEq[0], QC: e.qc, Spill: e.sess}
+		return &exec.MergeJoin{Left: sorted(left, "L", n), Right: sorted(right, "R", n),
+			Outer: c.outer, NullEq: c.nullEq[0], More: more, FullOrder: full, QC: e.qc, Spill: e.sess}
 	case "hash-inline":
-		op = hash(1)
+		return hash(1)
 	case "hash-w2":
-		op = hash(2)
+		return &exec.ExchangeMerge{Source: hash(2), QC: e.qc}
 	default:
-		op = hash(4)
+		return &exec.ExchangeMerge{Source: hash(4), QC: e.qc}
 	}
-	if len(c.nullEq) > 1 {
-		op = &exec.Filter{Child: op, Pred: c.pred(1)}
-	}
-	return op
 }
 
-func joinOracleCases() []spillCase {
+// joinCases is the oracle's table.
+func joinCases() []joinCase {
 	mixes := [][]bool{
 		{false}, {true},
 		{false, false}, {false, true}, {true, false}, {true, true},
 		{false, false, false}, {true, true, true}, {true, false, true}, {false, false, true},
 	}
-	var cases []spillCase
+	var cases []joinCase
 	for _, kind := range []string{"merge-lead", "merge-full", "hash-inline", "hash-w2", "hash-w4"} {
 		for _, outer := range []bool{false, true} {
 			for _, mix := range mixes {
-				if kind == "merge-full" && len(mix) == 1 || outer && len(mix) > 1 {
-					continue
+				if kind != "merge-full" || len(mix) > 1 {
+					cases = append(cases, joinCase{kind: kind, outer: outer, nullEq: mix})
 				}
-				c := joinCase{kind: kind, outer: outer, nullEq: mix}
-				cases = append(cases, spillCase{name: c.name(), ordered: strings.HasPrefix(kind, "merge"),
-					build: c.build, oracle: c.oracle, autoRuns: -1, forcedRuns: -1})
 			}
 		}
 	}
 	return cases
+}
+
+// joinOracleCases puts the table on spill_test.go's matrix. A merge join's
+// sorts spill at least a run, a hash join a build and a probe run — the
+// inline one by handing over.
+func joinOracleCases() []spillCase {
+	var cases []spillCase
+	for _, c := range joinCases() {
+		merge, runs := strings.HasPrefix(c.kind, "merge"), int64(2)
+		if merge {
+			runs = 1
+		}
+		cases = append(cases, spillCase{name: c.name(), ordered: merge, oracle: c.oracle, autoRuns: runs, forcedRuns: runs,
+			build: func(e spillEnv) exec.Operator { return c.build(e, nil) }})
+	}
+	return cases
+}
+
+// TestJoinOracleCatchesNullRuleMutant is the oracle's teeth check: a join
+// that forgets the second key pair's NULL rule — reads its <=> as = or
+// its = as <=> — must differ from nested loops on the oracle's data.
+func TestJoinOracleCatchesNullRuleMutant(t *testing.T) {
+	for _, c := range joinCases() {
+		if len(c.nullEq) < 2 {
+			continue
+		}
+		t.Run(c.name(), func(t *testing.T) {
+			e, _, done := newSpillEnv(t, spillRegimes[0])
+			defer done()
+			got, err := renderAll(c.build(e, func(more []exec.KeyPair) { more[0].NullEq = !more[0].NullEq }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := renderAll(c.oracle(e))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sort.Strings(got)
+			sort.Strings(want)
+			if eqStrings(got, want) {
+				t.Error("the mutant returns the oracle's bag: the data cannot tell = from <=> in the second key column")
+			}
+		})
+	}
 }

@@ -704,3 +704,40 @@ func TestAntiJoinEquivalentToNaive(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A theta join and a correlated NOT IN evaluate their predicate on a
+// scratch row: 100 × 100 pairs allocate for the few rows that qualify (and
+// the page reads), never per pair.
+func TestJoinsBuildNoRowBeforeItsPredicateHolds(t *testing.T) {
+	s := storage.NewStore(8)
+	var rows [][2]int64
+	for i := range int64(100) {
+		rows = append(rows, [2]int64{i, i})
+	}
+	left, right := loadFile(s, "L", 100, rows), loadFile(s, "R", 100, rows)
+	// L.k > R.k + 96: six of the 10,000 pairs.
+	theta := func(p storage.Tuple) (value.Tri, error) { return value.TriOf(p[0].Int() > p[2].Int()+96), nil }
+	drain := func(op exec.Operator, want int) {
+		if rows, err := exec.Drain(op, nil); err != nil || len(rows) != want {
+			t.Fatalf("%T: %d rows, %v; want %d", op, len(rows), err, want)
+		}
+	}
+	ops := map[string]func(){
+		"NestedLoopJoin": func() {
+			drain(&exec.NestedLoopJoin{Left: scanOf(left, "L"), Right: right, RightSch: scanOf(right, "R").Schema(), Pred: theta}, 6)
+		},
+		// L.k NOT IN (SELECT R.v FROM R WHERE L.k > R.k + 96): the three
+		// left rows with relevant right rows all lose to a smaller R.v.
+		"AntiJoin": func() {
+			drain(&exec.AntiJoin{Left: scanOf(left, "L"), Right: right, RightSch: scanOf(right, "R").Schema(), Corr: theta,
+				LeftVal: func(l storage.Tuple) value.Value { return l[0] }, MemberCol: 1}, 100)
+		},
+	}
+	for name, run := range ops {
+		if allocs := testing.AllocsPerRun(5, run); allocs > 100 {
+			t.Errorf("%s: %.0f allocations for 10,000 pairs of which six qualify", name, allocs)
+		} else {
+			t.Logf("%s: %.0f allocations", name, allocs)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 
@@ -259,6 +260,12 @@ func (e *ExchangeMerge) Open() error {
 	if err := e.Source.Open(); err != nil {
 		return err
 	}
+	e.start()
+	return nil
+}
+
+// start runs the already open source's goroutines.
+func (e *ExchangeMerge) start() {
 	w := e.Source.NumWorkers()
 	ex := &exchange{
 		out:  make(chan Morsel, 2*w),
@@ -271,7 +278,6 @@ func (e *ExchangeMerge) Open() error {
 		ex.wg.Wait()
 		close(ex.out)
 	}()
-	return nil
 }
 
 // Next returns the next tuple from any worker, in arrival order.
@@ -298,6 +304,12 @@ func (e *ExchangeMerge) Close() error {
 		return nil
 	}
 	e.closed = true
+	e.stop()
+	return e.Source.Close()
+}
+
+// stop signals producers to stop and waits for every goroutine to exit.
+func (e *ExchangeMerge) stop() {
 	if e.ex != nil {
 		close(e.ex.stop)
 		// Drain until the closer goroutine closes out (after wg.Wait), so
@@ -307,7 +319,6 @@ func (e *ExchangeMerge) Close() error {
 		e.ex.wg.Wait()
 		e.ex = nil
 	}
-	return e.Source.Close()
 }
 
 // Schema is the source's schema.
@@ -322,21 +333,31 @@ func defaultWorkers(n int) int {
 	return runtime.NumCPU()
 }
 
-// ParallelHashJoin is an equality hash join executed by Workers goroutines.
-// Open drains the Right (build) side sequentially, partitioning it by key
-// hash; run starts the exchange that partitions the Left (probe) side the
-// same way, so matching keys meet on the same worker. Semantics match
-// MergeJoin: rows whose join key is NULL match nothing, and with Outer set
-// every unmatched left row is emitted NULL-padded — the left outer join
-// NEST-JA2's COUNT fix depends on. With NullEq set the key comparison is
-// NULL-safe, matching MergeJoin.NullEq: NULL hashes like any other value
-// (to a fixed bucket), so NULL build and probe keys meet on one worker and
+// ParallelHashJoin is an equality hash join on every equality conjunct of
+// the join — the leading pair (LeftKey, RightKey, NullEq) and More. Open
+// drains the Right (build) side sequentially, partitioning it by key hash.
+//
+// Under an ExchangeMerge it is executed by Workers goroutines: run starts
+// the exchange that partitions the Left (probe) side the same way, so
+// matching keys meet on the same worker. Used as an Operator itself, with
+// Workers = 1, it runs inline: Next streams the probe side through the
+// same probe kernel on the calling goroutine — no goroutine, no channel —
+// so the output keeps the left input's order. Only when the build side
+// has spilled does the inline join hand over to an exchange of its own,
+// which owns Grace spilling; its output is then in no particular order.
+//
+// Semantics match MergeJoin: a row holding NULL in a key column matches
+// nothing unless that pair is NULL-safe, and with Outer set every unmatched
+// left row is emitted NULL-padded — the left outer join NEST-JA2's COUNT fix
+// depends on. NULL hashes like any other value (to a fixed bucket), so
+// under a NULL-safe pair NULL build and probe keys meet on one worker and
 // join with each other.
 type ParallelHashJoin struct {
 	Left, Right       Operator
 	LeftKey, RightKey int
-	Outer             bool
 	NullEq            bool
+	More              []KeyPair
+	Outer             bool
 	// Workers is the worker-goroutine count; <= 0 means runtime.NumCPU().
 	Workers int
 	// QC, when set, governs the build scan (cancellation + memory budget
@@ -348,8 +369,11 @@ type ParallelHashJoin struct {
 	// on the owning worker (recursively sub-partitioned if still too big).
 	Spill *spill.Session
 
+	key        joinKey
 	rightWidth int
 	parts      []joinPart
+	inline     *prober        // the inline join's probe of Left, nil until the first Next
+	handoff    *ExchangeMerge // the inline join's exchange once the build side spilled
 }
 
 // The two sides of a spilled partition's state.
@@ -393,9 +417,9 @@ func (j *ParallelHashJoin) Open() error {
 		j.Left.Close()
 		return err
 	}
+	j.key = newJoinKey(j.LeftKey, j.RightKey, j.NullEq, j.More)
 	j.rightWidth = len(j.Right.Schema())
 	j.parts = make([]joinPart, j.NumWorkers())
-	key := []int{j.RightKey}
 	for {
 		t, ok, err := j.Right.Next()
 		if err != nil {
@@ -407,10 +431,10 @@ func (j *ParallelHashJoin) Open() error {
 		if err := j.QC.Check(); err != nil {
 			return err
 		}
-		if t[j.RightKey].IsNull() && !j.NullEq {
+		if j.key.dead(t, j.key.right) {
 			continue // NULL build keys can never match
 		}
-		p := &j.parts[hashKey(t, key)%uint64(len(j.parts))]
+		p := &j.parts[hashKey(t, j.key.right)%uint64(len(j.parts))]
 		// On refusal evict the largest resident partition to disk until
 		// the reservation fits or this tuple's own partition has spilled.
 		n := tupleBytes(t)
@@ -475,7 +499,7 @@ func (j *ParallelHashJoin) spillPartition(p *joinPart) error {
 }
 
 func (j *ParallelHashJoin) run(ex *exchange) {
-	ex.start(partitioning{child: j.Left, keys: []int{j.LeftKey}, workers: len(j.parts), qc: j.QC,
+	ex.start(partitioning{child: j.Left, keys: j.key.left, workers: len(j.parts), qc: j.QC,
 		divert: j.divertProbe, seal: j.sealProbes}, j.work)
 }
 
@@ -512,8 +536,7 @@ func (j *ParallelHashJoin) work(id int, src *source, out *emitter) error {
 	p := &j.parts[id]
 	table := make(map[uint64][]storage.Tuple)
 	for _, r := range p.rows {
-		h := r[j.RightKey].Hash()
-		table[h] = append(table[h], r)
+		j.insert(table, r)
 	}
 	if err := j.probe(out, table, src); err != nil || !p.spilled {
 		return err
@@ -523,33 +546,86 @@ func (j *ParallelHashJoin) work(id int, src *source, out *emitter) error {
 	return j.joinSpilled(out, p.run, 1)
 }
 
-// probe is the one hash-probe loop: every tuple of src against table,
-// matches emitted joined, unmatched tuples NULL-padded when Outer. NULL
-// probe keys match nothing unless NullEq.
-func (j *ParallelHashJoin) probe(out *emitter, table map[uint64][]storage.Tuple, src *source) error {
+func (j *ParallelHashJoin) insert(table map[uint64][]storage.Tuple, r storage.Tuple) {
+	h := hashKey(r, j.key.right)
+	table[h] = append(table[h], r)
+}
+
+// prober is the one hash-probe loop, in pull form: every tuple of src
+// against table, matches joined, unmatched tuples NULL-padded when Outer.
+// A joined row is built only once the whole key is known to match.
+type prober struct {
+	j      *ParallelHashJoin
+	table  map[uint64][]storage.Tuple
+	src    *source
+	cur    storage.Tuple   // the probe tuple being matched, nil between tuples
+	bucket []storage.Tuple // build rows sharing cur's key hash, not yet tried
+	found  bool
+}
+
+func (p *prober) next() (storage.Tuple, bool, error) {
+	k := p.j.key
 	for {
-		l, ok, err := src.next()
+		if p.cur == nil {
+			l, ok, err := p.src.next()
+			if err != nil || !ok {
+				return nil, false, err
+			}
+			p.cur, p.bucket, p.found = l, nil, false
+			if !k.dead(l, k.left) {
+				p.bucket = p.table[hashKey(l, k.left)]
+			}
+		}
+		for len(p.bucket) > 0 {
+			r := p.bucket[0]
+			p.bucket = p.bucket[1:]
+			if k.equal(p.cur, r, 0) { // else a hash collision
+				p.found = true
+				return concat(p.cur, r), true, nil
+			}
+		}
+		l := p.cur
+		p.cur = nil
+		if !p.found && p.j.Outer {
+			return padNull(l, p.j.rightWidth), true, nil
+		}
+	}
+}
+
+// probe drives the kernel for a worker: everything it yields is emitted.
+func (j *ParallelHashJoin) probe(out *emitter, table map[uint64][]storage.Tuple, src *source) error {
+	p := prober{j: j, table: table, src: src}
+	for {
+		t, ok, err := p.next()
 		if err != nil || !ok {
 			return err
 		}
-		matched := false
-		if k := l[j.LeftKey]; j.NullEq || !k.IsNull() {
-			for _, r := range table[k.Hash()] {
-				if !r[j.RightKey].Equal(k) {
-					continue // hash collision
-				}
-				matched = true
-				if err := out.emit(concat(l, r)); err != nil {
-					return err
-				}
-			}
+		if err := out.emit(t); err != nil {
+			return err
 		}
-		if !matched && j.Outer {
-			if err := out.emit(padNull(l, j.rightWidth)); err != nil {
-				return err
+	}
+}
+
+// Next drives the kernel inline, on the caller's goroutine.
+func (j *ParallelHashJoin) Next() (storage.Tuple, bool, error) {
+	if j.inline == nil && j.handoff == nil {
+		switch {
+		case len(j.parts) != 1:
+			return nil, false, fmt.Errorf("exec: inline hash join over %d partitions; it needs Workers = 1", len(j.parts))
+		case j.parts[0].spilled:
+			j.handoff = &ExchangeMerge{Source: j, QC: j.QC}
+			j.handoff.start()
+		default:
+			j.inline = &prober{j: j, table: make(map[uint64][]storage.Tuple), src: &source{op: j.Left}}
+			for _, r := range j.parts[0].rows {
+				j.insert(j.inline.table, r)
 			}
 		}
 	}
+	if j.handoff != nil {
+		return j.handoff.Next()
+	}
+	return j.inline.next()
 }
 
 // joinSpilled joins one spilled (build run, probe run) pair at the given
@@ -593,8 +669,7 @@ func (j *ParallelHashJoin) joinSpilled(out *emitter, runs [2]*spill.Run, depth i
 				return j.splitSpilled(out, runs, depth)
 			}
 			charged += n
-			h := t[j.RightKey].Hash()
-			table[h] = append(table[h], t)
+			j.insert(table, t)
 		}
 	}
 	probe, err := openRun(j.QC, runs[probeSide])
@@ -623,7 +698,7 @@ func rehashSpill(h uint64, depth int) uint64 {
 func (j *ParallelHashJoin) splitSpilled(out *emitter, runs [2]*spill.Run, depth int) error {
 	var subs [2][spillFanout]*spill.Run
 	var err error
-	for side, key := range [2]int{buildSide: j.RightKey, probeSide: j.LeftKey} {
+	for side, key := range [2][]int{buildSide: j.key.right, probeSide: j.key.left} {
 		if err == nil {
 			subs[side], err = j.splitRun(runs[side], key, depth)
 		}
@@ -644,8 +719,8 @@ func (j *ParallelHashJoin) splitSpilled(out *emitter, runs [2]*spill.Run, depth 
 }
 
 // splitRun rewrites run (nil: nothing to do) into up to spillFanout
-// sub-runs by the re-salted hash of column key. On failure none survive.
-func (j *ParallelHashJoin) splitRun(run *spill.Run, key, depth int) (subs [spillFanout]*spill.Run, err error) {
+// sub-runs by the re-salted hash of columns key. On failure none survive.
+func (j *ParallelHashJoin) splitRun(run *spill.Run, key []int, depth int) (subs [spillFanout]*spill.Run, err error) {
 	if run == nil {
 		return subs, nil
 	}
@@ -670,7 +745,7 @@ func (j *ParallelHashJoin) splitRun(run *spill.Run, key, depth int) (subs [spill
 		if !ok {
 			break
 		}
-		b := rehashSpill(t[key].Hash(), depth) % spillFanout
+		b := rehashSpill(hashKey(t, key), depth) % spillFanout
 		if wrs[b] == nil {
 			if wrs[b], err = j.Spill.NewWriter(); err != nil {
 				return subs, err
@@ -693,9 +768,14 @@ func (j *ParallelHashJoin) splitRun(run *spill.Run, key, depth int) (subs [spill
 
 // Close releases the build partitions, drops any spill state the workers
 // did not consume (error and early-close paths), and closes both
-// children. It runs after ExchangeMerge has joined every goroutine, so
-// touching the writers and runs is race-free.
+// children. It runs after ExchangeMerge has joined every goroutine (the
+// inline join stops its own exchange first), so touching the writers and
+// runs is race-free.
 func (j *ParallelHashJoin) Close() error {
+	if j.handoff != nil {
+		j.handoff.stop()
+	}
+	j.inline, j.handoff = nil, nil
 	for i := range j.parts {
 		p := &j.parts[i]
 		j.QC.ReleaseBuffered(p.bytes)

@@ -1,6 +1,11 @@
 package planner
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+	"strings"
+
 	"repro/internal/ast"
 	"repro/internal/costmodel"
 	"repro/internal/exec"
@@ -11,7 +16,7 @@ import (
 
 // join combines the current subtree with the next FROM entry, choosing the
 // join method by forced option or by cost.
-func (p *Planner) join(cur, right input, tr ast.TableRef, conjs []ast.Predicate, used []bool, force JoinMethod, label string) (input, error) {
+func (p *Planner) join(cur, right input, conjs []ast.Predicate, used []bool, force JoinMethod, label string) (input, error) {
 	// Restrict the right side first: for the outer joins of NEST-JA2 this
 	// ordering is a correctness requirement, not an optimization —
 	// section 5.2: "the condition which applies to only one relation ...
@@ -36,95 +41,89 @@ func (p *Planner) join(cur, right input, tr ast.TableRef, conjs []ast.Predicate,
 	}
 	if len(joinConjs) == 0 {
 		// Cartesian product: only nested loops applies.
-		return p.nlJoin(cur, right, tr, nil, false, label)
+		return p.nlJoin(cur, right, nil, nil, false, label)
 	}
 
-	// A merge join needs a single equality conjunct relating the two
-	// sides (extra equality conjuncts can post-filter an inner join, but
-	// an outer join's match condition must be evaluated in one place).
-	lkey, rkey, nullEq, rest := p.mergeKeys(cur, right, joinConjs, outer)
-	canMerge := lkey >= 0 && (!outer || len(rest) == 0)
+	// The join key is every equality conjunct relating the two sides; what
+	// is left over filters an inner join's output, but an outer join's
+	// match condition must be evaluated in one place, inside the operator.
+	keys, rest := p.mergeKeys(cur, right, joinConjs)
+	keyed := len(keys) > 0 && (!outer || len(rest) == 0)
 
-	// A parallel hash join has the same applicability shape as a merge
-	// join (one equality key; an outer join's condition evaluated in one
-	// place). It is considered only under JoinAuto — a forced method
-	// reproduces the paper's sequential experiments exactly.
-	if force == JoinAuto && canMerge && p.parallelOK(cur.tuples+right.tuples) {
-		return p.parallelHashJoin(cur, right, lkey, rkey, nullEq, rest, outer, label)
-	}
-
+	// The hash join is considered only under JoinAuto — a forced method
+	// reproduces the paper's sequential experiments exactly: across the
+	// workers when the inputs are worth partitioning, and inline, as its
+	// one-worker case, where the section 7 rule picks nested loops because
+	// the right side fits the pool — the build side is then what nested
+	// loops would have kept resident.
 	method := force
 	if method == JoinAuto {
-		method = p.chooseMethod(cur, right)
+		if keyed && p.parallelOK(cur.tuples+right.tuples) {
+			return p.hashJoin(cur, right, keys, rest, outer, p.opts.workers(), label)
+		}
+		if method = p.chooseMethod(cur, right); method == JoinNL && keyed && p.fitsPool(right) {
+			return p.hashJoin(cur, right, keys, rest, outer, 1, label)
+		}
 	}
-	if method == JoinMerge && !canMerge {
+	if method == JoinMerge && !keyed {
 		p.notef("%s: merge join not applicable to %s; using nested loops", label, predsText(joinConjs))
 		method = JoinNL
 	}
 	if method == JoinMerge {
-		return p.mergeJoin(cur, right, tr, lkey, rkey, nullEq, rest, outer, label)
+		return p.mergeJoin(cur, right, keys, rest, outer, label)
 	}
-	return p.nlJoin(cur, right, tr, joinConjs, outer, label)
+	return p.nlJoin(cur, right, joinConjs, keys, outer, label)
 }
 
-// mergeKeys picks the equality conjunct to use as the merge key, returning
-// the key positions, whether the key comparison is NULL-safe (OpEqNull, the
-// NEST-JA2 back-join), and the remaining conjuncts. Among the candidates it
-// prefers a key that matches an input's existing sort order, which both
-// elides a sort and realizes the section 7.4 plan (joining the grouped
-// temp table on its join column rather than on the scalar aggregate
-// comparison).
-func (p *Planner) mergeKeys(cur, right input, joinConjs []ast.Predicate, outer bool) (lkey, rkey int, nullEq bool, rest []ast.Predicate) {
-	type candidate struct {
-		idx        int
-		lkey, rkey int
-		nullEq     bool
-		score      int
-	}
-	var candidates []candidate
-	for i, c := range joinConjs {
-		cmp, ok := c.(*ast.Comparison)
-		if !ok || (cmp.Op != value.OpEq && cmp.Op != value.OpEqNull) {
-			continue
-		}
-		lc, lok := cmp.Left.(ast.ColumnRef)
-		rc, rok := cmp.Right.(ast.ColumnRef)
-		if !lok || !rok {
-			continue
-		}
-		li, ri := cur.op.Schema().Index(lc), right.op.Schema().Index(rc)
-		if li < 0 || ri < 0 {
-			li, ri = cur.op.Schema().Index(rc), right.op.Schema().Index(lc)
-		}
-		if li < 0 || ri < 0 {
-			continue
-		}
-		score := 0
-		if ri == right.sortedOn {
-			score += 2
-		}
-		if li == cur.sortedOn {
-			score++
-		}
-		candidates = append(candidates, candidate{idx: i, lkey: li, rkey: ri, nullEq: cmp.Op == value.OpEqNull, score: score})
-	}
-	best := -1
-	for i, c := range candidates {
-		if best < 0 || c.score > candidates[best].score {
-			best = i
-		}
-	}
-	lkey, rkey = -1, -1
-	chosen := -1
-	if best >= 0 {
-		lkey, rkey, nullEq, chosen = candidates[best].lkey, candidates[best].rkey, candidates[best].nullEq, candidates[best].idx
-	}
-	for i, c := range joinConjs {
-		if i != chosen {
+// mergeKeys splits the join conjuncts into the join key — every = or <=>
+// between a column of each side, <=> (OpEqNull, the NEST-JA2 back-join)
+// making its pair NULL-safe — and the remaining conjuncts. The pairs come
+// in an order the conjuncts' order does not influence: first a pair that
+// matches an input's existing sort order, which both elides a sort and
+// realizes the section 7.4 plan (joining the grouped temp table on its
+// join column rather than on the scalar aggregate comparison), then by
+// column position.
+func (p *Planner) mergeKeys(cur, right input, joinConjs []ast.Predicate) (keys []exec.KeyPair, rest []ast.Predicate) {
+	ls, rs := cur.op.Schema(), right.op.Schema()
+	for _, c := range joinConjs {
+		if k, ok := keyPair(c, ls, rs); ok {
+			keys = append(keys, k)
+		} else {
 			rest = append(rest, c)
 		}
 	}
-	return lkey, rkey, nullEq, rest
+	score := func(k exec.KeyPair) int {
+		s := 0
+		if k.Right == right.sortedOn {
+			s += 2
+		}
+		if k.Left == cur.sortedOn {
+			s++
+		}
+		return s
+	}
+	slices.SortStableFunc(keys, func(a, b exec.KeyPair) int {
+		return cmp.Or(cmp.Compare(score(b), score(a)), cmp.Compare(a.Left, b.Left), cmp.Compare(a.Right, b.Right))
+	})
+	return keys, rest
+}
+
+// keyPair reads conjunct c as an equality between a column of each side.
+func keyPair(c ast.Predicate, left, right exec.RowSchema) (exec.KeyPair, bool) {
+	cmp, ok := c.(*ast.Comparison)
+	if !ok || (cmp.Op != value.OpEq && cmp.Op != value.OpEqNull) {
+		return exec.KeyPair{}, false
+	}
+	lc, lok := cmp.Left.(ast.ColumnRef)
+	rc, rok := cmp.Right.(ast.ColumnRef)
+	if !lok || !rok {
+		return exec.KeyPair{}, false
+	}
+	li, ri := left.Index(lc), right.Index(rc)
+	if li < 0 || ri < 0 {
+		li, ri = left.Index(rc), right.Index(lc)
+	}
+	return exec.KeyPair{Left: li, Right: ri, NullEq: cmp.Op == value.OpEqNull}, li >= 0 && ri >= 0
 }
 
 // parallelOK reports whether a parallel operator over an input of the
@@ -139,42 +138,65 @@ func (p *Planner) parallelOK(tuples float64) bool {
 	return p.opts.ForceParallel || costmodel.ParallelWorthwhile(tuples, w)
 }
 
-// parallelHashJoin builds a hash join partitioned across workers behind an
-// ExchangeMerge. Workers interleave nondeterministically, so the result
-// reports no sort order: GROUP BY, DISTINCT, merge joins, and ORDER BY
-// above it keep their sorts (no section 7.4 elision applies).
-func (p *Planner) parallelHashJoin(cur, right input, lkey, rkey int, nullEq bool, rest []ast.Predicate, outer bool, label string) (input, error) {
-	w := p.opts.workers()
-	src := &exec.ParallelHashJoin{
+// hashJoin builds a hash join on keys. With several workers it is
+// partitioned across them behind an ExchangeMerge; workers interleave
+// nondeterministically, so the result reports no sort order: GROUP BY,
+// DISTINCT, merge joins, and ORDER BY above it keep their sorts (no section
+// 7.4 elision applies). With one worker it runs inline and streams the
+// left input in order, like the nested-loops join whose place it takes —
+// unless a spill session lets its build side hand over to Grace
+// partitions, which no order survives.
+func (p *Planner) hashJoin(cur, right input, keys []exec.KeyPair, rest []ast.Predicate, outer bool, w int, label string) (input, error) {
+	join := &exec.ParallelHashJoin{
 		Left:     cur.op,
 		Right:    right.op,
-		LeftKey:  lkey,
-		RightKey: rkey,
+		LeftKey:  keys[0].Left,
+		RightKey: keys[0].Right,
+		NullEq:   keys[0].NullEq,
+		More:     keys[1:],
 		Outer:    outer,
-		NullEq:   nullEq,
 		Workers:  w,
 		QC:       p.opts.QC,
 		Spill:    p.opts.Spill,
 	}
-	kind := "parallel hash join"
+	var op exec.Operator = join
+	kind, workers, sortedOn := "hash join", "", -1
+	if w > 1 {
+		kind, workers = "parallel hash join", fmt.Sprintf(" (%d workers)", w)
+		op = &exec.ExchangeMerge{Source: join, QC: p.opts.QC}
+	} else if p.opts.Spill == nil {
+		sortedOn = cur.sortedOn
+	}
 	if outer {
-		kind = "outer parallel hash join"
+		kind = "outer " + kind
 	}
-	p.notef("%s: %s %s with %s (%d workers)", label, kind, cur.op.Schema()[lkey], right.op.Schema()[rkey], w)
-	var op exec.Operator = &exec.ExchangeMerge{Source: src, QC: p.opts.QC}
-	if len(rest) > 0 {
-		pred, err := exec.CompileConjuncts(rest, op.Schema())
-		if err != nil {
-			return input{}, err
-		}
-		op = &exec.Filter{Child: op, Pred: pred}
-	}
+	p.notef("%s: %s %s%s", label, kind, p.keysText(cur, right, keys), workers)
+	op, err := residual(op, rest)
 	return input{
 		op:       op,
 		pages:    cur.pages + right.pages,
-		tuples:   p.keyCardinality(cur, right, lkey, rkey),
-		sortedOn: -1, // exchange output order is nondeterministic
-	}, nil
+		tuples:   p.keyCardinality(cur, right, keys),
+		sortedOn: sortedOn,
+	}, err
+}
+
+// residual filters a keyed join's output by the conjuncts its key does not
+// cover — non-equalities only; every equality is in the key.
+func residual(op exec.Operator, rest []ast.Predicate) (exec.Operator, error) {
+	if len(rest) == 0 {
+		return op, nil
+	}
+	pred, err := exec.CompileConjuncts(rest, op.Schema())
+	return &exec.Filter{Child: op, Pred: pred}, err
+}
+
+// keysText renders the key pairs for a plan note.
+func (p *Planner) keysText(cur, right input, keys []exec.KeyPair) string {
+	ls, rs, parts := cur.op.Schema(), right.op.Schema(), make([]string, len(keys))
+	for i, k := range keys {
+		parts[i] = ls[k.Left].String() + " with " + rs[k.Right].String()
+	}
+	return strings.Join(parts, " and ")
 }
 
 // chooseMethod estimates both join methods with the section 7 cost model
@@ -186,7 +208,7 @@ func (p *Planner) chooseMethod(cur, right input) JoinMethod {
 		mergeCost += costmodel.SortCost(cur.pages, b)
 	}
 	nlCost := cur.pages + right.pages
-	if right.pages > float64(b-1) {
+	if !p.fitsPool(right) {
 		nlCost = cur.pages + cur.tuples*right.pages
 	}
 	if nlCost <= mergeCost {
@@ -195,84 +217,70 @@ func (p *Planner) chooseMethod(cur, right input) JoinMethod {
 	return JoinMerge
 }
 
+// fitsPool reports whether in stays resident in B−1 pages while another
+// input streams past it: the favorable nested-loops case of section 7.2.
+func (p *Planner) fitsPool(in input) bool { return in.pages <= float64(p.store.BufferPages()-1) }
+
 // mergeJoin builds a sort-merge join, eliminating sorts on inputs already
-// in key order (the section 7.4 optimizations).
-func (p *Planner) mergeJoin(cur, right input, tr ast.TableRef, lkey, rkey int, nullEq bool, rest []ast.Predicate, outer bool, label string) (input, error) {
-	b := p.store.BufferPages()
-	left := cur.op
-	if cur.sortedOn != lkey {
-		left = &exec.Sort{Child: left, Keys: []int{lkey}, Store: p.store, TuplesPerPage: p.opts.TempTuplesPerPage, QC: p.opts.QC, Spill: p.opts.Spill}
-		p.notef("%s: sort left input on %s", label, cur.op.Schema()[lkey])
-	} else {
-		p.notef("%s: left input already in join-column order, sort elided", label)
+// in key order (the section 7.4 optimizations). A merge join never sorts
+// where a single-column key would not: when an input already arrives in
+// the leading key column's order the merge runs on that column and the
+// operator checks the other pairs row by row; only when both inputs are
+// sorted anyway are they sorted on the whole key.
+func (p *Planner) mergeJoin(cur, right input, keys []exec.KeyPair, rest []ast.Predicate, outer bool, label string) (input, error) {
+	lead := keys[0]
+	full := len(keys) > 1 && cur.sortedOn != lead.Left && right.sortedOn != lead.Right
+	lcols, rcols := []int{lead.Left}, []int{lead.Right}
+	if full {
+		for _, k := range keys[1:] {
+			lcols, rcols = append(lcols, k.Left), append(rcols, k.Right)
+		}
 	}
-	rightOp := right.op
-	if right.sortedOn != rkey {
-		rightOp = &exec.Sort{Child: rightOp, Keys: []int{rkey}, Store: p.store, TuplesPerPage: p.opts.TempTuplesPerPage, QC: p.opts.QC, Spill: p.opts.Spill}
-		p.notef("%s: sort right input on %s", label, right.op.Schema()[rkey])
-	} else {
-		p.notef("%s: right input already in join-column order, sort elided", label)
+	sorted := func(in input, cols []int, side string) exec.Operator {
+		if in.sortedOn == cols[0] {
+			p.notef("%s: %s input already in join-column order, sort elided", label, side)
+			return in.op
+		}
+		p.notef("%s: sort %s input on %s", label, side, in.op.Schema()[cols[0]])
+		return &exec.Sort{Child: in.op, Keys: cols, Store: p.store, TuplesPerPage: p.opts.TempTuplesPerPage, QC: p.opts.QC, Spill: p.opts.Spill}
 	}
+	left, rightOp := sorted(cur, lcols, "left"), sorted(right, rcols, "right")
 	kind := "merge join"
 	if outer {
 		kind = "outer merge join"
 	}
-	p.notef("%s: %s %s with %s (B=%d)", label, kind, cur.op.Schema()[lkey], right.op.Schema()[rkey], b)
-	var op exec.Operator = &exec.MergeJoin{Left: left, Right: rightOp, LeftKey: lkey, RightKey: rkey, Outer: outer, NullEq: nullEq, QC: p.opts.QC, Spill: p.opts.Spill}
-	if len(rest) > 0 {
-		pred, err := exec.CompileConjuncts(rest, op.Schema())
-		if err != nil {
-			return input{}, err
-		}
-		op = &exec.Filter{Child: op, Pred: pred}
-	}
+	p.notef("%s: %s %s (B=%d)", label, kind, p.keysText(cur, right, keys), p.store.BufferPages())
+	op, err := residual(&exec.MergeJoin{Left: left, Right: rightOp, LeftKey: lead.Left, RightKey: lead.Right, NullEq: lead.NullEq,
+		More: keys[1:], FullOrder: full, Outer: outer, QC: p.opts.QC, Spill: p.opts.Spill}, rest)
 	return input{
 		op:       op,
 		pages:    cur.pages + right.pages,
-		tuples:   p.keyCardinality(cur, right, lkey, rkey),
-		sortedOn: lkey,
-	}, nil
+		tuples:   p.keyCardinality(cur, right, keys),
+		sortedOn: lead.Left,
+	}, err
 }
 
-// keyCardinality estimates a merge join's output size from the key
-// columns' distinct-value statistics.
-func (p *Planner) keyCardinality(cur, right input, lkey, rkey int) float64 {
-	if p.opts.Stats == nil {
-		return maxf(cur.tuples, right.tuples)
+// keyCardinality estimates a join's output size: with statistics, the
+// System R formula n_l·n_r / max(distinct) over the most selective key
+// pair; without statistics or a key, the larger input.
+func (p *Planner) keyCardinality(cur, right input, keys []exec.KeyPair) float64 {
+	if p.opts.Stats == nil || len(keys) == 0 {
+		return max(cur.tuples, right.tuples)
 	}
-	lc, rc := cur.op.Schema()[lkey], right.op.Schema()[rkey]
-	dl := p.opts.Stats.DistinctValues(ast.ColumnRef{Table: lc.Table, Column: lc.Column}, p.curFrom)
-	dr := p.opts.Stats.DistinctValues(ast.ColumnRef{Table: rc.Table, Column: rc.Column}, p.curFrom)
-	return stats.JoinCardinality(cur.tuples, right.tuples, dl, dr)
-}
-
-// joinCardinality estimates the joined row count: with statistics, the
-// System R formula n_l·n_r / max(distinct); without, the larger input.
-func (p *Planner) joinCardinality(cur, right input, conjs []ast.Predicate) float64 {
-	if p.opts.Stats == nil {
-		return maxf(cur.tuples, right.tuples)
+	distinct := func(c exec.ColID) int {
+		return p.opts.Stats.DistinctValues(ast.ColumnRef{Table: c.Table, Column: c.Column}, p.curFrom)
 	}
-	for _, c := range conjs {
-		cmp, ok := c.(*ast.Comparison)
-		if !ok || (cmp.Op != value.OpEq && cmp.Op != value.OpEqNull) {
-			continue
-		}
-		lc, lok := cmp.Left.(ast.ColumnRef)
-		rc, rok := cmp.Right.(ast.ColumnRef)
-		if !lok || !rok {
-			continue
-		}
-		dl := p.opts.Stats.DistinctValues(lc, p.curFrom)
-		dr := p.opts.Stats.DistinctValues(rc, p.curFrom)
-		return stats.JoinCardinality(cur.tuples, right.tuples, dl, dr)
+	d := 0
+	for _, k := range keys {
+		d = max(d, distinct(cur.op.Schema()[k.Left]), distinct(right.op.Schema()[k.Right]))
 	}
-	return maxf(cur.tuples, right.tuples)
+	return stats.JoinCardinality(cur.tuples, right.tuples, d, d)
 }
 
 // nlJoin builds a nested-loops join; the right side must be a stored file
 // (a bare scan serves directly, anything else is materialized first,
 // which also enforces restriction-before-join for outer joins).
-func (p *Planner) nlJoin(cur, right input, tr ast.TableRef, joinConjs []ast.Predicate, outer bool, label string) (input, error) {
+func (p *Planner) nlJoin(cur, right input, joinConjs []ast.Predicate, keys []exec.KeyPair, outer bool, label string) (input, error) {
 	var file *storage.HeapFile
 	if scan, ok := right.op.(*exec.SeqScan); ok {
 		file = scan.File
@@ -305,7 +313,7 @@ func (p *Planner) nlJoin(cur, right input, tr ast.TableRef, joinConjs []ast.Pred
 	return input{
 		op:       op,
 		pages:    cur.pages + right.pages,
-		tuples:   p.joinCardinality(cur, right, joinConjs),
+		tuples:   p.keyCardinality(cur, right, keys),
 		sortedOn: cur.sortedOn, // nested loops preserves left order
 	}, nil
 }
@@ -339,11 +347,4 @@ func predsText(ps []ast.Predicate) string {
 		s += p.String()
 	}
 	return s
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

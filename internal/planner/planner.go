@@ -293,7 +293,7 @@ func (p *Planner) planBlock(qb *ast.QueryBlock, force JoinMethod, label string) 
 		if err != nil {
 			return input{}, err
 		}
-		cur, err = p.join(cur, right, tr, conjs, used, force, label)
+		cur, err = p.join(cur, right, conjs, used, force, label)
 		if err != nil {
 			return input{}, err
 		}

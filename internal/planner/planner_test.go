@@ -1,6 +1,7 @@
 package planner_test
 
 import (
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -106,8 +107,9 @@ func TestPlannerThetaJoinFallsBackToNL(t *testing.T) {
 	}
 }
 
-// Cost-based choice: a small right side that fits in the buffer pool
-// favors nested loops; a large one favors merge join.
+// Cost-based choice: a large right side favors merge join; a small one
+// that fits in the buffer pool favors nested loops, whose slot an equality
+// join fills with the inline hash join — no exchange, no goroutine.
 func TestPlannerAutoChoice(t *testing.T) {
 	mk := func(innerTuples, b int) string {
 		db := workload.NewDB(b)
@@ -136,8 +138,22 @@ func TestPlannerAutoChoice(t *testing.T) {
 		t.Errorf("large inner should use merge join:\n%s", notes)
 	}
 	// Tiny inner, large pool: nested loops is cheaper for the temp join.
-	if notes := mk(4, 64); !strings.Contains(notes, "nested-loops join") {
-		t.Errorf("small inner should use nested loops:\n%s", notes)
+	before := runtime.NumGoroutine()
+	notes := mk(4, 64)
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("a sequential plan left %d goroutine(s) behind", after-before)
+	}
+	for _, frag := range []string{"TEMP3: outer hash join TEMP1.JC with TEMP2.JC", "OuterHashJoin(left#0 = right#0)",
+		"final: hash join RI.JC with TEMP3.JC and RI.V with TEMP3.CT", "HashJoin(left#0 <=> right#0, left#1 = right#1)",
+		"TEMP3: input already in GROUP BY order, sort elided"} {
+		if !strings.Contains(notes, frag) {
+			t.Errorf("small inner should use the inline hash join; notes missing %q:\n%s", frag, notes)
+		}
+	}
+	for _, frag := range []string{"nested-loops", "ExchangeMerge", "Parallel", "workers"} {
+		if strings.Contains(notes, frag) {
+			t.Errorf("small inner: notes mention %q:\n%s", frag, notes)
+		}
 	}
 }
 
