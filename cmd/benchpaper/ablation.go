@@ -172,10 +172,10 @@ func expAblations() {
 			if err := workload.LoadSynthetic(&workload.DB{Cat: db.Catalog(), Store: db.Store()}, cfg); err != nil {
 				panic(err)
 			}
-			res, err := db.Query(workload.TypeJAQuery(cfg), govern(engine.Options{
+			res, err := db.Query(workload.TypeJAQuery(cfg), engine.Options{
 				Strategy: engine.TransformJA2,
 				Planner:  planner.Options{TempJoin: temp, FinalJoin: final},
-			}))
+			})
 			if err != nil {
 				panic(err)
 			}

@@ -99,7 +99,7 @@ func measure(cfg workload.SyntheticConfig, b int, sql string, s engine.Strategy,
 	if err := workload.LoadSynthetic(&workload.DB{Cat: db.Catalog(), Store: db.Store()}, cfg); err != nil {
 		panic(err)
 	}
-	res, err := db.Query(sql, govern(engine.Options{Strategy: s, Planner: popts}))
+	res, err := db.Query(sql, engine.Options{Strategy: s, Planner: popts})
 	if err != nil {
 		panic(err)
 	}

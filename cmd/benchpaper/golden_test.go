@@ -15,19 +15,10 @@ var update = flag.Bool("update", false, "rewrite the golden experiment output")
 // The full experiment output is deterministic (fixed seeds, deterministic
 // engine), so it is pinned as a golden file: any semantic or cost change
 // to the reproduction shows up as a diff against the paper's tables.
-// Experiments whose output *is* the measurement — wall-clock timings —
-// are excluded; their correctness lives in their own test gates.
-var timingExperiments = map[string]bool{
-	"durability": true, // per-commit latency and recovery timings (make crash is the gate)
-}
-
 func TestGoldenExperimentOutput(t *testing.T) {
 	var buf bytes.Buffer
 	captureStdout(t, &buf, func() {
 		for _, e := range experiments {
-			if timingExperiments[e.name] {
-				continue
-			}
 			banner(e.desc)
 			e.run()
 		}

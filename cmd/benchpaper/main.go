@@ -17,9 +17,14 @@
 //	benchpaper -exp ablations     # design ablations A1-A4 (see DESIGN.md)
 //
 // Experiment numbering (E1-E12) follows DESIGN.md.
+//
+// It also holds the three drivers scripts/serve_smoke.sh runs against a
+// live nestedsqld (-serve-load, -serve-dml, -serve-dml-verify; see
+// smoke.go). What serving costs is measured by bench/, not here.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -45,62 +50,77 @@ var experiments = []experiment{
 	{"sweep", "Section 4 — savings sweep, analytic and measured (E11)", expSweep},
 	{"modelfit", "Section 7 — cost model vs end-to-end measurement", expModelFit},
 	{"ablations", "Ablations A1-A4 — isolating each NEST-JA2 ingredient", expAblations},
-	{"durability", "Durability — commit overhead (fsync on/off) and recovery time vs WAL length (E13)", expDurability},
 }
 
-func main() {
-	exp := flag.String("exp", "all", "experiment to run (all | "+names()+")")
-	flag.DurationVar(&queryTimeout, "timeout", 0, "per-query wall-clock limit for experiment queries (0 = none)")
-	flag.Int64Var(&queryMaxRows, "max-rows", 0, "per-query result-row budget for experiment queries (0 = none)")
-	flag.IntVar(&admitMaxConcurrent, "max-concurrent", 0, "admission: max concurrent queries per experiment database (0 = no gateway)")
-	flag.IntVar(&admitQueueDepth, "queue-depth", 0, "admission: queries allowed to wait behind the running ones")
-	flag.Int64Var(&admitMemPool, "mem-pool", 0, "admission: global memory pool in bytes (0 = none)")
-	flag.BoolVar(&serveLoadFlag, "serve-load", false, "run the network load harness instead of an experiment (see serveload.go)")
-	flag.StringVar(&serveAddr, "serve-addr", "", "serve-load: address of a running nestedsqld -fixture both (empty = in-process server)")
-	flag.IntVar(&serveConns, "connections", 8, "serve-load: concurrent client connections")
-	flag.IntVar(&serveRounds, "rounds", 3, "serve-load: rounds of the query mix per connection")
-	flag.StringVar(&serveSpillDir, "serve-spill-dir", "", "serve-load: enable spill-to-disk on the in-process server, rooted here (empty = off)")
-	flag.IntVar(&serveCluster, "cluster", 0, "serve-load: shard across N in-process workers behind a coordinator and report per-node q/s (0 = single node)")
-	flag.IntVar(&serveReplicas, "replicas", 1, "serve-load: copies per shard; at R>1 the harness also runs the failover drill (kill a worker mid-fleet) and reports replicated-DML commit overhead")
-	serveDML := flag.Int("serve-dml", 0, "drive N sequential acked INSERTs into table DURABLE on -serve-addr, printing the acked count (see serve_smoke.sh phase 4)")
-	serveDMLVerify := flag.Int("serve-dml-verify", -1, "verify the recovered DURABLE table on -serve-addr holds the contiguous acked prefix (N = acked count from -serve-dml)")
-	flag.Parse()
+// options is the parsed command line.
+type options struct {
+	exp, serveAddr                                string
+	serveLoad                                     bool
+	connections, rounds, serveDML, serveDMLVerify int
+}
 
-	if serveLoadFlag {
-		if serveCluster > 0 {
-			banner("Cluster load harness — distributed gathers vs the sequential oracle")
-			expServeCluster()
-			return
+// defineFlags declares every flag benchpaper takes on fs.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.exp, "exp", "all", "experiment to run (all | "+names()+")")
+	fs.BoolVar(&o.serveLoad, "serve-load", false, "stream the paper workload through the nestedsqld -fixture both at -serve-addr and diff every result against the in-process oracle")
+	fs.StringVar(&o.serveAddr, "serve-addr", "", "address of the running nestedsqld the -serve-* drivers talk to (required by them)")
+	fs.IntVar(&o.connections, "connections", 8, "serve-load: concurrent client connections")
+	fs.IntVar(&o.rounds, "rounds", 3, "serve-load: rounds of the query mix per connection")
+	fs.IntVar(&o.serveDML, "serve-dml", 0, "drive N sequential acked INSERTs into table DURABLE on -serve-addr, printing the acked count (see serve_smoke.sh phase 4)")
+	fs.IntVar(&o.serveDMLVerify, "serve-dml-verify", -1, "verify the recovered DURABLE table on -serve-addr holds the contiguous acked prefix (N = acked count from -serve-dml)")
+	return o
+}
+
+// errUsage marks a command line that asks for nothing runnable: exit 2,
+// where a run that failed exits 1.
+var errUsage = errors.New("usage")
+
+func main() {
+	o := defineFlags(flag.CommandLine)
+	flag.Parse()
+	if err := run(o); err != nil {
+		fmt.Fprintln(os.Stderr, "benchpaper:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// run does what the command line asked for: one smoke driver, or
+// experiments.
+func run(o *options) error {
+	smoke := o.serveLoad || o.serveDML > 0 || o.serveDMLVerify >= 0
+	if smoke && o.serveAddr == "" {
+		return fmt.Errorf("%w: -serve-load, -serve-dml and -serve-dml-verify need -serve-addr HOST:PORT of a running nestedsqld", errUsage)
+	}
+	switch {
+	case o.serveLoad:
+		if o.connections < 1 || o.rounds < 1 {
+			return fmt.Errorf("%w: -connections and -rounds must be at least 1 (got %d and %d)", errUsage, o.connections, o.rounds)
 		}
 		banner("Network load harness — streamed results vs the sequential oracle")
-		expServeLoad()
-		return
-	}
-	if *serveDML > 0 {
-		expServeDML(serveAddr, *serveDML)
-		return
-	}
-	if *serveDMLVerify >= 0 {
-		expServeDMLVerify(serveAddr, *serveDMLVerify)
-		return
+		return serveLoad(o.serveAddr, o.connections, o.rounds)
+	case o.serveDML > 0:
+		_, err := serveDML(o.serveAddr, o.serveDML)
+		return err
+	case o.serveDMLVerify >= 0:
+		return serveDMLVerify(o.serveAddr, o.serveDMLVerify)
 	}
 
-	if *exp == "all" {
-		for _, e := range experiments {
-			banner(e.desc)
-			e.run()
-		}
-		return
-	}
+	ran := false
 	for _, e := range experiments {
-		if e.name == *exp {
+		if o.exp == "all" || o.exp == e.name {
 			banner(e.desc)
 			e.run()
-			return
+			ran = true
 		}
 	}
-	fmt.Fprintf(os.Stderr, "unknown experiment %q; choose one of: all %s\n", *exp, names())
-	os.Exit(2)
+	if !ran {
+		return fmt.Errorf("%w: unknown experiment %q; choose one of: all %s", errUsage, o.exp, names())
+	}
+	return nil
 }
 
 func names() string {

@@ -3,9 +3,7 @@ package main
 import (
 	"fmt"
 	"strings"
-	"time"
 
-	"repro/internal/admission"
 	"repro/internal/engine"
 	"repro/internal/planner"
 	"repro/internal/schema"
@@ -15,28 +13,9 @@ import (
 	"repro/internal/workload"
 )
 
-// admitMaxConcurrent, admitQueueDepth, and admitMemPool hold the
-// -max-concurrent, -queue-depth, and -mem-pool admission flags; when any
-// is set, every experiment database runs behind the admission gateway,
-// which lets the overhead experiment compare governed vs. raw runs on
-// identical workloads. All zero (the default) keeps the gateway off and
-// the golden output byte-identical.
-var (
-	admitMaxConcurrent int
-	admitQueueDepth    int
-	admitMemPool       int64
-)
-
 // newDB loads a fixture into a fresh engine database.
 func newDB(bufferPages int, load func(*workload.DB) error) *engine.DB {
 	db := engine.New(bufferPages)
-	if admitMaxConcurrent > 0 || admitMemPool > 0 {
-		db.EnableAdmission(admission.Config{
-			MaxConcurrent: admitMaxConcurrent,
-			QueueDepth:    admitQueueDepth,
-			PoolBytes:     admitMemPool,
-		})
-	}
 	if err := load(&workload.DB{Cat: db.Catalog(), Store: db.Store()}); err != nil {
 		panic(err)
 	}
@@ -53,27 +32,13 @@ var (
 	forceParallel   bool
 )
 
-// queryTimeout and queryMaxRows hold the -timeout and -max-rows lifecycle
-// flags; govern applies them so every experiment query runs under the same
-// budgets.
-var (
-	queryTimeout time.Duration
-	queryMaxRows int64
-)
-
-func govern(opts engine.Options) engine.Options {
-	opts.Timeout = queryTimeout
-	opts.MaxRows = queryMaxRows
-	return opts
-}
-
 // runStrategy executes sql under a strategy and returns the result.
 func runStrategy(db *engine.DB, sql string, s engine.Strategy) *engine.Result {
 	opts := engine.Options{Strategy: s}
 	opts.Planner.Parallelism = parallelWorkers
 	opts.Planner.ForceParallel = forceParallel
 	opts.VerifyParallel = parallelWorkers > 1
-	res, err := db.Query(sql, govern(opts))
+	res, err := db.Query(sql, opts)
 	if err != nil {
 		panic(err)
 	}

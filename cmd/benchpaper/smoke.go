@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -14,28 +12,20 @@ import (
 	"repro/internal/client"
 	"repro/internal/engine"
 	"repro/internal/qctx"
-	"repro/internal/server"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
 
-// The serve-load harness: N concurrent client connections drive the
-// paper workload through a nestedsqld server and cross-check every
-// streamed result, byte for byte, against an in-process sequential
-// oracle. Overload sheds are retried after the server's hint; any
-// result mismatch or unexpected error fails the run.
+// The three drivers scripts/serve_smoke.sh points at a running
+// nestedsqld. They check answers and acked rows; what serving costs is
+// measured in bench/ (serve_read, serve_write, cluster_mix). A failure
+// is the returned error: main owns the exit status, and smoke_test.go
+// calls the drivers directly.
 //
-//	benchpaper -serve-load                        # in-process server
-//	benchpaper -serve-load -serve-addr HOST:PORT  # external nestedsqld
-//	  (the external server must be started with -fixture both)
-
-var (
-	serveLoadFlag bool
-	serveAddr     string
-	serveConns    int
-	serveRounds   int
-	serveSpillDir string
-)
+//	benchpaper -serve-load -serve-addr HOST:PORT -connections 8 -rounds 3
+//	  (the server must be started with -fixture both)
+//	benchpaper -serve-dml N -serve-addr HOST:PORT
+//	benchpaper -serve-dml-verify ACKED -serve-addr HOST:PORT
 
 // loadQuery is one workload entry: the SQL, the strategy byte the
 // client requests, and the engine strategy the oracle mirrors.
@@ -86,30 +76,16 @@ var loadWorkload = []loadQuery{
 		wire.StrategyTransform, engine.TransformJA2},
 }
 
-// loadDB builds the combined paper database the harness (and an
-// in-process server) runs against; nestedsqld -fixture both is the
-// external equivalent.
-func loadDB() *nestedsql.DB {
-	db := nestedsql.Open(
-		nestedsql.WithBufferPages(32),
-		nestedsql.WithAdmissionControl(nestedsql.AdmissionConfig{
-			MaxConcurrent: admitMaxConcurrent,
-			QueueDepth:    admitQueueDepth,
-			MemPool:       admitMemPool,
-		}),
-	)
-	if serveSpillDir != "" {
-		if err := db.EnableSpill(serveSpillDir, 0); err != nil {
-			panic(err)
+// paperDB holds both paper databases in one catalog, as nestedsqld
+// -fixture both serves them.
+func paperDB() (*nestedsql.DB, error) {
+	db := nestedsql.Open(nestedsql.WithBufferPages(32))
+	for _, f := range []nestedsql.Fixture{nestedsql.FixtureKiessling, nestedsql.FixtureSuppliers} {
+		if err := db.LoadFixture(f); err != nil {
+			return nil, err
 		}
 	}
-	if err := db.LoadFixture(nestedsql.FixtureKiessling); err != nil {
-		panic(err)
-	}
-	if err := db.LoadFixture(nestedsql.FixtureSuppliers); err != nil {
-		panic(err)
-	}
-	return db
+	return db, nil
 }
 
 // canonical renders a result as the wire's own value encoding, so
@@ -119,49 +95,33 @@ func canonical(cols []string, rows []storage.Tuple) []byte {
 	return wire.EncodeRowBatch(wire.RowBatch{Columns: cols, Rows: rows})
 }
 
-// expServeLoad runs the load harness. It exits the process non-zero on
-// any mismatch or unexpected error, so scripts can gate on it.
-func expServeLoad() {
+// serveLoad drives the paper workload through the nestedsqld at addr
+// from conns concurrent connections, rounds times each, and cross-checks
+// every streamed result, byte for byte, against an in-process sequential
+// oracle. Overload sheds are retried after the server's hint; any
+// mismatch, unexpected error or unfinished query is the returned error.
+func serveLoad(addr string, conns, rounds int) error {
 	// The oracle: the same database, queried in process, sequentially.
-	oracle := nestedsql.Open(nestedsql.WithBufferPages(32))
-	if err := oracle.LoadFixture(nestedsql.FixtureKiessling); err != nil {
-		fatal(err)
-	}
-	if err := oracle.LoadFixture(nestedsql.FixtureSuppliers); err != nil {
-		fatal(err)
+	oracle, err := paperDB()
+	if err != nil {
+		return fmt.Errorf("serve-load: %w", err)
 	}
 	expected := make([][]byte, len(loadWorkload))
 	for i, q := range loadWorkload {
 		res, err := oracle.Internal().Query(q.sql, engine.Options{Strategy: q.engStrat})
 		if err != nil {
-			fatal(fmt.Errorf("oracle %s: %w", q.name, err))
+			return fmt.Errorf("serve-load: oracle %s: %w", q.name, err)
 		}
 		expected[i] = canonical(res.Columns, res.Rows)
 	}
 
-	addr := serveAddr
-	var srvDB *nestedsql.DB
-	if addr == "" {
-		// No external server: boot one in process on a random port.
-		srvDB = loadDB()
-		srv := server.New(srvDB.Internal(), server.Config{Strategy: engine.TransformJA2})
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fatal(err)
-		}
-		go srv.Serve(lis)
-		defer srv.Shutdown(10 * time.Second)
-		addr = lis.Addr().String()
-		fmt.Printf("serve-load: in-process server on %s\n", addr)
-	}
-
 	fmt.Printf("serve-load: %d connections x %d rounds x %d queries against %s\n",
-		serveConns, serveRounds, len(loadWorkload), addr)
+		conns, rounds, len(loadWorkload), addr)
 
-	results := make([]outcome, serveConns)
+	results := make([]outcome, conns)
 	start := time.Now()
 	var wg sync.WaitGroup
-	for w := range serveConns {
+	for w := range conns {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -173,11 +133,9 @@ func expServeLoad() {
 			}
 			defer conn.Close()
 			rng := rand.New(rand.NewSource(int64(w) + 1))
-			for range serveRounds {
-				order := rng.Perm(len(loadWorkload))
-				for _, qi := range order {
-					q := loadWorkload[qi]
-					if !runOne(conn, q, expected[qi], out) {
+			for range rounds {
+				for _, qi := range rng.Perm(len(loadWorkload)) {
+					if !runOne(conn, loadWorkload[qi], expected[qi], out) {
 						return
 					}
 				}
@@ -187,47 +145,33 @@ func expServeLoad() {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	var done, sheds int
+	var done, sheds, bad int
 	var lats []time.Duration
-	bad := false
 	for w, out := range results {
 		done += out.done
 		sheds += out.sheds
 		lats = append(lats, out.latencies...)
 		for _, m := range out.mismatches {
 			fmt.Printf("serve-load: MISMATCH conn %d: %s\n", w, m)
-			bad = true
 		}
 		for _, f := range out.failures {
 			fmt.Printf("serve-load: FAILURE conn %d: %s\n", w, f)
-			bad = true
 		}
+		bad += len(out.mismatches) + len(out.failures)
 	}
-	want := serveConns * serveRounds * len(loadWorkload)
-	if done != want {
-		fmt.Printf("serve-load: completed %d of %d queries\n", done, want)
-		bad = true
+	want := conns * rounds * len(loadWorkload)
+	if bad > 0 || done != want {
+		return fmt.Errorf("serve-load: completed %d of %d queries with %d mismatch(es) or failure(s)", done, want, bad)
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	fmt.Printf("serve-load: %d queries OK, %d overload sheds retried, %.1fs wall\n",
 		done, sheds, elapsed.Seconds())
-	if len(lats) > 0 {
-		fmt.Printf("serve-load: throughput %.0f q/s, latency p50 %s p99 %s\n",
-			float64(done)/elapsed.Seconds(),
-			lats[len(lats)*50/100].Round(time.Microsecond),
-			lats[len(lats)*99/100].Round(time.Microsecond))
-	}
-	if bad {
-		os.Exit(1)
-	}
-	if srvDB != nil {
-		st := srvDB.AdmissionStats()
-		fmt.Printf("serve-load: admission admitted=%d shed=%d degraded=%d pressure=%d\n",
-			st.Admitted, st.Shed, st.Degraded, st.PressureGrants)
-		sp := srvDB.SpillStats()
-		fmt.Printf("serve-load: spill runs=%d bytes=%d\n", sp.Runs, sp.Bytes)
-	}
+	fmt.Printf("serve-load: throughput %.0f q/s, latency p50 %s p99 %s\n",
+		float64(done)/elapsed.Seconds(),
+		lats[len(lats)*50/100].Round(time.Microsecond),
+		lats[len(lats)*99/100].Round(time.Microsecond))
 	fmt.Println("serve-load: all streamed results byte-identical to the sequential oracle")
+	return nil
 }
 
 // outcome accumulates one connection's results.
@@ -271,7 +215,78 @@ func runOne(conn *client.Conn, q loadQuery, want []byte, out *outcome) bool {
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "serve-load:", err)
-	os.Exit(1)
+// serveDML is the burst behind serve_smoke.sh phases 4 and 5: CREATE
+// TABLE DURABLE, then INSERT keys 0,1,2,... sequentially until n are
+// acked or the server goes away. It prints "serve-dml: acked N" (CREATE
+// excluded) and returns N; losing the server mid-burst is the expected
+// outcome when the script kills the daemon, so only a served refusal or
+// a wrong ack is an error.
+func serveDML(addr string, n int) (acked int, err error) {
+	conn, err := client.Dial(addr, 10*time.Second)
+	if err != nil {
+		return 0, fmt.Errorf("serve-dml: dial %s: %w", addr, err)
+	}
+	defer conn.Close()
+	report := func(how string) {
+		fmt.Printf("serve-dml: acked %d (%s)\n", acked, how)
+	}
+	if _, err := conn.Collect("CREATE TABLE DURABLE (K INT, V INT)", client.Options{}); err != nil {
+		report("server lost before CREATE was acked")
+		return 0, nil
+	}
+	for i := 0; i < n; i++ {
+		res, err := conn.Collect(fmt.Sprintf("INSERT INTO DURABLE VALUES (%d, %d)", i, i), client.Options{})
+		if err != nil {
+			var remote *wire.RemoteError
+			if errors.As(err, &remote) {
+				// A served refusal is a hard failure here: the gate runs
+				// without WAL faults, so the daemon should never refuse.
+				return acked, fmt.Errorf("serve-dml: INSERT %d refused: %w", i, err)
+			}
+			report("server lost mid-burst")
+			return acked, nil
+		}
+		if res.Done.Rows != 1 {
+			return acked, fmt.Errorf("serve-dml: INSERT %d acked %d rows, want 1", i, res.Done.Rows)
+		}
+		acked++
+	}
+	report("burst completed")
+	return acked, nil
+}
+
+// serveDMLVerify reads the DURABLE table back and checks it is exactly
+// the acked prefix — keys 0..m-1 with acked <= m <= acked+1, the slack
+// being the single INSERT that may have been in flight (sent,
+// unanswered) when the daemon was killed.
+func serveDMLVerify(addr string, acked int) error {
+	conn, err := client.Dial(addr, 10*time.Second)
+	if err != nil {
+		return fmt.Errorf("serve-dml-verify: dial %s: %w", addr, err)
+	}
+	defer conn.Close()
+	res, err := conn.Collect("SELECT K FROM DURABLE", client.Options{})
+	if err != nil {
+		return fmt.Errorf("serve-dml-verify: read DURABLE: %w", err)
+	}
+	keys := make([]int64, 0, len(res.Rows))
+	for _, row := range res.Rows {
+		keys = append(keys, row[0].Int())
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	for i, k := range keys {
+		if k != int64(i) {
+			return fmt.Errorf("serve-dml-verify: recovered keys are not a contiguous prefix: position %d holds %d", i, k)
+		}
+	}
+	m := len(keys)
+	if m < acked || m > acked+1 {
+		return fmt.Errorf("serve-dml-verify: recovered %d rows; %d were acked (at most 1 in-flight allowed)", m, acked)
+	}
+	extra := ""
+	if m == acked+1 {
+		extra = " (+ the in-flight INSERT, which made it to the log)"
+	}
+	fmt.Printf("serve-dml: verified %d recovered rows = contiguous acked prefix%s\n", m, extra)
+	return nil
 }

@@ -23,6 +23,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"time"
 
 	nestedsql "repro"
 )
@@ -52,47 +53,63 @@ type csvLoads []string
 func (c *csvLoads) String() string     { return strings.Join(*c, ",") }
 func (c *csvLoads) Set(v string) error { *c = append(*c, v); return nil }
 
+// options is the parsed command line.
+type options struct {
+	fixture, strategy, tempJoin, finalJoin, spillDir, open, save, dataDir string
+	buffer, parallel, maxConcurrent, queueDepth                           int
+	explain, interactive, verifyParallel, fsync                           bool
+	timeout                                                               time.Duration
+	maxRows, maxBytes, spillThreshold, memPool                            int64
+	loads                                                                 csvLoads
+}
+
+// defineFlags declares every flag nestedsql takes on fs.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.fixture, "fixture", "kiessling", "dataset: kiessling | nonequality | duplicates | suppliers | none")
+	fs.StringVar(&o.strategy, "strategy", "ja2", "evaluation strategy: ni | ja2 | kim")
+	fs.IntVar(&o.buffer, "buffer", 32, "buffer pool size in pages (the paper's B)")
+	fs.BoolVar(&o.explain, "explain", false, "print classification, transformation steps, and plan decisions")
+	fs.StringVar(&o.tempJoin, "join-temp", "auto", "force temp-table join method: auto | merge | nl")
+	fs.StringVar(&o.finalJoin, "join-final", "auto", "force final join method: auto | merge | nl")
+	fs.BoolVar(&o.interactive, "i", false, "interactive REPL (read statements from stdin)")
+	fs.IntVar(&o.parallel, "parallel", 0, "parallel workers for transformed plans: 0|1 sequential, n>1 workers, -1 one per CPU")
+	fs.BoolVar(&o.verifyParallel, "verify-parallel", false, "cross-check every parallel result against the sequential plan and nested iteration")
+	fs.DurationVar(&o.timeout, "timeout", 0, "per-query wall-clock limit; exceeding it fails the query (0 = none)")
+	fs.Int64Var(&o.maxRows, "max-rows", 0, "per-query result-row budget; exceeding it fails the query (0 = none)")
+	fs.Int64Var(&o.maxBytes, "max-bytes", 0, "per-query memory budget (bytes) for hash builds and sorts; without -spill-dir exceeding it fails the query (0 = none)")
+	fs.StringVar(&o.spillDir, "spill-dir", "", "spill-to-disk directory: queries over budget write checksummed run files there and complete instead of failing (empty = spilling off)")
+	fs.Int64Var(&o.spillThreshold, "spill-threshold", 0, "start spilling once a query buffers this many bytes, even under budget (0 = spill only at the budget)")
+	fs.IntVar(&o.maxConcurrent, "max-concurrent", 0, "admission: max concurrent queries (0 = no admission gateway)")
+	fs.IntVar(&o.queueDepth, "queue-depth", 0, "admission: queries allowed to wait behind the running ones; beyond that, shed")
+	fs.Int64Var(&o.memPool, "mem-pool", 0, "admission: global memory pool (bytes) leased out per query (0 = none)")
+	fs.Var(&o.loads, "load", "bulk-load a CSV file: TABLE=FILE (repeatable; first line is a header)")
+	fs.StringVar(&o.open, "open", "", "open a database snapshot instead of a fixture")
+	fs.StringVar(&o.save, "save", "", "write a database snapshot to this file before exiting")
+	fs.StringVar(&o.dataDir, "data-dir", "", "durability: write-ahead log + checkpoint directory; recovers prior state on start, checkpoints on exit (empty = in-memory only)")
+	fs.BoolVar(&o.fsync, "fsync", false, "durability: fsync every commit batch (with -data-dir); off = commits survive a process crash, not host power loss")
+	return o
+}
+
 func main() {
-	fixture := flag.String("fixture", "kiessling", "dataset: kiessling | nonequality | duplicates | suppliers | none")
-	strategy := flag.String("strategy", "ja2", "evaluation strategy: ni | ja2 | kim")
-	buffer := flag.Int("buffer", 32, "buffer pool size in pages (the paper's B)")
-	explain := flag.Bool("explain", false, "print classification, transformation steps, and plan decisions")
-	tempJoin := flag.String("join-temp", "auto", "force temp-table join method: auto | merge | nl")
-	finalJoin := flag.String("join-final", "auto", "force final join method: auto | merge | nl")
-	interactive := flag.Bool("i", false, "interactive REPL (read statements from stdin)")
-	parallel := flag.Int("parallel", 0, "parallel workers for transformed plans: 0|1 sequential, n>1 workers, -1 one per CPU")
-	verifyParallel := flag.Bool("verify-parallel", false, "cross-check every parallel result against the sequential plan and nested iteration")
-	timeout := flag.Duration("timeout", 0, "per-query wall-clock limit; exceeding it fails the query (0 = none)")
-	maxRows := flag.Int64("max-rows", 0, "per-query result-row budget; exceeding it fails the query (0 = none)")
-	maxBytes := flag.Int64("max-bytes", 0, "per-query memory budget (bytes) for hash builds and sorts; without -spill-dir exceeding it fails the query (0 = none)")
-	spillDir := flag.String("spill-dir", "", "spill-to-disk directory: queries over budget write checksummed run files there and complete instead of failing (empty = spilling off)")
-	spillThreshold := flag.Int64("spill-threshold", 0, "start spilling once a query buffers this many bytes, even under budget (0 = spill only at the budget)")
-	maxConcurrent := flag.Int("max-concurrent", 0, "admission: max concurrent queries (0 = no admission gateway)")
-	queueDepth := flag.Int("queue-depth", 0, "admission: queries allowed to wait behind the running ones; beyond that, shed")
-	memPool := flag.Int64("mem-pool", 0, "admission: global memory pool (bytes) leased out per query (0 = none)")
-	var loads csvLoads
-	flag.Var(&loads, "load", "bulk-load a CSV file: TABLE=FILE (repeatable; first line is a header)")
-	open := flag.String("open", "", "open a database snapshot instead of a fixture")
-	save := flag.String("save", "", "write a database snapshot to this file before exiting")
-	dataDir := flag.String("data-dir", "", "durability: write-ahead log + checkpoint directory; recovers prior state on start, checkpoints on exit (empty = in-memory only)")
-	fsync := flag.Bool("fsync", false, "durability: fsync every commit batch (with -data-dir); off = commits survive a process crash, not host power loss")
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
-	strat, ok := strategies[*strategy]
+	strat, ok := strategies[o.strategy]
 	if !ok {
-		fail(fmt.Errorf("unknown strategy %q", *strategy))
+		fail(fmt.Errorf("unknown strategy %q", o.strategy))
 	}
-	tj, ok := joins[*tempJoin]
+	tj, ok := joins[o.tempJoin]
 	if !ok {
-		fail(fmt.Errorf("unknown join method %q", *tempJoin))
+		fail(fmt.Errorf("unknown join method %q", o.tempJoin))
 	}
-	fj, ok := joins[*finalJoin]
+	fj, ok := joins[o.finalJoin]
 	if !ok {
-		fail(fmt.Errorf("unknown join method %q", *finalJoin))
+		fail(fmt.Errorf("unknown join method %q", o.finalJoin))
 	}
 
 	var db *nestedsql.DB
-	if *open != "" {
-		f, err := os.Open(*open)
+	if o.open != "" {
+		f, err := os.Open(o.open)
 		if err != nil {
 			fail(err)
 		}
@@ -102,29 +119,29 @@ func main() {
 			fail(err)
 		}
 	} else {
-		openOpts := []nestedsql.Option{nestedsql.WithBufferPages(*buffer)}
-		if *maxConcurrent > 0 || *memPool > 0 {
+		openOpts := []nestedsql.Option{nestedsql.WithBufferPages(o.buffer)}
+		if o.maxConcurrent > 0 || o.memPool > 0 {
 			openOpts = append(openOpts, nestedsql.WithAdmissionControl(nestedsql.AdmissionConfig{
-				MaxConcurrent: *maxConcurrent,
-				QueueDepth:    *queueDepth,
-				MemPool:       *memPool,
+				MaxConcurrent: o.maxConcurrent,
+				QueueDepth:    o.queueDepth,
+				MemPool:       o.memPool,
 			}))
 		}
 		db = nestedsql.Open(openOpts...)
 	}
-	if *spillDir != "" {
+	if o.spillDir != "" {
 		// EnableSpill (not the Open option) so a restored snapshot gets
 		// spilling too, and so a bad directory is a clean error.
-		if err := db.EnableSpill(*spillDir, *spillThreshold); err != nil {
+		if err := db.EnableSpill(o.spillDir, o.spillThreshold); err != nil {
 			fail(err)
 		}
 	}
 	recovered := false
-	if *dataDir != "" {
-		if *open != "" {
+	if o.dataDir != "" {
+		if o.open != "" {
 			fail(fmt.Errorf("-data-dir and -open are mutually exclusive; the data directory is the durable state"))
 		}
-		info, err := db.EnableDurability(*dataDir, *fsync)
+		info, err := db.EnableDurability(o.dataDir, o.fsync)
 		if err != nil {
 			fail(err)
 		}
@@ -133,16 +150,16 @@ func main() {
 	}
 	// A recovered database already holds its tables; loading the fixture
 	// again would duplicate rows.
-	if *open == "" && !recovered && *fixture != "none" {
-		f, ok := fixtures[*fixture]
+	if o.open == "" && !recovered && o.fixture != "none" {
+		f, ok := fixtures[o.fixture]
 		if !ok {
-			fail(fmt.Errorf("unknown fixture %q", *fixture))
+			fail(fmt.Errorf("unknown fixture %q", o.fixture))
 		}
 		if err := db.LoadFixture(f); err != nil {
 			fail(err)
 		}
 	}
-	for _, spec := range loads {
+	for _, spec := range o.loads {
 		table, path, ok := strings.Cut(spec, "=")
 		if !ok {
 			fail(fmt.Errorf("bad -load %q; want TABLE=FILE", spec))
@@ -160,17 +177,17 @@ func main() {
 	}
 
 	saveAndExit := func() {
-		if *dataDir != "" {
+		if o.dataDir != "" {
 			// Retire the log into one snapshot so the next start recovers
 			// instantly instead of replaying the session's WAL tail.
 			if err := db.Checkpoint(); err != nil {
 				fail(err)
 			}
 		}
-		if *save == "" {
+		if o.save == "" {
 			return
 		}
-		f, err := os.Create(*save)
+		f, err := os.Create(o.save)
 		if err != nil {
 			fail(err)
 		}
@@ -180,20 +197,20 @@ func main() {
 		if err := f.Close(); err != nil {
 			fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "snapshot written to %s\n", *save)
+		fmt.Fprintf(os.Stderr, "snapshot written to %s\n", o.save)
 	}
 	defer saveAndExit()
 
 	sess := &session{
 		strategy:       strat,
-		explain:        *explain,
-		parallel:       *parallel,
-		verifyParallel: *verifyParallel,
-		timeout:        *timeout,
-		maxRows:        *maxRows,
-		maxBytes:       *maxBytes,
+		explain:        o.explain,
+		parallel:       o.parallel,
+		verifyParallel: o.verifyParallel,
+		timeout:        o.timeout,
+		maxRows:        o.maxRows,
+		maxBytes:       o.maxBytes,
 	}
-	if *interactive {
+	if o.interactive {
 		repl(db, os.Stdin, true, sess)
 		return
 	}
@@ -208,7 +225,7 @@ func main() {
 		nestedsql.WithForcedJoins(tj, fj),
 		cancelOpt,
 	)
-	if *explain {
+	if o.explain {
 		rep, err := db.Explain(sql, opts...)
 		if err != nil {
 			fail(err)

@@ -51,50 +51,67 @@ var strategies = map[string]engine.Strategy{
 	"kim": engine.TransformKim,
 }
 
+// options is the parsed command line.
+type options struct {
+	addr, fixture, strategy, spillDir, dataDir, coordinator, place               string
+	buffer, parallel, batchRows, maxConcurrent, queueDepth, replicas             int
+	maxTimeout, drainTimeout, heartbeat, writeDeadline, ioTimeout, probeInterval time.Duration
+	maxRows, memPool, spillThreshold, walFaultSeed                               int64
+	fsync                                                                        bool
+	walFaultRate                                                                 float64
+}
+
+// defineFlags declares every flag nestedsqld takes on fs.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:4045", "listen address (port 0 picks a free port)")
+	fs.StringVar(&o.fixture, "fixture", "both", "dataset: kiessling | suppliers | both | none")
+	fs.StringVar(&o.strategy, "strategy", "ja2", "default strategy for StrategyDefault queries: ni | ja2 | kim")
+	fs.IntVar(&o.buffer, "buffer", 32, "buffer pool size in pages (the paper's B)")
+	fs.IntVar(&o.parallel, "parallel", 0, "default planner parallelism (clients may override per query)")
+	fs.IntVar(&o.batchRows, "batch-rows", 0, "rows per RowBatch frame (0 = 64)")
+	fs.DurationVar(&o.maxTimeout, "max-timeout", 0, "cap on per-query deadlines; also applied to clients that send none (0 = none)")
+	fs.Int64Var(&o.maxRows, "max-rows", 0, "cap on per-query row budgets; also applied to clients that send none (0 = none)")
+	fs.IntVar(&o.maxConcurrent, "max-concurrent", 0, "admission: max concurrent queries (0 = unlimited)")
+	fs.IntVar(&o.queueDepth, "queue-depth", 0, "admission: queries allowed to wait behind the running ones; beyond that, shed")
+	fs.Int64Var(&o.memPool, "mem-pool", 0, "admission: global memory pool (bytes) leased out per query (0 = none)")
+	fs.StringVar(&o.spillDir, "spill-dir", "", "spill-to-disk directory: queries over their memory lease write checksummed run files there and complete instead of failing (empty = spilling off)")
+	fs.Int64Var(&o.spillThreshold, "spill-threshold", 0, "start spilling once a query buffers this many bytes, even under budget (0 = spill only at the budget)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "how long in-flight queries may finish on shutdown")
+	fs.DurationVar(&o.heartbeat, "heartbeat", 0, "ping interval for idle sessions that negotiated heartbeats; two unanswered pings evict the peer (0 = 15s)")
+	fs.DurationVar(&o.writeDeadline, "write-deadline", 0, "per-frame write deadline; a consumer stalled past it is evicted, its query cancelled (0 = 30s)")
+	fs.StringVar(&o.dataDir, "data-dir", "", "durability: write-ahead log + checkpoint directory; recovers prior state on start, checkpoints on clean shutdown (empty = in-memory only)")
+	fs.BoolVar(&o.fsync, "fsync", false, "durability: fsync every commit batch (with -data-dir); off = commits survive a process crash, not host power loss")
+	fs.Float64Var(&o.walFaultRate, "wal-fault-rate", 0, "testing: probability that a WAL append tears mid-record and poisons the log")
+	fs.Int64Var(&o.walFaultSeed, "wal-fault-seed", 1, "testing: seed for -wal-fault-rate")
+	fs.StringVar(&o.coordinator, "coordinator", "", "run as cluster coordinator over these comma-separated worker addresses (no local engine)")
+	fs.StringVar(&o.place, "place", "", "coordinator: comma-separated TABLE=COL partition-key overrides (default: each table's first key column)")
+	fs.DurationVar(&o.ioTimeout, "io-timeout", 10*time.Second, "coordinator: per-frame deadline on worker connections")
+	fs.IntVar(&o.replicas, "replicas", 1, "coordinator: copies per shard; DML acks only after every live replica logged it, and queries fail over to a replica when a worker dies")
+	fs.DurationVar(&o.probeInterval, "probe-interval", time.Second, "coordinator: health-probe cadence; dead workers are automatically rejoined via snapshot re-ship")
+	return o
+}
+
 func main() {
-	addr := flag.String("addr", "127.0.0.1:4045", "listen address (port 0 picks a free port)")
-	fixture := flag.String("fixture", "both", "dataset: kiessling | suppliers | both | none")
-	strategy := flag.String("strategy", "ja2", "default strategy for StrategyDefault queries: ni | ja2 | kim")
-	buffer := flag.Int("buffer", 32, "buffer pool size in pages (the paper's B)")
-	parallel := flag.Int("parallel", 0, "default planner parallelism (clients may override per query)")
-	batchRows := flag.Int("batch-rows", 0, "rows per RowBatch frame (0 = 64)")
-	maxTimeout := flag.Duration("max-timeout", 0, "cap on per-query deadlines; also applied to clients that send none (0 = none)")
-	maxRows := flag.Int64("max-rows", 0, "cap on per-query row budgets; also applied to clients that send none (0 = none)")
-	maxConcurrent := flag.Int("max-concurrent", 0, "admission: max concurrent queries (0 = unlimited)")
-	queueDepth := flag.Int("queue-depth", 0, "admission: queries allowed to wait behind the running ones; beyond that, shed")
-	memPool := flag.Int64("mem-pool", 0, "admission: global memory pool (bytes) leased out per query (0 = none)")
-	spillDir := flag.String("spill-dir", "", "spill-to-disk directory: queries over their memory lease write checksummed run files there and complete instead of failing (empty = spilling off)")
-	spillThreshold := flag.Int64("spill-threshold", 0, "start spilling once a query buffers this many bytes, even under budget (0 = spill only at the budget)")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long in-flight queries may finish on shutdown")
-	heartbeat := flag.Duration("heartbeat", 0, "ping interval for idle sessions that negotiated heartbeats; two unanswered pings evict the peer (0 = 15s)")
-	writeDeadline := flag.Duration("write-deadline", 0, "per-frame write deadline; a consumer stalled past it is evicted, its query cancelled (0 = 30s)")
-	dataDir := flag.String("data-dir", "", "durability: write-ahead log + checkpoint directory; recovers prior state on start, checkpoints on clean shutdown (empty = in-memory only)")
-	fsync := flag.Bool("fsync", false, "durability: fsync every commit batch (with -data-dir); off = commits survive a process crash, not host power loss")
-	walFaultRate := flag.Float64("wal-fault-rate", 0, "testing: probability that a WAL append tears mid-record and poisons the log")
-	walFaultSeed := flag.Int64("wal-fault-seed", 1, "testing: seed for -wal-fault-rate")
-	coordinator := flag.String("coordinator", "", "run as cluster coordinator over these comma-separated worker addresses (no local engine)")
-	place := flag.String("place", "", "coordinator: comma-separated TABLE=COL partition-key overrides (default: each table's first key column)")
-	ioTimeout := flag.Duration("io-timeout", 10*time.Second, "coordinator: per-frame deadline on worker connections")
-	replicas := flag.Int("replicas", 1, "coordinator: copies per shard; DML acks only after every live replica logged it, and queries fail over to a replica when a worker dies")
-	probeInterval := flag.Duration("probe-interval", time.Second, "coordinator: health-probe cadence; dead workers are automatically rejoined via snapshot re-ship")
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	strat, ok := strategies[*strategy]
+	strat, ok := strategies[o.strategy]
 	if !ok {
-		fail(fmt.Errorf("unknown strategy %q", *strategy))
+		fail(fmt.Errorf("unknown strategy %q", o.strategy))
 	}
 
 	srvCfg := server.Config{
-		BatchRows:         *batchRows,
-		MaxTimeout:        *maxTimeout,
-		MaxRows:           *maxRows,
+		BatchRows:         o.batchRows,
+		MaxTimeout:        o.maxTimeout,
+		MaxRows:           o.maxRows,
 		Strategy:          strat,
-		Parallelism:       *parallel,
-		WriteTimeout:      *writeDeadline,
-		HeartbeatInterval: *heartbeat,
+		Parallelism:       o.parallel,
+		WriteTimeout:      o.writeDeadline,
+		HeartbeatInterval: o.heartbeat,
 	}
 
-	if *coordinator != "" {
+	if o.coordinator != "" {
 		// Coordinator mode has no local engine, so engine-only flags are
 		// a configuration error, not something to silently ignore.
 		engineOnly := map[string]bool{
@@ -113,28 +130,28 @@ func main() {
 			fail(fmt.Errorf("coordinator mode has no local engine; drop %s (workers own storage)",
 				strings.Join(bad, ", ")))
 		}
-		runCoordinator(*coordinator, *place, *ioTimeout, *replicas, *probeInterval, srvCfg, *addr, *drainTimeout)
+		runCoordinator(o.coordinator, o.place, o.ioTimeout, o.replicas, o.probeInterval, srvCfg, o.addr, o.drainTimeout)
 		return
 	}
 
 	// Admission is always on: it is the drain mechanism behind graceful
 	// shutdown. Zero flags just mean no concurrency bound.
 	db := nestedsql.Open(
-		nestedsql.WithBufferPages(*buffer),
+		nestedsql.WithBufferPages(o.buffer),
 		nestedsql.WithAdmissionControl(nestedsql.AdmissionConfig{
-			MaxConcurrent: *maxConcurrent,
-			QueueDepth:    *queueDepth,
-			MemPool:       *memPool,
+			MaxConcurrent: o.maxConcurrent,
+			QueueDepth:    o.queueDepth,
+			MemPool:       o.memPool,
 		}),
 	)
-	if *spillDir != "" {
-		if err := db.EnableSpill(*spillDir, *spillThreshold); err != nil {
+	if o.spillDir != "" {
+		if err := db.EnableSpill(o.spillDir, o.spillThreshold); err != nil {
 			fail(err)
 		}
 	}
 	recovered := false
-	if *dataDir != "" {
-		info, err := db.EnableDurability(*dataDir, *fsync)
+	if o.dataDir != "" {
+		info, err := db.EnableDurability(o.dataDir, o.fsync)
 		if err != nil {
 			fail(err)
 		}
@@ -145,7 +162,7 @@ func main() {
 	// since the first boot's loads were logged); loading again would
 	// duplicate rows.
 	if !recovered {
-		switch *fixture {
+		switch o.fixture {
 		case "kiessling":
 			mustLoad(db, nestedsql.FixtureKiessling)
 		case "suppliers":
@@ -157,33 +174,33 @@ func main() {
 			mustLoad(db, nestedsql.FixtureSuppliers)
 		case "none":
 		default:
-			fail(fmt.Errorf("unknown fixture %q", *fixture))
+			fail(fmt.Errorf("unknown fixture %q", o.fixture))
 		}
 	}
-	if *dataDir != "" {
+	if o.dataDir != "" {
 		// Fold boot-time loads or a replayed WAL tail into one snapshot:
 		// every boot starts from a short log, so recovery time and file
 		// count stay bounded across kill -9 cycles.
 		if err := db.Checkpoint(); err != nil {
 			fail(err)
 		}
-		if *walFaultRate > 0 {
+		if o.walFaultRate > 0 {
 			db.Internal().WAL().SetFaultInjector(wal.NewFaultInjector(wal.FaultConfig{
-				Seed:           *walFaultSeed,
-				TornAppendRate: *walFaultRate,
+				Seed:           o.walFaultSeed,
+				TornAppendRate: o.walFaultRate,
 				MaxFaults:      1,
 			}))
 			fmt.Fprintf(os.Stderr, "nestedsqld: WAL fault injection armed (rate=%g seed=%d)\n",
-				*walFaultRate, *walFaultSeed)
+				o.walFaultRate, o.walFaultSeed)
 		}
 	}
 
 	srv := server.New(db.Internal(), srvCfg)
-	serveLoop(srv, *addr, *drainTimeout)
-	if *spillDir != "" {
+	serveLoop(srv, o.addr, o.drainTimeout)
+	if o.spillDir != "" {
 		fmt.Fprintf(os.Stderr, "nestedsqld: spill: %v\n", db.SpillStats())
 	}
-	if *dataDir != "" {
+	if o.dataDir != "" {
 		// Drained: no queries or DML in flight. One final checkpoint
 		// makes the next boot recover from the snapshot alone.
 		if err := db.Checkpoint(); err != nil {

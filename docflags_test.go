@@ -1,0 +1,105 @@
+package nestedsql_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// definedFlags lists the flags cmd/<bin> declares, read from its
+// defineFlags(fs *flag.FlagSet) without running the command: every
+// string literal that is the first or second argument of a call on fs.
+func definedFlags(t *testing.T, bin string) map[string]bool {
+	t.Helper()
+	path := filepath.Join("cmd", bin, "main.go")
+	file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]bool{}
+	for _, decl := range file.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Name.Name != "defineFlags" {
+			continue
+		}
+		fs := fn.Type.Params.List[0].Names[0].Name
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if recv, ok := sel.X.(*ast.Ident); !ok || recv.Name != fs {
+				return true
+			}
+			for _, arg := range call.Args[:min(2, len(call.Args))] {
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, _ := strconv.Unquote(lit.Value)
+					flags[name] = true
+					break
+				}
+			}
+			return true
+		})
+	}
+	if len(flags) == 0 {
+		t.Fatalf("%s: no defineFlags(fs *flag.FlagSet) with flag definitions found", path)
+	}
+	return flags
+}
+
+// A recipe that passes a binary a flag it no longer defines fails at the
+// reader's terminal, not in CI, so CI checks it here: every
+// `benchpaper|nestedsqld|nestedsql -flag ...` in the user-facing docs
+// and the gate scripts must name a defined flag. A paragraph that says
+// "removed in PR <n>" is a dated record of a deleted flag and is left
+// alone.
+func TestDocsPassOnlyDefinedFlags(t *testing.T) {
+	files := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+	scripts, err := filepath.Glob("scripts/*.sh")
+	if err != nil || len(scripts) == 0 {
+		t.Fatalf("scripts/*.sh: %v (%d found)", err, len(scripts))
+	}
+	files = append(files, scripts...)
+
+	defined := map[string]map[string]bool{}
+	for _, bin := range []string{"benchpaper", "nestedsqld", "nestedsql"} {
+		defined[bin] = definedFlags(t, bin)
+	}
+	// The binary as a command word, then its arguments up to the end of
+	// the inline code span, pipeline stage or comment it sits in.
+	invocation := regexp.MustCompile("(?:^|[\\s`\"'/(])(benchpaper|nestedsqld|nestedsql)[\"']?((?:[ \\t][^`|;#\\n]*)?)")
+	flagWord := regexp.MustCompile(`^--?([a-zA-Z][\w-]*)`)
+
+	for _, path := range files {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joined := strings.ReplaceAll(string(text), "\\\n", " ")
+		for _, para := range strings.Split(joined, "\n\n") {
+			if strings.Contains(para, "removed in PR") {
+				continue
+			}
+			for _, m := range invocation.FindAllStringSubmatch(para, -1) {
+				bin := m[1]
+				for _, word := range strings.Fields(m[2]) {
+					f := flagWord.FindStringSubmatch(strings.TrimLeft(word, `[("'`))
+					if f != nil && !defined[bin][f[1]] {
+						t.Errorf("%s passes %s the flag -%s, which cmd/%s does not define: %q",
+							path, bin, f[1], bin, strings.TrimSpace(m[0]))
+					}
+				}
+			}
+		}
+	}
+}

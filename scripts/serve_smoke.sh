@@ -1,5 +1,5 @@
 #!/bin/sh
-# Serving smoke gate. Two phases:
+# Serving smoke gate. Five phases:
 #
 #  1. Boot nestedsqld on a random port with admission bounded below the
 #     client count, stream the paper workload through the Go client from
