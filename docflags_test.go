@@ -103,3 +103,34 @@ func TestDocsPassOnlyDefinedFlags(t *testing.T) {
 		}
 	}
 }
+
+// One value codec and one record framer: the gob encoding was the second
+// codec for value.Value, and wal and spill each used to carry a copy of
+// the frame rowcodec now owns (wire keeps its own: the type byte sits
+// under its checksum). Neither may come back unnoticed, so no non-test
+// file imports the gob package, and hash/crc32 stays inside the two
+// packages that frame.
+func TestOneCodecOneFramer(t *testing.T) {
+	framers := map[string]bool{"internal/rowcodec": true, "internal/wire": true}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range file.Imports {
+			switch name, _ := strconv.Unquote(imp.Path.Value); {
+			case name == "encoding/"+"gob": // spelled apart so a grep for the import finds importers only
+				t.Errorf("%s imports %s: values and rows have one codec, internal/rowcodec", path, name)
+			case name == "hash/crc32" && !framers[filepath.ToSlash(filepath.Dir(path))]:
+				t.Errorf("%s imports hash/crc32: records are framed by rowcodec.AppendFrame and FrameReader", path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -230,7 +230,7 @@ func (c *Controller) admitLocked(lease int64, degraded, pressure bool, timeout t
 	if pressure {
 		c.pressureGrants++
 	}
-	t := &Ticket{c: c, lease: lease, degraded: degraded, pressure: pressure, start: start}
+	t := &Ticket{c: c, lease: lease, degraded: degraded, start: start}
 	if timeout > 0 {
 		t.deadline = start.Add(timeout)
 	}
@@ -544,7 +544,6 @@ type Ticket struct {
 	c        *Controller
 	lease    int64
 	degraded bool
-	pressure bool
 	start    time.Time
 	deadline time.Time
 
@@ -560,11 +559,6 @@ func (t *Ticket) Lease() int64 { return t.lease }
 // default) lease by pool pressure; the engine responds by preferring
 // sequential plans, which buffer less.
 func (t *Ticket) Degraded() bool { return t.degraded }
-
-// Pressure reports that the lease came from a nearly-exhausted pool and
-// is below MinLease — granted only because spill-backed execution can
-// degrade to disk instead of failing.
-func (t *Ticket) Pressure() bool { return t.pressure }
 
 // Remaining reports the time left until the query's deadline; ok is
 // false when the request carried no deadline. Admission guarantees a

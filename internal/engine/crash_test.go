@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -135,6 +137,33 @@ func TestDurabilityCheckpointRoundtrip(t *testing.T) {
 	}
 	if got := saveImage(t, re); !bytes.Equal(got, want) {
 		t.Fatal("recovered image differs from pre-crash state")
+	}
+}
+
+// TestDurabilityRefusesV1Checkpoint: a data directory written before
+// images became record runs holds a gob checkpoint. Its container still
+// verifies, so the log hands it over — and the boot must fail on it,
+// files untouched, rather than come up empty beside data it cannot read.
+func TestDurabilityRefusesV1Checkpoint(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1-checkpoint.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "snap-0000000000000003.snap")
+	if err := os.WriteFile(snap, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db := engine.New(8)
+	info, err := db.EnableDurability(dir, wal.Options{})
+	if err == nil || !strings.Contains(err.Error(), "gob") {
+		t.Fatalf("booted on a v1 checkpoint: %+v, err %v", info, err)
+	}
+	if db.WAL() != nil || len(db.Catalog().Names()) != 0 {
+		t.Error("a refused boot left a log or tables attached")
+	}
+	if got, err := os.ReadFile(snap); err != nil || !bytes.Equal(got, v1) {
+		t.Errorf("the v1 checkpoint was touched: %v", err)
 	}
 }
 

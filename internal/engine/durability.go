@@ -2,9 +2,7 @@ package engine
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"repro/internal/schema"
 	"repro/internal/sqlparser"
@@ -55,8 +53,8 @@ func (r RecoveryInfo) String() string {
 }
 
 // EnableDurability opens (creating if needed) the write-ahead log under
-// dir and recovers any prior state into the database: the newest valid
-// snapshot is loaded, then the WAL tail is replayed record by record.
+// dir and recovers any prior state into the database by replaying records
+// twice: the newest valid checkpoint image's, then the WAL tail's.
 // Call it on an empty database, before loading fixtures and before
 // serving traffic. After it returns, every CreateRelation/Insert and
 // every Exec DML statement is logged and acknowledged only once
@@ -81,16 +79,7 @@ func (db *DB) EnableDurability(dir string, opts wal.Options) (RecoveryInfo, erro
 	// db.wal is still nil here, so the apply paths below run without
 	// logging — recovery must not re-log what the WAL already holds.
 	if rec.SnapshotPayload != nil {
-		var img image
-		if err := gob.NewDecoder(bytes.NewReader(rec.SnapshotPayload)).Decode(&img); err != nil {
-			l.Close()
-			return info, fmt.Errorf("engine: recovery snapshot: %w", err)
-		}
-		if img.Magic != imageMagic {
-			l.Close()
-			return info, fmt.Errorf("engine: recovery snapshot: not a nestedsql image")
-		}
-		if err := applyImage(db, img); err != nil {
+		if err := readImage(bytes.NewReader(rec.SnapshotPayload), func(int) *DB { return db }); err != nil {
 			l.Close()
 			return info, fmt.Errorf("engine: recovery snapshot: %w", err)
 		}
@@ -125,28 +114,24 @@ func (db *DB) applyRecord(r wal.Record) error {
 			return err
 		}
 		return db.Seal(r.Table)
-	case wal.RecDelete:
+	case wal.RecDelete, wal.RecUpdate:
 		stmt, err := sqlparser.ParseStatement(r.SQL)
 		if err != nil {
 			return err
 		}
-		del, ok := stmt.(*sqlparser.DeleteStmt)
-		if !ok {
-			return fmt.Errorf("engine: delete record holds %T", stmt)
+		switch stmt := stmt.(type) {
+		case *sqlparser.DeleteStmt:
+			if r.Type == wal.RecDelete {
+				_, err = db.execDelete(stmt)
+				return err
+			}
+		case *sqlparser.UpdateStmt:
+			if r.Type == wal.RecUpdate {
+				_, err = db.execUpdate(stmt)
+				return err
+			}
 		}
-		_, err = db.execDelete(del)
-		return err
-	case wal.RecUpdate:
-		stmt, err := sqlparser.ParseStatement(r.SQL)
-		if err != nil {
-			return err
-		}
-		upd, ok := stmt.(*sqlparser.UpdateStmt)
-		if !ok {
-			return fmt.Errorf("engine: update record holds %T", stmt)
-		}
-		_, err = db.execUpdate(upd)
-		return err
+		return fmt.Errorf("engine: %s record holds %T", r.Type, stmt)
 	case wal.RecDrop:
 		return db.DropRelation(r.Table)
 	default:
@@ -164,7 +149,7 @@ func (db *DB) Checkpoint() error {
 	}
 	db.dmlMu.Lock()
 	defer db.dmlMu.Unlock()
-	return db.wal.Checkpoint(func(w io.Writer) error { return db.Save(w) })
+	return db.wal.Checkpoint(db.Save)
 }
 
 // WAL exposes the log (nil without EnableDurability) — for stats

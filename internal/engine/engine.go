@@ -243,12 +243,18 @@ func (db *DB) CreateRelation(rel *schema.Relation, tuplesPerPage int) error {
 			db.cat.Drop(rel.Name)
 			return nil, err
 		}
-		sch := &wal.TableSchema{Name: rel.Name, Key: rel.Key, TuplesPerPage: tuplesPerPage}
-		for _, c := range rel.Columns {
-			sch.Columns = append(sch.Columns, wal.TableColumn{Name: c.Name, Kind: uint8(c.Type)})
-		}
-		return &wal.Record{Type: wal.RecCreateTable, Schema: sch}, nil
+		return &wal.Record{Type: wal.RecCreateTable, Schema: tableSchema(rel, tuplesPerPage)}, nil
 	})
+}
+
+// tableSchema is a relation as a RecCreateTable record carries it, in the
+// log and in a database image alike.
+func tableSchema(rel *schema.Relation, tuplesPerPage int) *wal.TableSchema {
+	sch := &wal.TableSchema{Name: rel.Name, Key: rel.Key, TuplesPerPage: tuplesPerPage}
+	for _, c := range rel.Columns {
+		sch.Columns = append(sch.Columns, wal.TableColumn{Name: c.Name, Kind: uint8(c.Type)})
+	}
+	return sch
 }
 
 // DropRelation removes a relation: its schema, heap file, and any

@@ -166,51 +166,18 @@ func (db *DB) resolveDMLWhere(table string, where []ast.Predicate) (*schema.Rela
 }
 
 // execDelete removes the rows matching the WHERE clause (all rows when it
-// is absent), returning the count. The predicate supports the full
-// dialect, including nested subqueries, evaluated by nested iteration.
-// Deletion is two-phase — decide every row first, then replace the heap
-// file — so an evaluation error or an injected storage fault mid-decision
-// leaves the table untouched instead of half-rewritten.
+// is absent), returning the count.
 func (db *DB) execDelete(stmt *sqlparser.DeleteStmt) (int, error) {
-	rel, sch, where, err := db.resolveDMLWhere(stmt.Table, stmt.Where)
-	if err != nil {
-		return 0, err
-	}
-	return db.applyDML(rel.Name, wal.RecDelete, stmt.String, func(f *storage.HeapFile) (int, error) {
-		ev := exec.NewEvaluator(db.cat, db.store)
-		defer ev.Close()
-		var kept []storage.Tuple
-		removed := 0
-		var evalErr error
-		f.Scan(func(t storage.Tuple) bool {
-			match, err := ev.Qualifies(where, sch, t)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if match {
-				removed++
-			} else {
-				kept = append(kept, t.Clone())
-			}
-			return true
-		})
-		if evalErr != nil {
-			return 0, evalErr
-		}
-		if removed > 0 {
-			f.Replace(kept)
-		}
-		return removed, nil
-	})
+	drop := func(storage.Tuple) (storage.Tuple, bool) { return nil, false }
+	return db.applyDML(stmt.Table, stmt.Where, wal.RecDelete, stmt.String, drop)
 }
 
 // execUpdate assigns the SET literals to the rows matching the WHERE
 // clause, returning the count.
 func (db *DB) execUpdate(stmt *sqlparser.UpdateStmt) (int, error) {
-	rel, sch, where, err := db.resolveDMLWhere(stmt.Table, stmt.Where)
-	if err != nil {
-		return 0, err
+	rel, ok := db.cat.Lookup(stmt.Table)
+	if !ok {
+		return 0, fmt.Errorf("engine: unknown relation %s", stmt.Table)
 	}
 	type setIdx struct {
 		pos int
@@ -228,11 +195,36 @@ func (db *DB) execUpdate(stmt *sqlparser.UpdateStmt) (int, error) {
 		}
 		sets[i] = setIdx{pos: pos, val: v}
 	}
-	return db.applyDML(rel.Name, wal.RecUpdate, stmt.String, func(f *storage.HeapFile) (int, error) {
+	assign := func(t storage.Tuple) (storage.Tuple, bool) {
+		nt := t.Clone()
+		for _, si := range sets {
+			nt[si.pos] = si.val
+		}
+		return nt, true
+	}
+	return db.applyDML(stmt.Table, stmt.Where, wal.RecUpdate, stmt.String, assign)
+}
+
+// applyDML is the one DELETE/UPDATE body: every row the WHERE clause
+// selects (the full dialect, nested subqueries included, evaluated by
+// nested iteration) is handed to change, which returns the row that takes
+// its place or false to drop it. Decide, apply and log append all happen
+// under one hold of the commit lock (see commit), the statement's text
+// being what the log replays. It is two-phase — every row is decided
+// before Replace swaps the heap file — so an evaluation error or an
+// injected storage fault mid-decision leaves the table untouched instead
+// of half-rewritten. Statements that touched no rows are not logged.
+func (db *DB) applyDML(table string, where []ast.Predicate, rt wal.RecType, sql func() string,
+	change func(storage.Tuple) (storage.Tuple, bool)) (n int, err error) {
+	rel, sch, where, err := db.resolveDMLWhere(table, where)
+	if err != nil {
+		return 0, err
+	}
+	err = db.commit(func() (*wal.Record, error) {
+		f, _ := db.store.Lookup(rel.Name)
 		ev := exec.NewEvaluator(db.cat, db.store)
 		defer ev.Close()
 		var rows []storage.Tuple
-		changed := 0
 		var evalErr error
 		f.Scan(func(t storage.Tuple) bool {
 			match, err := ev.Qualifies(where, sch, t)
@@ -240,40 +232,23 @@ func (db *DB) execUpdate(stmt *sqlparser.UpdateStmt) (int, error) {
 				evalErr = err
 				return false
 			}
-			nt := t.Clone()
+			keep := true
 			if match {
-				changed++
-				for _, si := range sets {
-					nt[si.pos] = si.val
-				}
+				n++
+				t, keep = change(t)
+			} else {
+				t = t.Clone()
 			}
-			rows = append(rows, nt)
+			if keep {
+				rows = append(rows, t)
+			}
 			return true
 		})
-		if evalErr != nil {
-			return 0, evalErr
+		if evalErr != nil || n == 0 {
+			return nil, evalErr
 		}
-		if changed > 0 {
-			f.Replace(rows)
-		}
-		return changed, nil
-	})
-}
-
-// applyDML commits a DELETE/UPDATE body: decide, apply and log append
-// all happen under one hold of the commit lock (see commit), the
-// statement's text being what the log replays. The body is two-phase by
-// contract — it must not mutate the heap file before its row decisions
-// are complete — so errors and injected fault panics leave the table
-// intact. Mutations that touched no rows are not logged.
-func (db *DB) applyDML(table string, rt wal.RecType, sql func() string, body func(*storage.HeapFile) (int, error)) (n int, err error) {
-	err = db.commit(func() (*wal.Record, error) {
-		f, _ := db.store.Lookup(table)
-		var err error
-		if n, err = body(f); err != nil || n == 0 {
-			return nil, err
-		}
-		db.indexes.DropRelation(table)
+		f.Replace(rows)
+		db.indexes.DropRelation(rel.Name)
 		return &wal.Record{Type: rt, SQL: sql()}, nil
 	})
 	return n, err

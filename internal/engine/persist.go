@@ -1,51 +1,45 @@
 package engine
 
 import (
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 
-	"repro/internal/schema"
+	"repro/internal/rowcodec"
 	"repro/internal/storage"
-	"repro/internal/value"
+	"repro/internal/wal"
 )
 
-// Database snapshots: Save serializes the catalog and every relation's
-// rows (gob encoded); Restore rebuilds an equivalent database. Snapshots
-// capture logical content — page layout is reconstructed on load — plus
-// the buffer pool size and per-relation page capacities, so restored
-// databases measure the same costs.
+// A database image — what Save writes, Restore and -open read, and a
+// checkpoint holds — is the database as a run of the records the log
+// already knows (DESIGN.md §13):
+//
+//	"NSQLIMG2" | frame(uvarint buffer pages, uvarint records) | frame(record)...
+//
+// per relation one RecCreateTable, then its rows in heap order as
+// RecInsert records of whole pages, about imageChunkRows rows each — so
+// the Seal that follows every insert on replay never re-counts a partial
+// page and a restored database measures the same costs. Loading an image
+// is replaying it through applyRecord, the loader of the WAL tail; the
+// record count up front makes an image cut short at a frame boundary an
+// error rather than a smaller database.
+const (
+	imageMagic     = "NSQLIMG2"
+	imageChunkRows = 1024
+)
 
-// imageColumn is the wire form of a column definition.
-type imageColumn struct {
-	Name string
-	Kind uint8
-}
+// chunkPages is how many of f's pages one RecInsert of an image carries.
+func chunkPages(f *storage.HeapFile) int { return max(1, imageChunkRows/f.TuplesPerPage()) }
 
-// imageRelation is the wire form of one relation with its rows.
-type imageRelation struct {
-	Name          string
-	Columns       []imageColumn
-	Key           []string
-	TuplesPerPage int
-	Rows          []storage.Tuple
-}
-
-// image is the wire form of a whole database.
-type image struct {
-	Magic       string
-	BufferPages int
-	Relations   []imageRelation
-}
-
-const imageMagic = "nestedsql-snapshot-v1"
-
-// Save writes a snapshot of the database. Reading the rows goes through
-// the buffer pool and is charged like any other scan; snapshot outside
+// Save writes an image of the database, streaming each relation from
+// its heap file a chunk at a time. Reading the rows goes through the
+// buffer pool and is charged like any other scan; snapshot outside
 // measured query windows.
 func (db *DB) Save(w io.Writer) error {
-	img := image{Magic: imageMagic, BufferPages: db.store.BufferPages()}
+	var files []*storage.HeapFile
+	records := 0
 	for _, name := range db.cat.Names() {
 		if strings.Contains(name, "#") {
 			// A per-query TEMPn#qN materialization: transient by
@@ -54,64 +48,91 @@ func (db *DB) Save(w io.Writer) error {
 			// belt against an abandoned temp from a failed query.
 			continue
 		}
-		rel, _ := db.cat.Lookup(name)
-		f, ok := db.store.Lookup(rel.Name)
+		f, ok := db.store.Lookup(name)
 		if !ok {
 			return fmt.Errorf("engine: relation %s has no storage", name)
 		}
-		ir := imageRelation{
-			Name:          rel.Name,
-			Key:           rel.Key,
-			TuplesPerPage: f.TuplesPerPage(),
-		}
-		for _, c := range rel.Columns {
-			ir.Columns = append(ir.Columns, imageColumn{Name: c.Name, Kind: uint8(c.Type)})
-		}
-		f.Scan(func(t storage.Tuple) bool {
-			ir.Rows = append(ir.Rows, t.Clone())
-			return true
-		})
-		img.Relations = append(img.Relations, ir)
+		files = append(files, f)
+		records += 1 + (f.NumPages()+chunkPages(f)-1)/chunkPages(f)
 	}
-	return gob.NewEncoder(w).Encode(img)
+	buf := rowcodec.AppendFrame([]byte(imageMagic), func(b []byte) []byte {
+		b = binary.AppendUvarint(b, uint64(db.store.BufferPages()))
+		return binary.AppendUvarint(b, uint64(records))
+	})
+	if _, err := w.Write(buf); err != nil {
+		return err
+	}
+	emit := func(rec wal.Record) error {
+		buf = wal.AppendRecord(buf[:0], rec)
+		records--
+		_, err := w.Write(buf)
+		return err
+	}
+	var rows []storage.Tuple
+	for _, f := range files {
+		rel, _ := db.cat.Lookup(f.Name())
+		if err := emit(wal.Record{Type: wal.RecCreateTable, Schema: tableSchema(rel, f.TuplesPerPage())}); err != nil {
+			return err
+		}
+		for p, n, step := 0, f.NumPages(), chunkPages(f); p < n; p += step {
+			rows = rows[:0]
+			for q := p; q < min(p+step, n); q++ {
+				rows = append(rows, f.ReadPage(q)...)
+			}
+			if err := emit(wal.Record{Type: wal.RecInsert, Table: rel.Name, Rows: rows}); err != nil {
+				return err
+			}
+		}
+	}
+	if records != 0 {
+		return errors.New("engine: save: the database changed while it was being saved")
+	}
+	return nil
 }
 
-// Restore reads a snapshot written by Save into a new database.
+// Restore reads an image written by Save into a new database.
 func Restore(r io.Reader) (*DB, error) {
-	var img image
-	if err := gob.NewDecoder(r).Decode(&img); err != nil {
+	var db *DB
+	if err := readImage(r, func(bufferPages int) *DB { db = New(bufferPages); return db }); err != nil {
 		return nil, fmt.Errorf("engine: restore: %w", err)
-	}
-	if img.Magic != imageMagic {
-		return nil, fmt.Errorf("engine: restore: not a nestedsql snapshot")
-	}
-	db := New(img.BufferPages)
-	if err := applyImage(db, img); err != nil {
-		return nil, err
 	}
 	return db, nil
 }
 
-// applyImage loads a decoded snapshot into an (empty) database. WAL
-// recovery reuses it to rebuild state before replaying the log tail;
-// the caller is responsible for suppressing WAL logging while it runs.
-func applyImage(db *DB, img image) error {
-	for _, ir := range img.Relations {
-		rel := &schema.Relation{Name: ir.Name, Key: ir.Key}
-		for _, c := range ir.Columns {
-			rel.Columns = append(rel.Columns, schema.Column{Name: c.Name, Type: value.Kind(c.Kind)})
+// readImage replays the image in r into the empty database that open
+// returns for the image's buffer pool size. Anything but a whole, verified
+// image is an error, and open's database is then to be thrown away; the
+// caller must keep WAL logging off while it runs.
+func readImage(r io.Reader, open func(bufferPages int) *DB) error {
+	var magic [len(imageMagic)]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil || string(magic[:]) != imageMagic {
+		return errors.New("not a " + imageMagic + " database image (the gob snapshots and checkpoints written before PR 19 are not readable)")
+	}
+	fr := rowcodec.NewFrameReader(r)
+	hdr, err := fr.Next()
+	if err != nil {
+		return fmt.Errorf("image header: %w", err)
+	}
+	pages, n := binary.Uvarint(hdr)
+	records, m := binary.Uvarint(hdr[max(n, 0):])
+	if n <= 0 || m <= 0 || n+m != len(hdr) {
+		return errors.New("image header: malformed")
+	}
+	db := open(int(pages))
+	for i := uint64(1); i <= records; i++ {
+		rec, err := wal.ReadRecord(fr)
+		if err == nil && rec.Type != wal.RecCreateTable && rec.Type != wal.RecInsert {
+			err = errors.New("not a schema or a chunk of rows")
 		}
-		if err := db.CreateRelation(rel, ir.TuplesPerPage); err != nil {
-			return err
+		if err == nil {
+			err = contain(func() error { return db.applyRecord(rec) })
 		}
-		for _, row := range ir.Rows {
-			if err := db.Insert(ir.Name, row); err != nil {
-				return err
-			}
+		if err != nil {
+			return fmt.Errorf("image record %d of %d: %w", i, records, err)
 		}
-		if err := db.Seal(ir.Name); err != nil {
-			return err
-		}
+	}
+	if _, err := fr.Next(); err != io.EOF {
+		return fmt.Errorf("data after the image's %d record(s)", records)
 	}
 	return nil
 }

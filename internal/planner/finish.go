@@ -24,7 +24,7 @@ func (p *Planner) finish(cur input, qb *ast.QueryBlock, label string) (input, er
 		for i, o := range qb.OrderBy {
 			keys[i], desc[i] = o.Pos, o.Desc
 		}
-		out.op = &exec.Sort{Child: out.op, Keys: keys, Desc: desc, Store: p.store, TuplesPerPage: p.opts.TempTuplesPerPage, QC: p.opts.QC, Spill: p.opts.Spill}
+		out.op = p.sort(out.op, keys, desc)
 		out.sortedOn = -1
 		if !desc[0] {
 			out.sortedOn = keys[0]
@@ -32,6 +32,14 @@ func (p *Planner) finish(cur input, qb *ast.QueryBlock, label string) (input, er
 		p.notef("%s: ORDER BY sort over %d key(s)", label, len(keys))
 	}
 	return out, nil
+}
+
+// sort places an external sort of child on keys (desc nil = all
+// ascending), wired to this plan's store, temp page size, query context
+// and spill session.
+func (p *Planner) sort(child exec.Operator, keys []int, desc []bool) *exec.Sort {
+	return &exec.Sort{Child: child, Keys: keys, Desc: desc, Store: p.store,
+		TuplesPerPage: p.opts.TempTuplesPerPage, QC: p.opts.QC, Spill: p.opts.Spill}
 }
 
 func (p *Planner) finishShape(cur input, qb *ast.QueryBlock, label string) (input, error) {
@@ -68,8 +76,7 @@ func (p *Planner) finishShape(cur input, qb *ast.QueryBlock, label string) (inpu
 		for i := range keys {
 			keys[i] = i
 		}
-		srt := &exec.Sort{Child: out.op, Keys: keys, Store: p.store, TuplesPerPage: p.opts.TempTuplesPerPage, QC: p.opts.QC, Spill: p.opts.Spill}
-		out.op = &exec.Distinct{Child: srt}
+		out.op = &exec.Distinct{Child: p.sort(out.op, keys, nil)}
 		out.sortedOn = 0
 		p.notef("%s: duplicates removed by sort over %d column(s)", label, len(keys))
 	}
@@ -101,7 +108,7 @@ func (p *Planner) finishGroup(cur input, qb *ast.QueryBlock, label string) (inpu
 		if len(groupCols) == 1 && cur.sortedOn == groupCols[0] {
 			p.notef("%s: input already in GROUP BY order, sort elided", label)
 		} else {
-			op = &exec.Sort{Child: op, Keys: groupCols, Store: p.store, TuplesPerPage: p.opts.TempTuplesPerPage, QC: p.opts.QC, Spill: p.opts.Spill}
+			op = p.sort(op, groupCols, nil)
 			p.notef("%s: sort for GROUP BY", label)
 		}
 	}

@@ -242,7 +242,7 @@ func (p *Planner) mergeJoin(cur, right input, keys []exec.KeyPair, rest []ast.Pr
 			return in.op
 		}
 		p.notef("%s: sort %s input on %s", label, side, in.op.Schema()[cols[0]])
-		return &exec.Sort{Child: in.op, Keys: cols, Store: p.store, TuplesPerPage: p.opts.TempTuplesPerPage, QC: p.opts.QC, Spill: p.opts.Spill}
+		return p.sort(in.op, cols, nil)
 	}
 	left, rightOp := sorted(cur, lcols, "left"), sorted(right, rcols, "right")
 	kind := "merge join"

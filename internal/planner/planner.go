@@ -16,6 +16,7 @@ package planner
 import (
 	"fmt"
 	"runtime"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/exec"
@@ -140,20 +141,10 @@ func New(cat *schema.Catalog, store *storage.Store, opts Options) *Planner {
 // tables materialized by this planner live under suffixed names when
 // Options.TempSuffix is set; everything else resolves as written.
 func (p *Planner) physName(name string) string {
-	if phys, ok := p.physNames[upperName(name)]; ok {
+	if phys, ok := p.physNames[strings.ToUpper(name)]; ok {
 		return phys
 	}
 	return name
-}
-
-func upperName(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if c >= 'a' && c <= 'z' {
-			b[i] = c - ('a' - 'A')
-		}
-	}
-	return string(b)
 }
 
 // Notes returns the plan decisions (join methods, sort eliminations) in
@@ -233,7 +224,7 @@ func (p *Planner) buildTemp(temp transform.TempTable) error {
 		return fmt.Errorf("planner: temp %s: %w", temp.Name, err)
 	}
 	p.tempNames = append(p.tempNames, phys)
-	p.physNames[upperName(temp.Name)] = phys
+	p.physNames[strings.ToUpper(temp.Name)] = phys
 	rel := temp.Rel
 	if phys != temp.Name {
 		// Register the suffixed clone; the transform result keeps the
@@ -421,35 +412,16 @@ func indexableConjunct(c ast.Predicate, binding string) (col string, op value.Co
 		return "", 0, value.Null, false
 	}
 	if lc, lok := cmp.Left.(ast.ColumnRef); lok {
-		if k, kok := cmp.Right.(ast.Const); kok && eqFold(lc.Table, binding) {
+		if k, kok := cmp.Right.(ast.Const); kok && strings.EqualFold(lc.Table, binding) {
 			return lc.Column, cmp.Op, k.Val, true
 		}
 	}
 	if rc, rok := cmp.Right.(ast.ColumnRef); rok {
-		if k, kok := cmp.Left.(ast.Const); kok && eqFold(rc.Table, binding) {
+		if k, kok := cmp.Left.(ast.Const); kok && strings.EqualFold(rc.Table, binding) {
 			return rc.Column, cmp.Op.Flip(), k.Val, true
 		}
 	}
 	return "", 0, value.Null, false
-}
-
-func eqFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if ca >= 'a' && ca <= 'z' {
-			ca -= 'a' - 'A'
-		}
-		if cb >= 'a' && cb <= 'z' {
-			cb -= 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }
 
 // scanInput builds a sequential scan of one FROM entry. Temp-table

@@ -1,11 +1,10 @@
-// Package rowcodec is the shared binary encoding for values and tuples:
-// a tuple is a uvarint column count followed by one kind-tagged value
-// per column. The spill run files (internal/spill) and the write-ahead
-// log (internal/wal) both frame sequences of tuple payloads with a
-// uint32 length prefix and a CRC32C trailer, mirroring the wire
-// protocol's codec shape (internal/wire), whose row batches carry the
-// same per-value encoding — one encoding, three consumers, so a value
-// that round-trips in one subsystem round-trips in all of them.
+// Package rowcodec is the system's one binary encoding of values and
+// tuples — a tuple is a uvarint column count followed by one kind-tagged
+// value per column — and the one checksummed record frame (frame.go)
+// that carries them to disk. Spill runs, WAL segments and database
+// images are frames of it, and the wire protocol's row batches carry the
+// same per-value encoding, so a value that round-trips in one subsystem
+// round-trips in all of them.
 package rowcodec
 
 import (

@@ -16,16 +16,11 @@ import (
 )
 
 // Config tunes a Server. The zero value is usable: engine defaults for
-// strategy and parallelism, 64-row batches, a 32 KiB write buffer, and
-// no caps on client-requested deadlines or row budgets.
+// strategy and parallelism, 64-row batches, and no caps on
+// client-requested deadlines or row budgets.
 type Config struct {
 	// BatchRows bounds rows per RowBatch frame (0 = exec default of 64).
 	BatchRows int
-	// WriteBufferBytes sizes the per-connection buffered writer. The
-	// buffer plus the kernel socket buffer is all the result data the
-	// server will hold for a slow client; past that, the executor's pull
-	// loop blocks on the flush. 0 = 32 KiB.
-	WriteBufferBytes int
 	// MaxTimeout caps (and, when the client sends none, supplies) the
 	// per-query deadline. 0 = accept the client's value unchanged.
 	MaxTimeout time.Duration
@@ -38,9 +33,6 @@ type Config struct {
 	// Parallelism is the planner parallelism for queries that do not ask
 	// for their own.
 	Parallelism int
-	// HandshakeTimeout bounds how long a fresh connection may dawdle
-	// before its Hello arrives (0 = 5s).
-	HandshakeTimeout time.Duration
 	// WriteTimeout bounds each frame write (0 = 30s). A client that
 	// stops reading stalls the query through backpressure first; this is
 	// the slow-client eviction deadline: when a flush exceeds it, the
@@ -54,25 +46,22 @@ type Config struct {
 	HeartbeatInterval time.Duration
 }
 
-func (c Config) handshakeTimeout() time.Duration {
-	if c.HandshakeTimeout <= 0 {
-		return 5 * time.Second
-	}
-	return c.HandshakeTimeout
-}
+const (
+	// handshakeTimeout bounds how long a fresh connection may dawdle
+	// before its Hello arrives.
+	handshakeTimeout = 5 * time.Second
+	// writeBufferBytes sizes the per-connection buffered writer. The
+	// buffer plus the kernel socket buffer is all the result data the
+	// server will hold for a slow client; past that, the executor's pull
+	// loop blocks on the flush.
+	writeBufferBytes = 32 << 10
+)
 
 func (c Config) writeTimeout() time.Duration {
 	if c.WriteTimeout <= 0 {
 		return 30 * time.Second
 	}
 	return c.WriteTimeout
-}
-
-func (c Config) writeBuffer() int {
-	if c.WriteBufferBytes <= 0 {
-		return 32 << 10
-	}
-	return c.WriteBufferBytes
 }
 
 func (c Config) heartbeatInterval() time.Duration {
@@ -93,8 +82,8 @@ type Backend interface {
 }
 
 // Server owns a listener and its sessions. Create with New (a local
-// engine) or NewBackend (any Backend), run with Serve (or
-// ListenAndServe), stop with Shutdown.
+// engine) or NewBackend (any Backend), run with Serve, stop with
+// Shutdown.
 type Server struct {
 	db  Backend
 	eng *engine.DB // non-nil when the backend is a local engine (worker role)
@@ -137,15 +126,6 @@ func (s *Server) Addr() net.Addr {
 		return nil
 	}
 	return s.lis.Addr()
-}
-
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(lis)
 }
 
 // Serve accepts connections on lis until Shutdown closes it, spawning

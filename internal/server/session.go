@@ -64,7 +64,7 @@ func newSession(srv *Server, conn net.Conn) *session {
 		srv:    srv,
 		conn:   conn,
 		br:     bufio.NewReader(conn),
-		bw:     bufio.NewWriterSize(conn, srv.cfg.writeBuffer()),
+		bw:     bufio.NewWriterSize(conn, writeBufferBytes),
 		frames: make(chan recvFrame),
 		dead:   make(chan struct{}),
 		quit:   make(chan struct{}),
@@ -155,7 +155,7 @@ func (s *session) serve() {
 // before the connection drops. The negotiated codec takes effect after
 // the reply: the Hello exchange itself is always plain.
 func (s *session) handshake() bool {
-	s.conn.SetReadDeadline(time.Now().Add(s.srv.cfg.handshakeTimeout()))
+	s.conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	typ, payload, err := wire.ReadFrame(s.br)
 	if err != nil {
 		return false

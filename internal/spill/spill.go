@@ -5,12 +5,9 @@
 // later, so the query degrades to slower-but-correct instead of dying
 // with qctx.ErrMemoryBudget.
 //
-// Run files are sequences of checksummed records, reusing the wire
-// protocol's codec shape (internal/wire): each record is a uint32
-// big-endian payload length, the payload, and a uint32 big-endian
-// CRC32C of the payload; the payload is a uvarint column count followed
-// by one kind-tagged value per column. Any corruption — a flipped bit,
-// a short write, a truncated tail — surfaces as a typed error wrapping
+// A run file is a sequence of rowcodec record frames (DESIGN.md §13),
+// one encoded tuple per payload. Any corruption — a flipped bit, a
+// short write, a truncated tail — surfaces as a typed error wrapping
 // qctx.ErrSpillCorrupt, never as wrong rows.
 //
 // Lifecycle: a Manager owns the spill directory and the cumulative
@@ -23,9 +20,7 @@ package spill
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -36,14 +31,6 @@ import (
 	"repro/internal/rowcodec"
 	"repro/internal/storage"
 )
-
-// castagnoli is the CRC32C table, the same polynomial the wire protocol
-// frames use.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// maxRecordLen caps one encoded row. Anything larger in a length prefix
-// is treated as corruption rather than attempted as an allocation.
-const maxRecordLen = 1 << 28
 
 // Stats counts spill activity: run files written and payload bytes in
 // them. Per-query sessions and the manager both expose a snapshot.
@@ -77,14 +64,6 @@ func NewManager(dir string) (*Manager, error) {
 		return nil, fmt.Errorf("spill: %w", err)
 	}
 	return &Manager{dir: dir}, nil
-}
-
-// Dir reports the spill directory.
-func (m *Manager) Dir() string {
-	if m == nil {
-		return ""
-	}
-	return m.dir
 }
 
 // Stats snapshots the cumulative counters. Safe on nil.
@@ -219,13 +198,13 @@ func (s *Session) NewWriter() (*Writer, error) {
 
 // Writer appends encoded, checksummed rows to one run file.
 type Writer struct {
-	s       *Session
-	f       *os.File
-	bw      *bufio.Writer
-	path    string
-	tuples  int
-	bytes   int64
-	scratch []byte
+	s      *Session
+	f      *os.File
+	bw     *bufio.Writer
+	path   string
+	tuples int
+	bytes  int64
+	frame  []byte // reused across rows
 }
 
 // Append encodes and writes one row.
@@ -235,29 +214,18 @@ func (w *Writer) Append(t storage.Tuple) error {
 			return err
 		}
 	}
-	payload := rowcodec.AppendTuple(w.scratch[:0], t)
-	w.scratch = payload // reuse the allocation across rows
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	sum := crc32.Checksum(payload, castagnoli)
-	if inj := w.s.m.inj.Load(); inj != nil && len(payload) > 0 && inj.corruptRoll() {
-		// Corruption fault: flip one payload byte after the checksum was
-		// taken, so the reader's CRC verification must catch it.
-		payload[len(payload)/2] ^= 0x40
+	w.frame = rowcodec.AppendFrame(w.frame[:0], func(b []byte) []byte { return rowcodec.AppendTuple(b, t) })
+	if inj := w.s.m.inj.Load(); inj != nil && inj.corruptRoll() {
+		// Corruption fault: flip the payload's middle byte after the
+		// checksum was taken, so the reader's CRC verification must catch
+		// it.
+		w.frame[len(w.frame)/2] ^= 0x40
 	}
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], sum)
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("spill: write %s: %w", w.path, err)
-	}
-	if _, err := w.bw.Write(payload); err != nil {
-		return fmt.Errorf("spill: write %s: %w", w.path, err)
-	}
-	if _, err := w.bw.Write(crc[:]); err != nil {
+	if _, err := w.bw.Write(w.frame); err != nil {
 		return fmt.Errorf("spill: write %s: %w", w.path, err)
 	}
 	w.tuples++
-	w.bytes += int64(len(payload) + 8)
+	w.bytes += int64(len(w.frame))
 	return nil
 }
 
@@ -307,7 +275,7 @@ func (r *Run) Open() (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spill: %w", err)
 	}
-	return &Reader{r: r, f: f, br: bufio.NewReaderSize(f, 1<<16)}, nil
+	return &Reader{r: r, f: f, fr: rowcodec.NewFrameReader(bufio.NewReaderSize(f, 1<<16))}, nil
 }
 
 // Remove deletes the run file eagerly (the session Close would get it
@@ -322,10 +290,9 @@ func (r *Run) Remove() {
 // the run; any checksum mismatch, impossible length, or mid-record
 // truncation returns an error wrapping qctx.ErrSpillCorrupt.
 type Reader struct {
-	r   *Run
-	f   *os.File
-	br  *bufio.Reader
-	buf []byte
+	r  *Run
+	f  *os.File
+	fr *rowcodec.FrameReader
 }
 
 // Next decodes the next row.
@@ -335,27 +302,12 @@ func (rd *Reader) Next() (storage.Tuple, error) {
 			return nil, err
 		}
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(rd.br, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, corruptf(rd.r.path, "truncated record header")
+	payload, err := rd.fr.Next()
+	if err == io.EOF {
+		return nil, io.EOF
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxRecordLen {
-		return nil, corruptf(rd.r.path, "impossible record length %d", n)
-	}
-	if cap(rd.buf) < int(n)+4 {
-		rd.buf = make([]byte, int(n)+4)
-	}
-	buf := rd.buf[:int(n)+4]
-	if _, err := io.ReadFull(rd.br, buf); err != nil {
-		return nil, corruptf(rd.r.path, "truncated record body")
-	}
-	payload, crc := buf[:n], binary.BigEndian.Uint32(buf[n:])
-	if crc32.Checksum(payload, castagnoli) != crc {
-		return nil, corruptf(rd.r.path, "checksum mismatch")
+	if err != nil {
+		return nil, corruptf(rd.r.path, "%v", err)
 	}
 	t, err := rowcodec.DecodeTuple(payload)
 	if err != nil {
@@ -370,7 +322,3 @@ func (rd *Reader) Close() error { return rd.f.Close() }
 func corruptf(path, format string, args ...any) error {
 	return fmt.Errorf("spill: run %s: %s: %w", filepath.Base(path), fmt.Sprintf(format, args...), qctx.ErrSpillCorrupt)
 }
-
-// The tuple payload encoding lives in internal/rowcodec and is shared
-// with the write-ahead log, so a row that round-trips through a spill
-// run round-trips through a WAL record too.

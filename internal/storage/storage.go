@@ -211,45 +211,10 @@ func (f *HeapFile) Scan(fn func(Tuple) bool) {
 	}
 }
 
-// Rewrite rebuilds the file, keeping each tuple for which keep returns
-// true, after applying an optional transform. Reads go through the buffer
-// pool; rewritten pages are charged as writes (the file is rebuilt in
-// sequential order, as a System R-era update-by-rewrite would). It returns
-// the number of tuples affected (dropped or changed).
-func (f *HeapFile) Rewrite(keep func(Tuple) (bool, Tuple)) int {
-	var kept []Tuple
-	affected := 0
-	for i := range f.pages {
-		for _, t := range f.ReadPage(i) {
-			ok, nt := keep(t)
-			if !ok {
-				affected++
-				continue
-			}
-			if nt != nil {
-				affected++
-				kept = append(kept, nt)
-				continue
-			}
-			kept = append(kept, t)
-		}
-	}
-	f.store.mu.Lock()
-	f.store.pool.invalidate(f)
-	f.pages = nil
-	f.nTuples = 0
-	f.sealed = false
-	f.store.mu.Unlock()
-	for _, t := range kept {
-		f.Append(t)
-	}
-	f.Seal()
-	return affected
-}
-
 // Replace rebuilds the file from the given rows, invalidating its
-// buffer frames and charging the rebuilt pages as writes. Unlike
-// Rewrite it takes a fully decided row set, so callers can evaluate
+// buffer frames and charging the rebuilt pages as writes (the file is
+// rebuilt in sequential order, as a System R-era update-by-rewrite
+// would). It takes a fully decided row set, so callers can evaluate
 // predicates first (where faults may strike) and mutate only after
 // every decision succeeded. The rebuild goes into a shadow file that is
 // swapped in whole: an injected fault panic during the rebuild unwinds

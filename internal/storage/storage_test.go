@@ -337,41 +337,55 @@ func ExampleIOStats() {
 	// Output: 2 page I/Os (1 reads + 1 writes)
 }
 
-func TestRewriteDeleteAndUpdate(t *testing.T) {
+// replaceWith is the DML shape Replace exists for: decide every row by a
+// scan first (nil drops the row), then swap the file.
+func replaceWith(f *HeapFile, decide func(Tuple) Tuple) {
+	var rows []Tuple
+	f.Scan(func(t Tuple) bool {
+		if nt := decide(t); nt != nil {
+			rows = append(rows, nt)
+		}
+		return true
+	})
+	f.Replace(rows)
+}
+
+func TestReplaceDeleteAndUpdate(t *testing.T) {
 	s := NewStore(4)
 	f, _ := s.Create("R", 3)
 	fill(f, 10) // values 0..9
 	s.ResetStats()
 
 	// Delete odd values.
-	n := f.Rewrite(func(t Tuple) (bool, Tuple) {
-		return t[0].Int()%2 == 0, nil
+	replaceWith(f, func(t Tuple) Tuple {
+		if t[0].Int()%2 != 0 {
+			return nil
+		}
+		return t
 	})
-	if n != 5 {
-		t.Errorf("deleted = %d, want 5", n)
-	}
 	if f.NumTuples() != 5 || f.NumPages() != 2 {
 		t.Errorf("after delete: %d tuples, %d pages", f.NumTuples(), f.NumPages())
 	}
 	// Reads: 4 pages in; writes: 2 pages out.
 	st := s.Stats()
 	if st.Reads != 4 || st.Writes != 2 {
-		t.Errorf("rewrite I/O = %+v, want 4 reads + 2 writes", st)
+		t.Errorf("replace I/O = %+v, want 4 reads + 2 writes", st)
+	}
+	if n := s.TempCount(); n != 0 {
+		t.Errorf("%d shadow file(s) left behind", n)
 	}
 
 	// Update: double every remaining value.
-	n = f.Rewrite(func(t Tuple) (bool, Tuple) {
-		return true, Tuple{value.NewInt(t[0].Int() * 2)}
-	})
-	if n != 5 {
-		t.Errorf("updated = %d, want 5", n)
-	}
+	replaceWith(f, func(t Tuple) Tuple { return Tuple{value.NewInt(t[0].Int() * 2)} })
 	var got []int64
 	f.Scan(func(t Tuple) bool {
 		got = append(got, t[0].Int())
 		return true
 	})
 	want := []int64{0, 4, 8, 12, 16}
+	if len(got) != len(want) {
+		t.Fatalf("after update = %v, want %v", got, want)
+	}
 	for i, v := range want {
 		if got[i] != v {
 			t.Fatalf("after update = %v, want %v", got, want)
@@ -379,17 +393,22 @@ func TestRewriteDeleteAndUpdate(t *testing.T) {
 	}
 }
 
-func TestRewriteInvalidatesBufferFrames(t *testing.T) {
+func TestReplaceInvalidatesBufferFrames(t *testing.T) {
 	s := NewStore(4)
 	f, _ := s.Create("R", 2)
 	fill(f, 4)
 	f.Scan(func(Tuple) bool { return true }) // warm the pool
-	f.Rewrite(func(t Tuple) (bool, Tuple) { return t[0].Int() != 0, nil })
+	replaceWith(f, func(t Tuple) Tuple {
+		if t[0].Int() == 0 {
+			return nil
+		}
+		return t
+	})
 	s.ResetStats()
 	f.Scan(func(Tuple) bool { return true })
-	// Every page is a miss after the rewrite dropped the old frames.
+	// Every page is a miss after the replace dropped the old frames.
 	if got := s.Stats().Reads; got != int64(f.NumPages()) {
-		t.Errorf("post-rewrite scan reads = %d, want %d", got, f.NumPages())
+		t.Errorf("post-replace scan reads = %d, want %d", got, f.NumPages())
 	}
 }
 
@@ -401,11 +420,13 @@ func TestChargeReads(t *testing.T) {
 	}
 }
 
-func TestRewriteEmptyFile(t *testing.T) {
+func TestReplaceEmptyFile(t *testing.T) {
 	s := NewStore(2)
 	f, _ := s.Create("R", 2)
 	f.Seal()
-	if n := f.Rewrite(func(Tuple) (bool, Tuple) { return true, nil }); n != 0 {
-		t.Errorf("rewrite of empty file affected %d", n)
+	s.ResetStats()
+	f.Replace(nil)
+	if f.NumTuples() != 0 || f.NumPages() != 0 || s.Stats().Total() != 0 {
+		t.Errorf("replace of an empty file: %d tuples, %d pages, %v", f.NumTuples(), f.NumPages(), s.Stats())
 	}
 }

@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"strconv"
 	"strings"
 
 	"repro/internal/ast"
@@ -128,25 +129,11 @@ func (t *Transformer) uniqueSelectColumn(sub *ast.QueryBlock) bool {
 func (t *Transformer) freshAlias(base string, taken map[string]bool) string {
 	for {
 		t.nAlias++
-		alias := base + "_" + itoa(t.nAlias)
+		alias := base + "_" + strconv.Itoa(t.nAlias)
 		if !taken[strings.ToUpper(alias)] {
 			return alias
 		}
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }
 
 // renameBinding rewrites references Table==old to Table==new throughout

@@ -486,41 +486,3 @@ func TestAccumulatorProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestGobRoundTrip(t *testing.T) {
-	vals := []Value{
-		Null,
-		NewInt(42), NewInt(-7),
-		NewFloat(2.5), NewFloat(-0.0),
-		NewString(""), NewString("O'BRIEN|x"),
-		NewDateValue(mustParseDate("7-3-79")),
-	}
-	for _, v := range vals {
-		b, err := v.GobEncode()
-		if err != nil {
-			t.Fatalf("encode %v: %v", v, err)
-		}
-		var got Value
-		if err := got.GobDecode(b); err != nil {
-			t.Fatalf("decode %v: %v", v, err)
-		}
-		if !got.Equal(v) || got.Kind() != v.Kind() {
-			t.Errorf("round trip %v -> %v", v, got)
-		}
-	}
-}
-
-func TestGobDecodeErrors(t *testing.T) {
-	var v Value
-	for _, b := range [][]byte{
-		nil,
-		{99},              // unknown kind
-		{byte(KindInt)},   // missing varint
-		{byte(KindFloat)}, // short float
-		{byte(KindFloat), 1, 2, 3},
-	} {
-		if err := v.GobDecode(b); err == nil {
-			t.Errorf("GobDecode(%v): expected error", b)
-		}
-	}
-}

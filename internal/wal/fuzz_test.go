@@ -4,6 +4,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/storage"
+	"repro/internal/value"
 )
 
 // FuzzWALReplay feeds arbitrary bytes to the recovery scanner and pins
@@ -15,8 +18,8 @@ import (
 //     above minLSN, and re-encodes to the exact payload bytes the frame
 //     held, so corruption can truncate history but never rewrite it.
 //
-// The corpus seeds with the golden mutilations (testdata/golden) plus
-// the fuzz engine's own discoveries.
+// The corpus seeds with the golden mutilations (testdata/golden), the
+// record run of a database image, plus the fuzz engine's own discoveries.
 func FuzzWALReplay(f *testing.F) {
 	entries, err := os.ReadDir(filepath.Join("testdata", "golden"))
 	if err != nil {
@@ -29,6 +32,16 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		f.Add(data, uint64(1))
 	}
+	// A database image's body — a schema, then its rows cut into RecInsert
+	// chunks — is this decoder's other input (engine.Restore, checkpoints).
+	image := AppendRecord([]byte(segMagic), goldenRecords()[0])
+	for lsn, rows := range [][]storage.Tuple{
+		{intRow(1, 10), {value.Null, value.NewString("it's")}, {value.NewFloat(-2.5), mustDate(f, 1979, 7, 3)}},
+		{intRow(4, 40)},
+	} {
+		image = AppendRecord(image, Record{LSN: uint64(lsn + 2), Type: RecInsert, Table: "T", Rows: rows})
+	}
+	f.Add(image, uint64(1))
 	f.Add([]byte(segMagic), uint64(1))
 	f.Add([]byte{}, uint64(0))
 	f.Fuzz(func(t *testing.T, data []byte, minLSN uint64) {

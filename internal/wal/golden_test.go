@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"hash/crc32"
 	"os"
@@ -50,15 +51,17 @@ func goldenRecords() []Record {
 }
 
 // buildGoldenBase frames the base records into one segment image and
-// returns it together with the start offset of every frame.
+// returns it together with the start offset of every frame. It spells the
+// frame out by hand, not through rowcodec.AppendFrame, so the corpus pins
+// the bytes and not whatever the shared function currently writes.
 func buildGoldenBase() (seg []byte, offsets []int) {
 	seg = []byte(segMagic)
 	for _, r := range goldenRecords() {
 		offsets = append(offsets, len(seg))
 		payload := appendPayload(nil, r)
-		seg = appendU32(seg, uint32(len(payload)))
+		seg = binary.BigEndian.AppendUint32(seg, uint32(len(payload)))
 		seg = append(seg, payload...)
-		seg = appendU32(seg, crc32.Checksum(payload, castagnoli))
+		seg = binary.BigEndian.AppendUint32(seg, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
 	}
 	return seg, offsets
 }

@@ -69,6 +69,24 @@ type Record struct {
 	SQL    string          // RecDelete, RecUpdate
 }
 
+// AppendRecord appends the record's frame (rowcodec.AppendFrame around
+// its payload) to dst: what a segment holds per commit and a database
+// image per relation and chunk of rows.
+func AppendRecord(dst []byte, r Record) []byte {
+	return rowcodec.AppendFrame(dst, func(b []byte) []byte { return appendPayload(b, r) })
+}
+
+// ReadRecord reads and decodes the next framed record; the errors are
+// FrameReader.Next's, or a plain one for a verified payload that is not a
+// record.
+func ReadRecord(fr *rowcodec.FrameReader) (Record, error) {
+	payload, err := fr.Next()
+	if err != nil {
+		return Record{}, err
+	}
+	return decodePayload(payload)
+}
+
 // appendPayload appends the record's frame payload to dst: uvarint LSN,
 // type byte, then the type-specific body.
 func appendPayload(dst []byte, r Record) []byte {
@@ -130,7 +148,7 @@ func decodePayload(p []byte) (Record, error) {
 			return r, fmt.Errorf("schema name: %w", err)
 		}
 		ncols, n := binary.Uvarint(p)
-		if n <= 0 || ncols > maxRecordLen {
+		if n <= 0 || ncols > rowcodec.MaxLen {
 			return r, fmt.Errorf("bad column count")
 		}
 		p = p[n:]
@@ -158,7 +176,7 @@ func decodePayload(p []byte) (Record, error) {
 			s.Key = append(s.Key, k)
 		}
 		tpp, n := binary.Uvarint(p)
-		if n <= 0 || tpp > maxRecordLen {
+		if n <= 0 || tpp > rowcodec.MaxLen {
 			return r, fmt.Errorf("bad tuples-per-page")
 		}
 		p = p[n:]
@@ -173,7 +191,7 @@ func decodePayload(p []byte) (Record, error) {
 			return r, fmt.Errorf("table name: %w", err)
 		}
 		nrows, n := binary.Uvarint(p)
-		if n <= 0 || nrows > maxRecordLen {
+		if n <= 0 || nrows > rowcodec.MaxLen {
 			return r, fmt.Errorf("bad row count")
 		}
 		p = p[n:]

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"repro/internal/rowcodec"
 )
 
 // Recovery reports what Open reconstructed: the newest valid snapshot
@@ -18,15 +20,9 @@ type Recovery struct {
 	SnapshotPayload []byte // database image bytes, nil if no snapshot
 	SnapshotLSN     uint64 // next-LSN stored in the snapshot header
 	Records         []Record
-	SegmentsScanned int
 	TruncatedBytes  int64 // torn/corrupt tail bytes discarded
 	DroppedSegments int   // whole segments discarded past the first corruption
 	DroppedSnaps    int   // snapshots whose checksum failed
-}
-
-// Fresh reports whether the directory held no usable state at all.
-func (r *Recovery) Fresh() bool {
-	return r.SnapshotPayload == nil && len(r.Records) == 0
 }
 
 // Open opens (creating if needed) the log rooted at dir and performs
@@ -89,7 +85,6 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: open: %w", err)
 		}
-		rec.SegmentsScanned++
 		recs, validLen, scanErr := ScanSegment(data, l.nextLSN)
 		if len(rec.Records) > 0 && len(recs) > 0 && recs[0].LSN != l.nextLSN {
 			// A gap at a segment boundary: a whole segment went missing.
@@ -168,26 +163,15 @@ func ScanSegment(data []byte, minLSN uint64) ([]Record, int, error) {
 	}
 	var recs []Record
 	off := len(segMagic)
+	body := bytes.NewReader(data[off:])
+	fr := rowcodec.NewFrameReader(body)
 	prev := minLSN // records must carry LSN >= minLSN, strictly increasing
 	first := true
-	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < 4 {
-			return recs, off, fmt.Errorf("%w: torn length prefix", ErrCorrupt)
+	for {
+		r, err := ReadRecord(fr)
+		if err == io.EOF {
+			return recs, off, nil
 		}
-		n := binary.BigEndian.Uint32(rest[:4])
-		if n > maxRecordLen {
-			return recs, off, fmt.Errorf("%w: impossible record length %d", ErrCorrupt, n)
-		}
-		if uint64(len(rest)) < 8+uint64(n) {
-			return recs, off, fmt.Errorf("%w: torn record body", ErrCorrupt)
-		}
-		payload := rest[4 : 4+n]
-		crc := binary.BigEndian.Uint32(rest[4+n : 8+n])
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return recs, off, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-		}
-		r, err := decodePayload(payload)
 		if err != nil {
 			return recs, off, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
@@ -200,9 +184,8 @@ func ScanSegment(data []byte, minLSN uint64) ([]Record, int, error) {
 		}
 		prev, first = r.LSN, false
 		recs = append(recs, r)
-		off += 8 + int(n)
+		off = len(data) - body.Len()
 	}
-	return recs, off, nil
 }
 
 // readSnapshot loads and verifies one snapshot file: magic, the stored
@@ -218,7 +201,9 @@ func readSnapshot(path string) (payload []byte, lsn uint64, ok bool) {
 		return nil, 0, false
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(tail) {
+	crc := rowcodec.NewChecksum()
+	crc.Write(body)
+	if crc.Sum32() != binary.BigEndian.Uint32(tail) {
 		return nil, 0, false
 	}
 	lsn = binary.BigEndian.Uint64(data[len(snapMagic):hdr])

@@ -1,13 +1,9 @@
-// Package wal is the durability subsystem: a write-ahead log of
-// CRC32C-checksummed, length-prefixed commit records in segment files
-// under a data directory, plus atomic checkpoint snapshots
-// (write-temp-then-rename) of the whole database image.
-//
-// The framing reuses the codec shape shared by the wire protocol and
-// the spill run files: each record is a uint32 big-endian payload
-// length, the payload, and a uint32 big-endian CRC32C of the payload.
-// The payload is a uvarint LSN, a type byte, and a type-specific body
-// (see record.go). Segment files start with an 8-byte magic.
+// Package wal is the durability subsystem: a write-ahead log of commit
+// records in segment files under a data directory, plus atomic
+// checkpoint snapshots (write-temp-then-rename) of the whole database
+// image. A segment is an 8-byte magic, then one rowcodec record frame
+// (DESIGN.md §13) per commit; the payload is a uvarint LSN, a type byte,
+// and a type-specific body (see record.go).
 //
 // Commit discipline (the engine's side of the contract): apply the
 // operation in memory, append its record, wait for durability, then
@@ -25,8 +21,8 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -34,16 +30,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-)
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+	"repro/internal/rowcodec"
+)
 
 const (
 	segMagic  = "NSQLWAL1"
 	snapMagic = "NSQLSNP1"
-	// maxRecordLen caps one payload; larger length prefixes are treated
-	// as corruption rather than attempted as allocations.
-	maxRecordLen = 1 << 28
 	// DefaultSegmentBytes is the rotation threshold when Options does
 	// not set one.
 	DefaultSegmentBytes = 1 << 20
@@ -130,9 +123,6 @@ type Log struct {
 // injector. Test-only, in the style of storage.Store.SetFaultInjector.
 func (l *Log) SetFaultInjector(fi *FaultInjector) { l.inj.Store(fi) }
 
-// Dir returns the data directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Commit is a handle to one appended record; Wait blocks until the
 // record is durable under the log's sync policy.
 type Commit struct {
@@ -217,11 +207,7 @@ func (l *Log) Append(rec Record) (Commit, error) {
 		return Commit{}, err
 	}
 	rec.LSN = l.nextLSN
-	payload := appendPayload(nil, rec)
-	frame := make([]byte, 0, len(payload)+8)
-	frame = appendU32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
-	frame = appendU32(frame, crc32.Checksum(payload, castagnoli))
+	frame := AppendRecord(nil, rec)
 
 	if fi := l.inj.Load(); fi != nil {
 		if cut, torn := fi.tear(len(frame)); torn {
@@ -299,16 +285,13 @@ func (l *Log) Checkpoint(write func(w io.Writer) error) error {
 		return fmt.Errorf("wal: checkpoint temp: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after the rename
-	crc := crc32.New(castagnoli)
+	crc := rowcodec.NewChecksum()
 	w := io.MultiWriter(tmp, crc)
-	var hdr []byte
-	hdr = append(hdr, snapMagic...)
-	hdr = appendU64(hdr, l.nextLSN)
-	if _, err = w.Write(hdr); err == nil {
+	if _, err = w.Write(binary.BigEndian.AppendUint64([]byte(snapMagic), l.nextLSN)); err == nil {
 		err = write(w)
 	}
 	if err == nil {
-		_, err = tmp.Write(appendU32(nil, crc.Sum32()))
+		_, err = tmp.Write(binary.BigEndian.AppendUint32(nil, crc.Sum32()))
 	}
 	if err == nil && l.opts.Fsync {
 		err = tmp.Sync()
@@ -434,15 +417,6 @@ func isSnapshotName(name string) bool {
 	var lsn uint64
 	_, err := fmt.Sscanf(name, "snap-%x.snap", &lsn)
 	return err == nil && filepath.Ext(name) == ".snap"
-}
-
-func appendU32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
 // syncDir fsyncs a directory so renames and creations in it are

@@ -43,7 +43,7 @@ func TestAppendRecoverRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Fresh() {
+	if rec.SnapshotPayload != nil || len(rec.Records) != 0 {
 		t.Fatalf("expected fresh recovery, got %+v", rec)
 	}
 	types := []Record{
@@ -104,7 +104,7 @@ func TestAppendRecoverRoundtrip(t *testing.T) {
 	}
 }
 
-func mustDate(t *testing.T, y, m, d int) value.Value {
+func mustDate(t testing.TB, y, m, d int) value.Value {
 	t.Helper()
 	dt, err := value.NewDate(y, m, d)
 	if err != nil {

@@ -33,9 +33,9 @@
 // exchange (see Hello.Flags): per-frame CRC32C checksums, so a byte
 // corrupted in flight surfaces as ErrCorruptFrame instead of a garbled
 // row, and Ping/Pong heartbeat frames, so an idle server can tell a dead
-// peer from a quiet one. Hello frames themselves are always plain — they
-// are what carries the negotiation — and a zero flags byte keeps the
-// connection on plain framing.
+// peer from a quiet one. Hello frames are always plain — they carry the
+// negotiation. That is why this is not rowcodec's record frame: the
+// type byte sits under the checksum and the trailer is optional.
 package wire
 
 import (

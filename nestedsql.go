@@ -634,7 +634,7 @@ func (db *DB) LoadFixture(f Fixture) error {
 
 // Save writes a snapshot of the database (catalog, keys, rows, page
 // shapes, buffer size) to w; Restore rebuilds it. Snapshots are
-// self-contained binary images (gob encoded).
+// self-contained binary images: checksummed WAL records (DESIGN.md §13).
 func (db *DB) Save(w io.Writer) error { return db.eng.Save(w) }
 
 // Restore reads a snapshot written by Save into a new database.
