@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
@@ -66,8 +67,7 @@ func startDaemon(t *testing.T, bin, dataDir string, faultSeed int64) *daemon {
 		"-addr", "127.0.0.1:0",
 		"-fixture", "none",
 		"-data-dir", dataDir,
-		"-wal-fault-rate", "0.02",
-		"-wal-fault-seed", fmt.Sprint(faultSeed),
+		"-fault", fault.Plan{Seed: faultSeed, Max: 1, Rates: fault.Rates{fault.WALTear: 0.02}}.String(),
 		"-drain-timeout", "5s",
 	)
 	pipe, err := cmd.StderrPipe()

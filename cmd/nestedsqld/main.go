@@ -41,8 +41,8 @@ import (
 	nestedsql "repro"
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/server"
-	"repro/internal/wal"
 )
 
 var strategies = map[string]engine.Strategy{
@@ -53,12 +53,11 @@ var strategies = map[string]engine.Strategy{
 
 // options is the parsed command line.
 type options struct {
-	addr, fixture, strategy, spillDir, dataDir, coordinator, place               string
+	addr, fixture, strategy, spillDir, dataDir, coordinator, place, fault        string
 	buffer, parallel, batchRows, maxConcurrent, queueDepth, replicas             int
 	maxTimeout, drainTimeout, heartbeat, writeDeadline, ioTimeout, probeInterval time.Duration
-	maxRows, memPool, spillThreshold, walFaultSeed                               int64
+	maxRows, memPool, spillThreshold                                             int64
 	fsync                                                                        bool
-	walFaultRate                                                                 float64
 }
 
 // defineFlags declares every flag nestedsqld takes on fs.
@@ -82,8 +81,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.writeDeadline, "write-deadline", 0, "per-frame write deadline; a consumer stalled past it is evicted, its query cancelled (0 = 30s)")
 	fs.StringVar(&o.dataDir, "data-dir", "", "durability: write-ahead log + checkpoint directory; recovers prior state on start, checkpoints on clean shutdown (empty = in-memory only)")
 	fs.BoolVar(&o.fsync, "fsync", false, "durability: fsync every commit batch (with -data-dir); off = commits survive a process crash, not host power loss")
-	fs.Float64Var(&o.walFaultRate, "wal-fault-rate", 0, "testing: probability that a WAL append tears mid-record and poisons the log")
-	fs.Int64Var(&o.walFaultSeed, "wal-fault-seed", 1, "testing: seed for -wal-fault-rate")
+	fs.StringVar(&o.fault, "fault", "", "testing: fault plan armed on the engine once it is loaded, e.g. seed=7,max=1,wal.tear=0.02 (sites: internal/fault)")
 	fs.StringVar(&o.coordinator, "coordinator", "", "run as cluster coordinator over these comma-separated worker addresses (no local engine)")
 	fs.StringVar(&o.place, "place", "", "coordinator: comma-separated TABLE=COL partition-key overrides (default: each table's first key column)")
 	fs.DurationVar(&o.ioTimeout, "io-timeout", 10*time.Second, "coordinator: per-frame deadline on worker connections")
@@ -118,7 +116,7 @@ func main() {
 			"fixture": true, "buffer": true, "max-concurrent": true,
 			"queue-depth": true, "mem-pool": true, "spill-dir": true,
 			"spill-threshold": true, "data-dir": true, "fsync": true,
-			"wal-fault-rate": true, "wal-fault-seed": true,
+			"fault": true,
 		}
 		var bad []string
 		flag.Visit(func(f *flag.Flag) {
@@ -184,19 +182,19 @@ func main() {
 		if err := db.Checkpoint(); err != nil {
 			fail(err)
 		}
-		if o.walFaultRate > 0 {
-			db.Internal().WAL().SetFaultInjector(wal.NewFaultInjector(wal.FaultConfig{
-				Seed:           o.walFaultSeed,
-				TornAppendRate: o.walFaultRate,
-				MaxFaults:      1,
-			}))
-			fmt.Fprintf(os.Stderr, "nestedsqld: WAL fault injection armed (rate=%g seed=%d)\n",
-				o.walFaultRate, o.walFaultSeed)
+	}
+	if o.fault != "" {
+		plan, err := fault.Parse(o.fault)
+		if err != nil {
+			fail(err)
 		}
+		db.Internal().SetFaults(fault.New(plan))
+		fmt.Fprintf(os.Stderr, "nestedsqld: fault injection armed (%v)\n", plan)
 	}
 
 	srv := server.New(db.Internal(), srvCfg)
 	serveLoop(srv, o.addr, o.drainTimeout)
+	db.Internal().SetFaults(nil) // the final checkpoint reads pages outside any query's containment
 	if o.spillDir != "" {
 		fmt.Fprintf(os.Stderr, "nestedsqld: spill: %v\n", db.SpillStats())
 	}

@@ -171,19 +171,6 @@ func TestLocalColumnRefsAndRewrite(t *testing.T) {
 	}
 }
 
-func TestRewriteColumnsDeep(t *testing.T) {
-	inner := mkBlock()
-	outer := mkBlock()
-	outer.Where = append(outer.Where, &InPred{Left: ColumnRef{Table: "S", Column: "A"}, Sub: inner})
-	outer.RewriteColumnsDeep(func(c ColumnRef) ColumnRef {
-		c.Column = "Z" + c.Column
-		return c
-	})
-	if !strings.Contains(inner.String(), "S.ZA") {
-		t.Errorf("deep rewrite missed inner block: %s", inner.String())
-	}
-}
-
 func TestFreeRefs(t *testing.T) {
 	inner := mkBlock()
 	// Add a correlated reference: S.B = OUT.C where OUT is not in scope.

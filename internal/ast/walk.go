@@ -144,17 +144,6 @@ func rewriteExpr(e Expr, fn func(ColumnRef) ColumnRef) Expr {
 	return e
 }
 
-// RewriteColumnsDeep applies fn to every column reference in the block and
-// in all nested blocks. The NEST-N-J transformer uses it to rename
-// references after aliasing a merged table whose name collides with one
-// already present in the combined FROM clause.
-func (qb *QueryBlock) RewriteColumnsDeep(fn func(ColumnRef) ColumnRef) {
-	VisitBlocks(qb, func(b *QueryBlock, _ int) bool {
-		b.RewriteLocalColumns(fn)
-		return true
-	})
-}
-
 // HasDisjunction reports whether any WHERE conjunct (at this block level)
 // contains OR or NOT, which the transformation algorithms cannot handle.
 func (qb *QueryBlock) HasDisjunction() bool {

@@ -26,6 +26,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -56,6 +57,18 @@ func (e *ConnectionLostError) Error() string {
 // Unwrap exposes both the sentinel and the cause (multi-error unwrap).
 func (e *ConnectionLostError) Unwrap() []error {
 	return []error{ErrConnectionLost, e.Cause}
+}
+
+// LinkFailure reports whether err means the connection, or the peer
+// behind it, died — loss mid-query, a corrupt or torn frame, EOF, a
+// closed socket, any dial or I/O error of the net package — rather than
+// the server answering. Callers add what is theirs: a typed
+// *wire.RemoteError proves the peer alive, a deadline may mean slow.
+func LinkFailure(err error) bool {
+	var ne net.Error
+	return errors.Is(err, ErrConnectionLost) || errors.Is(err, wire.ErrCorruptFrame) ||
+		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, net.ErrClosed) || errors.As(err, &ne)
 }
 
 // ReconnectConfig tunes automatic redialing. The zero value of each
@@ -256,19 +269,25 @@ func dialTransport(addr string, opts DialOptions) (_ *transport, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: handshake: %w", err)
 	}
+	var malformed error
 	switch typ {
 	case wire.FrameHello:
-		h, err = wire.DecodeHello(payload)
-		if err == nil && h.Version != wire.Version {
+		if h, malformed = wire.DecodeHello(payload); malformed == nil && h.Version != wire.Version {
 			err = fmt.Errorf("client: server speaks version %d, want %d", h.Version, wire.Version)
 		}
 	case wire.FrameError:
 		var f wire.ErrorFrame
-		if f, err = wire.DecodeError(payload); err == nil {
+		if f, malformed = wire.DecodeError(payload); malformed == nil {
 			err = &wire.RemoteError{Frame: f}
 		}
 	default:
-		err = fmt.Errorf("client: unexpected handshake frame 0x%02x", typ)
+		malformed = fmt.Errorf("unexpected frame 0x%02x", typ)
+	}
+	if malformed != nil {
+		// The Hello exchange is plain framing: a reply damaged in flight has
+		// no checksum to fail, so one that is no Hello and no Error frame is
+		// typed as what the checksum would have called it.
+		err = fmt.Errorf("client: handshake: %v: %w", malformed, wire.ErrCorruptFrame)
 	}
 	if err != nil {
 		return nil, err

@@ -420,3 +420,28 @@ func TestRedialBackoffNeverOverflows(t *testing.T) {
 		t.Errorf("81 redials capped at 1ms each took %v", elapsed)
 	}
 }
+
+// TestGarbledHandshakeIsTyped: the Hello reply travels unchecksummed, so
+// a reply damaged in flight — an impossible length, another frame type, a
+// mangled payload — must still fail the dial typed, as a link failure.
+func TestGarbledHandshakeIsTyped(t *testing.T) {
+	hello := wire.EncodeHello(wire.Hello{Version: wire.Version})
+	mangled := append([]byte(nil), hello...)
+	mangled[0] ^= 0x20
+	replies := map[string][]byte{
+		"length":  {0x01, 0x00, 0x00, 0x07, wire.FrameHello},
+		"type":    append([]byte{0, 0, 0, byte(1 + len(hello)), 0x7F}, hello...),
+		"payload": append([]byte{0, 0, 0, byte(1 + len(hello)), wire.FrameHello}, mangled...),
+		"error":   {0, 0, 0, 1, wire.FrameError},
+	}
+	for name, reply := range replies {
+		fs := newFakeServer(t, func(idx int, nc net.Conn) {
+			wire.ReadFrame(bufio.NewReader(nc))
+			nc.Write(reply)
+		})
+		_, err := client.DialOpts(fs.addr(), client.DialOptions{Timeout: 2 * time.Second})
+		if !errors.Is(err, wire.ErrCorruptFrame) || !client.LinkFailure(err) {
+			t.Errorf("%s: dial error = %v, want a typed corrupt-frame link failure", name, err)
+		}
+	}
+}

@@ -236,7 +236,7 @@ func (co *Coordinator) withWorker(w int, fn func(*client.Conn) error) error {
 	}
 	if err == nil {
 		err = fn(conn)
-		lost = transportFailure(err)
+		lost = err != nil && transportFailure(err)
 	}
 	switch {
 	case lost:

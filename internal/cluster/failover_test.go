@@ -1,5 +1,5 @@
 // Failover tests: replicated shards surviving dead workers. The
-// in-process tests kill workers by arming their netfault proxy to drop
+// in-process tests kill workers by arming their fault.Proxy to drop
 // every chunk (established conns die on the next frame, fresh dials die
 // in the handshake); the storm SIGKILLs a real daemon subprocess and
 // restarts it empty, forcing the snapshot rejoin path end to end.
@@ -23,14 +23,14 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
-	"repro/internal/netfault"
+	"repro/internal/fault"
 )
 
 // killProxy arms a proxy to behave like a dead worker.
-func killProxy(p *netfault.Proxy) { p.Arm(netfault.Config{Drop: 1}) }
+func killProxy(p *fault.Proxy) { p.Arm(fault.New(fault.Plan{Rates: fault.Rates{fault.NetDrop: 1}})) }
 
 // healProxy restores clean forwarding for new chunks and dials.
-func healProxy(p *netfault.Proxy) { p.Arm(netfault.Config{}) }
+func healProxy(p *fault.Proxy) { p.Arm(nil) }
 
 // waitStates polls until every worker reports the wanted state.
 func waitStates(t *testing.T, co *cluster.Coordinator, want string, timeout time.Duration) {
@@ -97,10 +97,10 @@ func TestClusterFailover(t *testing.T) {
 	oracle := oracleDB(t)
 	addrs, dbs := startWorkers(t, 3, false)
 
-	var proxies []*netfault.Proxy
+	var proxies []*fault.Proxy
 	proxyAddrs := make([]string, len(addrs))
 	for i, addr := range addrs {
-		p, err := netfault.New(addr, netfault.Config{})
+		p, err := fault.NewProxy(addr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,10 +217,10 @@ func TestClusterFailover(t *testing.T) {
 // nothing left to re-ship any of them from.
 func TestClusterFailoverDropDuringOutage(t *testing.T) {
 	addrs, dbs := startWorkers(t, 3, false)
-	var proxies []*netfault.Proxy
+	var proxies []*fault.Proxy
 	proxyAddrs := make([]string, len(addrs))
 	for i, addr := range addrs {
-		p, err := netfault.New(addr, netfault.Config{})
+		p, err := fault.NewProxy(addr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func TestClusterFailoverDropDuringOutage(t *testing.T) {
 // reset is the signal — not after waiting out the 10s IOTimeout.
 func TestWorkerLostFastFailure(t *testing.T) {
 	addrs, _ := startWorkers(t, 1, false)
-	p, err := netfault.New(addrs[0], netfault.Config{})
+	p, err := fault.NewProxy(addrs[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,10 +360,10 @@ func TestWorkerLostFastFailure(t *testing.T) {
 // Probe) so the suspect → probe → healthy path is deterministic.
 func TestProbeLeavesUserTablesAlone(t *testing.T) {
 	addrs, dbs := startWorkers(t, 2, false)
-	var proxies []*netfault.Proxy
+	var proxies []*fault.Proxy
 	proxyAddrs := make([]string, len(addrs))
 	for i, addr := range addrs {
-		p, err := netfault.New(addr, netfault.Config{})
+		p, err := fault.NewProxy(addr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -588,7 +588,7 @@ func startWorkerDaemon(t *testing.T, bin, addr string) *workerDaemon {
 }
 
 // TestClusterFailoverStorm is the make cluster-failover gate: three
-// real worker daemons at R=2 behind netfault proxies take concurrent
+// real worker daemons at R=2 behind fault proxies take concurrent
 // queries (byte-diffed against the single-node oracle) and sequential
 // DML while one daemon is SIGKILLed mid-storm and restarted empty on
 // the same address. Every acknowledged write must survive on a replica,
@@ -628,10 +628,10 @@ func TestClusterFailoverStorm(t *testing.T) {
 		}
 	}()
 
-	var proxies []*netfault.Proxy
+	var proxies []*fault.Proxy
 	proxyAddrs := make([]string, workers)
 	for i, addr := range addrs {
-		p, err := netfault.New(addr, netfault.Config{Seed: clusterSeed + int64(i)})
+		p, err := fault.NewProxy(addr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -662,16 +662,23 @@ func TestClusterFailoverStorm(t *testing.T) {
 	// surviving replicas must stay authoritative, or a row acked by the
 	// victim alone would die with it. The other links get the
 	// non-destructive reality (latency, split writes).
-	proxies[victim].Arm(netfault.Config{
-		Seed: clusterSeed, Delay: 0.05, DelayDur: 2 * time.Millisecond,
-		SplitWrites: 0.25, Corrupt: 0.01, Drop: 0.01, MaxFaults: 8,
-	})
+	victimPlan := fault.Plan{
+		Seed: clusterSeed, Max: 8, Latency: 2 * time.Millisecond,
+		Rates: fault.Rates{fault.NetDelay: 0.05, fault.NetSplit: 0.25, fault.NetCorrupt: 0.01, fault.NetDrop: 0.01},
+	}
+	defer func() {
+		if t.Failed() {
+			t.Logf("fault plan armed on the victim's link: %v", victimPlan)
+		}
+	}()
+	victimFaults := fault.New(victimPlan)
+	proxies[victim].Arm(victimFaults)
 	for i, p := range proxies {
 		if i != victim {
-			p.Arm(netfault.Config{
-				Seed: clusterSeed + int64(i), Delay: 0.05, DelayDur: 2 * time.Millisecond,
-				SplitWrites: 0.25,
-			})
+			p.Arm(fault.New(fault.Plan{
+				Seed: clusterSeed + int64(i), Latency: 2 * time.Millisecond,
+				Rates: fault.Rates{fault.NetDelay: 0.05, fault.NetSplit: 0.25},
+			}))
 		}
 	}
 
@@ -798,7 +805,7 @@ func TestClusterFailoverStorm(t *testing.T) {
 		t.Errorf("%d staging tables still live after heal and sweep", n)
 	}
 	t.Logf("failover storm: %d queries completed, %d failed typed; %d keys acked (%d lost), %d errored; victim faults injected: %d",
-		completed.Load(), failed.Load(), len(ackedKeys), lost, len(erroredKeys), proxies[victim].Injected())
+		completed.Load(), failed.Load(), len(ackedKeys), lost, len(erroredKeys), victimFaults.Injected())
 	if completed.Load() == 0 {
 		t.Error("no query completed; the storm proved nothing")
 	}

@@ -27,7 +27,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -201,22 +200,20 @@ func transportFailure(err error) bool {
 	if errors.As(err, &re) {
 		return false
 	}
-	if errors.Is(err, ErrWorkerLost) || errors.Is(err, client.ErrConnectionLost) ||
-		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, net.ErrClosed) || errors.Is(err, wire.ErrCorruptFrame) {
+	if errors.Is(err, ErrWorkerLost) || errors.Is(err, client.ErrConnectionLost) {
 		return true
 	}
 	var ne net.Error
-	if errors.As(err, &ne) {
+	if errors.As(err, &ne) && ne.Timeout() {
 		// A deadline tripping on an established exchange means the worker
 		// is slow, not gone — breaker evidence is link death only. Real
 		// silent partitions still count: the client's frame-wait IOTimeout
 		// arrives wrapped in ErrConnectionLost (matched above), and dial
 		// timeouts to an unreachable worker are counted by withWorker without
 		// consulting this classifier.
-		return !ne.Timeout()
+		return false
 	}
-	return false
+	return client.LinkFailure(err)
 }
 
 // unknownRelation reports a typed "unknown relation" answer. Against a

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
-	"repro/internal/netfault"
+	"repro/internal/fault"
 )
 
 // edgeScript loads every value that a render→lex→parse hop could bend:
@@ -53,10 +53,10 @@ func TestRowsSurviveEveryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs, dbs := startWorkers(t, 3, false)
-	var proxies []*netfault.Proxy
+	var proxies []*fault.Proxy
 	proxyAddrs := make([]string, len(addrs))
 	for i, addr := range addrs {
-		p, err := netfault.New(addr, netfault.Config{})
+		p, err := fault.NewProxy(addr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/qctx"
 	"repro/internal/storage"
 )
@@ -31,7 +32,7 @@ import (
 // (possibly wrapped in a contained PanicError), or a lifecycle error from
 // a deadline racing the injected latency.
 func cleanChaosErr(err error) bool {
-	return errors.Is(err, storage.ErrInjectedFault) ||
+	return errors.Is(err, fault.ErrInjected) ||
 		errors.Is(err, qctx.ErrQueryTimeout) ||
 		errors.Is(err, qctx.ErrCanceled) ||
 		errors.Is(err, qctx.ErrBudgetExceeded)
@@ -133,6 +134,12 @@ func TestChaosFaultInjection(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 	var injectedTotal, faultedErrs, faultedOKs int64
+	var plan fault.Plan
+	defer func() {
+		if t.Failed() {
+			t.Logf("fault plan armed when the test failed: %v", plan)
+		}
+	}()
 	for i := range rounds {
 		seed := int64(9000 + i)
 		rng := rand.New(rand.NewSource(seed))
@@ -150,15 +157,14 @@ func TestChaosFaultInjection(t *testing.T) {
 		// Arm the injector. Torn writes cover both the anonymous sort/
 		// materialization temps ($tmpN) and the transform algorithms'
 		// named temp tables (TEMPn).
-		inj := storage.NewFaultInjector(storage.FaultConfig{
+		plan = fault.Plan{
 			Seed:         seed,
-			ReadError:    0.03,
-			WriteTear:    0.3,
+			Rates:        fault.Rates{fault.StorageRead: 0.03, fault.StorageTear: 0.3, fault.StorageLatency: 0.01},
 			TearPrefixes: []string{"$tmp", "TEMP"},
-			Latency:      0.01,
-			LatencyDur:   200 * time.Microsecond,
-		})
-		db.Store().SetFaultInjector(inj)
+			Latency:      200 * time.Microsecond,
+		}
+		inj := fault.New(plan)
+		db.SetFaults(inj)
 
 		// Faulted runs: nested iteration, sequential transform, parallel
 		// transform — every execution path meets the same fault schedule.
@@ -200,7 +206,7 @@ func TestChaosFaultInjection(t *testing.T) {
 
 		// Disarm and re-verify the differential oracle: injected faults
 		// must not have corrupted any base table.
-		db.Store().SetFaultInjector(nil)
+		db.SetFaults(nil)
 		tr, err := db.Query(sql, engine.Options{Strategy: engine.TransformJA2})
 		if err != nil {
 			t.Fatalf("round %d: fault-free rerun failed for %q: %v", i, sql, err)
@@ -227,15 +233,14 @@ func TestChaosFaultInjection(t *testing.T) {
 		if oracleErr != nil {
 			t.Fatalf("round %d: fault-free oracle DML failed for %q: %v", i, dml, oracleErr)
 		}
-		dmlInj := storage.NewFaultInjector(storage.FaultConfig{
+		plan = fault.Plan{
 			Seed:         seed + 1,
-			ReadError:    0.05,
-			WriteTear:    0.3,
+			Rates:        fault.Rates{fault.StorageRead: 0.05, fault.StorageTear: 0.3, fault.StorageLatency: 0.01},
 			TearPrefixes: []string{"$tmp", "TEMP", "R"},
-			Latency:      0.01,
-			LatencyDur:   200 * time.Microsecond,
-		})
-		db.Store().SetFaultInjector(dmlInj)
+			Latency:      200 * time.Microsecond,
+		}
+		dmlInj := fault.New(plan)
+		db.SetFaults(dmlInj)
 		cancel := make(chan struct{})
 		selDone := make(chan error, 1)
 		go func() {
@@ -249,7 +254,7 @@ func TestChaosFaultInjection(t *testing.T) {
 		if err := <-selDone; err != nil && !cleanChaosErr(err) {
 			t.Fatalf("round %d: unclean error from canceled SELECT during DML: %v", i, err)
 		}
-		db.Store().SetFaultInjector(nil)
+		db.SetFaults(nil)
 		injectedTotal += dmlInj.Injected()
 		if n := db.Store().TempCount(); n != 0 {
 			t.Fatalf("round %d: DML %q leaked %d temp file(s)", i, dml, n)

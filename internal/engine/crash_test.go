@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/wal"
 )
 
@@ -174,7 +175,7 @@ func TestDurabilityPoisonAndHeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every append now tears: the next DML fails and poisons the log.
-	db.WAL().SetFaultInjector(wal.NewFaultInjector(wal.FaultConfig{Seed: 7, TornAppendRate: 1, MaxFaults: 1}))
+	db.SetFaults(fault.New(fault.Plan{Seed: 7, Max: 1, Rates: fault.Rates{fault.WALTear: 1}}))
 	if _, err := db.Exec("INSERT INTO T VALUES (2, 2)", engine.Options{}); err == nil {
 		t.Fatal("torn append acknowledged")
 	}
@@ -231,6 +232,12 @@ func TestCrashStormInProcess(t *testing.T) {
 	acked := make([][]string, workers) // per-worker acknowledged SQL, in issue order
 	created := make([]bool, workers)   // worker's CREATE TABLE has been acked
 	var db *engine.DB
+	var plan fault.Plan
+	defer func() {
+		if t.Failed() {
+			t.Logf("fault plan armed last: %v", plan)
+		}
+	}()
 
 	for round := 0; round < rounds; round++ {
 		var info engine.RecoveryInfo
@@ -261,9 +268,8 @@ func TestCrashStormInProcess(t *testing.T) {
 				round, segs, snaps, tmps)
 		}
 		// Arm torn-append faults for this round's traffic.
-		db.WAL().SetFaultInjector(wal.NewFaultInjector(wal.FaultConfig{
-			Seed: int64(round), TornAppendRate: 0.03, MaxFaults: 1,
-		}))
+		plan = fault.Plan{Seed: int64(round), Max: 1, Rates: fault.Rates{fault.WALTear: 0.03}}
+		db.SetFaults(fault.New(plan))
 
 		var wg sync.WaitGroup
 		roundAcked := make([][]string, workers)

@@ -153,7 +153,7 @@ func (db *DB) Checkpoint() error {
 }
 
 // WAL exposes the log (nil without EnableDurability) — for stats
-// surfaces and for tests arming the fault injector.
+// surfaces and the crash tests' file checks.
 func (db *DB) WAL() *wal.Log { return db.wal }
 
 // WALStats snapshots log activity; ok is false without durability.

@@ -26,6 +26,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/classify"
 	"repro/internal/exec"
+	"repro/internal/fault"
 	"repro/internal/index"
 	"repro/internal/planner"
 	"repro/internal/qctx"
@@ -141,6 +142,18 @@ func (db *DB) SpillManager() *spill.Manager { return db.spill }
 
 // SpillStats snapshots cumulative spill activity (zero without spill).
 func (db *DB) SpillStats() spill.Stats { return db.spill.Stats() }
+
+// SetFaults arms every fault site of the engine — page reads and temp
+// appends, spill runs, WAL appends — with one injector; nil disarms. Call
+// it after EnableSpill and EnableDurability: a layer enabled later starts
+// disarmed.
+func (db *DB) SetFaults(in *fault.Injector) {
+	db.store.SetFaults(in)
+	db.spill.SetFaults(in)
+	if db.wal != nil {
+		db.wal.SetFaults(in)
+	}
+}
 
 // Admission returns the installed controller, or nil.
 func (db *DB) Admission() *admission.Controller { return db.admit }

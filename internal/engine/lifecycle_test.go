@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/qctx"
 	"repro/internal/schema"
 	"repro/internal/storage"
@@ -55,9 +56,7 @@ func TestTimeoutReturnsTypedError(t *testing.T) {
 		db := lifecycleDB(t)
 		// Injected latency (no hard faults) makes every page read slow, so
 		// the 30ms deadline trips mid-execution on both paths.
-		db.Store().SetFaultInjector(storage.NewFaultInjector(storage.FaultConfig{
-			Seed: 1, Latency: 1.0, LatencyDur: 5 * time.Millisecond,
-		}))
+		db.SetFaults(fault.New(fault.Plan{Seed: 1, Rates: fault.Rates{fault.StorageLatency: 1}, Latency: 5 * time.Millisecond}))
 		_, err := db.Query(lifecycleQuery, engine.Options{Strategy: strat, Timeout: 30 * time.Millisecond})
 		if !errors.Is(err, qctx.ErrQueryTimeout) {
 			t.Errorf("%v: err = %v, want ErrQueryTimeout", strat, err)
@@ -102,9 +101,7 @@ func TestMemoryBudgetReturnsTypedError(t *testing.T) {
 func TestCancelChannel(t *testing.T) {
 	for _, strat := range bothStrategies {
 		db := lifecycleDB(t)
-		db.Store().SetFaultInjector(storage.NewFaultInjector(storage.FaultConfig{
-			Seed: 1, Latency: 1.0, LatencyDur: 5 * time.Millisecond,
-		}))
+		db.SetFaults(fault.New(fault.Plan{Seed: 1, Rates: fault.Rates{fault.StorageLatency: 1}, Latency: 5 * time.Millisecond}))
 		cancel := make(chan struct{})
 		go func() {
 			time.Sleep(20 * time.Millisecond)
@@ -142,9 +139,9 @@ func TestPreCanceledQuery(t *testing.T) {
 func TestPanicContainment(t *testing.T) {
 	for _, strat := range bothStrategies {
 		db := lifecycleDB(t)
-		db.Store().SetFaultInjector(storage.NewFaultInjector(storage.FaultConfig{Seed: 3, ReadError: 1.0}))
+		db.SetFaults(fault.New(fault.Plan{Seed: 3, Rates: fault.Rates{fault.StorageRead: 1}}))
 		_, err := db.Query(lifecycleQuery, engine.Options{Strategy: strat})
-		if !errors.Is(err, storage.ErrInjectedFault) {
+		if !errors.Is(err, fault.ErrInjected) {
 			t.Errorf("%v: err = %v, want wrapped ErrInjectedFault", strat, err)
 		}
 		var pe *qctx.PanicError
@@ -152,7 +149,7 @@ func TestPanicContainment(t *testing.T) {
 			t.Errorf("%v: err = %v, want a contained *qctx.PanicError", strat, err)
 		}
 		// After disarming, the same query runs normally — the store is intact.
-		db.Store().SetFaultInjector(nil)
+		db.SetFaults(nil)
 		if _, err := db.Query(lifecycleQuery, engine.Options{Strategy: strat}); err != nil {
 			t.Errorf("%v: clean rerun failed: %v", strat, err)
 		}
@@ -161,9 +158,9 @@ func TestPanicContainment(t *testing.T) {
 
 func TestPanicContainmentDML(t *testing.T) {
 	db := lifecycleDB(t)
-	db.Store().SetFaultInjector(storage.NewFaultInjector(storage.FaultConfig{Seed: 4, ReadError: 1.0}))
+	db.SetFaults(fault.New(fault.Plan{Seed: 4, Rates: fault.Rates{fault.StorageRead: 1}}))
 	_, err := db.Exec("DELETE FROM RA WHERE K IN (SELECT K FROM RB)", engine.Options{})
-	if !errors.Is(err, storage.ErrInjectedFault) {
+	if !errors.Is(err, fault.ErrInjected) {
 		t.Errorf("DML err = %v, want wrapped ErrInjectedFault", err)
 	}
 }
@@ -177,9 +174,7 @@ func TestSequentialRetryAfterWorkerFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Store().SetFaultInjector(storage.NewFaultInjector(storage.FaultConfig{
-		Seed: 5, ReadError: 1.0, MaxFaults: 1,
-	}))
+	db.SetFaults(fault.New(fault.Plan{Seed: 5, Max: 1, Rates: fault.Rates{fault.StorageRead: 1}}))
 	opts := engine.Options{Strategy: engine.TransformJA2}
 	opts.Planner.Parallelism = 4
 	opts.Planner.ForceParallel = true
@@ -206,9 +201,7 @@ func TestSequentialRetryAfterWorkerFault(t *testing.T) {
 // slower) and surfaces as ErrQueryTimeout.
 func TestNoRetryOnTimeout(t *testing.T) {
 	db := lifecycleDB(t)
-	db.Store().SetFaultInjector(storage.NewFaultInjector(storage.FaultConfig{
-		Seed: 6, Latency: 1.0, LatencyDur: 5 * time.Millisecond,
-	}))
+	db.SetFaults(fault.New(fault.Plan{Seed: 6, Rates: fault.Rates{fault.StorageLatency: 1}, Latency: 5 * time.Millisecond}))
 	opts := engine.Options{Strategy: engine.TransformJA2, Timeout: 30 * time.Millisecond}
 	opts.Planner.Parallelism = 4
 	opts.Planner.ForceParallel = true

@@ -12,10 +12,10 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/planner"
 	"repro/internal/qctx"
 	"repro/internal/schema"
-	"repro/internal/spill"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -201,7 +201,7 @@ func TestSpillCorruptRunDetected(t *testing.T) {
 	if err := db.EnableSpill(t.TempDir(), 0); err != nil {
 		t.Fatal(err)
 	}
-	db.SpillManager().SetFaultInjector(spill.NewFaultInjector(spill.FaultConfig{Seed: 9, Corrupt: 1}))
+	db.SetFaults(fault.New(fault.Plan{Seed: 9, Rates: fault.Rates{fault.SpillCorrupt: 1}}))
 	opts := engine.Options{Strategy: engine.TransformJA2, MaxBytes: 4096}
 	mergeJoins(&opts)
 	res, err := db.Query(memJAQuery, opts)
@@ -220,7 +220,7 @@ func TestSpillCorruptRunDetected(t *testing.T) {
 
 	// A transient (retryable) corruption: under admission the engine
 	// re-runs the query and the retry, fault now spent, succeeds.
-	db.SpillManager().SetFaultInjector(spill.NewFaultInjector(spill.FaultConfig{Seed: 9, Corrupt: 1, MaxFaults: 1}))
+	db.SetFaults(fault.New(fault.Plan{Seed: 9, Max: 1, Rates: fault.Rates{fault.SpillCorrupt: 1}}))
 	db.EnableAdmission(admission.Config{RetryMax: 3, RetryBase: time.Millisecond})
 	if _, err := db.Query(memJAQuery, opts); err != nil {
 		t.Fatalf("retryable corruption not recovered: %v", err)
@@ -327,13 +327,10 @@ func TestMemPressureStorm(t *testing.T) {
 	// Fault probabilities are per record appended/read, and a squeezed
 	// query moves hundreds of records through spill runs — these rates
 	// give roughly one fault every couple of queries.
-	inj := spill.NewFaultInjector(spill.FaultConfig{
-		Seed:       seed,
-		WriteError: 0.0003,
-		ReadError:  0.0003,
-		Corrupt:    0.0002,
+	inj := armFaults(t, db, fault.Plan{
+		Seed:  seed,
+		Rates: fault.Rates{fault.SpillWrite: 0.0003, fault.SpillRead: 0.0003, fault.SpillCorrupt: 0.0002},
 	})
-	db.SpillManager().SetFaultInjector(inj)
 
 	var okRuns, errRuns int64
 	var wg sync.WaitGroup
@@ -428,7 +425,7 @@ func TestMemPressureStorm(t *testing.T) {
 
 	// Faults disarmed, admission resumed: the base tables are intact.
 	ctrl.Resume()
-	db.SpillManager().SetFaultInjector(nil)
+	db.SetFaults(nil)
 	for i, sql := range queries {
 		opts := engine.Options{Strategy: engine.TransformJA2, MaxBytes: 8192}
 		mergeJoins(&opts)

@@ -12,8 +12,8 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/qctx"
-	"repro/internal/storage"
 )
 
 // The multi-client chaos storm: many client goroutines hammer ONE engine
@@ -34,18 +34,30 @@ func stormCleanErr(err error) bool {
 		errors.Is(err, qctx.ErrCircuitOpen)
 }
 
-// stormFaults is the injector configuration shared by the storm tests:
-// the chaos harness's schedule, covering anonymous materialization temps
-// and the transform algorithms' named (now query-suffixed) temp tables.
-func stormFaults(seed int64) *storage.FaultInjector {
-	return storage.NewFaultInjector(storage.FaultConfig{
-		Seed:         seed,
-		ReadError:    0.02,
-		WriteTear:    0.2,
-		TearPrefixes: []string{"$tmp", "TEMP"},
-		Latency:      0.01,
-		LatencyDur:   200 * time.Microsecond,
+// armFaults arms db with a fresh injector of plan and, should the test
+// fail, logs the plan's text form — what replays the schedule.
+func armFaults(t *testing.T, db *engine.DB, plan fault.Plan) *fault.Injector {
+	t.Helper()
+	in := fault.New(plan)
+	db.SetFaults(in)
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("armed fault plan: %v", plan)
+		}
 	})
+	return in
+}
+
+// stormFaults is the plan shared by the storm tests: the chaos harness's
+// schedule, covering anonymous materialization temps and the transform
+// algorithms' named (now query-suffixed) temp tables.
+func stormFaults(seed int64) fault.Plan {
+	return fault.Plan{
+		Seed:         seed,
+		Rates:        fault.Rates{fault.StorageRead: 0.02, fault.StorageTear: 0.2, fault.StorageLatency: 0.01},
+		TearPrefixes: []string{"$tmp", "TEMP"},
+		Latency:      200 * time.Microsecond,
+	}
 }
 
 // stormCorpus generates n random queries over the fuzz database together
@@ -120,8 +132,7 @@ func TestChaosStorm(t *testing.T) {
 		Seed:          seed,
 		Breaker:       admission.BreakerConfig{Threshold: 3, Cooldown: 50 * time.Millisecond},
 	})
-	inj := stormFaults(seed)
-	db.Store().SetFaultInjector(inj)
+	inj := armFaults(t, db, stormFaults(seed))
 
 	var okRuns, errRuns int64
 	var wg sync.WaitGroup
@@ -202,7 +213,7 @@ func TestChaosStorm(t *testing.T) {
 	// ...and after Resume, with faults disarmed, the differential oracle
 	// must still hold: the storm corrupted no base table.
 	ctrl.Resume()
-	db.Store().SetFaultInjector(nil)
+	db.SetFaults(nil)
 	for qi, sql := range queries {
 		res, err := db.Query(sql, engine.Options{Strategy: engine.TransformJA2})
 		if err != nil {
@@ -233,8 +244,7 @@ func TestDrainUnderFaults(t *testing.T) {
 		PoolBytes:     1 << 20,
 		Seed:          seed,
 	})
-	inj := stormFaults(seed)
-	db.Store().SetFaultInjector(inj)
+	inj := armFaults(t, db, stormFaults(seed))
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -286,7 +296,7 @@ func TestDrainUnderFaults(t *testing.T) {
 
 	// Resume: the engine is healthy again.
 	db.Admission().Resume()
-	db.Store().SetFaultInjector(nil)
+	db.SetFaults(nil)
 	if _, err := db.Query(queries[0], engine.Options{Strategy: engine.TransformJA2}); err != nil {
 		t.Fatalf("query after resume: %v", err)
 	}

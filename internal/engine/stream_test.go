@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/qctx"
 	"repro/internal/storage"
 )
@@ -137,7 +138,7 @@ func TestStreamRowBudgetStillEnforced(t *testing.T) {
 func TestStreamNoRetryAfterEmission(t *testing.T) {
 	db := lifecycleDB(t)
 	db.EnableAdmission(admission.Config{RetryMax: 3, RetryBase: time.Millisecond, Seed: 1})
-	boom := fmt.Errorf("mid-stream: %w", storage.ErrInjectedFault)
+	boom := fmt.Errorf("mid-stream: %w", fault.ErrInjected)
 	c := &collectSink{failAt: 3, err: boom}
 	_, err := db.Query(lifecycleQuery, engine.Options{Strategy: engine.TransformJA2, Sink: c.sink(1)})
 	if !errors.Is(err, boom) {
@@ -160,7 +161,7 @@ func TestStreamNoRetryAfterEmission(t *testing.T) {
 func TestStreamNoRetryAfterSinkFailure(t *testing.T) {
 	db := lifecycleDB(t)
 	db.EnableAdmission(admission.Config{RetryMax: 3, RetryBase: time.Millisecond, Seed: 1})
-	boom := fmt.Errorf("first write failed: %w", storage.ErrInjectedFault)
+	boom := fmt.Errorf("first write failed: %w", fault.ErrInjected)
 	c := &collectSink{failAt: 1, err: boom}
 	_, err := db.Query(lifecycleQuery, engine.Options{Strategy: engine.TransformJA2, Sink: c.sink(1)})
 	if !errors.Is(err, boom) {

@@ -1,4 +1,4 @@
-package netfault_test
+package fault_test
 
 import (
 	"bytes"
@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/netfault"
+	"repro/internal/fault"
 )
 
 // echoServer accepts connections and echoes bytes back until closed.
@@ -34,7 +34,8 @@ func echoServer(t *testing.T) net.Listener {
 // a transparent pipe, chunk boundaries included.
 func TestProxyForwardsCleanly(t *testing.T) {
 	lis := echoServer(t)
-	p, err := netfault.New(lis.Addr().String(), netfault.Config{Seed: 1})
+	inj := fault.New(fault.Plan{Seed: 1})
+	p, err := fault.NewProxy(lis.Addr().String(), inj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,19 +55,18 @@ func TestProxyForwardsCleanly(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Error("clean proxy corrupted the stream")
 	}
-	if p.Injected() != 0 {
-		t.Errorf("clean proxy reported %d faults", p.Injected())
+	if inj.Injected() != 0 {
+		t.Errorf("clean proxy reported %d faults", inj.Injected())
 	}
 }
 
-// TestProxyCorruptsExactlyOnce: with Corrupt=1 and MaxFaults=1, the
+// TestProxyCorruptsExactlyOnce: with net.corrupt=1 and max=1, the
 // stream arrives same-length but not byte-identical, and the fault
 // counter reads 1.
 func TestProxyCorruptsExactlyOnce(t *testing.T) {
 	lis := echoServer(t)
-	p, err := netfault.New(lis.Addr().String(), netfault.Config{
-		Seed: 7, Corrupt: 1.0, MaxFaults: 1,
-	})
+	inj := fault.New(fault.Plan{Seed: 7, Max: 1, Rates: fault.Rates{fault.NetCorrupt: 1}})
+	p, err := fault.NewProxy(lis.Addr().String(), inj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +89,13 @@ func TestProxyCorruptsExactlyOnce(t *testing.T) {
 			diff++
 		}
 	}
-	// The echo path crosses the proxy twice, but MaxFaults=1 allows only
+	// The echo path crosses the proxy twice, but max=1 allows only
 	// one flip in total; a flip is a single bit of a single byte.
 	if diff != 1 {
 		t.Errorf("%d bytes differ, want exactly 1", diff)
 	}
-	if p.Injected() != 1 {
-		t.Errorf("Injected() = %d, want 1", p.Injected())
+	if inj.Injected() != 1 {
+		t.Errorf("Injected() = %d, want 1", inj.Injected())
 	}
 }
 
@@ -103,9 +103,8 @@ func TestProxyCorruptsExactlyOnce(t *testing.T) {
 // hard-closes the connection — the reader sees EOF, not a hang.
 func TestProxyTruncateClosesLink(t *testing.T) {
 	lis := echoServer(t)
-	p, err := netfault.New(lis.Addr().String(), netfault.Config{
-		Seed: 3, Truncate: 1.0,
-	})
+	inj := fault.New(fault.Plan{Seed: 3, Rates: fault.Rates{fault.NetTruncate: 1}})
+	p, err := fault.NewProxy(lis.Addr().String(), inj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +122,7 @@ func TestProxyTruncateClosesLink(t *testing.T) {
 	if err == nil || n >= len(msg) {
 		t.Errorf("truncating proxy delivered %d/%d bytes without error", n, len(msg))
 	}
-	if p.Injected() == 0 {
+	if inj.Injected() == 0 {
 		t.Error("no fault recorded")
 	}
 }
@@ -132,9 +131,7 @@ func TestProxyTruncateClosesLink(t *testing.T) {
 // reads block — until the proxy is closed, which severs it.
 func TestProxyPartitionStallsUntilClose(t *testing.T) {
 	lis := echoServer(t)
-	p, err := netfault.New(lis.Addr().String(), netfault.Config{
-		Seed: 5, Partition: 1.0,
-	})
+	p, err := fault.NewProxy(lis.Addr().String(), fault.New(fault.Plan{Seed: 5, Rates: fault.Rates{fault.NetPartition: 1}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +166,7 @@ func TestProxyPartitionStallsUntilClose(t *testing.T) {
 func TestProxyDeterministicSchedule(t *testing.T) {
 	run := func() []byte {
 		lis := echoServer(t)
-		p, err := netfault.New(lis.Addr().String(), netfault.Config{
-			Seed: 99, Corrupt: 0.3,
-		})
+		p, err := fault.NewProxy(lis.Addr().String(), fault.New(fault.Plan{Seed: 99, Rates: fault.Rates{fault.NetCorrupt: 0.3}}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,7 @@
 // executes both queries of each pair through every execution regime the
 // engine has (sequential transform, parallel transform, nested
 // iteration, and the network client against a live server, optionally
-// through the netfault proxy and the storage fault injector) and checks
+// with one internal/fault plan armed on engine and wire) and checks
 // the relation rather than the exact output. A violated relation is
 // shrunk to a minimal reproducing instance and written to a corpus
 // directory as a replayable SQL script.

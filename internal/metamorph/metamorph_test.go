@@ -5,10 +5,10 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
-	"repro/internal/netfault"
-	"repro/internal/storage"
+	"repro/internal/fault"
 )
 
 // shortSeed fixes the deterministic gate pass: the same pairs run on
@@ -63,31 +63,29 @@ func TestMetamorphShort(t *testing.T) {
 		st.Pairs, st.Queries, st.Elapsed.Round(1e6), st.Relations, st.Relaxed, st.SkippedAll)
 }
 
-// TestMetamorphFaults runs a reduced pass with both fault injectors
-// armed: storage faults inside the engine and the seeded chaos proxy on
-// the wire. Injected faults may cost coverage (skips), never
-// correctness.
+// TestMetamorphFaults runs a reduced pass with one fault plan armed on
+// both sides: storage faults inside the engine (a fresh injector per
+// scenario) and the seeded chaos proxy on the wire. Injected faults may
+// cost coverage (skips), never correctness.
 func TestMetamorphFaults(t *testing.T) {
 	gen := NewGenerator(Config{Seed: shortSeed + 1, Scenarios: 4, PairsPerScenario: 10})
+	plan := fault.Plan{
+		Seed: shortSeed,
+		Max:  24,
+		Rates: fault.Rates{fault.StorageRead: 0.002, fault.StorageTear: 0.01,
+			fault.NetDelay: 0.05, fault.NetSplit: 0.2, fault.NetCorrupt: 0.01, fault.NetDrop: 0.01},
+		Latency: time.Millisecond,
+	}
+	defer func() {
+		if t.Failed() {
+			t.Logf("fault plan: %v", plan)
+		}
+	}()
 	r, err := NewRunner(RunnerConfig{
 		Parallel: true,
 		Network:  true,
-		NetFault: &netfault.Config{
-			Seed:        shortSeed,
-			Delay:       0.05,
-			DelayDur:    1e6, // 1ms
-			SplitWrites: 0.2,
-			Corrupt:     0.01,
-			Drop:        0.01,
-			MaxFaults:   24,
-		},
-		Faults: &storage.FaultConfig{
-			Seed:      shortSeed,
-			ReadError: 0.002,
-			WriteTear: 0.01,
-			MaxFaults: 16,
-		},
-		Shrink: true,
+		Faults:   &plan,
+		Shrink:   true,
 	})
 	if err != nil {
 		t.Fatal(err)

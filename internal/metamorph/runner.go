@@ -3,13 +3,12 @@ package metamorph
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/engine"
-	"repro/internal/netfault"
+	"repro/internal/fault"
 	"repro/internal/planner"
 	"repro/internal/qctx"
 	"repro/internal/server"
@@ -42,14 +41,11 @@ type RunnerConfig struct {
 	// Network additionally runs every query over the wire protocol
 	// against a live server sharing the runner's database.
 	Network bool
-	// NetFault, when non-nil, routes the network regime through the
-	// fault-injecting proxy. Queries lost to injected faults are skipped,
-	// not failed.
-	NetFault *netfault.Config
-	// Faults, when non-nil, installs the storage fault injector for the
-	// duration of each scenario. Queries lost to injected faults are
-	// skipped, not failed.
-	Faults *storage.FaultConfig
+	// Faults, when non-nil, arms the engine with a fresh injector of the
+	// plan for the duration of each scenario and routes the network
+	// regime through a fault.Proxy rolling the same plan. Queries lost to
+	// injected faults are skipped, not failed.
+	Faults *fault.Plan
 	// TightMemory additionally runs every query under forced spilling
 	// (with sort-merge joins forced so every plan has buffering
 	// operators): all spillable state goes through checksummed run
@@ -134,7 +130,7 @@ type Runner struct {
 	cfg   RunnerConfig
 	db    *engine.DB
 	srv   *server.Server
-	proxy *netfault.Proxy
+	proxy *fault.Proxy
 	conn  *client.Conn
 	stats Stats
 	start time.Time
@@ -171,8 +167,8 @@ func NewRunner(cfg RunnerConfig) (*Runner, error) {
 	}
 	go r.srv.Serve(lis)
 	addr := lis.Addr().String()
-	if cfg.NetFault != nil {
-		r.proxy, err = netfault.New(addr, *cfg.NetFault)
+	if cfg.Faults != nil {
+		r.proxy, err = fault.NewProxy(addr, fault.New(*cfg.Faults))
 		if err != nil {
 			r.Close()
 			return nil, err
@@ -220,23 +216,9 @@ func (r *Runner) Stats() Stats {
 // faultTolerable reports whether a query error is an accepted outcome of
 // the configured fault injection rather than a bug.
 func (r *Runner) faultTolerable(err error) bool {
-	if r.cfg.Faults != nil && errors.Is(err, storage.ErrInjectedFault) {
-		return true
-	}
-	if r.cfg.NetFault != nil {
-		var re *wire.RemoteError
-		var ne net.Error
-		if errors.As(err, &re) || errors.As(err, &ne) ||
-			errors.Is(err, client.ErrConnectionLost) ||
-			errors.Is(err, wire.ErrCorruptFrame) ||
-			errors.Is(err, wire.ErrSlowConsumer) ||
-			errors.Is(err, qctx.ErrCanceled) ||
-			errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-			errors.Is(err, net.ErrClosed) {
-			return true
-		}
-	}
-	return false
+	var re *wire.RemoteError
+	return r.cfg.Faults != nil &&
+		(errors.Is(err, fault.ErrInjected) || errors.As(err, &re) || client.LinkFailure(err))
 }
 
 // run is one engine execution: rows, whether the query fell back to
@@ -319,9 +301,8 @@ func (r *Runner) RunScenario(s *Scenario) ([]Violation, error) {
 	}
 	defer r.unload(s)
 	if r.cfg.Faults != nil {
-		inj := storage.NewFaultInjector(*r.cfg.Faults)
-		r.db.Store().SetFaultInjector(inj)
-		defer r.db.Store().SetFaultInjector(nil)
+		r.db.SetFaults(fault.New(*r.cfg.Faults))
+		defer r.db.SetFaults(nil)
 	}
 
 	var out []Violation

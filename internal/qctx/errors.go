@@ -17,7 +17,7 @@
 //	                  draining engine); carries a retry-after hint
 //	ErrCircuitOpen    the parallel path is circuit-broken and the caller
 //	                  demanded parallel execution
-//	ErrInjectedFault  a chaos-harness storage fault (transient and
+//	ErrInjectedFault  a fault the chaos harness injected (transient and
 //	                  retryable)
 //	ErrSpillCorrupt   a spill run failed its checksum or decode; the
 //	                  query never saw wrong rows, and a clean re-run can
@@ -29,7 +29,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/storage"
+	"repro/internal/fault"
 )
 
 // Typed lifecycle errors. Budget violations wrap ErrBudgetExceeded so
@@ -58,10 +58,10 @@ var (
 	// plan (cost-gated parallel requests degrade to sequential instead).
 	ErrCircuitOpen = errors.New("parallel circuit open")
 
-	// ErrInjectedFault is the storage layer's injected-fault sentinel,
-	// re-exported so the taxonomy is complete in one place. It is a
-	// transient family: see Retryable.
-	ErrInjectedFault = storage.ErrInjectedFault
+	// ErrInjectedFault is internal/fault's sentinel, re-exported so the
+	// taxonomy is complete in one place. It is a transient family: see
+	// Retryable.
+	ErrInjectedFault = fault.ErrInjected
 
 	// ErrSpillCorrupt reports that a spill run file failed its CRC32C
 	// checksum (or could not be decoded) when read back. The executor
@@ -89,7 +89,7 @@ func (e *OverloadError) Error() string {
 func (e *OverloadError) Unwrap() error { return ErrOverloaded }
 
 // Retryable reports whether an error is worth a transient retry of the
-// whole query: an injected storage fault (possibly contained from a
+// whole query: an injected fault (possibly contained from a
 // panic) or a corrupt spill run, as long as it is not also a lifecycle
 // outcome. Timeouts, cancellations, budget violations, sheds, and
 // circuit-breaker rejections are final — retrying them either cannot

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/storage"
 )
 
@@ -68,14 +69,14 @@ func TestErrorTaxonomy(t *testing.T) {
 		},
 		{
 			name:      "injected fault, plain",
-			err:       wrap(&storage.FaultError{Op: "read", File: "RA", N: 1}),
-			is:        []error{ErrInjectedFault, storage.ErrInjectedFault},
+			err:       wrap(&storage.FaultError{Op: "read", File: "RA"}),
+			is:        []error{ErrInjectedFault, fault.ErrInjected},
 			isNot:     []error{ErrQueryTimeout, ErrBudgetExceeded, ErrOverloaded},
 			retryable: true,
 		},
 		{
 			name:      "injected fault, contained from panic",
-			err:       contained(&storage.FaultError{Op: "torn-write", File: "$tmp3", N: 2}),
+			err:       contained(&storage.FaultError{Op: "torn-write", File: "$tmp3"}),
 			is:        []error{ErrInjectedFault},
 			isNot:     []error{ErrCanceled, ErrOverloaded},
 			retryable: true,

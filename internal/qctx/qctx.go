@@ -38,7 +38,7 @@ func (p *PanicError) Error() string {
 }
 
 // Unwrap exposes a panicked error value to errors.Is/As, so e.g. an
-// injected storage fault that panics with a *storage.FaultError is still
+// injected fault that panics with a *storage.FaultError is still
 // recognizable after containment.
 func (p *PanicError) Unwrap() error {
 	if err, ok := p.Value.(error); ok {

@@ -158,21 +158,3 @@ func (n *Node) renderSub(indent string) string {
 	n.ascii(&b, indent)
 	return b.String()
 }
-
-// DOT renders the tree in Graphviz dot syntax for external visualization.
-func (n *Node) DOT() string {
-	var b strings.Builder
-	b.WriteString("digraph querytree {\n  node [shape=box];\n")
-	n.dot(&b)
-	b.WriteString("}\n")
-	return b.String()
-}
-
-func (n *Node) dot(b *strings.Builder) {
-	label := strings.ReplaceAll(n.summary(), `"`, `\"`)
-	fmt.Fprintf(b, "  %s [label=\"%s\"];\n", n.Name, label)
-	for _, e := range n.Edges {
-		fmt.Fprintf(b, "  %s -> %s [label=\"%s\"];\n", n.Name, e.To.Name, e.Type)
-		e.To.dot(b)
-	}
-}

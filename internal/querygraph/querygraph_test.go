@@ -66,12 +66,6 @@ func TestASCIIAndDOT(t *testing.T) {
 			t.Errorf("ASCII missing %q:\n%s", frag, ascii)
 		}
 	}
-	dot := root.DOT()
-	for _, frag := range []string{"digraph querytree", "A -> B", "B -> C", `label="type-JA"`} {
-		if !strings.Contains(dot, frag) {
-			t.Errorf("DOT missing %q:\n%s", frag, dot)
-		}
-	}
 }
 
 func TestMultipleEdgesAndNames(t *testing.T) {

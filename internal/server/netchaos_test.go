@@ -3,7 +3,6 @@ package server_test
 import (
 	"bytes"
 	"errors"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -14,7 +13,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/client"
 	"repro/internal/engine"
-	"repro/internal/netfault"
+	"repro/internal/fault"
 	"repro/internal/qctx"
 	"repro/internal/server"
 	"repro/internal/storage"
@@ -37,16 +36,11 @@ func canon(cols []string, rows []storage.Tuple) []byte {
 // a *successful* result that differs from the oracle — is a bug.
 func typedStormError(err error) bool {
 	var re *wire.RemoteError
-	var ne net.Error
 	return errors.As(err, &re) || // any server-reported failure, taxonomy intact
-		errors.Is(err, client.ErrConnectionLost) ||
-		errors.Is(err, wire.ErrCorruptFrame) ||
+		client.LinkFailure(err) || // dial/handshake timeouts through a faulted link included
 		errors.Is(err, wire.ErrSlowConsumer) ||
 		errors.Is(err, qctx.ErrCanceled) ||
-		errors.Is(err, qctx.ErrOverloaded) ||
-		errors.As(err, &ne) || // dial/handshake timeout through a faulted link
-		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, net.ErrClosed)
+		errors.Is(err, qctx.ErrOverloaded)
 }
 
 // TestNetChaosStorm is the tentpole's capstone: N clients hammer the
@@ -94,17 +88,20 @@ func TestNetChaosStorm(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(lis) }()
 
-	proxy, err := netfault.New(lis.Addr().String(), netfault.Config{
-		Seed:        chaosSeed,
-		Delay:       0.05,
-		DelayDur:    2 * time.Millisecond,
-		SplitWrites: 0.25,
-		Corrupt:     0.02,
-		Truncate:    0.01,
-		Drop:        0.01,
-		Partition:   0.005,
-		MaxFaults:   48,
-	})
+	plan := fault.Plan{
+		Seed: chaosSeed,
+		Max:  48,
+		Rates: fault.Rates{fault.NetDelay: 0.05, fault.NetSplit: 0.25, fault.NetCorrupt: 0.02,
+			fault.NetTruncate: 0.01, fault.NetDrop: 0.01, fault.NetPartition: 0.005},
+		Latency: 2 * time.Millisecond,
+	}
+	defer func() {
+		if t.Failed() {
+			t.Logf("fault plan armed on the proxy: %v", plan)
+		}
+	}()
+	inj := fault.New(plan)
+	proxy, err := fault.NewProxy(lis.Addr().String(), inj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +158,14 @@ func TestNetChaosStorm(t *testing.T) {
 		t.Errorf("proxy close: %v", err)
 	}
 	t.Logf("storm: %d completed, %d failed typed, %d injected faults, %d proxied connections",
-		completed.Load(), failed.Load(), proxy.Injected(), proxy.Connections())
+		completed.Load(), failed.Load(), inj.Injected(), proxy.Connections())
 
 	// The storm must not be vacuous in either direction: some queries
 	// survive the chaos, and the chaos actually injected faults.
 	if completed.Load() == 0 {
 		t.Error("no query completed; the storm proved nothing about result integrity")
 	}
-	if proxy.Injected() == 0 {
+	if inj.Injected() == 0 {
 		t.Error("no fault injected; the storm proved nothing about fault handling")
 	}
 	if mismatches.Load() > 0 {

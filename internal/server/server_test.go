@@ -12,6 +12,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/client"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/qctx"
 	"repro/internal/schema"
 	"repro/internal/server"
@@ -177,6 +178,23 @@ func TestServeTypedErrorsAcrossWire(t *testing.T) {
 	}
 }
 
+// TestServeTransientErrorsStayRetryable: an error that is retryable in
+// process is retryable for the client. With every spill record corrupted
+// the query fails on its run's checksum, and the client sees the family.
+func TestServeTransientErrorsStayRetryable(t *testing.T) {
+	db := serverDB(t)
+	if err := db.EnableSpill(t.TempDir(), 1); err != nil { // spill from the first buffered byte
+		t.Fatal(err)
+	}
+	in := fault.New(fault.Plan{Seed: 1, Rates: fault.Rates{fault.SpillCorrupt: 1}})
+	db.SetFaults(in)
+	_, addr := startServer(t, db, server.Config{Strategy: engine.TransformJA2})
+	_, err := dial(t, addr).Collect(serverQuery, client.Options{})
+	if !errors.Is(err, qctx.ErrSpillCorrupt) || !qctx.Retryable(err) {
+		t.Fatalf("err = %v (%d records corrupted), want a retryable ErrSpillCorrupt through the wire", err, in.Injected())
+	}
+}
+
 // TestServeCapsApplyToUncappedClients: the server's MaxRows ceiling
 // governs a client that asked for no budget at all.
 func TestServeCapsApplyToUncappedClients(t *testing.T) {
@@ -197,9 +215,7 @@ func TestServeOverloadCarriesRetryAfter(t *testing.T) {
 	db.EnableAdmission(admission.Config{MaxConcurrent: 1, QueueDepth: 0, Seed: 1})
 	// Slow page reads keep the first query in its slot while the second
 	// arrives and gets shed.
-	db.Store().SetFaultInjector(storage.NewFaultInjector(storage.FaultConfig{
-		Seed: 1, Latency: 1.0, LatencyDur: 2 * time.Millisecond,
-	}))
+	db.SetFaults(fault.New(fault.Plan{Seed: 1, Rates: fault.Rates{fault.StorageLatency: 1}, Latency: 2 * time.Millisecond}))
 	_, addr := startServer(t, db, server.Config{Strategy: engine.TransformJA2})
 
 	c1, c2 := dial(t, addr), dial(t, addr)
@@ -237,9 +253,7 @@ func TestServeOverloadCarriesRetryAfter(t *testing.T) {
 func TestServeClientDisconnectCancelsQuery(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	db := serverDB(t)
-	db.Store().SetFaultInjector(storage.NewFaultInjector(storage.FaultConfig{
-		Seed: 1, Latency: 1.0, LatencyDur: 20 * time.Millisecond,
-	}))
+	db.SetFaults(fault.New(fault.Plan{Seed: 1, Rates: fault.Rates{fault.StorageLatency: 1}, Latency: 20 * time.Millisecond}))
 	srv := server.New(db, server.Config{Strategy: engine.TransformJA2})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -338,9 +352,7 @@ func TestShutdownDrainsInFlightStream(t *testing.T) {
 	db := serverDB(t)
 	db.EnableAdmission(admission.Config{MaxConcurrent: 4, Seed: 1})
 	// Mild latency so the stream is still in flight when Shutdown lands.
-	db.Store().SetFaultInjector(storage.NewFaultInjector(storage.FaultConfig{
-		Seed: 1, Latency: 1.0, LatencyDur: time.Millisecond,
-	}))
+	db.SetFaults(fault.New(fault.Plan{Seed: 1, Rates: fault.Rates{fault.StorageLatency: 1}, Latency: time.Millisecond}))
 	want, err := db.Query(serverQuery, engine.Options{Strategy: engine.TransformJA2})
 	if err != nil {
 		t.Fatal(err)

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/fault"
 	"repro/internal/qctx"
 	"repro/internal/rowcodec"
 	"repro/internal/storage"
@@ -47,11 +48,11 @@ func (s Stats) String() string {
 // every query that spilled into it. All methods are safe for concurrent
 // use; a nil Manager is inert.
 type Manager struct {
-	dir   string
-	seq   atomic.Int64
-	runs  atomic.Int64
-	bytes atomic.Int64
-	inj   atomic.Pointer[FaultInjector]
+	dir    string
+	seq    atomic.Int64
+	runs   atomic.Int64
+	bytes  atomic.Int64
+	faults atomic.Pointer[fault.Injector]
 }
 
 // NewManager creates (if needed) the spill directory and returns a
@@ -74,12 +75,19 @@ func (m *Manager) Stats() Stats {
 	return Stats{Runs: m.runs.Load(), Bytes: m.bytes.Load()}
 }
 
-// SetFaultInjector installs (or, with nil, removes) a seeded fault
-// injector on every subsequent spill read and write. Tests only.
-func (m *Manager) SetFaultInjector(inj *FaultInjector) {
+// SetFaults arms (or, with nil, disarms) the spill sites on every
+// subsequent run-file read and write. Safe on nil.
+func (m *Manager) SetFaults(in *fault.Injector) {
 	if m != nil {
-		m.inj.Store(inj)
+		m.faults.Store(in)
 	}
+}
+
+// injected is what a SpillWrite or SpillRead hit returns: unlike storage,
+// spill I/O is plumbed with errors end to end, so the fault is returned,
+// in the transient family (qctx.Retryable).
+func injected(op, path string) error {
+	return fmt.Errorf("spill: injected %s fault on %s: %w", op, path, fault.ErrInjected)
 }
 
 // LiveFiles counts the files currently present in the spill directory —
@@ -209,16 +217,15 @@ type Writer struct {
 
 // Append encodes and writes one row.
 func (w *Writer) Append(t storage.Tuple) error {
-	if inj := w.s.m.inj.Load(); inj != nil {
-		if err := inj.onWrite(w.path); err != nil {
-			return err
-		}
+	in := w.s.m.faults.Load()
+	if in.Hit(fault.SpillWrite) {
+		return injected("write", w.path)
 	}
 	w.frame = rowcodec.AppendFrame(w.frame[:0], func(b []byte) []byte { return rowcodec.AppendTuple(b, t) })
-	if inj := w.s.m.inj.Load(); inj != nil && inj.corruptRoll() {
-		// Corruption fault: flip the payload's middle byte after the
-		// checksum was taken, so the reader's CRC verification must catch
-		// it.
+	if in.Hit(fault.SpillCorrupt) {
+		// Flip the payload's middle byte after the checksum was taken:
+		// the reader's CRC verification must surface ErrSpillCorrupt — a
+		// run that decodes wrong rows instead is a test failure.
 		w.frame[len(w.frame)/2] ^= 0x40
 	}
 	if _, err := w.bw.Write(w.frame); err != nil {
@@ -232,11 +239,9 @@ func (w *Writer) Append(t storage.Tuple) error {
 // Finish flushes and closes the file, returning the completed run and
 // folding its size into the session and manager counters.
 func (w *Writer) Finish() (*Run, error) {
-	if inj := w.s.m.inj.Load(); inj != nil {
-		if err := inj.onWrite(w.path); err != nil {
-			w.f.Close()
-			return nil, err
-		}
+	if w.s.m.faults.Load().Hit(fault.SpillWrite) {
+		w.f.Close()
+		return nil, injected("write", w.path)
 	}
 	if err := w.bw.Flush(); err != nil {
 		w.f.Close()
@@ -297,10 +302,8 @@ type Reader struct {
 
 // Next decodes the next row.
 func (rd *Reader) Next() (storage.Tuple, error) {
-	if inj := rd.r.s.m.inj.Load(); inj != nil {
-		if err := inj.onRead(rd.r.path); err != nil {
-			return nil, err
-		}
+	if rd.r.s.m.faults.Load().Hit(fault.SpillRead) {
+		return nil, injected("read", rd.r.path)
 	}
 	payload, err := rd.fr.Next()
 	if err == io.EOF {

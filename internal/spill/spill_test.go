@@ -6,6 +6,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/qctx"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -245,25 +246,25 @@ func TestNilSafety(t *testing.T) {
 func TestInjectedWriteAndReadFaults(t *testing.T) {
 	m, s := newTestSession(t)
 	defer s.Close()
-	m.SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 1, WriteError: 1}))
+	m.SetFaults(fault.New(fault.Plan{Seed: 1, Rates: fault.Rates{fault.SpillWrite: 1}}))
 	w, err := s.NewWriter()
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = w.Append(storage.Tuple{value.NewInt(1)})
-	if !errors.Is(err, storage.ErrInjectedFault) || !qctx.Retryable(err) {
+	if !errors.Is(err, fault.ErrInjected) || !qctx.Retryable(err) {
 		t.Fatalf("write fault = %v, want retryable injected fault", err)
 	}
 	w.Abort()
 
-	m.SetFaultInjector(nil)
+	m.SetFaults(nil)
 	run := writeRun(t, s, testRows(t))
-	m.SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 2, ReadError: 1}))
+	m.SetFaults(fault.New(fault.Plan{Seed: 2, Rates: fault.Rates{fault.SpillRead: 1}}))
 	_, err = readAll(run)
-	if !errors.Is(err, storage.ErrInjectedFault) || !qctx.Retryable(err) {
+	if !errors.Is(err, fault.ErrInjected) || !qctx.Retryable(err) {
 		t.Fatalf("read fault = %v, want retryable injected fault", err)
 	}
-	m.SetFaultInjector(nil)
+	m.SetFaults(nil)
 	if _, err := readAll(run); err != nil {
 		t.Fatalf("clean read after removing injector: %v", err)
 	}
@@ -272,10 +273,10 @@ func TestInjectedWriteAndReadFaults(t *testing.T) {
 func TestInjectedCorruptionCaughtByChecksum(t *testing.T) {
 	m, s := newTestSession(t)
 	defer s.Close()
-	inj := NewFaultInjector(FaultConfig{Seed: 3, Corrupt: 1})
-	m.SetFaultInjector(inj)
+	inj := fault.New(fault.Plan{Seed: 3, Rates: fault.Rates{fault.SpillCorrupt: 1}})
+	m.SetFaults(inj)
 	run := writeRun(t, s, testRows(t))
-	m.SetFaultInjector(nil)
+	m.SetFaults(nil)
 	_, err := readAll(run)
 	if !errors.Is(err, qctx.ErrSpillCorrupt) {
 		t.Fatalf("corrupted run read = %v, want ErrSpillCorrupt", err)
@@ -286,25 +287,4 @@ func TestInjectedCorruptionCaughtByChecksum(t *testing.T) {
 	if inj.Injected() == 0 {
 		t.Fatal("injector reported no faults")
 	}
-}
-
-func TestMaxFaultsBound(t *testing.T) {
-	m, s := newTestSession(t)
-	defer s.Close()
-	inj := NewFaultInjector(FaultConfig{Seed: 4, WriteError: 1, MaxFaults: 2})
-	m.SetFaultInjector(inj)
-	w, err := s.NewWriter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults := 0
-	for i := 0; i < 50; i++ {
-		if err := w.Append(storage.Tuple{value.NewInt(int64(i))}); err != nil {
-			faults++
-		}
-	}
-	if faults != 2 {
-		t.Fatalf("injected %d faults, want exactly MaxFaults=2", faults)
-	}
-	w.Abort()
 }

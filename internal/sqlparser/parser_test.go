@@ -414,9 +414,12 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatalf("clone differs:\n%s\n%s", clone.String(), qb.String())
 	}
 	// Mutating the clone must not affect the original.
-	clone.RewriteColumnsDeep(func(c ast.ColumnRef) ast.ColumnRef {
-		c.Column = "X" + c.Column
-		return c
+	ast.VisitBlocks(clone, func(b *ast.QueryBlock, _ int) bool {
+		b.RewriteLocalColumns(func(c ast.ColumnRef) ast.ColumnRef {
+			c.Column = "X" + c.Column
+			return c
+		})
+		return true
 	})
 	if clone.String() == qb.String() {
 		t.Error("deep rewrite of clone affected nothing")

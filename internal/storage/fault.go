@@ -1,19 +1,12 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
+	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
-)
 
-// ErrInjectedFault is the sentinel all injected storage faults wrap, so
-// the chaos harness can recognize its own faults with errors.Is after
-// they have crossed panic containment and the engine boundary.
-var ErrInjectedFault = errors.New("injected storage fault")
+	"repro/internal/fault"
+)
 
 // FaultError is the panic payload of an injected fault. The storage API
 // has no error returns — page reads and appends are infallible on the
@@ -23,150 +16,48 @@ var ErrInjectedFault = errors.New("injected storage fault")
 type FaultError struct {
 	Op   string // "read", "torn-write"
 	File string // heap file name
-	N    int64  // 1-based injection sequence number
 }
 
 func (e *FaultError) Error() string {
-	return fmt.Sprintf("%s fault on %s (injection #%d): %v", e.Op, e.File, e.N, ErrInjectedFault)
+	return fmt.Sprintf("%s fault on %s: %v", e.Op, e.File, fault.ErrInjected)
 }
 
-// Unwrap ties every FaultError to the ErrInjectedFault sentinel.
-func (e *FaultError) Unwrap() error { return ErrInjectedFault }
+// Unwrap ties every FaultError to the fault.ErrInjected sentinel.
+func (e *FaultError) Unwrap() error { return fault.ErrInjected }
 
-// FaultConfig sets the per-operation fault probabilities of an injector.
-// All randomness is drawn from one seeded source, so a (seed, workload)
-// pair replays the same fault schedule.
-type FaultConfig struct {
-	Seed int64
-	// ReadError is the probability that a page read panics.
-	ReadError float64
-	// WriteTear is the probability that an append to a temp file tears:
-	// a truncated tuple is written and the append then panics, modeling
-	// a partial page write during NEST-JA2 materialization. Base tables
-	// are never torn, so fault-free reruns see uncorrupted data.
-	WriteTear float64
-	// TearPrefixes lists the file-name prefixes eligible for torn writes;
-	// empty means only anonymous temporaries ($tmpN). The chaos harness
-	// adds "TEMP" to cover the transform algorithms' named temp tables,
-	// which are recreated per query and dropped on failure.
-	TearPrefixes []string
-	// Latency is the probability that a storage operation sleeps for
-	// LatencyDur before proceeding (a slow device, not a failure).
-	Latency    float64
-	LatencyDur time.Duration
-	// MaxFaults caps the number of hard faults (read errors and torn
-	// writes) injected over the injector's lifetime; 0 means unlimited.
-	// Latency is not capped.
-	MaxFaults int64
-}
-
-// FaultInjector decides, per storage operation, whether to inject a
-// fault. One injector may be shared by all goroutines of a query.
-type FaultInjector struct {
-	cfg      FaultConfig
-	mu       sync.Mutex // guards rng
-	rng      *rand.Rand
-	count    atomic.Int64 // hard faults injected so far
-	inflight atomic.Int64 // storage ops currently inside the store
-}
-
-// NewFaultInjector creates a seeded injector.
-func NewFaultInjector(cfg FaultConfig) *FaultInjector {
-	return &FaultInjector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-}
-
-// Injected reports how many hard faults have fired.
-func (fi *FaultInjector) Injected() int64 { return fi.count.Load() }
-
-// begin/end bracket one storage operation (read or append, including any
-// injected latency sleep and fault panic unwind) so InFlight can observe
-// whether any goroutine is still inside the storage layer.
-func (fi *FaultInjector) begin() { fi.inflight.Add(1) }
-func (fi *FaultInjector) end()   { fi.inflight.Add(-1) }
-
-// InFlight reports how many storage operations are currently executing
-// under this injector. The drain test asserts it returns to zero after a
-// drain — no leaked goroutine is still touching storage.
-func (fi *FaultInjector) InFlight() int64 { return fi.inflight.Load() }
-
-// roll draws one uniform [0,1) sample.
-func (fi *FaultInjector) roll() float64 {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.rng.Float64()
-}
-
-// allow reserves one hard-fault slot, respecting MaxFaults.
-func (fi *FaultInjector) allow() (int64, bool) {
-	n := fi.count.Add(1)
-	if fi.cfg.MaxFaults > 0 && n > fi.cfg.MaxFaults {
-		fi.count.Add(-1)
-		return 0, false
-	}
-	return n, true
-}
+// SetFaults arms (or, with nil, disarms) the store's fault sites. The
+// pointer is atomic so a harness can disarm between the injected run and
+// the fault-free rerun without racing in-flight readers.
+func (s *Store) SetFaults(in *fault.Injector) { s.faults.Store(in) }
 
 // onRead runs before a page read, outside the store mutex (latency must
 // not stall unrelated storage traffic). It may sleep, and may panic with
 // a *FaultError.
-func (fi *FaultInjector) onRead(file string) {
-	if fi.cfg.Latency > 0 && fi.roll() < fi.cfg.Latency {
-		time.Sleep(fi.cfg.LatencyDur)
-	}
-	if fi.cfg.ReadError > 0 && fi.roll() < fi.cfg.ReadError {
-		if n, ok := fi.allow(); ok {
-			panic(&FaultError{Op: "read", File: file, N: n})
-		}
+func onRead(in *fault.Injector, file string) {
+	in.Sleep(fault.StorageLatency)
+	if in.Hit(fault.StorageRead) {
+		panic(&FaultError{Op: "read", File: file})
 	}
 }
 
 // onAppend runs before a tuple append, outside the store mutex. It may
-// sleep, and returns true when this append should tear: the caller then
-// writes a truncated tuple and panics with the returned FaultError.
-// Only temporary files (per TearPrefixes) tear.
-func (fi *FaultInjector) onAppend(file string) (*FaultError, bool) {
-	if fi.cfg.Latency > 0 && fi.roll() < fi.cfg.Latency {
-		time.Sleep(fi.cfg.LatencyDur)
+// sleep, and returns non-nil when this append should tear: the caller
+// then writes a truncated tuple and panics with the returned FaultError.
+// Only temporary files (per Plan.TearPrefixes) tear.
+func onAppend(in *fault.Injector, file string) *FaultError {
+	in.Sleep(fault.StorageLatency)
+	if tearable(in.Plan().TearPrefixes, file) && in.Hit(fault.StorageTear) {
+		return &FaultError{Op: "torn-write", File: file}
 	}
-	if !fi.tearable(file) {
-		return nil, false
-	}
-	if fi.cfg.WriteTear > 0 && fi.roll() < fi.cfg.WriteTear {
-		if n, ok := fi.allow(); ok {
-			return &FaultError{Op: "torn-write", File: file, N: n}, true
-		}
-	}
-	return nil, false
+	return nil
 }
 
 // tearable reports whether a file name is eligible for torn writes.
-func (fi *FaultInjector) tearable(file string) bool {
-	if len(fi.cfg.TearPrefixes) == 0 {
-		return strings.HasPrefix(file, "$tmp")
+func tearable(prefixes []string, file string) bool {
+	if len(prefixes) == 0 {
+		prefixes = []string{"$tmp"}
 	}
-	for _, p := range fi.cfg.TearPrefixes {
-		if strings.HasPrefix(file, p) {
-			return true
-		}
-	}
-	return false
-}
-
-// SetFaultInjector installs (or, with nil, removes) a fault injector on
-// the store. The pointer is atomic so the chaos harness can disarm
-// faults between the injected run and the fault-free rerun without
-// racing in-flight readers.
-func (s *Store) SetFaultInjector(fi *FaultInjector) {
-	s.fault.Store(&fi)
-}
-
-// injector returns the installed injector, or nil. The fast path for
-// ungoverned stores is one atomic load.
-func (s *Store) injector() *FaultInjector {
-	if p := s.fault.Load(); p != nil {
-		return *p
-	}
-	return nil
+	return slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(file, p) })
 }
 
 // TempCount reports how many temporary files currently exist — anonymous

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/value"
 )
 
@@ -33,14 +34,14 @@ func catchFault(t *testing.T, fn func()) (fe *FaultError) {
 func TestFaultInjectorDeterministic(t *testing.T) {
 	run := func(seed int64) []int64 {
 		s := NewStore(4)
-		s.SetFaultInjector(NewFaultInjector(FaultConfig{Seed: seed, ReadError: 0.3}))
+		s.SetFaults(fault.New(fault.Plan{Seed: seed, Rates: fault.Rates{fault.StorageRead: 0.3}}))
 		f, _ := s.Create("R", 2)
-		s.SetFaultInjector(nil) // load fault-free
+		s.SetFaults(nil) // load fault-free
 		for i := range 20 {
 			f.Append(row(int64(i)))
 		}
 		f.Seal()
-		s.SetFaultInjector(NewFaultInjector(FaultConfig{Seed: seed, ReadError: 0.3}))
+		s.SetFaults(fault.New(fault.Plan{Seed: seed, Rates: fault.Rates{fault.StorageRead: 0.3}}))
 		var faults []int64
 		for i := range f.NumPages() {
 			if fe := catchFault(t, func() { f.ReadPage(i) }); fe != nil {
@@ -64,9 +65,9 @@ func TestFaultInjectorDeterministic(t *testing.T) {
 }
 
 func TestFaultErrorIdentity(t *testing.T) {
-	fe := &FaultError{Op: "read", File: "R", N: 3}
-	if !errors.Is(fe, ErrInjectedFault) {
-		t.Error("FaultError must wrap ErrInjectedFault")
+	fe := &FaultError{Op: "read", File: "R"}
+	if !errors.Is(fe, fault.ErrInjected) {
+		t.Error("FaultError must wrap fault.ErrInjected")
 	}
 }
 
@@ -77,8 +78,8 @@ func TestReadFaultPanicsAndDisarms(t *testing.T) {
 		f.Append(row(int64(i)))
 	}
 	f.Seal()
-	inj := NewFaultInjector(FaultConfig{Seed: 1, ReadError: 1.0})
-	s.SetFaultInjector(inj)
+	inj := fault.New(fault.Plan{Seed: 1, Rates: fault.Rates{fault.StorageRead: 1}})
+	s.SetFaults(inj)
 	fe := catchFault(t, func() { f.ReadPage(0) })
 	if fe == nil {
 		t.Fatal("p=1.0 read must fault")
@@ -90,7 +91,7 @@ func TestReadFaultPanicsAndDisarms(t *testing.T) {
 		t.Errorf("Injected = %d, want 1", inj.Injected())
 	}
 	// Disarming restores normal service and the store is undamaged.
-	s.SetFaultInjector(nil)
+	s.SetFaults(nil)
 	if got := len(f.ReadPage(0)); got != 2 {
 		t.Errorf("page 0 has %d tuples after disarm, want 2", got)
 	}
@@ -99,7 +100,7 @@ func TestReadFaultPanicsAndDisarms(t *testing.T) {
 func TestTornWriteTruncatesAndPanics(t *testing.T) {
 	s := NewStore(4)
 	tmp := s.CreateTemp(4)
-	s.SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 1, WriteTear: 1.0}))
+	s.SetFaults(fault.New(fault.Plan{Seed: 1, Rates: fault.Rates{fault.StorageTear: 1}}))
 	fe := catchFault(t, func() { tmp.Append(row(7)) })
 	if fe == nil {
 		t.Fatal("p=1.0 append to a temp must tear")
@@ -107,7 +108,7 @@ func TestTornWriteTruncatesAndPanics(t *testing.T) {
 	if fe.Op != "torn-write" {
 		t.Errorf("Op = %q", fe.Op)
 	}
-	s.SetFaultInjector(nil)
+	s.SetFaults(nil)
 	// The torn tuple is on the page, truncated — exactly the corruption a
 	// failed materialization must clean up by dropping the temp.
 	pg := tmp.ReadPage(0)
@@ -127,7 +128,7 @@ func TestTearPrefixes(t *testing.T) {
 	s := NewStore(4)
 	base, _ := s.Create("PARTS", 4)
 	temp, _ := s.Create("TEMP1", 4)
-	s.SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 1, WriteTear: 1.0, TearPrefixes: []string{"$tmp", "TEMP"}}))
+	s.SetFaults(fault.New(fault.Plan{Seed: 1, Rates: fault.Rates{fault.StorageTear: 1}, TearPrefixes: []string{"$tmp", "TEMP"}}))
 	// Base tables never tear, whatever the config, so fault-free reruns
 	// see uncorrupted data.
 	if fe := catchFault(t, func() { base.Append(row(1)) }); fe != nil {
@@ -138,35 +139,12 @@ func TestTearPrefixes(t *testing.T) {
 	}
 }
 
-func TestMaxFaultsCap(t *testing.T) {
-	s := NewStore(4)
-	f, _ := s.Create("R", 1)
-	for i := range 50 {
-		f.Append(row(int64(i)))
-	}
-	f.Seal()
-	inj := NewFaultInjector(FaultConfig{Seed: 1, ReadError: 1.0, MaxFaults: 3})
-	s.SetFaultInjector(inj)
-	faults := 0
-	for i := range f.NumPages() {
-		if catchFault(t, func() { f.ReadPage(i) }) != nil {
-			faults++
-		}
-	}
-	if faults != 3 {
-		t.Errorf("injected %d faults, want exactly MaxFaults=3", faults)
-	}
-	if inj.Injected() != 3 {
-		t.Errorf("Injected = %d, want 3", inj.Injected())
-	}
-}
-
 func TestLatencyInjection(t *testing.T) {
 	s := NewStore(4)
 	f, _ := s.Create("R", 2)
 	f.Append(row(1))
 	f.Seal()
-	s.SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 1, Latency: 1.0, LatencyDur: 20 * time.Millisecond}))
+	s.SetFaults(fault.New(fault.Plan{Seed: 1, Rates: fault.Rates{fault.StorageLatency: 1}, Latency: 20 * time.Millisecond}))
 	start := time.Now()
 	f.ReadPage(0)
 	if d := time.Since(start); d < 20*time.Millisecond {

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/fault"
 	"repro/internal/value"
 )
 
@@ -121,14 +122,13 @@ func (f *HeapFile) TuplesPerPage() int { return f.tuplesPerPage }
 // the shared store state (I/O counters, buffer pool) is mutex-protected.
 func (f *HeapFile) Append(t Tuple) {
 	var tear *FaultError
-	if inj := f.store.injector(); inj != nil {
-		inj.begin()
-		defer inj.end()
+	if in := f.store.faults.Load(); in != nil {
+		in.Begin()
+		defer in.End()
 		// Fault decisions (and latency sleeps) happen before taking the
 		// store mutex so a slow append does not stall unrelated I/O. A
 		// torn write stores a truncated tuple, then panics below.
-		var torn bool
-		if tear, torn = inj.onAppend(f.name); torn && len(t) > 1 {
+		if tear = onAppend(in, f.name); tear != nil && len(t) > 1 {
 			t = t[:len(t)/2]
 		}
 	}
@@ -166,10 +166,10 @@ func (f *HeapFile) Seal() {
 // ReadPage fetches page i through the buffer pool, counting a read on a
 // miss. The returned slice must not be mutated.
 func (f *HeapFile) ReadPage(i int) []Tuple {
-	if inj := f.store.injector(); inj != nil {
-		inj.begin()
-		defer inj.end()
-		inj.onRead(f.name)
+	if in := f.store.faults.Load(); in != nil {
+		in.Begin()
+		defer in.End()
+		onRead(in, f.name)
 	}
 	f.store.mu.Lock()
 	defer f.store.mu.Unlock()
@@ -185,10 +185,10 @@ func (f *HeapFile) ReadPage(i int) []Tuple {
 // merge buffers, so its I/O follows the 2·P·log_{B-1}(P) model rather than
 // LRU caching.
 func (f *HeapFile) ReadPageDirect(i int) []Tuple {
-	if inj := f.store.injector(); inj != nil {
-		inj.begin()
-		defer inj.end()
-		inj.onRead(f.name)
+	if in := f.store.faults.Load(); in != nil {
+		in.Begin()
+		defer in.End()
+		onRead(in, f.name)
 	}
 	f.store.mu.Lock()
 	defer f.store.mu.Unlock()
@@ -327,10 +327,10 @@ type Store struct {
 	files map[string]*HeapFile
 	stats IOStats
 	tmpID int
-	// fault holds the chaos harness's injector (see fault.go); nil for
-	// normal operation. Atomic so arming/disarming does not race the
-	// lock-free fast-path check in page reads and appends.
-	fault atomic.Pointer[*FaultInjector]
+	// faults is the armed injector (see fault.go); nil for normal
+	// operation. Atomic so arming/disarming does not race the lock-free
+	// fast-path check in page reads and appends.
+	faults atomic.Pointer[fault.Injector]
 }
 
 // NewStore creates a store whose buffer pool holds bufferPages pages — the

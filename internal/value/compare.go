@@ -65,29 +65,6 @@ func (op CompareOp) Flip() CompareOp {
 	}
 }
 
-// Negate returns the complementary operator: a op b is false exactly when
-// a op.Negate() b is true (for non-NULL operands). OpEqNull has no dialect
-// complement and is never negated: the transforms that call Negate only see
-// parser-produced operators.
-func (op CompareOp) Negate() CompareOp {
-	switch op {
-	case OpEq:
-		return OpNe
-	case OpNe:
-		return OpEq
-	case OpLt:
-		return OpGe
-	case OpLe:
-		return OpGt
-	case OpGt:
-		return OpLe
-	case OpGe:
-		return OpLt
-	default:
-		return op
-	}
-}
-
 // Compare orders two non-NULL values of compatible types, returning a
 // negative, zero, or positive integer. Numeric values compare across
 // int/float; strings compare lexicographically; dates chronologically. It

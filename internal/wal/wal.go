@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/rowcodec"
 )
 
@@ -110,7 +111,7 @@ type Log struct {
 	syncing bool
 	syncErr error
 
-	inj atomic.Pointer[FaultInjector]
+	faults atomic.Pointer[fault.Injector]
 
 	appends     atomic.Int64
 	appendBytes atomic.Int64
@@ -119,9 +120,8 @@ type Log struct {
 	lastCkpt    atomic.Int64 // unix nanos, 0 = none
 }
 
-// SetFaultInjector arms (or, with nil, disarms) the seeded torn-append
-// injector. Test-only, in the style of storage.Store.SetFaultInjector.
-func (l *Log) SetFaultInjector(fi *FaultInjector) { l.inj.Store(fi) }
+// SetFaults arms (or, with nil, disarms) the torn-append site.
+func (l *Log) SetFaults(in *fault.Injector) { l.faults.Store(in) }
 
 // Commit is a handle to one appended record; Wait blocks until the
 // record is durable under the log's sync policy.
@@ -209,15 +209,15 @@ func (l *Log) Append(rec Record) (Commit, error) {
 	rec.LSN = l.nextLSN
 	frame := AppendRecord(nil, rec)
 
-	if fi := l.inj.Load(); fi != nil {
-		if cut, torn := fi.tear(len(frame)); torn {
-			// A torn append: a prefix of the frame reaches the OS and
-			// the log is poisoned. Recovery truncates this tail.
-			l.f.Write(frame[:cut])
-			l.segBytes += int64(cut)
-			l.broken = fmt.Errorf("%w (injected torn append at LSN %d)", ErrBroken, rec.LSN)
-			return Commit{}, l.broken
-		}
+	if in := l.faults.Load(); in.Hit(fault.WALTear) {
+		// A torn append: a random prefix of the frame reaches the OS and
+		// the log is poisoned — the crash-mid-write case. Recovery
+		// truncates this tail.
+		cut := in.Intn(fault.WALTear, len(frame))
+		l.f.Write(frame[:cut])
+		l.segBytes += int64(cut)
+		l.broken = fmt.Errorf("%w (injected torn append at LSN %d)", ErrBroken, rec.LSN)
+		return Commit{}, l.broken
 	}
 	if _, err := l.f.Write(frame); err != nil {
 		l.broken = fmt.Errorf("wal: append LSN %d: %v: %w", rec.LSN, err, ErrBroken)

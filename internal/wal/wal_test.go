@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -322,7 +323,7 @@ func TestTornAppendPoisonsLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, l, 5)
-	l.SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 7, TornAppendRate: 1, MaxFaults: 1}))
+	l.SetFaults(fault.New(fault.Plan{Seed: 7, Max: 1, Rates: fault.Rates{fault.WALTear: 1}}))
 	_, err = l.Append(Record{Type: RecInsert, Table: "T", Rows: []storage.Tuple{intRow(6)}})
 	if !errors.Is(err, ErrBroken) {
 		t.Fatalf("torn append error = %v, want ErrBroken", err)
@@ -359,7 +360,7 @@ func TestTornAppendRecoversAckedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, l, 7)
-	l.SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 3, TornAppendRate: 1, MaxFaults: 1}))
+	l.SetFaults(fault.New(fault.Plan{Seed: 3, Max: 1, Rates: fault.Rates{fault.WALTear: 1}}))
 	l.Append(Record{Type: RecInsert, Table: "T", Rows: []storage.Tuple{intRow(100)}})
 	l.Close()
 	_, rec, err := Open(dir, Options{})

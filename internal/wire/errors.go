@@ -44,6 +44,11 @@ const (
 	// pipe may not deliver it, in which case the client sees the close as
 	// a connection loss or a torn (checksum-failing) frame instead.
 	CodeSlowClient byte = 9
+	// CodeInjectedFault and CodeSpillCorrupt are the two transient
+	// families (qctx.Retryable): an error retryable in process stays
+	// retryable for the client.
+	CodeInjectedFault byte = 10
+	CodeSpillCorrupt  byte = 11
 )
 
 // ErrSlowConsumer is what CodeSlowClient unwraps to on the client side: a
@@ -79,6 +84,10 @@ func ErrorFrameFor(err error) ErrorFrame {
 		f.Code = CodeBudget
 	case errors.Is(err, qctx.ErrCircuitOpen):
 		f.Code = CodeCircuitOpen
+	case errors.Is(err, qctx.ErrSpillCorrupt):
+		f.Code = CodeSpillCorrupt
+	case errors.Is(err, qctx.ErrInjectedFault):
+		f.Code = CodeInjectedFault
 	}
 	return f
 }
@@ -117,6 +126,10 @@ func (e *RemoteError) Unwrap() error {
 		return qctx.ErrCircuitOpen
 	case CodeSlowClient:
 		return ErrSlowConsumer
+	case CodeInjectedFault:
+		return qctx.ErrInjectedFault
+	case CodeSpillCorrupt:
+		return qctx.ErrSpillCorrupt
 	default:
 		return nil
 	}

@@ -87,10 +87,10 @@ const (
 )
 
 // ErrCorruptFrame is the typed failure for a frame whose CRC32C trailer
-// does not match its contents: the bytes were damaged in flight. It is a
-// framing-level error — after it, the stream cannot be resynchronized and
-// the connection must be dropped.
-var ErrCorruptFrame = errors.New("wire: corrupt frame (checksum mismatch)")
+// does not match its contents, or whose length prefix is impossible: the
+// bytes were damaged in flight. It is a framing-level error — after it,
+// the stream cannot be resynchronized and the connection must be dropped.
+var ErrCorruptFrame = errors.New("wire: corrupt frame")
 
 // checksumLen is the CRC32C trailer appended to each frame when
 // FeatureChecksum is negotiated. The checksum covers the type byte and
@@ -160,7 +160,7 @@ func (c Codec) ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	}
 	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n < 1+c.trailer() || n > MaxFrame {
-		return 0, nil, fmt.Errorf("wire: frame length %d out of range", n)
+		return 0, nil, fmt.Errorf("wire: frame length %d out of range: %w", n, ErrCorruptFrame)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {

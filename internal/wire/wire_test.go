@@ -242,6 +242,8 @@ func TestErrorTaxonomyAcrossWire(t *testing.T) {
 		{qctx.ErrBudgetExceeded, CodeBudget, qctx.ErrBudgetExceeded},
 		{qctx.ErrCircuitOpen, CodeCircuitOpen, qctx.ErrCircuitOpen},
 		{&qctx.OverloadError{Reason: "queue full", RetryAfter: 80 * time.Millisecond}, CodeOverloaded, qctx.ErrOverloaded},
+		{fmt.Errorf("spill: read x: %w", qctx.ErrSpillCorrupt), CodeSpillCorrupt, qctx.ErrSpillCorrupt},
+		{fmt.Errorf("spill: injected read fault on x: %w", qctx.ErrInjectedFault), CodeInjectedFault, qctx.ErrInjectedFault},
 		{errors.New("parse error"), CodeInternal, nil},
 	}
 	for _, c := range cases {
@@ -257,6 +259,9 @@ func TestErrorTaxonomyAcrossWire(t *testing.T) {
 		remote := &RemoteError{Frame: dec}
 		if c.is != nil && !errors.Is(remote, c.is) {
 			t.Errorf("%v: reconstructed error does not match sentinel %v", c.err, c.is)
+		}
+		if qctx.Retryable(remote) != qctx.Retryable(c.err) {
+			t.Errorf("%v: retryable in process = %v, across the wire = %v", c.err, qctx.Retryable(c.err), qctx.Retryable(remote))
 		}
 		if !strings.Contains(remote.Error(), c.err.Error()) {
 			t.Errorf("%v: message lost: %q", c.err, remote.Error())

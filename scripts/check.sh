@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 
 # gate            -run pattern / fuzz target                                packages
 TESTS='
-chaos             TestChaosFaultInjection                                   ./internal/engine
+chaos             TestChaosFaultInjection|TestFaultPlanReplays              ./internal/engine
 storm             TestChaosStorm|TestDrainUnderFaults                       ./internal/engine
 memstorm          TestMemPressureStorm|TestSpillCompletesUnderSmallBudget|TestSequentialBudgetCharged|TestSpillForcedMatchesOracle|TestSpillCorruptRunDetected|TestSpillTimeoutLeakFree|TestMetamorphTightMemory ./internal/engine ./internal/metamorph
 metamorph-short   TestMetamorph(Short|Faults|CatchesKimMutant)|TestGoldenRepros ./internal/metamorph
