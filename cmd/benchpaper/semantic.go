@@ -70,11 +70,7 @@ func printTable(db *engine.DB, name string) {
 		return true
 	})
 	rel, _ := db.Catalog().Lookup(name)
-	cols := make([]string, len(rel.Columns))
-	for i, c := range rel.Columns {
-		cols[i] = c.Name
-	}
-	printRows(fmt.Sprintf("%s(%s):", name, strings.Join(cols, ", ")), rows)
+	printRows(fmt.Sprintf("%s(%s):", name, strings.Join(rel.ColumnNames(), ", ")), rows)
 }
 
 // transformKeepingTemps runs the transformation and planner with KeepTemps

@@ -107,27 +107,9 @@ func main() {
 		fail(fmt.Errorf("unknown join method %q", o.finalJoin))
 	}
 
-	var db *nestedsql.DB
-	if o.open != "" {
-		f, err := os.Open(o.open)
-		if err != nil {
-			fail(err)
-		}
-		db, err = nestedsql.Restore(f)
-		f.Close()
-		if err != nil {
-			fail(err)
-		}
-	} else {
-		openOpts := []nestedsql.Option{nestedsql.WithBufferPages(o.buffer)}
-		if o.maxConcurrent > 0 || o.memPool > 0 {
-			openOpts = append(openOpts, nestedsql.WithAdmissionControl(nestedsql.AdmissionConfig{
-				MaxConcurrent: o.maxConcurrent,
-				QueueDepth:    o.queueDepth,
-				MemPool:       o.memPool,
-			}))
-		}
-		db = nestedsql.Open(openOpts...)
+	db, err := openDB(o, flag.CommandLine)
+	if err != nil {
+		fail(err)
 	}
 	if o.spillDir != "" {
 		// EnableSpill (not the Open option) so a restored snapshot gets
@@ -246,6 +228,43 @@ func main() {
 		return
 	}
 	printResult(res)
+}
+
+// openDB opens the database the command line names — an empty one, or
+// the snapshot behind -open, whose own buffer pool and tables make -buffer
+// or -fixture beside it a configuration error, not something to silently
+// ignore — with the admission gateway on either if its flags ask for it.
+func openDB(o *options, fs *flag.FlagSet) (*nestedsql.DB, error) {
+	var db *nestedsql.DB
+	if o.open == "" {
+		db = nestedsql.Open(nestedsql.WithBufferPages(o.buffer))
+	} else {
+		var bad []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "buffer" || f.Name == "fixture" {
+				bad = append(bad, "-"+f.Name)
+			}
+		})
+		if len(bad) > 0 {
+			return nil, fmt.Errorf("-open restores the snapshot's own buffer pool and tables; drop %s", strings.Join(bad, ", "))
+		}
+		f, err := os.Open(o.open)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		if db, err = nestedsql.Restore(f); err != nil {
+			return nil, err
+		}
+	}
+	if o.maxConcurrent > 0 || o.memPool > 0 {
+		db.EnableAdmission(nestedsql.AdmissionConfig{
+			MaxConcurrent: o.maxConcurrent,
+			QueueDepth:    o.queueDepth,
+			MemPool:       o.memPool,
+		})
+	}
+	return db, nil
 }
 
 func readQuery(args []string) (string, error) {

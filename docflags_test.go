@@ -170,3 +170,44 @@ func TestOneFaultInjector(t *testing.T) {
 		})
 	})
 }
+
+// The agreement rule — which results of one query must be equal, and
+// whether as bags or as sets — and the sorted-rendered-rows comparator
+// under it used to be written out in the engine's VerifyParallel, again in
+// internal/metamorph (with a generator-annotated "has an ALL quantifier"
+// flag, because the runner could not ask the engine) and again in four
+// test packages. The rule is engine.AgreementWithNI now and the comparator
+// storage.Diff; a copy must not grow back unnoticed: outside
+// internal/storage no non-test package (bench/ keeps its own until a
+// benchmark PR) declares a function named like a row-bag, row-set or
+// row-diff helper, nor that flag; and the oracle's re-runs skip admission
+// by structure (DB.run), not by a flag in Options.
+func TestOneOracle(t *testing.T) {
+	comparator := regexp.MustCompile(`(?i)^((row|sorted|equal)(bag|set)s?|(bag|set)of|diffrows)$`)
+	// Spelled apart so a grep for either name finds offenders only.
+	gone := map[string]string{
+		"Has" + "All":      "ask engine.AgreementWithNI",
+		"no" + "Admission": "oracle re-runs call DB.execute under run's lock hold, without a ticket",
+	}
+	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if dir == "bench" || dir == "internal/storage" {
+			return
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if comparator.MatchString(n.Name.Name) {
+					t.Errorf("%s declares func %s: results are compared by storage.Canon, DiffCanon and Diff", path, n.Name.Name)
+				}
+			case *ast.Field:
+				for _, name := range n.Names {
+					if why, ok := gone[name.Name]; ok {
+						t.Errorf("%s declares a %s field: %s", path, name.Name, why)
+					}
+				}
+			}
+			return true
+		})
+	})
+}

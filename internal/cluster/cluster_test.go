@@ -59,10 +59,11 @@ var clusterQueries = []string{
 	"SELECT S.SNAME FROM S WHERE S.SNO > ALL (SELECT SP.PNO FROM SP WHERE SP.SNO = S.SNO)",
 }
 
-// canonSorted is the byte-comparison key between a distributed gather
-// and the single-node oracle: the gather concatenates shard-major, so
-// both sides are put in a canonical total order first, then encoded as
-// one RowBatch frame. No *testing.T — it runs inside storm goroutines.
+// canonSorted is a byte-comparison key for rows: a canonical total order,
+// then one RowBatch frame. It is not the differential oracle — a gather
+// is held against the single node through storage.Diff like every other
+// regime — but the stricter check behind "replicas hold the same bytes"
+// and "rows survive every path bit for bit", which must tell 3.0 from 3.
 func canonSorted(cols []string, rows []storage.Tuple) []byte {
 	sorted := append([]storage.Tuple(nil), rows...)
 	sort.SliceStable(sorted, func(i, j int) bool {
@@ -175,11 +176,8 @@ func TestDistributedNestJA2(t *testing.T) {
 					if err != nil {
 						t.Fatalf("cluster %v %q: %v", strat, sql, err)
 					}
-					wb := canonSorted(want.Columns, want.Rows)
-					gb := canonSorted(got.Columns, got.Rows)
-					if !bytes.Equal(wb, gb) {
-						t.Errorf("%v %q: distributed result diverges from oracle\n  oracle: %d rows %v\n  cluster: %d rows %v",
-							strat, sql, len(want.Rows), want.Rows, len(got.Rows), got.Rows)
+					if d := storage.Diff(engine.AcrossRegimes, got.Rows, want.Rows); d != "" {
+						t.Errorf("%v %q: distributed result diverges from oracle: %s", strat, sql, d)
 					}
 				}
 			}
@@ -291,13 +289,13 @@ func typedClusterError(err error) bool {
 func TestClusterChaosStorm(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	oracle := oracleDB(t)
-	oracleBytes := make(map[string][]byte)
+	oracleRows := make(map[string][]storage.Tuple)
 	for _, sql := range clusterQueries {
 		res, err := oracle.Query(sql, engine.Options{Strategy: engine.TransformJA2})
 		if err != nil {
 			t.Fatalf("oracle %q: %v", sql, err)
 		}
-		oracleBytes[sql] = canonSorted(res.Columns, res.Rows)
+		oracleRows[sql] = res.Rows
 	}
 
 	addrs, workerDBs := startWorkers(t, 3, true)
@@ -318,7 +316,7 @@ func TestClusterChaosStorm(t *testing.T) {
 
 	co, err := cluster.New(cluster.Config{
 		Workers:       proxyAddrs,
-		Replicas:      2, // storms ride out lost links via the peer replica
+		Replicas:      2,                              // storms ride out lost links via the peer replica
 		Placement:     map[string]string{"SP": "PNO"}, // force shuffles under fire
 		IOTimeout:     3 * time.Second,
 		ProbeInterval: 100 * time.Millisecond,
@@ -401,9 +399,9 @@ func TestClusterChaosStorm(t *testing.T) {
 					}
 				} else {
 					completed.Add(1)
-					if got := canonSorted(res.Columns, res.Rows); !bytes.Equal(got, oracleBytes[sql]) {
+					if d := storage.Diff(engine.AcrossRegimes, res.Rows, oracleRows[sql]); d != "" {
 						mismatches.Add(1)
-						t.Errorf("client %d round %d %q: completed distributed result differs from single-node oracle", ci, r, sql)
+						t.Errorf("client %d round %d %q: completed distributed result differs from single-node oracle: %s", ci, r, sql, d)
 					}
 				}
 				c.Close()

@@ -405,15 +405,6 @@ func (co *Coordinator) load(w int, table string, cols []string, rows []storage.T
 	return stored, nil
 }
 
-// columnNames lists a relation's column names in order.
-func columnNames(rel *schema.Relation) []string {
-	names := make([]string, len(rel.Columns))
-	for i, c := range rel.Columns {
-		names[i] = c.Name
-	}
-	return names
-}
-
 // ExecSQL runs a script of statements against the cluster, mirroring
 // engine.Exec's contract: the result is the last SELECT's, Affected
 // accumulates DML counts, and a failing statement aborts the script
@@ -497,7 +488,7 @@ func (co *Coordinator) execCreate(rel *schema.Relation) error {
 	var mu sync.Mutex
 	var created [][2]int // (shard, worker) sites to undo
 	_, err := co.replicate(nil, nil, func(s, w int) (int64, error) {
-		_, err := co.collect(w, RenderCreate(shardRelation(rel, rel.Name, s)))
+		_, err := co.collect(w, shardRelation(rel, rel.Name, s).CreateSQL())
 		if err == nil {
 			mu.Lock()
 			created = append(created, [2]int{s, w})
@@ -542,17 +533,9 @@ func (co *Coordinator) execInsert(stmt *sqlparser.InsertStmt) (int64, error) {
 	part := Partitioner{NumShards: co.nshards, KeyCols: []int{pidx}}
 	routed := make([][]storage.Tuple, co.nshards)
 	for _, row := range stmt.Rows {
-		if len(row) != len(rel.Columns) {
-			return 0, fmt.Errorf("cluster: INSERT row has %d values, %s has %d columns",
-				len(row), rel.Name, len(rel.Columns))
-		}
-		t := make(storage.Tuple, len(row))
-		for i, v := range row {
-			cv, err := engine.CoerceInsertValue(v, rel.Columns[i].Type)
-			if err != nil {
-				return 0, fmt.Errorf("cluster: column %s of %s: %w", rel.Columns[i].Name, rel.Name, err)
-			}
-			t[i] = cv
+		t, err := engine.CoerceInsertRow(rel, row)
+		if err != nil {
+			return 0, err
 		}
 		d := part.Shard(t)
 		routed[d] = append(routed[d], t)
@@ -566,7 +549,7 @@ func (co *Coordinator) execInsert(stmt *sqlparser.InsertStmt) (int64, error) {
 	if shards == nil {
 		return 0, nil
 	}
-	cols := columnNames(rel)
+	cols := rel.ColumnNames()
 	return co.replicate(shards, nil, func(s, w int) (int64, error) {
 		return co.load(w, physName(rel.Name, s), cols, routed[s])
 	}, co.diverged)
@@ -767,7 +750,7 @@ func (co *Coordinator) shuffle(table, keyCol string, opts engine.Options, okBy [
 	struck := func(s, w int) { okBy[s][w] = false }
 
 	if _, err := co.replicate(nil, okBy, func(d, w int) (int64, error) {
-		_, err := co.collect(w, RenderCreate(shardRelation(rel, sname, d)))
+		_, err := co.collect(w, shardRelation(rel, sname, d).CreateSQL())
 		if err == nil {
 			co.stagingAdd(phys[d], w)
 		}
@@ -778,7 +761,7 @@ func (co *Coordinator) shuffle(table, keyCol string, opts engine.Options, okBy [
 
 	// Scatter: each source shard's slice partitions by the new key on
 	// whichever live replica serves it.
-	cols := columnNames(rel)
+	cols := rel.ColumnNames()
 	sq := wire.ShardQuery{
 		TimeoutMicros: opts.Timeout.Microseconds(),
 		Strategy:      wire.StrategyNested, // a flat scan; no transform to pick
@@ -945,43 +928,5 @@ func wireStrategy(s engine.Strategy) byte {
 		return wire.StrategyNested
 	default:
 		return wire.StrategyDefault
-	}
-}
-
-// RenderCreate turns a schema.Relation back into CREATE TABLE SQL —
-// broadcast to workers on DDL, and shipped as SnapshotMeta when a
-// rejoining worker rebuilds a slice.
-func RenderCreate(rel *schema.Relation) string {
-	var b strings.Builder
-	b.WriteString("CREATE TABLE ")
-	b.WriteString(rel.Name)
-	b.WriteString(" (")
-	for i, c := range rel.Columns {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(c.Name)
-		b.WriteString(" ")
-		b.WriteString(typeName(c.Type))
-	}
-	if len(rel.Key) > 0 {
-		b.WriteString(", PRIMARY KEY (")
-		b.WriteString(strings.Join(rel.Key, ", "))
-		b.WriteString(")")
-	}
-	b.WriteString(")")
-	return b.String()
-}
-
-func typeName(k value.Kind) string {
-	switch k {
-	case value.KindInt:
-		return "INTEGER"
-	case value.KindFloat:
-		return "FLOAT"
-	case value.KindDate:
-		return "DATE"
-	default:
-		return "TEXT"
 	}
 }

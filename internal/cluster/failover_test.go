@@ -24,6 +24,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/storage"
 )
 
 // killProxy arms a proxy to behave like a dead worker.
@@ -136,8 +137,8 @@ func TestClusterFailover(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: cluster %q: %v", phase, sql, err)
 			}
-			if !bytes.Equal(canonSorted(want.Columns, want.Rows), canonSorted(got.Columns, got.Rows)) {
-				t.Errorf("%s: %q diverges from oracle", phase, sql)
+			if d := storage.Diff(engine.AcrossRegimes, got.Rows, want.Rows); d != "" {
+				t.Errorf("%s: %q diverges from oracle: %s", phase, sql, d)
 			}
 		}
 	}
@@ -303,8 +304,8 @@ func TestClusterFailoverDropDuringOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(canonSorted(want.Columns, want.Rows), canonSorted(got.Columns, got.Rows)) {
-		t.Errorf("healed cluster returns %d rows of U, oracle %d", len(got.Rows), len(want.Rows))
+	if d := storage.Diff(engine.AcrossRegimes, got.Rows, want.Rows); d != "" {
+		t.Errorf("healed cluster's U differs from the oracle's: %s", d)
 	}
 	waitStates(t, co, "healthy", 5*time.Second)
 }
@@ -601,13 +602,13 @@ func TestClusterFailoverStorm(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 	oracle := oracleDB(t)
-	oracleBytes := make(map[string][]byte)
+	oracleRows := make(map[string][]storage.Tuple)
 	for _, sql := range clusterQueries {
 		res, err := oracle.Query(sql, engine.Options{Strategy: engine.TransformJA2})
 		if err != nil {
 			t.Fatalf("oracle %q: %v", sql, err)
 		}
-		oracleBytes[sql] = canonSorted(res.Columns, res.Rows)
+		oracleRows[sql] = res.Rows
 	}
 
 	bin := buildWorkerDaemon(t)
@@ -709,8 +710,8 @@ func TestClusterFailoverStorm(t *testing.T) {
 					continue
 				}
 				completed.Add(1)
-				if !bytes.Equal(canonSorted(res.Columns, res.Rows), oracleBytes[sql]) {
-					t.Errorf("query client %d: completed %q diverges from oracle mid-storm", ci, sql)
+				if d := storage.Diff(engine.AcrossRegimes, res.Rows, oracleRows[sql]); d != "" {
+					t.Errorf("query client %d: completed %q diverges from oracle mid-storm: %s", ci, sql, d)
 				}
 			}
 		}(ci)
@@ -770,8 +771,8 @@ func TestClusterFailoverStorm(t *testing.T) {
 		if err != nil {
 			t.Fatalf("post-heal %q: %v", sql, err)
 		}
-		if !bytes.Equal(canonSorted(res.Columns, res.Rows), oracleBytes[sql]) {
-			t.Errorf("post-heal %q diverges from oracle", sql)
+		if d := storage.Diff(engine.AcrossRegimes, res.Rows, oracleRows[sql]); d != "" {
+			t.Errorf("post-heal %q diverges from oracle: %s", sql, d)
 		}
 	}
 	waitStates(t, co, "healthy", 60*time.Second)
@@ -838,4 +839,3 @@ func TestClusterFailoverStorm(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
-

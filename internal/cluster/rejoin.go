@@ -69,7 +69,7 @@ func (co *Coordinator) rejoinLocked(w int) error {
 // verify src's shipped schema matches: a mismatch means the replicas
 // diverged structurally and the rejoin must not paper over it.
 func (co *Coordinator) shipSnapshot(src, dst int, srel *schema.Relation) error {
-	create := RenderCreate(srel)
+	create := srel.CreateSQL()
 	if err := co.drop(dst, srel.Name); err != nil {
 		return err
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -187,14 +186,9 @@ func TestChaosFaultInjection(t *testing.T) {
 			} else {
 				faultedOKs++
 				// A run that absorbed its faults (retry, or none landed on
-				// its pages) must still be correct. ALL-quantifier rewrites
-				// deliberately diverge from nested iteration (see README)
-				// unless the query fell back to nested iteration anyway.
-				if res.FellBack || !strings.Contains(sql, " ALL ") {
-					if got, want := sortedSet(res), sortedSet(ni); got != want {
-						t.Fatalf("round %d: faulted-but-successful %v wrong for %q:\n  got:  %s\n  want: %s",
-							i, opts.Strategy, sql, got, want)
-					}
+				// its pages) must still be correct.
+				if d := diffNI(sql, res, ni); d != "" {
+					t.Fatalf("round %d: faulted-but-successful %v wrong for %q: %s", i, opts.Strategy, sql, d)
 				}
 			}
 			// No run — failed or not — may leak an anonymous temp file.
@@ -211,11 +205,8 @@ func TestChaosFaultInjection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: fault-free rerun failed for %q: %v", i, sql, err)
 		}
-		if !strings.Contains(sql, " ALL ") {
-			if got, want := sortedSet(tr), sortedSet(ni); got != want {
-				t.Fatalf("round %d: post-chaos differential mismatch for %q:\n  got:  %s\n  want: %s",
-					i, sql, got, want)
-			}
+		if d := diffNI(sql, tr, ni); d != "" {
+			t.Fatalf("round %d: post-chaos differential mismatch for %q: %s", i, sql, d)
 		}
 
 		// DML round: a randomized statement against the same fault

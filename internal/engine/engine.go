@@ -83,9 +83,8 @@ type DB struct {
 	// dmlMu is the commit-order lock: DDL, DML and Checkpoint hold it
 	// exclusively (see commit), queries hold it shared, so readers never
 	// see a half-applied statement and WAL append order equals apply
-	// order — with or without a log attached. Internal re-runs
-	// (noAdmission) skip the shared acquire — they execute inside a
-	// query that already holds it.
+	// order — with or without a log attached. The parallel oracle's
+	// re-runs execute inside the query's own hold (see run).
 	dmlMu sync.RWMutex
 	// Durability (nil/zero unless EnableDurability was called).
 	wal      *wal.Log
@@ -378,13 +377,10 @@ type Options struct {
 	// with VerifyParallel (the oracle needs materialized rows to compare).
 	Sink *RowSink
 
-	// noAdmission bypasses the admission gateway. Internal: the
-	// differential-oracle re-runs inside an already-admitted query use it,
-	// both to avoid deadlocking against their own ticket and to keep
-	// oracle work out of the admission accounting.
-	noAdmission bool
 	// ticket is the admission grant governing this query, when the
-	// gateway is enabled.
+	// gateway is enabled. The oracle's re-runs carry none: they execute
+	// inside an already-admitted query, and without a ticket the
+	// transient-retry and circuit-breaker gates stay out of their way.
 	ticket *admission.Ticket
 	// stream wraps Sink for one execution, tracking whether rows have
 	// already escaped (which fences the engine's re-run retries).
@@ -395,6 +391,13 @@ type Options struct {
 // explicit limit, or an admission ticket (drain cancels through it).
 func (o Options) governed() bool {
 	return o.Timeout > 0 || o.MaxRows > 0 || o.MaxBytes > 0 || o.Cancel != nil || o.ticket != nil
+}
+
+// degraded reports overload degradation: a reduced memory lease means
+// pool pressure, and sequential plans buffer less than partitioned
+// parallel hash builds, so a parallel request runs sequentially.
+func (o Options) degraded() bool {
+	return o.ticket != nil && o.ticket.Degraded() && parallelRequested(o)
 }
 
 // Result is a completed query.
@@ -428,7 +431,7 @@ func (db *DB) Query(sql string, opts Options) (*Result, error) {
 // already holds one (Exec, ExecSQL, Explain, the parallel oracle) enters
 // here, so a statement is parsed once however it arrived.
 func (db *DB) queryBlock(qb *ast.QueryBlock, opts Options) (*Result, error) {
-	if db.admit != nil && !opts.noAdmission {
+	if db.admit != nil {
 		ticket, err := db.admit.Admit(admission.Request{
 			Timeout:  opts.Timeout,
 			MemBytes: opts.MaxBytes,
@@ -451,17 +454,30 @@ func (db *DB) queryBlock(qb *ast.QueryBlock, opts Options) (*Result, error) {
 	return db.run(qb, opts)
 }
 
-// run executes one already-admitted (or ungoverned) statement.
+// run executes one already-admitted (or ungoverned) statement under the
+// shared commit-order lock: a query never observes a DML statement
+// half-applied, and a checkpoint never snapshots one. The parallel
+// oracle's re-runs call execute directly under this same hold — they
+// compare against the very state the query saw, and a recursive RLock
+// could deadlock against a waiting writer.
 func (db *DB) run(qb *ast.QueryBlock, opts Options) (*Result, error) {
-	if !opts.noAdmission {
-		// Shared commit-order lock: a query never observes a DML
-		// statement half-applied, and a checkpoint never snapshots one.
-		// Internal oracle re-runs (noAdmission) already execute under
-		// the outer query's hold — a recursive RLock could deadlock
-		// against a writer, so they must not re-acquire.
-		db.dmlMu.RLock()
-		defer db.dmlMu.RUnlock()
+	db.dmlMu.RLock()
+	defer db.dmlMu.RUnlock()
+	res, err := db.execute(qb, opts)
+	if err != nil {
+		return nil, err
 	}
+	if opts.VerifyParallel && parallelRequested(opts) && !opts.degraded() && !res.FellBack &&
+		(opts.Strategy == TransformJA2 || opts.Strategy == TransformKim) {
+		if err := db.verifyParallel(qb, opts, res); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
+}
+
+// execute is one execution of a statement; the caller holds dmlMu shared.
+func (db *DB) execute(qb *ast.QueryBlock, opts Options) (*Result, error) {
 	if opts.Sink != nil {
 		if opts.VerifyParallel {
 			return nil, fmt.Errorf("engine: streaming sink is incompatible with VerifyParallel")
@@ -531,10 +547,7 @@ func (db *DB) run(qb *ast.QueryBlock, opts Options) (*Result, error) {
 		}
 	}
 
-	if opts.ticket != nil && opts.ticket.Degraded() && parallelRequested(opts) {
-		// Overload degradation: a reduced memory lease means pool
-		// pressure, and sequential plans buffer less than partitioned
-		// parallel hash builds.
+	if opts.degraded() {
 		opts.Planner.Parallelism = 0
 		opts.Planner.ForceParallel = false
 		res.Trace = append(res.Trace,
@@ -562,7 +575,7 @@ func (db *DB) run(qb *ast.QueryBlock, opts Options) (*Result, error) {
 		// exponential backoff + jitter. The deadline keeps ticking
 		// through the backoff sleep. A streaming query that has already
 		// delivered rows is never re-run — the client would see them twice.
-		if err == nil || db.admit == nil || opts.noAdmission || !qctx.Retryable(err) ||
+		if err == nil || opts.ticket == nil || !qctx.Retryable(err) ||
 			opts.stream.hasEmitted() || opts.stream.sinkBroken() {
 			break
 		}
@@ -597,12 +610,6 @@ func (db *DB) run(qb *ast.QueryBlock, opts Options) (*Result, error) {
 		res.Trace = append(res.Trace, "durability: "+db.wal.Stats().String())
 		if db.recovery.Recovered() {
 			res.Trace = append(res.Trace, "durability: "+db.recovery.String())
-		}
-	}
-	if opts.VerifyParallel && parallelRequested(opts) && !res.FellBack &&
-		(opts.Strategy == TransformJA2 || opts.Strategy == TransformKim) {
-		if err := db.verifyParallel(qb, opts, res); err != nil {
-			return nil, err
 		}
 	}
 	return res, nil
@@ -698,8 +705,7 @@ func (db *DB) runTransformed(qb *ast.QueryBlock, variant transform.Variant, opts
 	// Circuit breaker: after repeated parallel-worker faults the parallel
 	// path is closed for a cooldown. Cost-gated parallel requests degrade
 	// to sequential; an explicit ForceParallel demand fails typed.
-	useBreaker := db.admit != nil && !opts.noAdmission &&
-		(popts.Parallelism > 1 || popts.Parallelism < 0)
+	useBreaker := opts.ticket != nil && (popts.Parallelism > 1 || popts.Parallelism < 0)
 	if useBreaker && !db.admit.AllowParallel() {
 		if popts.ForceParallel {
 			return fmt.Errorf("engine: parallel plan refused: %w", qctx.ErrCircuitOpen)

@@ -32,20 +32,10 @@ func query(t *testing.T, db *engine.DB, sql string, opts engine.Options) *engine
 	return res
 }
 
-func rowSet(res *engine.Result) []string {
-	out := make([]string, len(res.Rows))
-	for i, r := range res.Rows {
-		out[i] = r.String()
-	}
-	sort.Strings(out)
-	return out
-}
-
 func wantRows(t *testing.T, res *engine.Result, want ...string) {
 	t.Helper()
 	sort.Strings(want)
-	got := rowSet(res)
-	if strings.Join(got, " ") != strings.Join(want, " ") {
+	if got := sortedRows(res); got != strings.Join(want, " ") {
 		t.Errorf("%v rows = %v, want %v", res.Strategy, got, want)
 	}
 }
@@ -126,20 +116,10 @@ func TestPaperExamplesAgree(t *testing.T) {
 		// Kim's Lemma 1 equates IN with a join *as sets*: the join form
 		// repeats an outer tuple once per inner match, so comparison is
 		// over distinct rows (see TestNestNJDuplicationIsPaperFaithful).
-		if strings.Join(dedupe(rowSet(ni)), "|") != strings.Join(dedupe(rowSet(ja2)), "|") {
-			t.Errorf("%q:\n  NI:  %v\n  JA2: %v", sql, rowSet(ni), rowSet(ja2))
+		if d := diffNI(sql, ja2, ni); d != "" {
+			t.Errorf("%q: JA2 vs NI: %s", sql, d)
 		}
 	}
-}
-
-func dedupe(xs []string) []string {
-	out := xs[:0:0]
-	for i, x := range xs {
-		if i == 0 || xs[i-1] != x {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // NEST-N-J inherits Kim's Lemma 1 set semantics: flattening IN into a join
@@ -158,8 +138,8 @@ func TestNestNJDuplicationIsPaperFaithful(t *testing.T) {
 	if len(ja2.Rows) <= len(ni.Rows) {
 		t.Errorf("expected join-induced duplicates in canonical form, got %d rows", len(ja2.Rows))
 	}
-	if strings.Join(dedupe(rowSet(ni)), "|") != strings.Join(dedupe(rowSet(ja2)), "|") {
-		t.Errorf("distinct rows differ:\n  NI:  %v\n  JA2: %v", rowSet(ni), rowSet(ja2))
+	if d := storage.Diff(storage.AgreeSet, ja2.Rows, ni.Rows); d != "" {
+		t.Errorf("distinct rows differ: %s", d)
 	}
 }
 
@@ -180,8 +160,8 @@ func TestExtendedPredicatesAgree(t *testing.T) {
 		if ja2.FellBack {
 			t.Errorf("%q fell back", sql)
 		}
-		if strings.Join(rowSet(ni), "|") != strings.Join(rowSet(ja2), "|") {
-			t.Errorf("%q:\n  NI:  %v\n  JA2: %v", sql, rowSet(ni), rowSet(ja2))
+		if d := storage.Diff(storage.AgreeBag, ja2.Rows, ni.Rows); d != "" {
+			t.Errorf("%q: JA2 vs NI: %s", sql, d)
 		}
 	}
 }
@@ -229,8 +209,8 @@ func TestNotInViaAntiJoin(t *testing.T) {
 	}
 	wantRows(t, res, "('Adams')")
 	ni := query(t, db, sql, engine.Options{Strategy: engine.NestedIteration})
-	if strings.Join(rowSet(ni), "|") != strings.Join(rowSet(res), "|") {
-		t.Errorf("anti-join diverges from NI")
+	if d := storage.Diff(storage.AgreeBag, res.Rows, ni.Rows); d != "" {
+		t.Errorf("anti-join diverges from NI: %s", d)
 	}
 }
 
@@ -239,24 +219,24 @@ func TestNotInViaAntiJoin(t *testing.T) {
 func TestForcedJoinMethodsAgreeOnResults(t *testing.T) {
 	methods := []planner.JoinMethod{planner.JoinAuto, planner.JoinMerge, planner.JoinNL}
 	db := newDB(t, 8, workload.LoadKiessling)
-	var baseline []string
+	baseline := ""
 	for _, tempJoin := range methods {
 		for _, finalJoin := range methods {
 			res := query(t, db, workload.KiesslingQ2, engine.Options{
 				Strategy: engine.TransformJA2,
 				Planner:  planner.Options{TempJoin: tempJoin, FinalJoin: finalJoin},
 			})
-			rs := rowSet(res)
-			if baseline == nil {
+			rs := sortedRows(res)
+			if baseline == "" {
 				baseline = rs
 				continue
 			}
-			if strings.Join(rs, "|") != strings.Join(baseline, "|") {
+			if rs != baseline {
 				t.Errorf("temp=%v final=%v rows = %v, want %v", tempJoin, finalJoin, rs, baseline)
 			}
 		}
 	}
-	if strings.Join(baseline, " ") != "(10) (8)" {
+	if baseline != "(10) (8)" {
 		t.Errorf("baseline rows = %v", baseline)
 	}
 }
@@ -294,8 +274,8 @@ func TestTransformBeatsNestedIterationOnIO(t *testing.T) {
 	        WHERE QOH = (SELECT COUNT(QUAN) FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)`
 	ni := query(t, db, sql, engine.Options{Strategy: engine.NestedIteration})
 	ja2 := query(t, db, sql, engine.Options{Strategy: engine.TransformJA2})
-	if strings.Join(rowSet(ni), "|") != strings.Join(rowSet(ja2), "|") {
-		t.Fatalf("results differ:\n NI %v\n JA2 %v", rowSet(ni), rowSet(ja2))
+	if d := storage.Diff(storage.AgreeBag, ja2.Rows, ni.Rows); d != "" {
+		t.Fatalf("results differ: JA2 vs NI: %s", d)
 	}
 	if ja2.Stats.Total() >= ni.Stats.Total() {
 		t.Errorf("JA2 I/O %v not below NI I/O %v", ja2.Stats, ni.Stats)
@@ -381,7 +361,7 @@ func TestOuterAliasShadowingTempName(t *testing.T) {
 		                   WHERE SUPPLY.PNUM = TEMP1.PNUM)`
 	ni := query(t, db, sql, engine.Options{Strategy: engine.NestedIteration})
 	ja2 := query(t, db, sql, engine.Options{Strategy: engine.TransformJA2, NoFallback: true})
-	if strings.Join(rowSet(ni), "|") != strings.Join(rowSet(ja2), "|") {
-		t.Errorf("alias shadowing diverges:\n  NI:  %v\n  JA2: %v", rowSet(ni), rowSet(ja2))
+	if d := storage.Diff(storage.AgreeBag, ja2.Rows, ni.Rows); d != "" {
+		t.Errorf("alias shadowing diverges: JA2 vs NI: %s", d)
 	}
 }

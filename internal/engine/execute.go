@@ -76,9 +76,9 @@ func (db *DB) execStmts(stmts []sqlparser.Statement, opts Options) (*Result, err
 	return last, nil
 }
 
-// execInsert type-checks literals against the table schema (coercing
-// string literals to dates for DATE columns) and appends the rows as
-// one batch — with durability enabled, one commit record.
+// execInsert coerces every row's literals against the table schema and
+// appends the rows as one batch — with durability enabled, one commit
+// record.
 func (db *DB) execInsert(stmt *sqlparser.InsertStmt) (int, error) {
 	rel, ok := db.cat.Lookup(stmt.Table)
 	if !ok {
@@ -86,17 +86,9 @@ func (db *DB) execInsert(stmt *sqlparser.InsertStmt) (int, error) {
 	}
 	rows := make([]storage.Tuple, len(stmt.Rows))
 	for ri, row := range stmt.Rows {
-		if len(row) != len(rel.Columns) {
-			return 0, fmt.Errorf("engine: INSERT row has %d values, %s has %d columns",
-				len(row), rel.Name, len(rel.Columns))
-		}
-		t := make(storage.Tuple, len(row))
-		for i, v := range row {
-			cv, err := coerceInsertValue(v, rel.Columns[i].Type)
-			if err != nil {
-				return 0, fmt.Errorf("engine: column %s of %s: %w", rel.Columns[i].Name, rel.Name, err)
-			}
-			t[i] = cv
+		t, err := CoerceInsertRow(rel, row)
+		if err != nil {
+			return 0, err
 		}
 		rows[ri] = t
 	}
@@ -104,6 +96,28 @@ func (db *DB) execInsert(stmt *sqlparser.InsertStmt) (int, error) {
 		return 0, err
 	}
 	return len(rows), db.Seal(stmt.Table)
+}
+
+// CoerceInsertRow is INSERT literal coercion: one row of literals becomes
+// the tuple rel stores (string→date for DATE columns, int→float for FLOAT
+// ones), or an error naming the column that cannot hold its literal. A
+// cluster coordinator calls it before hashing a row for placement: the
+// hash must be taken over the value a worker will store, not the raw
+// literal, or co-location silently breaks for DATE keys.
+func CoerceInsertRow(rel *schema.Relation, row []value.Value) (storage.Tuple, error) {
+	if len(row) != len(rel.Columns) {
+		return nil, fmt.Errorf("engine: INSERT row has %d values, %s has %d columns",
+			len(row), rel.Name, len(rel.Columns))
+	}
+	t := make(storage.Tuple, len(row))
+	for i, v := range row {
+		cv, err := coerceInsertValue(v, rel.Columns[i].Type)
+		if err != nil {
+			return nil, fmt.Errorf("engine: column %s of %s: %w", rel.Columns[i].Name, rel.Name, err)
+		}
+		t[i] = cv
+	}
+	return t, nil
 }
 
 // Load appends already-typed rows on behalf of a peer node: a
@@ -252,15 +266,6 @@ func (db *DB) applyDML(table string, where []ast.Predicate, rt wal.RecType, sql 
 		return &wal.Record{Type: rt, SQL: sql()}, nil
 	})
 	return n, err
-}
-
-// CoerceInsertValue applies INSERT literal coercion (string→date,
-// int→float) without storing anything. The cluster coordinator needs
-// this before hashing a row for placement: the hash must be taken over
-// the value a worker will store, not the raw literal, or co-location
-// silently breaks for DATE keys.
-func CoerceInsertValue(v value.Value, want value.Kind) (value.Value, error) {
-	return coerceInsertValue(v, want)
 }
 
 func coerceInsertValue(v value.Value, want value.Kind) (value.Value, error) {

@@ -182,8 +182,8 @@ func TestSequentialRetryAfterWorkerFault(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parallel query did not degrade to sequential: %v", err)
 	}
-	if got, wantSet := sortedSet(res), sortedSet(want); got != wantSet {
-		t.Errorf("retried result differs from ground truth:\n  got:  %s\n  want: %s", got, wantSet)
+	if d := diffNI(lifecycleQuery, res, want); d != "" {
+		t.Errorf("retried result differs from ground truth: %s", d)
 	}
 	retried := false
 	for _, line := range res.Trace {

@@ -17,7 +17,7 @@ import (
 // pipeline, and the parallel NEST-JA2 pipeline. Parallelism may only
 // reorder rows, so parallel-vs-sequential is a bag comparison; against
 // nested iteration the set semantics of the transformation apply (Kim's
-// Lemma 1), with ALL-quantifier queries excluded as in fuzz_test.go.
+// Lemma 1), with ALL-quantifier queries excluded — engine.AgreementWithNI.
 //
 // ForceParallel bypasses the cost gate so the tiny generated instances
 // still exercise the parallel operators, and VerifyParallel arms the
@@ -74,18 +74,14 @@ func TestParallelDifferentialFuzz(t *testing.T) {
 		}
 		// Parallelism must not change multiplicities: bag equality against
 		// the sequential plan, unconditionally.
-		if got, want := sortedRows(par), sortedRows(seq); got != want {
-			t.Fatalf("round %d: %q parallel != sequential\n  seq: %v\n  par: %v", i, sql, want, got)
+		if d := storage.Diff(engine.AcrossRegimes, par.Rows, seq.Rows); d != "" {
+			t.Fatalf("round %d: %q parallel != sequential: %s", i, sql, d)
 		}
 		if par.FellBack != seq.FellBack {
 			t.Fatalf("round %d: %q fallback disagreement (seq=%v par=%v)", i, sql, seq.FellBack, par.FellBack)
 		}
-		if strings.Contains(sql, " ALL ") && !par.FellBack {
-			continue // ALL rewrites diverge from NI on empty sets by design
-		}
-		if got, want := sortedSet(par), sortedSet(ni); got != want {
-			t.Fatalf("round %d: %q parallel != nested iteration\n  NI:  %v\n  par: %v (fellback=%v)",
-				i, sql, want, got, par.FellBack)
+		if d := diffNI(sql, par, ni); d != "" {
+			t.Fatalf("round %d: %q parallel != nested iteration (fellback=%v): %s", i, sql, par.FellBack, d)
 		}
 	}
 	t.Logf("%d/%d rounds used parallel operators", parallelPlans, rounds)
@@ -134,21 +130,9 @@ func TestParallelDifferentialTypeJA(t *testing.T) {
 // emits the NULL-padded outer row, and COUNT(col) over it yields 0.
 func TestParallelEmptySubqueryCount(t *testing.T) {
 	db := engine.New(6)
-	mustCreate := func(rel *schema.Relation, rows ...storage.Tuple) {
-		t.Helper()
-		if err := db.CreateRelation(rel, 2); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Insert(rel.Name, rows...); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Seal(rel.Name); err != nil {
-			t.Fatal(err)
-		}
-	}
 	// Parts 8 and 9 have no SUPPLY rows at all; part 3 has rows that a
 	// restriction can empty out. QOH = 0 rows must survive via COUNT = 0.
-	mustCreate(&schema.Relation{Name: "PARTS", Columns: []schema.Column{
+	loadTable(t, db, &schema.Relation{Name: "PARTS", Columns: []schema.Column{
 		{Name: "PNUM", Type: value.KindInt},
 		{Name: "QOH", Type: value.KindInt},
 	}},
@@ -157,7 +141,7 @@ func TestParallelEmptySubqueryCount(t *testing.T) {
 		storage.Tuple{value.NewInt(9), value.NewInt(0)},
 		storage.Tuple{value.NewInt(10), value.NewInt(1)},
 	)
-	mustCreate(&schema.Relation{Name: "SUPPLY", Columns: []schema.Column{
+	loadTable(t, db, &schema.Relation{Name: "SUPPLY", Columns: []schema.Column{
 		{Name: "PNUM", Type: value.KindInt},
 		{Name: "QUAN", Type: value.KindInt},
 	}},
@@ -193,21 +177,9 @@ func TestParallelEmptySubqueryCount(t *testing.T) {
 // partitioning that keeps every copy of a key on one probe path.
 func TestParallelDuplicateOuterKeys(t *testing.T) {
 	db := engine.New(6)
-	mustCreate := func(rel *schema.Relation, rows ...storage.Tuple) {
-		t.Helper()
-		if err := db.CreateRelation(rel, 2); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Insert(rel.Name, rows...); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Seal(rel.Name); err != nil {
-			t.Fatal(err)
-		}
-	}
 	// PNUM 3 appears three times with different QOH; PNUM 8 twice with the
 	// same QOH — the full row is a duplicate, and both copies must return.
-	mustCreate(&schema.Relation{Name: "PARTS", Columns: []schema.Column{
+	loadTable(t, db, &schema.Relation{Name: "PARTS", Columns: []schema.Column{
 		{Name: "PNUM", Type: value.KindInt},
 		{Name: "QOH", Type: value.KindInt},
 	}},
@@ -217,7 +189,7 @@ func TestParallelDuplicateOuterKeys(t *testing.T) {
 		storage.Tuple{value.NewInt(8), value.NewInt(0)},
 		storage.Tuple{value.NewInt(8), value.NewInt(0)},
 	)
-	mustCreate(&schema.Relation{Name: "SUPPLY", Columns: []schema.Column{
+	loadTable(t, db, &schema.Relation{Name: "SUPPLY", Columns: []schema.Column{
 		{Name: "PNUM", Type: value.KindInt},
 		{Name: "QUAN", Type: value.KindInt},
 	}},

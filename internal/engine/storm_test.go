@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -61,9 +60,9 @@ func stormFaults(seed int64) fault.Plan {
 }
 
 // stormCorpus generates n random queries over the fuzz database together
-// with their fault-free nested-iteration oracle answers (as sorted sets).
-// The oracle runs before faults or admission are armed.
-func stormCorpus(t *testing.T, db *engine.DB, rng *rand.Rand, n int) (queries, oracle []string) {
+// with their fault-free nested-iteration oracle answers. The oracle runs
+// before faults or admission are armed.
+func stormCorpus(t *testing.T, db *engine.DB, rng *rand.Rand, n int) (queries []string, oracle []*engine.Result) {
 	t.Helper()
 	g := &queryGen{rng: rng}
 	for len(queries) < n {
@@ -73,7 +72,7 @@ func stormCorpus(t *testing.T, db *engine.DB, rng *rand.Rand, n int) (queries, o
 			t.Fatalf("fault-free NI failed for %q: %v", sql, err)
 		}
 		queries = append(queries, sql)
-		oracle = append(oracle, sortedSet(ni))
+		oracle = append(oracle, ni)
 	}
 	return queries, oracle
 }
@@ -154,15 +153,10 @@ func TestChaosStorm(t *testing.T) {
 					continue
 				}
 				atomic.AddInt64(&okRuns, 1)
-				// A query that survived the storm must be correct. ALL
-				// rewrites deliberately diverge from nested iteration
-				// unless the run fell back to nested iteration anyway.
-				if res.FellBack || !strings.Contains(sql, " ALL ") {
-					if got := sortedSet(res); got != oracle[qi] {
-						t.Errorf("client %d round %d: wrong result for %q:\n  got:  %s\n  want: %s",
-							c, r, sql, got, oracle[qi])
-						return
-					}
+				// A query that survived the storm must be correct.
+				if d := diffNI(sql, res, oracle[qi]); d != "" {
+					t.Errorf("client %d round %d: wrong result for %q: %s", c, r, sql, d)
+					return
 				}
 			}
 		}()
@@ -219,10 +213,8 @@ func TestChaosStorm(t *testing.T) {
 		if err != nil {
 			t.Fatalf("post-storm rerun failed for %q: %v", sql, err)
 		}
-		if !strings.Contains(sql, " ALL ") {
-			if got := sortedSet(res); got != oracle[qi] {
-				t.Fatalf("post-storm differential mismatch for %q:\n  got:  %s\n  want: %s", sql, got, oracle[qi])
-			}
+		if d := diffNI(sql, res, oracle[qi]); d != "" {
+			t.Fatalf("post-storm differential mismatch for %q: %s", sql, d)
 		}
 	}
 }
@@ -335,12 +327,9 @@ func TestConcurrentQueriesWithoutAdmission(t *testing.T) {
 						t.Errorf("client %d: %q failed: %v", c, sql, err)
 						return
 					}
-					if res.FellBack || !strings.Contains(sql, " ALL ") {
-						if got := sortedSet(res); got != oracle[qi] {
-							t.Errorf("client %d: wrong result for %q:\n  got:  %s\n  want: %s",
-								c, sql, got, oracle[qi])
-							return
-						}
+					if d := diffNI(sql, res, oracle[qi]); d != "" {
+						t.Errorf("client %d: wrong result for %q: %s", c, sql, d)
+						return
 					}
 				}
 			}

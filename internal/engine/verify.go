@@ -2,20 +2,43 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ast"
 	"repro/internal/storage"
 )
 
-// This file implements the sequential-vs-parallel differential oracle.
-// Parallel aggregation is exactly where the paper's COUNT bug would
-// resurface — a partition with no matching inner tuples must still produce
-// COUNT = 0 after the outer join — so a parallel plan is never trusted on
-// its own: with Options.VerifyParallel set, its result is re-derived by
-// the sequential plan (bag equality) and by nested iteration (set
-// equality, the engine's semantic ground truth), and any disagreement
-// fails the query.
+// This file is the differential oracle: the one statement of which
+// results of a query must agree and how. Every correctness claim of the
+// paper is a comparison against nested iteration, and two of its own
+// rewrites agree with it only conditionally; VerifyParallel below, the
+// metamorphic runner and the package tests all ask AgreementWithNI and
+// AcrossRegimes, and compare rows through storage.Diff — nothing else in
+// the tree decides either.
+
+// AcrossRegimes is the first half of the rule: any two executions of one
+// query under one strategy — sequential, parallel, spilling, networked,
+// sharded — must agree as bags. A regime may reorder rows, never change
+// their multiplicities.
+const AcrossRegimes = storage.AgreeBag
+
+// AgreementWithNI is the second half: how the result of qb under strategy
+// s must compare with nested iteration's, the semantic ground truth.
+// NEST-JA2 agrees as a set — Kim's Lemma 1 equates IN with a join as sets
+// (section 3.1), so a merged type-N/J block may carry join-multiplicity
+// duplicates — unless the query holds an ALL quantifier anywhere, whose
+// section 8 rewrite deliberately diverges over an empty inner block.
+// Kim's NEST-JA owes nested iteration nothing: it has the COUNT bug by
+// design.
+func AgreementWithNI(qb *ast.QueryBlock, s Strategy) storage.Agreement {
+	switch {
+	case s == NestedIteration:
+		return AcrossRegimes
+	case s == TransformJA2 && !hasAllQuantifier(qb):
+		return storage.AgreeSet
+	default:
+		return storage.AgreeNone
+	}
+}
 
 // parallelRequested reports whether the planner options enable parallel
 // operators (Parallelism < 0 means one worker per CPU, > 1 that many
@@ -25,86 +48,40 @@ func parallelRequested(opts Options) bool {
 	return p < 0 || p > 1
 }
 
-// verifyParallel cross-checks a parallel result. The sequential re-run of
-// the same strategy must match as a bag — parallelism may only reorder
-// rows, never change their multiplicities. Nested iteration must match as
-// a set, and only for NEST-JA2: Kim's NEST-JA reproduces the COUNT bug by
-// design, and ALL-quantifier rewrites deliberately diverge from nested
-// iteration on empty subquery results.
+// verifyParallel applies the rule to a parallel result. Parallel
+// aggregation is exactly where the paper's COUNT bug would resurface — a
+// partition with no matching inner tuples must still produce COUNT = 0
+// after the outer join — so with Options.VerifyParallel a parallel plan is
+// re-derived by the sequential plan of the same strategy and by nested
+// iteration, and any disagreement fails the query. The caller holds the
+// commit-order lock; the re-runs carry no admission ticket.
 func (db *DB) verifyParallel(qb *ast.QueryBlock, opts Options, res *Result) error {
 	seqOpts := opts
 	seqOpts.VerifyParallel = false
 	seqOpts.Planner.Parallelism = 0
 	seqOpts.Planner.ForceParallel = false
-	// Oracle re-runs happen inside an already-admitted query: going back
-	// through the gateway would deadlock against our own ticket and skew
-	// the admission counters.
-	seqOpts.noAdmission = true
 	seqOpts.ticket = nil
-	seq, err := db.queryBlock(qb, seqOpts)
+	seq, err := db.execute(qb, seqOpts)
 	if err != nil {
 		return fmt.Errorf("engine: parallel oracle: sequential re-run failed: %w", err)
 	}
-	if diff := diffRows(rowBag(res.Rows), rowBag(seq.Rows)); diff != "" {
+	if diff := storage.Diff(AcrossRegimes, res.Rows, seq.Rows); diff != "" {
 		return fmt.Errorf("engine: parallel oracle: parallel and sequential plans disagree: %s", diff)
 	}
-	res.Trace = append(res.Trace, "parallel oracle: bag-equal to sequential plan")
-	if opts.Strategy != TransformJA2 || hasAllQuantifier(qb) {
+	res.Trace = append(res.Trace, fmt.Sprintf("parallel oracle: %v to sequential plan", AcrossRegimes))
+	how := AgreementWithNI(qb, opts.Strategy)
+	if how == storage.AgreeNone {
 		return nil
 	}
-	ni, err := db.queryBlock(qb, Options{Strategy: NestedIteration, noAdmission: true})
+	ni, err := db.execute(qb, Options{Strategy: NestedIteration})
 	if err != nil {
 		return fmt.Errorf("engine: parallel oracle: nested-iteration re-run failed: %w", err)
 	}
-	if diff := diffRows(rowSet(res.Rows), rowSet(ni.Rows)); diff != "" {
+	if diff := storage.Diff(how, res.Rows, ni.Rows); diff != "" {
 		return fmt.Errorf("engine: parallel oracle: parallel plan and nested iteration disagree: %s", diff)
 	}
-	res.Trace = append(res.Trace, "parallel oracle: set-equal to nested iteration")
+	res.Trace = append(res.Trace, fmt.Sprintf("parallel oracle: %v to nested iteration", how))
 	return nil
-}
-
-// rowBag renders rows as a sorted multiset of printed tuples.
-func rowBag(rows []storage.Tuple) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.String()
-	}
-	sort.Strings(out)
-	return out
-}
-
-// rowSet is rowBag with duplicates removed.
-func rowSet(rows []storage.Tuple) []string {
-	bag := rowBag(rows)
-	out := bag[:0]
-	for i, s := range bag {
-		if i == 0 || s != bag[i-1] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// diffRows compares two sorted row renderings, returning "" when equal and
-// a short description of the first difference otherwise.
-func diffRows(a, b []string) string {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := range n {
-		if a[i] != b[i] {
-			return fmt.Sprintf("%d vs %d rows; first difference: %s vs %s", len(a), len(b), a[i], b[i])
-		}
-	}
-	if len(a) != len(b) {
-		extra := a
-		if len(b) > len(a) {
-			extra = b
-		}
-		return fmt.Sprintf("%d vs %d rows; first unmatched: %s", len(a), len(b), extra[n])
-	}
-	return ""
 }
 
 // hasAllQuantifier reports whether any predicate in the query (at any

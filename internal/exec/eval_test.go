@@ -33,14 +33,7 @@ func runNI(t *testing.T, db *workload.DB, src string) []storage.Tuple {
 }
 
 // rowStrings renders rows sorted, for order-insensitive comparison.
-func rowStrings(rows []storage.Tuple) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.String()
-	}
-	sort.Strings(out)
-	return out
-}
+func rowStrings(rows []storage.Tuple) []string { return storage.Canon(storage.AgreeBag, rows) }
 
 func wantRows(t *testing.T, got []storage.Tuple, want ...string) {
 	t.Helper()

@@ -32,19 +32,15 @@ func loadTuples(s *storage.Store, name string, tpp int, rows []storage.Tuple) *s
 	return f
 }
 
-// sortedBag drains op and returns its rows rendered and sorted.
+// sortedBag drains op and returns its rows in the shared comparator's bag
+// form (storage.Canon).
 func sortedBag(t *testing.T, op exec.Operator) []string {
 	t.Helper()
 	rows, err := exec.Drain(op, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.String()
-	}
-	sort.Strings(out)
-	return out
+	return storage.Canon(storage.AgreeBag, rows)
 }
 
 // randTuples builds n two-column tuples with keys from a small domain (to
@@ -356,17 +352,7 @@ func TestParallelHashGroupWorkerErrorNoDeadlock(t *testing.T) {
 	}
 }
 
-func eqStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func eqStrings(a, b []string) bool { return storage.DiffCanon(a, b) == "" }
 
 // TestParallelHashGroupSpillSharedBudget: several workers spilling under
 // one shared budget. While one worker re-aggregates its overflow run,

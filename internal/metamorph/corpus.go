@@ -26,7 +26,6 @@ func ReproScript(s *Scenario, v *Violation) string {
 		fmt.Fprintf(&b, "-- regime: %s\n", v.Regime)
 	}
 	fmt.Fprintf(&b, "-- query-index: %d\n", v.QueryIndex)
-	fmt.Fprintf(&b, "-- hasall: %s\n", hasAllList(v.Pair.Queries))
 	fmt.Fprintf(&b, "-- seed: %d scenario: %d pair: %d\n", s.Seed, s.ID, v.Pair.ID)
 	for _, line := range strings.Split(v.Detail, "\n") {
 		fmt.Fprintf(&b, "-- detail: %s\n", line)
@@ -36,14 +35,6 @@ func ReproScript(s *Scenario, v *Violation) string {
 		fmt.Fprintf(&b, "-- Q%d:\n%s;\n", i, q.SQL)
 	}
 	return b.String()
-}
-
-func hasAllList(qs []Query) string {
-	parts := make([]string, len(qs))
-	for i, q := range qs {
-		parts[i] = strconv.FormatBool(q.HasAll)
-	}
-	return strings.Join(parts, ",")
 }
 
 // WriteRepro writes the violation's repro script into dir (creating it)
@@ -110,7 +101,6 @@ func LoadRepro(path string) (*Repro, error) {
 // statements, and "-- Q<i>:"-marked queries.
 func ParseRepro(src string) (*Repro, error) {
 	r := &Repro{Scenario: &Scenario{}}
-	var hasAll []bool
 	var setup, query strings.Builder
 	inQuery := false
 	flushQuery := func() {
@@ -154,10 +144,6 @@ func ParseRepro(src string) (*Repro, error) {
 					return nil, fmt.Errorf("metamorph: bad query-index %q", val)
 				}
 				r.QueryIndex = qi
-			case "hasall":
-				for _, p := range strings.Split(val, ",") {
-					hasAll = append(hasAll, strings.TrimSpace(p) == "true")
-				}
 			case "seed":
 				// "seed: N scenario: N pair: N" — informational only.
 			case "detail":
@@ -174,11 +160,6 @@ func ParseRepro(src string) (*Repro, error) {
 		}
 	}
 	flushQuery()
-	for i := range r.Queries {
-		if i < len(hasAll) {
-			r.Queries[i].HasAll = hasAll[i]
-		}
-	}
 	if err := parseSetup(setup.String(), r.Scenario); err != nil {
 		return nil, err
 	}

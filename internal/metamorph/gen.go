@@ -196,9 +196,8 @@ func genTables(rng *rand.Rand, id int, cfg Config, d domains) []Table {
 // nestedPred is one generated nested predicate over outer alias A, plus
 // the classification every checker must agree on.
 type nestedPred struct {
-	sql    string
-	want   []classify.NestType
-	hasAll bool
+	sql  string
+	want []classify.NestType
 }
 
 func pick[T any](rng *rand.Rand, xs []T) T { return xs[rng.Intn(len(xs))] }
@@ -209,8 +208,8 @@ var cmpOps = []string{"<", "<=", "=", ">=", ">", "!="}
 // aggregate shapes (type-JA), because that is where Kim's COUNT and
 // non-equality bugs live.
 func genNested(rng *rand.Rand, n tableNames, d domains) nestedPred {
-	kc := rng.Intn(d.keyDom + 1)  // join-key constant
-	vc := rng.Intn(d.valDom + 1)  // measure constant
+	kc := rng.Intn(d.keyDom + 1) // join-key constant
+	vc := rng.Intn(d.valDom + 1) // measure constant
 	agg := pick(rng, []string{"MAX", "MIN", "SUM", "AVG"})
 	switch rng.Intn(12) {
 	case 0: // type-A: uncorrelated aggregate, a single constant
@@ -262,15 +261,13 @@ func genNested(rng *rand.Rand, n tableNames, d domains) nestedPred {
 	case 9: // ALL quantifier (transformed form diverges from NI on empty inners)
 		if rng.Intn(2) == 0 {
 			return nestedPred{
-				sql:    fmt.Sprintf("A.V <= ALL (SELECT B.W FROM %s B WHERE B.K = A.K)", n.B),
-				want:   []classify.NestType{classify.TypeJ},
-				hasAll: true,
+				sql:  fmt.Sprintf("A.V <= ALL (SELECT B.W FROM %s B WHERE B.K = A.K)", n.B),
+				want: []classify.NestType{classify.TypeJ},
 			}
 		}
 		return nestedPred{
-			sql:    fmt.Sprintf("A.V < ALL (SELECT B.W FROM %s B WHERE B.G = %d)", n.B, kc),
-			want:   []classify.NestType{classify.TypeN},
-			hasAll: true,
+			sql:  fmt.Sprintf("A.V < ALL (SELECT B.W FROM %s B WHERE B.G = %d)", n.B, kc),
+			want: []classify.NestType{classify.TypeN},
 		}
 	case 10: // two levels: N over JA (section 9.1's recursive shape)
 		return nestedPred{
@@ -324,8 +321,8 @@ func genPair(rng *rand.Rand, id int, n tableNames, d domains) Pair {
 			Class:    "strengthen/" + np.want[0].String(),
 			Relation: SubsetBag,
 			Queries: []Query{
-				{SQL: base + order, Want: np.want, HasAll: np.hasAll},
-				{SQL: base + " AND " + genConjunct(rng, d) + order, Want: np.want, HasAll: np.hasAll},
+				{SQL: base + order, Want: np.want},
+				{SQL: base + " AND " + genConjunct(rng, d) + order, Want: np.want},
 			},
 		}
 	case 2: // partition on the NULL-free rowid: exact reassembly
@@ -336,9 +333,9 @@ func genPair(rng *rand.Rand, id int, n tableNames, d domains) Pair {
 			Class:    "partition/" + np.want[0].String(),
 			Relation: PartitionEqual,
 			Queries: []Query{
-				{SQL: base, Want: np.want, HasAll: np.hasAll},
-				{SQL: fmt.Sprintf("%s AND A.R < %d", base, cut), Want: np.want, HasAll: np.hasAll},
-				{SQL: fmt.Sprintf("%s AND A.R >= %d", base, cut), Want: np.want, HasAll: np.hasAll},
+				{SQL: base, Want: np.want},
+				{SQL: fmt.Sprintf("%s AND A.R < %d", base, cut), Want: np.want},
+				{SQL: fmt.Sprintf("%s AND A.R >= %d", base, cut), Want: np.want},
 			},
 		}
 	case 3: // partition on a NULLable column: 3VL loses the NULL rows, never gains
@@ -349,9 +346,9 @@ func genPair(rng *rand.Rand, id int, n tableNames, d domains) Pair {
 			Class:    "partition-null/" + np.want[0].String(),
 			Relation: PartitionSubset,
 			Queries: []Query{
-				{SQL: base, Want: np.want, HasAll: np.hasAll},
-				{SQL: fmt.Sprintf("%s AND A.V < %d", base, cut), Want: np.want, HasAll: np.hasAll},
-				{SQL: fmt.Sprintf("%s AND A.V >= %d", base, cut), Want: np.want, HasAll: np.hasAll},
+				{SQL: base, Want: np.want},
+				{SQL: fmt.Sprintf("%s AND A.V < %d", base, cut), Want: np.want},
+				{SQL: fmt.Sprintf("%s AND A.V >= %d", base, cut), Want: np.want},
 			},
 		}
 	case 4: // DISTINCT projection
@@ -361,8 +358,8 @@ func genPair(rng *rand.Rand, id int, n tableNames, d domains) Pair {
 			Class:    "distinct/" + np.want[0].String(),
 			Relation: DistinctEqual,
 			Queries: []Query{
-				{SQL: "SELECT " + tail, Want: np.want, HasAll: np.hasAll},
-				{SQL: "SELECT DISTINCT " + tail, Want: np.want, HasAll: np.hasAll},
+				{SQL: "SELECT " + tail, Want: np.want},
+				{SQL: "SELECT DISTINCT " + tail, Want: np.want},
 			},
 		}
 	case 5: // COUNT monotonicity under strengthening
@@ -372,8 +369,8 @@ func genPair(rng *rand.Rand, id int, n tableNames, d domains) Pair {
 			Class:    "aggbound-count/" + np.want[0].String(),
 			Relation: CountBound,
 			Queries: []Query{
-				{SQL: base, Want: np.want, HasAll: np.hasAll},
-				{SQL: base + " AND " + genConjunct(rng, d), Want: np.want, HasAll: np.hasAll},
+				{SQL: base, Want: np.want},
+				{SQL: base + " AND " + genConjunct(rng, d), Want: np.want},
 			},
 		}
 	case 6: // MIN/MAX bounds under strengthening
@@ -383,8 +380,8 @@ func genPair(rng *rand.Rand, id int, n tableNames, d domains) Pair {
 			Class:    "aggbound-minmax/" + np.want[0].String(),
 			Relation: MinMaxBound,
 			Queries: []Query{
-				{SQL: base, Want: np.want, HasAll: np.hasAll},
-				{SQL: base + " AND " + genConjunct(rng, d), Want: np.want, HasAll: np.hasAll},
+				{SQL: base, Want: np.want},
+				{SQL: base + " AND " + genConjunct(rng, d), Want: np.want},
 			},
 		}
 	case 7: // IN vs its correlated EXISTS form: set-equal under 3VL
@@ -426,8 +423,8 @@ func genPair(rng *rand.Rand, id int, n tableNames, d domains) Pair {
 			Class:    "distinct-strengthen/" + np.want[0].String(),
 			Relation: SubsetSet,
 			Queries: []Query{
-				{SQL: base, Want: np.want, HasAll: np.hasAll},
-				{SQL: base + " AND " + genConjunct(rng, d), Want: np.want, HasAll: np.hasAll},
+				{SQL: base, Want: np.want},
+				{SQL: base + " AND " + genConjunct(rng, d), Want: np.want},
 			},
 		}
 	default: // grouped HAVING thresholds: higher cutoff keeps fewer groups
@@ -439,8 +436,8 @@ func genPair(rng *rand.Rand, id int, n tableNames, d domains) Pair {
 			Class:    "having/" + np.want[0].String(),
 			Relation: SubsetBag,
 			Queries: []Query{
-				{SQL: fmt.Sprintf("%s%d", base, lo), Want: np.want, HasAll: np.hasAll},
-				{SQL: fmt.Sprintf("%s%d", base, hi), Want: np.want, HasAll: np.hasAll},
+				{SQL: fmt.Sprintf("%s%d", base, lo), Want: np.want},
+				{SQL: fmt.Sprintf("%s%d", base, hi), Want: np.want},
 			},
 		}
 	}

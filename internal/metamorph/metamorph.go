@@ -46,6 +46,7 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/schema"
+	"repro/internal/sqlparser"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -137,11 +138,6 @@ type Query struct {
 	SQL string
 	// Want is the expected classify.Profile().Types of the query.
 	Want []classify.NestType
-	// HasAll marks a query containing an ALL quantifier, whose
-	// transformed form deliberately diverges from nested iteration on
-	// empty inner results (see README "Known semantic notes"); the
-	// transform-vs-nested-iteration round trip is not checked for it.
-	HasAll bool
 }
 
 // Pair is one metamorphic test case: Relation.Arity() queries whose
@@ -165,8 +161,8 @@ type Table struct {
 // it. Table names embed the scenario ID so scenarios can share one
 // engine without colliding.
 type Scenario struct {
-	Seed  int64
-	ID    int
+	Seed   int64
+	ID     int
 	Tables []Table
 	Pairs  []Pair
 }
@@ -183,9 +179,7 @@ func (t Table) relation() *schema.Relation {
 func (s *Scenario) Catalog() (*schema.Catalog, error) {
 	cat := schema.NewCatalog()
 	for _, t := range s.Tables {
-		rel := &schema.Relation{Name: t.Name, Key: t.Key}
-		rel.Columns = append(rel.Columns, t.Cols...)
-		if err := cat.Define(rel); err != nil {
+		if err := cat.Define(t.relation()); err != nil {
 			return nil, err
 		}
 	}
@@ -193,97 +187,30 @@ func (s *Scenario) Catalog() (*schema.Catalog, error) {
 }
 
 // SetupSQL renders the scenario's tables as a CREATE TABLE + INSERT
-// script — the replayable half of a repro file.
+// script — the replayable half of a repro file — through the renderers
+// every other SQL text path uses, so it parses back to the same tables.
 func (s *Scenario) SetupSQL() string {
 	var b strings.Builder
 	for _, t := range s.Tables {
-		b.WriteString("CREATE TABLE " + t.Name + " (")
-		for i, c := range t.Cols {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(c.Name + " " + sqlType(c.Type))
-		}
-		if len(t.Key) > 0 {
-			b.WriteString(", PRIMARY KEY (" + strings.Join(t.Key, ", ") + ")")
-		}
-		b.WriteString(");\n")
+		b.WriteString(t.relation().CreateSQL() + ";\n")
 		if len(t.Rows) == 0 {
 			continue
 		}
-		b.WriteString("INSERT INTO " + t.Name + " VALUES\n")
-		for i, row := range t.Rows {
-			b.WriteString("  (")
-			for j, v := range row {
-				if j > 0 {
-					b.WriteString(", ")
-				}
-				b.WriteString(sqlLiteral(v))
-			}
-			b.WriteString(")")
-			if i < len(t.Rows)-1 {
-				b.WriteString(",\n")
-			}
+		ins := sqlparser.InsertStmt{Table: t.Name}
+		for _, row := range t.Rows {
+			ins.Rows = append(ins.Rows, row)
 		}
-		b.WriteString(";\n")
+		b.WriteString(ins.String() + ";\n")
 	}
 	return b.String()
 }
 
-func sqlType(k value.Kind) string {
-	switch k {
-	case value.KindInt:
-		return "INTEGER"
-	case value.KindFloat:
-		return "FLOAT"
-	case value.KindString:
-		return "VARCHAR"
-	case value.KindDate:
-		return "DATE"
-	default:
-		return "INTEGER"
-	}
-}
-
-// sqlLiteral renders a value as a literal the parser reads back: NULL,
-// bare ints/floats/dates, single-quoted strings.
-func sqlLiteral(v value.Value) string {
-	switch v.Kind() {
-	case value.KindNull:
-		return "NULL"
-	case value.KindString:
-		return "'" + v.Str() + "'"
-	case value.KindDate:
-		return v.DateOf().String()
-	default:
-		return v.String()
-	}
-}
-
 // ---- Relation checking ----
-
-// bagOf renders rows as a sorted multiset of printed tuples — the
-// comparison currency of every relation check.
-func bagOf(rows []storage.Tuple) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.String()
-	}
-	sort.Strings(out)
-	return out
-}
-
-// setOf is bagOf with duplicates removed.
-func setOf(rows []storage.Tuple) []string {
-	bag := bagOf(rows)
-	out := make([]string, 0, len(bag))
-	for i, s := range bag {
-		if i == 0 || s != bag[i-1] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
+//
+// Results are compared in storage.Canon form (printed rows, sorted; a set
+// is that without duplicates) and equality is storage.DiffCanon — the
+// comparator of every differential oracle in the repository. Containment
+// and multiset union are the relations' own.
 
 // subBag reports "" when small ⊆ big as sorted multisets, else a
 // description of the first element of small that big cannot cover.
@@ -300,24 +227,6 @@ func subBag(small, big []string) string {
 		default:
 			j++
 		}
-	}
-	return ""
-}
-
-// equalBags reports "" when a = b, else the first difference.
-func equalBags(a, b []string) string {
-	n := min(len(a), len(b))
-	for i := range n {
-		if a[i] != b[i] {
-			return fmt.Sprintf("%d vs %d rows; first difference: %s vs %s", len(a), len(b), a[i], b[i])
-		}
-	}
-	if len(a) != len(b) {
-		extra := a
-		if len(b) > len(a) {
-			extra = b
-		}
-		return fmt.Sprintf("%d vs %d rows; first unmatched: %s", len(a), len(b), extra[n])
 	}
 	return ""
 }
@@ -351,19 +260,19 @@ func (p *Pair) Check(results ...[]storage.Tuple) string {
 	switch p.Relation {
 	case SubsetBag:
 		return prefixed("strengthened result is not a sub-bag of the base result",
-			subBag(bagOf(results[1]), bagOf(results[0])))
+			subBag(storage.Canon(storage.AgreeBag, results[1]), storage.Canon(storage.AgreeBag, results[0])))
 	case SubsetSet:
 		return prefixed("restricted form's result is not a subset of the wider form's",
-			subBag(setOf(results[1]), setOf(results[0])))
+			subBag(storage.Canon(storage.AgreeSet, results[1]), storage.Canon(storage.AgreeSet, results[0])))
 	case SetEqual:
 		return prefixed("equivalent forms disagree as sets",
-			equalBags(setOf(results[0]), setOf(results[1])))
+			storage.DiffCanon(storage.Canon(storage.AgreeSet, results[0]), storage.Canon(storage.AgreeSet, results[1])))
 	case PartitionEqual:
 		return prefixed("partition halves do not reassemble the full scan",
-			equalBags(mergeBags(bagOf(results[1]), bagOf(results[2])), bagOf(results[0])))
+			storage.DiffCanon(mergeBags(storage.Canon(storage.AgreeBag, results[1]), storage.Canon(storage.AgreeBag, results[2])), storage.Canon(storage.AgreeBag, results[0])))
 	case PartitionSubset:
 		return prefixed("partition halves exceed the full scan (NULL rows may only be lost, never gained)",
-			subBag(mergeBags(bagOf(results[1]), bagOf(results[2])), bagOf(results[0])))
+			subBag(mergeBags(storage.Canon(storage.AgreeBag, results[1]), storage.Canon(storage.AgreeBag, results[2])), storage.Canon(storage.AgreeBag, results[0])))
 	case CountBound:
 		c0, err := scalarAt(results[0], 0)
 		if err != nil {
@@ -413,11 +322,11 @@ func (p *Pair) Check(results ...[]storage.Tuple) string {
 		}
 		return ""
 	case DistinctEqual:
-		if d := equalBags(setOf(results[0]), setOf(results[1])); d != "" {
+		if d := storage.DiffCanon(storage.Canon(storage.AgreeSet, results[0]), storage.Canon(storage.AgreeSet, results[1])); d != "" {
 			return "DISTINCT changed the result as a set: " + d
 		}
 		return prefixed("DISTINCT result is not a sub-bag of the plain projection",
-			subBag(bagOf(results[1]), bagOf(results[0])))
+			subBag(storage.Canon(storage.AgreeBag, results[1]), storage.Canon(storage.AgreeBag, results[0])))
 	default:
 		return fmt.Sprintf("internal: unknown relation %v", p.Relation)
 	}
@@ -436,18 +345,18 @@ func (p *Pair) CheckRelaxed(results ...[]storage.Tuple) string {
 	switch p.Relation {
 	case SubsetBag:
 		return prefixed("strengthened result is not a subset of the base result",
-			subBag(setOf(results[1]), setOf(results[0])))
+			subBag(storage.Canon(storage.AgreeSet, results[1]), storage.Canon(storage.AgreeSet, results[0])))
 	case PartitionEqual:
-		union := setOf(append(append([]storage.Tuple{}, results[1]...), results[2]...))
+		union := storage.Canon(storage.AgreeSet, append(append([]storage.Tuple{}, results[1]...), results[2]...))
 		return prefixed("partition halves do not reassemble the full scan (as sets)",
-			equalBags(union, setOf(results[0])))
+			storage.DiffCanon(union, storage.Canon(storage.AgreeSet, results[0])))
 	case PartitionSubset:
-		union := setOf(append(append([]storage.Tuple{}, results[1]...), results[2]...))
+		union := storage.Canon(storage.AgreeSet, append(append([]storage.Tuple{}, results[1]...), results[2]...))
 		return prefixed("partition halves exceed the full scan (as sets)",
-			subBag(union, setOf(results[0])))
+			subBag(union, storage.Canon(storage.AgreeSet, results[0])))
 	case DistinctEqual:
 		return prefixed("DISTINCT changed the result as a set",
-			equalBags(setOf(results[0]), setOf(results[1])))
+			storage.DiffCanon(storage.Canon(storage.AgreeSet, results[0]), storage.Canon(storage.AgreeSet, results[1])))
 	default:
 		return p.Check(results...)
 	}

@@ -1,14 +1,21 @@
 package metamorph
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/schema"
+	"repro/internal/storage"
+	"repro/internal/value"
+	"repro/internal/workload"
 )
 
 // shortSeed fixes the deterministic gate pass: the same pairs run on
@@ -142,39 +149,44 @@ func TestMetamorphTightMemory(t *testing.T) {
 // COUNT-bug strategy) must surface a violation within the short gate's
 // 200-pair budget.
 func TestMetamorphCatchesKimMutant(t *testing.T) {
+	r, _, v := firstKimViolation(t, RunnerConfig{UnderTest: engine.TransformKim, Shrink: true})
+	if v.ReproSQL == "" {
+		t.Fatalf("mutant violation carries no repro script: %s", v.String())
+	}
+	// The minimized repro must itself replay against the mutant.
+	rep, err := ParseRepro(v.ReproSQL)
+	if err != nil {
+		t.Fatalf("mutant repro does not parse: %v\n%s", err, v.ReproSQL)
+	}
+	if d := rep.Replay(engine.TransformKim); d == "" {
+		t.Fatalf("minimized repro no longer fails under the mutant:\n%s", v.ReproSQL)
+	}
+	t.Logf("mutant caught after %d pairs: %s\nminimized repro:\n%s", r.Stats().Pairs, v.String(), v.ReproSQL)
+}
+
+// firstKimViolation runs the short gate's scenarios through a runner of
+// cfg (pointed at the mutant) until one yields a violation; none within
+// the 200-pair budget fails the test — the oracle would be toothless.
+func firstKimViolation(t *testing.T, cfg RunnerConfig) (*Runner, *Scenario, Violation) {
+	t.Helper()
 	gen := NewGenerator(Config{Seed: shortSeed})
-	r, err := NewRunner(RunnerConfig{
-		UnderTest: engine.TransformKim,
-		Shrink:    true,
-	})
+	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
+	t.Cleanup(func() { r.Close() })
 	for id := 0; id < gen.Scenarios(); id++ {
-		vs, err := r.RunScenario(gen.Scenario(id))
+		s := gen.Scenario(id)
+		vs, err := r.RunScenario(s)
 		if err != nil {
 			t.Fatalf("scenario %d: %v", id, err)
 		}
 		if len(vs) > 0 {
-			v := vs[0]
-			if v.ReproSQL == "" {
-				t.Fatalf("mutant violation carries no repro script: %s", v.String())
-			}
-			// The minimized repro must itself replay against the mutant.
-			rep, err := ParseRepro(v.ReproSQL)
-			if err != nil {
-				t.Fatalf("mutant repro does not parse: %v\n%s", err, v.ReproSQL)
-			}
-			if d := rep.Replay(engine.TransformKim); d == "" {
-				t.Fatalf("minimized repro no longer fails under the mutant:\n%s", v.ReproSQL)
-			}
-			t.Logf("mutant caught after %d pairs: %s\nminimized repro:\n%s",
-				r.Stats().Pairs, v.String(), v.ReproSQL)
-			return
+			return r, s, vs[0]
 		}
 	}
 	t.Fatalf("Kim NEST-JA mutant escaped %d pairs — the oracle is toothless", r.Stats().Pairs)
+	panic("unreachable")
 }
 
 // TestMetamorphLong is the seeded long pass behind `make metamorph`,
@@ -248,34 +260,16 @@ func TestGeneratorDeterministic(t *testing.T) {
 // violation found on a full-size scenario must come back with strictly
 // fewer rows and still fail its recorded check.
 func TestShrinkMinimizes(t *testing.T) {
-	gen := NewGenerator(Config{Seed: shortSeed})
-	r, err := NewRunner(RunnerConfig{UnderTest: engine.TransformKim})
-	if err != nil {
-		t.Fatal(err)
+	_, s, v := firstKimViolation(t, RunnerConfig{UnderTest: engine.TransformKim})
+	min := ShrinkViolation(s, &v, engine.TransformKim)
+	if replayDetail(min, &v, engine.TransformKim) == "" {
+		t.Fatal("shrunk scenario no longer reproduces the violation")
 	}
-	defer r.Close()
-	for id := 0; id < gen.Scenarios(); id++ {
-		s := gen.Scenario(id)
-		vs, err := r.RunScenario(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(vs) == 0 {
-			continue
-		}
-		v := vs[0]
-		min := ShrinkViolation(s, &v, engine.TransformKim)
-		if replayDetail(min, &v, engine.TransformKim) == "" {
-			t.Fatal("shrunk scenario no longer reproduces the violation")
-		}
-		before, after := rowCount(s), rowCount(min)
-		if after > before {
-			t.Fatalf("shrinking grew the scenario: %d -> %d rows", before, after)
-		}
-		t.Logf("shrunk %d rows to %d", before, after)
-		return
+	before, after := rowCount(s), rowCount(min)
+	if after > before {
+		t.Fatalf("shrinking grew the scenario: %d -> %d rows", before, after)
 	}
-	t.Fatal("no mutant violation to shrink")
+	t.Logf("shrunk %d rows to %d", before, after)
 }
 
 func rowCount(s *Scenario) int {
@@ -288,41 +282,50 @@ func rowCount(s *Scenario) int {
 
 // TestReproRoundTrip pins the corpus format: write, parse, replay.
 func TestReproRoundTrip(t *testing.T) {
-	gen := NewGenerator(Config{Seed: shortSeed})
-	r, err := NewRunner(RunnerConfig{
-		UnderTest: engine.TransformKim,
-		Shrink:    true,
-		CorpusDir: t.TempDir(),
-	})
+	_, _, v := firstKimViolation(t, RunnerConfig{UnderTest: engine.TransformKim, Shrink: true, CorpusDir: t.TempDir()})
+	if v.ReproPath == "" {
+		t.Fatalf("violation was not written to the corpus: %s", v.String())
+	}
+	rep, err := LoadRepro(v.ReproPath)
+	if err != nil {
+		t.Fatalf("corpus file does not load: %v", err)
+	}
+	if d := rep.Replay(engine.TransformKim); d == "" {
+		t.Fatalf("corpus repro does not fail under the mutant:\n%s", v.ReproSQL)
+	}
+	if d := rep.Replay(engine.TransformJA2); d != "" {
+		t.Fatalf("corpus repro fails under NEST-JA2 too — not a mutant-specific repro? %s", d)
+	}
+}
+
+// TestReproScriptKeepsLiterals: a repro's setup goes through the SQL
+// renderers (Relation.CreateSQL, Value.Literal), so values whose display
+// form is not their SQL form — a quote inside a string, a FLOAT that
+// prints with an exponent or without a fraction, -0.0 — come back from
+// ParseRepro as the values the scenario held.
+func TestReproScriptKeepsLiterals(t *testing.T) {
+	day, err := value.ParseDate("7-3-79")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	for id := 0; id < gen.Scenarios(); id++ {
-		vs, err := r.RunScenario(gen.Scenario(id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(vs) == 0 {
-			continue
-		}
-		v := vs[0]
-		if v.ReproPath == "" {
-			t.Fatalf("violation was not written to the corpus: %s", v.String())
-		}
-		rep, err := LoadRepro(v.ReproPath)
-		if err != nil {
-			t.Fatalf("corpus file does not load: %v", err)
-		}
-		if d := rep.Replay(engine.TransformKim); d == "" {
-			t.Fatalf("corpus repro does not fail under the mutant:\n%s", v.ReproSQL)
-		}
-		if d := rep.Replay(engine.TransformJA2); d != "" {
-			t.Fatalf("corpus repro fails under NEST-JA2 too — not a mutant-specific repro? %s", d)
-		}
-		return
+	s := &Scenario{Tables: []Table{{
+		Name: "EDGE",
+		Cols: []schema.Column{{Name: "S", Type: value.KindString}, {Name: "F", Type: value.KindFloat}, {Name: "D", Type: value.KindDate}},
+		Key:  []string{"S"},
+		Rows: []storage.Tuple{
+			{value.NewString("it's; -- x"), value.NewFloat(1e21), value.Null},
+			{value.NewString(""), value.NewFloat(3), value.NewDateValue(day)},
+			{value.Null, value.NewFloat(math.Copysign(0, -1)), value.Null},
+		},
+	}}}
+	v := &Violation{Pair: Pair{Relation: SetEqual, Queries: []Query{{SQL: "SELECT E.S FROM EDGE E"}}}, Check: "relation"}
+	rep, err := ParseRepro(ReproScript(s, v))
+	if err != nil {
+		t.Fatalf("repro does not parse back: %v\n%s", err, ReproScript(s, v))
 	}
-	t.Fatal("no violation to round-trip")
+	if !reflect.DeepEqual(rep.Scenario.Tables, s.Tables) {
+		t.Errorf("tables changed on the way through a repro script:\n got %v\nwant %v\n%s", rep.Scenario.Tables, s.Tables, ReproScript(s, v))
+	}
 }
 
 // TestGoldenRepros replays the pinned corpus under testdata/golden:
@@ -346,4 +349,37 @@ func TestGoldenRepros(t *testing.T) {
 			t.Errorf("%s: relation %s no longer holds: %s", path, rep.Relation, d)
 		}
 	}
+}
+
+// TestParityReportsThroughSharedComparator seeds the wrong parallel result
+// of internal/engine's TestVerifyParallelReportsThroughSharedComparator — a
+// parallel plan that re-introduced the COUNT bug on Kiessling's Q2, which
+// is what Kim's NEST-JA computes — into the runner's parallel regime. The
+// parity check must report it in the words VerifyParallel uses.
+func TestParityReportsThroughSharedComparator(t *testing.T) {
+	const wrongParallelDiff = "1 vs 2 rows; first unmatched: (8)"
+	r, err := NewRunner(RunnerConfig{Parallel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := workload.LoadKiessling(&workload.DB{Cat: r.db.Catalog(), Store: r.db.Store()}); err != nil {
+		t.Fatal(err)
+	}
+	q := Query{SQL: workload.KiesslingQ2}
+	right, err1 := r.runQuery(q.SQL, RegimeSeq)
+	kim, err2 := r.db.Query(q.SQL, engine.Options{Strategy: engine.TransformKim})
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	p := Pair{Class: "seeded", Relation: SetEqual, Queries: []Query{q, q}}
+	results := map[string][]runResult{
+		RegimeSeq: {right, right}, RegimeNI: {right, right}, RegimePar: {{rows: kim.Rows}, right},
+	}
+	for _, v := range r.judge(&Scenario{}, p, results) {
+		if v.Check == "parity" && v.QueryIndex == 0 && strings.Contains(v.Detail, "are not bag-equal: "+wrongParallelDiff+"\n") {
+			return
+		}
+	}
+	t.Errorf("no parity violation saying %q", wrongParallelDiff)
 }

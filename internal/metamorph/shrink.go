@@ -2,7 +2,6 @@ package metamorph
 
 import (
 	"repro/internal/engine"
-	"repro/internal/planner"
 	"repro/internal/storage"
 )
 
@@ -87,28 +86,11 @@ func replayDetail(s *Scenario, v *Violation, underTest engine.Strategy) string {
 		underTest = engine.TransformJA2
 	}
 	db := engine.New(64)
-	for _, t := range s.Tables {
-		if err := db.CreateRelation(t.relation(), 0); err != nil {
-			return ""
-		}
-		if len(t.Rows) > 0 {
-			if err := db.Insert(t.Name, t.Rows...); err != nil {
-				return ""
-			}
-		}
-		if err := db.Seal(t.Name); err != nil {
-			return ""
-		}
+	if load(db, s) != nil {
+		return ""
 	}
 	run := func(sql, regime string) (runResult, bool) {
-		opts := engine.Options{Strategy: underTest}
-		switch regime {
-		case RegimeNI:
-			opts.Strategy = engine.NestedIteration
-		case RegimePar:
-			opts.Planner = planner.Options{Parallelism: 2, ForceParallel: true}
-		}
-		res, err := db.Query(sql, opts)
+		res, err := db.Query(sql, regimeOptions(regime, underTest))
 		if err != nil {
 			return runResult{}, false
 		}
@@ -121,36 +103,24 @@ func replayDetail(s *Scenario, v *Violation, underTest engine.Strategy) string {
 		if regime == RegimeNet {
 			regime = RegimeSeq
 		}
-		rows := make([][]storage.Tuple, len(pair.Queries))
-		mixed := false
-		var first bool
+		rs := make([]runResult, len(pair.Queries))
 		for qi, q := range pair.Queries {
 			rr, ok := run(q.SQL, regime)
 			if !ok {
 				return ""
 			}
-			rows[qi] = rr.rows
-			if qi == 0 {
-				first = rr.fellBack
-			} else if rr.fellBack != first {
-				mixed = true
-			}
+			rs[qi] = rr
 		}
-		if mixed {
-			return pair.CheckRelaxed(rows...)
-		}
-		return pair.Check(rows...)
+		d, _ := pair.checkRuns(rs, rs)
+		return d
 	case "roundtrip":
 		q := pair.Queries[v.QueryIndex]
-		if q.HasAll {
-			return ""
-		}
 		seq, ok1 := run(q.SQL, RegimeSeq)
 		ni, ok2 := run(q.SQL, RegimeNI)
 		if !ok1 || !ok2 {
 			return ""
 		}
-		return equalBags(setOf(seq.rows), setOf(ni.rows))
+		return storage.Diff(roundtrip(q.SQL), seq.rows, ni.rows)
 	case "parity", "netparity":
 		q := pair.Queries[v.QueryIndex]
 		seq, ok1 := run(q.SQL, RegimeSeq)
@@ -158,7 +128,7 @@ func replayDetail(s *Scenario, v *Violation, underTest engine.Strategy) string {
 		if !ok1 || !ok2 {
 			return ""
 		}
-		return equalBags(bagOf(seq.rows), bagOf(par.rows))
+		return storage.Diff(engine.AcrossRegimes, par.rows, seq.rows)
 	default:
 		return ""
 	}

@@ -2,7 +2,6 @@ package planner_test
 
 import (
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 
@@ -62,6 +61,7 @@ func permute(conjs []ast.Predicate, k int) {
 }
 
 type planOutcome struct {
+	rows  []storage.Tuple
 	bag   string
 	io    int64
 	notes string
@@ -94,11 +94,11 @@ func runPermuted(t *testing.T, mk func(*testing.T) *workload.DB, sql string, k i
 	if err != nil {
 		t.Fatalf("permutation %d: %v\nnotes: %v", k, err, pl.Notes())
 	}
-	return planOutcome{bag: rowStrs(rows), io: db.Store.Stats().Sub(before).Total(), notes: strings.Join(pl.Notes(), "\n")}
+	return planOutcome{rows: rows, bag: rowStrs(rows), io: db.Store.Stats().Sub(before).Total(), notes: strings.Join(pl.Notes(), "\n")}
 }
 
-// nestedIterationSet is the ground truth as a sorted set of rendered rows.
-func nestedIterationSet(t *testing.T, db *workload.DB, sql string) []string {
+// nestedIteration is the ground truth.
+func nestedIteration(t *testing.T, db *workload.DB, sql string) []storage.Tuple {
 	t.Helper()
 	qb := sqlparser.MustParse(sql)
 	if _, err := schema.Resolve(db.Cat, qb); err != nil {
@@ -110,17 +110,7 @@ func nestedIterationSet(t *testing.T, db *workload.DB, sql string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return distinct(strings.Fields(rowStrs(rows)))
-}
-
-func distinct(sorted []string) []string {
-	out := sorted[:0:0]
-	for i, s := range sorted {
-		if i == 0 || s != sorted[i-1] {
-			out = append(out, s)
-		}
-	}
-	return out
+	return rows
 }
 
 // permutationViolations runs the relation over six permutations and
@@ -129,10 +119,8 @@ func permutationViolations(t *testing.T, mk func(*testing.T) *workload.DB, sql s
 	t.Helper()
 	var out []string
 	base := runPermuted(t, mk, sql, 0, mutate)
-	got, want := distinct(strings.Fields(base.bag)), nestedIterationSet(t, mk(t), sql)
-	sort.Strings(want)
-	if strings.Join(got, " ") != strings.Join(want, " ") {
-		out = append(out, "rows differ from nested iteration:\n  want "+strings.Join(want, " ")+"\n  got  "+strings.Join(got, " "))
+	if d := storage.Diff(storage.AgreeSet, base.rows, nestedIteration(t, mk(t), sql)); d != "" {
+		out = append(out, "rows differ from nested iteration: "+d)
 	}
 	for k := 1; k < 6; k++ {
 		switch o := runPermuted(t, mk, sql, k, mutate); {

@@ -437,11 +437,7 @@ func (p *Planner) scanInput(tr ast.TableRef) (input, error) {
 	if !ok {
 		return input{}, fmt.Errorf("planner: no stored relation %s", tr.Relation)
 	}
-	cols := make([]string, len(rel.Columns))
-	for i, c := range rel.Columns {
-		cols[i] = c.Name
-	}
-	scan := exec.NewSeqScan(file, tr.Binding(), cols)
+	scan := exec.NewSeqScan(file, tr.Binding(), rel.ColumnNames())
 	scan.QC = p.opts.QC
 	sortedOn := -1
 	if col, ok := p.tempOrder[tr.Relation]; ok {

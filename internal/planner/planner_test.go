@@ -2,7 +2,6 @@ package planner_test
 
 import (
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 
@@ -38,12 +37,7 @@ func runPlanned(t *testing.T, db *workload.DB, sql string, variant transform.Var
 }
 
 func rowStrs(rows []storage.Tuple) string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.String()
-	}
-	sort.Strings(out)
-	return strings.Join(out, " ")
+	return strings.Join(storage.Canon(storage.AgreeBag, rows), " ")
 }
 
 func kiessling(t *testing.T, b int) *workload.DB {

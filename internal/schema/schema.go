@@ -44,6 +44,15 @@ func (r *Relation) ColumnIndex(name string) int {
 	return -1
 }
 
+// ColumnNames returns the column names in order.
+func (r *Relation) ColumnNames() []string {
+	names := make([]string, len(r.Columns))
+	for i, c := range r.Columns {
+		names[i] = c.Name
+	}
+	return names
+}
+
 // HasColumn reports whether the relation has the named column.
 func (r *Relation) HasColumn(name string) bool { return r.ColumnIndex(name) >= 0 }
 
@@ -51,6 +60,21 @@ func (r *Relation) HasColumn(name string) bool { return r.ColumnIndex(name) >= 0
 // relation (so its values are unique).
 func (r *Relation) IsKey(col string) bool {
 	return len(r.Key) == 1 && strings.EqualFold(r.Key[0], col)
+}
+
+// CreateSQL renders the relation as the CREATE TABLE statement that
+// defines it — the one renderer behind a coordinator's DDL broadcast, a
+// rejoin's snapshot meta frame and a metamorph repro script. value.Kind
+// prints as a type name the parser's column-type table reads back.
+func (r *Relation) CreateSQL() string {
+	defs := make([]string, len(r.Columns), len(r.Columns)+1)
+	for i, c := range r.Columns {
+		defs[i] = c.Name + " " + c.Type.String()
+	}
+	if len(r.Key) > 0 {
+		defs = append(defs, "PRIMARY KEY ("+strings.Join(r.Key, ", ")+")")
+	}
+	return "CREATE TABLE " + r.Name + " (" + strings.Join(defs, ", ") + ")"
 }
 
 // Catalog is the set of known relations. Lookups and mutations are safe

@@ -424,15 +424,11 @@ func (s *session) runSnapshot(table string) bool {
 			Message: fmt.Sprintf("engine: unknown relation %s", table),
 		})
 	}
-	meta := wire.SnapshotMeta{CreateSQL: cluster.RenderCreate(rel)}
+	meta := wire.SnapshotMeta{CreateSQL: rel.CreateSQL()}
 	if err := s.writeFrame(wire.FrameSnapshotMeta, wire.EncodeSnapshotMeta(meta)); err != nil {
 		return false
 	}
-	names := make([]string, len(rel.Columns))
-	for i, c := range rel.Columns {
-		names[i] = c.Name
-	}
-	sql := fmt.Sprintf("SELECT %s FROM %s", strings.Join(names, ", "), rel.Name)
+	sql := fmt.Sprintf("SELECT %s FROM %s", strings.Join(rel.ColumnNames(), ", "), rel.Name)
 	opts := engine.Options{Cancel: s.dead, Strategy: s.srv.cfg.Strategy, Timeout: s.srv.cfg.MaxTimeout}
 	return s.stream(opts, statement{
 		run:  func(o engine.Options) (*engine.Result, error) { return s.srv.eng.ExecSQL(sql, o) },

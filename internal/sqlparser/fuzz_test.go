@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/schema"
+	"repro/internal/value"
 )
 
 // FuzzParseScript asserts the parser never panics and that anything it
@@ -39,8 +42,8 @@ func FuzzParseScript(f *testing.F) {
 }
 
 // FuzzRenderParse pins the renderer the system's remaining text paths
-// depend on (per-shard SELECT, DELETE/UPDATE fan-out, logical WAL
-// records): whatever the parser accepted, String() must render as SQL
+// depend on (per-shard SELECT, DELETE/UPDATE and CREATE TABLE fan-out,
+// logical WAL records, repro scripts): whatever the parser accepted, String() must render as SQL
 // that parses back to the very same statement — literals included, so
 // a FLOAT stays that FLOAT (no exponent the lexer cannot read, no 3.0
 // coming back INTEGER, -0.0 keeping its sign).
@@ -54,16 +57,13 @@ func FuzzRenderParse(f *testing.F) {
 			return
 		}
 		for _, stmt := range stmts {
-			printed, ok := render(stmt)
-			if !ok {
-				continue // CREATE TABLE has no SQL renderer here
-			}
+			printed := render(stmt)
 			re, err := ParseStatement(printed)
 			if err != nil {
 				t.Fatalf("accepted %q but rendered form %q does not re-parse: %v", trim(src), printed, err)
 			}
 			if !reflect.DeepEqual(re, stmt) {
-				again, _ := render(re)
+				again := render(re)
 				t.Fatalf("render→parse changed the statement:\n  source:   %s\n  rendered: %s\n  reparsed: %s",
 					trim(src), printed, again)
 			}
@@ -71,15 +71,14 @@ func FuzzRenderParse(f *testing.F) {
 	})
 }
 
-func render(stmt Statement) (string, bool) {
-	if sel, ok := stmt.(*SelectStmt); ok {
-		return sel.Query.String(), true
+func render(stmt Statement) string {
+	switch stmt := stmt.(type) {
+	case *SelectStmt:
+		return stmt.Query.String()
+	case *CreateTableStmt:
+		return stmt.Relation.CreateSQL()
 	}
-	s, ok := stmt.(fmt.Stringer)
-	if !ok {
-		return "", false
-	}
-	return s.String(), true
+	return stmt.(fmt.Stringer).String()
 }
 
 var fuzzSeeds = []string{
@@ -126,6 +125,13 @@ var fuzzSeeds = []string{
 	"SELECT X FROM T WHERE " + strings.Repeat("A = 1 AND ", 100000) + "A = 1",
 	"SELECT X FROM T WHERE " + strings.Repeat("A = 1 OR ", 100000) + "A = 1",
 	"SELECT X FROM T WHERE A IN " + strings.Repeat("(SELECT X FROM T WHERE A IN ", 100000) + "(SELECT X FROM T)",
+	// Every column type name, each of which schema.Relation.CreateSQL must
+	// render as a name that reads back as the same kind — and its output.
+	"CREATE TABLE T (A INT, B INTEGER, C FLOAT, D REAL, E VARCHAR(20), F CHAR, G TEXT, H DATE, PRIMARY KEY (A, H))",
+	(&schema.Relation{Name: "MM0A", Key: []string{"R"}, Columns: []schema.Column{
+		{Name: "R", Type: value.KindInt}, {Name: "F", Type: value.KindFloat},
+		{Name: "S", Type: value.KindString}, {Name: "D", Type: value.KindDate},
+	}}).CreateSQL(),
 	// Literals whose display form is not their SQL form.
 	"DELETE FROM T WHERE A < 1000000000000000000000.0 OR A = -0.0",
 	"INSERT INTO T VALUES (3.0, -0.0, 0.000001, 'it''s; -- not a comment\n', 2001-05-06)",

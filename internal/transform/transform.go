@@ -149,15 +149,7 @@ func (t *Transformer) addTemp(name string, cols []schema.Column, def *ast.QueryB
 	rel := &schema.Relation{Name: name, Columns: cols}
 	t.tempRel[strings.ToUpper(name)] = rel
 	t.temps = append(t.temps, TempTable{Name: name, Rel: rel, Def: def})
-	t.addStep("CREATE "+name, "%s(%s) = %s", name, columnNames(cols), def.String())
-}
-
-func columnNames(cols []schema.Column) string {
-	names := make([]string, len(cols))
-	for i, c := range cols {
-		names[i] = c.Name
-	}
-	return strings.Join(names, ", ")
+	t.addStep("CREATE "+name, "%s(%s) = %s", name, strings.Join(rel.ColumnNames(), ", "), def.String())
 }
 
 // nestG is the recursive postorder procedure of section 9.1: descend to

@@ -233,12 +233,7 @@ func Open(opts ...Option) *DB {
 	}
 	db := &DB{eng: engine.New(cfg.bufferPages)}
 	if cfg.admission != nil {
-		db.eng.EnableAdmission(admission.Config{
-			MaxConcurrent: cfg.admission.MaxConcurrent,
-			QueueDepth:    cfg.admission.QueueDepth,
-			PoolBytes:     cfg.admission.MemPool,
-			RetryMax:      cfg.admission.RetryMax,
-		})
+		db.EnableAdmission(*cfg.admission)
 	}
 	if cfg.spillDir != "" {
 		if err := db.eng.EnableSpill(cfg.spillDir, cfg.spillThreshold); err != nil {
@@ -246,6 +241,17 @@ func Open(opts ...Option) *DB {
 		}
 	}
 	return db
+}
+
+// EnableAdmission is WithAdmissionControl after Open — or after Restore,
+// which takes no options. Call it before serving traffic.
+func (db *DB) EnableAdmission(cfg AdmissionConfig) {
+	db.eng.EnableAdmission(admission.Config{
+		MaxConcurrent: cfg.MaxConcurrent,
+		QueueDepth:    cfg.QueueDepth,
+		PoolBytes:     cfg.MemPool,
+		RetryMax:      cfg.RetryMax,
+	})
 }
 
 // EnableSpill is WithSpill + WithSpillThreshold after Open, with an
