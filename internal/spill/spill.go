@@ -189,6 +189,13 @@ func (s *Session) forget(path string) {
 	s.mu.Unlock()
 }
 
+// Run buffers are pooled: a fresh 64 KiB bufio buffer per run written and
+// per Open was 96% of a forced-spill query's allocated bytes.
+var (
+	writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 1<<16) }}
+	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
+)
+
 // NewWriter opens a new run file for writing. The caller must call
 // Finish (keeping the run) or Abort (discarding it) exactly once.
 func (s *Session) NewWriter() (*Writer, error) {
@@ -201,14 +208,16 @@ func (s *Session) NewWriter() (*Writer, error) {
 		return nil, fmt.Errorf("spill: %w", err)
 	}
 	s.track(path)
-	return &Writer{s: s, f: f, bw: bufio.NewWriterSize(f, 1<<16), path: path}, nil
+	bw := writerPool.Get().(*bufio.Writer)
+	bw.Reset(f)
+	return &Writer{s: s, f: f, bw: bw, path: path}, nil
 }
 
 // Writer appends encoded, checksummed rows to one run file.
 type Writer struct {
 	s      *Session
 	f      *os.File
-	bw     *bufio.Writer
+	bw     *bufio.Writer // pooled; nil once Finish or Abort returned it
 	path   string
 	tuples int
 	bytes  int64
@@ -239,6 +248,7 @@ func (w *Writer) Append(t storage.Tuple) error {
 // Finish flushes and closes the file, returning the completed run and
 // folding its size into the session and manager counters.
 func (w *Writer) Finish() (*Run, error) {
+	defer w.releaseBuffer()
 	if w.s.m.faults.Load().Hit(fault.SpillWrite) {
 		w.f.Close()
 		return nil, injected("write", w.path)
@@ -259,9 +269,20 @@ func (w *Writer) Finish() (*Run, error) {
 
 // Abort discards the half-written run.
 func (w *Writer) Abort() {
+	w.releaseBuffer()
 	w.f.Close()
 	os.Remove(w.path)
 	w.s.forget(w.path)
+}
+
+// releaseBuffer returns the write buffer to the pool, once: callers abort
+// a writer whose Finish failed.
+func (w *Writer) releaseBuffer() {
+	if w.bw != nil {
+		w.bw.Reset(nil)
+		writerPool.Put(w.bw)
+		w.bw = nil
+	}
 }
 
 // Run is one completed, immutable run file. It can be opened for
@@ -280,7 +301,9 @@ func (r *Run) Open() (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spill: %w", err)
 	}
-	return &Reader{r: r, f: f, fr: rowcodec.NewFrameReader(bufio.NewReaderSize(f, 1<<16))}, nil
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(f)
+	return &Reader{r: r, f: f, br: br, fr: rowcodec.NewFrameReader(br)}, nil
 }
 
 // Remove deletes the run file eagerly (the session Close would get it
@@ -297,6 +320,7 @@ func (r *Run) Remove() {
 type Reader struct {
 	r  *Run
 	f  *os.File
+	br *bufio.Reader // pooled; nil once Close returned it
 	fr *rowcodec.FrameReader
 }
 
@@ -319,8 +343,16 @@ func (rd *Reader) Next() (storage.Tuple, error) {
 	return t, nil
 }
 
-// Close releases the file handle.
-func (rd *Reader) Close() error { return rd.f.Close() }
+// Close releases the file handle and the read buffer. Idempotent.
+func (rd *Reader) Close() error {
+	if rd.br == nil {
+		return nil
+	}
+	rd.br.Reset(nil)
+	readerPool.Put(rd.br)
+	rd.br = nil
+	return rd.f.Close()
+}
 
 func corruptf(path, format string, args ...any) error {
 	return fmt.Errorf("spill: run %s: %s: %w", filepath.Base(path), fmt.Sprintf(format, args...), qctx.ErrSpillCorrupt)
