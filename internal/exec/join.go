@@ -286,7 +286,8 @@ func (m *MergeJoin) loadGroup(l storage.Tuple) (err error) {
 }
 
 // nextInGroup returns the group's next row for the current left row: from
-// memory, or from the spilled run, re-opened once per left row.
+// memory, or from the spilled run, whose one reader is rewound per left
+// row and closed with the group.
 func (m *MergeJoin) nextInGroup() (storage.Tuple, error) {
 	m.gi++
 	if m.groupRun == nil {
@@ -294,7 +295,12 @@ func (m *MergeJoin) nextInGroup() (storage.Tuple, error) {
 	}
 	if m.gi == 1 {
 		var err error
-		if m.groupSrc, err = openRun(m.QC, m.groupRun); err != nil {
+		if m.groupSrc.rd != nil {
+			err = m.groupSrc.rd.Rewind()
+		} else {
+			m.groupSrc, err = openRun(m.QC, m.groupRun)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -330,7 +336,6 @@ func (m *MergeJoin) Next() (storage.Tuple, bool, error) {
 				return concat(m.cur, right), true, nil
 			}
 		}
-		m.groupSrc.close()
 		left := m.cur
 		m.cur = nil
 		if m.Outer && !m.matched {

@@ -343,6 +343,16 @@ func (rd *Reader) Next() (storage.Tuple, error) {
 	return t, nil
 }
 
+// Rewind restarts the scan at the run's first row: a merge join re-reads
+// its spilled group once per duplicate outer key through one Reader.
+func (rd *Reader) Rewind() error {
+	if _, err := rd.f.Seek(0, io.SeekStart); err != nil {
+		return fmt.Errorf("spill: rewind %s: %w", rd.r.path, err)
+	}
+	rd.br.Reset(rd.f)
+	return nil
+}
+
 // Close releases the file handle and the read buffer. Idempotent.
 func (rd *Reader) Close() error {
 	if rd.br == nil {
