@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/planner"
+	"repro/internal/qctx"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -110,5 +112,45 @@ func TestJA2AllocBudget(t *testing.T) {
 				t.Errorf("%s, %d workers: %d allocations, budget %.0f (%.1f per input and output row)", s.name, workers, least, budget, s.c)
 			}
 		}
+	}
+}
+
+// TestForcedSpillAllocBudget: a spill run costs the bytes it holds. At
+// spill_join's size (half of ja_seq) the COUNT query with every buffer
+// refused writes 111 runs and re-reads its merge-join groups once per
+// duplicate outer key; it may allocate 2 MiB doing so (a 64 KiB buffer per
+// run written and per Open made that 44 MiB) and have one spill file at a
+// time (one file per run had several whenever a row was emitted).
+func TestForcedSpillAllocBudget(t *testing.T) {
+	db, cfg := jaSeqShape(t, 2)
+	if err := db.EnableSpill(t.TempDir(), 0); err != nil {
+		t.Fatal(err)
+	}
+	files := 0
+	opts := engine.Options{Strategy: engine.TransformJA2, Spill: qctx.SpillForced,
+		Planner: planner.Options{TempJoin: planner.JoinMerge, FinalJoin: planner.JoinMerge},
+		Sink: &engine.RowSink{Batch: func([]storage.Tuple) error {
+			n, err := db.SpillManager().LiveFiles()
+			files = max(files, n)
+			return err
+		}}}
+	least, runs := ^uint64(0), int64(0)
+	for range 4 { // the first run fills the buffer pool
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := db.Query(workload.TypeJAQuery(cfg), opts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least, runs = min(least, after.TotalAlloc-before.TotalAlloc), res.Spill.Runs
+	}
+	if runs == 0 || files != 1 {
+		t.Errorf("%d spill runs in at most %d file(s) at a time; want some runs, in one file", runs, files)
+	}
+	// Under the race detector sync.Pool drops a quarter of what is put
+	// back, on purpose, so the bytes are only meaningful without it.
+	if least > 2<<20 && !raceEnabled {
+		t.Errorf("forced-spill query allocated %d KiB, budget 2048 KiB", least>>10)
 	}
 }

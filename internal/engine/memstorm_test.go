@@ -255,8 +255,8 @@ func TestSpillTimeoutLeakFree(t *testing.T) {
 		if err != nil && !memStormCleanErr(err) {
 			t.Fatalf("round %d: unclean error: %v", round, err)
 		}
-		if n, _ := db.SpillManager().LiveFiles(); n != 0 {
-			t.Fatalf("round %d: %d spill file(s) leaked", round, n)
+		if n, _ := db.SpillManager().LiveFiles(); n != 0 || db.SpillManager().LiveRuns() != 0 {
+			t.Fatalf("round %d: %d spill file(s), %d run(s) leaked", round, n, db.SpillManager().LiveRuns())
 		}
 		if n := db.Store().TempCount(); n != 0 {
 			t.Fatalf("round %d: %d temp file(s) leaked", round, n)
@@ -415,8 +415,8 @@ func TestMemPressureStorm(t *testing.T) {
 	if err := db.Drain(5 * time.Second); err != nil {
 		t.Fatalf("drain after storm: %v", err)
 	}
-	if n, _ := db.SpillManager().LiveFiles(); n != 0 {
-		t.Errorf("storm leaked %d spill file(s)", n)
+	if n, _ := db.SpillManager().LiveFiles(); n != 0 || db.SpillManager().LiveRuns() != 0 {
+		t.Errorf("storm leaked %d spill file(s), %d run(s)", n, db.SpillManager().LiveRuns())
 	}
 	if n := db.Store().TempCount(); n != 0 {
 		t.Errorf("storm leaked %d temp file(s)", n)

@@ -293,21 +293,17 @@ func (m *MergeJoin) nextInGroup() (storage.Tuple, error) {
 	if m.groupRun == nil {
 		return m.group[m.gi-1], nil
 	}
-	if m.gi == 1 {
+	if m.gi == 1 && m.groupSrc.rd != nil {
+		m.groupSrc.rd.Rewind()
+	} else if m.gi == 1 {
 		var err error
-		if m.groupSrc.rd != nil {
-			err = m.groupSrc.rd.Rewind()
-		} else {
-			m.groupSrc, err = openRun(m.QC, m.groupRun)
-		}
-		if err != nil {
+		if m.groupSrc, err = openRun(m.QC, m.groupRun); err != nil {
 			return nil, err
 		}
 	}
-	t, ok, err := m.groupSrc.next()
-	if err == nil && !ok {
-		err = fmt.Errorf("merge join: spill group shorter than written: %w", qctx.ErrSpillCorrupt)
-	}
+	// groupLen is the run's row count: a run that ends before it is the
+	// reader's ErrSpillCorrupt.
+	t, _, err := m.groupSrc.next()
 	return t, err
 }
 

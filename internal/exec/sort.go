@@ -102,9 +102,8 @@ func (s *Sort) Open() error {
 		b = 3 // a merge sort needs at least two inputs and one output frame
 	}
 	runCap := b * tpp
-	// Once spilling, cut runs at a morsel of tuples: small enough that
-	// the uncharged slack between flushes stays bounded, large enough to
-	// amortize file creation.
+	// Once spilling, cut runs at a morsel of tuples, which bounds the
+	// uncharged slack between flushes; a run costs only the bytes it holds.
 	spillBatch := min(MorselSize, runCap)
 
 	var buf []storage.Tuple

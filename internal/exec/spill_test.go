@@ -252,8 +252,8 @@ func TestSpillRegimesAgree(t *testing.T) {
 				}
 				// A drained and closed operator has removed its own runs;
 				// the session's sweep is for the failure paths.
-				if n, _ := m.LiveFiles(); n != 0 {
-					t.Errorf("%s: %d spill files outlive the operator's Close", r.name, n)
+				if n := m.LiveRuns(); n != 0 {
+					t.Errorf("%s: %d spill runs outlive the operator's Close", r.name, n)
 				}
 				if !c.ordered {
 					sort.Strings(got)

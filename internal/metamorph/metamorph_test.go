@@ -135,8 +135,8 @@ func TestMetamorphTightMemory(t *testing.T) {
 			t.Errorf("scenario %d: tight-memory regime wrote no spill runs — the gate exercised nothing", id)
 		}
 		prevRuns = st.SpillRuns
-		if n, err := r.db.SpillManager().LiveFiles(); err != nil || n != 0 {
-			t.Fatalf("scenario %d: %d spill file(s) left behind (err %v)", id, n, err)
+		if n, err := r.db.SpillManager().LiveFiles(); err != nil || n != 0 || r.db.SpillManager().LiveRuns() != 0 {
+			t.Fatalf("scenario %d: %d spill file(s), %d run(s) left behind (err %v)", id, n, r.db.SpillManager().LiveRuns(), err)
 		}
 	}
 	reportViolations(t, vs)

@@ -1,29 +1,28 @@
-// Package spill is the run-file manager behind graceful degradation
-// under memory pressure: when a buffering operator (hash join build,
-// hash aggregation, sort) cannot reserve budget for its working set, it
-// writes row runs to disk through this package and streams them back
-// later, so the query degrades to slower-but-correct instead of dying
-// with qctx.ErrMemoryBudget.
+// Package spill is the run manager behind graceful degradation under
+// memory pressure: a buffering operator (hash join build, hash
+// aggregation, sort) that cannot reserve budget for its working set writes
+// row runs to disk through this package and streams them back later, so
+// the query gets slower but stays correct instead of dying with
+// qctx.ErrMemoryBudget. A run is a sequence of rowcodec record frames
+// (DESIGN.md §13), one encoded tuple each; any corruption — a flipped bit,
+// a truncated tail, a missing row — is a typed qctx.ErrSpillCorrupt, never
+// wrong rows.
 //
-// A run file is a sequence of rowcodec record frames (DESIGN.md §13),
-// one encoded tuple per payload. Any corruption — a flipped bit, a
-// short write, a truncated tail — surfaces as a typed error wrapping
-// qctx.ErrSpillCorrupt, never as wrong rows.
-//
-// Lifecycle: a Manager owns the spill directory and the cumulative
-// counters; each query gets a Session namespaced by query id (mirroring
-// the TEMPn#qN temp-table scheme). Operators create runs through the
-// session and drop them eagerly when consumed; Session.Close removes
-// everything that survived — on success, cancel, timeout, or panic
-// alike — so a query can never leak spill files.
+// A Manager owns the spill directory and the cumulative counters; each
+// query gets a Session (named like its TEMPn#qN temp tables) that keeps
+// all its runs in one file of fixed-size slots (DESIGN.md §12), so a run
+// costs the bytes it holds, not a file and two buffers of its own.
+// Operators drop runs eagerly, which frees their slots for the next run;
+// Session.Close removes the file — on success, cancel, timeout, or panic
+// alike — so a query can never leak spill space.
 package spill
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -33,30 +32,21 @@ import (
 	"repro/internal/storage"
 )
 
-// Stats counts spill activity: run files written and payload bytes in
-// them. Per-query sessions and the manager both expose a snapshot.
-type Stats struct {
-	Runs  int64
-	Bytes int64
-}
+// Stats counts spill activity: runs written and the frame bytes in them.
+type Stats struct{ Runs, Bytes int64 }
 
-func (s Stats) String() string {
-	return fmt.Sprintf("%d spill runs, %d bytes", s.Runs, s.Bytes)
-}
+func (s Stats) String() string { return fmt.Sprintf("%d spill runs, %d bytes", s.Runs, s.Bytes) }
 
-// Manager owns one spill directory and the cumulative counters across
-// every query that spilled into it. All methods are safe for concurrent
-// use; a nil Manager is inert.
+// Manager owns one spill directory and the counters over every query that
+// spilled into it. Safe for concurrent use; a nil Manager is inert.
 type Manager struct {
-	dir    string
-	seq    atomic.Int64
-	runs   atomic.Int64
-	bytes  atomic.Int64
-	faults atomic.Pointer[fault.Injector]
+	dir              string
+	seq, runs, bytes atomic.Int64
+	live             atomic.Int64 // see LiveRuns
+	faults           atomic.Pointer[fault.Injector]
 }
 
-// NewManager creates (if needed) the spill directory and returns a
-// manager rooted there.
+// NewManager creates the spill directory, if needed, and a manager on it.
 func NewManager(dir string) (*Manager, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("spill: empty spill directory")
@@ -75,64 +65,74 @@ func (m *Manager) Stats() Stats {
 	return Stats{Runs: m.runs.Load(), Bytes: m.bytes.Load()}
 }
 
-// SetFaults arms (or, with nil, disarms) the spill sites on every
-// subsequent run-file read and write. Safe on nil.
+// SetFaults arms (or, with nil, disarms) the spill sites. Safe on nil.
 func (m *Manager) SetFaults(in *fault.Injector) {
 	if m != nil {
 		m.faults.Store(in)
 	}
 }
 
-// injected is what a SpillWrite or SpillRead hit returns: unlike storage,
-// spill I/O is plumbed with errors end to end, so the fault is returned,
-// in the transient family (qctx.Retryable).
+// injected is what a SpillWrite or SpillRead hit returns: spill I/O is
+// plumbed with errors end to end, so the fault is one (qctx.Retryable).
 func injected(op, path string) error {
 	return fmt.Errorf("spill: injected %s fault on %s: %w", op, path, fault.ErrInjected)
 }
 
-// LiveFiles counts the files currently present in the spill directory —
-// the leak-check invariant is zero once no query is in flight.
+// LiveFiles counts the files in the spill directory: one per open session
+// that has flushed anything, so zero once no query is in flight.
 func (m *Manager) LiveFiles() (int, error) {
 	if m == nil {
 		return 0, nil
 	}
 	ents, err := os.ReadDir(m.dir)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, e := range ents {
-		if !e.IsDir() {
-			n++
-		}
-	}
-	return n, nil
+	return len(slices.DeleteFunc(ents, os.DirEntry.IsDir)), err
 }
 
-// NewSession opens a per-query spill namespace; name is the query tag
-// (for example "q17", matching the TEMPn#q17 temp-table suffix). Safe on
-// a nil manager, which returns a nil (inert) session.
+// LiveRuns counts the open sessions' runs not yet removed or aborted: what
+// an operator leaks shows here while its query still runs. Safe on nil.
+func (m *Manager) LiveRuns() int64 {
+	if m == nil {
+		return 0
+	}
+	return m.live.Load()
+}
+
+// NewSession opens a query's spill namespace; name is the query tag
+// ("q17", as in TEMPn#q17). A nil manager returns a nil, inert session.
 func (m *Manager) NewSession(name string) *Session {
 	if m == nil {
 		return nil
 	}
-	return &Session{m: m, name: name, files: make(map[string]struct{})}
+	return &Session{m: m, path: filepath.Join(m.dir, fmt.Sprintf("%s-%d.spill", name, m.seq.Add(1)))}
 }
 
-// Session tracks every run file one query creates so that Close can
-// remove whatever the operators have not already dropped — the backstop
-// that makes cancel, timeout, and panic paths leak-free. A nil Session
-// means "spilling disabled" and every method is a safe no-op; operators
-// only consult it after qctx.ReserveBuffered refuses a reservation.
+// slotSize is the unit the session file is allocated in, and the size of
+// the buffer a writer fills before it touches the file. A run is a byte
+// stream cut into slots wherever they fill, so frames may straddle them.
+const slotSize = 1 << 16
+
+// buffer is one slot in memory, plus the scratch a writer encodes each
+// frame in. Writers and readers draw on one pool.
+type buffer struct {
+	data  [slotSize]byte
+	frame []byte
+}
+
+var buffers = sync.Pool{New: func() any { return new(buffer) }}
+
+// Session holds every run one query writes in one file, created by the
+// first flush and removed by Close — the backstop that makes cancel,
+// timeout, and panic paths leak-free. A nil Session means no spilling.
 type Session struct {
-	m    *Manager
-	name string
+	m           *Manager
+	path        string
+	runs, bytes atomic.Int64
 
-	runs  atomic.Int64
-	bytes atomic.Int64
-
-	mu     sync.Mutex
-	files  map[string]struct{}
+	mu     sync.Mutex // over what follows and every Run's readers and removed
+	f      *os.File
+	end    int64   // slots the file has grown to
+	free   []int64 // slots of removed runs, reused before the file grows
+	live   int64   // this session's share of Manager.live
 	closed bool
 }
 
@@ -147,223 +147,254 @@ func (s *Session) Stats() Stats {
 	return Stats{Runs: s.runs.Load(), Bytes: s.bytes.Load()}
 }
 
-// Close removes every run file the session still tracks. Idempotent,
-// safe on nil, and safe to race with operator Close paths (double
-// removes are ignored).
+// Close removes the file and with it every run the operators have not.
+// Idempotent, safe on nil, and safe to race with operator Close paths
+// (I/O on the session then fails, removes are ignored).
 func (s *Session) Close() {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	paths := make([]string, 0, len(s.files))
-	for p := range s.files {
-		paths = append(paths, p)
-	}
-	s.files = nil
+	f := s.f
+	s.m.live.Add(-s.live)
+	s.f, s.live, s.closed = nil, 0, true
 	s.mu.Unlock()
-	for _, p := range paths {
-		os.Remove(p)
+	if f != nil {
+		f.Close()
+		os.Remove(s.path)
 	}
 }
 
-// track registers a newly-created file; forget stops tracking one that
-// an operator removed eagerly.
-func (s *Session) track(path string) {
-	s.mu.Lock()
-	if !s.closed {
-		s.files[path] = struct{}{}
-	}
-	s.mu.Unlock()
-}
-
-func (s *Session) forget(path string) {
-	s.mu.Lock()
-	if !s.closed {
-		delete(s.files, path)
-	}
-	s.mu.Unlock()
-}
-
-// Run buffers are pooled: a fresh 64 KiB bufio buffer per run written and
-// per Open was 96% of a forced-spill query's allocated bytes.
-var (
-	writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 1<<16) }}
-	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
-)
-
-// NewWriter opens a new run file for writing. The caller must call
-// Finish (keeping the run) or Abort (discarding it) exactly once.
+// NewWriter starts a new run. The caller must call Finish (keeping the
+// run) or Abort (discarding it); Abort after either is a no-op.
 func (s *Session) NewWriter() (*Writer, error) {
 	if s == nil {
 		return nil, fmt.Errorf("spill: no spill session")
 	}
-	path := filepath.Join(s.m.dir, fmt.Sprintf("%s-%d.run", s.name, s.m.seq.Add(1)))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("spill: %w", err)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed { // else the first flush fails
+		s.live++
+		s.m.live.Add(1)
 	}
-	s.track(path)
-	bw := writerPool.Get().(*bufio.Writer)
-	bw.Reset(f)
-	return &Writer{s: s, f: f, bw: bw, path: path}, nil
+	return &Writer{run: &Run{s: s}, buf: buffers.Get().(*buffer)}, nil
 }
 
-// Writer appends encoded, checksummed rows to one run file.
+// Writer appends encoded, checksummed rows to one run: into a pooled
+// buffer, and from it into a slot of the file when it fills and on Finish.
 type Writer struct {
-	s      *Session
-	f      *os.File
-	bw     *bufio.Writer // pooled; nil once Finish or Abort returned it
-	path   string
-	tuples int
-	bytes  int64
-	frame  []byte // reused across rows
+	run *Run
+	buf *buffer // nil once Finish or Abort returned it
+	n   int     // bytes of buf.data filled
 }
 
 // Append encodes and writes one row.
 func (w *Writer) Append(t storage.Tuple) error {
-	in := w.s.m.faults.Load()
+	s := w.run.s
+	in := s.m.faults.Load()
 	if in.Hit(fault.SpillWrite) {
-		return injected("write", w.path)
+		return injected("write", s.path)
 	}
-	w.frame = rowcodec.AppendFrame(w.frame[:0], func(b []byte) []byte { return rowcodec.AppendTuple(b, t) })
+	frame := rowcodec.AppendFrame(w.buf.frame[:0], func(b []byte) []byte { return rowcodec.AppendTuple(b, t) })
+	w.buf.frame = frame
 	if in.Hit(fault.SpillCorrupt) {
-		// Flip the payload's middle byte after the checksum was taken:
-		// the reader's CRC verification must surface ErrSpillCorrupt — a
-		// run that decodes wrong rows instead is a test failure.
-		w.frame[len(w.frame)/2] ^= 0x40
+		// Flip a payload byte after the checksum was taken: the reader
+		// must report ErrSpillCorrupt, not decode wrong rows.
+		frame[len(frame)/2] ^= 0x40
 	}
-	if _, err := w.bw.Write(w.frame); err != nil {
-		return fmt.Errorf("spill: write %s: %w", w.path, err)
+	w.run.Tuples++
+	w.run.Bytes += int64(len(frame))
+	for len(frame) > 0 {
+		c := copy(w.buf.data[w.n:], frame)
+		w.n, frame = w.n+c, frame[c:]
+		if w.n == slotSize {
+			if err := w.flush(); err != nil {
+				return err
+			}
+		}
 	}
-	w.tuples++
-	w.bytes += int64(len(w.frame))
 	return nil
 }
 
-// Finish flushes and closes the file, returning the completed run and
-// folding its size into the session and manager counters.
+// flush writes the buffer into a slot of the session file — a free one,
+// else a new one at its end — creating the file on first use. Writes to one
+// file are serial in the kernel anyway, so the lock is held across this one.
+func (w *Writer) flush() (err error) {
+	s := w.run.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return fmt.Errorf("spill: session %s is closed", filepath.Base(s.path))
+	}
+	if s.f == nil {
+		if s.f, err = os.OpenFile(s.path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644); err != nil {
+			return fmt.Errorf("spill: %w", err)
+		}
+	}
+	slot := s.end
+	if n := len(s.free); n > 0 {
+		slot, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		s.end++
+	}
+	w.run.slots = append(w.run.slots, slot) // before the write: Abort frees it either way
+	if _, err := s.f.WriteAt(w.buf.data[:w.n], slot*slotSize); err != nil {
+		return fmt.Errorf("spill: write %s: %w", s.path, err)
+	}
+	w.n = 0
+	return nil
+}
+
+// Finish flushes what is buffered and returns the completed run, folded
+// into the session's and manager's counters; if it fails, the run is aborted.
 func (w *Writer) Finish() (*Run, error) {
-	defer w.releaseBuffer()
-	if w.s.m.faults.Load().Hit(fault.SpillWrite) {
-		w.f.Close()
-		return nil, injected("write", w.path)
+	s, err := w.run.s, error(nil)
+	if s.m.faults.Load().Hit(fault.SpillWrite) {
+		err = injected("write", s.path)
+	} else if w.n > 0 {
+		err = w.flush()
 	}
-	if err := w.bw.Flush(); err != nil {
-		w.f.Close()
-		return nil, fmt.Errorf("spill: flush %s: %w", w.path, err)
+	if err != nil {
+		w.Abort()
+		return nil, err
 	}
-	if err := w.f.Close(); err != nil {
-		return nil, fmt.Errorf("spill: close %s: %w", w.path, err)
-	}
-	w.s.runs.Add(1)
-	w.s.bytes.Add(w.bytes)
-	w.s.m.runs.Add(1)
-	w.s.m.bytes.Add(w.bytes)
-	return &Run{s: w.s, path: w.path, Tuples: w.tuples, Bytes: w.bytes}, nil
+	buffers.Put(w.buf)
+	w.buf = nil
+	s.runs.Add(1)
+	s.bytes.Add(w.run.Bytes)
+	s.m.runs.Add(1)
+	s.m.bytes.Add(w.run.Bytes)
+	return w.run, nil
 }
 
 // Abort discards the half-written run.
 func (w *Writer) Abort() {
-	w.releaseBuffer()
-	w.f.Close()
-	os.Remove(w.path)
-	w.s.forget(w.path)
-}
-
-// releaseBuffer returns the write buffer to the pool, once: callers abort
-// a writer whose Finish failed.
-func (w *Writer) releaseBuffer() {
-	if w.bw != nil {
-		w.bw.Reset(nil)
-		writerPool.Put(w.bw)
-		w.bw = nil
+	if w.buf != nil {
+		buffers.Put(w.buf)
+		w.buf = nil
+		w.run.Remove()
 	}
 }
 
-// Run is one completed, immutable run file. It can be opened for
-// reading any number of times (merge-join groups re-read theirs once
-// per duplicate outer key).
+// Run is one completed, immutable run: Bytes of frames in the listed
+// slots, the last partly filled. Any number of readers may open it, at once.
 type Run struct {
-	s      *Session
-	path   string
-	Tuples int
-	Bytes  int64
+	s       *Session
+	slots   []int64
+	Tuples  int
+	Bytes   int64
+	readers int
+	removed bool
 }
 
 // Open starts a sequential scan of the run.
 func (r *Run) Open() (*Reader, error) {
-	f, err := os.Open(r.path)
-	if err != nil {
-		return nil, fmt.Errorf("spill: %w", err)
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
+	if r.removed || r.s.closed {
+		return nil, fmt.Errorf("spill: open of a removed run in %s", filepath.Base(r.s.path))
 	}
-	br := readerPool.Get().(*bufio.Reader)
-	br.Reset(f)
-	return &Reader{r: r, f: f, br: br, fr: rowcodec.NewFrameReader(br)}, nil
+	r.readers++
+	rd := &Reader{r: r, f: r.s.f, buf: buffers.Get().(*buffer)}
+	rd.fr = rowcodec.NewFrameReader((*slotReader)(rd))
+	return rd, nil
 }
 
-// Remove deletes the run file eagerly (the session Close would get it
-// anyway; eager removal keeps disk usage proportional to the live
-// working set). Idempotent.
+// Remove drops the run eagerly, keeping the file proportional to the live
+// working set. Its slots are reused from now, or from when the last reader
+// still open on it closes: a reader never sees another run's bytes. Idempotent.
 func (r *Run) Remove() {
-	os.Remove(r.path)
-	r.s.forget(r.path)
+	s := r.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r.removed || s.closed {
+		return
+	}
+	r.removed = true
+	s.live--
+	s.m.live.Add(-1)
+	if r.readers == 0 {
+		s.free = append(s.free, r.slots...)
+	}
 }
 
-// Reader streams a run back. Next returns io.EOF cleanly at the end of
-// the run; any checksum mismatch, impossible length, or mid-record
-// truncation returns an error wrapping qctx.ErrSpillCorrupt.
+// Reader streams a run back, one slot in memory at a time. A checksum
+// mismatch, a short file, or fewer rows than written is ErrSpillCorrupt.
 type Reader struct {
-	r  *Run
-	f  *os.File
-	br *bufio.Reader // pooled; nil once Close returned it
-	fr *rowcodec.FrameReader
+	r    *Run
+	f    *os.File
+	fr   *rowcodec.FrameReader // over the slotReader side of this Reader
+	buf  *buffer               // nil once closed
+	data []byte                // the loaded slot's share of the run
+	off  int                   // bytes of data consumed
+	next int                   // index in r.slots to load when data runs out
+	rows int
+}
+
+// slotReader is the Reader as the byte stream its FrameReader parses.
+type slotReader Reader
+
+func (rd *slotReader) Read(p []byte) (int, error) {
+	if rd.off == len(rd.data) {
+		if rd.next == len(rd.r.slots) {
+			return 0, io.EOF
+		}
+		// A short read is a truncated file: never the FrameReader's clean io.EOF.
+		data := rd.buf.data[:min(slotSize, rd.r.Bytes-int64(rd.next)*slotSize)]
+		if _, err := rd.f.ReadAt(data, rd.r.slots[rd.next]*slotSize); err != nil {
+			return 0, fmt.Errorf("slot %d of %d: %v", rd.next, len(rd.r.slots), err)
+		}
+		rd.data, rd.off, rd.next = data, 0, rd.next+1
+	}
+	n := copy(p, rd.data[rd.off:])
+	rd.off += n
+	return n, nil
 }
 
 // Next decodes the next row.
 func (rd *Reader) Next() (storage.Tuple, error) {
 	if rd.r.s.m.faults.Load().Hit(fault.SpillRead) {
-		return nil, injected("read", rd.r.path)
+		return nil, injected("read", rd.r.s.path)
 	}
+	var t storage.Tuple
 	payload, err := rd.fr.Next()
-	if err == io.EOF {
+	if err == nil {
+		t, err = rowcodec.DecodeTuple(payload)
+	}
+	switch {
+	case err == nil:
+		rd.rows++
+		return t, nil
+	case err == io.EOF && rd.rows != rd.r.Tuples:
+		err = fmt.Errorf("%d rows read back, %d written", rd.rows, rd.r.Tuples)
+	case err == io.EOF:
 		return nil, io.EOF
 	}
-	if err != nil {
-		return nil, corruptf(rd.r.path, "%v", err)
-	}
-	t, err := rowcodec.DecodeTuple(payload)
-	if err != nil {
-		return nil, corruptf(rd.r.path, "%v", err)
-	}
-	return t, nil
+	return nil, fmt.Errorf("spill: run in %s: %v: %w", filepath.Base(rd.r.s.path), err, qctx.ErrSpillCorrupt)
 }
 
-// Rewind restarts the scan at the run's first row: a merge join re-reads
-// its spilled group once per duplicate outer key through one Reader.
-func (rd *Reader) Rewind() error {
-	if _, err := rd.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("spill: rewind %s: %w", rd.r.path, err)
+// Rewind restarts the scan at the first row (a merge join re-reads its
+// group once per duplicate outer key); one slot is re-read from memory.
+func (rd *Reader) Rewind() {
+	if rd.next != 1 {
+		rd.next, rd.data = 0, nil
 	}
-	rd.br.Reset(rd.f)
-	return nil
+	rd.off, rd.rows = 0, 0
 }
 
-// Close releases the file handle and the read buffer. Idempotent.
+// Close returns the buffer and, as the last reader of a removed run, the
+// run's slots. Idempotent.
 func (rd *Reader) Close() error {
-	if rd.br == nil {
+	s := rd.r.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rd.buf == nil {
 		return nil
 	}
-	rd.br.Reset(nil)
-	readerPool.Put(rd.br)
-	rd.br = nil
-	return rd.f.Close()
-}
-
-func corruptf(path, format string, args ...any) error {
-	return fmt.Errorf("spill: run %s: %s: %w", filepath.Base(path), fmt.Sprintf(format, args...), qctx.ErrSpillCorrupt)
+	buffers.Put(rd.buf)
+	rd.buf, rd.data, rd.next = nil, nil, len(rd.r.slots) // a Next after Close reads nothing
+	if rd.r.readers--; rd.r.readers == 0 && rd.r.removed {
+		s.free = append(s.free, rd.r.slots...)
+	}
+	return nil
 }

@@ -2,8 +2,11 @@ package spill
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/fault"
@@ -87,8 +90,7 @@ func TestRoundTrip(t *testing.T) {
 	if run.Tuples != len(rows) {
 		t.Fatalf("run.Tuples = %d, want %d", run.Tuples, len(rows))
 	}
-	// Runs are re-readable: merge join re-opens its group run once per
-	// duplicate outer key.
+	// Runs are re-readable, by a second reader as well as by Rewind.
 	for pass := 0; pass < 2; pass++ {
 		got, err := readAll(run)
 		if err != nil {
@@ -110,73 +112,117 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// liveBytes lists the session-file offsets the run's bytes sit at.
+func liveBytes(run *Run) []int64 {
+	offs := make([]int64, run.Bytes)
+	for i := range offs {
+		offs[i] = run.slots[i/slotSize]*slotSize + int64(i%slotSize)
+	}
+	return offs
+}
+
 // TestEveryByteFlipDetected is the checksum's contract: flipping any
-// single bit of a run file must surface as a typed ErrSpillCorrupt on
-// read-back — never as silently wrong rows.
+// single bit of a run's live bytes in the session file must surface as a
+// typed ErrSpillCorrupt on read-back — never as silently wrong rows.
 func TestEveryByteFlipDetected(t *testing.T) {
 	_, s := newTestSession(t)
 	defer s.Close()
-	run := writeRun(t, s, testRows(t))
-	orig, err := os.ReadFile(run.path)
-	if err != nil {
-		t.Fatal(err)
+	writeRun(t, s, testRows(t)).Remove() // the run under test sits in a reused slot
+	run := writeRun(t, s, testRows(t)[:4])
+	if len(run.slots) != 1 || run.slots[0] != 0 {
+		t.Fatalf("slots = %v, want the freed slot 0", run.slots)
 	}
-	for pos := range orig {
-		mut := append([]byte(nil), orig...)
-		mut[pos] ^= 0x10
-		if err := os.WriteFile(run.path, mut, 0o644); err != nil {
+	var b [1]byte
+	for _, off := range liveBytes(run) {
+		if _, err := s.f.ReadAt(b[:], off); err != nil {
 			t.Fatal(err)
 		}
+		b[0] ^= 0x10
+		s.f.WriteAt(b[:], off)
 		_, err := readAll(run)
+		b[0] ^= 0x10
+		s.f.WriteAt(b[:], off)
 		if err == nil {
-			t.Fatalf("byte %d flipped: read-back succeeded", pos)
+			t.Fatalf("byte %d flipped: read-back succeeded", off)
 		}
 		if !errors.Is(err, qctx.ErrSpillCorrupt) {
-			t.Fatalf("byte %d flipped: error %v is not ErrSpillCorrupt", pos, err)
+			t.Fatalf("byte %d flipped: error %v is not ErrSpillCorrupt", off, err)
 		}
+	}
+	if _, err := readAll(run); err != nil {
+		t.Fatalf("restored file: %v", err)
 	}
 }
 
-// TestTruncation: a mid-record truncation is corruption; a truncation
-// exactly at a record boundary reads back clean but short — operators
-// that know their expected row count (merge join groups) catch that
-// case themselves.
+// TestTruncation: a session file cut anywhere inside a run — in the
+// middle of a record or exactly between two — is corruption. The reader
+// knows how many bytes and how many rows were written, so no operator has
+// to count for itself.
 func TestTruncation(t *testing.T) {
 	_, s := newTestSession(t)
 	defer s.Close()
 	run := writeRun(t, s, testRows(t))
-	orig, err := os.ReadFile(run.path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 1; cut < len(orig); cut++ {
-		if err := os.WriteFile(run.path, orig[:cut], 0o644); err != nil {
+	for cut := int64(0); cut < run.Bytes; cut++ {
+		if err := s.f.Truncate(cut); err != nil {
 			t.Fatal(err)
 		}
-		rows, err := readAll(run)
-		if err == nil {
-			if len(rows) >= run.Tuples {
-				t.Fatalf("cut %d: full read from truncated file", cut)
-			}
-			continue // boundary truncation: clean but short
-		}
-		if !errors.Is(err, qctx.ErrSpillCorrupt) {
-			t.Fatalf("cut %d: error %v is not ErrSpillCorrupt", cut, err)
+		if rows, err := readAll(run); !errors.Is(err, qctx.ErrSpillCorrupt) {
+			t.Fatalf("cut %d: %d rows, error %v; want ErrSpillCorrupt", cut, len(rows), err)
 		}
 	}
 }
 
-func TestSessionCloseRemovesFiles(t *testing.T) {
+// TestShortRunIsCorrupt: a run whose frames all verify but are fewer than
+// were appended (what a cut at a record boundary looked like when every
+// run was a file of its own) is typed corruption at the end of the run.
+func TestShortRunIsCorrupt(t *testing.T) {
+	_, s := newTestSession(t)
+	defer s.Close()
+	rows := testRows(t)
+	whole := writeRun(t, s, rows)
+	short := writeRun(t, s, rows[:3])
+	short.Tuples = whole.Tuples
+	got, err := readAll(short)
+	if len(got) != 3 || !errors.Is(err, qctx.ErrSpillCorrupt) {
+		t.Fatalf("%d rows, error %v; want 3 rows then ErrSpillCorrupt", len(got), err)
+	}
+}
+
+func fileSize(t *testing.T, s *Session) int64 {
+	t.Helper()
+	fi, err := os.Stat(s.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+func TestSessionCloseRemovesFile(t *testing.T) {
 	m, s := newTestSession(t)
+	if n, _ := m.LiveFiles(); n != 0 {
+		t.Fatalf("LiveFiles before the first flush = %d, want 0", n)
+	}
 	writeRun(t, s, testRows(t))
 	writeRun(t, s, testRows(t))
-	if n, _ := m.LiveFiles(); n != 2 {
-		t.Fatalf("LiveFiles = %d, want 2", n)
+	if n, _ := m.LiveFiles(); n != 1 || m.LiveRuns() != 2 {
+		t.Fatalf("LiveFiles = %d, LiveRuns = %d; want 1 file holding 2 runs", n, m.LiveRuns())
 	}
 	s.Close()
 	s.Close() // idempotent
-	if n, _ := m.LiveFiles(); n != 0 {
-		t.Fatalf("LiveFiles after Close = %d, want 0", n)
+	if n, _ := m.LiveFiles(); n != 0 || m.LiveRuns() != 0 {
+		t.Fatalf("after Close: LiveFiles = %d, LiveRuns = %d; want 0, 0", n, m.LiveRuns())
+	}
+	// A writer on a closed session must not bring the file back.
+	w, err := s.NewWriter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Append(testRows(t)[0])
+	if _, err := w.Finish(); err == nil {
+		t.Fatal("a run was written to a closed session")
+	}
+	if n, _ := m.LiveFiles(); n != 0 || m.LiveRuns() != 0 {
+		t.Fatalf("writer on a closed session: LiveFiles = %d, LiveRuns = %d; want 0, 0", n, m.LiveRuns())
 	}
 }
 
@@ -186,8 +232,11 @@ func TestRunRemoveAndWriterAbort(t *testing.T) {
 	run := writeRun(t, s, testRows(t))
 	run.Remove()
 	run.Remove() // idempotent
-	if n, _ := m.LiveFiles(); n != 0 {
-		t.Fatalf("LiveFiles after Remove = %d, want 0", n)
+	if m.LiveRuns() != 0 {
+		t.Fatalf("LiveRuns after Remove = %d, want 0", m.LiveRuns())
+	}
+	if _, err := run.Open(); err == nil {
+		t.Fatal("Open of a removed run succeeded")
 	}
 	w, err := s.NewWriter()
 	if err != nil {
@@ -196,9 +245,209 @@ func TestRunRemoveAndWriterAbort(t *testing.T) {
 	if err := w.Append(storage.Tuple{value.NewInt(1)}); err != nil {
 		t.Fatal(err)
 	}
+	if m.LiveRuns() != 1 {
+		t.Fatalf("LiveRuns with a writer open = %d, want 1", m.LiveRuns())
+	}
 	w.Abort()
-	if n, _ := m.LiveFiles(); n != 0 {
-		t.Fatalf("LiveFiles after Abort = %d, want 0", n)
+	w.Abort() // idempotent
+	if m.LiveRuns() != 0 {
+		t.Fatalf("LiveRuns after Abort = %d, want 0", m.LiveRuns())
+	}
+}
+
+// TestSlotReuse: a removed run's slot takes the next run, so the file
+// holds the live working set, not everything ever written.
+func TestSlotReuse(t *testing.T) {
+	_, s := newTestSession(t)
+	defer s.Close()
+	run := writeRun(t, s, testRows(t))
+	size := fileSize(t, s)
+	for i := 0; i < 5; i++ {
+		run.Remove()
+		run = writeRun(t, s, testRows(t))
+	}
+	if got := fileSize(t, s); got != size || s.end != 1 {
+		t.Fatalf("file is %d bytes in %d slots after rewriting one run; was %d in 1", got, s.end, size)
+	}
+	if got, err := readAll(run); err != nil || len(got) != run.Tuples {
+		t.Fatalf("read back %d rows, %v", len(got), err)
+	}
+}
+
+// wideRows returns n rows of about width bytes each, all distinct.
+func wideRows(tag string, n, width int) []storage.Tuple {
+	rows := make([]storage.Tuple, n)
+	for i := range rows {
+		rows[i] = storage.Tuple{value.NewInt(int64(i)), value.NewString(tag + strings.Repeat("x", width))}
+	}
+	return rows
+}
+
+func wantRows(t *testing.T, got, want []storage.Tuple) {
+	t.Helper()
+	if d := storage.Diff(storage.AgreeBag, got, want); d != "" || len(got) != len(want) {
+		t.Fatalf("read back %d rows, want %d: %s", len(got), len(want), d)
+	}
+}
+
+// TestRemoveWhileReaderOpen: a run removed under an open reader stays
+// readable to the end, whatever is written meanwhile. One file per run got
+// this from unlink; the slotted file has to hold the slots back.
+func TestRemoveWhileReaderOpen(t *testing.T) {
+	_, s := newTestSession(t)
+	defer s.Close()
+	mine := wideRows("mine", 200, 1000) // four slots
+	run := writeRun(t, s, mine)
+	rd, err := run.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Remove()
+	other := writeRun(t, s, wideRows("other", 200, 1000))
+	var got []storage.Tuple
+	for {
+		row, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, row)
+	}
+	wantRows(t, got, mine)
+	if err := rd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rd.Close() // idempotent
+	rest, err := readAll(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows(t, rest, wideRows("other", 200, 1000))
+}
+
+// TestSlotsFreedAtLastClose is the other half: the removed run's slots
+// are reused, but only once its last reader has closed.
+func TestSlotsFreedAtLastClose(t *testing.T) {
+	_, s := newTestSession(t)
+	defer s.Close()
+	run := writeRun(t, s, testRows(t))
+	rd1, _ := run.Open()
+	rd2, _ := run.Open()
+	run.Remove()
+	rd1.Close()
+	if second := writeRun(t, s, testRows(t)); second.slots[0] == run.slots[0] {
+		t.Fatal("slot reused while a reader was open on it")
+	}
+	rd2.Close()
+	if third := writeRun(t, s, testRows(t)); third.slots[0] != run.slots[0] {
+		t.Fatalf("slot %d not reused after the last Close (got %d)", run.slots[0], third.slots[0])
+	}
+}
+
+// TestOversizedTuple: a frame larger than a slot runs on through as many
+// slots as it needs — here reused ones, not adjacent in the file — and all
+// of them are freed with the run.
+func TestOversizedTuple(t *testing.T) {
+	_, s := newTestSession(t)
+	defer s.Close()
+	a, b := writeRun(t, s, testRows(t)), writeRun(t, s, testRows(t))
+	a.Remove()
+	rows := append(testRows(t), wideRows("big", 1, 2*slotSize+100)...)
+	rows = append(rows, testRows(t)...)
+	run := writeRun(t, s, rows)
+	b.Remove()
+	if len(run.slots) != 3 || run.slots[0] != 0 || s.end != 4 {
+		t.Fatalf("slots %v of %d; want three, the freed slot 0 first, of 4", run.slots, s.end)
+	}
+	got, err := readAll(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows(t, got, rows)
+	run.Remove()
+	if len(s.free) != 4 {
+		t.Fatalf("%d slots free after Remove, want 4", len(s.free))
+	}
+}
+
+// TestConcurrentRuns: the workers of one parallel operator write and read
+// their runs through one session at once (run under -race).
+func TestConcurrentRuns(t *testing.T) {
+	m, s := newTestSession(t)
+	defer s.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				rows := wideRows(fmt.Sprintf("g%d-%d-", g, i), 30+g, 500*(i%7))
+				w, err := s.NewWriter()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, r := range rows {
+					if err := w.Append(r); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				run, err := w.Finish()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := readAll(run)
+				if d := storage.Diff(storage.AgreeBag, got, rows); err != nil || d != "" {
+					t.Errorf("writer %d run %d: %v %s", g, i, err, d)
+				}
+				run.Remove()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if m.LiveRuns() != 0 || int64(len(s.free)) != s.end {
+		t.Fatalf("LiveRuns = %d, %d of %d slots free; want everything returned", m.LiveRuns(), len(s.free), s.end)
+	}
+}
+
+func TestRewind(t *testing.T) {
+	_, s := newTestSession(t)
+	defer s.Close()
+	for name, rows := range map[string][]storage.Tuple{
+		"one extent":  testRows(t),
+		"three slots": wideRows("w", 150, 1000),
+		"empty":       nil,
+	} {
+		run := writeRun(t, s, rows)
+		rd, err := run.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := func(n int) (got []storage.Tuple) {
+			t.Helper()
+			for len(got) < n {
+				row, err := rd.Next()
+				if err != nil {
+					t.Fatalf("%s: row %d: %v", name, len(got), err)
+				}
+				got = append(got, row)
+			}
+			return got
+		}
+		read(len(rows) / 2) // mid-run, mid-slot
+		rd.Rewind()
+		wantRows(t, read(len(rows)), rows)
+		if _, err := rd.Next(); err != io.EOF {
+			t.Fatalf("%s: after the last row: %v, want io.EOF", name, err)
+		}
+		rd.Rewind() // after EOF
+		wantRows(t, read(len(rows)), rows)
+		rd.Close()
+		run.Remove()
 	}
 }
 
