@@ -1,4 +1,4 @@
-# Developer entry points. `make check` is the full gate — vet, build, the
+# Developer entry points. `make check` is the full gate — vet, gofmt, build, the
 # whole test suite under the race detector (the parallel executor makes
 # -race load-bearing, not optional), the fuzz targets, every storm at full
 # length, and the serving smoke test. The gates are defined once, in the
@@ -8,7 +8,7 @@
 
 GO ?= go
 
-GATES := vet build race fuzz chaos storm memstorm metamorph-short netchaos cluster cluster-failover crash serve-smoke
+GATES := vet fmt build race fuzz chaos storm memstorm metamorph-short netchaos cluster cluster-failover crash serve-smoke
 
 .PHONY: check test metamorph bench $(GATES)
 

@@ -408,10 +408,10 @@ func (c *Controller) RetryDelay(attempt int) (time.Duration, bool) {
 
 // AllowParallel gates the parallel execution path through the circuit
 // breaker; ReportParallelFault / ReportParallelOK feed it outcomes.
-func (c *Controller) AllowParallel() bool      { return c.breaker.Allow() }
-func (c *Controller) ReportParallelFault()     { c.breaker.ReportFault() }
-func (c *Controller) ReportParallelOK()        { c.breaker.ReportOK() }
-func (c *Controller) BreakerState() string     { return c.breaker.State() }
+func (c *Controller) AllowParallel() bool  { return c.breaker.Allow() }
+func (c *Controller) ReportParallelFault() { c.breaker.ReportFault() }
+func (c *Controller) ReportParallelOK()    { c.breaker.ReportOK() }
+func (c *Controller) BreakerState() string { return c.breaker.State() }
 
 // Drain stops admission and waits for in-flight queries to finish. New
 // arrivals and every queued waiter are shed with qctx.ErrOverloaded.
@@ -504,21 +504,21 @@ func (c *Controller) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Running:       c.running,
-		Waiting:       len(c.queue),
-		Admitted:      c.admitted,
-		Shed:          c.shed,
+		Running:        c.running,
+		Waiting:        len(c.queue),
+		Admitted:       c.admitted,
+		Shed:           c.shed,
 		QueueTimeouts:  c.queueTimeouts,
 		Degraded:       c.degraded,
 		Retries:        c.retries,
 		PressureGrants: c.pressureGrants,
 		DrainCanceled:  c.drainCanceled,
-		PoolBytes:     c.cfg.PoolBytes,
-		PoolUsed:      c.poolUsed,
-		PoolPeak:      c.poolPeak,
-		BreakerState:  c.breaker.State(),
-		BreakerTrips:  c.breaker.Trips(),
-		Draining:      c.draining,
+		PoolBytes:      c.cfg.PoolBytes,
+		PoolUsed:       c.poolUsed,
+		PoolPeak:       c.poolPeak,
+		BreakerState:   c.breaker.State(),
+		BreakerTrips:   c.breaker.Trips(),
+		Draining:       c.draining,
 	}
 }
 

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -131,8 +132,8 @@ func TestSpillCompletesUnderSmallBudget(t *testing.T) {
 	if res.Spill.Runs == 0 {
 		t.Fatal("query completed under budget without writing a single spill run — no pressure exercised")
 	}
-	if n, err := db.SpillManager().LiveFiles(); err != nil || n != 0 {
-		t.Fatalf("spill dir after query: %d live files (err %v), want 0", n, err)
+	if left := spillLeft(db); left != "" {
+		t.Fatalf("after the query: %s left behind", left)
 	}
 	if n := db.Store().TempCount(); n != 0 {
 		t.Fatalf("query leaked %d temp file(s)", n)
@@ -188,8 +189,8 @@ func TestSpillForcedMatchesOracle(t *testing.T) {
 	if spilled == 0 {
 		t.Fatal("no query wrote a spill run under SpillForced")
 	}
-	if n, _ := db.SpillManager().LiveFiles(); n != 0 {
-		t.Fatalf("spill dir not empty after corpus: %d files", n)
+	if left := spillLeft(db); left != "" {
+		t.Fatalf("after the corpus: %s left behind", left)
 	}
 }
 
@@ -211,8 +212,8 @@ func TestSpillCorruptRunDetected(t *testing.T) {
 	if !errors.Is(err, qctx.ErrSpillCorrupt) {
 		t.Fatalf("corrupt run error = %v, want ErrSpillCorrupt", err)
 	}
-	if n, _ := db.SpillManager().LiveFiles(); n != 0 {
-		t.Fatalf("failed query left %d spill file(s) behind", n)
+	if left := spillLeft(db); left != "" {
+		t.Fatalf("failed query left %s behind", left)
 	}
 	if n := db.Store().TempCount(); n != 0 {
 		t.Fatalf("failed query leaked %d temp file(s)", n)
@@ -225,9 +226,20 @@ func TestSpillCorruptRunDetected(t *testing.T) {
 	if _, err := db.Query(memJAQuery, opts); err != nil {
 		t.Fatalf("retryable corruption not recovered: %v", err)
 	}
-	if n, _ := db.SpillManager().LiveFiles(); n != 0 {
-		t.Fatalf("recovered query left spill files behind")
+	if left := spillLeft(db); left != "" {
+		t.Fatalf("recovered query left %s behind", left)
 	}
+}
+
+// spillLeft describes what a finished query left in the spill directory
+// — files (a session never closed) or live runs (a count never folded) —
+// and is "" when that is nothing.
+func spillLeft(db *engine.DB) string {
+	files, err := db.SpillManager().LiveFiles()
+	if runs := db.SpillManager().LiveRuns(); files != 0 || runs != 0 || err != nil {
+		return fmt.Sprintf("%d spill file(s), %d run(s) (err %v)", files, runs, err)
+	}
+	return ""
 }
 
 // TestSpillTimeoutLeakFree hammers the cancel/timeout path: queries
@@ -255,8 +267,8 @@ func TestSpillTimeoutLeakFree(t *testing.T) {
 		if err != nil && !memStormCleanErr(err) {
 			t.Fatalf("round %d: unclean error: %v", round, err)
 		}
-		if n, _ := db.SpillManager().LiveFiles(); n != 0 || db.SpillManager().LiveRuns() != 0 {
-			t.Fatalf("round %d: %d spill file(s), %d run(s) leaked", round, n, db.SpillManager().LiveRuns())
+		if left := spillLeft(db); left != "" {
+			t.Fatalf("round %d: leaked %s", round, left)
 		}
 		if n := db.Store().TempCount(); n != 0 {
 			t.Fatalf("round %d: %d temp file(s) leaked", round, n)
@@ -415,8 +427,8 @@ func TestMemPressureStorm(t *testing.T) {
 	if err := db.Drain(5 * time.Second); err != nil {
 		t.Fatalf("drain after storm: %v", err)
 	}
-	if n, _ := db.SpillManager().LiveFiles(); n != 0 || db.SpillManager().LiveRuns() != 0 {
-		t.Errorf("storm leaked %d spill file(s), %d run(s)", n, db.SpillManager().LiveRuns())
+	if left := spillLeft(db); left != "" {
+		t.Errorf("storm leaked %s", left)
 	}
 	if n := db.Store().TempCount(); n != 0 {
 		t.Errorf("storm leaked %d temp file(s)", n)

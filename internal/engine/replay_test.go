@@ -77,8 +77,8 @@ func replayRun(t *testing.T, plan fault.Plan) ([]fault.Firing, []string) {
 	if n := db.Store().TempCount(); n != 0 {
 		t.Errorf("plan %v leaked %d temp file(s)", plan, n)
 	}
-	if n, _ := db.SpillManager().LiveFiles(); n != 0 || db.SpillManager().LiveRuns() != 0 {
-		t.Errorf("plan %v leaked %d spill file(s), %d run(s)", plan, n, db.SpillManager().LiveRuns())
+	if left := spillLeft(db); left != "" {
+		t.Errorf("plan %v leaked %s", plan, left)
 	}
 	return in.Fired(), outcomes
 }

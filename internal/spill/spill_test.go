@@ -69,6 +69,11 @@ func readAll(run *Run) ([]storage.Tuple, error) {
 		return nil, err
 	}
 	defer rd.Close()
+	return drain(rd)
+}
+
+// drain reads rd to the end of its run.
+func drain(rd *Reader) ([]storage.Tuple, error) {
 	var out []storage.Tuple
 	for {
 		row, err := rd.Next()
@@ -304,16 +309,9 @@ func TestRemoveWhileReaderOpen(t *testing.T) {
 	}
 	run.Remove()
 	other := writeRun(t, s, wideRows("other", 200, 1000))
-	var got []storage.Tuple
-	for {
-		row, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, row)
+	got, err := drain(rd)
+	if err != nil {
+		t.Fatal(err)
 	}
 	wantRows(t, got, mine)
 	if err := rd.Close(); err != nil {
@@ -418,7 +416,7 @@ func TestRewind(t *testing.T) {
 	_, s := newTestSession(t)
 	defer s.Close()
 	for name, rows := range map[string][]storage.Tuple{
-		"one extent":  testRows(t),
+		"one slot":    testRows(t),
 		"three slots": wideRows("w", 150, 1000),
 		"empty":       nil,
 	} {

@@ -33,7 +33,7 @@ FuzzDecodeFrame       ./internal/wire
 FuzzFrameCorruption   ./internal/wire
 FuzzWALReplay         ./internal/wal
 '
-ORDER="vet build race fuzz $(echo "$TESTS" | awk 'NF {print $1}' | tr '\n' ' ')serve-smoke"
+ORDER="vet fmt build race fuzz $(echo "$TESTS" | awk 'NF {print $1}' | tr '\n' ' ')serve-smoke"
 
 short=-short verbose=
 if [ "${1:-}" = -full ]; then
@@ -48,6 +48,10 @@ fi
 run_gate() {
 	case "$1" in
 	vet) go vet ./... ;;
+	fmt)
+		unformatted=$(gofmt -l .)
+		[ -z "$unformatted" ] || { echo "gofmt -l . names:" $unformatted >&2; return 1; }
+		;;
 	build) go build ./... ;;
 	race)
 		owned=$(echo "$TESTS" | awk 'NF {print $2}' | paste -sd'|' -)
