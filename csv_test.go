@@ -1,6 +1,7 @@
 package nestedsql_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -77,5 +78,35 @@ func TestLoadCSVErrors(t *testing.T) {
 	}
 	if _, err := db.LoadCSV("NOPE", strings.NewReader("1\n"), false); err == nil {
 		t.Error("unknown table: expected error")
+	}
+}
+
+// strconv.ParseFloat accepts "NaN", so a FLOAT column can hold one. NaN
+// orders after every other number and equals itself (PostgreSQL's rule),
+// so sorting, duplicate elimination and = all agree about it.
+func TestLoadCSVNaNOrdersLastAndEqualsItself(t *testing.T) {
+	db := csvDB(t)
+	if _, err := db.LoadCSV("SUPPLY", strings.NewReader("1,5,,\n2,NaN,,\n3,1,,\n4,NaN,,\n5,3,,\n"), false); err != nil {
+		t.Fatal(err)
+	}
+	quans := func(sql string) string {
+		res, err := db.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, r := range res.Rows {
+			out = append(out, fmt.Sprint(r[0]))
+		}
+		return strings.Join(out, ", ")
+	}
+	if got := quans("SELECT DISTINCT QUAN FROM SUPPLY"); got != "1, 3, 5, NaN" {
+		t.Errorf("DISTINCT QUAN = %s, want 1, 3, 5, NaN", got)
+	}
+	if got := quans("SELECT QUAN FROM SUPPLY ORDER BY QUAN"); got != "1, 3, 5, NaN, NaN" {
+		t.Errorf("ORDER BY QUAN = %s, want 1, 3, 5, NaN, NaN", got)
+	}
+	if got := quans("SELECT QUAN FROM SUPPLY WHERE QUAN = 3"); got != "3" {
+		t.Errorf("WHERE QUAN = 3 returned %s, want 3", got)
 	}
 }

@@ -174,6 +174,8 @@ func (v Value) Hash() uint64 {
 		f := v.Float()
 		if f == 0 {
 			f = 0 // fold -0.0 into +0.0: they are Equal
+		} else if f != f {
+			f = math.NaN() // every NaN payload in one bucket: they are Equal
 		}
 		mix8(math.Float64bits(f))
 	case KindString:
@@ -206,7 +208,7 @@ func (v Value) Equal(o Value) bool {
 	case KindInt, KindDate:
 		return v.i == o.i
 	case KindFloat:
-		return v.f == o.f
+		return v.f == o.f || (v.f != v.f && o.f != o.f) // NaN equals NaN, as in Compare
 	case KindString:
 		return v.s == o.s
 	default:

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -138,6 +139,49 @@ func TestCompareNumeric(t *testing.T) {
 		}
 		if got != c.want {
 			t.Errorf("Compare(%v,%v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// NaN orders after every other number and equal to itself, whatever its
+// payload, under Compare, TotalCompare(Ref), Equal, Hash and =; and the
+// by-pointer comparator answers what TotalCompare answers on every pair.
+func TestNaNOrderAndTotalCompareRef(t *testing.T) {
+	nan, nan2 := NewFloat(math.NaN()), NewFloat(math.Float64frombits(0x7ff8000000000abc))
+	d := NewDateValue(mustParseDate("1-1-80"))
+	ascending := []Value{Null, NewFloat(math.Inf(-1)), NewInt(-3), NewFloat(-0.5), NewInt(0), NewFloat(2), NewInt(7),
+		NewFloat(math.Inf(1)), nan}
+	for i := range ascending {
+		for j := range ascending {
+			a, b := ascending[i], ascending[j]
+			want := min(max(i-j, -1), 1)
+			if c, err := TotalCompare(a, b); err != nil || c != want {
+				t.Errorf("TotalCompare(%v, %v) = %d, %v, want %d", a, b, c, err, want)
+			}
+		}
+	}
+	if c, err := Compare(nan, nan2); err != nil || c != 0 {
+		t.Errorf("Compare(NaN, NaN') = %d, %v, want 0", c, err)
+	}
+	if !nan.Equal(nan2) || nan.Hash() != nan2.Hash() || nan.Equal(NewInt(3)) || NewFloat(3).Equal(nan) {
+		t.Error("NaN must Equal and hash with every NaN and nothing else")
+	}
+	for op, want := range map[CompareOp]Tri{OpEq: False, OpLt: False, OpGt: True, OpNe: True} {
+		if got, err := op.Apply(nan, NewInt(3)); err != nil || got != want {
+			t.Errorf("NaN %v 3 = %v, %v, want %v", op, got, err, want)
+		}
+	}
+	if got, _ := OpEq.Apply(nan, nan2); got != True {
+		t.Errorf("NaN = NaN is %v, want True", got)
+	}
+	all := append(ascending, nan2, d, NewDateValue(mustParseDate("1-2-80")), NewString("a"), NewString("b"))
+	for _, a := range all {
+		for _, b := range all {
+			c, err := TotalCompare(a, b)
+			rc, rerr := TotalCompareRef(&a, &b)
+			if c != rc || (err == nil) != (rerr == nil) {
+				t.Errorf("TotalCompareRef(%v, %v) = %d, %v; TotalCompare says %d, %v", a, b, rc, rerr, c, err)
+			}
 		}
 	}
 }
