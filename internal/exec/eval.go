@@ -2,7 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"repro/internal/ast"
@@ -223,7 +223,7 @@ func sortRowsBy(rows []storage.Tuple, order []ast.OrderItem) error {
 		keys[i], desc[i] = o.Pos, o.Desc
 	}
 	var cmpErr error
-	sort.SliceStable(rows, func(i, j int) bool { return lessBy(rows[i], rows[j], keys, desc, &cmpErr) })
+	slices.SortStableFunc(rows, func(a, b storage.Tuple) int { return compareRows(a, b, keys, desc, &cmpErr) })
 	return cmpErr
 }
 

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/qctx"
 	"repro/internal/spill"
@@ -46,13 +46,13 @@ type Sort struct {
 	// ErrMemoryBudget when a buffer reservation is refused.
 	Spill *spill.Session
 
-	mem       []storage.Tuple // in-memory result when input fits in B pages
-	pos       int             // cursor into mem
-	runs      []sortRun       // initial/merged runs in creation order
-	final     *runCursor      // streams the single fully-merged run; nil when mem holds the result
-	cmpErr    error           // first key-comparison type error, surfaced by Open
-	charged   int64           // bytes currently charged against the memory budget
-	spillMode bool            // a reservation was refused; all new runs spill
+	mem       []keyed    // in-memory result when input fits in B pages
+	pos       int        // cursor into mem
+	runs      []sortRun  // initial/merged runs in creation order
+	final     *runCursor // streams the single fully-merged run; nil when mem holds the result
+	cmpErr    error      // first key-comparison type error, surfaced by Open
+	charged   int64      // bytes currently charged against the memory budget
+	spillMode bool       // a reservation was refused; all new runs spill
 }
 
 // sortRun is one sorted run, on the paged heap "disk" or in a spill
@@ -62,27 +62,49 @@ type sortRun struct {
 	sp   *spill.Run
 }
 
-// lessBy reports whether a orders before b on the key columns, desc
-// flipping the direction per key (nil = all ascending). sort.SliceStable
-// cannot propagate errors, so the first incomparable pair of keys is
-// recorded in *cmpErr for the caller to report after the sort completes.
-func lessBy(a, b storage.Tuple, keys []int, desc []bool, cmpErr *error) bool {
+// keyed is a buffered row and its position in the buffer, the last
+// tie-break: with it the unstable slices.SortFunc leaves rows of equal
+// keys in input order, which is what makes a sort's output the same bytes
+// whether it ran in memory, through heap runs or through spill runs.
+type keyed struct {
+	t   storage.Tuple
+	seq int
+}
+
+// compareRows orders a against b on the key columns in the total order
+// (NULLs first), desc flipping the direction per key (nil = all
+// ascending). A comparator cannot return an error, so the first
+// incomparable pair of keys is recorded in *cmpErr for the caller to
+// report once the sort or merge step is done.
+func compareRows(a, b storage.Tuple, keys []int, desc []bool, cmpErr *error) int {
 	for i, k := range keys {
-		c, err := value.TotalCompare(a[k], b[k])
+		c, err := value.TotalCompareRef(&a[k], &b[k])
 		if err != nil {
 			if *cmpErr == nil {
 				*cmpErr = err
 			}
-			return false
+			return 0
 		}
 		if c != 0 {
-			return (c < 0) != (desc != nil && desc[i])
+			if desc != nil && desc[i] {
+				return -c
+			}
+			return c
 		}
 	}
-	return false
+	return 0
 }
 
-func (s *Sort) less(a, b storage.Tuple) bool { return lessBy(a, b, s.Keys, s.Desc, &s.cmpErr) }
+// sortBuf sorts one run's rows by key, ties by arrival.
+func (s *Sort) sortBuf(buf []keyed) error {
+	slices.SortFunc(buf, func(a, b keyed) int {
+		if c := compareRows(a.t, b.t, s.Keys, s.Desc, &s.cmpErr); c != 0 {
+			return c
+		}
+		return a.seq - b.seq
+	})
+	return s.cmpErr
+}
 
 // Open drains the child, forms sorted runs, and merges them down to one.
 func (s *Sort) Open() error {
@@ -106,7 +128,7 @@ func (s *Sort) Open() error {
 	// uncharged slack between flushes; a run costs only the bytes it holds.
 	spillBatch := min(MorselSize, runCap)
 
-	var buf []storage.Tuple
+	var buf []keyed    // one allocation serves every run: flush clears it
 	var bufBytes int64 // charged bytes in buf
 	// flush sorts buf and writes it as the next run, returning its bytes
 	// to the budget: the run now lives on "disk".
@@ -114,13 +136,12 @@ func (s *Sort) Open() error {
 		if len(buf) == 0 {
 			return nil
 		}
-		sort.SliceStable(buf, func(i, j int) bool { return s.less(buf[i], buf[j]) })
-		if s.cmpErr != nil {
-			return s.cmpErr
+		if err := s.sortBuf(buf); err != nil {
+			return err
 		}
 		run, err := s.writeRun(tpp, func(w *runWriter) error {
-			for _, t := range buf {
-				if err := w.append(t); err != nil {
+			for _, it := range buf {
+				if err := w.append(it.t); err != nil {
 					return err
 				}
 			}
@@ -130,7 +151,8 @@ func (s *Sort) Open() error {
 			return err
 		}
 		s.runs = append(s.runs, run)
-		buf = nil
+		clear(buf) // the rows belong to the run now
+		buf = buf[:0]
 		s.QC.ReleaseBuffered(bufBytes)
 		s.charged -= bufBytes
 		bufBytes = 0
@@ -157,7 +179,7 @@ func (s *Sort) Open() error {
 			if fits {
 				s.charged += n
 				bufBytes += n
-				buf = append(buf, t)
+				buf = append(buf, keyed{t, len(buf)})
 				if len(buf) == runCap {
 					if err := flush(); err != nil {
 						return err
@@ -171,7 +193,7 @@ func (s *Sort) Open() error {
 		// Tuples between spill flushes ride uncharged; the batch cap
 		// bounds the slack to one morsel. Charged tuples still in buf
 		// when the sort degrades are spilled at once.
-		buf = append(buf, t)
+		buf = append(buf, keyed{t, len(buf)})
 		if len(buf) >= spillBatch || bufBytes > 0 {
 			if err := flush(); err != nil {
 				return err
@@ -181,9 +203,8 @@ func (s *Sort) Open() error {
 	if len(s.runs) == 0 {
 		// Entire input fits in the sort's memory: no run I/O. The charge
 		// for buf stays until Close — the rows remain buffered.
-		sort.SliceStable(buf, func(i, j int) bool { return s.less(buf[i], buf[j]) })
 		s.mem = buf
-		return s.cmpErr
+		return s.sortBuf(buf)
 	}
 	if err := flush(); err != nil {
 		return err
@@ -347,7 +368,7 @@ func (s *Sort) mergeRuns(runs []sortRun, tpp int) (sortRun, error) {
 				if c.done {
 					continue
 				}
-				if best < 0 || s.less(c.cur, cursors[best].cur) {
+				if best < 0 || compareRows(c.cur, cursors[best].cur, s.Keys, s.Desc, &s.cmpErr) < 0 {
 					best = i
 				}
 			}
@@ -375,7 +396,7 @@ func (s *Sort) Next() (storage.Tuple, bool, error) {
 	if s.pos >= len(s.mem) {
 		return nil, false, nil
 	}
-	t := s.mem[s.pos]
+	t := s.mem[s.pos].t
 	s.pos++
 	return t, true, nil
 }

@@ -14,6 +14,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -64,8 +65,9 @@ func Build(store *storage.Store, file *storage.HeapFile, relation, column string
 			idx.entries = append(idx.entries, Entry{Key: t[colIdx], Page: p, Slot: s})
 		}
 	}
-	sort.SliceStable(idx.entries, func(i, j int) bool {
-		return keyLess(idx.entries[i].Key, idx.entries[j].Key)
+	slices.SortStableFunc(idx.entries, func(a, b Entry) int {
+		c, _ := value.TotalCompareRef(&a.Key, &b.Key) // cannot fail: see keyLess
+		return c
 	})
 	return idx
 }
