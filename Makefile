@@ -10,7 +10,7 @@ GO ?= go
 
 GATES := vet fmt build race fuzz chaos storm memstorm metamorph-short netchaos cluster cluster-failover crash serve-smoke
 
-.PHONY: check test metamorph bench $(GATES)
+.PHONY: check test metamorph bench profile $(GATES)
 
 check:
 	./scripts/check.sh -full
@@ -36,3 +36,12 @@ metamorph:
 
 bench:
 	$(GO) test -bench . -benchmem .
+
+# Where one benchmark workload spends its CPU: a 6 s untraced run under the
+# CPU profiler, then the cumulative top of what runs under planner.Run (the
+# focus drops set-up, the oracle and the calibration kernel — half of the
+# samples). `make profile W=spill_join`; the profile stays in .bench_build/.
+W ?= ja_seq
+profile:
+	bash bench/run.sh --workload $(W) --seed 1 --seconds 6 --trace 0 --cpuprofile .bench_build/$(W).cpu
+	$(GO) tool pprof -top -cum -nodecount=40 -focus='planner.\(\*Planner\).Run' .bench_build/bench .bench_build/$(W).cpu

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -163,7 +163,7 @@ func serveLoad(addr string, conns, rounds int) error {
 	if bad > 0 || done != want {
 		return fmt.Errorf("serve-load: completed %d of %d queries with %d mismatch(es) or failure(s)", done, want, bad)
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	slices.Sort(lats)
 	fmt.Printf("serve-load: %d queries OK, %d overload sheds retried, %.1fs wall\n",
 		done, sheds, elapsed.Seconds())
 	fmt.Printf("serve-load: throughput %.0f q/s, latency p50 %s p99 %s\n",
@@ -273,7 +273,7 @@ func serveDMLVerify(addr string, acked int) error {
 	for _, row := range res.Rows {
 		keys = append(keys, row[0].Int())
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	for i, k := range keys {
 		if k != int64(i) {
 			return fmt.Errorf("serve-dml-verify: recovered keys are not a contiguous prefix: position %d holds %d", i, k)

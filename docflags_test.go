@@ -124,6 +124,28 @@ func TestOneCodecOneFramer(t *testing.T) {
 	})
 }
 
+// One way to sort: rows are sorted by exec's keyed slices.SortFunc and
+// everything else by the generic slices sorts. The reflection-based sorts
+// of package sort (half of a ja_seq op before PR 23: a Swapper call per
+// element moved) must not come back unnoticed, so outside bench/ no
+// non-test file calls them; sort.Search and sort.Strings stay.
+func TestOneSort(t *testing.T) {
+	reflective := map[string]bool{"Slice": true, "SliceStable": true, "Sort": true, "Stable": true}
+	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
+		if strings.HasPrefix(filepath.ToSlash(path), "bench/") {
+			return
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && reflective[sel.Sel.Name] {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "sort" {
+					t.Errorf("%s uses sort.%s: sort with slices.SortFunc or SortStableFunc (rows: exec's compareRows)", path, sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	})
+}
+
 // eachSourceFile parses every non-test Go file of the repository.
 func eachSourceFile(t *testing.T, mode parser.Mode, fn func(path string, file *ast.File)) {
 	t.Helper()
