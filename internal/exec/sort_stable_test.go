@@ -88,13 +88,13 @@ func TestSortStableDifferential(t *testing.T) {
 					if n := m.LiveRuns(); n != 0 {
 						t.Errorf("%d spill runs outlive Close", n)
 					}
-					if !slices.Equal(got, want) {
-						for i := range want {
-							if i >= len(got) || got[i] != want[i] {
-								t.Fatalf("row %d of %d: got %v, want %v", i, len(want), got[i:min(i+1, len(got))], want[i])
-							}
-						}
+					if len(got) != len(want) {
 						t.Fatalf("%d rows, want %d", len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("row %d of %d: got %s, want %s", i, len(want), got[i], want[i])
+						}
 					}
 				})
 			}
