@@ -1,12 +1,16 @@
 package exec_test
 
 import (
+	"errors"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ast"
 	"repro/internal/exec"
+	"repro/internal/fault"
+	"repro/internal/qctx"
 	"repro/internal/schema"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
@@ -354,5 +358,94 @@ func TestFreeRefsAndCorrelation(t *testing.T) {
 	}
 	if ast.IsCorrelated(qb) {
 		t.Error("whole query must not be correlated")
+	}
+}
+
+// Name resolution between blocks, stated through EvalQuery on an unresolved
+// tree so the evaluator itself must pick the frame: an unqualified column
+// binds to the innermost block that has it, a qualified one reaches the
+// outer block past an inner column of the same name, and a binding no
+// block defines is an error.
+func TestNIFrameShadowing(t *testing.T) {
+	db := suppliersDB(t)
+	eval := func(src string) ([]storage.Tuple, error) {
+		ev := exec.NewEvaluator(db.Cat, db.Store)
+		defer ev.Close()
+		rows, _, err := ev.EvalQuery(sqlparser.MustParse(src))
+		return rows, err
+	}
+	// S and P both have CITY; Oslo has a part (P3) and no supplier.
+	rows, err := eval(`SELECT SNO FROM S WHERE STATUS = 30 AND EXISTS (SELECT PNO FROM P WHERE CITY = 'Oslo')`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows(t, rows, "('S3')", "('S5')") // inner CITY is P.CITY
+	rows, err = eval(`SELECT SNO FROM S WHERE EXISTS (SELECT PNO FROM P WHERE P.CITY = 'Oslo' AND S.CITY = 'Athens')`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows(t, rows, "('S5')")
+	// Within one block the later FROM entry is the inner frame.
+	rows, err = eval(`SELECT SNO FROM S, P WHERE CITY = 'Oslo' AND STATUS = 10`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows(t, rows, "('S2')")
+	if _, err := eval(`SELECT SNO FROM S WHERE EXISTS (SELECT PNO FROM P WHERE Q.CITY = 'Oslo')`); err == nil ||
+		!strings.Contains(err.Error(), "no binding for column Q.CITY") {
+		t.Errorf("unknown binding: err = %v", err)
+	}
+}
+
+// The lifecycle contract of a root block: the row budget stops the scan
+// within one row of the limit, a cancelled context surfaces its own cause
+// mid-scan, and a relation the store does not hold is an error.
+func TestNILifecycle(t *testing.T) {
+	db := workload.NewDB(4)
+	for _, name := range []string{"R", "Q"} {
+		rel := &schema.Relation{Name: name, Columns: []schema.Column{{Name: "K"}, {Name: "V"}}}
+		if err := db.Load(rel, 1, tuples2(40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eval := func(qc *qctx.QueryContext, src string) error {
+		qb := sqlparser.MustParse(src)
+		if _, err := schema.Resolve(db.Cat, qb); err != nil {
+			t.Fatal(err)
+		}
+		ev := exec.NewEvaluator(db.Cat, db.Store)
+		ev.QC = qc
+		defer ev.Close()
+		_, _, err := ev.EvalQuery(qb)
+		return err
+	}
+	const q = `SELECT A.K FROM R A WHERE A.V IN (SELECT B.V FROM Q B WHERE B.K = A.K)`
+
+	qc := qctx.New(qctx.Limits{MaxRows: 5})
+	db.Store.ResetStats()
+	if err := eval(qc, q); !errors.Is(err, qctx.ErrRowBudget) {
+		t.Errorf("err = %v, want ErrRowBudget", err)
+	}
+	// Six outer tuples reached (one page each), each scanning all of Q.
+	if got := db.Store.Stats().Reads; qc.RowsProduced() != 6 || got != 6+6*40 {
+		t.Errorf("stopped after %d rows and %d reads, want 6 and %d", qc.RowsProduced(), got, 6+6*40)
+	}
+
+	cause := errors.New("operator gave up")
+	qc = qctx.New(qctx.Limits{})
+	db.Store.SetFaults(fault.New(fault.Plan{Seed: 1, Rates: fault.Rates{fault.StorageLatency: 1}, Latency: time.Millisecond}))
+	time.AfterFunc(20*time.Millisecond, func() { qc.Cancel(cause) })
+	db.Store.ResetStats()
+	if err := eval(qc, q); err != cause {
+		t.Errorf("err = %v, want the cancellation cause", err)
+	}
+	if got := db.Store.Stats().Reads; got == 0 || got >= 40+40*40 {
+		t.Errorf("cancelled scan read %d pages, want some but not all %d", got, 40+40*40)
+	}
+	db.Store.SetFaults(nil)
+
+	db.Store.Drop("R")
+	if err := eval(nil, `SELECT K FROM R`); err == nil || !strings.Contains(err.Error(), "exec: no stored relation R") {
+		t.Errorf("dropped relation: err = %v", err)
 	}
 }
