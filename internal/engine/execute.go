@@ -238,10 +238,13 @@ func (db *DB) applyDML(table string, where []ast.Predicate, rt wal.RecType, sql 
 		f, _ := db.store.Lookup(rel.Name)
 		ev := exec.NewEvaluator(db.cat, db.store)
 		defer ev.Close()
+		matches, evalErr := ev.CompileFilter(where, sch)
+		if evalErr != nil {
+			return nil, evalErr
+		}
 		var rows []storage.Tuple
-		var evalErr error
 		f.Scan(func(t storage.Tuple) bool {
-			match, err := ev.Qualifies(where, sch, t)
+			match, err := matches(t)
 			if err != nil {
 				evalErr = err
 				return false

@@ -1,10 +1,14 @@
 package engine_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/schema"
+	"repro/internal/storage"
+	"repro/internal/value"
 )
 
 // The nested-iteration semantics table: what the ground-truth evaluator
@@ -184,4 +188,41 @@ func TestDMLCorrelatedWhere(t *testing.T) {
 		t.Errorf("DELETE with a two-row scalar: err = %v", err)
 	}
 	wantRows(t, query(t, db, `SELECT SNO FROM S`, ni), "(1)", "(2)", "(3)")
+}
+
+// Nested iteration groups and deduplicates by value — Hash and Equal, as
+// every operator of a transformed plan does — not by display text: -0.0
+// and 0.0 print differently and are one value to Compare, Equal and Hash.
+func TestNestedIterationGroupsByValue(t *testing.T) {
+	db := engine.New(8)
+	loadTable(t, db, &schema.Relation{Name: "T", Columns: []schema.Column{
+		{Name: "K", Type: value.KindInt}, {Name: "X", Type: value.KindFloat}}},
+		storage.Tuple{value.NewInt(1), value.NewFloat(0)},
+		storage.Tuple{value.NewInt(2), value.NewFloat(math.Copysign(0, -1))},
+		storage.Tuple{value.NewInt(3), value.NewFloat(1)})
+	for _, strat := range bothStrategies {
+		opts := engine.Options{Strategy: strat}
+		wantRows(t, query(t, db, `SELECT DISTINCT X FROM T`, opts), "(0)", "(1)")
+		wantRows(t, query(t, db, `SELECT X, COUNT(K) FROM T GROUP BY X`, opts), "(0, 2)", "(1, 1)")
+	}
+}
+
+// An uncorrelated scalar subquery without an aggregate follows the rule of
+// the correlated form: no row is NULL, one row is its value, more is an
+// error. (It is kept as the list X, not as a constant.)
+func TestUncorrelatedScalarSubquery(t *testing.T) {
+	db := engine.New(8)
+	if _, err := db.Exec(`CREATE TABLE T (K INTEGER, X INTEGER);
+		INSERT INTO T VALUES (1, 10), (2, 20), (3, 10)`, engine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, strat := range bothStrategies {
+		opts := engine.Options{Strategy: strat}
+		wantRows(t, query(t, db, `SELECT K FROM T WHERE X = (SELECT X FROM T WHERE K = 1)`, opts), "(1)", "(3)")
+		wantRows(t, query(t, db, `SELECT K FROM T WHERE X <> (SELECT X FROM T WHERE K = 4)`, opts))
+	}
+	_, err := db.Query(`SELECT K FROM T WHERE X = (SELECT X FROM T WHERE X = 10)`, ni)
+	if err == nil || !strings.Contains(err.Error(), "exec: scalar subquery returned 2 rows") {
+		t.Errorf("two-row scalar: err = %v", err)
+	}
 }

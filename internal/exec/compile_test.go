@@ -176,32 +176,6 @@ func TestRowSchemaIndex(t *testing.T) {
 	}
 }
 
-// Env lookup walks outward through frames; inner frames shadow outer ones.
-func TestEnvShadowing(t *testing.T) {
-	outer := (*exec.Env)(nil).Bind(
-		exec.RowSchema{{Table: "S", Column: "CITY"}},
-		storage.Tuple{value.NewString("outer")})
-	inner := outer.Bind(
-		exec.RowSchema{{Table: "P", Column: "CITY"}},
-		storage.Tuple{value.NewString("inner")})
-	v, ok := inner.Lookup(ast.ColumnRef{Table: "S", Column: "CITY"})
-	if !ok || v.Str() != "outer" {
-		t.Errorf("S.CITY = %v, %v", v, ok)
-	}
-	v, ok = inner.Lookup(ast.ColumnRef{Table: "P", Column: "CITY"})
-	if !ok || v.Str() != "inner" {
-		t.Errorf("P.CITY = %v, %v", v, ok)
-	}
-	if _, ok := inner.Lookup(ast.ColumnRef{Table: "Q", Column: "CITY"}); ok {
-		t.Error("unknown binding resolved")
-	}
-	// Unqualified CITY binds to the innermost frame.
-	v, ok = inner.Lookup(ast.ColumnRef{Column: "CITY"})
-	if !ok || v.Str() != "inner" {
-		t.Errorf("unqualified CITY = %v, %v", v, ok)
-	}
-}
-
 func TestIndexScanOperator(t *testing.T) {
 	s := storage.NewStore(8)
 	f := loadFile(s, "R", 4, [][2]int64{{3, 0}, {1, 1}, {3, 2}, {2, 3}})

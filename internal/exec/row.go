@@ -17,8 +17,6 @@ import (
 	"strings"
 
 	"repro/internal/ast"
-	"repro/internal/storage"
-	"repro/internal/value"
 )
 
 // ColID names one column of a row flowing between operators: the table
@@ -64,36 +62,6 @@ func (s RowSchema) Concat(o RowSchema) RowSchema {
 	out := make(RowSchema, 0, len(s)+len(o))
 	out = append(out, s...)
 	return append(out, o...)
-}
-
-// Env is the binding environment for correlated evaluation: a chain of
-// (schema, row) frames, innermost first. When the nested-iteration
-// evaluator processes the inner block of Kiessling's query Q2, the current
-// PARTS tuple sits in the parent frame, which is how SUPPLY.PNUM =
-// PARTS.PNUM sees the outer row.
-type Env struct {
-	Schema RowSchema
-	Row    storage.Tuple
-	Parent *Env
-}
-
-// Bind pushes a new innermost frame.
-func (e *Env) Bind(schema RowSchema, row storage.Tuple) *Env {
-	return &Env{Schema: schema, Row: row, Parent: e}
-}
-
-// Lookup resolves a column reference against the innermost frame that
-// defines it.
-func (e *Env) Lookup(ref ast.ColumnRef) (value.Value, bool) {
-	for f := e; f != nil; f = f.Parent {
-		switch i := f.Schema.Index(ref); {
-		case i >= 0:
-			return f.Row[i], true
-		case i == -2:
-			return value.Null, false
-		}
-	}
-	return value.Null, false
 }
 
 // errUnknownColumn builds the standard lookup failure. Resolution should
