@@ -38,10 +38,11 @@ bench:
 	$(GO) test -bench . -benchmem .
 
 # Where one benchmark workload spends its CPU: a 6 s untraced run under the
-# CPU profiler, then the cumulative top of what runs under planner.Run (the
-# focus drops set-up, the oracle and the calibration kernel — half of the
-# samples). `make profile W=spill_join`; the profile stays in .bench_build/.
+# CPU profiler, then the cumulative top of what runs under planner.Run (a
+# transformed plan) or engine.runNested (nested iteration); the focus drops
+# set-up, the oracle and the calibration kernel — half of the samples.
+# `make profile W=spill_join`; the profile stays in .bench_build/.
 W ?= ja_seq
 profile:
 	bash bench/run.sh --workload $(W) --seed 1 --seconds 6 --trace 0 --cpuprofile .bench_build/$(W).cpu
-	$(GO) tool pprof -top -cum -nodecount=40 -focus='planner.\(\*Planner\).Run' .bench_build/bench .bench_build/$(W).cpu
+	$(GO) tool pprof -top -cum -nodecount=40 -focus='planner.\(\*Planner\).Run|engine.\(\*DB\).runNested' .bench_build/bench .bench_build/$(W).cpu
