@@ -133,7 +133,7 @@ func (ev *Evaluator) EvalQuery(qb *ast.QueryBlock) ([]storage.Tuple, RowSchema, 
 // support the full dialect including nested subqueries.
 func (ev *Evaluator) CompileFilter(preds []ast.Predicate, sch RowSchema) (func(storage.Tuple) (bool, error), error) {
 	scope := []RowSchema{sch}
-	ev.growFrames(len(scope))
+	ev.growFrames(1)
 	where := make([]pred, len(preds))
 	for i, p := range preds {
 		var err error
@@ -431,7 +431,7 @@ func (g *groupTable) add(bp *blockProg, frames []storage.Tuple) error {
 	if g.groups == nil {
 		g.groups = make(map[uint64][]*groupState)
 	}
-	gs := newGroup(slices.Clone(bp.scratch[:k]), bp.items)
+	gs := newGroup(groupKey(bp.scratch, bp.cols), bp.items)
 	g.groups[h] = append(g.groups[h], gs)
 	g.order = append(g.order, gs)
 	return gs.add(bp.scratch, bp.items)
