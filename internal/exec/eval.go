@@ -161,9 +161,10 @@ func (ev *Evaluator) compile(qb *ast.QueryBlock, scope []RowSchema) (*blockProg,
 	}
 	bp := &blockProg{qb: qb, correlated: ast.IsCorrelated(qb), out: blockOutputSchema(qb), base: len(scope)}
 	if !bp.correlated {
+		// The frames below stay live, and out of sight.
 		scope = make([]RowSchema, len(scope))
 	}
-	scope = slices.Clip(scope)
+	scope = slices.Clip(scope) // sibling blocks append to the same prefix
 	for _, tr := range qb.From {
 		name := tr.Relation
 		if ev.MapName != nil {
