@@ -140,6 +140,52 @@ func TestReconnectResubmitsWhenNothingReceived(t *testing.T) {
 	}
 }
 
+// TestRowsStayValidAfterNext pins the Stream row contract Collect and
+// the cluster gather rely on to skip a copy: every Row() slice, kept
+// across four batches without copying, still holds the server's row
+// after the stream is closed — the stream never reuses one.
+func TestRowsStayValidAfterNext(t *testing.T) {
+	var sent []storage.Tuple
+	for i := 0; i < 12; i++ {
+		sent = append(sent, storage.Tuple{value.NewInt(int64(i)), value.NewString(strings.Repeat("r", i))})
+	}
+	fs := newFakeServer(t, func(idx int, nc net.Conn) {
+		br := bufio.NewReader(nc)
+		codec := serverHandshake(t, nc, br)
+		if _, ok := readQuery(t, codec, br); !ok {
+			return
+		}
+		for b := 0; b < len(sent); b += 3 {
+			codec.WriteFrame(nc, wire.FrameRowBatch, wire.EncodeRowBatch(wire.RowBatch{Columns: []string{"K", "S"}, Rows: sent[b : b+3]}))
+		}
+		codec.WriteFrame(nc, wire.FrameDone, wire.EncodeDone(wire.Done{Rows: int64(len(sent))}))
+	})
+	c, err := client.Dial(fs.addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.Query("SELECT K, S FROM T", client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []storage.Tuple
+	for st.Next() {
+		kept = append(kept, st.Row())
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != len(sent) {
+		t.Fatalf("kept %d rows, server sent %d", len(kept), len(sent))
+	}
+	for i, row := range kept {
+		if row.String() != sent[i].String() {
+			t.Errorf("row %d reads %v after Close, server sent %v", i, row, sent[i])
+		}
+	}
+}
+
 // TestNoResubmitAfterFirstBatch: once a RowBatch has been delivered, a
 // dying connection must NOT be resubmitted — a second execution would
 // silently duplicate the delivered rows. The stream fails typed.

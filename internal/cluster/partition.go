@@ -34,8 +34,9 @@ import (
 //
 // An empty KeyCols sends every row to shard 0 (a gather with no
 // repartitioning). A key column index outside the row hashes as NULL —
-// the decoder bounds indexes, and the worker validates them against the
-// result columns, so this is defense in depth, not an expected path.
+// the coordinator takes indexes from its catalog and checks a worker's
+// answer has exactly the columns it asked for, so this is defense in
+// depth, not an expected path.
 type Partitioner struct {
 	NumShards int
 	KeyCols   []int

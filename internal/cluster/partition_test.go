@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/storage"
 	"repro/internal/value"
+	"repro/internal/wire"
 )
 
 // randValue draws from a small domain so collisions (equal values in
@@ -138,5 +140,56 @@ func TestPartitionerSpreads(t *testing.T) {
 	}
 	if len(used) < 3 {
 		t.Fatalf("64 distinct keys used only %d of 4 shards", len(used))
+	}
+}
+
+// TestPartitionerSurvivesTheWire pins what the shuffle relies on since
+// the coordinator, not the worker, partitions a scattered slice: it
+// hashes values decoded off a RowBatch, never the worker's stored ones,
+// so Shard must route a decoded row exactly where it routes the row that
+// was encoded — for TestRowsSurviveEveryPath's values, at every shard
+// count and key shape.
+func TestPartitionerSurvivesTheWire(t *testing.T) {
+	d, err := value.ParseDate("7-3-79")
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := []value.Value{
+		value.Null,
+		value.NewFloat(math.NaN()),
+		value.NewFloat(math.Copysign(0, -1)), value.NewFloat(0),
+		value.NewInt(3), value.NewFloat(3),
+		value.NewFloat(9223372036854775808.0), value.NewFloat(1e21),
+		value.NewInt(math.MinInt64),
+		value.NewDateValue(d),
+		value.NewString("it's"), value.NewString("a;b"), value.NewString("a -- b"),
+		value.NewString("line1\nline2"), value.NewString(""),
+	}
+	var rows []storage.Tuple
+	for i, a := range corpus {
+		for _, b := range corpus[i:] {
+			rows = append(rows, storage.Tuple{a, b})
+		}
+	}
+	b, err := wire.DecodeRowBatch(wire.EncodeRowBatch(wire.RowBatch{Columns: []string{"A", "B"}, Rows: rows}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		p    Partitioner
+	}{
+		{"2 shards on A", Partitioner{NumShards: 2, KeyCols: []int{0}}},
+		{"3 shards on B", Partitioner{NumShards: 3, KeyCols: []int{1}}},
+		{"7 shards on (A, B)", Partitioner{NumShards: 7, KeyCols: []int{0, 1}}},
+		{"5 shards on (B, A)", Partitioner{NumShards: 5, KeyCols: []int{1, 0}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i, row := range rows {
+				if got, want := tc.p.Shard(b.Rows[i]), tc.p.Shard(row); got != want {
+					t.Errorf("row %v: decoded copy routes to shard %d, the encoded row to %d", row, got, want)
+				}
+			}
+		})
 	}
 }

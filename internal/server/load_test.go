@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"strings"
@@ -112,5 +113,41 @@ func TestLoadNeedsClusterFeature(t *testing.T) {
 	}
 	if !bytes.Equal(tableImage(t, db), before) {
 		t.Error("a Load without the cluster feature changed the table")
+	}
+}
+
+// TestRetiredShardFrameRefused: 0x08 was the shuffle's worker-side
+// scatter request. A coordinator from before its retirement still sends
+// it, on a session that did negotiate the cluster feature; the worker
+// must answer with a typed protocol Error and close, so that coordinator
+// fails typed instead of waiting on frames that never come.
+func TestRetiredShardFrameRefused(t *testing.T) {
+	db := engine.New(16)
+	if _, err := db.Exec("CREATE TABLE T (K INT); INSERT INTO T VALUES (1), (2)", engine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, db, server.Config{})
+	nc, br, codec := rawHandshake(t, addr, wire.Hello{Version: wire.Version, Flags: wire.FeatureChecksum | wire.FeatureCluster})
+	// The pre-retirement payload, well formed: timeout, strategy, shard
+	// count, key columns, then the SQL.
+	p := binary.AppendVarint(nil, 0)
+	p = append(p, wire.StrategyNested)
+	p = binary.AppendVarint(p, 2)
+	p = binary.AppendUvarint(p, 1)
+	p = binary.AppendVarint(p, 0)
+	p = append(p, "SELECT K FROM T"...)
+	if err := codec.WriteFrame(nc, 0x08, p); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := codec.ReadFrame(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _ := wire.DecodeError(payload)
+	if typ != wire.FrameError || f.Code != wire.CodeProtocol {
+		t.Fatalf("got frame 0x%02x %+v, want a protocol Error", typ, f)
+	}
+	if _, _, err := codec.ReadFrame(br); err == nil {
+		t.Error("session stayed open after a retired frame")
 	}
 }

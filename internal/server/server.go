@@ -75,7 +75,8 @@ func (c Config) heartbeatInterval() time.Duration {
 // coordinator that fans each statement out to worker engines. Either
 // way the session layer speaks the same wire protocol; only a backend
 // that IS a local engine additionally grants FeatureCluster and answers
-// ShardQuery frames (a coordinator scatters, it is never scattered to).
+// Snapshot and Load frames (a coordinator moves rows between workers, it
+// is never one).
 type Backend interface {
 	ExecSQL(sql string, opts engine.Options) (*engine.Result, error)
 	Drain(timeout time.Duration) error

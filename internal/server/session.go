@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/storage"
 	"repro/internal/wire"
@@ -38,7 +37,7 @@ type session struct {
 
 	codec     wire.Codec
 	heartbeat bool
-	cluster   bool // FeatureCluster granted: this session may scatter
+	cluster   bool // FeatureCluster granted: this session may Snapshot and Load
 
 	frames  chan recvFrame
 	dead    chan struct{} // closed when the read loop exits (disconnect)
@@ -178,8 +177,8 @@ func (s *session) handshake() bool {
 	}
 	mask := wire.FeatureChecksum | wire.FeatureHeartbeat
 	if s.srv.eng != nil {
-		// Only a local engine can execute-and-scatter; a coordinator
-		// backend never grants the cluster feature.
+		// Only a local engine holds tables to snapshot or load into; a
+		// coordinator backend never grants the cluster feature.
 		mask |= wire.FeatureCluster
 	}
 	granted := h.Flags & mask
@@ -223,10 +222,11 @@ func (s *session) readLoop() {
 // request decodes one request frame into the handler that answers it.
 // Anything else is a protocol violation: a frame type that is no
 // request, a cluster request on a session that did not negotiate the
-// feature, a payload that does not decode.
+// feature, a payload that does not decode. The retired frame types
+// 0x08–0x0A are no request either, whatever the session negotiated.
 func (s *session) request(f recvFrame) (run func() bool, err error) {
 	switch f.typ {
-	case wire.FrameShardQuery, wire.FrameSnapshot, wire.FrameLoad:
+	case wire.FrameSnapshot, wire.FrameLoad:
 		if !s.cluster {
 			return nil, fmt.Errorf("frame type 0x%02x without negotiated cluster feature", f.typ)
 		}
@@ -235,9 +235,6 @@ func (s *session) request(f recvFrame) (run func() bool, err error) {
 	case wire.FrameQuery:
 		q, err := wire.DecodeQuery(f.payload)
 		return func() bool { return s.runQuery(q) }, err
-	case wire.FrameShardQuery:
-		q, err := wire.DecodeShardQuery(f.payload)
-		return func() bool { return s.runShardQuery(q) }, err
 	case wire.FrameSnapshot:
 		sn, err := wire.DecodeSnapshot(f.payload)
 		return func() bool { return s.runSnapshot(sn.Table) }, err
@@ -250,33 +247,27 @@ func (s *session) request(f recvFrame) (run func() bool, err error) {
 }
 
 // statement is one streaming statement, as the skeleton in stream needs
-// it: what to run, how a batch of result rows becomes frames, and which
-// frames end a successful response.
+// it: what to run, and which frames end a successful response.
 type statement struct {
 	// run executes the statement with the sink stream built.
 	run func(engine.Options) (*engine.Result, error)
-	// columns, when set, vets the result columns before any row.
-	columns func(cols []string) error
-	// emit writes one batch of rows as frames; stream flushes after it.
-	emit func(cols []string, rows []storage.Tuple) error
 	// trailer writes the closing frames of a successful response, given
-	// the result and the rows emitted; stream flushes after it.
+	// the result and the rows sent; stream flushes after it.
 	trailer func(res *engine.Result, cols []string, sent int64) error
 }
 
-// stream is the one streaming-statement skeleton under runQuery,
-// runShardQuery and runSnapshot: it runs st with a sink that turns each
-// batch into frames as the executor produces it — flushed per batch, so
-// the buffered writer is the only server-side buffering and a full
-// socket blocks the executor's pull loop, up to the write deadline — and
-// then settles the outcome. A failed statement is answered with an
-// Error frame and the session survives. A failed write is not the
-// statement's failure: the client is gone or too slow, the session ends
-// either way (the query's admission slot and pool lease were already
-// released by the engine's return), and only a stalled consumer — write
-// deadline exceeded — earns a typed eviction notice; a vanished one has
-// no pipe left to talk down. It reports whether the session should keep
-// serving.
+// stream is the one streaming-statement skeleton under runQuery and
+// runSnapshot: it runs st with a sink that frames each batch as one
+// RowBatch as the executor produces it — flushed per batch, so the
+// buffered writer is the only server-side buffering and a full socket
+// blocks the executor's pull loop, up to the write deadline — and then
+// settles the outcome. A failed statement is answered with an Error
+// frame and the session survives. A failed write is not the statement's
+// failure: the client is gone or too slow, the session ends either way
+// (the query's admission slot and pool lease were already released by
+// the engine's return), and only a stalled consumer — write deadline
+// exceeded — earns a typed eviction notice; a vanished one has no pipe
+// left to talk down. It reports whether the session should keep serving.
 func (s *session) stream(opts engine.Options, st statement) bool {
 	var (
 		cols     []string
@@ -287,13 +278,10 @@ func (s *session) stream(opts engine.Options, st statement) bool {
 		BatchRows: s.srv.cfg.BatchRows,
 		Columns: func(c []string) error {
 			cols = append([]string(nil), c...)
-			if st.columns != nil {
-				return st.columns(cols)
-			}
 			return nil
 		},
 		Batch: func(rows []storage.Tuple) error {
-			err := st.emit(cols, rows)
+			err := s.rowBatch(cols, rows)
 			if err == nil {
 				err = s.flush()
 			}
@@ -319,8 +307,7 @@ func (s *session) stream(opts engine.Options, st statement) bool {
 	return st.trailer(res, cols, sent) == nil && s.flush() == nil
 }
 
-// rowBatch frames rows as one RowBatch — the emit of every statement
-// whose rows are not partitioned.
+// rowBatch frames rows as one RowBatch.
 func (s *session) rowBatch(cols []string, rows []storage.Tuple) error {
 	return s.writeFrame(wire.FrameRowBatch, wire.EncodeRowBatch(wire.RowBatch{Columns: cols, Rows: rows}))
 }
@@ -336,8 +323,7 @@ func (s *session) runQuery(q wire.Query) bool {
 		return s.sendError(*ferr)
 	}
 	return s.stream(opts, statement{
-		run:  func(o engine.Options) (*engine.Result, error) { return s.srv.db.ExecSQL(q.SQL, o) },
-		emit: s.rowBatch,
+		run: func(o engine.Options) (*engine.Result, error) { return s.srv.db.ExecSQL(q.SQL, o) },
 		trailer: func(res *engine.Result, cols []string, sent int64) error {
 			done := wire.Done{Rows: sent, Reads: res.Stats.Reads, Writes: res.Stats.Writes, FellBack: res.FellBack}
 			if sent == 0 {
@@ -350,62 +336,6 @@ func (s *session) runQuery(q wire.Query) bool {
 				}
 			}
 			return s.writeFrame(wire.FrameDone, wire.EncodeDone(done))
-		},
-	})
-}
-
-// runShardQuery executes one ShardQuery frame: the query runs on the
-// local engine and every result row is partitioned by the hash of its
-// key columns, streamed back as partition-tagged ShardBatch frames, and
-// accounted in the closing ShardDone's per-partition counts (the
-// coordinator cross-checks them against what it gathered). Partitioning
-// happens here, worker-side, so shuffle traffic ships each row exactly
-// once.
-func (s *session) runShardQuery(q wire.ShardQuery) bool {
-	opts, ferr := s.queryOptions(wire.Query{TimeoutMicros: q.TimeoutMicros, Strategy: q.Strategy})
-	if ferr != nil {
-		return s.sendError(*ferr)
-	}
-	n := int(q.NumShards)
-	part := cluster.Partitioner{NumShards: n, KeyCols: make([]int, len(q.KeyCols))}
-	for i, k := range q.KeyCols {
-		part.KeyCols[i] = int(k)
-	}
-	perShard := make([]int64, n)
-	return s.stream(opts, statement{
-		run: func(o engine.Options) (*engine.Result, error) { return s.srv.eng.ExecSQL(q.SQL, o) },
-		columns: func(cols []string) error {
-			for _, k := range part.KeyCols {
-				if k >= len(cols) {
-					return fmt.Errorf("server: shard key column %d out of range (%d result columns)", k, len(cols))
-				}
-			}
-			return nil
-		},
-		emit: func(cols []string, rows []storage.Tuple) error {
-			// Group this batch by destination partition and emit one
-			// ShardBatch per non-empty partition. No cross-batch buffering:
-			// executor backpressure reaches the socket per batch.
-			byShard := make([][]storage.Tuple, n)
-			for _, row := range rows {
-				sh := part.Shard(row)
-				byShard[sh] = append(byShard[sh], row)
-			}
-			for sh, chunk := range byShard {
-				if len(chunk) == 0 {
-					continue
-				}
-				b := wire.ShardBatch{Shard: uint32(sh), Batch: wire.RowBatch{Columns: cols, Rows: chunk}}
-				if err := s.writeFrame(wire.FrameShardBatch, wire.EncodeShardBatch(b)); err != nil {
-					return err
-				}
-				perShard[sh] += int64(len(chunk))
-			}
-			return nil
-		},
-		trailer: func(res *engine.Result, _ []string, _ int64) error {
-			done := wire.ShardDone{Reads: res.Stats.Reads, Writes: res.Stats.Writes, PerShard: perShard}
-			return s.writeFrame(wire.FrameShardDone, wire.EncodeShardDone(done))
 		},
 	})
 }
@@ -431,8 +361,7 @@ func (s *session) runSnapshot(table string) bool {
 	sql := fmt.Sprintf("SELECT %s FROM %s", strings.Join(rel.ColumnNames(), ", "), rel.Name)
 	opts := engine.Options{Cancel: s.dead, Strategy: s.srv.cfg.Strategy, Timeout: s.srv.cfg.MaxTimeout}
 	return s.stream(opts, statement{
-		run:  func(o engine.Options) (*engine.Result, error) { return s.srv.eng.ExecSQL(sql, o) },
-		emit: s.rowBatch,
+		run: func(o engine.Options) (*engine.Result, error) { return s.srv.eng.ExecSQL(sql, o) },
 		trailer: func(_ *engine.Result, _ []string, sent int64) error {
 			return s.writeFrame(wire.FrameDone, wire.EncodeDone(wire.Done{Rows: sent}))
 		},

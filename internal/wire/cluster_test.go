@@ -11,86 +11,6 @@ import (
 	"repro/internal/value"
 )
 
-func TestShardQueryRoundtrip(t *testing.T) {
-	cases := []ShardQuery{
-		{NumShards: 1, SQL: "SELECT SNO FROM S"},
-		{TimeoutMicros: 250_000, Strategy: StrategyTransform, NumShards: 3,
-			KeyCols: []int64{0}, SQL: "SELECT PNUM, QOH FROM PARTS"},
-		{NumShards: 4, KeyCols: []int64{2, 0}, SQL: "SELECT A, B, C FROM T"},
-	}
-	for _, q := range cases {
-		got, err := DecodeShardQuery(EncodeShardQuery(q))
-		if err != nil {
-			t.Fatalf("DecodeShardQuery(%+v): %v", q, err)
-		}
-		if !reflect.DeepEqual(got, q) {
-			t.Fatalf("roundtrip: got %+v, want %+v", got, q)
-		}
-	}
-}
-
-func TestShardQueryDecodeRejects(t *testing.T) {
-	bad := [][]byte{
-		{},     // empty
-		{0x00}, // truncated before strategy
-		EncodeShardQuery(ShardQuery{NumShards: 0, SQL: "X"}),                            // zero shards
-		EncodeShardQuery(ShardQuery{NumShards: maxShards + 1, SQL: "X"}),                // too many shards
-		EncodeShardQuery(ShardQuery{NumShards: 2, KeyCols: []int64{-1}, SQL: "X"}),      // negative key col
-		EncodeShardQuery(ShardQuery{NumShards: 2, KeyCols: []int64{maxCols}, SQL: "X"}), // key col too big
-	}
-	for i, p := range bad {
-		if _, err := DecodeShardQuery(p); err == nil {
-			t.Fatalf("case %d: decode accepted malformed payload % x", i, p)
-		}
-	}
-}
-
-func TestShardBatchRoundtrip(t *testing.T) {
-	b := ShardBatch{
-		Shard: 2,
-		Batch: RowBatch{
-			Columns: []string{"PNUM", "QOH"},
-			Rows: []storage.Tuple{
-				{value.NewInt(3), value.Null},
-				{value.Null, value.NewString("x")},
-			},
-		},
-	}
-	got, err := DecodeShardBatch(EncodeShardBatch(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Shard != b.Shard || len(got.Batch.Rows) != 2 || got.Batch.Columns[1] != "QOH" {
-		t.Fatalf("roundtrip: got %+v", got)
-	}
-	if !got.Batch.Rows[0][0].Equal(b.Batch.Rows[0][0]) || !got.Batch.Rows[0][1].IsNull() {
-		t.Fatalf("values mutated: %+v", got.Batch.Rows)
-	}
-}
-
-func TestShardBatchDecodeRejectsHugeShard(t *testing.T) {
-	b := ShardBatch{Shard: maxShards, Batch: RowBatch{Columns: []string{"A"}}}
-	if _, err := DecodeShardBatch(EncodeShardBatch(b)); err == nil {
-		t.Fatal("decode accepted out-of-range shard tag")
-	}
-}
-
-func TestShardDoneRoundtrip(t *testing.T) {
-	d := ShardDone{Reads: 42, Writes: 7, PerShard: []int64{10, 0, 3}}
-	got, err := DecodeShardDone(EncodeShardDone(d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, d) {
-		t.Fatalf("roundtrip: got %+v, want %+v", got, d)
-	}
-	// Empty PerShard must survive too (a worker with zero shards is
-	// nonsense, but zero rows everywhere is not).
-	if got, err := DecodeShardDone(EncodeShardDone(ShardDone{})); err != nil || len(got.PerShard) != 0 {
-		t.Fatalf("empty roundtrip: %+v, %v", got, err)
-	}
-}
-
 func TestSnapshotRoundtrip(t *testing.T) {
 	s, err := DecodeSnapshot(EncodeSnapshot(Snapshot{Table: "SP__S2"}))
 	if err != nil || s.Table != "SP__S2" {
@@ -111,17 +31,6 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 	}
 	if _, err := DecodeSnapshotMeta(nil); err == nil {
 		t.Fatal("decode accepted an empty snapshot meta")
-	}
-}
-
-func TestShardDoneDecodeRejects(t *testing.T) {
-	neg := EncodeShardDone(ShardDone{PerShard: []int64{-1}})
-	if _, err := DecodeShardDone(neg); err == nil {
-		t.Fatal("decode accepted negative per-shard count")
-	}
-	trailing := append(EncodeShardDone(ShardDone{}), 0xFF)
-	if _, err := DecodeShardDone(trailing); err == nil {
-		t.Fatal("decode accepted trailing bytes")
 	}
 }
 

@@ -285,8 +285,8 @@ const (
 // EncodeRowBatch builds a RowBatch payload.
 func EncodeRowBatch(b RowBatch) []byte { return appendRowBatch(nil, b) }
 
-// appendRowBatch appends a RowBatch body — also the tail of the
-// ShardBatch and Load payloads.
+// appendRowBatch appends a RowBatch body — also the tail of the Load
+// payload.
 func appendRowBatch(p []byte, b RowBatch) []byte {
 	p = binary.AppendUvarint(p, uint64(len(b.Columns)))
 	for _, c := range b.Columns {
