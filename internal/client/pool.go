@@ -16,6 +16,9 @@ import (
 // sticky error, no stream in flight, and a read pump that is still
 // running. A false answer is final — pools drop unhealthy conns.
 func (c *Conn) Healthy() bool {
+	if c.err == nil && c.active == nil {
+		c.dropStray()
+	}
 	if c.err != nil || c.active != nil {
 		return false
 	}

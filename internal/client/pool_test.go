@@ -93,6 +93,58 @@ func TestPoolDropsDeadIdleConn(t *testing.T) {
 	}
 }
 
+// TestPoolDropsConnHoldingGoodbye: a server gives up on a session — a
+// damaged Pong, a heartbeat timeout — with an Error frame, then closes.
+// On an idle pooled connection nothing asked for that frame: it must
+// retire the connection, not wait there to be read as the answer to the
+// next request while the close behind it goes unseen.
+func TestPoolDropsConnHoldingGoodbye(t *testing.T) {
+	fs := newFakeServer(t, func(idx int, nc net.Conn) {
+		br := bufio.NewReader(nc)
+		codec := serverHandshake(t, nc, br)
+		for {
+			if _, ok := readQuery(t, codec, br); !ok {
+				return
+			}
+			batch, done := oneRowResult()
+			codec.WriteFrame(nc, wire.FrameRowBatch, wire.EncodeRowBatch(batch))
+			codec.WriteFrame(nc, wire.FrameDone, wire.EncodeDone(done))
+			if idx == 0 {
+				codec.WriteFrame(nc, wire.FrameError, wire.EncodeError(wire.ErrorFrame{
+					Code: wire.CodeProtocol, Message: "heartbeat timeout: no pong from peer",
+				}))
+				return
+			}
+		}
+	})
+	p := client.NewPool(fs.addr(), client.DialOptions{}, 2)
+	defer p.Close()
+	c, err := p.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Collect("SELECT 1", client.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); c.Healthy(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a connection holding the server's parting Error still reports healthy")
+		}
+	}
+	p.Put(c)
+	c2, err := p.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Put(c2)
+	if _, err := c2.Collect("SELECT 1", client.Options{}); err != nil {
+		t.Fatalf("the next checkout answered with %v", err)
+	}
+	if n := fs.conns.Load(); n != 2 {
+		t.Fatalf("server saw %d connections, want 2 (the retired conn replaced)", n)
+	}
+}
+
 // TestSnapshotStream: the snapshot exchange delivers the schema first,
 // then rows, then Done — and a typed refusal leaves the conn usable.
 func TestSnapshotStream(t *testing.T) {

@@ -217,44 +217,7 @@ func TestClusterFailover(t *testing.T) {
 // "unknown relation" would take the last healthy worker down with
 // nothing left to re-ship any of them from.
 func TestClusterFailoverDropDuringOutage(t *testing.T) {
-	addrs, dbs := startWorkers(t, 3, false)
-	var proxies []*fault.Proxy
-	proxyAddrs := make([]string, len(addrs))
-	for i, addr := range addrs {
-		p, err := fault.NewProxy(addr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
-		proxies = append(proxies, p)
-		proxyAddrs[i] = p.Addr()
-	}
-	co, err := cluster.New(cluster.Config{
-		Workers:       proxyAddrs,
-		Replicas:      2,
-		DialTimeout:   time.Second,
-		IOTimeout:     2 * time.Second,
-		ProbeInterval: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-	if _, err := co.ExecSQL(clusterScript, engine.Options{}); err != nil {
-		t.Fatal(err)
-	}
-
-	killProxy(proxies[1])
-	killProxy(proxies[2])
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		if st := co.WorkerStates(); st[1] == "dead" && st[2] == "dead" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never tripped workers 1 and 2: %v", co.WorkerStates())
-		}
-		co.ExecSQL(clusterQueries[0], engine.Options{})
-	}
+	co, proxies, dbs := twoDeadCluster(t, 50*time.Millisecond)
 	if _, err := co.ExecSQL(clusterQueries[0], engine.Options{}); !errors.Is(err, cluster.ErrShardUnavailable) {
 		t.Fatalf("read with a whole shard down: %v, want ErrShardUnavailable", err)
 	}
@@ -308,6 +271,190 @@ func TestClusterFailoverDropDuringOutage(t *testing.T) {
 		t.Errorf("healed cluster's U differs from the oracle's: %s", d)
 	}
 	waitStates(t, co, "healthy", 5*time.Second)
+}
+
+// twoDeadCluster is clusterScript on a 3-node R=2 cluster whose workers
+// 1 and 2 the breaker has tripped, links still cut: shard 1 lives on
+// exactly those two, so it has no live replica.
+func twoDeadCluster(t *testing.T, probe time.Duration) (*cluster.Coordinator, []*fault.Proxy, []*engine.DB) {
+	t.Helper()
+	co, proxies, dbs := proxiedCluster(t, probe)
+	tripDead(t, co, proxies, 1, 2)
+	return co, proxies, dbs
+}
+
+// proxiedCluster is clusterScript on a 3-node R=2 cluster, each worker
+// behind its own fault proxy.
+func proxiedCluster(t *testing.T, probe time.Duration) (*cluster.Coordinator, []*fault.Proxy, []*engine.DB) {
+	t.Helper()
+	addrs, dbs := startWorkers(t, 3, false)
+	var proxies []*fault.Proxy
+	proxyAddrs := make([]string, len(addrs))
+	for i, addr := range addrs {
+		p, err := fault.NewProxy(addr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		proxies = append(proxies, p)
+		proxyAddrs[i] = p.Addr()
+	}
+	co, err := cluster.New(cluster.Config{
+		Workers:       proxyAddrs,
+		Replicas:      2,
+		DialTimeout:   time.Second,
+		IOTimeout:     2 * time.Second,
+		ProbeInterval: probe,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { co.Close() })
+	if _, err := co.ExecSQL(clusterScript, engine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	return co, proxies, dbs
+}
+
+// tripDead cuts the links of workers ws and reads until the breaker has
+// marked every one of them dead.
+func tripDead(t *testing.T, co *cluster.Coordinator, proxies []*fault.Proxy, ws ...int) {
+	t.Helper()
+	for _, w := range ws {
+		killProxy(proxies[w])
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		dead := 0
+		for _, w := range ws {
+			if co.WorkerStates()[w] == "dead" {
+				dead++
+			}
+		}
+		if dead == len(ws) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("breaker never tripped workers %v: %v", ws, co.WorkerStates())
+		}
+		co.ExecSQL(clusterQueries[0], engine.Options{})
+	}
+}
+
+// rejoinOnCleanLinks runs Rejoin(w) until an attempt is not lost to a
+// stale pooled connection (each costs one), and returns its answer.
+func rejoinOnCleanLinks(t *testing.T, co *cluster.Coordinator, w int) error {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		err := co.Rejoin(w)
+		if err == nil || !errors.Is(err, cluster.ErrWorkerLost) {
+			return err
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("Rejoin(%d) never got clean links: %v", w, err)
+		}
+	}
+}
+
+// clusterMatchesOracle holds every clusterQueries answer against the
+// single node.
+func clusterMatchesOracle(t *testing.T, co *cluster.Coordinator) {
+	t.Helper()
+	oracle := oracleDB(t)
+	for _, sql := range clusterQueries {
+		want, err := oracle.Query(sql, engine.Options{Strategy: engine.TransformJA2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := co.ExecSQL(sql, engine.Options{Strategy: engine.TransformJA2})
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		if d := storage.Diff(engine.AcrossRegimes, got.Rows, want.Rows); d != "" {
+			t.Errorf("%q diverges from the oracle: %s", sql, d)
+		}
+	}
+}
+
+// TestRejoinWithoutLivePeer is rejoin's failure analysis for a shard
+// whose every replica is dead (shard 1 on workers 1 and 2), one row per
+// thing that can have happened to the copies while the links were down.
+// Two copies that still agree rejoin; anything that made them differ,
+// or lost one, leaves the shard unavailable rather than pick a copy.
+func TestRejoinWithoutLivePeer(t *testing.T) {
+	cases := []struct {
+		name   string
+		tamper string // run on worker 1's engine while it is cut off; "" = nothing
+		refuse string // what Rejoin must answer; "" = it heals
+	}{
+		{"copies agree", "", ""},
+		{"ack lost, no peer acked", "INSERT INTO S__S1 VALUES (99, 'ROGUE', 'NOWHERE')", "hold different copies"},
+		{"restarted empty", "DROP TABLE S__S1", "unknown relation"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			co, proxies, dbs := twoDeadCluster(t, -1)
+			if tc.tamper != "" {
+				if _, err := dbs[1].Exec(tc.tamper, engine.Options{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			healProxy(proxies[1])
+			healProxy(proxies[2])
+			err := rejoinOnCleanLinks(t, co, 1)
+			if tc.refuse != "" {
+				if !errors.Is(err, cluster.ErrShardUnavailable) || !strings.Contains(err.Error(), tc.refuse) {
+					t.Fatalf("Rejoin(1) = %v, want ErrShardUnavailable naming %q", err, tc.refuse)
+				}
+				if st := co.WorkerStates(); st[1] != "dead" || st[2] != "dead" {
+					t.Fatalf("workers %v, want 1 and 2 still dead", st)
+				}
+				if _, err := co.ExecSQL(clusterQueries[0], engine.Options{}); !errors.Is(err, cluster.ErrShardUnavailable) {
+					t.Fatalf("read of the unavailable shard: %v, want ErrShardUnavailable", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Rejoin(1) with agreeing copies: %v", err)
+			}
+			// Worker 1 is live again, so worker 2 rejoins the usual way, by
+			// re-ship from it.
+			if err := co.Rejoin(2); err != nil {
+				t.Fatalf("Rejoin(2) from the rejoined worker 1: %v", err)
+			}
+			waitStates(t, co, "healthy", time.Second)
+			clusterMatchesOracle(t, co)
+		})
+	}
+}
+
+// TestRejoinPastTornReship: a re-ship that fails leaves the returning
+// worker's copy half-built, and if the source then dies too, the two
+// copies differ through no divergence of the data. The half-built copy
+// proves nothing and is not counted: the other copy is re-shipped over
+// it, and the fleet heals.
+func TestRejoinPastTornReship(t *testing.T) {
+	co, proxies, dbs := proxiedCluster(t, -1)
+	tripDead(t, co, proxies, 1)
+	// Worker 2 is live, so this rejoin re-ships shard 1's first slice,
+	// S__S1, to worker 1 — and fails on the cut link, as one cut after the
+	// DROP and CREATE would, leaving the slice empty.
+	if err := co.Rejoin(1); !errors.Is(err, cluster.ErrWorkerLost) {
+		t.Fatalf("Rejoin(1) over a cut link: %v, want ErrWorkerLost", err)
+	}
+	if _, err := dbs[1].Exec("DELETE FROM S__S1", engine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	tripDead(t, co, proxies, 2)
+	healProxy(proxies[1])
+	healProxy(proxies[2])
+	if err := rejoinOnCleanLinks(t, co, 1); err != nil {
+		t.Fatalf("Rejoin(1) past its torn copy: %v", err)
+	}
+	if err := co.Rejoin(2); err != nil {
+		t.Fatalf("Rejoin(2) from the rejoined worker 1: %v", err)
+	}
+	waitStates(t, co, "healthy", time.Second)
+	clusterMatchesOracle(t, co)
 }
 
 // TestWorkerLostFastFailure (the typed-error fast path): a severed

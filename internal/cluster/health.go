@@ -11,7 +11,8 @@
 //
 // A suspect worker stays in the routing table (its next success heals
 // it); a dead worker does not, and can only return through Rejoin — a
-// full snapshot re-ship from a live replica — because a worker that
+// full snapshot re-ship from a live replica, or, for a shard with none,
+// proof that every replica holds the same copy — because a worker that
 // missed even one committed write has diverged and must not serve
 // reads. Two things kill a worker outright, skipping suspect: missing a
 // DML/DDL write that another replica acknowledged, and answering

@@ -5,9 +5,10 @@ package cluster
 // routing table only after catching up: for every shard slice it hosts,
 // a live replica ships a full snapshot — schema first, then rows — and
 // the coordinator rebuilds the slice on the returning worker before
-// flipping it healthy. The prober drives this automatically: suspect
-// workers are probe-dialed back to healthy, dead workers get a rejoin
-// attempt each tick.
+// flipping it healthy; a slice with no live replica comes from the copy
+// every replica that can vouch for one agrees on (agreedCopy). The
+// prober drives this automatically: suspect workers are probe-dialed
+// back to healthy, dead workers get a rejoin attempt each tick.
 
 import (
 	"fmt"
@@ -15,11 +16,13 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/schema"
+	"repro/internal/storage"
 	"repro/internal/wire"
 )
 
-// Rejoin rebuilds every shard slice worker w hosts from live replicas
-// and returns it to the routing table. The worker must be dead; errors
+// Rejoin rebuilds every shard slice worker w hosts from live replicas,
+// or checks it against the other dead ones, and returns it to the
+// routing table. The worker must be dead; errors
 // leave it dead for the next probe to retry. Runs under the write lock,
 // so no statement observes a half-rebuilt worker.
 func (co *Coordinator) Rejoin(w int) error {
@@ -51,24 +54,103 @@ func (co *Coordinator) rejoinLocked(w int) error {
 					break
 				}
 			}
-			if src < 0 {
-				return fmt.Errorf("cluster: rejoin of worker %d: %w %d", w, ErrShardUnavailable, s)
-			}
 			srel := shardRelation(rel, rel.Name, s)
-			if err := co.shipSnapshot(src, w, srel); err != nil {
+			var err error
+			if src < 0 {
+				src, err = co.agreedCopy(w, s, srel)
+			}
+			if err == nil && src != w {
+				err = co.shipSnapshot(src, w, srel)
+			}
+			if err != nil {
 				return fmt.Errorf("cluster: rejoin of worker %d: %s: %w", w, srel.Name, err)
 			}
 		}
 	}
+	// Every copy w hosts is whole. What is still marked torn belongs to
+	// a table dropped since, and must not outlive the rejoin into a later
+	// table of that name that w will take writes for.
+	for k := range co.torn {
+		if k.w == w {
+			delete(co.torn, k)
+		}
+	}
 	return nil
+}
+
+// tornSlice is one worker's copy of one physical table.
+type tornSlice struct {
+	phys string
+	w    int
+}
+
+// agreedCopy is rejoin's rule for a shard with no live replica to ship
+// from: every replica of s is dead or rejoining. At R=2 on three workers
+// any two share a shard, so two workers one burst of link faults trips
+// would otherwise each wait for the other for ever. Every replica's copy
+// is read whole, as a re-ship reads it — except a torn one, which a
+// re-ship that failed may have left half-built and which proves nothing.
+// When the rest hold the same rows under the catalog's schema, that is
+// the shard's copy: every acked write reached a replica that acked it,
+// and one that missed a write was marked dead, never to be a re-ship
+// source again before its own rejoin, so the acked write is in every
+// untorn copy. It returns w when w's own copy is one of them, else the
+// replica to re-ship w from. A write that reached some replicas and not
+// others (an ack lost where no peer acked) leaves them different, and a
+// restarted-empty replica cannot be read: either way the shard stays
+// unavailable, since nothing says which copy is right. A single replica
+// has nothing to agree with.
+func (co *Coordinator) agreedCopy(w, s int, srel *schema.Relation) (int, error) {
+	replicas := co.replicasOf(s)
+	if len(replicas) < 2 {
+		return -1, fmt.Errorf("%w %d", ErrShardUnavailable, s)
+	}
+	create := srel.CreateSQL()
+	src := -1
+	var agreed []storage.Tuple
+	for _, r := range replicas {
+		if co.torn[tornSlice{srel.Name, r}] {
+			continue
+		}
+		var rows []storage.Tuple
+		err := co.withWorker(r, func(c *client.Conn) error {
+			rows = nil // per attempt
+			meta, _, err := c.Snapshot(srel.Name, func(b wire.RowBatch) error {
+				rows = append(rows, b.Rows...)
+				return nil
+			})
+			if err == nil && meta.CreateSQL != create {
+				err = fmt.Errorf("schema diverged: worker %d has %q, catalog says %q", r, meta.CreateSQL, create)
+			}
+			return err
+		})
+		if err != nil {
+			return -1, fmt.Errorf("%w %d: worker %d's copy: %w", ErrShardUnavailable, s, r, err)
+		}
+		if src < 0 {
+			src, agreed = r, rows
+		} else if d := storage.Diff(storage.AgreeBag, rows, agreed); d != "" {
+			return -1, fmt.Errorf("%w %d: workers %d and %d hold different copies: %s", ErrShardUnavailable, s, src, r, d)
+		}
+	}
+	if src < 0 {
+		return -1, fmt.Errorf("%w %d: every copy is torn", ErrShardUnavailable, s)
+	}
+	if !co.torn[tornSlice{srel.Name, w}] {
+		return w, nil
+	}
+	return src, nil
 }
 
 // shipSnapshot rebuilds one physical table on dst from src's copy: drop
 // any stale remnant, recreate from the coordinator's schema, stream the
 // snapshot across — each batch src sends lands on dst as a Load — and
 // verify src's shipped schema matches: a mismatch means the replicas
-// diverged structurally and the rejoin must not paper over it.
+// diverged structurally and the rejoin must not paper over it. dst's
+// copy is torn from the drop until the last row lands.
 func (co *Coordinator) shipSnapshot(src, dst int, srel *schema.Relation) error {
+	key := tornSlice{srel.Name, dst}
+	co.torn[key] = true
 	create := srel.CreateSQL()
 	if err := co.drop(dst, srel.Name); err != nil {
 		return err
@@ -95,6 +177,9 @@ func (co *Coordinator) shipSnapshot(src, dst int, srel *schema.Relation) error {
 	if err == nil && meta.CreateSQL != create {
 		err = fmt.Errorf("cluster: snapshot schema diverged: worker %d has %q, catalog says %q",
 			src, meta.CreateSQL, create)
+	}
+	if err == nil {
+		delete(co.torn, key)
 	}
 	return err
 }
