@@ -7,11 +7,10 @@
 // concurrent queries can never overcommit the configured memory, only
 // degrade (smaller lease, sequential plan) or wait.
 //
-// It also owns the two recovery mechanisms that sit above a single
-// query's lifecycle: a capped exponential-backoff retry policy for
-// transient storage faults, and a circuit breaker (breaker.go) that
-// trips the parallel execution path to sequential-only after repeated
-// worker faults and re-probes after a cooldown.
+// It also owns the retry budget that sits above a single query's
+// lifecycle: how many times a query that failed with a transient fault
+// (qctx.Retryable) is re-run, and the capped, jittered backoff before
+// each re-run.
 //
 // Finally it implements graceful drain: stop admitting, let in-flight
 // queries finish under a drain deadline, then cancel stragglers through
@@ -53,16 +52,14 @@ type Config struct {
 
 	// RetryMax bounds transient-fault retries per query; 0 disables.
 	RetryMax int
-	// RetryBase is the first backoff delay (default 2ms); RetryCap caps
-	// the exponential growth (default 250ms).
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// Seed seeds the backoff jitter; 0 uses a time-derived seed.
-	Seed int64
-
-	// Breaker configures the parallel-path circuit breaker.
-	Breaker BreakerConfig
 }
+
+// The transient-retry backoff: retryBase doubles per attempt up to
+// retryCap (qctx.Backoff), jittered from a time-seeded source.
+const (
+	retryBase = 2 * time.Millisecond
+	retryCap  = 250 * time.Millisecond
+)
 
 func (c Config) defaultLease() int64 {
 	if c.DefaultLease > 0 {
@@ -117,8 +114,7 @@ type waiter struct {
 // Controller is the admission gateway. All methods are safe for
 // concurrent use.
 type Controller struct {
-	cfg     Config
-	breaker *Breaker
+	cfg Config
 
 	mu          sync.Mutex
 	running     int
@@ -144,26 +140,12 @@ type Controller struct {
 
 // NewController creates a controller from a config.
 func NewController(cfg Config) *Controller {
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 2 * time.Millisecond
-	}
-	if cfg.RetryCap <= 0 {
-		cfg.RetryCap = 250 * time.Millisecond
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
 	return &Controller{
-		cfg:     cfg,
-		breaker: NewBreaker(cfg.Breaker),
-		active:  make(map[*Ticket]struct{}),
-		rng:     rand.New(rand.NewSource(seed)),
+		cfg:    cfg,
+		active: make(map[*Ticket]struct{}),
+		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 }
-
-// Config returns the controller's (defaulted) configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // SetSpillBacked tells the memory pool that queries can degrade to
 // disk-backed execution instead of failing on a tiny budget. Under
@@ -395,7 +377,7 @@ func (c *Controller) release(t *Ticket) {
 
 // RetryDelay reports whether a transient-fault retry number `attempt`
 // (0-based) is allowed, and the jittered backoff to sleep first
-// (qctx.Backoff over RetryBase and RetryCap).
+// (qctx.Backoff over retryBase and retryCap).
 func (c *Controller) RetryDelay(attempt int) (time.Duration, bool) {
 	if attempt >= c.cfg.RetryMax {
 		return 0, false
@@ -403,15 +385,8 @@ func (c *Controller) RetryDelay(attempt int) (time.Duration, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.retries++
-	return qctx.Backoff(c.cfg.RetryBase, c.cfg.RetryCap, attempt, c.rng), true
+	return qctx.Backoff(retryBase, retryCap, attempt, c.rng), true
 }
-
-// AllowParallel gates the parallel execution path through the circuit
-// breaker; ReportParallelFault / ReportParallelOK feed it outcomes.
-func (c *Controller) AllowParallel() bool  { return c.breaker.Allow() }
-func (c *Controller) ReportParallelFault() { c.breaker.ReportFault() }
-func (c *Controller) ReportParallelOK()    { c.breaker.ReportOK() }
-func (c *Controller) BreakerState() string { return c.breaker.State() }
 
 // Drain stops admission and waits for in-flight queries to finish. New
 // arrivals and every queued waiter are shed with qctx.ErrOverloaded.
@@ -494,8 +469,6 @@ type Stats struct {
 	PressureGrants                   int64
 	DrainCanceled                    int64
 	PoolBytes, PoolUsed, PoolPeak    int64
-	BreakerState                     string
-	BreakerTrips                     int64
 	Draining                         bool
 }
 
@@ -516,8 +489,6 @@ func (c *Controller) Stats() Stats {
 		PoolBytes:      c.cfg.PoolBytes,
 		PoolUsed:       c.poolUsed,
 		PoolPeak:       c.poolPeak,
-		BreakerState:   c.breaker.State(),
-		BreakerTrips:   c.breaker.Trips(),
 		Draining:       c.draining,
 	}
 }
@@ -530,7 +501,7 @@ func (s Stats) String() string {
 		b += fmt.Sprintf("memory pool: %d/%d bytes leased (peak %d), %d degraded grants (%d under pressure)\n",
 			s.PoolUsed, s.PoolBytes, s.PoolPeak, s.Degraded, s.PressureGrants)
 	}
-	b += fmt.Sprintf("retries: %d transient; breaker: %s, %d trips", s.Retries, s.BreakerState, s.BreakerTrips)
+	b += fmt.Sprintf("retries: %d transient", s.Retries)
 	if s.Draining {
 		b += "; DRAINING"
 	}

@@ -243,8 +243,8 @@ func TestPoolNeverOvercommitsUnderLoad(t *testing.T) {
 }
 
 func TestRetryDelayBackoff(t *testing.T) {
-	c := NewController(Config{RetryMax: 3, RetryBase: 4 * time.Millisecond, RetryCap: 10 * time.Millisecond, Seed: 42})
-	want := []time.Duration{4 * time.Millisecond, 8 * time.Millisecond, 10 * time.Millisecond}
+	c := NewController(Config{RetryMax: 3})
+	want := []time.Duration{2 * time.Millisecond, 4 * time.Millisecond, 8 * time.Millisecond}
 	for attempt, base := range want {
 		d, ok := c.RetryDelay(attempt)
 		if !ok {
@@ -260,11 +260,11 @@ func TestRetryDelayBackoff(t *testing.T) {
 	if s := c.Stats(); s.Retries != 3 {
 		t.Fatalf("retries = %d, want 3", s.Retries)
 	}
-	// Far past the attempt where RetryBase·2^attempt overflows int64 the
+	// Far past the attempt where retryBase·2^attempt overflows int64 the
 	// delay must stay positive and capped.
-	c = NewController(Config{RetryMax: 81, Seed: 42})
+	c = NewController(Config{RetryMax: 81})
 	for attempt := 0; attempt <= 80; attempt++ {
-		if d, ok := c.RetryDelay(attempt); !ok || d <= 0 || d > 250*time.Millisecond {
+		if d, ok := c.RetryDelay(attempt); !ok || d <= 0 || d > retryCap {
 			t.Fatalf("attempt %d: delay %v, allowed %v; want a delay in (0, 250ms]", attempt, d, ok)
 		}
 	}
@@ -345,7 +345,7 @@ func TestStatsString(t *testing.T) {
 	tk, _ := c.Admit(Request{})
 	defer tk.Release()
 	out := c.Stats().String()
-	for _, frag := range []string{"1 running", "memory pool", "breaker: closed"} {
+	for _, frag := range []string{"1 running", "memory pool", "0 transient"} {
 		if !contains(out, frag) {
 			t.Errorf("stats %q missing %q", out, frag)
 		}
@@ -365,7 +365,7 @@ func contains(s, sub string) bool {
 // cancels, and releases; the invariant is that it ends idle with
 // consistent counters. Run with -race.
 func TestControllerStress(t *testing.T) {
-	c := NewController(Config{MaxConcurrent: 4, QueueDepth: 8, PoolBytes: 1 << 16, Seed: 7})
+	c := NewController(Config{MaxConcurrent: 4, QueueDepth: 8, PoolBytes: 1 << 16})
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -411,5 +411,5 @@ func ExampleStats_String() {
 	fmt.Println(c.Stats().String())
 	// Output:
 	// admission: 0 running, 0 queued, 0 admitted, 0 shed, 0 queue timeouts
-	// retries: 0 transient; breaker: closed, 0 trips
+	// retries: 0 transient
 }

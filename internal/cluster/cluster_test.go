@@ -89,7 +89,7 @@ func startWorkers(t *testing.T, n int, admit bool) (addrs []string, dbs []*engin
 		db := engine.New(6)
 		if admit {
 			db.EnableAdmission(admission.Config{
-				MaxConcurrent: 4, QueueDepth: 16, PoolBytes: 8 << 20, Seed: clusterSeed + int64(i),
+				MaxConcurrent: 4, QueueDepth: 16, PoolBytes: 8 << 20,
 			})
 		}
 		srv := server.New(db, server.Config{

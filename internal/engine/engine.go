@@ -104,9 +104,9 @@ func New(bufferPages int) *DB {
 // EnableAdmission installs an admission controller so every Query passes
 // the concurrency gateway: bounded concurrent queries, a bounded FIFO
 // queue whose wait counts against the query deadline, memory-pool
-// leasing, transient-fault retries, the parallel-path circuit breaker,
-// and graceful Drain. Call it before serving concurrent traffic; it is
-// not safe to swap controllers while queries run.
+// leasing, transient-fault retries, and graceful Drain. Call it before
+// serving concurrent traffic; it is not safe to swap controllers while
+// queries run.
 func (db *DB) EnableAdmission(cfg admission.Config) *admission.Controller {
 	db.admit = admission.NewController(cfg)
 	if db.spill != nil {
@@ -380,7 +380,7 @@ type Options struct {
 	// ticket is the admission grant governing this query, when the
 	// gateway is enabled. The oracle's re-runs carry none: they execute
 	// inside an already-admitted query, and without a ticket the
-	// transient-retry and circuit-breaker gates stay out of their way.
+	// transient retry stays out of their way.
 	ticket *admission.Ticket
 	// stream wraps Sink for one execution, tracking whether rows have
 	// already escaped (which fences the engine's re-run retries).
@@ -702,18 +702,6 @@ func (db *DB) runTransformed(qb *ast.QueryBlock, variant transform.Variant, opts
 			popts.Spill = sess
 		}
 	}
-	// Circuit breaker: after repeated parallel-worker faults the parallel
-	// path is closed for a cooldown. Cost-gated parallel requests degrade
-	// to sequential; an explicit ForceParallel demand fails typed.
-	useBreaker := opts.ticket != nil && (popts.Parallelism > 1 || popts.Parallelism < 0)
-	if useBreaker && !db.admit.AllowParallel() {
-		if popts.ForceParallel {
-			return fmt.Errorf("engine: parallel plan refused: %w", qctx.ErrCircuitOpen)
-		}
-		res.Trace = append(res.Trace, "admission: parallel circuit open; running sequentially")
-		popts.Parallelism = 0
-		useBreaker = false
-	}
 	var rows []storage.Tuple
 	runPlan := func(o planner.Options) error {
 		pl := planner.New(db.cat, db.store, o)
@@ -726,17 +714,10 @@ func (db *DB) runTransformed(qb *ast.QueryBlock, variant transform.Variant, opts
 		return err
 	}
 	err = runPlan(popts)
-	if useBreaker {
-		// Report the parallel outcome so the breaker can trip or heal; a
-		// contained panic is a worker fault, anything else (success,
-		// timeout, budget) means the parallel path itself held up.
-		var pe *qctx.PanicError
-		if errors.As(err, &pe) {
-			db.admit.ReportParallelFault()
-		} else {
-			db.admit.ReportParallelOK()
-		}
-	}
+	// Both reruns below plan sequentially.
+	seq := popts
+	seq.Parallelism = 0
+	seq.ForceParallel = false
 	parallel := popts.Parallelism > 1 || popts.Parallelism < 0
 	if err != nil && parallel && retrySequentially(err) &&
 		!opts.stream.hasEmitted() && !opts.stream.sinkBroken() {
@@ -748,9 +729,6 @@ func (db *DB) runTransformed(qb *ast.QueryBlock, variant transform.Variant, opts
 		// would exceed the same limits.
 		qc.ResetUsage()
 		res.Trace = append(res.Trace, fmt.Sprintf("parallel plan failed (%v); retrying sequentially", err))
-		seq := popts
-		seq.Parallelism = 0
-		seq.ForceParallel = false
 		err = runPlan(seq)
 	}
 	if errors.Is(err, qctx.ErrMemoryBudget) && sess != nil &&
@@ -761,14 +739,21 @@ func (db *DB) runTransformed(qb *ast.QueryBlock, variant transform.Variant, opts
 		// and can starve a later charge that has no spill path (a temp
 		// table's partial-page buffer models real memory). Rerun once,
 		// sequentially, refusing every reservation — the resident set
-		// collapses to the irreducible page buffers, and the sequential
-		// spilled plan is deterministic, so results are unchanged.
+		// collapses to the irreducible page buffers. Joins the caller left
+		// to cost are sort-merged, the paper's section 7 plan: an inline
+		// hash join spilled under SpillForced is hard-charged from level 1
+		// on, so it would hold its whole build side and fail budgets that
+		// smaller ones complete at. The rerun is deterministic: its rows
+		// are the same plan's unbudgeted rows, in the same order.
 		qc.ResetUsage()
 		qc.ForceSpill()
 		res.Trace = append(res.Trace, fmt.Sprintf("memory budget exceeded (%v); retrying with forced spill", err))
-		seq := popts
-		seq.Parallelism = 0
-		seq.ForceParallel = false
+		if seq.TempJoin == planner.JoinAuto {
+			seq.TempJoin = planner.JoinMerge
+		}
+		if seq.FinalJoin == planner.JoinAuto {
+			seq.FinalJoin = planner.JoinMerge
+		}
 		err = runPlan(seq)
 	}
 	if sess != nil {

@@ -2,10 +2,12 @@ package engine_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/qctx"
@@ -193,6 +195,47 @@ func TestSequentialRetryAfterWorkerFault(t *testing.T) {
 	}
 	if !retried {
 		t.Errorf("trace does not record the sequential retry: %v", res.Trace)
+	}
+}
+
+// TestWorkerFaultsLeaveParallelOpen: under admission, contained worker
+// faults do not close the parallel path. Each forced-parallel query that
+// loses a worker is rescued by the sequential rerun, however many come in
+// a row, and the next fault-free one still runs a parallel plan.
+func TestWorkerFaultsLeaveParallelOpen(t *testing.T) {
+	db := lifecycleDB(t)
+	want, err := db.Query(lifecycleQuery, engine.Options{Strategy: engine.NestedIteration})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.EnableAdmission(admission.Config{MaxConcurrent: 4})
+	opts := engine.Options{Strategy: engine.TransformJA2}
+	opts.Planner.Parallelism = 4
+	opts.Planner.ForceParallel = true
+	for i := range 6 {
+		db.SetFaults(fault.New(fault.Plan{Seed: int64(7 + i), Max: 1, Rates: fault.Rates{fault.StorageRead: 1}}))
+		res, err := db.Query(lifecycleQuery, opts)
+		if err != nil {
+			t.Fatalf("query %d after %d worker faults: %v", i, i, err)
+		}
+		if d := diffNI(lifecycleQuery, res, want); d != "" {
+			t.Errorf("query %d: rescued result differs from ground truth: %s", i, d)
+		}
+		if !slices.ContainsFunc(res.Trace, func(l string) bool { return strings.Contains(l, "retrying sequentially") }) {
+			t.Errorf("query %d: the worker fault was not rescued by the sequential rerun: %v", i, res.Trace)
+		}
+	}
+	db.SetFaults(nil)
+	res, err := db.Query(lifecycleQuery, opts)
+	if err != nil {
+		t.Fatalf("fault-free query after the faults: %v", err)
+	}
+	plan := strings.Join(res.Trace, "\n")
+	if !strings.Contains(plan, "ExchangeMerge(workers=") || strings.Contains(plan, "retrying sequentially") {
+		t.Errorf("fault-free query after the faults did not run in parallel:\n%s", plan)
+	}
+	if d := diffNI(lifecycleQuery, res, want); d != "" {
+		t.Errorf("fault-free parallel result differs from ground truth: %s", d)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -89,6 +90,17 @@ func mergeJoins(o *engine.Options) {
 // NEST-JA2 into temp-table materialization, sorts, and a merge join.
 const memJAQuery = `SELECT T1.K, T1.V FROM RA T1
 	WHERE T1.V = (SELECT COUNT(T2.V) FROM RB T2 WHERE T2.K = T1.K)`
+
+// memStormQueries is the memory-pressure storm's fixed mix: JA
+// transforms, grouping, ordering, joins — all shapes with buffering
+// operators.
+var memStormQueries = []string{
+	memJAQuery,
+	`SELECT T1.K, T1.V FROM RA T1 WHERE T1.V >= (SELECT COUNT(T2.V) FROM RB T2 WHERE T2.K = T1.K)`,
+	`SELECT T1.K, T1.W FROM RB T1 WHERE T1.W > (SELECT MAX(T2.V) FROM RC T2 WHERE T2.K = T1.K)`,
+	`SELECT T1.K, T1.V FROM RC T1 WHERE T1.V IN (SELECT T2.V FROM RA T2 WHERE T2.K = T1.K)`,
+	`SELECT T1.K, T1.V FROM RA T1 WHERE EXISTS (SELECT T2.V FROM RB T2 WHERE T2.K = T1.K AND T2.V < T1.V)`,
+}
 
 // TestSpillCompletesUnderSmallBudget is the PR's acceptance criterion:
 // a NEST-JA2 query that fails with ErrMemoryBudget under a small budget
@@ -222,7 +234,7 @@ func TestSpillCorruptRunDetected(t *testing.T) {
 	// A transient (retryable) corruption: under admission the engine
 	// re-runs the query and the retry, fault now spent, succeeds.
 	db.SetFaults(fault.New(fault.Plan{Seed: 9, Max: 1, Rates: fault.Rates{fault.SpillCorrupt: 1}}))
-	db.EnableAdmission(admission.Config{RetryMax: 3, RetryBase: time.Millisecond})
+	db.EnableAdmission(admission.Config{RetryMax: 3})
 	if _, err := db.Query(memJAQuery, opts); err != nil {
 		t.Fatalf("retryable corruption not recovered: %v", err)
 	}
@@ -295,15 +307,7 @@ func TestMemPressureStorm(t *testing.T) {
 	seed := int64(96000)
 	db := memDB(t, seed, 120)
 
-	// Fixed query mix: JA transforms, grouping, ordering, joins — all
-	// shapes with buffering operators.
-	queries := []string{
-		memJAQuery,
-		`SELECT T1.K, T1.V FROM RA T1 WHERE T1.V >= (SELECT COUNT(T2.V) FROM RB T2 WHERE T2.K = T1.K)`,
-		`SELECT T1.K, T1.W FROM RB T1 WHERE T1.W > (SELECT MAX(T2.V) FROM RC T2 WHERE T2.K = T1.K)`,
-		`SELECT T1.K, T1.V FROM RC T1 WHERE T1.V IN (SELECT T2.V FROM RA T2 WHERE T2.K = T1.K)`,
-		`SELECT T1.K, T1.V FROM RA T1 WHERE EXISTS (SELECT T2.V FROM RB T2 WHERE T2.K = T1.K AND T2.V < T1.V)`,
-	}
+	queries := memStormQueries
 	oracle := make([]string, len(queries))
 	oracleBag := make([]string, len(queries))
 	for i, sql := range queries {
@@ -332,9 +336,6 @@ func TestMemPressureStorm(t *testing.T) {
 		DefaultLease:  6 << 10,
 		MinLease:      4 << 10,
 		RetryMax:      2,
-		RetryBase:     200 * time.Microsecond,
-		RetryCap:      2 * time.Millisecond,
-		Seed:          seed,
 	})
 	// Fault probabilities are per record appended/read, and a squeezed
 	// query moves hundreds of records through spill runs — these rates
@@ -345,6 +346,7 @@ func TestMemPressureStorm(t *testing.T) {
 	})
 
 	var okRuns, errRuns int64
+	var census rescueCensus
 	var wg sync.WaitGroup
 	for c := range clients {
 		wg.Add(1)
@@ -379,6 +381,7 @@ func TestMemPressureStorm(t *testing.T) {
 					continue
 				}
 				atomic.AddInt64(&okRuns, 1)
+				census.add(res)
 				if parallel {
 					// Parallel output interleaves: bag equality.
 					if got := sortedRows(res); got != oracleBag[qi] {
@@ -409,8 +412,9 @@ func TestMemPressureStorm(t *testing.T) {
 
 	st := ctrl.Stats()
 	sp := db.SpillStats()
-	t.Logf("mem storm: %d ok, %d typed errors; %s; %d spill faults injected; admission %d pressure grants",
-		okRuns, errRuns, sp, inj.Injected(), st.PressureGrants)
+	t.Logf("mem storm: %d ok, %d typed errors; %s; %d spill faults injected",
+		okRuns, errRuns, sp, inj.Injected())
+	t.Logf("mem storm rescues: %s; %d pressure grants", &census, st.PressureGrants)
 	if okRuns == 0 {
 		t.Error("no query survived the storm; the harness exercises nothing")
 	}
@@ -448,6 +452,103 @@ func TestMemPressureStorm(t *testing.T) {
 		if got := exactRows(res); got != oracle[i] {
 			t.Fatalf("post-storm differential mismatch for %q", sql)
 		}
+	}
+}
+
+// TestBudgetDegradationMonotonic sweeps the memory budget over the storm
+// mix under the default planner, where the unbudgeted plans hash-join:
+// with spilling on, once a budget completes a query every larger budget
+// must too, and every completion must hold the unbudgeted rows. On the
+// way down a plan degrades to spilling, then to the forced-spill rerun,
+// which must sort-merge: an inline hash join there holds its whole build
+// side and fails budgets just above ones the first run completes at.
+func TestBudgetDegradationMonotonic(t *testing.T) {
+	db := memDB(t, 91000, 120)
+	oracle := make([]string, len(memStormQueries))
+	for i, sql := range memStormQueries {
+		res, err := db.Query(sql, engine.Options{Strategy: engine.TransformJA2})
+		if err != nil {
+			t.Fatalf("oracle for %q: %v", sql, err)
+		}
+		oracle[i] = sortedRows(res)
+	}
+	if err := db.EnableSpill(t.TempDir(), 0); err != nil {
+		t.Fatal(err)
+	}
+	for qi, sql := range memStormQueries {
+		// One subtest per query, so a query that breaks the rule does not
+		// hide how the others fare.
+		t.Run(fmt.Sprintf("q%d", qi), func(t *testing.T) {
+			for _, workers := range []int{0, 4} {
+				completedAt := int64(0)
+				for budget := int64(1024); budget <= 24<<10; budget += 256 {
+					opts := engine.Options{Strategy: engine.TransformJA2, MaxBytes: budget}
+					opts.Planner.Parallelism = workers
+					res, err := db.Query(sql, opts)
+					switch {
+					case err == nil:
+						if completedAt == 0 {
+							completedAt = budget
+						}
+						if sortedRows(res) != oracle[qi] {
+							t.Fatalf("%d workers, %d bytes: rows differ from the unbudgeted run", workers, budget)
+						}
+					case !errors.Is(err, qctx.ErrMemoryBudget):
+						t.Fatalf("%d workers, %d bytes: %v", workers, budget, err)
+					case completedAt != 0:
+						t.Fatalf("%d workers: completes at %d bytes but fails at %d: %v",
+							workers, completedAt, budget, err)
+					}
+				}
+				if completedAt == 0 {
+					t.Fatalf("%d workers: no budget up to 24 KiB completes", workers)
+				}
+			}
+		})
+	}
+	if left := spillLeft(db); left != "" {
+		t.Fatalf("after the sweep: %s left behind", left)
+	}
+}
+
+// TestForcedSpillRerunSortMerges pins how the forced-spill rerun plans a
+// query whose joins the caller left to cost: the first run hash-joins,
+// and the rerun that follows the trace's "retrying with forced spill"
+// line describes merge joins only. Some budget in the sweep must reach
+// that rerun and complete, with the unbudgeted rows.
+func TestForcedSpillRerunSortMerges(t *testing.T) {
+	db := memDB(t, 91000, 120)
+	want, err := db.Query(memJAQuery, engine.Options{Strategy: engine.TransformJA2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan := strings.Join(want.Trace, "\n"); !strings.Contains(plan, "HashJoin") {
+		t.Fatalf("the unbudgeted plan does not hash-join; the rerun has nothing to replace:\n%s", plan)
+	}
+	if err := db.EnableSpill(t.TempDir(), 0); err != nil {
+		t.Fatal(err)
+	}
+	reruns := 0
+	for budget := int64(1024); budget <= 24<<10; budget += 256 {
+		res, err := db.Query(memJAQuery, engine.Options{Strategy: engine.TransformJA2, MaxBytes: budget})
+		if err != nil {
+			continue
+		}
+		at := slices.IndexFunc(res.Trace, func(l string) bool { return strings.Contains(l, "retrying with forced spill") })
+		if at < 0 {
+			continue
+		}
+		reruns++
+		rerun := strings.Join(res.Trace[at+1:], "\n")
+		if strings.Contains(rerun, "HashJoin") || !strings.Contains(rerun, "MergeJoin") {
+			t.Errorf("%d bytes: the forced-spill rerun does not sort-merge:\n%s", budget, rerun)
+		}
+		if sortedRows(res) != sortedRows(want) {
+			t.Errorf("%d bytes: the forced-spill rerun's rows differ from the unbudgeted run", budget)
+		}
+	}
+	if reruns == 0 {
+		t.Fatal("no budget up to 24 KiB completed through the forced-spill rerun")
 	}
 }
 

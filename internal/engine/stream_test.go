@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/admission"
 	"repro/internal/engine"
@@ -137,7 +136,7 @@ func TestStreamRowBudgetStillEnforced(t *testing.T) {
 // error stands in for the fault — the fence is the same hasEmitted gate.
 func TestStreamNoRetryAfterEmission(t *testing.T) {
 	db := lifecycleDB(t)
-	db.EnableAdmission(admission.Config{RetryMax: 3, RetryBase: time.Millisecond, Seed: 1})
+	db.EnableAdmission(admission.Config{RetryMax: 3})
 	boom := fmt.Errorf("mid-stream: %w", fault.ErrInjected)
 	c := &collectSink{failAt: 3, err: boom}
 	_, err := db.Query(lifecycleQuery, engine.Options{Strategy: engine.TransformJA2, Sink: c.sink(1)})
@@ -160,7 +159,7 @@ func TestStreamNoRetryAfterEmission(t *testing.T) {
 // retry even when the sink's error looks retryable.
 func TestStreamNoRetryAfterSinkFailure(t *testing.T) {
 	db := lifecycleDB(t)
-	db.EnableAdmission(admission.Config{RetryMax: 3, RetryBase: time.Millisecond, Seed: 1})
+	db.EnableAdmission(admission.Config{RetryMax: 3})
 	boom := fmt.Errorf("first write failed: %w", fault.ErrInjected)
 	c := &collectSink{failAt: 1, err: boom}
 	_, err := db.Query(lifecycleQuery, engine.Options{Strategy: engine.TransformJA2, Sink: c.sink(1)})

@@ -15,8 +15,6 @@
 //	                  wrap it to identify the resource
 //	ErrOverloaded     the admission layer shed the query (full queue or
 //	                  draining engine); carries a retry-after hint
-//	ErrCircuitOpen    the parallel path is circuit-broken and the caller
-//	                  demanded parallel execution
 //	ErrInjectedFault  a fault the chaos harness injected (transient and
 //	                  retryable)
 //	ErrSpillCorrupt   a spill run failed its checksum or decode; the
@@ -53,10 +51,6 @@ var (
 	// the queue was full, or the engine is draining. Concrete errors are
 	// *OverloadError values carrying a retry-after hint.
 	ErrOverloaded = errors.New("engine overloaded")
-	// ErrCircuitOpen reports that repeated parallel-worker faults tripped
-	// the circuit breaker and the caller explicitly demanded a parallel
-	// plan (cost-gated parallel requests degrade to sequential instead).
-	ErrCircuitOpen = errors.New("parallel circuit open")
 
 	// ErrInjectedFault is internal/fault's sentinel, re-exported so the
 	// taxonomy is complete in one place. It is a transient family: see
@@ -91,16 +85,15 @@ func (e *OverloadError) Unwrap() error { return ErrOverloaded }
 // Retryable reports whether an error is worth a transient retry of the
 // whole query: an injected fault (possibly contained from a
 // panic) or a corrupt spill run, as long as it is not also a lifecycle
-// outcome. Timeouts, cancellations, budget violations, sheds, and
-// circuit-breaker rejections are final — retrying them either cannot
-// succeed or would override the caller.
+// outcome. Timeouts, cancellations, budget violations and sheds are
+// final — retrying them either cannot succeed or would override the
+// caller.
 func Retryable(err error) bool {
 	if err == nil {
 		return false
 	}
 	if errors.Is(err, ErrQueryTimeout) || errors.Is(err, ErrCanceled) ||
-		errors.Is(err, ErrBudgetExceeded) || errors.Is(err, ErrOverloaded) ||
-		errors.Is(err, ErrCircuitOpen) {
+		errors.Is(err, ErrBudgetExceeded) || errors.Is(err, ErrOverloaded) {
 		return false
 	}
 	return errors.Is(err, ErrInjectedFault) || errors.Is(err, ErrSpillCorrupt)

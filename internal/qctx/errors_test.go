@@ -29,7 +29,7 @@ func TestErrorTaxonomy(t *testing.T) {
 			name:  "timeout",
 			err:   wrap(ErrQueryTimeout),
 			is:    []error{ErrQueryTimeout},
-			isNot: []error{ErrCanceled, ErrBudgetExceeded, ErrOverloaded, ErrCircuitOpen, ErrInjectedFault},
+			isNot: []error{ErrCanceled, ErrBudgetExceeded, ErrOverloaded, ErrInjectedFault},
 		},
 		{
 			name:  "canceled",
@@ -47,7 +47,7 @@ func TestErrorTaxonomy(t *testing.T) {
 			name:  "memory budget",
 			err:   wrap(ErrMemoryBudget),
 			is:    []error{ErrMemoryBudget, ErrBudgetExceeded},
-			isNot: []error{ErrRowBudget, ErrCircuitOpen},
+			isNot: []error{ErrRowBudget, ErrOverloaded},
 		},
 		{
 			name:  "shed: queue full",
@@ -59,13 +59,7 @@ func TestErrorTaxonomy(t *testing.T) {
 			name:  "shed: draining",
 			err:   &OverloadError{Reason: "draining", RetryAfter: time.Second},
 			is:    []error{ErrOverloaded},
-			isNot: []error{ErrCircuitOpen},
-		},
-		{
-			name:  "circuit open",
-			err:   wrap(ErrCircuitOpen),
-			is:    []error{ErrCircuitOpen},
-			isNot: []error{ErrOverloaded, ErrQueryTimeout, ErrInjectedFault},
+			isNot: []error{ErrBudgetExceeded},
 		},
 		{
 			name:      "injected fault, plain",

@@ -111,7 +111,7 @@ func TestSlowClientEvicted(t *testing.T) {
 	// server's write buffer plus both kernel socket buffers can absorb,
 	// so the flush wedges.
 	db := wideDB(t, 4000)
-	db.EnableAdmission(admission.Config{MaxConcurrent: 4, Seed: 1})
+	db.EnableAdmission(admission.Config{MaxConcurrent: 4})
 	srv, addr := startServer(t, db, server.Config{
 		Strategy:     engine.TransformJA2,
 		WriteTimeout: 300 * time.Millisecond,
@@ -183,7 +183,7 @@ func TestSlowClientEvicted(t *testing.T) {
 // the admission drain's internal grace would get around to it.
 func TestShutdownBoundedWithStalledConsumer(t *testing.T) {
 	db := wideDB(t, 4000)
-	db.EnableAdmission(admission.Config{MaxConcurrent: 4, Seed: 1})
+	db.EnableAdmission(admission.Config{MaxConcurrent: 4})
 	srv := server.New(db, server.Config{
 		Strategy:     engine.TransformJA2,
 		WriteTimeout: time.Hour,

@@ -212,7 +212,7 @@ func TestServeCapsApplyToUncappedClients(t *testing.T) {
 // positive retry-after hint on the client side.
 func TestServeOverloadCarriesRetryAfter(t *testing.T) {
 	db := serverDB(t)
-	db.EnableAdmission(admission.Config{MaxConcurrent: 1, QueueDepth: 0, Seed: 1})
+	db.EnableAdmission(admission.Config{MaxConcurrent: 1, QueueDepth: 0})
 	// Slow page reads keep the first query in its slot while the second
 	// arrives and gets shed.
 	db.SetFaults(fault.New(fault.Plan{Seed: 1, Rates: fault.Rates{fault.StorageLatency: 1}, Latency: 2 * time.Millisecond}))
@@ -350,7 +350,7 @@ func TestServeUnexpectedFrameGetsProtocolError(t *testing.T) {
 func TestShutdownDrainsInFlightStream(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	db := serverDB(t)
-	db.EnableAdmission(admission.Config{MaxConcurrent: 4, Seed: 1})
+	db.EnableAdmission(admission.Config{MaxConcurrent: 4})
 	// Mild latency so the stream is still in flight when Shutdown lands.
 	db.SetFaults(fault.New(fault.Plan{Seed: 1, Rates: fault.Rates{fault.StorageLatency: 1}, Latency: time.Millisecond}))
 	want, err := db.Query(serverQuery, engine.Options{Strategy: engine.TransformJA2})

@@ -31,9 +31,12 @@ const (
 	// CodeOverloaded is an admission shed; the frame carries the
 	// controller's retry-after hint.
 	CodeOverloaded byte = 6
-	// CodeCircuitOpen is a forced-parallel query refused while the
-	// parallel path is circuit-broken.
-	CodeCircuitOpen byte = 7
+
+	// 7 is retired — it was a forced-parallel query refused by the
+	// parallel circuit breaker, which is gone — and must not be reused: a
+	// server from before the retirement still sends it, and the client
+	// reads it as an untyped remote error.
+
 	// CodeProtocol is a wire-level failure: a malformed frame, a bad
 	// handshake, an unexpected frame type.
 	CodeProtocol byte = 8
@@ -82,8 +85,6 @@ func ErrorFrameFor(err error) ErrorFrame {
 		f.Code = CodeMemoryBudget
 	case errors.Is(err, qctx.ErrBudgetExceeded):
 		f.Code = CodeBudget
-	case errors.Is(err, qctx.ErrCircuitOpen):
-		f.Code = CodeCircuitOpen
 	case errors.Is(err, qctx.ErrSpillCorrupt):
 		f.Code = CodeSpillCorrupt
 	case errors.Is(err, qctx.ErrInjectedFault):
@@ -122,8 +123,6 @@ func (e *RemoteError) Unwrap() error {
 		return qctx.ErrBudgetExceeded
 	case CodeOverloaded:
 		return &qctx.OverloadError{Reason: "remote", RetryAfter: e.Frame.RetryAfter}
-	case CodeCircuitOpen:
-		return qctx.ErrCircuitOpen
 	case CodeSlowClient:
 		return ErrSlowConsumer
 	case CodeInjectedFault:

@@ -240,11 +240,13 @@ func TestErrorTaxonomyAcrossWire(t *testing.T) {
 		{qctx.ErrRowBudget, CodeRowBudget, qctx.ErrBudgetExceeded},
 		{qctx.ErrMemoryBudget, CodeMemoryBudget, qctx.ErrMemoryBudget},
 		{qctx.ErrBudgetExceeded, CodeBudget, qctx.ErrBudgetExceeded},
-		{qctx.ErrCircuitOpen, CodeCircuitOpen, qctx.ErrCircuitOpen},
 		{&qctx.OverloadError{Reason: "queue full", RetryAfter: 80 * time.Millisecond}, CodeOverloaded, qctx.ErrOverloaded},
 		{fmt.Errorf("spill: read x: %w", qctx.ErrSpillCorrupt), CodeSpillCorrupt, qctx.ErrSpillCorrupt},
 		{fmt.Errorf("spill: injected read fault on x: %w", qctx.ErrInjectedFault), CodeInjectedFault, qctx.ErrInjectedFault},
 		{errors.New("parse error"), CodeInternal, nil},
+		// A contained worker panic is untyped: no code refuses parallel
+		// plans after one.
+		{qctx.Recovered("worker panic"), CodeInternal, nil},
 	}
 	for _, c := range cases {
 		f := ErrorFrameFor(c.err)
@@ -283,5 +285,31 @@ func TestErrorTaxonomyAcrossWire(t *testing.T) {
 	evict := &RemoteError{Frame: ErrorFrame{Code: CodeSlowClient, Message: "evicted"}}
 	if !errors.Is(evict, ErrSlowConsumer) {
 		t.Errorf("CodeSlowClient does not unwrap to ErrSlowConsumer")
+	}
+
+	// Code 7, the parallel circuit breaker's refusal, is retired: no row
+	// above classifies to it, and the frame a server from before the
+	// retirement still sends is an untyped remote error — it matches no
+	// sentinel and is never retried.
+	const retired = 7
+	for _, c := range cases {
+		if ErrorFrameFor(c.err).Code == retired {
+			t.Errorf("%v: classified to the retired code %d", c.err, retired)
+		}
+	}
+	old := &RemoteError{Frame: ErrorFrame{Code: retired, Message: "engine: parallel plan refused: parallel circuit open"}}
+	if dec, err := DecodeError(EncodeError(old.Frame)); err != nil || dec != old.Frame {
+		t.Fatalf("code %d frame round trip: %+v, %v", retired, dec, err)
+	}
+	for _, sentinel := range []error{
+		qctx.ErrQueryTimeout, qctx.ErrCanceled, qctx.ErrBudgetExceeded, qctx.ErrRowBudget, qctx.ErrMemoryBudget,
+		qctx.ErrOverloaded, qctx.ErrInjectedFault, qctx.ErrSpillCorrupt, ErrSlowConsumer,
+	} {
+		if errors.Is(old, sentinel) {
+			t.Errorf("code %d frame matches %v", retired, sentinel)
+		}
+	}
+	if old.Unwrap() != nil || qctx.Retryable(old) {
+		t.Errorf("code %d frame unwraps to %v (retryable %v), want an untyped error", retired, old.Unwrap(), qctx.Retryable(old))
 	}
 }

@@ -57,9 +57,6 @@ var (
 	// queue, or a draining database — see WithAdmissionControl). The
 	// concrete error carries a retry-after hint.
 	ErrOverloaded = qctx.ErrOverloaded
-	// ErrCircuitOpen reports a query that demanded a parallel plan while
-	// the parallel path is circuit-broken after repeated worker faults.
-	ErrCircuitOpen = qctx.ErrCircuitOpen
 	// ErrSpillCorrupt reports a spill run file that failed its checksum
 	// or framing on read-back (see WithSpill): the query fails typed —
 	// never returns wrong rows — and its spill files are removed.
@@ -190,8 +187,9 @@ type AdmissionConfig struct {
 	// concurrent queries share it and are degraded or queued rather than
 	// ever overcommitting it. 0 disables pooling.
 	MemPool int64
-	// RetryMax bounds automatic retries of transiently-failed queries
-	// (injected storage faults); 0 disables.
+	// RetryMax bounds automatic re-runs of transiently-failed queries
+	// (injected faults, and spill runs that failed their checksum —
+	// ErrSpillCorrupt); 0 disables.
 	RetryMax int
 }
 
@@ -216,11 +214,10 @@ func WithSpillThreshold(n int64) Option {
 
 // WithAdmissionControl turns on the concurrency gateway: every Query
 // first acquires an admission slot (bounded concurrency, bounded FIFO
-// queue, memory-pool lease), overload is shed with ErrOverloaded, and
-// repeated parallel-worker faults trip a circuit breaker that degrades
-// parallel plans to sequential for a cooldown. Required before serving
-// concurrent traffic with bounded resources; single-caller use works
-// without it.
+// queue, memory-pool lease), overload is shed with ErrOverloaded, and a
+// query granted less than its lease runs a sequential plan. Required
+// before serving concurrent traffic with bounded resources;
+// single-caller use works without it.
 func WithAdmissionControl(cfg AdmissionConfig) Option {
 	return func(c *config) { c.admission = &cfg }
 }
@@ -299,8 +296,8 @@ type SpillStats = spill.Stats
 func (db *DB) SpillStats() SpillStats { return db.eng.SpillStats() }
 
 // AdmissionStats is a snapshot of the gateway's counters: queries
-// running, queued, admitted, shed; memory-pool usage and peak; transient
-// retries; and the parallel circuit breaker's state.
+// running, queued, admitted, shed, timed out in the queue; memory-pool
+// usage and peak, degraded and pressure grants; and transient retries.
 type AdmissionStats = admission.Stats
 
 // AdmissionStats snapshots the gateway counters. The zero value is
