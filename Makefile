@@ -39,10 +39,13 @@ bench:
 
 # Where one benchmark workload spends its CPU: a 6 s untraced run under the
 # CPU profiler, then the cumulative top of what runs under planner.Run (a
-# transformed plan) or engine.runNested (nested iteration); the focus drops
-# set-up, the oracle and the calibration kernel — half of the samples.
+# transformed plan), engine.runNested (nested iteration) or an exchange
+# worker (a parallel plan's workers, whose stacks start there, not under
+# planner.Run); the ignore drops set-up's warm-up (standUp) and the oracle
+# (attachOracle, which runs queries through runNested), and the focus the
+# calibration kernel — half of the samples.
 # `make profile W=spill_join`; the profile stays in .bench_build/.
 W ?= ja_seq
 profile:
 	bash bench/run.sh --workload $(W) --seed 1 --seconds 6 --trace 0 --cpuprofile .bench_build/$(W).cpu
-	$(GO) tool pprof -top -cum -nodecount=40 -focus='planner.\(\*Planner\).Run|engine.\(\*DB\).runNested' .bench_build/bench .bench_build/$(W).cpu
+	$(GO) tool pprof -top -cum -nodecount=40 -focus='planner.\(\*Planner\).Run|engine.\(\*DB\).runNested|exec.\(\*exchange\).worker' -ignore='main\.attachOracle|main\.standUp' .bench_build/bench .bench_build/$(W).cpu

@@ -38,16 +38,16 @@ func describe(b *strings.Builder, op Operator, indent string) {
 		fmt.Fprintf(b, "Sort(keys=%v%s)\n", op.Keys, dirs)
 		describe(b, op.Child, child)
 	case *MergeJoin:
-		describeJoin(b, "MergeJoin", op.Outer, newJoinKey(op.LeftKey, op.RightKey, op.NullEq, op.More).String(), op.Left, op.Right, child)
+		describeJoin(b, "MergeJoin", op.Outer, newJoinKey(op.LeftKey, op.RightKey, op.NullEq, op.More).String(), op.Out, op.Left, op.Right, child)
 	case *ParallelHashJoin:
 		// Not under an ExchangeMerge: the join runs inline.
-		describeJoin(b, "HashJoin", op.Outer, newJoinKey(op.LeftKey, op.RightKey, op.NullEq, op.More).String(), op.Left, op.Right, child)
+		describeJoin(b, "HashJoin", op.Outer, newJoinKey(op.LeftKey, op.RightKey, op.NullEq, op.More).String(), op.Out, op.Left, op.Right, child)
 	case *NestedLoopJoin:
 		kind := "NestedLoopJoin"
 		if op.Outer {
 			kind = "OuterNestedLoopJoin"
 		}
-		fmt.Fprintf(b, "%s(right=%s, %d pages)\n", kind, op.Right.Name(), op.Right.NumPages())
+		fmt.Fprintf(b, "%s(right=%s, %d pages%s)\n", kind, op.Right.Name(), op.Right.NumPages(), outCols(op.Out))
 		describe(b, op.Left, child)
 	case *GroupAgg:
 		fmt.Fprintf(b, "GroupAgg(group=%v, out=[%s])\n", op.GroupCols, describeItems(op.Items))
@@ -67,7 +67,7 @@ func describeSource(b *strings.Builder, src ParallelSource, indent string) {
 	switch src := src.(type) {
 	case *ParallelHashJoin:
 		key := newJoinKey(src.LeftKey, src.RightKey, src.NullEq, src.More)
-		describeJoin(b, "ParallelHashJoin", src.Outer, fmt.Sprintf("%s, workers=%d", key, src.NumWorkers()), src.Left, src.Right, child)
+		describeJoin(b, "ParallelHashJoin", src.Outer, fmt.Sprintf("%s, workers=%d", key, src.NumWorkers()), src.Out, src.Left, src.Right, child)
 	case *ParallelHashGroup:
 		fmt.Fprintf(b, "ParallelHashGroup(group=%v, out=[%s], workers=%d)\n", src.GroupCols, describeItems(src.Items), src.NumWorkers())
 		describe(b, src.Child, child)
@@ -76,14 +76,22 @@ func describeSource(b *strings.Builder, src ParallelSource, indent string) {
 	}
 }
 
-// describeJoin renders a keyed join, its key and its two inputs.
-func describeJoin(b *strings.Builder, kind string, outer bool, detail string, left, right Operator, child string) {
+// describeJoin renders a keyed join, its key, its Out and its two inputs.
+func describeJoin(b *strings.Builder, kind string, outer bool, detail string, out []int, left, right Operator, child string) {
 	if outer {
 		kind = "Outer" + kind
 	}
-	fmt.Fprintf(b, "%s(%s)\n", kind, detail)
+	fmt.Fprintf(b, "%s(%s%s)\n", kind, detail, outCols(out))
 	describe(b, left, child)
 	describe(b, right, child)
+}
+
+// outCols renders a join's Out; the Project above such a join only names.
+func outCols(out []int) string {
+	if out == nil {
+		return ""
+	}
+	return fmt.Sprintf(", out=%v", out)
 }
 
 func describeItems(items []GroupItem) string {

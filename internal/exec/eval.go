@@ -425,7 +425,7 @@ func (g *groupTable) add(bp *blockProg, frames []storage.Tuple) error {
 	}
 	h := hashKey(bp.scratch, bp.cols)
 	for _, gs := range g.groups[h] {
-		if sameKey(gs.key, bp.scratch) {
+		if sameKey(gs.key, bp.scratch, bp.cols) {
 			return gs.add(bp.scratch, bp.items)
 		}
 	}
@@ -444,15 +444,12 @@ func dedupeRows(rows []storage.Tuple) []storage.Tuple {
 	if len(rows) == 0 {
 		return rows
 	}
-	cols := make([]int, len(rows[0]))
-	for i := range cols {
-		cols[i] = i
-	}
+	cols := Identity(len(rows[0]))
 	seen := make(map[uint64][]storage.Tuple, len(rows))
 	out := rows[:0:0]
 	for _, r := range rows {
 		h := hashKey(r, cols)
-		if !slices.ContainsFunc(seen[h], func(s storage.Tuple) bool { return sameKey(s, r) }) {
+		if !slices.ContainsFunc(seen[h], func(s storage.Tuple) bool { return sameKey(s, r, cols) }) {
 			seen[h] = append(seen[h], r)
 			out = append(out, r)
 		}

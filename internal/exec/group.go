@@ -56,9 +56,11 @@ func hashKey(t storage.Tuple, cols []int) uint64 {
 	return h
 }
 
-func sameKey(a, b []value.Value) bool {
-	for i := range a {
-		if !a[i].Equal(b[i]) {
+// sameKey reports whether t's columns cols hold key (NULL equal to NULL),
+// compared in place: a row finds its group without its key extracted.
+func sameKey(key []value.Value, t storage.Tuple, cols []int) bool {
+	for i, c := range cols {
+		if !key[i].Equal(t[c]) {
 			return false
 		}
 	}
@@ -170,12 +172,13 @@ func (g *GroupAgg) Next() (storage.Tuple, bool, error) {
 			return g.cur.row(g.GroupCols, g.Items), true, nil
 		}
 		var out storage.Tuple
-		if key := groupKey(t, g.GroupCols); g.cur == nil || !sameKey(g.cur.key, key) {
+		if g.cur == nil || !sameKey(g.cur.key, t, g.GroupCols) {
 			// Group boundary: the finished group is emitted once the new
 			// one is charged and has taken this row.
 			if g.cur != nil {
 				out = g.cur.row(g.GroupCols, g.Items)
 			}
+			key := groupKey(t, g.GroupCols)
 			g.QC.ReleaseBuffered(g.charged)
 			g.charged = groupBytes(key, g.Items)
 			if _, err := reserve(g.QC, nil, g.charged, 0); err != nil {

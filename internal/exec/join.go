@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/qctx"
 	"repro/internal/spill"
@@ -9,22 +10,59 @@ import (
 	"repro/internal/value"
 )
 
-// concat builds the joined row left ++ right; every join goes through it.
-func concat(left, right storage.Tuple) storage.Tuple {
-	out := make(storage.Tuple, 0, len(left)+len(right))
-	out = append(out, left...)
-	return append(out, right...)
+// rowBuilder makes every row a join or a Project emits: columns cols (nil:
+// all) of left ++ right, a nil right row being an outer join's NULLs, or the
+// left row itself, resliced and capped so an append copies, when cols is one
+// ascending run within it; rows are immutable (DESIGN.md §7).
+type rowBuilder struct {
+	cols               []int
+	sch                RowSchema // the rows' schema
+	rightWidth, lo, hi int       // hi > 0: cols is lo, …, hi−1
 }
 
-// padNull builds the outer-join row for an unmatched left row: left
-// followed by width NULLs — the row that makes COUNT(col) yield 0.
-func padNull(left storage.Tuple, width int) storage.Tuple {
-	out := make(storage.Tuple, 0, len(left)+width)
-	out = append(out, left...)
-	for range width {
-		out = append(out, value.Null)
+// newRowBuilder decides once how rows are built for out (nil: all columns).
+func newRowBuilder(out []int, left, right RowSchema) rowBuilder {
+	b, n := rowBuilder{cols: out, sch: left.Concat(right), rightWidth: len(right)}, len(out)
+	if out != nil {
+		all := b.sch
+		b.sch = make(RowSchema, n)
+		for i, c := range out {
+			b.sch[i] = all[c]
+		}
+	}
+	if n > 0 && slices.IsSorted(out) && out[n-1]-out[0] == n-1 && out[n-1] < len(left) {
+		b.lo, b.hi = out[0], out[n-1]+1
+	}
+	return b
+}
+
+func (b *rowBuilder) build(left, right storage.Tuple) storage.Tuple {
+	switch {
+	case b.hi > 0:
+		return left[b.lo:b.hi:b.hi]
+	case b.cols == nil:
+		out := make(storage.Tuple, len(left)+b.rightWidth)
+		copy(out[copy(out, left):], right)
+		return out
+	}
+	out := make(storage.Tuple, len(b.cols))
+	for i, c := range b.cols {
+		if c < len(left) {
+			out[i] = left[c]
+		} else if right != nil {
+			out[i] = right[c-len(left)]
+		}
 	}
 	return out
+}
+
+// Identity is the column list 0, 1, …, n−1.
+func Identity(n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
 }
 
 // KeyPair is one equality conjunct of a join key: left column Left equals
@@ -129,6 +167,7 @@ type MergeJoin struct {
 	More              []KeyPair
 	FullOrder         bool
 	Outer             bool
+	Out               []int // the columns of left ++ right it emits, nil for all
 	// QC, when set, charges the buffered right-side group against the
 	// memory budget — the sequential join's only unbounded buffer is a
 	// run of duplicate right keys.
@@ -137,9 +176,9 @@ type MergeJoin struct {
 	// is re-read once per duplicate left key instead of failing the query.
 	Spill *spill.Session
 
-	key        joinKey
-	merged     int // leading key pairs the merge runs on
-	rightWidth int
+	key    joinKey
+	merged int // leading key pairs the merge runs on
+	rows   rowBuilder
 
 	cur     storage.Tuple   // current left row, nil when exhausted/consumed
 	live    bool            // cur can match: no NULL a pair cannot meet
@@ -169,7 +208,7 @@ func (m *MergeJoin) Open() error {
 	if m.FullOrder {
 		m.merged = len(m.key.left)
 	}
-	m.rightWidth = len(m.Right.Schema())
+	m.rows = newRowBuilder(m.Out, m.Left.Schema(), m.Right.Schema())
 	m.cur, m.group, m.groupOf, m.gi = nil, nil, nil, 0
 	m.groupCharged, m.groupRun, m.groupSrc, m.groupLen = 0, nil, source{}, 0
 	m.pendRight, m.rightEOF = nil, false
@@ -329,13 +368,13 @@ func (m *MergeJoin) Next() (storage.Tuple, bool, error) {
 			}
 			if m.key.equal(m.cur, right, m.merged) {
 				m.matched = true
-				return concat(m.cur, right), true, nil
+				return m.rows.build(m.cur, right), true, nil
 			}
 		}
 		left := m.cur
 		m.cur = nil
 		if m.Outer && !m.matched {
-			return padNull(left, m.rightWidth), true, nil
+			return m.rows.build(left, nil), true, nil
 		}
 	}
 }
@@ -351,8 +390,10 @@ func (m *MergeJoin) Close() error {
 	return err
 }
 
-// Schema is the concatenation of the children's schemas.
-func (m *MergeJoin) Schema() RowSchema { return m.Left.Schema().Concat(m.Right.Schema()) }
+// Schema is the Out columns of the children's concatenated schemas.
+func (m *MergeJoin) Schema() RowSchema {
+	return newRowBuilder(m.Out, m.Left.Schema(), m.Right.Schema()).sch
+}
 
 // NestedLoopJoin joins a streamed left side against a stored right side,
 // re-scanning the right heap file once per left row through the buffer
@@ -372,10 +413,12 @@ type NestedLoopJoin struct {
 	// Pred sees the concatenated (left ++ right) row.
 	Pred  RowPred
 	Outer bool
+	Out   []int // as in MergeJoin
 	// QC, when set, is checked once per left row — each left row costs a
 	// full scan of the right side, so that is the natural morsel.
 	QC *qctx.QueryContext
 
+	rows    rowBuilder
 	cur     storage.Tuple
 	pair    storage.Tuple // scratch: cur ++ the right row under test
 	matched bool
@@ -389,6 +432,7 @@ func (n *NestedLoopJoin) Open() error {
 	if err := n.Left.Open(); err != nil {
 		return err
 	}
+	n.rows = newRowBuilder(n.Out, n.Left.Schema(), n.RightSch)
 	n.cur = nil
 	return nil
 }
@@ -429,14 +473,14 @@ func (n *NestedLoopJoin) Next() (storage.Tuple, bool, error) {
 			}
 			if tri.IsTrue() {
 				n.matched = true
-				return concat(n.cur, r), true, nil
+				return n.rows.build(n.cur, r), true, nil
 			}
 		}
 	rightDone:
 		left, matched := n.cur, n.matched
 		n.cur = nil
 		if n.Outer && !matched {
-			return padNull(left, len(n.RightSch)), true, nil
+			return n.rows.build(left, nil), true, nil
 		}
 	}
 }
@@ -444,5 +488,7 @@ func (n *NestedLoopJoin) Next() (storage.Tuple, bool, error) {
 // Close closes the left child.
 func (n *NestedLoopJoin) Close() error { return n.Left.Close() }
 
-// Schema is the concatenation of left and right schemas.
-func (n *NestedLoopJoin) Schema() RowSchema { return n.Left.Schema().Concat(n.RightSch) }
+// Schema is the Out columns of the left and right schemas concatenated.
+func (n *NestedLoopJoin) Schema() RowSchema {
+	return newRowBuilder(n.Out, n.Left.Schema(), n.RightSch).sch
+}

@@ -51,6 +51,12 @@ func oracleTuples(rng *rand.Rand, n, giant, idBase int) []storage.Tuple {
 // oracleWidth is the column count of oracleTuples' rows.
 const oracleWidth = 4
 
+// oracleScan scans a file of oracleTuples' rows under all four columns, so
+// the joined row is all eight of left ++ right.
+func oracleScan(f *storage.HeapFile, binding string) *exec.SeqScan {
+	return exec.NewSeqScan(f, binding, []string{"A", "B", "C", "ID"})
+}
+
 // joinCase is one cell of the oracle's table. nullEq holds one entry per
 // key column (column i joins column i), true for <=>.
 type joinCase struct {
@@ -94,7 +100,7 @@ func (c joinCase) inputs(e spillEnv, prefix string) (left, right *storage.HeapFi
 // oracle is the reference: nested loops under the whole predicate.
 func (c joinCase) oracle(e spillEnv) exec.Operator {
 	left, right := c.inputs(e, "O")
-	return &exec.NestedLoopJoin{Left: scanOf(left, "L"), Right: right, RightSch: scanOf(right, "R").Schema(),
+	return &exec.NestedLoopJoin{Left: oracleScan(left, "L"), Right: right, RightSch: oracleScan(right, "R").Schema(),
 		Pred: c.pred, Outer: c.outer}
 }
 
@@ -111,10 +117,10 @@ func (c joinCase) build(e spillEnv, mutant func([]exec.KeyPair)) exec.Operator {
 	}
 	sorted := func(f *storage.HeapFile, binding string, keys int) exec.Operator {
 		cols := []int{0, 1, 2}[:keys]
-		return &exec.Sort{Child: scanOf(f, binding), Keys: cols, Store: e.s, TuplesPerPage: 2, QC: e.qc, Spill: e.sess}
+		return &exec.Sort{Child: oracleScan(f, binding), Keys: cols, Store: e.s, TuplesPerPage: 2, QC: e.qc, Spill: e.sess}
 	}
 	hash := func(workers int) *exec.ParallelHashJoin {
-		return &exec.ParallelHashJoin{Left: scanOf(left, "L"), Right: scanOf(right, "R"),
+		return &exec.ParallelHashJoin{Left: oracleScan(left, "L"), Right: oracleScan(right, "R"),
 			Outer: c.outer, NullEq: c.nullEq[0], More: more, Workers: workers, QC: e.qc, Spill: e.sess}
 	}
 	switch c.kind {

@@ -106,21 +106,21 @@ type Project struct {
 	Child Operator
 	Cols  []int
 	Sch   RowSchema
+	rows  rowBuilder
 }
 
 // NewProject builds a projection of the given child columns. Output names
 // default to the child's; name overrides apply per position when non-empty.
+// An ascending run of columns is the child's row resliced, not a copy.
 func NewProject(child Operator, cols []int, names []ColID) *Project {
-	childSch := child.Schema()
-	sch := make(RowSchema, len(cols))
-	for i, c := range cols {
-		if names != nil && names[i] != (ColID{}) {
-			sch[i] = names[i]
-		} else {
-			sch[i] = childSch[c]
+	p := &Project{Child: child, Cols: cols, rows: newRowBuilder(cols, child.Schema(), nil)}
+	p.Sch = p.rows.sch
+	for i, name := range names {
+		if name != (ColID{}) {
+			p.Sch[i] = name
 		}
 	}
-	return &Project{Child: child, Cols: cols, Sch: sch}
+	return p
 }
 
 func (p *Project) Open() error { return p.Child.Open() }
@@ -130,11 +130,7 @@ func (p *Project) Next() (storage.Tuple, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	out := make(storage.Tuple, len(p.Cols))
-	for i, c := range p.Cols {
-		out[i] = t[c]
-	}
-	return out, true, nil
+	return p.rows.build(t, nil), true, nil
 }
 
 func (p *Project) Close() error      { return p.Child.Close() }
@@ -147,10 +143,11 @@ func (p *Project) Schema() RowSchema { return p.Sch }
 type Distinct struct {
 	Child Operator
 	prev  storage.Tuple
+	cols  []int
 }
 
 func (d *Distinct) Open() error {
-	d.prev = nil
+	d.prev, d.cols = nil, Identity(len(d.Child.Schema()))
 	return d.Child.Open()
 }
 
@@ -160,7 +157,7 @@ func (d *Distinct) Next() (storage.Tuple, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		if d.prev != nil && sameKey(d.prev, t) {
+		if d.prev != nil && sameKey(d.prev, t, d.cols) {
 			continue
 		}
 		d.prev = t

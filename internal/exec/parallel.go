@@ -358,6 +358,7 @@ type ParallelHashJoin struct {
 	NullEq            bool
 	More              []KeyPair
 	Outer             bool
+	Out               []int // as in MergeJoin
 	// Workers is the worker-goroutine count; <= 0 means runtime.NumCPU().
 	Workers int
 	// QC, when set, governs the build scan (cancellation + memory budget
@@ -369,11 +370,11 @@ type ParallelHashJoin struct {
 	// on the owning worker (recursively sub-partitioned if still too big).
 	Spill *spill.Session
 
-	key        joinKey
-	rightWidth int
-	parts      []joinPart
-	inline     *prober        // the inline join's probe of Left, nil until the first Next
-	handoff    *ExchangeMerge // the inline join's exchange once the build side spilled
+	key     joinKey
+	rows    rowBuilder
+	parts   []joinPart
+	inline  *prober        // the inline join's probe of Left, nil until the first Next
+	handoff *ExchangeMerge // the inline join's exchange once the build side spilled
 }
 
 // The two sides of a spilled partition's state.
@@ -418,7 +419,7 @@ func (j *ParallelHashJoin) Open() error {
 		return err
 	}
 	j.key = newJoinKey(j.LeftKey, j.RightKey, j.NullEq, j.More)
-	j.rightWidth = len(j.Right.Schema())
+	j.rows = newRowBuilder(j.Out, j.Left.Schema(), j.Right.Schema())
 	j.parts = make([]joinPart, j.NumWorkers())
 	for {
 		t, ok, err := j.Right.Next()
@@ -581,13 +582,13 @@ func (p *prober) next() (storage.Tuple, bool, error) {
 			p.bucket = p.bucket[1:]
 			if k.equal(p.cur, r, 0) { // else a hash collision
 				p.found = true
-				return concat(p.cur, r), true, nil
+				return p.j.rows.build(p.cur, r), true, nil
 			}
 		}
 		l := p.cur
 		p.cur = nil
 		if !p.found && p.j.Outer {
-			return padNull(l, p.j.rightWidth), true, nil
+			return p.j.rows.build(l, nil), true, nil
 		}
 	}
 }
@@ -790,8 +791,10 @@ func (j *ParallelHashJoin) Close() error {
 	return err
 }
 
-// Schema is the concatenation of the children's schemas.
-func (j *ParallelHashJoin) Schema() RowSchema { return j.Left.Schema().Concat(j.Right.Schema()) }
+// Schema is the Out columns of the children's concatenated schemas.
+func (j *ParallelHashJoin) Schema() RowSchema {
+	return newRowBuilder(j.Out, j.Left.Schema(), j.Right.Schema()).sch
+}
 
 // ParallelHashGroup is GROUP BY aggregation executed by Workers goroutines
 // over an unsorted input. The exchange routes every row of a group key to
@@ -876,15 +879,16 @@ func (g *ParallelHashGroup) aggregate(out *emitter, src *source, depth int, firs
 		if !ok {
 			break
 		}
-		key, h := groupKey(t, g.GroupCols), hashKey(t, g.GroupCols)
+		h := hashKey(t, g.GroupCols)
 		var gs *groupState
 		for _, cand := range groups[h] {
-			if sameKey(cand.key, key) {
+			if sameKey(cand.key, t, g.GroupCols) {
 				gs = cand
 				break
 			}
 		}
 		if gs == nil && overflow == nil {
+			key := groupKey(t, g.GroupCols)
 			n := groupBytes(key, g.Items)
 			fits, err := reserve(g.QC, g.Spill, n, depth)
 			if err != nil {

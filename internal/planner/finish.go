@@ -60,7 +60,7 @@ func (p *Planner) finishShape(cur input, qb *ast.QueryBlock, label string) (inpu
 		}
 	}
 	out := cur
-	out.op = exec.NewProject(cur.op, cols, names)
+	out.op = exec.NewProject(cur.op, projectJoin(cur.op, cols), names)
 	out.sortedOn = -1
 	for i, c := range cols {
 		if c == cur.sortedOn {
@@ -72,15 +72,30 @@ func (p *Planner) finishShape(cur input, qb *ast.QueryBlock, label string) (inpu
 		// Duplicate elimination by (B−1)-way merge sort over all output
 		// columns, as in section 7.1; the result emerges in join-column
 		// (first-column) order.
-		keys := make([]int, len(qb.Select))
-		for i := range keys {
-			keys[i] = i
-		}
+		keys := exec.Identity(len(qb.Select))
 		out.op = &exec.Distinct{Child: p.sort(out.op, keys, nil)}
 		out.sortedOn = 0
 		p.notef("%s: duplicates removed by sort over %d column(s)", label, len(keys))
 	}
 	return out, nil
+}
+
+// projectJoin hands a join op the Project's cols, returning the Project's new ones.
+func projectJoin(op exec.Operator, cols []int) []int {
+	if ex, ok := op.(*exec.ExchangeMerge); ok {
+		op, _ = ex.Source.(exec.Operator)
+	}
+	switch j := op.(type) {
+	case *exec.MergeJoin:
+		j.Out = cols
+	case *exec.ParallelHashJoin:
+		j.Out = cols
+	case *exec.NestedLoopJoin:
+		j.Out = cols
+	default:
+		return cols
+	}
+	return exec.Identity(len(cols))
 }
 
 // finishGroup builds the GROUP BY aggregation. The input must arrive in

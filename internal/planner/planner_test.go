@@ -138,7 +138,7 @@ func TestPlannerAutoChoice(t *testing.T) {
 		t.Errorf("a sequential plan left %d goroutine(s) behind", after-before)
 	}
 	for _, frag := range []string{"TEMP3: outer hash join TEMP1.JC with TEMP2.JC", "OuterHashJoin(left#0 = right#0)",
-		"final: hash join RI.JC with TEMP3.JC and RI.V with TEMP3.CT", "HashJoin(left#0 <=> right#0, left#1 = right#1)",
+		"final: hash join RI.JC with TEMP3.JC and RI.V with TEMP3.CT", "HashJoin(left#0 <=> right#0, left#1 = right#1, out=[0])",
 		"TEMP3: input already in GROUP BY order, sort elided"} {
 		if !strings.Contains(notes, frag) {
 			t.Errorf("small inner should use the inline hash join; notes missing %q:\n%s", frag, notes)
