@@ -193,6 +193,39 @@ func TestOneFaultInjector(t *testing.T) {
 	})
 }
 
+// A failed query used to run again in two places, each with its own
+// knobs: the engine's degradation ladder and the client's transparent
+// reconnect (a config struct, seeded jitter, an overload floor and a
+// resubmit fence). The client's is gone — a lost connection stays lost
+// and the caller dials again — and must not grow back unnoticed: outside
+// internal/admission, whose transient retry is the ladder's one backoff,
+// no non-test file uses qctx.Backoff, and none declares a
+// ReconnectConfig type or a Reconnect field.
+func TestOneRetryPolicy(t *testing.T) {
+	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
+		admission := filepath.ToSlash(filepath.Dir(path)) == "internal/admission"
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == "qctx" && n.Sel.Name == "Backoff" && !admission {
+					t.Errorf("%s uses qctx.Backoff: only the engine's transient retry (admission.RetryDelay) backs off", path)
+				}
+			case *ast.TypeSpec:
+				if n.Name.Name == "ReconnectConfig" {
+					t.Errorf("%s declares type ReconnectConfig: a lost connection stays lost; the caller dials again", path)
+				}
+			case *ast.Field:
+				for _, name := range n.Names {
+					if name.Name == "Reconnect" {
+						t.Errorf("%s declares a Reconnect field: a lost connection stays lost; the caller dials again", path)
+					}
+				}
+			}
+			return true
+		})
+	})
+}
+
 // The agreement rule — which results of one query must be equal, and
 // whether as bags or as sets — and the sorted-rendered-rows comparator
 // under it used to be written out in the engine's VerifyParallel, again in

@@ -5,7 +5,7 @@
 // deadline), sheds load with a typed overload error once the queue is
 // full, and leases per-query memory budgets from one global pool so
 // concurrent queries can never overcommit the configured memory, only
-// degrade (smaller lease, sequential plan) or wait.
+// degrade (smaller lease) or wait.
 //
 // It also owns the retry budget that sits above a single query's
 // lifecycle: how many times a query that failed with a transient fault
@@ -212,7 +212,7 @@ func (c *Controller) admitLocked(lease int64, degraded, pressure bool, timeout t
 	if pressure {
 		c.pressureGrants++
 	}
-	t := &Ticket{c: c, lease: lease, degraded: degraded, start: start}
+	t := &Ticket{c: c, lease: lease, start: start}
 	if timeout > 0 {
 		t.deadline = start.Add(timeout)
 	}
@@ -514,22 +514,17 @@ func (s Stats) String() string {
 type Ticket struct {
 	c        *Controller
 	lease    int64
-	degraded bool
 	start    time.Time
 	deadline time.Time
 
 	mu       sync.Mutex
 	qc       *qctx.QueryContext
+	canceled bool // a drain canceled the ticket; a late Bind cancels its qc
 	released bool
 }
 
 // Lease is the granted memory budget in bytes (0 = no pool configured).
 func (t *Ticket) Lease() int64 { return t.lease }
-
-// Degraded reports that the grant was reduced below the requested (or
-// default) lease by pool pressure; the engine responds by preferring
-// sequential plans, which buffer less.
-func (t *Ticket) Degraded() bool { return t.degraded }
 
 // Remaining reports the time left until the query's deadline; ok is
 // false when the request carried no deadline. Admission guarantees a
@@ -542,20 +537,27 @@ func (t *Ticket) Remaining() (time.Duration, bool) {
 }
 
 // Bind attaches the query's lifecycle context for drain cancellation.
-// Safe on a nil ticket (no-op), so ungoverned call sites need no guard.
+// A ticket a drain already canceled cancels qc at once. Safe on a nil
+// ticket (no-op), so ungoverned call sites need no guard.
 func (t *Ticket) Bind(qc *qctx.QueryContext) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	t.qc = qc
+	canceled := t.canceled
 	t.mu.Unlock()
+	if canceled {
+		qc.Cancel(qctx.ErrCanceled)
+	}
 }
 
-// cancel cancels the bound query (drain straggler path).
+// cancel cancels the bound query (drain straggler path), or the one a
+// query not yet bound binds later.
 func (t *Ticket) cancel() {
 	t.mu.Lock()
 	qc := t.qc
+	t.canceled = true
 	t.mu.Unlock()
 	qc.Cancel(qctx.ErrCanceled)
 }

@@ -172,18 +172,18 @@ func TestPoolLeasing(t *testing.T) {
 
 	// Full lease while the pool is empty.
 	a, err := c.Admit(Request{})
-	if err != nil || a.Lease() != 400 || a.Degraded() {
-		t.Fatalf("first grant: lease=%d degraded=%v err=%v", a.Lease(), a.Degraded(), err)
+	if err != nil || a.Lease() != 400 || c.Stats().Degraded != 0 {
+		t.Fatalf("first grant: lease=%d degraded=%d err=%v", a.Lease(), c.Stats().Degraded, err)
 	}
 	// Explicit request larger than default.
 	b, err := c.Admit(Request{MemBytes: 500})
-	if err != nil || b.Lease() != 500 || b.Degraded() {
-		t.Fatalf("second grant: lease=%d degraded=%v err=%v", b.Lease(), b.Degraded(), err)
+	if err != nil || b.Lease() != 500 || c.Stats().Degraded != 0 {
+		t.Fatalf("second grant: lease=%d degraded=%d err=%v", b.Lease(), c.Stats().Degraded, err)
 	}
 	// Only 100 left: degraded grant at the remainder.
 	d, err := c.Admit(Request{})
-	if err != nil || d.Lease() != 100 || !d.Degraded() {
-		t.Fatalf("third grant: lease=%d degraded=%v err=%v", d.Lease(), d.Degraded(), err)
+	if err != nil || d.Lease() != 100 || c.Stats().Degraded != 1 {
+		t.Fatalf("third grant: lease=%d degraded=%d err=%v", d.Lease(), c.Stats().Degraded, err)
 	}
 	// Pool exhausted: next query waits (no queue depth configured → shed).
 	if _, err := c.Admit(Request{}); !errors.Is(err, qctx.ErrOverloaded) {
@@ -203,8 +203,8 @@ func TestPoolLeasing(t *testing.T) {
 	// A request bigger than the whole pool runs degraded at pool size
 	// rather than overcommitting.
 	huge, err := c.Admit(Request{MemBytes: 5000})
-	if err != nil || huge.Lease() != 1000 || !huge.Degraded() {
-		t.Fatalf("oversized grant: lease=%d degraded=%v err=%v", huge.Lease(), huge.Degraded(), err)
+	if err != nil || huge.Lease() != 1000 || c.Stats().Degraded != 2 {
+		t.Fatalf("oversized grant: lease=%d degraded=%d err=%v", huge.Lease(), c.Stats().Degraded, err)
 	}
 	huge.Release()
 }
@@ -320,6 +320,32 @@ func TestDrain(t *testing.T) {
 		t.Fatalf("admit after resume: %v", err)
 	}
 	tk.Release()
+}
+
+// TestDrainCancelsLateBind: a query admitted but not yet bound (the
+// engine binds after taking the commit lock, which may wait behind a
+// commit) is still canceled by a drain: the qctx it binds afterwards is
+// canceled at once, so it cannot run to completion past the grace period.
+func TestDrainCancelsLateBind(t *testing.T) {
+	c := NewController(Config{})
+	tk, err := c.Admit(Request{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan error, 1)
+	go func() { drained <- c.Drain(time.Millisecond) }()
+	for c.Stats().DrainCanceled != 1 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	qc := qctx.New(qctx.Limits{})
+	tk.Bind(qc)
+	if err := qc.Check(); !errors.Is(err, qctx.ErrCanceled) {
+		t.Fatalf("late-bound query: Check() = %v, want ErrCanceled", err)
+	}
+	tk.Release()
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
 }
 
 func TestDrainWaitsForInFlight(t *testing.T) {

@@ -9,16 +9,11 @@
 // # Fault tolerance
 //
 // A connection negotiates checksummed frames and heartbeats during the
-// Hello exchange, answers server Pings from a
-// background read pump, and — when DialOptions.Reconnect is set —
-// survives connection loss transparently: the query is resubmitted on a
-// fresh connection after a capped, jittered backoff, but only if zero
-// RowBatch frames had been received. Once any rows have arrived a
-// resubmission could silently duplicate them, so the stream fails with
-// an error matching ErrConnectionLost instead and the caller decides.
-// An overload retry-after hint from the server is honored as a floor on
-// the reconnect backoff, so a shed-then-disconnected client does not
-// hammer a struggling server.
+// Hello exchange and answers server Pings from a background read pump.
+// It never sends a request twice: a connection whose link died keeps an
+// error matching ErrConnectionLost for every later request, and a caller
+// that wants another try dials a new one (Pool.Get does). Only the
+// caller knows whether running a query again is safe.
 package client
 
 import (
@@ -27,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -37,9 +31,9 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrConnectionLost reports a connection that died mid-query after rows
-// had already been delivered (or with reconnection disabled). Match
-// with errors.Is; the concrete *ConnectionLostError carries the cause.
+// ErrConnectionLost reports a connection whose link died; the Conn stays
+// failed. Match with errors.Is; the concrete *ConnectionLostError
+// carries the cause.
 var ErrConnectionLost = errors.New("client: connection lost")
 
 // ConnectionLostError wraps the transport failure that killed a
@@ -71,43 +65,6 @@ func LinkFailure(err error) bool {
 		errors.Is(err, net.ErrClosed) || errors.As(err, &ne)
 }
 
-// ReconnectConfig tunes automatic redialing. The zero value of each
-// field selects a default; a nil *ReconnectConfig in DialOptions
-// disables reconnection entirely.
-type ReconnectConfig struct {
-	// MaxAttempts bounds redials per failure (0 = 5).
-	MaxAttempts int
-	// BaseDelay is the first backoff step (0 = 20ms). Each attempt
-	// doubles it, capped at MaxDelay, with ±half jitter.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff (0 = 1s).
-	MaxDelay time.Duration
-	// Seed fixes the jitter schedule for deterministic tests (0 = from
-	// the clock).
-	Seed int64
-}
-
-func (rc *ReconnectConfig) maxAttempts() int {
-	if rc.MaxAttempts <= 0 {
-		return 5
-	}
-	return rc.MaxAttempts
-}
-
-func (rc *ReconnectConfig) baseDelay() time.Duration {
-	if rc.BaseDelay <= 0 {
-		return 20 * time.Millisecond
-	}
-	return rc.BaseDelay
-}
-
-func (rc *ReconnectConfig) maxDelay() time.Duration {
-	if rc.MaxDelay <= 0 {
-		return time.Second
-	}
-	return rc.MaxDelay
-}
-
 // DialOptions tunes a connection beyond the plain Dial signature.
 type DialOptions struct {
 	// Timeout bounds the dial plus handshake (0 = 10s).
@@ -116,8 +73,6 @@ type DialOptions struct {
 	// flight (0 = no bound). It does not apply to an idle connection,
 	// which may sit quietly between queries answering heartbeats.
 	IOTimeout time.Duration
-	// Reconnect enables transparent redialing; nil disables it.
-	Reconnect *ReconnectConfig
 }
 
 func (o DialOptions) timeout() time.Duration {
@@ -206,20 +161,16 @@ func (t *transport) readPump() {
 // connection runs one query stream at a time, and the previous Stream
 // must be exhausted or closed before the next Query.
 type Conn struct {
-	addr string
 	opts DialOptions
 	tr   *transport
 
 	active *Stream
-	err    error // sticky failure; a reconnectable loss can clear it
-
-	retryFloor time.Time   // earliest next submission after an overload shed
-	timer      *time.Timer // recv's IOTimeout timer, reused across waits
-	rng        *rand.Rand
+	err    error       // sticky failure
+	timer  *time.Timer // recv's IOTimeout timer, reused across waits
 }
 
 // Dial connects and performs the version handshake with default
-// options (checksums and heartbeats on, no reconnection).
+// options (checksums and heartbeats on).
 func Dial(addr string, timeout time.Duration) (*Conn, error) {
 	return DialOpts(addr, DialOptions{Timeout: timeout})
 }
@@ -230,14 +181,7 @@ func DialOpts(addr string, opts DialOptions) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed := int64(0)
-	if opts.Reconnect != nil {
-		seed = opts.Reconnect.Seed
-	}
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	return &Conn{addr: addr, opts: opts, tr: tr, rng: rand.New(rand.NewSource(seed))}, nil
+	return &Conn{opts: opts, tr: tr}, nil
 }
 
 // dialTransport dials and handshakes, asking for every feature (only
@@ -334,54 +278,18 @@ type Options struct {
 	Strategy    byte // a wire.Strategy* constant
 	Parallelism int
 	// Cancel aborts the stream client-side when closed: Next returns
-	// false with Err matching qctx.ErrCanceled. It also aborts a
-	// reconnect backoff in progress.
+	// false with Err matching qctx.ErrCanceled.
 	Cancel <-chan struct{}
 }
 
-// canReconnect reports whether transparent redialing is configured.
-func (c *Conn) canReconnect() bool { return c.opts.Reconnect != nil }
-
-// redial replaces the dead transport after a backoff, honoring the
-// overload retry-after floor and the stream's Cancel channel.
-func (c *Conn) redial(cancel <-chan struct{}) error {
-	rc := c.opts.Reconnect
-	var lastErr error = ErrConnectionLost
-	for attempt := 0; attempt < rc.maxAttempts(); attempt++ {
-		d := qctx.Backoff(rc.baseDelay(), rc.maxDelay(), attempt, c.rng)
-		if floor := time.Until(c.retryFloor); floor > d {
-			d = floor
-		}
-		select {
-		case <-time.After(d):
-		case <-cancel:
-			return qctx.ErrCanceled
-		}
-		tr, err := dialTransport(c.addr, c.opts)
-		if err == nil {
-			c.tr = tr
-			return nil
-		}
-		lastErr = err
-	}
-	return fmt.Errorf("client: reconnect gave up after %d attempts: %w", rc.maxAttempts(), lastErr)
-}
-
-// ready reports whether a new request may start, first healing a
-// reconnectable connection loss by redialing: that loss is not fatal to
-// a Conn configured to reconnect, any other sticky error is.
-func (c *Conn) ready(cancel <-chan struct{}) error {
+// ready reports whether a new request may start: no sticky error and no
+// stream in flight.
+func (c *Conn) ready() error {
 	if c.err == nil && c.active == nil {
 		c.dropStray()
 	}
 	if c.err != nil {
-		if !c.canReconnect() || !errors.Is(c.err, ErrConnectionLost) {
-			return c.err
-		}
-		if err := c.redial(cancel); err != nil {
-			return err
-		}
-		c.err = nil
+		return c.err
 	}
 	if c.active != nil {
 		return errors.New("client: previous stream not closed")
@@ -407,33 +315,22 @@ func (c *Conn) dropStray() {
 // stream must be drained (Next until false) or Closed before the next
 // Query on this connection.
 func (c *Conn) Query(sql string, opts Options) (*Stream, error) {
-	if err := c.ready(opts.Cancel); err != nil {
+	if err := c.ready(); err != nil {
 		return nil, err
 	}
-	st := &Stream{conn: c, cancel: opts.Cancel, q: wire.Query{
+	q := wire.Query{
 		TimeoutMicros: opts.Timeout.Microseconds(),
 		MaxRows:       opts.MaxRows,
 		Strategy:      opts.Strategy,
 		Parallelism:   int64(opts.Parallelism),
 		SQL:           sql,
-	}}
-	if err := c.sendQuery(st.q); err != nil {
-		// The write failed before anything was received; resubmitting on
-		// a fresh connection is always safe here.
-		c.err = &ConnectionLostError{Cause: err}
-		if !c.canReconnect() {
-			return nil, c.err
-		}
-		if err := st.resubmit(); err != nil {
-			return nil, err
-		}
 	}
+	if err := c.tr.write(wire.FrameQuery, wire.EncodeQuery(q), 0); err != nil {
+		return nil, c.poison(&ConnectionLostError{Cause: err})
+	}
+	st := &Stream{conn: c, cancel: opts.Cancel}
 	c.active = st
 	return st, nil
-}
-
-func (c *Conn) sendQuery(q wire.Query) error {
-	return c.tr.write(wire.FrameQuery, wire.EncodeQuery(q), 0)
 }
 
 func (c *Conn) poison(err error) error {
@@ -441,17 +338,6 @@ func (c *Conn) poison(err error) error {
 		c.err = err
 	}
 	return err
-}
-
-// noteOverload records a server retry-after hint as a submission floor
-// for future reconnects.
-func (c *Conn) noteOverload(err error) {
-	var ov *qctx.OverloadError
-	if errors.As(err, &ov) && ov.RetryAfter > 0 {
-		if floor := time.Now().Add(ov.RetryAfter); floor.After(c.retryFloor) {
-			c.retryFloor = floor
-		}
-	}
 }
 
 // Stream iterates a query's result. Usage:
@@ -465,13 +351,11 @@ func (c *Conn) noteOverload(err error) {
 // A row stays valid after Next; the stream never reuses it.
 type Stream struct {
 	conn     *Conn
-	q        wire.Query
 	cancel   <-chan struct{}
 	cols     []string
 	batch    []storage.Tuple
 	idx      int
 	row      storage.Tuple
-	gotBatch bool // a RowBatch arrived: the resubmission fence
 	done     bool
 	doneInfo wire.Done
 	err      error
@@ -494,64 +378,33 @@ func (s *Stream) Next() bool {
 }
 
 // fetch waits for the next frame of the result, refilling the batch.
-// Returns false when the stream ended: Done, or any error recv reports
-// that a reconnect could not heal.
+// Returns false when the stream ended: Done, or any error recv reports.
 func (s *Stream) fetch() bool {
-	for {
-		m, err := s.conn.recv(s.cancel, wire.FrameRowBatch, wire.FrameDone)
-		switch {
-		case err != nil:
-			// A transport that died with no rows delivered can be healed:
-			// resubmitting on a fresh connection cannot duplicate anything.
-			// Once a batch has arrived it could, so the stream fails typed.
-			var lost *ConnectionLostError
-			if errors.As(err, &lost) && !s.gotBatch && s.conn.canReconnect() {
-				if err = s.resubmit(); err == nil {
-					continue
-				}
+	m, err := s.conn.recv(s.cancel, wire.FrameRowBatch, wire.FrameDone)
+	switch {
+	case err != nil:
+	case m.typ == wire.FrameRowBatch:
+		var b wire.RowBatch
+		if b, err = wire.DecodeRowBatch(m.payload); err == nil {
+			if s.cols == nil {
+				s.cols = b.Columns
 			}
-		case m.typ == wire.FrameRowBatch:
-			var b wire.RowBatch
-			if b, err = wire.DecodeRowBatch(m.payload); err == nil {
-				s.gotBatch = true
-				if s.cols == nil {
-					s.cols = b.Columns
-				}
-				s.batch, s.idx = b.Rows, 0
-				return true
-			}
+			s.batch, s.idx = b.Rows, 0
+			return true
+		}
+		s.conn.abandon(err)
+	default:
+		if s.doneInfo, err = wire.DecodeDone(m.payload); err != nil {
 			s.conn.abandon(err)
-		default:
-			if s.doneInfo, err = wire.DecodeDone(m.payload); err != nil {
-				s.conn.abandon(err)
-			}
 		}
-		// Done, failed or abandoned: the response is over and the stream
-		// detaches, so a long-lived caller that heals the conn by
-		// redialing never finds a dead stream still registered active.
-		s.err, s.done = err, true
-		if s.conn.active == s {
-			s.conn.active = nil
-		}
-		return false
 	}
-}
-
-// resubmit redials after the backoff and sends the query again. On
-// failure the error it returns is the connection's sticky one.
-func (s *Stream) resubmit() error {
-	c := s.conn
-	if err := c.redial(s.cancel); err != nil {
-		c.err = err
-		return err
+	// Done, failed or abandoned: the response is over and the stream
+	// detaches from its connection.
+	s.err, s.done = err, true
+	if s.conn.active == s {
+		s.conn.active = nil
 	}
-	if err := c.sendQuery(s.q); err != nil {
-		c.err = &ConnectionLostError{Cause: err}
-		return c.err
-	}
-	c.err = nil
-	s.cols, s.batch, s.idx = nil, nil, 0
-	return nil
+	return false
 }
 
 // recv is the client's one frame-wait: every response frame of every
@@ -559,10 +412,10 @@ func (s *Stream) resubmit() error {
 // It returns the next frame when its type is one of want, and otherwise
 // an error with the connection's fate already settled:
 //
-//   - an Error frame comes back as *wire.RemoteError, its overload
-//     retry-after hint noted; the connection stays usable;
+//   - an Error frame comes back as *wire.RemoteError; the connection
+//     stays usable;
 //   - a transport that died comes back as *ConnectionLostError and
-//     poisons the connection (a reconnecting Conn heals on its next use);
+//     poisons the connection;
 //   - no frame within IOTimeout, a closed cancel channel, a frame type
 //     the request does not expect or an Error frame that does not decode
 //     abandon the connection: the transport closes — an answer still in
@@ -595,9 +448,7 @@ func (c *Conn) recv(cancel <-chan struct{}, want ...byte) (recvMsg, error) {
 			if err != nil {
 				return m, c.abandon(err)
 			}
-			rerr := &wire.RemoteError{Frame: f}
-			c.noteOverload(rerr)
-			return m, rerr
+			return m, &wire.RemoteError{Frame: f}
 		}
 		if bytes.IndexByte(want, m.typ) < 0 {
 			return m, c.abandon(fmt.Errorf("client: unexpected frame 0x%02x", m.typ))
@@ -651,14 +502,10 @@ func (s *Stream) Close() error {
 // response frame whose type is in want to on, until on reports the
 // response complete. An error from on — a payload that does not decode,
 // a consumer that bails — abandons the connection mid-stream, as
-// ErrConnectionLost so a reconnecting Conn heals on its next use. A
-// cluster request is never resubmitted: a re-ship or a load is
-// coordinated above this layer, where a partial one must be torn down or
-// redone whole, not silently retried with rows already landed. (The
-// shuffle's scatter is a plain Query, on connections the coordinator
-// dials without Reconnect, so it is never resubmitted either.)
+// ErrConnectionLost. A re-ship or a load that fails part-way is torn
+// down or redone whole by the coordinator above this layer.
 func (c *Conn) roundTrip(typ byte, payload []byte, on func(recvMsg) (done bool, err error), want ...byte) error {
-	if err := c.ready(nil); err != nil {
+	if err := c.ready(); err != nil {
 		return err
 	}
 	if !c.Cluster() {

@@ -100,46 +100,6 @@ func oneRowResult() (wire.RowBatch, wire.Done) {
 	}, wire.Done{Rows: 1}
 }
 
-// reconnectCfg is a fast deterministic backoff for tests.
-func reconnectCfg() *client.ReconnectConfig {
-	return &client.ReconnectConfig{BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: 1}
-}
-
-// TestReconnectResubmitsWhenNothingReceived: the first connection dies
-// right after the query is submitted — before any RowBatch — so the
-// client redials and resubmits transparently; the caller sees only the
-// clean result from the second connection.
-func TestReconnectResubmitsWhenNothingReceived(t *testing.T) {
-	fs := newFakeServer(t, func(idx int, nc net.Conn) {
-		br := bufio.NewReader(nc)
-		codec := serverHandshake(t, nc, br)
-		if _, ok := readQuery(t, codec, br); !ok {
-			return
-		}
-		if idx == 0 {
-			return // die without answering: zero batches received
-		}
-		batch, done := oneRowResult()
-		codec.WriteFrame(nc, wire.FrameRowBatch, wire.EncodeRowBatch(batch))
-		codec.WriteFrame(nc, wire.FrameDone, wire.EncodeDone(done))
-	})
-	c, err := client.DialOpts(fs.addr(), client.DialOptions{Reconnect: reconnectCfg()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	res, err := c.Collect("SELECT 1", client.Options{})
-	if err != nil {
-		t.Fatalf("reconnect did not heal a pre-batch loss: %v", err)
-	}
-	if len(res.Rows) != 1 || res.Done.Rows != 1 {
-		t.Errorf("got %d rows (done=%d), want 1", len(res.Rows), res.Done.Rows)
-	}
-	if n := fs.conns.Load(); n != 2 {
-		t.Errorf("server saw %d connections, want 2 (original + one reconnect)", n)
-	}
-}
-
 // TestRowsStayValidAfterNext pins the Stream row contract Collect and
 // the cluster gather rely on to skip a copy: every Row() slice, kept
 // across four batches without copying, still holds the server's row
@@ -186,9 +146,10 @@ func TestRowsStayValidAfterNext(t *testing.T) {
 	}
 }
 
-// TestNoResubmitAfterFirstBatch: once a RowBatch has been delivered, a
-// dying connection must NOT be resubmitted — a second execution would
-// silently duplicate the delivered rows. The stream fails typed.
+// TestNoResubmitAfterFirstBatch: a connection that dies after delivering
+// a RowBatch fails the stream typed. Nothing sends the query again — a
+// second execution would duplicate the delivered rows — so the server
+// sees one connection.
 func TestNoResubmitAfterFirstBatch(t *testing.T) {
 	fs := newFakeServer(t, func(idx int, nc net.Conn) {
 		br := bufio.NewReader(nc)
@@ -200,7 +161,7 @@ func TestNoResubmitAfterFirstBatch(t *testing.T) {
 		codec.WriteFrame(nc, wire.FrameRowBatch, wire.EncodeRowBatch(batch))
 		// Die mid-stream: batch delivered, no Done.
 	})
-	c, err := client.DialOpts(fs.addr(), client.DialOptions{Reconnect: reconnectCfg()})
+	c, err := client.Dial(fs.addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,18 +185,15 @@ func TestNoResubmitAfterFirstBatch(t *testing.T) {
 	if !errors.As(err, &lost) {
 		t.Fatal("error does not expose *ConnectionLostError")
 	}
-	// Deterministically wait for a possible (forbidden) resubmission to
-	// materialize before counting: the backoff ceiling is 20ms.
-	time.Sleep(150 * time.Millisecond)
 	if n := fs.conns.Load(); n != 1 {
-		t.Errorf("server saw %d connections; the post-emission fence leaked a resubmit", n)
+		t.Errorf("server saw %d connections, want 1: the query was sent again", n)
 	}
 }
 
-// TestNextQueryRedialsAfterLoss: a connection poisoned by a mid-stream
-// loss heals itself on the NEXT query when reconnection is configured —
-// the failed stream's error stands, but the Conn is not bricked.
-func TestNextQueryRedialsAfterLoss(t *testing.T) {
+// TestLostConnStaysFailed: a connection that lost its link stays failed.
+// The next query on it returns the same typed loss without dialing; a
+// fresh Dial is what runs it.
+func TestLostConnStaysFailed(t *testing.T) {
 	fs := newFakeServer(t, func(idx int, nc net.Conn) {
 		br := bufio.NewReader(nc)
 		codec := serverHandshake(t, nc, br)
@@ -249,7 +207,7 @@ func TestNextQueryRedialsAfterLoss(t *testing.T) {
 		}
 		codec.WriteFrame(nc, wire.FrameDone, wire.EncodeDone(done))
 	})
-	c, err := client.DialOpts(fs.addr(), client.DialOptions{Reconnect: reconnectCfg()})
+	c, err := client.Dial(fs.addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,19 +215,33 @@ func TestNextQueryRedialsAfterLoss(t *testing.T) {
 	if _, err := c.Collect("SELECT 1", client.Options{}); !errors.Is(err, client.ErrConnectionLost) {
 		t.Fatalf("first query: err = %v, want ErrConnectionLost", err)
 	}
-	res, err := c.Collect("SELECT 1", client.Options{})
+	if _, err := c.Collect("SELECT 1", client.Options{}); !errors.Is(err, client.ErrConnectionLost) {
+		t.Fatalf("second query on the lost conn: err = %v, want ErrConnectionLost", err)
+	}
+	if c.Healthy() {
+		t.Error("a lost connection reports healthy")
+	}
+	if n := fs.conns.Load(); n != 1 {
+		t.Fatalf("server saw %d connections, want 1: the lost conn dialed again", n)
+	}
+	fresh, err := client.Dial(fs.addr(), 5*time.Second)
 	if err != nil {
-		t.Fatalf("second query on a healable conn: %v", err)
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	res, err := fresh.Collect("SELECT 1", client.Options{})
+	if err != nil {
+		t.Fatalf("query on a fresh conn: %v", err)
 	}
 	if len(res.Rows) != 1 {
-		t.Errorf("second query got %d rows, want 1", len(res.Rows))
+		t.Errorf("fresh conn got %d rows, want 1", len(res.Rows))
 	}
 }
 
-// TestOverloadRetryAfterSurvivesReconnect: a server that sheds with a
-// retry-after hint and then drops the connection must not be redialed
-// before the hint expires — the floor carries across the reconnect.
-func TestOverloadRetryAfterSurvivesReconnect(t *testing.T) {
+// TestOverloadLeavesConnUsable: a shed is an answer, not a loss. The
+// caller gets the typed OverloadError carrying the server's retry-after
+// hint, and the same connection runs the next query.
+func TestOverloadLeavesConnUsable(t *testing.T) {
 	const hint = 400 * time.Millisecond
 	fs := newFakeServer(t, func(idx int, nc net.Conn) {
 		br := bufio.NewReader(nc)
@@ -277,17 +249,17 @@ func TestOverloadRetryAfterSurvivesReconnect(t *testing.T) {
 		if _, ok := readQuery(t, codec, br); !ok {
 			return
 		}
-		if idx == 0 {
-			codec.WriteFrame(nc, wire.FrameError, wire.EncodeError(wire.ErrorFrame{
-				Code: wire.CodeOverloaded, Message: "shed", RetryAfter: hint,
-			}))
-			return // hang up after shedding
+		codec.WriteFrame(nc, wire.FrameError, wire.EncodeError(wire.ErrorFrame{
+			Code: wire.CodeOverloaded, Message: "shed", RetryAfter: hint,
+		}))
+		if _, ok := readQuery(t, codec, br); !ok {
+			return
 		}
 		batch, done := oneRowResult()
 		codec.WriteFrame(nc, wire.FrameRowBatch, wire.EncodeRowBatch(batch))
 		codec.WriteFrame(nc, wire.FrameDone, wire.EncodeDone(done))
 	})
-	c, err := client.DialOpts(fs.addr(), client.DialOptions{Reconnect: reconnectCfg()})
+	c, err := client.Dial(fs.addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,57 +270,53 @@ func TestOverloadRetryAfterSurvivesReconnect(t *testing.T) {
 	if !errors.As(err, &ov) || ov.RetryAfter != hint {
 		t.Fatalf("err = %v, want OverloadError carrying %v", err, hint)
 	}
-
-	// The overload shed is a query answer, not a connection loss — but
-	// the server hung up right after it, so this Query must redial. The
-	// redial has to respect the server's hint, not the 5ms backoff.
-	start := time.Now()
 	res, err := c.Collect("SELECT 1", client.Options{})
-	elapsed := time.Since(start)
 	if err != nil {
-		t.Fatalf("retry after shed: %v", err)
+		t.Fatalf("query after a shed: %v", err)
 	}
 	if len(res.Rows) != 1 {
 		t.Errorf("got %d rows, want 1", len(res.Rows))
 	}
-	if elapsed < hint/2 {
-		t.Errorf("redial raced the retry-after floor: resubmitted after %v, hint was %v", elapsed, hint)
+	if n := fs.conns.Load(); n != 1 {
+		t.Errorf("server saw %d connections, want 1", n)
 	}
 }
 
-// TestCancelDuringReconnect: closing the Cancel channel while the
-// client sleeps in reconnect backoff aborts promptly with ErrCanceled —
-// the caller is never held hostage by a retry schedule.
-func TestCancelDuringReconnect(t *testing.T) {
+// TestCancelAbandonsConn: closing Cancel while the server is silent ends
+// the wait promptly with ErrCanceled. The answer may still be in flight,
+// so the connection is abandoned: the next query on it returns the same
+// error, and nothing is dialed.
+func TestCancelAbandonsConn(t *testing.T) {
 	fs := newFakeServer(t, func(idx int, nc net.Conn) {
 		br := bufio.NewReader(nc)
 		codec := serverHandshake(t, nc, br)
 		readQuery(t, codec, br)
-		// Always die: the client will keep reconnecting until canceled.
+		codec.ReadFrame(br) // silent until the client hangs up
 	})
-	cancel := make(chan struct{})
-	c, err := client.DialOpts(fs.addr(), client.DialOptions{
-		Reconnect: &client.ReconnectConfig{
-			BaseDelay: 2 * time.Second, MaxDelay: 2 * time.Second, MaxAttempts: 10, Seed: 1,
-		},
-	})
+	c, err := client.Dial(fs.addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
+	cancel := make(chan struct{})
 	go func() {
 		time.Sleep(100 * time.Millisecond)
 		close(cancel)
 	}()
 	start := time.Now()
 	_, err = c.Collect("SELECT 1", client.Options{Cancel: cancel})
-	elapsed := time.Since(start)
 	if !errors.Is(err, qctx.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	if elapsed > time.Second {
-		t.Errorf("cancel took %v to take effect; backoff sleep ignored the channel", elapsed)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("cancel took %v to take effect", elapsed)
+	}
+	if _, err := c.Collect("SELECT 1", client.Options{}); !errors.Is(err, qctx.ErrCanceled) {
+		t.Errorf("query on the abandoned conn: err = %v, want the sticky ErrCanceled", err)
+	}
+	if n := fs.conns.Load(); n != 1 {
+		t.Errorf("server saw %d connections, want 1", n)
 	}
 }
 
@@ -411,59 +379,6 @@ func TestIOTimeoutSurfacesTyped(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("IOTimeout of 200ms surfaced after %v", elapsed)
-	}
-}
-
-// TestReconnectGivesUpTyped: when every redial fails, the final error
-// still matches ErrConnectionLost (wrapped in the give-up report).
-func TestReconnectGivesUpTyped(t *testing.T) {
-	fs := newFakeServer(t, func(idx int, nc net.Conn) {
-		br := bufio.NewReader(nc)
-		codec := serverHandshake(t, nc, br)
-		readQuery(t, codec, br)
-	})
-	c, err := client.DialOpts(fs.addr(), client.DialOptions{
-		Reconnect: &client.ReconnectConfig{
-			BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, MaxAttempts: 2, Seed: 1,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	fs.lis.Close() // every redial now fails outright
-	_, err = c.Collect("SELECT 1", client.Options{})
-	if err == nil {
-		t.Fatal("query succeeded against a dead server")
-	}
-}
-
-// TestRedialBackoffNeverOverflows: 81 redials against a dead server walk
-// the backoff far past the attempt where BaseDelay·2^attempt overflows
-// int64 (the 40th, at the default 20ms). Every delay must stay in
-// (0, MaxDelay]: a negative one panics the jitter roll, an uncapped one
-// blows the time bound.
-func TestRedialBackoffNeverOverflows(t *testing.T) {
-	fs := newFakeServer(t, func(idx int, nc net.Conn) {
-		br := bufio.NewReader(nc)
-		codec := serverHandshake(t, nc, br)
-		readQuery(t, codec, br)
-	})
-	c, err := client.DialOpts(fs.addr(), client.DialOptions{
-		Reconnect: &client.ReconnectConfig{MaxDelay: time.Millisecond, MaxAttempts: 81, Seed: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	fs.lis.Close()
-	start := time.Now()
-	_, err = c.Collect("SELECT 1", client.Options{})
-	if err == nil || !strings.Contains(err.Error(), "gave up after 81 attempts") {
-		t.Fatalf("err = %v, want the give-up report after 81 attempts", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("81 redials capped at 1ms each took %v", elapsed)
 	}
 }
 

@@ -34,22 +34,21 @@ func (c *Conn) Healthy() bool {
 // use; the connections it hands out are not (each checkout is exclusive
 // until Put or Discard).
 type Pool struct {
-	addr    string
-	opts    DialOptions
-	maxIdle int
+	addr string
+	opts DialOptions
 
 	mu     sync.Mutex
 	idle   []*Conn
 	closed bool
 }
 
-// NewPool creates a pool dialing addr with opts. maxIdle bounds the free
-// list (0 = 4); connections beyond it are closed on Put.
-func NewPool(addr string, opts DialOptions, maxIdle int) *Pool {
-	if maxIdle <= 0 {
-		maxIdle = 4
-	}
-	return &Pool{addr: addr, opts: opts, maxIdle: maxIdle}
+// maxIdle bounds a pool's free list; connections beyond it are closed on
+// Put.
+const maxIdle = 4
+
+// NewPool creates a pool dialing addr with opts.
+func NewPool(addr string, opts DialOptions) *Pool {
+	return &Pool{addr: addr, opts: opts}
 }
 
 // Addr returns the pooled address.
@@ -91,7 +90,7 @@ func (p *Pool) Put(c *Conn) {
 		return
 	}
 	p.mu.Lock()
-	if p.closed || len(p.idle) >= p.maxIdle {
+	if p.closed || len(p.idle) >= maxIdle {
 		p.mu.Unlock()
 		c.Close()
 		return

@@ -34,7 +34,7 @@ func echoServer(t *testing.T) *fakeServer {
 // instead of dialing again.
 func TestPoolReusesIdleConn(t *testing.T) {
 	fs := echoServer(t)
-	p := client.NewPool(fs.addr(), client.DialOptions{}, 2)
+	p := client.NewPool(fs.addr(), client.DialOptions{})
 	defer p.Close()
 	for i := 0; i < 3; i++ {
 		c, err := p.Get()
@@ -66,7 +66,7 @@ func TestPoolDropsDeadIdleConn(t *testing.T) {
 		codec.WriteFrame(nc, wire.FrameDone, wire.EncodeDone(done))
 		// Handler returns: the server closes the idle pooled connection.
 	})
-	p := client.NewPool(fs.addr(), client.DialOptions{}, 2)
+	p := client.NewPool(fs.addr(), client.DialOptions{})
 	defer p.Close()
 	c, err := p.Get()
 	if err != nil {
@@ -117,7 +117,7 @@ func TestPoolDropsConnHoldingGoodbye(t *testing.T) {
 			}
 		}
 	})
-	p := client.NewPool(fs.addr(), client.DialOptions{}, 2)
+	p := client.NewPool(fs.addr(), client.DialOptions{})
 	defer p.Close()
 	c, err := p.Get()
 	if err != nil {

@@ -125,7 +125,7 @@ func New(cfg Config) (*Coordinator, error) {
 	co.staging.tables = make(map[string]map[int]bool)
 	opts := client.DialOptions{Timeout: cfg.DialTimeout, IOTimeout: cfg.IOTimeout}
 	for _, addr := range cfg.Workers {
-		co.pools = append(co.pools, client.NewPool(addr, opts, 0))
+		co.pools = append(co.pools, client.NewPool(addr, opts))
 	}
 	for w := range co.pools {
 		if err := co.withWorker(w, func(*client.Conn) error { return nil }); err != nil {

@@ -393,13 +393,6 @@ func (o Options) governed() bool {
 	return o.Timeout > 0 || o.MaxRows > 0 || o.MaxBytes > 0 || o.Cancel != nil || o.ticket != nil
 }
 
-// degraded reports overload degradation: a reduced memory lease means
-// pool pressure, and sequential plans buffer less than partitioned
-// parallel hash builds, so a parallel request runs sequentially.
-func (o Options) degraded() bool {
-	return o.ticket != nil && o.ticket.Degraded() && parallelRequested(o)
-}
-
 // Result is a completed query.
 type Result struct {
 	Columns  []string
@@ -417,8 +410,8 @@ type Result struct {
 // enabled it first passes the gateway: it may wait in the FIFO queue
 // (the wait counts against Timeout), be shed with qctx.ErrOverloaded,
 // be rejected with qctx.ErrQueryTimeout if its deadline expires before a
-// slot frees, or run with a degraded (smaller) memory lease and a
-// sequential plan under pool pressure.
+// slot frees, or run with a degraded (smaller) memory lease under pool
+// pressure.
 func (db *DB) Query(sql string, opts Options) (*Result, error) {
 	qb, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -467,7 +460,7 @@ func (db *DB) run(qb *ast.QueryBlock, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.VerifyParallel && parallelRequested(opts) && !opts.degraded() && !res.FellBack &&
+	if opts.VerifyParallel && parallelRequested(opts) && !res.FellBack &&
 		(opts.Strategy == TransformJA2 || opts.Strategy == TransformKim) {
 		if err := db.verifyParallel(qb, opts, res); err != nil {
 			return nil, err
@@ -545,13 +538,6 @@ func (db *DB) execute(qb *ast.QueryBlock, opts Options) (*Result, error) {
 				}
 			}()
 		}
-	}
-
-	if opts.degraded() {
-		opts.Planner.Parallelism = 0
-		opts.Planner.ForceParallel = false
-		res.Trace = append(res.Trace,
-			fmt.Sprintf("admission: degraded memory lease (%d bytes); running sequentially", opts.MaxBytes))
 	}
 
 	before := db.store.Stats()

@@ -36,7 +36,6 @@ func stormCleanErr(err error) bool {
 // rungs are the degradation rungs a completed query can have climbed,
 // each named by the trace line it leaves on the Result.
 var rungs = [...]struct{ name, line string }{
-	{"degraded lease", "admission: degraded memory lease"},
 	{"sequential rerun", "retrying sequentially"},
 	{"forced-spill rerun", "retrying with forced spill"},
 	{"transient retry", "transient fault ("},

@@ -103,6 +103,47 @@ func TestMetamorphFaults(t *testing.T) {
 	t.Logf("pairs=%d queries=%d faultSkips=%d", st.Pairs, st.Queries, st.FaultSkips)
 }
 
+// TestRunnerRedialsAfterLinkLoss: the client never sends a query twice,
+// so a network-regime query whose link is cut is lost, one fault skip,
+// and the runner dials a fresh connection for the next query, whose
+// answer must match the in-process regime's.
+func TestRunnerRedialsAfterLinkLoss(t *testing.T) {
+	r, err := NewRunner(RunnerConfig{Network: true, Faults: &fault.Plan{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := workload.LoadKiessling(&workload.DB{Cat: r.db.Catalog(), Store: r.db.Store()}); err != nil {
+		t.Fatal(err)
+	}
+	q := workload.KiesslingQ2
+	seq, err := r.runQuery(q, RegimeSeq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, err := r.runQuery(q, RegimeNet); err != nil || first.skip {
+		t.Fatalf("net query before the cut: skip=%v err=%v", first.skip, err)
+	}
+	// Cut the link: the next chunk through the proxy severs it, once.
+	r.proxy.Arm(fault.New(fault.Plan{Max: 1, Rates: fault.Rates{fault.NetDrop: 1}}))
+	if lost, err := r.runQuery(q, RegimeNet); err != nil || !lost.skip {
+		t.Fatalf("net query across the cut: skip=%v err=%v, want a fault skip", lost.skip, err)
+	}
+	after, err := r.runQuery(q, RegimeNet)
+	if err != nil || after.skip {
+		t.Fatalf("net query after the cut: skip=%v err=%v", after.skip, err)
+	}
+	if n := r.proxy.Connections(); n != 2 {
+		t.Errorf("proxy accepted %d connections, want 2: the query after the cut ran on a new one", n)
+	}
+	if d := storage.Diff(engine.AcrossRegimes, after.rows, seq.rows); d != "" {
+		t.Errorf("net query on the new connection: %s", d)
+	}
+	if n := r.Stats().FaultSkips; n != 1 {
+		t.Errorf("FaultSkips = %d, want 1 (the lost query only)", n)
+	}
+}
+
 // TestMetamorphTightMemory is the tight-memory regime gate: a fixed-seed
 // corpus where every query additionally runs with all memory
 // reservations refused, pushing each sort, join group, and aggregate

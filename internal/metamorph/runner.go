@@ -133,7 +133,8 @@ type Runner struct {
 	db    *engine.DB
 	srv   *server.Server
 	proxy *fault.Proxy
-	conn  *client.Conn
+	addr  string       // where the network regime dials: the proxy, or the server
+	conn  *client.Conn // nil after a lost link, until the next net query dials
 	stats Stats
 	start time.Time
 }
@@ -168,30 +169,43 @@ func NewRunner(cfg RunnerConfig) (*Runner, error) {
 		return nil, err
 	}
 	go r.srv.Serve(lis)
-	addr := lis.Addr().String()
+	r.addr = lis.Addr().String()
 	if cfg.Faults != nil {
-		r.proxy, err = fault.NewProxy(addr, fault.New(*cfg.Faults))
+		r.proxy, err = fault.NewProxy(r.addr, fault.New(*cfg.Faults))
 		if err != nil {
 			r.Close()
 			return nil, err
 		}
-		addr = r.proxy.Addr()
+		r.addr = r.proxy.Addr()
 	}
-	r.conn, err = client.DialOpts(addr, client.DialOptions{
-		Timeout:   5 * time.Second,
-		IOTimeout: 5 * time.Second,
-		Reconnect: &client.ReconnectConfig{
-			MaxAttempts: 8,
-			BaseDelay:   2 * time.Millisecond,
-			MaxDelay:    50 * time.Millisecond,
-			Seed:        1,
-		},
-	})
-	if err != nil {
+	if err := r.dial(); err != nil {
 		r.Close()
 		return nil, err
 	}
 	return r, nil
+}
+
+// dial opens the network regime's connection.
+func (r *Runner) dial() (err error) {
+	r.conn, err = client.DialOpts(r.addr, client.DialOptions{Timeout: 5 * time.Second, IOTimeout: 5 * time.Second})
+	return err
+}
+
+// collect runs one network-regime query. The client never sends a query
+// twice: a query whose link died is lost (a fault skip), and the next
+// one dials a fresh connection.
+func (r *Runner) collect(sql string) (*client.Result, error) {
+	if r.conn == nil {
+		if err := r.dial(); err != nil {
+			return nil, err
+		}
+	}
+	res, err := r.conn.Collect(sql, client.Options{Timeout: 10 * time.Second})
+	if client.LinkFailure(err) {
+		r.conn.Close()
+		r.conn = nil
+	}
+	return res, err
 }
 
 // Close tears the runner's network stack down.
@@ -238,7 +252,7 @@ func (r *Runner) runQuery(sql, regime string) (runResult, error) {
 	var err error
 	if regime == RegimeNet {
 		var res *client.Result
-		if res, err = r.conn.Collect(sql, client.Options{Timeout: 10 * time.Second}); err == nil {
+		if res, err = r.collect(sql); err == nil {
 			out.rows = res.Rows
 		}
 	} else {

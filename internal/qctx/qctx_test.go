@@ -200,9 +200,8 @@ func TestPanicError(t *testing.T) {
 }
 
 // TestBackoffBounds walks far past the attempt where base·2^attempt
-// overflows int64, with the knobs of both callers (admission's retry
-// defaults, the client's reconnect defaults): every delay stays in
-// (0, limit] and the early ones double.
+// overflows int64, with admission's retry constants and a wider pair:
+// every delay stays in (0, limit] and the early ones double.
 func TestBackoffBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, k := range []struct{ base, limit time.Duration }{

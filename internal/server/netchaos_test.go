@@ -20,10 +20,9 @@ import (
 	"repro/internal/wire"
 )
 
-// chaosSeed fixes the proxy's fault schedules and every client's
-// reconnect backoff. It does not make a failure replay: where a live
-// socket cuts its chunks, and how the clients interleave, differ from
-// run to run.
+// chaosSeed fixes the proxy's fault schedules. It does not make a
+// failure replay: where a live socket cuts its chunks, and how the
+// clients interleave, differ from run to run.
 const chaosSeed = 20260805
 
 // canon renders a result as the canonical RowBatch wire encoding, the
@@ -122,12 +121,6 @@ func TestNetChaosStorm(t *testing.T) {
 				c, err := client.DialOpts(proxy.Addr(), client.DialOptions{
 					Timeout:   2 * time.Second,
 					IOTimeout: 3 * time.Second, // cuts partition hangs
-					Reconnect: &client.ReconnectConfig{
-						MaxAttempts: 3,
-						BaseDelay:   5 * time.Millisecond,
-						MaxDelay:    50 * time.Millisecond,
-						Seed:        chaosSeed + int64(ci)*1000 + int64(r),
-					},
 				})
 				if err != nil {
 					failed.Add(1)

@@ -214,8 +214,8 @@ func WithSpillThreshold(n int64) Option {
 
 // WithAdmissionControl turns on the concurrency gateway: every Query
 // first acquires an admission slot (bounded concurrency, bounded FIFO
-// queue, memory-pool lease), overload is shed with ErrOverloaded, and a
-// query granted less than its lease runs a sequential plan. Required
+// queue, memory-pool lease), and overload is shed with ErrOverloaded.
+// Required
 // before serving concurrent traffic with bounded resources;
 // single-caller use works without it.
 func WithAdmissionControl(cfg AdmissionConfig) Option {
