@@ -226,6 +226,46 @@ func TestOneRetryPolicy(t *testing.T) {
 	})
 }
 
+// A returning worker's shard slices used to come back two ways: re-shipped
+// from a live peer, or, for a shard with none, from the copy every replica
+// agreed on (agreedCopy, which read each copy whole over Snapshot and
+// skipped the ones a failed re-ship had left half-built, tracked as torn).
+// Rejoin has one rule now (re-ship from a live peer, else keep the
+// shard's last copy), and a second path must not grow back unnoticed: in
+// non-test internal/cluster code only shipSnapshot calls .Snapshot, once,
+// and no identifier is named torn, tornSlice or agreedCopy.
+func TestOneRejoinPath(t *testing.T) {
+	gone := map[string]bool{"torn": true, "tornSlice": true, "agreedCopy": true}
+	var callers []string
+	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
+		if filepath.ToSlash(filepath.Dir(path)) != "internal/cluster" {
+			return
+		}
+		for _, decl := range file.Decls {
+			name := "(package level)"
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				name = fn.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Snapshot" {
+						callers = append(callers, name)
+					}
+				case *ast.Ident:
+					if gone[n.Name] {
+						t.Errorf("%s names %s: rejoin re-ships from a live peer or keeps the last copy, nothing else", path, n.Name)
+					}
+				}
+				return true
+			})
+		}
+	})
+	if len(callers) != 1 || callers[0] != "shipSnapshot" {
+		t.Errorf(".Snapshot( is called from %v in internal/cluster, want exactly once, from shipSnapshot", callers)
+	}
+}
+
 // The agreement rule — which results of one query must be equal, and
 // whether as bags or as sets — and the sorted-rendered-rows comparator
 // under it used to be written out in the engine's VerifyParallel, again in

@@ -453,13 +453,6 @@ func (c *Controller) Resume() {
 	c.mu.Unlock()
 }
 
-// Draining reports whether admission is closed.
-func (c *Controller) Draining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.draining
-}
-
 // Stats is a snapshot of the admission counters, for the REPL's \stats
 // and for tests.
 type Stats struct {

@@ -81,8 +81,7 @@ type Coordinator struct {
 
 	mu    sync.RWMutex // catalog + placement: RLock SELECT, Lock DDL/DML/rejoin
 	cat   *schema.Catalog
-	place map[string]string  // UPPER(table) -> UPPER(partition column)
-	torn  map[tornSlice]bool // copies a failed re-ship may have left half-built
+	place map[string]string // UPPER(table) -> UPPER(partition column)
 
 	qid       atomic.Uint64 // staging-name counter
 	runToken  string        // per-run nonce in staging names
@@ -90,7 +89,7 @@ type Coordinator struct {
 
 	staging struct {
 		sync.Mutex
-		tables map[string]map[int]bool // physical staging table -> workers holding it
+		tables map[string]*stagingEntry // physical staging table -> who holds it
 	}
 
 	stop     chan struct{}
@@ -116,13 +115,16 @@ func New(cfg Config) (*Coordinator, error) {
 		replicas:  cfg.replicas(),
 		cat:       schema.NewCatalog(),
 		place:     make(map[string]string),
-		torn:      make(map[tornSlice]bool),
-		health:    newHealthTracker(len(cfg.Workers)),
 		runToken:  newRunToken(),
 		perWorker: make([]int64, len(cfg.Workers)),
 		stop:      make(chan struct{}),
 	}
-	co.staging.tables = make(map[string]map[int]bool)
+	replicas := make([][]int, co.nshards)
+	for s := range replicas {
+		replicas[s] = co.replicasOf(s)
+	}
+	co.health = newHealthTracker(replicas)
+	co.staging.tables = make(map[string]*stagingEntry)
 	opts := client.DialOptions{Timeout: cfg.DialTimeout, IOTimeout: cfg.IOTimeout}
 	for _, addr := range cfg.Workers {
 		co.pools = append(co.pools, client.NewPool(addr, opts))
@@ -169,7 +171,8 @@ func (co *Coordinator) Replicas() int { return co.replicas }
 func (co *Coordinator) WorkerStates() []string { return co.health.snapshot() }
 
 // GatherCounts returns how many round-2 shard queries each worker has
-// served, for load reporting (benchpaper's per-node q/s).
+// served, for load reporting (nestedsqld's exit report, the benchmark's
+// cluster.gather_skew).
 func (co *Coordinator) GatherCounts() []int64 {
 	out := make([]int64, len(co.perWorker))
 	for i := range out {
@@ -374,9 +377,9 @@ func (co *Coordinator) replicate(shards []int, ok [][]bool, write func(s, w int)
 }
 
 // diverged is replicate's failed hook for durable state: the replica
-// missed a write its shard committed, so it must rejoin from a snapshot
-// before serving again.
-func (co *Coordinator) diverged(_, w int) { co.health.markDead(w) }
+// missed a write its shard committed, so it must rejoin before serving
+// again.
+func (co *Coordinator) diverged(s, w int) { co.health.markDiverged(w, s) }
 
 // load lands rows in one worker's physical table as Load frames of about
 // loadChunkBytes each — rows travel coordinator→worker as rows, the way

@@ -25,6 +25,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/storage"
+	"repro/internal/value"
 )
 
 // killProxy arms a proxy to behave like a dead worker.
@@ -201,29 +202,29 @@ func TestClusterFailover(t *testing.T) {
 	killProxy(proxies[1])
 	diffAll("worker 1 dead, rejoined worker 0 serving")
 
-	// Heal everything and prove no staging table leaked.
+	// Heal everything and prove the prober left no staging table behind.
 	healProxy(proxies[1])
 	waitStates(t, co, "healthy", 20*time.Second)
-	if n := co.SweepStaging(); n != 0 {
-		t.Errorf("%d staging tables still live after heal and sweep", n)
-	}
+	waitStagingDropped(t, co, 10*time.Second)
 }
 
 // TestClusterFailoverDropDuringOutage: DROP TABLE is best effort on the
 // workers and always forgets the table. With workers 1 and 2 of a 3-node
-// R=2 cluster dead, shard 1 has no live replica at all; a DROP that
-// failed there — after worker 0 had already dropped its slices — would
-// keep a catalog entry over half-dropped slices, and the next SELECT's
-// "unknown relation" would take the last healthy worker down with
-// nothing left to re-ship any of them from.
+// R=2 cluster cut off, shard 1's last live replica is unreachable: a read
+// of it fails ErrWorkerLost, and so does the DROP of its slice — after
+// worker 0 had already dropped its own. A catalog entry kept over those
+// half-dropped slices would turn the next SELECT's "unknown relation"
+// into a dead worker 0.
 func TestClusterFailoverDropDuringOutage(t *testing.T) {
-	co, proxies, dbs := twoDeadCluster(t, 50*time.Millisecond)
-	if _, err := co.ExecSQL(clusterQueries[0], engine.Options{}); !errors.Is(err, cluster.ErrShardUnavailable) {
-		t.Fatalf("read with a whole shard down: %v, want ErrShardUnavailable", err)
+	co, proxies, dbs := proxiedCluster(t, 3, 2, 50*time.Millisecond)
+	killProxy(proxies[1])
+	killProxy(proxies[2])
+	if _, err := co.ExecSQL(clusterQueries[0], engine.Options{}); !errors.Is(err, cluster.ErrWorkerLost) {
+		t.Fatalf("read with shard 1's replicas cut off: %v, want ErrWorkerLost", err)
 	}
 
 	if _, err := co.ExecSQL("DROP TABLE SP", engine.Options{}); err != nil {
-		t.Fatalf("DROP TABLE with a whole shard down: %v", err)
+		t.Fatalf("DROP TABLE with shard 1 unreachable: %v", err)
 	}
 	for _, phys := range []string{"SP__S0", "SP__S2"} {
 		if _, ok := engineTable(t, dbs[0], phys, []string{"SNO"}); ok {
@@ -238,11 +239,11 @@ func TestClusterFailoverDropDuringOutage(t *testing.T) {
 			t.Errorf("%q after the DROP: %v, want unknown relation", sql, err)
 		}
 	}
-	if st := co.WorkerStates()[0]; st == "dead" {
-		t.Fatalf("worker 0 was killed by a statement on a dropped table: %v", co.WorkerStates())
-	}
 	if _, err := co.ExecSQL("DROP TABLE S", engine.Options{}); err != nil {
-		t.Fatalf("DROP TABLE with a whole shard down: %v", err)
+		t.Fatalf("DROP TABLE with shard 1 unreachable: %v", err)
+	}
+	if st := co.WorkerStates()[0]; st != "healthy" {
+		t.Fatalf("worker 0 is %s after DROPs it served: %v", st, co.WorkerStates())
 	}
 
 	// Heal. Nothing is cataloged any more, so both workers rejoin with
@@ -273,21 +274,11 @@ func TestClusterFailoverDropDuringOutage(t *testing.T) {
 	waitStates(t, co, "healthy", 5*time.Second)
 }
 
-// twoDeadCluster is clusterScript on a 3-node R=2 cluster whose workers
-// 1 and 2 the breaker has tripped, links still cut: shard 1 lives on
-// exactly those two, so it has no live replica.
-func twoDeadCluster(t *testing.T, probe time.Duration) (*cluster.Coordinator, []*fault.Proxy, []*engine.DB) {
+// proxiedCluster is clusterScript on an n-worker cluster at the given
+// replica count, each worker behind its own fault proxy.
+func proxiedCluster(t *testing.T, n, replicas int, probe time.Duration) (*cluster.Coordinator, []*fault.Proxy, []*engine.DB) {
 	t.Helper()
-	co, proxies, dbs := proxiedCluster(t, probe)
-	tripDead(t, co, proxies, 1, 2)
-	return co, proxies, dbs
-}
-
-// proxiedCluster is clusterScript on a 3-node R=2 cluster, each worker
-// behind its own fault proxy.
-func proxiedCluster(t *testing.T, probe time.Duration) (*cluster.Coordinator, []*fault.Proxy, []*engine.DB) {
-	t.Helper()
-	addrs, dbs := startWorkers(t, 3, false)
+	addrs, dbs := startWorkers(t, n, false)
 	var proxies []*fault.Proxy
 	proxyAddrs := make([]string, len(addrs))
 	for i, addr := range addrs {
@@ -301,7 +292,7 @@ func proxiedCluster(t *testing.T, probe time.Duration) (*cluster.Coordinator, []
 	}
 	co, err := cluster.New(cluster.Config{
 		Workers:       proxyAddrs,
-		Replicas:      2,
+		Replicas:      replicas,
 		DialTimeout:   time.Second,
 		IOTimeout:     2 * time.Second,
 		ProbeInterval: probe,
@@ -340,6 +331,17 @@ func tripDead(t *testing.T, co *cluster.Coordinator, proxies []*fault.Proxy, ws 
 	}
 }
 
+// readsFailLost runs n reads of shard 1 and requires each to fail with
+// ErrWorkerLost: its last live replica is cut off, yet still routed to.
+func readsFailLost(t *testing.T, co *cluster.Coordinator, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := co.ExecSQL(clusterQueries[0], engine.Options{}); !errors.Is(err, cluster.ErrWorkerLost) {
+			t.Fatalf("read %d: %v, want ErrWorkerLost (states %v)", i, err, co.WorkerStates())
+		}
+	}
+}
+
 // rejoinOnCleanLinks runs Rejoin(w) until an attempt is not lost to a
 // stale pooled connection (each costs one), and returns its answer.
 func rejoinOnCleanLinks(t *testing.T, co *cluster.Coordinator, w int) error {
@@ -355,11 +357,32 @@ func rejoinOnCleanLinks(t *testing.T, co *cluster.Coordinator, w int) error {
 	}
 }
 
-// clusterMatchesOracle holds every clusterQueries answer against the
-// single node.
-func clusterMatchesOracle(t *testing.T, co *cluster.Coordinator) {
+// probeUntilHealthy probes w until it is healthy; a probe on a stale
+// pooled connection only discards it.
+func probeUntilHealthy(t *testing.T, co *cluster.Coordinator, w int) {
 	t.Helper()
-	oracle := oracleDB(t)
+	for deadline := time.Now().Add(10 * time.Second); !co.Probe(w); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker %d never probed healthy: %v", w, co.WorkerStates())
+		}
+	}
+}
+
+// waitStagingDropped polls until the prober has dropped every staging
+// table a query left behind.
+func waitStagingDropped(t *testing.T, co *cluster.Coordinator, timeout time.Duration) {
+	t.Helper()
+	for deadline := time.Now().Add(timeout); co.LiveStaging() != 0; time.Sleep(25 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("%d staging tables still live after the fleet healed", co.LiveStaging())
+			return
+		}
+	}
+}
+
+// clusterMatchesOracle holds every clusterQueries answer against oracle.
+func clusterMatchesOracle(t *testing.T, co *cluster.Coordinator, oracle *engine.DB) {
+	t.Helper()
 	for _, sql := range clusterQueries {
 		want, err := oracle.Query(sql, engine.Options{Strategy: engine.TransformJA2})
 		if err != nil {
@@ -375,65 +398,175 @@ func clusterMatchesOracle(t *testing.T, co *cluster.Coordinator) {
 	}
 }
 
-// TestRejoinWithoutLivePeer is rejoin's failure analysis for a shard
-// whose every replica is dead (shard 1 on workers 1 and 2), one row per
-// thing that can have happened to the copies while the links were down.
-// Two copies that still agree rejoin; anything that made them differ,
-// or lost one, leaves the shard unavailable rather than pick a copy.
+// keyOnShard returns the first S key from k up that routes to shard s of
+// three.
+func keyOnShard(s, k int) int {
+	part := cluster.Partitioner{NumShards: 3, KeyCols: []int{0}}
+	for ; ; k++ {
+		if part.Shard(storage.Tuple{value.NewInt(int64(k))}) == s {
+			return k
+		}
+	}
+}
+
+// lastCopyCluster leaves worker 2 of a 3-node R=2 cluster dead as shard
+// 1's last copy. Worker 1 is tripped dead first, so rows acked on shard
+// 1 land on worker 2 alone. Then worker 2 is cut off — shard 1's last
+// live replica, so no strike kills it — and a one-row INSERT routed to
+// shard 2 is acked by worker 0 alone, which kills worker 2 for missing
+// it. The returned oracle holds every acked row.
+func lastCopyCluster(t *testing.T) (*cluster.Coordinator, []*fault.Proxy, []*engine.DB, *engine.DB) {
+	t.Helper()
+	co, proxies, dbs := proxiedCluster(t, 3, 2, -1)
+	oracle := oracleDB(t)
+	both := func(sql string) {
+		t.Helper()
+		if _, err := co.ExecSQL(sql, engine.Options{}); err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		if _, err := oracle.Exec(sql, engine.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tripDead(t, co, proxies, 1)
+	k := keyOnShard(1, 100)
+	both(fmt.Sprintf("INSERT INTO S VALUES (%d, 'ONLY', 'TWO'), (%d, 'ONLY', 'TWO')", k, keyOnShard(1, k+1)))
+	killProxy(proxies[2])
+	both(fmt.Sprintf("INSERT INTO S VALUES (%d, 'MISSED', 'BYTWO')", keyOnShard(2, 100)))
+	if st := co.WorkerStates(); st[0] != "healthy" || st[1] != "dead" || st[2] != "dead" {
+		t.Fatalf("workers %v, want worker 0 healthy, 1 and 2 dead", st)
+	}
+	return co, proxies, dbs, oracle
+}
+
+// TestR1WorkerComesBack: at R=1 every worker holds its shard's only
+// copy, so no transport strike kills one. A worker cut off for many reads
+// stays suspect and routable, each read failing typed, and one probe
+// after the link heals brings it back with nothing to re-ship.
+func TestR1WorkerComesBack(t *testing.T) {
+	co, proxies, _ := proxiedCluster(t, 2, 1, -1)
+	killProxy(proxies[1])
+	readsFailLost(t, co, 5)
+	if st := co.WorkerStates()[1]; st != "suspect" {
+		t.Fatalf("worker 1, the only copy of shard 1, is %s after five cut reads, want suspect", st)
+	}
+	healProxy(proxies[1])
+	if !co.Probe(1) {
+		t.Fatalf("worker 1 did not heal on one probe: %v", co.WorkerStates())
+	}
+	clusterMatchesOracle(t, co, oracleDB(t))
+}
+
+// TestLastLiveCopyStaysRoutable: workers 1 and 2 of a 3-node R=2 cluster
+// both host shard 1. Cut both, and the breaker kills only one of them;
+// the other holds shard 1's last live copy and stays suspect. After the
+// links heal, a probe heals the suspect and the dead one rejoins from it.
+func TestLastLiveCopyStaysRoutable(t *testing.T) {
+	co, proxies, _ := proxiedCluster(t, 3, 2, -1)
+	killProxy(proxies[1])
+	killProxy(proxies[2])
+	readsFailLost(t, co, 5)
+	st := co.WorkerStates()
+	dead, suspect := 1, 2
+	if st[2] == "dead" {
+		dead, suspect = 2, 1
+	}
+	if st[0] != "healthy" || st[dead] != "dead" || st[suspect] != "suspect" {
+		t.Fatalf("workers %v, want 0 healthy and one of 1, 2 dead, the other suspect", st)
+	}
+	healProxy(proxies[1])
+	healProxy(proxies[2])
+	probeUntilHealthy(t, co, suspect)
+	probeUntilHealthy(t, co, dead)
+	waitStates(t, co, "healthy", time.Second)
+	clusterMatchesOracle(t, co, oracleDB(t))
+}
+
+// TestDivergedLastCopyIsKept: a worker killed for a missed write while it
+// held a shard's only live copy keeps that copy. With both of shard 1's
+// replicas dead, reads of it fail typed and the other replica cannot
+// rejoin; the last copy can, re-shipping only the shard it missed a write
+// on, and then the other replica rejoins from it.
+func TestDivergedLastCopyIsKept(t *testing.T) {
+	co, proxies, _, oracle := lastCopyCluster(t)
+	if _, err := co.ExecSQL(clusterQueries[0], engine.Options{}); !errors.Is(err, cluster.ErrShardUnavailable) {
+		t.Fatalf("read with both of shard 1's replicas dead: %v, want ErrShardUnavailable", err)
+	}
+	healProxy(proxies[1])
+	healProxy(proxies[2])
+	if err := co.Rejoin(1); !errors.Is(err, cluster.ErrShardUnavailable) {
+		t.Fatalf("Rejoin(1) before shard 1's last copy is back: %v, want ErrShardUnavailable", err)
+	}
+	if err := rejoinOnCleanLinks(t, co, 2); err != nil {
+		t.Fatalf("Rejoin(2), shard 1's last copy: %v", err)
+	}
+	if err := rejoinOnCleanLinks(t, co, 1); err != nil {
+		t.Fatalf("Rejoin(1) from the rejoined worker 2: %v", err)
+	}
+	waitStates(t, co, "healthy", time.Second)
+	clusterMatchesOracle(t, co, oracle)
+}
+
+// TestRejoinWithoutLivePeer is the rejoin rule for a shard with no live
+// replica (shard 1, worker 2 its last copy), one row per thing that can
+// have happened to a copy meanwhile. A dead worker's own copy is never
+// trusted: a rogue row on it (an ack lost where no peer acked) is
+// re-shipped over from the last copy. A last copy that came back empty
+// is a lost shard: rejoin refuses, and the shard stays unavailable.
 func TestRejoinWithoutLivePeer(t *testing.T) {
 	cases := []struct {
 		name   string
-		tamper string // run on worker 1's engine while it is cut off; "" = nothing
-		refuse string // what Rejoin must answer; "" = it heals
+		w      int    // whose engine is tampered with while cut off
+		tamper string // run on it
+		refuse string // what Rejoin(2) must answer; "" = it heals
 	}{
-		{"copies agree", "", ""},
-		{"ack lost, no peer acked", "INSERT INTO S__S1 VALUES (99, 'ROGUE', 'NOWHERE')", "hold different copies"},
-		{"restarted empty", "DROP TABLE S__S1", "unknown relation"},
+		{"rogue row on the dead copy", 1, "INSERT INTO S__S1 VALUES (99, 'ROGUE', 'NOWHERE')", ""},
+		{"restarted-empty last copy", 2, "DROP TABLE S__S1", "unknown relation"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			co, proxies, dbs := twoDeadCluster(t, -1)
-			if tc.tamper != "" {
-				if _, err := dbs[1].Exec(tc.tamper, engine.Options{}); err != nil {
-					t.Fatal(err)
-				}
+			co, proxies, dbs, oracle := lastCopyCluster(t)
+			if _, err := dbs[tc.w].Exec(tc.tamper, engine.Options{}); err != nil {
+				t.Fatal(err)
 			}
 			healProxy(proxies[1])
 			healProxy(proxies[2])
-			err := rejoinOnCleanLinks(t, co, 1)
+			err := rejoinOnCleanLinks(t, co, 2)
 			if tc.refuse != "" {
 				if !errors.Is(err, cluster.ErrShardUnavailable) || !strings.Contains(err.Error(), tc.refuse) {
-					t.Fatalf("Rejoin(1) = %v, want ErrShardUnavailable naming %q", err, tc.refuse)
+					t.Fatalf("Rejoin(2) = %v, want ErrShardUnavailable naming %q", err, tc.refuse)
+				}
+				for _, w := range []int{2, 1} {
+					if err := co.Rejoin(w); !errors.Is(err, cluster.ErrShardUnavailable) {
+						t.Fatalf("Rejoin(%d) of a lost shard: %v, want ErrShardUnavailable", w, err)
+					}
 				}
 				if st := co.WorkerStates(); st[1] != "dead" || st[2] != "dead" {
 					t.Fatalf("workers %v, want 1 and 2 still dead", st)
 				}
 				if _, err := co.ExecSQL(clusterQueries[0], engine.Options{}); !errors.Is(err, cluster.ErrShardUnavailable) {
-					t.Fatalf("read of the unavailable shard: %v, want ErrShardUnavailable", err)
+					t.Fatalf("read of the lost shard: %v, want ErrShardUnavailable", err)
 				}
 				return
 			}
 			if err != nil {
-				t.Fatalf("Rejoin(1) with agreeing copies: %v", err)
+				t.Fatalf("Rejoin(2), shard 1's last copy: %v", err)
 			}
-			// Worker 1 is live again, so worker 2 rejoins the usual way, by
-			// re-ship from it.
-			if err := co.Rejoin(2); err != nil {
-				t.Fatalf("Rejoin(2) from the rejoined worker 1: %v", err)
+			if err := rejoinOnCleanLinks(t, co, 1); err != nil {
+				t.Fatalf("Rejoin(1) from the rejoined worker 2: %v", err)
 			}
 			waitStates(t, co, "healthy", time.Second)
-			clusterMatchesOracle(t, co)
+			clusterMatchesOracle(t, co, oracle)
 		})
 	}
 }
 
 // TestRejoinPastTornReship: a re-ship that fails leaves the returning
-// worker's copy half-built, and if the source then dies too, the two
-// copies differ through no divergence of the data. The half-built copy
-// proves nothing and is not counted: the other copy is re-shipped over
-// it, and the fleet heals.
+// worker's copy half-built. Its source is then shard 1's only live copy,
+// so a cut can no longer kill it: it stays suspect, the next rejoin
+// re-ships from it over the half-built copy, and the fleet heals.
 func TestRejoinPastTornReship(t *testing.T) {
-	co, proxies, dbs := proxiedCluster(t, -1)
+	co, proxies, dbs := proxiedCluster(t, 3, 2, -1)
 	tripDead(t, co, proxies, 1)
 	// Worker 2 is live, so this rejoin re-ships shard 1's first slice,
 	// S__S1, to worker 1 — and fails on the cut link, as one cut after the
@@ -444,17 +577,19 @@ func TestRejoinPastTornReship(t *testing.T) {
 	if _, err := dbs[1].Exec("DELETE FROM S__S1", engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	tripDead(t, co, proxies, 2)
+	killProxy(proxies[2])
+	readsFailLost(t, co, 5)
+	if st := co.WorkerStates()[2]; st != "suspect" {
+		t.Fatalf("worker 2, shard 1's last live copy, is %s after a cut, want suspect", st)
+	}
 	healProxy(proxies[1])
 	healProxy(proxies[2])
 	if err := rejoinOnCleanLinks(t, co, 1); err != nil {
 		t.Fatalf("Rejoin(1) past its torn copy: %v", err)
 	}
-	if err := co.Rejoin(2); err != nil {
-		t.Fatalf("Rejoin(2) from the rejoined worker 1: %v", err)
-	}
+	probeUntilHealthy(t, co, 2)
 	waitStates(t, co, "healthy", time.Second)
-	clusterMatchesOracle(t, co)
+	clusterMatchesOracle(t, co, oracleDB(t))
 }
 
 // TestWorkerLostFastFailure (the typed-error fast path): a severed
@@ -949,9 +1084,7 @@ func TestClusterFailoverStorm(t *testing.T) {
 			t.Errorf("acked key %d lost after SIGKILL + rejoin", k)
 		}
 	}
-	if n := co.SweepStaging(); n != 0 {
-		t.Errorf("%d staging tables still live after heal and sweep", n)
-	}
+	waitStagingDropped(t, co, 10*time.Second)
 	t.Logf("failover storm: %d queries completed, %d failed typed; %d keys acked (%d lost), %d errored; victim faults injected: %d",
 		completed.Load(), failed.Load(), len(ackedKeys), lost, len(erroredKeys), victimFaults.Injected())
 	if completed.Load() == 0 {

@@ -7,21 +7,23 @@
 //	   ▲                             │                          │
 //	   │◀──────success / probe───────┘                          │
 //	   │                                                        ▼
-//	   └──────snapshot re-ship ok────── rejoining ◀───probe dials OK
+//	   └───────────rejoin ok─────────── rejoining ◀───probe dials OK
 //
 // A suspect worker stays in the routing table (its next success heals
-// it); a dead worker does not, and can only return through Rejoin — a
-// full snapshot re-ship from a live replica, or, for a shard with none,
-// proof that every replica holds the same copy — because a worker that
-// missed even one committed write has diverged and must not serve
-// reads. Two things kill a worker outright, skipping suspect: missing a
-// DML/DDL write that another replica acknowledged, and answering
-// "unknown relation" for a physical table it is supposed to host (the
-// restarted-empty detector).
+// it); a dead worker does not, and returns only through Rejoin. Two
+// things kill a worker outright: missing a DML/DDL write another replica
+// acknowledged (markDiverged), and answering "unknown relation" for a
+// physical table it hosts (markDead: it restarted empty).
 //
-// Only transport-class failures move the state machine. A typed server
-// error (overload shed, timeout, row budget, user error) proves the
-// worker is alive and is propagated to the client untouched — otherwise
+// A transport strike never kills a worker that holds a shard's only live
+// copy: it stays suspect and routable, failing typed with ErrWorkerLost
+// until a probe heals it. A divergence does kill it, and its copy becomes
+// the shard's last copy: every write since its last rejoin either reached
+// it or killed it, so it holds every acked row, and no other replica of
+// the shard can rejoin before it. Lost state is never a last copy.
+//
+// A typed server error (overload shed, timeout, row budget, user error)
+// proves the worker alive and passes to the client untouched — otherwise
 // one bad query could poison the whole routing table.
 package cluster
 
@@ -29,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 
@@ -58,8 +61,7 @@ func (e *WorkerLostError) Unwrap() []error {
 	return []error{ErrWorkerLost, e.Cause}
 }
 
-// ErrShardUnavailable reports a shard with no live replica left — every
-// worker hosting it is dead or unreachable.
+// ErrShardUnavailable reports a shard whose every replica is dead.
 var ErrShardUnavailable = errors.New("cluster: no live replica for shard")
 
 // workerState is one node of the failover state machine.
@@ -72,36 +74,28 @@ const (
 	workerRejoining
 )
 
-func (s workerState) String() string {
-	switch s {
-	case workerHealthy:
-		return "healthy"
-	case workerSuspect:
-		return "suspect"
-	case workerDead:
-		return "dead"
-	case workerRejoining:
-		return "rejoining"
-	default:
-		return fmt.Sprintf("workerState(%d)", int32(s))
-	}
-}
+var stateNames = [...]string{"healthy", "suspect", "dead", "rejoining"}
+
+func (s workerState) String() string { return stateNames[s] }
 
 // breakerThreshold is the circuit breaker: this many consecutive
-// transport failures moves suspect to dead.
+// transport failures moves suspect to dead (a last live copy excepted).
 const breakerThreshold = 2
 
 // healthTracker holds per-worker state under its own mutex, separate
 // from the coordinator's statement lock so health reads never contend
 // with query execution.
 type healthTracker struct {
-	mu     sync.Mutex
-	states []workerState
-	fails  []int // consecutive transport failures
+	mu       sync.Mutex
+	states   []workerState
+	fails    []int       // consecutive transport failures
+	replicas [][]int     // shard -> the workers hosting it
+	last     map[int]int // shard -> the worker holding its last copy
 }
 
-func newHealthTracker(n int) *healthTracker {
-	return &healthTracker{states: make([]workerState, n), fails: make([]int, n)}
+func newHealthTracker(replicas [][]int) *healthTracker {
+	n := len(replicas)
+	return &healthTracker{states: make([]workerState, n), fails: make([]int, n), replicas: replicas, last: make(map[int]int)}
 }
 
 func (h *healthTracker) state(w int) workerState {
@@ -115,33 +109,94 @@ func (h *healthTracker) state(w int) workerState {
 func (h *healthTracker) live(w int) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.isLive(w)
+}
+
+func (h *healthTracker) isLive(w int) bool {
 	return h.states[w] == workerHealthy || h.states[w] == workerSuspect
 }
 
+// livePeer returns a live replica of shard s other than w, or -1.
+func (h *healthTracker) livePeer(w, s int) int {
+	for _, r := range h.replicas[s] {
+		if r != w && h.isLive(r) {
+			return r
+		}
+	}
+	return -1
+}
+
+// soleShards lists the shards w hosts that have no other live replica.
+func (h *healthTracker) soleShards(w int) (out []int) {
+	for s, rs := range h.replicas {
+		if slices.Contains(rs, w) && h.livePeer(w, s) < 0 {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // markFailure records a transport failure: healthy turns suspect, and
-// breakerThreshold consecutive failures trip the breaker to dead.
+// breakerThreshold consecutive failures trip the breaker to dead —
+// unless w holds a shard's only live copy.
 func (h *healthTracker) markFailure(w int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	switch h.states[w] {
-	case workerHealthy, workerSuspect:
+	if h.isLive(w) {
 		h.fails[w]++
-		if h.fails[w] >= breakerThreshold {
+		h.states[w] = workerSuspect
+		if h.fails[w] >= breakerThreshold && len(h.soleShards(w)) == 0 {
 			h.states[w] = workerDead
-		} else {
-			h.states[w] = workerSuspect
 		}
 	}
 }
 
-// markDead records a divergence (a missed write, a lost table): the
-// worker leaves the routing table until a snapshot re-ship.
+// markDiverged records that w missed a write shard s committed: a live w
+// leaves the routing table as the last copy of every shard it alone held
+// live — never of s, even if the peer that acked was struck dead since.
+func (h *healthTracker) markDiverged(w, s int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.isLive(w) {
+		for _, t := range h.soleShards(w) {
+			h.last[t] = w
+		}
+		h.states[w] = workerDead
+	}
+	if l, ok := h.last[s]; ok && l == w {
+		delete(h.last, s)
+	}
+}
+
+// markDead records lost state (a hosted table answered "unknown
+// relation"): w leaves the routing table until a rejoin, and no copy of
+// it is a shard's last.
 func (h *healthTracker) markDead(w int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.states[w] != workerRejoining {
+	for s, l := range h.last {
+		if l == w {
+			delete(h.last, s)
+		}
+	}
+	if h.isLive(w) {
 		h.states[w] = workerDead
 	}
+}
+
+// rejoinSource is the rejoin rule for w's copy of shard s: a live peer to
+// re-ship it from; else w itself, when it holds the shard's last copy;
+// else -1, no copy to trust.
+func (h *healthTracker) rejoinSource(w, s int) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if r := h.livePeer(w, s); r >= 0 {
+		return r
+	}
+	if l, ok := h.last[s]; ok && l == w {
+		return w
+	}
+	return -1
 }
 
 // markSuccess records a clean exchange: a suspect worker heals.
@@ -154,8 +209,8 @@ func (h *healthTracker) markSuccess(w int) {
 	}
 }
 
-// beginRejoin claims a dead worker for snapshot re-shipping; false when
-// the worker is not dead (already rejoining, or was never lost).
+// beginRejoin claims a dead worker for rejoining; false when the worker
+// is not dead (already rejoining, or was never lost).
 func (h *healthTracker) beginRejoin(w int) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -166,18 +221,23 @@ func (h *healthTracker) beginRejoin(w int) bool {
 	return true
 }
 
-// finishRejoin completes a rejoin: healthy on success, back to dead on
-// failure (the next probe retries).
+// finishRejoin completes a rejoin: back to dead on failure (the next
+// probe retries); healthy on success, with a whole copy of every shard w
+// hosts, so none of them waits on a last copy any more.
 func (h *healthTracker) finishRejoin(w int, ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.states[w] != workerRejoining {
 		return
 	}
+	h.states[w] = workerDead
 	if ok {
 		h.states[w], h.fails[w] = workerHealthy, 0
-	} else {
-		h.states[w] = workerDead
+		for s, rs := range h.replicas {
+			if slices.Contains(rs, w) {
+				delete(h.last, s)
+			}
+		}
 	}
 }
 
@@ -207,21 +267,17 @@ func transportFailure(err error) bool {
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		// A deadline tripping on an established exchange means the worker
-		// is slow, not gone — breaker evidence is link death only. Real
-		// silent partitions still count: the client's frame-wait IOTimeout
-		// arrives wrapped in ErrConnectionLost (matched above), and dial
-		// timeouts to an unreachable worker are counted by withWorker without
-		// consulting this classifier.
+		// is slow, not gone. Silent partitions still count: the frame-wait
+		// IOTimeout arrives wrapped in ErrConnectionLost (matched above),
+		// and withWorker strikes a failed dial without asking.
 		return false
 	}
 	return client.LinkFailure(err)
 }
 
-// unknownRelation reports a typed "unknown relation" answer. Against a
-// physical table the worker is supposed to host, it is the restarted-
-// empty detector: the worker came back with no state and must rejoin
-// before serving again. Against a staging table mid-cleanup it just
-// means already dropped.
+// unknownRelation reports a typed "unknown relation" answer: for a
+// physical table the worker hosts, it restarted empty (lost state); for a
+// table being dropped, it is already gone.
 func unknownRelation(err error) bool {
 	var re *wire.RemoteError
 	return errors.As(err, &re) && strings.Contains(re.Frame.Message, "unknown relation")

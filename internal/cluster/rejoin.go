@@ -1,14 +1,15 @@
 package cluster
 
-// Worker rejoin and the health prober. A dead worker (crashed,
-// restarted empty, or partitioned past the breaker) re-enters the
-// routing table only after catching up: for every shard slice it hosts,
-// a live replica ships a full snapshot — schema first, then rows — and
-// the coordinator rebuilds the slice on the returning worker before
-// flipping it healthy; a slice with no live replica comes from the copy
-// every replica that can vouch for one agrees on (agreedCopy). The
-// prober drives this automatically: suspect workers are probe-dialed
-// back to healthy, dead workers get a rejoin attempt each tick.
+// Worker rejoin and the health prober. A dead worker re-enters the
+// routing table only through Rejoin, which takes each shard slice it
+// hosts by one rule (healthTracker.rejoinSource): re-ship it whole from a
+// live peer; else keep the worker's own copy, if that is the shard's last
+// copy and still there; else fail with ErrShardUnavailable. A re-ship
+// that fails half-way leaves a half-built copy on a dead worker; a copy
+// becomes a last copy only while its worker is live, and a dead worker
+// turns live only through a completed rejoin, so no rule trusts it and
+// nothing needs to remember it. The prober heals suspect workers,
+// rejoins dead ones, and drops leaked staging tables from healthy ones.
 
 import (
 	"fmt"
@@ -16,13 +17,11 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/schema"
-	"repro/internal/storage"
 	"repro/internal/wire"
 )
 
-// Rejoin rebuilds every shard slice worker w hosts from live replicas,
-// or checks it against the other dead ones, and returns it to the
-// routing table. The worker must be dead; errors
+// Rejoin rebuilds every shard slice worker w hosts by the rejoin rule
+// and returns it to the routing table. The worker must be dead; errors
 // leave it dead for the next probe to retry. Runs under the write lock,
 // so no statement observes a half-rebuilt worker.
 func (co *Coordinator) Rejoin(w int) error {
@@ -31,10 +30,8 @@ func (co *Coordinator) Rejoin(w int) error {
 	}
 	co.mu.Lock()
 	err := co.rejoinLocked(w)
-	// Flip the worker healthy while still holding the write lock. If the
-	// lock were released first, a DML could run in the gap, see the
-	// worker still rejoining and skip it — and the freshly "caught-up"
-	// worker would silently miss a committed write.
+	// Flip the worker healthy still under the write lock: a DML in the gap
+	// would skip the rejoining worker, which would then miss its write.
 	co.health.finishRejoin(w, err == nil)
 	co.mu.Unlock()
 	return err
@@ -47,19 +44,18 @@ func (co *Coordinator) rejoinLocked(w int) error {
 			continue
 		}
 		for _, s := range co.hostedShards(w) {
-			src := -1
-			for _, r := range co.replicasOf(s) {
-				if r != w && co.health.live(r) {
-					src = r
-					break
-				}
-			}
 			srel := shardRelation(rel, rel.Name, s)
 			var err error
-			if src < 0 {
-				src, err = co.agreedCopy(w, s, srel)
-			}
-			if err == nil && src != w {
+			switch src := co.health.rejoinSource(w, s); src {
+			case -1:
+				err = fmt.Errorf("%w %d", ErrShardUnavailable, s)
+			case w:
+				// A last copy that came back empty is a lost shard: the
+				// "unknown relation" also strikes w's last-copy record.
+				if _, err = co.collect(w, "SELECT COUNT(*) FROM "+srel.Name); unknownRelation(err) {
+					err = fmt.Errorf("%w %d: worker %d's last copy is gone: %w", ErrShardUnavailable, s, w, err)
+				}
+			default:
 				err = co.shipSnapshot(src, w, srel)
 			}
 			if err != nil {
@@ -67,90 +63,15 @@ func (co *Coordinator) rejoinLocked(w int) error {
 			}
 		}
 	}
-	// Every copy w hosts is whole. What is still marked torn belongs to
-	// a table dropped since, and must not outlive the rejoin into a later
-	// table of that name that w will take writes for.
-	for k := range co.torn {
-		if k.w == w {
-			delete(co.torn, k)
-		}
-	}
 	return nil
-}
-
-// tornSlice is one worker's copy of one physical table.
-type tornSlice struct {
-	phys string
-	w    int
-}
-
-// agreedCopy is rejoin's rule for a shard with no live replica to ship
-// from: every replica of s is dead or rejoining. At R=2 on three workers
-// any two share a shard, so two workers one burst of link faults trips
-// would otherwise each wait for the other for ever. Every replica's copy
-// is read whole, as a re-ship reads it — except a torn one, which a
-// re-ship that failed may have left half-built and which proves nothing.
-// When the rest hold the same rows under the catalog's schema, that is
-// the shard's copy: every acked write reached a replica that acked it,
-// and one that missed a write was marked dead, never to be a re-ship
-// source again before its own rejoin, so the acked write is in every
-// untorn copy. It returns w when w's own copy is one of them, else the
-// replica to re-ship w from. A write that reached some replicas and not
-// others (an ack lost where no peer acked) leaves them different, and a
-// restarted-empty replica cannot be read: either way the shard stays
-// unavailable, since nothing says which copy is right. A single replica
-// has nothing to agree with.
-func (co *Coordinator) agreedCopy(w, s int, srel *schema.Relation) (int, error) {
-	replicas := co.replicasOf(s)
-	if len(replicas) < 2 {
-		return -1, fmt.Errorf("%w %d", ErrShardUnavailable, s)
-	}
-	create := srel.CreateSQL()
-	src := -1
-	var agreed []storage.Tuple
-	for _, r := range replicas {
-		if co.torn[tornSlice{srel.Name, r}] {
-			continue
-		}
-		var rows []storage.Tuple
-		err := co.withWorker(r, func(c *client.Conn) error {
-			rows = nil // per attempt
-			meta, _, err := c.Snapshot(srel.Name, func(b wire.RowBatch) error {
-				rows = append(rows, b.Rows...)
-				return nil
-			})
-			if err == nil && meta.CreateSQL != create {
-				err = fmt.Errorf("schema diverged: worker %d has %q, catalog says %q", r, meta.CreateSQL, create)
-			}
-			return err
-		})
-		if err != nil {
-			return -1, fmt.Errorf("%w %d: worker %d's copy: %w", ErrShardUnavailable, s, r, err)
-		}
-		if src < 0 {
-			src, agreed = r, rows
-		} else if d := storage.Diff(storage.AgreeBag, rows, agreed); d != "" {
-			return -1, fmt.Errorf("%w %d: workers %d and %d hold different copies: %s", ErrShardUnavailable, s, src, r, d)
-		}
-	}
-	if src < 0 {
-		return -1, fmt.Errorf("%w %d: every copy is torn", ErrShardUnavailable, s)
-	}
-	if !co.torn[tornSlice{srel.Name, w}] {
-		return w, nil
-	}
-	return src, nil
 }
 
 // shipSnapshot rebuilds one physical table on dst from src's copy: drop
 // any stale remnant, recreate from the coordinator's schema, stream the
 // snapshot across — each batch src sends lands on dst as a Load — and
 // verify src's shipped schema matches: a mismatch means the replicas
-// diverged structurally and the rejoin must not paper over it. dst's
-// copy is torn from the drop until the last row lands.
+// diverged structurally and the rejoin must not paper over it.
 func (co *Coordinator) shipSnapshot(src, dst int, srel *schema.Relation) error {
-	key := tornSlice{srel.Name, dst}
-	co.torn[key] = true
 	create := srel.CreateSQL()
 	if err := co.drop(dst, srel.Name); err != nil {
 		return err
@@ -178,9 +99,6 @@ func (co *Coordinator) shipSnapshot(src, dst int, srel *schema.Relation) error {
 		err = fmt.Errorf("cluster: snapshot schema diverged: worker %d has %q, catalog says %q",
 			src, meta.CreateSQL, create)
 	}
-	if err == nil {
-		delete(co.torn, key)
-	}
 	return err
 }
 
@@ -201,23 +119,25 @@ func (co *Coordinator) probeLoop(interval time.Duration) {
 	}
 }
 
-// Probe runs one immediate health probe of worker w, exactly as a
-// prober tick would: a suspect worker heals on a clean round-trip, a
-// reachable dead worker gets a rejoin attempt (errors leave it dead for
-// the next probe). It reports whether the worker is live afterwards.
-// Exported for harnesses and tests that need deterministic probe timing
-// instead of the background ticker.
+// Probe runs one prober tick's work on worker w, now: a suspect worker
+// heals on a clean round-trip, a reachable dead one gets a rejoin attempt
+// (errors leave it dead for the next probe), and one found healthy has
+// its leaked staging tables dropped. It reports whether w is healthy
+// afterwards; harnesses and tests call it for deterministic timing.
 func (co *Coordinator) Probe(w int) bool {
+	var ok bool
 	switch co.health.state(w) {
+	case workerHealthy:
+		ok = true
 	case workerSuspect:
-		return co.probeWorker(w)
+		ok = co.probeWorker(w)
 	case workerDead:
-		if co.probeWorker(w) {
-			return co.Rejoin(w) == nil
-		}
-		return false
+		ok = co.probeWorker(w) && co.Rejoin(w) == nil
 	}
-	return co.health.live(w)
+	if ok {
+		co.dropEndedStaging(w)
+	}
+	return ok
 }
 
 // probeWorker checks reachability with a trivial statement. It is the
@@ -232,12 +152,9 @@ func (co *Coordinator) probeWorker(w int) bool {
 		return false
 	}
 	// An idle pooled conn can be stale; a real round-trip proves the
-	// worker serves. The probed name's logical part (__PROBE__) lies
-	// inside the reserved __ namespace, so no CREATE can ever make it
-	// exist — neither as a user table nor as any table's shard slice —
-	// and the DROP answers fast and touches nothing. (A bare PROBE__S0
-	// would NOT be safe: user table PROBE is legal, and its shard-0
-	// slice is exactly that name.)
+	// worker serves. __PROBE__ lies in the reserved __ namespace, so no
+	// CREATE can make the name exist and the DROP touches nothing. (A bare
+	// PROBE__S0 would NOT be safe: it is user table PROBE's shard 0.)
 	_, err = conn.Collect("DROP TABLE __PROBE____S0", client.Options{Timeout: co.cfg.IOTimeout})
 	if err != nil && !unknownRelation(err) {
 		co.pools[w].Discard(conn)

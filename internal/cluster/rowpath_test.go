@@ -145,9 +145,7 @@ func TestRowsSurviveEveryPath(t *testing.T) {
 	diffAll("worker 1 dead, rejoined worker 0 serving")
 	healProxy(proxies[1])
 	waitStates(t, co, "healthy", 20*time.Second)
-	if n := co.SweepStaging(); n != 0 {
-		t.Errorf("%d staging tables still live after heal and sweep", n)
-	}
+	waitStagingDropped(t, co, 10*time.Second)
 }
 
 // TestRoutedInsertHugeFloat is the parent's user-visible failure in one

@@ -188,7 +188,7 @@ func shuffledMatchesOracle(t *testing.T, co *cluster.Coordinator) {
 // TestStagingCreateAckLost: a worker that commits a staging CREATE whose
 // acknowledgement never reaches the coordinator still holds the table.
 // The coordinator must know it may, or the table outlives every drop
-// and sweep while LiveStaging reads 0.
+// and probe while LiveStaging reads 0.
 func TestStagingCreateAckLost(t *testing.T) {
 	co, relays, dbs := relayedCluster(t, 2)
 	relays[0].arm(0, func(p []byte) bool {
@@ -201,8 +201,36 @@ func TestStagingCreateAckLost(t *testing.T) {
 	if !co.Probe(0) {
 		t.Fatal("worker 0 did not heal")
 	}
-	if n := co.SweepStaging(); n != 0 {
-		t.Errorf("%d staging tables still registered after heal and sweep", n)
+	noStagingLeft(t, co, dbs)
+}
+
+// TestStagingDropAckLost: a worker whose staging DROP reply is lost may
+// still hold the table (here the DROP ran; a DROP that never arrived
+// leaves it for sure). The registry keeps it, and the next probe that
+// finds the worker healthy drops it — the query is over, and staging
+// names are unique per query, so no one else can be using it.
+func TestStagingDropAckLost(t *testing.T) {
+	co, relays, dbs := relayedCluster(t, 2)
+	relays[0].arm(0, func(p []byte) bool {
+		return strings.Contains(string(p), "DROP TABLE") && strings.Contains(string(p), "__X")
+	})
+	shuffledMatchesOracle(t, co)
+	if relays[0].fired.Load() != 1 {
+		t.Fatal("no staging DROP reply was cut; the test proved nothing")
+	}
+	for round := 0; round < 3 && co.LiveStaging() != 0; round++ {
+		co.Probe(0)
+		co.Probe(1)
+	}
+	noStagingLeft(t, co, dbs)
+}
+
+// noStagingLeft requires that no staging table is registered, or left on
+// any worker's engine.
+func noStagingLeft(t *testing.T, co *cluster.Coordinator, dbs []*engine.DB) {
+	t.Helper()
+	if n := co.LiveStaging(); n != 0 {
+		t.Errorf("%d staging tables still registered after the probes", n)
 	}
 	for w, db := range dbs {
 		for _, name := range db.Catalog().Names() {

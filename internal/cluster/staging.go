@@ -2,22 +2,31 @@ package cluster
 
 // Staging-table accounting. Shuffles create per-shard staging tables on
 // the workers and drop them best-effort when the query ends — but a
-// worker that is unreachable at cleanup time keeps its copy, silently.
-// The registry records every physical staging table and the workers it
-// landed on, so leaks are observable (LiveStaging, the cluster tests'
-// leak probe — mirroring spill.LiveFiles) and recoverable
-// (SweepStaging retries the drops once the fleet heals).
+// worker that is unreachable at cleanup time, or whose drop reply is
+// lost, keeps its copy, silently. The registry records every physical
+// staging table and the workers it landed on, so leaks are observable
+// (LiveStaging, the cluster tests' leak probe — mirroring
+// spill.LiveFiles) and recoverable: once the query's own drop has run,
+// the entry is ended, and Probe drops what is left on each worker it
+// finds live. Staging names are unique per query, so an ended entry is
+// never one an in-flight query still uses.
+
+// stagingEntry is one physical staging table's registry record.
+type stagingEntry struct {
+	holders map[int]bool // workers that may hold it
+	ended   bool         // the query's drop has run: what is left leaked
+}
 
 // stagingAdd records that worker w holds physical staging table phys.
 func (co *Coordinator) stagingAdd(phys string, w int) {
 	co.staging.Lock()
 	defer co.staging.Unlock()
-	set, ok := co.staging.tables[phys]
+	e, ok := co.staging.tables[phys]
 	if !ok {
-		set = make(map[int]bool)
-		co.staging.tables[phys] = set
+		e = &stagingEntry{holders: make(map[int]bool)}
+		co.staging.tables[phys] = e
 	}
-	set[w] = true
+	e.holders[w] = true
 }
 
 // stagingForget records that worker w no longer holds phys, dropping
@@ -25,62 +34,64 @@ func (co *Coordinator) stagingAdd(phys string, w int) {
 func (co *Coordinator) stagingForget(phys string, w int) {
 	co.staging.Lock()
 	defer co.staging.Unlock()
-	set, ok := co.staging.tables[phys]
+	e, ok := co.staging.tables[phys]
 	if !ok {
 		return
 	}
-	delete(set, w)
-	if len(set) == 0 {
+	delete(e.holders, w)
+	if len(e.holders) == 0 {
 		delete(co.staging.tables, phys)
 	}
 }
 
-// stagingHolders returns the workers currently recorded as holding phys.
-func (co *Coordinator) stagingHolders(phys string) []int {
+// dropStaging is a query's own cleanup of one physical staging table: it
+// ends the entry, then drops the table from every live worker holding
+// it, best-effort. A successful drop (or "unknown relation" — already
+// gone) clears the worker from the entry; any other holder is left for
+// Probe.
+func (co *Coordinator) dropStaging(phys string) {
+	var holders []int
 	co.staging.Lock()
-	defer co.staging.Unlock()
-	var out []int
-	for w := range co.staging.tables[phys] {
-		out = append(out, w)
+	if e, ok := co.staging.tables[phys]; ok {
+		e.ended = true
+		for w := range e.holders {
+			holders = append(holders, w)
+		}
 	}
-	return out
+	co.staging.Unlock()
+	for _, w := range holders {
+		co.dropFrom(phys, w)
+	}
 }
 
-// dropStaging drops one physical staging table from every worker
-// holding it, best-effort: a successful drop (or "unknown relation" —
-// already gone) clears the registry entry; an unreachable worker keeps
-// it, to be retried by SweepStaging.
-func (co *Coordinator) dropStaging(phys string) {
-	for _, w := range co.stagingHolders(phys) {
-		if !co.health.live(w) {
-			continue
+// dropEndedStaging retries the drop of every ended staging table worker
+// w still holds.
+func (co *Coordinator) dropEndedStaging(w int) {
+	var names []string
+	co.staging.Lock()
+	for phys, e := range co.staging.tables {
+		if e.ended && e.holders[w] {
+			names = append(names, phys)
 		}
-		if err := co.drop(w, phys); err == nil {
-			co.stagingForget(phys, w)
-		}
+	}
+	co.staging.Unlock()
+	for _, phys := range names {
+		co.dropFrom(phys, w)
+	}
+}
+
+// dropFrom drops phys from w if w is live, and forgets it on success.
+func (co *Coordinator) dropFrom(phys string, w int) {
+	if co.health.live(w) && co.drop(w, phys) == nil {
+		co.stagingForget(phys, w)
 	}
 }
 
 // LiveStaging counts physical staging tables still registered on some
 // worker. Zero after a clean query; anything else is a leak (or a dead
-// worker still holding copies awaiting a sweep).
+// worker still holding copies awaiting its next probe).
 func (co *Coordinator) LiveStaging() int {
 	co.staging.Lock()
 	defer co.staging.Unlock()
 	return len(co.staging.tables)
-}
-
-// SweepStaging retries every registered staging drop and returns the
-// count still live. Chaos tests heal the fleet, sweep, and assert zero.
-func (co *Coordinator) SweepStaging() int {
-	co.staging.Lock()
-	var names []string
-	for phys := range co.staging.tables {
-		names = append(names, phys)
-	}
-	co.staging.Unlock()
-	for _, phys := range names {
-		co.dropStaging(phys)
-	}
-	return co.LiveStaging()
 }

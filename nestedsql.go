@@ -662,11 +662,6 @@ func (db *DB) CreateIndex(table, column string) error {
 // loading.
 func (db *DB) Analyze() error { return db.eng.Analyze() }
 
-// ResetIOStats zeroes the database's cumulative page-I/O counters (query
-// results already report per-query deltas; this is for custom harnesses
-// that read the store directly).
-func (db *DB) ResetIOStats() { db.eng.Store().ResetStats() }
-
 // Internal exposes the underlying engine for the experiment harness and
 // tests in this module. It is not part of the stable API.
 func (db *DB) Internal() *engine.DB { return db.eng }
