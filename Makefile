@@ -37,15 +37,20 @@ metamorph:
 bench:
 	$(GO) test -bench . -benchmem .
 
-# Where one benchmark workload spends its CPU: a 6 s untraced run under the
-# CPU profiler, then the cumulative top of what runs under planner.Run (a
-# transformed plan), engine.runNested (nested iteration) or an exchange
-# worker (a parallel plan's workers, whose stacks start there, not under
-# planner.Run); the ignore drops set-up's warm-up (standUp) and the oracle
-# (attachOracle, which runs queries through runNested), and the focus the
-# calibration kernel — half of the samples.
-# `make profile W=spill_join`; the profile stays in .bench_build/.
+# Where one benchmark workload spends its CPU and its bytes: a 6 s untraced
+# run under the CPU and heap profilers, then the cumulative CPU top of what
+# runs under planner.Run (a transformed plan), engine.runNested (nested
+# iteration), an exchange worker or the exchange's distributor (a parallel
+# plan's goroutines, whose stacks start there, not under planner.Run), the
+# CPU the GC mark workers took beside it, and the top 15 allocation sites
+# (alloc_space) under the same focus. The ignore drops set-up's warm-up
+# (standUp) and the oracle (attachOracle, which runs queries through
+# runNested), and the focus the calibration kernel — half of the samples.
+# `make profile W=spill_join`; the profiles stay in .bench_build/.
 W ?= ja_seq
+PROFILE_FOCUS = -focus='planner.\(\*Planner\).Run|engine.\(\*DB\).runNested|exec.\(\*exchange\).worker|exec.\(\*exchange\).distribute' -ignore='main\.attachOracle|main\.standUp'
 profile:
-	bash bench/run.sh --workload $(W) --seed 1 --seconds 6 --trace 0 --cpuprofile .bench_build/$(W).cpu
-	$(GO) tool pprof -top -cum -nodecount=40 -focus='planner.\(\*Planner\).Run|engine.\(\*DB\).runNested|exec.\(\*exchange\).worker' -ignore='main\.attachOracle|main\.standUp' .bench_build/bench .bench_build/$(W).cpu
+	bash bench/run.sh --workload $(W) --seed 1 --seconds 6 --trace 0 --cpuprofile .bench_build/$(W).cpu --memprofile .bench_build/$(W).mem
+	$(GO) tool pprof -top -cum -nodecount=40 $(PROFILE_FOCUS) .bench_build/bench .bench_build/$(W).cpu
+	$(GO) tool pprof -top -cum -nodecount=1 -focus='runtime.gcBgMarkWorker' .bench_build/bench .bench_build/$(W).cpu
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 $(PROFILE_FOCUS) .bench_build/bench .bench_build/$(W).mem

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -79,32 +80,37 @@ func TestJA2PageIOPinned(t *testing.T) {
 	}
 }
 
-// TestJA2AllocBudget keeps per-pair allocation out of the NEST-JA2 joins:
-// at a tenth of ja_seq's size, sequential and 2-worker, a query may
-// allocate c objects per input and output row. c is what the joins that
-// build only the projected columns measure plus 50%. Joins that built
-// every left ++ right row for a Project to copy again measure 1.38 and
-// 1.48 on type-N, the shape with the most output rows; the single-key
-// joins before them, which built every pair of a nested-loops final join
-// before testing it, measure 11.8 on the COUNT shape.
+// TestJA2AllocBudget keeps per-pair allocation out of the NEST-JA2 joins
+// and regrown row-header buffers out of every operator: at a tenth of
+// ja_seq's size, sequential and 2-worker, a query may allocate c objects
+// per input and output row, and 2-worker queries kib KiB. Both are what
+// the flat hash-join table with pooled morsels, Sort buffers and Drain
+// chunks measure plus 50%. Growing every such buffer from nil one append
+// at a time (and a map of buckets per hash join) measures c = 0.24 and
+// 159 KiB on type-N, 0.68 and 68 KiB on type-J. Joins that built every
+// left ++ right row for a Project to copy again measure c = 1.38 and 1.48
+// on type-N, the shape with the most output rows; the single-key joins
+// before them, which built every pair of a nested-loops final join before
+// testing it, measure 11.8 on the COUNT shape.
 func TestJA2AllocBudget(t *testing.T) {
 	db, cfg := jaSeqShape(t, 10)
 	shapes := []struct {
 		name string
 		sql  string
 		c    float64
+		kib  uint64
 	}{
-		{"type-N", workload.TypeNQuery(cfg), 0.36},
-		{"type-J", workload.TypeJQuery(cfg), 1.0},
-		{"type-JA-COUNT", workload.TypeJAQuery(cfg), 2.8},
-		{"type-JA-MAX", workload.TypeJAMaxQuery(cfg), 2.6},
+		{"type-N", workload.TypeNQuery(cfg), 0.20, 64},
+		{"type-J", workload.TypeJQuery(cfg), 0.50, 37},
+		{"type-JA-COUNT", workload.TypeJAQuery(cfg), 2.3, 118},
+		{"type-JA-MAX", workload.TypeJAMaxQuery(cfg), 2.1, 115},
 	}
 	for _, workers := range []int{0, 2} {
 		opts := engine.Options{Strategy: engine.TransformJA2,
 			Planner: planner.Options{Parallelism: workers, ForceParallel: workers > 1}}
 		for _, s := range shapes {
-			least, rows := ^uint64(0), 0
-			for range 4 { // the first run warms the pool; the least of the rest is the query's own
+			least, bytes, rows := ^uint64(0), ^uint64(0), 0
+			for range 4 { // the first run warms the pools; the least of the rest is the query's own
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
 				res, err := db.Query(s.sql, opts)
@@ -113,10 +119,16 @@ func TestJA2AllocBudget(t *testing.T) {
 					t.Fatalf("%s: %v", s.name, err)
 				}
 				least, rows = min(least, after.Mallocs-before.Mallocs), len(res.Rows)
+				bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 			}
 			budget := s.c * float64(cfg.OuterTuples+cfg.InnerTuples+rows)
 			if float64(least) > budget {
 				t.Errorf("%s, %d workers: %d allocations, budget %.0f (%.2f per input and output row)", s.name, workers, least, budget, s.c)
+			}
+			// sync.Pool drops a quarter of what is put back under the race
+			// detector, so the bytes are only meaningful without it.
+			if workers > 1 && bytes > s.kib<<10 && !raceEnabled {
+				t.Errorf("%s, %d workers: allocated %d KiB, budget %d KiB", s.name, workers, bytes>>10, s.kib)
 			}
 		}
 	}
@@ -162,6 +174,48 @@ func TestForcedSpillAllocBudget(t *testing.T) {
 	// back, on purpose, so the bytes are only meaningful without it.
 	if least > 750<<10 && !raceEnabled {
 		t.Errorf("forced-spill query allocated %d KiB, budget 750 KiB", least>>10)
+	}
+}
+
+// TestResultRowsSurvivePoolReuse: a Result's rows share no buffer with
+// the pools later queries draw morsels, Drain chunks and Sort buffers
+// from. A 2-worker type-N result and a sequential type-J result are kept
+// across six more queries, parallel, sequential and force-spilled, and
+// still print the same bytes.
+func TestResultRowsSurvivePoolReuse(t *testing.T) {
+	db, cfg := jaSeqShape(t, 10)
+	if err := db.EnableSpill(t.TempDir(), 0); err != nil {
+		t.Fatal(err)
+	}
+	seq := engine.Options{Strategy: engine.TransformJA2}
+	par := engine.Options{Strategy: engine.TransformJA2, Planner: planner.Options{Parallelism: 2, ForceParallel: true}}
+	spilled := engine.Options{Strategy: engine.TransformJA2, Spill: qctx.SpillForced}
+	query := func(sql string, opts engine.Options) *engine.Result {
+		t.Helper()
+		res, err := db.Query(sql, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	kept := []*engine.Result{query(workload.TypeNQuery(cfg), par), query(workload.TypeJQuery(cfg), seq)}
+	var printed []string
+	for _, res := range kept {
+		printed = append(printed, fmt.Sprint(res.Rows))
+	}
+	for _, q := range []struct {
+		sql  string
+		opts engine.Options
+	}{
+		{workload.TypeJAQuery(cfg), par}, {workload.TypeJQuery(cfg), par}, {workload.TypeNQuery(cfg), seq},
+		{workload.TypeJAMaxQuery(cfg), seq}, {workload.TypeJAQuery(cfg), spilled}, {workload.TypeNQuery(cfg), par},
+	} {
+		query(q.sql, q.opts)
+	}
+	for i, res := range kept {
+		if got := fmt.Sprint(res.Rows); got != printed[i] {
+			t.Errorf("kept result %d changed under later queries:\n  was %.200s\n  now %.200s", i, printed[i], got)
+		}
 	}
 }
 

@@ -70,12 +70,15 @@ func (s *source) next() (storage.Tuple, bool, error) {
 		if s.in == nil {
 			return s.readRun()
 		}
+		// The morsel read through goes back to the pool, exactly once.
+		recycle(s.cur)
+		s.cur, s.idx = nil, 0
 		select {
 		case m, ok := <-s.in:
 			if !ok {
 				return nil, false, nil
 			}
-			s.cur, s.idx = m, 0
+			s.cur = m
 		case <-s.qc.Done():
 			return nil, false, s.qc.Err()
 		}

@@ -233,25 +233,26 @@ func MaterializeInto(op Operator, f *storage.HeapFile, qc *qctx.QueryContext) er
 
 // Drain runs an operator to completion collecting all rows, charging each
 // against qc's row budget (nil = ungoverned), so a query exceeding its row
-// limit stops within one row of the limit.
+// limit stops within one row of the limit. The rows are collected in
+// pooled morsels and returned in one slice of their exact length.
 func Drain(op Operator, qc *qctx.QueryContext) ([]storage.Tuple, error) {
 	defer op.Close() // see MaterializeInto for why this precedes Open
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
-	var rows []storage.Tuple
+	var rows rowChunks
 	for {
 		t, ok, err := op.Next()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			return rows, nil
+			return rows.flatten(), nil
 		}
 		if err := qc.AddRows(1); err != nil {
 			return nil, err
 		}
-		rows = append(rows, t)
+		rows.add(t)
 	}
 }
 

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -38,6 +39,53 @@ type Morsel []storage.Tuple
 
 // MorselSize is the batch size used by distributors and workers.
 const MorselSize = 256
+
+// morselPool recycles morsel buffers. A morsel holds row headers only: it
+// goes back once its consumer has moved past it, and the rows it pointed
+// at are never recycled.
+var morselPool = sync.Pool{New: func() any { return new([MorselSize]storage.Tuple) }}
+
+// newMorsel returns an empty morsel of capacity MorselSize.
+func newMorsel() Morsel { return morselPool.Get().(*[MorselSize]storage.Tuple)[:0] }
+
+// recycle hands m's buffer back to the pool, its headers cleared so the
+// pool keeps no row alive.
+func recycle(m Morsel) {
+	clear(m)
+	if cap(m) == MorselSize {
+		morselPool.Put((*[MorselSize]storage.Tuple)(m[:MorselSize]))
+	}
+}
+
+// rowChunks collects rows of unknown count into pooled morsels, so no
+// buffer of row headers is regrown: flatten copies them out once at their
+// exact length.
+type rowChunks struct {
+	chunks []Morsel
+	n      int
+}
+
+func (c *rowChunks) add(t storage.Tuple) {
+	if c.n%MorselSize == 0 {
+		c.chunks = append(c.chunks, newMorsel())
+	}
+	c.chunks[len(c.chunks)-1] = append(c.chunks[len(c.chunks)-1], t)
+	c.n++
+}
+
+// flatten returns the collected rows in one slice (nil when there are
+// none) and recycles the chunks.
+func (c *rowChunks) flatten() (rows []storage.Tuple) {
+	if c.n > 0 {
+		rows = make([]storage.Tuple, 0, c.n)
+	}
+	for _, m := range c.chunks {
+		rows = append(rows, m...)
+		recycle(m)
+	}
+	*c = rowChunks{}
+	return rows
+}
 
 // exchange carries worker output back to the consuming goroutine, plus the
 // control channels that make early Close safe: closing stop unblocks any
@@ -157,6 +205,9 @@ func (ex *exchange) distribute(p partitioning, inputs []chan Morsel) {
 				continue
 			}
 		}
+		if bufs[i] == nil {
+			bufs[i] = newMorsel()
+		}
 		bufs[i] = append(bufs[i], t)
 		if len(bufs[i]) >= MorselSize && !flush(i) {
 			return
@@ -206,6 +257,9 @@ type emitter struct {
 }
 
 func (e *emitter) emit(t storage.Tuple) error {
+	if e.buf == nil {
+		e.buf = newMorsel()
+	}
 	e.buf = append(e.buf, t)
 	if len(e.buf) < MorselSize {
 		return nil
@@ -314,7 +368,8 @@ func (e *ExchangeMerge) stop() {
 		close(e.ex.stop)
 		// Drain until the closer goroutine closes out (after wg.Wait), so
 		// no producer is left blocked on a full channel.
-		for range e.ex.out {
+		for m := range e.ex.out {
+			recycle(m)
 		}
 		e.ex.wg.Wait()
 		e.ex = nil
@@ -388,8 +443,9 @@ const (
 // probe writer is touched only by the distributor goroutine, and the
 // probe run is published to the worker by the channel close.
 type joinPart struct {
-	rows    []storage.Tuple
-	bytes   int64 // charged for rows, released on eviction or Close
+	build   rowChunks       // the resident rows while Open collects them
+	rows    []storage.Tuple // the resident rows once Open is done
+	bytes   int64           // charged for rows, released on eviction or Close
 	spilled bool
 	wr      [2]*spill.Writer
 	run     [2]*spill.Run
@@ -446,7 +502,7 @@ func (j *ParallelHashJoin) Open() error {
 			}
 			if fits {
 				p.bytes += n
-				p.rows = append(p.rows, t)
+				p.build.add(t)
 				break
 			}
 			if err := j.spillPartition(j.largestResident(p)); err != nil {
@@ -461,6 +517,7 @@ func (j *ParallelHashJoin) Open() error {
 	}
 	// Seal the build runs; probe runs are written during distribution.
 	for i := range j.parts {
+		j.parts[i].rows = j.parts[i].build.flatten()
 		if err := j.parts[i].seal(buildSide); err != nil {
 			return err
 		}
@@ -488,12 +545,11 @@ func (j *ParallelHashJoin) spillPartition(p *joinPart) error {
 		return err
 	}
 	p.wr[buildSide], p.spilled = wr, true
-	for _, t := range p.rows {
+	for _, t := range p.build.flatten() {
 		if err := wr.Append(t); err != nil {
 			return err
 		}
 	}
-	p.rows = nil
 	j.QC.ReleaseBuffered(p.bytes)
 	p.bytes = 0
 	return nil
@@ -535,11 +591,7 @@ func (j *ParallelHashJoin) sealProbes() error {
 // input, then join the partition's spilled pair, if any.
 func (j *ParallelHashJoin) work(id int, src *source, out *emitter) error {
 	p := &j.parts[id]
-	table := make(map[uint64][]storage.Tuple)
-	for _, r := range p.rows {
-		j.insert(table, r)
-	}
-	if err := j.probe(out, table, src); err != nil || !p.spilled {
+	if err := j.probe(out, newHashTable(p.rows, j.key.right), src); err != nil || !p.spilled {
 		return err
 	}
 	// The input channel is closed, so the distributor has sealed and
@@ -547,42 +599,68 @@ func (j *ParallelHashJoin) work(id int, src *source, out *emitter) error {
 	return j.joinSpilled(out, p.run, 1)
 }
 
-func (j *ParallelHashJoin) insert(table map[uint64][]storage.Tuple, r storage.Tuple) {
-	h := hashKey(r, j.key.right)
-	table[h] = append(table[h], r)
+// hashTable is a build side indexed once, flat: each row's key hash, and
+// per bucket a chain of row positions through next. heads, a power of two
+// at least twice the rows long, is indexed by the top bits of the
+// Fibonacci-mixed hash. Positions are stored +1, so 0 ends a chain and a
+// fresh table needs no fill. Rows are chained from last to first, so a
+// chain visits the rows of one key in build order.
+type hashTable struct {
+	rows   []storage.Tuple
+	hashes []uint64
+	next   []int32
+	heads  []int32
+	shift  uint
 }
+
+func newHashTable(rows []storage.Tuple, cols []int) hashTable {
+	b := bits.Len(uint(max(2*len(rows)-1, 0)))
+	t := hashTable{rows: rows, hashes: make([]uint64, len(rows)), next: make([]int32, len(rows)),
+		heads: make([]int32, 1<<b), shift: uint(64 - b)}
+	for i := len(rows) - 1; i >= 0; i-- {
+		h := hashKey(rows[i], cols)
+		head := &t.heads[t.slot(h)]
+		t.hashes[i], t.next[i], *head = h, *head, int32(i+1)
+	}
+	return t
+}
+
+// slot is h's bucket (shift 64, a one-bucket table, yields 0).
+func (t *hashTable) slot(h uint64) uint64 { return (h * 0x9E3779B97F4A7C15) >> t.shift }
 
 // prober is the one hash-probe loop, in pull form: every tuple of src
 // against table, matches joined, unmatched tuples NULL-padded when Outer.
 // A joined row is built only once the whole key is known to match.
 type prober struct {
-	j      *ParallelHashJoin
-	table  map[uint64][]storage.Tuple
-	src    *source
-	cur    storage.Tuple   // the probe tuple being matched, nil between tuples
-	bucket []storage.Tuple // build rows sharing cur's key hash, not yet tried
-	found  bool
+	j     *ParallelHashJoin
+	table hashTable
+	src   *source
+	cur   storage.Tuple // the probe tuple being matched, nil between tuples
+	h     uint64        // cur's key hash
+	at    int32         // the chain position to try next, +1; 0 when none is left
+	found bool
 }
 
 func (p *prober) next() (storage.Tuple, bool, error) {
-	k := p.j.key
+	k, t := p.j.key, &p.table
 	for {
 		if p.cur == nil {
 			l, ok, err := p.src.next()
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			p.cur, p.bucket, p.found = l, nil, false
+			p.cur, p.at, p.found = l, 0, false
 			if !k.dead(l, k.left) {
-				p.bucket = p.table[hashKey(l, k.left)]
+				p.h = hashKey(l, k.left)
+				p.at = t.heads[t.slot(p.h)]
 			}
 		}
-		for len(p.bucket) > 0 {
-			r := p.bucket[0]
-			p.bucket = p.bucket[1:]
-			if k.equal(p.cur, r, 0) { // else a hash collision
+		for p.at != 0 {
+			i := p.at - 1
+			p.at = t.next[i]
+			if t.hashes[i] == p.h && k.equal(p.cur, t.rows[i], 0) { // else a bucket-mate or a collision
 				p.found = true
-				return p.j.rows.build(p.cur, r), true, nil
+				return p.j.rows.build(p.cur, t.rows[i]), true, nil
 			}
 		}
 		l := p.cur
@@ -594,7 +672,7 @@ func (p *prober) next() (storage.Tuple, bool, error) {
 }
 
 // probe drives the kernel for a worker: everything it yields is emitted.
-func (j *ParallelHashJoin) probe(out *emitter, table map[uint64][]storage.Tuple, src *source) error {
+func (j *ParallelHashJoin) probe(out *emitter, table hashTable, src *source) error {
 	p := prober{j: j, table: table, src: src}
 	for {
 		t, ok, err := p.next()
@@ -617,10 +695,7 @@ func (j *ParallelHashJoin) Next() (storage.Tuple, bool, error) {
 			j.handoff = &ExchangeMerge{Source: j, QC: j.QC}
 			j.handoff.start()
 		default:
-			j.inline = &prober{j: j, table: make(map[uint64][]storage.Tuple), src: &source{op: j.Left}}
-			for _, r := range j.parts[0].rows {
-				j.insert(j.inline.table, r)
-			}
+			j.inline = &prober{j: j, table: newHashTable(j.parts[0].rows, j.key.right), src: &source{op: j.Left}}
 		}
 	}
 	if j.handoff != nil {
@@ -643,8 +718,9 @@ func (j *ParallelHashJoin) joinSpilled(out *emitter, runs [2]*spill.Run, depth i
 	}
 	var charged int64
 	defer func() { j.QC.ReleaseBuffered(charged) }()
-	table := make(map[uint64][]storage.Tuple)
+	var rows []storage.Tuple
 	if runs[buildSide] != nil {
+		rows = make([]storage.Tuple, 0, runs[buildSide].Tuples)
 		build, err := openRun(j.QC, runs[buildSide])
 		if err != nil {
 			return err
@@ -670,7 +746,7 @@ func (j *ParallelHashJoin) joinSpilled(out *emitter, runs [2]*spill.Run, depth i
 				return j.splitSpilled(out, runs, depth)
 			}
 			charged += n
-			j.insert(table, t)
+			rows = append(rows, t)
 		}
 	}
 	probe, err := openRun(j.QC, runs[probeSide])
@@ -678,7 +754,7 @@ func (j *ParallelHashJoin) joinSpilled(out *emitter, runs [2]*spill.Run, depth i
 		return err
 	}
 	defer probe.close()
-	return j.probe(out, table, &probe)
+	return j.probe(out, newHashTable(rows, j.key.right), &probe)
 }
 
 // spillFanout is how many sub-runs one level of splitting cuts a spilled

@@ -254,6 +254,44 @@ func TestParallelEarlyCloseNoLeak(t *testing.T) {
 	}
 }
 
+// TestEarlyCloseThenNextQuery: the morsels an ExchangeMerge closed after
+// its first row puts back are reused by the next query, and neither the
+// row already taken nor the next query's result is touched by them.
+func TestEarlyCloseThenNextQuery(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := storage.NewStore(8)
+	left := loadTuples(s, "L", 2, randTuples(rng, 2000, 16))
+	right := loadTuples(s, "R", 2, randTuples(rng, 1000, 16))
+	join := func() *exec.ExchangeMerge {
+		return &exec.ExchangeMerge{Source: &exec.ParallelHashJoin{
+			Left: scanOf(left, "L"), Right: scanOf(right, "R"), LeftKey: 0, RightKey: 0, Outer: true, Workers: 2,
+		}}
+	}
+	op := join()
+	if err := op.Open(); err != nil {
+		t.Fatal(err)
+	}
+	first, ok, err := op.Next()
+	if err != nil || !ok {
+		t.Fatalf("first row: ok=%v err=%v", ok, err)
+	}
+	kept := first.String()
+	if err := op.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := sortedBag(t, &exec.MergeJoin{
+		Left:  &exec.Sort{Child: scanOf(left, "L"), Keys: []int{0}, Store: s, TuplesPerPage: 2},
+		Right: &exec.Sort{Child: scanOf(right, "R"), Keys: []int{0}, Store: s, TuplesPerPage: 2},
+		Outer: true,
+	})
+	if got := sortedBag(t, join()); !eqStrings(got, want) {
+		t.Errorf("the query after an early Close lost or changed rows: %s", storage.DiffCanon(got, want))
+	}
+	if first.String() != kept {
+		t.Errorf("the row taken before Close changed: %s, was %s", first, kept)
+	}
+}
+
 // failingOp yields a few rows, then errors.
 type failingOp struct {
 	rows int

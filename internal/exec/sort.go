@@ -2,6 +2,7 @@ package exec
 
 import (
 	"slices"
+	"sync"
 
 	"repro/internal/qctx"
 	"repro/internal/spill"
@@ -47,6 +48,7 @@ type Sort struct {
 	Spill *spill.Session
 
 	mem       []keyed    // in-memory result when input fits in B pages
+	bufp      *[]keyed   // pooled run buffer, held until the last flush (or Close, when it is mem)
 	pos       int        // cursor into mem
 	runs      []sortRun  // initial/merged runs in creation order
 	final     *runCursor // streams the single fully-merged run; nil when mem holds the result
@@ -69,6 +71,20 @@ type sortRun struct {
 type keyed struct {
 	t   storage.Tuple
 	seq int
+}
+
+// sortBufs recycles run buffers across sorts, at the capacity they grew to.
+var sortBufs = sync.Pool{New: func() any { return new([]keyed) }}
+
+// putBuf returns the run buffer, whose current extent is buf, to the pool,
+// cleared so the pool keeps no row alive. It is a no-op once returned.
+func (s *Sort) putBuf(buf []keyed) {
+	if s.bufp != nil {
+		clear(buf)
+		*s.bufp = buf[:0]
+		sortBufs.Put(s.bufp)
+		s.bufp = nil
+	}
 }
 
 // compareRows orders a against b on the key columns in the total order
@@ -128,7 +144,8 @@ func (s *Sort) Open() error {
 	// uncharged slack between flushes; a run costs only the bytes it holds.
 	spillBatch := min(MorselSize, runCap)
 
-	var buf []keyed    // one allocation serves every run: flush clears it
+	s.bufp = sortBufs.Get().(*[]keyed)
+	buf := *s.bufp     // one buffer serves every run: flush clears it
 	var bufBytes int64 // charged bytes in buf
 	// flush sorts buf and writes it as the next run, returning its bytes
 	// to the budget: the run now lives on "disk".
@@ -202,13 +219,14 @@ func (s *Sort) Open() error {
 	}
 	if len(s.runs) == 0 {
 		// Entire input fits in the sort's memory: no run I/O. The charge
-		// for buf stays until Close — the rows remain buffered.
+		// for buf, and buf itself, stay until Close: the rows remain buffered.
 		s.mem = buf
 		return s.sortBuf(buf)
 	}
 	if err := flush(); err != nil {
 		return err
 	}
+	s.putBuf(buf)
 
 	// Merge passes, B-1 runs at a time, over adjacent runs in creation
 	// order (stability: earlier runs hold earlier input rows).
@@ -411,6 +429,7 @@ func (s *Sort) Close() error {
 	for _, r := range s.runs {
 		s.dropRun(r)
 	}
+	s.putBuf(s.mem)
 	s.runs, s.mem = nil, nil
 	s.QC.ReleaseBuffered(s.charged)
 	s.charged = 0
