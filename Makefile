@@ -46,11 +46,17 @@ bench:
 # (alloc_space) under the same focus. The ignore drops set-up's warm-up
 # (standUp) and the oracle (attachOracle, which runs queries through
 # runNested), and the focus the calibration kernel — half of the samples.
+# Last, the top 15 sites by allocation count (alloc_objects, what
+# allocs_per_op gates) with no focus, minus the same two and the
+# calibration (speedometer): on the network workloads rows are decoded in
+# client, server and coordinator goroutines no focus reaches.
 # `make profile W=spill_join`; the profiles stay in .bench_build/.
 W ?= ja_seq
-PROFILE_FOCUS = -focus='planner.\(\*Planner\).Run|engine.\(\*DB\).runNested|exec.\(\*exchange\).worker|exec.\(\*exchange\).distribute' -ignore='main\.attachOracle|main\.standUp'
+PROFILE_IGNORE = main\.attachOracle|main\.standUp
+PROFILE_FOCUS = -focus='planner.\(\*Planner\).Run|engine.\(\*DB\).runNested|exec.\(\*exchange\).worker|exec.\(\*exchange\).distribute' -ignore='$(PROFILE_IGNORE)'
 profile:
 	bash bench/run.sh --workload $(W) --seed 1 --seconds 6 --trace 0 --cpuprofile .bench_build/$(W).cpu --memprofile .bench_build/$(W).mem
 	$(GO) tool pprof -top -cum -nodecount=40 $(PROFILE_FOCUS) .bench_build/bench .bench_build/$(W).cpu
 	$(GO) tool pprof -top -cum -nodecount=1 -focus='runtime.gcBgMarkWorker' .bench_build/bench .bench_build/$(W).cpu
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 $(PROFILE_FOCUS) .bench_build/bench .bench_build/$(W).mem
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=15 -ignore='$(PROFILE_IGNORE)|main\.\(\*speedometer\)' .bench_build/bench .bench_build/$(W).mem

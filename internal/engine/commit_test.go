@@ -3,6 +3,7 @@ package engine_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/storage"
 	"repro/internal/value"
+	"repro/internal/wire"
 )
 
 // The literal that broke three paths on the parent commit: its display
@@ -170,6 +172,49 @@ func TestLoadVetsOutsideInput(t *testing.T) {
 	res, err := db.Query("SELECT K, S, F, D FROM T", engine.Options{})
 	if err != nil || len(res.Rows) != 3 || !res.Rows[1][1].Equal(good[1]) || !res.Rows[1][2].Equal(good[2]) {
 		t.Fatalf("after Load: %v, %v", res, err)
+	}
+}
+
+// TestDeletedRowsFreeTheirChunks measures what rows sharing decoded
+// chunks cost at rest: 10k rows loaded as a Load frame delivers them,
+// 99% deleted so that every survivor sits in a chunk of its own, then a
+// GC. A live row pins its whole ~4 KiB chunk, but DELETE copies the rows
+// it keeps, so the heap holds no more than the empty table did; without
+// that copy each survivor would keep its chunk (≈ 370 KiB here).
+func TestDeletedRowsFreeTheirChunks(t *testing.T) {
+	const rows, kept = 10000, 100
+	db := engine.New(16)
+	if _, err := db.Exec(`CREATE TABLE T (K INT, G INT, V INT)`, engine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := heap()
+	load := wire.RowBatch{Columns: []string{"K", "G", "V"}}
+	for i := range rows {
+		load.Rows = append(load.Rows, storage.Tuple{value.NewInt(int64(i)), value.NewInt(int64(i % kept)), value.NewInt(int64(i))})
+	}
+	b, err := wire.DecodeRowBatch(wire.EncodeRowBatch(load))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Load("T", b.Columns, b.Rows); err != nil {
+		t.Fatal(err)
+	}
+	loaded := heap()
+	if _, err := db.Exec(`DELETE FROM T WHERE G <> 0`, engine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	retained := int64(heap()) - int64(base)
+	runtime.KeepAlive(db)
+	t.Logf("%d rows loaded: %d KiB; %d kept: %d KiB retained, %d bytes a row",
+		rows, (loaded-base)>>10, rows/kept, retained>>10, retained/(rows/kept))
+	if retained > 64<<10 {
+		t.Errorf("%d surviving rows retain %d KiB: they pin the chunks they were decoded into", rows/kept, retained>>10)
 	}
 }
 

@@ -134,15 +134,15 @@ func TestJA2AllocBudget(t *testing.T) {
 	}
 }
 
-// TestForcedSpillAllocBudget: a spill run costs the bytes it holds. At
-// spill_join's size (half of ja_seq) the COUNT query with every buffer
-// refused writes 111 runs and re-reads its merge-join groups once per
-// duplicate outer key; it allocates 705 KiB doing so and may allocate
-// 750 KiB (a 64 KiB buffer per run written and per Open made that 44 MiB;
-// a sort buffer grown afresh for each run instead of one cleared and
-// reused makes it 795 KiB, so the budget sits between the two) and have
-// one spill file at a time (one file per run had several whenever a row
-// was emitted).
+// TestForcedSpillAllocBudget: a spill run costs the bytes it holds, and a
+// row read back costs no allocation of its own. At spill_join's size (half
+// of ja_seq) the COUNT query with every buffer refused writes 111 runs and
+// re-reads its merge-join groups once per duplicate outer key; it
+// allocates 525 KiB in 2,663 objects doing so and may allocate 550 KiB
+// (a 64 KiB buffer per run written and per Open made that 44 MiB) in
+// 4,000 objects (3,000 under the race detector; a fresh slice per row read
+// back made it 6,490) and have one spill file at a time (one file per run
+// had several whenever a row was emitted).
 func TestForcedSpillAllocBudget(t *testing.T) {
 	db, cfg := jaSeqShape(t, 2)
 	if err := db.EnableSpill(t.TempDir(), 0); err != nil {
@@ -156,7 +156,7 @@ func TestForcedSpillAllocBudget(t *testing.T) {
 			files = max(files, n)
 			return err
 		}}}
-	least, runs := ^uint64(0), int64(0)
+	least, objects, runs := ^uint64(0), ^uint64(0), int64(0)
 	for range 4 { // the first run fills the buffer pool
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -166,14 +166,18 @@ func TestForcedSpillAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		least, runs = min(least, after.TotalAlloc-before.TotalAlloc), res.Spill.Runs
+		objects = min(objects, after.Mallocs-before.Mallocs)
 	}
 	if runs == 0 || files != 1 {
 		t.Errorf("%d spill runs in at most %d file(s) at a time; want some runs, in one file", runs, files)
 	}
+	if objects > 4000 {
+		t.Errorf("forced-spill query made %d allocations, budget 4,000", objects)
+	}
 	// Under the race detector sync.Pool drops a quarter of what is put
 	// back, on purpose, so the bytes are only meaningful without it.
-	if least > 750<<10 && !raceEnabled {
-		t.Errorf("forced-spill query allocated %d KiB, budget 750 KiB", least>>10)
+	if least > 550<<10 && !raceEnabled {
+		t.Errorf("forced-spill query allocated %d KiB, budget 550 KiB", least>>10)
 	}
 }
 

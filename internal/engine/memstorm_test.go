@@ -346,6 +346,7 @@ func TestMemPressureStorm(t *testing.T) {
 	})
 
 	var okRuns, errRuns int64
+	var peakHeap atomic.Uint64 // HeapInuse, sampled after every round: what pinned row chunks cost
 	var census rescueCensus
 	var wg sync.WaitGroup
 	for c := range clients {
@@ -372,6 +373,11 @@ func TestMemPressureStorm(t *testing.T) {
 					opts.Spill = qctx.SpillForced
 				}
 				res, err := db.Query(queries[qi], opts)
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				for peak := peakHeap.Load(); ms.HeapInuse > peak && !peakHeap.CompareAndSwap(peak, ms.HeapInuse); {
+					peak = peakHeap.Load()
+				}
 				if err != nil {
 					atomic.AddInt64(&errRuns, 1)
 					if !memStormCleanErr(err) {
@@ -414,7 +420,7 @@ func TestMemPressureStorm(t *testing.T) {
 	sp := db.SpillStats()
 	t.Logf("mem storm: %d ok, %d typed errors; %s; %d spill faults injected",
 		okRuns, errRuns, sp, inj.Injected())
-	t.Logf("mem storm rescues: %s; %d pressure grants", &census, st.PressureGrants)
+	t.Logf("mem storm rescues: %s; %d pressure grants; peak HeapInuse %d KiB", &census, st.PressureGrants, peakHeap.Load()>>10)
 	if okRuns == 0 {
 		t.Error("no query survived the storm; the harness exercises nothing")
 	}

@@ -304,3 +304,43 @@ func TestSaveAllocBudget(t *testing.T) {
 		t.Errorf("Save of 8x the rows: %d allocations (%d bytes), against %d (%d bytes)", m16, b16, m2, b2)
 	}
 }
+
+// TestRestoreAllocBudget: Restore carves the rows of each insert record
+// from shared chunks of values, so a row costs a fraction of an
+// allocation — its share of a chunk and of a page — not one slice of its
+// own. Strings are left out: each still allocates its bytes.
+func TestRestoreAllocBudget(t *testing.T) {
+	const rows = 16 * 1023
+	db := engine.New(8)
+	rel := &schema.Relation{Name: "NUM", Columns: []schema.Column{
+		{Name: "K", Type: value.KindInt}, {Name: "F", Type: value.KindFloat}, {Name: "D", Type: value.KindDate}}}
+	if err := db.CreateRelation(rel, 32); err != nil {
+		t.Fatal(err)
+	}
+	day, err := value.NewDate(1979, 7, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]storage.Tuple, rows)
+	for i := range batch {
+		batch[i] = storage.Tuple{value.NewInt(int64(i)), value.NewFloat(float64(i) / 4), value.NewDateValue(day)}
+	}
+	if err := db.Insert("NUM", batch...); err != nil {
+		t.Fatal(err)
+	}
+	img := saveImage(t, db)
+	least := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := engine.Restore(bytes.NewReader(img))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	if per := float64(least) / rows; per >= 0.2 {
+		t.Errorf("Restore of %d rows: %d allocations, %.2f per row, want under 0.2", rows, least, per)
+	}
+}

@@ -105,25 +105,56 @@ func AppendTuple(dst []byte, t storage.Tuple) []byte {
 // malformed input with an error (never a panic). The whole payload must
 // be consumed: trailing bytes are corruption.
 func DecodeTuple(p []byte) (storage.Tuple, error) {
-	t, rest, err := DecodeTuplePrefix(p)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("trailing bytes")
-	}
-	return t, nil
+	var c Chunks
+	return c.Tuple(p, 1, len(p))
 }
 
-// DecodeTuplePrefix parses one tuple from the front of p, returning the
-// remainder — for payloads that carry several tuples back to back.
-func DecodeTuplePrefix(p []byte) (storage.Tuple, []byte, error) {
+// chunkValues is the size of one chunk of decoded values: about 4 KiB of
+// 40-byte values.
+const chunkValues = 100
+
+// Chunks carves decoded tuples out of shared chunks of values: one
+// allocation per chunk, not per row. A chunk is never reused, so a tuple
+// stays valid for good (DESIGN.md §7 rule 6), and every tuple is capped at
+// its length, so an append to one copies it instead of writing into the
+// next. The zero value is ready to use; a decoder keeps one per stream.
+//
+// rows and bytes bound a fresh chunk: the tuples still to decode, this one
+// included, and the encoded bytes they come from (at least len(p)). A
+// value takes a byte at least, so a count no bytes back fails on the first
+// missing value, not after a giant make.
+type Chunks struct{ free []value.Value }
+
+// Tuple is DecodeTuple into c.
+func (c *Chunks) Tuple(p []byte, rows, bytes int) (storage.Tuple, error) {
+	t, rest, err := c.TuplePrefix(p, rows, bytes)
+	if err == nil && len(rest) != 0 {
+		return nil, fmt.Errorf("trailing bytes")
+	}
+	return t, err
+}
+
+// TuplePrefix parses one AppendTuple encoding from the front of p,
+// returning the remainder — for payloads that carry several back to back.
+func (c *Chunks) TuplePrefix(p []byte, rows, bytes int) (storage.Tuple, []byte, error) {
 	ncols, n := binary.Uvarint(p)
 	if n <= 0 || ncols > uint64(len(p)-n) { // every column takes a byte at least
 		return nil, nil, fmt.Errorf("bad column count")
 	}
-	p = p[n:]
-	t := make(storage.Tuple, ncols)
+	return c.Values(p[n:], int(ncols), rows, bytes-n)
+}
+
+// Values parses ncols values from the front of p into one tuple — a row
+// whose column count its container carries, as a wire row batch does.
+func (c *Chunks) Values(p []byte, ncols, rows, bytes int) (storage.Tuple, []byte, error) {
+	if ncols > bytes {
+		return nil, nil, fmt.Errorf("short row")
+	}
+	if c.free == nil || len(c.free) < ncols { // a zero-column tuple is empty, not nil
+		c.free = make([]value.Value, max(ncols, min(chunkValues, ncols*max(rows, 1), bytes)))
+	}
+	t := c.free[:ncols:ncols]
+	c.free = c.free[ncols:]
 	for i := range t {
 		var err error
 		if t[i], p, err = DecodeValue(p); err != nil {

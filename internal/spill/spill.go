@@ -329,6 +329,7 @@ type Reader struct {
 	off  int                   // bytes of data consumed
 	next int                   // index in r.slots to load when data runs out
 	rows int
+	vals rowcodec.Chunks // what the rows read back are carved from
 }
 
 // slotReader is the Reader as the byte stream its FrameReader parses.
@@ -359,7 +360,10 @@ func (rd *Reader) Next() (storage.Tuple, error) {
 	var t storage.Tuple
 	payload, err := rd.fr.Next()
 	if err == nil {
-		t, err = rowcodec.DecodeTuple(payload)
+		// A payload holds one row, so a fresh chunk is bounded by the rows
+		// and bytes left in the run, this frame's included.
+		left := rd.r.Bytes - int64(rd.next-1)*slotSize - int64(rd.off) + int64(len(payload))
+		t, err = rd.vals.Tuple(payload, rd.r.Tuples-rd.rows, int(left))
 	}
 	switch {
 	case err == nil:

@@ -195,10 +195,11 @@ func decodePayload(p []byte) (Record, error) {
 			return r, fmt.Errorf("bad row count")
 		}
 		p = p[n:]
-		r.Rows = make([]storage.Tuple, 0, min(nrows, 1024))
+		r.Rows = make([]storage.Tuple, 0, min(nrows, uint64(len(p)))) // a row takes a byte at least
+		var vals rowcodec.Chunks
 		for i := uint64(0); i < nrows; i++ {
 			var t storage.Tuple
-			if t, p, err = rowcodec.DecodeTuplePrefix(p); err != nil {
+			if t, p, err = vals.TuplePrefix(p, int(nrows-i), len(p)); err != nil {
 				return r, fmt.Errorf("row %d: %w", i, err)
 			}
 			r.Rows = append(r.Rows, t)

@@ -327,16 +327,17 @@ func DecodeRowBatch(p []byte) (RowBatch, error) {
 	if nrows > 0 && ncols == 0 {
 		return b, fmt.Errorf("wire: rows without columns")
 	}
-	// Rows are allocated as they parse out, so a huge declared count backed
-	// by no bytes fails on the first missing value, not after a giant make.
+	// Rows and their values are sized by the bytes that back them, a value
+	// taking one at least, so a huge declared count backed by no bytes fails
+	// on the first missing value, not after a giant make.
+	b.Rows = make([]storage.Tuple, 0, min(nrows, uint64(len(p))/max(ncols, 1)))
+	var vals rowcodec.Chunks
 	for r := uint64(0); r < nrows; r++ {
-		row := make(storage.Tuple, ncols)
-		for c := range row {
-			if row[c], p, err = DecodeValue(p); err != nil {
-				return b, err
-			}
+		row, rest, err := vals.Values(p, int(ncols), int(nrows-r), len(p))
+		if err != nil {
+			return b, fmt.Errorf("wire: %w", err)
 		}
-		b.Rows = append(b.Rows, row)
+		b.Rows, p = append(b.Rows, row), rest
 	}
 	if len(p) != 0 {
 		return b, fmt.Errorf("wire: %d trailing bytes after row batch", len(p))
