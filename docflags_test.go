@@ -306,3 +306,33 @@ func TestOneOracle(t *testing.T) {
 		})
 	})
 }
+
+// Three-valued logic used to be written four times: nested iteration's
+// predicates, a flat-row compiler (compilePred/compileExpr) behind every
+// plan Filter and join predicate, the AntiJoin's own NOT IN rule and the
+// planner's HAVING closure. Plans compile through the evaluator now, and a
+// second copy must not grow back unnoticed: outside internal/value only
+// internal/exec/eval.go calls a comparison's .Apply, and no identifier is
+// named compilePred or compileExpr.
+func TestOnePredicateEvaluator(t *testing.T) {
+	gone := map[string]bool{"compilePred": true, "compileExpr": true}
+	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
+		path = filepath.ToSlash(path)
+		if filepath.Dir(path) == "internal/value" {
+			return
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Apply" && path != "internal/exec/eval.go" {
+					t.Errorf("%s calls .Apply: three-valued predicates are compiled once, by internal/exec/eval.go", path)
+				}
+			case *ast.Ident:
+				if gone[n.Name] {
+					t.Errorf("%s names %s: plans compile predicates with exec.CompileConjuncts, through the evaluator", path, n.Name)
+				}
+			}
+			return true
+		})
+	})
+}

@@ -99,7 +99,13 @@ func TestNestedIterationSemantics(t *testing.T) {
 // op ANY and op ALL over an empty set, a set holding a NULL, and with a
 // NULL left operand (L's third row). Every case runs twice — the inner
 // block uncorrelated (evaluated once, kept as the list X) and trivially
-// correlated (re-evaluated per outer tuple) — and must agree.
+// correlated (re-evaluated per outer tuple) — and must agree. NEST-JA2
+// runs every case too, held to nested iteration by the engine's one rule
+// (AgreementWithNI): its plans decide flat NOT IN in an AntiJoin and the
+// rest in joins and in Filters compiled by CompileConjuncts; only section
+// 8's ALL rewrite owes nested iteration nothing. The last rows reach a
+// plan's Filter with no subquery at all: a WHERE tree of NOT, OR, AND and
+// <=> over a NULL column, and a HAVING over a group whose MAX is NULL.
 func TestNestedIterationThreeValued(t *testing.T) {
 	db := semanticsDB(t)
 	all := []string{"(1)", "(2)", "(3)"}
@@ -120,17 +126,36 @@ func TestNestedIterationThreeValued(t *testing.T) {
 		{"X < ALL", "N", nil},
 		{"X < ANY", "N", nil},
 	}
+	type query struct {
+		sql  string
+		want []string
+	}
+	var queries []query
 	for _, c := range cases {
 		for _, corr := range []string{"", " WHERE L.K > 0"} {
-			sql := "SELECT K FROM L WHERE " + c.pred + " (SELECT " + c.set + ".X FROM " + c.set + corr + ")"
-			res, err := db.Query(sql, ni)
-			if err != nil {
-				t.Errorf("%s: %v", sql, err)
-				continue
-			}
-			if got := sortedRows(res); got != strings.Join(c.want, " ") {
-				t.Errorf("%s: rows = %s, want %v", sql, got, c.want)
-			}
+			queries = append(queries, query{"SELECT K FROM L WHERE " + c.pred + " (SELECT " + c.set + ".X FROM " + c.set + corr + ")", c.want})
+		}
+	}
+	queries = append(queries,
+		// Row 3: NOT (NULL = 1) is UNKNOWN, but NULL > 5 AND 3 = 1 is FALSE.
+		query{"SELECT K FROM L WHERE NOT (X = 1) OR (X <=> X AND NOT (X > 5 AND K = 1) AND K = 3)", []string{"(2)", "(3)"}},
+		query{"SELECT K FROM L WHERE NOT (X = 1 OR X <=> 1)", []string{"(2)"}},
+		query{"SELECT K, MAX(X) AS M FROM L GROUP BY K HAVING K > 1 AND M <> 5", []string{"(2, 2)"}},
+	)
+	for _, q := range queries {
+		res, err := db.Query(q.sql, ni)
+		if err != nil {
+			t.Errorf("%s: %v", q.sql, err)
+			continue
+		}
+		if got := sortedRows(res); got != strings.Join(q.want, " ") {
+			t.Errorf("%s: rows = %s, want %v", q.sql, got, q.want)
+		}
+		ja2, err := db.Query(q.sql, engine.Options{Strategy: engine.TransformJA2})
+		if err != nil {
+			t.Errorf("NEST-JA2: %s: %v", q.sql, err)
+		} else if diff := diffNI(q.sql, ja2, res); diff != "" {
+			t.Errorf("NEST-JA2: %s: %s", q.sql, diff)
 		}
 	}
 }

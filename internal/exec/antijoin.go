@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"repro/internal/ast"
 	"repro/internal/qctx"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -10,13 +11,11 @@ import (
 // extension beyond the paper, which leaves anti-joins out of its
 // algorithms (section 8 rewrites != ANY to NOT IN and stops there). For
 // each left row, the relevant right rows are those satisfying the
-// correlation predicate; the left row qualifies exactly when
-//
-//   - there are no relevant right rows (NOT IN over the empty set is
-//     TRUE, even for a NULL operand), or
-//   - the membership operand is non-NULL, matches no relevant membership
-//     value, and no relevant membership value is NULL (a NULL member
-//     makes the predicate UNKNOWN, rejecting the row).
+// correlation predicate, and the left row qualifies exactly when its
+// operand NOT IN their membership values is definitely true, folded by
+// nested iteration's own rule: TRUE over no relevant rows (even for a
+// NULL operand), UNKNOWN (rejecting the row) when nothing matches but a
+// NULL is involved.
 //
 // The right side is a materialized file re-scanned per left row through
 // the buffer pool, like NestedLoopJoin.
@@ -61,47 +60,31 @@ func (a *AntiJoin) Next() (storage.Tuple, bool, error) {
 	}
 }
 
+// qualifies reports whether l's operand NOT IN its relevant right rows is
+// definitely true. It stops reading the right side after the page that
+// held a match.
 func (a *AntiJoin) qualifies(l storage.Tuple) (bool, error) {
 	lv := a.LeftVal(l)
 	a.pair = append(a.pair[:0], l...)
-	relevant, matched, sawNull := 0, false, false
-	for pg := 0; pg < a.Right.NumPages(); pg++ {
+	var in quantified // lv = ANY the relevant members
+	for pg := 0; pg < a.Right.NumPages() && !in.anyTrue; pg++ {
 		for _, r := range a.Right.ReadPage(pg) {
 			if a.Corr != nil {
 				a.pair = append(a.pair[:len(l)], r...)
-				tri, err := a.Corr(a.pair)
+				ok, err := a.Corr(a.pair)
 				if err != nil {
 					return false, err
 				}
-				if !tri.IsTrue() {
+				if !ok {
 					continue
 				}
 			}
-			relevant++
-			mv := r[a.MemberCol]
-			if mv.IsNull() {
-				sawNull = true
-				continue
-			}
-			if lv.IsNull() {
-				continue
-			}
-			tri, err := value.OpEq.Apply(lv, mv)
-			if err != nil {
+			if err := in.see(lv, value.OpEq, r[a.MemberCol]); err != nil {
 				return false, err
 			}
-			if tri.IsTrue() {
-				matched = true
-			}
-		}
-		if matched {
-			break
 		}
 	}
-	if relevant == 0 {
-		return true, nil
-	}
-	return !matched && !sawNull && !lv.IsNull(), nil
+	return in.tri(ast.Any).Not().IsTrue(), nil
 }
 
 // Close closes the left child.

@@ -113,6 +113,34 @@ func TestCompiledPredicateRuntimeError(t *testing.T) {
 	}
 }
 
+// Compiling a plan predicate is paid per plan, and a point query compiles
+// one or two: through the evaluator it costs no more allocations than the
+// flat row compiler it replaced did (5 and 8). The evaluator and its frame
+// are one allocation, and a constant operand one more.
+func TestCompileConjunctsAllocs(t *testing.T) {
+	sch := exec.RowSchema{{Table: "R", Column: "K"}, {Table: "R", Column: "V"}}
+	cmp := func(col string, op value.CompareOp, n int64) ast.Predicate {
+		return &ast.Comparison{Left: ast.ColumnRef{Table: "R", Column: col}, Op: op, Right: ast.Const{Val: intv(n)}}
+	}
+	one := []ast.Predicate{cmp("K", value.OpEq, 1)}
+	two := append(one, cmp("V", value.OpGt, 15))
+	for _, c := range []struct {
+		preds []ast.Predicate
+		max   float64
+	}{{one, 5}, {two, 8}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := exec.CompileConjuncts(c.preds, sch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.max {
+			t.Errorf("compiling %d comparison(s): %.0f allocations, want at most %.0f", len(c.preds), allocs, c.max)
+		} else {
+			t.Logf("compiling %d comparison(s): %.0f allocations", len(c.preds), allocs)
+		}
+	}
+}
+
 // A cartesian nested-loops join (always-true predicate).
 func TestNestedLoopJoinCartesian(t *testing.T) {
 	s := storage.NewStore(4)

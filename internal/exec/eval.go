@@ -127,11 +127,12 @@ func (ev *Evaluator) EvalQuery(qb *ast.QueryBlock) ([]storage.Tuple, RowSchema, 
 	return rows, bp.out, nil
 }
 
-// CompileFilter compiles WHERE conjuncts over the tuples of one relation
-// into a test of whether a tuple satisfies all of them (all definitely
-// true). The engine's DELETE and UPDATE use it, so their WHERE clauses
-// support the full dialect including nested subqueries.
-func (ev *Evaluator) CompileFilter(preds []ast.Predicate, sch RowSchema) (func(storage.Tuple) (bool, error), error) {
+// CompileFilter compiles WHERE conjuncts over the rows of one schema into
+// a test of whether a row satisfies all of them (all definitely true). The
+// engine's DELETE and UPDATE use it, so their WHERE clauses support the
+// full dialect including nested subqueries, and so does every plan
+// predicate (CompileConjuncts).
+func (ev *Evaluator) CompileFilter(preds []ast.Predicate, sch RowSchema) (RowPred, error) {
 	scope := []RowSchema{sch}
 	ev.growFrames(1)
 	where := make([]pred, len(preds))
@@ -330,24 +331,31 @@ func filterHaving(rows []storage.Tuple, having []ast.HavingPred) ([]storage.Tupl
 	if len(having) == 0 {
 		return rows, nil
 	}
-	out := rows[:0:0]
+	keep, out := Having(having), rows[:0:0]
 	for _, row := range rows {
-		keep := true
-		for _, h := range having {
-			tri, err := h.Op.Apply(row[h.Pos], h.Val)
-			if err != nil {
-				return nil, err
-			}
-			if !tri.IsTrue() {
-				keep = false
-				break
-			}
+		ok, err := keep(row)
+		if err != nil {
+			return nil, err
 		}
-		if keep {
+		if ok {
 			out = append(out, row)
 		}
 	}
 	return out, nil
+}
+
+// Having tests an aggregate output row against HAVING conjuncts: whether
+// all are definitely true, stopping at the first that is not. Nested
+// iteration and a plan's HAVING filter both use it.
+func Having(having []ast.HavingPred) RowPred {
+	return func(row storage.Tuple) (bool, error) {
+		for _, h := range having {
+			if tri, err := h.Op.Apply(row[h.Pos], h.Val); err != nil || !tri.IsTrue() {
+				return false, err
+			}
+		}
+		return true, nil
+	}
 }
 
 // sortRowsBy orders result rows by the resolved ORDER BY positions. An
@@ -466,9 +474,11 @@ func (ev *Evaluator) framePred(p ast.Predicate, scope []RowSchema) (pred, error)
 			err := fmt.Errorf("exec: outer-join operator %s+ is only valid in transformed temporary-table definitions", p.Op)
 			return func() (value.Tri, error) { return value.Unknown, err }, nil
 		}
-		if lp, rp := operand(p.Left, scope), operand(p.Right, scope); lp != nil && rp != nil {
+		lo, lok := operandOf(p.Left, scope)
+		ro, rok := operandOf(p.Right, scope)
+		if lok && rok {
 			// The common conjunct, two columns or constants, compared in place.
-			return func() (value.Tri, error) { return p.Op.Apply(*lp(ev.frames), *rp(ev.frames)) }, nil
+			return func() (value.Tri, error) { return p.Op.Apply(*lo.get(ev.frames), *ro.get(ev.frames)) }, nil
 		}
 		l, err := ev.frameExpr(p.Left, scope)
 		if err != nil {
@@ -490,8 +500,13 @@ func (ev *Evaluator) framePred(p ast.Predicate, scope []RowSchema) (pred, error)
 			return p.Op.Apply(lv, rv)
 		}, nil
 	case *ast.InPred:
+		// x IN S is x = ANY S.
 		return ev.frameNested(p.Left, p.Sub, scope, func(lv value.Value, sub *blockProg) (value.Tri, error) {
-			return ev.evalIn(lv, sub, p.Negated)
+			tri, err := ev.evalQuant(lv, value.OpEq, ast.Any, sub)
+			if p.Negated {
+				tri = tri.Not()
+			}
+			return tri, err
 		})
 	case *ast.ExistsPred:
 		bp, err := ev.compile(p.Sub, scope)
@@ -562,24 +577,48 @@ func (ev *Evaluator) frameBoth(left, right ast.Predicate, scope []RowSchema, joi
 	}, nil
 }
 
-// operand compiles a column or constant, read in place; nil for anything
-// else, an unresolvable column included (frameExpr reports it).
-func operand(e ast.Expr, scope []RowSchema) func([]storage.Tuple) *value.Value {
+// operand is a compiled column or constant, read in place: the constant c
+// when it is set, else the column at slot s of the frame stack. A plain
+// value, so the closure that reads it allocates nothing more.
+type operand struct {
+	s slot
+	c *value.Value
+}
+
+func (o operand) get(frames []storage.Tuple) *value.Value {
+	if o.c != nil {
+		return o.c
+	}
+	return &frames[o.s.frame][o.s.col]
+}
+
+// operandOf compiles a column or constant; false for anything else, an
+// unresolvable column included (frameExpr reports it).
+func operandOf(e ast.Expr, scope []RowSchema) (operand, bool) {
 	switch e := e.(type) {
 	case ast.ColumnRef:
-		if s, err := resolve(e, scope); err == nil {
-			return func(frames []storage.Tuple) *value.Value { return &frames[s.frame][s.col] }
-		}
+		s, err := resolve(e, scope)
+		return operand{s: s}, err == nil
 	case ast.Const:
-		return func([]storage.Tuple) *value.Value { return &e.Val }
+		return operand{c: &e.Val}, true
 	}
-	return nil
+	return operand{}, false
+}
+
+// Operand compiles a column or constant over the rows of one schema — the
+// NOT IN operand of an AntiJoin.
+func Operand(e ast.Expr, sch RowSchema) (func(storage.Tuple) value.Value, error) {
+	o, ok := operandOf(e, []RowSchema{sch})
+	if !ok {
+		return nil, fmt.Errorf("exec: operand %s is not a column or constant of the plan", e)
+	}
+	return func(t storage.Tuple) value.Value { return *o.get([]storage.Tuple{t}) }, nil
 }
 
 // frameExpr compiles a scalar expression.
 func (ev *Evaluator) frameExpr(e ast.Expr, scope []RowSchema) (expr, error) {
-	if get := operand(e, scope); get != nil {
-		return func() (value.Value, error) { return *get(ev.frames), nil }, nil
+	if o, ok := operandOf(e, scope); ok {
+		return func() (value.Value, error) { return *o.get(ev.frames), nil }, nil
 	}
 	switch e := e.(type) {
 	case ast.ColumnRef:
@@ -619,85 +658,52 @@ func (ev *Evaluator) scalarSub(bp *blockProg) (value.Value, error) {
 	}
 }
 
-// evalIn implements membership under three-valued logic: TRUE on a match;
-// UNKNOWN when there is no match but a NULL is involved; FALSE otherwise.
-func (ev *Evaluator) evalIn(lv value.Value, sub *blockProg, negated bool) (value.Tri, error) {
-	matched, sawNull, n := false, false, 0
-	visit := func(v value.Value) error {
-		n++
-		if v.IsNull() {
-			sawNull = true
-			return nil
-		}
-		if lv.IsNull() {
-			return nil
-		}
-		tri, err := value.OpEq.Apply(lv, v)
-		if err != nil {
-			return err
-		}
-		if tri.IsTrue() {
-			matched = true
-		}
-		return nil
-	}
-	if err := ev.visitSubValues(sub, visit); err != nil {
-		return value.Unknown, err
-	}
-	var tri value.Tri
-	switch {
-	case matched:
-		tri = value.True
-	case n > 0 && (lv.IsNull() || sawNull):
-		tri = value.Unknown
-	default:
-		tri = value.False
-	}
-	if negated {
-		tri = tri.Not()
-	}
-	return tri, nil
-}
-
 // evalQuant implements op ANY / op ALL under three-valued logic, including
 // the empty-set cases (ANY over empty is FALSE, ALL over empty is TRUE).
 func (ev *Evaluator) evalQuant(lv value.Value, op value.CompareOp, quant ast.Quantifier, sub *blockProg) (value.Tri, error) {
-	anyTrue, anyUnknown, anyFalse := false, false, false
-	visit := func(v value.Value) error {
-		tri, err := op.Apply(lv, v)
-		if err != nil {
-			return err
-		}
-		switch tri {
-		case value.True:
-			anyTrue = true
-		case value.Unknown:
-			anyUnknown = true
-		default:
-			anyFalse = true
-		}
-		return nil
-	}
-	if err := ev.visitSubValues(sub, visit); err != nil {
+	var q quantified
+	if err := ev.visitSubValues(sub, func(v value.Value) error { return q.see(lv, op, v) }); err != nil {
 		return value.Unknown, err
 	}
+	return q.tri(quant), nil
+}
+
+// quantified folds lv op v over the values v of a list, one at a time, for
+// op ANY and op ALL. x IN S is x = ANY S, so nested iteration's IN, NOT IN,
+// ANY and ALL and a plan's AntiJoin all decide through it.
+type quantified struct{ anyTrue, anyUnknown, anyFalse bool }
+
+func (q *quantified) see(lv value.Value, op value.CompareOp, v value.Value) error {
+	tri, err := op.Apply(lv, v)
+	switch tri {
+	case value.True:
+		q.anyTrue = true
+	case value.Unknown:
+		q.anyUnknown = true
+	default:
+		q.anyFalse = true
+	}
+	return err
+}
+
+func (q *quantified) tri(quant ast.Quantifier) value.Tri {
 	if quant == ast.Any {
 		switch {
-		case anyTrue:
-			return value.True, nil
-		case anyUnknown:
-			return value.Unknown, nil
+		case q.anyTrue:
+			return value.True
+		case q.anyUnknown:
+			return value.Unknown
 		default:
-			return value.False, nil
+			return value.False
 		}
 	}
 	switch {
-	case anyFalse:
-		return value.False, nil
-	case anyUnknown:
-		return value.Unknown, nil
+	case q.anyFalse:
+		return value.False
+	case q.anyUnknown:
+		return value.Unknown
 	default:
-		return value.True, nil
+		return value.True
 	}
 }
 

@@ -467,11 +467,11 @@ func (n *NestedLoopJoin) Next() (storage.Tuple, bool, error) {
 			// The predicate sees the pair in the scratch row; only a pair
 			// that holds is built.
 			n.pair = append(n.pair[:len(n.cur)], r...)
-			tri, err := n.Pred(n.pair)
+			ok, err := n.Pred(n.pair)
 			if err != nil {
 				return nil, false, err
 			}
-			if tri.IsTrue() {
+			if ok {
 				n.matched = true
 				return n.rows.build(n.cur, r), true, nil
 			}

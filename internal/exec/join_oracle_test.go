@@ -74,7 +74,7 @@ func (c joinCase) name() string {
 }
 
 // pred is the full join predicate over the concatenated row.
-func (c joinCase) pred(t storage.Tuple) (value.Tri, error) {
+func (c joinCase) pred(t storage.Tuple) (bool, error) {
 	out := value.True
 	for i, ne := range c.nullEq {
 		op := value.OpEq
@@ -83,11 +83,11 @@ func (c joinCase) pred(t storage.Tuple) (value.Tri, error) {
 		}
 		tri, err := op.Apply(t[i], t[oracleWidth+i])
 		if err != nil {
-			return value.Unknown, err
+			return false, err
 		}
 		out = out.And(tri)
 	}
-	return out, nil
+	return out.IsTrue(), nil
 }
 
 func (c joinCase) inputs(e spillEnv, prefix string) (left, right *storage.HeapFile) {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/ast"
@@ -71,8 +72,9 @@ func (s *SeqScan) Close() error { return nil }
 // Schema returns the scan's column bindings.
 func (s *SeqScan) Schema() RowSchema { return s.Sch }
 
-// RowPred is a compiled predicate over positional rows.
-type RowPred func(storage.Tuple) (value.Tri, error)
+// RowPred is a compiled predicate over positional rows: whether a row makes
+// it definitely true, all a filter or a join ever asks of the three values.
+type RowPred func(storage.Tuple) (bool, error)
 
 // Filter passes through rows for which the predicate is definitely true.
 type Filter struct {
@@ -88,11 +90,11 @@ func (f *Filter) Next() (storage.Tuple, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		tri, err := f.Pred(t)
+		ok, err = f.Pred(t)
 		if err != nil {
 			return nil, false, err
 		}
-		if tri.IsTrue() {
+		if ok {
 			return t, true, nil
 		}
 	}
@@ -270,101 +272,43 @@ func tupleBytes(t storage.Tuple) int64 {
 	return n
 }
 
-// CompileConjuncts compiles simple (non-nested) conjuncts against a row
-// schema into a single RowPred evaluating their three-valued conjunction.
-// Disjunctions and negations over simple comparisons compile too; nested
-// subqueries do not (the planner never passes them).
+// CompileConjuncts compiles a plan's conjuncts against a row schema into
+// the nested-iteration evaluator's filter over one frame, so a plan tests a
+// row by the same three-valued rules nested iteration does. Disjunctions
+// and negations compile too; a subquery or an outer-join operator anywhere
+// in a conjunct is refused here, before any row reaches it (the planner
+// passes neither).
 func CompileConjuncts(preds []ast.Predicate, sch RowSchema) (RowPred, error) {
-	compiled := make([]RowPred, len(preds))
-	for i, p := range preds {
-		c, err := compilePred(p, sch)
-		if err != nil {
+	for _, p := range preds {
+		if err := planPredicate(p); err != nil {
 			return nil, err
 		}
-		compiled[i] = c
 	}
-	return func(t storage.Tuple) (value.Tri, error) {
-		out := value.True
-		for _, p := range compiled {
-			tri, err := p(t)
-			if err != nil {
-				return value.Unknown, err
-			}
-			out = out.And(tri)
-			if out == value.False {
-				return out, nil
-			}
-		}
-		return out, nil
-	}, nil
+	// The evaluator and its one frame, in one allocation.
+	fe := new(struct {
+		ev    Evaluator
+		frame [1]storage.Tuple
+	})
+	fe.ev.frames = fe.frame[:]
+	return fe.ev.CompileFilter(preds, sch)
 }
 
-func compilePred(p ast.Predicate, sch RowSchema) (RowPred, error) {
+// planPredicate refuses a predicate a plan cannot evaluate.
+func planPredicate(p ast.Predicate) error {
 	switch p := p.(type) {
 	case *ast.Comparison:
 		if p.LeftOuter {
-			return nil, fmt.Errorf("exec: outer-join predicate %s cannot be a filter", p)
+			return fmt.Errorf("exec: outer-join predicate %s cannot be a filter", p)
 		}
-		l, err := compileExpr(p.Left, sch)
-		if err != nil {
-			return nil, err
+		if len(ast.SubqueriesOf(p)) == 0 {
+			return nil
 		}
-		r, err := compileExpr(p.Right, sch)
-		if err != nil {
-			return nil, err
-		}
-		op := p.Op
-		return func(t storage.Tuple) (value.Tri, error) {
-			return op.Apply(l(t), r(t))
-		}, nil
 	case *ast.OrPred:
-		l, err := compilePred(p.Left, sch)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compilePred(p.Right, sch)
-		if err != nil {
-			return nil, err
-		}
-		return func(t storage.Tuple) (value.Tri, error) {
-			lt, err := l(t)
-			if err != nil {
-				return value.Unknown, err
-			}
-			rt, err := r(t)
-			if err != nil {
-				return value.Unknown, err
-			}
-			return lt.Or(rt), nil
-		}, nil
+		return cmp.Or(planPredicate(p.Left), planPredicate(p.Right))
 	case *ast.AndPred:
-		return CompileConjuncts([]ast.Predicate{p.Left, p.Right}, sch)
+		return cmp.Or(planPredicate(p.Left), planPredicate(p.Right))
 	case *ast.NotPred:
-		inner, err := compilePred(p.P, sch)
-		if err != nil {
-			return nil, err
-		}
-		return func(t storage.Tuple) (value.Tri, error) {
-			tri, err := inner(t)
-			return tri.Not(), err
-		}, nil
-	default:
-		return nil, fmt.Errorf("exec: cannot compile predicate %s into a plan", p)
+		return planPredicate(p.P)
 	}
-}
-
-func compileExpr(e ast.Expr, sch RowSchema) (func(storage.Tuple) value.Value, error) {
-	switch e := e.(type) {
-	case ast.ColumnRef:
-		i := sch.Index(e)
-		if i < 0 {
-			return nil, errUnknownColumn(e)
-		}
-		return func(t storage.Tuple) value.Value { return t[i] }, nil
-	case ast.Const:
-		v := e.Val
-		return func(storage.Tuple) value.Value { return v }, nil
-	default:
-		return nil, fmt.Errorf("exec: cannot compile expression %s into a plan", e)
-	}
+	return fmt.Errorf("exec: cannot compile predicate %s into a plan", p)
 }

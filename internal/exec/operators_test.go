@@ -120,12 +120,19 @@ func TestCompileConjunctsErrors(t *testing.T) {
 	s := storage.NewStore(4)
 	f := loadFile(s, "R", 2, [][2]int64{{1, 10}})
 	sch := scanOf(f, "R").Schema()
+	k, v := ast.ColumnRef{Table: "R", Column: "K"}, ast.ColumnRef{Table: "R", Column: "V"}
+	outer := &ast.Comparison{Left: k, Op: value.OpEq, Right: v, LeftOuter: true}
+	in := &ast.InPred{Left: k, Sub: &ast.QueryBlock{}}
 	cases := []ast.Predicate{
-		&ast.InPred{Left: ast.ColumnRef{Table: "R", Column: "K"}, Sub: &ast.QueryBlock{}},
-		&ast.Comparison{Left: ast.ColumnRef{Table: "R", Column: "K"}, Op: value.OpEq,
-			Right: ast.ColumnRef{Table: "X", Column: "Y"}},
-		&ast.Comparison{Left: ast.ColumnRef{Table: "R", Column: "K"}, Op: value.OpEq,
-			Right: ast.ColumnRef{Table: "R", Column: "V"}, LeftOuter: true},
+		in,
+		&ast.Comparison{Left: k, Op: value.OpEq, Right: ast.ColumnRef{Table: "X", Column: "Y"}},
+		outer,
+		// Refused anywhere in the tree, at compile time: nested iteration
+		// would refuse an =+ only when a row reaches it.
+		&ast.OrPred{Left: &ast.Comparison{Left: k, Op: value.OpEq, Right: v}, Right: outer},
+		&ast.NotPred{P: in},
+		&ast.AndPred{Left: &ast.Comparison{Left: k, Op: value.OpEq, Right: v},
+			Right: &ast.Comparison{Left: k, Op: value.OpEq, Right: &ast.Subquery{Block: &ast.QueryBlock{}}}},
 	}
 	for _, p := range cases {
 		if _, err := exec.CompileConjuncts([]ast.Predicate{p}, sch); err == nil {
@@ -716,7 +723,7 @@ func TestJoinsBuildNoRowBeforeItsPredicateHolds(t *testing.T) {
 	}
 	left, right := loadFile(s, "L", 100, rows), loadFile(s, "R", 100, rows)
 	// L.k > R.k + 96: six of the 10,000 pairs.
-	theta := func(p storage.Tuple) (value.Tri, error) { return value.TriOf(p[0].Int() > p[2].Int()+96), nil }
+	theta := func(p storage.Tuple) (bool, error) { return p[0].Int() > p[2].Int()+96, nil }
 	drain := func(op exec.Operator, want int) {
 		if rows, err := exec.Drain(op, nil); err != nil || len(rows) != want {
 			t.Fatalf("%T: %d rows, %v; want %d", op, len(rows), err, want)

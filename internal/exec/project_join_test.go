@@ -53,7 +53,10 @@ func projectedJoin(e spillEnv, left, right *storage.HeapFile, kind string, outer
 			op = value.OpEqNull
 		}
 		return &exec.NestedLoopJoin{Left: scan(left, "L"), Right: right, RightSch: scan(right, "R").Schema(),
-			Pred:  func(t storage.Tuple) (value.Tri, error) { return op.Apply(t[0], t[3]) },
+			Pred: func(t storage.Tuple) (bool, error) {
+				tri, err := op.Apply(t[0], t[3])
+				return tri.IsTrue(), err
+			},
 			Outer: outer, Out: out, QC: e.qc}
 	}
 	j := &exec.ParallelHashJoin{Left: scan(left, "L"), Right: scan(right, "R"),

@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/exec"
-	"repro/internal/storage"
-	"repro/internal/value"
 )
 
 // antiJoin compiles a retained NOT IN conjunct (the beyond-paper extension
@@ -78,7 +76,7 @@ func (p *Planner) antiJoin(cur input, ip *ast.InPred, outerFrom []ast.TableRef, 
 			return input{}, err
 		}
 	}
-	leftVal, err := compileLeftVal(ip.Left, cur.op.Schema())
+	leftVal, err := exec.Operand(ip.Left, cur.op.Schema())
 	if err != nil {
 		return input{}, err
 	}
@@ -97,22 +95,6 @@ func (p *Planner) antiJoin(cur input, ip *ast.InPred, outerFrom []ast.TableRef, 
 		tuples:   cur.tuples,
 		sortedOn: cur.sortedOn, // anti-join preserves left order
 	}, nil
-}
-
-func compileLeftVal(e ast.Expr, sch exec.RowSchema) (func(storage.Tuple) value.Value, error) {
-	switch e := e.(type) {
-	case ast.ColumnRef:
-		i := sch.Index(e)
-		if i < 0 {
-			return nil, fmt.Errorf("planner: NOT IN operand %s not produced by plan", e)
-		}
-		return func(t storage.Tuple) value.Value { return t[i] }, nil
-	case ast.Const:
-		v := e.Val
-		return func(storage.Tuple) value.Value { return v }, nil
-	default:
-		return nil, fmt.Errorf("planner: unsupported NOT IN operand %s", e)
-	}
 }
 
 func dedupeRefs(refs []ast.ColumnRef) []ast.ColumnRef {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/exec"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -168,19 +167,8 @@ func (p *Planner) finishGroup(cur input, qb *ast.QueryBlock, label string) (inpu
 		out = &exec.GroupAgg{Child: op, GroupCols: groupCols, Items: items, QC: p.opts.QC}
 	}
 	if len(qb.Having) > 0 {
-		having := append([]ast.HavingPred(nil), qb.Having...)
-		out = &exec.Filter{Child: out, Pred: func(t storage.Tuple) (value.Tri, error) {
-			res := value.True
-			for _, h := range having {
-				tri, err := h.Op.Apply(t[h.Pos], h.Val)
-				if err != nil {
-					return value.Unknown, err
-				}
-				res = res.And(tri)
-			}
-			return res, nil
-		}}
-		p.notef("%s: HAVING filter over %d conjunct(s)", label, len(having))
+		out = &exec.Filter{Child: out, Pred: exec.Having(qb.Having)}
+		p.notef("%s: HAVING filter over %d conjunct(s)", label, len(qb.Having))
 	}
 	return input{
 		op:       out,
