@@ -1,14 +1,14 @@
 # Developer entry points. `make check` is the full gate — vet, gofmt, build, the
 # whole test suite under the race detector (the parallel executor makes
-# -race load-bearing, not optional), the fuzz targets, every storm at full
-# length, and the serving smoke test. The gates are defined once, in the
-# table at the top of scripts/check.sh; `make <gate>` runs one of them at
-# full length and `scripts/check.sh` runs them all in -short mode. See
-# README "Checks" for what each gate guards.
+# -race load-bearing, not optional), the allocation budgets without it, the
+# fuzz targets, every storm at full length, and the serving smoke test. The
+# gates are defined once, in the table at the top of scripts/check.sh;
+# `make <gate>` runs one of them at full length and `scripts/check.sh` runs
+# them all in -short mode. See README "Checks" for what each gate guards.
 
 GO ?= go
 
-GATES := vet fmt build race fuzz chaos storm memstorm metamorph-short netchaos cluster cluster-failover crash serve-smoke
+GATES := vet fmt build race fuzz alloc chaos storm memstorm metamorph-short netchaos cluster cluster-failover crash serve-smoke
 
 .PHONY: check test metamorph bench profile $(GATES)
 

@@ -32,7 +32,8 @@ func jaSeqShape(t *testing.T, scale int) (*engine.DB, workload.SyntheticConfig) 
 // TestJA2PageIOPinned holds the paper's metric where it was before joins
 // took every equality conjunct as their key: per query, in the benchmark's
 // steady state (second cycle, seed 1), the page I/Os of the single-key
-// plans — and the section 7.4 sort elisions still fire around the joins.
+// plans — and the section 7.4 sort elisions still fire around the joins,
+// whose temp-table joins build only the two columns their GroupAgg reads.
 func TestJA2PageIOPinned(t *testing.T) {
 	db, cfg := jaSeqShape(t, 1)
 	shapes := []struct {
@@ -52,10 +53,12 @@ func TestJA2PageIOPinned(t *testing.T) {
 		{name: "type-JA-COUNT", sql: workload.TypeJAQuery(cfg), io: 1178, exact: true, traces: []string{
 			"TEMP3: left input already in join-column order, sort elided",
 			"TEMP3: input already in GROUP BY order, sort elided",
+			"GroupAgg(group=[0], out=[JC, COUNT#1])\n  OuterMergeJoin(left#0 = right#0, out=[0 2])",
 			"final: hash join RI.JC with TEMP3.JC and RI.VAL with TEMP3.CT"}},
 		{name: "type-JA-MAX", sql: workload.TypeJAMaxQuery(cfg), io: 1052, exact: true, traces: []string{
 			"TEMP2: left input already in join-column order, sort elided",
 			"TEMP2: input already in GROUP BY order, sort elided",
+			"GroupAgg(group=[0], out=[JC, MAX#1])\n  MergeJoin(left#0 = right#0, out=[0 2])",
 			"final: hash join RI.JC with TEMP2.JC and RI.VAL with TEMP2.MAXVAL"}},
 	}
 	for cycle := range 2 {
@@ -82,8 +85,8 @@ func TestJA2PageIOPinned(t *testing.T) {
 
 // TestJA2AllocBudget keeps per-pair allocation out of the NEST-JA2 joins
 // and regrown row-header buffers out of every operator: at a tenth of
-// ja_seq's size, sequential and 2-worker, a query may allocate c objects
-// per input and output row, and 2-worker queries kib KiB. Both are what
+// ja_seq's size a query may allocate c objects per input and output row,
+// sequential and 2-worker, and 2-worker queries kib KiB. The KiB are what
 // the flat hash-join table with pooled morsels, Sort buffers and Drain
 // chunks measure plus 50%. Growing every such buffer from nil one append
 // at a time (and a map of buckets per hash join) measures c = 0.24 and
@@ -91,21 +94,30 @@ func TestJA2PageIOPinned(t *testing.T) {
 // left ++ right row for a Project to copy again measure c = 1.38 and 1.48
 // on type-N, the shape with the most output rows; the single-key joins
 // before them, which built every pair of a nested-loops final join before
-// testing it, measure 11.8 on the COUNT shape.
+// testing it, measure 11.8 on the COUNT shape. The COUNT and MAX temp
+// joins build only the two columns their GroupAgg reads, carved from
+// shared chunks: c = 1.05 and 0.94 sequential, 1.28 and 1.14 on 2 workers.
+// Their budgets sit about 15% above that, below the 1.35/1.22 and
+// 1.55/1.40 of joins that built one whole left ++ right row per pair.
+// Budgets hold without the race detector, whose sync.Pool drops a quarter
+// of what is put back: the alloc gate runs them so.
 func TestJA2AllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
 	db, cfg := jaSeqShape(t, 10)
 	shapes := []struct {
 		name string
 		sql  string
-		c    float64
+		c    [2]float64 // sequential, 2 workers
 		kib  uint64
 	}{
-		{"type-N", workload.TypeNQuery(cfg), 0.20, 64},
-		{"type-J", workload.TypeJQuery(cfg), 0.50, 37},
-		{"type-JA-COUNT", workload.TypeJAQuery(cfg), 2.3, 118},
-		{"type-JA-MAX", workload.TypeJAMaxQuery(cfg), 2.1, 115},
+		{"type-N", workload.TypeNQuery(cfg), [2]float64{0.20, 0.20}, 64},
+		{"type-J", workload.TypeJQuery(cfg), [2]float64{0.50, 0.50}, 37},
+		{"type-JA-COUNT", workload.TypeJAQuery(cfg), [2]float64{1.2, 1.45}, 118},
+		{"type-JA-MAX", workload.TypeJAMaxQuery(cfg), [2]float64{1.08, 1.3}, 115},
 	}
-	for _, workers := range []int{0, 2} {
+	for i, workers := range []int{0, 2} {
 		opts := engine.Options{Strategy: engine.TransformJA2,
 			Planner: planner.Options{Parallelism: workers, ForceParallel: workers > 1}}
 		for _, s := range shapes {
@@ -121,13 +133,12 @@ func TestJA2AllocBudget(t *testing.T) {
 				least, rows = min(least, after.Mallocs-before.Mallocs), len(res.Rows)
 				bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 			}
-			budget := s.c * float64(cfg.OuterTuples+cfg.InnerTuples+rows)
-			if float64(least) > budget {
-				t.Errorf("%s, %d workers: %d allocations, budget %.0f (%.2f per input and output row)", s.name, workers, least, budget, s.c)
+			perRow := float64(least) / float64(cfg.OuterTuples+cfg.InnerTuples+rows)
+			t.Logf("%s, %d workers: %.2f allocations per input and output row, %d KiB", s.name, workers, perRow, bytes>>10)
+			if perRow > s.c[i] {
+				t.Errorf("%s, %d workers: %d allocations, %.2f per input and output row, budget %.2f", s.name, workers, least, perRow, s.c[i])
 			}
-			// sync.Pool drops a quarter of what is put back under the race
-			// detector, so the bytes are only meaningful without it.
-			if workers > 1 && bytes > s.kib<<10 && !raceEnabled {
+			if workers > 1 && bytes > s.kib<<10 {
 				t.Errorf("%s, %d workers: allocated %d KiB, budget %d KiB", s.name, workers, bytes>>10, s.kib)
 			}
 		}
@@ -135,15 +146,19 @@ func TestJA2AllocBudget(t *testing.T) {
 }
 
 // TestForcedSpillAllocBudget: a spill run costs the bytes it holds, and a
-// row read back costs no allocation of its own. At spill_join's size (half
-// of ja_seq) the COUNT query with every buffer refused writes 111 runs and
-// re-reads its merge-join groups once per duplicate outer key; it
-// allocates 525 KiB in 2,663 objects doing so and may allocate 550 KiB
-// (a 64 KiB buffer per run written and per Open made that 44 MiB) in
-// 4,000 objects (3,000 under the race detector; a fresh slice per row read
-// back made it 6,490) and have one spill file at a time (one file per run
-// had several whenever a row was emitted).
+// row read back or built costs no allocation of its own. At spill_join's
+// size (half of ja_seq) the COUNT query with every buffer refused writes
+// 111 runs and re-reads its merge-join groups once per duplicate outer key;
+// it allocates 507 KiB in 2,215 objects doing so and may allocate 550 KiB
+// (a 64 KiB buffer per run written and per Open made that 44 MiB) in 2,500
+// objects (a fresh slice per row read back made it 6,490, and one per row
+// its joins built 2,663) and have one spill file at a time (one file per
+// run had several whenever a row was emitted). Like TestJA2AllocBudget it
+// is measured without the race detector.
 func TestForcedSpillAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
 	db, cfg := jaSeqShape(t, 2)
 	if err := db.EnableSpill(t.TempDir(), 0); err != nil {
 		t.Fatal(err)
@@ -171,20 +186,20 @@ func TestForcedSpillAllocBudget(t *testing.T) {
 	if runs == 0 || files != 1 {
 		t.Errorf("%d spill runs in at most %d file(s) at a time; want some runs, in one file", runs, files)
 	}
-	if objects > 4000 {
-		t.Errorf("forced-spill query made %d allocations, budget 4,000", objects)
+	t.Logf("forced-spill query: %d allocations, %d KiB", objects, least>>10)
+	if objects > 2500 {
+		t.Errorf("forced-spill query made %d allocations, budget 2,500", objects)
 	}
-	// Under the race detector sync.Pool drops a quarter of what is put
-	// back, on purpose, so the bytes are only meaningful without it.
-	if least > 550<<10 && !raceEnabled {
+	if least > 550<<10 {
 		t.Errorf("forced-spill query allocated %d KiB, budget 550 KiB", least>>10)
 	}
 }
 
 // TestResultRowsSurvivePoolReuse: a Result's rows share no buffer with
 // the pools later queries draw morsels, Drain chunks and Sort buffers
-// from. A 2-worker type-N result and a sequential type-J result are kept
-// across six more queries, parallel, sequential and force-spilled, and
+// from, and carved rows share no chunk with later queries' rows. A 2-worker
+// type-N result, a sequential type-J result and a join's carved rows are
+// kept across six more queries, parallel, sequential and force-spilled, and
 // still print the same bytes.
 func TestResultRowsSurvivePoolReuse(t *testing.T) {
 	db, cfg := jaSeqShape(t, 10)
@@ -202,7 +217,13 @@ func TestResultRowsSurvivePoolReuse(t *testing.T) {
 		}
 		return res
 	}
-	kept := []*engine.Result{query(workload.TypeNQuery(cfg), par), query(workload.TypeJQuery(cfg), seq)}
+	// A join that builds each row from both sides, out of order, carves
+	// its rows from shared chunks.
+	carved := query("SELECT RJ.VAL, RI.JC FROM RI, RJ WHERE RI.JC = RJ.JC", seq)
+	if trace := strings.Join(carved.Trace, "\n"); !strings.Contains(trace, "out=[4 0]") {
+		t.Fatalf("the carved-rows query's join builds other columns:\n%s", trace)
+	}
+	kept := []*engine.Result{query(workload.TypeNQuery(cfg), par), query(workload.TypeJQuery(cfg), seq), carved}
 	var printed []string
 	for _, res := range kept {
 		printed = append(printed, fmt.Sprint(res.Rows))

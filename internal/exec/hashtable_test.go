@@ -28,7 +28,7 @@ func probeAll(t *testing.T, build, probe []storage.Tuple, nullEq, outer bool) []
 	in := make(chan Morsel, 1)
 	in <- append(newMorsel(), probe...)
 	close(in)
-	p := prober{j: j, table: newHashTable(build, j.key.right), src: &source{in: in}}
+	p := prober{j: j, rows: j.rows, table: newHashTable(build, j.key.right), src: &source{in: in}}
 	var got []string
 	for {
 		r, ok, err := p.next()

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/qctx"
+	"repro/internal/rowcodec"
 	"repro/internal/spill"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -13,27 +14,39 @@ import (
 // rowBuilder makes every row a join or a Project emits: columns cols (nil:
 // all) of left ++ right, a nil right row being an outer join's NULLs, or the
 // left row itself, resliced and capped so an append copies, when cols is one
-// ascending run within it; rows are immutable (DESIGN.md §7).
+// ascending run within it. Built rows are carved from vals, whose chunks
+// belong to the one goroutine emitting the rows; rows are immutable and
+// chunks never reused (DESIGN.md §7 rule 6).
 type rowBuilder struct {
 	cols               []int
 	sch                RowSchema // the rows' schema
 	rightWidth, lo, hi int       // hi > 0: cols is lo, …, hi−1
+	vals               rowcodec.Chunks
 }
 
 // newRowBuilder decides once how rows are built for out (nil: all columns).
 func newRowBuilder(out []int, left, right RowSchema) rowBuilder {
-	b, n := rowBuilder{cols: out, sch: left.Concat(right), rightWidth: len(right)}, len(out)
-	if out != nil {
-		all := b.sch
-		b.sch = make(RowSchema, n)
-		for i, c := range out {
-			b.sch[i] = all[c]
-		}
-	}
+	b, n := rowBuilder{cols: out, sch: outSchema(out, left, right), rightWidth: len(right)}, len(out)
 	if n > 0 && slices.IsSorted(out) && out[n-1]-out[0] == n-1 && out[n-1] < len(left) {
 		b.lo, b.hi = out[0], out[n-1]+1
 	}
 	return b
+}
+
+// outSchema is the schema of columns out (nil: all) of left ++ right.
+func outSchema(out []int, left, right RowSchema) RowSchema {
+	if out == nil {
+		return left.Concat(right)
+	}
+	sch := make(RowSchema, len(out))
+	for i, c := range out {
+		if c < len(left) {
+			sch[i] = left[c]
+		} else {
+			sch[i] = right[c-len(left)]
+		}
+	}
+	return sch
 }
 
 func (b *rowBuilder) build(left, right storage.Tuple) storage.Tuple {
@@ -41,11 +54,11 @@ func (b *rowBuilder) build(left, right storage.Tuple) storage.Tuple {
 	case b.hi > 0:
 		return left[b.lo:b.hi:b.hi]
 	case b.cols == nil:
-		out := make(storage.Tuple, len(left)+b.rightWidth)
+		out := b.vals.Row(len(left) + b.rightWidth)
 		copy(out[copy(out, left):], right)
 		return out
 	}
-	out := make(storage.Tuple, len(b.cols))
+	out := b.vals.Row(len(b.cols))
 	for i, c := range b.cols {
 		if c < len(left) {
 			out[i] = left[c]
@@ -392,7 +405,7 @@ func (m *MergeJoin) Close() error {
 
 // Schema is the Out columns of the children's concatenated schemas.
 func (m *MergeJoin) Schema() RowSchema {
-	return newRowBuilder(m.Out, m.Left.Schema(), m.Right.Schema()).sch
+	return outSchema(m.Out, m.Left.Schema(), m.Right.Schema())
 }
 
 // NestedLoopJoin joins a streamed left side against a stored right side,
@@ -490,5 +503,5 @@ func (n *NestedLoopJoin) Close() error { return n.Left.Close() }
 
 // Schema is the Out columns of the left and right schemas concatenated.
 func (n *NestedLoopJoin) Schema() RowSchema {
-	return newRowBuilder(n.Out, n.Left.Schema(), n.RightSch).sch
+	return outSchema(n.Out, n.Left.Schema(), n.RightSch)
 }

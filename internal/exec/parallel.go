@@ -630,9 +630,11 @@ func (t *hashTable) slot(h uint64) uint64 { return (h * 0x9E3779B97F4A7C15) >> t
 
 // prober is the one hash-probe loop, in pull form: every tuple of src
 // against table, matches joined, unmatched tuples NULL-padded when Outer.
-// A joined row is built only once the whole key is known to match.
+// A joined row is built only once the whole key is known to match, by the
+// prober's own copy of the join's builder: its chunks are this goroutine's.
 type prober struct {
 	j     *ParallelHashJoin
+	rows  rowBuilder
 	table hashTable
 	src   *source
 	cur   storage.Tuple // the probe tuple being matched, nil between tuples
@@ -660,20 +662,20 @@ func (p *prober) next() (storage.Tuple, bool, error) {
 			p.at = t.next[i]
 			if t.hashes[i] == p.h && k.equal(p.cur, t.rows[i], 0) { // else a bucket-mate or a collision
 				p.found = true
-				return p.j.rows.build(p.cur, t.rows[i]), true, nil
+				return p.rows.build(p.cur, t.rows[i]), true, nil
 			}
 		}
 		l := p.cur
 		p.cur = nil
 		if !p.found && p.j.Outer {
-			return p.j.rows.build(l, nil), true, nil
+			return p.rows.build(l, nil), true, nil
 		}
 	}
 }
 
 // probe drives the kernel for a worker: everything it yields is emitted.
 func (j *ParallelHashJoin) probe(out *emitter, table hashTable, src *source) error {
-	p := prober{j: j, table: table, src: src}
+	p := prober{j: j, rows: j.rows, table: table, src: src}
 	for {
 		t, ok, err := p.next()
 		if err != nil || !ok {
@@ -695,7 +697,7 @@ func (j *ParallelHashJoin) Next() (storage.Tuple, bool, error) {
 			j.handoff = &ExchangeMerge{Source: j, QC: j.QC}
 			j.handoff.start()
 		default:
-			j.inline = &prober{j: j, table: newHashTable(j.parts[0].rows, j.key.right), src: &source{op: j.Left}}
+			j.inline = &prober{j: j, rows: j.rows, table: newHashTable(j.parts[0].rows, j.key.right), src: &source{op: j.Left}}
 		}
 	}
 	if j.handoff != nil {
@@ -869,7 +871,7 @@ func (j *ParallelHashJoin) Close() error {
 
 // Schema is the Out columns of the children's concatenated schemas.
 func (j *ParallelHashJoin) Schema() RowSchema {
-	return newRowBuilder(j.Out, j.Left.Schema(), j.Right.Schema()).sch
+	return outSchema(j.Out, j.Left.Schema(), j.Right.Schema())
 }
 
 // ParallelHashGroup is GROUP BY aggregation executed by Workers goroutines

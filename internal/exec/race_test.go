@@ -1,0 +1,5 @@
+//go:build race
+
+package exec_test
+
+const raceEnabled = true

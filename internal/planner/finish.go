@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/exec"
@@ -59,7 +60,6 @@ func (p *Planner) finishShape(cur input, qb *ast.QueryBlock, label string) (inpu
 		}
 	}
 	out := cur
-	out.op = exec.NewProject(cur.op, projectJoin(cur.op, cols), names)
 	out.sortedOn = -1
 	for i, c := range cols {
 		if c == cur.sortedOn {
@@ -67,6 +67,10 @@ func (p *Planner) finishShape(cur input, qb *ast.QueryBlock, label string) (inpu
 			break
 		}
 	}
+	if emitOnly(cur.op, cols) {
+		cols = exec.Identity(len(cols))
+	}
+	out.op = exec.NewProject(cur.op, cols, names)
 	if qb.Distinct {
 		// Duplicate elimination by (B−1)-way merge sort over all output
 		// columns, as in section 7.1; the result emerges in join-column
@@ -79,8 +83,13 @@ func (p *Planner) finishShape(cur input, qb *ast.QueryBlock, label string) (inpu
 	return out, nil
 }
 
-// projectJoin hands a join op the Project's cols, returning the Project's new ones.
-func projectJoin(op exec.Operator, cols []int) []int {
+// emitOnly is the one rule that decides which columns a join builds: the
+// join that is op, or the source of the ExchangeMerge that is op, emits
+// only columns cols of its output, in that order, so its consumer reads
+// its column cols[i] at i. It reports whether op is such a join; anything
+// else — a residual Filter, whose compiled predicate is opaque, among
+// them — keeps every column.
+func emitOnly(op exec.Operator, cols []int) bool {
 	if ex, ok := op.(*exec.ExchangeMerge); ok {
 		op, _ = ex.Source.(exec.Operator)
 	}
@@ -92,9 +101,9 @@ func projectJoin(op exec.Operator, cols []int) []int {
 	case *exec.NestedLoopJoin:
 		j.Out = cols
 	default:
-		return cols
+		return false
 	}
-	return exec.Identity(len(cols))
+	return true
 }
 
 // finishGroup builds the GROUP BY aggregation. The input must arrive in
@@ -115,17 +124,8 @@ func (p *Planner) finishGroup(cur input, qb *ast.QueryBlock, label string) (inpu
 	// aggregated on exactly one worker. It only applies to real grouping
 	// (a global aggregate has one group and cannot be partitioned) and its
 	// output order is nondeterministic.
-	parallelGroup := len(groupCols) > 0 && p.parallelOK(cur.tuples) &&
-		!(len(groupCols) == 1 && cur.sortedOn == groupCols[0])
-	op := cur.op
-	if len(groupCols) > 0 && !parallelGroup {
-		if len(groupCols) == 1 && cur.sortedOn == groupCols[0] {
-			p.notef("%s: input already in GROUP BY order, sort elided", label)
-		} else {
-			op = p.sort(op, groupCols, nil)
-			p.notef("%s: sort for GROUP BY", label)
-		}
-	}
+	inOrder := len(groupCols) == 1 && cur.sortedOn == groupCols[0]
+	parallelGroup := len(groupCols) > 0 && p.parallelOK(cur.tuples) && !inOrder
 	items := make([]exec.GroupItem, len(qb.Select))
 	sortedOut := -1
 	for i, sel := range qb.Select {
@@ -149,6 +149,34 @@ func (p *Planner) finishGroup(cur input, qb *ast.QueryBlock, label string) (inpu
 			}
 		}
 		items[i] = exec.GroupItem{Agg: sel.Agg, Col: idx, Out: out}
+	}
+	// The join below builds only the columns the aggregation reads, in
+	// their order, before any GROUP BY sort is placed over it.
+	reads := append(make([]int, 0, len(groupCols)+len(items)), groupCols...)
+	for _, it := range items {
+		if it.Col >= 0 {
+			reads = append(reads, it.Col)
+		}
+	}
+	slices.Sort(reads)
+	if reads = slices.Compact(reads); emitOnly(cur.op, reads) {
+		for i, c := range groupCols {
+			groupCols[i], _ = slices.BinarySearch(reads, c)
+		}
+		for i, it := range items {
+			if it.Col >= 0 {
+				items[i].Col, _ = slices.BinarySearch(reads, it.Col)
+			}
+		}
+	}
+	op := cur.op
+	if len(groupCols) > 0 && !parallelGroup {
+		if inOrder {
+			p.notef("%s: input already in GROUP BY order, sort elided", label)
+		} else {
+			op = p.sort(op, groupCols, nil)
+			p.notef("%s: sort for GROUP BY", label)
+		}
 	}
 	var out exec.Operator
 	if parallelGroup {

@@ -137,7 +137,7 @@ func TestPlannerAutoChoice(t *testing.T) {
 	if after := runtime.NumGoroutine(); after != before {
 		t.Errorf("a sequential plan left %d goroutine(s) behind", after-before)
 	}
-	for _, frag := range []string{"TEMP3: outer hash join TEMP1.JC with TEMP2.JC", "OuterHashJoin(left#0 = right#0)",
+	for _, frag := range []string{"TEMP3: outer hash join TEMP1.JC with TEMP2.JC", "OuterHashJoin(left#0 = right#0, out=[0 2])",
 		"final: hash join RI.JC with TEMP3.JC and RI.V with TEMP3.CT", "HashJoin(left#0 <=> right#0, left#1 = right#1, out=[0])",
 		"TEMP3: input already in GROUP BY order, sort elided"} {
 		if !strings.Contains(notes, frag) {

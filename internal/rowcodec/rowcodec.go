@@ -113,17 +113,47 @@ func DecodeTuple(p []byte) (storage.Tuple, error) {
 // 40-byte values.
 const chunkValues = 100
 
-// Chunks carves decoded tuples out of shared chunks of values: one
-// allocation per chunk, not per row. A chunk is never reused, so a tuple
-// stays valid for good (DESIGN.md §7 rule 6), and every tuple is capped at
-// its length, so an append to one copies it instead of writing into the
-// next. The zero value is ready to use; a decoder keeps one per stream.
+// Chunks carves tuples out of shared chunks of values: one allocation per
+// chunk, not per row. A chunk is never reused, so a tuple stays valid for
+// good (DESIGN.md §7 rule 6), and every tuple is capped at its length, so
+// an append to one copies it instead of writing into the next. The zero
+// value is ready to use; a decoder keeps one per stream, and so does an
+// operator that builds rows (Row).
 //
-// rows and bytes bound a fresh chunk: the tuples still to decode, this one
-// included, and the encoded bytes they come from (at least len(p)). A
-// value takes a byte at least, so a count no bytes back fails on the first
-// missing value, not after a giant make.
-type Chunks struct{ free []value.Value }
+// For a decoded tuple, rows and bytes bound a fresh chunk: the tuples
+// still to decode, this one included, and the encoded bytes they come from
+// (at least len(p)). A value takes a byte at least, so a count no bytes
+// back fails on the first missing value, not after a giant make.
+type Chunks struct {
+	free  []value.Value
+	built int // rows Row has carved
+}
+
+// soloRows is how many built rows get a chunk of their own, exactly their
+// values, before chunks grow.
+const soloRows = 16
+
+// Row carves a zeroed (all-NULL) tuple of n values for a row its caller
+// fills in. The first soloRows rows each get exactly their own values, as a
+// make would, so a small output allocates what it always did; after that a
+// chunk holds as many values as the rows carved so far, up to chunkValues.
+func (c *Chunks) Row(n int) storage.Tuple {
+	if c.built++; c.built <= soloRows {
+		return c.carve(n, n)
+	}
+	return c.carve(n, min(chunkValues, n*c.built))
+}
+
+// carve cuts a capped n-value tuple from the chunk, first replacing the
+// chunk with a fresh one of size values (n at least) if it has fewer left.
+func (c *Chunks) carve(n, size int) storage.Tuple {
+	if c.free == nil || len(c.free) < n { // a zero-column tuple is empty, not nil
+		c.free = make([]value.Value, max(n, size))
+	}
+	t := c.free[:n:n]
+	c.free = c.free[n:]
+	return t
+}
 
 // Tuple is DecodeTuple into c.
 func (c *Chunks) Tuple(p []byte, rows, bytes int) (storage.Tuple, error) {
@@ -150,11 +180,7 @@ func (c *Chunks) Values(p []byte, ncols, rows, bytes int) (storage.Tuple, []byte
 	if ncols > bytes {
 		return nil, nil, fmt.Errorf("short row")
 	}
-	if c.free == nil || len(c.free) < ncols { // a zero-column tuple is empty, not nil
-		c.free = make([]value.Value, max(ncols, min(chunkValues, ncols*max(rows, 1), bytes)))
-	}
-	t := c.free[:ncols:ncols]
-	c.free = c.free[ncols:]
+	t := c.carve(ncols, min(chunkValues, ncols*max(rows, 1), bytes))
 	for i := range t {
 		var err error
 		if t[i], p, err = DecodeValue(p); err != nil {
