@@ -41,12 +41,6 @@ var strategies = map[string]nestedsql.Strategy{
 	"kim": nestedsql.StrategyTransformKim,
 }
 
-var joins = map[string]nestedsql.JoinChoice{
-	"auto":  nestedsql.JoinAuto,
-	"merge": nestedsql.JoinMerge,
-	"nl":    nestedsql.JoinNestedLoops,
-}
-
 // csvLoads accumulates repeated -load TABLE=FILE flags.
 type csvLoads []string
 
@@ -55,12 +49,12 @@ func (c *csvLoads) Set(v string) error { *c = append(*c, v); return nil }
 
 // options is the parsed command line.
 type options struct {
-	fixture, strategy, tempJoin, finalJoin, spillDir, open, save, dataDir string
-	buffer, parallel, maxConcurrent, queueDepth                           int
-	explain, interactive, verifyParallel, fsync                           bool
-	timeout                                                               time.Duration
-	maxRows, maxBytes, spillThreshold, memPool                            int64
-	loads                                                                 csvLoads
+	fixture, strategy, spillDir, open, save, dataDir string
+	buffer, parallel, maxConcurrent, queueDepth      int
+	explain, interactive, verifyParallel, fsync      bool
+	timeout                                          time.Duration
+	maxRows, maxBytes, spillThreshold, memPool       int64
+	loads                                            csvLoads
 }
 
 // defineFlags declares every flag nestedsql takes on fs.
@@ -70,8 +64,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.strategy, "strategy", "ja2", "evaluation strategy: ni | ja2 | kim")
 	fs.IntVar(&o.buffer, "buffer", 32, "buffer pool size in pages (the paper's B)")
 	fs.BoolVar(&o.explain, "explain", false, "print classification, transformation steps, and plan decisions")
-	fs.StringVar(&o.tempJoin, "join-temp", "auto", "force temp-table join method: auto | merge | nl")
-	fs.StringVar(&o.finalJoin, "join-final", "auto", "force final join method: auto | merge | nl")
 	fs.BoolVar(&o.interactive, "i", false, "interactive REPL (read statements from stdin)")
 	fs.IntVar(&o.parallel, "parallel", 0, "parallel workers for transformed plans: 0|1 sequential, n>1 workers, -1 one per CPU")
 	fs.BoolVar(&o.verifyParallel, "verify-parallel", false, "cross-check every parallel result against the sequential plan and nested iteration")
@@ -97,14 +89,6 @@ func main() {
 	strat, ok := strategies[o.strategy]
 	if !ok {
 		fail(fmt.Errorf("unknown strategy %q", o.strategy))
-	}
-	tj, ok := joins[o.tempJoin]
-	if !ok {
-		fail(fmt.Errorf("unknown join method %q", o.tempJoin))
-	}
-	fj, ok := joins[o.finalJoin]
-	if !ok {
-		fail(fmt.Errorf("unknown join method %q", o.finalJoin))
 	}
 
 	db, err := openDB(o, flag.CommandLine)
@@ -203,10 +187,7 @@ func main() {
 
 	cancelOpt, cleanup := interruptCancel()
 	defer cleanup()
-	opts := append(sess.options(),
-		nestedsql.WithForcedJoins(tj, fj),
-		cancelOpt,
-	)
+	opts := append(sess.options(), cancelOpt)
 	if o.explain {
 		rep, err := db.Explain(sql, opts...)
 		if err != nil {

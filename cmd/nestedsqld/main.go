@@ -53,11 +53,11 @@ var strategies = map[string]engine.Strategy{
 
 // options is the parsed command line.
 type options struct {
-	addr, fixture, strategy, spillDir, dataDir, coordinator, place, fault        string
-	buffer, parallel, batchRows, maxConcurrent, queueDepth, replicas             int
-	maxTimeout, drainTimeout, heartbeat, writeDeadline, ioTimeout, probeInterval time.Duration
-	maxRows, memPool, spillThreshold                                             int64
-	fsync                                                                        bool
+	addr, fixture, strategy, spillDir, dataDir, coordinator, place, fault string
+	buffer, parallel, maxConcurrent, queueDepth, replicas                 int
+	drainTimeout, heartbeat, writeDeadline, probeInterval                 time.Duration
+	maxRows, memPool, spillThreshold                                      int64
+	fsync                                                                 bool
 }
 
 // defineFlags declares every flag nestedsqld takes on fs.
@@ -68,8 +68,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.strategy, "strategy", "ja2", "default strategy for StrategyDefault queries: ni | ja2 | kim")
 	fs.IntVar(&o.buffer, "buffer", 32, "buffer pool size in pages (the paper's B)")
 	fs.IntVar(&o.parallel, "parallel", 0, "default planner parallelism (clients may override per query)")
-	fs.IntVar(&o.batchRows, "batch-rows", 0, "rows per RowBatch frame (0 = 64)")
-	fs.DurationVar(&o.maxTimeout, "max-timeout", 0, "cap on per-query deadlines; also applied to clients that send none (0 = none)")
 	fs.Int64Var(&o.maxRows, "max-rows", 0, "cap on per-query row budgets; also applied to clients that send none (0 = none)")
 	fs.IntVar(&o.maxConcurrent, "max-concurrent", 0, "admission: max concurrent queries (0 = unlimited)")
 	fs.IntVar(&o.queueDepth, "queue-depth", 0, "admission: queries allowed to wait behind the running ones; beyond that, shed")
@@ -84,7 +82,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.fault, "fault", "", "testing: fault plan armed on the engine once it is loaded, e.g. seed=7,max=1,wal.tear=0.02 (sites: internal/fault)")
 	fs.StringVar(&o.coordinator, "coordinator", "", "run as cluster coordinator over these comma-separated worker addresses (no local engine)")
 	fs.StringVar(&o.place, "place", "", "coordinator: comma-separated TABLE=COL partition-key overrides (default: each table's first key column)")
-	fs.DurationVar(&o.ioTimeout, "io-timeout", 10*time.Second, "coordinator: per-frame deadline on worker connections")
 	fs.IntVar(&o.replicas, "replicas", 1, "coordinator: copies per shard; DML acks only after every live replica logged it, and queries fail over to a replica when a worker dies")
 	fs.DurationVar(&o.probeInterval, "probe-interval", time.Second, "coordinator: health-probe cadence; dead workers are automatically rejoined via snapshot re-ship")
 	return o
@@ -100,8 +97,6 @@ func main() {
 	}
 
 	srvCfg := server.Config{
-		BatchRows:         o.batchRows,
-		MaxTimeout:        o.maxTimeout,
 		MaxRows:           o.maxRows,
 		Strategy:          strat,
 		Parallelism:       o.parallel,
@@ -128,7 +123,7 @@ func main() {
 			fail(fmt.Errorf("coordinator mode has no local engine; drop %s (workers own storage)",
 				strings.Join(bad, ", ")))
 		}
-		runCoordinator(o.coordinator, o.place, o.ioTimeout, o.replicas, o.probeInterval, srvCfg, o.addr, o.drainTimeout)
+		runCoordinator(o.coordinator, o.place, o.replicas, o.probeInterval, srvCfg, o.addr, o.drainTimeout)
 		return
 	}
 
@@ -244,7 +239,7 @@ func serveLoop(srv *server.Server, addr string, drainTimeout time.Duration) {
 // runCoordinator fronts a worker fleet with the same wire protocol a
 // single-node daemon speaks: clients cannot tell (and need not care)
 // that results are gathered from shards.
-func runCoordinator(workerList, placeList string, ioTimeout time.Duration, replicas int, probeInterval time.Duration, cfg server.Config, addr string, drainTimeout time.Duration) {
+func runCoordinator(workerList, placeList string, replicas int, probeInterval time.Duration, cfg server.Config, addr string, drainTimeout time.Duration) {
 	workers := splitNonEmpty(workerList)
 	if len(workers) == 0 {
 		fail(fmt.Errorf("-coordinator needs at least one worker address"))
@@ -262,7 +257,7 @@ func runCoordinator(workerList, placeList string, ioTimeout time.Duration, repli
 		Workers:       workers,
 		Replicas:      replicas,
 		Placement:     placement,
-		IOTimeout:     ioTimeout,
+		IOTimeout:     10 * time.Second, // per-frame deadline on worker connections
 		ProbeInterval: probeInterval,
 	})
 	if err != nil {

@@ -336,3 +336,50 @@ func TestOnePredicateEvaluator(t *testing.T) {
 		})
 	})
 }
+
+// A row's group used to be found three ways beside the join's flat hash
+// table — ParallelHashGroup's map of group buckets, a field-for-field copy
+// of it in nested iteration, and DISTINCT's own map — and every group was
+// five heap objects. There is one group table now, internal/exec/group.go,
+// holding groups by value and indexed by the join's hashTable, and a
+// second must not grow back unnoticed: no non-test file under
+// internal/exec declares a map keyed by uint64, and only group.go makes a
+// value.Accumulator.
+func TestOneGroupTable(t *testing.T) {
+	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
+		path = filepath.ToSlash(path)
+		at := func(n ast.Node) string {
+			return path + ":" + strconv.Itoa(lineOf(t, path, int(n.Pos()-file.FileStart)))
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.MapType:
+				if key, ok := n.Key.(*ast.Ident); ok && key.Name == "uint64" && filepath.Dir(path) == "internal/exec" {
+					t.Errorf("%s uses a map keyed by uint64: rows are indexed by exec's hashTable, groups held by its groupTable", at(n))
+				}
+			case *ast.CallExpr:
+				name := ""
+				switch fn := n.Fun.(type) {
+				case *ast.SelectorExpr:
+					name = fn.Sel.Name
+				case *ast.Ident:
+					name = fn.Name
+				}
+				if name == "NewAccumulator" && path != "internal/exec/group.go" {
+					t.Errorf("%s calls NewAccumulator: accumulators live by value in internal/exec/group.go's groupTable", at(n))
+				}
+			}
+			return true
+		})
+	})
+}
+
+// lineOf is the line of path holding the byte at offset.
+func lineOf(t *testing.T, path string, offset int) int {
+	t.Helper()
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 1 + strings.Count(string(src[:offset]), "\n")
+}

@@ -96,9 +96,11 @@ func TestJA2PageIOPinned(t *testing.T) {
 // before them, which built every pair of a nested-loops final join before
 // testing it, measure 11.8 on the COUNT shape. The COUNT and MAX temp
 // joins build only the two columns their GroupAgg reads, carved from
-// shared chunks: c = 1.05 and 0.94 sequential, 1.28 and 1.14 on 2 workers.
-// Their budgets sit about 15% above that, below the 1.35/1.22 and
-// 1.55/1.40 of joins that built one whole left ++ right row per pair.
+// shared chunks, and every group is held by value in one group table:
+// c = 0.92 and 0.81 sequential, 1.17 and 1.03 on 2 workers. Their budgets
+// sit 8–15% above that, below the 1.05/0.94 and 1.28/1.14 of five heap
+// objects per group (a group, its key, accumulator slice, accumulator and
+// row).
 // Budgets hold without the race detector, whose sync.Pool drops a quarter
 // of what is put back: the alloc gate runs them so.
 func TestJA2AllocBudget(t *testing.T) {
@@ -114,8 +116,8 @@ func TestJA2AllocBudget(t *testing.T) {
 	}{
 		{"type-N", workload.TypeNQuery(cfg), [2]float64{0.20, 0.20}, 64},
 		{"type-J", workload.TypeJQuery(cfg), [2]float64{0.50, 0.50}, 37},
-		{"type-JA-COUNT", workload.TypeJAQuery(cfg), [2]float64{1.2, 1.45}, 118},
-		{"type-JA-MAX", workload.TypeJAMaxQuery(cfg), [2]float64{1.08, 1.3}, 115},
+		{"type-JA-COUNT", workload.TypeJAQuery(cfg), [2]float64{1.03, 1.26}, 118},
+		{"type-JA-MAX", workload.TypeJAMaxQuery(cfg), [2]float64{0.93, 1.12}, 115},
 	}
 	for i, workers := range []int{0, 2} {
 		opts := engine.Options{Strategy: engine.TransformJA2,
@@ -149,10 +151,11 @@ func TestJA2AllocBudget(t *testing.T) {
 // row read back or built costs no allocation of its own. At spill_join's
 // size (half of ja_seq) the COUNT query with every buffer refused writes
 // 111 runs and re-reads its merge-join groups once per duplicate outer key;
-// it allocates 507 KiB in 2,215 objects doing so and may allocate 550 KiB
-// (a 64 KiB buffer per run written and per Open made that 44 MiB) in 2,500
-// objects (a fresh slice per row read back made it 6,490, and one per row
-// its joins built 2,663) and have one spill file at a time (one file per
+// it allocates 499 KiB in 1,985 objects doing so and may allocate 550 KiB
+// (a 64 KiB buffer per run written and per Open made that 44 MiB) in 2,150
+// objects (a fresh slice per row read back made it 6,490, one per row its
+// joins built 2,663, and heap objects per group 2,215) and have one spill
+// file at a time (one file per
 // run had several whenever a row was emitted). Like TestJA2AllocBudget it
 // is measured without the race detector.
 func TestForcedSpillAllocBudget(t *testing.T) {
@@ -187,8 +190,8 @@ func TestForcedSpillAllocBudget(t *testing.T) {
 		t.Errorf("%d spill runs in at most %d file(s) at a time; want some runs, in one file", runs, files)
 	}
 	t.Logf("forced-spill query: %d allocations, %d KiB", objects, least>>10)
-	if objects > 2500 {
-		t.Errorf("forced-spill query made %d allocations, budget 2,500", objects)
+	if objects > 2150 {
+		t.Errorf("forced-spill query made %d allocations, budget 2,150", objects)
 	}
 	if least > 550<<10 {
 		t.Errorf("forced-spill query allocated %d KiB, budget 550 KiB", least>>10)
@@ -286,12 +289,14 @@ func countNIShape(t *testing.T, bufferPages, outer, inner int) *engine.DB {
 }
 
 // TestNestedIterAllocBudget: evaluating the inner block once per outer
-// tuple costs allocations per outer tuple — its scan, its group, its result
-// row; 7.7 measured, 12 allowed — and none per inner tuple scanned: ten
-// times the inner relation is the same budget. (A binding frame allocated
-// per scanned tuple made this 200 and 2,000 per outer tuple.)
+// tuple costs allocations per outer tuple — its scan and its result; 2.91
+// measured, 3.35 allowed — and none per inner tuple scanned: ten times the
+// inner relation is the same budget. Its one group lives in the block's
+// group table, reset per invocation. (A group of heap objects per
+// invocation made this 7.7, and a binding frame allocated per scanned
+// tuple 200 and 2,000.)
 func TestNestedIterAllocBudget(t *testing.T) {
-	const outer, perOuter, fixed = 100, 12, 200
+	const outer, perOuter, fixed = 100, 3, 35
 	for _, inner := range []int{200, 2000} {
 		db := countNIShape(t, 512, outer, inner)
 		least := ^uint64(0)
@@ -305,6 +310,7 @@ func TestNestedIterAllocBudget(t *testing.T) {
 			}
 			least = min(least, after.Mallocs-before.Mallocs)
 		}
+		t.Logf("%d inner tuples: %d allocations", inner, least)
 		if budget := uint64(perOuter*outer + fixed); least > budget {
 			t.Errorf("%d inner tuples: %d allocations, budget %d (%d per outer tuple + %d)", inner, least, budget, perOuter, fixed)
 		}

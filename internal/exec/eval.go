@@ -78,13 +78,15 @@ type blockProg struct {
 	base  int
 	where []pred // simple conjuncts before nested ones
 	sel   []slot // each select item's column (unset for COUNT(*))
-	// Aggregate blocks run the aggregation kernel of group.go over a
-	// scratch row laid out as the GROUP BY values followed by one slot per
-	// select item (holding the item's aggregate argument).
+	// Aggregate blocks fold a scratch row, laid out as the GROUP BY values
+	// followed by one slot per select item (holding the item's aggregate
+	// argument), into groups, a group table each invocation resets, and
+	// keep the finished groups that pass having.
 	groupBy []slot
-	cols    []int
 	items   []GroupItem
 	scratch storage.Tuple
+	groups  groupTable
+	having  RowPred
 	// cache is an uncorrelated block's result once evaluated.
 	cache *cachedSub
 }
@@ -218,9 +220,8 @@ func (ev *Evaluator) compile(qb *ast.QueryBlock, scope []RowSchema) (*blockProg,
 	}
 	if qb.HasAggregate() {
 		k := len(qb.GroupBy)
-		bp.groupBy, bp.cols = make([]slot, k), make([]int, k)
+		bp.groupBy = make([]slot, k)
 		for j, col := range qb.GroupBy {
-			bp.cols[j] = j
 			if bp.groupBy[j], err = resolve(col, scope); err != nil {
 				return nil, err
 			}
@@ -234,6 +235,7 @@ func (ev *Evaluator) compile(qb *ast.QueryBlock, scope []RowSchema) (*blockProg,
 			}
 		}
 		bp.scratch = make(storage.Tuple, k+len(qb.Select))
+		bp.groups, bp.having = groupTable{cols: Identity(k), items: bp.items}, Having(qb.Having)
 	}
 	ev.progs[qb] = bp
 	return bp, nil
@@ -257,18 +259,31 @@ func resolve(ref ast.ColumnRef, scope []RowSchema) (slot, error) {
 func (ev *Evaluator) run(bp *blockProg) ([]storage.Tuple, error) {
 	qb, root := bp.qb, bp.qb == ev.root
 	var rows []storage.Tuple
-	var groups groupTable
+	bp.groups.reset()
 	if bp.items != nil && len(bp.groupBy) == 0 {
 		// One group, there even over an empty input (COUNT = 0, MAX =
 		// NULL) — the semantics the COUNT bug of section 5.1 loses.
-		groups.order = []*groupState{newGroup(nil, bp.items)}
+		bp.groups.open(nil)
 	}
 	err := ev.scanProduct(bp, 0, func() error {
 		if ok, err := allTrue(bp.where); err != nil || !ok {
 			return err
 		}
 		if bp.items != nil {
-			return groups.add(bp, ev.frames)
+			k := len(bp.groupBy)
+			for i, s := range bp.groupBy {
+				bp.scratch[i] = ev.frames[s.frame][s.col]
+			}
+			for i, it := range bp.items {
+				if it.Agg != value.AggNone && it.Agg != value.AggCountStar {
+					bp.scratch[k+i] = ev.frames[bp.sel[i].frame][bp.sel[i].col]
+				}
+			}
+			i, h := bp.groups.find(bp.scratch)
+			if i < 0 {
+				i = bp.groups.insert(bp.scratch, h)
+			}
+			return bp.groups.add(i, bp.scratch)
 		}
 		row := make(storage.Tuple, len(bp.sel))
 		for i, s := range bp.sel {
@@ -290,16 +305,18 @@ func (ev *Evaluator) run(bp *blockProg) ([]storage.Tuple, error) {
 	}
 
 	if bp.items != nil {
-		rows = make([]storage.Tuple, len(groups.order))
-		for i, gs := range groups.order {
-			rows[i] = gs.row(bp.cols, bp.items)
-		}
-		if rows, err = filterHaving(rows, qb.Having); err != nil {
-			return nil, err
+		rows = make([]storage.Tuple, 0, bp.groups.n)
+		for i := range bp.groups.n {
+			row := bp.groups.row(i)
+			if keep, err := bp.having(row); err != nil {
+				return nil, err
+			} else if keep {
+				rows = append(rows, row)
+			}
 		}
 	}
 	if qb.Distinct {
-		rows = dedupeRows(rows)
+		rows = dedupeRows(rows, len(bp.out))
 	}
 	if root && (bp.items != nil || qb.Distinct) {
 		if err := ev.QC.AddRows(len(rows)); err != nil {
@@ -323,25 +340,6 @@ func allTrue(preds []pred) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// filterHaving keeps aggregate output rows whose HAVING conjuncts are all
-// definitely true.
-func filterHaving(rows []storage.Tuple, having []ast.HavingPred) ([]storage.Tuple, error) {
-	if len(having) == 0 {
-		return rows, nil
-	}
-	keep, out := Having(having), rows[:0:0]
-	for _, row := range rows {
-		ok, err := keep(row)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, row)
-		}
-	}
-	return out, nil
 }
 
 // Having tests an aggregate output row against HAVING conjuncts: whether
@@ -409,56 +407,14 @@ func (ev *Evaluator) scanProduct(bp *blockProg, i int, fn func() error) error {
 	return scanErr
 }
 
-// groupTable accumulates a block's grouped (or global) aggregates in
-// deterministic first-seen order, finding a row's group as every grouping
-// operator does: by hashKey, then sameKey.
-type groupTable struct {
-	groups map[uint64][]*groupState
-	order  []*groupState
-}
-
-// add folds the row on the frame stack into its group.
-func (g *groupTable) add(bp *blockProg, frames []storage.Tuple) error {
-	k := len(bp.groupBy)
-	for i, s := range bp.groupBy {
-		bp.scratch[i] = frames[s.frame][s.col]
-	}
-	for i, it := range bp.items {
-		if it.Agg != value.AggNone && it.Agg != value.AggCountStar {
-			bp.scratch[k+i] = frames[bp.sel[i].frame][bp.sel[i].col]
-		}
-	}
-	if k == 0 {
-		return g.order[0].add(bp.scratch, bp.items)
-	}
-	h := hashKey(bp.scratch, bp.cols)
-	for _, gs := range g.groups[h] {
-		if sameKey(gs.key, bp.scratch, bp.cols) {
-			return gs.add(bp.scratch, bp.items)
-		}
-	}
-	if g.groups == nil {
-		g.groups = make(map[uint64][]*groupState)
-	}
-	gs := newGroup(groupKey(bp.scratch, bp.cols), bp.items)
-	g.groups[h] = append(g.groups[h], gs)
-	g.order = append(g.order, gs)
-	return gs.add(bp.scratch, bp.items)
-}
-
-// dedupeRows removes duplicate rows preserving first occurrence, with NULL
-// equal to NULL (SQL DISTINCT semantics).
-func dedupeRows(rows []storage.Tuple) []storage.Tuple {
-	if len(rows) == 0 {
-		return rows
-	}
-	cols := Identity(len(rows[0]))
-	seen := make(map[uint64][]storage.Tuple, len(rows))
-	out := rows[:0:0]
+// dedupeRows removes duplicate rows of width columns preserving first
+// occurrence, with NULL equal to NULL (SQL DISTINCT semantics): a row is
+// kept when it opens a group of a table grouping on every column.
+func dedupeRows(rows []storage.Tuple, width int) []storage.Tuple {
+	seen, out := groupTable{cols: Identity(width)}, rows[:0:0]
 	for _, r := range rows {
-		h := hashKey(r, cols)
-		if !slices.ContainsFunc(seen[h], func(s storage.Tuple) bool { return sameKey(s, r, cols) }) {
-			seen[h] = append(seen[h], r)
+		if i, h := seen.find(r); i < 0 {
+			seen.insert(r, h)
 			out = append(out, r)
 		}
 	}

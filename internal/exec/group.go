@@ -2,6 +2,7 @@ package exec
 
 import (
 	"repro/internal/qctx"
+	"repro/internal/rowcodec"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -14,18 +15,6 @@ type GroupItem struct {
 	Out ColID         // output column identity
 }
 
-// The aggregation kernel: what GroupAgg and every level of
-// ParallelHashGroup do with a (group columns, items) pair — schema, key
-// extraction and hashing, accumulator construction, accumulate, output
-// row. The operators differ only in how they find a row's group.
-
-// groupState is one group's key and accumulators (nil for the items that
-// pass a grouping column through).
-type groupState struct {
-	key  []value.Value
-	accs []*value.Accumulator
-}
-
 // aggSchema lists the items' output columns.
 func aggSchema(items []GroupItem) RowSchema {
 	sch := make(RowSchema, len(items))
@@ -33,15 +22,6 @@ func aggSchema(items []GroupItem) RowSchema {
 		sch[i] = it.Out
 	}
 	return sch
-}
-
-// groupKey extracts t's grouping columns.
-func groupKey(t storage.Tuple, cols []int) []value.Value {
-	key := make([]value.Value, len(cols))
-	for i, c := range cols {
-		key[i] = t[c]
-	}
-	return key
 }
 
 // hashKey combines the hashes of t's key columns; over one column it is
@@ -67,52 +47,111 @@ func sameKey(key []value.Value, t storage.Tuple, cols []int) bool {
 	return true
 }
 
-// groupBytes is the budget charge for one live group: its key plus
-// accumulator state.
-func groupBytes(key []value.Value, items []GroupItem) int64 {
-	return tupleBytes(storage.Tuple(key)) + 64*int64(len(items))
+// groupBytes is the budget charge for one live group: its key, t's
+// grouping columns as a tuple, plus accumulator state.
+func groupBytes(t storage.Tuple, cols []int, items []GroupItem) int64 {
+	n := int64(24) + 64*int64(len(items))
+	for _, c := range cols {
+		n += tupleBytes(t[c:c+1]) - 24 // one value's share
+	}
+	return n
 }
 
-// newGroup allocates the accumulators of the group keyed by key.
-func newGroup(key []value.Value, items []GroupItem) *groupState {
-	accs := make([]*value.Accumulator, len(items))
-	for i, it := range items {
-		if it.Agg != value.AggNone {
-			accs[i] = value.NewAccumulator(it.Agg)
+// groupTable is the one way to hold groups: GroupAgg's (one at a time),
+// each ParallelHashGroup level's, nested iteration's aggregates and
+// DISTINCT. Groups are numbered in first-seen order and held by value —
+// group g's key at keys[g*len(cols):], its accumulators at accs[g*aggs:] —
+// and indexed by their key hashes in a hashTable grown by insertion; with
+// no grouping columns there is one group and no index. Rows are carved
+// from chunks (DESIGN.md §7 rule 6).
+type groupTable struct {
+	cols    []int // the grouping columns of the rows folded in
+	items   []GroupItem
+	aggs, n int // accumulators per group; groups held
+	keys    []value.Value
+	accs    []value.Accumulator
+	index   hashTable // over group numbers; rows unused
+	out     rowcodec.Chunks
+}
+
+// reset drops every group but keeps the storage (never the rows' chunks).
+func (g *groupTable) reset() {
+	g.n, g.keys, g.accs = 0, g.keys[:0], g.accs[:0]
+	g.index.hashes, g.index.next = g.index.hashes[:0], g.index.next[:0]
+	clear(g.index.heads)
+}
+
+// key is group i's key.
+func (g *groupTable) key(i int) []value.Value { return g.keys[i*len(g.cols) : (i+1)*len(g.cols)] }
+
+// find returns t's group, -1 when it has none yet, and the hash of t's key.
+func (g *groupTable) find(t storage.Tuple) (int, uint64) {
+	if len(g.cols) == 0 || g.n == 0 { // one group at most, or none yet
+		return g.n - 1, hashKey(t, g.cols)
+	}
+	h, x := hashKey(t, g.cols), &g.index
+	for at := x.heads[x.slot(h)]; at != 0; at = x.next[at-1] {
+		if i := int(at - 1); x.hashes[i] == h && sameKey(g.key(i), t, g.cols) { // else a bucket-mate or a collision
+			return i, h
 		}
 	}
-	return &groupState{key: key, accs: accs}
+	return -1, h
 }
 
-// add folds one input row into the group's accumulators.
-func (gs *groupState) add(t storage.Tuple, items []GroupItem) error {
-	for i, it := range items {
+// insert opens t's group, indexed under h (find's hash), and returns it.
+func (g *groupTable) insert(t storage.Tuple, h uint64) int {
+	if len(g.cols) > 0 {
+		g.index.insert(h)
+	}
+	return g.open(t)
+}
+
+// open starts a group keyed by t's grouping columns, unindexed.
+func (g *groupTable) open(t storage.Tuple) int {
+	for _, c := range g.cols {
+		g.keys = append(g.keys, t[c])
+	}
+	a := len(g.accs)
+	for _, it := range g.items {
+		if it.Agg != value.AggNone {
+			g.accs = append(g.accs, value.NewAccumulator(it.Agg))
+		}
+	}
+	g.aggs, g.n = len(g.accs)-a, g.n+1
+	return g.n - 1
+}
+
+// add folds t into group i's accumulators.
+func (g *groupTable) add(i int, t storage.Tuple) error {
+	acc := g.accs[i*g.aggs:]
+	for _, it := range g.items {
 		if it.Agg == value.AggNone {
 			continue
 		}
-		v := value.NewInt(1)
+		v := value.Null // COUNT(*) counts rows, not values
 		if it.Agg != value.AggCountStar {
 			v = t[it.Col]
 		}
-		if err := gs.accs[i].Add(v); err != nil {
+		if err := acc[0].Add(v); err != nil {
 			return err
 		}
+		acc = acc[1:]
 	}
 	return nil
 }
 
-// row renders the finished group as an output row.
-func (gs *groupState) row(groupCols []int, items []GroupItem) storage.Tuple {
-	out := make(storage.Tuple, len(items))
-	for i, it := range items {
+// row renders finished group i as an output row.
+func (g *groupTable) row(i int) storage.Tuple {
+	out, key, acc := g.out.Row(len(g.items)), g.key(i), g.accs[i*g.aggs:]
+	for j, it := range g.items {
 		if it.Agg != value.AggNone {
-			out[i] = gs.accs[i].Result()
+			out[j], acc = acc[0].Result(), acc[1:]
 			continue
 		}
 		// A grouping column: constant within the group.
-		for j, gc := range groupCols {
+		for c, gc := range g.cols {
 			if gc == it.Col {
-				out[i] = gs.key[j]
+				out[j] = key[c]
 				break
 			}
 		}
@@ -139,60 +178,56 @@ type GroupAgg struct {
 	// group at a time — so the charge is small but honest.
 	QC *qctx.QueryContext
 
-	cur     *groupState // the in-flight group, nil before the first row
+	groups  groupTable // the in-flight group, none before the first row
 	charged int64
 	eof     bool
 }
 
 // Open prepares the child.
 func (g *GroupAgg) Open() error {
-	g.cur, g.charged, g.eof = nil, 0, false
+	g.groups, g.charged, g.eof = groupTable{cols: g.GroupCols, items: g.Items}, 0, false
 	return g.Child.Open()
 }
 
 // Next emits one group per call.
 func (g *GroupAgg) Next() (storage.Tuple, bool, error) {
-	if g.eof {
-		return nil, false, nil
-	}
-	for {
+	for !g.eof {
 		t, ok, err := g.Child.Next()
 		if err != nil {
 			return nil, false, err
 		}
 		if !ok {
-			g.eof = true
-			if g.cur == nil && len(g.GroupCols) == 0 {
-				// Global aggregate over empty input.
-				g.cur = newGroup(nil, g.Items)
+			if g.eof = true; g.groups.n == 0 && len(g.GroupCols) == 0 {
+				g.groups.open(nil) // a global aggregate over empty input
 			}
-			if g.cur == nil {
-				return nil, false, nil
+			if g.groups.n == 0 {
+				break
 			}
-			return g.cur.row(g.GroupCols, g.Items), true, nil
+			return g.groups.row(0), true, nil
 		}
 		var out storage.Tuple
-		if g.cur == nil || !sameKey(g.cur.key, t, g.GroupCols) {
+		if g.groups.n == 0 || !sameKey(g.groups.key(0), t, g.GroupCols) {
 			// Group boundary: the finished group is emitted once the new
 			// one is charged and has taken this row.
-			if g.cur != nil {
-				out = g.cur.row(g.GroupCols, g.Items)
+			if g.groups.n > 0 {
+				out = g.groups.row(0)
+				g.groups.reset()
 			}
-			key := groupKey(t, g.GroupCols)
 			g.QC.ReleaseBuffered(g.charged)
-			g.charged = groupBytes(key, g.Items)
+			g.charged = groupBytes(t, g.GroupCols, g.Items)
 			if _, err := reserve(g.QC, nil, g.charged, 0); err != nil {
 				return nil, false, err
 			}
-			g.cur = newGroup(key, g.Items)
+			g.groups.open(t)
 		}
-		if err := g.cur.add(t, g.Items); err != nil {
+		if err := g.groups.add(0, t); err != nil {
 			return nil, false, err
 		}
 		if out != nil {
 			return out, true, nil
 		}
 	}
+	return nil, false, nil
 }
 
 // Close releases the in-flight group's charge and closes the child.

@@ -599,14 +599,15 @@ func (j *ParallelHashJoin) work(id int, src *source, out *emitter) error {
 	return j.joinSpilled(out, p.run, 1)
 }
 
-// hashTable is a build side indexed once, flat: each row's key hash, and
-// per bucket a chain of row positions through next. heads, a power of two
-// at least twice the rows long, is indexed by the top bits of the
+// hashTable is the one hashed row index, flat: each position's key hash,
+// and per bucket a chain of positions through next. heads, a power of two
+// at least twice the positions long, is indexed by the top bits of the
 // Fibonacci-mixed hash. Positions are stored +1, so 0 ends a chain and a
-// fresh table needs no fill. Rows are chained from last to first, so a
-// chain visits the rows of one key in build order.
+// fresh table needs no fill. A join's build rows are chained from last to
+// first, so a chain visits the rows of one key in build order; a
+// groupTable's groups are inserted one by one.
 type hashTable struct {
-	rows   []storage.Tuple
+	rows   []storage.Tuple // a join's build side; nil under a groupTable
 	hashes []uint64
 	next   []int32
 	heads  []int32
@@ -614,15 +615,35 @@ type hashTable struct {
 }
 
 func newHashTable(rows []storage.Tuple, cols []int) hashTable {
-	b := bits.Len(uint(max(2*len(rows)-1, 0)))
-	t := hashTable{rows: rows, hashes: make([]uint64, len(rows)), next: make([]int32, len(rows)),
-		heads: make([]int32, 1<<b), shift: uint(64 - b)}
-	for i := len(rows) - 1; i >= 0; i-- {
-		h := hashKey(rows[i], cols)
-		head := &t.heads[t.slot(h)]
-		t.hashes[i], t.next[i], *head = h, *head, int32(i+1)
+	t := hashTable{rows: rows, hashes: make([]uint64, len(rows))}
+	for i, r := range rows {
+		t.hashes[i] = hashKey(r, cols)
 	}
+	t.relink()
 	return t
+}
+
+// relink sizes heads for the positions and chains them in position order.
+func (t *hashTable) relink() {
+	b := bits.Len(uint(max(2*len(t.hashes)-1, 0)))
+	t.heads, t.shift = make([]int32, 1<<b), uint(64-b)
+	t.next = append(t.next[:0], make([]int32, len(t.hashes))...)
+	for i := len(t.hashes) - 1; i >= 0; i-- {
+		head := &t.heads[t.slot(t.hashes[i])]
+		t.next[i], *head = *head, int32(i+1)
+	}
+}
+
+// insert chains one more position, hashed h, at the head of its bucket or,
+// once the positions pass half the buckets, relinks all into twice as many.
+func (t *hashTable) insert(h uint64) {
+	t.hashes = append(t.hashes, h)
+	if n := len(t.hashes); 2*n > len(t.heads) {
+		t.relink()
+	} else {
+		head := &t.heads[t.slot(h)]
+		t.next, *head = append(t.next, *head), int32(n)
+	}
 }
 
 // slot is h's bucket (shift 64, a one-bucket table, yields 0).
@@ -947,8 +968,7 @@ func (g *ParallelHashGroup) aggregate(out *emitter, src *source, depth int, firs
 	defer func() { g.QC.ReleaseBuffered(charged) }()
 	var overflow *spill.Writer
 	defer func() { abortWriters(overflow) }()
-	groups := make(map[uint64][]*groupState)
-	var order []*groupState
+	groups := groupTable{cols: g.GroupCols, items: g.Items}
 	for {
 		t, ok, err := src.next()
 		if err != nil {
@@ -957,46 +977,34 @@ func (g *ParallelHashGroup) aggregate(out *emitter, src *source, depth int, firs
 		if !ok {
 			break
 		}
-		h := hashKey(t, g.GroupCols)
-		var gs *groupState
-		for _, cand := range groups[h] {
-			if sameKey(cand.key, t, g.GroupCols) {
-				gs = cand
-				break
-			}
-		}
-		if gs == nil && overflow == nil {
-			key := groupKey(t, g.GroupCols)
-			n := groupBytes(key, g.Items)
+		i, h := groups.find(t)
+		if i < 0 && overflow == nil {
+			n := groupBytes(t, g.GroupCols, g.Items)
 			fits, err := reserve(g.QC, g.Spill, n, depth)
 			if err != nil {
 				return nil, err
 			}
 			if fits {
 				charged += n
-				gs = newGroup(key, g.Items)
-				order = append(order, gs)
-				groups[h] = append(groups[h], gs)
+				i = groups.insert(t, h)
 			} else if overflow, err = g.Spill.NewWriter(); err != nil {
 				return nil, err
 			}
 		}
-		if gs == nil {
-			if err := overflow.Append(t); err != nil {
-				return nil, err
-			}
-			continue
+		if i < 0 {
+			err = overflow.Append(t)
+		} else {
+			err = groups.add(i, t)
 		}
-		if err := gs.add(t, g.Items); err != nil {
+		if err != nil {
 			return nil, err
 		}
 	}
-	if first && depth == 0 && len(g.GroupCols) == 0 && len(order) == 0 && overflow == nil {
-		// Global aggregate over empty input: one row, COUNT = 0.
-		order = append(order, newGroup(nil, g.Items))
+	if first && depth == 0 && len(g.GroupCols) == 0 && groups.n == 0 && overflow == nil {
+		groups.open(nil) // a global aggregate over empty input: one row, COUNT = 0
 	}
-	for _, gs := range order {
-		if err := out.emit(gs.row(g.GroupCols, g.Items)); err != nil {
+	for i := range groups.n {
+		if err := out.emit(groups.row(i)); err != nil {
 			return nil, err
 		}
 	}

@@ -85,18 +85,18 @@ func upper(s string) string {
 //   - MAX/MIN/SUM/AVG ignore NULL inputs and return NULL over an empty (or
 //     all-NULL) input — the paper assumes MAX({}) = NULL in section 5.3.
 type Accumulator struct {
-	fn      AggFunc
-	count   int64
-	sum     float64
-	sumInt  int64
-	intOnly bool
-	best    Value
-	seen    bool
+	fn            AggFunc
+	intOnly, seen bool
+	count         int64
+	sum           float64
+	sumInt        int64
+	best          Value
 }
 
-// NewAccumulator returns an empty accumulator for fn.
-func NewAccumulator(fn AggFunc) *Accumulator {
-	return &Accumulator{fn: fn, intOnly: true}
+// NewAccumulator returns an empty accumulator for fn, by value: a group
+// table holds its groups' accumulators in one slice.
+func NewAccumulator(fn AggFunc) Accumulator {
+	return Accumulator{fn: fn, intOnly: true}
 }
 
 // Add folds one input value.

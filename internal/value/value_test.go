@@ -486,7 +486,7 @@ func TestAccumulatorErrors(t *testing.T) {
 	if err := acc.Add(NewInt(1)); err == nil {
 		t.Error("accumulate into AggNone must error")
 	}
-	if !NewAccumulator(AggNone).Result().IsNull() {
+	if none := NewAccumulator(AggNone); !none.Result().IsNull() {
 		t.Error("AggNone result must be NULL")
 	}
 }

@@ -58,7 +58,7 @@ var (
 	// concrete error carries a retry-after hint.
 	ErrOverloaded = qctx.ErrOverloaded
 	// ErrSpillCorrupt reports a spill run file that failed its checksum
-	// or framing on read-back (see WithSpill): the query fails typed —
+	// or framing on read-back (see EnableSpill): the query fails typed —
 	// never returns wrong rows — and its spill files are removed.
 	ErrSpillCorrupt = qctx.ErrSpillCorrupt
 	// ErrWALBroken reports DML refused because a write-ahead log append
@@ -161,10 +161,8 @@ type DB struct {
 type Option func(*config)
 
 type config struct {
-	bufferPages    int
-	admission      *AdmissionConfig
-	spillDir       string
-	spillThreshold int64
+	bufferPages int
+	admission   *AdmissionConfig
 }
 
 // WithBufferPages sets the buffer pool size in pages — the paper's B.
@@ -193,25 +191,6 @@ type AdmissionConfig struct {
 	RetryMax int
 }
 
-// WithSpill enables spill-to-disk execution rooted at dir: a query that
-// cannot keep its hash builds and sort runs within WithMemoryBudget
-// writes checksummed run files under dir and completes (slower but
-// correct) instead of failing with ErrMemoryBudget. Spill files are
-// namespaced per query and always removed when the query ends —
-// success, error, cancel, or panic. Open panics if dir cannot be
-// created; use DB.EnableSpill to handle the error instead.
-func WithSpill(dir string) Option {
-	return func(c *config) { c.spillDir = dir }
-}
-
-// WithSpillThreshold makes queries start spilling once they buffer more
-// than n bytes even while under their memory budget (or unbudgeted),
-// bounding the engine's in-memory working set per query. It has no
-// effect without WithSpill.
-func WithSpillThreshold(n int64) Option {
-	return func(c *config) { c.spillThreshold = n }
-}
-
 // WithAdmissionControl turns on the concurrency gateway: every Query
 // first acquires an admission slot (bounded concurrency, bounded FIFO
 // queue, memory-pool lease), and overload is shed with ErrOverloaded.
@@ -232,11 +211,6 @@ func Open(opts ...Option) *DB {
 	if cfg.admission != nil {
 		db.EnableAdmission(*cfg.admission)
 	}
-	if cfg.spillDir != "" {
-		if err := db.eng.EnableSpill(cfg.spillDir, cfg.spillThreshold); err != nil {
-			panic(fmt.Sprintf("nestedsql: WithSpill: %v", err))
-		}
-	}
 	return db
 }
 
@@ -251,8 +225,15 @@ func (db *DB) EnableAdmission(cfg AdmissionConfig) {
 	})
 }
 
-// EnableSpill is WithSpill + WithSpillThreshold after Open, with an
-// error return instead of a panic when dir cannot be created.
+// EnableSpill enables spill-to-disk execution rooted at dir: a query that
+// cannot keep its hash builds and sort runs within WithMemoryBudget
+// writes checksummed run files under dir and completes (slower but
+// correct) instead of failing with ErrMemoryBudget. Spill files are
+// namespaced per query and always removed when the query ends —
+// success, error, cancel, or panic. With threshold > 0, queries start
+// spilling once they buffer more than threshold bytes even while under
+// their memory budget (or unbudgeted), bounding the engine's in-memory
+// working set per query. It fails when dir cannot be created.
 func (db *DB) EnableSpill(dir string, threshold int64) error {
 	return db.eng.EnableSpill(dir, threshold)
 }
@@ -292,7 +273,7 @@ func (db *DB) WALStats() (WALStats, bool) { return db.eng.WALStats() }
 type SpillStats = spill.Stats
 
 // SpillStats reports cumulative spill activity across all queries (zero
-// without WithSpill).
+// without EnableSpill).
 func (db *DB) SpillStats() SpillStats { return db.eng.SpillStats() }
 
 // AdmissionStats is a snapshot of the gateway's counters: queries
@@ -455,12 +436,12 @@ func WithMemoryBudget(n int64) QueryOption {
 }
 
 // SpillPolicy selects how one query responds to memory pressure when
-// the database was opened WithSpill; see WithSpillPolicy.
+// spilling is enabled (EnableSpill); see WithSpillPolicy.
 type SpillPolicy = qctx.SpillPolicy
 
 // The spill policies.
 const (
-	// SpillAuto (the default with WithSpill) spills when buffering would
+	// SpillAuto (the default with EnableSpill) spills when buffering would
 	// cross the memory budget or the spill threshold.
 	SpillAuto = qctx.SpillAuto
 	// SpillOff restores the pre-spill behavior for one query: exceeding
@@ -471,7 +452,7 @@ const (
 	SpillForced = qctx.SpillForced
 )
 
-// WithSpillPolicy overrides the query's spill policy. Without WithSpill
+// WithSpillPolicy overrides the query's spill policy. Without EnableSpill
 // every policy degrades to SpillOff — there is nowhere to write runs.
 func WithSpillPolicy(p SpillPolicy) QueryOption {
 	return func(o *engine.Options) { o.Spill = p }
@@ -504,7 +485,7 @@ type Result struct {
 	Columns  []string
 	Rows     [][]any
 	PageIO   PageIO
-	Spill    SpillStats // spill runs/bytes this query wrote (see WithSpill)
+	Spill    SpillStats // spill runs/bytes this query wrote (see EnableSpill)
 	FellBack bool       // transformation fell back to nested iteration
 	Affected int64      // rows inserted/updated/deleted by Exec DML
 	Trace    []string   // transformation steps and plan decisions
