@@ -71,7 +71,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.Int64Var(&o.maxRows, "max-rows", 0, "per-query result-row budget; exceeding it fails the query (0 = none)")
 	fs.Int64Var(&o.maxBytes, "max-bytes", 0, "per-query memory budget (bytes) for hash builds and sorts; without -spill-dir exceeding it fails the query (0 = none)")
 	fs.StringVar(&o.spillDir, "spill-dir", "", "spill-to-disk directory: queries over budget write checksummed run files there and complete instead of failing (empty = spilling off)")
-	fs.Int64Var(&o.spillThreshold, "spill-threshold", 0, "start spilling once a query buffers this many bytes, even under budget (0 = spill only at the budget)")
+	fs.Int64Var(&o.spillThreshold, "spill-threshold", 0, "sorts and merge-join groups start spilling once a query buffers this many bytes, even under budget (0 = spill only at the budget)")
 	fs.IntVar(&o.maxConcurrent, "max-concurrent", 0, "admission: max concurrent queries (0 = no admission gateway)")
 	fs.IntVar(&o.queueDepth, "queue-depth", 0, "admission: queries allowed to wait behind the running ones; beyond that, shed")
 	fs.Int64Var(&o.memPool, "mem-pool", 0, "admission: global memory pool (bytes) leased out per query (0 = none)")

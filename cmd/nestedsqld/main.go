@@ -73,7 +73,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.queueDepth, "queue-depth", 0, "admission: queries allowed to wait behind the running ones; beyond that, shed")
 	fs.Int64Var(&o.memPool, "mem-pool", 0, "admission: global memory pool (bytes) leased out per query (0 = none)")
 	fs.StringVar(&o.spillDir, "spill-dir", "", "spill-to-disk directory: queries over their memory lease write checksummed run files there and complete instead of failing (empty = spilling off)")
-	fs.Int64Var(&o.spillThreshold, "spill-threshold", 0, "start spilling once a query buffers this many bytes, even under budget (0 = spill only at the budget)")
+	fs.Int64Var(&o.spillThreshold, "spill-threshold", 0, "sorts and merge-join groups start spilling once a query buffers this many bytes, even under budget (0 = spill only at the budget)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "how long in-flight queries may finish on shutdown")
 	fs.DurationVar(&o.heartbeat, "heartbeat", 0, "ping interval for idle sessions that negotiated heartbeats; two unanswered pings evict the peer (0 = 15s)")
 	fs.DurationVar(&o.writeDeadline, "write-deadline", 0, "per-frame write deadline; a consumer stalled past it is evicted, its query cancelled (0 = 30s)")

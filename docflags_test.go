@@ -374,6 +374,33 @@ func TestOneGroupTable(t *testing.T) {
 	})
 }
 
+// Memory ran short three ways: sorts and merge-join groups spilled to
+// runs, the parallel hash join Grace-partitioned its build and probe
+// sides (splitting them again, level by level, up to maxSpillDepth), and
+// the parallel hash aggregation overflowed unseen keys into further
+// passes. Hash operators hold their state in memory now and the engine's
+// forced-spill rerun sort-merges, and a second spill path must not grow
+// back unnoticed: under internal/exec only sort.go, join.go (MergeJoin's
+// group) and budget.go (the reserve rule and the run reader) import the
+// spill package, and no identifier is named maxSpillDepth.
+func TestOneSpillPath(t *testing.T) {
+	spillers := map[string]bool{"internal/exec/sort.go": true, "internal/exec/join.go": true, "internal/exec/budget.go": true}
+	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
+		path = filepath.ToSlash(path)
+		for _, imp := range file.Imports {
+			if name, _ := strconv.Unquote(imp.Path.Value); name == "repro/internal/spill" && filepath.Dir(path) == "internal/exec" && !spillers[path] {
+				t.Errorf("%s imports internal/spill: only sorts and merge-join groups spill; hash operators hard-charge", path)
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.Name == "maxSpillDepth" {
+				t.Errorf("%s names maxSpillDepth: no operator re-splits spilled data", path)
+			}
+			return true
+		})
+	})
+}
+
 // lineOf is the line of path holding the byte at offset.
 func lineOf(t *testing.T, path string, offset int) int {
 	t.Helper()

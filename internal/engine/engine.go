@@ -116,13 +116,15 @@ func (db *DB) EnableAdmission(cfg admission.Config) *admission.Controller {
 }
 
 // EnableSpill installs a spill-run manager rooted at dir, turning memory
-// pressure into graceful degradation: queries whose buffering operators
-// cannot reserve budget write run files under dir instead of failing
-// with qctx.ErrMemoryBudget. threshold, when positive, makes SpillAuto
-// queries spill once their buffered bytes would cross it even while
-// under budget (the -spill-threshold flag). With admission enabled, the
-// memory pool also starts granting small pressure leases instead of
-// queuing when nearly exhausted, since lessees can now degrade.
+// pressure into graceful degradation: queries whose sorts and merge-join
+// groups cannot reserve budget write run files under dir, and queries
+// whose hash operators outgrow it are rerun sort-merge, instead of
+// failing with qctx.ErrMemoryBudget. threshold, when positive, makes
+// SpillAuto sorts and merge-join groups spill once their buffered bytes
+// would cross it even while under budget (the -spill-threshold flag).
+// With admission enabled, the memory pool also starts granting small
+// pressure leases instead of queuing when nearly exhausted, since
+// lessees can now degrade.
 func (db *DB) EnableSpill(dir string, threshold int64) error {
 	m, err := spill.NewManager(dir)
 	if err != nil {
@@ -590,14 +592,6 @@ func (db *DB) execute(qb *ast.QueryBlock, opts Options) (*Result, error) {
 		return nil, err
 	}
 	res.Stats = db.store.Stats().Sub(before)
-	if db.wal != nil {
-		// Surface the durability counters in EXPLAIN, next to the spill
-		// line; recovery counters ride along after a boot that replayed.
-		res.Trace = append(res.Trace, "durability: "+db.wal.Stats().String())
-		if db.recovery.Recovered() {
-			res.Trace = append(res.Trace, "durability: "+db.recovery.String())
-		}
-	}
 	return res, nil
 }
 
@@ -725,21 +719,14 @@ func (db *DB) runTransformed(qb *ast.QueryBlock, variant transform.Variant, opts
 		// and can starve a later charge that has no spill path (a temp
 		// table's partial-page buffer models real memory). Rerun once,
 		// sequentially, refusing every reservation — the resident set
-		// collapses to the irreducible page buffers. Joins the caller left
-		// to cost are sort-merged, the paper's section 7 plan: an inline
-		// hash join spilled under SpillForced is hard-charged from level 1
-		// on, so it would hold its whole build side and fail budgets that
-		// smaller ones complete at. The rerun is deterministic: its rows
-		// are the same plan's unbudgeted rows, in the same order.
+		// collapses to the irreducible page buffers. Under SpillForced the
+		// planner sort-merges the joins the caller left to cost, the
+		// paper's section 7 plan, since hash operators hold their state in
+		// memory. The rerun is deterministic: its rows are the same plan's
+		// unbudgeted rows, in the same order.
 		qc.ResetUsage()
 		qc.ForceSpill()
 		res.Trace = append(res.Trace, fmt.Sprintf("memory budget exceeded (%v); retrying with forced spill", err))
-		if seq.TempJoin == planner.JoinAuto {
-			seq.TempJoin = planner.JoinMerge
-		}
-		if seq.FinalJoin == planner.JoinAuto {
-			seq.FinalJoin = planner.JoinMerge
-		}
 		err = runPlan(seq)
 	}
 	if sess != nil {

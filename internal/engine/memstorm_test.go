@@ -558,6 +558,51 @@ func TestForcedSpillRerunSortMerges(t *testing.T) {
 	}
 }
 
+// TestSpillForcedPlansSortMerge pins where the sort-merge rule lives: the
+// planner, under any SpillForced query, not just the engine's rerun. A
+// caller's SpillForced query that leaves its joins to cost and asks for
+// forced parallelism still plans merge joins and sort-based grouping, with
+// no hash operator and no exchange — the plan whose every buffer can
+// spill — and returns the unbudgeted rows.
+func TestSpillForcedPlansSortMerge(t *testing.T) {
+	db := memDB(t, 91000, 120)
+	if err := db.EnableSpill(t.TempDir(), 0); err != nil {
+		t.Fatal(err)
+	}
+	for sql, ops := range map[string][]string{
+		memJAQuery: {"MergeJoin", "GroupAgg"},
+		`SELECT T1.K, COUNT(T1.V) AS CT FROM RB T1 GROUP BY T1.K`: {"GroupAgg"},
+	} {
+		want, err := db.Query(sql, engine.Options{Strategy: engine.TransformJA2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := engine.Options{Strategy: engine.TransformJA2, Spill: qctx.SpillForced}
+		opts.Planner.Parallelism, opts.Planner.ForceParallel = 4, true
+		res, err := db.Query(sql, opts)
+		if err != nil {
+			t.Fatalf("%q under SpillForced: %v", sql, err)
+		}
+		plan := strings.Join(res.Trace, "\n")
+		for _, op := range []string{"HashJoin", "ExchangeMerge", "ParallelHashGroup"} {
+			if strings.Contains(plan, op) {
+				t.Errorf("%q under SpillForced places %s:\n%s", sql, op, plan)
+			}
+		}
+		for _, op := range ops {
+			if !strings.Contains(plan, op) {
+				t.Errorf("%q under SpillForced places no %s:\n%s", sql, op, plan)
+			}
+		}
+		if sortedRows(res) != sortedRows(want) {
+			t.Errorf("%q under SpillForced: rows differ from the unbudgeted run", sql)
+		}
+	}
+	if left := spillLeft(db); left != "" {
+		t.Fatalf("after the queries: %s left behind", left)
+	}
+}
+
 // TestPressureGrantsUnderSpill: with spilling enabled, a pool too empty
 // for even MinLease hands out what it has (a pressure grant) instead of
 // queuing — and the query completes by spilling against the tiny lease.

@@ -215,7 +215,7 @@ func (g *GroupAgg) Next() (storage.Tuple, bool, error) {
 			}
 			g.QC.ReleaseBuffered(g.charged)
 			g.charged = groupBytes(t, g.GroupCols, g.Items)
-			if _, err := reserve(g.QC, nil, g.charged, 0); err != nil {
+			if _, err := reserve(g.QC, nil, g.charged); err != nil {
 				return nil, false, err
 			}
 			g.groups.open(t)

@@ -234,8 +234,10 @@ func (m *MergeJoin) dropGroup() {
 	m.groupCharged = 0
 	m.group = m.group[:0]
 	m.groupSrc.close()
-	removeRuns(m.groupRun)
-	m.groupRun = nil
+	if m.groupRun != nil {
+		m.groupRun.Remove()
+		m.groupRun = nil
+	}
 	m.groupLen = 0
 }
 
@@ -274,8 +276,8 @@ func (m *MergeJoin) loadGroup(l storage.Tuple) (err error) {
 	m.groupOf = l
 	var wr *spill.Writer // set once the group has outgrown memory
 	defer func() {
-		if err != nil {
-			abortWriters(wr)
+		if err != nil && wr != nil {
+			wr.Abort()
 		}
 	}()
 	for {
@@ -302,7 +304,7 @@ func (m *MergeJoin) loadGroup(l storage.Tuple) (err error) {
 		}
 		if wr == nil {
 			n := tupleBytes(t)
-			fits, err := reserve(m.QC, m.Spill, n, 0)
+			fits, err := reserve(m.QC, m.Spill, n)
 			if err != nil {
 				return err
 			}

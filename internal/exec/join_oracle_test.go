@@ -121,7 +121,7 @@ func (c joinCase) build(e spillEnv, mutant func([]exec.KeyPair)) exec.Operator {
 	}
 	hash := func(workers int) *exec.ParallelHashJoin {
 		return &exec.ParallelHashJoin{Left: oracleScan(left, "L"), Right: oracleScan(right, "R"),
-			Outer: c.outer, NullEq: c.nullEq[0], More: more, Workers: workers, QC: e.qc, Spill: e.sess}
+			Outer: c.outer, NullEq: c.nullEq[0], More: more, Workers: workers, QC: e.qc}
 	}
 	switch c.kind {
 	case "merge-lead", "merge-full":
@@ -161,12 +161,11 @@ func joinCases() []joinCase {
 }
 
 // joinOracleCases puts the table on spill_test.go's matrix. A merge join's
-// sorts spill at least a run, a hash join a build and a probe run — the
-// inline one by handing over.
+// sorts spill at least a run; a hash join spills nothing.
 func joinOracleCases() []spillCase {
 	var cases []spillCase
 	for _, c := range joinCases() {
-		merge, runs := strings.HasPrefix(c.kind, "merge"), int64(2)
+		merge, runs := strings.HasPrefix(c.kind, "merge"), int64(0)
 		if merge {
 			runs = 1
 		}

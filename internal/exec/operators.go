@@ -218,7 +218,7 @@ func MaterializeInto(op Operator, f *storage.HeapFile, qc *qctx.QueryContext) er
 			break
 		}
 		n := tupleBytes(t)
-		if _, err := reserve(qc, nil, n, 0); err != nil {
+		if _, err := reserve(qc, nil, n); err != nil {
 			return err
 		}
 		pageBytes += n

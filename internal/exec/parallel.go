@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/qctx"
-	"repro/internal/spill"
 	"repro/internal/storage"
 )
 
@@ -20,9 +19,8 @@ import (
 // (the hash-probe kernel of ParallelHashJoin, the group-admit kernel of
 // ParallelHashGroup) on their partition and push output morsels into a
 // shared channel; ExchangeMerge drains that channel back into the
-// pull-iterator model. Under memory pressure a kernel's overflow goes to
-// spill runs, and the same kernel then reads those runs instead of the
-// channel (see budget.go for the reserve-or-spill rule).
+// pull-iterator model. Kernels hold their state in memory and hard-charge
+// it against the query's budget (see budget.go): they never spill.
 //
 // Partitioning by key hash is what preserves the paper's COUNT-bug
 // semantics under parallelism: every row of a given key lands on exactly
@@ -131,13 +129,6 @@ type partitioning struct {
 	keys    []int
 	workers int
 	qc      *qctx.QueryContext
-	// divert, when set, is offered every routed tuple and reports whether
-	// it took it — a partition whose state lives on disk has its input
-	// diverted there too. seal then runs after the last tuple, before the
-	// worker channels close: the close is the happens-before edge that
-	// publishes what divert wrote to the workers.
-	divert func(part int, t storage.Tuple) (bool, error)
-	seal   func() error
 }
 
 // start runs the exchange below ex: one distributor and p.workers workers,
@@ -195,27 +186,11 @@ func (ex *exchange) distribute(p partitioning, inputs []chan Morsel) {
 			break
 		}
 		i := int(hashKey(t, p.keys) % uint64(len(inputs)))
-		if p.divert != nil {
-			taken, err := p.divert(i, t)
-			if err != nil {
-				ex.fail(err)
-				return
-			}
-			if taken {
-				continue
-			}
-		}
 		if bufs[i] == nil {
 			bufs[i] = newMorsel()
 		}
 		bufs[i] = append(bufs[i], t)
 		if len(bufs[i]) >= MorselSize && !flush(i) {
-			return
-		}
-	}
-	if p.seal != nil {
-		if err := p.seal(); err != nil {
-			ex.fail(err)
 			return
 		}
 	}
@@ -314,12 +289,6 @@ func (e *ExchangeMerge) Open() error {
 	if err := e.Source.Open(); err != nil {
 		return err
 	}
-	e.start()
-	return nil
-}
-
-// start runs the already open source's goroutines.
-func (e *ExchangeMerge) start() {
 	w := e.Source.NumWorkers()
 	ex := &exchange{
 		out:  make(chan Morsel, 2*w),
@@ -332,6 +301,7 @@ func (e *ExchangeMerge) start() {
 		ex.wg.Wait()
 		close(ex.out)
 	}()
+	return nil
 }
 
 // Next returns the next tuple from any worker, in arrival order.
@@ -358,12 +328,6 @@ func (e *ExchangeMerge) Close() error {
 		return nil
 	}
 	e.closed = true
-	e.stop()
-	return e.Source.Close()
-}
-
-// stop signals producers to stop and waits for every goroutine to exit.
-func (e *ExchangeMerge) stop() {
 	if e.ex != nil {
 		close(e.ex.stop)
 		// Drain until the closer goroutine closes out (after wg.Wait), so
@@ -374,6 +338,7 @@ func (e *ExchangeMerge) stop() {
 		e.ex.wg.Wait()
 		e.ex = nil
 	}
+	return e.Source.Close()
 }
 
 // Schema is the source's schema.
@@ -390,16 +355,17 @@ func defaultWorkers(n int) int {
 
 // ParallelHashJoin is an equality hash join on every equality conjunct of
 // the join — the leading pair (LeftKey, RightKey, NullEq) and More. Open
-// drains the Right (build) side sequentially, partitioning it by key hash.
+// drains the Right (build) side sequentially, partitioning it by key hash
+// and hard-charging it against the memory budget: a build side that does
+// not fit fails the query with ErrMemoryBudget, and the engine's rerun
+// sort-merges instead (hash operators never spill).
 //
 // Under an ExchangeMerge it is executed by Workers goroutines: run starts
 // the exchange that partitions the Left (probe) side the same way, so
 // matching keys meet on the same worker. Used as an Operator itself, with
 // Workers = 1, it runs inline: Next streams the probe side through the
 // same probe kernel on the calling goroutine — no goroutine, no channel —
-// so the output keeps the left input's order. Only when the build side
-// has spilled does the inline join hand over to an exchange of its own,
-// which owns Grace spilling; its output is then in no particular order.
+// so the output keeps the left input's order.
 //
 // Semantics match MergeJoin: a row holding NULL in a key column matches
 // nothing unless that pair is NULL-safe, and with Outer set every unmatched
@@ -419,45 +385,18 @@ type ParallelHashJoin struct {
 	// QC, when set, governs the build scan (cancellation + memory budget
 	// for the buffered build side) and is checked by every goroutine.
 	QC *qctx.QueryContext
-	// Spill, when set, enables Grace-style degradation: a build partition
-	// whose reservation is refused spills to a run file, its probe tuples
-	// are diverted to a probe run, and the pair is joined in a post-pass
-	// on the owning worker (recursively sub-partitioned if still too big).
-	Spill *spill.Session
 
 	key     joinKey
 	rows    rowBuilder
-	parts   []joinPart
-	inline  *prober        // the inline join's probe of Left, nil until the first Next
-	handoff *ExchangeMerge // the inline join's exchange once the build side spilled
+	parts   []joinPart // one hash partition of the build side per worker
+	charged int64      // the build rows' budget charge, released by Close
+	inline  *prober    // the inline join's probe of Left, nil until the first Next
 }
 
-// The two sides of a spilled partition's state.
-const (
-	buildSide = iota
-	probeSide
-)
-
-// joinPart is one hash partition of the build side: its rows while it is
-// resident, its (build, probe) run pair once it has been evicted. The
-// probe writer is touched only by the distributor goroutine, and the
-// probe run is published to the worker by the channel close.
+// joinPart is one hash partition of the build side.
 type joinPart struct {
-	build   rowChunks       // the resident rows while Open collects them
-	rows    []storage.Tuple // the resident rows once Open is done
-	bytes   int64           // charged for rows, released on eviction or Close
-	spilled bool
-	wr      [2]*spill.Writer
-	run     [2]*spill.Run
-}
-
-// seal finishes the side's writer, if any, into its run.
-func (p *joinPart) seal(side int) (err error) {
-	if wr := p.wr[side]; wr != nil {
-		p.wr[side] = nil
-		p.run[side], err = wr.Finish()
-	}
-	return err
+	build rowChunks       // the rows while Open collects them
+	rows  []storage.Tuple // the rows once Open is done
 }
 
 // NumWorkers reports the resolved worker count.
@@ -491,112 +430,36 @@ func (j *ParallelHashJoin) Open() error {
 		if j.key.dead(t, j.key.right) {
 			continue // NULL build keys can never match
 		}
-		p := &j.parts[hashKey(t, j.key.right)%uint64(len(j.parts))]
-		// On refusal evict the largest resident partition to disk until
-		// the reservation fits or this tuple's own partition has spilled.
 		n := tupleBytes(t)
-		for !p.spilled {
-			fits, err := reserve(j.QC, j.Spill, n, 0)
-			if err != nil {
-				return err
-			}
-			if fits {
-				p.bytes += n
-				p.build.add(t)
-				break
-			}
-			if err := j.spillPartition(j.largestResident(p)); err != nil {
-				return err
-			}
+		if _, err := reserve(j.QC, nil, n); err != nil {
+			return err
 		}
-		if p.spilled {
-			if err := p.wr[buildSide].Append(t); err != nil {
-				return err
-			}
-		}
+		j.charged += n
+		j.parts[hashKey(t, j.key.right)%uint64(len(j.parts))].build.add(t)
 	}
-	// Seal the build runs; probe runs are written during distribution.
 	for i := range j.parts {
 		j.parts[i].rows = j.parts[i].build.flatten()
-		if err := j.parts[i].seal(buildSide); err != nil {
-			return err
-		}
 	}
-	return nil
-}
-
-// largestResident picks the spill victim: the resident partition holding
-// the most charged bytes (fallback, the requesting partition itself).
-func (j *ParallelHashJoin) largestResident(p *joinPart) *joinPart {
-	for i := range j.parts {
-		if q := &j.parts[i]; !q.spilled && q.bytes > p.bytes {
-			p = q
-		}
-	}
-	return p
-}
-
-// spillPartition evicts one build partition: its tuples move to a fresh
-// run file, its budget charge is released, and all later build and probe
-// tuples for the partition divert to runs.
-func (j *ParallelHashJoin) spillPartition(p *joinPart) error {
-	wr, err := j.Spill.NewWriter()
-	if err != nil {
-		return err
-	}
-	p.wr[buildSide], p.spilled = wr, true
-	for _, t := range p.build.flatten() {
-		if err := wr.Append(t); err != nil {
-			return err
-		}
-	}
-	j.QC.ReleaseBuffered(p.bytes)
-	p.bytes = 0
 	return nil
 }
 
 func (j *ParallelHashJoin) run(ex *exchange) {
-	ex.start(partitioning{child: j.Left, keys: j.key.left, workers: len(j.parts), qc: j.QC,
-		divert: j.divertProbe, seal: j.sealProbes}, j.work)
+	ex.start(partitioning{child: j.Left, keys: j.key.left, workers: len(j.parts), qc: j.QC}, j.work)
 }
 
-// divertProbe takes the probe tuples of partitions whose build side lives
-// on disk and appends them to the partition's probe run, for the owning
-// worker's post-pass.
-func (j *ParallelHashJoin) divertProbe(part int, t storage.Tuple) (bool, error) {
-	p := &j.parts[part]
-	if !p.spilled {
-		return false, nil
-	}
-	if p.wr[probeSide] == nil {
-		wr, err := j.Spill.NewWriter()
-		if err != nil {
-			return false, err
+// work is one worker: probe the partition's build rows with its input,
+// emitting everything the kernel yields.
+func (j *ParallelHashJoin) work(id int, src *source, out *emitter) error {
+	p := prober{j: j, rows: j.rows, table: newHashTable(j.parts[id].rows, j.key.right), src: src}
+	for {
+		t, ok, err := p.next()
+		if err != nil || !ok {
+			return err
 		}
-		p.wr[probeSide] = wr
-	}
-	return true, p.wr[probeSide].Append(t)
-}
-
-func (j *ParallelHashJoin) sealProbes() error {
-	for i := range j.parts {
-		if err := j.parts[i].seal(probeSide); err != nil {
+		if err := out.emit(t); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// work is one worker: probe the resident build rows with the partition's
-// input, then join the partition's spilled pair, if any.
-func (j *ParallelHashJoin) work(id int, src *source, out *emitter) error {
-	p := &j.parts[id]
-	if err := j.probe(out, newHashTable(p.rows, j.key.right), src); err != nil || !p.spilled {
-		return err
-	}
-	// The input channel is closed, so the distributor has sealed and
-	// published the probe run.
-	return j.joinSpilled(out, p.run, 1)
 }
 
 // hashTable is the one hashed row index, flat: each position's key hash,
@@ -694,195 +557,24 @@ func (p *prober) next() (storage.Tuple, bool, error) {
 	}
 }
 
-// probe drives the kernel for a worker: everything it yields is emitted.
-func (j *ParallelHashJoin) probe(out *emitter, table hashTable, src *source) error {
-	p := prober{j: j, rows: j.rows, table: table, src: src}
-	for {
-		t, ok, err := p.next()
-		if err != nil || !ok {
-			return err
-		}
-		if err := out.emit(t); err != nil {
-			return err
-		}
-	}
-}
-
 // Next drives the kernel inline, on the caller's goroutine.
 func (j *ParallelHashJoin) Next() (storage.Tuple, bool, error) {
-	if j.inline == nil && j.handoff == nil {
-		switch {
-		case len(j.parts) != 1:
+	if j.inline == nil {
+		if len(j.parts) != 1 {
 			return nil, false, fmt.Errorf("exec: inline hash join over %d partitions; it needs Workers = 1", len(j.parts))
-		case j.parts[0].spilled:
-			j.handoff = &ExchangeMerge{Source: j, QC: j.QC}
-			j.handoff.start()
-		default:
-			j.inline = &prober{j: j, rows: j.rows, table: newHashTable(j.parts[0].rows, j.key.right), src: &source{op: j.Left}}
 		}
-	}
-	if j.handoff != nil {
-		return j.handoff.Next()
+		j.inline = &prober{j: j, rows: j.rows, table: newHashTable(j.parts[0].rows, j.key.right), src: &source{op: j.Left}}
 	}
 	return j.inline.next()
 }
 
-// joinSpilled joins one spilled (build run, probe run) pair at the given
-// level and removes both runs: it rebuilds the hash table from the build
-// run under reservation and probes it with the probe run. If the build
-// side is refused memory again, both runs are sub-partitioned and joined
-// recursively.
-func (j *ParallelHashJoin) joinSpilled(out *emitter, runs [2]*spill.Run, depth int) error {
-	defer removeRuns(runs[:]...)
-	if runs[probeSide] == nil {
-		// No probe rows reached this partition: inner and left-outer
-		// joins emit nothing (Outer pads probe rows, and there are none).
-		return nil
-	}
-	var charged int64
-	defer func() { j.QC.ReleaseBuffered(charged) }()
-	var rows []storage.Tuple
-	if runs[buildSide] != nil {
-		rows = make([]storage.Tuple, 0, runs[buildSide].Tuples)
-		build, err := openRun(j.QC, runs[buildSide])
-		if err != nil {
-			return err
-		}
-		defer build.close()
-		for {
-			t, ok, err := build.next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			n := tupleBytes(t)
-			fits, err := reserve(j.QC, j.Spill, n, depth)
-			if err != nil {
-				return err
-			}
-			if !fits {
-				build.close()
-				j.QC.ReleaseBuffered(charged)
-				charged = 0
-				return j.splitSpilled(out, runs, depth)
-			}
-			charged += n
-			rows = append(rows, t)
-		}
-	}
-	probe, err := openRun(j.QC, runs[probeSide])
-	if err != nil {
-		return err
-	}
-	defer probe.close()
-	return j.probe(out, newHashTable(rows, j.key.right), &probe)
-}
-
-// spillFanout is how many sub-runs one level of splitting cuts a spilled
-// run into.
-const spillFanout = 4
-
-// rehashSpill re-salts a key hash for sub-partitioning at the given
-// level, so each level cuts along an independent boundary.
-func rehashSpill(h uint64, depth int) uint64 {
-	h ^= uint64(depth+1) * 0x9E3779B97F4A7C15
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h
-}
-
-// splitSpilled sub-partitions a too-large spilled pair by a re-salted
-// hash and joins each sub-pair one level down.
-func (j *ParallelHashJoin) splitSpilled(out *emitter, runs [2]*spill.Run, depth int) error {
-	var subs [2][spillFanout]*spill.Run
-	var err error
-	for side, key := range [2][]int{buildSide: j.key.right, probeSide: j.key.left} {
-		if err == nil {
-			subs[side], err = j.splitRun(runs[side], key, depth)
-		}
-	}
-	// The parents are fully rewritten into the children (or the split
-	// failed); drop them now so peak disk stays proportional to one level
-	// of the recursion.
-	removeRuns(runs[:]...)
-	for i := range spillFanout {
-		pair := [2]*spill.Run{subs[buildSide][i], subs[probeSide][i]}
-		if err == nil {
-			err = j.joinSpilled(out, pair, depth+1)
-		} else {
-			removeRuns(pair[:]...)
-		}
-	}
-	return err
-}
-
-// splitRun rewrites run (nil: nothing to do) into up to spillFanout
-// sub-runs by the re-salted hash of columns key. On failure none survive.
-func (j *ParallelHashJoin) splitRun(run *spill.Run, key []int, depth int) (subs [spillFanout]*spill.Run, err error) {
-	if run == nil {
-		return subs, nil
-	}
-	var wrs [spillFanout]*spill.Writer
-	defer func() {
-		if err != nil {
-			abortWriters(wrs[:]...)
-			removeRuns(subs[:]...)
-			subs = [spillFanout]*spill.Run{}
-		}
-	}()
-	src, err := openRun(j.QC, run)
-	if err != nil {
-		return subs, err
-	}
-	defer src.close()
-	for {
-		t, ok, err := src.next()
-		if err != nil {
-			return subs, err
-		}
-		if !ok {
-			break
-		}
-		b := rehashSpill(hashKey(t, key), depth) % spillFanout
-		if wrs[b] == nil {
-			if wrs[b], err = j.Spill.NewWriter(); err != nil {
-				return subs, err
-			}
-		}
-		if err := wrs[b].Append(t); err != nil {
-			return subs, err
-		}
-	}
-	for i, wr := range wrs {
-		if wr != nil {
-			wrs[i] = nil
-			if subs[i], err = wr.Finish(); err != nil {
-				return subs, err
-			}
-		}
-	}
-	return subs, nil
-}
-
-// Close releases the build partitions, drops any spill state the workers
-// did not consume (error and early-close paths), and closes both
-// children. It runs after ExchangeMerge has joined every goroutine (the
-// inline join stops its own exchange first), so touching the writers and
-// runs is race-free.
+// Close releases the build rows and their charge and closes both
+// children. Under an ExchangeMerge it runs after every goroutine has been
+// joined.
 func (j *ParallelHashJoin) Close() error {
-	if j.handoff != nil {
-		j.handoff.stop()
-	}
-	j.inline, j.handoff = nil, nil
-	for i := range j.parts {
-		p := &j.parts[i]
-		j.QC.ReleaseBuffered(p.bytes)
-		abortWriters(p.wr[:]...)
-		removeRuns(p.run[:]...)
-	}
-	j.parts = nil
+	j.inline, j.parts = nil, nil
+	j.QC.ReleaseBuffered(j.charged)
+	j.charged = 0
 	err := j.Left.Close()
 	if err2 := j.Right.Close(); err == nil {
 		err = err2
@@ -910,14 +602,9 @@ type ParallelHashGroup struct {
 	Items     []GroupItem
 	// Workers is the worker-goroutine count; <= 0 means runtime.NumCPU().
 	Workers int
-	// QC, when set, governs cancellation and charges buffered group state
-	// against the memory budget.
+	// QC, when set, governs cancellation and hard-charges each worker's
+	// groups against the memory budget.
 	QC *qctx.QueryContext
-	// Spill, when set, enables hybrid aggregation: once a worker's group
-	// table cannot grow, rows for unseen keys are diverted to a spill run
-	// (resident keys keep accumulating) and the run is aggregated in
-	// further passes after the input drains.
-	Spill *spill.Session
 }
 
 // NumWorkers reports the resolved worker count.
@@ -930,90 +617,44 @@ func (g *ParallelHashGroup) run(ex *exchange) {
 	ex.start(partitioning{child: g.Child, keys: g.GroupCols, workers: g.NumWorkers(), qc: g.QC}, g.work)
 }
 
-// work is one worker: level 0 aggregates the partition's input, and every
-// level that overflowed into a spill run is followed by one that reads it.
+// work is one worker, the one group-admit loop: every row of the
+// partition's input joins its group, a new group charged as it opens, and
+// once the input drains the finished groups are emitted and their charge
+// released.
 func (g *ParallelHashGroup) work(id int, src *source, out *emitter) error {
-	var run *spill.Run
-	for depth := 0; ; depth++ {
-		next, err := g.aggregate(out, src, depth, id == 0)
-		// This level's run is fully read (or the level failed); drop it
-		// so peak disk stays proportional to one level.
-		src.close()
-		removeRuns(run)
-		if err != nil || next == nil {
-			return err
-		}
-		run = next
-		level, err := openRun(g.QC, run)
-		if err != nil {
-			removeRuns(run)
-			return err
-		}
-		src = &level
-	}
-}
-
-// aggregate is the one group-admit loop, run once per level: it admits
-// groups from src while the budget allows and folds their rows in; from
-// the first refusal on the table is frozen — rows of unseen keys go to a
-// next-level run, rows of resident keys keep accumulating, so the keys of
-// this level and the next stay disjoint. It emits the finished groups and
-// returns the next-level run, nil when nothing overflowed. The level's
-// charge is released on return, handing the budget to the next level,
-// which holds strictly fewer keys; past maxSpillDepth reserve stops
-// refusing, so the levels terminate — or surface ErrMemoryBudget if the
-// data truly cannot fit.
-func (g *ParallelHashGroup) aggregate(out *emitter, src *source, depth int, first bool) (*spill.Run, error) {
 	var charged int64
 	defer func() { g.QC.ReleaseBuffered(charged) }()
-	var overflow *spill.Writer
-	defer func() { abortWriters(overflow) }()
 	groups := groupTable{cols: g.GroupCols, items: g.Items}
 	for {
 		t, ok, err := src.next()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !ok {
 			break
 		}
 		i, h := groups.find(t)
-		if i < 0 && overflow == nil {
-			n := groupBytes(t, g.GroupCols, g.Items)
-			fits, err := reserve(g.QC, g.Spill, n, depth)
-			if err != nil {
-				return nil, err
-			}
-			if fits {
-				charged += n
-				i = groups.insert(t, h)
-			} else if overflow, err = g.Spill.NewWriter(); err != nil {
-				return nil, err
-			}
-		}
 		if i < 0 {
-			err = overflow.Append(t)
-		} else {
-			err = groups.add(i, t)
+			n := groupBytes(t, g.GroupCols, g.Items)
+			if _, err := reserve(g.QC, nil, n); err != nil {
+				return err
+			}
+			charged += n
+			i = groups.insert(t, h)
 		}
-		if err != nil {
-			return nil, err
+		if err := groups.add(i, t); err != nil {
+			return err
 		}
 	}
-	if first && depth == 0 && len(g.GroupCols) == 0 && groups.n == 0 && overflow == nil {
+	if id == 0 && len(g.GroupCols) == 0 && groups.n == 0 {
 		groups.open(nil) // a global aggregate over empty input: one row, COUNT = 0
 	}
 	for i := range groups.n {
 		if err := out.emit(groups.row(i)); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if overflow == nil {
-		return nil, nil
-	}
-	wr := overflow
-	overflow = nil
-	return wr.Finish()
+	return nil
 }
 
 // Close closes the child.

@@ -391,34 +391,3 @@ func TestParallelHashGroupWorkerErrorNoDeadlock(t *testing.T) {
 }
 
 func eqStrings(a, b []string) bool { return storage.DiffCanon(a, b) == "" }
-
-// TestParallelHashGroupSpillSharedBudget: several workers spilling under
-// one shared budget. While one worker re-aggregates its overflow run,
-// another releases memory, so a reservation refused a moment ago can
-// succeed now. A level that has refused a key must stay frozen — admit a
-// later row of that key and the group comes out twice, half its rows in
-// this level and half in the next.
-func TestParallelHashGroupSpillSharedBudget(t *testing.T) {
-	build := func(e spillEnv, workers int) exec.Operator {
-		f := loadTuples(e.s, "G", 2, randTuples(rand.New(rand.NewSource(7)), 500, 60))
-		return &exec.ExchangeMerge{Source: &exec.ParallelHashGroup{
-			Child: scanOf(f, "G"), GroupCols: []int{0}, Items: spillItems,
-			Workers: workers, QC: e.qc, Spill: e.sess,
-		}, QC: e.qc}
-	}
-	e, _, done := newSpillEnv(t, spillRegimes[0])
-	want := sortedBag(t, build(e, 1))
-	done()
-	for _, workers := range []int{2, 4} {
-		for round := range 10 {
-			e, _, done := newSpillEnv(t, spillRegimes[1])
-			if got := sortedBag(t, build(e, workers)); !eqStrings(got, want) {
-				t.Fatalf("workers=%d round %d: spilled output differs\n  want: %v\n  got:  %v", workers, round, want, got)
-			}
-			if e.sess.Stats().Runs == 0 {
-				t.Errorf("workers=%d: nothing spilled under a 1 KiB threshold", workers)
-			}
-			done()
-		}
-	}
-}

@@ -60,7 +60,7 @@ func projectedJoin(e spillEnv, left, right *storage.HeapFile, kind string, outer
 			Outer: outer, Out: out, QC: e.qc}
 	}
 	j := &exec.ParallelHashJoin{Left: scan(left, "L"), Right: scan(right, "R"),
-		NullEq: nullEq, Outer: outer, Out: out, Workers: 1, QC: e.qc, Spill: e.sess}
+		NullEq: nullEq, Outer: outer, Out: out, Workers: 1, QC: e.qc}
 	if kind == "hash-inline" {
 		return j
 	}
@@ -96,7 +96,7 @@ func TestProjectedJoinsEqualProjectedConcat(t *testing.T) {
 						e, _, done := newSpillEnv(t, r)
 						defer done()
 						left, right := projectedJoinInputs(e)
-						ordered := kind == "merge" || kind == "nested-loop" || (kind == "hash-inline" && !r.spill)
+						ordered := kind == "merge" || kind == "nested-loop" || kind == "hash-inline"
 						unprojected := projectedJoin(e, left, right, kind, outer, nullEq, nil)
 						fullSch := unprojected.Schema()
 						full, err := exec.Drain(unprojected, nil)

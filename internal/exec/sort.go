@@ -189,7 +189,7 @@ func (s *Sort) Open() error {
 		}
 		if !s.spillMode {
 			n := tupleBytes(t)
-			fits, err := reserve(s.QC, s.Spill, n, 0)
+			fits, err := reserve(s.QC, s.Spill, n)
 			if err != nil {
 				return err
 			}
@@ -311,7 +311,9 @@ func (s *Sort) dropRun(r sortRun) {
 	if r.heap != nil {
 		s.Store.Drop(r.heap.Name())
 	}
-	removeRuns(r.sp)
+	if r.sp != nil {
+		r.sp.Remove()
+	}
 }
 
 // runCursor reads one run sequentially: heap runs with direct

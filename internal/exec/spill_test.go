@@ -123,64 +123,58 @@ func spillCases() []spillCase {
 			return &exec.MergeJoin{Left: e.sorted(left, "L"), Right: e.sorted(right, "R"),
 				Outer: true, QC: e.qc, Spill: e.sess}
 		}})
+	// The hash operators hold their state in memory under every regime:
+	// each case must agree with its unbudgeted run and spill nothing.
 	for _, workers := range []int{1, 2, 4} {
 		for _, outer := range []bool{false, true} {
 			for _, nullEq := range []bool{false, true} {
 				cases = append(cases, spillCase{
-					name:     fmt.Sprintf("ParallelHashJoin/workers=%d/outer=%v/nulleq=%v", workers, outer, nullEq),
-					autoRuns: 2, forcedRuns: 2,
+					name: fmt.Sprintf("ParallelHashJoin/workers=%d/outer=%v/nulleq=%v", workers, outer, nullEq),
 					build: func(e spillEnv) exec.Operator {
 						rng := rand.New(rand.NewSource(5))
 						left := loadTuples(e.s, "L", 2, randTuples(rng, 600, 40))
 						right := loadTuples(e.s, "R", 2, randTuples(rng, 400, 40))
 						return &exec.ExchangeMerge{Source: &exec.ParallelHashJoin{
 							Left: scanOf(left, "L"), Right: scanOf(right, "R"),
-							Outer: outer, NullEq: nullEq, Workers: workers, QC: e.qc, Spill: e.sess,
+							Outer: outer, NullEq: nullEq, Workers: workers, QC: e.qc,
 						}, QC: e.qc}
 					},
 				})
 			}
 		}
-		// 300 build rows of one key: every re-hash level puts them back
-		// in one bucket, so under auto the recursion runs to the depth cap
-		// (a build and a probe run per level) and hard-charges there.
+		// 300 build rows of one key: one partition holds them all.
 		cases = append(cases, spillCase{
-			name:     fmt.Sprintf("ParallelHashJoin/workers=%d/giant-key", workers),
-			autoRuns: 12, forcedRuns: 2,
+			name: fmt.Sprintf("ParallelHashJoin/workers=%d/giant-key", workers),
 			build: func(e spillEnv) exec.Operator {
 				rng := rand.New(rand.NewSource(6))
 				left := loadTuples(e.s, "L", 2, giantKeyTuples(rng, 20, 200))
 				right := loadTuples(e.s, "R", 2, giantKeyTuples(rng, 300, 100))
 				return &exec.ExchangeMerge{Source: &exec.ParallelHashJoin{
 					Left: scanOf(left, "L"), Right: scanOf(right, "R"),
-					Outer: true, Workers: workers, QC: e.qc, Spill: e.sess,
+					Outer: true, Workers: workers, QC: e.qc,
 				}, QC: e.qc}
 			},
 		})
 	}
-	// One worker, so the budget has a single holder and every level of the
-	// recursion sees the same refusals on every run.
-	cases = append(cases, spillCase{name: "ParallelHashGroup/grouped", autoRuns: 1, forcedRuns: 1,
+	cases = append(cases, spillCase{name: "ParallelHashGroup/grouped",
 		build: func(e spillEnv) exec.Operator {
 			f := loadTuples(e.s, "G", 2, randTuples(rand.New(rand.NewSource(7)), 500, 60))
 			return &exec.ExchangeMerge{Source: &exec.ParallelHashGroup{
 				Child: scanOf(f, "G"), GroupCols: []int{0}, Items: spillItems,
-				Workers: 1, QC: e.qc, Spill: e.sess,
+				Workers: 1, QC: e.qc,
 			}, QC: e.qc}
 		}})
 	for _, empty := range []bool{false, true} {
-		n, forced := 300, int64(1)
+		n := 300
 		if empty {
-			n, forced = 0, 0
+			n = 0
 		}
-		// The single global group fits under the auto threshold, so only
-		// the forced regime spills it.
 		cases = append(cases,
-			spillCase{name: fmt.Sprintf("ParallelHashGroup/global/empty=%v", empty), forcedRuns: forced,
+			spillCase{name: fmt.Sprintf("ParallelHashGroup/global/empty=%v", empty),
 				build: func(e spillEnv) exec.Operator {
 					f := loadTuples(e.s, "G", 2, randTuples(rand.New(rand.NewSource(8)), n, 60))
 					return &exec.ExchangeMerge{Source: &exec.ParallelHashGroup{
-						Child: scanOf(f, "G"), Items: spillItems[1:], Workers: 2, QC: e.qc, Spill: e.sess,
+						Child: scanOf(f, "G"), Items: spillItems[1:], Workers: 2, QC: e.qc,
 					}, QC: e.qc}
 				}})
 	}
@@ -188,7 +182,7 @@ func spillCases() []spillCase {
 		build: func(e spillEnv) exec.Operator {
 			f := loadTuples(e.s, "G", 2, nil)
 			return &exec.ExchangeMerge{Source: &exec.ParallelHashGroup{
-				Child: scanOf(f, "G"), GroupCols: []int{0}, Items: spillItems, Workers: 2, QC: e.qc, Spill: e.sess,
+				Child: scanOf(f, "G"), GroupCols: []int{0}, Items: spillItems, Workers: 2, QC: e.qc,
 			}, QC: e.qc}
 		}})
 	return append(cases, joinOracleCases()...)
@@ -343,32 +337,4 @@ func TestSpillEarlyCloseAndCancel(t *testing.T) {
 			settleGoroutines(t, before)
 		})
 	}
-}
-
-// TestSpillDepthCapSurfacesBudgetError pins the end of the ladder: a
-// build partition that is one duplicate key cannot be split, so at the
-// recursion cap it is hard-charged and a hard budget it exceeds fails the
-// query typed — leaving nothing behind.
-func TestSpillDepthCapSurfacesBudgetError(t *testing.T) {
-	r := spillRegime{name: "hard", lim: qctx.Limits{Spill: qctx.SpillAuto, MaxBytes: 2048}, spill: true}
-	e, m, _ := newSpillEnv(t, r)
-	rng := rand.New(rand.NewSource(9))
-	left := loadTuples(e.s, "L", 2, giantKeyTuples(rng, 20, 50))
-	right := loadTuples(e.s, "R", 2, giantKeyTuples(rng, 300, 50))
-	_, err := renderAll(&exec.ExchangeMerge{Source: &exec.ParallelHashJoin{
-		Left: scanOf(left, "L"), Right: scanOf(right, "R"), Workers: 1, QC: e.qc, Spill: e.sess,
-	}, QC: e.qc})
-	if !errors.Is(err, qctx.ErrMemoryBudget) {
-		t.Errorf("got %v, want ErrMemoryBudget", err)
-	}
-	if st := e.sess.Stats(); st.Runs < 12 {
-		t.Errorf("spilled %v before failing; the recursion did not reach the depth cap", st)
-	}
-	// The refused hard charge stays on the counter of the now-dead query
-	// (the engine resets usage before any retry), so only files are checked.
-	e.sess.Close()
-	if n, err := m.LiveFiles(); err != nil || n != 0 {
-		t.Errorf("LiveFiles = %d, %v after the failed query; want 0", n, err)
-	}
-	e.qc.Finish()
 }

@@ -187,7 +187,6 @@ func (p *Planner) finishGroup(cur input, qb *ast.QueryBlock, label string) (inpu
 			Items:     items,
 			Workers:   w,
 			QC:        p.opts.QC,
-			Spill:     p.opts.Spill,
 		}, QC: p.opts.QC}
 		sortedOut = -1 // worker output interleaves nondeterministically
 		p.notef("%s: parallel hash aggregation over %d group column(s) (%d workers)", label, len(groupCols), w)

@@ -143,9 +143,7 @@ func (p *Planner) parallelOK(tuples float64) bool {
 // nondeterministically, so the result reports no sort order: GROUP BY,
 // DISTINCT, merge joins, and ORDER BY above it keep their sorts (no section
 // 7.4 elision applies). With one worker it runs inline and streams the
-// left input in order, like the nested-loops join whose place it takes —
-// unless a spill session lets its build side hand over to Grace
-// partitions, which no order survives.
+// left input in order, like the nested-loops join whose place it takes.
 func (p *Planner) hashJoin(cur, right input, keys []exec.KeyPair, rest []ast.Predicate, outer bool, w int, label string) (input, error) {
 	join := &exec.ParallelHashJoin{
 		Left:     cur.op,
@@ -157,15 +155,12 @@ func (p *Planner) hashJoin(cur, right input, keys []exec.KeyPair, rest []ast.Pre
 		Outer:    outer,
 		Workers:  w,
 		QC:       p.opts.QC,
-		Spill:    p.opts.Spill,
 	}
 	var op exec.Operator = join
-	kind, workers, sortedOn := "hash join", "", -1
+	kind, workers, sortedOn := "hash join", "", cur.sortedOn
 	if w > 1 {
-		kind, workers = "parallel hash join", fmt.Sprintf(" (%d workers)", w)
+		kind, workers, sortedOn = "parallel hash join", fmt.Sprintf(" (%d workers)", w), -1
 		op = &exec.ExchangeMerge{Source: join, QC: p.opts.QC}
-	} else if p.opts.Spill == nil {
-		sortedOn = cur.sortedOn
 	}
 	if outer {
 		kind = "outer " + kind

@@ -14,6 +14,7 @@
 package planner
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"strings"
@@ -85,10 +86,11 @@ type Options struct {
 	// QC, when set, threads lifecycle governance (cancellation, deadline,
 	// row and memory budgets) into every operator the planner builds.
 	QC *qctx.QueryContext
-	// Spill, when set, gives every buffering operator the planner builds
-	// (sorts, hash builds, aggregations, merge-join groups) a per-query
-	// spill session: a refused memory reservation degrades to run files
-	// on disk instead of failing with ErrMemoryBudget.
+	// Spill, when set, gives the operators the planner builds that can
+	// spill (sorts and merge-join groups) a per-query spill session: a
+	// refused memory reservation degrades to run files on disk instead of
+	// failing with ErrMemoryBudget. Hash joins and hash aggregation always
+	// hard-charge.
 	Spill *spill.Session
 	// TempSuffix namespaces the physical names of this query's temporary
 	// tables in the shared store and catalog (TEMP1 → TEMP1<suffix>), so
@@ -128,8 +130,15 @@ type Planner struct {
 	curFrom   []ast.TableRef    // FROM clause of the block being planned
 }
 
-// New creates a planner.
+// New creates a planner. Under a SpillForced query context it plans the
+// paper's section 7 plan, whose every buffer can spill: joins left to cost
+// sort-merge and nothing runs in parallel, since hash operators never
+// spill. A caller-forced join method is kept.
 func New(cat *schema.Catalog, store *storage.Store, opts Options) *Planner {
+	if opts.QC.SpillPolicy() == qctx.SpillForced {
+		opts.TempJoin, opts.FinalJoin = cmp.Or(opts.TempJoin, JoinMerge), cmp.Or(opts.FinalJoin, JoinMerge)
+		opts.Parallelism = 0
+	}
 	return &Planner{
 		cat: cat, store: store, opts: opts,
 		tempOrder: make(map[string]string),

@@ -226,9 +226,10 @@ func (db *DB) EnableAdmission(cfg AdmissionConfig) {
 }
 
 // EnableSpill enables spill-to-disk execution rooted at dir: a query that
-// cannot keep its hash builds and sort runs within WithMemoryBudget
-// writes checksummed run files under dir and completes (slower but
-// correct) instead of failing with ErrMemoryBudget. Spill files are
+// cannot keep its sort runs and merge-join groups within WithMemoryBudget
+// writes checksummed run files under dir, and one whose hash builds do
+// not fit is rerun as sorts and merge joins; either way it completes
+// (slower but correct) instead of failing with ErrMemoryBudget. Spill files are
 // namespaced per query and always removed when the query ends —
 // success, error, cancel, or panic. With threshold > 0, queries start
 // spilling once they buffer more than threshold bytes even while under
@@ -441,14 +442,19 @@ type SpillPolicy = qctx.SpillPolicy
 
 // The spill policies.
 const (
-	// SpillAuto (the default with EnableSpill) spills when buffering would
-	// cross the memory budget or the spill threshold.
+	// SpillAuto (the default with EnableSpill) spills a sort or merge-join
+	// group when buffering would cross the memory budget or the spill
+	// threshold. Hash joins and hash aggregation never spill: one that
+	// outgrows the budget is rerun as the SpillForced plan.
 	SpillAuto = qctx.SpillAuto
 	// SpillOff restores the pre-spill behavior for one query: exceeding
 	// the memory budget fails with ErrMemoryBudget.
 	SpillOff = qctx.SpillOff
 	// SpillForced routes every buffering operator through spill runs
-	// regardless of budget — for tests and chaos suites.
+	// regardless of budget — for tests and chaos suites. The query is
+	// planned as the paper's section 7 plan so that every buffer can
+	// spill: joins the caller left to cost are merge joins, grouping
+	// sorts, and nothing runs in parallel.
 	SpillForced = qctx.SpillForced
 )
 

@@ -22,7 +22,7 @@ TESTS='
 alloc             AllocBudget|CompileConjunctsAllocs|BuiltRowsShareCappedChunks|GroupTableAllocs ./internal/engine ./internal/exec
 chaos             TestChaosFaultInjection|TestFaultPlanReplays              ./internal/engine
 storm             TestChaosStorm|TestDrainUnderFaults                       ./internal/engine
-memstorm          TestMemPressureStorm|TestSpillCompletesUnderSmallBudget|TestSequentialBudgetCharged|TestSpillForcedMatchesOracle|TestSpillCorruptRunDetected|TestSpillTimeoutLeakFree|TestMetamorphTightMemory|TestBudgetDegradationMonotonic|TestForcedSpillRerunSortMerges|TestPressureGrantsUnderSpill|TestSequentialRetryAfterWorkerFault|TestWorkerFaultsLeaveParallelOpen|TestNoRetryOnTimeout|TestRowBudgetNotRetried|TestStreamNoRetryAfter ./internal/engine ./internal/metamorph
+memstorm          TestMemPressureStorm|TestSpillCompletesUnderSmallBudget|TestSequentialBudgetCharged|TestSpillForcedMatchesOracle|TestSpillCorruptRunDetected|TestSpillTimeoutLeakFree|TestMetamorphTightMemory|TestBudgetDegradationMonotonic|TestForcedSpillRerunSortMerges|TestSpillForcedPlansSortMerge|TestPressureGrantsUnderSpill|TestSequentialRetryAfterWorkerFault|TestWorkerFaultsLeaveParallelOpen|TestNoRetryOnTimeout|TestRowBudgetNotRetried|TestStreamNoRetryAfter ./internal/engine ./internal/metamorph
 metamorph-short   TestMetamorph(Short|Faults|CatchesKimMutant)|TestGoldenRepros ./internal/metamorph
 netchaos          TestNetChaosStorm                                         ./internal/server
 cluster           TestDistributedNestJA2|TestClusterChaosStorm              ./internal/cluster
