@@ -33,11 +33,11 @@ func restrictionAfterOuterJoin(db *engine.DB) []storage.Tuple {
 		exec.NewSeqScan(parts, "PARTS", []string{"PNUM", "QOH"}),
 		[]int{0}, []exec.ColID{{Table: "DTEMP", Column: "PNUM"}})
 	distinct := &exec.Distinct{Child: &exec.Sort{Child: proj, Keys: []int{0}, Store: store}}
-	dtemp, err := exec.Materialize(distinct, store, 0)
-	if err != nil {
+	dtemp := store.CreateTemp(0)
+	defer store.Drop(dtemp.Name())
+	if err := exec.MaterializeInto(distinct, dtemp, nil); err != nil {
 		panic(err)
 	}
-	defer store.Drop(dtemp.Name())
 
 	// Outer join DTEMP with the unrestricted SUPPLY.
 	left := exec.NewSeqScan(dtemp, "DTEMP", []string{"PNUM"})

@@ -320,6 +320,7 @@ func (db *DB) Insert(relation string, rows ...storage.Tuple) error {
 				panic(r)
 			}
 		}()
+		f.Grow(len(rows))
 		for _, r := range rows {
 			f.Append(r)
 		}

@@ -84,50 +84,56 @@ func TestJA2PageIOPinned(t *testing.T) {
 }
 
 // TestJA2AllocBudget keeps per-pair allocation out of the NEST-JA2 joins
-// and regrown row-header buffers out of every operator: at a tenth of
-// ja_seq's size a query may allocate c objects per input and output row,
-// sequential and 2-worker, and 2-worker queries kib KiB. The KiB are what
-// the flat hash-join table with pooled morsels, Sort buffers and Drain
-// chunks measure plus 50%. Growing every such buffer from nil one append
-// at a time (and a map of buckets per hash join) measures c = 0.24 and
-// 159 KiB on type-N, 0.68 and 68 KiB on type-J. Joins that built every
-// left ++ right row for a Project to copy again measure c = 1.38 and 1.48
-// on type-N, the shape with the most output rows; the single-key joins
-// before them, which built every pair of a nested-loops final join before
-// testing it, measure 11.8 on the COUNT shape. The COUNT and MAX temp
-// joins build only the two columns their GroupAgg reads, carved from
-// shared chunks, and every group is held by value in one group table:
-// c = 0.92 and 0.81 sequential, 1.17 and 1.03 on 2 workers. Their budgets
-// sit 8–15% above that, below the 1.05/0.94 and 1.28/1.14 of five heap
-// objects per group (a group, its key, accumulator slice, accumulator and
-// row).
+// and regrown row-header buffers out of every operator: a query may
+// allocate c objects per input and output row, sequential at ja_seq's
+// own size and at a tenth of it, and 2-worker at a tenth, and 2-worker
+// queries kib KiB. At a tenth, sorts stay in memory and the sequential
+// planner may pick nested-loops joins; at full size the sort runs and
+// temp tables write most of the pages. The KiB are what the flat
+// hash-join table with pooled morsels, Sort buffers and Drain chunks
+// measure plus 50%. Growing every such buffer from nil one append at a
+// time (and a map of buckets per hash join) measures c = 0.24 and
+// 159 KiB on type-N, 0.68 and 68 KiB on type-J at a tenth. Joins that
+// built every left ++ right row for a Project to copy again measure
+// c = 1.38 and 1.48 on type-N, the shape with the most output rows; the
+// single-key joins before them, which built every pair of a nested-loops
+// final join before testing it, measure 11.8 on the COUNT shape. The
+// COUNT and MAX temp joins build only the two columns their GroupAgg
+// reads, carved from shared chunks, and every group is held by value in
+// one group table: at a tenth c = 0.90 and 0.81 sequential, 1.14 and
+// 1.01 on 2 workers, whose budgets sit 8–15% above that, below the
+// 1.05/0.94 and 1.28/1.14 of five heap objects per group (a group, its
+// key, accumulator slice, accumulator and row). At full size pages are
+// carved from per-file slabs: c = 0.014, 0.036, 0.102 and 0.090, with
+// budgets about 10% above; a page slice and a page header allocated per
+// page measure 0.031, 0.072, 0.166 and 0.134.
 // Budgets hold without the race detector, whose sync.Pool drops a quarter
 // of what is put back: the alloc gate runs them so.
 func TestJA2AllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are measured without the race detector")
 	}
-	db, cfg := jaSeqShape(t, 10)
 	shapes := []struct {
 		name string
-		sql  string
-		c    [2]float64 // sequential, 2 workers
+		sql  func(workload.SyntheticConfig) string
+		c    [3]float64 // sequential at full size, sequential at a tenth, 2 workers at a tenth
 		kib  uint64
 	}{
-		{"type-N", workload.TypeNQuery(cfg), [2]float64{0.20, 0.20}, 64},
-		{"type-J", workload.TypeJQuery(cfg), [2]float64{0.50, 0.50}, 37},
-		{"type-JA-COUNT", workload.TypeJAQuery(cfg), [2]float64{1.03, 1.26}, 118},
-		{"type-JA-MAX", workload.TypeJAMaxQuery(cfg), [2]float64{0.93, 1.12}, 115},
+		{"type-N", workload.TypeNQuery, [3]float64{0.016, 0.20, 0.20}, 64},
+		{"type-J", workload.TypeJQuery, [3]float64{0.040, 0.50, 0.50}, 37},
+		{"type-JA-COUNT", workload.TypeJAQuery, [3]float64{0.113, 1.03, 1.26}, 118},
+		{"type-JA-MAX", workload.TypeJAMaxQuery, [3]float64{0.099, 0.93, 1.12}, 115},
 	}
-	for i, workers := range []int{0, 2} {
+	for i, arm := range []struct{ workers, scale int }{{0, 1}, {0, 10}, {2, 10}} {
+		db, cfg := jaSeqShape(t, arm.scale)
 		opts := engine.Options{Strategy: engine.TransformJA2,
-			Planner: planner.Options{Parallelism: workers, ForceParallel: workers > 1}}
+			Planner: planner.Options{Parallelism: arm.workers, ForceParallel: arm.workers > 1}}
 		for _, s := range shapes {
 			least, bytes, rows := ^uint64(0), ^uint64(0), 0
 			for range 4 { // the first run warms the pools; the least of the rest is the query's own
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				res, err := db.Query(s.sql, opts)
+				res, err := db.Query(s.sql(cfg), opts)
 				runtime.ReadMemStats(&after)
 				if err != nil {
 					t.Fatalf("%s: %v", s.name, err)
@@ -136,12 +142,12 @@ func TestJA2AllocBudget(t *testing.T) {
 				bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 			}
 			perRow := float64(least) / float64(cfg.OuterTuples+cfg.InnerTuples+rows)
-			t.Logf("%s, %d workers: %.2f allocations per input and output row, %d KiB", s.name, workers, perRow, bytes>>10)
+			t.Logf("%s, %d workers, 1/%d size: %.3f allocations per input and output row, %d KiB", s.name, arm.workers, arm.scale, perRow, bytes>>10)
 			if perRow > s.c[i] {
-				t.Errorf("%s, %d workers: %d allocations, %.2f per input and output row, budget %.2f", s.name, workers, least, perRow, s.c[i])
+				t.Errorf("%s, %d workers, 1/%d size: %d allocations, %.3f per input and output row, budget %.3f", s.name, arm.workers, arm.scale, least, perRow, s.c[i])
 			}
-			if workers > 1 && bytes > s.kib<<10 {
-				t.Errorf("%s, %d workers: allocated %d KiB, budget %d KiB", s.name, workers, bytes>>10, s.kib)
+			if arm.workers > 1 && bytes > s.kib<<10 {
+				t.Errorf("%s, %d workers: allocated %d KiB, budget %d KiB", s.name, arm.workers, bytes>>10, s.kib)
 			}
 		}
 	}

@@ -156,7 +156,7 @@ func (s *Sort) Open() error {
 		if err := s.sortBuf(buf); err != nil {
 			return err
 		}
-		run, err := s.writeRun(tpp, func(w *runWriter) error {
+		run, err := s.writeRun(tpp, len(buf), func(w *runWriter) error {
 			for _, it := range buf {
 				if err := w.append(it.t); err != nil {
 					return err
@@ -271,15 +271,17 @@ func (w *runWriter) append(t storage.Tuple) error {
 	return nil
 }
 
-// writeRun creates a run, has fill write its tuples in sorted order, and
-// seals it. On any failure — an error, or a panic (torn-write fault)
-// unwinding through an append — the partial run is dropped. Heap run
-// pages are produced in memory, so their writes are the whole cost; reads
-// during merging use ReadPageDirect.
-func (s *Sort) writeRun(tpp int, fill func(*runWriter) error) (run sortRun, err error) {
+// writeRun creates a run, has fill write its n tuples in sorted order,
+// and seals it; a heap run's pages come from one slab sized for n. On any
+// failure — an error, or a panic (torn-write fault) unwinding through an
+// append — the partial run is dropped. Heap run pages are produced in
+// memory, so their writes are the whole cost; reads during merging use
+// ReadPageDirect.
+func (s *Sort) writeRun(tpp, n int, fill func(*runWriter) error) (run sortRun, err error) {
 	var w runWriter
 	if !s.spillMode {
 		w.heap = s.Store.CreateTemp(tpp)
+		w.heap.Grow(n)
 	} else if w.sp, err = s.Spill.NewWriter(); err != nil {
 		return run, err
 	}
@@ -361,6 +363,7 @@ func (c *runCursor) advance() error {
 // mergeRuns merges sorted runs into a single new run.
 func (s *Sort) mergeRuns(runs []sortRun, tpp int) (sortRun, error) {
 	cursors := make([]*runCursor, len(runs))
+	n := 0 // the merged run's length, when it goes to the heap
 	defer func() {
 		for _, c := range cursors {
 			if c != nil {
@@ -377,8 +380,11 @@ func (s *Sort) mergeRuns(runs []sortRun, tpp int) (sortRun, error) {
 		if err := c.advance(); err != nil {
 			return sortRun{}, err
 		}
+		if r.heap != nil {
+			n += r.heap.NumTuples()
+		}
 	}
-	return s.writeRun(tpp, func(w *runWriter) error {
+	return s.writeRun(tpp, n, func(w *runWriter) error {
 		for {
 			if err := s.QC.Check(); err != nil {
 				return err

@@ -19,6 +19,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -71,19 +72,29 @@ func (s IOStats) String() string {
 // page counts (Pi, Pj, ...).
 const DefaultTuplesPerPage = 32
 
-// page is one disk page: a bounded slice of tuples.
-type page struct {
-	tuples []Tuple
-}
+// slabTuples caps an unhinted slab at about 4 KiB of 24-byte tuple
+// headers.
+const slabTuples = 170
 
 // HeapFile is a relation's stored representation: an ordered sequence of
-// pages, scanned sequentially as in the paper's analyses.
+// pages, scanned sequentially as in the paper's analyses. A page is a
+// slice of tuples carved, capped at the page capacity, from a slab the
+// file owns (see newPage), so opening a page costs no allocation of its
+// own and a page can never grow into its neighbour.
+//
+// A temp file is made per sort run and per materialized temporary, so the
+// struct is kept within the 80-byte size class: the page capacity is an
+// int32, and the tuple count is derived from the pages (every page but the
+// last is full).
 type HeapFile struct {
-	store         *Store
-	name          string
-	tuplesPerPage int
-	pages         []*page
-	nTuples       int
+	store *Store
+	name  string
+	pages [][]Tuple
+	// slab is the unused tail of the array the next pages are carved
+	// from. It pins that whole array, so it belongs to this file alone:
+	// Replace takes the shadow's, TruncateTo drops it.
+	slab          []Tuple
+	tuplesPerPage int32
 	// sealed marks the final partial page as written; further appends
 	// are a programming error.
 	sealed bool
@@ -105,11 +116,20 @@ func (f *HeapFile) NumPages() int {
 func (f *HeapFile) NumTuples() int {
 	f.store.mu.Lock()
 	defer f.store.mu.Unlock()
-	return f.nTuples
+	return f.numTuples()
+}
+
+// numTuples is NumTuples for a caller holding the store mutex.
+func (f *HeapFile) numTuples() int {
+	k := len(f.pages)
+	if k == 0 {
+		return 0
+	}
+	return (k-1)*f.TuplesPerPage() + len(f.pages[k-1])
 }
 
 // TuplesPerPage returns the page capacity.
-func (f *HeapFile) TuplesPerPage() int { return f.tuplesPerPage }
+func (f *HeapFile) TuplesPerPage() int { return int(f.tuplesPerPage) }
 
 // Append adds one tuple, counting a page write each time a page fills.
 // Call Seal when the file is complete so the final partial page is
@@ -138,14 +158,50 @@ func (f *HeapFile) Append(t Tuple) {
 		defer panic(tear)
 	}
 	f.sealed = false
-	if len(f.pages) == 0 || len(f.pages[len(f.pages)-1].tuples) == f.tuplesPerPage {
-		f.pages = append(f.pages, &page{tuples: make([]Tuple, 0, f.tuplesPerPage)})
+	tpp := f.TuplesPerPage()
+	if len(f.pages) == 0 || len(f.pages[len(f.pages)-1]) == tpp {
+		f.pages = append(f.pages, f.newPage())
 	}
-	last := f.pages[len(f.pages)-1]
-	last.tuples = append(last.tuples, t)
-	f.nTuples++
-	if len(last.tuples) == f.tuplesPerPage {
+	last := &f.pages[len(f.pages)-1]
+	*last = append(*last, t)
+	if len(*last) == tpp {
 		f.store.stats.Writes++
+	}
+}
+
+// newPage carves an empty page from the slab, first replacing a slab with
+// less than a page left by one holding as many pages as the file has so
+// far, up to slabTuples (a Grow hint sizes it instead). The first slab is
+// one page, so a small file allocates what it would page by page.
+func (f *HeapFile) newPage() []Tuple {
+	tpp := f.TuplesPerPage()
+	if len(f.slab) < tpp {
+		f.slab = make([]Tuple, max(1, min(len(f.pages), slabTuples/tpp))*tpp)
+	}
+	p := f.slab[:0:tpp]
+	f.slab = f.slab[tpp:]
+	return p
+}
+
+// Grow hints that n more tuples are about to be appended: the pages they
+// need beyond the open one come from a single slab, and the page index is
+// sized to hold them, so the appends allocate at most twice in all. A
+// slab it makes is never smaller than the one newPage would make, so a
+// short hint costs no more allocations than none.
+func (f *HeapFile) Grow(n int) {
+	f.store.mu.Lock()
+	defer f.store.mu.Unlock()
+	tpp := f.TuplesPerPage()
+	if k := len(f.pages); k > 0 {
+		n -= tpp - len(f.pages[k-1]) // room left in the open page
+	}
+	need := (n + tpp - 1) / tpp
+	if need <= 0 {
+		return
+	}
+	f.pages = slices.Grow(f.pages, need)
+	if len(f.slab) < need*tpp {
+		f.slab = make([]Tuple, max(need, min(len(f.pages), slabTuples/tpp))*tpp)
 	}
 }
 
@@ -158,7 +214,7 @@ func (f *HeapFile) Seal() {
 		return
 	}
 	f.sealed = true
-	if n := len(f.pages); n > 0 && len(f.pages[n-1].tuples) < f.tuplesPerPage {
+	if n := len(f.pages); n > 0 && len(f.pages[n-1]) < f.TuplesPerPage() {
 		f.store.stats.Writes++
 	}
 }
@@ -177,7 +233,7 @@ func (f *HeapFile) ReadPage(i int) []Tuple {
 		panic(fmt.Sprintf("storage: page %d out of range for %s (%d pages)", i, f.name, len(f.pages)))
 	}
 	f.store.pool.touch(pageID{file: f, idx: i})
-	return f.pages[i].tuples
+	return f.pages[i]
 }
 
 // ReadPageDirect fetches page i bypassing the buffer pool, always counting
@@ -196,7 +252,7 @@ func (f *HeapFile) ReadPageDirect(i int) []Tuple {
 		panic(fmt.Sprintf("storage: page %d out of range for %s (%d pages)", i, f.name, len(f.pages)))
 	}
 	f.store.stats.Reads++
-	return f.pages[i].tuples
+	return f.pages[i]
 }
 
 // Scan calls fn for every tuple in sequential page order, reading through
@@ -221,8 +277,9 @@ func (f *HeapFile) Scan(fn func(Tuple) bool) {
 // with the original contents intact and the shadow dropped — DML stays
 // all-or-nothing under fault injection.
 func (f *HeapFile) Replace(rows []Tuple) {
-	shadow := f.store.CreateTemp(f.tuplesPerPage)
+	shadow := f.store.CreateTemp(f.TuplesPerPage())
 	defer f.store.Drop(shadow.name)
+	shadow.Grow(len(rows))
 	for _, t := range rows {
 		shadow.Append(t)
 	}
@@ -231,31 +288,37 @@ func (f *HeapFile) Replace(rows []Tuple) {
 	defer f.store.mu.Unlock()
 	f.store.pool.invalidate(f)
 	f.store.pool.invalidate(shadow)
-	f.pages = shadow.pages
-	f.nTuples = shadow.nTuples
+	// The old slab goes with the old pages: its tail would pin their
+	// tuples, deleted rows included.
+	f.pages, f.slab = shadow.pages, shadow.slab
 	f.sealed = true
-	shadow.pages = nil
-	shadow.nTuples = 0
+	shadow.pages, shadow.slab = nil, nil
 }
 
 // TruncateTo discards every tuple appended after the first n, restoring
 // the file to a prior boundary. Batch loaders use it to unwind a torn
-// append so a failed batch leaves no partial rows behind.
+// append so a failed batch leaves no partial rows behind. The dropped
+// tuple slots are cleared and the slab dropped, so nothing the file no
+// longer holds stays reachable through it.
 func (f *HeapFile) TruncateTo(n int) {
 	f.store.mu.Lock()
 	defer f.store.mu.Unlock()
-	if n < 0 || n >= f.nTuples {
+	if n < 0 || n >= f.numTuples() {
 		return
 	}
 	f.store.pool.invalidate(f)
-	full, rem := n/f.tuplesPerPage, n%f.tuplesPerPage
+	full, rem := n/f.TuplesPerPage(), n%f.TuplesPerPage()
 	if rem > 0 {
-		f.pages[full].tuples = f.pages[full].tuples[:rem]
-		f.pages = f.pages[:full+1]
-	} else {
-		f.pages = f.pages[:full]
+		clear(f.pages[full][rem:])
+		f.pages[full] = f.pages[full][:rem]
+		full++
 	}
-	f.nTuples = n
+	for _, p := range f.pages[full:] {
+		clear(p)
+	}
+	clear(f.pages[full:])
+	f.pages = f.pages[:full]
+	f.slab = nil
 	f.sealed = false
 }
 
@@ -385,7 +448,7 @@ func (s *Store) create(name string, tuplesPerPage int) (*HeapFile, error) {
 	if tuplesPerPage <= 0 {
 		tuplesPerPage = DefaultTuplesPerPage
 	}
-	f := &HeapFile{store: s, name: name, tuplesPerPage: tuplesPerPage}
+	f := &HeapFile{store: s, name: name, tuplesPerPage: int32(tuplesPerPage)}
 	s.files[name] = f
 	return f, nil
 }

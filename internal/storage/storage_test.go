@@ -2,8 +2,10 @@ package storage
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/value"
 )
@@ -428,5 +430,159 @@ func TestReplaceEmptyFile(t *testing.T) {
 	f.Replace(nil)
 	if f.NumTuples() != 0 || f.NumPages() != 0 || s.Stats().Total() != 0 {
 		t.Errorf("replace of an empty file: %d tuples, %d pages, %v", f.NumTuples(), f.NumPages(), s.Stats())
+	}
+}
+
+// TestTruncateClearsDroppedSlots: pages share their file's slab, so a
+// dropped tuple slot left set would keep its row alive through the page
+// that is kept. Every slot past the cut, in the kept page and in the
+// pages dropped whole, reads nil afterwards.
+func TestTruncateClearsDroppedSlots(t *testing.T) {
+	s := NewStore(4)
+	f, _ := s.Create("R", 10)
+	fill(f, 25)
+	dropped := f.ReadPage(2)
+	f.TruncateTo(13)
+	if f.NumTuples() != 13 || f.NumPages() != 2 {
+		t.Fatalf("after truncate: %d tuples, %d pages", f.NumTuples(), f.NumPages())
+	}
+	kept := f.ReadPage(1)
+	for i, tu := range kept[:cap(kept)] {
+		if (i < 3) != (tu != nil) {
+			t.Errorf("kept page slot %d = %v after truncating to 3 of its tuples", i, tu)
+		}
+	}
+	for i, tu := range dropped {
+		if tu != nil {
+			t.Errorf("dropped page slot %d = %v", i, tu)
+		}
+	}
+	for i, p := range f.pages[:cap(f.pages)][f.NumPages():] {
+		if p != nil {
+			t.Errorf("page index slot %d still holds a dropped page", f.NumPages()+i)
+		}
+	}
+	// The file refills past the cut exactly as if it had never held it.
+	for i := range 12 {
+		f.Append(intTuple(int64(100 + i)))
+	}
+	if f.NumTuples() != 25 || f.NumPages() != 3 || len(f.ReadPage(1)) != 10 {
+		t.Errorf("after refill: %d tuples, %d pages", f.NumTuples(), f.NumPages())
+	}
+}
+
+// TestReplaceTakesShadowSlab: the spare tail of a file's slab pins the
+// whole array its old pages were carved from, deleted rows included, so
+// Replace hands the file the shadow's slab and pages carved after it
+// never come from the old array.
+func TestReplaceTakesShadowSlab(t *testing.T) {
+	s := NewStore(4)
+	f, _ := s.Create("R", 10)
+	fill(f, 25) // slabs of 1, 1 and 2 pages: one page spare
+	old := f.slab
+	if len(old) == 0 {
+		t.Fatal("no spare slab to test with")
+	}
+	replaceWith(f, func(tu Tuple) Tuple {
+		if tu[0].Int() >= 5 {
+			return nil
+		}
+		return tu
+	})
+	fill(f, 40)
+	for i, tu := range old[:cap(old)] {
+		if tu != nil {
+			t.Fatalf("page carved after Replace wrote slot %d of the old slab: %v", i, tu)
+		}
+	}
+}
+
+// TestGrowKeepsPagingAndIO: a Grow hint, short, exact or long, and given
+// to an empty or a half-filled file, changes where pages are carved from
+// and nothing else: the same pages, tuples and writes as no hint, and
+// every page capped at its capacity.
+func TestGrowKeepsPagingAndIO(t *testing.T) {
+	for _, pre := range []int{0, 7} {
+		for _, hint := range []int{0, 1, 13, 30, 100} {
+			s := NewStore(4)
+			f, _ := s.Create("R", 10)
+			for i := range pre {
+				f.Append(intTuple(int64(i)))
+			}
+			f.Grow(hint)
+			for i := pre; i < 43; i++ {
+				f.Append(intTuple(int64(i)))
+			}
+			f.Seal()
+			if f.NumPages() != 5 || s.Stats().Writes != 5 {
+				t.Errorf("pre %d, hint %d: %d pages, %d writes, want 5 and 5", pre, hint, f.NumPages(), s.Stats().Writes)
+			}
+			next := int64(0)
+			for i := range f.NumPages() {
+				p := f.ReadPage(i)
+				if cap(p) != 10 {
+					t.Errorf("pre %d, hint %d: page %d has capacity %d", pre, hint, i, cap(p))
+				}
+				for _, tu := range p {
+					if tu[0].Int() != next {
+						t.Fatalf("pre %d, hint %d: page %d holds %v, want %d", pre, hint, i, tu, next)
+					}
+					next++
+				}
+			}
+		}
+	}
+}
+
+// TestPageSlabAllocBudget: opening a page costs no allocation of its own.
+// Appending n tuples to a file hinted with Grow(n) allocates at most
+// twice, the slab and the page index; unhinted, a file allocates once per
+// slab of up to slabTuples headers plus the page index's regrowths, not a
+// page header and a tuple slice per page. A one-tuple hint before every
+// append, as single-row INSERTs give, allocates no more than no hint.
+func TestPageSlabAllocBudget(t *testing.T) {
+	if size := unsafe.Sizeof(HeapFile{}); size > 80 {
+		t.Errorf("HeapFile is %d bytes: every temp file now allocates past the 80-byte size class", size)
+	}
+	const tpp, n, runs = 32, 200 * 32, 10
+	tuples := make([]Tuple, n)
+	for i := range tuples {
+		tuples[i] = intTuple(int64(i))
+	}
+	// full slabs, then the first slabs' and the index's doublings
+	unhinted := n/tpp/(slabTuples/tpp) + 2*bits.Len(n/tpp)
+	for _, hint := range []struct {
+		name   string
+		whole  bool // Grow(n) once
+		each   bool // Grow(1) before every append
+		budget int
+	}{
+		{"Grow(n)", true, false, 2},
+		{"Grow(1) per tuple", false, true, unhinted},
+		{"no hint", false, false, unhinted},
+	} {
+		s := NewStore(4)
+		files := make([]*HeapFile, runs+1)
+		for i := range files {
+			files[i], _ = s.Create(fmt.Sprint("R", i), tpp)
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			f := files[next]
+			next++
+			if hint.whole {
+				f.Grow(n)
+			}
+			for _, tu := range tuples {
+				if hint.each {
+					f.Grow(1)
+				}
+				f.Append(tu)
+			}
+		})
+		t.Logf("%s: %.0f allocations for %d pages", hint.name, allocs, n/tpp)
+		if allocs > float64(hint.budget) {
+			t.Errorf("%s: %.0f allocations for %d pages, budget %d", hint.name, allocs, n/tpp, hint.budget)
+		}
 	}
 }
