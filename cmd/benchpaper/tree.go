@@ -8,6 +8,7 @@ import (
 	"repro/internal/querygraph"
 	"repro/internal/schema"
 	"repro/internal/sqlparser"
+	"repro/internal/trace"
 	"repro/internal/transform"
 	"repro/internal/workload"
 )
@@ -103,9 +104,9 @@ func expPredicates() {
 		ni := runStrategy(db, c.sql, engine.NestedIteration)
 		ja2 := runStrategy(db, c.sql, engine.TransformJA2)
 		agree := fmt.Sprint(ni.Rows) == fmt.Sprint(ja2.Rows)
-		for _, t := range ja2.Trace {
-			if len(t) >= 6 && t[:6] == "EXTEND" {
-				fmt.Printf("    %s\n", t)
+		for _, e := range ja2.Trace {
+			if e.Kind == trace.Step && e.Label == "EXTEND" {
+				fmt.Printf("    %s\n", e)
 			}
 		}
 		fmt.Printf("    nested iteration: %v   transformed: %v   agree: %v\n\n",

@@ -6,10 +6,16 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/exec"
+	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // definedFlags lists the flags cmd/<bin> declares, read from its
@@ -395,6 +401,103 @@ func TestOneSpillPath(t *testing.T) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && id.Name == "maxSpillDepth" {
 				t.Errorf("%s names maxSpillDepth: no operator re-splits spilled data", path)
+			}
+			return true
+		})
+	})
+}
+
+// A query's trace used to be text: every query formatted its plan notes
+// and plan outlines, and its readers parsed that text back — the storms
+// counted degradation rungs by substring, tests grepped for join methods,
+// and the paper experiments picked steps by a six-byte prefix. The trace
+// is typed events now, internal/trace, recorded always and rendered only
+// on read, and the text form must not come back unnoticed:
+// engine.Result.Trace is not []string; no field reachable from a
+// trace.Event holds an operator, a heap file or a row, so a finished
+// Result pins no temp pages or hash tables; and no non-test file outside
+// bench/ runs strings.Contains or strings.HasPrefix over rendered trace
+// text — a reader asks an event's Kind and fields.
+func TestOneTrace(t *testing.T) {
+	if f, _ := reflect.TypeOf(engine.Result{}).FieldByName("Trace"); f.Type == reflect.TypeOf([]string(nil)) {
+		t.Error("engine.Result.Trace is []string: record trace.Event values and render them on read")
+	}
+	operator := reflect.TypeOf((*exec.Operator)(nil)).Elem()
+	pinned := map[reflect.Type]bool{operator: true, reflect.TypeOf((*storage.HeapFile)(nil)): true, reflect.TypeOf(storage.Tuple(nil)): true}
+	seen := map[reflect.Type]bool{}
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		if pinned[ty] || ty.Kind() != reflect.Interface && ty.Implements(operator) {
+			t.Errorf("trace.Event reaches %s of type %v: an event holds values, never what executes or stores", path, ty)
+		}
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Map:
+			walk(path+"[]", ty.Elem())
+		case reflect.Struct:
+			for i := range ty.NumField() {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		}
+	}
+	walk("Event", reflect.TypeOf(trace.Event{}))
+
+	textual := func(e ast.Expr, tainted map[string]bool) bool {
+		found := false
+		ast.Inspect(e, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				found = found || n.Sel.Name == "Trace" || n.Sel.Name == "Lines"
+			case *ast.Ident:
+				found = found || tainted[n.Name]
+			}
+			return !found
+		})
+		return found
+	}
+	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
+		if strings.HasPrefix(filepath.ToSlash(path), "bench/") {
+			return
+		}
+		// Names bound to trace text or events: ranged over, or assigned
+		// from, an expression that reads a trace. Two passes reach names
+		// bound from names.
+		tainted := map[string]bool{}
+		for range 2 {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.RangeStmt:
+					if v, ok := n.Value.(*ast.Ident); ok && textual(n.X, tainted) {
+						tainted[v.Name] = true
+					}
+				case *ast.AssignStmt:
+					for i, rhs := range n.Rhs {
+						if id, ok := n.Lhs[min(i, len(n.Lhs)-1)].(*ast.Ident); ok && textual(rhs, tainted) {
+							tainted[id.Name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Contains" && sel.Sel.Name != "HasPrefix" {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "strings" {
+				return true
+			}
+			if textual(call.Args[0], tainted) {
+				t.Errorf("%s:%d runs strings.%s over trace text: ask the events' Kind and fields",
+					path, lineOf(t, path, int(call.Pos()-file.FileStart)), sel.Sel.Name)
 			}
 			return true
 		})

@@ -18,6 +18,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,6 +37,7 @@ import (
 	"repro/internal/sqlparser"
 	"repro/internal/stats"
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/transform"
 	"repro/internal/wal"
 )
@@ -406,7 +408,7 @@ type Result struct {
 	FellBack bool            // true if transformation fell back to nested iteration
 	Affected int64           // rows inserted/updated/deleted by Exec DML
 	Profile  classify.QueryProfile
-	Trace    []string // transformation steps and plan notes
+	Trace    []trace.Event // transformation steps and plan notes, rendered on read
 }
 
 // Query parses, resolves, and executes one SQL statement. With admission
@@ -576,7 +578,7 @@ func (db *DB) execute(qb *ast.QueryBlock, opts Options) (*Result, error) {
 		// Drop the failed attempt's transform/plan notes so Explain shows
 		// one coherent execution, then record the retry itself.
 		res.Trace = append(res.Trace[:baseTrace],
-			fmt.Sprintf("transient fault (%v); retry %d after %v", err, attempt, delay))
+			trace.Event{Kind: trace.TransientRetry, N: int64(attempt), Detail: &trace.Detail{Err: err, Delay: delay}})
 		baseTrace = len(res.Trace)
 		interrupted := false
 		select {
@@ -633,7 +635,7 @@ func (db *DB) runNested(qb *ast.QueryBlock, qc *qctx.QueryContext, stream *strea
 	} else {
 		res.Rows = rows
 	}
-	res.Trace = append(res.Trace, "evaluated by nested iteration")
+	res.Trace = append(res.Trace, trace.Event{Kind: trace.NestedIteration})
 	return nil
 }
 
@@ -641,14 +643,15 @@ func (db *DB) runTransformed(qb *ast.QueryBlock, variant transform.Variant, opts
 	tr, err := transform.New(db.cat, variant).Transform(qb)
 	if errors.Is(err, transform.ErrNotTransformable) && !opts.NoFallback {
 		res.FellBack = true
-		res.Trace = append(res.Trace, fmt.Sprintf("fallback to nested iteration: %v", err))
+		res.Trace = append(res.Trace, trace.Event{Kind: trace.Fallback, Detail: &trace.Detail{Err: err}})
 		return db.runNested(qb, qc, opts.stream, res)
 	}
 	if err != nil {
 		return err
 	}
+	res.Trace = slices.Grow(res.Trace, traceRoom(tr, opts.Planner, qc))
 	for _, s := range tr.Steps {
-		res.Trace = append(res.Trace, s.Rule+": "+s.Detail)
+		res.Trace = append(res.Trace, trace.Event{Kind: trace.Step, Label: s.Rule, Text: s.Detail})
 	}
 	popts := opts.Planner
 	if popts.Stats == nil {
@@ -686,12 +689,13 @@ func (db *DB) runTransformed(qb *ast.QueryBlock, variant transform.Variant, opts
 	var rows []storage.Tuple
 	runPlan := func(o planner.Options) error {
 		pl := planner.New(db.cat, db.store, o)
+		pl.Trace = res.Trace
 		err := contain(func() error {
 			var err error
 			rows, _, err = pl.Run(tr)
 			return err
 		})
-		res.Trace = append(res.Trace, pl.Notes()...)
+		res.Trace = pl.Trace
 		return err
 	}
 	err = runPlan(popts)
@@ -709,7 +713,7 @@ func (db *DB) runTransformed(qb *ast.QueryBlock, variant transform.Variant, opts
 		// and row-budget violations are not retried — a sequential run
 		// would exceed the same limits.
 		qc.ResetUsage()
-		res.Trace = append(res.Trace, fmt.Sprintf("parallel plan failed (%v); retrying sequentially", err))
+		res.Trace = append(res.Trace, trace.Event{Kind: trace.SequentialRerun, Detail: &trace.Detail{Err: err}})
 		err = runPlan(seq)
 	}
 	if errors.Is(err, qctx.ErrMemoryBudget) && sess != nil &&
@@ -727,13 +731,13 @@ func (db *DB) runTransformed(qb *ast.QueryBlock, variant transform.Variant, opts
 		// unbudgeted rows, in the same order.
 		qc.ResetUsage()
 		qc.ForceSpill()
-		res.Trace = append(res.Trace, fmt.Sprintf("memory budget exceeded (%v); retrying with forced spill", err))
+		res.Trace = append(res.Trace, trace.Event{Kind: trace.ForcedSpillRerun, Detail: &trace.Detail{Err: err}})
 		err = runPlan(seq)
 	}
 	if sess != nil {
 		res.Spill = sess.Stats()
 		if res.Spill.Runs > 0 {
-			res.Trace = append(res.Trace, fmt.Sprintf("spill: %d run(s), %d bytes", res.Spill.Runs, res.Spill.Bytes))
+			res.Trace = append(res.Trace, trace.Event{Kind: trace.Spill, N: res.Spill.Runs, M: res.Spill.Bytes})
 		}
 	}
 	if err != nil {
@@ -741,6 +745,23 @@ func (db *DB) runTransformed(qb *ast.QueryBlock, variant transform.Variant, opts
 	}
 	res.Rows = rows
 	return nil
+}
+
+// traceRoom sizes a transformed query's trace, so that the planner appends
+// its events to the slice that holds the steps: the steps, and per block
+// its plan, its grouping or ordering, a temp's materialization, and per
+// join one decision — three where the plan sort-merges, which records
+// each input's sort or its elision.
+func traceRoom(tr *transform.Result, o planner.Options, qc *qctx.QueryContext) int {
+	perJoin := 1
+	if o.TempJoin == planner.JoinMerge || o.FinalJoin == planner.JoinMerge || qc.SpillPolicy() == qctx.SpillForced {
+		perJoin = 3
+	}
+	n := len(tr.Steps) + 2 + perJoin*(len(tr.Query.From)-1)
+	for _, t := range tr.Temps {
+		n += 3 + perJoin*(len(t.Def.From)-1)
+	}
+	return n
 }
 
 // retrySequentially reports whether a parallel-plan failure is worth one
@@ -784,8 +805,8 @@ func (db *DB) Explain(sql string, opts Options) (string, error) {
 	}
 	if len(res.Trace) > 0 {
 		s += "\nSteps:\n"
-		for _, t := range res.Trace {
-			s += "  " + t + "\n"
+		for _, e := range res.Trace {
+			s += "  " + e.String() + "\n"
 		}
 	}
 	s += fmt.Sprintf("\nMeasured cost: %v\nRows: %d\n", res.Stats, len(res.Rows))

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/planner"
 	"repro/internal/schema"
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/value"
 	"repro/internal/workload"
 )
@@ -365,3 +367,14 @@ func TestOuterAliasShadowingTempName(t *testing.T) {
 		t.Errorf("alias shadowing diverges: JA2 vs NI: %s", d)
 	}
 }
+
+// hasKind reports whether res's trace holds an event of kind k.
+func hasKind(res *engine.Result, k trace.Kind) bool { return slices.ContainsFunc(res.Trace, isKind(k)) }
+
+func isKind(k trace.Kind) func(trace.Event) bool {
+	return func(e trace.Event) bool { return e.Kind == k }
+}
+
+// traceText renders res's trace, for failure messages and for the plan
+// outline fragments no event kind names.
+func traceText(res *engine.Result) string { return strings.Join(trace.Lines(res.Trace), "\n") }

@@ -2,12 +2,14 @@ package engine_test
 
 import (
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/schema"
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -51,8 +53,10 @@ func TestIndexScanUsedAndCheaper(t *testing.T) {
 	if len(withIdx.Rows) != 5 {
 		t.Errorf("rows = %d, want 5", len(withIdx.Rows))
 	}
-	if !strings.Contains(strings.Join(withIdx.Trace, "\n"), "index scan on R.K") {
-		t.Errorf("index scan not chosen:\n%v", withIdx.Trace)
+	if !slices.ContainsFunc(withIdx.Trace, func(e trace.Event) bool {
+		return e.Kind == trace.IndexScan && e.Cols[0] == exec.ColID{Table: "R", Column: "K"}
+	}) {
+		t.Errorf("index scan not chosen:\n%s", traceText(withIdx))
 	}
 	if withIdx.Stats.Total() >= noIdx.Stats.Total() {
 		t.Errorf("index scan I/O %v not below seq scan %v", withIdx.Stats, noIdx.Stats)
@@ -66,8 +70,8 @@ func TestIndexNotUsedForUnselectivePredicate(t *testing.T) {
 	}
 	// K >= 0 matches everything: a full scan is cheaper.
 	res := query(t, db, "SELECT K FROM R WHERE K >= 0", engine.Options{Strategy: engine.TransformJA2})
-	if strings.Contains(strings.Join(res.Trace, "\n"), "index scan") {
-		t.Errorf("index scan chosen for an unselective predicate:\n%v", res.Trace)
+	if hasKind(res, trace.IndexScan) {
+		t.Errorf("index scan chosen for an unselective predicate:\n%s", traceText(res))
 	}
 	if len(res.Rows) != 500 {
 		t.Errorf("rows = %d", len(res.Rows))

@@ -73,7 +73,7 @@ func TestJA2PageIOPinned(t *testing.T) {
 			if got := res.Stats.Total(); got > s.io || (s.exact && got != s.io) {
 				t.Errorf("%s: %d page I/Os, pinned at %d", s.name, got, s.io)
 			}
-			trace := strings.Join(res.Trace, "\n")
+			trace := traceText(res)
 			for _, frag := range s.traces {
 				if !strings.Contains(trace, frag) {
 					t.Errorf("%s: trace lost %q:\n%s", s.name, frag, trace)
@@ -101,12 +101,17 @@ func TestJA2PageIOPinned(t *testing.T) {
 // COUNT and MAX temp joins build only the two columns their GroupAgg
 // reads, carved from shared chunks, and every group is held by value in
 // one group table: at a tenth c = 0.90 and 0.81 sequential, 1.14 and
-// 1.01 on 2 workers, whose budgets sit 8–15% above that, below the
-// 1.05/0.94 and 1.28/1.14 of five heap objects per group (a group, its
-// key, accumulator slice, accumulator and row). At full size pages are
-// carved from per-file slabs: c = 0.014, 0.036, 0.102 and 0.090, with
-// budgets about 10% above; a page slice and a page header allocated per
-// page measure 0.031, 0.072, 0.166 and 0.134.
+// 1.01 on 2 workers, against the 1.05/0.94 and 1.28/1.14 of five heap
+// objects per group (a group, its key, accumulator slice, accumulator and
+// row). At full size pages are
+// carved from per-file slabs: c = 0.014, 0.036, 0.102 and 0.090; a page
+// slice and a page header allocated per page measure 0.031, 0.072, 0.166
+// and 0.134. A query records its trace as events and formats none of it:
+// c = 0.011, 0.028, 0.082 and 0.073 at full size, 0.094, 0.245, 0.721 and
+// 0.640 at a tenth, 0.110, 0.278, 0.939 and 0.852 on 2 workers, with
+// budgets about 10% above; formatting the plan notes and outlines as the
+// plan was built measures 0.014, 0.036, 0.102 and 0.090, 0.123, 0.316,
+// 0.902 and 0.805, and 0.131, 0.331, 1.139 and 1.016.
 // Budgets hold without the race detector, whose sync.Pool drops a quarter
 // of what is put back: the alloc gate runs them so.
 func TestJA2AllocBudget(t *testing.T) {
@@ -119,10 +124,10 @@ func TestJA2AllocBudget(t *testing.T) {
 		c    [3]float64 // sequential at full size, sequential at a tenth, 2 workers at a tenth
 		kib  uint64
 	}{
-		{"type-N", workload.TypeNQuery, [3]float64{0.016, 0.20, 0.20}, 64},
-		{"type-J", workload.TypeJQuery, [3]float64{0.040, 0.50, 0.50}, 37},
-		{"type-JA-COUNT", workload.TypeJAQuery, [3]float64{0.113, 1.03, 1.26}, 118},
-		{"type-JA-MAX", workload.TypeJAMaxQuery, [3]float64{0.099, 0.93, 1.12}, 115},
+		{"type-N", workload.TypeNQuery, [3]float64{0.012, 0.105, 0.12}, 64},
+		{"type-J", workload.TypeJQuery, [3]float64{0.031, 0.27, 0.30}, 37},
+		{"type-JA-COUNT", workload.TypeJAQuery, [3]float64{0.090, 0.79, 1.03}, 118},
+		{"type-JA-MAX", workload.TypeJAMaxQuery, [3]float64{0.080, 0.70, 0.93}, 115},
 	}
 	for i, arm := range []struct{ workers, scale int }{{0, 1}, {0, 10}, {2, 10}} {
 		db, cfg := jaSeqShape(t, arm.scale)
@@ -157,10 +162,11 @@ func TestJA2AllocBudget(t *testing.T) {
 // row read back or built costs no allocation of its own. At spill_join's
 // size (half of ja_seq) the COUNT query with every buffer refused writes
 // 111 runs and re-reads its merge-join groups once per duplicate outer key;
-// it allocates 499 KiB in 1,985 objects doing so and may allocate 550 KiB
-// (a 64 KiB buffer per run written and per Open made that 44 MiB) in 2,150
-// objects (a fresh slice per row read back made it 6,490, one per row its
-// joins built 2,663, and heap objects per group 2,215) and have one spill
+// it allocates 498 KiB in 1,794 objects doing so and may allocate 550 KiB
+// (a 64 KiB buffer per run written and per Open made that 44 MiB) in 1,880
+// objects (formatting its trace as it planned made it 1,926, a fresh slice
+// per row read back 6,490, one per row its joins built 2,663, and heap
+// objects per group 2,215) and have one spill
 // file at a time (one file per
 // run had several whenever a row was emitted). Like TestJA2AllocBudget it
 // is measured without the race detector.
@@ -196,8 +202,8 @@ func TestForcedSpillAllocBudget(t *testing.T) {
 		t.Errorf("%d spill runs in at most %d file(s) at a time; want some runs, in one file", runs, files)
 	}
 	t.Logf("forced-spill query: %d allocations, %d KiB", objects, least>>10)
-	if objects > 2150 {
-		t.Errorf("forced-spill query made %d allocations, budget 2,150", objects)
+	if objects > 1880 {
+		t.Errorf("forced-spill query made %d allocations, budget 1,880", objects)
 	}
 	if least > 550<<10 {
 		t.Errorf("forced-spill query allocated %d KiB, budget 550 KiB", least>>10)
@@ -229,7 +235,7 @@ func TestResultRowsSurvivePoolReuse(t *testing.T) {
 	// A join that builds each row from both sides, out of order, carves
 	// its rows from shared chunks.
 	carved := query("SELECT RJ.VAL, RI.JC FROM RI, RJ WHERE RI.JC = RJ.JC", seq)
-	if trace := strings.Join(carved.Trace, "\n"); !strings.Contains(trace, "out=[4 0]") {
+	if trace := traceText(carved); !strings.Contains(trace, "out=[4 0]") {
 		t.Fatalf("the carved-rows query's join builds other columns:\n%s", trace)
 	}
 	kept := []*engine.Result{query(workload.TypeNQuery(cfg), par), query(workload.TypeJQuery(cfg), seq), carved}

@@ -2,8 +2,6 @@ package engine_test
 
 import (
 	"errors"
-	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +11,7 @@ import (
 	"repro/internal/qctx"
 	"repro/internal/schema"
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -187,14 +186,8 @@ func TestSequentialRetryAfterWorkerFault(t *testing.T) {
 	if d := diffNI(lifecycleQuery, res, want); d != "" {
 		t.Errorf("retried result differs from ground truth: %s", d)
 	}
-	retried := false
-	for _, line := range res.Trace {
-		if strings.Contains(line, "retrying sequentially") {
-			retried = true
-		}
-	}
-	if !retried {
-		t.Errorf("trace does not record the sequential retry: %v", res.Trace)
+	if !hasKind(res, trace.SequentialRerun) {
+		t.Errorf("trace does not record the sequential retry:\n%s", traceText(res))
 	}
 }
 
@@ -221,8 +214,8 @@ func TestWorkerFaultsLeaveParallelOpen(t *testing.T) {
 		if d := diffNI(lifecycleQuery, res, want); d != "" {
 			t.Errorf("query %d: rescued result differs from ground truth: %s", i, d)
 		}
-		if !slices.ContainsFunc(res.Trace, func(l string) bool { return strings.Contains(l, "retrying sequentially") }) {
-			t.Errorf("query %d: the worker fault was not rescued by the sequential rerun: %v", i, res.Trace)
+		if !hasKind(res, trace.SequentialRerun) {
+			t.Errorf("query %d: the worker fault was not rescued by the sequential rerun:\n%s", i, traceText(res))
 		}
 	}
 	db.SetFaults(nil)
@@ -230,9 +223,8 @@ func TestWorkerFaultsLeaveParallelOpen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fault-free query after the faults: %v", err)
 	}
-	plan := strings.Join(res.Trace, "\n")
-	if !strings.Contains(plan, "ExchangeMerge(workers=") || strings.Contains(plan, "retrying sequentially") {
-		t.Errorf("fault-free query after the faults did not run in parallel:\n%s", plan)
+	if !usedParallel(res) || hasKind(res, trace.SequentialRerun) {
+		t.Errorf("fault-free query after the faults did not run in parallel:\n%s", traceText(res))
 	}
 	if d := diffNI(lifecycleQuery, res, want); d != "" {
 		t.Errorf("fault-free parallel result differs from ground truth: %s", d)
@@ -270,11 +262,7 @@ func TestRowBudgetNotRetried(t *testing.T) {
 	if !errors.Is(err, qctx.ErrRowBudget) {
 		t.Fatalf("err = %v, want ErrRowBudget", err)
 	}
-	if res != nil {
-		for _, line := range res.Trace {
-			if strings.Contains(line, "retrying sequentially") {
-				t.Error("row-budget failure must not be retried")
-			}
-		}
+	if res != nil && hasKind(res, trace.SequentialRerun) {
+		t.Error("row-budget failure must not be retried")
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/qctx"
 	"repro/internal/schema"
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -528,8 +529,8 @@ func TestForcedSpillRerunSortMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan := strings.Join(want.Trace, "\n"); !strings.Contains(plan, "HashJoin") {
-		t.Fatalf("the unbudgeted plan does not hash-join; the rerun has nothing to replace:\n%s", plan)
+	if !hasKind(want, trace.HashJoin) {
+		t.Fatalf("the unbudgeted plan does not hash-join; the rerun has nothing to replace:\n%s", traceText(want))
 	}
 	if err := db.EnableSpill(t.TempDir(), 0); err != nil {
 		t.Fatal(err)
@@ -540,14 +541,14 @@ func TestForcedSpillRerunSortMerges(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		at := slices.IndexFunc(res.Trace, func(l string) bool { return strings.Contains(l, "retrying with forced spill") })
+		at := slices.IndexFunc(res.Trace, func(e trace.Event) bool { return e.Kind == trace.ForcedSpillRerun })
 		if at < 0 {
 			continue
 		}
 		reruns++
-		rerun := strings.Join(res.Trace[at+1:], "\n")
-		if strings.Contains(rerun, "HashJoin") || !strings.Contains(rerun, "MergeJoin") {
-			t.Errorf("%d bytes: the forced-spill rerun does not sort-merge:\n%s", budget, rerun)
+		rerun := res.Trace[at+1:]
+		if slices.ContainsFunc(rerun, isKind(trace.HashJoin)) || !slices.ContainsFunc(rerun, isKind(trace.MergeJoin)) {
+			t.Errorf("%d bytes: the forced-spill rerun does not sort-merge:\n%s", budget, strings.Join(trace.Lines(rerun), "\n"))
 		}
 		if sortedRows(res) != sortedRows(want) {
 			t.Errorf("%d bytes: the forced-spill rerun's rows differ from the unbudgeted run", budget)
@@ -569,9 +570,9 @@ func TestSpillForcedPlansSortMerge(t *testing.T) {
 	if err := db.EnableSpill(t.TempDir(), 0); err != nil {
 		t.Fatal(err)
 	}
-	for sql, ops := range map[string][]string{
-		memJAQuery: {"MergeJoin", "GroupAgg"},
-		`SELECT T1.K, COUNT(T1.V) AS CT FROM RB T1 GROUP BY T1.K`: {"GroupAgg"},
+	for sql, join := range map[string]bool{
+		memJAQuery: true,
+		`SELECT T1.K, COUNT(T1.V) AS CT FROM RB T1 GROUP BY T1.K`: false,
 	} {
 		want, err := db.Query(sql, engine.Options{Strategy: engine.TransformJA2})
 		if err != nil {
@@ -583,16 +584,14 @@ func TestSpillForcedPlansSortMerge(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q under SpillForced: %v", sql, err)
 		}
-		plan := strings.Join(res.Trace, "\n")
-		for _, op := range []string{"HashJoin", "ExchangeMerge", "ParallelHashGroup"} {
-			if strings.Contains(plan, op) {
-				t.Errorf("%q under SpillForced places %s:\n%s", sql, op, plan)
-			}
+		if hasKind(res, trace.HashJoin) || hasKind(res, trace.ParallelGroup) {
+			t.Errorf("%q under SpillForced places a hash operator:\n%s", sql, traceText(res))
 		}
-		for _, op := range ops {
-			if !strings.Contains(plan, op) {
-				t.Errorf("%q under SpillForced places no %s:\n%s", sql, op, plan)
-			}
+		if join && !hasKind(res, trace.MergeJoin) {
+			t.Errorf("%q under SpillForced places no merge join:\n%s", sql, traceText(res))
+		}
+		if !hasKind(res, trace.GroupSort) && !hasKind(res, trace.GroupOrdered) {
+			t.Errorf("%q under SpillForced places no sort-based GroupAgg:\n%s", sql, traceText(res))
 		}
 		if sortedRows(res) != sortedRows(want) {
 			t.Errorf("%q under SpillForced: rows differ from the unbudgeted run", sql)

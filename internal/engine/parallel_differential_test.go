@@ -2,13 +2,14 @@ package engine_test
 
 import (
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/planner"
 	"repro/internal/schema"
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -35,14 +36,15 @@ func parallelOpts(strategy engine.Strategy) engine.Options {
 	}
 }
 
-// usedParallel reports whether any plan note mentions a parallel operator.
-func usedParallel(res *engine.Result) bool {
-	for _, tr := range res.Trace {
-		if strings.Contains(tr, "parallel hash") {
-			return true
-		}
-	}
-	return false
+// usedParallel reports whether any plan note places a parallel operator.
+func usedParallel(res *engine.Result) bool { return parallelIn(res.Trace) }
+
+// parallelIn reports whether events place a parallel operator: a hash join
+// across workers or a parallel hash aggregation.
+func parallelIn(events []trace.Event) bool {
+	return slices.ContainsFunc(events, func(e trace.Event) bool {
+		return e.Kind == trace.ParallelGroup || e.Kind == trace.HashJoin && e.N > 1
+	})
 }
 
 // TestParallelDifferentialFuzz runs the grammar fuzzer's generated queries
@@ -237,12 +239,14 @@ func TestParallelOracleTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined := strings.Join(par.Trace, "\n")
-	if !strings.Contains(joined, "bag-equal to sequential plan") {
-		t.Error("oracle did not record the sequential comparison")
+	oracle := func(k trace.Kind, how storage.Agreement) bool {
+		return slices.ContainsFunc(par.Trace, func(e trace.Event) bool { return e.Kind == k && e.Agree == how })
 	}
-	if !strings.Contains(joined, "set-equal to nested iteration") {
-		t.Error("oracle did not record the nested-iteration comparison")
+	if !oracle(trace.OracleSequential, storage.AgreeBag) {
+		t.Errorf("oracle did not record the sequential comparison:\n%s", traceText(par))
+	}
+	if !oracle(trace.OracleNestedIteration, storage.AgreeSet) {
+		t.Errorf("oracle did not record the nested-iteration comparison:\n%s", traceText(par))
 	}
 	if !usedParallel(par) {
 		t.Error("query did not use parallel operators")

@@ -1,0 +1,177 @@
+package engine_test
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/planner"
+	"repro/internal/workload"
+)
+
+var update = flag.Bool("update", false, "rewrite the golden EXPLAIN output")
+
+// pointMix is the benchmark's point_mix: the paper's queries on the
+// Kiessling and Suppliers fixtures, each under the strategy it is timed
+// with.
+var pointMix = []struct {
+	name  string
+	sql   string
+	strat engine.Strategy
+}{
+	{"countbug-ja2", `SELECT PNUM FROM PARTS WHERE QOH = (SELECT COUNT(SHIPDATE) FROM SUPPLY
+		WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < 1-1-80)`, engine.TransformJA2},
+	{"countbug-ni", `SELECT PNUM FROM PARTS WHERE QOH = (SELECT COUNT(SHIPDATE) FROM SUPPLY
+		WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < 1-1-80)`, engine.NestedIteration},
+	{"exists", `SELECT PNUM FROM PARTS
+		WHERE EXISTS (SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)`, engine.TransformJA2},
+	{"not-exists", `SELECT PNUM FROM PARTS
+		WHERE NOT EXISTS (SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)`, engine.TransformJA2},
+	{"lt-any", `SELECT PNUM FROM PARTS
+		WHERE QOH < ANY (SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)`, engine.TransformJA2},
+	{"gt-all", `SELECT PNUM FROM PARTS
+		WHERE QOH > ALL (SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)`, engine.TransformJA2},
+	{"division-ja2", `SELECT SNAME FROM S
+		WHERE STATUS < (SELECT MAX(QTY) FROM SP
+			WHERE PNO IN (SELECT PNO FROM P WHERE P.CITY = S.CITY))`, engine.TransformJA2},
+	{"division-ni", `SELECT SNAME FROM S
+		WHERE STATUS < (SELECT MAX(QTY) FROM SP
+			WHERE PNO IN (SELECT PNO FROM P WHERE P.CITY = S.CITY))`, engine.NestedIteration},
+	{"in-simple", `SELECT SNAME FROM S WHERE SNO IN (SELECT SNO FROM SP WHERE QTY > 200)`, engine.TransformJA2},
+	{"empty", `SELECT PNUM FROM PARTS WHERE QOH = (SELECT COUNT(QUAN) FROM SUPPLY
+		WHERE SUPPLY.PNUM = PARTS.PNUM AND QUAN > 100000)`, engine.TransformJA2},
+}
+
+func loadPaperFixtures(w *workload.DB) error {
+	if err := workload.LoadKiessling(w); err != nil {
+		return err
+	}
+	return workload.LoadSuppliers(w)
+}
+
+// explainCorpus renders EXPLAIN for point_mix and the four ja_seq shapes
+// at a tenth of their size, sequentially and on 2 forced-parallel
+// workers, each regime on a fresh database so the measured page I/O
+// repeats.
+func explainCorpus(t *testing.T) []byte {
+	var buf bytes.Buffer
+	for _, w := range []int{0, 2} {
+		popts := planner.Options{Parallelism: w, ForceParallel: w > 1}
+		db := newDB(t, 32, loadPaperFixtures)
+		for _, q := range pointMix {
+			fmt.Fprintf(&buf, "==== %s, workers=%d\n", q.name, w)
+			explainInto(t, &buf, db, q.sql, engine.Options{Strategy: q.strat, Planner: popts})
+		}
+		jdb, cfg := jaSeqShape(t, 10)
+		for _, s := range []struct {
+			name string
+			sql  func(workload.SyntheticConfig) string
+		}{{"type-n", workload.TypeNQuery}, {"type-j", workload.TypeJQuery},
+			{"type-ja-count", workload.TypeJAQuery}, {"type-ja-max", workload.TypeJAMaxQuery}} {
+			fmt.Fprintf(&buf, "==== %s, workers=%d\n", s.name, w)
+			explainInto(t, &buf, jdb, s.sql(cfg), engine.Options{Strategy: engine.TransformJA2, Planner: popts})
+		}
+	}
+	return buf.Bytes()
+}
+
+func explainInto(t *testing.T, buf *bytes.Buffer, db *engine.DB, sql string, opts engine.Options) {
+	t.Helper()
+	s, err := db.Explain(sql, opts)
+	if err != nil {
+		t.Fatalf("explain %s: %v", sql, err)
+	}
+	buf.WriteString(s)
+}
+
+// TestExplainGolden pins the EXPLAIN text of the corpus byte for byte:
+// the trace is recorded as events and rendered on read, and rendering
+// must reproduce exactly what eager formatting printed.
+func TestExplainGolden(t *testing.T) {
+	got := explainCorpus(t)
+	golden := filepath.Join("testdata", "explain.golden")
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden file updated (%d bytes)", len(got))
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	n := min(len(got), len(want))
+	for i := range n {
+		if got[i] != want[i] {
+			lo := max(0, i-200)
+			t.Fatalf("EXPLAIN drifted from %s at byte %d:\n  got:  ...%q\n  want: ...%q",
+				golden, i, got[lo:min(len(got), i+200)], want[lo:min(len(want), i+200)])
+		}
+	}
+	t.Fatalf("EXPLAIN drifted from %s: %d bytes, want %d", golden, len(got), len(want))
+}
+
+// TestPointQueryAllocBudget bounds the allocations of each of point_mix's
+// transformed queries, in steady state on the benchmark's pool. A query
+// records its trace as events and formats none of it.
+func TestPointQueryAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
+	// About 5% above what each query measures; eager formatting measured
+	// 470, 447, 441, 391, 391, 525, 155 and 458.
+	budget := map[string]float64{
+		"countbug-ja2": 380, "exists": 360, "not-exists": 352, "lt-any": 322,
+		"gt-all": 322, "division-ja2": 452, "in-simple": 134, "empty": 368,
+	}
+	db := newDB(t, 32, loadPaperFixtures)
+	for _, q := range pointMix {
+		if q.strat != engine.TransformJA2 {
+			continue
+		}
+		opts := engine.Options{Strategy: q.strat}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := db.Query(q.sql, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations", q.name, allocs)
+		if allocs > budget[q.name] {
+			t.Errorf("%s: %.0f allocations, budget %.0f", q.name, allocs, budget[q.name])
+		}
+	}
+}
+
+// TestTraceKeepsPlanningTimePages: a plan outline is a snapshot taken when
+// the plan was built. Rows inserted into a scanned base table after the
+// query finished do not change what its trace renders.
+func TestTraceKeepsPlanningTimePages(t *testing.T) {
+	db := newDB(t, 32, loadPaperFixtures)
+	res := query(t, db, pointMix[0].sql, engine.Options{Strategy: engine.TransformJA2})
+	before := traceText(res)
+	if !strings.Contains(before, "SeqScan(PARTS, 1 pages)") {
+		t.Fatalf("the plan does not scan a one-page PARTS:\n%s", before)
+	}
+	var rows strings.Builder
+	for i := range 200 {
+		fmt.Fprintf(&rows, ", (%d, %d)", 1000+i, i)
+	}
+	if _, err := db.Exec("INSERT INTO PARTS VALUES "+rows.String()[2:], engine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if f, _ := db.Store().Lookup("PARTS"); f.NumPages() <= 1 {
+		t.Fatalf("PARTS still has %d page(s) after the INSERT", f.NumPages())
+	}
+	if after := traceText(res); after != before {
+		t.Errorf("the finished query's trace changed after an INSERT into PARTS:\n%s\n--- was ---\n%s", after, before)
+	}
+}

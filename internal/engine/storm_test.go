@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/qctx"
+	"repro/internal/trace"
 )
 
 // The multi-client chaos storm: many client goroutines hammer ONE engine
@@ -34,12 +34,15 @@ func stormCleanErr(err error) bool {
 }
 
 // rungs are the degradation rungs a completed query can have climbed,
-// each named by the trace line it leaves on the Result.
-var rungs = [...]struct{ name, line string }{
-	{"sequential rerun", "retrying sequentially"},
-	{"forced-spill rerun", "retrying with forced spill"},
-	{"transient retry", "transient fault ("},
-	{"fallback", "fallback to nested iteration"},
+// each named by the trace event it leaves on the Result.
+var rungs = [...]struct {
+	name string
+	kind trace.Kind
+}{
+	{"sequential rerun", trace.SequentialRerun},
+	{"forced-spill rerun", trace.ForcedSpillRerun},
+	{"transient retry", trace.TransientRetry},
+	{"fallback", trace.Fallback},
 }
 
 // rescueCensus counts, per rung, the completed queries whose trace shows
@@ -55,7 +58,7 @@ func (c *rescueCensus) add(res *engine.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, r := range rungs {
-		if slices.ContainsFunc(res.Trace, func(l string) bool { return strings.Contains(l, r.line) }) {
+		if hasKind(res, r.kind) {
 			c.n[i]++
 		}
 	}

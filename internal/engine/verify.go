@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // This file is the differential oracle: the one statement of which
@@ -68,7 +69,7 @@ func (db *DB) verifyParallel(qb *ast.QueryBlock, opts Options, res *Result) erro
 	if diff := storage.Diff(AcrossRegimes, res.Rows, seq.Rows); diff != "" {
 		return fmt.Errorf("engine: parallel oracle: parallel and sequential plans disagree: %s", diff)
 	}
-	res.Trace = append(res.Trace, fmt.Sprintf("parallel oracle: %v to sequential plan", AcrossRegimes))
+	res.Trace = append(res.Trace, trace.Event{Kind: trace.OracleSequential, Agree: AcrossRegimes})
 	how := AgreementWithNI(qb, opts.Strategy)
 	if how == storage.AgreeNone {
 		return nil
@@ -80,7 +81,7 @@ func (db *DB) verifyParallel(qb *ast.QueryBlock, opts Options, res *Result) erro
 	if diff := storage.Diff(how, res.Rows, ni.Rows); diff != "" {
 		return fmt.Errorf("engine: parallel oracle: parallel plan and nested iteration disagree: %s", diff)
 	}
-	res.Trace = append(res.Trace, fmt.Sprintf("parallel oracle: %v to nested iteration", how))
+	res.Trace = append(res.Trace, trace.Event{Kind: trace.OracleNestedIteration, Agree: how})
 	return nil
 }
 

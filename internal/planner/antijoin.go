@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/exec"
+	"repro/internal/trace"
 )
 
 // antiJoin compiles a retained NOT IN conjunct (the beyond-paper extension
@@ -80,7 +81,7 @@ func (p *Planner) antiJoin(cur input, ip *ast.InPred, outerFrom []ast.TableRef, 
 	if err != nil {
 		return input{}, err
 	}
-	p.notef("%s: NULL-aware anti-join (NOT IN) against %d-page inner", label, file.NumPages())
+	p.note(label, trace.Event{Kind: trace.AntiJoin, N: int64(file.NumPages())})
 	return input{
 		op: &exec.AntiJoin{
 			Left:      cur.op,

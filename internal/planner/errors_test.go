@@ -1,6 +1,7 @@
 package planner_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/sqlparser"
 	"repro/internal/stats"
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/transform"
 	"repro/internal/value"
 	"repro/internal/workload"
@@ -104,7 +106,7 @@ func TestPlannerWithStatsEstimates(t *testing.T) {
 	if got := rowStrs(rows); got != "(10) (8)" {
 		t.Errorf("rows = %v", got)
 	}
-	if len(pl.Notes()) == 0 {
+	if len(pl.Trace) == 0 {
 		t.Error("no plan notes")
 	}
 }
@@ -121,8 +123,8 @@ func TestPlannerCartesianProduct(t *testing.T) {
 	if len(rows) != 0 {
 		t.Errorf("rows = %d", len(rows))
 	}
-	if !strings.Contains(strings.Join(pl.Notes(), "\n"), "cartesian") {
-		t.Errorf("notes = %v", pl.Notes())
+	if !slices.ContainsFunc(pl.Trace, func(e trace.Event) bool { return e.Kind == trace.NestedLoops && len(e.Detail.Preds) == 0 }) {
+		t.Errorf("notes:\n%s", notesText(pl.Trace))
 	}
 }
 
@@ -156,8 +158,8 @@ func TestPlannerAntiJoin(t *testing.T) {
 	if got := rowStrs(rows); got != "(3)" {
 		t.Errorf("anti-join rows = %v, want (3)", got)
 	}
-	if !strings.Contains(strings.Join(pl.Notes(), "\n"), "anti-join") {
-		t.Errorf("notes = %v", pl.Notes())
+	if !slices.ContainsFunc(pl.Trace, note(trace.AntiJoin, "final")) {
+		t.Errorf("notes:\n%s", notesText(pl.Trace))
 	}
 }
 
@@ -192,8 +194,7 @@ func TestPlannerIndexAndOrderBy(t *testing.T) {
 			t.Fatalf("not descending: %v", got)
 		}
 	}
-	notes := strings.Join(pl.Notes(), "\n")
-	if !strings.Contains(notes, "index scan") || !strings.Contains(notes, "ORDER BY sort") {
-		t.Errorf("notes = %v", notes)
+	if !slices.ContainsFunc(pl.Trace, note(trace.IndexScan, "final")) || !slices.ContainsFunc(pl.Trace, note(trace.OrderBy, "final")) {
+		t.Errorf("notes:\n%s", notesText(pl.Trace))
 	}
 }

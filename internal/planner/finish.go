@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/exec"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -29,7 +30,7 @@ func (p *Planner) finish(cur input, qb *ast.QueryBlock, label string) (input, er
 		if !desc[0] {
 			out.sortedOn = keys[0]
 		}
-		p.notef("%s: ORDER BY sort over %d key(s)", label, len(keys))
+		p.note(label, trace.Event{Kind: trace.OrderBy, N: int64(len(keys))})
 	}
 	return out, nil
 }
@@ -78,7 +79,7 @@ func (p *Planner) finishShape(cur input, qb *ast.QueryBlock, label string) (inpu
 		keys := exec.Identity(len(qb.Select))
 		out.op = &exec.Distinct{Child: p.sort(out.op, keys, nil)}
 		out.sortedOn = 0
-		p.notef("%s: duplicates removed by sort over %d column(s)", label, len(keys))
+		p.note(label, trace.Event{Kind: trace.DistinctSort, N: int64(len(keys))})
 	}
 	return out, nil
 }
@@ -172,10 +173,10 @@ func (p *Planner) finishGroup(cur input, qb *ast.QueryBlock, label string) (inpu
 	op := cur.op
 	if len(groupCols) > 0 && !parallelGroup {
 		if inOrder {
-			p.notef("%s: input already in GROUP BY order, sort elided", label)
+			p.note(label, trace.Event{Kind: trace.GroupOrdered})
 		} else {
 			op = p.sort(op, groupCols, nil)
-			p.notef("%s: sort for GROUP BY", label)
+			p.note(label, trace.Event{Kind: trace.GroupSort})
 		}
 	}
 	var out exec.Operator
@@ -189,13 +190,13 @@ func (p *Planner) finishGroup(cur input, qb *ast.QueryBlock, label string) (inpu
 			QC:        p.opts.QC,
 		}, QC: p.opts.QC}
 		sortedOut = -1 // worker output interleaves nondeterministically
-		p.notef("%s: parallel hash aggregation over %d group column(s) (%d workers)", label, len(groupCols), w)
+		p.note(label, trace.Event{Kind: trace.ParallelGroup, N: int64(len(groupCols)), M: int64(w)})
 	} else {
 		out = &exec.GroupAgg{Child: op, GroupCols: groupCols, Items: items, QC: p.opts.QC}
 	}
 	if len(qb.Having) > 0 {
 		out = &exec.Filter{Child: out, Pred: exec.Having(qb.Having)}
-		p.notef("%s: HAVING filter over %d conjunct(s)", label, len(qb.Having))
+		p.note(label, trace.Event{Kind: trace.Having, N: int64(len(qb.Having))})
 	}
 	return input{
 		op:       out,

@@ -2,15 +2,14 @@ package planner
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
-	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/costmodel"
 	"repro/internal/exec"
 	"repro/internal/stats"
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -66,7 +65,7 @@ func (p *Planner) join(cur, right input, conjs []ast.Predicate, used []bool, for
 		}
 	}
 	if method == JoinMerge && !keyed {
-		p.notef("%s: merge join not applicable to %s; using nested loops", label, predsText(joinConjs))
+		p.note(label, trace.Event{Kind: trace.MergeInapplicable, Detail: &trace.Detail{Preds: joinConjs}})
 		method = JoinNL
 	}
 	if method == JoinMerge {
@@ -157,15 +156,12 @@ func (p *Planner) hashJoin(cur, right input, keys []exec.KeyPair, rest []ast.Pre
 		QC:       p.opts.QC,
 	}
 	var op exec.Operator = join
-	kind, workers, sortedOn := "hash join", "", cur.sortedOn
+	sortedOn := cur.sortedOn
 	if w > 1 {
-		kind, workers, sortedOn = "parallel hash join", fmt.Sprintf(" (%d workers)", w), -1
+		sortedOn = -1
 		op = &exec.ExchangeMerge{Source: join, QC: p.opts.QC}
 	}
-	if outer {
-		kind = "outer " + kind
-	}
-	p.notef("%s: %s %s%s", label, kind, p.keysText(cur, right, keys), workers)
+	p.note(label, trace.Event{Kind: trace.HashJoin, Outer: outer, Cols: keyCols(cur, right, keys), N: int64(w)})
 	op, err := residual(op, rest)
 	return input{
 		op:       op,
@@ -185,13 +181,14 @@ func residual(op exec.Operator, rest []ast.Predicate) (exec.Operator, error) {
 	return &exec.Filter{Child: op, Pred: pred}, err
 }
 
-// keysText renders the key pairs for a plan note.
-func (p *Planner) keysText(cur, right input, keys []exec.KeyPair) string {
-	ls, rs, parts := cur.op.Schema(), right.op.Schema(), make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = ls[k.Left].String() + " with " + rs[k.Right].String()
+// keyCols lists a join key's columns for its plan note, each pair's left
+// column before its right.
+func keyCols(cur, right input, keys []exec.KeyPair) []exec.ColID {
+	ls, rs, cols := cur.op.Schema(), right.op.Schema(), make([]exec.ColID, 0, 2*len(keys))
+	for _, k := range keys {
+		cols = append(cols, ls[k.Left], rs[k.Right])
 	}
-	return strings.Join(parts, " and ")
+	return cols
 }
 
 // chooseMethod estimates both join methods with the section 7 cost model
@@ -233,18 +230,14 @@ func (p *Planner) mergeJoin(cur, right input, keys []exec.KeyPair, rest []ast.Pr
 	}
 	sorted := func(in input, cols []int, side string) exec.Operator {
 		if in.sortedOn == cols[0] {
-			p.notef("%s: %s input already in join-column order, sort elided", label, side)
+			p.note(label, trace.Event{Kind: trace.SortElided, Text: side})
 			return in.op
 		}
-		p.notef("%s: sort %s input on %s", label, side, in.op.Schema()[cols[0]])
+		p.note(label, trace.Event{Kind: trace.SortInput, Text: side, Cols: in.op.Schema()[cols[0]:][:1]})
 		return p.sort(in.op, cols, nil)
 	}
 	left, rightOp := sorted(cur, lcols, "left"), sorted(right, rcols, "right")
-	kind := "merge join"
-	if outer {
-		kind = "outer merge join"
-	}
-	p.notef("%s: %s %s (B=%d)", label, kind, p.keysText(cur, right, keys), p.store.BufferPages())
+	p.note(label, trace.Event{Kind: trace.MergeJoin, Outer: outer, Cols: keyCols(cur, right, keys), N: int64(p.store.BufferPages())})
 	op, err := residual(&exec.MergeJoin{Left: left, Right: rightOp, LeftKey: lead.Left, RightKey: lead.Right, NullEq: lead.NullEq,
 		More: keys[1:], FullOrder: full, Outer: outer, QC: p.opts.QC, Spill: p.opts.Spill}, rest)
 	return input{
@@ -285,18 +278,14 @@ func (p *Planner) nlJoin(cur, right input, joinConjs []ast.Predicate, keys []exe
 			return input{}, err
 		}
 		file = f
-		p.notef("%s: right side restricted and materialized (%d pages)", label, file.NumPages())
+		p.note(label, trace.Event{Kind: trace.RightMaterialized, N: int64(file.NumPages())})
 	}
 	combined := cur.op.Schema().Concat(right.op.Schema())
 	pred, err := exec.CompileConjuncts(stripOuterFlags(joinConjs), combined)
 	if err != nil {
 		return input{}, err
 	}
-	kind := "nested-loops join"
-	if outer {
-		kind = "outer nested-loops join"
-	}
-	p.notef("%s: %s on %s", label, kind, predsText(joinConjs))
+	p.note(label, trace.Event{Kind: trace.NestedLoops, Outer: outer, Detail: &trace.Detail{Preds: joinConjs}})
 	op := &exec.NestedLoopJoin{
 		Left:     cur.op,
 		Right:    file,
@@ -328,18 +317,4 @@ func stripOuterFlags(preds []ast.Predicate) []ast.Predicate {
 		out[i] = p
 	}
 	return out
-}
-
-func predsText(ps []ast.Predicate) string {
-	if len(ps) == 0 {
-		return "(cartesian)"
-	}
-	s := ""
-	for i, p := range ps {
-		if i > 0 {
-			s += " AND "
-		}
-		s += p.String()
-	}
-	return s
 }

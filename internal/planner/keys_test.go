@@ -2,7 +2,6 @@ package planner_test
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/ast"
@@ -92,9 +91,9 @@ func runPermuted(t *testing.T, mk func(*testing.T) *workload.DB, sql string, k i
 	before := db.Store.Stats()
 	rows, _, err := pl.Run(res)
 	if err != nil {
-		t.Fatalf("permutation %d: %v\nnotes: %v", k, err, pl.Notes())
+		t.Fatalf("permutation %d: %v\nnotes:\n%s", k, err, notesText(pl.Trace))
 	}
-	return planOutcome{rows: rows, bag: rowStrs(rows), io: db.Store.Stats().Sub(before).Total(), notes: strings.Join(pl.Notes(), "\n")}
+	return planOutcome{rows: rows, bag: rowStrs(rows), io: db.Store.Stats().Sub(before).Total(), notes: notesText(pl.Trace)}
 }
 
 // nestedIteration is the ground truth.

@@ -27,6 +27,7 @@ import (
 	"repro/internal/spill"
 	"repro/internal/stats"
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/transform"
 	"repro/internal/value"
 )
@@ -118,11 +119,16 @@ func (o Options) workers() int {
 
 // Planner plans and executes one transformed query. Single-use.
 type Planner struct {
+	// Trace collects the plan decisions (join methods, sort eliminations)
+	// and plan outlines in execution order, for EXPLAIN. A caller may seed
+	// it with the events recorded before planning, so that one slice holds
+	// the query's whole trace.
+	Trace []trace.Event
+
 	cat   *schema.Catalog
 	store *storage.Store
 	opts  Options
 
-	notes     []string
 	tempNames []string          // physical temp-table names (catalog + store)
 	dropLater []string          // anonymous materializations
 	tempOrder map[string]string // logical temp name -> column it is sorted on
@@ -156,12 +162,10 @@ func (p *Planner) physName(name string) string {
 	return name
 }
 
-// Notes returns the plan decisions (join methods, sort eliminations) in
-// execution order, for EXPLAIN.
-func (p *Planner) Notes() []string { return p.notes }
-
-func (p *Planner) notef(format string, args ...any) {
-	p.notes = append(p.notes, fmt.Sprintf(format, args...))
+// note records a plan decision of block label.
+func (p *Planner) note(label string, e trace.Event) {
+	e.Label = label
+	p.Trace = append(p.Trace, e)
 }
 
 // Run materializes the temporary tables in order and evaluates the final
@@ -178,7 +182,7 @@ func (p *Planner) Run(res *transform.Result) (rows []storage.Tuple, sch exec.Row
 	if err != nil {
 		return nil, nil, err
 	}
-	p.notef("final plan:\n%s", exec.Describe(final.op))
+	p.note("final", trace.Event{Kind: trace.Plan, Plan: exec.Snapshot(final.op)})
 	if p.opts.Sink != nil {
 		if _, err := exec.DrainInto(final.op, p.opts.QC, p.opts.SinkBatchRows, p.opts.Sink); err != nil {
 			return nil, nil, err
@@ -245,7 +249,7 @@ func (p *Planner) buildTemp(temp transform.TempTable) error {
 	if err := p.cat.Define(rel); err != nil {
 		return fmt.Errorf("planner: temp %s: %w", temp.Name, err)
 	}
-	p.notef("%s plan:\n%s", temp.Name, exec.Describe(plan.op))
+	p.note(temp.Name, trace.Event{Kind: trace.Plan, Plan: exec.Snapshot(plan.op)})
 	if err := exec.MaterializeInto(plan.op, file, p.opts.QC); err != nil {
 		return err
 	}
@@ -254,7 +258,7 @@ func (p *Planner) buildTemp(temp transform.TempTable) error {
 		// eliminations carry across materialization).
 		p.tempOrder[temp.Name] = temp.Rel.Columns[plan.sortedOn].Name
 	}
-	p.notef("%s materialized: %d tuples, %d pages", temp.Name, file.NumTuples(), file.NumPages())
+	p.note(temp.Name, trace.Event{Kind: trace.Materialized, N: int64(file.NumTuples()), M: int64(file.NumPages())})
 	return nil
 }
 
@@ -355,7 +359,7 @@ func (p *Planner) foldConstantSubqueries(qb *ast.QueryBlock) error {
 				return fmt.Errorf("planner: constant subquery returned %d rows", len(rows))
 			}
 			*side = ast.Const{Val: v}
-			p.notef("type-A subquery evaluated to constant %s", v)
+			p.note("", trace.Event{Kind: trace.Constant, Detail: &trace.Detail{Val: v}})
 		}
 	}
 	return nil
@@ -399,8 +403,8 @@ func (p *Planner) accessPath(tr ast.TableRef, conjs []ast.Predicate, used []bool
 			continue
 		}
 		used[i] = true
-		p.notef("%s: index scan on %s.%s (%s %s, ~%d matches)",
-			label, tr.Relation, col, op, key, matches)
+		p.note(label, trace.Event{Kind: trace.IndexScan, Cols: []exec.ColID{{Table: tr.Relation, Column: col}},
+			Op: op, N: int64(matches), Detail: &trace.Detail{Val: key}})
 		rel, _ := p.cat.Lookup(tr.Relation)
 		sortedOn := rel.ColumnIndex(col)
 		return input{

@@ -2,13 +2,16 @@ package planner_test
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/planner"
 	"repro/internal/schema"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/transform"
 	"repro/internal/value"
 	"repro/internal/workload"
@@ -31,10 +34,19 @@ func runPlanned(t *testing.T, db *workload.DB, sql string, variant transform.Var
 	pl := planner.New(db.Cat, db.Store, opts)
 	rows, _, err := pl.Run(res)
 	if err != nil {
-		t.Fatalf("plan/run: %v\nnotes: %v", err, pl.Notes())
+		t.Fatalf("plan/run: %v\nnotes:\n%s", err, notesText(pl.Trace))
 	}
 	return rows, pl
 }
+
+// note matches events of kind k in plan block label.
+func note(k trace.Kind, label string) func(trace.Event) bool {
+	return func(e trace.Event) bool { return e.Kind == k && e.Label == label }
+}
+
+// notesText renders events, for failure messages and the plan outline
+// fragments no event kind names.
+func notesText(events []trace.Event) string { return strings.Join(trace.Lines(events), "\n") }
 
 func rowStrs(rows []storage.Tuple) string {
 	return strings.Join(storage.Canon(storage.AgreeBag, rows), " ")
@@ -71,15 +83,17 @@ func TestPlannerSortElisions(t *testing.T) {
 	db := kiessling(t, 8)
 	_, pl := runPlanned(t, db, workload.KiesslingQ2, transform.JA2,
 		planner.Options{TempJoin: planner.JoinMerge, FinalJoin: planner.JoinMerge})
-	notes := strings.Join(pl.Notes(), "\n")
-	for _, frag := range []string{
-		"duplicates removed by sort",                   // TEMP1 projection
-		"left input already in join-column order",      // TEMP3: TEMP1 pre-sorted
-		"input already in GROUP BY order, sort elided", // TEMP3: merge-join output order
-		"right input already in join-column order",     // final: TEMP3 in join order
+	elided := func(label, side string) func(trace.Event) bool {
+		return func(e trace.Event) bool { return note(trace.SortElided, label)(e) && e.Text == side }
+	}
+	for what, match := range map[string]func(trace.Event) bool{
+		"TEMP1 projection sorted for DISTINCT":   note(trace.DistinctSort, "TEMP1"),
+		"TEMP3 left input (TEMP1) pre-sorted":    elided("TEMP3", "left"),
+		"TEMP3 in GROUP BY order from its join":  note(trace.GroupOrdered, "TEMP3"),
+		"final right input (TEMP3) in key order": elided("final", "right"),
 	} {
-		if !strings.Contains(notes, frag) {
-			t.Errorf("notes missing %q:\n%s", frag, notes)
+		if !slices.ContainsFunc(pl.Trace, match) {
+			t.Errorf("notes miss %s:\n%s", what, notesText(pl.Trace))
 		}
 	}
 }
@@ -96,8 +110,8 @@ func TestPlannerThetaJoinFallsBackToNL(t *testing.T) {
 	if got := rowStrs(rows); got != "(8)" {
 		t.Errorf("rows = %v", got)
 	}
-	if !strings.Contains(strings.Join(pl.Notes(), "\n"), "merge join not applicable") {
-		t.Errorf("expected fallback note, got %v", pl.Notes())
+	if !slices.ContainsFunc(pl.Trace, note(trace.MergeInapplicable, "TEMP2")) {
+		t.Errorf("expected fallback note, got:\n%s", notesText(pl.Trace))
 	}
 }
 
@@ -105,7 +119,7 @@ func TestPlannerThetaJoinFallsBackToNL(t *testing.T) {
 // that fits in the buffer pool favors nested loops, whose slot an equality
 // join fills with the inline hash join — no exchange, no goroutine.
 func TestPlannerAutoChoice(t *testing.T) {
-	mk := func(innerTuples, b int) string {
+	mk := func(innerTuples, b int) []trace.Event {
 		db := workload.NewDB(b)
 		cols := []schema.Column{{Name: "JC", Type: value.KindInt}, {Name: "V", Type: value.KindInt}}
 		outer := make([]storage.Tuple, 60)
@@ -125,11 +139,11 @@ func TestPlannerAutoChoice(t *testing.T) {
 		_, pl := runPlanned(t, db,
 			"SELECT JC FROM RI WHERE V = (SELECT COUNT(V) FROM RJ WHERE RJ.JC = RI.JC)",
 			transform.JA2, planner.Options{})
-		return strings.Join(pl.Notes(), "\n")
+		return pl.Trace
 	}
 	// Large inner, small pool: merge join chosen somewhere.
-	if notes := mk(400, 4); !strings.Contains(notes, "merge join") {
-		t.Errorf("large inner should use merge join:\n%s", notes)
+	if notes := mk(400, 4); !slices.ContainsFunc(notes, func(e trace.Event) bool { return e.Kind == trace.MergeJoin }) {
+		t.Errorf("large inner should use merge join:\n%s", notesText(notes))
 	}
 	// Tiny inner, large pool: nested loops is cheaper for the temp join.
 	before := runtime.NumGoroutine()
@@ -137,17 +151,31 @@ func TestPlannerAutoChoice(t *testing.T) {
 	if after := runtime.NumGoroutine(); after != before {
 		t.Errorf("a sequential plan left %d goroutine(s) behind", after-before)
 	}
-	for _, frag := range []string{"TEMP3: outer hash join TEMP1.JC with TEMP2.JC", "OuterHashJoin(left#0 = right#0, out=[0 2])",
-		"final: hash join RI.JC with TEMP3.JC and RI.V with TEMP3.CT", "HashJoin(left#0 <=> right#0, left#1 = right#1, out=[0])",
-		"TEMP3: input already in GROUP BY order, sort elided"} {
-		if !strings.Contains(notes, frag) {
-			t.Errorf("small inner should use the inline hash join; notes missing %q:\n%s", frag, notes)
+	hashJoin := func(label string, outer bool, keys ...exec.ColID) func(trace.Event) bool {
+		return func(e trace.Event) bool {
+			return note(trace.HashJoin, label)(e) && e.Outer == outer && e.N == 1 && slices.Equal(e.Cols, keys)
 		}
 	}
-	for _, frag := range []string{"nested-loops", "ExchangeMerge", "Parallel", "workers"} {
-		if strings.Contains(notes, frag) {
-			t.Errorf("small inner: notes mention %q:\n%s", frag, notes)
+	for what, match := range map[string]func(trace.Event) bool{
+		"TEMP3 outer hash join": hashJoin("TEMP3", true, exec.ColID{Table: "TEMP1", Column: "JC"}, exec.ColID{Table: "TEMP2", Column: "JC"}),
+		"final hash join": hashJoin("final", false, exec.ColID{Table: "RI", Column: "JC"}, exec.ColID{Table: "TEMP3", Column: "JC"},
+			exec.ColID{Table: "RI", Column: "V"}, exec.ColID{Table: "TEMP3", Column: "CT"}),
+		"TEMP3 in GROUP BY order": note(trace.GroupOrdered, "TEMP3"),
+	} {
+		if !slices.ContainsFunc(notes, match) {
+			t.Errorf("small inner should use the inline hash join; notes miss the %s:\n%s", what, notesText(notes))
 		}
+	}
+	text := notesText(notes)
+	for _, frag := range []string{"OuterHashJoin(left#0 = right#0, out=[0 2])", "HashJoin(left#0 <=> right#0, left#1 = right#1, out=[0])"} {
+		if !strings.Contains(text, frag) {
+			t.Errorf("small inner: plan outline misses %q:\n%s", frag, text)
+		}
+	}
+	if slices.ContainsFunc(notes, func(e trace.Event) bool {
+		return e.Kind == trace.NestedLoops || e.Kind == trace.ParallelGroup || e.Kind == trace.HashJoin && e.N > 1
+	}) {
+		t.Errorf("small inner: notes place nested loops or a parallel operator:\n%s", text)
 	}
 }
 
@@ -163,8 +191,8 @@ func TestPlannerFoldsTypeAConstants(t *testing.T) {
 	if got := rowStrs(rows); got != "('S1')" {
 		t.Errorf("rows = %v", got)
 	}
-	if !strings.Contains(strings.Join(pl.Notes(), "\n"), "constant 'P6'") {
-		t.Errorf("notes = %v", pl.Notes())
+	if !slices.ContainsFunc(pl.Trace, func(e trace.Event) bool { return e.Kind == trace.Constant && e.Detail.Val == value.NewString("P6") }) {
+		t.Errorf("notes:\n%s", notesText(pl.Trace))
 	}
 }
 
@@ -204,9 +232,8 @@ func TestPlannerTempPageSize(t *testing.T) {
 	db := kiessling(t, 8)
 	_, pl := runPlanned(t, db, workload.KiesslingQ2, transform.JA2,
 		planner.Options{TempTuplesPerPage: 1})
-	notes := strings.Join(pl.Notes(), "\n")
-	if !strings.Contains(notes, "TEMP1 materialized: 3 tuples, 3 pages") {
-		t.Errorf("TEMP1 sizing wrong:\n%s", notes)
+	if !slices.ContainsFunc(pl.Trace, func(e trace.Event) bool { return note(trace.Materialized, "TEMP1")(e) && e.N == 3 && e.M == 3 }) {
+		t.Errorf("TEMP1 sizing wrong:\n%s", notesText(pl.Trace))
 	}
 }
 

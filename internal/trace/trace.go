@@ -1,0 +1,227 @@
+// Package trace is a query's EXPLAIN trace as typed events: the
+// transformation steps, the planner's decisions and plan outlines, and the
+// engine's fallback, degradation and oracle lines. Every query records its
+// events; none formats them. Text exists only when someone reads it —
+// Event.String renders one line, and a reader that wants to know what
+// happened asks an event's Kind and fields, never its text.
+//
+// An event holds values, not the machinery that produced them: a plan is
+// an exec.Plan snapshot, a join key is its columns, an error is the error.
+// So a finished Result pins no temp pages or hash tables, and nothing that
+// runs after the query can change what its trace says.
+package trace
+
+import (
+	"fmt"
+	"strings"
+	"time"
+
+	"repro/internal/ast"
+	"repro/internal/exec"
+	"repro/internal/storage"
+	"repro/internal/value"
+)
+
+// Kind says which line an event is and which of its fields that line
+// reads. Planner events carry their plan block (TEMPn, TEMPn-anti or
+// final) in Label.
+type Kind uint8
+
+const (
+	// Step is a transformation step: Label is its rule, Text its SQL.
+	Step Kind = iota + 1
+	// NestedIteration: the query was evaluated by nested iteration.
+	NestedIteration
+	// Fallback: the query was not transformable (Err says why) and ran
+	// by nested iteration.
+	Fallback
+	// SequentialRerun: a parallel plan failed with Err and runs again
+	// sequentially.
+	SequentialRerun
+	// ForcedSpillRerun: a plan exceeded its memory budget with Err and
+	// runs again refusing every reservation.
+	ForcedSpillRerun
+	// TransientRetry: an injected storage fault Err; retry N after a
+	// backoff of Delay.
+	TransientRetry
+	// Spill: the query wrote N spill runs of M bytes.
+	Spill
+	// OracleSequential: the parallel result agreed (Agree) with the
+	// sequential plan's.
+	OracleSequential
+	// OracleNestedIteration: the parallel result agreed (Agree) with
+	// nested iteration's.
+	OracleNestedIteration
+
+	// Plan is the outline of Label's plan.
+	Plan
+	// Materialized: temp table Label holds N tuples in M pages.
+	Materialized
+	// Constant: a type-A subquery evaluated to Val.
+	Constant
+	// IndexScan: Cols[0] is read through its index for Op Val, about N
+	// matches.
+	IndexScan
+	// HashJoin joins on the key Cols (left and right columns
+	// alternating) across N workers; Outer for the outer join.
+	HashJoin
+	// MergeJoin joins on the key Cols in a pool of N pages.
+	MergeJoin
+	// NestedLoops joins on Preds, a cartesian product when there are none.
+	NestedLoops
+	// MergeInapplicable: Preds hold no key, so nested loops replace a
+	// forced merge join.
+	MergeInapplicable
+	// SortElided: the Text (left or right) input is in join-column order.
+	SortElided
+	// SortInput: the Text input is sorted on Cols[0].
+	SortInput
+	// RightMaterialized: nested loops' right side was restricted into N
+	// pages.
+	RightMaterialized
+	// AntiJoin is NOT IN against an inner of N pages.
+	AntiJoin
+	// OrderBy sorts over N keys.
+	OrderBy
+	// DistinctSort removes duplicates by sorting over N columns.
+	DistinctSort
+	// GroupOrdered: the input is in GROUP BY order already.
+	GroupOrdered
+	// GroupSort sorts for GROUP BY.
+	GroupSort
+	// ParallelGroup aggregates over N group columns on M workers.
+	ParallelGroup
+	// Having filters groups by N conjuncts.
+	Having
+)
+
+// Event is one line of a trace. Kind names the fields it sets; the rest
+// are zero. The lines every transformed query records keep their fields
+// inline and the rarer ones share one Detail, so that an event stays at
+// 112 bytes: a query's events take no more memory than its rendered
+// text would.
+type Event struct {
+	Kind   Kind
+	Outer  bool              // the join is an outer join
+	Agree  storage.Agreement // what the parallel oracle found
+	Op     value.CompareOp   // an index scan's comparison
+	N, M   int64
+	Label  string
+	Text   string
+	Cols   []exec.ColID
+	Plan   exec.Plan
+	Detail *Detail
+}
+
+// Detail holds the fields of the rarer lines: the engine's fallback,
+// rerun and retry lines, a nested-loops join, a constant and an index
+// scan's key.
+type Detail struct {
+	Err   error
+	Delay time.Duration
+	Preds []ast.Predicate
+	Val   value.Value
+}
+
+// String renders the event as its EXPLAIN line.
+func (e Event) String() string {
+	switch e.Kind {
+	case Step:
+		return e.Label + ": " + e.Text
+	case NestedIteration:
+		return "evaluated by nested iteration"
+	case Fallback:
+		return fmt.Sprintf("fallback to nested iteration: %v", e.Detail.Err)
+	case SequentialRerun:
+		return fmt.Sprintf("parallel plan failed (%v); retrying sequentially", e.Detail.Err)
+	case ForcedSpillRerun:
+		return fmt.Sprintf("memory budget exceeded (%v); retrying with forced spill", e.Detail.Err)
+	case TransientRetry:
+		return fmt.Sprintf("transient fault (%v); retry %d after %v", e.Detail.Err, e.N, e.Detail.Delay)
+	case Spill:
+		return fmt.Sprintf("spill: %d run(s), %d bytes", e.N, e.M)
+	case OracleSequential:
+		return fmt.Sprintf("parallel oracle: %v to sequential plan", e.Agree)
+	case OracleNestedIteration:
+		return fmt.Sprintf("parallel oracle: %v to nested iteration", e.Agree)
+	case Plan:
+		return e.Label + " plan:\n" + exec.Describe(e.Plan)
+	case Materialized:
+		return fmt.Sprintf("%s materialized: %d tuples, %d pages", e.Label, e.N, e.M)
+	case Constant:
+		return "type-A subquery evaluated to constant " + e.Detail.Val.String()
+	case IndexScan:
+		return fmt.Sprintf("%s: index scan on %s.%s (%s %s, ~%d matches)",
+			e.Label, e.Cols[0].Table, e.Cols[0].Column, e.Op, e.Detail.Val, e.N)
+	case HashJoin:
+		kind, workers := "hash join", ""
+		if e.N > 1 {
+			kind, workers = "parallel hash join", fmt.Sprintf(" (%d workers)", e.N)
+		}
+		return e.Label + ": " + e.outer() + kind + " " + e.keys() + workers
+	case MergeJoin:
+		return fmt.Sprintf("%s: %smerge join %s (B=%d)", e.Label, e.outer(), e.keys(), e.N)
+	case NestedLoops:
+		return e.Label + ": " + e.outer() + "nested-loops join on " + e.preds()
+	case MergeInapplicable:
+		return e.Label + ": merge join not applicable to " + e.preds() + "; using nested loops"
+	case SortElided:
+		return e.Label + ": " + e.Text + " input already in join-column order, sort elided"
+	case SortInput:
+		return e.Label + ": sort " + e.Text + " input on " + e.Cols[0].String()
+	case RightMaterialized:
+		return fmt.Sprintf("%s: right side restricted and materialized (%d pages)", e.Label, e.N)
+	case AntiJoin:
+		return fmt.Sprintf("%s: NULL-aware anti-join (NOT IN) against %d-page inner", e.Label, e.N)
+	case OrderBy:
+		return fmt.Sprintf("%s: ORDER BY sort over %d key(s)", e.Label, e.N)
+	case DistinctSort:
+		return fmt.Sprintf("%s: duplicates removed by sort over %d column(s)", e.Label, e.N)
+	case GroupOrdered:
+		return e.Label + ": input already in GROUP BY order, sort elided"
+	case GroupSort:
+		return e.Label + ": sort for GROUP BY"
+	case ParallelGroup:
+		return fmt.Sprintf("%s: parallel hash aggregation over %d group column(s) (%d workers)", e.Label, e.N, e.M)
+	case Having:
+		return fmt.Sprintf("%s: HAVING filter over %d conjunct(s)", e.Label, e.N)
+	}
+	return fmt.Sprintf("trace.Event(kind=%d)", e.Kind)
+}
+
+func (e Event) outer() string {
+	if e.Outer {
+		return "outer "
+	}
+	return ""
+}
+
+// keys renders a join key's column pairs.
+func (e Event) keys() string {
+	parts := make([]string, 0, len(e.Cols)/2)
+	for i := 0; i+1 < len(e.Cols); i += 2 {
+		parts = append(parts, e.Cols[i].String()+" with "+e.Cols[i+1].String())
+	}
+	return strings.Join(parts, " and ")
+}
+
+// preds renders a nested-loops join's conjuncts.
+func (e Event) preds() string {
+	if len(e.Detail.Preds) == 0 {
+		return "(cartesian)"
+	}
+	parts := make([]string, len(e.Detail.Preds))
+	for i, p := range e.Detail.Preds {
+		parts[i] = p.String()
+	}
+	return strings.Join(parts, " AND ")
+}
+
+// Lines renders every event, one string each: the text form of a trace.
+func Lines(events []Event) []string {
+	out := make([]string, len(events))
+	for i, e := range events {
+		out[i] = e.String()
+	}
+	return out
+}

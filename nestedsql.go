@@ -35,6 +35,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/spill"
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/value"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -513,7 +514,7 @@ func (db *DB) Query(sql string, opts ...QueryOption) (*Result, error) {
 		PageIO:   PageIO{Reads: res.Stats.Reads, Writes: res.Stats.Writes},
 		Spill:    res.Spill,
 		FellBack: res.FellBack,
-		Trace:    res.Trace,
+		Trace:    trace.Lines(res.Trace),
 	}
 	for _, row := range res.Rows {
 		converted := make([]any, len(row))
@@ -566,7 +567,7 @@ func (db *DB) Exec(script string, opts ...QueryOption) (*Result, error) {
 		Spill:    res.Spill,
 		FellBack: res.FellBack,
 		Affected: res.Affected,
-		Trace:    res.Trace,
+		Trace:    trace.Lines(res.Trace),
 	}
 	for _, row := range res.Rows {
 		converted := make([]any, len(row))
