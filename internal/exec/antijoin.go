@@ -79,7 +79,7 @@ func (a *AntiJoin) qualifies(l storage.Tuple) (bool, error) {
 					continue
 				}
 			}
-			if err := in.see(lv, value.OpEq, r[a.MemberCol]); err != nil {
+			if err := in.see(&lv, value.OpEq, &r[a.MemberCol]); err != nil {
 				return false, err
 			}
 		}

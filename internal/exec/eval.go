@@ -347,8 +347,9 @@ func allTrue(preds []pred) (bool, error) {
 // iteration and a plan's HAVING filter both use it.
 func Having(having []ast.HavingPred) RowPred {
 	return func(row storage.Tuple) (bool, error) {
-		for _, h := range having {
-			if tri, err := h.Op.Apply(row[h.Pos], h.Val); err != nil || !tri.IsTrue() {
+		for i := range having {
+			h := &having[i]
+			if tri, err := h.Op.ApplyRef(&row[h.Pos], &h.Val); err != nil || !tri.IsTrue() {
 				return false, err
 			}
 		}
@@ -434,7 +435,7 @@ func (ev *Evaluator) framePred(p ast.Predicate, scope []RowSchema) (pred, error)
 		ro, rok := operandOf(p.Right, scope)
 		if lok && rok {
 			// The common conjunct, two columns or constants, compared in place.
-			return func() (value.Tri, error) { return p.Op.Apply(*lo.get(ev.frames), *ro.get(ev.frames)) }, nil
+			return func() (value.Tri, error) { return p.Op.ApplyRef(lo.get(ev.frames), ro.get(ev.frames)) }, nil
 		}
 		l, err := ev.frameExpr(p.Left, scope)
 		if err != nil {
@@ -618,7 +619,7 @@ func (ev *Evaluator) scalarSub(bp *blockProg) (value.Value, error) {
 // the empty-set cases (ANY over empty is FALSE, ALL over empty is TRUE).
 func (ev *Evaluator) evalQuant(lv value.Value, op value.CompareOp, quant ast.Quantifier, sub *blockProg) (value.Tri, error) {
 	var q quantified
-	if err := ev.visitSubValues(sub, func(v value.Value) error { return q.see(lv, op, v) }); err != nil {
+	if err := ev.visitSubValues(sub, func(v value.Value) error { return q.see(&lv, op, &v) }); err != nil {
 		return value.Unknown, err
 	}
 	return q.tri(quant), nil
@@ -629,8 +630,8 @@ func (ev *Evaluator) evalQuant(lv value.Value, op value.CompareOp, quant ast.Qua
 // ANY and ALL and a plan's AntiJoin all decide through it.
 type quantified struct{ anyTrue, anyUnknown, anyFalse bool }
 
-func (q *quantified) see(lv value.Value, op value.CompareOp, v value.Value) error {
-	tri, err := op.Apply(lv, v)
+func (q *quantified) see(lv *value.Value, op value.CompareOp, v *value.Value) error {
+	tri, err := op.ApplyRef(lv, v)
 	switch tri {
 	case value.True:
 		q.anyTrue = true

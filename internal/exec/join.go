@@ -134,7 +134,7 @@ func (k joinKey) equal(l, r storage.Tuple, from int) bool {
 // the total order both inputs are sorted in.
 func (k joinKey) compare(r, l storage.Tuple, n int) (int, error) {
 	for i := range n {
-		if c, err := value.TotalCompare(r[k.right[i]], l[k.left[i]]); c != 0 || err != nil {
+		if c, err := value.TotalCompareRef(&r[k.right[i]], &l[k.left[i]]); c != 0 || err != nil {
 			return c, err // incomparable join keys: a per-query type error
 		}
 	}

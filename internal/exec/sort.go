@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 
@@ -67,9 +68,11 @@ type sortRun struct {
 // keyed is a buffered row and its position in the buffer, the last
 // tie-break: with it the unstable slices.SortFunc leaves rows of equal
 // keys in input order, which is what makes a sort's output the same bytes
-// whether it ran in memory, through heap runs or through spill runs.
+// whether it ran in memory, through heap runs or through spill runs. k is
+// the leading key's payload when intKeys extracted it, and 0 otherwise.
 type keyed struct {
 	t   storage.Tuple
+	k   int64
 	seq int
 }
 
@@ -111,15 +114,58 @@ func compareRows(a, b storage.Tuple, keys []int, desc []bool, cmpErr *error) int
 	return 0
 }
 
-// sortBuf sorts one run's rows by key, ties by arrival.
+// sortBuf sorts one run's rows by key, ties by arrival. When intKeys
+// extracted the leading key, the run sorts on it and compares Values only
+// to break a tie on it; otherwise every k is 0 and Values decide.
 func (s *Sort) sortBuf(buf []keyed) error {
+	keys, desc := s.Keys, s.Desc
+	if s.intKeys(buf) {
+		keys = keys[1:]
+		if desc != nil {
+			desc = desc[1:]
+		}
+	}
 	slices.SortFunc(buf, func(a, b keyed) int {
-		if c := compareRows(a.t, b.t, s.Keys, s.Desc, &s.cmpErr); c != 0 {
+		if c := cmp.Compare(a.k, b.k); c != 0 {
+			return c
+		}
+		if c := compareRows(a.t, b.t, keys, desc, &s.cmpErr); c != 0 {
 			return c
 		}
 		return a.seq - b.seq
 	})
 	return s.cmpErr
+}
+
+// intKeys copies the leading key's payload into each row's k when that
+// column holds INTEGERs throughout or DATEs throughout, where the payloads'
+// order is the total order; a descending key stores ^payload, which
+// reverses that order without overflow. Any other column (a NULL, a FLOAT,
+// a string, mixed kinds) or no key at all reports false and leaves every
+// k 0, as the rows arrived.
+func (s *Sort) intKeys(buf []keyed) bool {
+	if len(s.Keys) == 0 || len(buf) == 0 {
+		return false
+	}
+	col := s.Keys[0]
+	_, kind := value.IntKey(&buf[0].t[col])
+	if kind != value.KindInt && kind != value.KindDate {
+		return false
+	}
+	for i := range buf {
+		if _, kd := value.IntKey(&buf[i].t[col]); kd != kind {
+			return false
+		}
+	}
+	var flip int64 // all ones when descending
+	if s.Desc != nil && s.Desc[0] {
+		flip = -1
+	}
+	for i := range buf {
+		k, _ := value.IntKey(&buf[i].t[col])
+		buf[i].k = k ^ flip
+	}
+	return true
 }
 
 // Open drains the child, forms sorted runs, and merges them down to one.
@@ -196,7 +242,7 @@ func (s *Sort) Open() error {
 			if fits {
 				s.charged += n
 				bufBytes += n
-				buf = append(buf, keyed{t, len(buf)})
+				buf = append(buf, keyed{t: t, seq: len(buf)})
 				if len(buf) == runCap {
 					if err := flush(); err != nil {
 						return err
@@ -210,7 +256,7 @@ func (s *Sort) Open() error {
 		// Tuples between spill flushes ride uncharged; the batch cap
 		// bounds the slack to one morsel. Charged tuples still in buf
 		// when the sort degrades are spilled at once.
-		buf = append(buf, keyed{t, len(buf)})
+		buf = append(buf, keyed{t: t, seq: len(buf)})
 		if len(buf) >= spillBatch || bufBytes > 0 {
 			if err := flush(); err != nil {
 				return err

@@ -2,6 +2,7 @@ package exec_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -16,9 +17,13 @@ import (
 // TestSortStableDifferential: exec.Sort must equal a stable reference sort
 // row for row — rows with equal keys leave in input order — on every path
 // a row can take: the in-memory sort, heap runs merged B−1 at a time, and
-// spill runs under SpillForced. Inputs are dense in duplicate keys and
-// NULLs, and the last column carries the input position, so any pair of
-// ties that swaps shows in the rendered row.
+// spill runs under SpillForced. Inputs are dense in duplicate keys, and
+// the last column carries the input position, so any pair of ties that
+// swaps shows in the rendered row. The leading key columns cover both
+// ways a run sorts: INTEGERs or DATEs throughout (sorted on the extracted
+// payload) and NULLs among integers or integers mixed with floats (sorted
+// on Values); a column mixing strings with integers must fail with the
+// type error the reference comparator meets.
 func TestSortStableDifferential(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -28,6 +33,7 @@ func TestSortStableDifferential(t *testing.T) {
 		{"one-key", []int{0}, nil},
 		{"one-key-desc", []int{0}, []bool{true}},
 		{"two-keys", []int{0, 1}, nil},
+		{"two-keys-lead-desc", []int{0, 1}, []bool{true, false}},
 		{"two-keys-mixed-desc", []int{1, 0}, []bool{true, false}},
 	}
 	paths := []struct {
@@ -40,63 +46,124 @@ func TestSortStableDifferential(t *testing.T) {
 		{name: "heap-runs", frames: 3},
 		{name: "forced-spill", frames: 3, lim: qctx.Limits{Spill: qctx.SpillForced, MaxBytes: 1 << 30}, spill: true},
 	}
-	for seed := int64(1); seed <= 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		rows := randTuples(rng, 300+rng.Intn(200), 6)
-		for i := range rows {
-			rows[i] = append(rows[i], intv(int64(i)))
+	date := func(day int) value.Value {
+		d, err := value.NewDate(1980, 1, 1+day)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, sh := range shapes {
-			ref := slices.Clone(rows)
-			slices.SortStableFunc(ref, func(a, b storage.Tuple) int {
-				for i, k := range sh.keys {
-					c, err := value.TotalCompare(a[k], b[k])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if sh.desc != nil && sh.desc[i] {
-						c = -c
-					}
-					if c != 0 {
-						return c
-					}
-				}
-				return 0
-			})
-			want := make([]string, len(ref))
-			for i, r := range ref {
-				want[i] = r.String()
+		return value.NewDateValue(d)
+	}
+	// Each input makes column 0 (and 1) from a key k drawn with duplicates.
+	inputs := []struct {
+		name       string
+		lead, next func(rng *rand.Rand) value.Value
+		typeErr    bool
+	}{
+		{name: "int", lead: func(rng *rand.Rand) value.Value {
+			return intv([]int64{math.MinInt64, -2, -1, 0, 1, 2, 3, math.MaxInt64}[rng.Intn(8)])
+		},
+			next: func(rng *rand.Rand) value.Value { return intv(int64(rng.Intn(5))) }},
+		{name: "date", lead: func(rng *rand.Rand) value.Value { return date(rng.Intn(6)) },
+			next: func(rng *rand.Rand) value.Value { return date(rng.Intn(4)) }},
+		{name: "null-lead", lead: func(rng *rand.Rand) value.Value {
+			if rng.Intn(10) == 0 {
+				return value.Null
 			}
-			for _, p := range paths {
-				t.Run(fmt.Sprintf("seed%d/%s/%s", seed, sh.name, p.name), func(t *testing.T) {
-					e, m, done := newSpillEnv(t, spillRegime{lim: p.lim, spill: p.spill})
-					defer done()
-					e.s = storage.NewStore(p.frames)
-					f := loadTuples(e.s, "R", 2, rows)
-					e.s.ResetStats()
-					got, err := renderAll(&exec.Sort{Child: scanOf(f, "R"), Keys: sh.keys, Desc: sh.desc,
-						Store: e.s, TuplesPerPage: 16, QC: e.qc, Spill: e.sess})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if p.spill == (e.sess.Stats().Runs == 0) {
-						t.Errorf("spilled %v, want spilling = %v", e.sess.Stats(), p.spill)
-					}
-					if w := e.s.Stats().Writes; (p.name == "heap-runs") != (w > 0) {
-						t.Errorf("%d heap run pages written on the %s path", w, p.name)
-					}
-					if n := m.LiveRuns(); n != 0 {
-						t.Errorf("%d spill runs outlive Close", n)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("%d rows, want %d", len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("row %d of %d: got %s, want %s", i, len(want), got[i], want[i])
+			return intv(int64(rng.Intn(6)))
+		}, next: func(rng *rand.Rand) value.Value {
+			if rng.Intn(10) == 0 {
+				return value.Null
+			}
+			return intv(int64(rng.Intn(5)))
+		}},
+		{name: "int-float", lead: func(rng *rand.Rand) value.Value {
+			k := rng.Intn(6)
+			if rng.Intn(2) == 0 {
+				return intv(int64(k))
+			}
+			return value.NewFloat(float64(k) / float64(1+rng.Intn(2))) // 2.0 ties 2, 1.5 falls between
+		}, next: func(rng *rand.Rand) value.Value { return intv(int64(rng.Intn(5))) }},
+		{name: "string-int", lead: func(rng *rand.Rand) value.Value {
+			k := rng.Intn(6)
+			if rng.Intn(2) == 0 {
+				return intv(int64(k))
+			}
+			return value.NewString(fmt.Sprint(k))
+		}, next: func(rng *rand.Rand) value.Value { return intv(int64(rng.Intn(5))) }, typeErr: true},
+	}
+	for _, in := range inputs {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			rows := make([]storage.Tuple, 300+rng.Intn(200))
+			for i := range rows {
+				rows[i] = storage.Tuple{in.lead(rng), in.next(rng), intv(int64(i))}
+			}
+			for _, sh := range shapes {
+				if in.typeErr && sh.keys[0] != 0 {
+					continue
+				}
+				ref := slices.Clone(rows)
+				refErrs := map[string]bool{}
+				slices.SortStableFunc(ref, func(a, b storage.Tuple) int {
+					for i, k := range sh.keys {
+						c, err := value.TotalCompare(a[k], b[k])
+						if err != nil {
+							refErrs[err.Error()] = true
+							return 0
+						}
+						if sh.desc != nil && sh.desc[i] {
+							c = -c
+						}
+						if c != 0 {
+							return c
 						}
 					}
+					return 0
 				})
+				if in.typeErr != (len(refErrs) > 0) {
+					t.Fatalf("%s: reference sort errors %v", in.name, refErrs)
+				}
+				want := make([]string, len(ref))
+				for i, r := range ref {
+					want[i] = r.String()
+				}
+				for _, p := range paths {
+					t.Run(fmt.Sprintf("%s/seed%d/%s/%s", in.name, seed, sh.name, p.name), func(t *testing.T) {
+						e, m, done := newSpillEnv(t, spillRegime{lim: p.lim, spill: p.spill})
+						defer done()
+						e.s = storage.NewStore(p.frames)
+						f := loadTuples(e.s, "R", 2, rows)
+						e.s.ResetStats()
+						got, err := renderAll(&exec.Sort{Child: scanOf(f, "R"), Keys: sh.keys, Desc: sh.desc,
+							Store: e.s, TuplesPerPage: 16, QC: e.qc, Spill: e.sess})
+						if n := m.LiveRuns(); n != 0 {
+							t.Errorf("%d spill runs outlive Close", n)
+						}
+						if in.typeErr {
+							if err == nil || !refErrs[err.Error()] {
+								t.Fatalf("Sort = %v, want one of the reference's type errors %v", err, refErrs)
+							}
+							return
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if p.spill == (e.sess.Stats().Runs == 0) {
+							t.Errorf("spilled %v, want spilling = %v", e.sess.Stats(), p.spill)
+						}
+						if w := e.s.Stats().Writes; (p.name == "heap-runs") != (w > 0) {
+							t.Errorf("%d heap run pages written on the %s path", w, p.name)
+						}
+						if len(got) != len(want) {
+							t.Fatalf("%d rows, want %d", len(got), len(want))
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("row %d of %d: got %s, want %s", i, len(want), got[i], want[i])
+							}
+						}
+					})
+				}
 			}
 		}
 	}

@@ -89,7 +89,7 @@ const slabTuples = 170
 type HeapFile struct {
 	store *Store
 	name  string
-	pages [][]Tuple
+	pages []pageRef
 	// slab is the unused tail of the array the next pages are carved
 	// from. It pins that whole array, so it belongs to this file alone:
 	// Replace takes the shadow's, TruncateTo drops it.
@@ -125,7 +125,7 @@ func (f *HeapFile) numTuples() int {
 	if k == 0 {
 		return 0
 	}
-	return (k-1)*f.TuplesPerPage() + len(f.pages[k-1])
+	return (k-1)*f.TuplesPerPage() + len(f.pages[k-1].t)
 }
 
 // TuplesPerPage returns the page capacity.
@@ -159,10 +159,10 @@ func (f *HeapFile) Append(t Tuple) {
 	}
 	f.sealed = false
 	tpp := f.TuplesPerPage()
-	if len(f.pages) == 0 || len(f.pages[len(f.pages)-1]) == tpp {
-		f.pages = append(f.pages, f.newPage())
+	if len(f.pages) == 0 || len(f.pages[len(f.pages)-1].t) == tpp {
+		f.pages = append(f.pages, pageRef{t: f.newPage()})
 	}
-	last := &f.pages[len(f.pages)-1]
+	last := &f.pages[len(f.pages)-1].t
 	*last = append(*last, t)
 	if len(*last) == tpp {
 		f.store.stats.Writes++
@@ -193,7 +193,7 @@ func (f *HeapFile) Grow(n int) {
 	defer f.store.mu.Unlock()
 	tpp := f.TuplesPerPage()
 	if k := len(f.pages); k > 0 {
-		n -= tpp - len(f.pages[k-1]) // room left in the open page
+		n -= tpp - len(f.pages[k-1].t) // room left in the open page
 	}
 	need := (n + tpp - 1) / tpp
 	if need <= 0 {
@@ -214,7 +214,7 @@ func (f *HeapFile) Seal() {
 		return
 	}
 	f.sealed = true
-	if n := len(f.pages); n > 0 && len(f.pages[n-1]) < f.TuplesPerPage() {
+	if n := len(f.pages); n > 0 && len(f.pages[n-1].t) < f.TuplesPerPage() {
 		f.store.stats.Writes++
 	}
 }
@@ -232,8 +232,8 @@ func (f *HeapFile) ReadPage(i int) []Tuple {
 	if i < 0 || i >= len(f.pages) {
 		panic(fmt.Sprintf("storage: page %d out of range for %s (%d pages)", i, f.name, len(f.pages)))
 	}
-	f.store.pool.touch(pageID{file: f, idx: i})
-	return f.pages[i]
+	f.store.pool.touch(f, i)
+	return f.pages[i].t
 }
 
 // ReadPageDirect fetches page i bypassing the buffer pool, always counting
@@ -252,7 +252,7 @@ func (f *HeapFile) ReadPageDirect(i int) []Tuple {
 		panic(fmt.Sprintf("storage: page %d out of range for %s (%d pages)", i, f.name, len(f.pages)))
 	}
 	f.store.stats.Reads++
-	return f.pages[i]
+	return f.pages[i].t
 }
 
 // Scan calls fn for every tuple in sequential page order, reading through
@@ -309,12 +309,12 @@ func (f *HeapFile) TruncateTo(n int) {
 	f.store.pool.invalidate(f)
 	full, rem := n/f.TuplesPerPage(), n%f.TuplesPerPage()
 	if rem > 0 {
-		clear(f.pages[full][rem:])
-		f.pages[full] = f.pages[full][:rem]
+		clear(f.pages[full].t[rem:])
+		f.pages[full].t = f.pages[full].t[:rem]
 		full++
 	}
 	for _, p := range f.pages[full:] {
-		clear(p)
+		clear(p.t)
 	}
 	clear(f.pages[full:])
 	f.pages = f.pages[:full]
@@ -322,61 +322,113 @@ func (f *HeapFile) TruncateTo(n int) {
 	f.sealed = false
 }
 
-// pageID identifies a page for the buffer pool.
-type pageID struct {
-	file *HeapFile
-	idx  int
+// pageRef is one entry of a file's page index: the page, and 1 + the
+// number of the buffer frame it is resident in (0 = not resident), so the
+// pool finds a page's frame without a lookup table. It is read and written
+// under the store mutex.
+type pageRef struct {
+	t     []Tuple
+	frame int32
 }
 
-// bufferPool is an LRU cache of page identities. Because heap files are in
-// memory, the pool tracks residency only — which pages would occupy buffer
-// frames — and charges a read for each miss.
+// frame is one buffer frame: the page it holds and its neighbours in the
+// pool's LRU list (frame numbers, -1 = none). A free frame holds no file
+// and is linked through next.
+type frame struct {
+	file       *HeapFile
+	idx        int
+	prev, next int32
+}
+
+// bufferPool is an exact LRU cache of page identities. Because heap files
+// are in memory, the pool tracks residency only — which pages would occupy
+// buffer frames — and charges a read for each miss. The frames form a
+// doubly linked list from the least recently used (head) to the most
+// (tail), grown up to capacity as pages first become resident; frames an
+// invalidation frees wait on a free list. A hit, a miss and an eviction
+// are each O(1).
 type bufferPool struct {
-	capacity int
-	lru      []pageID // front = least recently used
-	resident map[pageID]bool
-	store    *Store
+	capacity   int
+	frames     []frame
+	head, tail int32 // LRU order; -1 when empty
+	free       int32 // free list; -1 when empty
+	store      *Store
 }
 
-func (p *bufferPool) touch(id pageID) {
+// unlink takes frame n out of the LRU list.
+func (p *bufferPool) unlink(n int32) {
+	fr := &p.frames[n]
+	if fr.prev >= 0 {
+		p.frames[fr.prev].next = fr.next
+	} else {
+		p.head = fr.next
+	}
+	if fr.next >= 0 {
+		p.frames[fr.next].prev = fr.prev
+	} else {
+		p.tail = fr.prev
+	}
+}
+
+// pushTail makes frame n the most recently used.
+func (p *bufferPool) pushTail(n int32) {
+	fr := &p.frames[n]
+	fr.prev, fr.next = p.tail, -1
+	if p.tail >= 0 {
+		p.frames[p.tail].next = n
+	} else {
+		p.head = n
+	}
+	p.tail = n
+}
+
+// touch fetches page i of f through the pool, counting a read on a miss.
+func (p *bufferPool) touch(f *HeapFile, i int) {
 	if p.capacity <= 0 {
 		p.store.stats.Reads++
 		return
 	}
-	if p.resident[id] {
-		// Move to back (most recently used).
-		for i, e := range p.lru {
-			if e == id {
-				copy(p.lru[i:], p.lru[i+1:])
-				p.lru[len(p.lru)-1] = id
-				break
-			}
+	ref := &f.pages[i]
+	if ref.frame != 0 {
+		n := ref.frame - 1
+		if n != p.tail {
+			p.unlink(n)
+			p.pushTail(n)
 		}
 		return
 	}
 	p.store.stats.Reads++
-	if len(p.lru) == p.capacity {
-		evict := p.lru[0]
-		copy(p.lru, p.lru[1:])
-		p.lru = p.lru[:len(p.lru)-1]
-		delete(p.resident, evict)
+	var n int32
+	switch {
+	case p.free >= 0:
+		n, p.free = p.free, p.frames[p.free].next
+	case len(p.frames) < p.capacity:
+		n = int32(len(p.frames))
+		p.frames = append(p.frames, frame{})
+	default: // evict the least recently used page
+		n = p.head
+		p.unlink(n)
+		old := &p.frames[n]
+		old.file.pages[old.idx].frame = 0
 	}
-	p.lru = append(p.lru, id)
-	p.resident[id] = true
+	p.frames[n].file, p.frames[n].idx = f, i
+	p.pushTail(n)
+	ref.frame = n + 1
 }
 
 // invalidate drops all cached pages of a file (used when dropping temp
-// tables so their frames free up).
+// tables so their frames free up), clearing their page-index slots.
 func (p *bufferPool) invalidate(f *HeapFile) {
-	out := p.lru[:0]
-	for _, id := range p.lru {
-		if id.file == f {
-			delete(p.resident, id)
-		} else {
-			out = append(out, id)
+	for n := range p.frames {
+		fr := &p.frames[n]
+		if fr.file != f {
+			continue
 		}
+		f.pages[fr.idx].frame = 0
+		p.unlink(int32(n))
+		*fr = frame{next: p.free}
+		p.free = int32(n)
 	}
-	p.lru = out
 }
 
 // Store owns heap files, the buffer pool, and the I/O statistics. The
@@ -401,11 +453,7 @@ type Store struct {
 // counts).
 func NewStore(bufferPages int) *Store {
 	s := &Store{files: make(map[string]*HeapFile)}
-	s.pool = &bufferPool{
-		capacity: bufferPages,
-		resident: make(map[pageID]bool),
-		store:    s,
-	}
+	s.pool = &bufferPool{capacity: bufferPages, head: -1, tail: -1, free: -1, store: s}
 	return s
 }
 

@@ -458,7 +458,7 @@ func TestTruncateClearsDroppedSlots(t *testing.T) {
 		}
 	}
 	for i, p := range f.pages[:cap(f.pages)][f.NumPages():] {
-		if p != nil {
+		if p.t != nil {
 			t.Errorf("page index slot %d still holds a dropped page", f.NumPages()+i)
 		}
 	}

@@ -1,6 +1,8 @@
 package value
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -181,6 +183,52 @@ func TestNaNOrderAndTotalCompareRef(t *testing.T) {
 			rc, rerr := TotalCompareRef(&a, &b)
 			if c != rc || (err == nil) != (rerr == nil) {
 				t.Errorf("TotalCompareRef(%v, %v) = %d, %v; TotalCompare says %d, %v", a, b, rc, rerr, c, err)
+			}
+		}
+	}
+}
+
+// TestApplyRefAndIntKey: the by-pointer comparison answers what Apply
+// answers — truth value and error alike — for every operator on every
+// pair of NULL, INTEGER, FLOAT, DATE and STRING values, incomparable pairs
+// included; and IntKey's payloads order two INTEGERs or two DATEs the way
+// TotalCompareRef does, and name every other kind as itself.
+func TestApplyRefAndIntKey(t *testing.T) {
+	date := func(s string) Value { return NewDateValue(mustParseDate(s)) }
+	vals := []Value{
+		Null,
+		NewInt(math.MinInt64), NewInt(-3), NewInt(0), NewInt(0), NewInt(7), NewInt(math.MaxInt64),
+		NewFloat(-0.5), NewFloat(0), NewFloat(7), NewFloat(math.NaN()),
+		date("6/22/76"), date("1-1-80"), date("1-1-80"), date("5-7-83"),
+		NewString(""), NewString("a"), NewString("b"),
+	}
+	for op := OpEq; op <= OpEqNull; op++ {
+		for _, a := range vals {
+			for _, b := range vals {
+				want, werr := op.Apply(a, b)
+				got, err := op.ApplyRef(&a, &b)
+				if got != want || fmt.Sprint(err) != fmt.Sprint(werr) {
+					t.Errorf("%v %v %v: ApplyRef = %v, %v; Apply = %v, %v", a, op, b, got, err, want, werr)
+				}
+				if incomparable := !a.IsNull() && !b.IsNull() && a.Kind() != b.Kind() &&
+					!(a.isNumeric() && b.isNumeric()); incomparable != (err != nil) {
+					t.Errorf("%v %v %v: error %v, want one exactly for incomparable kinds", a, op, b, err)
+				}
+			}
+		}
+	}
+	for _, a := range vals {
+		ka, kind := IntKey(&a)
+		if kind != a.Kind() {
+			t.Errorf("IntKey(%v) names kind %v", a, kind)
+		}
+		for _, b := range vals {
+			kb, bkind := IntKey(&b)
+			if kind != bkind || (kind != KindInt && kind != KindDate) {
+				continue
+			}
+			if c, _ := TotalCompareRef(&a, &b); cmp.Compare(ka, kb) != c {
+				t.Errorf("IntKey orders %v against %v as %d, TotalCompareRef as %d", a, b, cmp.Compare(ka, kb), c)
 			}
 		}
 	}
