@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -512,4 +513,210 @@ func lineOf(t *testing.T, path string, offset int) int {
 		t.Fatal(err)
 	}
 	return 1 + strings.Count(string(src[:offset]), "\n")
+}
+
+// DESIGN.md and README.md are the contract only while they describe the
+// tree that is there, so CI holds them to it:
+//
+//	(a) every root guard — each TestOne* here, TestDocsPassOnlyDefinedFlags
+//	    and TestRetiredShardFrameRefused — is named exactly once in DESIGN.md;
+//	(b) every Test name DESIGN.md or README.md gives is a func Test in the
+//	    checkout, bench/ included, or a prefix of one;
+//	(c) §4's layout names every directory under cmd/, internal/ and
+//	    examples/, plus bench/, and nothing that does not exist;
+//	(d) every DESIGN.md §N (and §N rule K) and every quoted DESIGN heading
+//	    that Go code, README.md or EXPERIMENTS.md cites is there;
+//	(e) README's gate table lists exactly the Makefile's GATES, in order.
+func TestDocsMatchTree(t *testing.T) {
+	design, readme := readFile(t, "DESIGN.md"), readFile(t, "README.md")
+	sections := designSections(design)
+	testFunc := regexp.MustCompile(`(?m)^func (Test\w+)\(`)
+
+	// (a)
+	guards := []string{"TestDocsPassOnlyDefinedFlags", "TestRetiredShardFrameRefused"}
+	for _, m := range testFunc.FindAllStringSubmatch(readFile(t, "docflags_test.go"), -1) {
+		if strings.HasPrefix(m[1], "TestOne") {
+			guards = append(guards, m[1])
+		}
+	}
+	for _, g := range guards {
+		if n := len(regexp.MustCompile(`\b`+g+`\b`).FindAllStringIndex(design, -1)); n != 1 {
+			t.Errorf("DESIGN.md names the root guard %s %d times, want once", g, n)
+		}
+	}
+
+	// (b) and the citing texts of (d), from one walk of the checkout.
+	var tests []string
+	citing := map[string]string{"README.md": readme, "EXPERIMENTS.md": readFile(t, "EXPERIMENTS.md")}
+	commentBreak := regexp.MustCompile(`\n\s*//\s?`)
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		src := readFile(t, path)
+		for _, m := range testFunc.FindAllStringSubmatch(src, -1) {
+			tests = append(tests, m[1])
+		}
+		citing[path] = commentBreak.ReplaceAllString(src, " ")
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for doc, text := range map[string]string{"DESIGN.md": design, "README.md": readme} {
+		for _, name := range regexp.MustCompile(`\bTest[A-Z]\w*`).FindAllString(text, -1) {
+			if !slices.ContainsFunc(tests, func(fn string) bool { return strings.HasPrefix(fn, name) }) {
+				t.Errorf("%s names %s, which is no func Test in the checkout nor a prefix of one", doc, name)
+			}
+		}
+	}
+
+	// (c)
+	named := layoutDirs(sections[4])
+	want := []string{"bench/"}
+	for _, top := range []string{"cmd", "internal", "examples"} {
+		entries, err := os.ReadDir(top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.IsDir() {
+				want = append(want, top+"/"+e.Name()+"/")
+			}
+		}
+	}
+	for _, dir := range want {
+		if !named[dir] {
+			t.Errorf("DESIGN.md §4 does not name %s", dir)
+		}
+	}
+	for dir := range named {
+		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+			t.Errorf("DESIGN.md §4 names %s, which is no directory", dir)
+		}
+	}
+
+	// (d)
+	citation := regexp.MustCompile(`DESIGN(?:\.md)?((?:(?:,|\s+and)?\s+§\d+(?:\s+rule\s+\d+)?)*)(?:,?\s+"([A-Z][^"\n]{0,60})")?`)
+	ref := regexp.MustCompile(`§(\d+)(?:\s+rule\s+(\d+))?`)
+	for path, text := range citing {
+		text = strings.Join(strings.Fields(text), " ")
+		for _, m := range citation.FindAllStringSubmatch(text, -1) {
+			scope := design
+			for _, r := range ref.FindAllStringSubmatch(m[1], -1) {
+				n, _ := strconv.Atoi(r[1])
+				body, ok := sections[n]
+				if !ok {
+					t.Errorf("%s cites DESIGN.md §%d, which has no such section: %q", path, n, m[0])
+					continue
+				}
+				scope = body
+				if r[2] != "" && !regexp.MustCompile(`(?m)^`+r[2]+`\. `).MatchString(body) {
+					t.Errorf("%s cites DESIGN.md §%d rule %s, which §%d does not number: %q", path, n, r[2], n, m[0])
+				}
+			}
+			if m[2] != "" && !hasHeading(scope, m[2]) {
+				t.Errorf("%s cites DESIGN.md heading %q, which is not there: %q", path, m[2], m[0])
+			}
+		}
+	}
+
+	// (e)
+	gates := regexp.MustCompile(`(?m)^GATES\s*:=(.*)$`).FindStringSubmatch(readFile(t, "Makefile"))
+	if gates == nil {
+		t.Fatal("Makefile: no GATES := line")
+	}
+	var rows []string
+	_, checks, _ := strings.Cut(readme, "\n## Checks\n")
+	checks, _, _ = strings.Cut(checks, "\n## ")
+	for _, line := range strings.Split(checks, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || strings.HasPrefix(strings.TrimSpace(cells[1]), "-") {
+			continue
+		}
+		rows = append(rows, strings.Trim(strings.TrimSpace(cells[1]), "`"))
+	}
+	if len(rows) > 0 {
+		rows = rows[1:] // the header
+	}
+	if want := strings.Fields(gates[1]); !slices.Equal(rows, want) {
+		t.Errorf("README.md's gate table lists %v, the Makefile's GATES are %v", rows, want)
+	}
+}
+
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// designSections splits DESIGN.md at its "## N. Title" headings, each
+// body running from its heading to the next.
+func designSections(design string) map[int]string {
+	sections := map[int]string{}
+	heading := regexp.MustCompile(`(?m)^## (\d+)\. `)
+	at := heading.FindAllStringSubmatchIndex(design, -1)
+	for i, m := range at {
+		end := len(design)
+		if i+1 < len(at) {
+			end = at[i+1][0]
+		}
+		n, _ := strconv.Atoi(design[m[2]:m[3]])
+		sections[n] = design[m[0]:end]
+	}
+	return sections
+}
+
+// hasHeading reports whether text holds title as a heading line or as a
+// bold run-in heading ("**Title.**").
+func hasHeading(text, title string) bool {
+	return regexp.MustCompile(`(?m)^#+ (?:\d+\. )?`+regexp.QuoteMeta(title)+`\s*$`).MatchString(text) ||
+		strings.Contains(text, "**"+title+".**")
+}
+
+// layoutDirs reads the directory tree in a section's indented code
+// block: a name ending in "/" alone on its line opens a directory, and
+// names indented under it are its entries. Comments start at "#".
+func layoutDirs(section string) map[string]bool {
+	type level struct {
+		indent int
+		path   string
+	}
+	var open []level
+	named := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "    ") {
+			continue
+		}
+		code, _, _ := strings.Cut(line, "#")
+		fields := strings.Fields(code)
+		if len(fields) == 0 {
+			continue
+		}
+		indent := len(code) - len(strings.TrimLeft(code, " "))
+		for len(open) > 0 && open[len(open)-1].indent >= indent {
+			open = open[:len(open)-1]
+		}
+		parent := ""
+		if len(open) > 0 {
+			parent = open[len(open)-1].path
+		}
+		for _, f := range fields {
+			if strings.HasSuffix(f, "/") {
+				named[parent+f] = true
+			}
+		}
+		if len(fields) == 1 && strings.HasSuffix(fields[0], "/") {
+			open = append(open, level{indent, parent + fields[0]})
+		}
+	}
+	return named
 }

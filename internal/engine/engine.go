@@ -11,7 +11,9 @@
 //   - TransformKim: the same pipeline with Kim's original NEST-JA, kept to
 //     reproduce the COUNT bug and the non-equality bug.
 //
-// Page I/O statistics are captured per query, so strategies are directly
+// A result's page I/O is what the store counted while the query ran: the
+// store-wide delta over the query's lifetime, so it includes the pages of
+// any query that overlapped it. Queries run one at a time are directly
 // comparable on the paper's metric.
 package engine
 
@@ -361,8 +363,10 @@ type Options struct {
 	// Lifecycle governance. A query exceeding Timeout fails with
 	// qctx.ErrQueryTimeout; one producing more than MaxRows result rows
 	// fails with qctx.ErrRowBudget; one buffering more than MaxBytes in
-	// hash builds and sorts fails with qctx.ErrMemoryBudget (a cost-gated
-	// parallel plan is retried sequentially once first — see Query). Zero
+	// hash builds and sorts fails with qctx.ErrMemoryBudget. Two reruns
+	// come first: a cost-gated parallel plan is retried sequentially once,
+	// and under SpillAuto with EnableSpill a query still over budget reruns
+	// once as the forced-spill sort-merge plan (see runTransformed). Zero
 	// values mean ungoverned, and execution pays only nil checks.
 	Timeout  time.Duration
 	MaxRows  int64
@@ -402,7 +406,7 @@ func (o Options) governed() bool {
 type Result struct {
 	Columns  []string
 	Rows     []storage.Tuple
-	Stats    storage.IOStats // page I/Os consumed by this query
+	Stats    storage.IOStats // store-wide page I/Os while the query ran, an overlapping query's included
 	Spill    spill.Stats     // spill runs/bytes written by this query
 	Strategy Strategy        // strategy requested
 	FellBack bool            // true if transformation fell back to nested iteration

@@ -1,6 +1,6 @@
 // Package spill is the run manager behind graceful degradation under
-// memory pressure: a buffering operator (hash join build, hash
-// aggregation, sort) that cannot reserve budget for its working set writes
+// memory pressure: a buffering operator (a sort, or a merge join's
+// duplicate-key group) that cannot reserve budget for its working set writes
 // row runs to disk through this package and streams them back later, so
 // the query gets slower but stays correct instead of dying with
 // qctx.ErrMemoryBudget. A run is a sequence of rowcodec record frames

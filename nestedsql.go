@@ -431,8 +431,11 @@ func WithMaxRows(n int64) QueryOption {
 }
 
 // WithMemoryBudget bounds the bytes a query may buffer at once in hash
-// builds and sort runs; exceeding it fails the query with ErrMemoryBudget
-// (a cost-gated parallel plan is retried sequentially once first).
+// builds and sort runs; exceeding it fails the query with ErrMemoryBudget.
+// Two reruns come first: a cost-gated parallel plan is retried
+// sequentially once, and under SpillAuto with EnableSpill a query still
+// over budget reruns once as the forced-spill sort-merge plan (see
+// SpillForced).
 func WithMemoryBudget(n int64) QueryOption {
 	return func(o *engine.Options) { o.MaxBytes = n }
 }
@@ -473,7 +476,9 @@ func WithCancel(ch <-chan struct{}) QueryOption {
 	return func(o *engine.Options) { o.Cancel = ch }
 }
 
-// PageIO is the paper's cost metric for one query.
+// PageIO is the paper's cost metric: the page reads and writes the store
+// counted while a query ran. The count is store-wide, so a query that
+// overlapped another also counts the other's pages.
 type PageIO struct {
 	Reads  int64
 	Writes int64
@@ -501,19 +506,30 @@ type Result struct {
 // Query executes one SQL statement. The default strategy is
 // StrategyTransform.
 func (db *DB) Query(sql string, opts ...QueryOption) (*Result, error) {
+	res, err := db.eng.Query(sql, engineOptions(opts))
+	if err != nil {
+		return nil, err
+	}
+	return publicResult(res), nil
+}
+
+// engineOptions applies opts over the default options: StrategyTransform.
+func engineOptions(opts []QueryOption) engine.Options {
 	eopts := engine.Options{Strategy: engine.TransformJA2}
 	for _, o := range opts {
 		o(&eopts)
 	}
-	res, err := db.eng.Query(sql, eopts)
-	if err != nil {
-		return nil, err
-	}
+	return eopts
+}
+
+// publicResult converts an engine result to the public one.
+func publicResult(res *engine.Result) *Result {
 	out := &Result{
 		Columns:  res.Columns,
 		PageIO:   PageIO{Reads: res.Stats.Reads, Writes: res.Stats.Writes},
 		Spill:    res.Spill,
 		FellBack: res.FellBack,
+		Affected: res.Affected,
 		Trace:    trace.Lines(res.Trace),
 	}
 	for _, row := range res.Rows {
@@ -523,7 +539,7 @@ func (db *DB) Query(sql string, opts ...QueryOption) (*Result, error) {
 		}
 		out.Rows = append(out.Rows, converted)
 	}
-	return out, nil
+	return out
 }
 
 func goValue(v value.Value) any {
@@ -553,40 +569,17 @@ func goValue(v value.Value) any {
 //	    INSERT INTO T VALUES (1, 7-3-79), (2, NULL);
 //	    SELECT X FROM T WHERE D < 1-1-80;`)
 func (db *DB) Exec(script string, opts ...QueryOption) (*Result, error) {
-	eopts := engine.Options{Strategy: engine.TransformJA2}
-	for _, o := range opts {
-		o(&eopts)
-	}
-	res, err := db.eng.Exec(script, eopts)
+	res, err := db.eng.Exec(script, engineOptions(opts))
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{
-		Columns:  res.Columns,
-		PageIO:   PageIO{Reads: res.Stats.Reads, Writes: res.Stats.Writes},
-		Spill:    res.Spill,
-		FellBack: res.FellBack,
-		Affected: res.Affected,
-		Trace:    trace.Lines(res.Trace),
-	}
-	for _, row := range res.Rows {
-		converted := make([]any, len(row))
-		for i, v := range row {
-			converted[i] = goValue(v)
-		}
-		out.Rows = append(out.Rows, converted)
-	}
-	return out, nil
+	return publicResult(res), nil
 }
 
 // Explain returns a report of the classification, transformation steps,
 // plan decisions, and measured cost of the query under the given options.
 func (db *DB) Explain(sql string, opts ...QueryOption) (string, error) {
-	eopts := engine.Options{Strategy: engine.TransformJA2}
-	for _, o := range opts {
-		o(&eopts)
-	}
-	return db.eng.Explain(sql, eopts)
+	return db.eng.Explain(sql, engineOptions(opts))
 }
 
 // Fixture names a bundled dataset from the paper.
