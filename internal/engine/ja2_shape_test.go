@@ -162,14 +162,14 @@ func TestJA2AllocBudget(t *testing.T) {
 // row read back or built costs no allocation of its own. At spill_join's
 // size (half of ja_seq) the COUNT query with every buffer refused writes
 // 111 runs and re-reads its merge-join groups once per duplicate outer key;
-// it allocates 498 KiB in 1,794 objects doing so and may allocate 550 KiB
+// it allocates 498 KiB in 1,786 objects doing so and may allocate 550 KiB
 // (a 64 KiB buffer per run written and per Open made that 44 MiB) in 1,880
-// objects (formatting its trace as it planned made it 1,926, a fresh slice
-// per row read back 6,490, one per row its joins built 2,663, and heap
-// objects per group 2,215) and have one spill
-// file at a time (one file per
-// run had several whenever a row was emitted). Like TestJA2AllocBudget it
-// is measured without the race detector.
+// objects (a cursor object per merged run made it 1,794, formatting its
+// trace as it planned 1,926, a fresh slice per row read back 6,490, one
+// per row its joins built 2,663, and heap objects per group 2,215) and
+// have one spill file at a time (one file per run had several whenever a
+// row was emitted). Like TestJA2AllocBudget it is measured without the
+// race detector.
 func TestForcedSpillAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are measured without the race detector")

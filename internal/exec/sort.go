@@ -1,9 +1,8 @@
 package exec
 
 import (
-	"cmp"
+	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/qctx"
 	"repro/internal/spill"
@@ -49,7 +48,6 @@ type Sort struct {
 	Spill *spill.Session
 
 	mem       []keyed    // in-memory result when input fits in B pages
-	bufp      *[]keyed   // pooled run buffer, held until the last flush (or Close, when it is mem)
 	pos       int        // cursor into mem
 	runs      []sortRun  // initial/merged runs in creation order
 	final     *runCursor // streams the single fully-merged run; nil when mem holds the result
@@ -69,26 +67,46 @@ type sortRun struct {
 // tie-break: with it the unstable slices.SortFunc leaves rows of equal
 // keys in input order, which is what makes a sort's output the same bytes
 // whether it ran in memory, through heap runs or through spill runs. k is
-// the leading key's payload when intKeys extracted it, and 0 otherwise.
+// the radix's digit source: the key column it is sorting on, as unsigned.
 type keyed struct {
 	t   storage.Tuple
-	k   int64
+	k   uint64
 	seq int
 }
 
-// sortBufs recycles run buffers across sorts, at the capacity they grew to.
-var sortBufs = sync.Pool{New: func() any { return new([]keyed) }}
+// sortBufs is a free list of run buffers, kept at the capacity they grew
+// to. Unlike a sync.Pool it survives a GC, so a sort's buffer and its
+// radix scratch half are allocated once, not once per collection. One
+// buffer per P covers every sort that can run at once without a wait:
+// get and put never block, and a sort that finds the list empty
+// allocates.
+var sortBufs = make(chan []keyed, runtime.GOMAXPROCS(0))
 
-// putBuf returns the run buffer, whose current extent is buf, to the pool,
-// cleared so the pool keeps no row alive. It is a no-op once returned.
-func (s *Sort) putBuf(buf []keyed) {
-	if s.bufp != nil {
-		clear(buf)
-		*s.bufp = buf[:0]
-		sortBufs.Put(s.bufp)
-		s.bufp = nil
+// getBuf takes a run buffer off the free list, or nil when it is empty.
+func getBuf() []keyed {
+	select {
+	case buf := <-sortBufs:
+		return buf
+	default:
+		return nil
 	}
 }
+
+// putBuf returns a run buffer, whose current extent is buf, to the free
+// list, cleared so the list keeps no row alive.
+func putBuf(buf []keyed) {
+	if cap(buf) == 0 {
+		return
+	}
+	clearRun(buf)
+	select {
+	case sortBufs <- buf[:0]:
+	default:
+	}
+}
+
+// clearRun zeroes a run's rows and the radix scratch half behind them.
+func clearRun(buf []keyed) { clear(buf[:min(2*len(buf), cap(buf))]) }
 
 // compareRows orders a against b on the key columns in the total order
 // (NULLs first), desc flipping the direction per key (nil = all
@@ -114,58 +132,148 @@ func compareRows(a, b storage.Tuple, keys []int, desc []bool, cmpErr *error) int
 	return 0
 }
 
-// sortBuf sorts one run's rows by key, ties by arrival. When intKeys
-// extracted the leading key, the run sorts on it and compares Values only
-// to break a tie on it; otherwise every k is 0 and Values decide.
-func (s *Sort) sortBuf(buf []keyed) error {
-	keys, desc := s.Keys, s.Desc
-	if s.intKeys(buf) {
-		keys = keys[1:]
-		if desc != nil {
-			desc = desc[1:]
-		}
+// sortBuf sorts one run's rows by key, ties by arrival, and returns the
+// run, which moves when the radix grows the buffer for its scratch half.
+// The keys of the run's longest prefix of columns that are INTEGER
+// throughout or DATE throughout, where the payloads' order is the total
+// order, sort by a stable LSD radix; compareRows orders the remaining keys
+// only within each group of rows the prefix ties. A run with no such
+// prefix (a NULL, a FLOAT, a string or mixed kinds in the leading key) is
+// one such group.
+func (s *Sort) sortBuf(buf []keyed) ([]keyed, error) {
+	p := s.intPrefix(buf)
+	if p > 0 {
+		buf = s.radix(buf, p)
 	}
-	slices.SortFunc(buf, func(a, b keyed) int {
-		if c := cmp.Compare(a.k, b.k); c != 0 {
-			return c
+	if p == len(s.Keys) {
+		return buf, nil
+	}
+	keys, desc := s.Keys[p:], s.Desc
+	if desc != nil {
+		desc = desc[p:]
+	}
+	for lo := 0; lo < len(buf); {
+		hi := lo + 1
+		for hi < len(buf) && s.prefixTies(buf[lo].t, buf[hi].t, p) {
+			hi++
 		}
-		if c := compareRows(a.t, b.t, keys, desc, &s.cmpErr); c != 0 {
-			return c
+		if hi-lo > 1 {
+			slices.SortFunc(buf[lo:hi], func(a, b keyed) int {
+				if c := compareRows(a.t, b.t, keys, desc, &s.cmpErr); c != 0 {
+					return c
+				}
+				return a.seq - b.seq
+			})
 		}
-		return a.seq - b.seq
-	})
-	return s.cmpErr
+		lo = hi
+	}
+	return buf, s.cmpErr
 }
 
-// intKeys copies the leading key's payload into each row's k when that
-// column holds INTEGERs throughout or DATEs throughout, where the payloads'
-// order is the total order; a descending key stores ^payload, which
-// reverses that order without overflow. Any other column (a NULL, a FLOAT,
-// a string, mixed kinds) or no key at all reports false and leaves every
-// k 0, as the rows arrived.
-func (s *Sort) intKeys(buf []keyed) bool {
-	if len(s.Keys) == 0 || len(buf) == 0 {
-		return false
+// intPrefix counts the leading key columns that hold INTEGERs throughout
+// or DATEs throughout the run.
+func (s *Sort) intPrefix(buf []keyed) int {
+	if len(buf) < 2 {
+		return 0 // nothing to order, and no pair to compare
 	}
-	col := s.Keys[0]
-	_, kind := value.IntKey(&buf[0].t[col])
-	if kind != value.KindInt && kind != value.KindDate {
-		return false
+	for p, col := range s.Keys {
+		_, kind := value.IntKey(&buf[0].t[col])
+		if kind != value.KindInt && kind != value.KindDate {
+			return p
+		}
+		for i := range buf {
+			if _, kd := value.IntKey(&buf[i].t[col]); kd != kind {
+				return p
+			}
+		}
 	}
-	for i := range buf {
-		if _, kd := value.IntKey(&buf[i].t[col]); kd != kind {
+	return len(s.Keys)
+}
+
+// prefixTies reports whether a and b agree on the first p keys, which
+// intPrefix found to hold one integer kind per column.
+func (s *Sort) prefixTies(a, b storage.Tuple, p int) bool {
+	for _, col := range s.Keys[:p] {
+		ka, _ := value.IntKey(&a[col])
+		kb, _ := value.IntKey(&b[col])
+		if ka != kb {
 			return false
 		}
 	}
-	var flip int64 // all ones when descending
-	if s.Desc != nil && s.Desc[0] {
-		flip = -1
-	}
-	for i := range buf {
-		k, _ := value.IntKey(&buf[i].t[col])
-		buf[i].k = k ^ flip
-	}
 	return true
+}
+
+// shortRun is the longest run radix sorts by insertion: below it a
+// 256-bucket counting pass costs more than the whole sort.
+const shortRun = 16
+
+// radix stably sorts buf on its first p keys, least significant column
+// first. A short run sorts each column by insertion on k, a longer one by
+// one counting pass per byte in which the run's values differ, scattering
+// into the buffer's second half, grown once to 2n.
+func (s *Sort) radix(buf []keyed, p int) []keyed {
+	n := len(buf)
+	if n <= shortRun {
+		for i := p - 1; i >= 0; i-- {
+			s.loadKeys(buf, i)
+			for j := 1; j < n; j++ {
+				r, m := buf[j], j
+				for ; m > 0 && buf[m-1].k > r.k; m-- {
+					buf[m] = buf[m-1]
+				}
+				buf[m] = r
+			}
+		}
+		return buf
+	}
+	if cap(buf) < 2*n {
+		buf = slices.Grow(buf, n)
+	}
+	src, dst := buf[:n], buf[n:2*n]
+	for i := p - 1; i >= 0; i-- {
+		diff := s.loadKeys(src, i)
+		for shift := 0; diff>>shift != 0; shift += 8 {
+			if diff>>shift&0xff == 0 {
+				continue
+			}
+			var at [256]int
+			for j := range src {
+				at[src[j].k>>shift&0xff]++
+			}
+			sum := 0
+			for d, c := range at {
+				at[d], sum = sum, sum+c
+			}
+			for j := range src {
+				d := src[j].k >> shift & 0xff
+				dst[at[d]] = src[j]
+				at[d]++
+			}
+			src, dst = dst, src
+		}
+	}
+	if &src[0] != &buf[0] {
+		copy(buf, src)
+	}
+	return buf
+}
+
+// loadKeys sets each row's k to its i-th key's payload with the sign bit
+// flipped, which orders as unsigned the way the signed payloads do,
+// complemented for a descending key to reverse that order. It returns
+// the bits in which the run's keys differ.
+func (s *Sort) loadKeys(buf []keyed, i int) (diff uint64) {
+	col, flip := s.Keys[i], uint64(1)<<63
+	if s.Desc != nil && s.Desc[i] {
+		flip = ^flip
+	}
+	k0, _ := value.IntKey(&buf[0].t[col])
+	for j := range buf {
+		k, _ := value.IntKey(&buf[j].t[col])
+		buf[j].k = uint64(k) ^ flip
+		diff |= uint64(k ^ k0)
+	}
+	return diff
 }
 
 // Open drains the child, forms sorted runs, and merges them down to one.
@@ -190,8 +298,7 @@ func (s *Sort) Open() error {
 	// uncharged slack between flushes; a run costs only the bytes it holds.
 	spillBatch := min(MorselSize, runCap)
 
-	s.bufp = sortBufs.Get().(*[]keyed)
-	buf := *s.bufp     // one buffer serves every run: flush clears it
+	buf := getBuf()    // one buffer serves every run: flush clears it
 	var bufBytes int64 // charged bytes in buf
 	// flush sorts buf and writes it as the next run, returning its bytes
 	// to the budget: the run now lives on "disk".
@@ -199,7 +306,8 @@ func (s *Sort) Open() error {
 		if len(buf) == 0 {
 			return nil
 		}
-		if err := s.sortBuf(buf); err != nil {
+		var err error
+		if buf, err = s.sortBuf(buf); err != nil {
 			return err
 		}
 		run, err := s.writeRun(tpp, len(buf), func(w *runWriter) error {
@@ -214,7 +322,7 @@ func (s *Sort) Open() error {
 			return err
 		}
 		s.runs = append(s.runs, run)
-		clear(buf) // the rows belong to the run now
+		clearRun(buf) // the rows belong to the run now
 		buf = buf[:0]
 		s.QC.ReleaseBuffered(bufBytes)
 		s.charged -= bufBytes
@@ -266,13 +374,14 @@ func (s *Sort) Open() error {
 	if len(s.runs) == 0 {
 		// Entire input fits in the sort's memory: no run I/O. The charge
 		// for buf, and buf itself, stay until Close: the rows remain buffered.
-		s.mem = buf
-		return s.sortBuf(buf)
+		var err error
+		s.mem, err = s.sortBuf(buf)
+		return err
 	}
 	if err := flush(); err != nil {
 		return err
 	}
-	s.putBuf(buf)
+	putBuf(buf)
 
 	// Merge passes, B-1 runs at a time, over adjacent runs in creation
 	// order (stability: earlier runs hold earlier input rows).
@@ -297,9 +406,8 @@ func (s *Sort) Open() error {
 		}
 		s.runs = next
 	}
-	var err error
-	s.final, err = s.openCursor(s.runs[0])
-	return err
+	s.final = new(runCursor)
+	return s.openCursor(s.final, s.runs[0])
 }
 
 // runWriter writes one run: a heap temp file normally, a checksummed
@@ -376,14 +484,13 @@ type runCursor struct {
 	done    bool
 }
 
-func (s *Sort) openCursor(r sortRun) (*runCursor, error) {
-	c := &runCursor{file: r.heap}
-	if r.sp == nil {
-		return c, nil
+// openCursor points c at the start of r.
+func (s *Sort) openCursor(c *runCursor, r sortRun) (err error) {
+	*c = runCursor{file: r.heap}
+	if r.sp != nil {
+		c.src, err = openRun(s.QC, r.sp)
 	}
-	var err error
-	c.src, err = openRun(s.QC, r.sp)
-	return c, err
+	return err
 }
 
 func (c *runCursor) advance() error {
@@ -408,21 +515,18 @@ func (c *runCursor) advance() error {
 
 // mergeRuns merges sorted runs into a single new run.
 func (s *Sort) mergeRuns(runs []sortRun, tpp int) (sortRun, error) {
-	cursors := make([]*runCursor, len(runs))
-	n := 0 // the merged run's length, when it goes to the heap
+	cursors := make([]runCursor, len(runs)) // the merge's one allocation
+	n := 0                                  // the merged run's length, when it goes to the heap
 	defer func() {
-		for _, c := range cursors {
-			if c != nil {
-				c.src.close()
-			}
+		for i := range cursors {
+			cursors[i].src.close() // a no-op on a cursor never opened
 		}
 	}()
 	for i, r := range runs {
-		c, err := s.openCursor(r)
-		if err != nil {
+		c := &cursors[i]
+		if err := s.openCursor(c, r); err != nil {
 			return sortRun{}, err
 		}
-		cursors[i] = c
 		if err := c.advance(); err != nil {
 			return sortRun{}, err
 		}
@@ -436,7 +540,8 @@ func (s *Sort) mergeRuns(runs []sortRun, tpp int) (sortRun, error) {
 				return err
 			}
 			best := -1
-			for i, c := range cursors {
+			for i := range cursors {
+				c := &cursors[i]
 				if c.done {
 					continue
 				}
@@ -483,7 +588,7 @@ func (s *Sort) Close() error {
 	for _, r := range s.runs {
 		s.dropRun(r)
 	}
-	s.putBuf(s.mem)
+	putBuf(s.mem)
 	s.runs, s.mem = nil, nil
 	s.QC.ReleaseBuffered(s.charged)
 	s.charged = 0

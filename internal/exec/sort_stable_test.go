@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -20,10 +21,10 @@ import (
 // spill runs under SpillForced. Inputs are dense in duplicate keys, and
 // the last column carries the input position, so any pair of ties that
 // swaps shows in the rendered row. The leading key columns cover both
-// ways a run sorts: INTEGERs or DATEs throughout (sorted on the extracted
-// payload) and NULLs among integers or integers mixed with floats (sorted
-// on Values); a column mixing strings with integers must fail with the
-// type error the reference comparator meets.
+// ways a run sorts: INTEGERs or DATEs throughout (sorted by radix) and
+// NULLs among integers or integers mixed with floats (sorted on Values);
+// a column mixing strings with integers must fail with the type error the
+// reference comparator meets.
 func TestSortStableDifferential(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -225,5 +226,142 @@ func TestSortTypeErrorParity(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRadixMatchesComparator: a run whose leading keys are INTEGER or
+// DATE throughout sorts by radix, and must leave in exactly the order a
+// stable sort by compareRows gives, on every path: in memory, through heap
+// runs and through spill runs. Keys are one to three of two INTEGER
+// columns and a DATE column, under every mix of DESC, and the INTEGER
+// columns hold MinInt64, MaxInt64, negatives and values either side of
+// each byte boundary, drawn from small sets so ties are dense. An INTEGER
+// prefix followed by a STRING key leaves ties to compareRows within each
+// group. Sizes are 0, 1, 2, either side of the longest run sorted by
+// insertion, runCap−1, runCap (one full run) and several runs' worth; the
+// last column is the arrival position, so a tie the radix reorders shows.
+func TestRadixMatchesComparator(t *testing.T) {
+	wide := []int64{math.MinInt64, math.MinInt64 + 1, -1 << 32, -257, -256, -1, 0, 1, 255, 256, 1 << 32, math.MaxInt64 - 1, math.MaxInt64}
+	row := func(rng *rand.Rand, i int) storage.Tuple {
+		d, err := value.NewDate(1990+rng.Intn(40), 1+rng.Intn(12), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return storage.Tuple{
+			intv(wide[rng.Intn(len(wide))]),
+			value.NewDateValue(d),
+			intv(int64(rng.Intn(3) - 1)),
+			value.NewString(string(rune('a' + rng.Intn(3)))),
+			intv(int64(i)),
+		}
+	}
+	// 1–3 of the INTEGER/DATE columns, then an INTEGER prefix before the STRING.
+	keySets := [][]int{{0}, {1}, {2}, {0, 1}, {2, 0}, {1, 2}, {0, 1, 2}, {2, 1, 0}, {0, 3}, {2, 0, 3}}
+	paths := []struct {
+		name   string
+		frames int // runCap = 16·frames rows
+		lim    qctx.Limits
+		spill  bool
+	}{
+		{name: "memory", frames: 16},
+		{name: "heap-runs", frames: 3},
+		{name: "forced-spill", frames: 3, lim: qctx.Limits{Spill: qctx.SpillForced, MaxBytes: 1 << 30}, spill: true},
+	}
+	for _, keys := range keySets {
+		for mix := 0; mix < 1<<len(keys); mix++ {
+			desc := make([]bool, len(keys))
+			for i := range desc {
+				desc[i] = mix>>i&1 == 1
+			}
+			for _, p := range paths {
+				runCap := 16 * p.frames
+				name := fmt.Sprintf("keys%v/desc%v/%s", keys, desc, p.name)
+				t.Run(name, func(t *testing.T) {
+					for _, n := range []int{0, 1, 2, exec.ShortRun, exec.ShortRun + 1, runCap - 1, runCap, 4*runCap + 5} {
+						rng := rand.New(rand.NewSource(int64(n*31 + mix)))
+						rows := make([]storage.Tuple, n)
+						for i := range rows {
+							rows[i] = row(rng, i)
+						}
+						ref := slices.Clone(rows)
+						var refErr error
+						slices.SortStableFunc(ref, func(a, b storage.Tuple) int {
+							return exec.CompareRows(a, b, keys, desc, &refErr)
+						})
+						if refErr != nil {
+							t.Fatal(refErr)
+						}
+						e, m, done := newSpillEnv(t, spillRegime{lim: p.lim, spill: p.spill})
+						e.s = storage.NewStore(p.frames)
+						f := loadTuples(e.s, "R", 16, rows)
+						got, err := renderAll(&exec.Sort{Child: scanOf(f, "R"), Keys: keys, Desc: desc,
+							Store: e.s, TuplesPerPage: 16, QC: e.qc, Spill: e.sess})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if n := m.LiveRuns(); n != 0 {
+							t.Errorf("%d spill runs outlive Close", n)
+						}
+						done()
+						if len(got) != n {
+							t.Fatalf("%d rows: sorted %d", n, len(got))
+						}
+						for i, r := range ref {
+							if want := r.String(); got[i] != want {
+								t.Fatalf("%d rows: row %d is %s, want %s", n, i, got[i], want)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSortBufferSurvivesGC: a sort's run buffer, grown to twice the run
+// for the radix's scratch half, is kept on a free list that a collection
+// does not empty, so the next sort of the same size allocates no buffer
+// of its own even after two GCs (a sync.Pool is empty by then). A sort
+// takes the oldest buffer on the list, so the warm-up sorts once per P to
+// grow every buffer the list may hold.
+func TestSortBufferSurvivesGC(t *testing.T) {
+	const n = 1000 // runCap is 16·64 = 1,024: the sort stays in memory
+	rows := make([]storage.Tuple, n)
+	for i := range rows {
+		rows[i] = storage.Tuple{intv(int64(i * 7919 % n)), intv(int64(i))}
+	}
+	s := storage.NewStore(64)
+	f := loadTuples(s, "R", 16, rows)
+	sortOnce := func() {
+		srt := &exec.Sort{Child: scanOf(f, "R"), Keys: []int{0}, Store: s, TuplesPerPage: 16}
+		if err := srt.Open(); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			if _, ok, err := srt.Next(); err != nil || !ok {
+				break
+			}
+		}
+		srt.Close()
+	}
+	for range runtime.GOMAXPROCS(0) {
+		sortOnce()
+	}
+	// The buffer is 2·n rows of 40 bytes; the sort's scan and operator
+	// take a few hundred bytes. TotalAlloc counts the whole process, so
+	// the least of three tries is the sort's own.
+	b := ^uint64(0)
+	for range 3 {
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sortOnce()
+		runtime.ReadMemStats(&after)
+		b = min(b, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a warm sort of %d rows after two GCs: %d bytes", n, b)
+	if b > 4<<10 {
+		t.Errorf("a warm sort of %d rows allocated %d bytes after two GCs; a buffer of its rows alone is %d", n, b, n*40)
 	}
 }

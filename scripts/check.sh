@@ -19,7 +19,7 @@ cd "$(dirname "$0")/.."
 
 # gate            -run pattern / fuzz target                                packages
 TESTS='
-alloc             AllocBudget|CompileConjunctsAllocs|BuiltRowsShareCappedChunks|GroupTableAllocs|ReadPageAllocs ./internal/engine ./internal/exec ./internal/storage
+alloc             AllocBudget|CompileConjunctsAllocs|BuiltRowsShareCappedChunks|GroupTableAllocs|ReadPageAllocs|SortBufferSurvivesGC ./internal/engine ./internal/exec ./internal/storage
 chaos             TestChaosFaultInjection|TestFaultPlanReplays              ./internal/engine
 storm             TestChaosStorm|TestDrainUnderFaults                       ./internal/engine
 memstorm          TestMemPressureStorm|TestSpillCompletesUnderSmallBudget|TestSequentialBudgetCharged|TestSpillForcedMatchesOracle|TestSpillCorruptRunDetected|TestSpillTimeoutLeakFree|TestMetamorphTightMemory|TestBudgetDegradationMonotonic|TestForcedSpillRerunSortMerges|TestSpillForcedPlansSortMerge|TestPressureGrantsUnderSpill|TestSequentialRetryAfterWorkerFault|TestWorkerFaultsLeaveParallelOpen|TestNoRetryOnTimeout|TestRowBudgetNotRetried|TestStreamNoRetryAfter ./internal/engine ./internal/metamorph
