@@ -50,8 +50,8 @@ func (c *csvLoads) Set(v string) error { *c = append(*c, v); return nil }
 // options is the parsed command line.
 type options struct {
 	fixture, strategy, spillDir, open, save, dataDir string
-	buffer, parallel, maxConcurrent, queueDepth      int
-	explain, interactive, verifyParallel, fsync      bool
+	buffer, maxConcurrent, queueDepth                int
+	explain, interactive, fsync                      bool
 	timeout                                          time.Duration
 	maxRows, maxBytes, spillThreshold, memPool       int64
 	loads                                            csvLoads
@@ -65,8 +65,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.buffer, "buffer", 32, "buffer pool size in pages (the paper's B)")
 	fs.BoolVar(&o.explain, "explain", false, "print classification, transformation steps, and plan decisions")
 	fs.BoolVar(&o.interactive, "i", false, "interactive REPL (read statements from stdin)")
-	fs.IntVar(&o.parallel, "parallel", 0, "parallel workers for transformed plans: 0|1 sequential, n>1 workers, -1 one per CPU")
-	fs.BoolVar(&o.verifyParallel, "verify-parallel", false, "cross-check every parallel result against the sequential plan and nested iteration")
 	fs.DurationVar(&o.timeout, "timeout", 0, "per-query wall-clock limit; exceeding it fails the query (0 = none)")
 	fs.Int64Var(&o.maxRows, "max-rows", 0, "per-query result-row budget; exceeding it fails the query (0 = none)")
 	fs.Int64Var(&o.maxBytes, "max-bytes", 0, "per-query memory budget (bytes) for hash builds and sorts; without -spill-dir exceeding it fails the query (0 = none)")
@@ -168,13 +166,11 @@ func main() {
 	defer saveAndExit()
 
 	sess := &session{
-		strategy:       strat,
-		explain:        o.explain,
-		parallel:       o.parallel,
-		verifyParallel: o.verifyParallel,
-		timeout:        o.timeout,
-		maxRows:        o.maxRows,
-		maxBytes:       o.maxBytes,
+		strategy: strat,
+		explain:  o.explain,
+		timeout:  o.timeout,
+		maxRows:  o.maxRows,
+		maxBytes: o.maxBytes,
 	}
 	if o.interactive {
 		repl(db, os.Stdin, true, sess)

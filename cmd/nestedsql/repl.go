@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"time"
 
@@ -16,24 +15,16 @@ import (
 // session carries the REPL's mutable execution settings, seeded from the
 // command-line flags.
 type session struct {
-	strategy       nestedsql.Strategy
-	explain        bool
-	parallel       int
-	verifyParallel bool
-	timeout        time.Duration
-	maxRows        int64
-	maxBytes       int64
+	strategy nestedsql.Strategy
+	explain  bool
+	timeout  time.Duration
+	maxRows  int64
+	maxBytes int64
 }
 
 // options assembles the QueryOptions for one statement.
 func (s *session) options() []nestedsql.QueryOption {
 	opts := []nestedsql.QueryOption{nestedsql.WithStrategy(s.strategy)}
-	if s.parallel != 0 {
-		opts = append(opts, nestedsql.WithParallelism(s.parallel))
-	}
-	if s.verifyParallel {
-		opts = append(opts, nestedsql.WithParallelVerify())
-	}
 	if s.timeout > 0 {
 		opts = append(opts, nestedsql.WithTimeout(s.timeout))
 	}
@@ -73,8 +64,8 @@ func interruptCancel() (nestedsql.QueryOption, func()) {
 
 // repl reads statements (terminated by ';') from the reader and executes
 // them, printing results. Meta commands: \d lists tables, \strategy sets
-// the evaluation strategy, \explain toggles EXPLAIN mode, \parallel sets
-// the worker count, \timeout sets the per-query deadline, \q quits.
+// the evaluation strategy, \explain toggles EXPLAIN mode, \timeout sets
+// the per-query deadline, \q quits.
 func repl(db *nestedsql.DB, in io.Reader, interactive bool, sess *session) {
 	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
@@ -148,21 +139,6 @@ func metaCommand(db *nestedsql.DB, cmd string, sess *session) bool {
 	case `\explain`:
 		sess.explain = !sess.explain
 		fmt.Printf("explain mode: %v\n", sess.explain)
-	case `\parallel`:
-		if len(fields) != 2 {
-			fmt.Println("usage: \\parallel N  (0|1 sequential, N>1 workers, -1 one per CPU)")
-			break
-		}
-		n, err := strconv.Atoi(fields[1])
-		if err != nil {
-			fmt.Printf("bad worker count %q\n", fields[1])
-			break
-		}
-		sess.parallel = n
-		fmt.Printf("parallel workers set to %d\n", n)
-	case `\verify`:
-		sess.verifyParallel = !sess.verifyParallel
-		fmt.Printf("parallel verification: %v\n", sess.verifyParallel)
 	case `\timeout`:
 		if len(fields) != 2 {
 			fmt.Println("usage: \\timeout DURATION  (e.g. 500ms, 10s; 0 disables)")
@@ -213,7 +189,7 @@ func metaCommand(db *nestedsql.DB, cmd string, sess *session) bool {
 			fmt.Println("durability disabled (start with -data-dir)")
 		}
 	default:
-		fmt.Printf("unknown command %s (try \\d, \\strategy, \\explain, \\parallel, \\verify, \\timeout, \\analyze, \\index, \\stats, \\q)\n", fields[0])
+		fmt.Printf("unknown command %s (try \\d, \\strategy, \\explain, \\timeout, \\analyze, \\index, \\stats, \\q)\n", fields[0])
 	}
 	return true
 }

@@ -47,8 +47,6 @@ func TestREPLSession(t *testing.T) {
 SELECT PNUM FROM PARTS
 WHERE QOH = 0;
 \strategy kim
-\parallel 4
-\verify
 \timeout 30s
 \analyze
 \index PARTS PNUM
@@ -61,8 +59,6 @@ SELECT PNUM FROM PARTS WHERE PNUM = 99;
 	for _, frag := range []string{
 		"PARTS(PNUM INTEGER, QOH INTEGER)", // \d
 		"strategy set to kim",
-		"parallel workers set to 4",
-		"parallel verification: true",
 		"query timeout set to 30s",
 		"statistics collected",
 		"index created on PARTS.PNUM",
@@ -85,6 +81,8 @@ func TestREPLMetaErrors(t *testing.T) {
 \timeout soon
 \index onlyone
 \nosuchcommand
+\parallel 4
+\verify
 SELECT NOPE FROM NOWHERE;
 \q
 SELECT THIS FROM NEVERRUNS;
@@ -94,7 +92,9 @@ SELECT THIS FROM NEVERRUNS;
 		`usage: \strategy`,
 		`bad duration "soon"`,
 		`usage: \index`,
-		"unknown command",
+		`unknown command \nosuchcommand`,
+		`unknown command \parallel`,
+		`unknown command \verify`,
 	} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("REPL output missing %q:\n%s", frag, out)

@@ -54,7 +54,7 @@ var strategies = map[string]engine.Strategy{
 // options is the parsed command line.
 type options struct {
 	addr, fixture, strategy, spillDir, dataDir, coordinator, place, fault string
-	buffer, parallel, maxConcurrent, queueDepth, replicas                 int
+	buffer, maxConcurrent, queueDepth, replicas                           int
 	drainTimeout, heartbeat, writeDeadline, probeInterval                 time.Duration
 	maxRows, memPool, spillThreshold                                      int64
 	fsync                                                                 bool
@@ -67,7 +67,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.fixture, "fixture", "both", "dataset: kiessling | suppliers | both | none")
 	fs.StringVar(&o.strategy, "strategy", "ja2", "default strategy for StrategyDefault queries: ni | ja2 | kim")
 	fs.IntVar(&o.buffer, "buffer", 32, "buffer pool size in pages (the paper's B)")
-	fs.IntVar(&o.parallel, "parallel", 0, "default planner parallelism (clients may override per query)")
 	fs.Int64Var(&o.maxRows, "max-rows", 0, "cap on per-query row budgets; also applied to clients that send none (0 = none)")
 	fs.IntVar(&o.maxConcurrent, "max-concurrent", 0, "admission: max concurrent queries (0 = unlimited)")
 	fs.IntVar(&o.queueDepth, "queue-depth", 0, "admission: queries allowed to wait behind the running ones; beyond that, shed")
@@ -99,7 +98,6 @@ func main() {
 	srvCfg := server.Config{
 		MaxRows:           o.maxRows,
 		Strategy:          strat,
-		Parallelism:       o.parallel,
 		WriteTimeout:      o.writeDeadline,
 		HeartbeatInterval: o.heartbeat,
 	}

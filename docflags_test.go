@@ -17,6 +17,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/storage"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // definedFlags lists the flags cmd/<bin> declares, read from its
@@ -499,6 +500,66 @@ func TestOneTrace(t *testing.T) {
 			if textual(call.Args[0], tainted) {
 				t.Errorf("%s:%d runs strings.%s over trace text: ask the events' Kind and fields",
 					path, lineOf(t, path, int(call.Pos()-file.FileStart)), sel.Sel.Name)
+			}
+			return true
+		})
+	})
+}
+
+// Parallel plans used to be switched on from ten places — a field of
+// the Query frame, the client's and the server's options, a flag of each
+// binary, two REPL commands and two options of the public API — and a
+// negative worker count meant one per CPU. planner.Options{Parallelism,
+// ForceParallel} is the one switch now, set inside the module only: by
+// the planner, the engine and its oracle, the operators, the cost model,
+// the metamorphic runner, the paper experiments and bench/ (which pins
+// the exchange until a benchmark change). A second must not grow back
+// unnoticed: wire.Query carries four fields, and no other non-test file
+// declares or sets an identifier named Parallelism, ForceParallel or
+// VerifyParallel.
+func TestOneParallelSwitch(t *testing.T) {
+	if n := reflect.TypeOf(wire.Query{}).NumField(); n != 4 {
+		t.Errorf("wire.Query has %d fields, want 4 (deadline, row budget, strategy, SQL): a client does not ask for parallel plans", n)
+	}
+	knobs := map[string]bool{"Parallelism": true, "ForceParallel": true, "VerifyParallel": true}
+	owners := map[string]bool{
+		"internal/planner": true, "internal/engine": true, "internal/exec": true, "internal/costmodel": true,
+		"internal/metamorph": true, "cmd/benchpaper": true, "bench": true,
+	}
+	name := func(e ast.Expr) *ast.Ident {
+		switch e := e.(type) {
+		case *ast.Ident:
+			return e
+		case *ast.SelectorExpr:
+			return e.Sel
+		}
+		return nil
+	}
+	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
+		if owners[filepath.ToSlash(filepath.Dir(path))] {
+			return
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			var ids []*ast.Ident
+			switch n := n.(type) {
+			case *ast.Field:
+				ids = n.Names
+			case *ast.ValueSpec:
+				ids = n.Names
+			case *ast.FuncDecl:
+				ids = []*ast.Ident{n.Name}
+			case *ast.KeyValueExpr:
+				ids = []*ast.Ident{name(n.Key)}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					ids = append(ids, name(lhs))
+				}
+			}
+			for _, id := range ids {
+				if id != nil && knobs[id.Name] {
+					t.Errorf("%s:%d declares or sets %s: parallel plans are switched by planner.Options inside the module only",
+						path, lineOf(t, path, int(id.Pos()-file.FileStart)), id.Name)
+				}
 			}
 			return true
 		})

@@ -273,10 +273,9 @@ func (c *Conn) Cluster() bool { return c.tr.cluster }
 // Options are the per-query knobs carried in the Query frame. Zero
 // values defer to the server's configuration.
 type Options struct {
-	Timeout     time.Duration
-	MaxRows     int64
-	Strategy    byte // a wire.Strategy* constant
-	Parallelism int
+	Timeout  time.Duration
+	MaxRows  int64
+	Strategy byte // a wire.Strategy* constant
 	// Cancel aborts the stream client-side when closed: Next returns
 	// false with Err matching qctx.ErrCanceled.
 	Cancel <-chan struct{}
@@ -319,10 +318,10 @@ func (c *Conn) Query(sql string, opts Options) (*Stream, error) {
 		return nil, err
 	}
 	q := wire.Query{
-		TimeoutMicros: opts.Timeout.Microseconds(),
+		// Rounded up: a deadline's tail under 1 µs must not read as none.
+		TimeoutMicros: (opts.Timeout + time.Microsecond - 1).Microseconds(),
 		MaxRows:       opts.MaxRows,
 		Strategy:      opts.Strategy,
-		Parallelism:   int64(opts.Parallelism),
 		SQL:           sql,
 	}
 	if err := c.tr.write(wire.FrameQuery, wire.EncodeQuery(q), 0); err != nil {

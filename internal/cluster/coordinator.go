@@ -290,14 +290,19 @@ func (co *Coordinator) drop(w int, phys string) error {
 // other error is a typed, deterministic answer that a peer would only
 // repeat, and ends the iteration. try must buffer what it gathers per
 // attempt: a mid-stream loss discards the partial buffer and the next
-// replica starts from scratch, so nothing is ever counted twice.
-func (co *Coordinator) onReplica(s int, ok []bool, try func(w int, c *client.Conn) error) error {
+// replica starts from scratch, so nothing is ever counted twice. Each
+// attempt gets the time qc has left, and none starts once it is done.
+func (co *Coordinator) onReplica(s int, ok []bool, qc *qctx.QueryContext, try func(w int, c *client.Conn, left time.Duration) error) error {
 	var lastErr error
 	for _, w := range co.replicasOf(s) {
 		if !co.health.live(w) || (ok != nil && !ok[w]) {
 			continue
 		}
-		err := co.withWorker(w, func(c *client.Conn) error { return try(w, c) })
+		left, err := qc.Remaining()
+		if err != nil {
+			return err
+		}
+		err = co.withWorker(w, func(c *client.Conn) error { return try(w, c, left) })
 		if err == nil || !(transportFailure(err) || unknownRelation(err)) {
 			return err
 		}
@@ -651,8 +656,17 @@ func (co *Coordinator) execDrop(table string) error {
 //
 // Analyze proves the concatenation equals the single-node result; a
 // query it rejects fails with ErrNotDistributable rather than running
-// wrong.
-func (co *Coordinator) query(qb *ast.QueryBlock, opts engine.Options) (*engine.Result, error) {
+// wrong. The query has one deadline, opts.Timeout from now: each worker
+// call gets the time left, and the caller's cancel cuts every call.
+func (co *Coordinator) query(qb *ast.QueryBlock, opts engine.Options) (_ *engine.Result, err error) {
+	qc := qctx.New(qctx.Limits{Timeout: opts.Timeout})
+	defer qc.Finish()
+	defer qc.CancelOn(opts.Cancel)()
+	defer func() {
+		if cause := qc.Err(); errors.Is(err, qctx.ErrCanceled) && cause != nil {
+			err = cause // a call cut by the query's own cancel says why
+		}
+	}()
 	outs, err := schema.Resolve(co.cat, qb)
 	if err != nil {
 		return nil, err
@@ -682,7 +696,7 @@ func (co *Coordinator) query(qb *ast.QueryBlock, opts engine.Options) (*engine.R
 		if col == "" || col == co.place[table] {
 			continue // co-located (or placement-independent) already
 		}
-		sname, phys, err := co.shuffle(table, col, opts, okBy)
+		sname, phys, err := co.shuffle(table, col, qc, okBy)
 		stagedPhys = append(stagedPhys, phys...)
 		if err != nil {
 			return nil, err
@@ -723,7 +737,7 @@ func (co *Coordinator) query(qb *ast.QueryBlock, opts engine.Options) (*engine.R
 	for i, o := range outs {
 		cols[i] = o.Name
 	}
-	return co.gather(sqls, cols, opts, okBy)
+	return co.gather(sqls, cols, opts, qc, okBy)
 }
 
 // shuffle re-partitions one table by the required key into fresh
@@ -735,7 +749,7 @@ func (co *Coordinator) query(qb *ast.QueryBlock, opts engine.Options) (*engine.R
 // query's round-2 candidates — not failed: replication exists to absorb
 // exactly this. Returns the staging logical name and the physical
 // staging tables to clean up (even on error).
-func (co *Coordinator) shuffle(table, keyCol string, opts engine.Options, okBy [][]bool) (string, []string, error) {
+func (co *Coordinator) shuffle(table, keyCol string, qc *qctx.QueryContext, okBy [][]bool) (string, []string, error) {
 	rel, ok := co.cat.Lookup(table)
 	if !ok {
 		return "", nil, fmt.Errorf("cluster: unknown relation %s", table)
@@ -771,7 +785,6 @@ func (co *Coordinator) shuffle(table, keyCol string, opts engine.Options, okBy [
 	// by the new key.
 	cols := rel.ColumnNames()
 	sql := "SELECT " + strings.Join(cols, ", ") + " FROM "
-	copts := client.Options{Timeout: opts.Timeout, Strategy: wire.StrategyNested} // a flat scan; no transform to pick
 	part := Partitioner{NumShards: co.nshards, KeyCols: []int{kidx}}
 	sourced := make([][][]storage.Tuple, co.nshards) // [source][destination]rows
 	scatterErr := make([]error, co.nshards)
@@ -780,7 +793,8 @@ func (co *Coordinator) shuffle(table, keyCol string, opts engine.Options, okBy [
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scatterErr[s] = co.onReplica(s, nil, func(w int, c *client.Conn) error {
+			scatterErr[s] = co.onReplica(s, nil, qc, func(w int, c *client.Conn, left time.Duration) error {
+				copts := client.Options{Timeout: left, Strategy: wire.StrategyNested, Cancel: qc.Done()} // a flat scan; no transform to pick
 				local, err := scatterSlice(c, w, sql+physName(rel.Name, s), copts, cols, part)
 				if err == nil {
 					sourced[s] = local
@@ -842,8 +856,7 @@ func scatterSlice(c *client.Conn, w int, sql string, opts client.Options, cols [
 // opts.Sink when the caller set one (the network server does) and
 // materialize otherwise. Columns come from the coordinator's own
 // resolution, so empty results still carry the full schema.
-func (co *Coordinator) gather(sqls []string, cols []string, opts engine.Options, okBy [][]bool) (*engine.Result, error) {
-	copts := client.Options{Timeout: opts.Timeout, Strategy: wireStrategy(opts.Strategy)}
+func (co *Coordinator) gather(sqls []string, cols []string, opts engine.Options, qc *qctx.QueryContext, okBy [][]bool) (*engine.Result, error) {
 	type shard struct {
 		rows  []storage.Tuple
 		stats wire.Done
@@ -856,8 +869,8 @@ func (co *Coordinator) gather(sqls []string, cols []string, opts engine.Options,
 		go func() {
 			defer wg.Done()
 			sh := &shards[s]
-			sh.err = co.onReplica(s, okBy[s], func(w int, c *client.Conn) error {
-				st, err := c.Query(sqls[s], copts)
+			sh.err = co.onReplica(s, okBy[s], qc, func(w int, c *client.Conn, left time.Duration) error {
+				st, err := c.Query(sqls[s], client.Options{Timeout: left, Strategy: wireStrategy(opts.Strategy), Cancel: qc.Done()})
 				if err != nil {
 					return err
 				}

@@ -430,8 +430,8 @@ func (db *DB) Query(sql string, opts Options) (*Result, error) {
 }
 
 // queryBlock is Query from the parsed block on: every caller that
-// already holds one (Exec, ExecSQL, Explain, the parallel oracle) enters
-// here, so a statement is parsed once however it arrived.
+// already holds one (Exec, ExecSQL, Explain) enters here, so a statement
+// is parsed once however it arrived.
 func (db *DB) queryBlock(qb *ast.QueryBlock, opts Options) (*Result, error) {
 	if db.admit != nil {
 		ticket, err := db.admit.Admit(admission.Request{
@@ -469,7 +469,7 @@ func (db *DB) run(qb *ast.QueryBlock, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.VerifyParallel && parallelRequested(opts) && !res.FellBack &&
+	if opts.VerifyParallel && opts.Planner.Parallelism > 1 && !res.FellBack &&
 		(opts.Strategy == TransformJA2 || opts.Strategy == TransformKim) {
 		if err := db.verifyParallel(qb, opts, res); err != nil {
 			return nil, err
@@ -527,25 +527,9 @@ func (db *DB) execute(qb *ast.QueryBlock, opts Options) (*Result, error) {
 		defer qc.Finish()
 		// A drain cancels stragglers through the bound ticket.
 		opts.ticket.Bind(qc)
-		if opts.Cancel != nil {
-			// An already-closed Cancel channel stops the query before it
-			// starts — don't leave that to the watcher goroutine's schedule.
-			select {
-			case <-opts.Cancel:
-				qc.Cancel(qctx.ErrCanceled)
-				return nil, qc.Err()
-			default:
-			}
-			stop := make(chan struct{})
-			defer close(stop)
-			go func() {
-				select {
-				case <-opts.Cancel:
-					qc.Cancel(qctx.ErrCanceled)
-				case <-stop:
-				case <-qc.Done():
-				}
-			}()
+		defer qc.CancelOn(opts.Cancel)()
+		if err := qc.Err(); err != nil {
+			return nil, err // an already-closed Cancel stops the query before it starts
 		}
 	}
 
@@ -707,8 +691,7 @@ func (db *DB) runTransformed(qb *ast.QueryBlock, variant transform.Variant, opts
 	seq := popts
 	seq.Parallelism = 0
 	seq.ForceParallel = false
-	parallel := popts.Parallelism > 1 || popts.Parallelism < 0
-	if err != nil && parallel && retrySequentially(err) &&
+	if err != nil && popts.Parallelism > 1 && retrySequentially(err) &&
 		!opts.stream.hasEmitted() && !opts.stream.sinkBroken() {
 		// Graceful degradation: a parallel plan that lost a worker to a
 		// fault, or blew the memory budget partitioning its build side,

@@ -41,14 +41,6 @@ func AgreementWithNI(qb *ast.QueryBlock, s Strategy) storage.Agreement {
 	}
 }
 
-// parallelRequested reports whether the planner options enable parallel
-// operators (Parallelism < 0 means one worker per CPU, > 1 that many
-// workers).
-func parallelRequested(opts Options) bool {
-	p := opts.Planner.Parallelism
-	return p < 0 || p > 1
-}
-
 // verifyParallel applies the rule to a parallel result. Parallel
 // aggregation is exactly where the paper's COUNT bug would resurface — a
 // partition with no matching inner tuples must still produce COUNT = 0

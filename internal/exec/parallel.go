@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 
 	"repro/internal/qctx"
@@ -344,15 +343,6 @@ func (e *ExchangeMerge) Close() error {
 // Schema is the source's schema.
 func (e *ExchangeMerge) Schema() RowSchema { return e.Source.Schema() }
 
-// defaultWorkers resolves a configured worker count: non-positive means
-// one worker per CPU.
-func defaultWorkers(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.NumCPU()
-}
-
 // ParallelHashJoin is an equality hash join on every equality conjunct of
 // the join — the leading pair (LeftKey, RightKey, NullEq) and More. Open
 // drains the Right (build) side sequentially, partitioning it by key hash
@@ -380,7 +370,7 @@ type ParallelHashJoin struct {
 	More              []KeyPair
 	Outer             bool
 	Out               []int // as in MergeJoin
-	// Workers is the worker-goroutine count; <= 0 means runtime.NumCPU().
+	// Workers is the worker-goroutine count; < 1 runs one.
 	Workers int
 	// QC, when set, governs the build scan (cancellation + memory budget
 	// for the buffered build side) and is checked by every goroutine.
@@ -400,7 +390,7 @@ type joinPart struct {
 }
 
 // NumWorkers reports the resolved worker count.
-func (j *ParallelHashJoin) NumWorkers() int { return defaultWorkers(j.Workers) }
+func (j *ParallelHashJoin) NumWorkers() int { return max(j.Workers, 1) }
 
 // Open opens both children and builds the partitioned hash-table input
 // from the right side. The build scan happens on the calling goroutine, so
@@ -600,7 +590,7 @@ type ParallelHashGroup struct {
 	Child     Operator
 	GroupCols []int
 	Items     []GroupItem
-	// Workers is the worker-goroutine count; <= 0 means runtime.NumCPU().
+	// Workers is the worker-goroutine count; < 1 runs one.
 	Workers int
 	// QC, when set, governs cancellation and hard-charges each worker's
 	// groups against the memory budget.
@@ -608,7 +598,7 @@ type ParallelHashGroup struct {
 }
 
 // NumWorkers reports the resolved worker count.
-func (g *ParallelHashGroup) NumWorkers() int { return defaultWorkers(g.Workers) }
+func (g *ParallelHashGroup) NumWorkers() int { return max(g.Workers, 1) }
 
 // Open opens the child.
 func (g *ParallelHashGroup) Open() error { return g.Child.Open() }

@@ -181,7 +181,7 @@ func (p *Planner) finishGroup(cur input, qb *ast.QueryBlock, label string) (inpu
 	}
 	var out exec.Operator
 	if parallelGroup {
-		w := p.opts.workers()
+		w := p.opts.Parallelism
 		out = &exec.ExchangeMerge{Source: &exec.ParallelHashGroup{
 			Child:     op,
 			GroupCols: groupCols,

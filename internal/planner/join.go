@@ -58,7 +58,7 @@ func (p *Planner) join(cur, right input, conjs []ast.Predicate, used []bool, for
 	method := force
 	if method == JoinAuto {
 		if keyed && p.parallelOK(cur.tuples+right.tuples) {
-			return p.hashJoin(cur, right, keys, rest, outer, p.opts.workers(), label)
+			return p.hashJoin(cur, right, keys, rest, outer, p.opts.Parallelism, label)
 		}
 		if method = p.chooseMethod(cur, right); method == JoinNL && keyed && p.fitsPool(right) {
 			return p.hashJoin(cur, right, keys, rest, outer, 1, label)
@@ -130,11 +130,8 @@ func keyPair(c ast.Predicate, left, right exec.RowSchema) (exec.KeyPair, bool) {
 // and the input large enough to amortize the per-worker setup cost (or the
 // gate overridden for tests).
 func (p *Planner) parallelOK(tuples float64) bool {
-	w := p.opts.workers()
-	if w <= 1 {
-		return false
-	}
-	return p.opts.ForceParallel || costmodel.ParallelWorthwhile(tuples, w)
+	w := p.opts.Parallelism
+	return w > 1 && (p.opts.ForceParallel || costmodel.ParallelWorthwhile(tuples, w))
 }
 
 // hashJoin builds a hash join on keys. With several workers it is

@@ -16,7 +16,6 @@ package planner
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"strings"
 
 	"repro/internal/ast"
@@ -74,11 +73,11 @@ type Options struct {
 	// Indexes, when set, lets the planner replace a sequential scan with
 	// an index scan for selective single-column restrictions.
 	Indexes *index.Registry
-	// Parallelism enables the morsel-driven parallel operators: 0 or 1
-	// keeps every plan sequential, n > 1 uses n workers, and a negative
-	// value uses one worker per CPU. Parallel plans produce rows in
-	// nondeterministic order, so the planner treats exchange output as
-	// unsorted (no section 7.4 elisions above it).
+	// Parallelism enables the morsel-driven parallel operators: n > 1
+	// uses n workers, anything less keeps every plan sequential. Only
+	// callers inside the module set it (TestOneParallelSwitch). Parallel
+	// plans produce rows in nondeterministic order, so the planner treats
+	// exchange output as unsorted (no section 7.4 elisions above it).
 	Parallelism int
 	// ForceParallel bypasses the cost-model gate so even small inputs run
 	// parallel plans — used by tests and the differential oracle to
@@ -106,15 +105,6 @@ type Options struct {
 	Sink exec.BatchSink
 	// SinkBatchRows sizes Sink batches (0 = exec.DefaultBatchRows).
 	SinkBatchRows int
-}
-
-// workers resolves the Parallelism option to a worker count; values <= 1
-// disable parallel plans.
-func (o Options) workers() int {
-	if o.Parallelism < 0 {
-		return runtime.NumCPU()
-	}
-	return o.Parallelism
 }
 
 // Planner plans and executes one transformed query. Single-use.

@@ -65,8 +65,9 @@ type QueryContext struct {
 	// done holds the current cancellation channel. It is a pointer so
 	// ResetUsage can re-arm a budget-canceled query with a fresh
 	// channel without racing the lock-free readers in Check and Done.
-	done  atomic.Pointer[chan struct{}]
-	timer *time.Timer // deadline timer, nil when no deadline
+	done     atomic.Pointer[chan struct{}]
+	timer    *time.Timer // deadline timer, nil when no deadline
+	deadline time.Time   // when timer fires, zero when no deadline
 
 	mu    sync.Mutex
 	cause error // first cancellation cause, nil until canceled
@@ -151,6 +152,7 @@ func New(lim Limits) *QueryContext {
 	ch := make(chan struct{})
 	qc.done.Store(&ch)
 	if lim.Timeout > 0 {
+		qc.deadline = time.Now().Add(lim.Timeout)
 		qc.timer = time.AfterFunc(lim.Timeout, func() {
 			qc.Cancel(ErrQueryTimeout)
 		})
@@ -174,6 +176,40 @@ func (qc *QueryContext) Cancel(cause error) {
 	}
 	qc.cause = cause
 	close(*qc.done.Load())
+}
+
+// CancelOn cancels the query with ErrCanceled once ch closes — at once
+// if it already has — until release is called. A nil ch watches nothing.
+func (qc *QueryContext) CancelOn(ch <-chan struct{}) (release func()) {
+	stop := make(chan struct{})
+	select {
+	case <-ch:
+		qc.Cancel(ErrCanceled)
+	default:
+		if ch != nil {
+			go func() {
+				select {
+				case <-ch:
+					qc.Cancel(ErrCanceled)
+				case <-stop:
+				case <-qc.Done():
+				}
+			}()
+		}
+	}
+	return func() { close(stop) }
+}
+
+// Remaining is the time left before the deadline (0: none), or why none
+// is left: the cancel cause, or ErrQueryTimeout once the deadline passed.
+func (qc *QueryContext) Remaining() (time.Duration, error) {
+	if err := qc.Err(); err != nil || qc == nil || qc.deadline.IsZero() {
+		return 0, err
+	}
+	if left := time.Until(qc.deadline); left > 0 {
+		return left, nil
+	}
+	return 0, ErrQueryTimeout
 }
 
 // Finish releases the deadline timer. It does not cancel the query;

@@ -30,9 +30,6 @@ type Config struct {
 	// Strategy answers wire.StrategyDefault. The zero value is the
 	// engine's NestedIteration; nestedsqld overrides it to TransformJA2.
 	Strategy engine.Strategy
-	// Parallelism is the planner parallelism for queries that do not ask
-	// for their own.
-	Parallelism int
 	// WriteTimeout bounds each frame write (0 = 30s). A client that
 	// stops reading stalls the query through backpressure first; this is
 	// the slow-client eviction deadline: when a flush exceeds it, the

@@ -195,6 +195,19 @@ func TestServeTransientErrorsStayRetryable(t *testing.T) {
 	}
 }
 
+// TestServeSubMicrosecondTimeout: a deadline under 1 µs — the tail of a
+// longer one — still reaches the server as a deadline, not as "none".
+// Slow page reads keep the query running long past it.
+func TestServeSubMicrosecondTimeout(t *testing.T) {
+	db := serverDB(t)
+	db.SetFaults(fault.New(fault.Plan{Seed: 1, Rates: fault.Rates{fault.StorageLatency: 1}, Latency: 2 * time.Millisecond}))
+	_, addr := startServer(t, db, server.Config{Strategy: engine.TransformJA2})
+	_, err := dial(t, addr).Collect(serverQuery, client.Options{Timeout: 500 * time.Nanosecond})
+	if !errors.Is(err, qctx.ErrQueryTimeout) {
+		t.Fatalf("err = %v, want ErrQueryTimeout through the wire", err)
+	}
+}
+
 // TestServeCapsApplyToUncappedClients: the server's MaxRows ceiling
 // governs a client that asked for no budget at all.
 func TestServeCapsApplyToUncappedClients(t *testing.T) {
@@ -281,8 +294,9 @@ func TestServeClientDisconnectCancelsQuery(t *testing.T) {
 	waitGoroutineBaseline(t, baseline, "disconnect")
 }
 
-// TestServeRejectsBadHandshake: wrong magic and wrong version both get
-// a protocol Error frame, never a hang or a panic.
+// TestServeRejectsBadHandshake: wrong magic and wrong version — the
+// retired version 1 included — all get a protocol Error frame, never a
+// hang or a panic.
 func TestServeRejectsBadHandshake(t *testing.T) {
 	_, addr := startServer(t, serverDB(t), server.Config{})
 
@@ -291,7 +305,9 @@ func TestServeRejectsBadHandshake(t *testing.T) {
 		payload []byte
 	}{
 		{"bad magic", append([]byte("XXXX"), wire.Version)},
-		{"bad version", append([]byte(wire.Magic), 99)},
+		{"bad version", wire.EncodeHello(wire.Hello{Version: 99})},
+		// Version 1 Query frames carried a parallelism varint.
+		{"version 1", wire.EncodeHello(wire.Hello{Version: 1})},
 	} {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {

@@ -433,11 +433,6 @@ func (s *session) queryOptions(q wire.Query) (engine.Options, *wire.ErrorFrame) 
 	if cfg.MaxRows > 0 && (opts.MaxRows == 0 || opts.MaxRows > cfg.MaxRows) {
 		opts.MaxRows = cfg.MaxRows
 	}
-
-	opts.Planner.Parallelism = cfg.Parallelism
-	if q.Parallelism > 0 {
-		opts.Planner.Parallelism = int(q.Parallelism)
-	}
 	return opts, nil
 }
 

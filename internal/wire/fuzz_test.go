@@ -26,7 +26,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add(frame(FrameHello, EncodeHello(Hello{Version: Version})))
 	f.Add(frame(FrameQuery, EncodeQuery(Query{
-		TimeoutMicros: 1000, MaxRows: 10, Strategy: StrategyTransform, Parallelism: -1,
+		TimeoutMicros: 1000, MaxRows: 10, Strategy: StrategyTransform,
 		SQL: "SELECT PNUM FROM PARTS",
 	})))
 	f.Add(frame(FrameRowBatch, EncodeRowBatch(RowBatch{Columns: []string{"A", "B"}})))

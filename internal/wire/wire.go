@@ -12,7 +12,7 @@
 //
 //	client → Hello      magic "NSQD" + version byte
 //	server → Hello      magic + the version it will speak
-//	client → Query      deadline, max-rows, strategy, parallelism, SQL
+//	client → Query      deadline, max-rows, strategy, SQL
 //	server → RowBatch*  column names + rows (zero or more frames)
 //	server → Done       row count, page I/Os, fell-back flag
 //	   or  → Error      taxonomy code, retry-after hint, message
@@ -52,7 +52,8 @@ import (
 
 // Version is the protocol version this package speaks. A server answers a
 // client Hello with its own version; a client must disconnect on mismatch.
-const Version = 1
+// Version 2 dropped the Query frame's parallelism varint.
+const Version = 2
 
 // Magic opens every Hello payload, so a stray connection from some other
 // protocol fails fast and explicitly.
@@ -226,13 +227,12 @@ func DecodePing(p []byte) (uint64, error) {
 
 // Query is a request to run one SQL statement. TimeoutMicros and MaxRows
 // are the caller's lifecycle limits (0 = none, though the server may cap
-// both); Strategy and Parallelism select the evaluation path, with
-// StrategyDefault / Parallelism 0 deferring to the server's configuration.
+// both); Strategy selects the evaluation path, with StrategyDefault
+// deferring to the server's configuration.
 type Query struct {
 	TimeoutMicros int64
 	MaxRows       int64
 	Strategy      byte
-	Parallelism   int64
 	SQL           string
 }
 
@@ -241,7 +241,6 @@ func EncodeQuery(q Query) []byte {
 	p := binary.AppendVarint(nil, q.TimeoutMicros)
 	p = binary.AppendVarint(p, q.MaxRows)
 	p = append(p, q.Strategy)
-	p = binary.AppendVarint(p, q.Parallelism)
 	return append(p, q.SQL...)
 }
 
@@ -258,11 +257,7 @@ func DecodeQuery(p []byte) (Query, error) {
 	if len(p) < 1 {
 		return q, fmt.Errorf("wire: query missing strategy")
 	}
-	q.Strategy, p = p[0], p[1:]
-	if q.Parallelism, p, err = getVarint(p, "parallelism"); err != nil {
-		return q, err
-	}
-	q.SQL = string(p)
+	q.Strategy, q.SQL = p[0], string(p[1:])
 	return q, nil
 }
 

@@ -155,7 +155,6 @@ func TestQueryRoundTrip(t *testing.T) {
 		TimeoutMicros: 2_500_000,
 		MaxRows:       1 << 20,
 		Strategy:      StrategyTransform,
-		Parallelism:   -1,
 		SQL:           "SELECT PNUM FROM PARTS WHERE QOH = 0",
 	}
 	got, err := DecodeQuery(EncodeQuery(q))

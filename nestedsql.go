@@ -402,22 +402,6 @@ func WithoutFallback() QueryOption {
 	return func(o *engine.Options) { o.NoFallback = true }
 }
 
-// WithParallelism enables the morsel-driven parallel operators for
-// transformed plans: n > 1 uses n worker goroutines, n < 0 uses one per
-// CPU, and 0 or 1 keeps plans sequential (the default). Small inputs stay
-// sequential under the cost model's gate regardless.
-func WithParallelism(n int) QueryOption {
-	return func(o *engine.Options) { o.Planner.Parallelism = n }
-}
-
-// WithParallelVerify runs the differential oracle on every parallel query:
-// the parallel result must be bag-equal to the sequential plan's result
-// and, for NEST-JA2, set-equal to nested iteration's. A disagreement makes
-// the query fail. It has no effect without WithParallelism.
-func WithParallelVerify() QueryOption {
-	return func(o *engine.Options) { o.VerifyParallel = true }
-}
-
 // WithTimeout bounds the query's wall-clock execution; exceeding it fails
 // the query with ErrQueryTimeout. Zero means no limit (the default).
 func WithTimeout(d time.Duration) QueryOption {
@@ -432,10 +416,8 @@ func WithMaxRows(n int64) QueryOption {
 
 // WithMemoryBudget bounds the bytes a query may buffer at once in hash
 // builds and sort runs; exceeding it fails the query with ErrMemoryBudget.
-// Two reruns come first: a cost-gated parallel plan is retried
-// sequentially once, and under SpillAuto with EnableSpill a query still
-// over budget reruns once as the forced-spill sort-merge plan (see
-// SpillForced).
+// Under SpillAuto with EnableSpill such a query first reruns once as the
+// forced-spill sort-merge plan (see SpillForced).
 func WithMemoryBudget(n int64) QueryOption {
 	return func(o *engine.Options) { o.MaxBytes = n }
 }
