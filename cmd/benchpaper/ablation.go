@@ -23,8 +23,9 @@ type manualTemp struct {
 }
 
 // runManualPipeline resolves and executes a hand-written temp program plus
-// final query through the planner.
+// final query through the planner, on the plan the paper costs (AsPaper).
 func runManualPipeline(db *engine.DB, temps []manualTemp, finalSQL string, opts planner.Options) []storage.Tuple {
+	opts.AsPaper = true
 	res := &transform.Result{}
 	var defined []string
 	for _, mt := range temps {
@@ -174,7 +175,7 @@ func expAblations() {
 			}
 			res, err := db.Query(workload.TypeJAQuery(cfg), engine.Options{
 				Strategy: engine.TransformJA2,
-				Planner:  planner.Options{TempJoin: temp, FinalJoin: final},
+				Planner:  planner.Options{TempJoin: temp, FinalJoin: final, AsPaper: true},
 			})
 			if err != nil {
 				panic(err)

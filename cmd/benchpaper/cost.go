@@ -93,12 +93,13 @@ func expFigure1() {
 }
 
 // measure loads a fresh synthetic database and returns the query's total
-// page I/Os under the strategy.
+// page I/Os under the strategy, on the plan the paper costs (AsPaper).
 func measure(cfg workload.SyntheticConfig, b int, sql string, s engine.Strategy, popts planner.Options) int64 {
 	db := engine.New(b)
 	if err := workload.LoadSynthetic(&workload.DB{Cat: db.Catalog(), Store: db.Store()}, cfg); err != nil {
 		panic(err)
 	}
+	popts.AsPaper = true
 	res, err := db.Query(sql, engine.Options{Strategy: s, Planner: popts})
 	if err != nil {
 		panic(err)

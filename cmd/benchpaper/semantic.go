@@ -32,9 +32,11 @@ var (
 	forceParallel   bool
 )
 
-// runStrategy executes sql under a strategy and returns the result.
+// runStrategy executes sql under a strategy, on the plan the paper costs
+// (AsPaper), and returns the result.
 func runStrategy(db *engine.DB, sql string, s engine.Strategy) *engine.Result {
 	opts := engine.Options{Strategy: s}
+	opts.Planner.AsPaper = true
 	opts.Planner.Parallelism = parallelWorkers
 	opts.Planner.ForceParallel = forceParallel
 	opts.VerifyParallel = parallelWorkers > 1
@@ -90,6 +92,7 @@ func transformKeepingTemps(db *engine.DB, sql string, variant transform.Variant)
 	}
 	pl := planner.New(db.Catalog(), db.Store(), planner.Options{
 		KeepTemps:     true,
+		AsPaper:       true,
 		Parallelism:   parallelWorkers,
 		ForceParallel: forceParallel,
 	})

@@ -687,11 +687,7 @@ func (co *Coordinator) query(qb *ast.QueryBlock, opts engine.Options) (_ *engine
 	}
 	staged := make(map[string]string) // UPPER(table) -> staging logical name
 	var stagedPhys []string
-	defer func() {
-		for _, phys := range stagedPhys {
-			co.dropStaging(phys)
-		}
-	}()
+	defer func() { co.dropStaging(stagedPhys) }()
 	for table, col := range req {
 		if col == "" || col == co.place[table] {
 			continue // co-located (or placement-independent) already

@@ -92,14 +92,25 @@ func TestGatherCancelReachesWorkers(t *testing.T) {
 // TestShuffleHasOneDeadline: each round of a shuffled query takes about
 // 60% of its Timeout on the slow links — one worker call, two link
 // latencies — so both rounds together cannot fit. The query fails with
-// ErrQueryTimeout rather than giving each round the whole Timeout.
+// ErrQueryTimeout rather than giving each round the whole Timeout, and
+// the error arrives within 480 ms: the query's staging drops, one round
+// trip each, run at once rather than one after another, which took 600
+// ms and more. No staging table outlives the query.
 func TestShuffleHasOneDeadline(t *testing.T) {
 	const latency = 50 * time.Millisecond
 	co := slowCluster(t, latency)
 	const sql = "SELECT S.SNO, S.SNAME FROM S WHERE 2 = (SELECT COUNT(SP.PNO) FROM SP WHERE SP.SNO = S.SNO)"
+	start := time.Now()
 	_, err := co.ExecSQL(sql, engine.Options{Strategy: engine.TransformJA2, Timeout: 170 * time.Millisecond})
+	took := time.Since(start)
 	if !errors.Is(err, qctx.ErrQueryTimeout) {
 		t.Fatalf("err = %v, want ErrQueryTimeout", err)
+	}
+	if took > 480*time.Millisecond {
+		t.Errorf("ErrQueryTimeout arrived after %v, want within 480ms", took)
+	}
+	if n := co.LiveStaging(); n != 0 {
+		t.Errorf("%d staging tables outlive the query", n)
 	}
 	allHealthy(t, co)
 }

@@ -1,5 +1,7 @@
 package cluster
 
+import "sync"
+
 // Staging-table accounting. Shuffles create per-shard staging tables on
 // the workers and drop them best-effort when the query ends — but a
 // worker that is unreachable at cleanup time, or whose drop reply is
@@ -44,24 +46,37 @@ func (co *Coordinator) stagingForget(phys string, w int) {
 	}
 }
 
-// dropStaging is a query's own cleanup of one physical staging table: it
-// ends the entry, then drops the table from every live worker holding
-// it, best-effort. A successful drop (or "unknown relation" — already
+// dropStaging is a query's own cleanup of its physical staging tables: it
+// ends their entries, then drops each table from every live worker
+// holding it, best-effort, all (table, worker) pairs at once, and waits
+// for every drop. A successful drop (or "unknown relation" — already
 // gone) clears the worker from the entry; any other holder is left for
 // Probe.
-func (co *Coordinator) dropStaging(phys string) {
-	var holders []int
+func (co *Coordinator) dropStaging(phys []string) {
+	type drop struct {
+		phys string
+		w    int
+	}
+	var drops []drop
 	co.staging.Lock()
-	if e, ok := co.staging.tables[phys]; ok {
-		e.ended = true
-		for w := range e.holders {
-			holders = append(holders, w)
+	for _, name := range phys {
+		if e, ok := co.staging.tables[name]; ok {
+			e.ended = true
+			for w := range e.holders {
+				drops = append(drops, drop{name, w})
+			}
 		}
 	}
 	co.staging.Unlock()
-	for _, w := range holders {
-		co.dropFrom(phys, w)
+	var wg sync.WaitGroup
+	for _, d := range drops {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			co.dropFrom(d.phys, d.w)
+		}()
 	}
+	wg.Wait()
 }
 
 // dropEndedStaging retries the drop of every ended staging table worker

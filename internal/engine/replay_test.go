@@ -97,7 +97,7 @@ func firingsAt(log []fault.Firing, site fault.Site) []fault.Firing {
 // log may extend the other's, but no storage firing moves.
 func TestFaultPlanReplays(t *testing.T) {
 	plan := fault.Plan{
-		Seed: 5,
+		Seed: 8,
 		Rates: fault.Rates{
 			fault.StorageRead: 0.004, fault.StorageTear: 0.01,
 			fault.SpillWrite: 0.002, fault.SpillRead: 0.002, fault.SpillCorrupt: 0.002,

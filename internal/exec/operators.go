@@ -195,9 +195,9 @@ func Materialize(op Operator, store *storage.Store, tuplesPerPage int) (*storage
 // even when Open itself errors or panics; Operator.Close is required to
 // be safe in that state (see DESIGN.md, "Operator lifecycle contract").
 //
-// The tuples accumulating in the heap file's open page are charged
-// against qc's memory budget (nil = ungoverned) and released every time a
-// page fills — heap pages model disk, so only the partial-page working
+// The tuples staged for the heap file's open page are charged against
+// qc's memory budget (nil = ungoverned) and released every time a page is
+// handed over — heap pages model disk, so only the partial-page working
 // set counts as memory. A page buffer has nowhere to spill, so the charge
 // is a hard one.
 func MaterializeInto(op Operator, f *storage.HeapFile, qc *qctx.QueryContext) error {
@@ -207,8 +207,7 @@ func MaterializeInto(op Operator, f *storage.HeapFile, qc *qctx.QueryContext) er
 	}
 	var pageBytes int64
 	defer func() { qc.ReleaseBuffered(pageBytes) }()
-	tpp := f.TuplesPerPage()
-	count := 0
+	w := newPageWriter(f)
 	for {
 		t, ok, err := op.Next()
 		if err != nil {
@@ -222,15 +221,48 @@ func MaterializeInto(op Operator, f *storage.HeapFile, qc *qctx.QueryContext) er
 			return err
 		}
 		pageBytes += n
-		f.Append(t)
-		count++
-		if tpp > 0 && count%tpp == 0 {
+		if w.append(t) {
 			qc.ReleaseBuffered(pageBytes)
 			pageBytes = 0
 		}
 	}
-	f.Seal()
+	w.seal()
 	return nil
+}
+
+// pageWriter appends to a heap file a page at a time: tuples are staged
+// in a pooled morsel and handed over whole, one store-mutex acquisition
+// per page rather than one per tuple.
+type pageWriter struct {
+	f     *storage.HeapFile
+	stage Morsel
+	page  int // tuples per hand-over: the file's page, at most a morsel
+}
+
+func newPageWriter(f *storage.HeapFile) pageWriter {
+	return pageWriter{f: f, stage: newMorsel(), page: min(f.TuplesPerPage(), MorselSize)}
+}
+
+// append stages t and reports whether that filled the stage and handed it
+// over.
+func (w *pageWriter) append(t storage.Tuple) bool {
+	w.stage = append(w.stage, t)
+	if len(w.stage) < w.page {
+		return false
+	}
+	w.f.AppendAll(w.stage)
+	clear(w.stage)
+	w.stage = w.stage[:0]
+	return true
+}
+
+// seal hands over the partial page left staged, seals the file and
+// recycles the stage.
+func (w *pageWriter) seal() {
+	w.f.AppendAll(w.stage)
+	w.f.Seal()
+	recycle(w.stage)
+	w.stage = nil
 }
 
 // Drain runs an operator to completion collecting all rows, charging each

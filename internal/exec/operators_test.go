@@ -158,31 +158,41 @@ func TestSortInMemory(t *testing.T) {
 
 func TestSortExternalIO(t *testing.T) {
 	// B = 3 buffer pages, 1 tuple per page, 12 tuples = 12 pages. Runs of
-	// 3 pages -> 4 runs; fan-in B-1 = 2: merge 4 -> 2 -> 1.
-	s := storage.NewStore(3)
-	rows := make([][2]int64, 12)
-	for i := range rows {
-		rows[i] = [2]int64{int64(11 - i), int64(i)}
-	}
-	f := loadFile(s, "R", 1, rows)
-	s.ResetStats()
-	srt := &exec.Sort{Child: scanOf(f, "R"), Keys: []int{0}, Store: s, TuplesPerPage: 1}
-	got := drainInts(t, srt)
-	for i := range got {
-		if got[i][0] != int64(i) {
-			t.Fatalf("sorted order wrong: %v", got)
+	// 3 pages -> 4 runs; fan-in B-1 = 2: merge 4 -> 2, and Next merges
+	// the last 2 (WriteLastPass: 2 -> 1, and Next streams that run).
+	for _, c := range []struct {
+		writeLast     bool
+		reads, writes int64
+	}{
+		// Read input 12; write 4 runs (12 pages); merge pass 1: read 12,
+		// write 12 (2 runs); Next() merges those 2 runs: read 12.
+		{false, 12 + 12 + 12, 12 + 12},
+		// As the paper costs it, merge pass 2 writes the last run, and
+		// Next() streams it back: 12 more reads and 12 more writes. The
+		// model's 2·P·log_{B-1}(P) with P=12, B-1=2 gives ~86; measured
+		// is the same order.
+		{true, 12 + 12 + 12 + 12, 12 + 12 + 12},
+	} {
+		s := storage.NewStore(3)
+		rows := make([][2]int64, 12)
+		for i := range rows {
+			rows[i] = [2]int64{int64(11 - i), int64(i)}
 		}
-	}
-	// Cost: read input 12; write 4 runs (12 pages); merge pass 1: read 12,
-	// write 12 (2 runs); merge pass 2: read 12, write 12 (1 run); Next()
-	// streams the final run: read 12. The model's 2·P·log_{B-1}(P) with
-	// P=12, B-1=2 gives ~86; measured is the same order.
-	st := s.Stats()
-	if st.Reads != 12+12+12+12 || st.Writes != 12+12+12 {
-		t.Errorf("external sort I/O = %+v, want 48 reads + 36 writes", st)
-	}
-	if err := srt.Close(); err != nil {
-		t.Fatal(err)
+		f := loadFile(s, "R", 1, rows)
+		s.ResetStats()
+		srt := &exec.Sort{Child: scanOf(f, "R"), Keys: []int{0}, Store: s, TuplesPerPage: 1, WriteLastPass: c.writeLast}
+		got := drainInts(t, srt)
+		for i := range got {
+			if got[i][0] != int64(i) {
+				t.Fatalf("sorted order wrong: %v", got)
+			}
+		}
+		if st := s.Stats(); st.Reads != c.reads || st.Writes != c.writes {
+			t.Errorf("WriteLastPass %v: external sort I/O = %+v, want %d reads + %d writes", c.writeLast, st, c.reads, c.writes)
+		}
+		if err := srt.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -13,10 +13,12 @@ import (
 // Sort is an external (B−1)-way merge sort, the sorting method of the
 // paper's cost model (section 7): initial runs of B pages are formed in
 // memory, then merged B−1 at a time, costing about 2·P·log_{B−1}(P) page
-// I/Os for a P-page input. Run files bypass the buffer pool — the sorter
-// owns its buffers — so measured I/O follows the model rather than LRU
-// caching. An input that fits entirely in B pages sorts in memory with no
-// I/O beyond the child's own reads.
+// I/Os for a P-page input. The last pass is not written: Next merges the
+// last ≤ B−1 runs as the consumer pulls, saving the P writes and P reads
+// the model charges for it (WriteLastPass keeps them). Run files bypass
+// the buffer pool — the sorter owns its buffers — so measured I/O follows
+// the model rather than LRU caching. An input that fits entirely in B
+// pages sorts in memory with no I/O beyond the child's own reads.
 //
 // Under memory pressure (a refused qctx reservation) with a spill
 // session attached, the in-memory buffer is cut short and written as a
@@ -46,14 +48,19 @@ type Sort struct {
 	// Spill, when set, enables degradation to spill runs instead of
 	// ErrMemoryBudget when a buffer reservation is refused.
 	Spill *spill.Session
+	// WriteLastPass merges down to one written run before Next streams it
+	// back, the last pass the paper's cost model charges, instead of
+	// merging the last ≤ B−1 runs as Next pulls.
+	WriteLastPass bool
 
-	mem       []keyed    // in-memory result when input fits in B pages
-	pos       int        // cursor into mem
-	runs      []sortRun  // initial/merged runs in creation order
-	final     *runCursor // streams the single fully-merged run; nil when mem holds the result
-	cmpErr    error      // first key-comparison type error, surfaced by Open
-	charged   int64      // bytes currently charged against the memory budget
-	spillMode bool       // a reservation was refused; all new runs spill
+	mem       []keyed   // in-memory result when input fits in B pages
+	pos       int       // cursor into mem
+	runs      []sortRun // initial/merged runs in creation order
+	last      *merger   // merges the runs left after Open; nil when mem holds the result
+	kinds     []uint8   // per key column, a bit 1<<Kind for each kind the runs hold
+	cmpErr    error     // first key-comparison type error, surfaced by Open
+	charged   int64     // bytes currently charged against the memory budget
+	spillMode bool      // a reservation was refused; all new runs spill
 }
 
 // sortRun is one sorted run, on the paged heap "disk" or in a spill
@@ -276,14 +283,18 @@ func (s *Sort) loadKeys(buf []keyed, i int) (diff uint64) {
 	return diff
 }
 
-// Open drains the child, forms sorted runs, and merges them down to one.
+// Open drains the child, forms sorted runs, and merges them until at most
+// B−1 are left for Next to merge — down to one when WriteLastPass is set
+// or the runs' key kinds could meet in a type error, which must come from
+// Open.
 func (s *Sort) Open() error {
 	if err := s.Child.Open(); err != nil {
 		return err
 	}
 	defer s.Child.Close()
-	s.mem, s.pos, s.runs, s.final = nil, 0, nil, nil
+	s.mem, s.pos, s.runs, s.last = nil, 0, nil, nil
 	s.cmpErr, s.charged, s.spillMode = nil, 0, false
+	clear(s.kinds)
 
 	tpp := s.TuplesPerPage
 	if tpp <= 0 {
@@ -310,6 +321,7 @@ func (s *Sort) Open() error {
 		if buf, err = s.sortBuf(buf); err != nil {
 			return err
 		}
+		s.noteKinds(buf)
 		run, err := s.writeRun(tpp, len(buf), func(w *runWriter) error {
 			for _, it := range buf {
 				if err := w.append(it.t); err != nil {
@@ -384,8 +396,13 @@ func (s *Sort) Open() error {
 	putBuf(buf)
 
 	// Merge passes, B-1 runs at a time, over adjacent runs in creation
-	// order (stability: earlier runs hold earlier input rows).
-	for len(s.runs) > 1 {
+	// order (stability: earlier runs hold earlier input rows), until the
+	// runs left are few enough for Next to merge.
+	left := b - 1
+	if s.WriteLastPass || !s.kindsCompare() {
+		left = 1
+	}
+	for len(s.runs) > left {
 		var next []sortRun
 		for i := 0; i < len(s.runs); i += b - 1 {
 			group := s.runs[i:min(i+b-1, len(s.runs))]
@@ -406,14 +423,44 @@ func (s *Sort) Open() error {
 		}
 		s.runs = next
 	}
-	s.final = new(runCursor)
-	return s.openCursor(s.final, s.runs[0])
+	var err error
+	s.last, err = s.newMerger(s.runs)
+	return err
 }
 
-// runWriter writes one run: a heap temp file normally, a checksummed
-// spill run once the sort is in spill mode. Exactly one field is set.
+// noteKinds adds the kinds of a run's key columns to s.kinds.
+func (s *Sort) noteKinds(buf []keyed) {
+	if s.kinds == nil {
+		s.kinds = make([]uint8, len(s.Keys))
+	}
+	for i, col := range s.Keys {
+		m := s.kinds[i]
+		for j := range buf {
+			m |= 1 << buf[j].t[col].Kind()
+		}
+		s.kinds[i] = m
+	}
+}
+
+// kindsCompare reports whether every pair of values the runs hold in one
+// key column compares without a type error: NULLs meet anything, INTEGERs
+// meet FLOATs, and any other kind only itself.
+func (s *Sort) kindsCompare() bool {
+	const nums = 1<<value.KindInt | 1<<value.KindFloat
+	for _, m := range s.kinds {
+		m &^= 1 << value.KindNull
+		if m&^nums != 0 && m&(m-1) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// runWriter writes one run: a heap temp file a page at a time normally,
+// a checksummed spill run once the sort is in spill mode. Exactly one of
+// heap.f and sp is set.
 type runWriter struct {
-	heap *storage.HeapFile
+	heap pageWriter
 	sp   *spill.Writer
 }
 
@@ -421,7 +468,7 @@ func (w *runWriter) append(t storage.Tuple) error {
 	if w.sp != nil {
 		return w.sp.Append(t)
 	}
-	w.heap.Append(t)
+	w.heap.append(t)
 	return nil
 }
 
@@ -434,8 +481,9 @@ func (w *runWriter) append(t storage.Tuple) error {
 func (s *Sort) writeRun(tpp, n int, fill func(*runWriter) error) (run sortRun, err error) {
 	var w runWriter
 	if !s.spillMode {
-		w.heap = s.Store.CreateTemp(tpp)
-		w.heap.Grow(n)
+		f := s.Store.CreateTemp(tpp)
+		f.Grow(n)
+		w.heap = newPageWriter(f)
 	} else if w.sp, err = s.Spill.NewWriter(); err != nil {
 		return run, err
 	}
@@ -444,8 +492,8 @@ func (s *Sort) writeRun(tpp, n int, fill func(*runWriter) error) (run sortRun, e
 		if done {
 			return
 		}
-		if w.heap != nil {
-			s.Store.Drop(w.heap.Name())
+		if w.heap.f != nil {
+			s.Store.Drop(w.heap.f.Name())
 		} else {
 			w.sp.Abort()
 		}
@@ -453,9 +501,9 @@ func (s *Sort) writeRun(tpp, n int, fill func(*runWriter) error) (run sortRun, e
 	if err = fill(&w); err != nil {
 		return run, err
 	}
-	if w.heap != nil {
-		w.heap.Seal()
-		run.heap = w.heap
+	if w.heap.f != nil {
+		w.heap.seal()
+		run.heap = w.heap.f
 	} else if run.sp, err = w.sp.Finish(); err != nil {
 		return run, err
 	}
@@ -477,85 +525,200 @@ func (s *Sort) dropRun(r sortRun) {
 type runCursor struct {
 	file    *storage.HeapFile
 	src     source // the spill run when file is nil
+	pages   int    // file's length
 	pageIdx int
 	tuples  []storage.Tuple
 	tupIdx  int
 	cur     storage.Tuple
+	k       uint64 // cur's leading key as the radix orders it, when the merger caches it
 	done    bool
 }
 
-// openCursor points c at the start of r.
-func (s *Sort) openCursor(c *runCursor, r sortRun) (err error) {
-	*c = runCursor{file: r.heap}
-	if r.sp != nil {
-		c.src, err = openRun(s.QC, r.sp)
-	}
-	return err
+// merger merges sorted runs through a tree of losers (Knuth, TAOCP vol.
+// 3, §5.4.1): each internal node keeps the run that lost the match played
+// there, so the next row costs one match per level, ⌈log₂ k⌉ in all,
+// where a scan of the k runs costs k−1. Runs are ordered by their rows'
+// keys, and runs whose keys tie by run index — the earlier run wins — so
+// the merge is stable. When the leading key is INTEGER throughout every
+// run or DATE throughout, each cursor caches it as the radix's unsigned
+// key and compareRows runs only on ties. The merger checks the query
+// context once per page it reads; spill runs check it per row.
+type merger struct {
+	qc   *qctx.QueryContext
+	cur  []runCursor
+	tree []int // tree[0] is the winner; tree[p], p ≥ 1, the loser at node p
+	// rest and restDesc are the keys compareRows orders on: those after
+	// the cached leading key, or all of them.
+	rest     []int
+	restDesc []bool
+	lead     int    // the leading key's column
+	cache    bool   // cursors cache the leading key in k
+	flip     uint64 // the sign bit, complemented for a DESC leading key
+	started  bool   // the first tournament is played: each cursor holds its first row
+	cmpErr   error  // first key-comparison type error
 }
 
-func (c *runCursor) advance() error {
+// newMerger opens a cursor on each run. It reads no page: the first call
+// to next does, so a consumer that never pulls costs no I/O.
+func (s *Sort) newMerger(runs []sortRun) (m *merger, err error) {
+	m = &merger{qc: s.QC, cur: make([]runCursor, len(runs)), tree: make([]int, len(runs)),
+		rest: s.Keys, restDesc: s.Desc}
+	if len(s.Keys) > 0 && (s.kinds[0] == 1<<value.KindInt || s.kinds[0] == 1<<value.KindDate) {
+		m.cache, m.lead, m.flip, m.rest = true, s.Keys[0], 1<<63, s.Keys[1:]
+		if s.Desc != nil {
+			m.restDesc = s.Desc[1:]
+			if s.Desc[0] {
+				m.flip = ^m.flip
+			}
+		}
+	}
+	for i, r := range runs {
+		c := &m.cur[i]
+		*c = runCursor{file: r.heap}
+		if r.sp == nil {
+			c.pages = r.heap.NumPages()
+		} else if c.src, err = openRun(s.QC, r.sp); err != nil {
+			m.close()
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// start reads each run's first row and plays the first tournament: the
+// first entrant from below waits at a node, the second plays it there,
+// and the winner climbs on.
+func (m *merger) start() error {
+	m.started = true
+	for i := range m.cur {
+		if err := m.advance(&m.cur[i]); err != nil {
+			return err
+		}
+	}
+	k := len(m.cur)
+	for p := range m.tree {
+		m.tree[p] = -1
+	}
+	for i := k - 1; i >= 0; i-- {
+		w := i
+		for p := (i + k) / 2; p > 0 && w >= 0; p /= 2 {
+			switch {
+			case m.tree[p] < 0:
+				m.tree[p], w = w, -1
+			case m.less(m.tree[p], w):
+				m.tree[p], w = w, m.tree[p]
+			}
+		}
+		if w >= 0 {
+			m.tree[0] = w
+		}
+	}
+	return m.cmpErr
+}
+
+// advance moves c to its run's next row.
+func (m *merger) advance(c *runCursor) error {
 	if c.file == nil {
 		t, ok, err := c.src.next()
 		c.cur, c.done = t, !ok
-		return err
-	}
-	for c.tupIdx >= len(c.tuples) {
-		if c.pageIdx >= c.file.NumPages() {
-			c.cur, c.done = nil, true
-			return nil
+		if err != nil {
+			return err
 		}
-		c.tuples = c.file.ReadPageDirect(c.pageIdx)
-		c.pageIdx++
-		c.tupIdx = 0
+	} else {
+		for c.tupIdx >= len(c.tuples) {
+			if c.pageIdx >= c.pages {
+				c.cur, c.done = nil, true
+				return nil
+			}
+			if err := m.qc.Check(); err != nil {
+				return err
+			}
+			c.tuples = c.file.ReadPageDirect(c.pageIdx)
+			c.pageIdx++
+			c.tupIdx = 0
+		}
+		c.cur = c.tuples[c.tupIdx]
+		c.tupIdx++
 	}
-	c.cur = c.tuples[c.tupIdx]
-	c.tupIdx++
+	if m.cache && !c.done {
+		k, _ := value.IntKey(&c.cur[m.lead])
+		c.k = uint64(k) ^ m.flip
+	}
 	return nil
+}
+
+// less reports whether run i's row leaves before run j's; an exhausted
+// run leaves last.
+func (m *merger) less(i, j int) bool {
+	a, b := &m.cur[i], &m.cur[j]
+	if a.done || b.done {
+		return b.done && (!a.done || i < j)
+	}
+	if m.cache && a.k != b.k {
+		return a.k < b.k
+	}
+	if c := compareRows(a.cur, b.cur, m.rest, m.restDesc, &m.cmpErr); c != 0 {
+		return c < 0
+	}
+	return i < j
+}
+
+// next returns the least row left. The run that held the row returned
+// before moves on only now, and the tournament is replayed on its path
+// from leaf to root, so a consumer that stops pulling never makes a run
+// read the page after the row it took.
+func (m *merger) next() (storage.Tuple, bool, error) {
+	if !m.started {
+		if err := m.start(); err != nil {
+			return nil, false, err
+		}
+	} else if w := m.tree[0]; !m.cur[w].done {
+		if err := m.advance(&m.cur[w]); err != nil {
+			return nil, false, err
+		}
+		for p := (w + len(m.cur)) / 2; p > 0; p /= 2 {
+			if m.less(m.tree[p], w) {
+				m.tree[p], w = w, m.tree[p]
+			}
+		}
+		m.tree[0] = w
+		if m.cmpErr != nil {
+			return nil, false, m.cmpErr
+		}
+	}
+	if c := &m.cur[m.tree[0]]; !c.done {
+		return c.cur, true, nil
+	}
+	return nil, false, nil
+}
+
+// close releases the spill runs' file handles; the runs stay.
+func (m *merger) close() {
+	for i := range m.cur {
+		m.cur[i].src.close() // a no-op on a cursor never opened
+	}
 }
 
 // mergeRuns merges sorted runs into a single new run.
 func (s *Sort) mergeRuns(runs []sortRun, tpp int) (sortRun, error) {
-	cursors := make([]runCursor, len(runs)) // the merge's one allocation
-	n := 0                                  // the merged run's length, when it goes to the heap
-	defer func() {
-		for i := range cursors {
-			cursors[i].src.close() // a no-op on a cursor never opened
-		}
-	}()
-	for i, r := range runs {
-		c := &cursors[i]
-		if err := s.openCursor(c, r); err != nil {
-			return sortRun{}, err
-		}
-		if err := c.advance(); err != nil {
-			return sortRun{}, err
-		}
+	m, err := s.newMerger(runs)
+	if err != nil {
+		return sortRun{}, err
+	}
+	defer m.close()
+	n := 0 // the merged run's length, when it goes to the heap
+	for _, r := range runs {
 		if r.heap != nil {
 			n += r.heap.NumTuples()
 		}
 	}
 	return s.writeRun(tpp, n, func(w *runWriter) error {
 		for {
-			if err := s.QC.Check(); err != nil {
+			t, ok, err := m.next()
+			if err != nil || !ok {
 				return err
 			}
-			best := -1
-			for i := range cursors {
-				c := &cursors[i]
-				if c.done {
-					continue
-				}
-				if best < 0 || compareRows(c.cur, cursors[best].cur, s.Keys, s.Desc, &s.cmpErr) < 0 {
-					best = i
-				}
-			}
-			if s.cmpErr != nil || best < 0 {
-				return s.cmpErr
-			}
-			if err := w.append(cursors[best].cur); err != nil {
-				return err
-			}
-			if err := cursors[best].advance(); err != nil {
+			if err := w.append(t); err != nil {
 				return err
 			}
 		}
@@ -564,11 +727,8 @@ func (s *Sort) mergeRuns(runs []sortRun, tpp int) (sortRun, error) {
 
 // Next streams the sorted rows.
 func (s *Sort) Next() (storage.Tuple, bool, error) {
-	if s.final != nil {
-		if err := s.final.advance(); err != nil || s.final.done {
-			return nil, false, err
-		}
-		return s.final.cur, true, nil
+	if s.last != nil {
+		return s.last.next()
 	}
 	if s.pos >= len(s.mem) {
 		return nil, false, nil
@@ -581,9 +741,9 @@ func (s *Sort) Next() (storage.Tuple, bool, error) {
 // Close drops the remaining run files and returns any buffered-byte
 // charge. It is safe to call before Open and more than once.
 func (s *Sort) Close() error {
-	if s.final != nil {
-		s.final.src.close()
-		s.final = nil
+	if s.last != nil {
+		s.last.close()
+		s.last = nil
 	}
 	for _, r := range s.runs {
 		s.dropRun(r)

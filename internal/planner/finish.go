@@ -37,10 +37,11 @@ func (p *Planner) finish(cur input, qb *ast.QueryBlock, label string) (input, er
 
 // sort places an external sort of child on keys (desc nil = all
 // ascending), wired to this plan's store, temp page size, query context
-// and spill session.
+// spill session and AsPaper: one wiring for every sort it plans.
 func (p *Planner) sort(child exec.Operator, keys []int, desc []bool) *exec.Sort {
 	return &exec.Sort{Child: child, Keys: keys, Desc: desc, Store: p.store,
-		TuplesPerPage: p.opts.TempTuplesPerPage, QC: p.opts.QC, Spill: p.opts.Spill}
+		TuplesPerPage: p.opts.TempTuplesPerPage, QC: p.opts.QC, Spill: p.opts.Spill,
+		WriteLastPass: p.opts.AsPaper}
 }
 
 func (p *Planner) finishShape(cur input, qb *ast.QueryBlock, label string) (input, error) {

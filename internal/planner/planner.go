@@ -105,6 +105,12 @@ type Options struct {
 	Sink exec.BatchSink
 	// SinkBatchRows sizes Sink batches (0 = exec.DefaultBatchRows).
 	SinkBatchRows int
+	// AsPaper keeps the plan the paper costs in section 7: every external
+	// sort writes its last merge pass as one run and reads it back
+	// (exec.Sort.WriteLastPass) instead of merging its last runs as the
+	// consumer pulls. Only cmd/benchpaper sets it, so that E1–E12, model
+	// fit and the ablations keep printing the paper's page I/Os.
+	AsPaper bool
 }
 
 // Planner plans and executes one transformed query. Single-use.

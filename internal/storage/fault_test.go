@@ -151,3 +151,21 @@ func TestLatencyInjection(t *testing.T) {
 		t.Errorf("read took %v, want >= 20ms of injected latency", d)
 	}
 }
+
+// TestAppendAllTearsPerTuple: with an injector armed, a page handed over
+// whole meets the torn-write decision tuple by tuple, as Append does: at
+// p = 1 the first tuple tears and nothing after it is written.
+func TestAppendAllTearsPerTuple(t *testing.T) {
+	s := NewStore(4)
+	tmp := s.CreateTemp(4)
+	s.SetFaults(fault.New(fault.Plan{Seed: 1, Rates: fault.Rates{fault.StorageTear: 1}}))
+	fe := catchFault(t, func() { tmp.AppendAll([]Tuple{row(1), row(2), row(3)}) })
+	if fe == nil || fe.Op != "torn-write" {
+		t.Fatalf("fault = %v, want a torn write", fe)
+	}
+	s.SetFaults(nil)
+	pg := tmp.ReadPage(0)
+	if len(pg) != 1 || len(pg[0]) >= len(row(1)) {
+		t.Errorf("torn page = %v, want one truncated tuple", pg)
+	}
+}

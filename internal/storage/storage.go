@@ -157,15 +157,42 @@ func (f *HeapFile) Append(t Tuple) {
 	if tear != nil {
 		defer panic(tear)
 	}
+	f.appendLocked(t)
+}
+
+// AppendAll adds ts in order under one acquisition of the store mutex,
+// counting writes as Append would; writers that stage a page of tuples
+// hand it over here, paying one lock per page rather than one per tuple.
+// With a fault injector armed it appends tuple by tuple, so every tuple
+// meets its own latency and torn-write decision.
+func (f *HeapFile) AppendAll(ts []Tuple) {
+	if f.store.faults.Load() != nil {
+		for _, t := range ts {
+			f.Append(t)
+		}
+		return
+	}
+	f.store.mu.Lock()
+	defer f.store.mu.Unlock()
+	f.appendLocked(ts...)
+}
+
+// appendLocked is Append's work for a caller holding the store mutex:
+// it fills the open page and carves new ones, counting a write as each
+// page fills.
+func (f *HeapFile) appendLocked(ts ...Tuple) {
 	f.sealed = false
 	tpp := f.TuplesPerPage()
-	if len(f.pages) == 0 || len(f.pages[len(f.pages)-1].t) == tpp {
-		f.pages = append(f.pages, pageRef{t: f.newPage()})
-	}
-	last := &f.pages[len(f.pages)-1].t
-	*last = append(*last, t)
-	if len(*last) == tpp {
-		f.store.stats.Writes++
+	for len(ts) > 0 {
+		if len(f.pages) == 0 || len(f.pages[len(f.pages)-1].t) == tpp {
+			f.pages = append(f.pages, pageRef{t: f.newPage()})
+		}
+		last := &f.pages[len(f.pages)-1].t
+		n := min(len(ts), tpp-len(*last))
+		*last, ts = append(*last, ts[:n]...), ts[n:]
+		if len(*last) == tpp {
+			f.store.stats.Writes++
+		}
 	}
 }
 

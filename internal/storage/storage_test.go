@@ -540,7 +540,11 @@ func TestGrowKeepsPagingAndIO(t *testing.T) {
 // slab of up to slabTuples headers plus the page index's regrowths, not a
 // page header and a tuple slice per page. A one-tuple hint before every
 // append, as single-row INSERTs give, allocates no more than no hint.
+// Budgets hold without the race detector: the alloc gate runs them so.
 func TestPageSlabAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
 	if size := unsafe.Sizeof(HeapFile{}); size > 80 {
 		t.Errorf("HeapFile is %d bytes: every temp file now allocates past the 80-byte size class", size)
 	}
@@ -583,6 +587,63 @@ func TestPageSlabAllocBudget(t *testing.T) {
 		t.Logf("%s: %.0f allocations for %d pages", hint.name, allocs, n/tpp)
 		if allocs > float64(hint.budget) {
 			t.Errorf("%s: %.0f allocations for %d pages, budget %d", hint.name, allocs, n/tpp, hint.budget)
+		}
+	}
+}
+
+// TestAppendAllMatchesAppend: handing tuples over in batches, whole pages
+// or not, into an empty, a half-filled or a sealed file, leaves the same
+// pages, tuples and writes as appending them one at a time, and so does
+// the Seal after it.
+func TestAppendAllMatchesAppend(t *testing.T) {
+	const tpp, n = 10, 43
+	tuples := make([]Tuple, n)
+	for i := range tuples {
+		tuples[i] = intTuple(int64(i))
+	}
+	type shape struct {
+		pages, writes int
+		tuples        []string
+	}
+	build := func(pre int, seal bool, batch int) shape {
+		s := NewStore(4)
+		f, _ := s.Create("R", tpp)
+		for _, tu := range tuples[:pre] {
+			f.Append(tu)
+		}
+		if seal {
+			f.Seal()
+		}
+		for lo := pre; lo < n; lo += batch {
+			if batch == 1 {
+				f.Append(tuples[lo])
+			} else {
+				f.AppendAll(tuples[lo:min(lo+batch, n)])
+			}
+		}
+		f.Seal()
+		sh := shape{pages: f.NumPages(), writes: int(s.Stats().Writes)}
+		for i := range f.NumPages() {
+			p := f.ReadPage(i)
+			if cap(p) != tpp {
+				t.Errorf("pre %d, batch %d: page %d has capacity %d", pre, batch, i, cap(p))
+			}
+			for _, tu := range p {
+				sh.tuples = append(sh.tuples, tu.String())
+			}
+		}
+		return sh
+	}
+	for _, pre := range []int{0, 7, 10} {
+		for _, seal := range []bool{false, true} {
+			want := build(pre, seal, 1)
+			for _, batch := range []int{3, tpp, 25, n} {
+				got := build(pre, seal, batch)
+				if got.pages != want.pages || got.writes != want.writes || fmt.Sprint(got.tuples) != fmt.Sprint(want.tuples) {
+					t.Errorf("pre %d, sealed %v, batch %d: %d pages, %d writes, %v; one at a time %d, %d, %v",
+						pre, seal, batch, got.pages, got.writes, got.tuples, want.pages, want.writes, want.tuples)
+				}
+			}
 		}
 	}
 }
