@@ -35,8 +35,8 @@ func runManualPipeline(db *engine.DB, temps []manualTemp, finalSQL string, opts 
 		}
 		rel := &schema.Relation{Name: mt.name, Columns: mt.cols}
 		res.Temps = append(res.Temps, transform.TempTable{Name: mt.name, Rel: rel, Def: qb})
-		// Define for resolution of later steps; the planner re-defines
-		// during execution.
+		// Define only to resolve the later steps: the planner resolves the
+		// temps it materializes itself, never through the catalog.
 		if err := db.Catalog().Define(rel); err != nil {
 			panic(err)
 		}
@@ -130,9 +130,9 @@ func expAblations() {
 		db := newDB(8, workload.LoadKiessling)
 		wrong := restrictionAfterOuterJoin(db)
 		printRows("TEMP3 with restriction applied AFTER the outer join (group 8 lost):", wrong)
-		_, tr, drop := transformKeepingTemps(db, workload.KiesslingQ2, transform.JA2)
-		printTable(db, tr.Temps[2].Name)
-		drop()
+		_, tr, pl := runPlanner(db, workload.KiesslingQ2, transform.JA2, true)
+		printTemp(pl, tr.Temps[2].Name)
+		pl.DropTemps()
 		fmt.Println("    (NEST-JA2 restricts into TEMP2 first; group 8 keeps COUNT = 0)")
 	}
 

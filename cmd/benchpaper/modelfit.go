@@ -6,6 +6,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/planner"
+	"repro/internal/trace"
 	"repro/internal/transform"
 	"repro/internal/workload"
 )
@@ -74,15 +75,14 @@ func ModelFitRow(cfg workload.SyntheticConfig, b int) (niModel float64, niMeas i
 	return params.NestedIteration(), niMeas, params.Totals().MergeMerge, ja2Meas
 }
 
-// tempSizes runs the transformation keeping temps and returns their page
-// counts by name.
+// tempSizes runs the transformation and returns its temps' page counts
+// by name, from the planner's Materialized trace events.
 func tempSizes(db *engine.DB, sql string) map[string]float64 {
-	_, tr, drop := transformKeepingTemps(db, sql, transform.JA2)
-	defer drop()
-	out := make(map[string]float64, len(tr.Temps))
-	for _, temp := range tr.Temps {
-		if f, ok := db.Store().Lookup(temp.Name); ok {
-			out[temp.Name] = float64(f.NumPages())
+	_, _, pl := runPlanner(db, sql, transform.JA2, false)
+	out := make(map[string]float64)
+	for _, e := range pl.Trace {
+		if e.Kind == trace.Materialized {
+			out[e.Label] = float64(e.M)
 		}
 	}
 	return out

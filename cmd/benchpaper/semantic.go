@@ -59,9 +59,20 @@ func printRows(header string, rows []storage.Tuple) {
 	}
 }
 
-// printTable prints a stored relation's contents.
+// printTable prints a base table's contents.
 func printTable(db *engine.DB, name string) {
+	rel, _ := db.Catalog().Lookup(name)
 	f, ok := db.Store().Lookup(name)
+	printFile(name, rel, f, ok)
+}
+
+// printTemp prints a temporary table the planner kept.
+func printTemp(pl *planner.Planner, name string) {
+	rel, f, ok := pl.Temp(name)
+	printFile(name, rel, f, ok)
+}
+
+func printFile(name string, rel *schema.Relation, f *storage.HeapFile, ok bool) {
 	if !ok {
 		fmt.Printf("  %s: (missing)\n", name)
 		return
@@ -71,14 +82,14 @@ func printTable(db *engine.DB, name string) {
 		rows = append(rows, t)
 		return true
 	})
-	rel, _ := db.Catalog().Lookup(name)
 	printRows(fmt.Sprintf("%s(%s):", name, strings.Join(rel.ColumnNames(), ", ")), rows)
 }
 
-// transformKeepingTemps runs the transformation and planner with KeepTemps
-// so temp contents can be printed, then returns the result rows and a
-// cleanup function.
-func transformKeepingTemps(db *engine.DB, sql string, variant transform.Variant) ([]storage.Tuple, *transform.Result, func()) {
+// runPlanner runs the transformation and the planner on the plan the
+// paper costs and returns the rows, the transformation and the planner,
+// whose Trace holds the plan. Under keepTemps, printTemp reads the temps
+// until the caller calls the planner's DropTemps.
+func runPlanner(db *engine.DB, sql string, variant transform.Variant, keepTemps bool) ([]storage.Tuple, *transform.Result, *planner.Planner) {
 	qb, err := sqlparser.Parse(sql)
 	if err != nil {
 		panic(err)
@@ -91,7 +102,7 @@ func transformKeepingTemps(db *engine.DB, sql string, variant transform.Variant)
 		panic(err)
 	}
 	pl := planner.New(db.Catalog(), db.Store(), planner.Options{
-		KeepTemps:     true,
+		KeepTemps:     keepTemps,
 		AsPaper:       true,
 		Parallelism:   parallelWorkers,
 		ForceParallel: forceParallel,
@@ -100,7 +111,7 @@ func transformKeepingTemps(db *engine.DB, sql string, variant transform.Variant)
 	if err != nil {
 		panic(err)
 	}
-	return rows, tr, pl.DropTemps
+	return rows, tr, pl
 }
 
 // expCountBug reproduces section 5.1: Kiessling's query Q2 on his
@@ -115,14 +126,14 @@ func expCountBug() {
 	ni := runStrategy(db, workload.KiesslingQ2, engine.NestedIteration)
 	printRows("Nested iteration (correct) — paper: {10, 8}:", ni.Rows)
 
-	rows, tr, drop := transformKeepingTemps(db, workload.KiesslingQ2, transform.KimJA)
+	rows, tr, pl := runPlanner(db, workload.KiesslingQ2, transform.KimJA, true)
 	fmt.Println("\n  Kim's NEST-JA transformation:")
 	for _, t := range tr.Temps {
 		fmt.Printf("    %s = %s\n", t.Name, t.Def)
 	}
 	fmt.Printf("    final: %s\n", tr.Query)
-	printTable(db, tr.Temps[0].Name)
-	drop()
+	printTemp(pl, tr.Temps[0].Name)
+	pl.DropTemps()
 	printRows("Kim NEST-JA result — paper: COUNT never returns zero, part 8 lost:", rows)
 }
 
@@ -131,7 +142,7 @@ func expCountBug() {
 // shows them.
 func expCountFix() {
 	db := newDB(8, workload.LoadKiessling)
-	rows, tr, drop := transformKeepingTemps(db, workload.KiesslingQ2, transform.JA2)
+	rows, tr, pl := runPlanner(db, workload.KiesslingQ2, transform.JA2, true)
 	fmt.Println("  NEST-JA2 transformation steps:")
 	for _, t := range tr.Temps {
 		fmt.Printf("    %s = %s\n", t.Name, t.Def)
@@ -139,9 +150,9 @@ func expCountFix() {
 	fmt.Printf("    final: %s\n", tr.Query)
 	fmt.Println()
 	for _, t := range tr.Temps {
-		printTable(db, t.Name)
+		printTemp(pl, t.Name)
 	}
-	drop()
+	pl.DropTemps()
 	printRows("Result — paper: {10, 8}, matching nested iteration:", rows)
 }
 
@@ -150,11 +161,11 @@ func expCountFix() {
 func expCountStar() {
 	db := newDB(8, workload.LoadKiessling)
 	fmt.Println("  Query Q2 with COUNT(*):", oneLine(workload.KiesslingQ2CountStar))
-	rows, tr, drop := transformKeepingTemps(db, workload.KiesslingQ2CountStar, transform.JA2)
+	rows, tr, pl := runPlanner(db, workload.KiesslingQ2CountStar, transform.JA2, true)
 	temp3 := tr.Temps[len(tr.Temps)-1]
 	fmt.Printf("  COUNT(*) converted in %s: %s\n", temp3.Name, temp3.Def)
-	printTable(db, temp3.Name)
-	drop()
+	printTemp(pl, temp3.Name)
+	pl.DropTemps()
 	printRows("Result — COUNT(*) handled correctly: {10, 8}:", rows)
 
 	ni := runStrategy(db, workload.KiesslingQ2CountStar, engine.NestedIteration)
@@ -173,16 +184,16 @@ func expNonEq() {
 	ni := runStrategy(db, workload.GanskiQ5, engine.NestedIteration)
 	printRows("Nested iteration (correct, MAX({}) = NULL) — paper: {8}:", ni.Rows)
 
-	rowsKim, trKim, dropKim := transformKeepingTemps(db, workload.GanskiQ5, transform.KimJA)
+	rowsKim, trKim, plKim := runPlanner(db, workload.GanskiQ5, transform.KimJA, true)
 	fmt.Printf("\n  Kim temp (TEMP5 in the paper): %s\n", trKim.Temps[0].Def)
-	printTable(db, trKim.Temps[0].Name)
-	dropKim()
+	printTemp(plKim, trKim.Temps[0].Name)
+	plKim.DropTemps()
 	printRows("Kim NEST-JA result — paper: {10, 8} (wrong):", rowsKim)
 
-	rowsJA2, trJA2, dropJA2 := transformKeepingTemps(db, workload.GanskiQ5, transform.JA2)
+	rowsJA2, trJA2, plJA2 := runPlanner(db, workload.GanskiQ5, transform.JA2, true)
 	fmt.Printf("\n  NEST-JA2 temp (TEMP6 in the paper): %s\n", trJA2.Temps[1].Def)
-	printTable(db, trJA2.Temps[1].Name)
-	dropJA2()
+	printTemp(plJA2, trJA2.Temps[1].Name)
+	plJA2.DropTemps()
 	printRows("NEST-JA2 result — paper: {8}:", rowsJA2)
 }
 
@@ -202,11 +213,11 @@ func expDuplicates() {
 	naive := naiveOuterJoinRows(db)
 	printRows("Outer-join fix WITHOUT the DISTINCT projection — paper: {8} (wrong):", naive)
 
-	rows, tr, drop := transformKeepingTemps(db, workload.KiesslingQ2, transform.JA2)
+	rows, tr, pl := runPlanner(db, workload.KiesslingQ2, transform.JA2, true)
 	for _, t := range tr.Temps {
-		printTable(db, t.Name)
+		printTemp(pl, t.Name)
 	}
-	drop()
+	pl.DropTemps()
 	printRows("Full NEST-JA2 (with TEMP1 projection) — paper: {3, 10, 8}:", rows)
 }
 
@@ -215,15 +226,15 @@ func expDuplicates() {
 // and TEMP3 as the paper does.
 func expJA2Example() {
 	db := newDB(8, workload.LoadDuplicates)
-	rows, tr, drop := transformKeepingTemps(db, workload.KiesslingQ2, transform.JA2)
+	rows, tr, pl := runPlanner(db, workload.KiesslingQ2, transform.JA2, true)
 	fmt.Println("  Algorithm NEST-JA2, the three steps of section 6.1:")
 	for i, t := range tr.Temps {
 		fmt.Printf("    step %d: %s = %s\n", i+1, t.Name, t.Def)
 	}
 	fmt.Printf("    step 3 (rewritten query): %s\n\n", tr.Query)
-	printTable(db, tr.Temps[0].Name) // TEMP1 — paper: {3, 10, 8}
-	printTable(db, tr.Temps[2].Name) // TEMP3 — paper: {(3,2), (10,1), (8,0)}
-	drop()
+	printTemp(pl, tr.Temps[0].Name) // TEMP1 — paper: {3, 10, 8}
+	printTemp(pl, tr.Temps[2].Name) // TEMP3 — paper: {(3,2), (10,1), (8,0)}
+	pl.DropTemps()
 	printRows("Final result — paper: {3, 10, 8}:", rows)
 }
 

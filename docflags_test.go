@@ -566,6 +566,65 @@ func TestOneParallelSwitch(t *testing.T) {
 	})
 }
 
+// A transformed query's TEMPn tables used to be registered in the shared
+// catalog and store under per-query names (TEMP1#q17), which every other
+// reader of the catalog then met: ANALYZE failed on a temp whose file was
+// already dropped. They are the planner's own anonymous files now, and the
+// shared namespace must not come back unnoticed: no non-test Go in
+// internal/planner, internal/exec or internal/transform calls a catalog's
+// Define or Drop (Define is the catalog's alone; a Drop counts when its
+// receiver is named like a catalog), and no non-test Go outside bench/ sets
+// TempSuffix or spells the "#q" suffix.
+func TestQueriesDoNotWriteCatalog(t *testing.T) {
+	queryside := map[string]bool{"internal/planner": true, "internal/exec": true, "internal/transform": true}
+	catalogLike := regexp.MustCompile(`(?i)cat`)
+	recvName := func(e ast.Expr) string {
+		if call, ok := e.(*ast.CallExpr); ok {
+			e = call.Fun
+		}
+		switch e := e.(type) {
+		case *ast.Ident:
+			return e.Name
+		case *ast.SelectorExpr:
+			return e.Sel.Name
+		}
+		return ""
+	}
+	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if dir == "bench" || strings.HasPrefix(dir, "bench/") {
+			return
+		}
+		if strings.Contains(readFile(t, path), "#q") {
+			t.Errorf("%s spells the per-query temp suffix #q: a query's temps are its planner's own", path)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok || !queryside[dir] {
+					break
+				}
+				if sel.Sel.Name == "Define" || (sel.Sel.Name == "Drop" && catalogLike.MatchString(recvName(sel.X))) {
+					t.Errorf("%s:%d calls %s.%s: queries do not write the shared catalog",
+						path, lineOf(t, path, int(n.Pos()-file.FileStart)), recvName(sel.X), sel.Sel.Name)
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok && id.Name == "TempSuffix" {
+					t.Errorf("%s:%d sets TempSuffix, which is ignored", path, lineOf(t, path, int(id.Pos()-file.FileStart)))
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "TempSuffix" {
+						t.Errorf("%s:%d sets TempSuffix, which is ignored", path, lineOf(t, path, int(sel.Pos()-file.FileStart)))
+					}
+				}
+			}
+			return true
+		})
+	})
+}
+
 // lineOf is the line of path holding the byte at offset.
 func lineOf(t *testing.T, path string, offset int) int {
 	t.Helper()
@@ -579,8 +638,9 @@ func lineOf(t *testing.T, path string, offset int) int {
 // DESIGN.md and README.md are the contract only while they describe the
 // tree that is there, so CI holds them to it:
 //
-//	(a) every root guard — each TestOne* here, TestDocsPassOnlyDefinedFlags
-//	    and TestRetiredShardFrameRefused — is named exactly once in DESIGN.md;
+//	(a) every root guard — each TestOne* here, TestDocsPassOnlyDefinedFlags,
+//	    TestRetiredShardFrameRefused and TestQueriesDoNotWriteCatalog — is
+//	    named exactly once in DESIGN.md;
 //	(b) every Test name DESIGN.md or README.md gives is a func Test in the
 //	    checkout, bench/ included, or a prefix of one;
 //	(c) §4's layout names every directory under cmd/, internal/ and
@@ -594,7 +654,7 @@ func TestDocsMatchTree(t *testing.T) {
 	testFunc := regexp.MustCompile(`(?m)^func (Test\w+)\(`)
 
 	// (a)
-	guards := []string{"TestDocsPassOnlyDefinedFlags", "TestRetiredShardFrameRefused"}
+	guards := []string{"TestDocsPassOnlyDefinedFlags", "TestRetiredShardFrameRefused", "TestQueriesDoNotWriteCatalog"}
 	for _, m := range testFunc.FindAllStringSubmatch(readFile(t, "docflags_test.go"), -1) {
 		if strings.HasPrefix(m[1], "TestOne") {
 			guards = append(guards, m[1])

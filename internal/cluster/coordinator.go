@@ -181,10 +181,10 @@ func (co *Coordinator) GatherCounts() []int64 {
 	return out
 }
 
-// physName is the shard-suffixed physical table backing one shard's
+// shardTable is the shard-suffixed physical table backing one shard's
 // slice of a logical table. The "__" namespace is reserved at CREATE,
 // so physical names can never collide with user tables.
-func physName(table string, shard int) string {
+func shardTable(table string, shard int) string {
 	return fmt.Sprintf("%s__S%d", table, shard)
 }
 
@@ -509,7 +509,7 @@ func (co *Coordinator) execCreate(rel *schema.Relation) error {
 	}, co.diverged)
 	if err != nil {
 		for _, site := range created {
-			co.drop(site[1], physName(rel.Name, site[0]))
+			co.drop(site[1], shardTable(rel.Name, site[0]))
 		}
 		co.cat.Drop(rel.Name)
 		return err
@@ -523,7 +523,7 @@ func (co *Coordinator) execCreate(rel *schema.Relation) error {
 // globally unique key is still unique — which keeps the planner's
 // duplicate-safety reasoning intact on workers.
 func shardRelation(rel *schema.Relation, name string, s int) *schema.Relation {
-	return &schema.Relation{Name: physName(name, s), Columns: rel.Columns, Key: rel.Key}
+	return &schema.Relation{Name: shardTable(name, s), Columns: rel.Columns, Key: rel.Key}
 }
 
 // execInsert coerces each row's literals against the schema — hashing
@@ -562,7 +562,7 @@ func (co *Coordinator) execInsert(stmt *sqlparser.InsertStmt) (int64, error) {
 	}
 	cols := rel.ColumnNames()
 	return co.replicate(shards, nil, func(s, w int) (int64, error) {
-		return co.load(w, physName(rel.Name, s), cols, routed[s])
+		return co.load(w, shardTable(rel.Name, s), cols, routed[s])
 	}, co.diverged)
 }
 
@@ -594,10 +594,10 @@ func (co *Coordinator) execFilterDML(table string, where []ast.Predicate, stmt s
 func renderShardDML(stmt sqlparser.Statement, shard int) string {
 	switch st := stmt.(type) {
 	case *sqlparser.DeleteStmt:
-		out := &sqlparser.DeleteStmt{Table: physName(st.Table, shard), Where: stripQualifiers(st.Where)}
+		out := &sqlparser.DeleteStmt{Table: shardTable(st.Table, shard), Where: stripQualifiers(st.Where)}
 		return out.String()
 	case *sqlparser.UpdateStmt:
-		out := &sqlparser.UpdateStmt{Table: physName(st.Table, shard), Set: st.Set, Where: stripQualifiers(st.Where)}
+		out := &sqlparser.UpdateStmt{Table: shardTable(st.Table, shard), Set: st.Set, Where: stripQualifiers(st.Where)}
 		return out.String()
 	default:
 		panic(fmt.Sprintf("cluster: renderShardDML on %T", stmt))
@@ -636,7 +636,7 @@ func (co *Coordinator) execDrop(table string) error {
 		return fmt.Errorf("cluster: unknown relation %s", table)
 	}
 	co.replicate(nil, nil, func(s, w int) (int64, error) {
-		return 0, co.drop(w, physName(rel.Name, s))
+		return 0, co.drop(w, shardTable(rel.Name, s))
 	}, co.diverged)
 	co.cat.Drop(table)
 	delete(co.place, strings.ToUpper(table))
@@ -724,7 +724,7 @@ func (co *Coordinator) query(qb *ast.QueryBlock, opts engine.Options) (_ *engine
 	sqls := make([]string, co.nshards)
 	for s := range sqls {
 		for _, site := range sites {
-			site.ref.Relation = physName(site.logical, s)
+			site.ref.Relation = shardTable(site.logical, s)
 		}
 		sqls[s] = qb.String()
 	}
@@ -761,7 +761,7 @@ func (co *Coordinator) shuffle(table, keyCol string, qc *qctx.QueryContext, okBy
 	sname := fmt.Sprintf("%s__X%s_%d", rel.Name, co.runToken, co.qid.Add(1))
 	phys := make([]string, co.nshards)
 	for d := range phys {
-		phys[d] = physName(sname, d)
+		phys[d] = shardTable(sname, d)
 	}
 	struck := func(s, w int) { okBy[s][w] = false }
 
@@ -791,7 +791,7 @@ func (co *Coordinator) shuffle(table, keyCol string, qc *qctx.QueryContext, okBy
 			defer wg.Done()
 			scatterErr[s] = co.onReplica(s, nil, qc, func(w int, c *client.Conn, left time.Duration) error {
 				copts := client.Options{Timeout: left, Strategy: wire.StrategyNested, Cancel: qc.Done()} // a flat scan; no transform to pick
-				local, err := scatterSlice(c, w, sql+physName(rel.Name, s), copts, cols, part)
+				local, err := scatterSlice(c, w, sql+shardTable(rel.Name, s), copts, cols, part)
 				if err == nil {
 					sourced[s] = local
 				}

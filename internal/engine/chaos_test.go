@@ -153,13 +153,13 @@ func TestChaosFaultInjection(t *testing.T) {
 			t.Fatalf("round %d: fault-free NI failed for %q: %v", i, sql, err)
 		}
 
-		// Arm the injector. Torn writes cover both the anonymous sort/
-		// materialization temps ($tmpN) and the transform algorithms'
-		// named temp tables (TEMPn).
+		// Arm the injector. Torn writes cover the anonymous temps ($tmpN):
+		// sort runs, materializations and the transform algorithms' TEMPn
+		// tables.
 		plan = fault.Plan{
 			Seed:         seed,
 			Rates:        fault.Rates{fault.StorageRead: 0.03, fault.StorageTear: 0.3, fault.StorageLatency: 0.01},
-			TearPrefixes: []string{"$tmp", "TEMP"},
+			TearPrefixes: []string{"$tmp"},
 			Latency:      200 * time.Microsecond,
 		}
 		inj := fault.New(plan)
@@ -227,7 +227,7 @@ func TestChaosFaultInjection(t *testing.T) {
 		plan = fault.Plan{
 			Seed:         seed + 1,
 			Rates:        fault.Rates{fault.StorageRead: 0.05, fault.StorageTear: 0.3, fault.StorageLatency: 0.01},
-			TearPrefixes: []string{"$tmp", "TEMP", "R"},
+			TearPrefixes: []string{"$tmp", "R"},
 			Latency:      200 * time.Microsecond,
 		}
 		dmlInj := fault.New(plan)

@@ -70,16 +70,16 @@ func (s Strategy) String() string {
 
 // DB is a database instance: a catalog plus a paged store with a B-page
 // buffer pool, and optionally System R statistics for the planner. It is
-// safe for concurrent queries: temp tables are namespaced per query, the
-// catalog is internally locked, and — when EnableAdmission is called —
-// every query passes the admission gateway first.
+// safe for concurrent queries: a query's temp tables are its planner's
+// own, the catalog is internally locked, and — when EnableAdmission is
+// called — every query passes the admission gateway first.
 type DB struct {
 	cat     *schema.Catalog
 	store   *storage.Store
-	stats   *stats.Stats
+	stats   atomic.Pointer[stats.Stats] // published whole by Analyze
 	indexes *index.Registry
 	admit   *admission.Controller
-	qcount  atomic.Int64 // temp-table namespace allocator
+	qcount  atomic.Int64 // spill-session name allocator
 
 	spill          *spill.Manager // nil unless EnableSpill was called
 	spillThreshold int64
@@ -183,18 +183,22 @@ func (db *DB) Store() *storage.Store { return db.store }
 // values per column) for every relation; subsequent transformed queries
 // use them for selectivity-aware join choices. Run it after bulk loading
 // and re-run after significant data changes. The collection scan's page
-// reads are charged to the store like any other access.
+// reads are charged to the store like any other access. It holds the
+// commit-order lock shared, as a query does, so no DDL drops a relation
+// under its scan.
 func (db *DB) Analyze() error {
+	db.dmlMu.RLock()
+	defer db.dmlMu.RUnlock()
 	st := stats.New()
 	if err := st.Analyze(db.cat, db.store); err != nil {
 		return err
 	}
-	db.stats = st
+	db.stats.Store(st)
 	return nil
 }
 
 // Statistics returns the collected statistics, or nil before Analyze.
-func (db *DB) Statistics() *stats.Stats { return db.stats }
+func (db *DB) Statistics() *stats.Stats { return db.stats.Load() }
 
 // CreateIndex builds a secondary index on table.column (charging the
 // build scan). Inserting into the table afterwards drops its indexes —
@@ -643,7 +647,7 @@ func (db *DB) runTransformed(qb *ast.QueryBlock, variant transform.Variant, opts
 	}
 	popts := opts.Planner
 	if popts.Stats == nil {
-		popts.Stats = db.stats
+		popts.Stats = db.stats.Load()
 	}
 	if popts.Indexes == nil {
 		popts.Indexes = db.indexes
@@ -653,23 +657,12 @@ func (db *DB) runTransformed(qb *ast.QueryBlock, variant transform.Variant, opts
 		popts.Sink = opts.stream.batch
 		popts.SinkBatchRows = opts.Sink.BatchRows
 	}
-	var qid int64
-	if popts.TempSuffix == "" {
-		// Namespace this query's TEMPn materializations in the shared
-		// store and catalog so concurrent queries cannot collide.
-		qid = db.qcount.Add(1)
-		popts.TempSuffix = fmt.Sprintf("#q%d", qid)
-	}
-	// Spill session: run files share the query's namespace id and are
-	// always removed when this function returns — success, error, or
-	// contained panic alike.
+	// Spill session: its run files are always removed when this function
+	// returns — success, error, or contained panic alike.
 	var sess *spill.Session
 	if db.spill != nil {
 		if sp := qc.SpillPolicy(); sp == qctx.SpillAuto || sp == qctx.SpillForced {
-			if qid == 0 {
-				qid = db.qcount.Add(1)
-			}
-			sess = db.spill.NewSession(fmt.Sprintf("q%d", qid))
+			sess = db.spill.NewSession(fmt.Sprintf("q%d", db.qcount.Add(1)))
 			defer sess.Close()
 			popts.Spill = sess
 		}
@@ -769,9 +762,6 @@ func retrySequentially(err error) bool {
 func (db *DB) Explain(sql string, opts Options) (string, error) {
 	qb, err := sqlparser.Parse(sql)
 	if err != nil {
-		return "", err
-	}
-	if _, err := schema.Resolve(db.cat, qb); err != nil {
 		return "", err
 	}
 	res, err := db.queryBlock(qb, opts)

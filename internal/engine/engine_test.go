@@ -351,6 +351,9 @@ func TestTempTableCleanup(t *testing.T) {
 			t.Errorf("leaked temp relation %s", name)
 		}
 	}
+	if n := db.Store().TempCount(); n != 0 {
+		t.Errorf("leaked %d temporary files", n)
+	}
 }
 
 // An outer alias that shadows a generated temp name still executes

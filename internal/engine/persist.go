@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/rowcodec"
 	"repro/internal/storage"
@@ -41,13 +40,6 @@ func (db *DB) Save(w io.Writer) error {
 	var files []*storage.HeapFile
 	records := 0
 	for _, name := range db.cat.Names() {
-		if strings.Contains(name, "#") {
-			// A per-query TEMPn#qN materialization: transient by
-			// definition, never part of a snapshot. None should exist
-			// when snapshotting under the exclusive DML lock; this is a
-			// belt against an abandoned temp from a failed query.
-			continue
-		}
 		f, ok := db.store.Lookup(name)
 		if !ok {
 			return fmt.Errorf("engine: relation %s has no storage", name)

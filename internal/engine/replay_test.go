@@ -103,7 +103,7 @@ func TestFaultPlanReplays(t *testing.T) {
 			fault.SpillWrite: 0.002, fault.SpillRead: 0.002, fault.SpillCorrupt: 0.002,
 			fault.WALTear: 0.2,
 		},
-		TearPrefixes: []string{"$tmp", "TEMP"},
+		TearPrefixes: []string{"$tmp"},
 	}
 	log, outcomes := replayRun(t, plan)
 	t.Logf("plan %v\nfired %v\noutcomes %q", plan, log, outcomes)

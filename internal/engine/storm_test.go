@@ -89,13 +89,13 @@ func armFaults(t *testing.T, db *engine.DB, plan fault.Plan) *fault.Injector {
 }
 
 // stormFaults is the plan shared by the storm tests: the chaos harness's
-// schedule, covering anonymous materialization temps and the transform
-// algorithms' named (now query-suffixed) temp tables.
+// schedule, covering the anonymous temps ($tmpN), the transform
+// algorithms' TEMPn tables among them.
 func stormFaults(seed int64) fault.Plan {
 	return fault.Plan{
 		Seed:         seed,
 		Rates:        fault.Rates{fault.StorageRead: 0.02, fault.StorageTear: 0.2, fault.StorageLatency: 0.01},
-		TearPrefixes: []string{"$tmp", "TEMP"},
+		TearPrefixes: []string{"$tmp"},
 		Latency:      200 * time.Microsecond,
 	}
 }
@@ -334,8 +334,8 @@ func TestDrainUnderFaults(t *testing.T) {
 
 // TestConcurrentQueriesWithoutAdmission is the plain-concurrency
 // regression test: two clients issue queries simultaneously against one
-// engine with NO admission gateway. Per-query temp-table namespacing and
-// the concurrent-safe catalog must keep the runs independent — under
+// engine with NO admission gateway. Planner-owned temp tables and the
+// concurrent-safe catalog must keep the runs independent — under
 // -race this guards the shared-state audit, not just the gateway.
 func TestConcurrentQueriesWithoutAdmission(t *testing.T) {
 	rng := rand.New(rand.NewSource(79000))

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
 	"strings"
@@ -104,7 +105,7 @@ func (p Plan) add(op Operator, depth uint16) Plan {
 	var children [2]Operator
 	switch op := op.(type) {
 	case *SeqScan:
-		n.kind, n.name, n.n = nodeSeqScan, op.File.Name(), int32(op.File.NumPages())
+		n.kind, n.name, n.n = nodeSeqScan, cmp.Or(op.Name, op.File.Name()), int32(op.File.NumPages())
 	case *IndexScan:
 		n.kind, n.name = nodeIndexScan, op.Idx.Relation
 		n.probe = &indexProbe{column: op.Idx.Column, op: op.Op, key: op.Key}
@@ -125,7 +126,7 @@ func (p Plan) add(op Operator, depth uint16) Plan {
 		n.setHashJoin(op)
 	case *NestedLoopJoin:
 		n.kind, n.outer, n.cols = nodeNestedLoopJoin, op.Outer, op.Out
-		n.name, n.n, children[0] = op.Right.Name(), int32(op.Right.NumPages()), op.Left
+		n.name, n.n, children[0] = cmp.Or(op.RightName, op.Right.Name()), int32(op.Right.NumPages()), op.Left
 	case *GroupAgg:
 		n.kind, n.cols, n.items, children[0] = nodeGroupAgg, op.GroupCols, op.Items, op.Child
 	case *ExchangeMerge:

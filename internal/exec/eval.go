@@ -35,10 +35,9 @@ type Evaluator struct {
 	// for every root-block result row. Inner blocks do not charge the row
 	// budget — it bounds what the query returns, not what it examines.
 	QC *qctx.QueryContext
-	// MapName, when set, translates relation references to their physical
-	// names — the planner uses it so blocks referencing its namespaced
-	// temporary tables (TEMP1 → TEMP1#qN) resolve under concurrency.
-	MapName func(string) string
+	// Temps, when set, resolves a relation name before the catalog does:
+	// the planner's own temporary tables, which the catalog never holds.
+	Temps func(name string) (*schema.Relation, *storage.HeapFile, bool)
 
 	// root is the block whose emissions count against the row budget,
 	// recorded by EvalQuery.
@@ -150,6 +149,25 @@ func (ev *Evaluator) CompileFilter(preds []ast.Predicate, sch RowSchema) (RowPre
 	}, nil
 }
 
+// relation resolves a FROM entry's name against Temps first, then the
+// store and the catalog.
+func (ev *Evaluator) relation(name string) (*schema.Relation, *storage.HeapFile, error) {
+	if ev.Temps != nil {
+		if rel, f, ok := ev.Temps(name); ok {
+			return rel, f, nil
+		}
+	}
+	f, ok := ev.Store.Lookup(name)
+	if !ok {
+		return nil, nil, fmt.Errorf("exec: no stored relation %s", name)
+	}
+	rel, ok := ev.Cat.Lookup(name)
+	if !ok {
+		return nil, nil, fmt.Errorf("exec: relation %s not in catalog", name)
+	}
+	return rel, f, nil
+}
+
 func (ev *Evaluator) growFrames(n int) {
 	for len(ev.frames) < n {
 		ev.frames = append(ev.frames, nil)
@@ -169,17 +187,9 @@ func (ev *Evaluator) compile(qb *ast.QueryBlock, scope []RowSchema) (*blockProg,
 	}
 	scope = slices.Clip(scope) // sibling blocks append to the same prefix
 	for _, tr := range qb.From {
-		name := tr.Relation
-		if ev.MapName != nil {
-			name = ev.MapName(name)
-		}
-		f, ok := ev.Store.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("exec: no stored relation %s", tr.Relation)
-		}
-		rel, ok := ev.Cat.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("exec: relation %s not in catalog", tr.Relation)
+		rel, f, err := ev.relation(tr.Relation)
+		if err != nil {
+			return nil, err
 		}
 		rs := make(RowSchema, len(rel.Columns))
 		for j, c := range rel.Columns {

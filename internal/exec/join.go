@@ -422,9 +422,10 @@ func (m *MergeJoin) Schema() RowSchema {
 // NULL-padded — the outer theta-join used when the aggregate is COUNT and
 // the operator is not equality.
 type NestedLoopJoin struct {
-	Left     Operator
-	Right    *storage.HeapFile
-	RightSch RowSchema
+	Left      Operator
+	Right     *storage.HeapFile
+	RightSch  RowSchema
+	RightName string // as SeqScan.Name
 	// Pred sees the concatenated (left ++ right) row.
 	Pred  RowPred
 	Outer bool

@@ -25,6 +25,9 @@ type Operator interface {
 type SeqScan struct {
 	File *storage.HeapFile
 	Sch  RowSchema
+	// Name is what EXPLAIN calls the scanned relation when it is not the
+	// file's name: a planner temp's TEMPn.
+	Name string
 	// QC, when set, is checked once per page — the scan's natural morsel.
 	QC *qctx.QueryContext
 

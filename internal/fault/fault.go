@@ -75,9 +75,10 @@ type Plan struct {
 	// Latency is how long a StorageLatency or NetDelay hit sleeps.
 	Latency time.Duration
 	// TearPrefixes lists the file-name prefixes StorageTear may hit; empty
-	// means only anonymous temporaries ($tmpN). Storms add "TEMP" for the
-	// transform algorithms' named temp tables. Base tables are left out so
-	// a fault-free rerun sees uncorrupted data.
+	// means only anonymous temporaries ($tmpN): sort runs, subquery lists
+	// and every planner materialization, the transform algorithms' TEMPn
+	// tables included. Base tables are left out so a fault-free rerun sees
+	// uncorrupted data, unless a plan names their prefix.
 	TearPrefixes []string
 }
 

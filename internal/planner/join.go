@@ -267,8 +267,9 @@ func (p *Planner) keyCardinality(cur, right input, keys []exec.KeyPair) float64 
 // which also enforces restriction-before-join for outer joins).
 func (p *Planner) nlJoin(cur, right input, joinConjs []ast.Predicate, keys []exec.KeyPair, outer bool, label string) (input, error) {
 	var file *storage.HeapFile
+	var name string
 	if scan, ok := right.op.(*exec.SeqScan); ok {
-		file = scan.File
+		file, name = scan.File, scan.Name
 	} else {
 		f, err := p.materialize(right.op)
 		if err != nil {
@@ -284,12 +285,13 @@ func (p *Planner) nlJoin(cur, right input, joinConjs []ast.Predicate, keys []exe
 	}
 	p.note(label, trace.Event{Kind: trace.NestedLoops, Outer: outer, Detail: &trace.Detail{Preds: joinConjs}})
 	op := &exec.NestedLoopJoin{
-		Left:     cur.op,
-		Right:    file,
-		RightSch: right.op.Schema(),
-		Pred:     pred,
-		Outer:    outer,
-		QC:       p.opts.QC,
+		Left:      cur.op,
+		Right:     file,
+		RightSch:  right.op.Schema(),
+		RightName: name,
+		Pred:      pred,
+		Outer:     outer,
+		QC:        p.opts.QC,
 	}
 	return input{
 		op:       op,

@@ -62,9 +62,9 @@ type Options struct {
 	TempJoin, FinalJoin JoinMethod
 	// TempTuplesPerPage sizes temp-table pages (0 = storage default).
 	TempTuplesPerPage int
-	// KeepTemps leaves the named temporary tables in the catalog and
-	// store after Run so a harness can inspect them (as the paper prints
-	// TEMP1/TEMP2/TEMP3 contents); call DropTemps when done.
+	// KeepTemps keeps the named temporary tables after Run so a harness
+	// can read them through Temp (as the paper prints TEMP1/TEMP2/TEMP3
+	// contents); call DropTemps when done.
 	KeepTemps bool
 	// Stats, when set, provides System R selectivity estimation for the
 	// cost-based join choice ([SEL 79]); without it the planner uses raw
@@ -92,11 +92,9 @@ type Options struct {
 	// failing with ErrMemoryBudget. Hash joins and hash aggregation always
 	// hard-charge.
 	Spill *spill.Session
-	// TempSuffix namespaces the physical names of this query's temporary
-	// tables in the shared store and catalog (TEMP1 → TEMP1<suffix>), so
-	// concurrent queries materializing the same logical TEMPn cannot
-	// collide. Plan notes and EXPLAIN keep the logical names. Empty means
-	// no namespacing (single-query tools, paper experiments).
+	// TempSuffix is ignored. A query's temporary tables are the planner's
+	// own anonymous files, never in the shared catalog, so they need no
+	// per-query name; the field stays only for callers that still set it.
 	TempSuffix string
 	// Sink, when set, streams the final query's rows in batches of
 	// SinkBatchRows instead of materializing them: Run returns nil rows
@@ -125,11 +123,21 @@ type Planner struct {
 	store *storage.Store
 	opts  Options
 
-	tempNames []string          // physical temp-table names (catalog + store)
-	dropLater []string          // anonymous materializations
-	tempOrder map[string]string // logical temp name -> column it is sorted on
-	physNames map[string]string // logical temp name (upper) -> physical name
-	curFrom   []ast.TableRef    // FROM clause of the block being planned
+	temps   []temp         // every file this planner materialized, in order
+	curFrom []ast.TableRef // FROM clause of the block being planned
+}
+
+// temp is one anonymous store file the planner materialized. A named one
+// is a TEMPn of the transformed query: its name resolves in this planner
+// only, never through the shared catalog, and sortedOn is the column its
+// rows are stored in order of (-1 when none), so section 7.4's sort
+// eliminations carry across materialization. An unnamed one is a join's
+// or anti-join's right side.
+type temp struct {
+	name     string
+	rel      *schema.Relation
+	file     *storage.HeapFile
+	sortedOn int
 }
 
 // New creates a planner. Under a SpillForced query context it plans the
@@ -141,21 +149,26 @@ func New(cat *schema.Catalog, store *storage.Store, opts Options) *Planner {
 		opts.TempJoin, opts.FinalJoin = cmp.Or(opts.TempJoin, JoinMerge), cmp.Or(opts.FinalJoin, JoinMerge)
 		opts.Parallelism = 0
 	}
-	return &Planner{
-		cat: cat, store: store, opts: opts,
-		tempOrder: make(map[string]string),
-		physNames: make(map[string]string),
-	}
+	return &Planner{cat: cat, store: store, opts: opts}
 }
 
-// physName maps a relation reference to its physical name: temporary
-// tables materialized by this planner live under suffixed names when
-// Options.TempSuffix is set; everything else resolves as written.
-func (p *Planner) physName(name string) string {
-	if phys, ok := p.physNames[strings.ToUpper(name)]; ok {
-		return phys
+// Temp looks a temporary table of this query up by name, as the catalog
+// would, and returns its relation and file. The planner holds its temps
+// during Run and, under KeepTemps, after it until DropTemps.
+func (p *Planner) Temp(name string) (*schema.Relation, *storage.HeapFile, bool) {
+	if t := p.temp(name); t != nil {
+		return t.rel, t.file, true
 	}
-	return name
+	return nil, nil, false
+}
+
+func (p *Planner) temp(name string) *temp {
+	for i := range p.temps {
+		if strings.EqualFold(p.temps[i].name, name) {
+			return &p.temps[i]
+		}
+	}
+	return nil
 }
 
 // note records a plan decision of block label.
@@ -197,64 +210,48 @@ func (p *Planner) Run(res *transform.Result) (rows []storage.Tuple, sch exec.Row
 // so a failed materialization is dropped with the rest at the end of Run.
 func (p *Planner) materialize(op exec.Operator) (*storage.HeapFile, error) {
 	f := p.store.CreateTemp(p.opts.TempTuplesPerPage)
-	p.dropLater = append(p.dropLater, f.Name())
+	p.temps = append(p.temps, temp{file: f, sortedOn: -1})
 	return f, exec.MaterializeInto(op, f, p.opts.QC)
 }
 
+// cleanup drops every materialized file, except the named temps under
+// KeepTemps.
 func (p *Planner) cleanup() {
-	if !p.opts.KeepTemps {
-		p.DropTemps()
+	kept := p.temps[:0]
+	for _, t := range p.temps {
+		if t.name != "" && p.opts.KeepTemps {
+			kept = append(kept, t)
+		} else {
+			p.store.Drop(t.file.Name())
+		}
 	}
-	for _, name := range p.dropLater {
-		p.store.Drop(name)
-	}
-	p.dropLater = nil
+	p.temps = kept
 }
 
-// DropTemps removes the named temporary tables kept by KeepTemps.
+// DropTemps drops the temporary tables kept by KeepTemps.
 func (p *Planner) DropTemps() {
-	for _, name := range p.tempNames {
-		p.store.Drop(name)
-		p.cat.Drop(name)
-	}
-	p.tempNames = nil
+	p.opts.KeepTemps = false
+	p.cleanup()
 }
 
-// buildTemp plans a temp definition, materializes it under its name, and
-// registers its schema so later definitions and the final query resolve.
-func (p *Planner) buildTemp(temp transform.TempTable) error {
-	plan, err := p.planBlock(temp.Def, p.opts.TempJoin, temp.Name)
+// buildTemp plans a temp definition and materializes it, so that later
+// definitions and the final query resolve its name to its file.
+func (p *Planner) buildTemp(tt transform.TempTable) error {
+	plan, err := p.planBlock(tt.Def, p.opts.TempJoin, tt.Name)
 	if err != nil {
 		return err
 	}
-	phys := temp.Name + p.opts.TempSuffix
-	file, err := p.store.Create(phys, p.opts.TempTuplesPerPage)
+	p.note(tt.Name, trace.Event{Kind: trace.Plan, Plan: exec.Snapshot(plan.op)})
+	file, err := p.materialize(plan.op)
 	if err != nil {
-		return fmt.Errorf("planner: temp %s: %w", temp.Name, err)
-	}
-	p.tempNames = append(p.tempNames, phys)
-	p.physNames[strings.ToUpper(temp.Name)] = phys
-	rel := temp.Rel
-	if phys != temp.Name {
-		// Register the suffixed clone; the transform result keeps the
-		// logical relation so query text and notes stay readable.
-		clone := *temp.Rel
-		clone.Name = phys
-		rel = &clone
-	}
-	if err := p.cat.Define(rel); err != nil {
-		return fmt.Errorf("planner: temp %s: %w", temp.Name, err)
-	}
-	p.note(temp.Name, trace.Event{Kind: trace.Plan, Plan: exec.Snapshot(plan.op)})
-	if err := exec.MaterializeInto(plan.op, file, p.opts.QC); err != nil {
 		return err
 	}
-	if plan.sortedOn >= 0 && plan.sortedOn < len(temp.Rel.Columns) {
-		// The temp is stored in this column's order (section 7.4's sort
-		// eliminations carry across materialization).
-		p.tempOrder[temp.Name] = temp.Rel.Columns[plan.sortedOn].Name
+	t := &p.temps[len(p.temps)-1]
+	t.name, t.rel = tt.Name, tt.Rel
+	if plan.sortedOn < len(tt.Rel.Columns) {
+		t.sortedOn = plan.sortedOn
 	}
-	p.note(temp.Name, trace.Event{Kind: trace.Materialized, N: int64(file.NumTuples()), M: int64(file.NumPages())})
+	p.note(tt.Name, trace.Event{Kind: trace.Materialized, N: int64(file.NumTuples()), M: int64(file.NumPages())})
 	return nil
 }
 
@@ -339,7 +336,7 @@ func (p *Planner) foldConstantSubqueries(qb *ast.QueryBlock) error {
 			}
 			if ev == nil {
 				ev = exec.NewEvaluator(p.cat, p.store)
-				ev.MapName = p.physName
+				ev.Temps = p.Temp
 				defer ev.Close()
 			}
 			rows, _, err := ev.EvalQuery(sq.Block)
@@ -433,30 +430,29 @@ func indexableConjunct(c ast.Predicate, binding string) (col string, op value.Co
 	return "", 0, value.Null, false
 }
 
-// scanInput builds a sequential scan of one FROM entry. Temp-table
-// references resolve through the logical→physical name map so concurrent
-// queries read their own materializations.
+// scanInput builds a sequential scan of one FROM entry. A name resolves
+// against this query's temps first, then the catalog, as transform's
+// lookupRel does.
 func (p *Planner) scanInput(tr ast.TableRef) (input, error) {
-	name := p.physName(tr.Relation)
-	rel, ok := p.cat.Lookup(name)
-	if !ok {
-		return input{}, fmt.Errorf("planner: unknown relation %s", tr.Relation)
+	t := p.temp(tr.Relation)
+	if t == nil {
+		rel, ok := p.cat.Lookup(tr.Relation)
+		if !ok {
+			return input{}, fmt.Errorf("planner: unknown relation %s", tr.Relation)
+		}
+		file, ok := p.store.Lookup(tr.Relation)
+		if !ok {
+			return input{}, fmt.Errorf("planner: no stored relation %s", tr.Relation)
+		}
+		t = &temp{rel: rel, file: file, sortedOn: -1}
 	}
-	file, ok := p.store.Lookup(name)
-	if !ok {
-		return input{}, fmt.Errorf("planner: no stored relation %s", tr.Relation)
-	}
-	scan := exec.NewSeqScan(file, tr.Binding(), rel.ColumnNames())
-	scan.QC = p.opts.QC
-	sortedOn := -1
-	if col, ok := p.tempOrder[tr.Relation]; ok {
-		sortedOn = rel.ColumnIndex(col)
-	}
+	scan := exec.NewSeqScan(t.file, tr.Binding(), t.rel.ColumnNames())
+	scan.QC, scan.Name = p.opts.QC, t.name
 	return input{
 		op:       scan,
-		pages:    float64(file.NumPages()),
-		tuples:   float64(file.NumTuples()),
-		sortedOn: sortedOn,
+		pages:    float64(t.file.NumPages()),
+		tuples:   float64(t.file.NumTuples()),
+		sortedOn: t.sortedOn,
 	}, nil
 }
 

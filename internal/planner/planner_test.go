@@ -196,7 +196,8 @@ func TestPlannerFoldsTypeAConstants(t *testing.T) {
 	}
 }
 
-// Temporary tables are dropped from both catalog and store after Run.
+// Temporary tables never reach the catalog, and their files are dropped
+// from the store after Run.
 func TestPlannerCleanup(t *testing.T) {
 	db := kiessling(t, 8)
 	runPlanned(t, db, workload.KiesslingQ2, transform.JA2, planner.Options{})
@@ -207,6 +208,9 @@ func TestPlannerCleanup(t *testing.T) {
 	}
 	if _, ok := db.Store.Lookup("TEMP1"); ok {
 		t.Error("store leaked TEMP1")
+	}
+	if n := db.Store.TempCount(); n != 0 {
+		t.Errorf("store leaked %d temporary files", n)
 	}
 }
 
@@ -242,5 +246,22 @@ func TestJoinMethodString(t *testing.T) {
 		planner.JoinMerge.String() != "merge" ||
 		planner.JoinNL.String() != "nested-loops" {
 		t.Error("join method names")
+	}
+}
+
+// EXPLAIN names a temp by its logical name wherever a plan reads it, as a
+// scan or as a nested-loops join's stored right side, never by its file.
+func TestPlanNamesTempsLogically(t *testing.T) {
+	db := kiessling(t, 8)
+	_, pl := runPlanned(t, db, workload.KiesslingQ2, transform.JA2,
+		planner.Options{TempJoin: planner.JoinMerge, FinalJoin: planner.JoinNL})
+	text := notesText(pl.Trace)
+	for _, want := range []string{"SeqScan(TEMP1, ", "SeqScan(TEMP2, ", "NestedLoopJoin(right=TEMP3, "} {
+		if !strings.Contains(text, want) {
+			t.Errorf("plans miss %q:\n%s", want, text)
+		}
+	}
+	if strings.Contains(text, "$tmp") {
+		t.Errorf("a plan names a temp by its file:\n%s", text)
 	}
 }

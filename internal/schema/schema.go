@@ -78,10 +78,9 @@ func (r *Relation) CreateSQL() string {
 }
 
 // Catalog is the set of known relations. Lookups and mutations are safe
-// for concurrent use: under admission-controlled concurrency every query
-// defines (and drops) its own suffixed temporary tables while other
-// queries resolve names against the same catalog. Relation values are
-// immutable once defined — the lock guards only the name map.
+// for concurrent use: queries resolve names against it while DDL defines
+// and drops relations. Relation values are immutable once defined — the
+// lock guards only the name map.
 type Catalog struct {
 	mu        sync.RWMutex
 	relations map[string]*Relation

@@ -9,7 +9,7 @@
 // wrong rows.
 //
 // A Manager owns the spill directory and the cumulative counters; each
-// query gets a Session (named like its TEMPn#qN temp tables) that keeps
+// query gets a Session (named by the engine's query counter) that keeps
 // all its runs in one file of fixed-size slots (DESIGN.md §12), so a run
 // costs the bytes it holds, not a file and two buffers of its own.
 // Operators drop runs eagerly, which frees their slots for the next run;
@@ -98,7 +98,7 @@ func (m *Manager) LiveRuns() int64 {
 }
 
 // NewSession opens a query's spill namespace; name is the query tag
-// ("q17", as in TEMPn#q17). A nil manager returns a nil, inert session.
+// ("q17"). A nil manager returns a nil, inert session.
 func (m *Manager) NewSession(name string) *Session {
 	if m == nil {
 		return nil

@@ -60,17 +60,17 @@ func tearable(prefixes []string, file string) bool {
 	return slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(file, p) })
 }
 
-// TempCount reports how many temporary files currently exist — anonymous
-// materializations ($tmpN) and per-query namespaced temp tables
-// (TEMPn#qN). The chaos harness asserts this returns to zero after every
-// run, faulted or not, so failed materializations cannot leak
-// intermediates.
+// TempCount reports how many temporary files currently exist: the
+// anonymous $tmpN files that hold sort runs, subquery lists and every
+// planner materialization, a query's TEMPn tables included. The chaos
+// harness asserts this returns to zero after every run, faulted or not,
+// so failed materializations cannot leak intermediates.
 func (s *Store) TempCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
 	for name := range s.files {
-		if strings.HasPrefix(name, "$tmp") || strings.Contains(name, "#q") {
+		if strings.HasPrefix(name, "$tmp") {
 			n++
 		}
 	}
