@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"io"
 	"slices"
 	"sync"
 	"testing"
@@ -91,4 +92,41 @@ func TestAnalyzeBesideQueriesAndDDL(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestSaveBesideDDL: Save holds the DML lock shared, so a table dropped
+// beside it is either in the image whole or not in it at all. Without
+// the lock Save looked a dropped table up and dereferenced nil.
+func TestSaveBesideDDL(t *testing.T) {
+	db := newDB(t, 8, workload.LoadKiessling)
+	stop := make(chan struct{})
+	done := make(chan error)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if _, err := db.Exec("CREATE TABLE SCRATCH (A INTEGER)", engine.Options{}); err != nil {
+				done <- err
+				return
+			}
+			if _, err := db.Exec("DROP TABLE SCRATCH", engine.Options{}); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 3000; i++ {
+		if err := db.Save(io.Discard); err != nil {
+			t.Errorf("Save call %d: %v", i, err)
+			break
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Errorf("DDL: %v", err)
+	}
 }

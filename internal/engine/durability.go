@@ -149,7 +149,7 @@ func (db *DB) Checkpoint() error {
 	}
 	db.dmlMu.Lock()
 	defer db.dmlMu.Unlock()
-	return db.wal.Checkpoint(db.Save)
+	return db.wal.Checkpoint(db.save)
 }
 
 // WAL exposes the log (nil without EnableDurability) — for stats

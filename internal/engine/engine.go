@@ -701,8 +701,9 @@ func (db *DB) runTransformed(qb *ast.QueryBlock, variant transform.Variant, opts
 		!opts.stream.hasEmitted() && !opts.stream.sinkBroken() {
 		// The last degradation rung before failing: under SpillAuto an
 		// operator whose buffer merely FITS the budget keeps it resident
-		// and can starve a later charge that has no spill path (a temp
-		// table's partial-page buffer models real memory). Rerun once,
+		// and can starve a later charge that has no spill path (a
+		// materialized temp's partial-page buffer, GroupAgg's one group
+		// and the hash operators' state model real memory). Rerun once,
 		// sequentially, refusing every reservation — the resident set
 		// collapses to the irreducible page buffers. Under SpillForced the
 		// planner sort-merges the joins the caller left to cost, the
@@ -729,9 +730,10 @@ func (db *DB) runTransformed(qb *ast.QueryBlock, variant transform.Variant, opts
 
 // traceRoom sizes a transformed query's trace, so that the planner appends
 // its events to the slice that holds the steps: the steps, and per block
-// its plan, its grouping or ordering, a temp's materialization, and per
-// join one decision — three where the plan sort-merges, which records
-// each input's sort or its elision.
+// its plan, its grouping or ordering, a temp's materialization (or, for a
+// temp streamed into its reader, the one streamed event in place of its
+// plan and materialization), and per join one decision — three where the
+// plan sort-merges, which records each input's sort or its elision.
 func traceRoom(tr *transform.Result, o planner.Options, qc *qctx.QueryContext) int {
 	perJoin := 1
 	if o.TempJoin == planner.JoinMerge || o.FinalJoin == planner.JoinMerge || qc.SpillPolicy() == qctx.SpillForced {

@@ -35,8 +35,17 @@ func chunkPages(f *storage.HeapFile) int { return max(1, imageChunkRows/f.Tuples
 // Save writes an image of the database, streaming each relation from
 // its heap file a chunk at a time. Reading the rows goes through the
 // buffer pool and is charged like any other scan; snapshot outside
-// measured query windows.
+// measured query windows. It holds the DML lock shared, as a query does,
+// so no statement changes the database under it.
 func (db *DB) Save(w io.Writer) error {
+	db.dmlMu.RLock()
+	defer db.dmlMu.RUnlock()
+	return db.save(w)
+}
+
+// save is Save for a caller that holds dmlMu (Checkpoint holds it
+// exclusively).
+func (db *DB) save(w io.Writer) error {
 	var files []*storage.HeapFile
 	records := 0
 	for _, name := range db.cat.Names() {

@@ -317,7 +317,7 @@ func (r *Runner) RunScenario(s *Scenario) ([]Violation, error) {
 	if err := load(r.db, s); err != nil {
 		return nil, err
 	}
-	defer r.unload(s)
+	defer unload(r.db, s)
 	if r.cfg.Faults != nil {
 		r.db.SetFaults(fault.New(*r.cfg.Faults))
 		defer r.db.SetFaults(nil)
@@ -358,10 +358,11 @@ func load(db *engine.DB, s *Scenario) error {
 	return nil
 }
 
-func (r *Runner) unload(s *Scenario) {
+// unload drops the scenario's tables from db again.
+func unload(db *engine.DB, s *Scenario) {
 	for _, t := range s.Tables {
-		r.db.Catalog().Drop(t.Name)
-		r.db.Store().Drop(t.Name)
+		db.Catalog().Drop(t.Name)
+		db.Store().Drop(t.Name)
 	}
 }
 

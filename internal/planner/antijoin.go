@@ -58,9 +58,7 @@ func (p *Planner) antiJoin(cur input, ip *ast.InPred, outerFrom []ast.TableRef, 
 		proj.Select = append(proj.Select, ast.SelectItem{Col: ref})
 	}
 
-	savedFrom := p.curFrom
 	right, err := p.planBlock(proj, JoinAuto, label+"-anti")
-	p.curFrom = savedFrom
 	if err != nil {
 		return input{}, err
 	}

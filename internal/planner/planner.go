@@ -16,6 +16,7 @@ package planner
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/ast"
@@ -62,9 +63,9 @@ type Options struct {
 	TempJoin, FinalJoin JoinMethod
 	// TempTuplesPerPage sizes temp-table pages (0 = storage default).
 	TempTuplesPerPage int
-	// KeepTemps keeps the named temporary tables after Run so a harness
-	// can read them through Temp (as the paper prints TEMP1/TEMP2/TEMP3
-	// contents); call DropTemps when done.
+	// KeepTemps materializes every temporary table, streamed ones too, and
+	// keeps them after Run so a harness can read them through Temp (as the
+	// paper prints TEMP1/TEMP2/TEMP3 contents); call DropTemps when done.
 	KeepTemps bool
 	// Stats, when set, provides System R selectivity estimation for the
 	// cost-based join choice ([SEL 79]); without it the planner uses raw
@@ -98,16 +99,16 @@ type Options struct {
 	TempSuffix string
 	// Sink, when set, streams the final query's rows in batches of
 	// SinkBatchRows instead of materializing them: Run returns nil rows
-	// and the sink's blocking becomes executor backpressure. Temporary
-	// tables are still materialized — only the final pipeline streams.
+	// and the sink's blocking becomes executor backpressure.
 	Sink exec.BatchSink
 	// SinkBatchRows sizes Sink batches (0 = exec.DefaultBatchRows).
 	SinkBatchRows int
 	// AsPaper keeps the plan the paper costs in section 7: every external
 	// sort writes its last merge pass as one run and reads it back
 	// (exec.Sort.WriteLastPass) instead of merging its last runs as the
-	// consumer pulls. Only cmd/benchpaper sets it, so that E1–E12, model
-	// fit and the ablations keep printing the paper's page I/Os.
+	// consumer pulls, and materializes every temporary table. Only
+	// cmd/benchpaper sets it, so that E1–E12, model fit and the ablations
+	// keep printing the paper's page I/Os.
 	AsPaper bool
 }
 
@@ -123,7 +124,7 @@ type Planner struct {
 	store *storage.Store
 	opts  Options
 
-	temps   []temp         // every file this planner materialized, in order
+	temps   []temp         // materialized files and held-back temps, in order
 	curFrom []ast.TableRef // FROM clause of the block being planned
 }
 
@@ -132,12 +133,14 @@ type Planner struct {
 // only, never through the shared catalog, and sortedOn is the column its
 // rows are stored in order of (-1 when none), so section 7.4's sort
 // eliminations carry across materialization. An unnamed one is a join's
-// or anti-join's right side.
+// or anti-join's right side. A temp Run holds back to stream has its
+// definition in def and no file.
 type temp struct {
 	name     string
 	rel      *schema.Relation
 	file     *storage.HeapFile
 	sortedOn int
+	def      *ast.QueryBlock
 }
 
 // New creates a planner. Under a SpillForced query context it plans the
@@ -154,9 +157,10 @@ func New(cat *schema.Catalog, store *storage.Store, opts Options) *Planner {
 
 // Temp looks a temporary table of this query up by name, as the catalog
 // would, and returns its relation and file. The planner holds its temps
-// during Run and, under KeepTemps, after it until DropTemps.
+// during Run and, under KeepTemps, after it until DropTemps. A temp Run
+// streams into its reader has no file and is not found.
 func (p *Planner) Temp(name string) (*schema.Relation, *storage.HeapFile, bool) {
-	if t := p.temp(name); t != nil {
+	if t := p.temp(name); t != nil && t.file != nil {
 		return t.rel, t.file, true
 	}
 	return nil, nil, false
@@ -177,13 +181,17 @@ func (p *Planner) note(label string, e trace.Event) {
 	p.Trace = append(p.Trace, e)
 }
 
-// Run materializes the temporary tables in order and evaluates the final
-// query, returning its rows and schema. Temporary tables are dropped
-// before returning.
+// Run materializes the temporary tables in order, holding back those that
+// stream, and evaluates the final query, returning its rows and schema.
+// Temporary tables are dropped before returning.
 func (p *Planner) Run(res *transform.Result) (rows []storage.Tuple, sch exec.RowSchema, err error) {
 	defer p.cleanup()
-	for _, temp := range res.Temps {
-		if err := p.buildTemp(temp); err != nil {
+	for i, tt := range res.Temps {
+		if p.streams(res, i) {
+			p.temps = append(p.temps, temp{name: tt.Name, rel: tt.Rel, def: tt.Def})
+			continue
+		}
+		if err := p.buildTemp(tt); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -221,7 +229,7 @@ func (p *Planner) cleanup() {
 	for _, t := range p.temps {
 		if t.name != "" && p.opts.KeepTemps {
 			kept = append(kept, t)
-		} else {
+		} else if t.file != nil {
 			p.store.Drop(t.file.Name())
 		}
 	}
@@ -255,6 +263,62 @@ func (p *Planner) buildTemp(tt transform.TempTable) error {
 	return nil
 }
 
+// streams reports whether temp i of res is a restriction temp read once,
+// which its reader plans as its own subtree (scanInput) instead of paying
+// section 7's write and read-back: its definition neither aggregates,
+// groups, removes duplicates nor orders, and the later blocks name it
+// once, in their own FROM, never in a subquery (which the constant-subquery
+// evaluator reads through Temp). AsPaper and KeepTemps materialize all.
+func (p *Planner) streams(res *transform.Result, i int) bool {
+	tt := res.Temps[i]
+	if p.opts.AsPaper || p.opts.KeepTemps || tt.Def.HasAggregate() || len(tt.Def.GroupBy) > 0 || tt.Def.Distinct || len(tt.Def.OrderBy) > 0 {
+		return false
+	}
+	from, nested := refs(res.Query, tt.Name)
+	for _, later := range res.Temps[i+1:] {
+		f, n := refs(later.Def, tt.Name)
+		from, nested = from+f, nested+n
+	}
+	return from == 1 && nested == 0
+}
+
+// refs counts qb's FROM entries naming relation name, and those of the
+// subqueries in its WHERE, at any depth.
+func refs(qb *ast.QueryBlock, name string) (from, nested int) {
+	for _, tr := range qb.From {
+		if strings.EqualFold(tr.Relation, name) {
+			from++
+		}
+	}
+	for _, c := range qb.Where {
+		for _, sub := range ast.SubqueriesOf(c) {
+			f, n := refs(sub, name)
+			nested += f + n
+		}
+	}
+	return from, nested
+}
+
+// stream plans a held-back temp's definition where its one reader reads
+// it, naming the columns binding.column as a scan of its file would, and
+// sizes it in the pages that file would have had, so the reader's join
+// choice (section 7's B−1 rule) sees what a materialized temp would show.
+// t is a copy: planning may append to p.temps.
+func (p *Planner) stream(t temp, binding, label string) (input, error) {
+	in, err := p.planBlock(t.def, p.opts.TempJoin, t.name)
+	if err != nil {
+		return input{}, err
+	}
+	proj := in.op.(*exec.Project) // streams admits no grouping, DISTINCT or ORDER BY
+	proj.Sch = make(exec.RowSchema, len(t.rel.Columns))
+	for i, c := range t.rel.Columns {
+		proj.Sch[i] = exec.ColID{Table: binding, Column: c.Name}
+	}
+	in.pages = math.Ceil(in.tuples / float64(cmp.Or(max(p.opts.TempTuplesPerPage, 0), storage.DefaultTuplesPerPage)))
+	p.note(label, trace.Event{Kind: trace.Streamed, Text: t.name, N: int64(in.tuples), M: int64(in.pages)})
+	return in, nil
+}
+
 // input tracks a planned subtree with its cost-model statistics.
 type input struct {
 	op     exec.Operator
@@ -266,7 +330,9 @@ type input struct {
 }
 
 // planBlock compiles one canonical query block (no nesting except
-// constant type-A subqueries, which are evaluated here).
+// constant type-A subqueries, which are evaluated here). A block planned
+// inside another (a streamed temp, an anti-join's inner) leaves curFrom
+// as it found it.
 func (p *Planner) planBlock(qb *ast.QueryBlock, force JoinMethod, label string) (input, error) {
 	if err := p.foldConstantSubqueries(qb); err != nil {
 		return input{}, err
@@ -274,6 +340,7 @@ func (p *Planner) planBlock(qb *ast.QueryBlock, force JoinMethod, label string) 
 
 	conjs := append([]ast.Predicate(nil), qb.Where...)
 	used := make([]bool, len(conjs))
+	defer func(from []ast.TableRef) { p.curFrom = from }(p.curFrom)
 	p.curFrom = qb.From
 
 	cur, err := p.accessPath(qb.From[0], conjs, used, label)
@@ -364,7 +431,7 @@ func (p *Planner) foldConstantSubqueries(qb *ast.QueryBlock) error {
 // index pages plus the matching base pages cost clearly less than a full
 // scan; the conjunct is then consumed by the access path.
 func (p *Planner) accessPath(tr ast.TableRef, conjs []ast.Predicate, used []bool, label string) (input, error) {
-	seq, err := p.scanInput(tr)
+	seq, err := p.scanInput(tr, label)
 	if err != nil {
 		return input{}, err
 	}
@@ -432,9 +499,12 @@ func indexableConjunct(c ast.Predicate, binding string) (col string, op value.Co
 
 // scanInput builds a sequential scan of one FROM entry. A name resolves
 // against this query's temps first, then the catalog, as transform's
-// lookupRel does.
-func (p *Planner) scanInput(tr ast.TableRef) (input, error) {
+// lookupRel does; a held-back temp plans as its definition's subtree.
+func (p *Planner) scanInput(tr ast.TableRef, label string) (input, error) {
 	t := p.temp(tr.Relation)
+	if t != nil && t.def != nil {
+		return p.stream(*t, tr.Binding(), label)
+	}
 	if t == nil {
 		rel, ok := p.cat.Lookup(tr.Relation)
 		if !ok {

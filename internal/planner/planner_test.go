@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/exec"
 	"repro/internal/planner"
 	"repro/internal/schema"
@@ -250,18 +251,92 @@ func TestJoinMethodString(t *testing.T) {
 }
 
 // EXPLAIN names a temp by its logical name wherever a plan reads it, as a
-// scan or as a nested-loops join's stored right side, never by its file.
+// scan, as a nested-loops join's stored right side or as the streamed
+// subtree under its one reader's join, never by its file.
 func TestPlanNamesTempsLogically(t *testing.T) {
 	db := kiessling(t, 8)
 	_, pl := runPlanned(t, db, workload.KiesslingQ2, transform.JA2,
 		planner.Options{TempJoin: planner.JoinMerge, FinalJoin: planner.JoinNL})
 	text := notesText(pl.Trace)
-	for _, want := range []string{"SeqScan(TEMP1, ", "SeqScan(TEMP2, ", "NestedLoopJoin(right=TEMP3, "} {
+	for _, want := range []string{"SeqScan(TEMP1, ", "NestedLoopJoin(right=TEMP3, ",
+		"OuterMergeJoin(left#0 = right#0, out=[0 2])\n    SeqScan(TEMP1, 1 pages)\n    Sort(keys=[0])\n      Project([TEMP2.PNUM TEMP2.SHIPDATE])\n"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("plans miss %q:\n%s", want, text)
 		}
 	}
 	if strings.Contains(text, "$tmp") {
 		t.Errorf("a plan names a temp by its file:\n%s", text)
+	}
+}
+
+// A restriction temp streams into its reader only when it is read once,
+// from a FROM clause the planner plans. Read twice, or from a constant
+// subquery the evaluator runs through Planner.Temp, it is materialized;
+// and every shape answers as the same query over SUPPLY does under
+// nested iteration.
+func TestTempStreamsOnlyWhenReadOnce(t *testing.T) {
+	db := kiessling(t, 8)
+	parts, _ := db.Cat.Lookup("PARTS")
+	supply, _ := db.Cat.Lookup("SUPPLY")
+	temp1 := &schema.Relation{Name: "TEMP1", Columns: supply.Columns[:2]}
+	withTemp := schema.NewCatalog()
+	for _, r := range []*schema.Relation{parts, supply, temp1} {
+		if err := withTemp.Define(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parse := func(cat *schema.Catalog, sql string) *ast.QueryBlock {
+		qb, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := schema.Resolve(cat, qb); err != nil {
+			t.Fatal(err)
+		}
+		return qb
+	}
+	const restrict = "SUPPLY.QUAN > 1"
+	for _, c := range []struct {
+		name, query, oracle string
+		streams             bool
+	}{
+		{"once", "SELECT PARTS.PNUM, TEMP1.QUAN FROM PARTS, TEMP1 WHERE PARTS.PNUM = TEMP1.PNUM",
+			"SELECT PARTS.PNUM, SUPPLY.QUAN FROM PARTS, SUPPLY WHERE PARTS.PNUM = SUPPLY.PNUM AND " + restrict, true},
+		{"twice", "SELECT A.PNUM, B.QUAN FROM TEMP1 A, TEMP1 B WHERE A.PNUM = B.PNUM",
+			"SELECT A.PNUM, B.QUAN FROM SUPPLY A, SUPPLY B WHERE A.PNUM = B.PNUM AND A.QUAN > 1 AND B.QUAN > 1", false},
+		{"constant subquery", "SELECT PARTS.PNUM FROM PARTS WHERE PARTS.QOH > (SELECT COUNT(TEMP1.PNUM) FROM TEMP1)",
+			"SELECT PARTS.PNUM FROM PARTS WHERE PARTS.QOH > (SELECT COUNT(SUPPLY.PNUM) FROM SUPPLY WHERE " + restrict + ")", false},
+		{"from and constant subquery",
+			"SELECT PARTS.PNUM FROM PARTS, TEMP1 WHERE PARTS.PNUM = TEMP1.PNUM AND TEMP1.QUAN < (SELECT COUNT(TEMP1.PNUM) FROM TEMP1)",
+			"SELECT PARTS.PNUM FROM PARTS, SUPPLY WHERE PARTS.PNUM = SUPPLY.PNUM AND " + restrict +
+				" AND SUPPLY.QUAN < (SELECT COUNT(S2.PNUM) FROM SUPPLY S2 WHERE S2.QUAN > 1)", false},
+	} {
+		res := &transform.Result{
+			Temps: []transform.TempTable{{Name: "TEMP1", Rel: temp1,
+				Def: parse(db.Cat, "SELECT SUPPLY.PNUM, SUPPLY.QUAN FROM SUPPLY WHERE "+restrict)}},
+			Query: parse(withTemp, c.query),
+		}
+		pl := planner.New(db.Cat, db.Store, planner.Options{})
+		rows, _, err := pl.Run(res)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		streamed := slices.ContainsFunc(pl.Trace, func(e trace.Event) bool { return e.Kind == trace.Streamed && e.Text == "TEMP1" })
+		materialized := slices.ContainsFunc(pl.Trace, note(trace.Materialized, "TEMP1"))
+		if streamed != c.streams || materialized == c.streams {
+			t.Errorf("%s: streamed %v, materialized %v, want streamed %v:\n%s", c.name, streamed, materialized, c.streams, notesText(pl.Trace))
+		}
+		ev := exec.NewEvaluator(db.Cat, db.Store)
+		want, _, err := ev.EvalQuery(parse(db.Cat, c.oracle))
+		ev.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := storage.Diff(storage.AgreeBag, rows, want); d != "" || len(want) == 0 {
+			t.Errorf("%s: planned vs nested iteration: %s (%d rows)", c.name, d, len(want))
+		}
+		if n := db.Store.TempCount(); n != 0 {
+			t.Errorf("%s: %d temp file(s) left", c.name, n)
+		}
 	}
 }

@@ -57,6 +57,10 @@ const (
 	Plan
 	// Materialized: temp table Label holds N tuples in M pages.
 	Materialized
+	// Streamed: temp table Text is never materialized; block Label plans
+	// its definition as the subtree it reads, estimated at N tuples in M
+	// pages.
+	Streamed
 	// Constant: a type-A subquery evaluated to Val.
 	Constant
 	// IndexScan: Cols[0] is read through its index for Op Val, about N
@@ -148,6 +152,8 @@ func (e Event) String() string {
 		return e.Label + " plan:\n" + exec.Describe(e.Plan)
 	case Materialized:
 		return fmt.Sprintf("%s materialized: %d tuples, %d pages", e.Label, e.N, e.M)
+	case Streamed:
+		return fmt.Sprintf("%s: %s streamed, not materialized (estimated %d tuples, %d pages)", e.Label, e.Text, e.N, e.M)
 	case Constant:
 		return "type-A subquery evaluated to constant " + e.Detail.Val.String()
 	case IndexScan:

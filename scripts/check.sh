@@ -23,7 +23,7 @@ alloc             AllocBudget|CompileConjunctsAllocs|BuiltRowsShareCappedChunks|
 chaos             TestChaosFaultInjection|TestFaultPlanReplays              ./internal/engine
 storm             TestChaosStorm|TestDrainUnderFaults                       ./internal/engine
 memstorm          TestMemPressureStorm|TestSpillCompletesUnderSmallBudget|TestSequentialBudgetCharged|TestSpillForcedMatchesOracle|TestSpillCorruptRunDetected|TestSpillTimeoutLeakFree|TestMetamorphTightMemory|TestBudgetDegradationMonotonic|TestForcedSpillRerunSortMerges|TestSpillForcedPlansSortMerge|TestPressureGrantsUnderSpill|TestSequentialRetryAfterWorkerFault|TestWorkerFaultsLeaveParallelOpen|TestNoRetryOnTimeout|TestRowBudgetNotRetried|TestStreamNoRetryAfter ./internal/engine ./internal/metamorph
-metamorph-short   TestMetamorph(Short|Faults|CatchesKimMutant)|TestGoldenRepros ./internal/metamorph
+metamorph-short   TestMetamorph(Short|Faults|CatchesKimMutant)|TestGoldenRepros|TestStreamedTempsMatchMaterialized ./internal/metamorph
 netchaos          TestNetChaosStorm                                         ./internal/server
 cluster           TestDistributedNestJA2|TestClusterChaosStorm              ./internal/cluster
 cluster-failover  TestClusterFailover|TestWorkerLostFastFailure|TestClusterAnalyzeRefusals ./internal/cluster
