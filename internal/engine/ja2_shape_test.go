@@ -11,6 +11,7 @@ import (
 	"repro/internal/qctx"
 	"repro/internal/schema"
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/value"
 	"repro/internal/workload"
 )
@@ -32,17 +33,19 @@ func jaSeqShape(t *testing.T, scale int) (*engine.DB, workload.SyntheticConfig) 
 // TestJA2PageIOPinned holds the paper's metric where it was before joins
 // took every equality conjunct as their key: per query, in the benchmark's
 // steady state (second cycle, seed 1), the page I/Os of the single-key
-// plans — and the section 7.4 sort elisions still fire around the joins,
-// whose temp-table joins build only the two columns their GroupAgg reads.
+// plans — and the section 7.4 sort elisions still fire around the joins.
 // paperIO is the plan the paper costs (AsPaper), whose external sorts
 // write their last merge pass and read it back; io is the default plan,
-// whose sorts merge their last runs as the consumer pulls. In each shape
-// one sort is external, over RJ's 2,000 filtered rows (two runs, 63
-// pages), and streaming its last pass saves 63 writes and 63 reads.
-// The default plan of type-JA COUNT also streams TEMP2, RJ's 2,000
-// filtered rows in 63 pages, into the sort under TEMP3's outer merge
-// join instead of writing it and reading it back: 1,052 − 63 − 63 = 926.
-// AsPaper materializes it, as the paper's plan does.
+// whose sorts merge their last runs as the consumer pulls. In each
+// AsPaper plan one sort is external, over RJ's 2,000 filtered rows (two
+// runs, 63 pages), and streaming its last pass saves 63 writes and 63
+// reads. The default plan of type-JA COUNT also streams TEMP2, RJ's 2,000
+// filtered rows in 63 pages, under TEMP3's join instead of writing it and
+// reading it back: 1,052 − 63 − 63 = 926. AsPaper materializes it, as the
+// paper's plan does. And both type-JA default plans group-join TEMP1, 100
+// rows in 4 pages resident in B − 1 = 31, with RJ's filtered rows as they
+// stream, so RJ is not sorted at all: the sort's 63 run pages written and
+// 47 read back (16 stay in the pool) are gone, 926 − 63 − 47 = 816.
 // Type-J, bounded rather than pinned, measures 710 and 836.
 func TestJA2PageIOPinned(t *testing.T) {
 	db, cfg := jaSeqShape(t, 1)
@@ -52,6 +55,7 @@ func TestJA2PageIOPinned(t *testing.T) {
 		io, paperIO int64
 		exact       bool
 		traces      []string
+		paperTraces []string // AsPaper's, when they differ
 	}{
 		// The final join builds only RI.JC; the Project above it names it.
 		{name: "type-N", sql: workload.TypeNQuery(cfg), io: 710, paperIO: 836, exact: true, traces: []string{
@@ -60,12 +64,18 @@ func TestJA2PageIOPinned(t *testing.T) {
 		// more; it happens to cost 16 pages less.
 		{name: "type-J", sql: workload.TypeJQuery(cfg), io: 852, paperIO: 852, traces: []string{
 			"final: merge join RI.JC with RJ.JC and RI.VAL with RJ.VAL (B=32)"}},
-		{name: "type-JA-COUNT", sql: workload.TypeJAQuery(cfg), io: 926, paperIO: 1178, exact: true, traces: []string{
+		{name: "type-JA-COUNT", sql: workload.TypeJAQuery(cfg), io: 816, paperIO: 1178, exact: true, traces: []string{
+			"TEMP3: outer group join TEMP1.JC with TEMP2.JC, left resident in 4 of B=32 pages (estimated 100 groups)",
+			"OuterGroupJoin(left#0 = right#0, out=[JC, COUNT#1])\n  SeqScan(TEMP1, 4 pages)",
+			"final: hash join RI.JC with TEMP3.JC and RI.VAL with TEMP3.CT"}, paperTraces: []string{
 			"TEMP3: left input already in join-column order, sort elided",
 			"TEMP3: input already in GROUP BY order, sort elided",
 			"GroupAgg(group=[0], out=[JC, COUNT#1])\n  OuterMergeJoin(left#0 = right#0, out=[0 2])",
 			"final: hash join RI.JC with TEMP3.JC and RI.VAL with TEMP3.CT"}},
-		{name: "type-JA-MAX", sql: workload.TypeJAMaxQuery(cfg), io: 926, paperIO: 1052, exact: true, traces: []string{
+		{name: "type-JA-MAX", sql: workload.TypeJAMaxQuery(cfg), io: 816, paperIO: 1052, exact: true, traces: []string{
+			"TEMP2: group join TEMP1.JC with RJ.JC, left resident in 4 of B=32 pages (estimated 100 groups)",
+			"GroupJoin(left#0 = right#0, out=[JC, MAX#1])\n  SeqScan(TEMP1, 4 pages)",
+			"final: hash join RI.JC with TEMP2.JC and RI.VAL with TEMP2.MAXVAL"}, paperTraces: []string{
 			"TEMP2: left input already in join-column order, sort elided",
 			"TEMP2: input already in GROUP BY order, sort elided",
 			"GroupAgg(group=[0], out=[JC, MAX#1])\n  MergeJoin(left#0 = right#0, out=[0 2])",
@@ -88,12 +98,43 @@ func TestJA2PageIOPinned(t *testing.T) {
 			if got := res.Stats.Total(); got > io || (s.exact && got != io) {
 				t.Errorf("%s, AsPaper %v: %d page I/Os, pinned at %d", s.name, asPaper, got, io)
 			}
-			trace := traceText(res)
-			for _, frag := range s.traces {
+			trace, want := traceText(res), s.traces
+			if asPaper && s.paperTraces != nil {
+				want = s.paperTraces
+			}
+			for _, frag := range want {
 				if !strings.Contains(trace, frag) {
 					t.Errorf("%s: trace lost %q:\n%s", s.name, frag, trace)
 				}
 			}
+		}
+	}
+}
+
+// TestGroupJoinEstimateIsExact: a group join reports as many groups as
+// its left input holds rows, and NEST-JA2's left input is TEMP1, one row
+// per outer join value, so the estimate the grouped temp is planned with
+// is the size it materializes at: TEMP3's on the COUNT path (an outer
+// join keeps every group) and TEMP2's on the MAX path (where every TEMP1
+// value has an RJ row).
+func TestGroupJoinEstimateIsExact(t *testing.T) {
+	db, cfg := jaSeqShape(t, 1)
+	for sql, temp := range map[string]string{workload.TypeJAQuery(cfg): "TEMP3", workload.TypeJAMaxQuery(cfg): "TEMP2"} {
+		res, err := db.Query(sql, engine.Options{Strategy: engine.TransformJA2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		estimate, actual := int64(-1), int64(-2)
+		for _, e := range res.Trace {
+			switch {
+			case e.Kind == trace.GroupJoin && e.Label == temp:
+				estimate = e.N
+			case e.Kind == trace.Materialized && e.Label == temp:
+				actual = e.N
+			}
+		}
+		if estimate != actual {
+			t.Errorf("%s: group join estimated %d groups, materialized %d tuples:\n%s", temp, estimate, actual, traceText(res))
 		}
 	}
 }
@@ -127,6 +168,13 @@ func TestJA2PageIOPinned(t *testing.T) {
 // budgets about 10% above; formatting the plan notes and outlines as the
 // plan was built measures 0.014, 0.036, 0.102 and 0.090, 0.123, 0.316,
 // 0.902 and 0.805, and 0.131, 0.331, 1.139 and 1.016.
+// Sequentially both type-JA temp joins group-join now, sized once from
+// TEMP1's rows: c = 0.064 and 0.060 at full size, 0.629 and 0.576 at a
+// tenth, where the merge join or inline hash join and GroupAgg they
+// replace measured 0.074 and 0.070, 0.670 and 0.619 (the budgets stay).
+// type-JA-COUNT=0, whose every group is a COUNT = 0 group, measures
+// 0.064, 0.620 and 0.833; an all-NULL row allocated per unmatched group
+// measures 0.080 at full size.
 // Budgets hold without the race detector, whose sync.Pool drops a quarter
 // of what is put back: the alloc gate runs them so.
 func TestJA2AllocBudget(t *testing.T) {
@@ -143,6 +191,7 @@ func TestJA2AllocBudget(t *testing.T) {
 		{"type-J", workload.TypeJQuery, [3]float64{0.031, 0.27, 0.30}, 37},
 		{"type-JA-COUNT", workload.TypeJAQuery, [3]float64{0.090, 0.79, 1.03}, 118},
 		{"type-JA-MAX", workload.TypeJAMaxQuery, [3]float64{0.080, 0.70, 0.93}, 115},
+		{"type-JA-COUNT=0", noMatch, [3]float64{0.070, 0.68, 0.92}, 60},
 	}
 	for i, arm := range []struct{ workers, scale int }{{0, 1}, {0, 10}, {2, 10}} {
 		db, cfg := jaSeqShape(t, arm.scale)
@@ -171,6 +220,13 @@ func TestJA2AllocBudget(t *testing.T) {
 			}
 		}
 	}
+}
+
+// noMatch is the type-JA COUNT query with no RJ row passing its
+// restriction: every group is a COUNT = 0 group.
+func noMatch(cfg workload.SyntheticConfig) string {
+	cfg.MatchFraction = 0
+	return workload.TypeJAQuery(cfg)
 }
 
 // TestForcedSpillAllocBudget: a spill run costs the bytes it holds, and a

@@ -33,6 +33,7 @@ const (
 	nodeParallelHashJoin // the source of an ExchangeMerge
 	nodeNestedLoopJoin
 	nodeGroupAgg
+	nodeGroupJoin
 	nodeParallelHashGroup
 	nodeExchangeMerge
 )
@@ -88,6 +89,8 @@ func countNodes(op Operator) int {
 		return 1 + countNodes(op.Left)
 	case *GroupAgg:
 		return 1 + countNodes(op.Child)
+	case *GroupJoin:
+		return 1 + countNodes(op.Left) + countNodes(op.Right)
 	case *ExchangeMerge:
 		switch src := op.Source.(type) {
 		case *ParallelHashJoin:
@@ -129,6 +132,10 @@ func (p Plan) add(op Operator, depth uint16) Plan {
 		n.name, n.n, children[0] = cmp.Or(op.RightName, op.Right.Name()), int32(op.Right.NumPages()), op.Left
 	case *GroupAgg:
 		n.kind, n.cols, n.items, children[0] = nodeGroupAgg, op.GroupCols, op.Items, op.Child
+	case *GroupJoin:
+		n.kind, n.outer, n.items = nodeGroupJoin, op.Outer, op.Items
+		n.l, n.r, n.nullEq, n.more = int32(op.LeftKey), int32(op.RightKey), op.NullEq, op.More
+		children = [2]Operator{op.Left, op.Right}
 	case *ExchangeMerge:
 		n.kind, n.n = nodeExchangeMerge, int32(op.Source.NumWorkers())
 		p = append(p, n)
@@ -213,6 +220,8 @@ func (n *planNode) describe(b *strings.Builder) {
 		fmt.Fprintf(b, "%s(right=%s, %d pages%s)\n", kind, n.name, n.n, outCols(n.cols))
 	case nodeGroupAgg:
 		fmt.Fprintf(b, "GroupAgg(group=%v, out=[%s])\n", n.cols, describeItems(n.items))
+	case nodeGroupJoin:
+		n.describeJoin(b, "GroupJoin", fmt.Sprintf("%s, out=[%s]", n.key(), describeItems(n.items)))
 	case nodeParallelHashGroup:
 		fmt.Fprintf(b, "ParallelHashGroup(group=%v, out=[%s], workers=%d)\n", n.cols, describeItems(n.items), n.n)
 	case nodeExchangeMerge:

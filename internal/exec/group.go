@@ -239,3 +239,130 @@ func (g *GroupAgg) Close() error {
 
 // Schema lists the configured output columns.
 func (g *GroupAgg) Schema() RowSchema { return aggSchema(g.Items) }
+
+// GroupJoin is the groupjoin of Moerkotte and Neumann (VLDB 2011): GROUP BY
+// the left input's key over left ⟕ right (⋈ without Outer), reading each
+// input once. The left input must be unique on its key and small enough to
+// stay resident: Open holds a group per left row, charged as
+// ParallelHashGroup charges one and indexed by the join's hashTable, and
+// folds every live right row into the group whose key it equals (a NULL
+// meets nothing unless its pair is NULL-safe). Next emits the groups in
+// left order; under Outer an unmatched group first takes one all-NULL right
+// row (COUNT(col) 0, COUNT(*) 1, MAX NULL, as ⟕ then GROUP BY gives),
+// without it an unmatched group is dropped.
+type GroupJoin struct {
+	Left, Right       Operator
+	LeftKey, RightKey int
+	NullEq            bool
+	More              []KeyPair
+	Outer             bool
+	// Items' grouping columns are left columns, every one a key column;
+	// their aggregates read right columns.
+	Items []GroupItem
+	// QC, when set, hard-charges the groups against the memory budget.
+	QC *qctx.QueryContext
+
+	key     joinKey
+	left    hashTable // the left rows by key; group i is row i
+	groups  groupTable
+	matched []uint64      // a bit per group a right row reached
+	null    storage.Tuple // the right row of an unmatched group under Outer
+	charged int64
+	at      int // the next group Next considers
+}
+
+// Open holds the left input as groups and folds the right input into them.
+func (g *GroupJoin) Open() error {
+	if err := g.Left.Open(); err != nil {
+		return err
+	}
+	if err := g.Right.Open(); err != nil {
+		return err
+	}
+	g.key, g.at = newJoinKey(g.LeftKey, g.RightKey, g.NullEq, g.More), 0
+	var held rowChunks
+	for {
+		t, ok, err := g.Left.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		n := groupBytes(t, g.key.left, g.Items)
+		if _, err := reserve(g.QC, nil, n); err != nil {
+			return err
+		}
+		g.charged += n
+		held.add(t)
+	}
+	// Every buffer is sized once, from the left's row count.
+	rows, aggs := held.flatten(), 0
+	for _, it := range g.Items {
+		if it.Agg != value.AggNone {
+			aggs++
+		}
+	}
+	g.left = newHashTable(rows, g.key.left)
+	g.groups = groupTable{cols: g.key.left, items: g.Items,
+		keys: make([]value.Value, 0, len(rows)*len(g.key.left)), accs: make([]value.Accumulator, 0, len(rows)*aggs)}
+	for _, t := range rows {
+		g.groups.open(t)
+	}
+	g.matched = make([]uint64, (len(rows)+63)/64)
+	if g.Outer {
+		g.null = make(storage.Tuple, len(g.Right.Schema()))
+	}
+	k, x := g.key, &g.left
+	for {
+		r, ok, err := g.Right.Next()
+		if err != nil || !ok {
+			return err
+		}
+		if k.dead(r, k.right) {
+			continue // a NULL key meets no group
+		}
+		h := hashKey(r, k.right)
+		for at := x.heads[x.slot(h)]; at != 0; at = x.next[at-1] {
+			if i := int(at - 1); x.hashes[i] == h && k.equal(x.rows[i], r, 0) { // else a bucket-mate or a collision
+				g.matched[i/64] |= 1 << (i % 64)
+				if err := g.groups.add(i, r); err != nil {
+					return err
+				}
+				break // the left is unique on its key
+			}
+		}
+	}
+}
+
+// Next emits the next group, in left order.
+func (g *GroupJoin) Next() (storage.Tuple, bool, error) {
+	for g.at < g.groups.n {
+		i := g.at
+		g.at++
+		if g.matched[i/64]&(1<<(i%64)) == 0 {
+			if !g.Outer {
+				continue
+			}
+			if err := g.groups.add(i, g.null); err != nil {
+				return nil, false, err
+			}
+		}
+		return g.groups.row(i), true, nil
+	}
+	return nil, false, nil
+}
+
+// Close releases the groups' charge and closes both children.
+func (g *GroupJoin) Close() error {
+	g.QC.ReleaseBuffered(g.charged)
+	g.charged = 0
+	err := g.Left.Close()
+	if err2 := g.Right.Close(); err == nil {
+		err = err2
+	}
+	return err
+}
+
+// Schema lists the configured output columns.
+func (g *GroupJoin) Schema() RowSchema { return aggSchema(g.Items) }

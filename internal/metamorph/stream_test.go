@@ -85,23 +85,7 @@ func TestStreamedTempsMatchMaterialized(t *testing.T) {
 
 	t.Run("corpus", func(t *testing.T) {
 		streamed = 0
-		var scenarios []*Scenario
-		gen := NewGenerator(Config{Seed: shortSeed})
-		for id := range gen.Scenarios() {
-			scenarios = append(scenarios, gen.Scenario(id))
-		}
-		paths, err := filepath.Glob(filepath.Join("testdata", "golden", "*.sql"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, path := range paths {
-			rep, err := LoadRepro(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep.Scenario.Pairs = []Pair{rep.Pair()}
-			scenarios = append(scenarios, rep.Scenario)
-		}
+		scenarios := corpus(t)
 		db := engine.New(64)
 		if err := db.EnableSpill(t.TempDir(), 0); err != nil {
 			t.Fatal(err)
@@ -122,6 +106,30 @@ func TestStreamedTempsMatchMaterialized(t *testing.T) {
 		}
 		t.Logf("%d scenarios, %d runs streamed a temp", len(scenarios), streamed)
 	})
+}
+
+// corpus is the metamorph corpus: the short seed's scenarios and the
+// golden repros, each of those with its one pair.
+func corpus(t *testing.T) []*Scenario {
+	t.Helper()
+	var scenarios []*Scenario
+	gen := NewGenerator(Config{Seed: shortSeed})
+	for id := range gen.Scenarios() {
+		scenarios = append(scenarios, gen.Scenario(id))
+	}
+	paths, err := filepath.Glob(filepath.Join("testdata", "golden", "*.sql"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		rep, err := LoadRepro(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.Scenario.Pairs = []Pair{rep.Pair()}
+		scenarios = append(scenarios, rep.Scenario)
+	}
+	return scenarios
 }
 
 func isStreamed(e trace.Event) bool { return e.Kind == trace.Streamed }

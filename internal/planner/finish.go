@@ -19,20 +19,35 @@ func (p *Planner) finish(cur input, qb *ast.QueryBlock, label string) (input, er
 	if err != nil {
 		return input{}, err
 	}
-	if len(qb.OrderBy) > 0 {
-		keys := make([]int, len(qb.OrderBy))
-		desc := make([]bool, len(qb.OrderBy))
-		for i, o := range qb.OrderBy {
-			keys[i], desc[i] = o.Pos, o.Desc
-		}
-		out.op = p.sort(out.op, keys, desc)
-		out.sortedOn = -1
-		if !desc[0] {
-			out.sortedOn = keys[0]
-		}
-		p.note(label, trace.Event{Kind: trace.OrderBy, N: int64(len(keys))})
+	return p.orderBy(out, qb, label), nil
+}
+
+// orderBy sorts a block's finished output on its ORDER BY keys.
+func (p *Planner) orderBy(out input, qb *ast.QueryBlock, label string) input {
+	if len(qb.OrderBy) == 0 {
+		return out
 	}
-	return out, nil
+	keys := make([]int, len(qb.OrderBy))
+	desc := make([]bool, len(qb.OrderBy))
+	for i, o := range qb.OrderBy {
+		keys[i], desc[i] = o.Pos, o.Desc
+	}
+	out.op = p.sort(out.op, keys, desc)
+	out.sortedOn = -1
+	if !desc[0] {
+		out.sortedOn = keys[0]
+	}
+	p.note(label, trace.Event{Kind: trace.OrderBy, N: int64(len(keys))})
+	return out
+}
+
+// having filters a grouping operator's groups by the block's HAVING.
+func (p *Planner) having(op exec.Operator, qb *ast.QueryBlock, label string) exec.Operator {
+	if len(qb.Having) == 0 {
+		return op
+	}
+	p.note(label, trace.Event{Kind: trace.Having, N: int64(len(qb.Having))})
+	return &exec.Filter{Child: op, Pred: exec.Having(qb.Having)}
 }
 
 // sort places an external sort of child on keys (desc nil = all
@@ -62,7 +77,7 @@ func (p *Planner) finishShape(cur input, qb *ast.QueryBlock, label string) (inpu
 		}
 	}
 	out := cur
-	out.sortedOn = -1
+	out.sortedOn, out.unique = -1, qb.Distinct
 	for i, c := range cols {
 		if c == cur.sortedOn {
 			out.sortedOn = i
@@ -112,14 +127,9 @@ func emitOnly(op exec.Operator, cols []int) bool {
 // group-key order; a merge join keyed on the grouping column already
 // provides it, otherwise a sort is inserted.
 func (p *Planner) finishGroup(cur input, qb *ast.QueryBlock, label string) (input, error) {
-	sch := cur.op.Schema()
-	groupCols := make([]int, len(qb.GroupBy))
-	for i, g := range qb.GroupBy {
-		idx := sch.Index(g)
-		if idx < 0 {
-			return input{}, fmt.Errorf("planner: GROUP BY column %s not produced by plan", g)
-		}
-		groupCols[i] = idx
+	groupCols, items, err := groupItems(cur.op.Schema(), qb)
+	if err != nil {
+		return input{}, err
 	}
 	// A parallel hash aggregation needs no GROUP BY sort at all: the
 	// distributor partitions rows by the full group key, so each group is
@@ -128,29 +138,9 @@ func (p *Planner) finishGroup(cur input, qb *ast.QueryBlock, label string) (inpu
 	// output order is nondeterministic.
 	inOrder := len(groupCols) == 1 && cur.sortedOn == groupCols[0]
 	parallelGroup := len(groupCols) > 0 && p.parallelOK(cur.tuples) && !inOrder
-	items := make([]exec.GroupItem, len(qb.Select))
 	sortedOut := -1
-	for i, sel := range qb.Select {
-		out := exec.ColID{Column: sel.OutputName()}
-		if sel.Agg == value.AggNone {
-			idx := sch.Index(sel.Col)
-			if idx < 0 {
-				return input{}, fmt.Errorf("planner: select column %s not produced by plan", sel.Col)
-			}
-			items[i] = exec.GroupItem{Agg: value.AggNone, Col: idx, Out: out}
-			if len(groupCols) > 0 && idx == groupCols[0] {
-				sortedOut = i
-			}
-			continue
-		}
-		idx := -1
-		if sel.Agg != value.AggCountStar {
-			idx = sch.Index(sel.Col)
-			if idx < 0 {
-				return input{}, fmt.Errorf("planner: aggregate argument %s not produced by plan", sel.Col)
-			}
-		}
-		items[i] = exec.GroupItem{Agg: sel.Agg, Col: idx, Out: out}
+	if len(groupCols) > 0 {
+		sortedOut = itemOf(items, groupCols[0])
 	}
 	// The join below builds only the columns the aggregation reads, in
 	// their order, before any GROUP BY sort is placed over it.
@@ -195,14 +185,38 @@ func (p *Planner) finishGroup(cur input, qb *ast.QueryBlock, label string) (inpu
 	} else {
 		out = &exec.GroupAgg{Child: op, GroupCols: groupCols, Items: items, QC: p.opts.QC}
 	}
-	if len(qb.Having) > 0 {
-		out = &exec.Filter{Child: out, Pred: exec.Having(qb.Having)}
-		p.note(label, trace.Event{Kind: trace.Having, N: int64(len(qb.Having))})
-	}
 	return input{
-		op:       out,
+		op:       p.having(out, qb, label),
 		pages:    cur.pages,
 		tuples:   cur.tuples,
 		sortedOn: sortedOut,
 	}, nil
+}
+
+// groupItems resolves a grouped block's GROUP BY columns and select items
+// against sch, the schema of the rows it groups.
+func groupItems(sch exec.RowSchema, qb *ast.QueryBlock) ([]int, []exec.GroupItem, error) {
+	groupCols := make([]int, len(qb.GroupBy))
+	for i, g := range qb.GroupBy {
+		if groupCols[i] = sch.Index(g); groupCols[i] < 0 {
+			return nil, nil, fmt.Errorf("planner: GROUP BY column %s not produced by plan", g)
+		}
+	}
+	items := make([]exec.GroupItem, len(qb.Select))
+	for i, sel := range qb.Select {
+		items[i] = exec.GroupItem{Agg: sel.Agg, Col: -1, Out: exec.ColID{Column: sel.OutputName()}}
+		if sel.Agg == value.AggCountStar {
+			continue
+		}
+		if items[i].Col = sch.Index(sel.Col); items[i].Col < 0 {
+			return nil, nil, fmt.Errorf("planner: select item %s not produced by plan", sel)
+		}
+	}
+	return groupCols, items, nil
+}
+
+// itemOf is the position of the grouping column col among items, -1 when
+// none passes it through.
+func itemOf(items []exec.GroupItem, col int) int {
+	return slices.IndexFunc(items, func(it exec.GroupItem) bool { return it.Agg == value.AggNone && it.Col == col })
 }

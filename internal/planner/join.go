@@ -13,31 +13,10 @@ import (
 	"repro/internal/value"
 )
 
-// join combines the current subtree with the next FROM entry, choosing the
-// join method by forced option or by cost.
-func (p *Planner) join(cur, right input, conjs []ast.Predicate, used []bool, force JoinMethod, label string) (input, error) {
-	// Restrict the right side first: for the outer joins of NEST-JA2 this
-	// ordering is a correctness requirement, not an optimization —
-	// section 5.2: "the condition which applies to only one relation ...
-	// must be applied before the join is performed".
-	right, err := p.applyLocal(right, conjs, used)
-	if err != nil {
-		return input{}, err
-	}
-
-	combined := cur.op.Schema().Concat(right.op.Schema())
-	var joinConjs []ast.Predicate
-	outer := false
-	for i, c := range conjs {
-		if used[i] || !predCompilable(c, combined) {
-			continue
-		}
-		joinConjs = append(joinConjs, c)
-		used[i] = true
-		if hasOuterFlag(c) {
-			outer = true
-		}
-	}
+// join combines the current subtree with the next FROM entry, restricted,
+// on joinConjs (an outer join when outer), choosing the join method by
+// forced option or by cost.
+func (p *Planner) join(cur, right input, joinConjs []ast.Predicate, outer bool, force JoinMethod, label string) (input, error) {
 	if len(joinConjs) == 0 {
 		// Cartesian product: only nested loops applies.
 		return p.nlJoin(cur, right, nil, nil, false, label)
@@ -72,6 +51,58 @@ func (p *Planner) join(cur, right input, conjs []ast.Predicate, used []bool, for
 		return p.mergeJoin(cur, right, keys, rest, outer, label)
 	}
 	return p.nlJoin(cur, right, joinConjs, keys, outer, label)
+}
+
+// joinConjuncts takes every unused conjunct that relates cur and right as
+// their join's, reporting whether one carries the outer-join marker.
+func joinConjuncts(cur, right input, conjs []ast.Predicate, used []bool) (joinConjs []ast.Predicate, outer bool) {
+	combined := cur.op.Schema().Concat(right.op.Schema())
+	for i, c := range conjs {
+		if used[i] || !predCompilable(c, combined) {
+			continue
+		}
+		joinConjs = append(joinConjs, c)
+		used[i] = true
+		outer = outer || hasOuterFlag(c)
+	}
+	return joinConjs, outer
+}
+
+// groupJoin plans a two-entry grouped block — NEST-JA2's temp join of
+// TEMP1 and the restricted inner relation — as one GroupJoin, which reads
+// each input once (section 7.2's favorable case), when its first entry is
+// unique (DISTINCT) and fits B−1 pages, an equality key over all of that
+// entry's columns is the whole join and the GROUP BY, the aggregates read
+// only the second entry and no conjunct is left for after the join (a NOT
+// IN). A forced method, AsPaper and a parallel hash join's place keep the
+// generic join and grouping, as does any other shape.
+func (p *Planner) groupJoin(cur, right input, joinConjs []ast.Predicate, outer bool, qb *ast.QueryBlock, used []bool, force JoinMethod, label string) (input, bool) {
+	if force != JoinAuto || p.opts.AsPaper || len(qb.From) != 2 || !qb.HasAggregate() || !cur.unique || !p.fitsPool(cur) ||
+		p.parallelOK(cur.tuples+right.tuples) || slices.Contains(used, false) {
+		return input{}, false
+	}
+	keys, rest := p.mergeKeys(cur, right, joinConjs)
+	nl := len(cur.op.Schema())
+	groupCols, items, err := groupItems(cur.op.Schema().Concat(right.op.Schema()), qb)
+	ok := err == nil && len(keys) > 0 && len(rest) == 0 && len(groupCols) == nl
+	for c := 0; ok && c < nl; c++ {
+		ok = slices.ContainsFunc(keys, func(k exec.KeyPair) bool { return k.Left == c }) && slices.Contains(groupCols, c)
+	}
+	for i := 0; ok && i < len(items); i++ {
+		if items[i].Agg == value.AggNone {
+			ok = items[i].Col < nl
+		} else if items[i].Col >= 0 {
+			ok, items[i].Col = items[i].Col >= nl, items[i].Col-nl
+		}
+	}
+	if !ok {
+		return input{}, false
+	}
+	p.note(label, trace.Event{Kind: trace.GroupJoin, Outer: outer, Cols: keyCols(cur, right, keys),
+		B: int32(p.store.BufferPages()), N: int64(cur.tuples), M: int64(cur.pages)})
+	op := &exec.GroupJoin{Left: cur.op, Right: right.op, LeftKey: keys[0].Left, RightKey: keys[0].Right, NullEq: keys[0].NullEq,
+		More: keys[1:], Outer: outer, Items: items, QC: p.opts.QC}
+	return p.orderBy(input{op: p.having(op, qb, label), pages: cur.pages, tuples: cur.tuples, sortedOn: itemOf(items, cur.sortedOn)}, qb, label), true
 }
 
 // mergeKeys splits the join conjuncts into the join key — every = or <=>

@@ -132,14 +132,15 @@ type Planner struct {
 // is a TEMPn of the transformed query: its name resolves in this planner
 // only, never through the shared catalog, and sortedOn is the column its
 // rows are stored in order of (-1 when none), so section 7.4's sort
-// eliminations carry across materialization. An unnamed one is a join's
-// or anti-join's right side. A temp Run holds back to stream has its
-// definition in def and no file.
+// eliminations carry across materialization, as does a DISTINCT temp's
+// unique. An unnamed one is a join's or anti-join's right side. A temp
+// Run holds back to stream has its definition in def and no file.
 type temp struct {
 	name     string
 	rel      *schema.Relation
 	file     *storage.HeapFile
 	sortedOn int
+	unique   bool
 	def      *ast.QueryBlock
 }
 
@@ -259,6 +260,7 @@ func (p *Planner) buildTemp(tt transform.TempTable) error {
 	if plan.sortedOn < len(tt.Rel.Columns) {
 		t.sortedOn = plan.sortedOn
 	}
+	t.unique = plan.unique
 	p.note(tt.Name, trace.Event{Kind: trace.Materialized, N: int64(file.NumTuples()), M: int64(file.NumPages())})
 	return nil
 }
@@ -327,6 +329,8 @@ type input struct {
 	// sortedOn is the column position the stream is known to be ordered
 	// by (-1 when unknown), enabling the section 7.4 sort eliminations.
 	sortedOn int
+	// unique: no two rows are equal on all of the columns (DISTINCT).
+	unique bool
 }
 
 // planBlock compiles one canonical query block (no nesting except
@@ -357,8 +361,16 @@ func (p *Planner) planBlock(qb *ast.QueryBlock, force JoinMethod, label string) 
 		if err != nil {
 			return input{}, err
 		}
-		cur, err = p.join(cur, right, conjs, used, force, label)
-		if err != nil {
+		// Restrict the right side first: for NEST-JA2's outer joins that is
+		// a correctness requirement, not an optimization (section 5.2).
+		if right, err = p.applyLocal(right, conjs, used); err != nil {
+			return input{}, err
+		}
+		joinConjs, outer := joinConjuncts(cur, right, conjs, used)
+		if in, ok := p.groupJoin(cur, right, joinConjs, outer, qb, used, force, label); ok {
+			return in, nil
+		}
+		if cur, err = p.join(cur, right, joinConjs, outer, force, label); err != nil {
 			return input{}, err
 		}
 		cur, err = p.applyLocal(cur, conjs, used)
@@ -523,6 +535,7 @@ func (p *Planner) scanInput(tr ast.TableRef, label string) (input, error) {
 		pages:    float64(t.file.NumPages()),
 		tuples:   float64(t.file.NumTuples()),
 		sortedOn: t.sortedOn,
+		unique:   t.unique,
 	}, nil
 }
 

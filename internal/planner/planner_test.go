@@ -9,6 +9,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/exec"
 	"repro/internal/planner"
+	"repro/internal/qctx"
 	"repro/internal/schema"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
@@ -116,67 +117,110 @@ func TestPlannerThetaJoinFallsBackToNL(t *testing.T) {
 	}
 }
 
+// autoChoice plans the COUNT query over RI, with keys distinct JC values
+// (six rows each), and RJ, of inner rows, at 2 rows a page in a pool of b
+// pages, and returns its trace. TEMP1 holds keys rows, 32 to a page.
+func autoChoice(t *testing.T, keys, innerTuples, b int, opts planner.Options) []trace.Event {
+	t.Helper()
+	db := workload.NewDB(b)
+	cols := []schema.Column{{Name: "JC", Type: value.KindInt}, {Name: "V", Type: value.KindInt}}
+	outer := make([]storage.Tuple, 6*keys)
+	for k := range outer {
+		outer[k] = storage.Tuple{value.NewInt(int64(k % keys)), value.NewInt(int64(k % 3))}
+	}
+	inner := make([]storage.Tuple, innerTuples)
+	for k := range inner {
+		inner[k] = storage.Tuple{value.NewInt(int64(k % 10)), value.NewInt(int64(k % 3))}
+	}
+	if err := db.Load(&schema.Relation{Name: "RI", Columns: cols}, 2, outer); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Load(&schema.Relation{Name: "RJ", Columns: cols}, 2, inner); err != nil {
+		t.Fatal(err)
+	}
+	_, pl := runPlanned(t, db,
+		"SELECT JC FROM RI WHERE V = (SELECT COUNT(V) FROM RJ WHERE RJ.JC = RI.JC)",
+		transform.JA2, opts)
+	return pl.Trace
+}
+
 // Cost-based choice: a large right side favors merge join; a small one
 // that fits in the buffer pool favors nested loops, whose slot an equality
-// join fills with the inline hash join — no exchange, no goroutine.
+// join fills with the inline hash join — no exchange, no goroutine. The
+// temp join group-joins wherever TEMP1 fits B−1 pages, so both choices are
+// watched where it does not: 120 keys are 4 TEMP1 pages, past B−1 = 3.
 func TestPlannerAutoChoice(t *testing.T) {
-	mk := func(innerTuples, b int) []trace.Event {
-		db := workload.NewDB(b)
-		cols := []schema.Column{{Name: "JC", Type: value.KindInt}, {Name: "V", Type: value.KindInt}}
-		outer := make([]storage.Tuple, 60)
-		for k := range outer {
-			outer[k] = storage.Tuple{value.NewInt(int64(k % 10)), value.NewInt(int64(k % 3))}
-		}
-		inner := make([]storage.Tuple, innerTuples)
-		for k := range inner {
-			inner[k] = storage.Tuple{value.NewInt(int64(k % 10)), value.NewInt(int64(k % 3))}
-		}
-		if err := db.Load(&schema.Relation{Name: "RI", Columns: cols}, 2, outer); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Load(&schema.Relation{Name: "RJ", Columns: cols}, 2, inner); err != nil {
-			t.Fatal(err)
-		}
-		_, pl := runPlanned(t, db,
-			"SELECT JC FROM RI WHERE V = (SELECT COUNT(V) FROM RJ WHERE RJ.JC = RI.JC)",
-			transform.JA2, planner.Options{})
-		return pl.Trace
-	}
 	// Large inner, small pool: merge join chosen somewhere.
-	if notes := mk(400, 4); !slices.ContainsFunc(notes, func(e trace.Event) bool { return e.Kind == trace.MergeJoin }) {
+	if notes := autoChoice(t, 120, 400, 4, planner.Options{}); !slices.ContainsFunc(notes, func(e trace.Event) bool { return e.Kind == trace.MergeJoin }) {
 		t.Errorf("large inner should use merge join:\n%s", notesText(notes))
-	}
-	// Tiny inner, large pool: nested loops is cheaper for the temp join.
-	before := runtime.NumGoroutine()
-	notes := mk(4, 64)
-	if after := runtime.NumGoroutine(); after != before {
-		t.Errorf("a sequential plan left %d goroutine(s) behind", after-before)
 	}
 	hashJoin := func(label string, outer bool, keys ...exec.ColID) func(trace.Event) bool {
 		return func(e trace.Event) bool {
 			return note(trace.HashJoin, label)(e) && e.Outer == outer && e.N == 1 && slices.Equal(e.Cols, keys)
 		}
 	}
+	// Tiny inner: nested loops is cheaper for the temp join.
+	notes := autoChoice(t, 120, 4, 4, planner.Options{})
 	for what, match := range map[string]func(trace.Event) bool{
-		"TEMP3 outer hash join": hashJoin("TEMP3", true, exec.ColID{Table: "TEMP1", Column: "JC"}, exec.ColID{Table: "TEMP2", Column: "JC"}),
-		"final hash join": hashJoin("final", false, exec.ColID{Table: "RI", Column: "JC"}, exec.ColID{Table: "TEMP3", Column: "JC"},
-			exec.ColID{Table: "RI", Column: "V"}, exec.ColID{Table: "TEMP3", Column: "CT"}),
+		"TEMP3 outer hash join":   hashJoin("TEMP3", true, exec.ColID{Table: "TEMP1", Column: "JC"}, exec.ColID{Table: "TEMP2", Column: "JC"}),
 		"TEMP3 in GROUP BY order": note(trace.GroupOrdered, "TEMP3"),
 	} {
 		if !slices.ContainsFunc(notes, match) {
 			t.Errorf("small inner should use the inline hash join; notes miss the %s:\n%s", what, notesText(notes))
 		}
 	}
+	if text := notesText(notes); !strings.Contains(text, "OuterHashJoin(left#0 = right#0, out=[0 2])") {
+		t.Errorf("small inner: plan outline misses the outer hash join:\n%s", text)
+	}
+	// Tiny inner, large pool: the final join is the inline hash join too.
+	before := runtime.NumGoroutine()
+	notes = autoChoice(t, 10, 4, 64, planner.Options{})
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("a sequential plan left %d goroutine(s) behind", after-before)
+	}
 	text := notesText(notes)
-	for _, frag := range []string{"OuterHashJoin(left#0 = right#0, out=[0 2])", "HashJoin(left#0 <=> right#0, left#1 = right#1, out=[0])"} {
-		if !strings.Contains(text, frag) {
-			t.Errorf("small inner: plan outline misses %q:\n%s", frag, text)
-		}
+	if !slices.ContainsFunc(notes, hashJoin("final", false, exec.ColID{Table: "RI", Column: "JC"}, exec.ColID{Table: "TEMP3", Column: "JC"},
+		exec.ColID{Table: "RI", Column: "V"}, exec.ColID{Table: "TEMP3", Column: "CT"})) ||
+		!strings.Contains(text, "HashJoin(left#0 <=> right#0, left#1 = right#1, out=[0])") {
+		t.Errorf("small inner, large pool: notes miss the final inline hash join:\n%s", text)
 	}
 	if slices.ContainsFunc(notes, func(e trace.Event) bool {
 		return e.Kind == trace.NestedLoops || e.Kind == trace.ParallelGroup || e.Kind == trace.HashJoin && e.N > 1
 	}) {
 		t.Errorf("small inner: notes place nested loops or a parallel operator:\n%s", text)
+	}
+}
+
+// TEMP1 resident in B−1 pages is section 7.2's favorable case, and the
+// temp join group-joins it; one page more and it sort-merges. At 32 rows
+// a page, 96 keys are 3 pages and 97 are 4, against B = 4.
+func TestGroupJoinAtPoolBoundary(t *testing.T) {
+	for _, c := range []struct {
+		keys  int
+		group bool
+	}{{96, true}, {97, false}} {
+		notes := autoChoice(t, c.keys, 400, 4, planner.Options{})
+		grouped := slices.ContainsFunc(notes, func(e trace.Event) bool {
+			return note(trace.GroupJoin, "TEMP3")(e) && e.Outer && e.M == 3 && e.B == 4 && e.N == 96
+		})
+		merged := slices.ContainsFunc(notes, note(trace.MergeJoin, "TEMP3"))
+		if grouped != c.group || merged == c.group {
+			t.Errorf("TEMP1 of %d rows: group join %v, merge join %v; want group join %v:\n%s", c.keys, grouped, merged, c.group, notesText(notes))
+		}
+	}
+}
+
+// A SpillForced plan is the one whose every buffer can spill, and a group
+// join hard-charges its groups: the shape that group-joins by default
+// sort-merges under it.
+func TestSpillForcedNeverGroupJoins(t *testing.T) {
+	forced := planner.Options{QC: qctx.New(qctx.Limits{Spill: qctx.SpillForced})}
+	for _, opts := range []planner.Options{{}, forced} {
+		notes := autoChoice(t, 10, 400, 8, opts)
+		grouped := slices.ContainsFunc(notes, func(e trace.Event) bool { return e.Kind == trace.GroupJoin })
+		if grouped != (opts.QC == nil) || opts.QC != nil && !slices.ContainsFunc(notes, note(trace.MergeJoin, "TEMP3")) {
+			t.Errorf("SpillForced %v: group join %v:\n%s", opts.QC != nil, grouped, notesText(notes))
+		}
 	}
 }
 

@@ -71,6 +71,9 @@ const (
 	HashJoin
 	// MergeJoin joins on the key Cols in a pool of N pages.
 	MergeJoin
+	// GroupJoin joins on the key Cols and groups by its left side, resident
+	// in M of the pool's B pages, into about N groups; Outer for ⟕.
+	GroupJoin
 	// NestedLoops joins on Preds, a cartesian product when there are none.
 	NestedLoops
 	// MergeInapplicable: Preds hold no key, so nested loops replace a
@@ -109,6 +112,7 @@ type Event struct {
 	Outer  bool              // the join is an outer join
 	Agree  storage.Agreement // what the parallel oracle found
 	Op     value.CompareOp   // an index scan's comparison
+	B      int32             // a group join's buffer pool pages
 	N, M   int64
 	Label  string
 	Text   string
@@ -167,6 +171,8 @@ func (e Event) String() string {
 		return e.Label + ": " + e.outer() + kind + " " + e.keys() + workers
 	case MergeJoin:
 		return fmt.Sprintf("%s: %smerge join %s (B=%d)", e.Label, e.outer(), e.keys(), e.N)
+	case GroupJoin:
+		return fmt.Sprintf("%s: %sgroup join %s, left resident in %d of B=%d pages (estimated %d groups)", e.Label, e.outer(), e.keys(), e.M, e.B, e.N)
 	case NestedLoops:
 		return e.Label + ": " + e.outer() + "nested-loops join on " + e.preds()
 	case MergeInapplicable:

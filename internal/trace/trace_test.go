@@ -40,6 +40,8 @@ func TestEveryKindRenders(t *testing.T) {
 		{Event{Kind: HashJoin, Label: "final", Cols: keys, N: 1}, "final: hash join R.A with S.A and R.B with S.B"},
 		{Event{Kind: HashJoin, Label: "TEMP3", Outer: true, Cols: keys[:2], N: 2}, "TEMP3: outer parallel hash join R.A with S.A (2 workers)"},
 		{Event{Kind: MergeJoin, Label: "TEMP3", Outer: true, Cols: keys[:2], N: 32}, "TEMP3: outer merge join R.A with S.A (B=32)"},
+		{Event{Kind: GroupJoin, Label: "TEMP3", Outer: true, Cols: keys[:2], B: 32, N: 100, M: 4},
+			"TEMP3: outer group join R.A with S.A, left resident in 4 of B=32 pages (estimated 100 groups)"},
 		{Event{Kind: NestedLoops, Label: "TEMP2", Detail: &Detail{Preds: []ast.Predicate{pred, pred}}}, "TEMP2: nested-loops join on R.A < S.A AND R.A < S.A"},
 		{Event{Kind: NestedLoops, Label: "final", Outer: true, Detail: &Detail{}}, "final: outer nested-loops join on (cartesian)"},
 		{Event{Kind: MergeInapplicable, Label: "TEMP2", Detail: &Detail{Preds: []ast.Predicate{pred}}}, "TEMP2: merge join not applicable to R.A < S.A; using nested loops"},
