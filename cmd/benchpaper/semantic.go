@@ -24,9 +24,9 @@ func newDB(bufferPages int, load func(*workload.DB) error) *engine.DB {
 
 // parallelWorkers and forceParallel configure how the experiments execute:
 // TestGoldenParallelSemantics sets them to re-run the semantic experiments
-// on the morsel-driven parallel operators (with the differential oracle
-// armed) and compares the output against the sequential run. Zero keeps
-// everything sequential, matching experiments.golden byte for byte.
+// on the morsel-driven parallel operators and compares the output against
+// the sequential run. Zero keeps everything sequential, matching
+// experiments.golden byte for byte.
 var (
 	parallelWorkers int
 	forceParallel   bool
@@ -39,7 +39,6 @@ func runStrategy(db *engine.DB, sql string, s engine.Strategy) *engine.Result {
 	opts.Planner.AsPaper = true
 	opts.Planner.Parallelism = parallelWorkers
 	opts.Planner.ForceParallel = forceParallel
-	opts.VerifyParallel = parallelWorkers > 1
 	res, err := db.Query(sql, opts)
 	if err != nil {
 		panic(err)

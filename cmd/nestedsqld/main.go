@@ -127,14 +127,12 @@ func main() {
 
 	// Admission is always on: it is the drain mechanism behind graceful
 	// shutdown. Zero flags just mean no concurrency bound.
-	db := nestedsql.Open(
-		nestedsql.WithBufferPages(o.buffer),
-		nestedsql.WithAdmissionControl(nestedsql.AdmissionConfig{
-			MaxConcurrent: o.maxConcurrent,
-			QueueDepth:    o.queueDepth,
-			MemPool:       o.memPool,
-		}),
-	)
+	db := nestedsql.Open(nestedsql.WithBufferPages(o.buffer))
+	db.EnableAdmission(nestedsql.AdmissionConfig{
+		MaxConcurrent: o.maxConcurrent,
+		QueueDepth:    o.queueDepth,
+		MemPool:       o.memPool,
+	})
 	if o.spillDir != "" {
 		if err := db.EnableSpill(o.spillDir, o.spillThreshold); err != nil {
 			fail(err)

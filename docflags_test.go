@@ -283,14 +283,14 @@ func TestOneRejoinPath(t *testing.T) {
 // storage.Diff; a copy must not grow back unnoticed: outside
 // internal/storage no non-test package (bench/ keeps its own until a
 // benchmark PR) declares a function named like a row-bag, row-set or
-// row-diff helper, nor that flag; and the oracle's re-runs skip admission
-// by structure (DB.run), not by a flag in Options.
+// row-diff helper, nor that flag; and no query skips admission by a flag
+// in Options.
 func TestOneOracle(t *testing.T) {
 	comparator := regexp.MustCompile(`(?i)^((row|sorted|equal)(bag|set)s?|(bag|set)of|diffrows)$`)
 	// Spelled apart so a grep for either name finds offenders only.
 	gone := map[string]string{
 		"Has" + "All":      "ask engine.AgreementWithNI",
-		"no" + "Admission": "oracle re-runs call DB.execute under run's lock hold, without a ticket",
+		"no" + "Admission": "no query skips admission by a flag in Options",
 	}
 	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
 		dir := filepath.ToSlash(filepath.Dir(path))
@@ -511,9 +511,9 @@ func TestOneTrace(t *testing.T) {
 // binary, two REPL commands and two options of the public API — and a
 // negative worker count meant one per CPU. planner.Options{Parallelism,
 // ForceParallel} is the one switch now, set inside the module only: by
-// the planner, the engine and its oracle, the operators, the cost model,
-// the metamorphic runner, the paper experiments and bench/ (which pins
-// the exchange until a benchmark change). A second must not grow back
+// the planner, the engine, the operators, the cost model, the
+// metamorphic runner, the paper experiments and bench/ (which pins the
+// exchange until a benchmark change). A second must not grow back
 // unnoticed: wire.Query carries four fields, and no other non-test file
 // declares or sets an identifier named Parallelism, ForceParallel or
 // VerifyParallel.
@@ -526,6 +526,26 @@ func TestOneParallelSwitch(t *testing.T) {
 		"internal/planner": true, "internal/engine": true, "internal/exec": true, "internal/costmodel": true,
 		"internal/metamorph": true, "cmd/benchpaper": true, "bench": true,
 	}
+	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
+		if owners[filepath.ToSlash(filepath.Dir(path))] {
+			return
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			for _, id := range declaredOrSet(n) {
+				if id != nil && knobs[id.Name] {
+					t.Errorf("%s:%d declares or sets %s: parallel plans are switched by planner.Options inside the module only",
+						path, lineOf(t, path, int(id.Pos()-file.FileStart)), id.Name)
+				}
+			}
+			return true
+		})
+	})
+}
+
+// declaredOrSet returns the identifiers n declares (a field, a var or
+// const, a func) or sets (a composite-literal key, an assignment's left
+// side); nil entries stand for expressions that name nothing.
+func declaredOrSet(n ast.Node) []*ast.Ident {
 	name := func(e ast.Expr) *ast.Ident {
 		switch e := e.(type) {
 		case *ast.Ident:
@@ -535,30 +555,51 @@ func TestOneParallelSwitch(t *testing.T) {
 		}
 		return nil
 	}
-	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
-		if owners[filepath.ToSlash(filepath.Dir(path))] {
-			return
+	var ids []*ast.Ident
+	switch n := n.(type) {
+	case *ast.Field:
+		ids = n.Names
+	case *ast.ValueSpec:
+		ids = n.Names
+	case *ast.FuncDecl:
+		ids = []*ast.Ident{n.Name}
+	case *ast.KeyValueExpr:
+		ids = []*ast.Ident{name(n.Key)}
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			ids = append(ids, name(lhs))
 		}
+	}
+	return ids
+}
+
+// A setting stays only while a program sets it, or while a test needs it
+// to reach a regime it could not otherwise reach in test time. Five had
+// neither: the engine's in-query parallel oracle (its switch, its re-run
+// and its two trace kinds), the server's deadline cap, admission's two
+// lease overrides and the public API's second admission switch beside
+// EnableAdmission. They must not grow back unnoticed: no non-test file
+// declares or sets an identifier by any of these names.
+func TestRemovedSettingsStayGone(t *testing.T) {
+	// Spelled apart so a grep for any name finds offenders only.
+	gone := map[string]string{
+		"Verify" + "Parallel":            "parallel plans are compared with sequential ones and nested iteration by the tests, through storage.Diff",
+		"verify" + "Parallel":            "parallel plans are compared with sequential ones and nested iteration by the tests, through storage.Diff",
+		"Oracle" + "Sequential":          "the engine runs no oracle of its own",
+		"Oracle" + "NestedIteration":     "the engine runs no oracle of its own",
+		"Max" + "Timeout":                "the server takes the client's deadline as sent",
+		"Default" + "Lease":              "the default lease is PoolBytes/MaxConcurrent",
+		"Min" + "Lease":                  "the minimum lease is a quarter of the default lease",
+		"With" + "Admission" + "Control": "admission is switched on by EnableAdmission alone",
+	}
+	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
 		ast.Inspect(file, func(n ast.Node) bool {
-			var ids []*ast.Ident
-			switch n := n.(type) {
-			case *ast.Field:
-				ids = n.Names
-			case *ast.ValueSpec:
-				ids = n.Names
-			case *ast.FuncDecl:
-				ids = []*ast.Ident{n.Name}
-			case *ast.KeyValueExpr:
-				ids = []*ast.Ident{name(n.Key)}
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					ids = append(ids, name(lhs))
+			for _, id := range declaredOrSet(n) {
+				if id == nil {
+					continue
 				}
-			}
-			for _, id := range ids {
-				if id != nil && knobs[id.Name] {
-					t.Errorf("%s:%d declares or sets %s: parallel plans are switched by planner.Options inside the module only",
-						path, lineOf(t, path, int(id.Pos()-file.FileStart)), id.Name)
+				if why, ok := gone[id.Name]; ok {
+					t.Errorf("%s:%d declares or sets %s: %s", path, lineOf(t, path, int(id.Pos()-file.FileStart)), id.Name, why)
 				}
 			}
 			return true

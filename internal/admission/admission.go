@@ -39,16 +39,13 @@ type Config struct {
 	// qctx.ErrOverloaded. 0 means no queue: shed as soon as saturated.
 	QueueDepth int
 	// PoolBytes is the global memory pool leased out as per-query
-	// budgets; 0 disables pooling (queries keep their own budgets).
+	// budgets; 0 disables pooling (queries keep their own budgets). A
+	// query that requests no budget of its own is granted the default
+	// lease, PoolBytes/MaxConcurrent (PoolBytes/4 when concurrency is
+	// unlimited); the smallest degraded lease worth running with is a
+	// quarter of that, and a query that cannot get even the minimum
+	// lease waits instead.
 	PoolBytes int64
-	// DefaultLease is granted to queries that request no explicit memory
-	// budget; 0 derives PoolBytes/MaxConcurrent (or PoolBytes/4 when
-	// concurrency is unlimited).
-	DefaultLease int64
-	// MinLease is the smallest degraded lease worth running with; a
-	// query that cannot get even MinLease waits instead. 0 derives
-	// DefaultLease/4.
-	MinLease int64
 
 	// RetryMax bounds transient-fault retries per query; 0 disables.
 	RetryMax int
@@ -62,9 +59,6 @@ const (
 )
 
 func (c Config) defaultLease() int64 {
-	if c.DefaultLease > 0 {
-		return c.DefaultLease
-	}
 	div := int64(4)
 	if c.MaxConcurrent > 0 {
 		div = int64(c.MaxConcurrent)
@@ -73,9 +67,6 @@ func (c Config) defaultLease() int64 {
 }
 
 func (c Config) minLease() int64 {
-	if c.MinLease > 0 {
-		return c.MinLease
-	}
 	if l := c.defaultLease() / 4; l > 0 {
 		return l
 	}
@@ -150,8 +141,8 @@ func NewController(cfg Config) *Controller {
 // SetSpillBacked tells the memory pool that queries can degrade to
 // disk-backed execution instead of failing on a tiny budget. Under
 // pressure the pool then grants whatever remains (a "pressure" lease,
-// below MinLease) rather than queuing the arrival — a spill-capable
-// lessee makes progress on any positive budget.
+// below the minimum lease) rather than queuing the arrival — a
+// spill-capable lessee makes progress on any positive budget.
 func (c *Controller) SetSpillBacked(on bool) {
 	c.mu.Lock()
 	c.spillBacked = on

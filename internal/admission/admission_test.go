@@ -168,7 +168,9 @@ func TestCancelWhileQueued(t *testing.T) {
 }
 
 func TestPoolLeasing(t *testing.T) {
-	c := NewController(Config{PoolBytes: 1000, DefaultLease: 400, MinLease: 100})
+	// The default lease is PoolBytes/MaxConcurrent = 400, the minimum
+	// lease a quarter of it, 100.
+	c := NewController(Config{PoolBytes: 1600, MaxConcurrent: 4})
 
 	// Full lease while the pool is empty.
 	a, err := c.Admit(Request{})
@@ -176,21 +178,22 @@ func TestPoolLeasing(t *testing.T) {
 		t.Fatalf("first grant: lease=%d degraded=%d err=%v", a.Lease(), c.Stats().Degraded, err)
 	}
 	// Explicit request larger than default.
-	b, err := c.Admit(Request{MemBytes: 500})
-	if err != nil || b.Lease() != 500 || c.Stats().Degraded != 0 {
+	b, err := c.Admit(Request{MemBytes: 1100})
+	if err != nil || b.Lease() != 1100 || c.Stats().Degraded != 0 {
 		t.Fatalf("second grant: lease=%d degraded=%d err=%v", b.Lease(), c.Stats().Degraded, err)
 	}
-	// Only 100 left: degraded grant at the remainder.
+	// Only the minimum lease, 100, left: degraded grant at the remainder.
 	d, err := c.Admit(Request{})
 	if err != nil || d.Lease() != 100 || c.Stats().Degraded != 1 {
 		t.Fatalf("third grant: lease=%d degraded=%d err=%v", d.Lease(), c.Stats().Degraded, err)
 	}
-	// Pool exhausted: next query waits (no queue depth configured → shed).
+	// Pool exhausted with a slot free: next query waits (no queue depth
+	// configured → shed).
 	if _, err := c.Admit(Request{}); !errors.Is(err, qctx.ErrOverloaded) {
 		t.Fatalf("exhausted-pool admit err = %v, want ErrOverloaded", err)
 	}
 	s := c.Stats()
-	if s.PoolUsed != 1000 || s.PoolPeak != 1000 || s.Degraded != 1 {
+	if s.PoolUsed != 1600 || s.PoolPeak != 1600 || s.Degraded != 1 {
 		t.Fatalf("pool stats = %+v", s)
 	}
 	a.Release()
@@ -203,7 +206,7 @@ func TestPoolLeasing(t *testing.T) {
 	// A request bigger than the whole pool runs degraded at pool size
 	// rather than overcommitting.
 	huge, err := c.Admit(Request{MemBytes: 5000})
-	if err != nil || huge.Lease() != 1000 || c.Stats().Degraded != 2 {
+	if err != nil || huge.Lease() != 1600 || c.Stats().Degraded != 2 {
 		t.Fatalf("oversized grant: lease=%d degraded=%d err=%v", huge.Lease(), c.Stats().Degraded, err)
 	}
 	huge.Release()

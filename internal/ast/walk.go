@@ -64,12 +64,15 @@ func (qb *QueryBlock) LocalColumnRefs() []ColumnRef {
 	}
 	out = append(out, qb.GroupBy...)
 	for _, p := range qb.Where {
-		out = append(out, predLocalRefs(p)...)
+		out = append(out, PredicateRefs(p)...)
 	}
 	return out
 }
 
-func predLocalRefs(p Predicate) []ColumnRef {
+// PredicateRefs returns the column references of one predicate's scalar
+// sides, as LocalColumnRefs collects them from a WHERE conjunct — not
+// the contents of nested query blocks.
+func PredicateRefs(p Predicate) []ColumnRef {
 	var out []ColumnRef
 	switch p := p.(type) {
 	case *Comparison:
@@ -82,13 +85,26 @@ func predLocalRefs(p Predicate) []ColumnRef {
 	case *ExistsPred:
 		// no scalar side
 	case *OrPred:
-		out = append(out, predLocalRefs(p.Left)...)
-		out = append(out, predLocalRefs(p.Right)...)
+		out = append(out, PredicateRefs(p.Left)...)
+		out = append(out, PredicateRefs(p.Right)...)
 	case *AndPred:
-		out = append(out, predLocalRefs(p.Left)...)
-		out = append(out, predLocalRefs(p.Right)...)
+		out = append(out, PredicateRefs(p.Left)...)
+		out = append(out, PredicateRefs(p.Right)...)
 	case *NotPred:
-		out = append(out, predLocalRefs(p.P)...)
+		out = append(out, PredicateRefs(p.P)...)
+	}
+	return out
+}
+
+// UniqueRefs returns refs without repeats, in first-seen order.
+func UniqueRefs(refs []ColumnRef) []ColumnRef {
+	var out []ColumnRef
+	seen := make(map[ColumnRef]bool, len(refs))
+	for _, r := range refs {
+		if !seen[r] {
+			seen[r] = true
+			out = append(out, r)
+		}
 	}
 	return out
 }

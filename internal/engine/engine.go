@@ -87,8 +87,7 @@ type DB struct {
 	// dmlMu is the commit-order lock: DDL, DML and Checkpoint hold it
 	// exclusively (see commit), queries hold it shared, so readers never
 	// see a half-applied statement and WAL append order equals apply
-	// order — with or without a log attached. The parallel oracle's
-	// re-runs execute inside the query's own hold (see run).
+	// order — with or without a log attached.
 	dmlMu sync.RWMutex
 	// Durability (nil/zero unless EnableDurability was called).
 	wal      *wal.Log
@@ -357,12 +356,6 @@ type Options struct {
 	// NoFallback makes a non-transformable query an error instead of
 	// falling back to nested iteration.
 	NoFallback bool
-	// VerifyParallel runs the differential oracle after a parallel
-	// transformed query: the result must be bag-equal to the sequential
-	// plan's and (for NEST-JA2, excluding ALL quantifiers) set-equal to
-	// nested iteration's. Disagreement fails the query. It has no effect
-	// unless Planner.Parallelism enables parallel plans.
-	VerifyParallel bool
 
 	// Lifecycle governance. A query exceeding Timeout fails with
 	// qctx.ErrQueryTimeout; one producing more than MaxRows result rows
@@ -386,14 +379,11 @@ type Options struct {
 
 	// Sink, when non-nil, streams the result instead of materializing it:
 	// see RowSink. The network server uses it so a slow client throttles
-	// the executor rather than buffering the whole result. Incompatible
-	// with VerifyParallel (the oracle needs materialized rows to compare).
+	// the executor rather than buffering the whole result.
 	Sink *RowSink
 
 	// ticket is the admission grant governing this query, when the
-	// gateway is enabled. The oracle's re-runs carry none: they execute
-	// inside an already-admitted query, and without a ticket the
-	// transient retry stays out of their way.
+	// gateway is enabled.
 	ticket *admission.Ticket
 	// stream wraps Sink for one execution, tracking whether rows have
 	// already escaped (which fences the engine's re-run retries).
@@ -415,8 +405,7 @@ type Result struct {
 	Strategy Strategy        // strategy requested
 	FellBack bool            // true if transformation fell back to nested iteration
 	Affected int64           // rows inserted/updated/deleted by Exec DML
-	Profile  classify.QueryProfile
-	Trace    []trace.Event // transformation steps and plan notes, rendered on read
+	Trace    []trace.Event   // transformation steps and plan notes, rendered on read
 }
 
 // Query parses, resolves, and executes one SQL statement. With admission
@@ -457,44 +446,18 @@ func (db *DB) queryBlock(qb *ast.QueryBlock, opts Options) (*Result, error) {
 		}
 		opts.ticket = ticket
 	}
-	return db.run(qb, opts)
-}
-
-// run executes one already-admitted (or ungoverned) statement under the
-// shared commit-order lock: a query never observes a DML statement
-// half-applied, and a checkpoint never snapshots one. The parallel
-// oracle's re-runs call execute directly under this same hold — they
-// compare against the very state the query saw, and a recursive RLock
-// could deadlock against a waiting writer.
-func (db *DB) run(qb *ast.QueryBlock, opts Options) (*Result, error) {
+	// The shared commit-order lock: a query never observes a DML
+	// statement half-applied, and a checkpoint never snapshots one.
 	db.dmlMu.RLock()
 	defer db.dmlMu.RUnlock()
-	res, err := db.execute(qb, opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.VerifyParallel && opts.Planner.Parallelism > 1 && !res.FellBack &&
-		(opts.Strategy == TransformJA2 || opts.Strategy == TransformKim) {
-		if err := db.verifyParallel(qb, opts, res); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-// execute is one execution of a statement; the caller holds dmlMu shared.
-func (db *DB) execute(qb *ast.QueryBlock, opts Options) (*Result, error) {
 	if opts.Sink != nil {
-		if opts.VerifyParallel {
-			return nil, fmt.Errorf("engine: streaming sink is incompatible with VerifyParallel")
-		}
 		opts.stream = &streamState{sink: opts.Sink}
 	}
 	out, err := schema.Resolve(db.cat, qb)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Strategy: opts.Strategy, Profile: classify.Profile(qb)}
+	res := &Result{Strategy: opts.Strategy}
 	for _, c := range out {
 		res.Columns = append(res.Columns, c.Name)
 	}
@@ -770,13 +733,14 @@ func (db *DB) Explain(sql string, opts Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	prof := classify.Profile(qb)
 	s := fmt.Sprintf("Query:\n%s\n\nStrategy: %v\n", qb.Pretty(), opts.Strategy)
-	s += fmt.Sprintf("Nesting: %d block(s), depth %d", res.Profile.Blocks, res.Profile.MaxDepth)
-	for _, ty := range res.Profile.Types {
+	s += fmt.Sprintf("Nesting: %d block(s), depth %d", prof.Blocks, prof.MaxDepth)
+	for _, ty := range prof.Types {
 		s += ", " + ty.String()
 	}
 	s += "\n"
-	if res.Profile.MaxDepth > 0 {
+	if prof.MaxDepth > 0 {
 		s += "\nQuery tree (Figure 2 style):\n" + querygraph.Build(qb).ASCII()
 	}
 	if res.FellBack {

@@ -325,8 +325,9 @@ func TestMemPressureStorm(t *testing.T) {
 	if err := db.EnableSpill(t.TempDir(), 0); err != nil {
 		t.Fatal(err)
 	}
-	// A pool well under clients × working set: grants are routinely
-	// degraded or pressure-sized (below MinLease), and every lease is
+	// A pool well under clients × working set: the default lease is
+	// PoolBytes/MaxConcurrent = 6 KiB, grants are routinely degraded or
+	// pressure-sized (below the 1.5 KiB minimum lease), and every lease is
 	// small enough to force spilling, but the common lease stays above
 	// the irreducible temp-page buffer so most queries can complete.
 	const poolBytes = 24 << 10
@@ -334,8 +335,6 @@ func TestMemPressureStorm(t *testing.T) {
 		MaxConcurrent: 4,
 		QueueDepth:    4,
 		PoolBytes:     poolBytes,
-		DefaultLease:  6 << 10,
-		MinLease:      4 << 10,
 		RetryMax:      2,
 	})
 	// Fault probabilities are per record appended/read, and a squeezed
@@ -603,7 +602,7 @@ func TestSpillForcedPlansSortMerge(t *testing.T) {
 }
 
 // TestPressureGrantsUnderSpill: with spilling enabled, a pool too empty
-// for even MinLease hands out what it has (a pressure grant) instead of
+// for even the minimum lease hands out what it has (a pressure grant) instead of
 // queuing — and the query completes by spilling against the tiny lease.
 func TestPressureGrantsUnderSpill(t *testing.T) {
 	db := memDB(t, 97000, 90)
@@ -614,9 +613,9 @@ func TestPressureGrantsUnderSpill(t *testing.T) {
 	ctrl := db.EnableAdmission(admission.Config{
 		MaxConcurrent: 8,
 		PoolBytes:     pool,
-		MinLease:      1 << 19,
 	})
-	// Occupy almost the whole pool, leaving free < MinLease.
+	// Occupy almost the whole pool, leaving free below the minimum lease
+	// (pool/8/4 = 32 KiB).
 	big, err := ctrl.Admit(admission.Request{MemBytes: pool - 4096})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/planner"
+	"repro/internal/qctx"
 )
 
 // Regression: NEST-JA2's step-4 back-join must be NULL-safe. For a COUNT
@@ -89,4 +90,67 @@ func TestNestJA2NullCorrelationKeyNonCount(t *testing.T) {
 
 	ja2 := query(t, db, sql, engine.Options{Strategy: engine.TransformJA2, NoFallback: true})
 	wantRows(t, ja2, "(2)")
+}
+
+// Section 5.2.1 turns COUNT(*) into COUNT over an inner join column, which
+// must be non-NULL on every real match. Under a <=> correlation it is not:
+// a NULL-keyed match has a NULL join column, and COUNT skips it. A block
+// correlated only by <=> has no such column and runs by nested iteration;
+// one that also correlates by = counts that column and still transforms.
+// Each shape must agree with nested iteration on the default plan, the
+// paper's plan, a forced-spill plan and a forced-parallel plan.
+func TestNestJA2NullSafeCountStar(t *testing.T) {
+	db := engine.New(8)
+	if _, err := db.Exec(`
+		CREATE TABLE RI (JC INTEGER, VAL INTEGER);
+		INSERT INTO RI VALUES (NULL, 2), (1, 1), (NULL, 0);
+		CREATE TABLE RJ (JC INTEGER);
+		INSERT INTO RJ VALUES (NULL), (NULL), (1);
+		CREATE TABLE MI (JC INTEGER, K INTEGER, VAL INTEGER);
+		INSERT INTO MI VALUES (NULL, 1, 2), (1, 1, 1), (NULL, 1, 0), (NULL, NULL, 0);
+		CREATE TABLE MJ (JC INTEGER, K INTEGER);
+		INSERT INTO MJ VALUES (NULL, 1), (NULL, 1), (1, 1), (NULL, NULL);
+	`, engine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnableSpill(t.TempDir(), 0); err != nil {
+		t.Fatal(err)
+	}
+	regimes := map[string]func(*engine.Options){
+		"default":         func(*engine.Options) {},
+		"AsPaper":         func(o *engine.Options) { o.Planner.AsPaper = true },
+		"SpillForced":     func(o *engine.Options) { o.Spill = qctx.SpillForced },
+		"forced-parallel": func(o *engine.Options) { o.Planner.Parallelism, o.Planner.ForceParallel = 2, true },
+	}
+	for _, c := range []struct {
+		name, sql  string
+		transforms bool
+		want       []string
+	}{
+		{"NullSafeOnly", `SELECT RI.JC, RI.VAL FROM RI WHERE
+			RI.VAL = (SELECT COUNT(*) FROM RJ WHERE RJ.JC <=> RI.JC)`,
+			false, []string{"(NULL, 2)", "(1, 1)"}},
+		{"NullSafeAndEq", `SELECT MI.JC, MI.K, MI.VAL FROM MI WHERE
+			MI.VAL = (SELECT COUNT(*) FROM MJ WHERE MJ.JC <=> MI.JC AND MJ.K = MI.K)`,
+			true, []string{"(NULL, 1, 2)", "(1, 1, 1)", "(NULL, NULL, 0)"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ni := query(t, db, c.sql, engine.Options{Strategy: engine.NestedIteration})
+			wantRows(t, ni, c.want...)
+			for name, set := range regimes {
+				opts := engine.Options{Strategy: engine.TransformJA2, NoFallback: c.transforms}
+				set(&opts)
+				res, err := db.Query(c.sql, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if res.FellBack == c.transforms {
+					t.Errorf("%s: fell back = %v, want %v:\n%s", name, res.FellBack, !c.transforms, traceText(res))
+				}
+				if d := diffNI(c.sql, res, ni); d != "" {
+					t.Errorf("%s: NEST-JA2 != nested iteration: %s", name, d)
+				}
+			}
+		})
+	}
 }

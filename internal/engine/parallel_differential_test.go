@@ -21,10 +21,9 @@ import (
 // Lemma 1), with ALL-quantifier queries excluded — engine.AgreementWithNI.
 //
 // ForceParallel bypasses the cost gate so the tiny generated instances
-// still exercise the parallel operators, and VerifyParallel arms the
-// engine's own oracle on top of the explicit comparisons here.
+// still exercise the parallel operators.
 
-// parallelOpts enables 4-worker parallel plans with the oracle armed.
+// parallelOpts enables 4-worker parallel plans.
 func parallelOpts(strategy engine.Strategy) engine.Options {
 	return engine.Options{
 		Strategy: strategy,
@@ -32,7 +31,6 @@ func parallelOpts(strategy engine.Strategy) engine.Options {
 			Parallelism:   4,
 			ForceParallel: true,
 		},
-		VerifyParallel: true,
 	}
 }
 
@@ -161,6 +159,10 @@ func TestParallelEmptySubqueryCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		seq, err := db.Query(sql, engine.Options{Strategy: engine.TransformJA2, NoFallback: true})
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
 		opts := parallelOpts(engine.TransformJA2)
 		opts.NoFallback = true
 		par, err := db.Query(sql, opts)
@@ -169,6 +171,12 @@ func TestParallelEmptySubqueryCount(t *testing.T) {
 		}
 		if got, want := sortedRows(par), sortedRows(ni); got != want {
 			t.Errorf("%q:\n  NI:  %v\n  par: %v", sql, want, got)
+		}
+		if d := storage.Diff(engine.AcrossRegimes, par.Rows, seq.Rows); d != "" {
+			t.Errorf("%q: parallel != sequential: %s", sql, d)
+		}
+		if d := diffNI(sql, par, ni); d != "" {
+			t.Errorf("%q: parallel != nested iteration: %s", sql, d)
 		}
 	}
 }
@@ -223,32 +231,13 @@ func TestParallelDuplicateOuterKeys(t *testing.T) {
 	if got := sortedRows(par); got != want {
 		t.Errorf("parallel NEST-JA2: got %v, want %v", got, want)
 	}
-}
-
-// TestParallelOracleTraces makes sure the engine-level oracle is not
-// vacuous: on a parallel query it must record both comparisons (bag
-// against the sequential plan, set against nested iteration) in the
-// trace, proving they actually ran.
-func TestParallelOracleTraces(t *testing.T) {
-	rng := rand.New(rand.NewSource(33000))
-	db := randomInstance(t, rng, 6)
-	sql := `SELECT PNUM, QOH FROM PARTS WHERE QOH = (SELECT COUNT(QUAN) FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)`
-	opts := parallelOpts(engine.TransformJA2)
-	opts.NoFallback = true
-	par, err := db.Query(sql, opts)
-	if err != nil {
-		t.Fatal(err)
+	if d := storage.Diff(engine.AcrossRegimes, par.Rows, seq.Rows); d != "" {
+		t.Errorf("parallel != sequential: %s", d)
 	}
-	oracle := func(k trace.Kind, how storage.Agreement) bool {
-		return slices.ContainsFunc(par.Trace, func(e trace.Event) bool { return e.Kind == k && e.Agree == how })
-	}
-	if !oracle(trace.OracleSequential, storage.AgreeBag) {
-		t.Errorf("oracle did not record the sequential comparison:\n%s", traceText(par))
-	}
-	if !oracle(trace.OracleNestedIteration, storage.AgreeSet) {
-		t.Errorf("oracle did not record the nested-iteration comparison:\n%s", traceText(par))
+	if d := diffNI(sql, par, ni); d != "" {
+		t.Errorf("parallel != nested iteration: %s", d)
 	}
 	if !usedParallel(par) {
-		t.Error("query did not use parallel operators")
+		t.Errorf("query did not use parallel operators:\n%s", traceText(par))
 	}
 }

@@ -13,9 +13,7 @@ import (
 // loop, which is how client backpressure reaches the operators. A
 // callback error aborts the query and surfaces from Query unchanged.
 //
-// Restrictions: a sunk query reports Rows == nil on its Result, and
-// VerifyParallel is rejected — the differential oracle needs the
-// materialized result to compare against.
+// A sunk query reports Rows == nil on its Result.
 //
 // Batch slices are reused by the executor; sinks must copy what they keep.
 type RowSink struct {

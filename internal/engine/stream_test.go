@@ -106,17 +106,6 @@ func TestStreamSinkErrorAbortsQuery(t *testing.T) {
 	}
 }
 
-func TestStreamRejectsVerifyParallel(t *testing.T) {
-	db := lifecycleDB(t)
-	c := &collectSink{}
-	_, err := db.Query(lifecycleQuery, engine.Options{
-		Strategy: engine.TransformJA2, VerifyParallel: true, Sink: c.sink(0),
-	})
-	if err == nil || c.colCalls != 0 {
-		t.Fatalf("VerifyParallel+Sink must fail before streaming; err=%v colCalls=%d", err, c.colCalls)
-	}
-}
-
 // TestStreamRowBudgetStillEnforced pins that the streamed pull loop
 // charges the row budget exactly like the materialized drain.
 func TestStreamRowBudgetStillEnforced(t *testing.T) {

@@ -1,20 +1,17 @@
 package engine
 
 import (
-	"fmt"
-
 	"repro/internal/ast"
 	"repro/internal/storage"
-	"repro/internal/trace"
 )
 
 // This file is the differential oracle: the one statement of which
 // results of a query must agree and how. Every correctness claim of the
 // paper is a comparison against nested iteration, and two of its own
-// rewrites agree with it only conditionally; VerifyParallel below, the
-// metamorphic runner and the package tests all ask AgreementWithNI and
-// AcrossRegimes, and compare rows through storage.Diff — nothing else in
-// the tree decides either.
+// rewrites agree with it only conditionally; the metamorphic runner and
+// the package tests all ask AgreementWithNI and AcrossRegimes, and
+// compare rows through storage.Diff — nothing else in the tree decides
+// either.
 
 // AcrossRegimes is the first half of the rule: any two executions of one
 // query under one strategy — sequential, parallel, spilling, networked,
@@ -39,42 +36,6 @@ func AgreementWithNI(qb *ast.QueryBlock, s Strategy) storage.Agreement {
 	default:
 		return storage.AgreeNone
 	}
-}
-
-// verifyParallel applies the rule to a parallel result. Parallel
-// aggregation is exactly where the paper's COUNT bug would resurface — a
-// partition with no matching inner tuples must still produce COUNT = 0
-// after the outer join — so with Options.VerifyParallel a parallel plan is
-// re-derived by the sequential plan of the same strategy and by nested
-// iteration, and any disagreement fails the query. The caller holds the
-// commit-order lock; the re-runs carry no admission ticket.
-func (db *DB) verifyParallel(qb *ast.QueryBlock, opts Options, res *Result) error {
-	seqOpts := opts
-	seqOpts.VerifyParallel = false
-	seqOpts.Planner.Parallelism = 0
-	seqOpts.Planner.ForceParallel = false
-	seqOpts.ticket = nil
-	seq, err := db.execute(qb, seqOpts)
-	if err != nil {
-		return fmt.Errorf("engine: parallel oracle: sequential re-run failed: %w", err)
-	}
-	if diff := storage.Diff(AcrossRegimes, res.Rows, seq.Rows); diff != "" {
-		return fmt.Errorf("engine: parallel oracle: parallel and sequential plans disagree: %s", diff)
-	}
-	res.Trace = append(res.Trace, trace.Event{Kind: trace.OracleSequential, Agree: AcrossRegimes})
-	how := AgreementWithNI(qb, opts.Strategy)
-	if how == storage.AgreeNone {
-		return nil
-	}
-	ni, err := db.execute(qb, Options{Strategy: NestedIteration})
-	if err != nil {
-		return fmt.Errorf("engine: parallel oracle: nested-iteration re-run failed: %w", err)
-	}
-	if diff := storage.Diff(how, res.Rows, ni.Rows); diff != "" {
-		return fmt.Errorf("engine: parallel oracle: parallel plan and nested iteration disagree: %s", diff)
-	}
-	res.Trace = append(res.Trace, trace.Event{Kind: trace.OracleNestedIteration, Agree: how})
-	return nil
 }
 
 // hasAllQuantifier reports whether any predicate in the query (at any

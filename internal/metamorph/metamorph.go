@@ -2,13 +2,13 @@
 // first oracle that can falsify the transformation layer itself rather
 // than just the executors.
 //
-// Every other correctness gate in this repository (VerifyParallel, the
-// chaos storms, the serve-load byte diff) compares the engine's own
-// execution paths against each other, so a logic bug shared by every
-// path — exactly the COUNT-bug / duplicates-bug class Kim's NEST-JA is
-// famous for — is invisible to all of them. This package instead
-// generates query *pairs* whose results stand in a provable set
-// relation regardless of how any path evaluates them:
+// Every other correctness gate in this repository (the parallel
+// differential tests, the chaos storms, the serve-load byte diff)
+// compares the engine's own execution paths against each other, so a
+// logic bug shared by every path — exactly the COUNT-bug / duplicates-bug
+// class Kim's NEST-JA is famous for — is invisible to all of them. This
+// package instead generates query *pairs* whose results stand in a
+// provable set relation regardless of how any path evaluates them:
 //
 //   - predicate strengthening: adding a conjunct can only shrink the
 //     result (a sub-bag);

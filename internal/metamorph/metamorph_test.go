@@ -396,7 +396,7 @@ func TestGoldenRepros(t *testing.T) {
 // of internal/engine's TestVerifyParallelReportsThroughSharedComparator — a
 // parallel plan that re-introduced the COUNT bug on Kiessling's Q2, which
 // is what Kim's NEST-JA computes — into the runner's parallel regime. The
-// parity check must report it in the words VerifyParallel uses.
+// parity check must report it in the words that test's comparison uses.
 func TestParityReportsThroughSharedComparator(t *testing.T) {
 	const wrongParallelDiff = "1 vs 2 rows; first unmatched: (8)"
 	r, err := NewRunner(RunnerConfig{Parallel: true})

@@ -24,8 +24,7 @@ func (p *Planner) antiJoin(cur input, ip *ast.InPred, outerFrom []ast.TableRef, 
 		local[strings.ToUpper(b)] = true
 	}
 	isLocalPred := func(c ast.Predicate) bool {
-		holder := &ast.QueryBlock{Where: []ast.Predicate{c}}
-		for _, ref := range holder.LocalColumnRefs() {
+		for _, ref := range ast.PredicateRefs(c) {
 			if ref.Table != "" && !local[strings.ToUpper(ref.Table)] {
 				return false
 			}
@@ -45,14 +44,13 @@ func (p *Planner) antiJoin(cur input, ip *ast.InPred, outerFrom []ast.TableRef, 
 	// correlation predicates need.
 	needed := []ast.ColumnRef{sub.Select[0].Col}
 	for _, c := range corrPreds {
-		holder := &ast.QueryBlock{Where: []ast.Predicate{c}}
-		for _, ref := range holder.LocalColumnRefs() {
+		for _, ref := range ast.PredicateRefs(c) {
 			if local[strings.ToUpper(ref.Table)] {
 				needed = append(needed, ref)
 			}
 		}
 	}
-	needed = dedupeRefs(needed)
+	needed = ast.UniqueRefs(needed)
 	proj := &ast.QueryBlock{From: sub.From, Where: localPreds}
 	for _, ref := range needed {
 		proj.Select = append(proj.Select, ast.SelectItem{Col: ref})
@@ -94,16 +92,4 @@ func (p *Planner) antiJoin(cur input, ip *ast.InPred, outerFrom []ast.TableRef, 
 		tuples:   cur.tuples,
 		sortedOn: cur.sortedOn, // anti-join preserves left order
 	}, nil
-}
-
-func dedupeRefs(refs []ast.ColumnRef) []ast.ColumnRef {
-	seen := make(map[ast.ColumnRef]bool, len(refs))
-	out := refs[:0:0]
-	for _, r := range refs {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -584,8 +584,7 @@ func predCompilable(p ast.Predicate, sch exec.RowSchema) bool {
 	if len(ast.SubqueriesOf(p)) > 0 {
 		return false
 	}
-	holder := &ast.QueryBlock{Where: []ast.Predicate{p}}
-	for _, ref := range holder.LocalColumnRefs() {
+	for _, ref := range ast.PredicateRefs(p) {
 		if sch.Index(ref) < 0 {
 			return false
 		}

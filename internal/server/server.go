@@ -16,14 +16,11 @@ import (
 )
 
 // Config tunes a Server. The zero value is usable: engine defaults for
-// strategy and parallelism, 64-row batches, and no caps on
-// client-requested deadlines or row budgets.
+// strategy and parallelism, 64-row batches, client-requested deadlines
+// taken as sent, and no cap on row budgets.
 type Config struct {
 	// BatchRows bounds rows per RowBatch frame (0 = exec default of 64).
 	BatchRows int
-	// MaxTimeout caps (and, when the client sends none, supplies) the
-	// per-query deadline. 0 = accept the client's value unchanged.
-	MaxTimeout time.Duration
 	// MaxRows caps (and defaults) the per-query row budget. 0 = accept
 	// the client's value unchanged.
 	MaxRows int64

@@ -359,7 +359,7 @@ func (s *session) runSnapshot(table string) bool {
 		return false
 	}
 	sql := fmt.Sprintf("SELECT %s FROM %s", strings.Join(rel.ColumnNames(), ", "), rel.Name)
-	opts := engine.Options{Cancel: s.dead, Strategy: s.srv.cfg.Strategy, Timeout: s.srv.cfg.MaxTimeout}
+	opts := engine.Options{Cancel: s.dead, Strategy: s.srv.cfg.Strategy}
 	return s.stream(opts, statement{
 		run: func(o engine.Options) (*engine.Result, error) { return s.srv.eng.ExecSQL(sql, o) },
 		trailer: func(_ *engine.Result, _ []string, sent int64) error {
@@ -398,7 +398,7 @@ func (s *session) evictSlowClient() {
 }
 
 // queryOptions maps a Query frame onto engine options, applying the
-// server's caps. A bad strategy byte is a protocol error.
+// server's row cap. A bad strategy byte is a protocol error.
 func (s *session) queryOptions(q wire.Query) (engine.Options, *wire.ErrorFrame) {
 	cfg := s.srv.cfg
 	opts := engine.Options{Cancel: s.dead}
@@ -422,9 +422,6 @@ func (s *session) queryOptions(q wire.Query) (engine.Options, *wire.ErrorFrame) 
 	opts.Timeout = time.Duration(q.TimeoutMicros) * time.Microsecond
 	if opts.Timeout < 0 {
 		opts.Timeout = 0
-	}
-	if cfg.MaxTimeout > 0 && (opts.Timeout == 0 || opts.Timeout > cfg.MaxTimeout) {
-		opts.Timeout = cfg.MaxTimeout
 	}
 	opts.MaxRows = q.MaxRows
 	if opts.MaxRows < 0 {

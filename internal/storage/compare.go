@@ -6,9 +6,8 @@ import (
 )
 
 // The row comparator of every differential oracle in the repository: the
-// engine's VerifyParallel, the metamorphic runner and the package tests
-// compare results through it, so a disagreement reads the same wherever it
-// is caught. Which Agreement two results owe each other is the engine's
+// metamorphic runner and the package tests compare results through it, so
+// a disagreement reads the same wherever it is caught. Which Agreement two results owe each other is the engine's
 // rule (engine.AgreementWithNI); what it means for two row slices is
 // decided here and nowhere else.
 

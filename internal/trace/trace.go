@@ -1,6 +1,6 @@
 // Package trace is a query's EXPLAIN trace as typed events: the
 // transformation steps, the planner's decisions and plan outlines, and the
-// engine's fallback, degradation and oracle lines. Every query records its
+// engine's fallback and degradation lines. Every query records its
 // events; none formats them. Text exists only when someone reads it —
 // Event.String renders one line, and a reader that wants to know what
 // happened asks an event's Kind and fields, never its text.
@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/exec"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -46,12 +45,6 @@ const (
 	TransientRetry
 	// Spill: the query wrote N spill runs of M bytes.
 	Spill
-	// OracleSequential: the parallel result agreed (Agree) with the
-	// sequential plan's.
-	OracleSequential
-	// OracleNestedIteration: the parallel result agreed (Agree) with
-	// nested iteration's.
-	OracleNestedIteration
 
 	// Plan is the outline of Label's plan.
 	Plan
@@ -109,10 +102,9 @@ const (
 // text would.
 type Event struct {
 	Kind   Kind
-	Outer  bool              // the join is an outer join
-	Agree  storage.Agreement // what the parallel oracle found
-	Op     value.CompareOp   // an index scan's comparison
-	B      int32             // a group join's buffer pool pages
+	Outer  bool            // the join is an outer join
+	Op     value.CompareOp // an index scan's comparison
+	B      int32           // a group join's buffer pool pages
 	N, M   int64
 	Label  string
 	Text   string
@@ -148,10 +140,6 @@ func (e Event) String() string {
 		return fmt.Sprintf("transient fault (%v); retry %d after %v", e.Detail.Err, e.N, e.Detail.Delay)
 	case Spill:
 		return fmt.Sprintf("spill: %d run(s), %d bytes", e.N, e.M)
-	case OracleSequential:
-		return fmt.Sprintf("parallel oracle: %v to sequential plan", e.Agree)
-	case OracleNestedIteration:
-		return fmt.Sprintf("parallel oracle: %v to nested iteration", e.Agree)
 	case Plan:
 		return e.Label + " plan:\n" + exec.Describe(e.Plan)
 	case Materialized:

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/exec"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -30,8 +29,6 @@ func TestEveryKindRenders(t *testing.T) {
 		{Event{Kind: ForcedSpillRerun, Detail: &Detail{Err: boom}}, "memory budget exceeded (boom); retrying with forced spill"},
 		{Event{Kind: TransientRetry, N: 2, Detail: &Detail{Err: boom, Delay: 3 * time.Millisecond}}, "transient fault (boom); retry 2 after 3ms"},
 		{Event{Kind: Spill, N: 4, M: 4096}, "spill: 4 run(s), 4096 bytes"},
-		{Event{Kind: OracleSequential, Agree: storage.AgreeBag}, "parallel oracle: bag-equal to sequential plan"},
-		{Event{Kind: OracleNestedIteration, Agree: storage.AgreeSet}, "parallel oracle: set-equal to nested iteration"},
 		{Event{Kind: Plan, Label: "final"}, "final plan:\n"},
 		{Event{Kind: Materialized, Label: "TEMP1", N: 3, M: 1}, "TEMP1 materialized: 3 tuples, 1 pages"},
 		{Event{Kind: Constant, Detail: &Detail{Val: value.NewString("P6")}}, "type-A subquery evaluated to constant 'P6'"},

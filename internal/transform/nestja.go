@@ -33,7 +33,7 @@ func (t *Transformer) nestJAKim(qb *ast.QueryBlock, p ast.Predicate) ([]ast.Pred
 	for _, j := range info.joins {
 		localCols = append(localCols, j.local)
 	}
-	localCols = uniqueCols(localCols)
+	localCols = ast.UniqueRefs(localCols)
 	names := tempColNames(localCols)
 
 	aggName := aggOutputName(info.agg)

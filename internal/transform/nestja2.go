@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/ast"
@@ -129,7 +130,7 @@ func (t *Transformer) analyzeJA(qb *ast.QueryBlock, p ast.Predicate) (*jaInfo, e
 // block's own FROM clause.
 func conjFreeRefs(p ast.Predicate, local map[string]bool) []ast.ColumnRef {
 	var free []ast.ColumnRef
-	for _, ref := range predRefs(p) {
+	for _, ref := range ast.PredicateRefs(p) {
 		if ref.Table != "" && !local[strings.ToUpper(ref.Table)] {
 			free = append(free, ref)
 		}
@@ -142,25 +143,6 @@ func conjFreeRefs(p ast.Predicate, local map[string]bool) []ast.ColumnRef {
 		}
 	}
 	return free
-}
-
-// predRefs is the local column reference list of a single predicate.
-func predRefs(p ast.Predicate) []ast.ColumnRef {
-	holder := &ast.QueryBlock{Where: []ast.Predicate{p}}
-	return holder.LocalColumnRefs()
-}
-
-// uniqueCols returns refs deduplicated in first-seen order.
-func uniqueCols(refs []ast.ColumnRef) []ast.ColumnRef {
-	var out []ast.ColumnRef
-	seen := make(map[ast.ColumnRef]bool)
-	for _, r := range refs {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // colType resolves the type of binding.column against a FROM clause.
@@ -231,6 +213,19 @@ func (t *Transformer) nestJA2(qb *ast.QueryBlock, p ast.Predicate) ([]ast.Predic
 		return nil, err
 	}
 	isCount := info.agg.Agg.IsCount()
+	aggCol := info.agg.Col
+	if info.agg.Agg == value.AggCountStar {
+		// Section 5.2.1: COUNT(*) must become COUNT over an inner join
+		// column that is non-NULL exactly when a real match exists. Any
+		// correlation but <=> is UNKNOWN on NULL, so a match implies its
+		// column is non-NULL; under <=> a NULL-keyed match has a NULL
+		// column, which COUNT would skip.
+		i := slices.IndexFunc(info.joins, func(j jaJoin) bool { return j.op != value.OpEqNull })
+		if i < 0 {
+			return nil, notTransformable("COUNT(*) correlated only by <=> has no inner join column that is non-NULL on every match")
+		}
+		aggCol = info.joins[i].local
+	}
 
 	// ---- Step 1: project the join column(s) of the outer relation,
 	// DISTINCT, restricted by the outer block's simple predicates
@@ -246,7 +241,7 @@ func (t *Transformer) nestJA2(qb *ast.QueryBlock, p ast.Predicate) ([]ast.Predic
 	for _, j := range info.joins {
 		outerCols = append(outerCols, j.outer)
 	}
-	outerCols = uniqueCols(outerCols)
+	outerCols = ast.UniqueRefs(outerCols)
 
 	var outerSimple []ast.Predicate
 	for _, conj := range qb.Where {
@@ -258,7 +253,7 @@ func (t *Transformer) nestJA2(qb *ast.QueryBlock, p ast.Predicate) ([]ast.Predic
 			continue
 		}
 		onOuter := true
-		for _, ref := range predRefs(cmp) {
+		for _, ref := range ast.PredicateRefs(cmp) {
 			if !strings.EqualFold(ref.Table, info.outerBinding) {
 				onOuter = false
 				break
@@ -302,12 +297,7 @@ func (t *Transformer) nestJA2(qb *ast.QueryBlock, p ast.Predicate) ([]ast.Predic
 		// relation *before* the join (section 5.2: applying the simple
 		// predicate after the outer join would wrongly keep padded
 		// rows).
-		aggCol := info.agg.Col
 		if info.agg.Agg == value.AggCountStar {
-			// Section 5.2.1: COUNT(*) must become COUNT over the inner
-			// join column, which is non-NULL exactly when a real match
-			// exists.
-			aggCol = info.joins[0].local
 			t.addStep("NEST-JA2", "COUNT(*) converted to COUNT(%s), the inner join column", aggCol)
 		}
 		var innerCols []ast.ColumnRef
@@ -315,7 +305,7 @@ func (t *Transformer) nestJA2(qb *ast.QueryBlock, p ast.Predicate) ([]ast.Predic
 			innerCols = append(innerCols, j.local)
 		}
 		innerCols = append(innerCols, aggCol)
-		innerCols = uniqueCols(innerCols)
+		innerCols = ast.UniqueRefs(innerCols)
 		names2 := tempColNames(innerCols)
 
 		temp2 := t.freshTempName()

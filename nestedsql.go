@@ -34,7 +34,6 @@ import (
 	"repro/internal/qctx"
 	"repro/internal/schema"
 	"repro/internal/spill"
-	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/value"
 	"repro/internal/wal"
@@ -55,7 +54,7 @@ var (
 	// ErrMemoryBudget reports a query that buffered more than WithMemoryBudget.
 	ErrMemoryBudget = qctx.ErrMemoryBudget
 	// ErrOverloaded reports a query shed by the admission gateway (full
-	// queue, or a draining database — see WithAdmissionControl). The
+	// queue, or a draining database — see EnableAdmission). The
 	// concrete error carries a retry-after hint.
 	ErrOverloaded = qctx.ErrOverloaded
 	// ErrSpillCorrupt reports a spill run file that failed its checksum
@@ -163,7 +162,6 @@ type Option func(*config)
 
 type config struct {
 	bufferPages int
-	admission   *AdmissionConfig
 }
 
 // WithBufferPages sets the buffer pool size in pages — the paper's B.
@@ -172,7 +170,7 @@ func WithBufferPages(n int) Option {
 	return func(c *config) { c.bufferPages = n }
 }
 
-// AdmissionConfig sizes the concurrency gateway; see WithAdmissionControl.
+// AdmissionConfig sizes the concurrency gateway; see EnableAdmission.
 // Zero fields pick the gateway's defaults (unlimited concurrency, no
 // queue, no memory pool).
 type AdmissionConfig struct {
@@ -192,31 +190,20 @@ type AdmissionConfig struct {
 	RetryMax int
 }
 
-// WithAdmissionControl turns on the concurrency gateway: every Query
-// first acquires an admission slot (bounded concurrency, bounded FIFO
-// queue, memory-pool lease), and overload is shed with ErrOverloaded.
-// Required
-// before serving concurrent traffic with bounded resources;
-// single-caller use works without it.
-func WithAdmissionControl(cfg AdmissionConfig) Option {
-	return func(c *config) { c.admission = &cfg }
-}
-
 // Open creates an empty in-memory database.
 func Open(opts ...Option) *DB {
 	cfg := config{bufferPages: 32}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	db := &DB{eng: engine.New(cfg.bufferPages)}
-	if cfg.admission != nil {
-		db.EnableAdmission(*cfg.admission)
-	}
-	return db
+	return &DB{eng: engine.New(cfg.bufferPages)}
 }
 
-// EnableAdmission is WithAdmissionControl after Open — or after Restore,
-// which takes no options. Call it before serving traffic.
+// EnableAdmission turns on the concurrency gateway: every Query first
+// acquires an admission slot (bounded concurrency, bounded FIFO queue,
+// memory-pool lease), and overload is shed with ErrOverloaded. Call it
+// after Open or Restore, before serving concurrent traffic with bounded
+// resources; single-caller use works without it.
 func (db *DB) EnableAdmission(cfg AdmissionConfig) {
 	db.eng.EnableAdmission(admission.Config{
 		MaxConcurrent: cfg.MaxConcurrent,
@@ -284,7 +271,7 @@ func (db *DB) SpillStats() SpillStats { return db.eng.SpillStats() }
 type AdmissionStats = admission.Stats
 
 // AdmissionStats snapshots the gateway counters. The zero value is
-// returned when WithAdmissionControl was not used.
+// returned when EnableAdmission was not called.
 func (db *DB) AdmissionStats() AdmissionStats {
 	if c := db.eng.Admission(); c != nil {
 		return c.Stats()
@@ -296,7 +283,7 @@ func (db *DB) AdmissionStats() AdmissionStats {
 // ErrOverloaded, in-flight queries get until the deadline to finish, and
 // stragglers are then canceled with ErrCanceled. After a drain the
 // database still answers nothing until Resume. A no-op without
-// WithAdmissionControl.
+// EnableAdmission.
 func (db *DB) Drain(timeout time.Duration) error { return db.eng.Drain(timeout) }
 
 // Resume re-opens admission after a Drain.
@@ -319,7 +306,8 @@ func (db *DB) CreateTable(name string, cols []Column, tuplesPerPage int, key ...
 
 // Insert appends rows of Go values. Accepted element types: nil (NULL),
 // int, int64, float64, string, and date strings for DATE columns (M-D-YY,
-// M/D/YY, or ISO).
+// M/D/YY, or ISO). Values are typed by column as an INSERT statement's
+// literals are: a value its column cannot hold is an error.
 func (db *DB) Insert(table string, rows ...[]any) error {
 	rel, ok := db.eng.Catalog().Lookup(table)
 	if !ok {
@@ -330,13 +318,17 @@ func (db *DB) Insert(table string, rows ...[]any) error {
 			return fmt.Errorf("nestedsql: row has %d values, table %s has %d columns",
 				len(row), table, len(rel.Columns))
 		}
-		t := make(storage.Tuple, len(row))
+		vals := make([]value.Value, len(row))
 		for i, v := range row {
-			cv, err := convertValue(v, rel.Columns[i].Type)
+			cv, err := convertValue(v)
 			if err != nil {
 				return fmt.Errorf("nestedsql: column %s: %w", rel.Columns[i].Name, err)
 			}
-			t[i] = cv
+			vals[i] = cv
+		}
+		t, err := engine.CoerceInsertRow(rel, vals)
+		if err != nil {
+			return err
 		}
 		if err := db.eng.Insert(table, t); err != nil {
 			return err
@@ -345,7 +337,7 @@ func (db *DB) Insert(table string, rows ...[]any) error {
 	return db.eng.Seal(table)
 }
 
-func convertValue(v any, want value.Kind) (value.Value, error) {
+func convertValue(v any) (value.Value, error) {
 	switch v := v.(type) {
 	case nil:
 		return value.Null, nil
@@ -356,13 +348,6 @@ func convertValue(v any, want value.Kind) (value.Value, error) {
 	case float64:
 		return value.NewFloat(v), nil
 	case string:
-		if want == value.KindDate {
-			d, err := value.ParseDate(v)
-			if err != nil {
-				return value.Null, err
-			}
-			return value.NewDateValue(d), nil
-		}
 		return value.NewString(v), nil
 	default:
 		return value.Null, fmt.Errorf("unsupported Go value %T", v)

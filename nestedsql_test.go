@@ -118,6 +118,11 @@ func TestPublicAPIErrors(t *testing.T) {
 	if err := db.Insert("T", []any{struct{}{}}); err == nil {
 		t.Error("unsupported Go type")
 	}
+	// A value its column cannot hold is refused, as an INSERT literal is,
+	// so no column ever holds a VARCHAR beside an INTEGER.
+	if err := db.Insert("T", []any{"a"}); err == nil {
+		t.Error("string into an INTEGER column")
+	}
 	if err := db.Insert("T", []any{1}); err != nil {
 		t.Fatal(err)
 	}
