@@ -345,6 +345,76 @@ func TestOnePredicateEvaluator(t *testing.T) {
 	})
 }
 
+// A predicate's OR/AND/NOT tree used to be walked by hand in nine places,
+// and two ways of listing its subqueries disagreed: one saw a single block
+// per comparison, so the coordinator's per-shard rewrite skipped the left
+// subquery of (SELECT …) = (SELECT …). ast.Leaves is the one walk now, and
+// a second must not grow back unnoticed: outside internal/ast no non-test
+// function type-switches on *ast.OrPred, *ast.AndPred or *ast.NotPred and
+// calls itself on a node's operand (.Left, .Right or .P) — except the two
+// that combine a value at each node, the evaluator's framePred and
+// Selectivity.
+func TestOnePredicateWalk(t *testing.T) {
+	combiners := map[string]bool{"Evaluator.framePred": true, "Stats.Selectivity": true}
+	boolean := map[string]bool{"OrPred": true, "AndPred": true, "NotPred": true}
+	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
+		path = filepath.ToSlash(path)
+		if filepath.Dir(path) == "internal/ast" {
+			return
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			name, recv := fn.Name.Name, ""
+			if fn.Recv != nil && len(fn.Recv.List) == 1 {
+				typ := fn.Recv.List[0].Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				if id, ok := typ.(*ast.Ident); ok {
+					name = id.Name + "." + name
+				}
+				if len(fn.Recv.List[0].Names) == 1 {
+					recv = fn.Recv.List[0].Names[0].Name
+				}
+			}
+			switches, recurses := false, false
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CaseClause:
+					for _, e := range n.List {
+						if star, ok := e.(*ast.StarExpr); ok {
+							if sel, ok := star.X.(*ast.SelectorExpr); ok && boolean[sel.Sel.Name] {
+								switches = true
+							}
+						}
+					}
+				case *ast.CallExpr:
+					self := false
+					switch f := n.Fun.(type) {
+					case *ast.Ident:
+						self = recv == "" && f.Name == fn.Name.Name
+					case *ast.SelectorExpr:
+						x, ok := f.X.(*ast.Ident)
+						self = ok && recv != "" && x.Name == recv && f.Sel.Name == fn.Name.Name
+					}
+					for _, arg := range n.Args {
+						if sel, ok := arg.(*ast.SelectorExpr); ok && self && (sel.Sel.Name == "Left" || sel.Sel.Name == "Right" || sel.Sel.Name == "P") {
+							recurses = true
+						}
+					}
+				}
+				return true
+			})
+			if switches && recurses && !combiners[name] {
+				t.Errorf("%s:%d: %s walks a predicate's OR/AND/NOT tree by hand: visit its leaves with ast.Leaves", path, lineOf(t, path, int(fn.Pos()-file.FileStart)), name)
+			}
+		}
+	})
+}
+
 // A row's group used to be found three ways beside the join's flat hash
 // table — ParallelHashGroup's map of group buckets, a field-for-field copy
 // of it in nested iteration, and DISTINCT's own map — and every group was

@@ -235,8 +235,11 @@ func (*OrPred) isPred()     {}
 func (*AndPred) isPred()    {}
 func (*NotPred) isPred()    {}
 
-// SubqueryOf returns the nested query block inside a predicate, if any.
-// A Comparison contributes a block only when one side is a subquery.
+// SubqueryOf returns the block a nested predicate nests — the one that
+// classification and the transformations unnest — or nil for a predicate
+// that nests none, OR, AND and NOT included. A Comparison nests its right
+// subquery, else its left. Readers that must see every block of a
+// predicate ask SubqueriesOf.
 func SubqueryOf(p Predicate) *QueryBlock {
 	switch p := p.(type) {
 	case *Comparison:

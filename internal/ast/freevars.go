@@ -42,31 +42,24 @@ func collectFree(qb *QueryBlock, visible []string, out *[]ColumnRef) {
 	}
 }
 
-// SubqueriesOf returns every nested query block inside a predicate,
-// descending through OR, AND, and NOT.
+// SubqueriesOf returns every nested query block of a predicate's leaves
+// (see Leaves), in order: a leaf's subquery operands, then the block it
+// nests — both subqueries of (SELECT …) = (SELECT …).
 func SubqueriesOf(p Predicate) []*QueryBlock {
-	switch p := p.(type) {
-	case *OrPred:
-		return append(SubqueriesOf(p.Left), SubqueriesOf(p.Right)...)
-	case *AndPred:
-		return append(SubqueriesOf(p.Left), SubqueriesOf(p.Right)...)
-	case *NotPred:
-		return SubqueriesOf(p.P)
-	case *Comparison:
-		var out []*QueryBlock
-		if sq, ok := p.Left.(*Subquery); ok {
-			out = append(out, sq.Block)
+	var out []*QueryBlock
+	Leaves(p, func(leaf Predicate) bool {
+		sides, sub := operands(leaf)
+		for _, e := range sides {
+			if sq, ok := (*e).(*Subquery); ok {
+				out = append(out, sq.Block)
+			}
 		}
-		if sq, ok := p.Right.(*Subquery); ok {
-			out = append(out, sq.Block)
+		if sub != nil {
+			out = append(out, sub)
 		}
-		return out
-	default:
-		if sub := SubqueryOf(p); sub != nil {
-			return []*QueryBlock{sub}
-		}
-		return nil
-	}
+		return true
+	})
+	return out
 }
 
 // IsCorrelated reports whether the block subtree references any binding

@@ -250,46 +250,15 @@ func (qb *QueryBlock) pretty(b *strings.Builder, depth int) {
 	}
 }
 
+// prettyPred prints a nested predicate as its one-line form with the
+// block it nests, always its last operand, broken out on lines of its own.
 func prettyPred(b *strings.Builder, p Predicate, depth int) {
-	sub := SubqueryOf(p)
-	if sub == nil {
-		b.WriteString(p.String())
+	line, sub := p.String(), SubqueryOf(p)
+	if sub == nil || !strings.HasSuffix(line, "("+sub.String()+")") {
+		b.WriteString(line)
 		return
 	}
-	switch p := p.(type) {
-	case *Comparison:
-		if sq, ok := p.Right.(*Subquery); ok {
-			op := p.Op.String()
-			if p.LeftOuter {
-				op += "+"
-			}
-			b.WriteString(p.Left.String() + " " + op + " (\n")
-			sq.Block.pretty(b, depth+1)
-			b.WriteString(")")
-			return
-		}
-		b.WriteString(p.String())
-	case *InPred:
-		neg := ""
-		if p.Negated {
-			neg = "NOT "
-		}
-		b.WriteString(p.Left.String() + " " + neg + "IN (\n")
-		sub.pretty(b, depth+1)
-		b.WriteString(")")
-	case *ExistsPred:
-		neg := ""
-		if p.Negated {
-			neg = "NOT "
-		}
-		b.WriteString(neg + "EXISTS (\n")
-		sub.pretty(b, depth+1)
-		b.WriteString(")")
-	case *QuantPred:
-		b.WriteString(p.Left.String() + " " + p.Op.String() + " " + p.Quant.String() + " (\n")
-		sub.pretty(b, depth+1)
-		b.WriteString(")")
-	default:
-		b.WriteString(p.String())
-	}
+	b.WriteString(strings.TrimSuffix(line, "("+sub.String()+")") + "(\n")
+	sub.pretty(b, depth+1)
+	b.WriteString(")")
 }

@@ -17,25 +17,29 @@ func visitBlocks(qb *QueryBlock, depth int, fn func(b *QueryBlock, depth int) bo
 		return
 	}
 	for _, p := range qb.Where {
-		visitPredBlocks(p, depth, fn)
-	}
-}
-
-func visitPredBlocks(p Predicate, depth int, fn func(b *QueryBlock, depth int) bool) {
-	switch p := p.(type) {
-	case *OrPred:
-		visitPredBlocks(p.Left, depth, fn)
-		visitPredBlocks(p.Right, depth, fn)
-	case *AndPred:
-		visitPredBlocks(p.Left, depth, fn)
-		visitPredBlocks(p.Right, depth, fn)
-	case *NotPred:
-		visitPredBlocks(p.P, depth, fn)
-	default:
-		if sub := SubqueryOf(p); sub != nil {
+		for _, sub := range SubqueriesOf(p) {
 			visitBlocks(sub, depth+1, fn)
 		}
 	}
+}
+
+// Leaves calls fn on each leaf of p — a Comparison, InPred, ExistsPred or
+// QuantPred — under OR, AND and NOT, left to right, until fn returns
+// false, and reports whether it never did. It is the one walk of a
+// predicate's boolean structure: every reader that wants a predicate's
+// columns or nested blocks asks it. The readers that combine a value at
+// each node (the evaluator, selectivity) or copy the tree (ClonePredicate)
+// keep their own switches.
+func Leaves(p Predicate, fn func(leaf Predicate) bool) bool {
+	switch p := p.(type) {
+	case *OrPred:
+		return Leaves(p.Left, fn) && Leaves(p.Right, fn)
+	case *AndPred:
+		return Leaves(p.Left, fn) && Leaves(p.Right, fn)
+	case *NotPred:
+		return Leaves(p.P, fn)
+	}
+	return fn(p)
 }
 
 // MaxDepth returns the nesting depth of the query: 0 for a flat query, 1
@@ -74,25 +78,15 @@ func (qb *QueryBlock) LocalColumnRefs() []ColumnRef {
 // the contents of nested query blocks.
 func PredicateRefs(p Predicate) []ColumnRef {
 	var out []ColumnRef
-	switch p := p.(type) {
-	case *Comparison:
-		out = append(out, exprRefs(p.Left)...)
-		out = append(out, exprRefs(p.Right)...)
-	case *InPred:
-		out = append(out, exprRefs(p.Left)...)
-	case *QuantPred:
-		out = append(out, exprRefs(p.Left)...)
-	case *ExistsPred:
-		// no scalar side
-	case *OrPred:
-		out = append(out, PredicateRefs(p.Left)...)
-		out = append(out, PredicateRefs(p.Right)...)
-	case *AndPred:
-		out = append(out, PredicateRefs(p.Left)...)
-		out = append(out, PredicateRefs(p.Right)...)
-	case *NotPred:
-		out = append(out, PredicateRefs(p.P)...)
-	}
+	Leaves(p, func(leaf Predicate) bool {
+		sides, _ := operands(leaf)
+		for _, e := range sides {
+			if c, ok := (*e).(ColumnRef); ok {
+				out = append(out, c)
+			}
+		}
+		return true
+	})
 	return out
 }
 
@@ -109,13 +103,6 @@ func UniqueRefs(refs []ColumnRef) []ColumnRef {
 	return out
 }
 
-func exprRefs(e Expr) []ColumnRef {
-	if c, ok := e.(ColumnRef); ok {
-		return []ColumnRef{c}
-	}
-	return nil
-}
-
 // RewriteLocalColumns applies fn to every column reference local to the
 // block (see LocalColumnRefs), replacing each with fn's result. Nested
 // blocks are left untouched.
@@ -129,35 +116,33 @@ func (qb *QueryBlock) RewriteLocalColumns(fn func(ColumnRef) ColumnRef) {
 		qb.GroupBy[i] = fn(qb.GroupBy[i])
 	}
 	for _, p := range qb.Where {
-		rewritePredLocal(p, fn)
+		Leaves(p, func(leaf Predicate) bool {
+			sides, _ := operands(leaf)
+			for _, e := range sides {
+				if c, ok := (*e).(ColumnRef); ok {
+					*e = fn(c)
+				}
+			}
+			return true
+		})
 	}
 }
 
-func rewritePredLocal(p Predicate, fn func(ColumnRef) ColumnRef) {
-	switch p := p.(type) {
+// operands splits a leaf into its expression operands and the block it
+// nests: both sides of a comparison; the left of IN or of a quantified
+// comparison, and its block; EXISTS's block.
+func operands(leaf Predicate) ([]*Expr, *QueryBlock) {
+	switch l := leaf.(type) {
 	case *Comparison:
-		p.Left = rewriteExpr(p.Left, fn)
-		p.Right = rewriteExpr(p.Right, fn)
+		return []*Expr{&l.Left, &l.Right}, nil
 	case *InPred:
-		p.Left = rewriteExpr(p.Left, fn)
+		return []*Expr{&l.Left}, l.Sub
 	case *QuantPred:
-		p.Left = rewriteExpr(p.Left, fn)
-	case *OrPred:
-		rewritePredLocal(p.Left, fn)
-		rewritePredLocal(p.Right, fn)
-	case *AndPred:
-		rewritePredLocal(p.Left, fn)
-		rewritePredLocal(p.Right, fn)
-	case *NotPred:
-		rewritePredLocal(p.P, fn)
+		return []*Expr{&l.Left}, l.Sub
+	case *ExistsPred:
+		return nil, l.Sub
 	}
-}
-
-func rewriteExpr(e Expr, fn func(ColumnRef) ColumnRef) Expr {
-	if c, ok := e.(ColumnRef); ok {
-		return fn(c)
-	}
-	return e
+	return nil, nil
 }
 
 // HasDisjunction reports whether any WHERE conjunct (at this block level)

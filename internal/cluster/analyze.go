@@ -193,6 +193,9 @@ func (a *analyzer) pred(p ast.Predicate, scope []scopeFrame) error {
 		if p.Negated {
 			return notDistributable("NOT IN: an inner NULL on another shard would flip the result")
 		}
+		if _, ok := p.Left.(*ast.Subquery); ok {
+			return notDistributable("subquery on both sides of IN")
+		}
 		subFrame, err := a.block(p.Sub, scope)
 		if err != nil {
 			return err
@@ -235,11 +238,9 @@ func (a *analyzer) comparison(p *ast.Comparison, scope []scopeFrame) error {
 	// links. A scalar subquery with no correlation stays disconnected
 	// and is rejected by connectivity — correctly, since its value
 	// depends on rows the shard cannot see.
-	for _, side := range []ast.Expr{p.Left, p.Right} {
-		if sq, ok := side.(*ast.Subquery); ok {
-			if _, err := a.block(sq.Block, scope); err != nil {
-				return err
-			}
+	for _, sub := range ast.SubqueriesOf(p) {
+		if _, err := a.block(sub, scope); err != nil {
+			return err
 		}
 	}
 	lref, lok := p.Left.(ast.ColumnRef)
@@ -249,8 +250,11 @@ func (a *analyzer) comparison(p *ast.Comparison, scope []scopeFrame) error {
 	}
 	lid, lr := resolve(lref, scope)
 	rid, rr := resolve(rref, scope)
-	if !lr || !rr {
-		return notDistributable("unresolved column reference %s", cond(lr, rref, lref).String())
+	if !lr {
+		return notDistributable("unresolved column reference %s", lref)
+	}
+	if !rr {
+		return notDistributable("unresolved column reference %s", rref)
 	}
 	if lid == rid {
 		return nil // same binding: row-local filter
@@ -261,13 +265,6 @@ func (a *analyzer) comparison(p *ast.Comparison, scope []scopeFrame) error {
 	return a.link(lid, lref.Column, rid, rref.Column)
 }
 
-func cond(useA bool, a, b ast.ColumnRef) ast.ColumnRef {
-	if useA {
-		return a
-	}
-	return b
-}
-
 // boolean handles OR / NOT / nested AND conjuncts: allowed only as a
 // row-local filter — no subqueries inside, and every column it touches
 // from one binding. Anything wider would need cross-shard reasoning
@@ -276,9 +273,8 @@ func (a *analyzer) boolean(p ast.Predicate, scope []scopeFrame) error {
 	if len(ast.SubqueriesOf(p)) > 0 {
 		return notDistributable("OR/NOT over a subquery")
 	}
-	refs := booleanRefs(p)
 	seen := -1
-	for _, ref := range refs {
+	for _, ref := range ast.PredicateRefs(p) {
 		id, ok := resolve(ref, scope)
 		if !ok {
 			return notDistributable("unresolved column reference %s", ref.String())
@@ -290,31 +286,4 @@ func (a *analyzer) boolean(p ast.Predicate, scope []scopeFrame) error {
 		}
 	}
 	return nil
-}
-
-func booleanRefs(p ast.Predicate) []ast.ColumnRef {
-	var out []ast.ColumnRef
-	add := func(e ast.Expr) {
-		if c, ok := e.(ast.ColumnRef); ok {
-			out = append(out, c)
-		}
-	}
-	switch p := p.(type) {
-	case *ast.Comparison:
-		add(p.Left)
-		add(p.Right)
-	case *ast.InPred:
-		add(p.Left)
-	case *ast.QuantPred:
-		add(p.Left)
-	case *ast.OrPred:
-		out = append(out, booleanRefs(p.Left)...)
-		out = append(out, booleanRefs(p.Right)...)
-	case *ast.AndPred:
-		out = append(out, booleanRefs(p.Left)...)
-		out = append(out, booleanRefs(p.Right)...)
-	case *ast.NotPred:
-		out = append(out, booleanRefs(p.P)...)
-	}
-	return out
 }

@@ -120,6 +120,9 @@ func TestAnalyzeRejects(t *testing.T) {
 		// cannot see.
 		"SELECT SNAME FROM S WHERE SNO = (SELECT MAX(SNO) FROM SP)",
 		"SELECT SNAME FROM S WHERE EXISTS (SELECT SNO FROM SP WHERE QTY > 0)",
+		// A subquery left of IN is a block the IN's own link does not
+		// tie to the rest.
+		"SELECT S.SNAME FROM S WHERE (SELECT MAX(SP.QTY) FROM SP WHERE SP.SNO = S.SNO) IN (SELECT SP.QTY FROM SP WHERE SP.SNO = S.SNO)",
 		// Disjunction across tables needs cross-shard reasoning.
 		"SELECT S.SNAME FROM S, SP WHERE S.SNO = SP.SNO AND (S.CITY = 'PARIS' OR SP.QTY = 1)",
 	}

@@ -22,7 +22,7 @@ import (
 // cluster feature, then answers each request frame the way its mode says.
 type fakeWorker struct {
 	lis      net.Listener
-	mode     atomic.Value // string: ok | reset | silent | typed | unknown
+	mode     atomic.Value // string: ok | reset | silent | typed | unknown | unknown-logical
 	accepted atomic.Int64 // connections accepted so far
 	mu       sync.Mutex
 	conns    []net.Conn
@@ -125,6 +125,8 @@ func (fw *fakeWorker) serve(nc net.Conn) {
 			send(frame{wire.FrameError, wire.EncodeError(wire.ErrorFrame{Code: wire.CodeMemoryBudget, Message: "memory limit"})})
 		case "unknown":
 			send(frame{wire.FrameError, wire.EncodeError(wire.ErrorFrame{Code: wire.CodeInternal, Message: "engine: unknown relation T__S0"})})
+		case "unknown-logical": // a name no worker hosts: the statement was wrong, the worker is fine
+			send(frame{wire.FrameError, wire.EncodeError(wire.ErrorFrame{Code: wire.CodeInternal, Message: "schema: unknown relation T"})})
 		}
 	}
 }
@@ -207,6 +209,7 @@ func TestWorkerAttemptRule(t *testing.T) {
 		{"IOTimeout", "silent", want{0, "suspect", func(err error) bool { return lost(err) && errors.Is(err, client.ErrConnectionLost) }}},
 		{"typed RemoteError", "typed", want{1, "healthy", func(err error) bool { return typed(err) && errors.Is(err, qctx.ErrMemoryBudget) }}},
 		{"unknown relation", "unknown", want{1, "dead", func(err error) bool { return typed(err) && strings.Contains(err.Error(), "unknown relation") }}},
+		{"unknown logical relation", "unknown-logical", want{1, "healthy", func(err error) bool { return typed(err) && strings.Contains(err.Error(), "unknown relation") }}},
 		{"consumer callback error", "ok", want{0, "healthy", func(err error) bool { return errors.Is(err, errConsumer) }}},
 	}
 	for xname, exchange := range exchanges {

@@ -6,9 +6,11 @@ package cluster_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,7 +50,8 @@ INSERT INTO SP VALUES
 // clusterQueries are distributable shapes covering both rounds: the
 // co-located fast path (correlation on the placement key SNO) and, for
 // tables placed differently, the shuffle. Query 2 is the paper's
-// COUNT bug territory: COUNT=0 suppliers must surface.
+// COUNT bug territory: COUNT=0 suppliers must surface. The last compares
+// two subqueries: the per-shard rewrite must rename the tables of both.
 var clusterQueries = []string{
 	"SELECT S.SNAME, S.CITY FROM S WHERE S.CITY = 'PARIS'",
 	"SELECT S.SNO, S.SNAME FROM S WHERE 0 = (SELECT COUNT(SP.PNO) FROM SP WHERE SP.SNO = S.SNO)",
@@ -56,6 +59,7 @@ var clusterQueries = []string{
 	"SELECT S.SNAME FROM S WHERE 300 <= (SELECT SUM(SP.QTY) FROM SP WHERE SP.SNO = S.SNO)",
 	"SELECT S.SNAME FROM S WHERE NOT EXISTS (SELECT SP.PNO FROM SP WHERE SP.SNO = S.SNO)",
 	"SELECT S.SNAME FROM S WHERE S.SNO > ALL (SELECT SP.PNO FROM SP WHERE SP.SNO = S.SNO)",
+	"SELECT S.SNAME FROM S WHERE (SELECT COUNT(SP.PNO) FROM SP WHERE SP.SNO = S.SNO) = (SELECT COUNT(SP.QTY) FROM SP WHERE SP.SNO = S.SNO)",
 }
 
 // canonSorted is a byte-comparison key for rows: a canonical total order,
@@ -136,7 +140,8 @@ var clusterStrategies = []engine.Strategy{
 // the COUNT=0 groups — for both placements: co-located (SP placed on
 // the correlation key SNO, pure 2-local-rounds) and misplaced (SP
 // placed on PNO, forcing the shuffle round); each both unreplicated and
-// at R=2, where every shard's slice lives on two workers.
+// at R=2, where every shard's slice lives on two workers. No query may
+// cost a worker its health.
 func TestDistributedNestJA2(t *testing.T) {
 	oracle := oracleDB(t)
 	for _, tc := range []struct {
@@ -183,7 +188,83 @@ func TestDistributedNestJA2(t *testing.T) {
 			if n := co.LiveStaging(); n != 0 {
 				t.Errorf("%d staging tables leaked", n)
 			}
+			for w, state := range co.WorkerStates() {
+				if state != "healthy" {
+					t.Errorf("worker %d is %s after the queries, want healthy", w, state)
+				}
+			}
 		})
+	}
+}
+
+// TestCoordinatorShutdownDrainsInFlightStream is the server's graceful
+// shutdown guarantee (TestShutdownDrainsInFlightStream) in front of a
+// coordinator: Shutdown while a result streams to the client lets the
+// statement finish, and the client receives every row and a clean Done.
+// The client pauses after the first row, so the result — far more than
+// the socket buffers hold — is still being written when Shutdown lands.
+func TestCoordinatorShutdownDrainsInFlightStream(t *testing.T) {
+	addrs, _ := startWorkers(t, 2, false)
+	co, err := cluster.New(cluster.Config{Workers: addrs, IOTimeout: 10 * time.Second, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	const n = 3000
+	var script strings.Builder
+	pad := strings.Repeat("x", 200)
+	script.WriteString("CREATE TABLE T (K INTEGER, V TEXT); INSERT INTO T VALUES ")
+	for i := range n {
+		if i > 0 {
+			script.WriteString(", ")
+		}
+		fmt.Fprintf(&script, "(%d, '%s')", i, pad)
+	}
+	if _, err := co.ExecSQL(script.String(), engine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+
+	front := server.NewBackend(co, server.Config{Strategy: engine.TransformJA2, BatchRows: 4})
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- front.Serve(lis) }()
+	c, err := client.Dial(lis.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.Query("SELECT T.K, T.V FROM T", client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Next() {
+		t.Fatalf("no first row: %v", st.Err())
+	}
+
+	shutdownErr := make(chan error, 1)
+	go func() { shutdownErr <- front.Shutdown(10 * time.Second) }()
+	time.Sleep(200 * time.Millisecond)
+	rows := 1
+	for st.Next() {
+		rows++
+	}
+	if err := st.Err(); err != nil {
+		t.Fatalf("in-flight stream broken by shutdown after %d rows: %v", rows, err)
+	}
+	if rows != n {
+		t.Errorf("drained stream delivered %d rows, want %d", rows, n)
+	}
+	if err := <-shutdownErr; err != nil {
+		t.Errorf("Shutdown: %v", err)
+	}
+	if err := <-serveErr; err != nil {
+		t.Errorf("Serve: %v", err)
+	}
+	if _, err := co.ExecSQL("SELECT T.K FROM T", engine.Options{}); !errors.Is(err, qctx.ErrOverloaded) {
+		t.Errorf("statement after the drain: got %v, want a typed overload refusal", err)
 	}
 }
 

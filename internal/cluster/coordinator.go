@@ -92,6 +92,12 @@ type Coordinator struct {
 		tables map[string]*stagingEntry // physical staging table -> who holds it
 	}
 
+	drain struct {
+		sync.Mutex
+		inflight int           // statements inside ExecSQL
+		idle     chan struct{} // made by Drain, closed once inflight is 0
+	}
+
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -155,10 +161,28 @@ func (co *Coordinator) Close() error {
 	return nil
 }
 
-// Drain satisfies server.Backend. The coordinator holds no queries of
-// its own — in-flight statements finish under the statement lock, and
-// the workers drain their engines during their own shutdowns.
-func (co *Coordinator) Drain(time.Duration) error { return nil }
+// Drain satisfies server.Backend: it refuses new statements with a typed
+// overload error and waits up to timeout for those in flight, so a server
+// in front of the coordinator closes no session while its result is still
+// being gathered or streamed. The workers drain their engines in their own
+// shutdowns.
+func (co *Coordinator) Drain(timeout time.Duration) error {
+	co.drain.Lock()
+	if co.drain.idle == nil {
+		co.drain.idle = make(chan struct{})
+		if co.drain.inflight == 0 {
+			close(co.drain.idle)
+		}
+	}
+	idle := co.drain.idle
+	co.drain.Unlock()
+	select {
+	case <-idle:
+		return nil
+	case <-time.After(timeout):
+		return fmt.Errorf("cluster: drain: statements still running after %v", timeout)
+	}
+}
 
 // NumWorkers returns the worker (and shard) count.
 func (co *Coordinator) NumWorkers() int { return len(co.cfg.Workers) }
@@ -228,10 +252,10 @@ func (co *Coordinator) hostedShards(w int) []int {
 //   - any other error is a typed answer and proves the worker alive: the
 //     connection returns to the pool (which closes it if fn abandoned
 //     the exchange mid-stream) and the error passes through untouched —
-//     except that "unknown relation" also marks the worker dead: it is
-//     missing a table it was sent to because it hosts it, so it
-//     restarted empty and must rejoin from a snapshot. (A drop, for
-//     which missing means done, filters that answer inside fn.)
+//     except that "unknown relation" for a shard slice the worker hosts
+//     (lostShard) also marks it dead: it restarted empty and must rejoin
+//     from a snapshot. (A drop, for which missing means done, filters
+//     that answer inside fn.)
 //   - success returns the connection and heals a suspect worker.
 func (co *Coordinator) withWorker(w int, fn func(*client.Conn) error) error {
 	pool := co.pools[w]
@@ -251,7 +275,7 @@ func (co *Coordinator) withWorker(w int, fn func(*client.Conn) error) error {
 		return &WorkerLostError{Worker: w, Addr: pool.Addr(), Cause: err}
 	case err == nil:
 		co.health.markSuccess(w)
-	case unknownRelation(err):
+	case co.lostShard(w, err):
 		co.health.markDead(w)
 	}
 	pool.Put(conn)
@@ -286,7 +310,7 @@ func (co *Coordinator) drop(w int, phys string) error {
 // onReplica is the replica-failover iterator: it offers shard s's live
 // replicas (those ok admits, when given), in placement order, to try —
 // one withWorker attempt each — until one succeeds. A lost worker or one
-// found dead (unknown relation) fails over to the next replica; any
+// found dead (lostShard) fails over to the next replica; any
 // other error is a typed, deterministic answer that a peer would only
 // repeat, and ends the iteration. try must buffer what it gathers per
 // attempt: a mid-stream loss discards the partial buffer and the next
@@ -303,7 +327,7 @@ func (co *Coordinator) onReplica(s int, ok []bool, qc *qctx.QueryContext, try fu
 			return err
 		}
 		err = co.withWorker(w, func(c *client.Conn) error { return try(w, c, left) })
-		if err == nil || !(transportFailure(err) || unknownRelation(err)) {
+		if err == nil || !(transportFailure(err) || co.lostShard(w, err)) {
 			return err
 		}
 		lastErr = err
@@ -420,8 +444,17 @@ func (co *Coordinator) load(w int, table string, cols []string, rows []storage.T
 // engine.Exec's contract: the result is the last SELECT's, Affected
 // accumulates DML counts, and a failing statement aborts the script
 // with prior statements applied. SELECTs share the read lock; DDL and
-// DML serialize under the write lock.
+// DML serialize under the write lock. Once Drain has begun, a script is
+// refused whole with a typed overload error.
 func (co *Coordinator) ExecSQL(sql string, opts engine.Options) (*engine.Result, error) {
+	co.drain.Lock()
+	if co.drain.idle != nil {
+		co.drain.Unlock()
+		return nil, &qctx.OverloadError{Reason: "draining"}
+	}
+	co.drain.inflight++
+	co.drain.Unlock()
+	defer co.statementDone()
 	stmts, err := sqlparser.ParseScript(sql)
 	if err != nil {
 		return nil, err
@@ -452,6 +485,15 @@ func (co *Coordinator) ExecSQL(sql string, opts engine.Options) (*engine.Result,
 	}
 	last.Affected = affected
 	return last, nil
+}
+
+// statementDone ends one ExecSQL, waking a Drain that waits for the last.
+func (co *Coordinator) statementDone() {
+	co.drain.Lock()
+	defer co.drain.Unlock()
+	if co.drain.inflight--; co.drain.inflight == 0 && co.drain.idle != nil {
+		close(co.drain.idle)
+	}
 }
 
 // execWrite dispatches one non-SELECT statement under the write lock.
@@ -607,19 +649,12 @@ func renderShardDML(stmt sqlparser.Statement, shard int) string {
 // stripQualifiers deep-copies the predicates with every column's table
 // qualifier cleared.
 func stripQualifiers(where []ast.Predicate) []ast.Predicate {
-	if len(where) == 0 {
-		return nil
-	}
-	out := make([]ast.Predicate, len(where))
-	for i, p := range where {
-		out[i] = ast.ClonePredicate(p)
-	}
-	qb := &ast.QueryBlock{Where: out}
+	qb := (&ast.QueryBlock{Where: where}).Clone()
 	qb.RewriteLocalColumns(func(c ast.ColumnRef) ast.ColumnRef {
 		c.Table = ""
 		return c
 	})
-	return out
+	return qb.Where
 }
 
 // execDrop removes every shard slice from every live replica, best

@@ -276,9 +276,19 @@ func transportFailure(err error) bool {
 }
 
 // unknownRelation reports a typed "unknown relation" answer: for a
-// physical table the worker hosts, it restarted empty (lost state); for a
-// table being dropped, it is already gone.
+// physical table the worker hosts, it restarted empty (lost state, see
+// lostShard); for a table being dropped, it is already gone.
 func unknownRelation(err error) bool {
 	var re *wire.RemoteError
 	return errors.As(err, &re) && strings.Contains(re.Frame.Message, "unknown relation")
+}
+
+// lostShard reports an "unknown relation" answer from worker w that names
+// a physical slice (shardTable's T__S<n>) of a shard w hosts: the worker
+// restarted empty and must rejoin. Any other missing name — a logical
+// table a statement named, say — is a wrong statement, not lost state.
+func (co *Coordinator) lostShard(w int, err error) bool {
+	return unknownRelation(err) && slices.ContainsFunc(co.hostedShards(w), func(s int) bool {
+		return strings.HasSuffix(err.Error(), shardTable("", s))
+	})
 }

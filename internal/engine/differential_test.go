@@ -224,6 +224,39 @@ func TestDifferentialExists(t *testing.T) {
 	}
 }
 
+// TestTwoSubqueryPredicatesFallBack: a predicate with a subquery on each
+// side — a comparison, or an IN — has no rewrite in the paper. NEST-JA2
+// and Kim's NEST-JA fall back to nested iteration and answer what it does.
+func TestTwoSubqueryPredicatesFallBack(t *testing.T) {
+	queries := []string{
+		`SELECT PNUM FROM PARTS WHERE (SELECT COUNT(QUAN) FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)
+		 = (SELECT COUNT(SDAY) FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND SDAY < 6)`,
+		`SELECT PNUM FROM PARTS WHERE (SELECT MAX(QUAN) FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)
+		 IN (SELECT P2.QOH FROM PARTS P2)`,
+	}
+	for seed := range 6 {
+		db := randomInstance(t, rand.New(rand.NewSource(int64(950+seed))), 8)
+		for _, sql := range queries {
+			ni, err := db.Query(sql, engine.Options{Strategy: engine.NestedIteration})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []engine.Strategy{engine.TransformJA2, engine.TransformKim} {
+				res, err := db.Query(sql, engine.Options{Strategy: s})
+				if err != nil {
+					t.Fatalf("seed=%d %v %q: %v", seed, s, sql, err)
+				}
+				if !res.FellBack {
+					t.Errorf("seed=%d %v %q: transformed, want a fallback to nested iteration", seed, s, sql)
+				}
+				if d := diffNI(sql, res, ni); d != "" {
+					t.Errorf("seed=%d %v %q: %s", seed, s, sql, d)
+				}
+			}
+		}
+	}
+}
+
 // Section 5.2's note: a type-JA query with COUNT *and* a non-equality
 // correlated operator needs the scalar operator inside the outer join.
 // Hand-checked on the section 5.3 instance: only part 3 (QOH = 0, no

@@ -44,25 +44,12 @@ func hasAllQuantifier(qb *ast.QueryBlock) bool {
 	found := false
 	ast.VisitBlocks(qb, func(b *ast.QueryBlock, _ int) bool {
 		for _, p := range b.Where {
-			if predHasAll(p) {
-				found = true
-			}
+			found = found || !ast.Leaves(p, func(leaf ast.Predicate) bool {
+				q, ok := leaf.(*ast.QuantPred)
+				return !ok || q.Quant != ast.All
+			})
 		}
 		return !found
 	})
 	return found
-}
-
-func predHasAll(p ast.Predicate) bool {
-	switch p := p.(type) {
-	case *ast.QuantPred:
-		return p.Quant == ast.All
-	case *ast.OrPred:
-		return predHasAll(p.Left) || predHasAll(p.Right)
-	case *ast.AndPred:
-		return predHasAll(p.Left) || predHasAll(p.Right)
-	case *ast.NotPred:
-		return predHasAll(p.P)
-	}
-	return false
 }

@@ -15,6 +15,8 @@ func TestAgreementRule(t *testing.T) {
 		deep  = `SELECT PNUM FROM PARTS WHERE PNUM IN (SELECT PNUM FROM SUPPLY WHERE QUAN >= ALL (SELECT QOH FROM PARTS))`
 		or    = `SELECT PNUM FROM PARTS WHERE QOH = 0 OR QOH > ALL (SELECT QUAN FROM SUPPLY)`
 		not   = `SELECT PNUM FROM PARTS WHERE NOT (QOH < ALL (SELECT QUAN FROM SUPPLY))`
+		// The ALL sits in the left one of two subqueries of a comparison.
+		left = `SELECT PNUM FROM PARTS WHERE (SELECT COUNT(QUAN) FROM SUPPLY WHERE QUAN > ALL (SELECT QOH FROM PARTS)) = (SELECT COUNT(QOH) FROM PARTS)`
 	)
 	for _, c := range []struct {
 		name, sql string
@@ -27,6 +29,7 @@ func TestAgreementRule(t *testing.T) {
 		{"ALL at depth 2", deep, TransformJA2, storage.AgreeNone},
 		{"ALL under OR", or, TransformJA2, storage.AgreeNone},
 		{"ALL under NOT", not, TransformJA2, storage.AgreeNone},
+		{"ALL in a comparison's left subquery", left, TransformJA2, storage.AgreeNone},
 		{"ALL under NI", deep, NestedIteration, storage.AgreeBag},
 	} {
 		if got := AgreementWithNI(sqlparser.MustParse(c.sql), c.s); got != c.want {

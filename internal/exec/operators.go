@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"cmp"
 	"fmt"
 
 	"repro/internal/ast"
@@ -328,22 +327,18 @@ func CompileConjuncts(preds []ast.Predicate, sch RowSchema) (RowPred, error) {
 	return fe.ev.CompileFilter(preds, sch)
 }
 
-// planPredicate refuses a predicate a plan cannot evaluate.
-func planPredicate(p ast.Predicate) error {
-	switch p := p.(type) {
-	case *ast.Comparison:
-		if p.LeftOuter {
-			return fmt.Errorf("exec: outer-join predicate %s cannot be a filter", p)
+// planPredicate refuses a predicate a plan cannot evaluate: one with a
+// leaf that is no comparison of scalars, or is an outer-join comparison.
+func planPredicate(p ast.Predicate) (err error) {
+	ast.Leaves(p, func(leaf ast.Predicate) bool {
+		c, ok := leaf.(*ast.Comparison)
+		switch {
+		case ok && c.LeftOuter:
+			err = fmt.Errorf("exec: outer-join predicate %s cannot be a filter", c)
+		case !ok || len(ast.SubqueriesOf(c)) > 0:
+			err = fmt.Errorf("exec: cannot compile predicate %s into a plan", leaf)
 		}
-		if len(ast.SubqueriesOf(p)) == 0 {
-			return nil
-		}
-	case *ast.OrPred:
-		return cmp.Or(planPredicate(p.Left), planPredicate(p.Right))
-	case *ast.AndPred:
-		return cmp.Or(planPredicate(p.Left), planPredicate(p.Right))
-	case *ast.NotPred:
-		return planPredicate(p.P)
-	}
-	return fmt.Errorf("exec: cannot compile predicate %s into a plan", p)
+		return err == nil
+	})
+	return err
 }

@@ -284,20 +284,22 @@ func (p *Planner) streams(res *transform.Result, i int) bool {
 	return from == 1 && nested == 0
 }
 
-// refs counts qb's FROM entries naming relation name, and those of the
-// subqueries in its WHERE, at any depth.
+// refs counts the FROM entries naming relation name in qb itself, and in
+// the blocks nested in it at any depth.
 func refs(qb *ast.QueryBlock, name string) (from, nested int) {
-	for _, tr := range qb.From {
-		if strings.EqualFold(tr.Relation, name) {
-			from++
+	ast.VisitBlocks(qb, func(b *ast.QueryBlock, depth int) bool {
+		for _, tr := range b.From {
+			if !strings.EqualFold(tr.Relation, name) {
+				continue
+			}
+			if depth == 0 {
+				from++
+			} else {
+				nested++
+			}
 		}
-	}
-	for _, c := range qb.Where {
-		for _, sub := range ast.SubqueriesOf(c) {
-			f, n := refs(sub, name)
-			nested += f + n
-		}
-	}
+		return true
+	})
 	return from, nested
 }
 

@@ -257,7 +257,16 @@ func (r *resolver) column(c ast.ColumnRef) (ast.ColumnRef, value.Kind, error) {
 	return c, 0, fmt.Errorf("schema: unknown column %s", c.Column)
 }
 
-func (r *resolver) predicate(p ast.Predicate) error {
+func (r *resolver) predicate(p ast.Predicate) (err error) {
+	ast.Leaves(p, func(leaf ast.Predicate) bool {
+		err = r.leaf(leaf)
+		return err == nil
+	})
+	return err
+}
+
+// leaf resolves one leaf of a predicate (see ast.Leaves) in place.
+func (r *resolver) leaf(p ast.Predicate) error {
 	switch p := p.(type) {
 	case *ast.Comparison:
 		lt, err := r.expr(&p.Left)
@@ -270,51 +279,34 @@ func (r *resolver) predicate(p ast.Predicate) error {
 		}
 		return r.checkComparable(&p.Left, lt, &p.Right, rt)
 	case *ast.InPred:
-		lt, err := r.expr(&p.Left)
-		if err != nil {
-			return err
-		}
-		sub, err := r.subquery(p.Sub)
-		if err != nil {
-			return err
-		}
-		if len(sub) != 1 {
-			return fmt.Errorf("schema: IN subquery must select exactly one column, got %d", len(sub))
-		}
-		var dummy ast.Expr = ast.Const{Val: value.Null}
-		return r.checkComparable(&p.Left, lt, &dummy, sub[0].Type)
+		return r.setComparison(&p.Left, p.Sub, "IN")
 	case *ast.ExistsPred:
-		_, err := r.subquery(p.Sub)
+		_, err := r.block(p.Sub)
 		return err
 	case *ast.QuantPred:
-		lt, err := r.expr(&p.Left)
-		if err != nil {
-			return err
-		}
-		sub, err := r.subquery(p.Sub)
-		if err != nil {
-			return err
-		}
-		if len(sub) != 1 {
-			return fmt.Errorf("schema: quantified subquery must select exactly one column, got %d", len(sub))
-		}
-		var dummy ast.Expr = ast.Const{Val: value.Null}
-		return r.checkComparable(&p.Left, lt, &dummy, sub[0].Type)
-	case *ast.OrPred:
-		if err := r.predicate(p.Left); err != nil {
-			return err
-		}
-		return r.predicate(p.Right)
-	case *ast.AndPred:
-		if err := r.predicate(p.Left); err != nil {
-			return err
-		}
-		return r.predicate(p.Right)
-	case *ast.NotPred:
-		return r.predicate(p.P)
+		return r.setComparison(&p.Left, p.Sub, "quantified")
 	default:
 		return fmt.Errorf("schema: unknown predicate type %T", p)
 	}
+}
+
+// setComparison resolves the left operand of IN or of a quantified
+// comparison, and the block it is compared with, which must select one
+// column of a comparable type.
+func (r *resolver) setComparison(left *ast.Expr, sub *ast.QueryBlock, what string) error {
+	lt, err := r.expr(left)
+	if err != nil {
+		return err
+	}
+	out, err := r.block(sub)
+	if err != nil {
+		return err
+	}
+	if len(out) != 1 {
+		return fmt.Errorf("schema: %s subquery must select exactly one column, got %d", what, len(out))
+	}
+	var dummy ast.Expr = ast.Const{Val: value.Null}
+	return r.checkComparable(left, lt, &dummy, out[0].Type)
 }
 
 // expr resolves an expression in place and returns its type.
@@ -330,7 +322,7 @@ func (r *resolver) expr(e *ast.Expr) (value.Kind, error) {
 	case ast.Const:
 		return ex.Val.Kind(), nil
 	case *ast.Subquery:
-		out, err := r.subquery(ex.Block)
+		out, err := r.block(ex.Block)
 		if err != nil {
 			return 0, err
 		}
@@ -341,10 +333,6 @@ func (r *resolver) expr(e *ast.Expr) (value.Kind, error) {
 	default:
 		return 0, fmt.Errorf("schema: unknown expression type %T", ex)
 	}
-}
-
-func (r *resolver) subquery(qb *ast.QueryBlock) ([]OutputCol, error) {
-	return r.block(qb)
 }
 
 // typeClass groups kinds into comparability classes.

@@ -167,7 +167,9 @@ func (s *Server) Serve(lis net.Listener) error {
 // Shutdown stops the server gracefully: the listener closes (Serve
 // returns), the engine drains — in-flight queries get until timeout to
 // finish streaming, queued and new ones are shed — then every
-// connection is closed and Shutdown waits for the sessions to unwind.
+// connection is closed, a session writing a drained statement's Done
+// frame once it has (its write deadline bounds that), and Shutdown waits
+// for the sessions to unwind.
 // It returns the drain error, if any (stragglers were canceled).
 //
 // The whole sequence is bounded by the timeout: the drain runs
@@ -210,7 +212,11 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 
 	s.mu.Lock()
 	for sess := range s.sessions {
-		sess.conn.Close()
+		// A drained statement may still be writing its Done frame: stop
+		// the session's reads instead, and it closes itself once idle.
+		if cr, ok := sess.conn.(interface{ CloseRead() error }); !ok || !gotDrain || cr.CloseRead() != nil {
+			sess.conn.Close()
+		}
 	}
 	s.mu.Unlock()
 	if !gotDrain {

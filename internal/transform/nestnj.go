@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -140,24 +141,16 @@ func (t *Transformer) freshAlias(base string, taken map[string]bool) string {
 // the block subtree, stopping at any descendant block whose own FROM
 // clause re-binds the old name (shadowing).
 func renameBinding(qb *ast.QueryBlock, old, new string) {
-	qb.RewriteLocalColumns(func(c ast.ColumnRef) ast.ColumnRef {
-		if strings.EqualFold(c.Table, old) {
-			c.Table = new
+	ast.VisitBlocks(qb, func(b *ast.QueryBlock, depth int) bool {
+		if depth > 0 && slices.ContainsFunc(b.From, func(tr ast.TableRef) bool { return strings.EqualFold(tr.Binding(), old) }) {
+			return false // shadowed
 		}
-		return c
+		b.RewriteLocalColumns(func(c ast.ColumnRef) ast.ColumnRef {
+			if strings.EqualFold(c.Table, old) {
+				c.Table = new
+			}
+			return c
+		})
+		return true
 	})
-	for _, p := range qb.Where {
-		for _, sub := range ast.SubqueriesOf(p) {
-			shadowed := false
-			for _, tr := range sub.From {
-				if strings.EqualFold(tr.Binding(), old) {
-					shadowed = true
-					break
-				}
-			}
-			if !shadowed {
-				renameBinding(sub, old, new)
-			}
-		}
-	}
 }

@@ -176,7 +176,7 @@ func (t *Transformer) nestG(qb *ast.QueryBlock) error {
 		if err != nil {
 			return err
 		}
-		p, err = t.normalizeComparison(p)
+		p, err = normalizeComparison(p)
 		if err != nil {
 			return err
 		}
@@ -228,21 +228,25 @@ func (t *Transformer) nestG(qb *ast.QueryBlock) error {
 
 // normalizeComparison places the subquery operand of a comparison on the
 // right-hand side (flipping the operator), the form the algorithms expect.
-func (t *Transformer) normalizeComparison(p ast.Predicate) (ast.Predicate, error) {
-	cmp, ok := p.(*ast.Comparison)
-	if !ok {
-		return p, nil
+// A subquery on both sides of a comparison or of IN (where = ANY lands) is
+// left to nested iteration.
+func normalizeComparison(p ast.Predicate) (ast.Predicate, error) {
+	switch p := p.(type) {
+	case *ast.Comparison:
+		_, lsub := p.Left.(*ast.Subquery)
+		_, rsub := p.Right.(*ast.Subquery)
+		switch {
+		case lsub && rsub:
+			return nil, notTransformable("comparison between two subqueries")
+		case lsub:
+			return &ast.Comparison{Left: p.Right, Op: p.Op.Flip(), Right: p.Left}, nil
+		}
+	case *ast.InPred:
+		if _, lsub := p.Left.(*ast.Subquery); lsub {
+			return nil, notTransformable("IN between two subqueries")
+		}
 	}
-	_, lsub := cmp.Left.(*ast.Subquery)
-	_, rsub := cmp.Right.(*ast.Subquery)
-	switch {
-	case lsub && rsub:
-		return nil, notTransformable("comparison between two subqueries")
-	case lsub:
-		return &ast.Comparison{Left: cmp.Right, Op: cmp.Op.Flip(), Right: cmp.Left}, nil
-	default:
-		return p, nil
-	}
+	return p, nil
 }
 
 // typeAPredicate converts type-A predicates to scalar-comparison form. An
