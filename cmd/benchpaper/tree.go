@@ -51,7 +51,7 @@ func expTree() {
 	}
 	fmt.Println("\n  nest_g transformation steps (postorder):")
 	for _, s := range tr.Steps {
-		fmt.Printf("    %-14s %s\n", s.Rule+":", s.Detail)
+		fmt.Printf("    %-14s %s\n", s.Rule+":", trace.StepText(s.Text, &trace.Detail{Rel: s.Rel, Block: s.Block, Preds: s.Preds}))
 	}
 	fmt.Printf("\n  Canonical query: %s\n\n", tr.Query)
 

@@ -605,8 +605,10 @@ func (db *DB) runTransformed(qb *ast.QueryBlock, variant transform.Variant, opts
 		return err
 	}
 	res.Trace = slices.Grow(res.Trace, traceRoom(tr, opts.Planner, qc))
-	for _, s := range tr.Steps {
-		res.Trace = append(res.Trace, trace.Event{Kind: trace.Step, Label: s.Rule, Text: s.Detail})
+	operands := make([]trace.Detail, len(tr.Steps))
+	for i, s := range tr.Steps {
+		operands[i] = trace.Detail{Rel: s.Rel, Block: s.Block, Preds: s.Preds}
+		res.Trace = append(res.Trace, trace.Event{Kind: trace.Step, Label: s.Rule, Text: s.Text, Detail: &operands[i]})
 	}
 	popts := opts.Planner
 	if popts.Stats == nil {
@@ -693,10 +695,11 @@ func (db *DB) runTransformed(qb *ast.QueryBlock, variant transform.Variant, opts
 
 // traceRoom sizes a transformed query's trace, so that the planner appends
 // its events to the slice that holds the steps: the steps, and per block
-// its plan, its grouping or ordering, a temp's materialization (or, for a
-// temp streamed into its reader, the one streamed event in place of its
-// plan and materialization), and per join one decision — three where the
-// plan sort-merges, which records each input's sort or its elision.
+// its plan, its grouping or ordering, a temp's materialization or holding
+// in memory (or, for a temp streamed into its reader, the one streamed
+// event in place of its plan and materialization), and per join one
+// decision — three where the plan sort-merges, which records each input's
+// sort or its elision.
 func traceRoom(tr *transform.Result, o planner.Options, qc *qctx.QueryContext) int {
 	perJoin := 1
 	if o.TempJoin == planner.JoinMerge || o.FinalJoin == planner.JoinMerge || qc.SpillPolicy() == qctx.SpillForced {

@@ -381,3 +381,30 @@ func isKind(k trace.Kind) func(trace.Event) bool {
 // traceText renders res's trace, for failure messages and for the plan
 // outline fragments no event kind names.
 func traceText(res *engine.Result) string { return strings.Join(trace.Lines(res.Trace), "\n") }
+
+// A transformation step keeps its operands and is rendered when read, so
+// it must print them as the rule produced them: the planner's folding of a
+// type-A subquery into its value, and a later merge's renaming of a
+// binding the step's predicate names, change what runs, not the step.
+func TestStepsPrintWhatTheTransformProduced(t *testing.T) {
+	db := newDB(t, 8, workload.LoadSuppliers)
+	for sql, want := range map[string]string{
+		"SELECT S.SNAME FROM S WHERE S.STATUS < (SELECT MAX(SP.QTY) FROM SP)": "NEST-A: independent aggregate block evaluates to a constant: S.STATUS < (SELECT MAX(SP.QTY) FROM SP)",
+		"SELECT SP.SNO FROM SP WHERE SP.PNO IN (SELECT P.PNO FROM P WHERE P.PNO IN (SELECT SP.PNO FROM SP WHERE SP.QTY > 300))": "NEST-N-J: type-N predicate becomes join: P.PNO = SP.PNO\n" +
+			"NEST-N-J: alias SP as SP_1 to merge FROM clauses\nNEST-N-J: type-N predicate becomes join: SP.PNO = P.PNO",
+	} {
+		res, err := db.Query(sql, engine.Options{Strategy: engine.TransformJA2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var steps []string
+		for _, e := range res.Trace {
+			if e.Kind == trace.Step {
+				steps = append(steps, e.String())
+			}
+		}
+		if got := strings.Join(steps, "\n"); !strings.Contains(got, want) {
+			t.Errorf("steps after the query ran:\n%s\nwant them to contain:\n%s", got, want)
+		}
+	}
+}

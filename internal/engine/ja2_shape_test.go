@@ -45,8 +45,11 @@ func jaSeqShape(t *testing.T, scale int) (*engine.DB, workload.SyntheticConfig) 
 // paper's plan does. And both type-JA default plans group-join TEMP1, 100
 // rows in 4 pages resident in B − 1 = 31, with RJ's filtered rows as they
 // stream, so RJ is not sorted at all: the sort's 63 run pages written and
-// 47 read back (16 stay in the pool) are gone, 926 − 63 − 47 = 816.
-// Type-J, bounded rather than pinned, measures 710 and 836.
+// 47 read back (16 stay in the pool) are gone, 926 − 63 − 47 = 816. TEMP1
+// and the grouped temp (TEMP3 for COUNT, TEMP2 for MAX), 100 rows in 4
+// pages each, fit B − 1 = 31 pages together, so the default plans hold
+// them in memory: their 4 + 4 pages written and 4 + 4 read back are gone,
+// 816 − 16 = 800. Type-J, bounded rather than pinned, measures 710 and 836.
 func TestJA2PageIOPinned(t *testing.T) {
 	db, cfg := jaSeqShape(t, 1)
 	shapes := []struct {
@@ -64,17 +67,17 @@ func TestJA2PageIOPinned(t *testing.T) {
 		// more; it happens to cost 16 pages less.
 		{name: "type-J", sql: workload.TypeJQuery(cfg), io: 852, paperIO: 852, traces: []string{
 			"final: merge join RI.JC with RJ.JC and RI.VAL with RJ.VAL (B=32)"}},
-		{name: "type-JA-COUNT", sql: workload.TypeJAQuery(cfg), io: 816, paperIO: 1178, exact: true, traces: []string{
+		{name: "type-JA-COUNT", sql: workload.TypeJAQuery(cfg), io: 800, paperIO: 1178, exact: true, traces: []string{
 			"TEMP3: outer group join TEMP1.JC with TEMP2.JC, left resident in 4 of B=32 pages (estimated 100 groups)",
-			"OuterGroupJoin(left#0 = right#0, out=[JC, COUNT#1])\n  SeqScan(TEMP1, 4 pages)",
+			"OuterGroupJoin(left#0 = right#0, out=[JC, COUNT#1])\n  ResidentScan(TEMP1, 100 tuples in memory)",
 			"final: hash join RI.JC with TEMP3.JC and RI.VAL with TEMP3.CT"}, paperTraces: []string{
 			"TEMP3: left input already in join-column order, sort elided",
 			"TEMP3: input already in GROUP BY order, sort elided",
 			"GroupAgg(group=[0], out=[JC, COUNT#1])\n  OuterMergeJoin(left#0 = right#0, out=[0 2])",
 			"final: hash join RI.JC with TEMP3.JC and RI.VAL with TEMP3.CT"}},
-		{name: "type-JA-MAX", sql: workload.TypeJAMaxQuery(cfg), io: 816, paperIO: 1052, exact: true, traces: []string{
+		{name: "type-JA-MAX", sql: workload.TypeJAMaxQuery(cfg), io: 800, paperIO: 1052, exact: true, traces: []string{
 			"TEMP2: group join TEMP1.JC with RJ.JC, left resident in 4 of B=32 pages (estimated 100 groups)",
-			"GroupJoin(left#0 = right#0, out=[JC, MAX#1])\n  SeqScan(TEMP1, 4 pages)",
+			"GroupJoin(left#0 = right#0, out=[JC, MAX#1])\n  ResidentScan(TEMP1, 100 tuples in memory)",
 			"final: hash join RI.JC with TEMP2.JC and RI.VAL with TEMP2.MAXVAL"}, paperTraces: []string{
 			"TEMP2: left input already in join-column order, sort elided",
 			"TEMP2: input already in GROUP BY order, sort elided",
@@ -114,9 +117,9 @@ func TestJA2PageIOPinned(t *testing.T) {
 // TestGroupJoinEstimateIsExact: a group join reports as many groups as
 // its left input holds rows, and NEST-JA2's left input is TEMP1, one row
 // per outer join value, so the estimate the grouped temp is planned with
-// is the size it materializes at: TEMP3's on the COUNT path (an outer
-// join keeps every group) and TEMP2's on the MAX path (where every TEMP1
-// value has an RJ row).
+// is the size it is built at, held in memory: TEMP3's on the COUNT path
+// (an outer join keeps every group) and TEMP2's on the MAX path (where
+// every TEMP1 value has an RJ row).
 func TestGroupJoinEstimateIsExact(t *testing.T) {
 	db, cfg := jaSeqShape(t, 1)
 	for sql, temp := range map[string]string{workload.TypeJAQuery(cfg): "TEMP3", workload.TypeJAMaxQuery(cfg): "TEMP2"} {
@@ -129,12 +132,12 @@ func TestGroupJoinEstimateIsExact(t *testing.T) {
 			switch {
 			case e.Kind == trace.GroupJoin && e.Label == temp:
 				estimate = e.N
-			case e.Kind == trace.Materialized && e.Label == temp:
+			case e.Kind == trace.Resident && e.Label == temp:
 				actual = e.N
 			}
 		}
 		if estimate != actual {
-			t.Errorf("%s: group join estimated %d groups, materialized %d tuples:\n%s", temp, estimate, actual, traceText(res))
+			t.Errorf("%s: group join estimated %d groups, held %d tuples:\n%s", temp, estimate, actual, traceText(res))
 		}
 	}
 }

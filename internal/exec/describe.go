@@ -23,6 +23,7 @@ type nodeKind uint8
 const (
 	nodeOther nodeKind = iota // name holds the operator's type
 	nodeSeqScan
+	nodeResidentScan
 	nodeIndexScan
 	nodeFilter
 	nodeProject
@@ -46,7 +47,7 @@ type planNode struct {
 	outer  bool  // an outer join
 	nullEq bool  // the leading key pair is NULL-safe
 	desc   bool  // a Sort with per-key directions
-	n      int32 // pages (a scan, nested loops' right side); workers
+	n      int32 // pages (a scan, nested loops' right side); a resident scan's rows; workers
 	l, r   int32 // the leading key pair
 	name   string
 	cols   []int // Sort keys, GroupCols, a join's Out
@@ -109,6 +110,8 @@ func (p Plan) add(op Operator, depth uint16) Plan {
 	switch op := op.(type) {
 	case *SeqScan:
 		n.kind, n.name, n.n = nodeSeqScan, cmp.Or(op.Name, op.File.Name()), int32(op.File.NumPages())
+	case *ResidentScan:
+		n.kind, n.name, n.n = nodeResidentScan, op.Name, int32(op.Rows.Len())
 	case *IndexScan:
 		n.kind, n.name = nodeIndexScan, op.Idx.Relation
 		n.probe = &indexProbe{column: op.Idx.Column, op: op.Op, key: op.Key}
@@ -192,6 +195,8 @@ func (n *planNode) describe(b *strings.Builder) {
 	switch n.kind {
 	case nodeSeqScan:
 		fmt.Fprintf(b, "SeqScan(%s, %d pages)\n", n.name, n.n)
+	case nodeResidentScan:
+		fmt.Fprintf(b, "ResidentScan(%s, %d tuples in memory)\n", n.name, n.n)
 	case nodeIndexScan:
 		fmt.Fprintf(b, "IndexScan(%s.%s %s %s)\n", n.name, n.probe.column, n.probe.op, n.probe.key)
 	case nodeFilter:

@@ -401,21 +401,25 @@ func blockOutputSchema(qb *ast.QueryBlock) RowSchema {
 // in order from the i-th on, re-scanning inner files once per outer
 // combination — the nested iteration of the paper — with each current tuple
 // in its frame. Pages move through the buffer pool, so an inner relation
-// that fits in B pages is effectively cached.
+// that fits in B pages is effectively cached. Cancellation is checked once
+// per page read, as SeqScan checks it: a page is the scan's natural morsel.
 func (ev *Evaluator) scanProduct(bp *blockProg, i int, fn func() error) error {
 	if i == len(bp.files) {
+		return fn()
+	}
+	f := bp.files[i]
+	for pg, n := 0, f.NumPages(); pg < n; pg++ {
 		if err := ev.QC.Check(); err != nil {
 			return err
 		}
-		return fn()
+		for _, t := range f.ReadPage(pg) {
+			ev.frames[bp.base+i] = t
+			if err := ev.scanProduct(bp, i+1, fn); err != nil {
+				return err
+			}
+		}
 	}
-	var scanErr error
-	bp.files[i].Scan(func(t storage.Tuple) bool {
-		ev.frames[bp.base+i] = t
-		scanErr = ev.scanProduct(bp, i+1, fn)
-		return scanErr == nil
-	})
-	return scanErr
+	return nil
 }
 
 // dedupeRows removes duplicate rows of width columns preserving first

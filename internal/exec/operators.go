@@ -37,11 +37,16 @@ type SeqScan struct {
 
 // NewSeqScan builds a scan of file whose columns are bound under binding.
 func NewSeqScan(file *storage.HeapFile, binding string, cols []string) *SeqScan {
+	return &SeqScan{File: file, Sch: bind(binding, cols)}
+}
+
+// bind names columns cols under binding.
+func bind(binding string, cols []string) RowSchema {
 	sch := make(RowSchema, len(cols))
 	for i, c := range cols {
 		sch[i] = ColID{Table: binding, Column: c}
 	}
-	return &SeqScan{File: file, Sch: sch}
+	return sch
 }
 
 // Open resets the scan to the first page.
@@ -207,9 +212,14 @@ func MaterializeInto(op Operator, f *storage.HeapFile, qc *qctx.QueryContext) er
 	if err := op.Open(); err != nil {
 		return err
 	}
+	return writePages(op, newPageWriter(f), qc)
+}
+
+// writePages appends op's rows to w's file, charging the rows staged for
+// its open page as MaterializeInto says, and seals the file.
+func writePages(op Operator, w pageWriter, qc *qctx.QueryContext) error {
 	var pageBytes int64
 	defer func() { qc.ReleaseBuffered(pageBytes) }()
-	w := newPageWriter(f)
 	for {
 		t, ok, err := op.Next()
 		if err != nil {

@@ -14,17 +14,17 @@ import (
 
 // TestStreamedTempsMatchMaterialized: NEST-JA2's COUNT-path TEMP2, the
 // restricted inner relation, is read once and streams into TEMP3's outer
-// join by default; under AsPaper every temp is materialized. Both plans
-// must return the same rows, in the same order where the query orders
-// them, sequentially, on two workers and with every buffer forced
-// through spill runs. The queries are the four ja shapes at a tenth of
-// ja_seq's size, with NULL join keys on both sides and COUNT = 0 groups
-// (outer keys RJ lacks, and one whose every RJ row fails the
-// restriction), and every query of the metamorph corpus: the short
-// seed's pairs and the golden repros.
+// join by default, and a temp that fits B−1 pages is held in memory; under
+// AsPaper every temp is materialized. Both plans must return the same
+// rows, in the same order where the query orders them, sequentially, on
+// two workers and with every buffer forced through spill runs. The queries
+// are the four ja shapes at a tenth of ja_seq's size, with NULL join keys
+// on both sides and COUNT = 0 groups (outer keys RJ lacks, and one whose
+// every RJ row fails the restriction), and every query of the metamorph
+// corpus: the short seed's pairs and the golden repros.
 func TestStreamedTempsMatchMaterialized(t *testing.T) {
 	regimes := []string{RegimeSeq, RegimePar, RegimeTight}
-	streamed := 0
+	streamed, held := 0, 0
 	check := func(db *engine.DB, sql string) {
 		t.Helper()
 		for _, regime := range regimes {
@@ -36,11 +36,14 @@ func TestStreamedTempsMatchMaterialized(t *testing.T) {
 				t.Errorf("%s: streamed: %v, materialized: %v\n  query: %s", regime, err, werr, sql)
 				continue
 			}
-			if slices.ContainsFunc(want.Trace, isStreamed) {
-				t.Errorf("%s: AsPaper streamed a temp\n  query: %s", regime, sql)
+			if slices.ContainsFunc(want.Trace, isStreamed) || slices.ContainsFunc(want.Trace, isHeld) {
+				t.Errorf("%s: AsPaper streamed or held a temp\n  query: %s", regime, sql)
 			}
 			if slices.ContainsFunc(got.Trace, isStreamed) {
 				streamed++
+			}
+			if slices.ContainsFunc(got.Trace, isHeld) {
+				held++
 			}
 			d := storage.Diff(engine.AcrossRegimes, got.Rows, want.Rows)
 			if strings.Contains(strings.ToUpper(sql), "ORDER BY") {
@@ -53,7 +56,7 @@ func TestStreamedTempsMatchMaterialized(t *testing.T) {
 	}
 
 	t.Run("ja-shapes", func(t *testing.T) {
-		streamed = 0
+		streamed, held = 0, 0
 		cfg := workload.SyntheticConfig{Name: "ja", OuterTuples: 200, InnerTuples: 400,
 			OuterPerPage: 10, InnerPerPage: 10, JoinDomain: 20, Selectivity: 0.5, MatchFraction: 0.5, Seed: 1}
 		db := engine.New(32)
@@ -81,10 +84,13 @@ func TestStreamedTempsMatchMaterialized(t *testing.T) {
 		if streamed != 2*len(regimes) {
 			t.Errorf("the COUNT shape streamed TEMP2 in %d of %d runs", streamed, 2*len(regimes))
 		}
+		if held == 0 {
+			t.Error("no ja shape held a temp in memory")
+		}
 	})
 
 	t.Run("corpus", func(t *testing.T) {
-		streamed = 0
+		streamed, held = 0, 0
 		scenarios := corpus(t)
 		db := engine.New(64)
 		if err := db.EnableSpill(t.TempDir(), 0); err != nil {
@@ -104,7 +110,10 @@ func TestStreamedTempsMatchMaterialized(t *testing.T) {
 		if streamed == 0 {
 			t.Error("no corpus query streamed a temp")
 		}
-		t.Logf("%d scenarios, %d runs streamed a temp", len(scenarios), streamed)
+		if held == 0 {
+			t.Error("no corpus query held a temp in memory")
+		}
+		t.Logf("%d scenarios, %d runs streamed a temp, %d held one in memory", len(scenarios), streamed, held)
 	})
 }
 
@@ -133,6 +142,8 @@ func corpus(t *testing.T) []*Scenario {
 }
 
 func isStreamed(e trace.Event) bool { return e.Kind == trace.Streamed }
+
+func isHeld(e trace.Event) bool { return e.Kind == trace.Resident }
 
 // rowTexts prints rows in their order, for an order-sensitive DiffCanon.
 func rowTexts(rows []storage.Tuple) []string {

@@ -63,9 +63,10 @@ type Options struct {
 	TempJoin, FinalJoin JoinMethod
 	// TempTuplesPerPage sizes temp-table pages (0 = storage default).
 	TempTuplesPerPage int
-	// KeepTemps materializes every temporary table, streamed ones too, and
-	// keeps them after Run so a harness can read them through Temp (as the
-	// paper prints TEMP1/TEMP2/TEMP3 contents); call DropTemps when done.
+	// KeepTemps materializes every temporary table, those that would stream
+	// or be held in memory too, and keeps them after Run so a harness can
+	// read them through Temp (as the paper prints TEMP1/TEMP2/TEMP3
+	// contents); call DropTemps when done.
 	KeepTemps bool
 	// Stats, when set, provides System R selectivity estimation for the
 	// cost-based join choice ([SEL 79]); without it the planner uses raw
@@ -126,6 +127,8 @@ type Planner struct {
 
 	temps   []temp         // materialized files and held-back temps, in order
 	curFrom []ast.TableRef // FROM clause of the block being planned
+	// heldPages is what the temps held in memory would fill as files.
+	heldPages int
 }
 
 // temp is one anonymous store file the planner materialized. A named one
@@ -134,7 +137,8 @@ type Planner struct {
 // rows are stored in order of (-1 when none), so section 7.4's sort
 // eliminations carry across materialization, as does a DISTINCT temp's
 // unique. An unnamed one is a join's or anti-join's right side. A temp
-// Run holds back to stream has its definition in def and no file.
+// Run holds back to stream has its definition in def and no file; one it
+// holds in memory has its rows in held and no file.
 type temp struct {
 	name     string
 	rel      *schema.Relation
@@ -142,6 +146,7 @@ type temp struct {
 	sortedOn int
 	unique   bool
 	def      *ast.QueryBlock
+	held     *exec.Resident
 }
 
 // New creates a planner. Under a SpillForced query context it plans the
@@ -159,7 +164,7 @@ func New(cat *schema.Catalog, store *storage.Store, opts Options) *Planner {
 // Temp looks a temporary table of this query up by name, as the catalog
 // would, and returns its relation and file. The planner holds its temps
 // during Run and, under KeepTemps, after it until DropTemps. A temp Run
-// streams into its reader has no file and is not found.
+// streams into its reader or holds in memory has no file and is not found.
 func (p *Planner) Temp(name string) (*schema.Relation, *storage.HeapFile, bool) {
 	if t := p.temp(name); t != nil && t.file != nil {
 		return t.rel, t.file, true
@@ -182,9 +187,10 @@ func (p *Planner) note(label string, e trace.Event) {
 	p.Trace = append(p.Trace, e)
 }
 
-// Run materializes the temporary tables in order, holding back those that
+// Run builds the temporary tables in order, holding back those that
 // stream, and evaluates the final query, returning its rows and schema.
-// Temporary tables are dropped before returning.
+// Temporary tables are dropped, and those held in memory released, before
+// returning.
 func (p *Planner) Run(res *transform.Result) (rows []storage.Tuple, sch exec.RowSchema, err error) {
 	defer p.cleanup()
 	for i, tt := range res.Temps {
@@ -192,7 +198,7 @@ func (p *Planner) Run(res *transform.Result) (rows []storage.Tuple, sch exec.Row
 			p.temps = append(p.temps, temp{name: tt.Name, rel: tt.Rel, def: tt.Def})
 			continue
 		}
-		if err := p.buildTemp(tt); err != nil {
+		if err := p.buildTemp(tt, p.holds(res, i)); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -218,23 +224,33 @@ func (p *Planner) Run(res *transform.Result) (rows []storage.Tuple, sch exec.Row
 // memory budget. The file is registered for cleanup before it is filled,
 // so a failed materialization is dropped with the rest at the end of Run.
 func (p *Planner) materialize(op exec.Operator) (*storage.HeapFile, error) {
-	f := p.store.CreateTemp(p.opts.TempTuplesPerPage)
-	p.temps = append(p.temps, temp{file: f, sortedOn: -1})
+	f := p.createTemp()
 	return f, exec.MaterializeInto(op, f, p.opts.QC)
 }
 
+// createTemp makes an anonymous temp file, registered for cleanup.
+func (p *Planner) createTemp() *storage.HeapFile {
+	f := p.store.CreateTemp(p.opts.TempTuplesPerPage)
+	p.temps = append(p.temps, temp{file: f, sortedOn: -1})
+	return f
+}
+
 // cleanup drops every materialized file, except the named temps under
-// KeepTemps.
+// KeepTemps, and releases the temps held in memory.
 func (p *Planner) cleanup() {
 	kept := p.temps[:0]
 	for _, t := range p.temps {
-		if t.name != "" && p.opts.KeepTemps {
+		switch {
+		case t.name != "" && p.opts.KeepTemps:
 			kept = append(kept, t)
-		} else if t.file != nil {
+		case t.file != nil:
 			p.store.Drop(t.file.Name())
+		case t.held != nil:
+			t.held.Release(p.opts.QC)
 		}
 	}
-	p.temps = kept
+	clear(p.temps[len(kept):])
+	p.temps, p.heldPages = kept, 0
 }
 
 // DropTemps drops the temporary tables kept by KeepTemps.
@@ -243,25 +259,39 @@ func (p *Planner) DropTemps() {
 	p.cleanup()
 }
 
-// buildTemp plans a temp definition and materializes it, so that later
-// definitions and the final query resolve its name to its file.
-func (p *Planner) buildTemp(tt transform.TempTable) error {
+// buildTemp plans a temp definition and builds it, so that later
+// definitions and the final query resolve its name: held in memory when
+// hold allows it, the temps held so far leave room for it in B−1 pages
+// and the memory budget grants its bytes, else materialized in its file.
+func (p *Planner) buildTemp(tt transform.TempTable, hold bool) error {
 	plan, err := p.planBlock(tt.Def, p.opts.TempJoin, tt.Name)
 	if err != nil {
 		return err
 	}
 	p.note(tt.Name, trace.Event{Kind: trace.Plan, Plan: exec.Snapshot(plan.op)})
-	file, err := p.materialize(plan.op)
-	if err != nil {
-		return err
-	}
-	t := &p.temps[len(p.temps)-1]
-	t.name, t.rel = tt.Name, tt.Rel
+	t := temp{name: tt.Name, rel: tt.Rel, sortedOn: -1, unique: plan.unique}
 	if plan.sortedOn < len(tt.Rel.Columns) {
 		t.sortedOn = plan.sortedOn
 	}
-	t.unique = plan.unique
-	p.note(tt.Name, trace.Event{Kind: trace.Materialized, N: int64(file.NumTuples()), M: int64(file.NumPages())})
+	if room := p.store.BufferPages() - 1 - p.heldPages; hold && room > 0 {
+		t.held, err = exec.Hold(plan.op, room*p.tempPage(), p.opts.QC, p.createTemp)
+	} else {
+		_, err = p.materialize(plan.op)
+	}
+	if err != nil {
+		return err
+	}
+	if t.held != nil {
+		pages := int(p.pages(float64(t.held.Len())))
+		p.heldPages += pages
+		p.temps = append(p.temps, t)
+		p.note(tt.Name, trace.Event{Kind: trace.Resident, N: int64(t.held.Len()), M: int64(pages)})
+		return nil
+	}
+	f := &p.temps[len(p.temps)-1]
+	t.file = f.file
+	*f = t
+	p.note(tt.Name, trace.Event{Kind: trace.Materialized, N: int64(t.file.NumTuples()), M: int64(t.file.NumPages())})
 	return nil
 }
 
@@ -272,16 +302,37 @@ func (p *Planner) buildTemp(tt transform.TempTable) error {
 // once, in their own FROM, never in a subquery (which the constant-subquery
 // evaluator reads through Temp). AsPaper and KeepTemps materialize all.
 func (p *Planner) streams(res *transform.Result, i int) bool {
-	tt := res.Temps[i]
-	if p.opts.AsPaper || p.opts.KeepTemps || tt.Def.HasAggregate() || len(tt.Def.GroupBy) > 0 || tt.Def.Distinct || len(tt.Def.OrderBy) > 0 {
+	def := res.Temps[i].Def
+	if p.opts.AsPaper || p.opts.KeepTemps || def.HasAggregate() || len(def.GroupBy) > 0 || def.Distinct || len(def.OrderBy) > 0 {
 		return false
 	}
-	from, nested := refs(res.Query, tt.Name)
+	from, nested := readers(res, i)
+	return from == 1 && nested == 0
+}
+
+// holds reports whether temp i of res may be held in memory instead of
+// written to its file: the later blocks name it only in their own FROM,
+// as streams requires, and the plan is neither the paper's (AsPaper) nor
+// kept (KeepTemps). A query forced to spill holds none either: SpillForced
+// refuses every grant, so Hold writes each temp's file from its first row.
+func (p *Planner) holds(res *transform.Result, i int) bool {
+	if p.opts.AsPaper || p.opts.KeepTemps {
+		return false
+	}
+	_, nested := readers(res, i)
+	return nested == 0
+}
+
+// readers counts the FROM entries naming temp i of res in the blocks after
+// it: in their own FROM, and in the blocks nested in them.
+func readers(res *transform.Result, i int) (from, nested int) {
+	name := res.Temps[i].Name
+	from, nested = refs(res.Query, name)
 	for _, later := range res.Temps[i+1:] {
-		f, n := refs(later.Def, tt.Name)
+		f, n := refs(later.Def, name)
 		from, nested = from+f, nested+n
 	}
-	return from == 1 && nested == 0
+	return from, nested
 }
 
 // refs counts the FROM entries naming relation name in qb itself, and in
@@ -318,10 +369,18 @@ func (p *Planner) stream(t temp, binding, label string) (input, error) {
 	for i, c := range t.rel.Columns {
 		proj.Sch[i] = exec.ColID{Table: binding, Column: c.Name}
 	}
-	in.pages = math.Ceil(in.tuples / float64(cmp.Or(max(p.opts.TempTuplesPerPage, 0), storage.DefaultTuplesPerPage)))
+	in.pages = p.pages(in.tuples)
 	p.note(label, trace.Event{Kind: trace.Streamed, Text: t.name, N: int64(in.tuples), M: int64(in.pages)})
 	return in, nil
 }
+
+// tempPage is the tuples a temp file's page holds.
+func (p *Planner) tempPage() int {
+	return cmp.Or(max(p.opts.TempTuplesPerPage, 0), storage.DefaultTuplesPerPage)
+}
+
+// pages is the size in pages of a temp file of the given tuples.
+func (p *Planner) pages(tuples float64) float64 { return math.Ceil(tuples / float64(p.tempPage())) }
 
 // input tracks a planned subtree with its cost-model statistics.
 type input struct {
@@ -340,11 +399,10 @@ type input struct {
 // inside another (a streamed temp, an anti-join's inner) leaves curFrom
 // as it found it.
 func (p *Planner) planBlock(qb *ast.QueryBlock, force JoinMethod, label string) (input, error) {
-	if err := p.foldConstantSubqueries(qb); err != nil {
+	conjs := append([]ast.Predicate(nil), qb.Where...)
+	if err := p.foldConstantSubqueries(conjs); err != nil {
 		return input{}, err
 	}
-
-	conjs := append([]ast.Predicate(nil), qb.Where...)
 	used := make([]bool, len(conjs))
 	defer func(from []ast.TableRef) { p.curFrom = from }(p.curFrom)
 	p.curFrom = qb.From
@@ -397,17 +455,24 @@ func (p *Planner) planBlock(qb *ast.QueryBlock, force JoinMethod, label string) 
 	return p.finish(cur, qb, label)
 }
 
-// foldConstantSubqueries replaces uncorrelated scalar subqueries (type-A
-// remnants) with their value, evaluated once by nested iteration — the
-// System R treatment of type-A nesting.
-func (p *Planner) foldConstantSubqueries(qb *ast.QueryBlock) error {
+// foldConstantSubqueries replaces each conjunct comparing with an
+// uncorrelated scalar subquery (a type-A remnant) by one comparing with its
+// value, evaluated once by nested iteration — the System R treatment of
+// type-A nesting. The block's own predicates are left as the transformation
+// produced them, which its steps print.
+func (p *Planner) foldConstantSubqueries(conjs []ast.Predicate) error {
 	var ev *exec.Evaluator
-	for _, conj := range qb.Where {
+	for i, conj := range conjs {
 		cmp, ok := conj.(*ast.Comparison)
 		if !ok {
 			continue
 		}
-		for _, side := range []*ast.Expr{&cmp.Left, &cmp.Right} {
+		_, left := cmp.Left.(*ast.Subquery)
+		if _, right := cmp.Right.(*ast.Subquery); !left && !right {
+			continue
+		}
+		folded := *cmp
+		for _, side := range []*ast.Expr{&folded.Left, &folded.Right} {
 			sq, ok := (*side).(*ast.Subquery)
 			if !ok {
 				continue
@@ -433,6 +498,7 @@ func (p *Planner) foldConstantSubqueries(qb *ast.QueryBlock) error {
 				return fmt.Errorf("planner: constant subquery returned %d rows", len(rows))
 			}
 			*side = ast.Const{Val: v}
+			conjs[i] = &folded
 			p.note("", trace.Event{Kind: trace.Constant, Detail: &trace.Detail{Val: v}})
 		}
 	}
@@ -513,11 +579,18 @@ func indexableConjunct(c ast.Predicate, binding string) (col string, op value.Co
 
 // scanInput builds a sequential scan of one FROM entry. A name resolves
 // against this query's temps first, then the catalog, as transform's
-// lookupRel does; a held-back temp plans as its definition's subtree.
+// lookupRel does; a held-back temp plans as its definition's subtree, and
+// one held in memory as a scan of its rows, sized as its file would be.
 func (p *Planner) scanInput(tr ast.TableRef, label string) (input, error) {
 	t := p.temp(tr.Relation)
 	if t != nil && t.def != nil {
 		return p.stream(*t, tr.Binding(), label)
+	}
+	if t != nil && t.held != nil {
+		n := float64(t.held.Len())
+		scan := exec.NewResidentScan(t.held, tr.Binding(), t.rel.ColumnNames())
+		scan.QC, scan.Name = p.opts.QC, t.name
+		return input{op: scan, pages: p.pages(n), tuples: n, sortedOn: t.sortedOn, unique: t.unique}, nil
 	}
 	if t == nil {
 		rel, ok := p.cat.Lookup(tr.Relation)

@@ -276,13 +276,31 @@ func TestPlannerDuplicatesAllMethods(t *testing.T) {
 	}
 }
 
-// TempTuplesPerPage shapes materialized temp sizes.
+// TempTuplesPerPage shapes temp sizes: a materialized temp's file, and
+// the file a temp held in memory would have had.
 func TestPlannerTempPageSize(t *testing.T) {
 	db := kiessling(t, 8)
-	_, pl := runPlanned(t, db, workload.KiesslingQ2, transform.JA2,
-		planner.Options{TempTuplesPerPage: 1})
-	if !slices.ContainsFunc(pl.Trace, func(e trace.Event) bool { return note(trace.Materialized, "TEMP1")(e) && e.N == 3 && e.M == 3 }) {
-		t.Errorf("TEMP1 sizing wrong:\n%s", notesText(pl.Trace))
+	for _, asPaper := range []bool{false, true} {
+		_, pl := runPlanned(t, db, workload.KiesslingQ2, transform.JA2,
+			planner.Options{TempTuplesPerPage: 1, AsPaper: asPaper})
+		kind := trace.Resident
+		if asPaper {
+			kind = trace.Materialized
+		}
+		if !slices.ContainsFunc(pl.Trace, func(e trace.Event) bool { return note(kind, "TEMP1")(e) && e.N == 3 && e.M == 3 }) {
+			t.Errorf("AsPaper %v: TEMP1 sizing wrong:\n%s", asPaper, notesText(pl.Trace))
+		}
+	}
+}
+
+// A temp held in memory is written to the file it would have had where
+// nested loops read it as their right side, with that file's page writes.
+func TestHeldTempWrittenForNestedLoops(t *testing.T) {
+	db := kiessling(t, 8)
+	_, pl := runPlanned(t, db, workload.KiesslingQ2, transform.JA2, planner.Options{FinalJoin: planner.JoinNL})
+	if !slices.ContainsFunc(pl.Trace, func(e trace.Event) bool { return note(trace.Resident, "TEMP3")(e) && e.N == 3 && e.M == 1 }) ||
+		!slices.ContainsFunc(pl.Trace, func(e trace.Event) bool { return note(trace.Materialized, "TEMP3")(e) && e.N == 3 && e.M == 1 }) {
+		t.Errorf("TEMP3 not held, then written for nested loops:\n%s", notesText(pl.Trace))
 	}
 }
 
@@ -295,15 +313,16 @@ func TestJoinMethodString(t *testing.T) {
 }
 
 // EXPLAIN names a temp by its logical name wherever a plan reads it, as a
-// scan, as a nested-loops join's stored right side or as the streamed
-// subtree under its one reader's join, never by its file.
+// scan of its rows held in memory, as a nested-loops join's stored right
+// side or as the streamed subtree under its one reader's join, never by
+// its file.
 func TestPlanNamesTempsLogically(t *testing.T) {
 	db := kiessling(t, 8)
 	_, pl := runPlanned(t, db, workload.KiesslingQ2, transform.JA2,
 		planner.Options{TempJoin: planner.JoinMerge, FinalJoin: planner.JoinNL})
 	text := notesText(pl.Trace)
-	for _, want := range []string{"SeqScan(TEMP1, ", "NestedLoopJoin(right=TEMP3, ",
-		"OuterMergeJoin(left#0 = right#0, out=[0 2])\n    SeqScan(TEMP1, 1 pages)\n    Sort(keys=[0])\n      Project([TEMP2.PNUM TEMP2.SHIPDATE])\n"} {
+	for _, want := range []string{"ResidentScan(TEMP1, ", "NestedLoopJoin(right=TEMP3, ",
+		"OuterMergeJoin(left#0 = right#0, out=[0 2])\n    ResidentScan(TEMP1, 3 tuples in memory)\n    Sort(keys=[0])\n      Project([TEMP2.PNUM TEMP2.SHIPDATE])\n"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("plans miss %q:\n%s", want, text)
 		}
@@ -314,10 +333,10 @@ func TestPlanNamesTempsLogically(t *testing.T) {
 }
 
 // A restriction temp streams into its reader only when it is read once,
-// from a FROM clause the planner plans. Read twice, or from a constant
-// subquery the evaluator runs through Planner.Temp, it is materialized;
-// and every shape answers as the same query over SUPPLY does under
-// nested iteration.
+// from a FROM clause the planner plans. Read twice it is held in memory;
+// read from a constant subquery the evaluator runs through Planner.Temp,
+// it is materialized; and every shape answers as the same query over
+// SUPPLY does under nested iteration.
 func TestTempStreamsOnlyWhenReadOnce(t *testing.T) {
 	db := kiessling(t, 8)
 	parts, _ := db.Cat.Lookup("PARTS")
@@ -342,18 +361,18 @@ func TestTempStreamsOnlyWhenReadOnce(t *testing.T) {
 	const restrict = "SUPPLY.QUAN > 1"
 	for _, c := range []struct {
 		name, query, oracle string
-		streams             bool
+		streams, held       bool
 	}{
 		{"once", "SELECT PARTS.PNUM, TEMP1.QUAN FROM PARTS, TEMP1 WHERE PARTS.PNUM = TEMP1.PNUM",
-			"SELECT PARTS.PNUM, SUPPLY.QUAN FROM PARTS, SUPPLY WHERE PARTS.PNUM = SUPPLY.PNUM AND " + restrict, true},
+			"SELECT PARTS.PNUM, SUPPLY.QUAN FROM PARTS, SUPPLY WHERE PARTS.PNUM = SUPPLY.PNUM AND " + restrict, true, false},
 		{"twice", "SELECT A.PNUM, B.QUAN FROM TEMP1 A, TEMP1 B WHERE A.PNUM = B.PNUM",
-			"SELECT A.PNUM, B.QUAN FROM SUPPLY A, SUPPLY B WHERE A.PNUM = B.PNUM AND A.QUAN > 1 AND B.QUAN > 1", false},
+			"SELECT A.PNUM, B.QUAN FROM SUPPLY A, SUPPLY B WHERE A.PNUM = B.PNUM AND A.QUAN > 1 AND B.QUAN > 1", false, true},
 		{"constant subquery", "SELECT PARTS.PNUM FROM PARTS WHERE PARTS.QOH > (SELECT COUNT(TEMP1.PNUM) FROM TEMP1)",
-			"SELECT PARTS.PNUM FROM PARTS WHERE PARTS.QOH > (SELECT COUNT(SUPPLY.PNUM) FROM SUPPLY WHERE " + restrict + ")", false},
+			"SELECT PARTS.PNUM FROM PARTS WHERE PARTS.QOH > (SELECT COUNT(SUPPLY.PNUM) FROM SUPPLY WHERE " + restrict + ")", false, false},
 		{"from and constant subquery",
 			"SELECT PARTS.PNUM FROM PARTS, TEMP1 WHERE PARTS.PNUM = TEMP1.PNUM AND TEMP1.QUAN < (SELECT COUNT(TEMP1.PNUM) FROM TEMP1)",
 			"SELECT PARTS.PNUM FROM PARTS, SUPPLY WHERE PARTS.PNUM = SUPPLY.PNUM AND " + restrict +
-				" AND SUPPLY.QUAN < (SELECT COUNT(S2.PNUM) FROM SUPPLY S2 WHERE S2.QUAN > 1)", false},
+				" AND SUPPLY.QUAN < (SELECT COUNT(S2.PNUM) FROM SUPPLY S2 WHERE S2.QUAN > 1)", false, false},
 	} {
 		res := &transform.Result{
 			Temps: []transform.TempTable{{Name: "TEMP1", Rel: temp1,
@@ -367,8 +386,10 @@ func TestTempStreamsOnlyWhenReadOnce(t *testing.T) {
 		}
 		streamed := slices.ContainsFunc(pl.Trace, func(e trace.Event) bool { return e.Kind == trace.Streamed && e.Text == "TEMP1" })
 		materialized := slices.ContainsFunc(pl.Trace, note(trace.Materialized, "TEMP1"))
-		if streamed != c.streams || materialized == c.streams {
-			t.Errorf("%s: streamed %v, materialized %v, want streamed %v:\n%s", c.name, streamed, materialized, c.streams, notesText(pl.Trace))
+		held := slices.ContainsFunc(pl.Trace, note(trace.Resident, "TEMP1"))
+		if streamed != c.streams || held != c.held || materialized != (!c.streams && !c.held) {
+			t.Errorf("%s: streamed %v, held %v, materialized %v, want streamed %v, held %v:\n%s",
+				c.name, streamed, held, materialized, c.streams, c.held, notesText(pl.Trace))
 		}
 		ev := exec.NewEvaluator(db.Cat, db.Store)
 		want, _, err := ev.EvalQuery(parse(db.Cat, c.oracle))

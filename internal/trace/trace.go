@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/exec"
+	"repro/internal/schema"
 	"repro/internal/value"
 )
 
@@ -27,7 +28,8 @@ import (
 type Kind uint8
 
 const (
-	// Step is a transformation step: Label is its rule, Text its SQL.
+	// Step is a transformation step: Label is its rule, Text its prose,
+	// and Detail, when set, its operands (see StepText).
 	Step Kind = iota + 1
 	// NestedIteration: the query was evaluated by nested iteration.
 	NestedIteration
@@ -50,6 +52,9 @@ const (
 	Plan
 	// Materialized: temp table Label holds N tuples in M pages.
 	Materialized
+	// Resident: temp table Label is held in memory, never written: N
+	// tuples, which its file would hold in M pages.
+	Resident
 	// Streamed: temp table Text is never materialized; block Label plans
 	// its definition as the subtree it reads, estimated at N tuples in M
 	// pages.
@@ -114,20 +119,23 @@ type Event struct {
 }
 
 // Detail holds the fields of the rarer lines: the engine's fallback,
-// rerun and retry lines, a nested-loops join, a constant and an index
-// scan's key.
+// rerun and retry lines, a transformation step's operands, a nested-loops
+// join, a constant and an index scan's key.
 type Detail struct {
 	Err   error
 	Delay time.Duration
 	Preds []ast.Predicate
 	Val   value.Value
+	// Rel and Block are a CREATE step's temp and its definition.
+	Rel   *schema.Relation
+	Block *ast.QueryBlock
 }
 
 // String renders the event as its EXPLAIN line.
 func (e Event) String() string {
 	switch e.Kind {
 	case Step:
-		return e.Label + ": " + e.Text
+		return e.Label + ": " + StepText(e.Text, e.Detail)
 	case NestedIteration:
 		return "evaluated by nested iteration"
 	case Fallback:
@@ -144,6 +152,8 @@ func (e Event) String() string {
 		return e.Label + " plan:\n" + exec.Describe(e.Plan)
 	case Materialized:
 		return fmt.Sprintf("%s materialized: %d tuples, %d pages", e.Label, e.N, e.M)
+	case Resident:
+		return fmt.Sprintf("%s held in memory, not materialized: %d tuples, %d pages", e.Label, e.N, e.M)
 	case Streamed:
 		return fmt.Sprintf("%s: %s streamed, not materialized (estimated %d tuples, %d pages)", e.Label, e.Text, e.N, e.M)
 	case Constant:
@@ -210,11 +220,28 @@ func (e Event) preds() string {
 	if len(e.Detail.Preds) == 0 {
 		return "(cartesian)"
 	}
-	parts := make([]string, len(e.Detail.Preds))
-	for i, p := range e.Detail.Preds {
-		parts[i] = p.String()
+	return StepText("", e.Detail)
+}
+
+// StepText renders a transformation step from its prose and operands
+// (nil when it has none): a CREATE step's temp as NAME(columns) = its
+// definition, then the predicates joined by AND.
+func StepText(text string, d *Detail) string {
+	if d == nil {
+		return text
 	}
-	return strings.Join(parts, " AND ")
+	var b strings.Builder
+	b.WriteString(text)
+	if d.Rel != nil {
+		b.WriteString(d.Rel.Name + "(" + strings.Join(d.Rel.ColumnNames(), ", ") + ") = " + d.Block.String())
+	}
+	for i, p := range d.Preds {
+		if i > 0 {
+			b.WriteString(" AND ")
+		}
+		b.WriteString(p.String())
+	}
+	return b.String()
 }
 
 // Lines renders every event, one string each: the text form of a trace.

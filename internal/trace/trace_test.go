@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/exec"
+	"repro/internal/schema"
 	"repro/internal/value"
 )
 
@@ -23,6 +24,10 @@ func TestEveryKindRenders(t *testing.T) {
 		want string
 	}{
 		{Event{Kind: Step, Label: "NEST-N-J", Text: "type-N predicate becomes join"}, "NEST-N-J: type-N predicate becomes join"},
+		{Event{Kind: Step, Label: "NEST-JA2", Text: "reduced to ", Detail: &Detail{Preds: []ast.Predicate{pred, pred}}}, "NEST-JA2: reduced to R.A < S.A AND R.A < S.A"},
+		{Event{Kind: Step, Label: "CREATE TEMP1", Detail: &Detail{Rel: &schema.Relation{Name: "TEMP1", Columns: []schema.Column{{Name: "A"}, {Name: "B"}}},
+			Block: &ast.QueryBlock{Select: []ast.SelectItem{{Col: ast.ColumnRef{Table: "R", Column: "A"}}}, From: []ast.TableRef{{Relation: "R"}}}}},
+			"CREATE TEMP1: TEMP1(A, B) = SELECT R.A FROM R"},
 		{Event{Kind: NestedIteration}, "evaluated by nested iteration"},
 		{Event{Kind: Fallback, Detail: &Detail{Err: boom}}, "fallback to nested iteration: boom"},
 		{Event{Kind: SequentialRerun, Detail: &Detail{Err: boom}}, "parallel plan failed (boom); retrying sequentially"},
@@ -31,6 +36,7 @@ func TestEveryKindRenders(t *testing.T) {
 		{Event{Kind: Spill, N: 4, M: 4096}, "spill: 4 run(s), 4096 bytes"},
 		{Event{Kind: Plan, Label: "final"}, "final plan:\n"},
 		{Event{Kind: Materialized, Label: "TEMP1", N: 3, M: 1}, "TEMP1 materialized: 3 tuples, 1 pages"},
+		{Event{Kind: Resident, Label: "TEMP1", N: 3, M: 1}, "TEMP1 held in memory, not materialized: 3 tuples, 1 pages"},
 		{Event{Kind: Constant, Detail: &Detail{Val: value.NewString("P6")}}, "type-A subquery evaluated to constant 'P6'"},
 		{Event{Kind: IndexScan, Label: "final", Cols: keys[:1], Op: value.OpEq, N: 5, Detail: &Detail{Val: value.NewInt(17)}},
 			"final: index scan on R.A (= 17, ~5 matches)"},

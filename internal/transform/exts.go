@@ -42,7 +42,7 @@ func (t *Transformer) rewriteExists(p *ast.ExistsPred) ast.Predicate {
 		Op:    op,
 		Right: &ast.Subquery{Block: count},
 	}
-	t.addStep("EXTEND", "%s rewritten to %s", name, out.String())
+	t.addStep("EXTEND", name+" rewritten to ", out)
 	return out
 }
 
@@ -71,7 +71,7 @@ func (t *Transformer) rewriteQuant(p *ast.QuantPred) (ast.Predicate, error) {
 	}
 	if p.Op == value.OpNe && (p.Quant == ast.Any || p.Quant == ast.All) {
 		out := &ast.InPred{Left: p.Left, Sub: p.Sub, Negated: true}
-		t.addStep("EXTEND", "!= %s rewritten to NOT IN", p.Quant)
+		t.addStep("EXTEND", "!= "+p.Quant.String()+" rewritten to NOT IN")
 		return out, nil
 	}
 	if p.Op == value.OpEq && p.Quant == ast.All {
@@ -99,6 +99,6 @@ func (t *Transformer) rewriteQuant(p *ast.QuantPred) (ast.Predicate, error) {
 	agg.Select = []ast.SelectItem{{Agg: fn, Col: item.Col}}
 	agg.Distinct = false
 	out := &ast.Comparison{Left: p.Left, Op: p.Op, Right: &ast.Subquery{Block: agg}}
-	t.addStep("EXTEND", "%s %s rewritten to %s against %s", p.Op, p.Quant, p.Op, fn)
+	t.addStep("EXTEND", p.Op.String()+" "+p.Quant.String()+" rewritten to "+p.Op.String()+" against "+fn.String())
 	return out, nil
 }

@@ -85,6 +85,6 @@ func (t *Transformer) nestJAKim(qb *ast.QueryBlock, p ast.Predicate) ([]ast.Pred
 		})
 	}
 	qb.From = append(qb.From, ast.TableRef{Relation: temp})
-	t.addStep("NEST-JA", "type-JA predicate reduced to joins with %s: %s", temp, predsString(conjs))
+	t.addStep("NEST-JA", "type-JA predicate reduced to joins with "+temp+": ", conjs...)
 	return conjs, nil
 }

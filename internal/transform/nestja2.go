@@ -298,7 +298,7 @@ func (t *Transformer) nestJA2(qb *ast.QueryBlock, p ast.Predicate) ([]ast.Predic
 		// predicate after the outer join would wrongly keep padded
 		// rows).
 		if info.agg.Agg == value.AggCountStar {
-			t.addStep("NEST-JA2", "COUNT(*) converted to COUNT(%s), the inner join column", aggCol)
+			t.addStep("NEST-JA2", "COUNT(*) converted to COUNT("+aggCol.String()+"), the inner join column")
 		}
 		var innerCols []ast.ColumnRef
 		for _, j := range info.joins {
@@ -401,14 +401,6 @@ func (t *Transformer) nestJA2(qb *ast.QueryBlock, p ast.Predicate) ([]ast.Predic
 		})
 	}
 	qb.From = append(qb.From, ast.TableRef{Relation: temp3})
-	t.addStep("NEST-JA2", "type-JA predicate reduced to joins with %s: %s", temp3, predsString(conjs))
+	t.addStep("NEST-JA2", "type-JA predicate reduced to joins with "+temp3+": ", conjs...)
 	return conjs, nil
-}
-
-func predsString(ps []ast.Predicate) string {
-	parts := make([]string, len(ps))
-	for i, p := range ps {
-		parts[i] = p.String()
-	}
-	return strings.Join(parts, " AND ")
 }

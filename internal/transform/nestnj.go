@@ -39,7 +39,7 @@ func (t *Transformer) nestNJ(qb *ast.QueryBlock, p ast.Predicate, kind classify.
 				p.Sub.HasAggregate() || len(p.Sub.GroupBy) > 0 || p.Sub.HasDisjunction() {
 				return nil, notTransformable("NOT IN over a non-flat inner block")
 			}
-			t.addStep("EXTENSION", "NOT IN retained for NULL-aware anti-join execution: %s", p.String())
+			t.addStep("EXTENSION", "NOT IN retained for NULL-aware anti-join execution: ", p)
 			return []ast.Predicate{p}, nil
 		}
 		left, op, sub = p.Left, value.OpEq, p.Sub
@@ -82,7 +82,7 @@ func (t *Transformer) nestNJ(qb *ast.QueryBlock, p ast.Predicate, kind classify.
 			alias := t.freshAlias(old, taken)
 			sub.From[i].Alias = alias
 			renameBinding(sub, old, alias)
-			t.addStep("NEST-N-J", "alias %s as %s to merge FROM clauses", old, alias)
+			t.addStep("NEST-N-J", "alias "+old+" as "+alias+" to merge FROM clauses")
 		}
 		taken[strings.ToUpper(sub.From[i].Binding())] = true
 	}
@@ -94,7 +94,7 @@ func (t *Transformer) nestNJ(qb *ast.QueryBlock, p ast.Predicate, kind classify.
 	// ANDed with the inner WHERE clause.
 	join := &ast.Comparison{Left: left, Op: op, Right: selCol}
 	conjs := append([]ast.Predicate{join}, sub.Where...)
-	t.addStep("NEST-N-J", "%s predicate becomes join: %s", kind, join.String())
+	t.addStep("NEST-N-J", kind.String()+" predicate becomes join: ", join)
 	return conjs, nil
 }
 
@@ -139,8 +139,12 @@ func (t *Transformer) freshAlias(base string, taken map[string]bool) string {
 
 // renameBinding rewrites references Table==old to Table==new throughout
 // the block subtree, stopping at any descendant block whose own FROM
-// clause re-binds the old name (shadowing).
+// clause re-binds the old name (shadowing). It rewrites copies of the
+// block's predicates: the steps recorded before it print the originals.
 func renameBinding(qb *ast.QueryBlock, old, new string) {
+	for i, p := range qb.Where {
+		qb.Where[i] = ast.ClonePredicate(p)
+	}
 	ast.VisitBlocks(qb, func(b *ast.QueryBlock, depth int) bool {
 		if depth > 0 && slices.ContainsFunc(b.From, func(tr ast.TableRef) bool { return strings.EqualFold(tr.Binding(), old) }) {
 			return false // shadowed

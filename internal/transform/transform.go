@@ -76,10 +76,17 @@ type TempTable struct {
 }
 
 // Step records one rule application for EXPLAIN traces, mirroring how the
-// paper presents each transformation as SQL text.
+// paper presents each transformation as SQL text. It keeps the rule's
+// operands, not their text: trace.StepText renders them when read.
 type Step struct {
-	Rule   string
-	Detail string
+	Rule string
+	// Text is the step's prose, printed before its operands.
+	Text string
+	// Rel and Block are a CREATE step's temp and its definition.
+	Rel   *schema.Relation
+	Block *ast.QueryBlock
+	// Preds are printed after Text, joined by AND.
+	Preds []ast.Predicate
 }
 
 // Result is a completed transformation: the canonical query plus the
@@ -120,8 +127,9 @@ func (t *Transformer) Transform(orig *ast.QueryBlock) (*Result, error) {
 	return &Result{Temps: t.temps, Query: qb, Steps: t.steps}, nil
 }
 
-func (t *Transformer) addStep(rule, format string, args ...any) {
-	t.steps = append(t.steps, Step{Rule: rule, Detail: fmt.Sprintf(format, args...)})
+// addStep records a step of rule: its prose, then preds.
+func (t *Transformer) addStep(rule, text string, preds ...ast.Predicate) {
+	t.steps = append(t.steps, Step{Rule: rule, Text: text, Preds: preds})
 }
 
 // lookupRel resolves a relation name against temps first, then the
@@ -149,7 +157,7 @@ func (t *Transformer) addTemp(name string, cols []schema.Column, def *ast.QueryB
 	rel := &schema.Relation{Name: name, Columns: cols}
 	t.tempRel[strings.ToUpper(name)] = rel
 	t.temps = append(t.temps, TempTable{Name: name, Rel: rel, Def: def})
-	t.addStep("CREATE "+name, "%s(%s) = %s", name, strings.Join(rel.ColumnNames(), ", "), def.String())
+	t.steps = append(t.steps, Step{Rule: "CREATE " + name, Rel: rel, Block: def})
 }
 
 // nestG is the recursive postorder procedure of section 9.1: descend to
@@ -198,7 +206,7 @@ func (t *Transformer) nestG(qb *ast.QueryBlock) error {
 			if err != nil {
 				return err
 			}
-			t.addStep("NEST-A", "independent aggregate block evaluates to a constant: %s", np.String())
+			t.addStep("NEST-A", "independent aggregate block evaluates to a constant: ", np)
 			out = append(out, np)
 		case classify.TypeN, classify.TypeJ:
 			conjs, err := t.nestNJ(qb, p, kind)

@@ -62,7 +62,9 @@ func TestPublicAPICountBug(t *testing.T) {
 	if ja2.FellBack {
 		t.Error("unexpected fallback")
 	}
-	if ja2.PageIO.Total() <= 0 {
+	// The first query reads PARTS and SUPPLY into the pool; NEST-JA2 then
+	// holds its temps in memory and reads nothing.
+	if ni.PageIO.Total() <= 0 {
 		t.Error("no I/O measured")
 	}
 	if len(ja2.Columns) != 1 || ja2.Columns[0] != "PNUM" {
