@@ -10,8 +10,7 @@ import (
 
 // This file holds what every buffering operator shares when memory runs
 // short: the one rule that decides between holding state in memory and
-// spilling it (and its case for a temp held in memory, whose file is its
-// spill), and the one checked iterator that reads a spill run back.
+// spilling it, and the one checked iterator that reads a spill run back.
 
 // reserve charges n bytes of buffered operator state against the query's
 // memory budget. It reports false when the caller must spill the state
@@ -30,10 +29,6 @@ func reserve(qc *qctx.QueryContext, sess *spill.Session, n int64) (bool, error) 
 	}
 	return qc.ReserveBuffered(n), nil
 }
-
-// hold charges n bytes of a temp held in memory, refusably whatever the
-// spill session: a refused temp goes to its file, as Hold writes it.
-func hold(qc *qctx.QueryContext, n int64) bool { return qc.ReserveBuffered(n) }
 
 // source feeds an operator kernel its input one tuple at a time: a
 // worker's morsel channel (and ExchangeMerge the workers' output), a spill

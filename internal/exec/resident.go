@@ -18,15 +18,23 @@ type Resident struct {
 // Len reports the number of rows held.
 func (r *Resident) Len() int { return r.rows.n }
 
-// Release hands the morsels back to the pool and the grant back to qc.
+// Unreserve hands the grant back to qc and keeps the rows. Once the last
+// block reading the temp is planned, its operators charge what they buffer
+// of the rows, as they would reading the file the temp stands in for, so
+// the grant would count those bytes twice.
+func (r *Resident) Unreserve(qc *qctx.QueryContext) {
+	qc.ReleaseBuffered(r.charged)
+	r.charged = 0
+}
+
+// Release hands the morsels back to the pool and any grant back to qc.
 // The rows themselves are not recycled: a result may still hold them.
 func (r *Resident) Release(qc *qctx.QueryContext) {
 	for _, m := range r.rows.chunks {
 		recycle(m)
 	}
 	r.rows = rowChunks{}
-	qc.ReleaseBuffered(r.charged)
-	r.charged = 0
+	r.Unreserve(qc)
 }
 
 // Hold drains op into memory while it yields at most limit rows and qc
@@ -55,7 +63,7 @@ func Hold(op Operator, limit int, qc *qctx.QueryContext, newFile func() *storage
 			return r, nil
 		}
 		n := tupleBytes(t)
-		if r.rows.n >= limit || !hold(qc, n) {
+		if r.rows.n >= limit || !qc.ReserveBuffered(n) {
 			w := newPageWriter(newFile())
 			for _, m := range r.rows.chunks {
 				for _, held := range m {

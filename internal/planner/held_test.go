@@ -1,6 +1,7 @@
 package planner_test
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -22,12 +23,15 @@ import (
 // page, B−1 = 7 pages hold 14 rows.
 const heldPage = 2
 
-func heldDB(t *testing.T, n int) *workload.DB {
+func heldDB(t *testing.T, n int) *workload.DB { return heldDBMod(t, n, n) }
+
+// heldDBMod is heldDB with R's n keys taken modulo mod.
+func heldDBMod(t *testing.T, n, mod int) *workload.DB {
 	t.Helper()
 	db := workload.NewDB(8)
 	rows := make([]storage.Tuple, n)
 	for i := range rows {
-		rows[i] = storage.Tuple{value.NewInt(int64(i))}
+		rows[i] = storage.Tuple{value.NewInt(int64(i % mod))}
 	}
 	if err := db.Load(&schema.Relation{Name: "R", Columns: []schema.Column{{Name: "K", Type: value.KindInt}}}, 10, rows); err != nil {
 		t.Fatal(err)
@@ -35,9 +39,9 @@ func heldDB(t *testing.T, n int) *workload.DB {
 	return db
 }
 
-// heldRun plans the temps defs (TEMPi over R, one K column each) and the
-// final query over them, and reports the rows, the trace and the page
-// writes Run made.
+// heldRun plans the temps defs (TEMPi over R and the temps before it,
+// named by its select list) and the final query over them, and reports the
+// rows, the trace and the page writes Run made.
 func heldRun(t *testing.T, db *workload.DB, defs []string, final string, opts planner.Options) ([]storage.Tuple, []trace.Event, int64, error) {
 	t.Helper()
 	parse := func(cat *schema.Catalog, sql string) *ast.QueryBlock {
@@ -57,17 +61,22 @@ func heldRun(t *testing.T, db *workload.DB, defs []string, final string, opts pl
 	}
 	res := &transform.Result{}
 	for i, def := range defs {
-		rel := &schema.Relation{Name: fmt.Sprintf("TEMP%d", i+1), Columns: r.Columns}
+		qb := parse(withTemps, def)
+		rel := &schema.Relation{Name: fmt.Sprintf("TEMP%d", i+1)}
+		for _, it := range qb.Select {
+			rel.Columns = append(rel.Columns, schema.Column{Name: it.OutputName(), Type: value.KindInt})
+		}
 		if err := withTemps.Define(rel); err != nil {
 			t.Fatal(err)
 		}
-		res.Temps = append(res.Temps, transform.TempTable{Name: rel.Name, Rel: rel, Def: parse(db.Cat, def)})
+		res.Temps = append(res.Temps, transform.TempTable{Name: rel.Name, Rel: rel, Def: qb})
 	}
 	res.Query = parse(withTemps, final)
 	opts.TempTuplesPerPage = heldPage
 	before := db.Store.Stats().Writes
 	pl := planner.New(db.Cat, db.Store, opts)
 	rows, _, err := pl.Run(res)
+	pl.DropTemps()
 	if n := db.Store.TempCount(); n != 0 {
 		t.Errorf("%d temp file(s) left", n)
 	}
@@ -195,5 +204,57 @@ func TestHeldTempsShareBMinusOnePages(t *testing.T) {
 	}
 	if !strings.Contains(notesText(events), "ResidentScan(TEMP1, 8 tuples in memory)") {
 		t.Errorf("no plan scans TEMP1's rows in memory:\n%s", notesText(events))
+	}
+}
+
+// A held temp's grant goes back when its last reader is planned, whose
+// operators then charge what they buffer of its rows, as they would
+// reading its file. So the smallest budget the plan that writes every
+// temp runs in (KeepTemps) runs the plan that holds them too, with no
+// spill session to fall back on. The shape is NEST-JA2's: a DISTINCT
+// TEMP1 group-joined into TEMP2, which the final query hash-joins and
+// sorts; that sort of 60 rows sets the budget, so both temps are held,
+// and neither the final hash join nor the sort may find their grants
+// still charged.
+func TestHeldTempsFitTheWrittenPlansBudget(t *testing.T) {
+	db := heldDBMod(t, 60, 6)
+	defs := []string{distinctTemp, "SELECT TEMP1.K, COUNT(R.K) AS C FROM TEMP1, R WHERE TEMP1.K = R.K GROUP BY TEMP1.K"}
+	const final = "SELECT R.K, TEMP2.C FROM R, TEMP2 WHERE R.K = TEMP2.K ORDER BY R.K"
+	run := func(maxBytes int64, keep bool) ([]storage.Tuple, []trace.Event, error) {
+		qc := qctx.New(qctx.Limits{MaxBytes: maxBytes})
+		defer qc.Finish()
+		rows, events, _, err := heldRun(t, db, defs, final, planner.Options{QC: qc, KeepTemps: keep})
+		if err == nil {
+			err = qc.Err()
+		}
+		if err != nil && !errors.Is(err, qctx.ErrMemoryBudget) {
+			t.Fatal(err)
+		}
+		return rows, events, err
+	}
+	// The smallest budget the written plan runs in.
+	lo, hi := int64(1), int64(1<<20)
+	for lo < hi {
+		if mid := (lo + hi) / 2; func() bool { _, _, err := run(mid, true); return err == nil }() {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	want, _, err := run(lo, true)
+	if err != nil {
+		t.Fatalf("KeepTemps at %d bytes: %v", lo, err)
+	}
+	rows, events, err := run(lo, false)
+	if err != nil {
+		t.Fatalf("%d bytes run the plan that writes every temp, not the one that holds them: %v\n%s", lo, err, notesText(events))
+	}
+	for _, name := range []string{"TEMP1", "TEMP2"} {
+		if e, _ := built(events, name); e.Kind != trace.Resident {
+			t.Errorf("%s not held at %d bytes:\n%s", name, lo, notesText(events))
+		}
+	}
+	if got := rowStrs(rows); got != rowStrs(want) || len(rows) != 60 {
+		t.Errorf("rows = %s, want %s", got, rowStrs(want))
 	}
 }

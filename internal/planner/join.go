@@ -294,23 +294,14 @@ func (p *Planner) keyCardinality(cur, right input, keys []exec.KeyPair) float64 
 }
 
 // nlJoin builds a nested-loops join; the right side must be a stored file
-// (a bare scan serves directly, a temp held in memory is written to the
-// file it would have had, anything else is materialized first, which also
-// enforces restriction-before-join for outer joins).
+// (a bare scan serves directly, anything else is materialized first,
+// which also enforces restriction-before-join for outer joins).
 func (p *Planner) nlJoin(cur, right input, joinConjs []ast.Predicate, keys []exec.KeyPair, outer bool, label string) (input, error) {
 	var file *storage.HeapFile
 	var name string
-	switch scan := right.op.(type) {
-	case *exec.SeqScan:
+	if scan, ok := right.op.(*exec.SeqScan); ok {
 		file, name = scan.File, scan.Name
-	case *exec.ResidentScan:
-		f, err := p.materialize(scan)
-		if err != nil {
-			return input{}, err
-		}
-		file, name = f, scan.Name
-		p.note(name, trace.Event{Kind: trace.Materialized, N: int64(file.NumTuples()), M: int64(file.NumPages())})
-	default:
+	} else {
 		f, err := p.materialize(right.op)
 		if err != nil {
 			return input{}, err

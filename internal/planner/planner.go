@@ -138,7 +138,8 @@ type Planner struct {
 // eliminations carry across materialization, as does a DISTINCT temp's
 // unique. An unnamed one is a join's or anti-join's right side. A temp
 // Run holds back to stream has its definition in def and no file; one it
-// holds in memory has its rows in held and no file.
+// holds in memory has its rows in held, no file, and readers, the FROM
+// entries naming it that are still to be planned.
 type temp struct {
 	name     string
 	rel      *schema.Relation
@@ -147,6 +148,7 @@ type temp struct {
 	unique   bool
 	def      *ast.QueryBlock
 	held     *exec.Resident
+	readers  int
 }
 
 // New creates a planner. Under a SpillForced query context it plans the
@@ -260,20 +262,21 @@ func (p *Planner) DropTemps() {
 }
 
 // buildTemp plans a temp definition and builds it, so that later
-// definitions and the final query resolve its name: held in memory when
-// hold allows it, the temps held so far leave room for it in B−1 pages
-// and the memory budget grants its bytes, else materialized in its file.
-func (p *Planner) buildTemp(tt transform.TempTable, hold bool) error {
+// definitions and the final query resolve its name: held in memory for its
+// readers (holds) when there are any, the temps held so far leave room for
+// it in B−1 pages and the memory budget grants its bytes, else
+// materialized in its file.
+func (p *Planner) buildTemp(tt transform.TempTable, readers int) error {
 	plan, err := p.planBlock(tt.Def, p.opts.TempJoin, tt.Name)
 	if err != nil {
 		return err
 	}
 	p.note(tt.Name, trace.Event{Kind: trace.Plan, Plan: exec.Snapshot(plan.op)})
-	t := temp{name: tt.Name, rel: tt.Rel, sortedOn: -1, unique: plan.unique}
+	t := temp{name: tt.Name, rel: tt.Rel, sortedOn: -1, unique: plan.unique, readers: readers}
 	if plan.sortedOn < len(tt.Rel.Columns) {
 		t.sortedOn = plan.sortedOn
 	}
-	if room := p.store.BufferPages() - 1 - p.heldPages; hold && room > 0 {
+	if room := p.store.BufferPages() - 1 - p.heldPages; readers > 0 && room > 0 {
 		t.held, err = exec.Hold(plan.op, room*p.tempPage(), p.opts.QC, p.createTemp)
 	} else {
 		_, err = p.materialize(plan.op)
@@ -306,33 +309,37 @@ func (p *Planner) streams(res *transform.Result, i int) bool {
 	if p.opts.AsPaper || p.opts.KeepTemps || def.HasAggregate() || len(def.GroupBy) > 0 || def.Distinct || len(def.OrderBy) > 0 {
 		return false
 	}
-	from, nested := readers(res, i)
-	return from == 1 && nested == 0
+	final, temps, nested := readers(res, i)
+	return final+temps == 1 && nested == 0
 }
 
-// holds reports whether temp i of res may be held in memory instead of
-// written to its file: the later blocks name it only in their own FROM,
-// as streams requires, and the plan is neither the paper's (AsPaper) nor
+// holds reports how many FROM entries read temp i of res when it may be
+// held in memory instead of written to its file, and 0 when it may not.
+// It may when the later blocks name it only in their own FROM, as streams
+// requires, none of them under a forced nested-loops join (whose right
+// side must be a file), and the plan is neither the paper's (AsPaper) nor
 // kept (KeepTemps). A query forced to spill holds none either: SpillForced
 // refuses every grant, so Hold writes each temp's file from its first row.
-func (p *Planner) holds(res *transform.Result, i int) bool {
-	if p.opts.AsPaper || p.opts.KeepTemps {
-		return false
+func (p *Planner) holds(res *transform.Result, i int) int {
+	final, temps, nested := readers(res, i)
+	if p.opts.AsPaper || p.opts.KeepTemps || nested > 0 ||
+		(final > 0 && p.opts.FinalJoin == JoinNL) || (temps > 0 && p.opts.TempJoin == JoinNL) {
+		return 0
 	}
-	_, nested := readers(res, i)
-	return nested == 0
+	return final + temps
 }
 
 // readers counts the FROM entries naming temp i of res in the blocks after
-// it: in their own FROM, and in the blocks nested in them.
-func readers(res *transform.Result, i int) (from, nested int) {
+// it: in the final query's own FROM, in the later temps' own FROM, and in
+// the blocks nested in either.
+func readers(res *transform.Result, i int) (final, temps, nested int) {
 	name := res.Temps[i].Name
-	from, nested = refs(res.Query, name)
+	final, nested = refs(res.Query, name)
 	for _, later := range res.Temps[i+1:] {
 		f, n := refs(later.Def, name)
-		from, nested = from+f, nested+n
+		temps, nested = temps+f, nested+n
 	}
-	return from, nested
+	return final, temps, nested
 }
 
 // refs counts the FROM entries naming relation name in qb itself, and in
@@ -587,6 +594,9 @@ func (p *Planner) scanInput(tr ast.TableRef, label string) (input, error) {
 		return p.stream(*t, tr.Binding(), label)
 	}
 	if t != nil && t.held != nil {
+		if t.readers--; t.readers == 0 {
+			t.held.Unreserve(p.opts.QC)
+		}
 		n := float64(t.held.Len())
 		scan := exec.NewResidentScan(t.held, tr.Binding(), t.rel.ColumnNames())
 		scan.QC, scan.Name = p.opts.QC, t.name
