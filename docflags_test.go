@@ -234,6 +234,48 @@ func TestOneRetryPolicy(t *testing.T) {
 	})
 }
 
+// A failed query used to climb the degradation ladder in two functions:
+// the engine's transient-retry loop and two one-shot reruns after it, with
+// three copies of the streaming fence, three budget resets and two rules
+// for the failed attempt's trace. One function, internal/engine's climb,
+// takes every rung now, and a second site must not grow back unnoticed:
+// outside it no non-test file names a rerun's trace kind
+// (trace.SequentialRerun, ForcedSpillRerun, TransientRetry) or calls
+// ResetUsage, ForceSpill or RetryDelay.
+func TestOneLadder(t *testing.T) {
+	kinds := map[string]bool{"SequentialRerun": true, "ForcedSpillRerun": true, "TransientRetry": true}
+	calls := map[string]bool{"ResetUsage": true, "ForceSpill": true, "RetryDelay": true}
+	sites := 0
+	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
+		for _, decl := range file.Decls {
+			fn, _ := decl.(*ast.FuncDecl)
+			ladder := fn != nil && fn.Name.Name == "climb" && filepath.ToSlash(filepath.Dir(path)) == "internal/engine"
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == "trace" && kinds[n.Sel.Name] {
+						if !ladder {
+							t.Errorf("%s names trace.%s: only the engine's climb takes a rung", path, n.Sel.Name)
+						}
+						sites++
+					}
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && calls[sel.Sel.Name] {
+						if !ladder {
+							t.Errorf("%s calls %s: only the engine's climb reruns a query", path, sel.Sel.Name)
+						}
+						sites++
+					}
+				}
+				return true
+			})
+		}
+	})
+	if sites == 0 {
+		t.Error("no rung found in internal/engine's climb: the guard checks nothing")
+	}
+}
+
 // A returning worker's shard slices used to come back two ways: re-shipped
 // from a live peer, or, for a shard with none, from the copy every replica
 // agreed on (agreedCopy, which read each copy whole over Snapshot and
@@ -644,12 +686,14 @@ func declaredOrSet(n ast.Node) []*ast.Ident {
 }
 
 // A setting stays only while a program sets it, or while a test needs it
-// to reach a regime it could not otherwise reach in test time. Five had
+// to reach a regime it could not otherwise reach in test time. Six had
 // neither: the engine's in-query parallel oracle (its switch, its re-run
 // and its two trace kinds), the server's deadline cap, admission's two
-// lease overrides and the public API's second admission switch beside
-// EnableAdmission. They must not grow back unnoticed: no non-test file
-// declares or sets an identifier by any of these names.
+// lease overrides, the public API's second admission switch beside
+// EnableAdmission and its per-query spill policy (engine.Options.Spill
+// stays: metamorph and the benchmark set it). They must not grow back
+// unnoticed: no non-test file declares or sets an identifier by any of
+// these names.
 func TestRemovedSettingsStayGone(t *testing.T) {
 	// Spelled apart so a grep for any name finds offenders only.
 	gone := map[string]string{
@@ -661,6 +705,7 @@ func TestRemovedSettingsStayGone(t *testing.T) {
 		"Default" + "Lease":              "the default lease is PoolBytes/MaxConcurrent",
 		"Min" + "Lease":                  "the minimum lease is a quarter of the default lease",
 		"With" + "Admission" + "Control": "admission is switched on by EnableAdmission alone",
+		"With" + "Spill" + "Policy":      "no program or test chose a query's spill policy through the public API",
 	}
 	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
 		ast.Inspect(file, func(n ast.Node) bool {

@@ -360,11 +360,12 @@ type Options struct {
 	// Lifecycle governance. A query exceeding Timeout fails with
 	// qctx.ErrQueryTimeout; one producing more than MaxRows result rows
 	// fails with qctx.ErrRowBudget; one buffering more than MaxBytes in
-	// hash builds and sorts fails with qctx.ErrMemoryBudget. Two reruns
-	// come first: a cost-gated parallel plan is retried sequentially once,
-	// and under SpillAuto with EnableSpill a query still over budget reruns
-	// once as the forced-spill sort-merge plan (see runTransformed). Zero
-	// values mean ungoverned, and execution pays only nil checks.
+	// hash builds and sorts fails with qctx.ErrMemoryBudget. The
+	// degradation ladder's three reruns come first (see climb): a parallel
+	// plan reruns sequentially, a query still over budget under SpillAuto
+	// with EnableSpill reruns as the forced-spill sort-merge plan, and a
+	// transient fault under admission is retried. Zero values mean
+	// ungoverned, and execution pays only nil checks.
 	Timeout  time.Duration
 	MaxRows  int64
 	MaxBytes int64
@@ -386,7 +387,7 @@ type Options struct {
 	// gateway is enabled.
 	ticket *admission.Ticket
 	// stream wraps Sink for one execution, tracking whether rows have
-	// already escaped (which fences the engine's re-run retries).
+	// already gone out (which fences the ladder's reruns).
 	stream *streamState
 }
 
@@ -450,9 +451,6 @@ func (db *DB) queryBlock(qb *ast.QueryBlock, opts Options) (*Result, error) {
 	// statement half-applied, and a checkpoint never snapshots one.
 	db.dmlMu.RLock()
 	defer db.dmlMu.RUnlock()
-	if opts.Sink != nil {
-		opts.stream = &streamState{sink: opts.Sink}
-	}
 	out, err := schema.Resolve(db.cat, qb)
 	if err != nil {
 		return nil, err
@@ -461,11 +459,14 @@ func (db *DB) queryBlock(qb *ast.QueryBlock, opts Options) (*Result, error) {
 	for _, c := range out {
 		res.Columns = append(res.Columns, c.Name)
 	}
-	if opts.stream != nil {
+	if opts.Sink != nil {
+		opts.stream = &streamState{sink: opts.Sink}
 		// The header goes out before execution so even an empty (or
 		// failing) result stream has told the client its shape.
-		if err := opts.stream.columns(res.Columns); err != nil {
-			return nil, err
+		if opts.Sink.Columns != nil {
+			if err := opts.Sink.Columns(res.Columns); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -501,56 +502,88 @@ func (db *DB) queryBlock(qb *ast.QueryBlock, opts Options) (*Result, error) {
 	}
 
 	before := db.store.Stats()
-	baseTrace := len(res.Trace)
-	for attempt := 0; ; {
-		res.Rows, res.FellBack = nil, false
-		switch opts.Strategy {
-		case NestedIteration:
-			err = db.runNested(qb, qc, opts.stream, res)
-		case TransformJA2, TransformKim:
-			variant := transform.JA2
-			if opts.Strategy == TransformKim {
-				variant = transform.KimJA
-			}
-			err = db.runTransformed(qb, variant, opts, qc, res)
-		default:
-			err = fmt.Errorf("engine: unknown strategy %v", opts.Strategy)
-		}
-		// Transient-fault retry: only injected storage faults qualify
-		// (qctx.Retryable), only under admission control, with capped
-		// exponential backoff + jitter. The deadline keeps ticking
-		// through the backoff sleep. A streaming query that has already
-		// delivered rows is never re-run — the client would see them twice.
-		if err == nil || opts.ticket == nil || !qctx.Retryable(err) ||
-			opts.stream.hasEmitted() || opts.stream.sinkBroken() {
-			break
-		}
-		delay, ok := db.admit.RetryDelay(attempt)
-		if !ok {
-			break
-		}
-		attempt++
-		// Drop the failed attempt's transform/plan notes so Explain shows
-		// one coherent execution, then record the retry itself.
-		res.Trace = append(res.Trace[:baseTrace],
-			trace.Event{Kind: trace.TransientRetry, N: int64(attempt), Detail: &trace.Detail{Err: err, Delay: delay}})
-		baseTrace = len(res.Trace)
-		interrupted := false
-		select {
-		case <-time.After(delay):
-		case <-qc.Done():
-			interrupted = true
-		}
-		if interrupted || qc.Check() != nil {
-			break
-		}
-		qc.ResetUsage()
-	}
-	if err != nil {
+	if err := db.climb(qb, opts, qc, res); err != nil {
 		return nil, err
 	}
 	res.Stats = db.store.Stats().Sub(before)
 	return res, nil
+}
+
+// climb runs the query, and each time an attempt fails climbs at most one
+// rung of the degradation ladder (DESIGN §8), in this order, or returns the
+// error:
+//
+//   - sequential rerun: a planned parallel query failed with a contained
+//     panic (a worker fault) or ErrMemoryBudget (sequential plans buffer
+//     less than a partitioned hash build). Planning stays sequential for
+//     every later attempt.
+//   - forced-spill rerun: a planned query still over its memory budget
+//     under SpillAuto (which only a spill manager grants). An operator whose buffer merely fits the budget
+//     keeps it resident and can starve a later charge that has no spill
+//     path (a materialized temp's partial-page buffer, GroupAgg's one
+//     group, the hash operators' state), so the rerun refuses every
+//     reservation: it is the paper's section 7 sort-merge plan, whose
+//     rows are the same plan's unbudgeted rows in the same order.
+//   - transient retry: qctx.Retryable under an admission ticket, up to
+//     RetryMax times with capped, jittered backoff racing the deadline.
+//
+// Timeouts, cancels and row-budget violations take no rung: a rerun would
+// exceed the same limits. Nothing reruns once a batch has gone to the
+// sink. Every rerun gets the budgets back while the deadline keeps
+// ticking, and drops the failed attempt's notes but keeps each rung's
+// event, so the trace (and Result.Spill) describes the one execution
+// that completed.
+func (db *DB) climb(qb *ast.QueryBlock, opts Options, qc *qctx.QueryContext, res *Result) error {
+	base := len(res.Trace)
+	for retries := 0; ; {
+		res.Rows, res.FellBack = nil, false
+		var err error
+		switch opts.Strategy {
+		case NestedIteration:
+			err = db.runNested(qb, qc, opts.stream, res)
+		case TransformJA2:
+			err = db.runTransformed(qb, transform.JA2, opts, qc, res)
+		case TransformKim:
+			err = db.runTransformed(qb, transform.KimJA, opts, qc, res)
+		default:
+			return fmt.Errorf("engine: unknown strategy %v", opts.Strategy)
+		}
+		if err == nil || opts.stream.fenced() ||
+			errors.Is(err, qctx.ErrQueryTimeout) || errors.Is(err, qctx.ErrCanceled) || errors.Is(err, qctx.ErrRowBudget) {
+			return err
+		}
+		planned := opts.Strategy != NestedIteration && !res.FellBack
+		var pe *qctx.PanicError
+		var rung trace.Event
+		switch {
+		case planned && opts.Planner.Parallelism > 1 && (errors.As(err, &pe) || errors.Is(err, qctx.ErrMemoryBudget)):
+			opts.Planner.Parallelism, opts.Planner.ForceParallel = 0, false
+			rung = trace.Event{Kind: trace.SequentialRerun, Detail: &trace.Detail{Err: err}}
+		case planned && errors.Is(err, qctx.ErrMemoryBudget) && qc.SpillPolicy() == qctx.SpillAuto:
+			qc.ForceSpill()
+			rung = trace.Event{Kind: trace.ForcedSpillRerun, Detail: &trace.Detail{Err: err}}
+		case opts.ticket != nil && qctx.Retryable(err):
+			delay, ok := db.admit.RetryDelay(retries)
+			if !ok {
+				return err
+			}
+			retries++
+			rung = trace.Event{Kind: trace.TransientRetry, N: int64(retries), Detail: &trace.Detail{Err: err, Delay: delay}}
+			select {
+			case <-time.After(delay):
+			case <-qc.Done():
+				return err
+			}
+			if qc.Check() != nil {
+				return err
+			}
+		default:
+			return err
+		}
+		qc.ResetUsage()
+		res.Trace = append(res.Trace[:base], rung)
+		base = len(res.Trace)
+	}
 }
 
 // contain runs fn on the calling goroutine and converts a panic — a
@@ -632,62 +665,23 @@ func (db *DB) runTransformed(qb *ast.QueryBlock, variant transform.Variant, opts
 			popts.Spill = sess
 		}
 	}
+	pl := planner.New(db.cat, db.store, popts)
+	pl.Trace = res.Trace
 	var rows []storage.Tuple
-	runPlan := func(o planner.Options) error {
-		pl := planner.New(db.cat, db.store, o)
-		pl.Trace = res.Trace
-		err := contain(func() error {
-			var err error
-			rows, _, err = pl.Run(tr)
-			return err
-		})
-		res.Trace = pl.Trace
+	err = contain(func() error {
+		var err error
+		rows, _, err = pl.Run(tr)
 		return err
-	}
-	err = runPlan(popts)
-	// Both reruns below plan sequentially.
-	seq := popts
-	seq.Parallelism = 0
-	seq.ForceParallel = false
-	if err != nil && popts.Parallelism > 1 && retrySequentially(err) &&
-		!opts.stream.hasEmitted() && !opts.stream.sinkBroken() {
-		// Graceful degradation: a parallel plan that lost a worker to a
-		// fault, or blew the memory budget partitioning its build side,
-		// is retried sequentially once. Budget counters reset; the
-		// original deadline keeps ticking. Timeouts, explicit cancels,
-		// and row-budget violations are not retried — a sequential run
-		// would exceed the same limits.
-		qc.ResetUsage()
-		res.Trace = append(res.Trace, trace.Event{Kind: trace.SequentialRerun, Detail: &trace.Detail{Err: err}})
-		err = runPlan(seq)
-	}
-	if errors.Is(err, qctx.ErrMemoryBudget) && sess != nil &&
-		qc.SpillPolicy() == qctx.SpillAuto &&
-		!opts.stream.hasEmitted() && !opts.stream.sinkBroken() {
-		// The last degradation rung before failing: under SpillAuto an
-		// operator whose buffer merely FITS the budget keeps it resident
-		// and can starve a later charge that has no spill path (a
-		// materialized temp's partial-page buffer, GroupAgg's one group
-		// and the hash operators' state model real memory). Rerun once,
-		// sequentially, refusing every reservation — the resident set
-		// collapses to the irreducible page buffers. Under SpillForced the
-		// planner sort-merges the joins the caller left to cost, the
-		// paper's section 7 plan, since hash operators hold their state in
-		// memory. The rerun is deterministic: its rows are the same plan's
-		// unbudgeted rows, in the same order.
-		qc.ResetUsage()
-		qc.ForceSpill()
-		res.Trace = append(res.Trace, trace.Event{Kind: trace.ForcedSpillRerun, Detail: &trace.Detail{Err: err}})
-		err = runPlan(seq)
+	})
+	res.Trace = pl.Trace
+	if err != nil {
+		return err
 	}
 	if sess != nil {
 		res.Spill = sess.Stats()
 		if res.Spill.Runs > 0 {
 			res.Trace = append(res.Trace, trace.Event{Kind: trace.Spill, N: res.Spill.Runs, M: res.Spill.Bytes})
 		}
-	}
-	if err != nil {
-		return err
 	}
 	res.Rows = rows
 	return nil
@@ -710,17 +704,6 @@ func traceRoom(tr *transform.Result, o planner.Options, qc *qctx.QueryContext) i
 		n += 3 + perJoin*(len(t.Def.From)-1)
 	}
 	return n
-}
-
-// retrySequentially reports whether a parallel-plan failure is worth one
-// sequential retry: a contained panic (worker fault) or a memory-budget
-// violation (sequential plans buffer less than a partitioned hash build).
-func retrySequentially(err error) bool {
-	if errors.Is(err, qctx.ErrQueryTimeout) || errors.Is(err, qctx.ErrCanceled) || errors.Is(err, qctx.ErrRowBudget) {
-		return false
-	}
-	var pe *qctx.PanicError
-	return errors.As(err, &pe) || errors.Is(err, qctx.ErrMemoryBudget)
 }
 
 // Explain returns a textual report of how the query would be (and was)

@@ -558,6 +558,102 @@ func TestForcedSpillRerunSortMerges(t *testing.T) {
 	}
 }
 
+// TestLadderRungsInOrder pins a query that climbs two rungs of the
+// degradation ladder: its forced-parallel plan blows a budget between 3 and
+// 7.5 KiB, the sequential rerun blows it too, and the forced-spill rerun
+// completes with the unbudgeted rows. The trace describes that one
+// completing execution: both rung events, in order, then each
+// transformation step once and a plan that sort-merges, with none of the
+// failed hash-joining attempts' notes.
+func TestLadderRungsInOrder(t *testing.T) {
+	db := memDB(t, 91000, 120)
+	want, err := db.Query(memJAQuery, engine.Options{Strategy: engine.TransformJA2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := slices.DeleteFunc(slices.Clone(want.Trace), func(e trace.Event) bool { return e.Kind != trace.Step })
+	if err := db.EnableSpill(t.TempDir(), 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int64{3 << 10, 5 << 10, 7680} {
+		opts := engine.Options{Strategy: engine.TransformJA2, MaxBytes: budget}
+		opts.Planner.Parallelism, opts.Planner.ForceParallel = 4, true
+		res, err := db.Query(memJAQuery, opts)
+		if err != nil {
+			t.Fatalf("%d bytes: %v", budget, err)
+		}
+		if !slices.Equal(climbed(res), []trace.Kind{trace.SequentialRerun, trace.ForcedSpillRerun}) {
+			t.Errorf("%d bytes: want the sequential rerun, then the forced-spill rerun:\n%s", budget, traceText(res))
+		}
+		got := slices.DeleteFunc(slices.Clone(res.Trace), func(e trace.Event) bool { return e.Kind != trace.Step })
+		if !slices.EqualFunc(got, steps, func(a, b trace.Event) bool { return a.String() == b.String() }) {
+			t.Errorf("%d bytes: want each transformation step once:\n%s", budget, traceText(res))
+		}
+		if hasKind(res, trace.HashJoin) || !hasKind(res, trace.MergeJoin) || usedParallel(res) {
+			t.Errorf("%d bytes: the trace keeps a failed attempt's notes or does not sort-merge:\n%s", budget, traceText(res))
+		}
+		if sortedRows(res) != sortedRows(want) {
+			t.Errorf("%d bytes: rows differ from the unbudgeted run", budget)
+		}
+	}
+	if left := spillLeft(db); left != "" {
+		t.Fatalf("after the queries: %s left behind", left)
+	}
+}
+
+// TestTransientRetryStaysSequential pins the step-down: once a parallel
+// plan has failed and rerun sequentially, a later rung keeps planning
+// sequentially. The forced-parallel plan of an IN query blows its budget;
+// the sequential rerun spills past the threshold and meets a spill-write
+// fault; the transient retry then completes, sequentially, with the
+// unbudgeted rows, and the trace keeps both rung events in order.
+func TestTransientRetryStaysSequential(t *testing.T) {
+	const sql = `SELECT T1.K, T1.V FROM RC T1 WHERE T1.V IN (SELECT T2.V FROM RA T2 WHERE T2.K = T1.K)`
+	db := memDB(t, 91000, 120)
+	want, err := db.Query(sql, engine.Options{Strategy: engine.TransformJA2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnableSpill(t.TempDir(), 1024); err != nil {
+		t.Fatal(err)
+	}
+	db.EnableAdmission(admission.Config{MaxConcurrent: 2, RetryMax: 3})
+	for _, budget := range []int64{4 << 10, 8 << 10, 12 << 10} {
+		var rates fault.Rates
+		rates[fault.SpillWrite] = 1
+		db.SetFaults(fault.New(fault.Plan{Seed: 1, Max: 1, Rates: rates}))
+		opts := engine.Options{Strategy: engine.TransformJA2, MaxBytes: budget}
+		opts.Planner.Parallelism, opts.Planner.ForceParallel = 4, true
+		res, err := db.Query(sql, opts)
+		if err != nil {
+			t.Fatalf("%d bytes: %v", budget, err)
+		}
+		if !slices.Equal(climbed(res), []trace.Kind{trace.SequentialRerun, trace.TransientRetry}) || usedParallel(res) {
+			t.Errorf("%d bytes: want the sequential rerun, then a sequential transient retry:\n%s", budget, traceText(res))
+		}
+		if sortedRows(res) != sortedRows(want) {
+			t.Errorf("%d bytes: rows differ from the unbudgeted run", budget)
+		}
+	}
+	if left := spillLeft(db); left != "" {
+		t.Fatalf("after the queries: %s left behind", left)
+	}
+}
+
+// climbed lists the rung events in res's trace, in the order it climbed
+// them.
+func climbed(res *engine.Result) []trace.Kind {
+	var kinds []trace.Kind
+	for _, e := range res.Trace {
+		for _, r := range rungs {
+			if e.Kind == r.kind {
+				kinds = append(kinds, e.Kind)
+			}
+		}
+	}
+	return kinds
+}
+
 // TestSpillForcedPlansSortMerge pins where the sort-merge rule lives: the
 // planner, under any SpillForced query, not just the engine's rerun. A
 // caller's SpillForced query that leaves its joins to cost and asks for

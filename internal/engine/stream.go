@@ -23,56 +23,27 @@ type RowSink struct {
 	Batch     func(rows []storage.Tuple) error
 }
 
-// streamState wraps a RowSink for one query execution. It tracks whether
-// any rows have escaped to the caller: the engine's retry paths (the
-// admission layer's transient-fault retry and the sequential retry of a
-// failed parallel plan) re-run the whole query, which would duplicate
-// already-delivered rows — so both are fenced once emission starts.
+// streamState wraps a RowSink for one query execution. Every rung of the
+// degradation ladder reruns the whole query, which would deliver rows
+// twice, or stream into a consumer that is gone (a closed connection, a
+// client stalled past its write deadline): so once any batch has gone to
+// the sink, delivered or refused, the query is fenced and never reruns.
 type streamState struct {
-	sink       *RowSink
-	colsSent   bool
-	emitted    int64
-	sinkFailed bool
+	sink *RowSink
+	sent bool
 }
 
-// hasEmitted reports whether any batch reached the sink. Nil-safe so
-// non-streaming paths can test it unconditionally.
-func (s *streamState) hasEmitted() bool { return s != nil && s.emitted > 0 }
+// fenced reports whether a batch has gone to the sink. Nil-safe so
+// non-streaming queries can ask it unconditionally.
+func (s *streamState) fenced() bool { return s != nil && s.sent }
 
-// sinkBroken reports whether a sink callback itself failed. A broken
-// sink means the consumer is gone (a closed network connection, a
-// stalled client past its write deadline): re-running the query on any
-// retry path would stream into the same dead pipe, so retries are
-// fenced even when no rows made it out.
-func (s *streamState) sinkBroken() bool { return s != nil && s.sinkFailed }
-
-// columns forwards the column header exactly once, surviving retries.
-func (s *streamState) columns(cols []string) error {
-	if s.colsSent {
-		return nil
-	}
-	s.colsSent = true
-	if s.sink.Columns == nil {
-		return nil
-	}
-	if err := s.sink.Columns(cols); err != nil {
-		s.sinkFailed = true
-		return err
-	}
-	return nil
-}
-
-// batch forwards one batch, counting emission.
+// batch forwards one batch, fencing the query's reruns.
 func (s *streamState) batch(rows []storage.Tuple) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	if err := s.sink.Batch(rows); err != nil {
-		s.sinkFailed = true
-		return err
-	}
-	s.emitted += int64(len(rows))
-	return nil
+	s.sent = true
+	return s.sink.Batch(rows)
 }
 
 // emitSlice streams an already-materialized result (the nested-iteration

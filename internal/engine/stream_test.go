@@ -122,7 +122,7 @@ func TestStreamRowBudgetStillEnforced(t *testing.T) {
 // TestStreamNoRetryAfterEmission pins the retry fence: a transient fault
 // that strikes after rows have been delivered must fail the query, not
 // silently re-run it (the client would receive duplicates). The sink
-// error stands in for the fault — the fence is the same hasEmitted gate.
+// error stands in for the fault: both meet the one fence, streamState.fenced.
 func TestStreamNoRetryAfterEmission(t *testing.T) {
 	db := lifecycleDB(t)
 	db.EnableAdmission(admission.Config{RetryMax: 3})
@@ -141,11 +141,10 @@ func TestStreamNoRetryAfterEmission(t *testing.T) {
 }
 
 // TestStreamNoRetryAfterSinkFailure pins the other half of the fence: a
-// sink that fails on the very FIRST batch leaves hasEmitted false (the
-// failed batch is not counted), yet retrying would be wasted work — the
-// consumer's write path is broken, and a re-run would stream into the
-// same dead pipe. The sinkBroken gate must stop the transient-fault
-// retry even when the sink's error looks retryable.
+// sink that fails on the very FIRST batch has delivered no row, yet
+// retrying would be wasted work — the consumer's write path is broken,
+// and a re-run would stream into the same dead pipe. The fence must stop
+// the transient-fault retry even when the sink's error looks retryable.
 func TestStreamNoRetryAfterSinkFailure(t *testing.T) {
 	db := lifecycleDB(t)
 	db.EnableAdmission(admission.Config{RetryMax: 3})

@@ -22,45 +22,39 @@ const DefaultBatchRows = 64
 
 // DrainInto runs an operator to completion, delivering rows to sink in
 // batches of at most batchRows, charging each row against qc's row budget
-// exactly like Drain. It returns the number of rows delivered —
-// including those already handed to the sink when an error occurs
-// mid-stream, so callers that retry can tell whether anything escaped.
-func DrainInto(op Operator, qc *qctx.QueryContext, batchRows int, sink BatchSink) (int64, error) {
+// exactly like Drain.
+func DrainInto(op Operator, qc *qctx.QueryContext, batchRows int, sink BatchSink) error {
 	if batchRows <= 0 {
 		batchRows = DefaultBatchRows
 	}
 	defer op.Close() // see MaterializeInto for why this precedes Open
 	if err := op.Open(); err != nil {
-		return 0, err
+		return err
 	}
-	var delivered int64
 	batch := make([]storage.Tuple, 0, batchRows)
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
 		}
-		if err := sink(batch); err != nil {
-			return err
-		}
-		delivered += int64(len(batch))
+		err := sink(batch)
 		batch = batch[:0]
-		return nil
+		return err
 	}
 	for {
 		t, ok, err := op.Next()
 		if err != nil {
-			return delivered, err
+			return err
 		}
 		if !ok {
-			return delivered, flush()
+			return flush()
 		}
 		if err := qc.AddRows(1); err != nil {
-			return delivered, err
+			return err
 		}
 		batch = append(batch, t)
 		if len(batch) >= batchRows {
 			if err := flush(); err != nil {
-				return delivered, err
+				return err
 			}
 		}
 	}

@@ -210,7 +210,7 @@ func (p *Planner) Run(res *transform.Result) (rows []storage.Tuple, sch exec.Row
 	}
 	p.note("final", trace.Event{Kind: trace.Plan, Plan: exec.Snapshot(final.op)})
 	if p.opts.Sink != nil {
-		if _, err := exec.DrainInto(final.op, p.opts.QC, p.opts.SinkBatchRows, p.opts.Sink); err != nil {
+		if err := exec.DrainInto(final.op, p.opts.QC, p.opts.SinkBatchRows, p.opts.Sink); err != nil {
 			return nil, nil, err
 		}
 		return nil, final.op.Schema(), nil

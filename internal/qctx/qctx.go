@@ -335,11 +335,11 @@ func (qc *QueryContext) SpillPolicy() SpillPolicy {
 	return SpillPolicy(qc.spill.Load())
 }
 
-// ForceSpill escalates the policy to SpillForced — the engine's last
-// degradation rung before failing a query: operators whose reservations
-// merely FIT the budget can starve a later irreducible charge (a temp
-// page buffer has no spill path), so the retry refuses every
-// reservation and pushes all spillable state to disk.
+// ForceSpill escalates the policy to SpillForced for the engine's
+// forced-spill rerun: operators whose reservations merely FIT the budget
+// can starve a later irreducible charge (a temp page buffer has no spill
+// path), so the rerun refuses every reservation and pushes all spillable
+// state to disk.
 func (qc *QueryContext) ForceSpill() {
 	if qc == nil {
 		return
@@ -358,9 +358,9 @@ func (qc *QueryContext) ReleaseBuffered(n int64) {
 
 // ResetUsage zeroes the row and buffered-byte counters and, if the
 // query was canceled by a budget (not a timeout or explicit cancel),
-// re-arms it. The engine uses this for the one-shot sequential retry of
-// a failed parallel plan: the retry gets the full budgets back but the
-// original deadline keeps ticking.
+// re-arms it. The engine's degradation ladder calls it before each
+// rerun: the rerun gets the full budgets back but the original deadline
+// keeps ticking.
 func (qc *QueryContext) ResetUsage() {
 	if qc == nil {
 		return

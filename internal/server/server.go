@@ -15,9 +15,10 @@ import (
 	"repro/internal/engine"
 )
 
-// Config tunes a Server. The zero value is usable: engine defaults for
-// strategy and parallelism, 64-row batches, client-requested deadlines
-// taken as sent, and no cap on row budgets.
+// Config tunes a Server. The zero value is usable: the engine's
+// NestedIteration for wire.StrategyDefault, sequential plans, 64-row
+// batches, client-requested deadlines taken as sent, and no cap on row
+// budgets.
 type Config struct {
 	// BatchRows bounds rows per RowBatch frame (0 = exec default of 64).
 	BatchRows int

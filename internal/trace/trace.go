@@ -42,8 +42,8 @@ const (
 	// ForcedSpillRerun: a plan exceeded its memory budget with Err and
 	// runs again refusing every reservation.
 	ForcedSpillRerun
-	// TransientRetry: an injected storage fault Err; retry N after a
-	// backoff of Delay.
+	// TransientRetry: a transient failure Err (an injected fault or a
+	// corrupt spill run, qctx.Retryable); retry N after a backoff of Delay.
 	TransientRetry
 	// Spill: the query wrote N spill runs of M bytes.
 	Spill

@@ -401,38 +401,11 @@ func WithMaxRows(n int64) QueryOption {
 
 // WithMemoryBudget bounds the bytes a query may buffer at once in hash
 // builds and sort runs; exceeding it fails the query with ErrMemoryBudget.
-// Under SpillAuto with EnableSpill such a query first reruns once as the
-// forced-spill sort-merge plan (see SpillForced).
+// With EnableSpill, sorts and merge-join groups spill instead, and a query
+// still over budget first reruns once as the paper's section 7 sort-merge
+// plan, whose every buffer can spill.
 func WithMemoryBudget(n int64) QueryOption {
 	return func(o *engine.Options) { o.MaxBytes = n }
-}
-
-// SpillPolicy selects how one query responds to memory pressure when
-// spilling is enabled (EnableSpill); see WithSpillPolicy.
-type SpillPolicy = qctx.SpillPolicy
-
-// The spill policies.
-const (
-	// SpillAuto (the default with EnableSpill) spills a sort or merge-join
-	// group when buffering would cross the memory budget or the spill
-	// threshold. Hash joins and hash aggregation never spill: one that
-	// outgrows the budget is rerun as the SpillForced plan.
-	SpillAuto = qctx.SpillAuto
-	// SpillOff restores the pre-spill behavior for one query: exceeding
-	// the memory budget fails with ErrMemoryBudget.
-	SpillOff = qctx.SpillOff
-	// SpillForced routes every buffering operator through spill runs
-	// regardless of budget — for tests and chaos suites. The query is
-	// planned as the paper's section 7 plan so that every buffer can
-	// spill: joins the caller left to cost are merge joins, grouping
-	// sorts, and nothing runs in parallel.
-	SpillForced = qctx.SpillForced
-)
-
-// WithSpillPolicy overrides the query's spill policy. Without EnableSpill
-// every policy degrades to SpillOff — there is nowhere to write runs.
-func WithSpillPolicy(p SpillPolicy) QueryOption {
-	return func(o *engine.Options) { o.Spill = p }
 }
 
 // WithCancel cancels the query with ErrCanceled as soon as ch is closed —
