@@ -96,7 +96,7 @@ func runPlanner(db *engine.DB, sql string, variant transform.Variant, keepTemps 
 	if _, err := schema.Resolve(db.Catalog(), qb); err != nil {
 		panic(err)
 	}
-	tr, err := transform.New(db.Catalog(), variant).Transform(qb)
+	tr, err := transform.New(db.Catalog(), variant).AsPaper(true).Transform(qb)
 	if err != nil {
 		panic(err)
 	}

@@ -45,7 +45,7 @@ func expTree() {
 	fmt.Println("    predicate reference spans the query block containing the")
 	fmt.Println("    aggregate function, so type-JA nesting is present (section 9.1).")
 
-	tr, err := transform.New(db.Catalog(), transform.JA2).Transform(qb)
+	tr, err := transform.New(db.Catalog(), transform.JA2).AsPaper(true).Transform(qb)
 	if err != nil {
 		panic(err)
 	}

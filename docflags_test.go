@@ -1,6 +1,7 @@
 package nestedsql_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -519,6 +520,67 @@ func TestOneSpillPath(t *testing.T) {
 			return true
 		})
 	})
+}
+
+// Section 8's quantifiers used to reach a plan only as COUNT and MAX
+// comparisons, and NOT IN had its own anti-join with its own loop over the
+// inner rows. A plan now keeps EXISTS, NOT EXISTS, x θ ANY and NOT IN as one
+// quantified join in three forms — MergeJoin, ParallelHashJoin and the
+// re-scanning AntiJoin, each deciding its exec.Quantifier through one
+// decision — and that decision folds through nested iteration's own rule,
+// internal/exec/eval.go's quantified. A second fold or a second semi-join
+// or anti-join must not grow back unnoticed: quantified is declared in
+// eval.go and named only there and in internal/exec/quantified.go; no
+// non-test type but exec.AntiJoin is named like a semi-join or an
+// anti-join; decision is named only by quantified.go and the three forms'
+// files; and in internal/exec exactly the three forms have a Quant field,
+// a *Quantifier.
+func TestOneQuantifiedFold(t *testing.T) {
+	semiAnti := regexp.MustCompile(`(?i)(semi|anti)-?join`)
+	foldUsers := map[string]bool{"internal/exec/eval.go": true, "internal/exec/quantified.go": true}
+	decisionUsers := map[string]bool{"internal/exec/quantified.go": true, "internal/exec/join.go": true, "internal/exec/parallel.go": true}
+	var forms []string
+	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
+		path = filepath.ToSlash(path)
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if semiAnti.MatchString(n.Name.Name) && (n.Name.Name != "AntiJoin" || path != "internal/exec/quantified.go") {
+					t.Errorf("%s declares type %s: a quantified join is one of MergeJoin, ParallelHashJoin and AntiJoin", path, n.Name.Name)
+				}
+				if n.Name.Name == "quantified" && path != "internal/exec/eval.go" {
+					t.Errorf("%s declares a second quantified", path)
+				}
+				st, ok := n.Type.(*ast.StructType)
+				if !ok || filepath.Dir(path) != "internal/exec" {
+					return true
+				}
+				for _, f := range st.Fields.List {
+					for _, name := range f.Names {
+						if name.Name != "Quant" {
+							continue
+						}
+						if star, ok := f.Type.(*ast.StarExpr); !ok || fmt.Sprint(star.X) != "Quantifier" {
+							t.Errorf("%s: %s.Quant is not a *Quantifier", path, n.Name.Name)
+						}
+						forms = append(forms, n.Name.Name)
+					}
+				}
+			case *ast.Ident:
+				if n.Name == "quantified" && !foldUsers[path] {
+					t.Errorf("%s names quantified: only a quantified join's decision folds inner rows outside nested iteration", path)
+				}
+				if n.Name == "decision" && filepath.Dir(path) == "internal/exec" && !decisionUsers[path] {
+					t.Errorf("%s names decision: only the three forms of a quantified join decide a Quantifier", path)
+				}
+			}
+			return true
+		})
+	})
+	slices.Sort(forms)
+	if want := []string{"AntiJoin", "MergeJoin", "ParallelHashJoin"}; !slices.Equal(forms, want) {
+		t.Errorf("operators with a Quant field: %v, want %v", forms, want)
+	}
 }
 
 // A query's trace used to be text: every query formatted its plan notes

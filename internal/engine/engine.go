@@ -628,7 +628,7 @@ func (db *DB) runNested(qb *ast.QueryBlock, qc *qctx.QueryContext, stream *strea
 }
 
 func (db *DB) runTransformed(qb *ast.QueryBlock, variant transform.Variant, opts Options, qc *qctx.QueryContext, res *Result) error {
-	tr, err := transform.New(db.cat, variant).Transform(qb)
+	tr, err := transform.New(db.cat, variant).AsPaper(opts.Planner.AsPaper).Transform(qb)
 	if errors.Is(err, transform.ErrNotTransformable) && !opts.NoFallback {
 		res.FellBack = true
 		res.Trace = append(res.Trace, trace.Event{Kind: trace.Fallback, Detail: &trace.Detail{Err: err}})

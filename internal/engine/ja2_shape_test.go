@@ -50,24 +50,41 @@ func jaSeqShape(t *testing.T, scale int) (*engine.DB, workload.SyntheticConfig) 
 // pages each, fit B − 1 = 31 pages together, so the default plans hold
 // them in memory: their 4 + 4 pages written and 4 + 4 read back are gone,
 // 816 − 16 = 800. Type-J, bounded rather than pinned, measures 710 and 836.
+//
+// EXISTS, NOT EXISTS, VAL < ANY and a correlated VAL NOT IN run in the
+// default plan as one quantified merge join on JC: RJ's restricted side
+// (400 pages estimated) does not fit B − 1, so both inputs are sorted, RI's
+// 1,000 filtered rows in memory and RJ's 2,000 in two runs written and
+// merged as the join pulls — type-N's 710. Section 8's rewrites, which
+// AsPaper keeps, cost 800 in the default plan (the type-JA plans above).
+// Section 8 has no NOT IN plan, so AsPaper merge-joins it too, writing
+// RJ's last merge pass and reading it back: type-N's 836. Before NOT IN
+// took a key it re-scanned its materialized inner per outer row: 29,574.
+// rows pins each result, so that a join that repeats outer rows cannot
+// pass.
 func TestJA2PageIOPinned(t *testing.T) {
 	db, cfg := jaSeqShape(t, 1)
+	quant := func(pred string) string {
+		return fmt.Sprintf("SELECT JC FROM RI WHERE FILT < %d AND %s (SELECT VAL FROM RJ WHERE RJ.JC = RI.JC AND RJ.FILT < %d)",
+			workload.FilterCutoff(cfg.Selectivity), pred, workload.FilterCutoff(cfg.MatchFraction))
+	}
 	shapes := []struct {
 		name        string
 		sql         string
 		io, paperIO int64
 		exact       bool
+		rows        int
 		traces      []string
 		paperTraces []string // AsPaper's, when they differ
 	}{
 		// The final join builds only RI.JC; the Project above it names it.
-		{name: "type-N", sql: workload.TypeNQuery(cfg), io: 710, paperIO: 836, exact: true, traces: []string{
+		{name: "type-N", sql: workload.TypeNQuery(cfg), io: 710, paperIO: 836, exact: true, rows: 9780, traces: []string{
 			"Project([RI.JC])\n  MergeJoin(left#0 = right#0, out=[0])"}},
 		// Sorting both sides on (JC, VAL) instead of VAL alone costs no
 		// more; it happens to cost 16 pages less.
-		{name: "type-J", sql: workload.TypeJQuery(cfg), io: 852, paperIO: 852, traces: []string{
+		{name: "type-J", sql: workload.TypeJQuery(cfg), io: 852, paperIO: 852, rows: 1254, traces: []string{
 			"final: merge join RI.JC with RJ.JC and RI.VAL with RJ.VAL (B=32)"}},
-		{name: "type-JA-COUNT", sql: workload.TypeJAQuery(cfg), io: 800, paperIO: 1178, exact: true, traces: []string{
+		{name: "type-JA-COUNT", sql: workload.TypeJAQuery(cfg), io: 800, paperIO: 1178, exact: true, rows: 40, traces: []string{
 			"TEMP3: outer group join TEMP1.JC with TEMP2.JC, left resident in 4 of B=32 pages (estimated 100 groups)",
 			"OuterGroupJoin(left#0 = right#0, out=[JC, COUNT#1])\n  ResidentScan(TEMP1, 100 tuples in memory)",
 			"final: hash join RI.JC with TEMP3.JC and RI.VAL with TEMP3.CT"}, paperTraces: []string{
@@ -75,7 +92,7 @@ func TestJA2PageIOPinned(t *testing.T) {
 			"TEMP3: input already in GROUP BY order, sort elided",
 			"GroupAgg(group=[0], out=[JC, COUNT#1])\n  OuterMergeJoin(left#0 = right#0, out=[0 2])",
 			"final: hash join RI.JC with TEMP3.JC and RI.VAL with TEMP3.CT"}},
-		{name: "type-JA-MAX", sql: workload.TypeJAMaxQuery(cfg), io: 800, paperIO: 1052, exact: true, traces: []string{
+		{name: "type-JA-MAX", sql: workload.TypeJAMaxQuery(cfg), io: 800, paperIO: 1052, exact: true, rows: 126, traces: []string{
 			"TEMP2: group join TEMP1.JC with RJ.JC, left resident in 4 of B=32 pages (estimated 100 groups)",
 			"GroupJoin(left#0 = right#0, out=[JC, MAX#1])\n  ResidentScan(TEMP1, 100 tuples in memory)",
 			"final: hash join RI.JC with TEMP2.JC and RI.VAL with TEMP2.MAXVAL"}, paperTraces: []string{
@@ -83,6 +100,18 @@ func TestJA2PageIOPinned(t *testing.T) {
 			"TEMP2: input already in GROUP BY order, sort elided",
 			"GroupAgg(group=[0], out=[JC, MAX#1])\n  MergeJoin(left#0 = right#0, out=[0 2])",
 			"final: hash join RI.JC with TEMP2.JC and RI.VAL with TEMP2.MAXVAL"}},
+		{name: "EXISTS", sql: quant("EXISTS"), io: 710, paperIO: 1178, exact: true, rows: 1000, traces: []string{
+			"final: merge join RI.JC with RJ.JC (B=32) deciding EXISTS",
+			"MergeJoin(left#0 = right#0, EXISTS, out=[0])"}, paperTraces: []string{
+			"EXTEND: EXISTS rewritten to 0 < (SELECT COUNT(*)"}},
+		{name: "NOT EXISTS", sql: quant("NOT EXISTS"), io: 710, paperIO: 1178, exact: true, rows: 0, traces: []string{
+			"final: merge join RI.JC with RJ.JC (B=32) deciding NOT EXISTS"}, paperTraces: []string{
+			"EXTEND: NOT EXISTS rewritten to 0 = (SELECT COUNT(*)"}},
+		{name: "VAL < ANY", sql: quant("VAL < ANY"), io: 710, paperIO: 1052, exact: true, rows: 840, traces: []string{
+			"final: merge join RI.JC with RJ.JC (B=32) deciding < ANY"}, paperTraces: []string{
+			"EXTEND: < ANY rewritten to < against MAX"}},
+		{name: "VAL NOT IN", sql: quant("VAL NOT IN"), io: 710, paperIO: 836, exact: true, rows: 283, traces: []string{
+			"final: merge join RI.JC with RJ.JC (B=32) deciding NOT IN"}},
 	}
 	for cycle := range 4 {
 		asPaper := cycle >= 2
@@ -100,6 +129,9 @@ func TestJA2PageIOPinned(t *testing.T) {
 			}
 			if got := res.Stats.Total(); got > io || (s.exact && got != io) {
 				t.Errorf("%s, AsPaper %v: %d page I/Os, pinned at %d", s.name, asPaper, got, io)
+			}
+			if len(res.Rows) != s.rows {
+				t.Errorf("%s, AsPaper %v: %d rows, want %d", s.name, asPaper, len(res.Rows), s.rows)
 			}
 			trace, want := traceText(res), s.traces
 			if asPaper && s.paperTraces != nil {

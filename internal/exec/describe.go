@@ -33,6 +33,7 @@ const (
 	nodeHashJoin         // inline: the join is not under an ExchangeMerge
 	nodeParallelHashJoin // the source of an ExchangeMerge
 	nodeNestedLoopJoin
+	nodeAntiJoin
 	nodeGroupAgg
 	nodeGroupJoin
 	nodeParallelHashGroup
@@ -44,13 +45,13 @@ const (
 type planNode struct {
 	kind   nodeKind
 	depth  uint16
-	outer  bool  // an outer join
-	nullEq bool  // the leading key pair is NULL-safe
-	desc   bool  // a Sort with per-key directions
-	n      int32 // pages (a scan, nested loops' right side); a resident scan's rows; workers
-	l, r   int32 // the leading key pair
-	name   string
-	cols   []int // Sort keys, GroupCols, a join's Out
+	outer  bool   // an outer join
+	nullEq bool   // the leading key pair is NULL-safe
+	desc   bool   // a Sort with per-key directions
+	n      int32  // pages (a scan, nested loops' right side); a resident scan's rows; workers
+	l, r   int32  // the leading key pair
+	name   string // a scan's relation; a quantified join's Form
+	cols   []int  // Sort keys, GroupCols, a join's Out
 	more   []KeyPair
 	items  []GroupItem
 	sch    RowSchema   // a Project's output
@@ -87,6 +88,8 @@ func countNodes(op Operator) int {
 	case *ParallelHashJoin:
 		return 1 + countNodes(op.Left) + countNodes(op.Right)
 	case *NestedLoopJoin:
+		return 1 + countNodes(op.Left)
+	case *AntiJoin:
 		return 1 + countNodes(op.Left)
 	case *GroupAgg:
 		return 1 + countNodes(op.Child)
@@ -126,6 +129,7 @@ func (p Plan) add(op Operator, depth uint16) Plan {
 	case *MergeJoin:
 		n.kind, n.outer, n.cols = nodeMergeJoin, op.Outer, op.Out
 		n.l, n.r, n.nullEq, n.more = int32(op.LeftKey), int32(op.RightKey), op.NullEq, op.More
+		n.name = op.Quant.String()
 		children = [2]Operator{op.Left, op.Right}
 	case *ParallelHashJoin:
 		n.kind, children = nodeHashJoin, [2]Operator{op.Left, op.Right}
@@ -133,6 +137,8 @@ func (p Plan) add(op Operator, depth uint16) Plan {
 	case *NestedLoopJoin:
 		n.kind, n.outer, n.cols = nodeNestedLoopJoin, op.Outer, op.Out
 		n.name, n.n, children[0] = cmp.Or(op.RightName, op.Right.Name()), int32(op.Right.NumPages()), op.Left
+	case *AntiJoin:
+		n.kind, n.name, n.n, children[0] = nodeAntiJoin, op.Quant.String(), int32(op.Right.NumPages()), op.Left
 	case *GroupAgg:
 		n.kind, n.cols, n.items, children[0] = nodeGroupAgg, op.GroupCols, op.Items, op.Child
 	case *GroupJoin:
@@ -176,6 +182,7 @@ func (p Plan) addSource(src ParallelSource, depth uint16) Plan {
 func (n *planNode) setHashJoin(j *ParallelHashJoin) {
 	n.outer, n.cols, n.n = j.Outer, j.Out, int32(j.NumWorkers())
 	n.l, n.r, n.nullEq, n.more = int32(j.LeftKey), int32(j.RightKey), j.NullEq, j.More
+	n.name = j.Quant.String()
 }
 
 // Describe renders a plan as an indented outline, the EXPLAIN view of a
@@ -223,6 +230,8 @@ func (n *planNode) describe(b *strings.Builder) {
 			kind = "OuterNestedLoopJoin"
 		}
 		fmt.Fprintf(b, "%s(right=%s, %d pages%s)\n", kind, n.name, n.n, outCols(n.cols))
+	case nodeAntiJoin:
+		fmt.Fprintf(b, "AntiJoin(%d pages rescanned, %s)\n", n.n, n.name)
 	case nodeGroupAgg:
 		fmt.Fprintf(b, "GroupAgg(group=%v, out=[%s])\n", n.cols, describeItems(n.items))
 	case nodeGroupJoin:
@@ -238,10 +247,14 @@ func (n *planNode) describe(b *strings.Builder) {
 
 func (n *planNode) key() joinKey { return newJoinKey(int(n.l), int(n.r), n.nullEq, n.more) }
 
-// describeJoin renders a keyed join's line: its key and its Out.
+// describeJoin renders a keyed join's line: its key and its Out, or the
+// predicate a quantified join decides.
 func (n *planNode) describeJoin(b *strings.Builder, kind, detail string) {
 	if n.outer {
 		kind = "Outer" + kind
+	}
+	if n.name != "" {
+		detail += ", " + n.name
 	}
 	fmt.Fprintf(b, "%s(%s%s)\n", kind, detail, outCols(n.cols))
 }

@@ -577,7 +577,7 @@ func operandOf(e ast.Expr, scope []RowSchema) (operand, bool) {
 }
 
 // Operand compiles a column or constant over the rows of one schema — the
-// NOT IN operand of an AntiJoin.
+// operand x of a Quantifier.
 func Operand(e ast.Expr, sch RowSchema) (func(storage.Tuple) value.Value, error) {
 	o, ok := operandOf(e, []RowSchema{sch})
 	if !ok {

@@ -173,6 +173,10 @@ func (k joinKey) String() string {
 // NULL-keyed outer rows are not dropped. The sort order both sides arrive
 // in (TotalCompare, NULLs first) already groups NULL keys, so the merge
 // needs no extra passes.
+//
+// With Quant set it is the merge form of a quantified join: each left row
+// folds its group of right rows, resident or spilled, until its decision
+// is settled, and is emitted alone, once, when the predicate holds.
 type MergeJoin struct {
 	Left, Right       Operator
 	LeftKey, RightKey int
@@ -181,6 +185,9 @@ type MergeJoin struct {
 	FullOrder         bool
 	Outer             bool
 	Out               []int // the columns of left ++ right it emits, nil for all
+	// Quant, when set, is decided per left row over its group, and Out
+	// names columns of the left row alone; Outer is unused then.
+	Quant *Quantifier
 	// QC, when set, charges the buffered right-side group against the
 	// memory budget — the sequential join's only unbounded buffer is a
 	// run of duplicate right keys.
@@ -207,6 +214,8 @@ type MergeJoin struct {
 
 	pendRight storage.Tuple // lookahead right row
 	rightEOF  bool
+
+	d decision // the left row's, under Quant
 }
 
 // Open prepares both children.
@@ -221,10 +230,15 @@ func (m *MergeJoin) Open() error {
 	if m.FullOrder {
 		m.merged = len(m.key.left)
 	}
-	m.rows = newRowBuilder(m.Out, m.Left.Schema(), m.Right.Schema())
+	if m.Quant != nil {
+		m.rows = quantRows(m.Out, m.Left.Schema())
+	} else {
+		m.rows = newRowBuilder(m.Out, m.Left.Schema(), m.Right.Schema())
+	}
 	m.cur, m.group, m.groupOf, m.gi = nil, nil, nil, 0
 	m.groupCharged, m.groupRun, m.groupSrc, m.groupLen = 0, nil, source{}, 0
 	m.pendRight, m.rightEOF = nil, false
+	m.d = decision{q: m.Quant}
 	return nil
 }
 
@@ -363,6 +377,9 @@ func (m *MergeJoin) nextInGroup() (storage.Tuple, error) {
 
 // Next produces the next joined row.
 func (m *MergeJoin) Next() (storage.Tuple, bool, error) {
+	if m.Quant != nil {
+		return m.nextQuant()
+	}
 	for {
 		if m.cur == nil {
 			t, ok, err := m.Left.Next()
@@ -394,6 +411,41 @@ func (m *MergeJoin) Next() (storage.Tuple, bool, error) {
 	}
 }
 
+// nextQuant is Next under Quant: a left row folds its group until one
+// row settles its decision, and is emitted alone when the predicate holds.
+func (m *MergeJoin) nextQuant() (storage.Tuple, bool, error) {
+	for {
+		t, ok, err := m.Left.Next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		m.gi = 0
+		if m.live = !m.key.dead(t, m.key.left); m.live {
+			if err := m.loadGroup(t); err != nil {
+				return nil, false, err
+			}
+		}
+		m.d.start(t)
+		for m.live && m.gi < m.groupLen {
+			right, err := m.nextInGroup()
+			if err != nil {
+				return nil, false, err
+			}
+			if !m.key.equal(t, right, m.merged) {
+				continue
+			}
+			if done, err := m.d.see(right); err != nil {
+				return nil, false, err
+			} else if done {
+				break
+			}
+		}
+		if m.d.keep() {
+			return m.rows.build(t, nil), true, nil
+		}
+	}
+}
+
 // Close releases the buffered group and closes both children.
 func (m *MergeJoin) Close() error {
 	m.dropGroup()
@@ -405,8 +457,12 @@ func (m *MergeJoin) Close() error {
 	return err
 }
 
-// Schema is the Out columns of the children's concatenated schemas.
+// Schema is the Out columns of the children's concatenated schemas, or
+// the left schema under Quant.
 func (m *MergeJoin) Schema() RowSchema {
+	if m.Quant != nil {
+		return quantSchema(m.Out, m.Left.Schema())
+	}
 	return outSchema(m.Out, m.Left.Schema(), m.Right.Schema())
 }
 

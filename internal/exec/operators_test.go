@@ -681,11 +681,11 @@ func TestAntiJoinEquivalentToNaive(t *testing.T) {
 		r.Seal()
 
 		aj := &exec.AntiJoin{
-			Left:      scanOf(l, "L"),
-			Right:     r,
-			RightSch:  exec.RowSchema{{Table: "R", Column: "M"}},
-			LeftVal:   func(t storage.Tuple) value.Value { return t[0] },
-			MemberCol: 0,
+			Left:     scanOf(l, "L"),
+			Right:    r,
+			RightSch: exec.RowSchema{{Table: "R", Column: "M"}},
+			Quant: &exec.Quantifier{Operand: func(t storage.Tuple) value.Value { return t[0] },
+				Op: value.OpEq, Negated: true, Form: "NOT IN"},
 		}
 		got, err := exec.Drain(aj, nil)
 		if err != nil {
@@ -746,8 +746,9 @@ func TestJoinsBuildNoRowBeforeItsPredicateHolds(t *testing.T) {
 		// L.k NOT IN (SELECT R.v FROM R WHERE L.k > R.k + 96): the three
 		// left rows with relevant right rows all lose to a smaller R.v.
 		"AntiJoin": func() {
-			drain(&exec.AntiJoin{Left: scanOf(left, "L"), Right: right, RightSch: scanOf(right, "R").Schema(), Corr: theta,
-				LeftVal: func(l storage.Tuple) value.Value { return l[0] }, MemberCol: 1}, 100)
+			drain(&exec.AntiJoin{Left: scanOf(left, "L"), Right: right, RightSch: scanOf(right, "R").Schema(),
+				Quant: &exec.Quantifier{Corr: theta, Operand: func(l storage.Tuple) value.Value { return l[0] },
+					Op: value.OpEq, Member: 1, Negated: true, Form: "NOT IN"}}, 100)
 		},
 	}
 	for name, run := range ops {

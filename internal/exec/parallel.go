@@ -362,7 +362,8 @@ func (e *ExchangeMerge) Schema() RowSchema { return e.Source.Schema() }
 // left row is emitted NULL-padded — the left outer join NEST-JA2's COUNT fix
 // depends on. NULL hashes like any other value (to a fixed bucket), so
 // under a NULL-safe pair NULL build and probe keys meet on one worker and
-// join with each other.
+// join with each other. With Quant set it is the hash form of a
+// quantified join, as MergeJoin's Quant.
 type ParallelHashJoin struct {
 	Left, Right       Operator
 	LeftKey, RightKey int
@@ -370,6 +371,9 @@ type ParallelHashJoin struct {
 	More              []KeyPair
 	Outer             bool
 	Out               []int // as in MergeJoin
+	// Quant, when set, is decided per left row over the key's matches, and
+	// Out names columns of the left row alone; Outer is unused then.
+	Quant *Quantifier
 	// Workers is the worker-goroutine count; < 1 runs one.
 	Workers int
 	// QC, when set, governs the build scan (cancellation + memory budget
@@ -404,7 +408,11 @@ func (j *ParallelHashJoin) Open() error {
 		return err
 	}
 	j.key = newJoinKey(j.LeftKey, j.RightKey, j.NullEq, j.More)
-	j.rows = newRowBuilder(j.Out, j.Left.Schema(), j.Right.Schema())
+	if j.Quant != nil {
+		j.rows = quantRows(j.Out, j.Left.Schema())
+	} else {
+		j.rows = newRowBuilder(j.Out, j.Left.Schema(), j.Right.Schema())
+	}
 	j.parts = make([]joinPart, j.NumWorkers())
 	for {
 		t, ok, err := j.Right.Next()
@@ -440,7 +448,7 @@ func (j *ParallelHashJoin) run(ex *exchange) {
 // work is one worker: probe the partition's build rows with its input,
 // emitting everything the kernel yields.
 func (j *ParallelHashJoin) work(id int, src *source, out *emitter) error {
-	p := prober{j: j, rows: j.rows, table: newHashTable(j.parts[id].rows, j.key.right), src: src}
+	p := newProber(j, j.parts[id].rows, src)
 	for {
 		t, ok, err := p.next()
 		if err != nil || !ok {
@@ -506,6 +514,8 @@ func (t *hashTable) slot(h uint64) uint64 { return (h * 0x9E3779B97F4A7C15) >> t
 // against table, matches joined, unmatched tuples NULL-padded when Outer.
 // A joined row is built only once the whole key is known to match, by the
 // prober's own copy of the join's builder: its chunks are this goroutine's.
+// Under Quant it emits a probe tuple alone when its decision, folded over
+// its matches until one settles it, holds.
 type prober struct {
 	j     *ParallelHashJoin
 	rows  rowBuilder
@@ -515,9 +525,17 @@ type prober struct {
 	h     uint64        // cur's key hash
 	at    int32         // the chain position to try next, +1; 0 when none is left
 	found bool
+	d     decision // the probe tuple's, under Quant
+}
+
+func newProber(j *ParallelHashJoin, rows []storage.Tuple, src *source) *prober {
+	return &prober{j: j, rows: j.rows, table: newHashTable(rows, j.key.right), src: src, d: decision{q: j.Quant}}
 }
 
 func (p *prober) next() (storage.Tuple, bool, error) {
+	if p.j.Quant != nil {
+		return p.nextQuant()
+	}
 	k, t := p.j.key, &p.table
 	for {
 		if p.cur == nil {
@@ -547,13 +565,41 @@ func (p *prober) next() (storage.Tuple, bool, error) {
 	}
 }
 
+// nextQuant is next under Quant: a probe tuple folds its matches until one
+// settles its decision, and is emitted alone when the predicate holds.
+func (p *prober) nextQuant() (storage.Tuple, bool, error) {
+	k, t := p.j.key, &p.table
+	for {
+		l, ok, err := p.src.next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		p.d.start(l)
+		if !k.dead(l, k.left) {
+			h := hashKey(l, k.left)
+			for at := t.heads[t.slot(h)]; at != 0; at = t.next[at-1] {
+				if r := t.rows[at-1]; t.hashes[at-1] == h && k.equal(l, r, 0) {
+					if done, err := p.d.see(r); err != nil {
+						return nil, false, err
+					} else if done {
+						break
+					}
+				}
+			}
+		}
+		if p.d.keep() {
+			return p.rows.build(l, nil), true, nil
+		}
+	}
+}
+
 // Next drives the kernel inline, on the caller's goroutine.
 func (j *ParallelHashJoin) Next() (storage.Tuple, bool, error) {
 	if j.inline == nil {
 		if len(j.parts) != 1 {
 			return nil, false, fmt.Errorf("exec: inline hash join over %d partitions; it needs Workers = 1", len(j.parts))
 		}
-		j.inline = &prober{j: j, rows: j.rows, table: newHashTable(j.parts[0].rows, j.key.right), src: &source{op: j.Left}}
+		j.inline = newProber(j, j.parts[0].rows, &source{op: j.Left})
 	}
 	return j.inline.next()
 }
@@ -572,8 +618,12 @@ func (j *ParallelHashJoin) Close() error {
 	return err
 }
 
-// Schema is the Out columns of the children's concatenated schemas.
+// Schema is the Out columns of the children's concatenated schemas, or
+// the left schema under Quant.
 func (j *ParallelHashJoin) Schema() RowSchema {
+	if j.Quant != nil {
+		return quantSchema(j.Out, j.Left.Schema())
+	}
 	return outSchema(j.Out, j.Left.Schema(), j.Right.Schema())
 }
 

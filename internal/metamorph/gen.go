@@ -58,13 +58,19 @@ func (g *Generator) Scenarios() int { return g.cfg.Scenarios }
 
 // Scenario generates instance id. Each scenario has its own derived
 // seed, so scenarios can be regenerated independently of each other.
-func (g *Generator) Scenario(id int) *Scenario {
+func (g *Generator) Scenario(id int) *Scenario { return g.scenario(id, genPair) }
+
+// QuantifiedScenario is scenario id's database with pairs of the
+// quantified-join class only.
+func (g *Generator) QuantifiedScenario(id int) *Scenario { return g.scenario(id, genQuantifiedPair) }
+
+func (g *Generator) scenario(id int, pair func(*rand.Rand, int, tableNames, domains) Pair) *Scenario {
 	rng := rand.New(rand.NewSource(g.cfg.Seed + int64(id)*0x9E3779B9))
 	s := &Scenario{Seed: g.cfg.Seed, ID: id}
 	d := genDomains(rng, g.cfg)
 	s.Tables = genTables(rng, id, g.cfg, d)
 	for p := 0; p < g.cfg.PairsPerScenario; p++ {
-		s.Pairs = append(s.Pairs, genPair(rng, p, names(id), d))
+		s.Pairs = append(s.Pairs, pair(rng, p, names(id), d))
 	}
 	return s
 }
@@ -198,6 +204,7 @@ func genTables(rng *rand.Rand, id int, cfg Config, d domains) []Table {
 type nestedPred struct {
 	sql  string
 	want []classify.NestType
+	form string // the quantified-join class's form, if of the class
 }
 
 func pick[T any](rng *rand.Rand, xs []T) T { return xs[rng.Intn(len(xs))] }
@@ -211,7 +218,9 @@ func genNested(rng *rand.Rand, n tableNames, d domains) nestedPred {
 	kc := rng.Intn(d.keyDom + 1) // join-key constant
 	vc := rng.Intn(d.valDom + 1) // measure constant
 	agg := pick(rng, []string{"MAX", "MIN", "SUM", "AVG"})
-	switch rng.Intn(12) {
+	switch rng.Intn(13) {
+	case 12: // a quantified join's shape
+		return genQuantified(rng, n, d)
 	case 0: // type-A: uncorrelated aggregate, a single constant
 		return nestedPred{
 			sql:  fmt.Sprintf("A.V >= (SELECT %s(B.W) FROM %s B)", agg, n.B),
@@ -284,6 +293,56 @@ func genNested(rng *rand.Rand, n tableNames, d domains) nestedPred {
 	}
 }
 
+// The forms of the quantified-join class: each correlated EXISTS, NOT
+// EXISTS, x θ ANY and NOT IN the default plan decides as one keyed
+// semi-join or anti-join.
+var quantForms = []string{"EXISTS", "NOT EXISTS", "ANY", "NOT IN"}
+
+// genQuantified draws one predicate of the quantified-join class over
+// outer alias A and inner B: an equality key on K or G, = or <=>,
+// optionally a second, range correlation conjunct and a local restriction.
+// The data puts NULL keys on both sides and leaves B empty regularly.
+func genQuantified(rng *rand.Rand, n tableNames, d domains) nestedPred {
+	col := pick(rng, []string{"K", "G"})
+	where := fmt.Sprintf("B.%s %s A.%s", col, pick(rng, []string{"=", "=", "<=>"}), col)
+	if rng.Intn(2) == 0 {
+		where += fmt.Sprintf(" AND B.W %s A.V", pick(rng, []string{"<", "<=", ">", ">="}))
+	}
+	if rng.Intn(3) == 0 {
+		where += fmt.Sprintf(" AND B.W <= %d", rng.Intn(d.valDom+1))
+	}
+	sub := fmt.Sprintf("SELECT B.W FROM %s B WHERE %s", n.B, where)
+	var sql string
+	form := pick(rng, quantForms)
+	switch form {
+	case "ANY":
+		sql = fmt.Sprintf("A.V %s ANY (%s)", pick(rng, []string{"<", "<=", ">", ">="}), sub)
+	case "NOT IN":
+		sql = fmt.Sprintf("A.V NOT IN (%s)", sub)
+	default:
+		sql = fmt.Sprintf("%s (%s)", form, sub)
+	}
+	return nestedPred{sql: sql, want: []classify.NestType{classify.TypeJ}, form: form}
+}
+
+// genQuantifiedPair draws a pair of the quantified-join class: a
+// predicate of the class, and the same strengthened by a conjunct on A.
+// Every query of the class is held bag-equal to nested iteration, in the
+// paper's plan too (Pair.agreement, RegimePaper).
+func genQuantifiedPair(rng *rand.Rand, id int, n tableNames, d domains) Pair {
+	np := genQuantified(rng, n, d)
+	base := fmt.Sprintf("SELECT A.R, A.K, A.V FROM %s A WHERE %s", n.A, np.sql)
+	return Pair{
+		ID:       id,
+		Class:    "quantified/" + np.form,
+		Relation: SubsetBag,
+		Queries: []Query{
+			{SQL: base, Want: np.want},
+			{SQL: base + " AND " + genConjunct(rng, d), Want: np.want},
+		},
+	}
+}
+
 // genConjunct draws one plain strengthening conjunct over the outer
 // alias A. ANDing it onto a query can only remove outer rows — under
 // 3VL a NULL operand makes the conjunct unknown, which also removes the
@@ -309,7 +368,7 @@ func genConjunct(rng *rand.Rand, d domains) string {
 func genPair(rng *rand.Rand, id int, n tableNames, d domains) Pair {
 	np := genNested(rng, n, d)
 	vc := rng.Intn(d.valDom + 1)
-	switch rng.Intn(11) {
+	switch rng.Intn(12) {
 	case 0, 1: // predicate strengthening: bag(Q1) ⊆ bag(Q0)
 		base := fmt.Sprintf("SELECT A.R, A.K FROM %s A WHERE %s", n.A, np.sql)
 		order := ""
@@ -427,6 +486,8 @@ func genPair(rng *rand.Rand, id int, n tableNames, d domains) Pair {
 				{SQL: base + " AND " + genConjunct(rng, d), Want: np.want},
 			},
 		}
+	case 11: // the quantified-join class: bag-equal to nested iteration
+		return genQuantifiedPair(rng, id, n, d)
 	default: // grouped HAVING thresholds: higher cutoff keeps fewer groups
 		lo := 1 + rng.Intn(2)
 		hi := lo + 1 + rng.Intn(2)

@@ -1,6 +1,7 @@
 package metamorph
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/classify"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/schema"
@@ -150,7 +152,11 @@ func TestRunnerRedialsAfterLinkLoss(t *testing.T) {
 // through checksummed spill runs. Relations must still hold, forced-spill
 // results must bag-match the in-memory regime, every scenario must
 // actually spill (no silent no-spill pass), and no run files may outlive
-// their scenario.
+// their scenario. A quantified join buffers nothing when no inner row
+// matches an outer key, so section 8's predicates no longer take every
+// scenario through NEST-JA2's COUNT path; each scenario carries the
+// COUNT-bug pair (countProbe) explicitly, whose outer-joined temp and
+// back-join groups spill whenever the outer table has a row.
 func TestMetamorphTightMemory(t *testing.T) {
 	gen := NewGenerator(Config{Seed: shortSeed + 2, Scenarios: 4, PairsPerScenario: 10})
 	spillDir := filepath.Join(t.TempDir(), "spill")
@@ -166,7 +172,9 @@ func TestMetamorphTightMemory(t *testing.T) {
 	var vs []Violation
 	prevRuns := int64(0)
 	for id := 0; id < gen.Scenarios(); id++ {
-		out, err := r.RunScenario(gen.Scenario(id))
+		s := gen.Scenario(id)
+		s.Pairs = append(s.Pairs, countProbe(len(s.Pairs), names(id)))
+		out, err := r.RunScenario(s)
 		if err != nil {
 			t.Fatalf("scenario %d: %v", id, err)
 		}
@@ -183,6 +191,15 @@ func TestMetamorphTightMemory(t *testing.T) {
 	reportViolations(t, vs)
 	st := r.Stats()
 	t.Logf("pairs=%d queries=%d spillRuns=%d", st.Pairs, st.Queries, st.SpillRuns)
+}
+
+// countProbe is the COUNT-bug pair over a scenario's tables: a type-JA
+// COUNT(*) correlated on K, and the same strengthened.
+func countProbe(id int, n tableNames) Pair {
+	base := fmt.Sprintf("SELECT A.R, A.K FROM %s A WHERE A.V >= (SELECT COUNT(*) FROM %s B WHERE B.K = A.K)", n.A, n.B)
+	want := []classify.NestType{classify.TypeJA}
+	return Pair{ID: id, Class: "count-probe/type-JA", Relation: SubsetBag,
+		Queries: []Query{{SQL: base, Want: want}, {SQL: base + " AND A.R >= 1", Want: want}}}
 }
 
 // TestMetamorphCatchesKimMutant proves the oracle has teeth: pointing

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/client"
@@ -27,6 +28,10 @@ const (
 	RegimeNI    = "ni"    // nested iteration, the semantic ground truth
 	RegimeNet   = "net"   // the strategy under test through a live server
 	RegimeTight = "tight" // the same strategy with every buffer forced to spill runs
+	// RegimePaper is the strategy in the plan the paper costs (AsPaper),
+	// run for the quantified-join class only: section 8's rewrites instead
+	// of the quantified join.
+	RegimePaper = "paper"
 )
 
 // RunnerConfig configures a Runner.
@@ -80,6 +85,9 @@ type Stats struct {
 	Violations int
 	// Relations counts checked pairs by relation name.
 	Relations map[string]int
+	// Quantified counts queries of the quantified-join class (Class
+	// "quantified/…") held bag-equal to nested iteration.
+	Quantified int
 	// SkippedAll counts round-trip checks the engine's rule rules out
 	// (ALL-quantifier queries: their transform deliberately diverges from
 	// NI on empty inner results).
@@ -289,12 +297,18 @@ func regimeOptions(regime string, underTest engine.Strategy) engine.Options {
 		// through checksummed spill runs.
 		opts.Spill = qctx.SpillForced
 		opts.Planner = planner.Options{TempJoin: planner.JoinMerge, FinalJoin: planner.JoinMerge}
+	case RegimePaper:
+		opts.Planner = planner.Options{AsPaper: true}
 	}
 	return opts
 }
 
-func (r *Runner) regimes() []string {
+// regimes are the regimes pair p runs in.
+func (r *Runner) regimes(p Pair) []string {
 	regs := []string{RegimeSeq, RegimeNI}
+	if p.quantClass() {
+		regs = append(regs, RegimePaper)
+	}
 	if r.cfg.Parallel {
 		regs = append(regs, RegimePar)
 	}
@@ -371,7 +385,7 @@ func unload(db *engine.DB, s *Scenario) {
 func (r *Runner) checkPair(s *Scenario, p Pair) ([]Violation, error) {
 	// results[regime][query index]
 	results := make(map[string][]runResult)
-	for _, reg := range r.regimes() {
+	for _, reg := range r.regimes(p) {
 		for _, q := range p.Queries {
 			res, err := r.runQuery(q.SQL, reg)
 			if err != nil {
@@ -394,6 +408,7 @@ func (r *Runner) judge(s *Scenario, p Pair, results map[string][]runResult) []Vi
 		{RegimePar, "parity", "parallel vs sequential"},
 		{RegimeNet, "netparity", "networked vs in-process"},
 		{RegimeTight, "tightparity", "forced-spill vs in-memory"},
+		{RegimePaper, "paperparity", "the paper's plan vs the default"},
 	}
 	for qi, q := range p.Queries {
 		seq := results[RegimeSeq][qi]
@@ -401,7 +416,10 @@ func (r *Runner) judge(s *Scenario, p Pair, results map[string][]runResult) []Vi
 			continue
 		}
 		if ni := results[RegimeNI][qi]; !ni.skip {
-			how := roundtrip(q.SQL)
+			how := p.agreement(q.SQL)
+			if p.quantClass() {
+				r.stats.Quantified++
+			}
 			if how == storage.AgreeNone {
 				r.stats.SkippedAll++
 			} else if d := storage.Diff(how, seq.rows, ni.rows); d != "" {
@@ -427,7 +445,7 @@ func (r *Runner) judge(s *Scenario, p Pair, results map[string][]runResult) []Vi
 	}
 
 	// The oracle relation, within each regime.
-	for _, reg := range r.regimes() {
+	for _, reg := range r.regimes(p) {
 		rs, fell := results[reg], results[reg]
 		if reg == RegimeNet {
 			// The server runs the same strategy on the same data, so the
@@ -465,6 +483,20 @@ func (p *Pair) checkRuns(rs, fell []runResult) (detail string, relaxed bool) {
 		return p.CheckRelaxed(rows...), true
 	}
 	return p.Check(rows...), false
+}
+
+// quantClass reports whether p is of the quantified-join class.
+func (p *Pair) quantClass() bool { return strings.HasPrefix(p.Class, "quantified/") }
+
+// agreement is how a query of p must compare with nested iteration: as a
+// bag in the quantified-join class, whose every plan — the quantified
+// join, and section 8's rewrites through NEST-JA2 in the paper's — yields
+// each outer row at most once, as nested iteration does; else roundtrip.
+func (p *Pair) agreement(sql string) storage.Agreement {
+	if p.quantClass() {
+		return storage.AgreeBag
+	}
+	return roundtrip(sql)
 }
 
 // roundtrip is how a query's result under the strategy under test must

@@ -120,15 +120,19 @@ func replayDetail(s *Scenario, v *Violation, underTest engine.Strategy) string {
 		if !ok1 || !ok2 {
 			return ""
 		}
-		return storage.Diff(roundtrip(q.SQL), seq.rows, ni.rows)
-	case "parity", "netparity":
+		return storage.Diff(pair.agreement(q.SQL), seq.rows, ni.rows)
+	case "parity", "netparity", "paperparity":
+		regime := RegimePar
+		if v.Check == "paperparity" {
+			regime = RegimePaper
+		}
 		q := pair.Queries[v.QueryIndex]
 		seq, ok1 := run(q.SQL, RegimeSeq)
-		par, ok2 := run(q.SQL, RegimePar)
+		other, ok2 := run(q.SQL, regime)
 		if !ok1 || !ok2 {
 			return ""
 		}
-		return storage.Diff(engine.AcrossRegimes, par.rows, seq.rows)
+		return storage.Diff(engine.AcrossRegimes, other.rows, seq.rows)
 	default:
 		return ""
 	}

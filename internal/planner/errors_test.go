@@ -128,7 +128,10 @@ func TestPlannerCartesianProduct(t *testing.T) {
 	}
 }
 
-// Planner-level anti-join: correlated NOT IN with NULLs on both sides.
+// Planner-level anti-join: correlated NOT IN with NULLs on both sides,
+// keyed on the correlation in each of its forms — hashed by default and in
+// the plan the paper costs, sort-merged under a forced merge join,
+// re-scanned under a forced nested-loops join.
 func TestPlannerAntiJoin(t *testing.T) {
 	db := workload.NewDB(8)
 	cols := []schema.Column{
@@ -148,18 +151,28 @@ func TestPlannerAntiJoin(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Correlated NOT IN: V NOT IN (SELECT V FROM R WHERE R.K = L.K).
-	rows, pl := runPlanned(t, db, `
-		SELECT K FROM L
-		WHERE V NOT IN (SELECT R.V FROM R WHERE R.K = L.K)`,
-		transform.JA2, planner.Options{})
-	// L(1,5): relevant {5} -> matched -> out. L(2,6): relevant {NULL} ->
-	// unknown -> out. L(3,NULL): relevant set empty -> TRUE -> in.
-	if got := rowStrs(rows); got != "(3)" {
-		t.Errorf("anti-join rows = %v, want (3)", got)
-	}
-	if !slices.ContainsFunc(pl.Trace, note(trace.AntiJoin, "final")) {
-		t.Errorf("notes:\n%s", notesText(pl.Trace))
+	for _, c := range []struct {
+		opts planner.Options
+		form trace.Kind
+	}{
+		{planner.Options{}, trace.HashJoin},
+		{planner.Options{FinalJoin: planner.JoinMerge}, trace.MergeJoin},
+		{planner.Options{AsPaper: true}, trace.HashJoin},
+		{planner.Options{FinalJoin: planner.JoinNL}, trace.AntiJoin},
+	} {
+		// Correlated NOT IN: V NOT IN (SELECT V FROM R WHERE R.K = L.K).
+		rows, pl := runPlanned(t, db, `
+			SELECT K FROM L
+			WHERE V NOT IN (SELECT R.V FROM R WHERE R.K = L.K)`,
+			transform.JA2, c.opts)
+		// L(1,5): relevant {5} -> matched -> out. L(2,6): relevant {NULL} ->
+		// unknown -> out. L(3,NULL): relevant set empty -> TRUE -> in.
+		if got := rowStrs(rows); got != "(3)" {
+			t.Errorf("%+v: anti-join rows = %v, want (3)", c.opts, got)
+		}
+		if !slices.ContainsFunc(pl.Trace, note(c.form, "final")) {
+			t.Errorf("%+v: no %v in the notes:\n%s", c.opts, c.form, notesText(pl.Trace))
+		}
 	}
 }
 

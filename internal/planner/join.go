@@ -37,10 +37,10 @@ func (p *Planner) join(cur, right input, joinConjs []ast.Predicate, outer bool, 
 	method := force
 	if method == JoinAuto {
 		if keyed && p.parallelOK(cur.tuples+right.tuples) {
-			return p.hashJoin(cur, right, keys, rest, outer, p.opts.Parallelism, label)
+			return p.hashJoin(cur, right, keys, rest, outer, p.opts.Parallelism, nil, label)
 		}
 		if method = p.chooseMethod(cur, right); method == JoinNL && keyed && p.fitsPool(right) {
-			return p.hashJoin(cur, right, keys, rest, outer, 1, label)
+			return p.hashJoin(cur, right, keys, rest, outer, 1, nil, label)
 		}
 	}
 	if method == JoinMerge && !keyed {
@@ -48,7 +48,7 @@ func (p *Planner) join(cur, right input, joinConjs []ast.Predicate, outer bool, 
 		method = JoinNL
 	}
 	if method == JoinMerge {
-		return p.mergeJoin(cur, right, keys, rest, outer, label)
+		return p.mergeJoin(cur, right, keys, rest, outer, nil, label)
 	}
 	return p.nlJoin(cur, right, joinConjs, keys, outer, label)
 }
@@ -171,7 +171,8 @@ func (p *Planner) parallelOK(tuples float64) bool {
 // DISTINCT, merge joins, and ORDER BY above it keep their sorts (no section
 // 7.4 elision applies). With one worker it runs inline and streams the
 // left input in order, like the nested-loops join whose place it takes.
-func (p *Planner) hashJoin(cur, right input, keys []exec.KeyPair, rest []ast.Predicate, outer bool, w int, label string) (input, error) {
+// With q it decides q instead of joining (quantifiedJoin).
+func (p *Planner) hashJoin(cur, right input, keys []exec.KeyPair, rest []ast.Predicate, outer bool, w int, q *exec.Quantifier, label string) (input, error) {
 	join := &exec.ParallelHashJoin{
 		Left:     cur.op,
 		Right:    right.op,
@@ -181,6 +182,7 @@ func (p *Planner) hashJoin(cur, right input, keys []exec.KeyPair, rest []ast.Pre
 		More:     keys[1:],
 		Outer:    outer,
 		Workers:  w,
+		Quant:    q,
 		QC:       p.opts.QC,
 	}
 	var op exec.Operator = join
@@ -189,7 +191,7 @@ func (p *Planner) hashJoin(cur, right input, keys []exec.KeyPair, rest []ast.Pre
 		sortedOn = -1
 		op = &exec.ExchangeMerge{Source: join, QC: p.opts.QC}
 	}
-	p.note(label, trace.Event{Kind: trace.HashJoin, Outer: outer, Cols: keyCols(cur, right, keys), N: int64(w)})
+	p.note(label, trace.Event{Kind: trace.HashJoin, Outer: outer, Cols: keyCols(cur, right, keys), N: int64(w), Text: q.String()})
 	op, err := residual(op, rest)
 	return input{
 		op:       op,
@@ -246,8 +248,9 @@ func (p *Planner) fitsPool(in input) bool { return in.pages <= float64(p.store.B
 // where a single-column key would not: when an input already arrives in
 // the leading key column's order the merge runs on that column and the
 // operator checks the other pairs row by row; only when both inputs are
-// sorted anyway are they sorted on the whole key.
-func (p *Planner) mergeJoin(cur, right input, keys []exec.KeyPair, rest []ast.Predicate, outer bool, label string) (input, error) {
+// sorted anyway are they sorted on the whole key. With q it decides q
+// instead of joining (quantifiedJoin).
+func (p *Planner) mergeJoin(cur, right input, keys []exec.KeyPair, rest []ast.Predicate, outer bool, q *exec.Quantifier, label string) (input, error) {
 	lead := keys[0]
 	full := len(keys) > 1 && cur.sortedOn != lead.Left && right.sortedOn != lead.Right
 	lcols, rcols := []int{lead.Left}, []int{lead.Right}
@@ -265,9 +268,9 @@ func (p *Planner) mergeJoin(cur, right input, keys []exec.KeyPair, rest []ast.Pr
 		return p.sort(in.op, cols, nil)
 	}
 	left, rightOp := sorted(cur, lcols, "left"), sorted(right, rcols, "right")
-	p.note(label, trace.Event{Kind: trace.MergeJoin, Outer: outer, Cols: keyCols(cur, right, keys), N: int64(p.store.BufferPages())})
+	p.note(label, trace.Event{Kind: trace.MergeJoin, Outer: outer, Cols: keyCols(cur, right, keys), N: int64(p.store.BufferPages()), Text: q.String()})
 	op, err := residual(&exec.MergeJoin{Left: left, Right: rightOp, LeftKey: lead.Left, RightKey: lead.Right, NullEq: lead.NullEq,
-		More: keys[1:], FullOrder: full, Outer: outer, QC: p.opts.QC, Spill: p.opts.Spill}, rest)
+		More: keys[1:], FullOrder: full, Outer: outer, Quant: q, QC: p.opts.QC, Spill: p.opts.Spill}, rest)
 	return input{
 		op:       op,
 		pages:    cur.pages + right.pages,

@@ -136,7 +136,7 @@ type Planner struct {
 // only, never through the shared catalog, and sortedOn is the column its
 // rows are stored in order of (-1 when none), so section 7.4's sort
 // eliminations carry across materialization, as does a DISTINCT temp's
-// unique. An unnamed one is a join's or anti-join's right side. A temp
+// unique. An unnamed one is a join's right side or a re-scanned inner. A temp
 // Run holds back to stream has its definition in def and no file; one it
 // holds in memory has its rows in held, no file, and readers, the FROM
 // entries naming it that are still to be planned.
@@ -403,7 +403,7 @@ type input struct {
 
 // planBlock compiles one canonical query block (no nesting except
 // constant type-A subqueries, which are evaluated here). A block planned
-// inside another (a streamed temp, an anti-join's inner) leaves curFrom
+// inside another (a streamed temp, a quantified join's inner) leaves curFrom
 // as it found it.
 func (p *Planner) planBlock(qb *ast.QueryBlock, force JoinMethod, label string) (input, error) {
 	conjs := append([]ast.Predicate(nil), qb.Where...)
@@ -449,8 +449,8 @@ func (p *Planner) planBlock(qb *ast.QueryBlock, force JoinMethod, label string) 
 		if used[i] {
 			continue
 		}
-		if ip, ok := c.(*ast.InPred); ok && ip.Negated {
-			cur, err = p.antiJoin(cur, ip, qb.From, label)
+		if q, sub, x := quantifier(c); q != nil {
+			cur, err = p.quantifiedJoin(cur, q, sub, x, force, label)
 			if err != nil {
 				return input{}, err
 			}

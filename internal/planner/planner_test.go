@@ -29,7 +29,7 @@ func runPlanned(t *testing.T, db *workload.DB, sql string, variant transform.Var
 	if _, err := schema.Resolve(db.Cat, qb); err != nil {
 		t.Fatal(err)
 	}
-	res, err := transform.New(db.Cat, variant).Transform(qb)
+	res, err := transform.New(db.Cat, variant).AsPaper(opts.AsPaper).Transform(qb)
 	if err != nil {
 		t.Fatal(err)
 	}

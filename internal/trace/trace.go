@@ -65,9 +65,12 @@ const (
 	// matches.
 	IndexScan
 	// HashJoin joins on the key Cols (left and right columns
-	// alternating) across N workers; Outer for the outer join.
+	// alternating) across N workers; Outer for the outer join. A Text
+	// names the predicate a quantified join decides instead (EXISTS,
+	// NOT EXISTS, < ANY, NOT IN).
 	HashJoin
-	// MergeJoin joins on the key Cols in a pool of N pages.
+	// MergeJoin joins on the key Cols in a pool of N pages; Text as
+	// HashJoin's.
 	MergeJoin
 	// GroupJoin joins on the key Cols and groups by its left side, resident
 	// in M of the pool's B pages, into about N groups; Outer for ⟕.
@@ -84,7 +87,8 @@ const (
 	// RightMaterialized: nested loops' right side was restricted into N
 	// pages.
 	RightMaterialized
-	// AntiJoin is NOT IN against an inner of N pages.
+	// AntiJoin decides the predicate Text against an inner of N pages
+	// re-scanned per outer row.
 	AntiJoin
 	// OrderBy sorts over N keys.
 	OrderBy
@@ -166,9 +170,9 @@ func (e Event) String() string {
 		if e.N > 1 {
 			kind, workers = "parallel hash join", fmt.Sprintf(" (%d workers)", e.N)
 		}
-		return e.Label + ": " + e.outer() + kind + " " + e.keys() + workers
+		return e.Label + ": " + e.outer() + kind + " " + e.keys() + workers + e.deciding()
 	case MergeJoin:
-		return fmt.Sprintf("%s: %smerge join %s (B=%d)", e.Label, e.outer(), e.keys(), e.N)
+		return fmt.Sprintf("%s: %smerge join %s (B=%d)%s", e.Label, e.outer(), e.keys(), e.N, e.deciding())
 	case GroupJoin:
 		return fmt.Sprintf("%s: %sgroup join %s, left resident in %d of B=%d pages (estimated %d groups)", e.Label, e.outer(), e.keys(), e.M, e.B, e.N)
 	case NestedLoops:
@@ -182,7 +186,7 @@ func (e Event) String() string {
 	case RightMaterialized:
 		return fmt.Sprintf("%s: right side restricted and materialized (%d pages)", e.Label, e.N)
 	case AntiJoin:
-		return fmt.Sprintf("%s: NULL-aware anti-join (NOT IN) against %d-page inner", e.Label, e.N)
+		return fmt.Sprintf("%s: %s decided against a %d-page inner, re-scanned per row", e.Label, e.Text, e.N)
 	case OrderBy:
 		return fmt.Sprintf("%s: ORDER BY sort over %d key(s)", e.Label, e.N)
 	case DistinctSort:
@@ -202,6 +206,14 @@ func (e Event) String() string {
 func (e Event) outer() string {
 	if e.Outer {
 		return "outer "
+	}
+	return ""
+}
+
+// deciding renders the predicate a quantified join decides.
+func (e Event) deciding() string {
+	if e.Text != "" {
+		return " deciding " + e.Text
 	}
 	return ""
 }

@@ -51,7 +51,7 @@ func TestEveryKindRenders(t *testing.T) {
 		{Event{Kind: SortElided, Label: "final", Text: "right"}, "final: right input already in join-column order, sort elided"},
 		{Event{Kind: SortInput, Label: "final", Text: "left", Cols: keys[:1]}, "final: sort left input on R.A"},
 		{Event{Kind: RightMaterialized, Label: "TEMP2", N: 1}, "TEMP2: right side restricted and materialized (1 pages)"},
-		{Event{Kind: AntiJoin, Label: "final", N: 2}, "final: NULL-aware anti-join (NOT IN) against 2-page inner"},
+		{Event{Kind: AntiJoin, Label: "final", N: 2, Text: "NOT IN"}, "final: NOT IN decided against a 2-page inner, re-scanned per row"},
 		{Event{Kind: OrderBy, Label: "final", N: 1}, "final: ORDER BY sort over 1 key(s)"},
 		{Event{Kind: DistinctSort, Label: "TEMP1", N: 1}, "TEMP1: duplicates removed by sort over 1 column(s)"},
 		{Event{Kind: GroupOrdered, Label: "TEMP3"}, "TEMP3: input already in GROUP BY order, sort elided"},

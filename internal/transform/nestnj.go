@@ -32,15 +32,8 @@ func (t *Transformer) nestNJ(qb *ast.QueryBlock, p ast.Predicate, kind classify.
 	switch p := p.(type) {
 	case *ast.InPred:
 		if p.Negated {
-			// Extension beyond the paper: a flat NOT IN is retained in
-			// the canonical form and executed by the planner as a
-			// NULL-aware anti-join; anything fancier falls back.
-			if p.Sub.HasNestedPredicate() || p.Sub.Distinct ||
-				p.Sub.HasAggregate() || len(p.Sub.GroupBy) > 0 || p.Sub.HasDisjunction() {
-				return nil, notTransformable("NOT IN over a non-flat inner block")
-			}
-			t.addStep("EXTENSION", "NOT IN retained for NULL-aware anti-join execution: ", p)
-			return []ast.Predicate{p}, nil
+			// A flat NOT IN is retained (nestG); anything fancier falls back.
+			return nil, notTransformable("NOT IN over a non-flat inner block")
 		}
 		left, op, sub = p.Left, value.OpEq, p.Sub
 	case *ast.Comparison:

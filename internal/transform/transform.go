@@ -16,7 +16,10 @@
 //     inner join column — group by the outer column, and rewrite the
 //     original correlated operator to equality (section 6).
 //   - The section 8 extensions rewriting EXISTS / NOT EXISTS / ANY / ALL
-//     into aggregate or IN predicates.
+//     into aggregate or IN predicates. Beyond the paper, a flat NOT IN is
+//     kept for the planner's quantified join, and so, outside the plan the
+//     paper costs (AsPaper), are flat EXISTS, NOT EXISTS and x θ ANY
+//     blocks correlated by an equality.
 //   - The recursive, postorder general procedure nest_g of section 9.1,
 //     which applies the above to nesting of arbitrary depth and shape.
 //
@@ -102,6 +105,7 @@ type Result struct {
 type Transformer struct {
 	cat     *schema.Catalog
 	variant Variant
+	asPaper bool
 
 	temps   []TempTable
 	tempRel map[string]*schema.Relation // temp name -> schema (overlay over cat)
@@ -114,6 +118,15 @@ type Transformer struct {
 // variant.
 func New(cat *schema.Catalog, variant Variant) *Transformer {
 	return &Transformer{cat: cat, variant: variant, tempRel: make(map[string]*schema.Relation)}
+}
+
+// AsPaper, when on, keeps section 8's printed rewrites of every EXISTS,
+// NOT EXISTS and x θ ANY, as the plan the paper costs
+// (planner.Options.AsPaper) and Kim's NEST-JA always do; off, the default,
+// NEST-JA2 retains the flat ones correlated by an equality (retained).
+func (t *Transformer) AsPaper(on bool) *Transformer {
+	t.asPaper = on
+	return t
 }
 
 // Transform applies the recursive general procedure (nest_g, section 9.1)
@@ -180,13 +193,18 @@ func (t *Transformer) nestG(qb *ast.QueryBlock) error {
 			continue
 		}
 
-		p, err := t.rewriteExtended(p)
+		p, err := t.rewriteExtended(qb, p)
 		if err != nil {
 			return err
 		}
 		p, err = normalizeComparison(p)
 		if err != nil {
 			return err
+		}
+		if t.retained(qb, p) {
+			t.addStep("EXTENSION", "retained for a quantified join: ", p)
+			out = append(out, p)
+			continue
 		}
 		sub := ast.SubqueryOf(p)
 		if sub == nil {

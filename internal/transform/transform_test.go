@@ -31,7 +31,19 @@ func prep(t *testing.T, load func(*workload.DB) error, src string) (*workload.DB
 
 func mustTransform(t *testing.T, db *workload.DB, qb *ast.QueryBlock, v transform.Variant) *transform.Result {
 	t.Helper()
-	res, err := transform.New(db.Cat, v).Transform(qb)
+	return mustTransformAs(t, db, qb, transform.New(db.Cat, v))
+}
+
+// asPaper transforms as the plan the paper costs does: section 8's
+// rewrites printed, no quantifier retained.
+func asPaper(t *testing.T, db *workload.DB, qb *ast.QueryBlock) *transform.Result {
+	t.Helper()
+	return mustTransformAs(t, db, qb, transform.New(db.Cat, transform.JA2).AsPaper(true))
+}
+
+func mustTransformAs(t *testing.T, db *workload.DB, qb *ast.QueryBlock, tr *transform.Transformer) *transform.Result {
+	t.Helper()
+	res, err := tr.Transform(qb)
 	if err != nil {
 		t.Fatalf("transform: %v", err)
 	}
@@ -200,13 +212,14 @@ func TestTypeAPreserved(t *testing.T) {
 		"SELECT SP.SNO FROM SP WHERE SP.PNO = (SELECT MAX(P.PNO) FROM P)")
 }
 
-// Section 8.1: EXISTS becomes 0 < COUNT(*), then the correlated COUNT goes
-// through NEST-JA2 with the COUNT(*) conversion.
+// Section 8.1, in the plan the paper costs: EXISTS becomes 0 < COUNT(*),
+// then the correlated COUNT goes through NEST-JA2 with the COUNT(*)
+// conversion.
 func TestExistsRewriteFullPipeline(t *testing.T) {
 	db, qb := prep(t, workload.LoadKiessling, `
 		SELECT PNUM FROM PARTS
 		WHERE EXISTS (SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)`)
-	res := mustTransform(t, db, qb, transform.JA2)
+	res := asPaper(t, db, qb)
 	if len(res.Temps) != 3 {
 		t.Fatalf("temps = %d, want 3", len(res.Temps))
 	}
@@ -220,18 +233,20 @@ func TestExistsRewriteFullPipeline(t *testing.T) {
 	}
 }
 
-// Section 8.1: NOT EXISTS becomes 0 = COUNT(*).
+// Section 8.1, in the plan the paper costs: NOT EXISTS becomes 0 =
+// COUNT(*).
 func TestNotExistsRewrite(t *testing.T) {
 	db, qb := prep(t, workload.LoadKiessling, `
 		SELECT PNUM FROM PARTS
 		WHERE NOT EXISTS (SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)`)
-	res := mustTransform(t, db, qb, transform.JA2)
+	res := asPaper(t, db, qb)
 	if !strings.Contains(res.Query.String(), "0 = TEMP3.CT") {
 		t.Errorf("NOT EXISTS final query: %s", res.Query.String())
 	}
 }
 
-// Section 8.2: quantified comparisons become scalar aggregates.
+// Section 8.2, in the plan the paper costs: quantified comparisons become
+// scalar aggregates.
 func TestQuantRewrites(t *testing.T) {
 	cases := []struct {
 		src      string
@@ -248,7 +263,7 @@ func TestQuantRewrites(t *testing.T) {
 	}
 	for _, c := range cases {
 		db, qb := prep(t, workload.LoadKiessling, c.src)
-		res := mustTransform(t, db, qb, transform.JA2)
+		res := asPaper(t, db, qb)
 		if got := res.Query.String(); !strings.Contains(got, c.wantFrag) {
 			t.Errorf("%q:\n  final %s lacks %s", c.src, got, c.wantFrag)
 		}
@@ -498,5 +513,46 @@ func TestJAOuterAliasCollidesWithTempName(t *testing.T) {
 	_, err := transform.New(db2.Cat, transform.KimJA).Transform(qb2)
 	if !errors.Is(err, transform.ErrNotTransformable) {
 		t.Errorf("Kim: err = %v, want ErrNotTransformable", err)
+	}
+}
+
+// Outside the plan the paper costs, NEST-JA2 keeps a flat EXISTS, NOT
+// EXISTS and x θ ANY correlated by an equality for the planner's
+// quantified join: no temp, the predicate as written. Range-only and
+// uncorrelated blocks, non-flat ones, ALL, = ANY (IN), AsPaper and Kim's
+// NEST-JA keep section 8's rewrites.
+func TestQuantifiersRetained(t *testing.T) {
+	const corr = "FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM"
+	for _, c := range []struct {
+		pred   string
+		retain bool
+	}{
+		{"EXISTS (SELECT QUAN " + corr + ")", true},
+		{"NOT EXISTS (SELECT QUAN " + corr + " AND QUAN > 2)", true},
+		{"QOH < ANY (SELECT QUAN " + corr + ")", true},
+		{"QOH >= ANY (SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM <=> PARTS.PNUM AND SUPPLY.QUAN < PARTS.QOH)", true},
+		{"QOH NOT IN (SELECT QUAN " + corr + ")", true},
+		{"QOH NOT IN (SELECT QUAN FROM SUPPLY)", true},
+		{"EXISTS (SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM < PARTS.PNUM)", false},
+		{"EXISTS (SELECT QUAN FROM SUPPLY WHERE SUPPLY.QUAN > 2)", false},
+		{"EXISTS (SELECT DISTINCT QUAN " + corr + ")", false},
+		{"QOH < ALL (SELECT QUAN " + corr + ")", false},
+		{"QOH = ANY (SELECT QUAN " + corr + ")", false},
+		{"QOH <> ANY (SELECT QUAN " + corr + ")", true}, // NOT IN
+	} {
+		sql := "SELECT PNUM FROM PARTS WHERE " + c.pred
+		db, qb := prep(t, workload.LoadKiessling, sql)
+		res := mustTransform(t, db, qb, transform.JA2)
+		_, rewritten := res.Query.Where[0].(*ast.Comparison)
+		kept := len(res.Temps) == 0 && len(res.Query.From) == 1 && !rewritten
+		if kept != c.retain {
+			t.Errorf("%s: retained %v, want %v; canonical %s", c.pred, kept, c.retain, res.Query)
+		}
+		for _, paper := range []*transform.Result{asPaper(t, db, qb), mustTransform(t, db, qb, transform.KimJA)} {
+			_, notIn := paper.Query.Where[0].(*ast.InPred)
+			if c.retain && !notIn && len(paper.Temps) == 0 {
+				t.Errorf("%s: retained under AsPaper or Kim's NEST-JA: %s", c.pred, paper.Query)
+			}
+		}
 	}
 }

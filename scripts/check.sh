@@ -19,11 +19,11 @@ cd "$(dirname "$0")/.."
 
 # gate            -run pattern / fuzz target                                packages
 TESTS='
-alloc             AllocBudget|CompileConjunctsAllocs|BuiltRowsShareCappedChunks|GroupTableAllocs|ReadPageAllocs|SortBufferSurvivesGC ./internal/engine ./internal/exec ./internal/storage
+alloc             AllocBudget|CompileConjunctsAllocs|BuiltRowsShareCappedChunks|GroupTableAllocs|ReadPageAllocs|SortBufferSurvivesGC|QuantifiedJoinAllocs ./internal/engine ./internal/exec ./internal/storage
 chaos             TestChaosFaultInjection|TestFaultPlanReplays              ./internal/engine
 storm             TestChaosStorm|TestDrainUnderFaults                       ./internal/engine
 memstorm          TestMemPressureStorm|TestSpillCompletesUnderSmallBudget|TestSequentialBudgetCharged|TestSpillForcedMatchesOracle|TestSpillCorruptRunDetected|TestSpillTimeoutLeakFree|TestMetamorphTightMemory|TestBudgetDegradationMonotonic|TestForcedSpillRerunSortMerges|TestLadderRungsInOrder|TestTransientRetryStaysSequential|TestSpillForcedPlansSortMerge|TestPressureGrantsUnderSpill|TestSequentialRetryAfterWorkerFault|TestWorkerFaultsLeaveParallelOpen|TestNoRetryOnTimeout|TestRowBudgetNotRetried|TestStreamNoRetryAfter ./internal/engine ./internal/metamorph
-metamorph-short   TestMetamorph(Short|Faults|CatchesKimMutant)|TestGoldenRepros|TestStreamedTempsMatchMaterialized|TestGroupJoinMatchesSortMerge ./internal/metamorph
+metamorph-short   TestMetamorph(Short|Faults|CatchesKimMutant|QuantifiedJoins)|TestGoldenRepros|TestStreamedTempsMatchMaterialized|TestGroupJoinMatchesSortMerge ./internal/metamorph
 netchaos          TestNetChaosStorm                                         ./internal/server
 cluster           TestDistributedNestJA2|TestClusterChaosStorm              ./internal/cluster
 cluster-failover  TestClusterFailover|TestWorkerLostFastFailure|TestClusterAnalyzeRefusals ./internal/cluster
