@@ -524,29 +524,36 @@ func TestOneSpillPath(t *testing.T) {
 
 // Section 8's quantifiers used to reach a plan only as COUNT and MAX
 // comparisons, and NOT IN had its own anti-join with its own loop over the
-// inner rows. A plan now keeps EXISTS, NOT EXISTS, x θ ANY and NOT IN as one
-// quantified join in three forms — MergeJoin, ParallelHashJoin and the
-// re-scanning AntiJoin, each deciding its exec.Quantifier through one
-// decision — and that decision folds through nested iteration's own rule,
-// internal/exec/eval.go's quantified. A second fold or a second semi-join
-// or anti-join must not grow back unnoticed: quantified is declared in
-// eval.go and named only there and in internal/exec/quantified.go; no
-// non-test type but exec.AntiJoin is named like a semi-join or an
-// anti-join; decision is named only by quantified.go and the three forms'
-// files; and in internal/exec exactly the three forms have a Quant field,
-// a *Quantifier.
+// inner rows; later the quantified join had its own nested-loops operator
+// beside NestedLoopJoin and its own choice of method beside the planner's
+// join. A plan now keeps EXISTS, NOT EXISTS, x θ ANY and NOT IN as one
+// quantified join in three forms — hash, merge and nested loops:
+// ParallelHashJoin, MergeJoin and NestedLoopJoin with a Quant, each
+// deciding its exec.Quantifier through one decision — whose method is
+// chosen by one function, internal/planner's join, as for any join; and
+// the decision folds through nested iteration's own rule,
+// internal/exec/eval.go's quantified. A second fold, a second semi-join or
+// anti-join or a second method choice must not grow back unnoticed:
+// quantified is declared in eval.go and named only there and in
+// internal/exec/quantified.go; no non-test type is named like a semi-join
+// or an anti-join; decision is named only by quantified.go and the three
+// forms' files; in internal/exec exactly the three forms have a Quant
+// field, a *Quantifier; and internal/planner/quantified.go builds no exec
+// join operator and calls none of the planner's join builders but join.
 func TestOneQuantifiedFold(t *testing.T) {
 	semiAnti := regexp.MustCompile(`(?i)(semi|anti)-?join`)
 	foldUsers := map[string]bool{"internal/exec/eval.go": true, "internal/exec/quantified.go": true}
 	decisionUsers := map[string]bool{"internal/exec/quantified.go": true, "internal/exec/join.go": true, "internal/exec/parallel.go": true}
+	builders := map[string]bool{"hashJoin": true, "mergeJoin": true, "nlJoin": true, "groupJoin": true}
 	var forms []string
+	joins := 0
 	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
 		path = filepath.ToSlash(path)
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.TypeSpec:
-				if semiAnti.MatchString(n.Name.Name) && (n.Name.Name != "AntiJoin" || path != "internal/exec/quantified.go") {
-					t.Errorf("%s declares type %s: a quantified join is one of MergeJoin, ParallelHashJoin and AntiJoin", path, n.Name.Name)
+				if semiAnti.MatchString(n.Name.Name) {
+					t.Errorf("%s declares type %s: a quantified join is a MergeJoin, ParallelHashJoin or NestedLoopJoin with a Quant", path, n.Name.Name)
 				}
 				if n.Name.Name == "quantified" && path != "internal/exec/eval.go" {
 					t.Errorf("%s declares a second quantified", path)
@@ -573,13 +580,29 @@ func TestOneQuantifiedFold(t *testing.T) {
 				if n.Name == "decision" && filepath.Dir(path) == "internal/exec" && !decisionUsers[path] {
 					t.Errorf("%s names decision: only the three forms of a quantified join decide a Quantifier", path)
 				}
+			case *ast.SelectorExpr:
+				if path != "internal/planner/quantified.go" {
+					return true
+				}
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "exec" && strings.HasSuffix(n.Sel.Name, "Join") {
+					t.Errorf("%s names exec.%s: a quantified join is built by the planner's join", path, n.Sel.Name)
+				}
+				if builders[n.Sel.Name] {
+					t.Errorf("%s calls %s: a quantified join's method is chosen by the planner's join", path, n.Sel.Name)
+				}
+				if n.Sel.Name == "join" {
+					joins++
+				}
 			}
 			return true
 		})
 	})
 	slices.Sort(forms)
-	if want := []string{"AntiJoin", "MergeJoin", "ParallelHashJoin"}; !slices.Equal(forms, want) {
+	if want := []string{"MergeJoin", "NestedLoopJoin", "ParallelHashJoin"}; !slices.Equal(forms, want) {
 		t.Errorf("operators with a Quant field: %v, want %v", forms, want)
+	}
+	if joins == 0 {
+		t.Error("internal/planner/quantified.go does not call the planner's join")
 	}
 }
 

@@ -146,6 +146,76 @@ func TestJA2PageIOPinned(t *testing.T) {
 	}
 }
 
+// TestQuantifiedNestedLoopsPinned holds the page I/Os of the nested-loops
+// form of a quantified join, at seed 1 in the steady state (second run) on
+// jaSeqShape, as TestJA2PageIOPinned does. The form reads the restricted
+// inner side, materialized as nested loops' right side, only up to the
+// page whose row settles each outer row's predicate:
+//   - VAL NOT IN under a forced nested-loops final join: RI's 1,000
+//     filtered rows each re-read RJ's 63 restricted pages up to the
+//     deciding page, 29,574 in all; reading every page costs 63,663.
+//   - VAL NOT IN correlated by range only (RJ.JC > RI.JC): no key, so
+//     nested loops in the default plan too; every outer row meets an equal
+//     member within the pages the pool keeps, 667 in all, and none
+//     qualifies.
+//   - EXISTS from a one-row outer relation against all of RJ: the section
+//     7 cost rule join applies prices nested loops (Pl + Nl·Pr, 1 + 400)
+//     below sorting RJ, so the keyed join takes nested loops, not a
+//     sort-merge (534): RJ read once and its projection written (125
+//     pages), then read back to the first match four pages in,
+//     1 + 400 + 125 + 4 = 530. The saving is where the first match lies,
+//     not a rule: for JC = 0, eight pages in, nested loops cost 534 and
+//     the merge join 530.
+func TestQuantifiedNestedLoopsPinned(t *testing.T) {
+	db, cfg := jaSeqShape(t, 1)
+	one := &schema.Relation{Name: "ONE", Columns: []schema.Column{
+		{Name: "JC", Type: value.KindInt}, {Name: "VAL", Type: value.KindInt}, {Name: "FILT", Type: value.KindInt}}}
+	if err := db.CreateRelation(one, 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("ONE", storage.Tuple{value.NewInt(7), value.NewInt(3), value.NewInt(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Seal("ONE"); err != nil {
+		t.Fatal(err)
+	}
+	notIn := func(corr string) string {
+		return fmt.Sprintf("SELECT JC FROM RI WHERE FILT < %d AND VAL NOT IN (SELECT VAL FROM RJ WHERE RJ.JC %s RI.JC AND RJ.FILT < %d)",
+			workload.FilterCutoff(cfg.Selectivity), corr, workload.FilterCutoff(cfg.MatchFraction))
+	}
+	for _, s := range []struct {
+		name, sql string
+		opts      planner.Options
+		io        int64
+		rows      int
+		trace     string
+	}{
+		{"VAL NOT IN, forced nested loops", notIn("="), planner.Options{FinalJoin: planner.JoinNL}, 29574, 283,
+			"final: nested-loops join on RJ.JC = RI.JC deciding NOT IN"},
+		{"VAL NOT IN, range-correlated", notIn(">"), planner.Options{}, 667, 0,
+			"final: nested-loops join on RJ.JC > RI.JC deciding NOT IN"},
+		{"EXISTS, one-row outer", "SELECT JC FROM ONE WHERE EXISTS (SELECT VAL FROM RJ WHERE RJ.JC = ONE.JC)", planner.Options{}, 530, 1,
+			"final: nested-loops join on RJ.JC = ONE.JC deciding EXISTS"},
+	} {
+		var res *engine.Result
+		for range 2 {
+			var err error
+			if res, err = db.Query(s.sql, engine.Options{Strategy: engine.TransformJA2, Planner: s.opts}); err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+		}
+		if got := res.Stats.Total(); got != s.io {
+			t.Errorf("%s: %d page I/Os, pinned at %d", s.name, got, s.io)
+		}
+		if len(res.Rows) != s.rows {
+			t.Errorf("%s: %d rows, want %d", s.name, len(res.Rows), s.rows)
+		}
+		if trace := traceText(res); !strings.Contains(trace, s.trace) {
+			t.Errorf("%s: trace lost %q:\n%s", s.name, s.trace, trace)
+		}
+	}
+}
+
 // TestGroupJoinEstimateIsExact: a group join reports as many groups as
 // its left input holds rows, and NEST-JA2's left input is TEMP1, one row
 // per outer join value, so the estimate the grouped temp is planned with

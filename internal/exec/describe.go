@@ -33,7 +33,6 @@ const (
 	nodeHashJoin         // inline: the join is not under an ExchangeMerge
 	nodeParallelHashJoin // the source of an ExchangeMerge
 	nodeNestedLoopJoin
-	nodeAntiJoin
 	nodeGroupAgg
 	nodeGroupJoin
 	nodeParallelHashGroup
@@ -50,7 +49,8 @@ type planNode struct {
 	desc   bool   // a Sort with per-key directions
 	n      int32  // pages (a scan, nested loops' right side); a resident scan's rows; workers
 	l, r   int32  // the leading key pair
-	name   string // a scan's relation; a quantified join's Form
+	name   string // a scan's relation, nested loops' right side
+	form   string // a quantified join's Form
 	cols   []int  // Sort keys, GroupCols, a join's Out
 	more   []KeyPair
 	items  []GroupItem
@@ -88,8 +88,6 @@ func countNodes(op Operator) int {
 	case *ParallelHashJoin:
 		return 1 + countNodes(op.Left) + countNodes(op.Right)
 	case *NestedLoopJoin:
-		return 1 + countNodes(op.Left)
-	case *AntiJoin:
 		return 1 + countNodes(op.Left)
 	case *GroupAgg:
 		return 1 + countNodes(op.Child)
@@ -129,7 +127,7 @@ func (p Plan) add(op Operator, depth uint16) Plan {
 	case *MergeJoin:
 		n.kind, n.outer, n.cols = nodeMergeJoin, op.Outer, op.Out
 		n.l, n.r, n.nullEq, n.more = int32(op.LeftKey), int32(op.RightKey), op.NullEq, op.More
-		n.name = op.Quant.String()
+		n.form = op.Quant.String()
 		children = [2]Operator{op.Left, op.Right}
 	case *ParallelHashJoin:
 		n.kind, children = nodeHashJoin, [2]Operator{op.Left, op.Right}
@@ -137,8 +135,7 @@ func (p Plan) add(op Operator, depth uint16) Plan {
 	case *NestedLoopJoin:
 		n.kind, n.outer, n.cols = nodeNestedLoopJoin, op.Outer, op.Out
 		n.name, n.n, children[0] = cmp.Or(op.RightName, op.Right.Name()), int32(op.Right.NumPages()), op.Left
-	case *AntiJoin:
-		n.kind, n.name, n.n, children[0] = nodeAntiJoin, op.Quant.String(), int32(op.Right.NumPages()), op.Left
+		n.form = op.Quant.String()
 	case *GroupAgg:
 		n.kind, n.cols, n.items, children[0] = nodeGroupAgg, op.GroupCols, op.Items, op.Child
 	case *GroupJoin:
@@ -182,7 +179,7 @@ func (p Plan) addSource(src ParallelSource, depth uint16) Plan {
 func (n *planNode) setHashJoin(j *ParallelHashJoin) {
 	n.outer, n.cols, n.n = j.Outer, j.Out, int32(j.NumWorkers())
 	n.l, n.r, n.nullEq, n.more = int32(j.LeftKey), int32(j.RightKey), j.NullEq, j.More
-	n.name = j.Quant.String()
+	n.form = j.Quant.String()
 }
 
 // Describe renders a plan as an indented outline, the EXPLAIN view of a
@@ -229,9 +226,7 @@ func (n *planNode) describe(b *strings.Builder) {
 		if n.outer {
 			kind = "OuterNestedLoopJoin"
 		}
-		fmt.Fprintf(b, "%s(right=%s, %d pages%s)\n", kind, n.name, n.n, outCols(n.cols))
-	case nodeAntiJoin:
-		fmt.Fprintf(b, "AntiJoin(%d pages rescanned, %s)\n", n.n, n.name)
+		fmt.Fprintf(b, "%s(right=%s, %d pages%s%s)\n", kind, n.name, n.n, n.deciding(), outCols(n.cols))
 	case nodeGroupAgg:
 		fmt.Fprintf(b, "GroupAgg(group=%v, out=[%s])\n", n.cols, describeItems(n.items))
 	case nodeGroupJoin:
@@ -247,16 +242,21 @@ func (n *planNode) describe(b *strings.Builder) {
 
 func (n *planNode) key() joinKey { return newJoinKey(int(n.l), int(n.r), n.nullEq, n.more) }
 
-// describeJoin renders a keyed join's line: its key and its Out, or the
-// predicate a quantified join decides.
+// describeJoin renders a keyed join's line: its key, the predicate a
+// quantified join decides, and its Out.
 func (n *planNode) describeJoin(b *strings.Builder, kind, detail string) {
 	if n.outer {
 		kind = "Outer" + kind
 	}
-	if n.name != "" {
-		detail += ", " + n.name
+	fmt.Fprintf(b, "%s(%s%s%s)\n", kind, detail, n.deciding(), outCols(n.cols))
+}
+
+// deciding renders the predicate a quantified join decides, "" for a join.
+func (n *planNode) deciding() string {
+	if n.form == "" {
+		return ""
 	}
-	fmt.Fprintf(b, "%s(%s%s)\n", kind, detail, outCols(n.cols))
+	return ", " + n.form
 }
 
 // outCols renders a join's Out; the Project above such a join only names.

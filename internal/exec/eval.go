@@ -641,7 +641,8 @@ func (ev *Evaluator) evalQuant(lv value.Value, op value.CompareOp, quant ast.Qua
 
 // quantified folds lv op v over the values v of a list, one at a time, for
 // op ANY and op ALL. x IN S is x = ANY S, so nested iteration's IN, NOT IN,
-// ANY and ALL and a plan's AntiJoin all decide through it.
+// ANY and ALL and a plan's quantified joins — hash, merge and nested loops —
+// all decide through it.
 type quantified struct{ anyTrue, anyUnknown, anyFalse bool }
 
 func (q *quantified) see(lv *value.Value, op value.CompareOp, v *value.Value) error {

@@ -477,6 +477,10 @@ func (m *MergeJoin) Schema() RowSchema {
 // < PARTS.PNUM). With Outer set, left rows with no match are emitted
 // NULL-padded — the outer theta-join used when the aggregate is COUNT and
 // the operator is not equality.
+//
+// With Quant set it is the nested-loops form of a quantified join: each
+// left row reads the right side only up to the page whose row settles its
+// decision, and is emitted alone, once, when the predicate holds.
 type NestedLoopJoin struct {
 	Left      Operator
 	Right     *storage.HeapFile
@@ -486,6 +490,10 @@ type NestedLoopJoin struct {
 	Pred  RowPred
 	Outer bool
 	Out   []int // as in MergeJoin
+	// Quant, when set, is decided per left row over the right rows, whose
+	// predicate is Quant.Corr (Pred is unused), and Out names columns of
+	// the left row alone; Outer is unused then.
+	Quant *Quantifier
 	// QC, when set, is checked once per left row — each left row costs a
 	// full scan of the right side, so that is the natural morsel.
 	QC *qctx.QueryContext
@@ -497,6 +505,8 @@ type NestedLoopJoin struct {
 	pageIdx int
 	tuples  []storage.Tuple
 	tupIdx  int
+
+	d decision // the left row's, under Quant
 }
 
 // Open prepares the left child.
@@ -504,13 +514,21 @@ func (n *NestedLoopJoin) Open() error {
 	if err := n.Left.Open(); err != nil {
 		return err
 	}
-	n.rows = newRowBuilder(n.Out, n.Left.Schema(), n.RightSch)
+	if n.Quant != nil {
+		n.rows = quantRows(n.Out, n.Left.Schema())
+	} else {
+		n.rows = newRowBuilder(n.Out, n.Left.Schema(), n.RightSch)
+	}
 	n.cur = nil
+	n.d = decision{q: n.Quant}
 	return nil
 }
 
 // Next produces the next joined row.
 func (n *NestedLoopJoin) Next() (storage.Tuple, bool, error) {
+	if n.Quant != nil {
+		return n.nextQuant()
+	}
 	for {
 		if n.cur == nil {
 			if err := n.QC.Check(); err != nil {
@@ -557,10 +575,43 @@ func (n *NestedLoopJoin) Next() (storage.Tuple, bool, error) {
 	}
 }
 
+// nextQuant is Next under Quant: a left row folds the right rows, page by
+// page, until one settles its decision, and is emitted alone when the
+// predicate holds.
+func (n *NestedLoopJoin) nextQuant() (storage.Tuple, bool, error) {
+	for {
+		if err := n.QC.Check(); err != nil {
+			return nil, false, err
+		}
+		l, ok, err := n.Left.Next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		n.d.start(l)
+	scan:
+		for pg := 0; pg < n.Right.NumPages(); pg++ {
+			for _, r := range n.Right.ReadPage(pg) {
+				if done, err := n.d.see(r); err != nil {
+					return nil, false, err
+				} else if done {
+					break scan
+				}
+			}
+		}
+		if n.d.keep() {
+			return n.rows.build(l, nil), true, nil
+		}
+	}
+}
+
 // Close closes the left child.
 func (n *NestedLoopJoin) Close() error { return n.Left.Close() }
 
-// Schema is the Out columns of the left and right schemas concatenated.
+// Schema is the Out columns of the left and right schemas concatenated,
+// or the left schema under Quant.
 func (n *NestedLoopJoin) Schema() RowSchema {
+	if n.Quant != nil {
+		return quantSchema(n.Out, n.Left.Schema())
+	}
 	return outSchema(n.Out, n.Left.Schema(), n.RightSch)
 }

@@ -658,8 +658,8 @@ func TestGroupAggEquivalentToNaive(t *testing.T) {
 	}
 }
 
-// Property: AntiJoin equals the naive NOT IN evaluation over arbitrary
-// multisets including NULLs.
+// Property: a NestedLoopJoin deciding NOT IN, the anti-join, equals the
+// naive NOT IN evaluation over arbitrary multisets including NULLs.
 func TestAntiJoinEquivalentToNaive(t *testing.T) {
 	check := func(lk, rk []uint8) bool {
 		s := storage.NewStore(8)
@@ -680,7 +680,7 @@ func TestAntiJoinEquivalentToNaive(t *testing.T) {
 		}
 		r.Seal()
 
-		aj := &exec.AntiJoin{
+		aj := &exec.NestedLoopJoin{
 			Left:     scanOf(l, "L"),
 			Right:    r,
 			RightSch: exec.RowSchema{{Table: "R", Column: "M"}},
@@ -745,8 +745,8 @@ func TestJoinsBuildNoRowBeforeItsPredicateHolds(t *testing.T) {
 		},
 		// L.k NOT IN (SELECT R.v FROM R WHERE L.k > R.k + 96): the three
 		// left rows with relevant right rows all lose to a smaller R.v.
-		"AntiJoin": func() {
-			drain(&exec.AntiJoin{Left: scanOf(left, "L"), Right: right, RightSch: scanOf(right, "R").Schema(),
+		"NestedLoopJoin NOT IN": func() {
+			drain(&exec.NestedLoopJoin{Left: scanOf(left, "L"), Right: right, RightSch: scanOf(right, "R").Schema(),
 				Quant: &exec.Quantifier{Corr: theta, Operand: func(l storage.Tuple) value.Value { return l[0] },
 					Op: value.OpEq, Member: 1, Negated: true, Form: "NOT IN"}}, 100)
 		},

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"repro/internal/ast"
-	"repro/internal/qctx"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -19,11 +18,12 @@ import (
 // row, when nothing matches but a NULL is involved.
 //
 // The forms are ParallelHashJoin (the inner side hashed on the key),
-// MergeJoin (both sides sorted on it) and AntiJoin (no key: the inner side
-// re-scanned per left row); each sets its Quant.
+// MergeJoin (both sides sorted on it) and NestedLoopJoin (the inner side
+// stored and re-read per left row, with or without a key); each sets its
+// Quant.
 type Quantifier struct {
-	// Corr filters a key match (or, in an AntiJoin, any right row) to the
-	// relevant ones, evaluated over the concatenated (left ++ right) row;
+	// Corr filters a key match (or, in a NestedLoopJoin, any right row) to
+	// the relevant ones, evaluated over the concatenated (left ++ right) row;
 	// nil means every one is relevant. UNKNOWN is not relevant.
 	Corr RowPred
 	// Operand extracts x from a left row for θ ANY and NOT IN; nil for
@@ -86,71 +86,6 @@ func (d *decision) keep() bool {
 	}
 	return t.IsTrue()
 }
-
-// AntiJoin is the quantified join with no key: the right side is a
-// materialized file re-scanned per left row through the buffer pool, like
-// NestedLoopJoin. It decides NOT IN against an uncorrelated inner block or
-// one correlated by range only, and any quantified predicate under a
-// forced nested-loops join. NOT IN is an extension beyond the paper, which
-// leaves anti-joins out of its algorithms (section 8 rewrites != ANY to
-// NOT IN and stops there).
-type AntiJoin struct {
-	Left     Operator
-	Right    *storage.HeapFile
-	RightSch RowSchema
-	Quant    *Quantifier
-	// QC, when set, is checked once per left row — each left row can cost
-	// a full scan of the right side.
-	QC *qctx.QueryContext
-
-	d decision
-}
-
-// Open prepares the left child.
-func (a *AntiJoin) Open() error {
-	a.d = decision{q: a.Quant}
-	return a.Left.Open()
-}
-
-// Next emits the next qualifying left row.
-func (a *AntiJoin) Next() (storage.Tuple, bool, error) {
-	for {
-		if err := a.QC.Check(); err != nil {
-			return nil, false, err
-		}
-		l, ok, err := a.Left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		keep, err := a.qualifies(l)
-		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			return l, true, nil
-		}
-	}
-}
-
-// qualifies decides l's predicate, reading the right side up to the page
-// that settled it.
-func (a *AntiJoin) qualifies(l storage.Tuple) (bool, error) {
-	a.d.start(l)
-	for pg := 0; pg < a.Right.NumPages(); pg++ {
-		for _, r := range a.Right.ReadPage(pg) {
-			if done, err := a.d.see(r); err != nil || done {
-				return a.d.keep(), err
-			}
-		}
-	}
-	return a.d.keep(), nil
-}
-
-// Close closes the left child.
-func (a *AntiJoin) Close() error { return a.Left.Close() }
-
-// Schema is the left schema: a quantified join filters, never widens.
-func (a *AntiJoin) Schema() RowSchema { return a.Left.Schema() }
 
 // quantRows builds a quantified join's rows: columns out (nil: all) of
 // the left row alone, which an append copies.

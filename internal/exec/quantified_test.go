@@ -23,7 +23,7 @@ type quantCase struct {
 }
 
 // quantifier is the case's exec.Quantifier; withKey adds the key to Corr,
-// as a join without a key (AntiJoin) needs.
+// as a join without a key (the nested-loops form) needs.
 func (c quantCase) quantifier(withKey bool) *exec.Quantifier {
 	q := &exec.Quantifier{Form: c.form, Member: 1}
 	switch c.form {
@@ -104,7 +104,7 @@ func loadRows(s *storage.Store, name string, rows []storage.Tuple) *storage.Heap
 	return f
 }
 
-// TestQuantifiedFormsAgree: the hash, merge and re-scan forms of a
+// TestQuantifiedFormsAgree: the hash, merge and nested-loops forms of a
 // quantified join decide EXISTS, NOT EXISTS, < ANY and NOT IN exactly as
 // a direct three-valued evaluation does, over NULL-dense, duplicate-heavy
 // rows and empty sides, keyed by = and by <=>, with and without a range
@@ -142,7 +142,7 @@ func TestQuantifiedFormsAgree(t *testing.T) {
 						Quant: c.quantifier(false)},
 					"merge-spilled": &exec.MergeJoin{Left: sorted(lf, "L"), Right: sorted(rf, "R"), NullEq: c.nullSafe,
 						Quant: c.quantifier(false), QC: qc, Spill: sess},
-					"rescan": &exec.AntiJoin{Left: scanOf(lf, "L"), Right: rf, RightSch: scanOf(rf, "R").Schema(),
+					"nested-loops": &exec.NestedLoopJoin{Left: scanOf(lf, "L"), Right: rf, RightSch: scanOf(rf, "R").Schema(),
 						Quant: c.quantifier(true)},
 				}
 				for name, op := range forms {

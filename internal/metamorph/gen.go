@@ -62,7 +62,19 @@ func (g *Generator) Scenario(id int) *Scenario { return g.scenario(id, genPair) 
 
 // QuantifiedScenario is scenario id's database with pairs of the
 // quantified-join class only.
-func (g *Generator) QuantifiedScenario(id int) *Scenario { return g.scenario(id, genQuantifiedPair) }
+func (g *Generator) QuantifiedScenario(id int) *Scenario { return g.classScenario(id, genQuantified) }
+
+// RangeScenario is scenario id's database with pairs of the range class
+// only.
+func (g *Generator) RangeScenario(id int) *Scenario { return g.classScenario(id, genRange) }
+
+// classScenario is scenario id's database with pairs of the counted class
+// whose predicates gen draws.
+func (g *Generator) classScenario(id int, gen func(*rand.Rand, tableNames, domains) nestedPred) *Scenario {
+	return g.scenario(id, func(rng *rand.Rand, id int, n tableNames, d domains) Pair {
+		return classPair(rng, id, n, d, gen(rng, n, d))
+	})
+}
 
 func (g *Generator) scenario(id int, pair func(*rand.Rand, int, tableNames, domains) Pair) *Scenario {
 	rng := rand.New(rand.NewSource(g.cfg.Seed + int64(id)*0x9E3779B9))
@@ -204,7 +216,9 @@ func genTables(rng *rand.Rand, id int, cfg Config, d domains) []Table {
 type nestedPred struct {
 	sql  string
 	want []classify.NestType
-	form string // the quantified-join class's form, if of the class
+	// class is the counted class the predicate belongs to, if any: its
+	// pairs are held bag-equal to nested iteration (Pair.agreement).
+	class string
 }
 
 func pick[T any](rng *rand.Rand, xs []T) T { return xs[rng.Intn(len(xs))] }
@@ -218,9 +232,11 @@ func genNested(rng *rand.Rand, n tableNames, d domains) nestedPred {
 	kc := rng.Intn(d.keyDom + 1) // join-key constant
 	vc := rng.Intn(d.valDom + 1) // measure constant
 	agg := pick(rng, []string{"MAX", "MIN", "SUM", "AVG"})
-	switch rng.Intn(13) {
+	switch rng.Intn(14) {
 	case 12: // a quantified join's shape
 		return genQuantified(rng, n, d)
+	case 13: // type-JA correlated by a range or !=
+		return genRange(rng, n, d)
 	case 0: // type-A: uncorrelated aggregate, a single constant
 		return nestedPred{
 			sql:  fmt.Sprintf("A.V >= (SELECT %s(B.W) FROM %s B)", agg, n.B),
@@ -322,19 +338,44 @@ func genQuantified(rng *rand.Rand, n tableNames, d domains) nestedPred {
 	default:
 		sql = fmt.Sprintf("%s (%s)", form, sub)
 	}
-	return nestedPred{sql: sql, want: []classify.NestType{classify.TypeJ}, form: form}
+	return nestedPred{sql: sql, want: []classify.NestType{classify.TypeJ}, class: "quantified/" + form}
 }
 
-// genQuantifiedPair draws a pair of the quantified-join class: a
-// predicate of the class, and the same strengthened by a conjunct on A.
-// Every query of the class is held bag-equal to nested iteration, in the
+// The range class's correlation operators and aggregates.
+var (
+	rangeOps  = []string{"<", "<=", ">", ">=", "!="}
+	rangeAggs = []string{"COUNT(*)", "COUNT(B.W)", "MIN(B.W)", "MAX(B.W)", "SUM(B.W)", "AVG(B.W)"}
+)
+
+// genRange draws one predicate of the range class: a type-JA comparison
+// of A.V with an aggregate of B correlated on K or G by <, <=, >, >= or
+// !=, optionally with a local restriction. It is the shape of the paper's
+// second bug (section 5.3.1): Kim's NEST-JA groups the inner block by its
+// correlation column and joins the groups to the outer relation with the
+// original operator, so an outer row meets one partial aggregate per
+// qualifying group instead of the one aggregate over all of them.
+func genRange(rng *rand.Rand, n tableNames, d domains) nestedPred {
+	col, op, agg := pick(rng, []string{"K", "G"}), pick(rng, rangeOps), pick(rng, rangeAggs)
+	where := fmt.Sprintf("B.%s %s A.%s", col, op, col)
+	if rng.Intn(3) == 0 {
+		where += fmt.Sprintf(" AND B.W <= %d", rng.Intn(d.valDom+1))
+	}
+	return nestedPred{
+		sql:   fmt.Sprintf("A.V %s (SELECT %s FROM %s B WHERE %s)", pick(rng, cmpOps), agg, n.B, where),
+		want:  []classify.NestType{classify.TypeJA},
+		class: "range/" + op + "/" + agg,
+	}
+}
+
+// classPair draws a pair of a counted class from np, one of its
+// predicates: np, and the same strengthened by a conjunct on A. Every
+// query of a counted class is held bag-equal to nested iteration, in the
 // paper's plan too (Pair.agreement, RegimePaper).
-func genQuantifiedPair(rng *rand.Rand, id int, n tableNames, d domains) Pair {
-	np := genQuantified(rng, n, d)
+func classPair(rng *rand.Rand, id int, n tableNames, d domains, np nestedPred) Pair {
 	base := fmt.Sprintf("SELECT A.R, A.K, A.V FROM %s A WHERE %s", n.A, np.sql)
 	return Pair{
 		ID:       id,
-		Class:    "quantified/" + np.form,
+		Class:    np.class,
 		Relation: SubsetBag,
 		Queries: []Query{
 			{SQL: base, Want: np.want},
@@ -368,7 +409,7 @@ func genConjunct(rng *rand.Rand, d domains) string {
 func genPair(rng *rand.Rand, id int, n tableNames, d domains) Pair {
 	np := genNested(rng, n, d)
 	vc := rng.Intn(d.valDom + 1)
-	switch rng.Intn(12) {
+	switch rng.Intn(13) {
 	case 0, 1: // predicate strengthening: bag(Q1) ⊆ bag(Q0)
 		base := fmt.Sprintf("SELECT A.R, A.K FROM %s A WHERE %s", n.A, np.sql)
 		order := ""
@@ -487,7 +528,9 @@ func genPair(rng *rand.Rand, id int, n tableNames, d domains) Pair {
 			},
 		}
 	case 11: // the quantified-join class: bag-equal to nested iteration
-		return genQuantifiedPair(rng, id, n, d)
+		return classPair(rng, id, n, d, genQuantified(rng, n, d))
+	case 12: // the range class: bag-equal to nested iteration
+		return classPair(rng, id, n, d, genRange(rng, n, d))
 	default: // grouped HAVING thresholds: higher cutoff keeps fewer groups
 		lo := 1 + rng.Intn(2)
 		hi := lo + 1 + rng.Intn(2)

@@ -29,8 +29,8 @@ const (
 	RegimeNet   = "net"   // the strategy under test through a live server
 	RegimeTight = "tight" // the same strategy with every buffer forced to spill runs
 	// RegimePaper is the strategy in the plan the paper costs (AsPaper),
-	// run for the quantified-join class only: section 8's rewrites instead
-	// of the quantified join.
+	// run for the counted classes only: section 8's rewrites instead of the
+	// quantified join, and the range class's temps written, not held.
 	RegimePaper = "paper"
 )
 
@@ -85,9 +85,10 @@ type Stats struct {
 	Violations int
 	// Relations counts checked pairs by relation name.
 	Relations map[string]int
-	// Quantified counts queries of the quantified-join class (Class
-	// "quantified/…") held bag-equal to nested iteration.
-	Quantified int
+	// Quantified and Range count queries of the quantified-join class
+	// (Class "quantified/…") and of the range class ("range/…") held
+	// bag-equal to nested iteration.
+	Quantified, Range int
 	// SkippedAll counts round-trip checks the engine's rule rules out
 	// (ALL-quantifier queries: their transform deliberately diverges from
 	// NI on empty inner results).
@@ -306,7 +307,7 @@ func regimeOptions(regime string, underTest engine.Strategy) engine.Options {
 // regimes are the regimes pair p runs in.
 func (r *Runner) regimes(p Pair) []string {
 	regs := []string{RegimeSeq, RegimeNI}
-	if p.quantClass() {
+	if p.countedClass() != "" {
 		regs = append(regs, RegimePaper)
 	}
 	if r.cfg.Parallel {
@@ -417,8 +418,11 @@ func (r *Runner) judge(s *Scenario, p Pair, results map[string][]runResult) []Vi
 		}
 		if ni := results[RegimeNI][qi]; !ni.skip {
 			how := p.agreement(q.SQL)
-			if p.quantClass() {
+			switch p.countedClass() {
+			case "quantified":
 				r.stats.Quantified++
+			case "range":
+				r.stats.Range++
 			}
 			if how == storage.AgreeNone {
 				r.stats.SkippedAll++
@@ -485,15 +489,23 @@ func (p *Pair) checkRuns(rs, fell []runResult) (detail string, relaxed bool) {
 	return p.Check(rows...), false
 }
 
-// quantClass reports whether p is of the quantified-join class.
-func (p *Pair) quantClass() bool { return strings.HasPrefix(p.Class, "quantified/") }
+// countedClass is the counted class p is of, "quantified" or "range", or
+// "" for none.
+func (p *Pair) countedClass() string {
+	if family, _, _ := strings.Cut(p.Class, "/"); family == "quantified" || family == "range" {
+		return family
+	}
+	return ""
+}
 
 // agreement is how a query of p must compare with nested iteration: as a
-// bag in the quantified-join class, whose every plan — the quantified
-// join, and section 8's rewrites through NEST-JA2 in the paper's — yields
-// each outer row at most once, as nested iteration does; else roundtrip.
+// bag in a counted class, whose every plan yields each outer row at most
+// once, as nested iteration does — the quantified join, section 8's
+// rewrites through NEST-JA2 in the paper's plan, and NEST-JA2's join of
+// the outer relation with its one-row-per-key grouped temp; else
+// roundtrip.
 func (p *Pair) agreement(sql string) storage.Agreement {
-	if p.quantClass() {
+	if p.countedClass() != "" {
 		return storage.AgreeBag
 	}
 	return roundtrip(sql)

@@ -130,8 +130,8 @@ func TestPlannerCartesianProduct(t *testing.T) {
 
 // Planner-level anti-join: correlated NOT IN with NULLs on both sides,
 // keyed on the correlation in each of its forms — hashed by default and in
-// the plan the paper costs, sort-merged under a forced merge join,
-// re-scanned under a forced nested-loops join.
+// the plan the paper costs, sort-merged under a forced merge join, by
+// nested loops under a forced nested-loops join.
 func TestPlannerAntiJoin(t *testing.T) {
 	db := workload.NewDB(8)
 	cols := []schema.Column{
@@ -158,7 +158,7 @@ func TestPlannerAntiJoin(t *testing.T) {
 		{planner.Options{}, trace.HashJoin},
 		{planner.Options{FinalJoin: planner.JoinMerge}, trace.MergeJoin},
 		{planner.Options{AsPaper: true}, trace.HashJoin},
-		{planner.Options{FinalJoin: planner.JoinNL}, trace.AntiJoin},
+		{planner.Options{FinalJoin: planner.JoinNL}, trace.NestedLoops},
 	} {
 		// Correlated NOT IN: V NOT IN (SELECT V FROM R WHERE R.K = L.K).
 		rows, pl := runPlanned(t, db, `
@@ -170,8 +170,8 @@ func TestPlannerAntiJoin(t *testing.T) {
 		if got := rowStrs(rows); got != "(3)" {
 			t.Errorf("%+v: anti-join rows = %v, want (3)", c.opts, got)
 		}
-		if !slices.ContainsFunc(pl.Trace, note(c.form, "final")) {
-			t.Errorf("%+v: no %v in the notes:\n%s", c.opts, c.form, notesText(pl.Trace))
+		if !slices.ContainsFunc(pl.Trace, func(e trace.Event) bool { return note(c.form, "final")(e) && e.Text == "NOT IN" }) {
+			t.Errorf("%+v: no %v deciding NOT IN in the notes:\n%s", c.opts, c.form, notesText(pl.Trace))
 		}
 	}
 }

@@ -15,11 +15,13 @@ import (
 
 // join combines the current subtree with the next FROM entry, restricted,
 // on joinConjs (an outer join when outer), choosing the join method by
-// forced option or by cost.
-func (p *Planner) join(cur, right input, joinConjs []ast.Predicate, outer bool, force JoinMethod, label string) (input, error) {
+// forced option or by cost. With q it decides q instead of joining
+// (quantifiedJoin), by the same choice, except that it hashes on one
+// goroutine whatever the parallelism.
+func (p *Planner) join(cur, right input, joinConjs []ast.Predicate, outer bool, force JoinMethod, q *exec.Quantifier, label string) (input, error) {
 	if len(joinConjs) == 0 {
 		// Cartesian product: only nested loops applies.
-		return p.nlJoin(cur, right, nil, nil, false, label)
+		return p.nlJoin(cur, right, nil, nil, false, q, label)
 	}
 
 	// The join key is every equality conjunct relating the two sides; what
@@ -36,11 +38,11 @@ func (p *Planner) join(cur, right input, joinConjs []ast.Predicate, outer bool, 
 	// loops would have kept resident.
 	method := force
 	if method == JoinAuto {
-		if keyed && p.parallelOK(cur.tuples+right.tuples) {
+		if keyed && q == nil && p.parallelOK(cur.tuples+right.tuples) {
 			return p.hashJoin(cur, right, keys, rest, outer, p.opts.Parallelism, nil, label)
 		}
 		if method = p.chooseMethod(cur, right); method == JoinNL && keyed && p.fitsPool(right) {
-			return p.hashJoin(cur, right, keys, rest, outer, 1, nil, label)
+			return p.hashJoin(cur, right, keys, rest, outer, 1, q, label)
 		}
 	}
 	if method == JoinMerge && !keyed {
@@ -48,9 +50,9 @@ func (p *Planner) join(cur, right input, joinConjs []ast.Predicate, outer bool, 
 		method = JoinNL
 	}
 	if method == JoinMerge {
-		return p.mergeJoin(cur, right, keys, rest, outer, nil, label)
+		return p.mergeJoin(cur, right, keys, rest, outer, q, label)
 	}
-	return p.nlJoin(cur, right, joinConjs, keys, outer, label)
+	return p.nlJoin(cur, right, joinConjs, keys, outer, q, label)
 }
 
 // joinConjuncts takes every unused conjunct that relates cur and right as
@@ -171,7 +173,7 @@ func (p *Planner) parallelOK(tuples float64) bool {
 // DISTINCT, merge joins, and ORDER BY above it keep their sorts (no section
 // 7.4 elision applies). With one worker it runs inline and streams the
 // left input in order, like the nested-loops join whose place it takes.
-// With q it decides q instead of joining (quantifiedJoin).
+// With q it decides q instead of joining.
 func (p *Planner) hashJoin(cur, right input, keys []exec.KeyPair, rest []ast.Predicate, outer bool, w int, q *exec.Quantifier, label string) (input, error) {
 	join := &exec.ParallelHashJoin{
 		Left:     cur.op,
@@ -192,7 +194,7 @@ func (p *Planner) hashJoin(cur, right input, keys []exec.KeyPair, rest []ast.Pre
 		op = &exec.ExchangeMerge{Source: join, QC: p.opts.QC}
 	}
 	p.note(label, trace.Event{Kind: trace.HashJoin, Outer: outer, Cols: keyCols(cur, right, keys), N: int64(w), Text: q.String()})
-	op, err := residual(op, rest)
+	op, err := residual(op, cur, right, rest, q)
 	return input{
 		op:       op,
 		pages:    cur.pages + right.pages,
@@ -202,12 +204,17 @@ func (p *Planner) hashJoin(cur, right input, keys []exec.KeyPair, rest []ast.Pre
 }
 
 // residual filters a keyed join's output by the conjuncts its key does not
-// cover — non-equalities only; every equality is in the key.
-func residual(op exec.Operator, rest []ast.Predicate) (exec.Operator, error) {
+// cover — non-equalities only; every equality is in the key. A quantified
+// join checks them on each key match instead, as q.Corr.
+func residual(op exec.Operator, cur, right input, rest []ast.Predicate, q *exec.Quantifier) (exec.Operator, error) {
 	if len(rest) == 0 {
 		return op, nil
 	}
-	pred, err := exec.CompileConjuncts(rest, op.Schema())
+	pred, err := exec.CompileConjuncts(rest, cur.op.Schema().Concat(right.op.Schema()))
+	if q != nil {
+		q.Corr = pred
+		return op, err
+	}
 	return &exec.Filter{Child: op, Pred: pred}, err
 }
 
@@ -249,7 +256,7 @@ func (p *Planner) fitsPool(in input) bool { return in.pages <= float64(p.store.B
 // the leading key column's order the merge runs on that column and the
 // operator checks the other pairs row by row; only when both inputs are
 // sorted anyway are they sorted on the whole key. With q it decides q
-// instead of joining (quantifiedJoin).
+// instead of joining.
 func (p *Planner) mergeJoin(cur, right input, keys []exec.KeyPair, rest []ast.Predicate, outer bool, q *exec.Quantifier, label string) (input, error) {
 	lead := keys[0]
 	full := len(keys) > 1 && cur.sortedOn != lead.Left && right.sortedOn != lead.Right
@@ -270,7 +277,7 @@ func (p *Planner) mergeJoin(cur, right input, keys []exec.KeyPair, rest []ast.Pr
 	left, rightOp := sorted(cur, lcols, "left"), sorted(right, rcols, "right")
 	p.note(label, trace.Event{Kind: trace.MergeJoin, Outer: outer, Cols: keyCols(cur, right, keys), N: int64(p.store.BufferPages()), Text: q.String()})
 	op, err := residual(&exec.MergeJoin{Left: left, Right: rightOp, LeftKey: lead.Left, RightKey: lead.Right, NullEq: lead.NullEq,
-		More: keys[1:], FullOrder: full, Outer: outer, Quant: q, QC: p.opts.QC, Spill: p.opts.Spill}, rest)
+		More: keys[1:], FullOrder: full, Outer: outer, Quant: q, QC: p.opts.QC, Spill: p.opts.Spill}, cur, right, rest, q)
 	return input{
 		op:       op,
 		pages:    cur.pages + right.pages,
@@ -298,8 +305,9 @@ func (p *Planner) keyCardinality(cur, right input, keys []exec.KeyPair) float64 
 
 // nlJoin builds a nested-loops join; the right side must be a stored file
 // (a bare scan serves directly, anything else is materialized first,
-// which also enforces restriction-before-join for outer joins).
-func (p *Planner) nlJoin(cur, right input, joinConjs []ast.Predicate, keys []exec.KeyPair, outer bool, label string) (input, error) {
+// which also enforces restriction-before-join for outer joins). With q it
+// decides q instead of joining, on q.Corr.
+func (p *Planner) nlJoin(cur, right input, joinConjs []ast.Predicate, keys []exec.KeyPair, outer bool, q *exec.Quantifier, label string) (input, error) {
 	var file *storage.HeapFile
 	var name string
 	if scan, ok := right.op.(*exec.SeqScan); ok {
@@ -317,7 +325,10 @@ func (p *Planner) nlJoin(cur, right input, joinConjs []ast.Predicate, keys []exe
 	if err != nil {
 		return input{}, err
 	}
-	p.note(label, trace.Event{Kind: trace.NestedLoops, Outer: outer, Detail: &trace.Detail{Preds: joinConjs}})
+	if q != nil && len(joinConjs) > 0 {
+		q.Corr = pred
+	}
+	p.note(label, trace.Event{Kind: trace.NestedLoops, Outer: outer, Text: q.String(), Detail: &trace.Detail{Preds: joinConjs}})
 	op := &exec.NestedLoopJoin{
 		Left:      cur.op,
 		Right:     file,
@@ -325,6 +336,7 @@ func (p *Planner) nlJoin(cur, right input, joinConjs []ast.Predicate, keys []exe
 		RightName: name,
 		Pred:      pred,
 		Outer:     outer,
+		Quant:     q,
 		QC:        p.opts.QC,
 	}
 	return input{

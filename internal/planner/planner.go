@@ -437,7 +437,7 @@ func (p *Planner) planBlock(qb *ast.QueryBlock, force JoinMethod, label string) 
 		if in, ok := p.groupJoin(cur, right, joinConjs, outer, qb, used, force, label); ok {
 			return in, nil
 		}
-		if cur, err = p.join(cur, right, joinConjs, outer, force, label); err != nil {
+		if cur, err = p.join(cur, right, joinConjs, outer, force, nil, label); err != nil {
 			return input{}, err
 		}
 		cur, err = p.applyLocal(cur, conjs, used)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/exec"
-	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -17,11 +16,9 @@ import (
 // block: its local predicates restrict the inner side, its correlation
 // equalities with a column of cur are the join key and its other
 // correlation predicates filter each key match, and the membership column
-// of θ ANY and NOT IN is folded by exec.Quantifier. The form follows the
-// rule join uses: a keyed inner side that fits B−1 pages is hashed from its
-// stream, a bigger one or one under a forced merge (SpillForced) is
-// sort-merged, and with no key or under a forced nested-loops join it is
-// materialized and re-scanned per outer row.
+// of θ ANY and NOT IN is folded by exec.Quantifier. join chooses the form
+// as for any join: hash, merge or nested loops. A quantified join filters
+// its left side and never widens it, so it reports the left side's size.
 func (p *Planner) quantifiedJoin(cur input, q *exec.Quantifier, sub *ast.QueryBlock, operand ast.Expr, force JoinMethod, label string) (input, error) {
 	local := make(map[string]bool)
 	for _, b := range sub.Bindings() {
@@ -65,7 +62,7 @@ func (p *Planner) quantifiedJoin(cur input, q *exec.Quantifier, sub *ast.QueryBl
 	for _, ref := range needed {
 		proj.Select = append(proj.Select, ast.SelectItem{Col: ref})
 	}
-	right, err := p.planBlock(proj, JoinAuto, label+"-anti")
+	right, err := p.planBlock(proj, JoinAuto, label+"-inner")
 	if err != nil {
 		return input{}, err
 	}
@@ -75,44 +72,9 @@ func (p *Planner) quantifiedJoin(cur input, q *exec.Quantifier, sub *ast.QueryBl
 		}
 	}
 
-	keys, rest := p.mergeKeys(cur, right, corrPreds)
-	if len(keys) == 0 || force == JoinNL {
-		return p.rescan(cur, right, q, corrPreds, label)
-	}
-	if len(rest) > 0 {
-		if q.Corr, err = exec.CompileConjuncts(rest, cur.op.Schema().Concat(right.op.Schema())); err != nil {
-			return input{}, err
-		}
-	}
-	var in input
-	if force == JoinMerge || !p.fitsPool(right) {
-		in, err = p.mergeJoin(cur, right, keys, nil, false, q, label)
-	} else {
-		in, err = p.hashJoin(cur, right, keys, nil, false, 1, q, label)
-	}
-	in.tuples = cur.tuples
+	in, err := p.join(cur, right, corrPreds, false, force, q, label)
+	in.tuples, in.pages = cur.tuples, cur.pages
 	return in, err
-}
-
-// rescan is the quantified join without a key: the inner side is
-// materialized and every correlation predicate is checked per pair.
-func (p *Planner) rescan(cur, right input, q *exec.Quantifier, corrPreds []ast.Predicate, label string) (input, error) {
-	file, err := p.materialize(right.op)
-	if err != nil {
-		return input{}, err
-	}
-	if len(corrPreds) > 0 {
-		if q.Corr, err = exec.CompileConjuncts(corrPreds, cur.op.Schema().Concat(right.op.Schema())); err != nil {
-			return input{}, err
-		}
-	}
-	p.note(label, trace.Event{Kind: trace.AntiJoin, N: int64(file.NumPages()), Text: q.Form})
-	return input{
-		op:       &exec.AntiJoin{Left: cur.op, Right: file, RightSch: right.op.Schema(), Quant: q, QC: p.opts.QC},
-		pages:    cur.pages + right.pages,
-		tuples:   cur.tuples,
-		sortedOn: cur.sortedOn, // a rescan preserves left order
-	}, nil
 }
 
 // quantifier reads conjunct c as a nested predicate the transformation

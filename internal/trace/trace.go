@@ -23,8 +23,8 @@ import (
 )
 
 // Kind says which line an event is and which of its fields that line
-// reads. Planner events carry their plan block (TEMPn, TEMPn-anti or
-// final) in Label.
+// reads. Planner events carry their plan block (TEMPn or final, or either
+// with -inner for a quantified join's inner block) in Label.
 type Kind uint8
 
 const (
@@ -75,7 +75,8 @@ const (
 	// GroupJoin joins on the key Cols and groups by its left side, resident
 	// in M of the pool's B pages, into about N groups; Outer for ⟕.
 	GroupJoin
-	// NestedLoops joins on Preds, a cartesian product when there are none.
+	// NestedLoops joins on Preds, a cartesian product when there are none;
+	// Text as HashJoin's.
 	NestedLoops
 	// MergeInapplicable: Preds hold no key, so nested loops replace a
 	// forced merge join.
@@ -87,9 +88,6 @@ const (
 	// RightMaterialized: nested loops' right side was restricted into N
 	// pages.
 	RightMaterialized
-	// AntiJoin decides the predicate Text against an inner of N pages
-	// re-scanned per outer row.
-	AntiJoin
 	// OrderBy sorts over N keys.
 	OrderBy
 	// DistinctSort removes duplicates by sorting over N columns.
@@ -176,7 +174,7 @@ func (e Event) String() string {
 	case GroupJoin:
 		return fmt.Sprintf("%s: %sgroup join %s, left resident in %d of B=%d pages (estimated %d groups)", e.Label, e.outer(), e.keys(), e.M, e.B, e.N)
 	case NestedLoops:
-		return e.Label + ": " + e.outer() + "nested-loops join on " + e.preds()
+		return e.Label + ": " + e.outer() + "nested-loops join on " + e.preds() + e.deciding()
 	case MergeInapplicable:
 		return e.Label + ": merge join not applicable to " + e.preds() + "; using nested loops"
 	case SortElided:
@@ -185,8 +183,6 @@ func (e Event) String() string {
 		return e.Label + ": sort " + e.Text + " input on " + e.Cols[0].String()
 	case RightMaterialized:
 		return fmt.Sprintf("%s: right side restricted and materialized (%d pages)", e.Label, e.N)
-	case AntiJoin:
-		return fmt.Sprintf("%s: %s decided against a %d-page inner, re-scanned per row", e.Label, e.Text, e.N)
 	case OrderBy:
 		return fmt.Sprintf("%s: ORDER BY sort over %d key(s)", e.Label, e.N)
 	case DistinctSort:

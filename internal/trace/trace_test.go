@@ -47,11 +47,11 @@ func TestEveryKindRenders(t *testing.T) {
 			"TEMP3: outer group join R.A with S.A, left resident in 4 of B=32 pages (estimated 100 groups)"},
 		{Event{Kind: NestedLoops, Label: "TEMP2", Detail: &Detail{Preds: []ast.Predicate{pred, pred}}}, "TEMP2: nested-loops join on R.A < S.A AND R.A < S.A"},
 		{Event{Kind: NestedLoops, Label: "final", Outer: true, Detail: &Detail{}}, "final: outer nested-loops join on (cartesian)"},
+		{Event{Kind: NestedLoops, Label: "final", Text: "NOT IN", Detail: &Detail{Preds: []ast.Predicate{pred}}}, "final: nested-loops join on R.A < S.A deciding NOT IN"},
 		{Event{Kind: MergeInapplicable, Label: "TEMP2", Detail: &Detail{Preds: []ast.Predicate{pred}}}, "TEMP2: merge join not applicable to R.A < S.A; using nested loops"},
 		{Event{Kind: SortElided, Label: "final", Text: "right"}, "final: right input already in join-column order, sort elided"},
 		{Event{Kind: SortInput, Label: "final", Text: "left", Cols: keys[:1]}, "final: sort left input on R.A"},
 		{Event{Kind: RightMaterialized, Label: "TEMP2", N: 1}, "TEMP2: right side restricted and materialized (1 pages)"},
-		{Event{Kind: AntiJoin, Label: "final", N: 2, Text: "NOT IN"}, "final: NOT IN decided against a 2-page inner, re-scanned per row"},
 		{Event{Kind: OrderBy, Label: "final", N: 1}, "final: ORDER BY sort over 1 key(s)"},
 		{Event{Kind: DistinctSort, Label: "TEMP1", N: 1}, "TEMP1: duplicates removed by sort over 1 column(s)"},
 		{Event{Kind: GroupOrdered, Label: "TEMP3"}, "TEMP3: input already in GROUP BY order, sort elided"},
