@@ -739,6 +739,45 @@ func TestOneParallelSwitch(t *testing.T) {
 	})
 }
 
+// The planner used to wrap every hash join and hash aggregation worth
+// partitioning in an exchange: a distributor goroutine and one per worker,
+// whose second worker bought nothing on two CPUs. Every operator of a plan
+// runs on the query's goroutine now, and an exchange must not grow back
+// into plans unnoticed: non-test internal/planner names no
+// exec.ExchangeMerge and sets no Workers other than 1, and neither it nor
+// internal/engine has a go statement.
+func TestPlansRunInline(t *testing.T) {
+	one := func(e ast.Expr) bool { lit, ok := e.(*ast.BasicLit); return ok && lit.Value == "1" }
+	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if dir != "internal/planner" && dir != "internal/engine" {
+			return
+		}
+		at := func(n ast.Node) int { return lineOf(t, path, int(n.Pos()-file.FileStart)) }
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				t.Errorf("%s:%d starts a goroutine: a plan runs on the query's goroutine", path, at(n))
+			case *ast.SelectorExpr:
+				if dir == "internal/planner" && n.Sel.Name == "ExchangeMerge" {
+					t.Errorf("%s:%d names exec.ExchangeMerge: no plan places an exchange", path, at(n))
+				}
+			case *ast.KeyValueExpr:
+				if k, ok := n.Key.(*ast.Ident); ok && dir == "internal/planner" && k.Name == "Workers" && !one(n.Value) {
+					t.Errorf("%s:%d sets Workers: hash operators run inline, on one", path, at(n))
+				}
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && dir == "internal/planner" && sel.Sel.Name == "Workers" && (len(n.Rhs) != len(n.Lhs) || !one(n.Rhs[i])) {
+						t.Errorf("%s:%d sets Workers: hash operators run inline, on one", path, at(n))
+					}
+				}
+			}
+			return true
+		})
+	})
+}
+
 // declaredOrSet returns the identifiers n declares (a field, a var or
 // const, a func) or sets (a composite-literal key, an assignment's left
 // side); nil entries stand for expressions that name nothing.

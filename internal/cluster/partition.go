@@ -1,7 +1,7 @@
 // Package cluster is the coordinator/worker subsystem: heap files
-// hash-partitioned by a chosen column across N engine nodes, with the
-// exchange layer generalized from goroutine channels (exec.ExchangeMerge)
-// to internal/wire connections. The paper's NEST-JA2 transformation is
+// hash-partitioned by a chosen column across N engine nodes, exchanging
+// rows over internal/wire connections (a plan on one node runs on one
+// goroutine and exchanges none). The paper's NEST-JA2 transformation is
 // what makes this work: correlated nesting becomes joins on the
 // correlation column, a shape that partitions cleanly by join key — so a
 // distributed run is at most a 2-round shuffle (scatter rows by hash of

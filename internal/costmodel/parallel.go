@@ -1,23 +1,10 @@
-// Parallel-execution gating. The paper's cost model counts page I/Os; the
-// morsel-driven executor spends no extra I/O (storage access stays
-// sequential on the distributor goroutine) but pays a fixed CPU cost per
-// worker: goroutine startup, channel synchronization, and hash-table
-// setup. That overhead only amortizes when each worker has enough tuples
-// to chew on, so the planner keeps small inputs sequential.
+// Parallelism's gate. The paper's cost model counts page I/Os, and a hash
+// join or hash aggregation spends none beyond the sort-merge plan's reads
+// of its inputs; what the gate weighs is CPU, so under Parallelism the
+// planner keeps small inputs on the sort-merge operators.
 package costmodel
 
-// MinParallelTuplesPerWorker is the smallest probe/input cardinality per
-// worker for which parallel hash execution beats the sequential operators.
-// Below it, channel and goroutine overhead dominates the per-tuple work.
+// MinParallelTuplesPerWorker is the smallest input cardinality per worker
+// of Parallelism for which the planner places a hash operator in the
+// sort-merge operators' place.
 const MinParallelTuplesPerWorker = 512
-
-// ParallelWorthwhile reports whether partitioning tuples across workers
-// is expected to pay off. It is false for a single worker (the sequential
-// operators are strictly cheaper than a one-worker exchange) and for
-// inputs too small to amortize the per-worker setup cost.
-func ParallelWorthwhile(tuples float64, workers int) bool {
-	if workers <= 1 {
-		return false
-	}
-	return tuples >= float64(workers)*MinParallelTuplesPerWorker
-}

@@ -361,11 +361,11 @@ type Options struct {
 	// qctx.ErrQueryTimeout; one producing more than MaxRows result rows
 	// fails with qctx.ErrRowBudget; one buffering more than MaxBytes in
 	// hash builds and sorts fails with qctx.ErrMemoryBudget. The
-	// degradation ladder's three reruns come first (see climb): a parallel
-	// plan reruns sequentially, a query still over budget under SpillAuto
-	// with EnableSpill reruns as the forced-spill sort-merge plan, and a
-	// transient fault under admission is retried. Zero values mean
-	// ungoverned, and execution pays only nil checks.
+	// degradation ladder's three reruns come first (see climb): a plan
+	// with Parallelism's hash operators reruns without them, a query
+	// still over budget under SpillAuto with EnableSpill reruns as the
+	// forced-spill sort-merge plan, and a transient fault under admission
+	// is retried. Zero values mean ungoverned: execution pays nil checks.
 	Timeout  time.Duration
 	MaxRows  int64
 	MaxBytes int64
@@ -513,10 +513,10 @@ func (db *DB) queryBlock(qb *ast.QueryBlock, opts Options) (*Result, error) {
 // rung of the degradation ladder (DESIGN §8), in this order, or returns the
 // error:
 //
-//   - sequential rerun: a planned parallel query failed with a contained
-//     panic (a worker fault) or ErrMemoryBudget (sequential plans buffer
-//     less than a partitioned hash build). Planning stays sequential for
-//     every later attempt.
+//   - sequential rerun: a planned query with Parallelism's hash operators
+//     failed with a contained panic or ErrMemoryBudget (a sort-merge plan
+//     buffers less than a hash build). Every later attempt plans without
+//     Parallelism.
 //   - forced-spill rerun: a planned query still over its memory budget
 //     under SpillAuto (which only a spill manager grants). An operator whose buffer merely fits the budget
 //     keeps it resident and can starve a later charge that has no spill

@@ -191,13 +191,22 @@ func TestSequentialRetryAfterWorkerFault(t *testing.T) {
 	}
 }
 
-// TestWorkerFaultsLeaveParallelOpen: under admission, contained worker
-// faults do not close the parallel path. Each forced-parallel query that
-// loses a worker is rescued by the sequential rerun, however many come in
-// a row, and the next fault-free one still runs a parallel plan.
+// TestWorkerFaultsLeaveParallelOpen: under admission, contained storage
+// faults do not close the hash path, and every answer equals the
+// sort-merge plan's. Each forced-parallel query whose hash plan panics on
+// a read is rescued by the sequential rerun, however many come in a row,
+// and the next fault-free one still places Parallelism's hash operators.
 func TestWorkerFaultsLeaveParallelOpen(t *testing.T) {
 	db := lifecycleDB(t)
 	want, err := db.Query(lifecycleQuery, engine.Options{Strategy: engine.NestedIteration})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := db.Query(lifecycleQuery, engine.Options{Strategy: engine.TransformJA2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merge, err := db.Query(lifecycleQuery, mergeOpts(engine.TransformJA2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,13 +218,16 @@ func TestWorkerFaultsLeaveParallelOpen(t *testing.T) {
 		db.SetFaults(fault.New(fault.Plan{Seed: int64(7 + i), Max: 1, Rates: fault.Rates{fault.StorageRead: 1}}))
 		res, err := db.Query(lifecycleQuery, opts)
 		if err != nil {
-			t.Fatalf("query %d after %d worker faults: %v", i, i, err)
+			t.Fatalf("query %d after %d faults: %v", i, i, err)
 		}
 		if d := diffNI(lifecycleQuery, res, want); d != "" {
 			t.Errorf("query %d: rescued result differs from ground truth: %s", i, d)
 		}
+		if d := storage.Diff(engine.AcrossRegimes, res.Rows, merge.Rows); d != "" {
+			t.Errorf("query %d: rescued result differs from the sort-merge plan's: %s", i, d)
+		}
 		if !hasKind(res, trace.SequentialRerun) {
-			t.Errorf("query %d: the worker fault was not rescued by the sequential rerun:\n%s", i, traceText(res))
+			t.Errorf("query %d: the fault was not rescued by the sequential rerun:\n%s", i, traceText(res))
 		}
 	}
 	db.SetFaults(nil)
@@ -223,11 +235,11 @@ func TestWorkerFaultsLeaveParallelOpen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fault-free query after the faults: %v", err)
 	}
-	if !usedParallel(res) || hasKind(res, trace.SequentialRerun) {
-		t.Errorf("fault-free query after the faults did not run in parallel:\n%s", traceText(res))
+	if !usedParallel(res, seq) || hasKind(res, trace.SequentialRerun) {
+		t.Errorf("fault-free query after the faults placed no hash operator of Parallelism's:\n%s", traceText(res))
 	}
-	if d := diffNI(lifecycleQuery, res, want); d != "" {
-		t.Errorf("fault-free parallel result differs from ground truth: %s", d)
+	if d := storage.Diff(engine.AcrossRegimes, res.Rows, merge.Rows); d != "" {
+		t.Errorf("fault-free hash result differs from the sort-merge plan's: %s", d)
 	}
 }
 

@@ -589,7 +589,7 @@ func TestLadderRungsInOrder(t *testing.T) {
 		if !slices.EqualFunc(got, steps, func(a, b trace.Event) bool { return a.String() == b.String() }) {
 			t.Errorf("%d bytes: want each transformation step once:\n%s", budget, traceText(res))
 		}
-		if hasKind(res, trace.HashJoin) || !hasKind(res, trace.MergeJoin) || usedParallel(res) {
+		if hasKind(res, trace.HashJoin) || !hasKind(res, trace.MergeJoin) || usedParallel(res, want) {
 			t.Errorf("%d bytes: the trace keeps a failed attempt's notes or does not sort-merge:\n%s", budget, traceText(res))
 		}
 		if sortedRows(res) != sortedRows(want) {
@@ -628,7 +628,7 @@ func TestTransientRetryStaysSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d bytes: %v", budget, err)
 		}
-		if !slices.Equal(climbed(res), []trace.Kind{trace.SequentialRerun, trace.TransientRetry}) || usedParallel(res) {
+		if !slices.Equal(climbed(res), []trace.Kind{trace.SequentialRerun, trace.TransientRetry}) || usedParallel(res, want) {
 			t.Errorf("%d bytes: want the sequential rerun, then a sequential transient retry:\n%s", budget, traceText(res))
 		}
 		if sortedRows(res) != sortedRows(want) {
@@ -679,7 +679,7 @@ func TestSpillForcedPlansSortMerge(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q under SpillForced: %v", sql, err)
 		}
-		if hasKind(res, trace.HashJoin) || hasKind(res, trace.ParallelGroup) {
+		if hasKind(res, trace.HashJoin) || hasKind(res, trace.HashGroup) {
 			t.Errorf("%q under SpillForced places a hash operator:\n%s", sql, traceText(res))
 		}
 		if join && !hasKind(res, trace.MergeJoin) {

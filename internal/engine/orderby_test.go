@@ -127,12 +127,12 @@ func TestHavingOnGroupColumnName(t *testing.T) {
 	}
 }
 
-// TestOrderByUnderParallelism is the regression test for ordering
-// nondeterminism: workers finish in arbitrary order, so a parallel plan
-// must place the ORDER BY sort above the exchange (parallel nodes report
-// no sort order, forbidding the section 7.4 sort elisions). The full
-// ordered row string — not a sorted bag — must match the sequential plan
-// on every run.
+// TestOrderByUnderParallelism is the regression test for ordering under
+// Parallelism's hash operators: a hash aggregation emits its groups in
+// first-seen order, not key order, so the plan must place the ORDER BY
+// sort above it (it reports no sort order, forbidding the section 7.4
+// sort elisions). The full ordered row string — not a sorted bag — must
+// match the sequential plan on every run.
 func TestOrderByUnderParallelism(t *testing.T) {
 	popts := func() engine.Options {
 		o := engine.Options{Strategy: engine.TransformJA2, NoFallback: true}
@@ -150,7 +150,7 @@ func TestOrderByUnderParallelism(t *testing.T) {
 			if got, want := rowsInOrder(par), rowsInOrder(seq); got != want {
 				t.Fatalf("parallel order = %v, want %v", got, want)
 			}
-			sawParallel = sawParallel || usedParallel(par)
+			sawParallel = sawParallel || usedParallel(par, seq)
 		}
 		if !sawParallel {
 			t.Error("no run used a parallel plan; test exercises nothing")

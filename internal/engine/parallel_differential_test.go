@@ -13,17 +13,19 @@ import (
 	"repro/internal/value"
 )
 
-// Differential tests for the morsel-driven parallel executor: every query
-// is run through nested iteration (ground truth), the sequential NEST-JA2
-// pipeline, and the parallel NEST-JA2 pipeline. Parallelism may only
-// reorder rows, so parallel-vs-sequential is a bag comparison; against
-// nested iteration the set semantics of the transformation apply (Kim's
-// Lemma 1), with ALL-quantifier queries excluded — engine.AgreementWithNI.
+// Differential tests for the hash operators Parallelism places: every
+// query is run through nested iteration (ground truth), the sequential
+// NEST-JA2 pipeline, and NEST-JA2 with Parallelism, which hash-joins and
+// hash-aggregates where the sequential plan sort-merges. Both run on the
+// query's goroutine, but a hash aggregation emits its groups in first-seen
+// order, so hash-vs-sequential is a bag comparison; against nested
+// iteration the set semantics of the transformation apply (Kim's Lemma 1),
+// with ALL-quantifier queries excluded — engine.AgreementWithNI.
 //
 // ForceParallel bypasses the cost gate so the tiny generated instances
-// still exercise the parallel operators.
+// still exercise the hash operators.
 
-// parallelOpts enables 4-worker parallel plans.
+// parallelOpts enables Parallelism's hash operators.
 func parallelOpts(strategy engine.Strategy) engine.Options {
 	return engine.Options{
 		Strategy: strategy,
@@ -34,20 +36,27 @@ func parallelOpts(strategy engine.Strategy) engine.Options {
 	}
 }
 
-// usedParallel reports whether any plan note places a parallel operator.
-func usedParallel(res *engine.Result) bool { return parallelIn(res.Trace) }
+// mergeOpts forces every join of strategy's plan to sort-merge.
+func mergeOpts(strategy engine.Strategy) engine.Options {
+	return engine.Options{Strategy: strategy, NoFallback: true,
+		Planner: planner.Options{TempJoin: planner.JoinMerge, FinalJoin: planner.JoinMerge}}
+}
 
-// parallelIn reports whether events place a parallel operator: a hash join
-// across workers or a parallel hash aggregation.
-func parallelIn(events []trace.Event) bool {
-	return slices.ContainsFunc(events, func(e trace.Event) bool {
-		return e.Kind == trace.ParallelGroup || e.Kind == trace.HashJoin && e.N > 1
+// usedParallel reports whether par's plan places a hash operator that only
+// Parallelism places, against seq, the same query planned without it: a
+// hash aggregation, or a hash join in a block where seq merge-joins. A
+// hash join seq places too, in nested loops' slot, does not count.
+func usedParallel(par, seq *engine.Result) bool {
+	return slices.ContainsFunc(par.Trace, func(e trace.Event) bool {
+		return e.Kind == trace.HashGroup || e.Kind == trace.HashJoin && slices.ContainsFunc(seq.Trace, func(s trace.Event) bool {
+			return s.Kind == trace.MergeJoin && s.Label == e.Label
+		})
 	})
 }
 
 // TestParallelDifferentialFuzz runs the grammar fuzzer's generated queries
 // through all three evaluation paths — well over the 200-query bar — and
-// requires the parallel path to actually fire on a healthy fraction.
+// requires Parallelism's hash operators to actually fire on some.
 func TestParallelDifferentialFuzz(t *testing.T) {
 	const rounds = 250
 	parallelPlans := 0
@@ -69,7 +78,7 @@ func TestParallelDifferentialFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: parallel transform failed for %q: %v", i, sql, err)
 		}
-		if usedParallel(par) {
+		if usedParallel(par, seq) {
 			parallelPlans++
 		}
 		// Parallelism must not change multiplicities: bag equality against
@@ -84,9 +93,9 @@ func TestParallelDifferentialFuzz(t *testing.T) {
 			t.Fatalf("round %d: %q parallel != nested iteration (fellback=%v): %s", i, sql, par.FellBack, d)
 		}
 	}
-	t.Logf("%d/%d rounds used parallel operators", parallelPlans, rounds)
+	t.Logf("%d/%d rounds placed Parallelism's hash operators", parallelPlans, rounds)
 	if parallelPlans == 0 {
-		t.Error("no round produced a parallel plan; the test exercises nothing")
+		t.Error("no round placed a hash operator only Parallelism places; the test exercises nothing")
 	}
 }
 
@@ -181,10 +190,11 @@ func TestParallelEmptySubqueryCount(t *testing.T) {
 	}
 }
 
-// TestParallelDuplicateOuterKeys pins section 5.4 under parallelism:
-// duplicate outer join-column values must each come back (bag semantics),
-// which requires the DISTINCT projection before the outer join and hash
-// partitioning that keeps every copy of a key on one probe path.
+// TestParallelDuplicateOuterKeys pins section 5.4 as a hash-vs-merge
+// differential: duplicate outer join-column values must each come back
+// (bag semantics), from the sort-merge plan and from the hash plan
+// Parallelism places alike, which requires the DISTINCT projection before
+// the outer join and a hash probe that meets every copy of a key.
 func TestParallelDuplicateOuterKeys(t *testing.T) {
 	db := engine.New(6)
 	// PNUM 3 appears three times with different QOH; PNUM 8 twice with the
@@ -211,13 +221,13 @@ func TestParallelDuplicateOuterKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := db.Query(sql, engine.Options{Strategy: engine.TransformJA2, NoFallback: true})
+	merge, err := db.Query(sql, mergeOpts(engine.TransformJA2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := parallelOpts(engine.TransformJA2)
 	opts.NoFallback = true
-	par, err := db.Query(sql, opts)
+	hash, err := db.Query(sql, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,19 +235,22 @@ func TestParallelDuplicateOuterKeys(t *testing.T) {
 	if got := sortedRows(ni); got != want {
 		t.Fatalf("ground truth drifted: %v", got)
 	}
-	if got := sortedRows(seq); got != want {
-		t.Errorf("sequential NEST-JA2: got %v, want %v", got, want)
+	if got := sortedRows(merge); got != want {
+		t.Errorf("sort-merge NEST-JA2: got %v, want %v", got, want)
 	}
-	if got := sortedRows(par); got != want {
-		t.Errorf("parallel NEST-JA2: got %v, want %v", got, want)
+	if got := sortedRows(hash); got != want {
+		t.Errorf("hash NEST-JA2: got %v, want %v", got, want)
 	}
-	if d := storage.Diff(engine.AcrossRegimes, par.Rows, seq.Rows); d != "" {
-		t.Errorf("parallel != sequential: %s", d)
+	if d := storage.Diff(engine.AcrossRegimes, hash.Rows, merge.Rows); d != "" {
+		t.Errorf("hash != sort-merge: %s", d)
 	}
-	if d := diffNI(sql, par, ni); d != "" {
-		t.Errorf("parallel != nested iteration: %s", d)
+	if d := diffNI(sql, hash, ni); d != "" {
+		t.Errorf("hash != nested iteration: %s", d)
 	}
-	if !usedParallel(par) {
-		t.Errorf("query did not use parallel operators:\n%s", traceText(par))
+	if hasKind(merge, trace.HashJoin) || hasKind(merge, trace.HashGroup) || !hasKind(merge, trace.MergeJoin) {
+		t.Errorf("the forced-merge plan does not sort-merge:\n%s", traceText(merge))
+	}
+	if !usedParallel(hash, merge) || hasKind(hash, trace.MergeJoin) {
+		t.Errorf("the Parallelism plan does not hash where the other sort-merges:\n%s", traceText(hash))
 	}
 }

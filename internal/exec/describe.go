@@ -35,7 +35,8 @@ const (
 	nodeNestedLoopJoin
 	nodeGroupAgg
 	nodeGroupJoin
-	nodeParallelHashGroup
+	nodeHashGroup         // inline: the aggregation is not under an ExchangeMerge
+	nodeParallelHashGroup // the source of an ExchangeMerge
 	nodeExchangeMerge
 )
 
@@ -91,6 +92,8 @@ func countNodes(op Operator) int {
 		return 1 + countNodes(op.Left)
 	case *GroupAgg:
 		return 1 + countNodes(op.Child)
+	case *ParallelHashGroup:
+		return 1 + countNodes(op.Child)
 	case *GroupJoin:
 		return 1 + countNodes(op.Left) + countNodes(op.Right)
 	case *ExchangeMerge:
@@ -138,6 +141,8 @@ func (p Plan) add(op Operator, depth uint16) Plan {
 		n.form = op.Quant.String()
 	case *GroupAgg:
 		n.kind, n.cols, n.items, children[0] = nodeGroupAgg, op.GroupCols, op.Items, op.Child
+	case *ParallelHashGroup:
+		n.kind, n.cols, n.items, children[0] = nodeHashGroup, op.GroupCols, op.Items, op.Child
 	case *GroupJoin:
 		n.kind, n.outer, n.items = nodeGroupJoin, op.Outer, op.Items
 		n.l, n.r, n.nullEq, n.more = int32(op.LeftKey), int32(op.RightKey), op.NullEq, op.More
@@ -231,6 +236,8 @@ func (n *planNode) describe(b *strings.Builder) {
 		fmt.Fprintf(b, "GroupAgg(group=%v, out=[%s])\n", n.cols, describeItems(n.items))
 	case nodeGroupJoin:
 		n.describeJoin(b, "GroupJoin", fmt.Sprintf("%s, out=[%s]", n.key(), describeItems(n.items)))
+	case nodeHashGroup:
+		fmt.Fprintf(b, "HashGroup(group=%v, out=[%s])\n", n.cols, describeItems(n.items))
 	case nodeParallelHashGroup:
 		fmt.Fprintf(b, "ParallelHashGroup(group=%v, out=[%s], workers=%d)\n", n.cols, describeItems(n.items), n.n)
 	case nodeExchangeMerge:

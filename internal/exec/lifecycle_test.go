@@ -59,6 +59,16 @@ func parallelOps(s *storage.Store, left, right *storage.HeapFile, qc *qctx.Query
 				Workers: 4, QC: qc,
 			}, QC: qc}
 		},
+		// The same operators as plans place them: inline, on one worker.
+		"HashJoin": func() exec.Operator {
+			return &exec.ParallelHashJoin{Left: scanOf(left, "L"), Right: scanOf(right, "R"), Outer: true, QC: qc}
+		},
+		"HashGroup": func() exec.Operator {
+			return &exec.ParallelHashGroup{Child: scanOf(left, "L"), GroupCols: []int{0}, Items: []exec.GroupItem{
+				{Agg: value.AggNone, Col: 0, Out: exec.ColID{Column: "K"}},
+				{Agg: value.AggCount, Col: 1, Out: exec.ColID{Column: "CNT"}},
+			}, QC: qc}
+		},
 	}
 }
 
@@ -107,7 +117,7 @@ func TestParallelMidStreamCancel(t *testing.T) {
 	s := storage.NewStore(8)
 	left := loadTuples(s, "L", 2, randTuples(rng, 6000, 16))
 	right := loadTuples(s, "R", 2, randTuples(rng, 3000, 16))
-	for _, name := range []string{"ParallelHashJoin", "ParallelHashGroup"} {
+	for _, name := range []string{"ParallelHashJoin", "ParallelHashGroup", "HashJoin", "HashGroup"} {
 		t.Run(name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			for round := range 8 {

@@ -10,26 +10,19 @@ import (
 	"repro/internal/storage"
 )
 
-// This file implements morsel-driven parallel execution. There is one
-// partitioning exchange: a distributor goroutine pulls the
-// (single-threaded) child iterator and hash-partitions its tuples by
-// join/group key into per-worker channels of "morsels" — batches of tuples
-// that amortize channel synchronization. Workers run an operator kernel
-// (the hash-probe kernel of ParallelHashJoin, the group-admit kernel of
-// ParallelHashGroup) on their partition and push output morsels into a
-// shared channel; ExchangeMerge drains that channel back into the
-// pull-iterator model. Kernels hold their state in memory and hard-charge
-// it against the query's budget (see budget.go): they never spill.
-//
-// Partitioning by key hash is what preserves the paper's COUNT-bug
-// semantics under parallelism: every row of a given key lands on exactly
-// one worker, so an outer-join pad (the NULL row that makes COUNT(col)
-// yield 0 for an empty group) is emitted by exactly one worker, and a
-// group's accumulators never need cross-worker merging.
-//
-// Output order is nondeterministic — workers interleave. Plan builders must
-// treat exchange output as unsorted (sort above it for ORDER BY, GROUP BY
-// on sorted streams, or merge joins).
+// This file holds the hash operators' kernels, the hash-probe loop of
+// ParallelHashJoin and the group-admit loop of ParallelHashGroup. The
+// planner runs both inline, on the query's goroutine, whatever the
+// parallelism. The morsel-driven exchange below them — a distributor
+// goroutine hash-partitioning the child's tuples into per-worker channels
+// of morsels, workers running a kernel on their partition, ExchangeMerge
+// draining the workers' output back into the pull-iterator model — is
+// built only by bench/'s exec.par_* probes, and goes once they stop.
+// Kernels hold their state in memory and hard-charge it against the
+// query's budget (see budget.go): they never spill. Partitioning by key
+// hash keeps every row of a key on one worker, so an outer-join pad and a
+// group's accumulators never need cross-worker merging; the exchange's
+// output order is nondeterministic.
 
 // Morsel is a batch of tuples moved between parallel workers.
 type Morsel []storage.Tuple
@@ -269,9 +262,8 @@ type ParallelSource interface {
 
 // ExchangeMerge adapts a ParallelSource back into the pull-based Operator
 // interface: Open starts the source's goroutines, Next drains their merged
-// output one tuple at a time, Close stops and joins them. It is the
-// single synchronization point between the parallel fragment below and the
-// sequential plan above.
+// output one tuple at a time, Close stops and joins them. No plan places
+// it: bench/'s exec.par_* probes build it, and it goes once they stop.
 type ExchangeMerge struct {
 	Source ParallelSource
 	// QC, when set, wakes Next on cancellation even while all workers
@@ -350,12 +342,11 @@ func (e *ExchangeMerge) Schema() RowSchema { return e.Source.Schema() }
 // not fit fails the query with ErrMemoryBudget, and the engine's rerun
 // sort-merges instead (hash operators never spill).
 //
-// Under an ExchangeMerge it is executed by Workers goroutines: run starts
-// the exchange that partitions the Left (probe) side the same way, so
-// matching keys meet on the same worker. Used as an Operator itself, with
-// Workers = 1, it runs inline: Next streams the probe side through the
-// same probe kernel on the calling goroutine — no goroutine, no channel —
-// so the output keeps the left input's order.
+// Used as an Operator itself, with Workers = 1, it runs inline, as the
+// planner places it: Next streams the probe side through the probe kernel
+// on the calling goroutine — no goroutine, no channel — so the output
+// keeps the left input's order. Under an ExchangeMerge (bench/'s probes
+// only) Workers goroutines probe, each its own partition of both sides.
 //
 // Semantics match MergeJoin: a row holding NULL in a key column matches
 // nothing unless that pair is NULL-safe, and with Outer set every unmatched
@@ -627,11 +618,15 @@ func (j *ParallelHashJoin) Schema() RowSchema {
 	return outSchema(j.Out, j.Left.Schema(), j.Right.Schema())
 }
 
-// ParallelHashGroup is GROUP BY aggregation executed by Workers goroutines
-// over an unsorted input. The exchange routes every row of a group key to
-// the same worker (hash partitioning on the full key), so each group is
-// aggregated entirely on one worker and no accumulator merging — with its
-// COUNT-vs-COUNT(*) and MAX({}) = NULL subtleties — is ever needed.
+// ParallelHashGroup is GROUP BY aggregation over an unsorted input, one
+// groupTable per worker. Used as an Operator itself, with Workers = 1, it
+// runs inline, as the planner places it: the first Next drains the child
+// into one table on the calling goroutine, and Next emits the groups in
+// first-seen order. Under an ExchangeMerge (bench/'s probes only) the
+// exchange routes every row of a group key to the same worker (hash
+// partitioning on the full key), so each group is aggregated entirely on
+// one worker and no accumulator merging — with its COUNT-vs-COUNT(*) and
+// MAX({}) = NULL subtleties — is ever needed.
 //
 // With no grouping columns it is a global aggregate: all rows go to worker
 // 0, which emits exactly one row even over empty input (COUNT = 0), the
@@ -645,6 +640,10 @@ type ParallelHashGroup struct {
 	// QC, when set, governs cancellation and hard-charges each worker's
 	// groups against the memory budget.
 	QC *qctx.QueryContext
+
+	inline  *groupTable // the inline aggregation's groups, nil until the first Next
+	charged int64       // their budget charge, released by Close
+	at      int         // the next group Next emits
 }
 
 // NumWorkers reports the resolved worker count.
@@ -657,18 +656,33 @@ func (g *ParallelHashGroup) run(ex *exchange) {
 	ex.start(partitioning{child: g.Child, keys: g.GroupCols, workers: g.NumWorkers(), qc: g.QC}, g.work)
 }
 
-// work is one worker, the one group-admit loop: every row of the
-// partition's input joins its group, a new group charged as it opens, and
-// once the input drains the finished groups are emitted and their charge
-// released.
+// work is one worker: admit its partition, then emit the finished groups
+// and release their charge.
 func (g *ParallelHashGroup) work(id int, src *source, out *emitter) error {
 	var charged int64
 	defer func() { g.QC.ReleaseBuffered(charged) }()
-	groups := groupTable{cols: g.GroupCols, items: g.Items}
-	for {
+	groups, err := g.admit(src, id == 0, &charged)
+	for i := 0; err == nil && i < groups.n; i++ {
+		err = out.emit(groups.row(i))
+	}
+	return err
+}
+
+// admit is the one group-admit loop: every row of src joins its group, a
+// new group charged to *charged as it opens, the context checked once per
+// morsel. The first partition of a global aggregate holds its one group
+// even over empty input (COUNT = 0).
+func (g *ParallelHashGroup) admit(src *source, first bool, charged *int64) (*groupTable, error) {
+	groups := &groupTable{cols: g.GroupCols, items: g.Items}
+	for seen := 0; ; seen++ {
+		if seen%MorselSize == 0 {
+			if err := g.QC.Check(); err != nil {
+				return groups, err
+			}
+		}
 		t, ok, err := src.next()
 		if err != nil {
-			return err
+			return groups, err
 		}
 		if !ok {
 			break
@@ -677,28 +691,50 @@ func (g *ParallelHashGroup) work(id int, src *source, out *emitter) error {
 		if i < 0 {
 			n := groupBytes(t, g.GroupCols, g.Items)
 			if _, err := reserve(g.QC, nil, n); err != nil {
-				return err
+				return groups, err
 			}
-			charged += n
+			*charged += n
 			i = groups.insert(t, h)
 		}
 		if err := groups.add(i, t); err != nil {
-			return err
+			return groups, err
 		}
 	}
-	if id == 0 && len(g.GroupCols) == 0 && groups.n == 0 {
-		groups.open(nil) // a global aggregate over empty input: one row, COUNT = 0
+	if first && len(g.GroupCols) == 0 && groups.n == 0 {
+		groups.open(nil)
 	}
-	for i := range groups.n {
-		if err := out.emit(groups.row(i)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return groups, nil
 }
 
-// Close closes the child.
-func (g *ParallelHashGroup) Close() error { return g.Child.Close() }
+// Next runs the aggregation inline, on the caller's goroutine: the first
+// call admits the whole child, every call emits the next group, checking
+// the context once per morsel of groups.
+func (g *ParallelHashGroup) Next() (storage.Tuple, bool, error) {
+	if g.inline == nil {
+		groups, err := g.admit(&source{op: g.Child}, true, &g.charged)
+		if err != nil {
+			return nil, false, err
+		}
+		g.inline, g.at = groups, 0
+	}
+	var err error
+	if g.at%MorselSize == 0 {
+		err = g.QC.Check()
+	}
+	if err != nil || g.at >= g.inline.n {
+		return nil, false, err
+	}
+	g.at++
+	return g.inline.row(g.at - 1), true, nil
+}
+
+// Close releases the inline groups' charge and closes the child.
+func (g *ParallelHashGroup) Close() error {
+	g.inline = nil
+	g.QC.ReleaseBuffered(g.charged)
+	g.charged = 0
+	return g.Child.Close()
+}
 
 // Schema lists the configured output columns.
 func (g *ParallelHashGroup) Schema() RowSchema { return aggSchema(g.Items) }

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/qctx"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -140,7 +142,7 @@ func TestParallelHashGroupEquivalence(t *testing.T) {
 		{Agg: value.AggSum, Col: 1, Out: exec.ColID{Column: "SUM"}},
 		{Agg: value.AggMax, Col: 1, Out: exec.ColID{Column: "MAX"}},
 	}
-	for _, workers := range []int{1, 2, 3, 4, 8} {
+	for _, workers := range []int{0, 1, 2, 3, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(workers)*100 + 13))
 			s := storage.NewStore(8)
@@ -151,12 +153,11 @@ func TestParallelHashGroupEquivalence(t *testing.T) {
 				GroupCols: []int{0},
 				Items:     items,
 			})
-			got := sortedBag(t, &exec.ExchangeMerge{Source: &exec.ParallelHashGroup{
+			got := sortedBag(t, grouped(&exec.ParallelHashGroup{
 				Child:     scanOf(f, "G"),
 				GroupCols: []int{0},
 				Items:     items,
-				Workers:   workers,
-			}})
+			}, workers))
 			if !eqStrings(got, want) {
 				t.Errorf("parallel group != sequential group\n  want: %v\n  got:  %v", want, got)
 			}
@@ -166,36 +167,94 @@ func TestParallelHashGroupEquivalence(t *testing.T) {
 
 // TestParallelHashGroupGlobalEmpty pins the COUNT-bug invariant at the
 // operator level: a global aggregate over empty input emits exactly one
-// row (COUNT = 0, MAX = NULL) no matter how many workers run.
+// row (COUNT = 0, MAX = NULL) inline and however many workers run.
 func TestParallelHashGroupGlobalEmpty(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{0, 1, 4} {
 		s := storage.NewStore(4)
 		f := loadTuples(s, "E", 2, nil)
-		got := sortedBag(t, &exec.ExchangeMerge{Source: &exec.ParallelHashGroup{
+		got := sortedBag(t, grouped(&exec.ParallelHashGroup{
 			Child: scanOf(f, "E"),
 			Items: []exec.GroupItem{
 				{Agg: value.AggCount, Col: 1, Out: exec.ColID{Column: "CNT"}},
 				{Agg: value.AggMax, Col: 1, Out: exec.ColID{Column: "MAX"}},
 			},
-			Workers: workers,
-		}})
+		}, workers))
 		want := []string{"(0, NULL)"}
 		if !eqStrings(got, want) {
 			t.Errorf("workers=%d: global aggregate over empty input = %v, want %v", workers, got, want)
 		}
 		// A grouped aggregate over empty input emits nothing.
-		got = sortedBag(t, &exec.ExchangeMerge{Source: &exec.ParallelHashGroup{
+		got = sortedBag(t, grouped(&exec.ParallelHashGroup{
 			Child:     scanOf(f, "E"),
 			GroupCols: []int{0},
 			Items: []exec.GroupItem{
 				{Agg: value.AggNone, Col: 0, Out: exec.ColID{Column: "K"}},
 				{Agg: value.AggCount, Col: 1, Out: exec.ColID{Column: "CNT"}},
 			},
-			Workers: workers,
-		}})
+		}, workers))
 		if len(got) != 0 {
 			t.Errorf("workers=%d: grouped aggregate over empty input = %v, want none", workers, got)
 		}
+	}
+}
+
+// grouped is g as plans place it, inline, at workers = 0, and otherwise
+// behind an exchange of that many workers.
+func grouped(g *exec.ParallelHashGroup, workers int) exec.Operator {
+	if workers == 0 {
+		return g
+	}
+	g.Workers = workers
+	return &exec.ExchangeMerge{Source: g}
+}
+
+// TestInlineHashGroup pins the hash aggregation as plans place it, inline
+// on the caller's goroutine: its groups come out in first-seen order, NULL
+// keys in one group, each charged against the budget until Close; an
+// input over the budget fails with ErrMemoryBudget.
+func TestInlineHashGroup(t *testing.T) {
+	s := storage.NewStore(4)
+	f := loadTuples(s, "G", 2, []storage.Tuple{
+		{intv(3), intv(1)}, {intv(1), intv(2)}, {value.Null, intv(4)}, {intv(3), intv(5)}, {value.Null, value.Null}, {intv(1), intv(6)},
+	})
+	items := []exec.GroupItem{
+		{Agg: value.AggNone, Col: 0, Out: exec.ColID{Column: "K"}},
+		{Agg: value.AggCount, Col: 1, Out: exec.ColID{Column: "CNT"}},
+	}
+	qc := qctx.New(qctx.Limits{MaxBytes: 1 << 20})
+	defer qc.Finish()
+	g := &exec.ParallelHashGroup{Child: scanOf(f, "G"), GroupCols: []int{0}, Items: items, QC: qc}
+	if err := g.Open(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for {
+		row, ok, err := g.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		got = append(got, row.String())
+		if qc.BytesBuffered() == 0 {
+			t.Errorf("group %s is out with no group charged", row)
+		}
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := "(3, 2) (1, 2) (NULL, 1)"; strings.Join(got, " ") != want {
+		t.Errorf("inline hash group emitted %s, want %s in first-seen order", strings.Join(got, " "), want)
+	}
+	if n := qc.BytesBuffered(); n != 0 {
+		t.Errorf("%d bytes still charged after Close", n)
+	}
+
+	tight := qctx.New(qctx.Limits{MaxBytes: 100})
+	defer tight.Finish()
+	if _, err := exec.Drain(&exec.ParallelHashGroup{Child: scanOf(f, "G"), GroupCols: []int{0}, Items: items, QC: tight}, nil); !errors.Is(err, qctx.ErrMemoryBudget) {
+		t.Errorf("over budget: err = %v, want ErrMemoryBudget", err)
 	}
 }
 
@@ -351,7 +410,7 @@ func TestExchangeMergeErrorPropagation(t *testing.T) {
 // with far more rows than the worker channels can buffer, so the pre-fix
 // code deadlocks deterministically; post-fix, Next must surface the error.
 func TestParallelHashGroupWorkerErrorNoDeadlock(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
+	for _, workers := range []int{0, 1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			rows := []storage.Tuple{
 				{intv(1), intv(1)},
@@ -364,15 +423,14 @@ func TestParallelHashGroupWorkerErrorNoDeadlock(t *testing.T) {
 			}
 			s := storage.NewStore(8)
 			f := loadTuples(s, "M", 2, rows)
-			op := &exec.ExchangeMerge{Source: &exec.ParallelHashGroup{
+			op := grouped(&exec.ParallelHashGroup{
 				Child:     scanOf(f, "M"),
 				GroupCols: []int{0},
 				Items: []exec.GroupItem{
 					{Agg: value.AggNone, Col: 0, Out: exec.ColID{Column: "K"}},
 					{Agg: value.AggMax, Col: 1, Out: exec.ColID{Column: "MAX"}},
 				},
-				Workers: workers,
-			}}
+			}, workers)
 			done := make(chan error, 1)
 			go func() {
 				_, err := exec.Drain(op, nil) // Drain opens and closes op itself

@@ -24,7 +24,8 @@ import (
 // and each query must agree with itself across regimes.
 const (
 	RegimeSeq   = "seq"   // the strategy under test, sequential
-	RegimePar   = "par"   // the same strategy through the parallel executor
+	RegimePar   = "par"   // the same strategy with Parallelism's hash joins and hash aggregation
+	RegimeMerge = "merge" // the same strategy with every join sort-merged
 	RegimeNI    = "ni"    // nested iteration, the semantic ground truth
 	RegimeNet   = "net"   // the strategy under test through a live server
 	RegimeTight = "tight" // the same strategy with every buffer forced to spill runs
@@ -42,8 +43,9 @@ type RunnerConfig struct {
 	// the known-buggy NEST-JA — the mutant the short gate proves it can
 	// catch.
 	UnderTest engine.Strategy
-	// Parallel additionally runs every query through the morsel-driven
-	// parallel executor (2 workers, cost gate bypassed).
+	// Parallel additionally runs every query hash-vs-merge: with the hash
+	// operators Parallelism places (2, cost gate bypassed; they run
+	// inline) and with every join forced to sort-merge.
 	Parallel bool
 	// Network additionally runs every query over the wire protocol
 	// against a live server sharing the runner's database.
@@ -112,7 +114,8 @@ type Violation struct {
 	Scenario *Scenario
 	Pair     Pair
 	// Check is "relation", "roundtrip" (strategy under test vs nested
-	// iteration, as sets), or "parity" (sequential vs parallel, as bags).
+	// iteration, as sets), or a regime's parity with the default plan, as
+	// bags ("parity" for RegimePar, "mergeparity", …).
 	Check string
 	// Regime is the regime a relation check failed in.
 	Regime string
@@ -292,6 +295,8 @@ func regimeOptions(regime string, underTest engine.Strategy) engine.Options {
 		opts.Strategy = engine.NestedIteration
 	case RegimePar:
 		opts.Planner = planner.Options{Parallelism: 2, ForceParallel: true}
+	case RegimeMerge:
+		opts.Planner = planner.Options{TempJoin: planner.JoinMerge, FinalJoin: planner.JoinMerge}
 	case RegimeTight:
 		// Refuse every memory reservation and force sort-merge joins,
 		// so every plan with a join or aggregate pushes its buffers
@@ -311,7 +316,7 @@ func (r *Runner) regimes(p Pair) []string {
 		regs = append(regs, RegimePaper)
 	}
 	if r.cfg.Parallel {
-		regs = append(regs, RegimePar)
+		regs = append(regs, RegimePar, RegimeMerge)
 	}
 	if r.cfg.Network {
 		regs = append(regs, RegimeNet)
@@ -403,10 +408,11 @@ func (r *Runner) checkPair(s *Scenario, p Pair) ([]Violation, error) {
 func (r *Runner) judge(s *Scenario, p Pair, results map[string][]runResult) []Violation {
 	var out []Violation
 	// Cross-regime agreement per query, by the engine's one rule: against
-	// nested iteration as roundtrip says, against its own parallel,
+	// nested iteration as roundtrip says, against its own hash, sort-merge,
 	// networked and forced-spill executions as engine.AcrossRegimes.
 	regimeChecks := []struct{ regime, check, what string }{
-		{RegimePar, "parity", "parallel vs sequential"},
+		{RegimePar, "parity", "hash vs default"},
+		{RegimeMerge, "mergeparity", "sort-merge vs default"},
 		{RegimeNet, "netparity", "networked vs in-process"},
 		{RegimeTight, "tightparity", "forced-spill vs in-memory"},
 		{RegimePaper, "paperparity", "the paper's plan vs the default"},

@@ -121,10 +121,10 @@ func replayDetail(s *Scenario, v *Violation, underTest engine.Strategy) string {
 			return ""
 		}
 		return storage.Diff(pair.agreement(q.SQL), seq.rows, ni.rows)
-	case "parity", "netparity", "paperparity":
-		regime := RegimePar
-		if v.Check == "paperparity" {
-			regime = RegimePaper
+	case "parity", "mergeparity", "netparity", "paperparity":
+		regime := map[string]string{"mergeparity": RegimeMerge, "paperparity": RegimePaper}[v.Check]
+		if regime == "" {
+			regime = RegimePar
 		}
 		q := pair.Queries[v.QueryIndex]
 		seq, ok1 := run(q.SQL, RegimeSeq)

@@ -101,15 +101,11 @@ func (p *Planner) finishShape(cur input, qb *ast.QueryBlock, label string) (inpu
 }
 
 // emitOnly is the one rule that decides which columns a join builds: the
-// join that is op, or the source of the ExchangeMerge that is op, emits
-// only columns cols of its output, in that order, so its consumer reads
-// its column cols[i] at i. It reports whether op is such a join; anything
-// else — a residual Filter, whose compiled predicate is opaque, among
-// them — keeps every column.
+// join that is op emits only columns cols of its output, in that order, so
+// its consumer reads its column cols[i] at i. It reports whether op is
+// such a join; anything else — a residual Filter, whose compiled predicate
+// is opaque, among them — keeps every column.
 func emitOnly(op exec.Operator, cols []int) bool {
-	if ex, ok := op.(*exec.ExchangeMerge); ok {
-		op, _ = ex.Source.(exec.Operator)
-	}
 	switch j := op.(type) {
 	case *exec.MergeJoin:
 		j.Out = cols
@@ -131,13 +127,11 @@ func (p *Planner) finishGroup(cur input, qb *ast.QueryBlock, label string) (inpu
 	if err != nil {
 		return input{}, err
 	}
-	// A parallel hash aggregation needs no GROUP BY sort at all: the
-	// distributor partitions rows by the full group key, so each group is
-	// aggregated on exactly one worker. It only applies to real grouping
-	// (a global aggregate has one group and cannot be partitioned) and its
-	// output order is nondeterministic.
+	// Under Parallelism, real grouping over an unordered input is a hash
+	// aggregation, which needs no GROUP BY sort and emits its groups in
+	// first-seen order, not key order.
 	inOrder := len(groupCols) == 1 && cur.sortedOn == groupCols[0]
-	parallelGroup := len(groupCols) > 0 && p.parallelOK(cur.tuples) && !inOrder
+	hashGroup := len(groupCols) > 0 && p.parallelOK(cur.tuples) && !inOrder
 	sortedOut := -1
 	if len(groupCols) > 0 {
 		sortedOut = itemOf(items, groupCols[0])
@@ -162,7 +156,7 @@ func (p *Planner) finishGroup(cur input, qb *ast.QueryBlock, label string) (inpu
 		}
 	}
 	op := cur.op
-	if len(groupCols) > 0 && !parallelGroup {
+	if len(groupCols) > 0 && !hashGroup {
 		if inOrder {
 			p.note(label, trace.Event{Kind: trace.GroupOrdered})
 		} else {
@@ -171,17 +165,9 @@ func (p *Planner) finishGroup(cur input, qb *ast.QueryBlock, label string) (inpu
 		}
 	}
 	var out exec.Operator
-	if parallelGroup {
-		w := p.opts.Parallelism
-		out = &exec.ExchangeMerge{Source: &exec.ParallelHashGroup{
-			Child:     op,
-			GroupCols: groupCols,
-			Items:     items,
-			Workers:   w,
-			QC:        p.opts.QC,
-		}, QC: p.opts.QC}
-		sortedOut = -1 // worker output interleaves nondeterministically
-		p.note(label, trace.Event{Kind: trace.ParallelGroup, N: int64(len(groupCols)), M: int64(w)})
+	if hashGroup {
+		out, sortedOut = &exec.ParallelHashGroup{Child: op, GroupCols: groupCols, Items: items, QC: p.opts.QC}, -1
+		p.note(label, trace.Event{Kind: trace.HashGroup, N: int64(len(groupCols))})
 	} else {
 		out = &exec.GroupAgg{Child: op, GroupCols: groupCols, Items: items, QC: p.opts.QC}
 	}

@@ -16,8 +16,8 @@ import (
 // join combines the current subtree with the next FROM entry, restricted,
 // on joinConjs (an outer join when outer), choosing the join method by
 // forced option or by cost. With q it decides q instead of joining
-// (quantifiedJoin), by the same choice, except that it hashes on one
-// goroutine whatever the parallelism.
+// (quantifiedJoin), by the same choice, except that Parallelism does not
+// move it to a hash join.
 func (p *Planner) join(cur, right input, joinConjs []ast.Predicate, outer bool, force JoinMethod, q *exec.Quantifier, label string) (input, error) {
 	if len(joinConjs) == 0 {
 		// Cartesian product: only nested loops applies.
@@ -31,18 +31,20 @@ func (p *Planner) join(cur, right input, joinConjs []ast.Predicate, outer bool, 
 	keyed := len(keys) > 0 && (!outer || len(rest) == 0)
 
 	// The hash join is considered only under JoinAuto — a forced method
-	// reproduces the paper's sequential experiments exactly: across the
-	// workers when the inputs are worth partitioning, and inline, as its
-	// one-worker case, where the section 7 rule picks nested loops because
-	// the right side fits the pool — the build side is then what nested
-	// loops would have kept resident.
+	// reproduces the paper's sequential experiments exactly — and only on a
+	// key; a keyless join is nested loops. It takes nested loops' place
+	// where the section 7 rule picks them because the right side fits the
+	// pool — the build side is then what nested loops would have kept
+	// resident — and, under Parallelism, any unquantified keyed join's
+	// whose inputs are worth it.
 	method := force
 	if method == JoinAuto {
-		if keyed && q == nil && p.parallelOK(cur.tuples+right.tuples) {
-			return p.hashJoin(cur, right, keys, rest, outer, p.opts.Parallelism, nil, label)
-		}
-		if method = p.chooseMethod(cur, right); method == JoinNL && keyed && p.fitsPool(right) {
-			return p.hashJoin(cur, right, keys, rest, outer, 1, q, label)
+		method = JoinNL
+		if keyed {
+			method = p.chooseMethod(cur, right)
+			if method == JoinNL && p.fitsPool(right) || q == nil && p.parallelOK(cur.tuples+right.tuples) {
+				return p.hashJoin(cur, right, keys, rest, outer, q, label)
+			}
 		}
 	}
 	if method == JoinMerge && !keyed {
@@ -76,7 +78,7 @@ func joinConjuncts(cur, right input, conjs []ast.Predicate, used []bool) (joinCo
 // unique (DISTINCT) and fits B−1 pages, an equality key over all of that
 // entry's columns is the whole join and the GROUP BY, the aggregates read
 // only the second entry and no conjunct is left for after the join (a NOT
-// IN). A forced method, AsPaper and a parallel hash join's place keep the
+// IN). A forced method, AsPaper and a Parallelism-placed hash join keep the
 // generic join and grouping, as does any other shape.
 func (p *Planner) groupJoin(cur, right input, joinConjs []ast.Predicate, outer bool, qb *ast.QueryBlock, used []bool, force JoinMethod, label string) (input, bool) {
 	if force != JoinAuto || p.opts.AsPaper || len(qb.From) != 2 || !qb.HasAggregate() || !cur.unique || !p.fitsPool(cur) ||
@@ -158,48 +160,28 @@ func keyPair(c ast.Predicate, left, right exec.RowSchema) (exec.KeyPair, bool) {
 	return exec.KeyPair{Left: li, Right: ri, NullEq: cmp.Op == value.OpEqNull}, li >= 0 && ri >= 0
 }
 
-// parallelOK reports whether a parallel operator over an input of the
-// given estimated cardinality should be used: parallelism must be enabled
-// and the input large enough to amortize the per-worker setup cost (or the
-// gate overridden for tests).
+// parallelOK reports whether Parallelism places a hash operator over an
+// input of the given estimated cardinality: it must be above 1 and the
+// input hold MinParallelTuplesPerWorker per worker (or ForceParallel set).
+// The operator runs inline all the same; the option survives only because
+// bench/ and cmd/benchpaper set it.
 func (p *Planner) parallelOK(tuples float64) bool {
 	w := p.opts.Parallelism
-	return w > 1 && (p.opts.ForceParallel || costmodel.ParallelWorthwhile(tuples, w))
+	return w > 1 && (p.opts.ForceParallel || tuples >= float64(w*costmodel.MinParallelTuplesPerWorker))
 }
 
-// hashJoin builds a hash join on keys. With several workers it is
-// partitioned across them behind an ExchangeMerge; workers interleave
-// nondeterministically, so the result reports no sort order: GROUP BY,
-// DISTINCT, merge joins, and ORDER BY above it keep their sorts (no section
-// 7.4 elision applies). With one worker it runs inline and streams the
-// left input in order, like the nested-loops join whose place it takes.
-// With q it decides q instead of joining.
-func (p *Planner) hashJoin(cur, right input, keys []exec.KeyPair, rest []ast.Predicate, outer bool, w int, q *exec.Quantifier, label string) (input, error) {
-	join := &exec.ParallelHashJoin{
-		Left:     cur.op,
-		Right:    right.op,
-		LeftKey:  keys[0].Left,
-		RightKey: keys[0].Right,
-		NullEq:   keys[0].NullEq,
-		More:     keys[1:],
-		Outer:    outer,
-		Workers:  w,
-		Quant:    q,
-		QC:       p.opts.QC,
-	}
-	var op exec.Operator = join
-	sortedOn := cur.sortedOn
-	if w > 1 {
-		sortedOn = -1
-		op = &exec.ExchangeMerge{Source: join, QC: p.opts.QC}
-	}
-	p.note(label, trace.Event{Kind: trace.HashJoin, Outer: outer, Cols: keyCols(cur, right, keys), N: int64(w), Text: q.String()})
-	op, err := residual(op, cur, right, rest, q)
+// hashJoin builds a hash join on keys, run inline on the query's goroutine:
+// it streams the left input in order, like the nested-loops join whose
+// place it takes. With q it decides q instead of joining.
+func (p *Planner) hashJoin(cur, right input, keys []exec.KeyPair, rest []ast.Predicate, outer bool, q *exec.Quantifier, label string) (input, error) {
+	p.note(label, trace.Event{Kind: trace.HashJoin, Outer: outer, Cols: keyCols(cur, right, keys), Text: q.String()})
+	op, err := residual(&exec.ParallelHashJoin{Left: cur.op, Right: right.op, LeftKey: keys[0].Left, RightKey: keys[0].Right,
+		NullEq: keys[0].NullEq, More: keys[1:], Outer: outer, Quant: q, QC: p.opts.QC}, cur, right, rest, q)
 	return input{
 		op:       op,
 		pages:    cur.pages + right.pages,
 		tuples:   p.keyCardinality(cur, right, keys),
-		sortedOn: sortedOn,
+		sortedOn: cur.sortedOn,
 	}, err
 }
 

@@ -75,15 +75,15 @@ type Options struct {
 	// Indexes, when set, lets the planner replace a sequential scan with
 	// an index scan for selective single-column restrictions.
 	Indexes *index.Registry
-	// Parallelism enables the morsel-driven parallel operators: n > 1
-	// uses n workers, anything less keeps every plan sequential. Only
-	// callers inside the module set it (TestOneParallelSwitch). Parallel
-	// plans produce rows in nondeterministic order, so the planner treats
-	// exchange output as unsorted (no section 7.4 elisions above it).
+	// Parallelism > 1 places a hash join and hash aggregation wherever the
+	// inputs are worth n workers (parallelOK); every hash operator runs
+	// inline on the query's goroutine all the same. Only callers inside
+	// the module set it (TestOneParallelSwitch), and it stays only while
+	// bench/ and cmd/benchpaper set it.
 	Parallelism int
-	// ForceParallel bypasses the cost-model gate so even small inputs run
-	// parallel plans — used by tests and the differential oracle to
-	// exercise the parallel operators on tiny generated databases.
+	// ForceParallel bypasses that cost gate so even small inputs hash —
+	// used by tests and the differential oracle to exercise the hash
+	// operators on tiny generated databases.
 	ForceParallel bool
 	// QC, when set, threads lifecycle governance (cancellation, deadline,
 	// row and memory budgets) into every operator the planner builds.
@@ -153,8 +153,8 @@ type temp struct {
 
 // New creates a planner. Under a SpillForced query context it plans the
 // paper's section 7 plan, whose every buffer can spill: joins left to cost
-// sort-merge and nothing runs in parallel, since hash operators never
-// spill. A caller-forced join method is kept.
+// sort-merge and Parallelism places no hash operator, since hash operators
+// never spill. A caller-forced join method is kept.
 func New(cat *schema.Catalog, store *storage.Store, opts Options) *Planner {
 	if opts.QC.SpillPolicy() == qctx.SpillForced {
 		opts.TempJoin, opts.FinalJoin = cmp.Or(opts.TempJoin, JoinMerge), cmp.Or(opts.FinalJoin, JoinMerge)

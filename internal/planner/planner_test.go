@@ -156,7 +156,7 @@ func TestPlannerAutoChoice(t *testing.T) {
 	}
 	hashJoin := func(label string, outer bool, keys ...exec.ColID) func(trace.Event) bool {
 		return func(e trace.Event) bool {
-			return note(trace.HashJoin, label)(e) && e.Outer == outer && e.N == 1 && slices.Equal(e.Cols, keys)
+			return note(trace.HashJoin, label)(e) && e.Outer == outer && slices.Equal(e.Cols, keys)
 		}
 	}
 	// Tiny inner: nested loops is cheaper for the temp join.
@@ -185,9 +185,9 @@ func TestPlannerAutoChoice(t *testing.T) {
 		t.Errorf("small inner, large pool: notes miss the final inline hash join:\n%s", text)
 	}
 	if slices.ContainsFunc(notes, func(e trace.Event) bool {
-		return e.Kind == trace.NestedLoops || e.Kind == trace.ParallelGroup || e.Kind == trace.HashJoin && e.N > 1
+		return e.Kind == trace.NestedLoops || e.Kind == trace.HashGroup
 	}) {
-		t.Errorf("small inner: notes place nested loops or a parallel operator:\n%s", text)
+		t.Errorf("small inner: notes place nested loops or a hash aggregation:\n%s", text)
 	}
 }
 

@@ -36,8 +36,8 @@ const (
 	// Fallback: the query was not transformable (Err says why) and ran
 	// by nested iteration.
 	Fallback
-	// SequentialRerun: a parallel plan failed with Err and runs again
-	// sequentially.
+	// SequentialRerun: a plan with Parallelism's hash operators failed with
+	// Err and runs again without them, sort-merging.
 	SequentialRerun
 	// ForcedSpillRerun: a plan exceeded its memory budget with Err and
 	// runs again refusing every reservation.
@@ -65,7 +65,7 @@ const (
 	// matches.
 	IndexScan
 	// HashJoin joins on the key Cols (left and right columns
-	// alternating) across N workers; Outer for the outer join. A Text
+	// alternating), inline; Outer for the outer join. A Text
 	// names the predicate a quantified join decides instead (EXISTS,
 	// NOT EXISTS, < ANY, NOT IN).
 	HashJoin
@@ -96,8 +96,8 @@ const (
 	GroupOrdered
 	// GroupSort sorts for GROUP BY.
 	GroupSort
-	// ParallelGroup aggregates over N group columns on M workers.
-	ParallelGroup
+	// HashGroup aggregates over N group columns in one hash table.
+	HashGroup
 	// Having filters groups by N conjuncts.
 	Having
 )
@@ -143,7 +143,7 @@ func (e Event) String() string {
 	case Fallback:
 		return fmt.Sprintf("fallback to nested iteration: %v", e.Detail.Err)
 	case SequentialRerun:
-		return fmt.Sprintf("parallel plan failed (%v); retrying sequentially", e.Detail.Err)
+		return fmt.Sprintf("hash plan failed (%v); retrying with the sequential plan", e.Detail.Err)
 	case ForcedSpillRerun:
 		return fmt.Sprintf("memory budget exceeded (%v); retrying with forced spill", e.Detail.Err)
 	case TransientRetry:
@@ -164,11 +164,7 @@ func (e Event) String() string {
 		return fmt.Sprintf("%s: index scan on %s.%s (%s %s, ~%d matches)",
 			e.Label, e.Cols[0].Table, e.Cols[0].Column, e.Op, e.Detail.Val, e.N)
 	case HashJoin:
-		kind, workers := "hash join", ""
-		if e.N > 1 {
-			kind, workers = "parallel hash join", fmt.Sprintf(" (%d workers)", e.N)
-		}
-		return e.Label + ": " + e.outer() + kind + " " + e.keys() + workers + e.deciding()
+		return e.Label + ": " + e.outer() + "hash join " + e.keys() + e.deciding()
 	case MergeJoin:
 		return fmt.Sprintf("%s: %smerge join %s (B=%d)%s", e.Label, e.outer(), e.keys(), e.N, e.deciding())
 	case GroupJoin:
@@ -191,8 +187,8 @@ func (e Event) String() string {
 		return e.Label + ": input already in GROUP BY order, sort elided"
 	case GroupSort:
 		return e.Label + ": sort for GROUP BY"
-	case ParallelGroup:
-		return fmt.Sprintf("%s: parallel hash aggregation over %d group column(s) (%d workers)", e.Label, e.N, e.M)
+	case HashGroup:
+		return fmt.Sprintf("%s: hash aggregation over %d group column(s)", e.Label, e.N)
 	case Having:
 		return fmt.Sprintf("%s: HAVING filter over %d conjunct(s)", e.Label, e.N)
 	}

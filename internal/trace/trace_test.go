@@ -30,7 +30,7 @@ func TestEveryKindRenders(t *testing.T) {
 			"CREATE TEMP1: TEMP1(A, B) = SELECT R.A FROM R"},
 		{Event{Kind: NestedIteration}, "evaluated by nested iteration"},
 		{Event{Kind: Fallback, Detail: &Detail{Err: boom}}, "fallback to nested iteration: boom"},
-		{Event{Kind: SequentialRerun, Detail: &Detail{Err: boom}}, "parallel plan failed (boom); retrying sequentially"},
+		{Event{Kind: SequentialRerun, Detail: &Detail{Err: boom}}, "hash plan failed (boom); retrying with the sequential plan"},
 		{Event{Kind: ForcedSpillRerun, Detail: &Detail{Err: boom}}, "memory budget exceeded (boom); retrying with forced spill"},
 		{Event{Kind: TransientRetry, N: 2, Detail: &Detail{Err: boom, Delay: 3 * time.Millisecond}}, "transient fault (boom); retry 2 after 3ms"},
 		{Event{Kind: Spill, N: 4, M: 4096}, "spill: 4 run(s), 4096 bytes"},
@@ -40,8 +40,8 @@ func TestEveryKindRenders(t *testing.T) {
 		{Event{Kind: Constant, Detail: &Detail{Val: value.NewString("P6")}}, "type-A subquery evaluated to constant 'P6'"},
 		{Event{Kind: IndexScan, Label: "final", Cols: keys[:1], Op: value.OpEq, N: 5, Detail: &Detail{Val: value.NewInt(17)}},
 			"final: index scan on R.A (= 17, ~5 matches)"},
-		{Event{Kind: HashJoin, Label: "final", Cols: keys, N: 1}, "final: hash join R.A with S.A and R.B with S.B"},
-		{Event{Kind: HashJoin, Label: "TEMP3", Outer: true, Cols: keys[:2], N: 2}, "TEMP3: outer parallel hash join R.A with S.A (2 workers)"},
+		{Event{Kind: HashJoin, Label: "final", Cols: keys}, "final: hash join R.A with S.A and R.B with S.B"},
+		{Event{Kind: HashJoin, Label: "TEMP3", Outer: true, Cols: keys[:2]}, "TEMP3: outer hash join R.A with S.A"},
 		{Event{Kind: MergeJoin, Label: "TEMP3", Outer: true, Cols: keys[:2], N: 32}, "TEMP3: outer merge join R.A with S.A (B=32)"},
 		{Event{Kind: GroupJoin, Label: "TEMP3", Outer: true, Cols: keys[:2], B: 32, N: 100, M: 4},
 			"TEMP3: outer group join R.A with S.A, left resident in 4 of B=32 pages (estimated 100 groups)"},
@@ -56,7 +56,7 @@ func TestEveryKindRenders(t *testing.T) {
 		{Event{Kind: DistinctSort, Label: "TEMP1", N: 1}, "TEMP1: duplicates removed by sort over 1 column(s)"},
 		{Event{Kind: GroupOrdered, Label: "TEMP3"}, "TEMP3: input already in GROUP BY order, sort elided"},
 		{Event{Kind: GroupSort, Label: "TEMP3"}, "TEMP3: sort for GROUP BY"},
-		{Event{Kind: ParallelGroup, Label: "TEMP3", N: 1, M: 2}, "TEMP3: parallel hash aggregation over 1 group column(s) (2 workers)"},
+		{Event{Kind: HashGroup, Label: "TEMP3", N: 1}, "TEMP3: hash aggregation over 1 group column(s)"},
 		{Event{Kind: Having, Label: "final", N: 2}, "final: HAVING filter over 2 conjunct(s)"},
 	} {
 		if got := c.e.String(); got != c.want {

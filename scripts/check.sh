@@ -9,9 +9,9 @@
 # Every test runs exactly once per pass: the named gates own the storms
 # and oracles their -run pattern selects, and the race gate runs the whole
 # suite under the race detector minus those patterns (-skip). -race is
-# part of the contract — the exchange runs real goroutines — everywhere but
-# the alloc gate: the race detector's sync.Pool drops a quarter of what is
-# put back, so allocation budgets hold only without it. -count=1
+# part of the contract — the server and the cluster run real goroutines —
+# everywhere but the alloc gate: the race detector's sync.Pool drops a
+# quarter of what is put back, so allocation budgets hold only without it. -count=1
 # defeats the test cache so faults and storms actually execute. Each gate
 # prints its wall time; the last line is the total.
 set -eu
