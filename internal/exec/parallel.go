@@ -2,7 +2,6 @@ package exec
 
 import (
 	"errors"
-	"fmt"
 	"math/bits"
 	"sync"
 
@@ -337,16 +336,16 @@ func (e *ExchangeMerge) Schema() RowSchema { return e.Source.Schema() }
 
 // ParallelHashJoin is an equality hash join on every equality conjunct of
 // the join — the leading pair (LeftKey, RightKey, NullEq) and More. Open
-// drains the Right (build) side sequentially, partitioning it by key hash
-// and hard-charging it against the memory budget: a build side that does
-// not fit fails the query with ErrMemoryBudget, and the engine's rerun
-// sort-merges instead (hash operators never spill).
+// drains the Right (build) side sequentially, hard-charging it against the
+// memory budget: a build side that does not fit fails the query with
+// ErrMemoryBudget, and the engine's rerun sort-merges instead (hash
+// operators never spill).
 //
-// Used as an Operator itself, with Workers = 1, it runs inline, as the
-// planner places it: Next streams the probe side through the probe kernel
-// on the calling goroutine — no goroutine, no channel — so the output
-// keeps the left input's order. Under an ExchangeMerge (bench/'s probes
-// only) Workers goroutines probe, each its own partition of both sides.
+// Used as an Operator itself it runs inline, as the planner places it:
+// Next streams the probe side through the probe kernel on the calling
+// goroutine — no goroutine, no channel — so the output keeps the left
+// input's order. Under an ExchangeMerge (bench/'s probes only) Workers
+// goroutines probe, each its own hash partition of both sides.
 //
 // Semantics match MergeJoin: a row holding NULL in a key column matches
 // nothing unless that pair is NULL-safe, and with Outer set every unmatched
@@ -365,7 +364,7 @@ type ParallelHashJoin struct {
 	// Quant, when set, is decided per left row over the key's matches, and
 	// Out names columns of the left row alone; Outer is unused then.
 	Quant *Quantifier
-	// Workers is the worker-goroutine count; < 1 runs one.
+	// Workers is the worker-goroutine count under an ExchangeMerge; < 1 runs one.
 	Workers int
 	// QC, when set, governs the build scan (cancellation + memory budget
 	// for the buffered build side) and is checked by every goroutine.
@@ -373,23 +372,18 @@ type ParallelHashJoin struct {
 
 	key     joinKey
 	rows    rowBuilder
-	parts   []joinPart // one hash partition of the build side per worker
-	charged int64      // the build rows' budget charge, released by Close
-	inline  *prober    // the inline join's probe of Left, nil until the first Next
-}
-
-// joinPart is one hash partition of the build side.
-type joinPart struct {
-	build rowChunks       // the rows while Open collects them
-	rows  []storage.Tuple // the rows once Open is done
+	parts   [][]storage.Tuple // the build rows; under run, one hash partition per worker
+	charged int64             // the build rows' budget charge, released by Close
+	inline  *prober           // the inline join's probe of Left, nil until the first Next
 }
 
 // NumWorkers reports the resolved worker count.
 func (j *ParallelHashJoin) NumWorkers() int { return max(j.Workers, 1) }
 
-// Open opens both children and builds the partitioned hash-table input
-// from the right side. The build scan happens on the calling goroutine, so
-// storage access stays sequential.
+// Open opens both children and collects the build rows from the right
+// side, hashing none of them: the hash table hashes them once. The build
+// scan happens on the calling goroutine, so storage access stays
+// sequential.
 func (j *ParallelHashJoin) Open() error {
 	if err := j.Left.Open(); err != nil {
 		return err
@@ -404,7 +398,7 @@ func (j *ParallelHashJoin) Open() error {
 	} else {
 		j.rows = newRowBuilder(j.Out, j.Left.Schema(), j.Right.Schema())
 	}
-	j.parts = make([]joinPart, j.NumWorkers())
+	var build rowChunks
 	for {
 		t, ok, err := j.Right.Next()
 		if err != nil {
@@ -424,22 +418,30 @@ func (j *ParallelHashJoin) Open() error {
 			return err
 		}
 		j.charged += n
-		j.parts[hashKey(t, j.key.right)%uint64(len(j.parts))].build.add(t)
+		build.add(t)
 	}
-	for i := range j.parts {
-		j.parts[i].rows = j.parts[i].build.flatten()
-	}
+	j.parts = [][]storage.Tuple{build.flatten()}
 	return nil
 }
 
+// run partitions the build rows by key hash, one part per worker, and
+// starts the workers.
 func (j *ParallelHashJoin) run(ex *exchange) {
+	if w := j.NumWorkers(); w > 1 {
+		rows := j.parts[0]
+		j.parts = make([][]storage.Tuple, w)
+		for _, t := range rows {
+			i := hashKey(t, j.key.right) % uint64(w)
+			j.parts[i] = append(j.parts[i], t)
+		}
+	}
 	ex.start(partitioning{child: j.Left, keys: j.key.left, workers: len(j.parts), qc: j.QC}, j.work)
 }
 
 // work is one worker: probe the partition's build rows with its input,
 // emitting everything the kernel yields.
 func (j *ParallelHashJoin) work(id int, src *source, out *emitter) error {
-	p := newProber(j, j.parts[id].rows, src)
+	p := newProber(j, j.parts[id], src)
 	for {
 		t, ok, err := p.next()
 		if err != nil || !ok {
@@ -587,10 +589,7 @@ func (p *prober) nextQuant() (storage.Tuple, bool, error) {
 // Next drives the kernel inline, on the caller's goroutine.
 func (j *ParallelHashJoin) Next() (storage.Tuple, bool, error) {
 	if j.inline == nil {
-		if len(j.parts) != 1 {
-			return nil, false, fmt.Errorf("exec: inline hash join over %d partitions; it needs Workers = 1", len(j.parts))
-		}
-		j.inline = newProber(j, j.parts[0].rows, &source{op: j.Left})
+		j.inline = newProber(j, j.parts[0], &source{op: j.Left})
 	}
 	return j.inline.next()
 }

@@ -211,7 +211,8 @@ func grouped(g *exec.ParallelHashGroup, workers int) exec.Operator {
 // TestInlineHashGroup pins the hash aggregation as plans place it, inline
 // on the caller's goroutine: its groups come out in first-seen order, NULL
 // keys in one group, each charged against the budget until Close; an
-// input over the budget fails with ErrMemoryBudget.
+// input over the budget fails with ErrMemoryBudget and leaves nothing
+// charged.
 func TestInlineHashGroup(t *testing.T) {
 	s := storage.NewStore(4)
 	f := loadTuples(s, "G", 2, []storage.Tuple{
@@ -255,6 +256,19 @@ func TestInlineHashGroup(t *testing.T) {
 	defer tight.Finish()
 	if _, err := exec.Drain(&exec.ParallelHashGroup{Child: scanOf(f, "G"), GroupCols: []int{0}, Items: items, QC: tight}, nil); !errors.Is(err, qctx.ErrMemoryBudget) {
 		t.Errorf("over budget: err = %v, want ErrMemoryBudget", err)
+	}
+	// The refused charge is rolled back, and Close released the rest.
+	if n := tight.BytesBuffered(); n != 0 {
+		t.Errorf("%d bytes still charged after a refused budget and Close", n)
+	}
+	// So does GroupAgg's, whose one group in flight is refused at once.
+	none := qctx.New(qctx.Limits{MaxBytes: 1})
+	defer none.Finish()
+	if _, err := exec.Drain(&exec.GroupAgg{Child: scanOf(f, "G"), GroupCols: []int{0}, Items: items, QC: none}, nil); !errors.Is(err, qctx.ErrMemoryBudget) {
+		t.Errorf("GroupAgg over budget: err = %v, want ErrMemoryBudget", err)
+	}
+	if n := none.BytesBuffered(); n != 0 {
+		t.Errorf("GroupAgg: %d bytes counted after a refused charge and Close", n)
 	}
 }
 

@@ -78,11 +78,11 @@ func joinConjuncts(cur, right input, conjs []ast.Predicate, used []bool) (joinCo
 // unique (DISTINCT) and fits B−1 pages, an equality key over all of that
 // entry's columns is the whole join and the GROUP BY, the aggregates read
 // only the second entry and no conjunct is left for after the join (a NOT
-// IN). A forced method, AsPaper and a Parallelism-placed hash join keep the
-// generic join and grouping, as does any other shape.
+// IN). Parallelism does not change the choice. A forced method and AsPaper
+// keep the generic join and grouping, as does any other shape.
 func (p *Planner) groupJoin(cur, right input, joinConjs []ast.Predicate, outer bool, qb *ast.QueryBlock, used []bool, force JoinMethod, label string) (input, bool) {
 	if force != JoinAuto || p.opts.AsPaper || len(qb.From) != 2 || !qb.HasAggregate() || !cur.unique || !p.fitsPool(cur) ||
-		p.parallelOK(cur.tuples+right.tuples) || slices.Contains(used, false) {
+		slices.Contains(used, false) {
 		return input{}, false
 	}
 	keys, rest := p.mergeKeys(cur, right, joinConjs)
@@ -163,8 +163,6 @@ func keyPair(c ast.Predicate, left, right exec.RowSchema) (exec.KeyPair, bool) {
 // parallelOK reports whether Parallelism places a hash operator over an
 // input of the given estimated cardinality: it must be above 1 and the
 // input hold MinParallelTuplesPerWorker per worker (or ForceParallel set).
-// The operator runs inline all the same; the option survives only because
-// bench/ and cmd/benchpaper set it.
 func (p *Planner) parallelOK(tuples float64) bool {
 	w := p.opts.Parallelism
 	return w > 1 && (p.opts.ForceParallel || tuples >= float64(w*costmodel.MinParallelTuplesPerWorker))

@@ -117,10 +117,14 @@ func TestPlannerThetaJoinFallsBackToNL(t *testing.T) {
 	}
 }
 
-// autoChoice plans the COUNT query over RI, with keys distinct JC values
-// (six rows each), and RJ, of inner rows, at 2 rows a page in a pool of b
-// pages, and returns its trace. TEMP1 holds keys rows, 32 to a page.
-func autoChoice(t *testing.T, keys, innerTuples, b int, opts planner.Options) []trace.Event {
+// autoQuery is the COUNT query autoDB's relations answer: an RI row whose
+// V is 0 and whose JC no RJ row holds (10 and up) has COUNT = 0.
+const autoQuery = "SELECT JC FROM RI WHERE V = (SELECT COUNT(V) FROM RJ WHERE RJ.JC = RI.JC)"
+
+// autoDB holds RI, with keys distinct JC values (six rows each), and RJ,
+// of inner rows over JC 0 to 9, at 2 rows a page in a pool of b pages.
+// TEMP1 holds keys rows, 32 to a page.
+func autoDB(t *testing.T, keys, innerTuples, b int) *workload.DB {
 	t.Helper()
 	db := workload.NewDB(b)
 	cols := []schema.Column{{Name: "JC", Type: value.KindInt}, {Name: "V", Type: value.KindInt}}
@@ -138,9 +142,13 @@ func autoChoice(t *testing.T, keys, innerTuples, b int, opts planner.Options) []
 	if err := db.Load(&schema.Relation{Name: "RJ", Columns: cols}, 2, inner); err != nil {
 		t.Fatal(err)
 	}
-	_, pl := runPlanned(t, db,
-		"SELECT JC FROM RI WHERE V = (SELECT COUNT(V) FROM RJ WHERE RJ.JC = RI.JC)",
-		transform.JA2, opts)
+	return db
+}
+
+// autoChoice plans autoQuery over autoDB's relations and returns its trace.
+func autoChoice(t *testing.T, keys, innerTuples, b int, opts planner.Options) []trace.Event {
+	t.Helper()
+	_, pl := runPlanned(t, autoDB(t, keys, innerTuples, b), autoQuery, transform.JA2, opts)
 	return pl.Trace
 }
 
@@ -192,20 +200,38 @@ func TestPlannerAutoChoice(t *testing.T) {
 }
 
 // TEMP1 resident in B−1 pages is section 7.2's favorable case, and the
-// temp join group-joins it; one page more and it sort-merges. At 32 rows
-// a page, 96 keys are 3 pages and 97 are 4, against B = 4.
+// temp join group-joins it, under Parallelism too; one page more and it
+// sort-merges or, under Parallelism, hash-joins, keeping TEMP1's order
+// into a GroupAgg with no sort. At 32 rows a page, 96 keys are 3 pages and
+// 97 are 4, against B = 4. Every plan answers as nested iteration does,
+// the COUNT = 0 groups (JC 10 and up) included: past the boundary it is
+// the outer join's NULL-padded rows that count to 0.
 func TestGroupJoinAtPoolBoundary(t *testing.T) {
+	par := planner.Options{Parallelism: 2, ForceParallel: true}
 	for _, c := range []struct {
 		keys  int
+		opts  planner.Options
 		group bool
-	}{{96, true}, {97, false}} {
-		notes := autoChoice(t, c.keys, 400, 4, planner.Options{})
+	}{{96, planner.Options{}, true}, {97, planner.Options{}, false}, {96, par, true}, {97, par, false}} {
+		db := autoDB(t, c.keys, 400, 4)
+		rows, pl := runPlanned(t, db, autoQuery, transform.JA2, c.opts)
+		notes := pl.Trace
 		grouped := slices.ContainsFunc(notes, func(e trace.Event) bool {
 			return note(trace.GroupJoin, "TEMP3")(e) && e.Outer && e.M == 3 && e.B == 4 && e.N == 96
 		})
 		merged := slices.ContainsFunc(notes, note(trace.MergeJoin, "TEMP3"))
-		if grouped != c.group || merged == c.group {
-			t.Errorf("TEMP1 of %d rows: group join %v, merge join %v; want group join %v:\n%s", c.keys, grouped, merged, c.group, notesText(notes))
+		hashed := slices.ContainsFunc(notes, func(e trace.Event) bool { return note(trace.HashJoin, "TEMP3")(e) && e.Outer }) &&
+			slices.ContainsFunc(notes, note(trace.GroupOrdered, "TEMP3"))
+		wantHash := !c.group && c.opts.Parallelism > 0
+		if grouped != c.group || merged != (!c.group && !wantHash) || hashed != wantHash {
+			t.Errorf("TEMP1 of %d rows, Parallelism %d: group join %v, merge join %v, ordered outer hash join %v; want group join %v:\n%s",
+				c.keys, c.opts.Parallelism, grouped, merged, hashed, c.group, notesText(notes))
+		}
+		if d := storage.Diff(storage.AgreeBag, rows, nestedIteration(t, db, autoQuery)); d != "" {
+			t.Errorf("TEMP1 of %d rows, Parallelism %d: rows differ from nested iteration: %s", c.keys, c.opts.Parallelism, d)
+		}
+		if !slices.ContainsFunc(rows, func(r storage.Tuple) bool { return r[0].Int() >= 10 }) {
+			t.Errorf("TEMP1 of %d rows, Parallelism %d: no COUNT = 0 group answered", c.keys, c.opts.Parallelism)
 		}
 	}
 }

@@ -286,13 +286,14 @@ func (qc *QueryContext) tracking() bool {
 }
 
 // AddBuffered charges n bytes of buffered state (hash-table partitions,
-// sort runs) against the memory budget; ReleaseBuffered returns them.
-// Exceeding the budget cancels the query with ErrMemoryBudget.
+// sort runs) against the memory budget; ReleaseBuffered returns them. A
+// charge over the budget is rolled back and cancels with ErrMemoryBudget.
 func (qc *QueryContext) AddBuffered(n int64) error {
 	if qc == nil || !qc.tracking() {
 		return nil
 	}
 	if qc.buffered.Add(n) > qc.maxBytes && qc.maxBytes != 0 {
+		qc.buffered.Add(-n)
 		qc.Cancel(ErrMemoryBudget)
 		return ErrMemoryBudget
 	}

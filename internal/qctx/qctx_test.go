@@ -112,6 +112,9 @@ func TestMemoryBudget(t *testing.T) {
 	if !errors.Is(err, ErrMemoryBudget) || !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("AddBuffered over budget = %v, want ErrMemoryBudget", err)
 	}
+	if n := qc.BytesBuffered(); n != 900 {
+		t.Errorf("after a refused charge %d bytes are counted, want the 900 granted", n)
+	}
 }
 
 func TestResetUsageRearmsBudgetCancel(t *testing.T) {
