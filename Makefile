@@ -1,10 +1,11 @@
 # Developer entry points. `make check` is the full gate — vet, gofmt, build, the
-# whole test suite under the race detector (the parallel executor makes
-# -race load-bearing, not optional), the allocation budgets without it, the
-# fuzz targets, every storm at full length, and the serving smoke test. The
-# gates are defined once, in the table at the top of scripts/check.sh;
-# `make <gate>` runs one of them at full length and `scripts/check.sh` runs
-# them all in -short mode. See README "Checks" for what each gate guards.
+# whole test suite under the race detector (the server, the cluster and the
+# storms run real goroutines, so -race is load-bearing, not optional), the
+# allocation budgets without it, the fuzz targets, every storm at full length,
+# and the serving smoke test. The gates are defined once, in the table at the
+# top of scripts/check.sh; `make <gate>` runs one of them at full length and
+# `scripts/check.sh` runs them all in -short mode. See README "Checks" for
+# what each gate guards.
 
 GO ?= go
 
@@ -40,9 +41,9 @@ bench:
 # Where one benchmark workload spends its CPU and its bytes: a 6 s untraced
 # run under the CPU and heap profilers, then the cumulative CPU top of what
 # runs under planner.Run (a transformed plan), engine.runNested (nested
-# iteration), an exchange worker or the exchange's distributor (a parallel
-# plan's goroutines, whose stacks start there, not under planner.Run), the
-# CPU the GC mark workers took beside it, and the top 15 allocation sites
+# iteration) or the two hash kernels, prober.next and ParallelHashGroup.admit
+# (which bench/'s exec.par_* probes drive outside planner.Run), the CPU the
+# GC mark workers took beside it, and the top 15 allocation sites
 # (alloc_space) under the same focus. The ignore drops set-up's warm-up
 # (standUp) and the oracle (attachOracle, which runs queries through
 # runNested), and the focus the calibration kernel — half of the samples.
@@ -53,7 +54,7 @@ bench:
 # `make profile W=spill_join`; the profiles stay in .bench_build/.
 W ?= ja_seq
 PROFILE_IGNORE = main\.attachOracle|main\.standUp
-PROFILE_FOCUS = -focus='planner.\(\*Planner\).Run|engine.\(\*DB\).runNested|exec.\(\*exchange\).worker|exec.\(\*exchange\).distribute' -ignore='$(PROFILE_IGNORE)'
+PROFILE_FOCUS = -focus='planner.\(\*Planner\).Run|engine.\(\*DB\).runNested|exec.\(\*prober\).next|exec.\(\*ParallelHashGroup\).admit' -ignore='$(PROFILE_IGNORE)'
 profile:
 	bash bench/run.sh --workload $(W) --seed 1 --seconds 6 --trace 0 --cpuprofile .bench_build/$(W).cpu --memprofile .bench_build/$(W).mem
 	$(GO) tool pprof -top -cum -nodecount=40 $(PROFILE_FOCUS) .bench_build/bench .bench_build/$(W).cpu

@@ -262,16 +262,14 @@ func BenchmarkGeneralNesting(b *testing.B) {
 	}
 }
 
-// ---- Morsel-driven parallel execution: sequential vs N workers ----
+// ---- Hash operators: sort-merge vs hash NEST-JA2 ----
 
 // BenchmarkParallelNestJA2 runs a type-JA query at a scale where the
-// joins dominate, comparing the sequential NEST-JA2 pipeline — with merge
-// joins forced, and as the cost rule plans it (sort-merge for the temp
-// table, the inline hash join for the back-join) — against the
-// morsel-driven parallel one at 2, 4, and 8 workers. ForceParallel
-// bypasses the cost gate so every worker count actually parallelizes;
-// the pageIO metric stays comparable because parallelism does not change
-// what is read, only who reads it.
+// joins dominate, comparing the NEST-JA2 pipeline with merge joins forced
+// and as the cost rule plans it (sort-merge for the temp table, the hash
+// join for the back-join) against the plan Parallelism places, which
+// hash-joins every keyed join and hash-aggregates. The pageIO metric stays
+// comparable because the hash plan reads what the sort-merge one reads.
 func BenchmarkParallelNestJA2(b *testing.B) {
 	cfg := workload.SyntheticConfig{
 		Name:        "par",
@@ -281,8 +279,8 @@ func BenchmarkParallelNestJA2(b *testing.B) {
 		Seed: 2026,
 	}
 	if testing.Short() {
-		// -short: keep the same shape at a tenth the scale; parallel
-		// speedups shrink but every code path still runs.
+		// -short: keep the same shape at a tenth the scale; every code
+		// path still runs.
 		cfg.OuterTuples, cfg.InnerTuples, cfg.JoinDomain = 2000, 4000, 200
 	}
 	sql := workload.TypeJAQuery(cfg)
@@ -293,14 +291,10 @@ func BenchmarkParallelNestJA2(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		benchQuery(b, mkSynthetic(64, cfg), sql, engine.Options{Strategy: engine.TransformJA2})
 	})
-	for _, w := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchQuery(b, mkSynthetic(64, cfg), sql, engine.Options{
-				Strategy: engine.TransformJA2,
-				Planner:  planner.Options{Parallelism: w, ForceParallel: true},
-			})
-		})
-	}
+	b.Run("hash", func(b *testing.B) {
+		benchQuery(b, mkSynthetic(64, cfg), sql, engine.Options{Strategy: engine.TransformJA2,
+			Planner: planner.Options{Parallelism: 2}})
+	})
 }
 
 // ---- Component micro-benchmarks ----

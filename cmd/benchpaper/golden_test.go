@@ -81,8 +81,8 @@ func TestGoldenParallelSemantics(t *testing.T) {
 		return buf.String()
 	}
 	seq := run()
-	parallelWorkers, forceParallel = 4, true
-	defer func() { parallelWorkers, forceParallel = 0, false }()
+	parallelWorkers = 4
+	defer func() { parallelWorkers = 0 }()
 	par := run()
 	got, want := sortedLines(par), sortedLines(seq)
 	if got == want {

@@ -22,15 +22,12 @@ func newDB(bufferPages int, load func(*workload.DB) error) *engine.DB {
 	return db
 }
 
-// parallelWorkers and forceParallel configure how the experiments execute:
-// TestGoldenParallelSemantics sets them to re-run the semantic experiments
-// on the morsel-driven parallel operators and compares the output against
+// parallelWorkers configures how the experiments execute:
+// TestGoldenParallelSemantics sets it to re-run the semantic experiments
+// on the hash operators Parallelism places and compares the output against
 // the sequential run. Zero keeps everything sequential, matching
 // experiments.golden byte for byte.
-var (
-	parallelWorkers int
-	forceParallel   bool
-)
+var parallelWorkers int
 
 // runStrategy executes sql under a strategy, on the plan the paper costs
 // (AsPaper), and returns the result.
@@ -38,7 +35,6 @@ func runStrategy(db *engine.DB, sql string, s engine.Strategy) *engine.Result {
 	opts := engine.Options{Strategy: s}
 	opts.Planner.AsPaper = true
 	opts.Planner.Parallelism = parallelWorkers
-	opts.Planner.ForceParallel = forceParallel
 	res, err := db.Query(sql, opts)
 	if err != nil {
 		panic(err)
@@ -101,10 +97,9 @@ func runPlanner(db *engine.DB, sql string, variant transform.Variant, keepTemps 
 		panic(err)
 	}
 	pl := planner.New(db.Catalog(), db.Store(), planner.Options{
-		KeepTemps:     keepTemps,
-		AsPaper:       true,
-		Parallelism:   parallelWorkers,
-		ForceParallel: forceParallel,
+		KeepTemps:   keepTemps,
+		AsPaper:     true,
+		Parallelism: parallelWorkers,
 	})
 	rows, _, err := pl.Run(tr)
 	if err != nil {

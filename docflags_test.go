@@ -706,21 +706,21 @@ func TestOneTrace(t *testing.T) {
 // Parallel plans used to be switched on from ten places — a field of
 // the Query frame, the client's and the server's options, a flag of each
 // binary, two REPL commands and two options of the public API — and a
-// negative worker count meant one per CPU. planner.Options{Parallelism,
-// ForceParallel} is the one switch now, set inside the module only: by
-// the planner, the engine, the operators, the cost model, the
-// metamorphic runner, the paper experiments and bench/ (which pins the
-// exchange until a benchmark change). A second must not grow back
-// unnoticed: wire.Query carries four fields, and no other non-test file
-// declares or sets an identifier named Parallelism, ForceParallel or
-// VerifyParallel.
+// negative worker count meant one per CPU. planner.Options.Parallelism is
+// the one switch now, set inside the module only: by the planner, the
+// engine, the metamorphic runner, the paper experiments and bench/. A
+// second must not grow back unnoticed: wire.Query carries four fields,
+// and no other non-test file declares or sets an identifier named
+// Parallelism, ForceParallel or VerifyParallel. ForceParallel is ignored
+// and stays only while bench/ sets it: no Go file outside bench/, test
+// files included, sets it.
 func TestOneParallelSwitch(t *testing.T) {
 	if n := reflect.TypeOf(wire.Query{}).NumField(); n != 4 {
 		t.Errorf("wire.Query has %d fields, want 4 (deadline, row budget, strategy, SQL): a client does not ask for parallel plans", n)
 	}
 	knobs := map[string]bool{"Parallelism": true, "ForceParallel": true, "VerifyParallel": true}
 	owners := map[string]bool{
-		"internal/planner": true, "internal/engine": true, "internal/exec": true, "internal/costmodel": true,
+		"internal/planner": true, "internal/engine": true,
 		"internal/metamorph": true, "cmd/benchpaper": true, "bench": true,
 	}
 	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
@@ -737,20 +737,47 @@ func TestOneParallelSwitch(t *testing.T) {
 			return true
 		})
 	})
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasPrefix(filepath.ToSlash(path), "bench/") {
+			return err
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n.(type) {
+			case *ast.KeyValueExpr, *ast.AssignStmt:
+				for _, id := range declaredOrSet(n) {
+					if id != nil && id.Name == "ForceParallel" {
+						t.Errorf("%s:%d sets ForceParallel: it is ignored, Parallelism alone swaps the method",
+							path, lineOf(t, path, int(id.Pos()-file.FileStart)))
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // The planner used to wrap every hash join and hash aggregation worth
 // partitioning in an exchange: a distributor goroutine and one per worker,
-// whose second worker bought nothing on two CPUs. Every operator of a plan
-// runs on the query's goroutine now, and an exchange must not grow back
-// into plans unnoticed: non-test internal/planner names no
-// exec.ExchangeMerge and sets no Workers other than 1, and neither it nor
-// internal/engine has a go statement.
+// whose second worker bought nothing on two CPUs, and the executor kept
+// the exchange after no plan placed it. Every operator runs on the
+// query's goroutine now, and an exchange must not grow back unnoticed:
+// non-test internal/planner names no exec.ExchangeMerge and sets no
+// Workers other than 1; it, internal/engine and internal/exec have no go
+// statement; internal/exec declares no channel-typed field, and its
+// ExchangeMerge, a pass-through bench/ still builds, declares one field.
 func TestPlansRunInline(t *testing.T) {
 	one := func(e ast.Expr) bool { lit, ok := e.(*ast.BasicLit); return ok && lit.Value == "1" }
 	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
 		dir := filepath.ToSlash(filepath.Dir(path))
-		if dir != "internal/planner" && dir != "internal/engine" {
+		if dir != "internal/planner" && dir != "internal/engine" && dir != "internal/exec" {
 			return
 		}
 		at := func(n ast.Node) int { return lineOf(t, path, int(n.Pos()-file.FileStart)) }
@@ -758,6 +785,14 @@ func TestPlansRunInline(t *testing.T) {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				t.Errorf("%s:%d starts a goroutine: a plan runs on the query's goroutine", path, at(n))
+			case *ast.Field:
+				if _, ok := n.Type.(*ast.ChanType); ok && dir == "internal/exec" && len(n.Names) > 0 {
+					t.Errorf("%s:%d declares a channel-typed field: operators hand rows over by Next alone", path, at(n))
+				}
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok && dir == "internal/exec" && n.Name.Name == "ExchangeMerge" && st.Fields.NumFields() != 1 {
+					t.Errorf("%s:%d: ExchangeMerge declares %d fields, want one (its Source): it only passes its source through", path, at(n), st.Fields.NumFields())
+				}
 			case *ast.SelectorExpr:
 				if dir == "internal/planner" && n.Sel.Name == "ExchangeMerge" {
 					t.Errorf("%s:%d names exec.ExchangeMerge: no plan places an exchange", path, at(n))
@@ -778,8 +813,8 @@ func TestPlansRunInline(t *testing.T) {
 	})
 }
 
-// declaredOrSet returns the identifiers n declares (a field, a var or
-// const, a func) or sets (a composite-literal key, an assignment's left
+// declaredOrSet returns the identifiers n declares (a type, a field, a
+// var or const, a func) or sets (a composite-literal key, an assignment's left
 // side); nil entries stand for expressions that name nothing.
 func declaredOrSet(n ast.Node) []*ast.Ident {
 	name := func(e ast.Expr) *ast.Ident {
@@ -799,6 +834,8 @@ func declaredOrSet(n ast.Node) []*ast.Ident {
 		ids = n.Names
 	case *ast.FuncDecl:
 		ids = []*ast.Ident{n.Name}
+	case *ast.TypeSpec:
+		ids = []*ast.Ident{n.Name}
 	case *ast.KeyValueExpr:
 		ids = []*ast.Ident{name(n.Key)}
 	case *ast.AssignStmt:
@@ -815,21 +852,27 @@ func declaredOrSet(n ast.Node) []*ast.Ident {
 // and its two trace kinds), the server's deadline cap, admission's two
 // lease overrides, the public API's second admission switch beside
 // EnableAdmission and its per-query spill policy (engine.Options.Spill
-// stays: metamorph and the benchmark set it). They must not grow back
-// unnoticed: no non-test file declares or sets an identifier by any of
-// these names.
+// stays: metamorph and the benchmark set it). Nor did Parallelism's
+// tuple gate (parallelOK and its per-worker minimum), which every caller
+// bypassed, or the worker-goroutine exchange's source interface and stop
+// error, which no plan reached. They must not grow back unnoticed: no
+// non-test file declares or sets an identifier by any of these names.
 func TestRemovedSettingsStayGone(t *testing.T) {
 	// Spelled apart so a grep for any name finds offenders only.
 	gone := map[string]string{
-		"Verify" + "Parallel":            "parallel plans are compared with sequential ones and nested iteration by the tests, through storage.Diff",
-		"verify" + "Parallel":            "parallel plans are compared with sequential ones and nested iteration by the tests, through storage.Diff",
-		"Oracle" + "Sequential":          "the engine runs no oracle of its own",
-		"Oracle" + "NestedIteration":     "the engine runs no oracle of its own",
-		"Max" + "Timeout":                "the server takes the client's deadline as sent",
-		"Default" + "Lease":              "the default lease is PoolBytes/MaxConcurrent",
-		"Min" + "Lease":                  "the minimum lease is a quarter of the default lease",
-		"With" + "Admission" + "Control": "admission is switched on by EnableAdmission alone",
-		"With" + "Spill" + "Policy":      "no program or test chose a query's spill policy through the public API",
+		"Verify" + "Parallel":                  "parallel plans are compared with sequential ones and nested iteration by the tests, through storage.Diff",
+		"verify" + "Parallel":                  "parallel plans are compared with sequential ones and nested iteration by the tests, through storage.Diff",
+		"Oracle" + "Sequential":                "the engine runs no oracle of its own",
+		"Oracle" + "NestedIteration":           "the engine runs no oracle of its own",
+		"Max" + "Timeout":                      "the server takes the client's deadline as sent",
+		"Default" + "Lease":                    "the default lease is PoolBytes/MaxConcurrent",
+		"Min" + "Lease":                        "the minimum lease is a quarter of the default lease",
+		"With" + "Admission" + "Control":       "admission is switched on by EnableAdmission alone",
+		"With" + "Spill" + "Policy":            "no program or test chose a query's spill policy through the public API",
+		"Parallel" + "Source":                  "no operator runs on worker goroutines",
+		"err" + "Exchange" + "Stopped":         "no operator runs on worker goroutines",
+		"parallel" + "OK":                      "Parallelism > 1 alone swaps the method",
+		"Min" + "Parallel" + "TuplesPerWorker": "Parallelism > 1 alone swaps the method",
 	}
 	eachSourceFile(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
 		ast.Inspect(file, func(n ast.Node) bool {

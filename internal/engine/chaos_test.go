@@ -173,7 +173,6 @@ func TestChaosFaultInjection(t *testing.T) {
 		}
 		par := engine.Options{Strategy: engine.TransformJA2, Timeout: 30 * time.Second}
 		par.Planner.Parallelism = 4
-		par.Planner.ForceParallel = true
 		faultedOpts = append(faultedOpts, par)
 		for _, opts := range faultedOpts {
 			res, err := chaosRun(t, db, sql, opts, i, "faulted "+opts.Strategy.String())

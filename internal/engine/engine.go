@@ -557,7 +557,7 @@ func (db *DB) climb(qb *ast.QueryBlock, opts Options, qc *qctx.QueryContext, res
 		var rung trace.Event
 		switch {
 		case planned && opts.Planner.Parallelism > 1 && (errors.As(err, &pe) || errors.Is(err, qctx.ErrMemoryBudget)):
-			opts.Planner.Parallelism, opts.Planner.ForceParallel = 0, false
+			opts.Planner.Parallelism = 0
 			rung = trace.Event{Kind: trace.SequentialRerun, Detail: &trace.Detail{Err: err}}
 		case planned && errors.Is(err, qctx.ErrMemoryBudget) && qc.SpillPolicy() == qctx.SpillAuto:
 			qc.ForceSpill()

@@ -156,7 +156,7 @@ func TestJA2PageIOPinned(t *testing.T) {
 // TEMP1 and for the final join) and RJ once. No plan places an exchange.
 func TestHashPlanPageIOPinned(t *testing.T) {
 	db, cfg := jaSeqShape(t, 1)
-	opts := engine.Options{Strategy: engine.TransformJA2, Planner: planner.Options{Parallelism: 2, ForceParallel: true}}
+	opts := engine.Options{Strategy: engine.TransformJA2, Planner: planner.Options{Parallelism: 2}}
 	shapes := []struct {
 		name      string
 		sql       string
@@ -383,7 +383,7 @@ func TestJA2AllocBudget(t *testing.T) {
 	for i, arm := range []struct{ workers, scale int }{{0, 1}, {0, 10}, {2, 10}} {
 		db, cfg := jaSeqShape(t, arm.scale)
 		opts := engine.Options{Strategy: engine.TransformJA2,
-			Planner: planner.Options{Parallelism: arm.workers, ForceParallel: arm.workers > 1}}
+			Planner: planner.Options{Parallelism: arm.workers}}
 		for _, s := range shapes {
 			least, bytes, rows := ^uint64(0), ^uint64(0), 0
 			for range 4 { // the first run warms the pools; the least of the rest is the query's own
@@ -480,7 +480,7 @@ func TestResultRowsSurvivePoolReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := engine.Options{Strategy: engine.TransformJA2}
-	par := engine.Options{Strategy: engine.TransformJA2, Planner: planner.Options{Parallelism: 2, ForceParallel: true}}
+	par := engine.Options{Strategy: engine.TransformJA2, Planner: planner.Options{Parallelism: 2}}
 	spilled := engine.Options{Strategy: engine.TransformJA2, Spill: qctx.SpillForced}
 	query := func(sql string, opts engine.Options) *engine.Result {
 		t.Helper()

@@ -178,7 +178,6 @@ func TestSequentialRetryAfterWorkerFault(t *testing.T) {
 	db.SetFaults(fault.New(fault.Plan{Seed: 5, Max: 1, Rates: fault.Rates{fault.StorageRead: 1}}))
 	opts := engine.Options{Strategy: engine.TransformJA2}
 	opts.Planner.Parallelism = 4
-	opts.Planner.ForceParallel = true
 	res, err := db.Query(lifecycleQuery, opts)
 	if err != nil {
 		t.Fatalf("parallel query did not degrade to sequential: %v", err)
@@ -213,7 +212,6 @@ func TestWorkerFaultsLeaveParallelOpen(t *testing.T) {
 	db.EnableAdmission(admission.Config{MaxConcurrent: 4})
 	opts := engine.Options{Strategy: engine.TransformJA2}
 	opts.Planner.Parallelism = 4
-	opts.Planner.ForceParallel = true
 	for i := range 6 {
 		db.SetFaults(fault.New(fault.Plan{Seed: int64(7 + i), Max: 1, Rates: fault.Rates{fault.StorageRead: 1}}))
 		res, err := db.Query(lifecycleQuery, opts)
@@ -251,7 +249,6 @@ func TestNoRetryOnTimeout(t *testing.T) {
 	db.SetFaults(fault.New(fault.Plan{Seed: 6, Rates: fault.Rates{fault.StorageLatency: 1}, Latency: 5 * time.Millisecond}))
 	opts := engine.Options{Strategy: engine.TransformJA2, Timeout: 30 * time.Millisecond}
 	opts.Planner.Parallelism = 4
-	opts.Planner.ForceParallel = true
 	start := time.Now()
 	res, err := db.Query(lifecycleQuery, opts)
 	if !errors.Is(err, qctx.ErrQueryTimeout) {
@@ -269,7 +266,6 @@ func TestRowBudgetNotRetried(t *testing.T) {
 	db := lifecycleDB(t)
 	opts := engine.Options{Strategy: engine.TransformJA2, MaxRows: 5}
 	opts.Planner.Parallelism = 4
-	opts.Planner.ForceParallel = true
 	res, err := db.Query(lifecycleQuery, opts)
 	if !errors.Is(err, qctx.ErrRowBudget) {
 		t.Fatalf("err = %v, want ErrRowBudget", err)

@@ -577,7 +577,7 @@ func TestLadderRungsInOrder(t *testing.T) {
 	}
 	for _, budget := range []int64{3 << 10, 5 << 10, 7680} {
 		opts := engine.Options{Strategy: engine.TransformJA2, MaxBytes: budget}
-		opts.Planner.Parallelism, opts.Planner.ForceParallel = 4, true
+		opts.Planner.Parallelism = 4
 		res, err := db.Query(memJAQuery, opts)
 		if err != nil {
 			t.Fatalf("%d bytes: %v", budget, err)
@@ -623,7 +623,7 @@ func TestTransientRetryStaysSequential(t *testing.T) {
 		rates[fault.SpillWrite] = 1
 		db.SetFaults(fault.New(fault.Plan{Seed: 1, Max: 1, Rates: rates}))
 		opts := engine.Options{Strategy: engine.TransformJA2, MaxBytes: budget}
-		opts.Planner.Parallelism, opts.Planner.ForceParallel = 4, true
+		opts.Planner.Parallelism = 4
 		res, err := db.Query(sql, opts)
 		if err != nil {
 			t.Fatalf("%d bytes: %v", budget, err)
@@ -674,7 +674,7 @@ func TestSpillForcedPlansSortMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := engine.Options{Strategy: engine.TransformJA2, Spill: qctx.SpillForced}
-		opts.Planner.Parallelism, opts.Planner.ForceParallel = 4, true
+		opts.Planner.Parallelism = 4
 		res, err := db.Query(sql, opts)
 		if err != nil {
 			t.Fatalf("%q under SpillForced: %v", sql, err)

@@ -57,7 +57,6 @@ func TestNestJA2NullCorrelationKeyCount(t *testing.T) {
 	}
 	par := engine.Options{Strategy: engine.TransformJA2, NoFallback: true}
 	par.Planner.Parallelism = 2
-	par.Planner.ForceParallel = true
 	wantRows(t, query(t, db, sql, par), "(1, 0)", "(2, 1)")
 }
 
@@ -120,7 +119,7 @@ func TestNestJA2NullSafeCountStar(t *testing.T) {
 		"default":         func(*engine.Options) {},
 		"AsPaper":         func(o *engine.Options) { o.Planner.AsPaper = true },
 		"SpillForced":     func(o *engine.Options) { o.Spill = qctx.SpillForced },
-		"forced-parallel": func(o *engine.Options) { o.Planner.Parallelism, o.Planner.ForceParallel = 2, true },
+		"forced-parallel": func(o *engine.Options) { o.Planner.Parallelism = 2 },
 	}
 	for _, c := range []struct {
 		name, sql  string

@@ -137,7 +137,6 @@ func TestOrderByUnderParallelism(t *testing.T) {
 	popts := func() engine.Options {
 		o := engine.Options{Strategy: engine.TransformJA2, NoFallback: true}
 		o.Planner.Parallelism = 4
-		o.Planner.ForceParallel = true
 		return o
 	}
 	t.Run("aggregate", func(t *testing.T) {

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/trace"
+	"repro/internal/transform"
 	"repro/internal/value"
 )
 
@@ -21,19 +23,10 @@ import (
 // order, so hash-vs-sequential is a bag comparison; against nested
 // iteration the set semantics of the transformation apply (Kim's Lemma 1),
 // with ALL-quantifier queries excluded — engine.AgreementWithNI.
-//
-// ForceParallel bypasses the cost gate so the tiny generated instances
-// still exercise the hash operators.
 
 // parallelOpts enables Parallelism's hash operators.
 func parallelOpts(strategy engine.Strategy) engine.Options {
-	return engine.Options{
-		Strategy: strategy,
-		Planner: planner.Options{
-			Parallelism:   4,
-			ForceParallel: true,
-		},
-	}
+	return engine.Options{Strategy: strategy, Planner: planner.Options{Parallelism: 4}}
 }
 
 // mergeOpts forces every join of strategy's plan to sort-merge.
@@ -55,11 +48,14 @@ func usedParallel(par, seq *engine.Result) bool {
 }
 
 // TestParallelDifferentialFuzz runs the grammar fuzzer's generated queries
-// through all three evaluation paths — well over the 200-query bar — and
-// requires Parallelism's hash operators to actually fire on some.
+// through all three evaluation paths — well over the 200-query bar — and,
+// where the query transforms, through the plan whose every join
+// sort-merges. Against that plan the Parallelism one must place a hash
+// operator on at least minHashPlans rounds (52 of the 184 that transform
+// at these seeds), so the hash-vs-merge comparison is not vacuous.
 func TestParallelDifferentialFuzz(t *testing.T) {
-	const rounds = 250
-	parallelPlans := 0
+	const rounds, minHashPlans = 250, 50
+	parallelPlans, transformed := 0, 0
 	for i := range rounds {
 		rng := rand.New(rand.NewSource(int64(31000 + i)))
 		db := fuzzDB(t, rng)
@@ -78,9 +74,6 @@ func TestParallelDifferentialFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: parallel transform failed for %q: %v", i, sql, err)
 		}
-		if usedParallel(par, seq) {
-			parallelPlans++
-		}
 		// Parallelism must not change multiplicities: bag equality against
 		// the sequential plan, unconditionally.
 		if d := storage.Diff(engine.AcrossRegimes, par.Rows, seq.Rows); d != "" {
@@ -92,10 +85,25 @@ func TestParallelDifferentialFuzz(t *testing.T) {
 		if d := diffNI(sql, par, ni); d != "" {
 			t.Fatalf("round %d: %q parallel != nested iteration (fellback=%v): %s", i, sql, par.FellBack, d)
 		}
+		merge, err := db.Query(sql, mergeOpts(engine.TransformJA2))
+		if errors.Is(err, transform.ErrNotTransformable) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("round %d: sort-merge transform failed for %q: %v", i, sql, err)
+		}
+		transformed++
+		if d := storage.Diff(engine.AcrossRegimes, par.Rows, merge.Rows); d != "" {
+			t.Fatalf("round %d: %q parallel != sort-merge: %s", i, sql, d)
+		}
+		if usedParallel(par, merge) {
+			parallelPlans++
+		}
 	}
-	t.Logf("%d/%d rounds placed Parallelism's hash operators", parallelPlans, rounds)
-	if parallelPlans == 0 {
-		t.Error("no round placed a hash operator only Parallelism places; the test exercises nothing")
+	t.Logf("%d of the %d rounds that transform placed a hash operator where the other plan sort-merges", parallelPlans, transformed)
+	if parallelPlans < minHashPlans {
+		t.Errorf("%d rounds placed a hash operator the sort-merge plan does not, want at least %d: the hash-vs-merge comparison exercises too little",
+			parallelPlans, minHashPlans)
 	}
 }
 

@@ -55,13 +55,12 @@ func loadPaperFixtures(w *workload.DB) error {
 }
 
 // explainCorpus renders EXPLAIN for point_mix and the four ja_seq shapes
-// at a tenth of their size, sequentially and on 2 forced-parallel
-// workers, each regime on a fresh database so the measured page I/O
-// repeats.
+// at a tenth of their size, sequentially and under Parallelism 2, each
+// regime on a fresh database so the measured page I/O repeats.
 func explainCorpus(t *testing.T) []byte {
 	var buf bytes.Buffer
 	for _, w := range []int{0, 2} {
-		popts := planner.Options{Parallelism: w, ForceParallel: w > 1}
+		popts := planner.Options{Parallelism: w}
 		db := newDB(t, 32, loadPaperFixtures)
 		for _, q := range pointMix {
 			fmt.Fprintf(&buf, "==== %s, workers=%d\n", q.name, w)

@@ -132,7 +132,6 @@ func stormOpts(rng *rand.Rand, poolBytes int64) engine.Options {
 	default:
 		opts.Strategy = engine.TransformJA2
 		opts.Planner.Parallelism = 4
-		opts.Planner.ForceParallel = rng.Intn(2) == 0
 	}
 	if rng.Intn(8) == 0 {
 		// A deadline shorter than the queue wait under load: exercises

@@ -54,7 +54,7 @@ func TestVerifyParallelReportsThroughSharedComparator(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Strategy: TransformJA2}
-	opts.Planner.Parallelism, opts.Planner.ForceParallel = 2, true
+	opts.Planner.Parallelism = 2
 	right, err := db.Query(workload.KiesslingQ2, opts)
 	if err != nil {
 		t.Fatal(err)

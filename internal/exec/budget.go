@@ -30,21 +30,14 @@ func reserve(qc *qctx.QueryContext, sess *spill.Session, n int64) (bool, error) 
 	return qc.ReserveBuffered(n), nil
 }
 
-// source feeds an operator kernel its input one tuple at a time: a
-// worker's morsel channel (and ExchangeMerge the workers' output), a spill
-// run under a sort's merge and a merge join's spilled group, the probe
-// child itself under the inline hash join. Over a channel, cancellation
-// wakes a blocked receive. Over a run it is the checked iterator every
-// spill reader goes through: io.EOF ends the stream, the query context is
-// consulted per tuple, and the file is closed at end of stream and on
-// every error, so only a caller that stops early has to call close.
+// source is the checked iterator every spill reader goes through, under a
+// sort's merge and a merge join's spilled group: io.EOF ends the stream,
+// the query context is consulted per tuple, and the file is closed at end
+// of stream and on every error, so only a caller that stops early has to
+// call close.
 type source struct {
-	qc  *qctx.QueryContext
-	in  <-chan Morsel
-	rd  *spill.Reader
-	op  Operator
-	cur Morsel
-	idx int
+	qc *qctx.QueryContext
+	rd *spill.Reader
 }
 
 // openRun starts a checked scan of run.
@@ -54,32 +47,6 @@ func openRun(qc *qctx.QueryContext, run *spill.Run) (source, error) {
 }
 
 func (s *source) next() (storage.Tuple, bool, error) {
-	for s.idx >= len(s.cur) {
-		if s.op != nil {
-			return s.op.Next()
-		}
-		if s.in == nil {
-			return s.readRun()
-		}
-		// The morsel read through goes back to the pool, exactly once.
-		recycle(s.cur)
-		s.cur, s.idx = nil, 0
-		select {
-		case m, ok := <-s.in:
-			if !ok {
-				return nil, false, nil
-			}
-			s.cur = m
-		case <-s.qc.Done():
-			return nil, false, s.qc.Err()
-		}
-	}
-	t := s.cur[s.idx]
-	s.idx++
-	return t, true, nil
-}
-
-func (s *source) readRun() (storage.Tuple, bool, error) {
 	if s.rd == nil {
 		return nil, false, nil
 	}
@@ -97,8 +64,7 @@ func (s *source) readRun() (storage.Tuple, bool, error) {
 	return t, true, nil
 }
 
-// close releases the run's file handle; it is idempotent and a no-op
-// over a channel.
+// close releases the run's file handle; it is idempotent.
 func (s *source) close() {
 	if s.rd != nil {
 		s.rd.Close()

@@ -11,8 +11,8 @@ import (
 
 // Plan is an operator tree as EXPLAIN shows it, snapshotted when the plan
 // is built: one node per operator in preorder, each with its depth and the
-// names, page counts (as they were at planning time), keys, Out, group
-// items and worker counts Describe prints — in one allocation, an index
+// names, page counts (as they were at planning time), keys, Out and
+// group items Describe prints — in one allocation, an index
 // scan's predicate aside. A Plan holds no Operator and no heap file, so a
 // query's trace pins none of its temp pages or hash tables, and DML after
 // the snapshot cannot change the plan's text.
@@ -30,14 +30,11 @@ const (
 	nodeDistinct
 	nodeSort
 	nodeMergeJoin
-	nodeHashJoin         // inline: the join is not under an ExchangeMerge
-	nodeParallelHashJoin // the source of an ExchangeMerge
+	nodeHashJoin
 	nodeNestedLoopJoin
 	nodeGroupAgg
 	nodeGroupJoin
-	nodeHashGroup         // inline: the aggregation is not under an ExchangeMerge
-	nodeParallelHashGroup // the source of an ExchangeMerge
-	nodeExchangeMerge
+	nodeHashGroup
 )
 
 // planNode is what Describe prints of one operator; each kind reads only
@@ -48,7 +45,7 @@ type planNode struct {
 	outer  bool   // an outer join
 	nullEq bool   // the leading key pair is NULL-safe
 	desc   bool   // a Sort with per-key directions
-	n      int32  // pages (a scan, nested loops' right side); a resident scan's rows; workers
+	n      int32  // pages (a scan, nested loops' right side); a resident scan's rows
 	l, r   int32  // the leading key pair
 	name   string // a scan's relation, nested loops' right side
 	form   string // a quantified join's Form
@@ -96,14 +93,6 @@ func countNodes(op Operator) int {
 		return 1 + countNodes(op.Child)
 	case *GroupJoin:
 		return 1 + countNodes(op.Left) + countNodes(op.Right)
-	case *ExchangeMerge:
-		switch src := op.Source.(type) {
-		case *ParallelHashJoin:
-			return 2 + countNodes(src.Left) + countNodes(src.Right)
-		case *ParallelHashGroup:
-			return 2 + countNodes(src.Child)
-		}
-		return 2
 	}
 	return 1
 }
@@ -133,8 +122,10 @@ func (p Plan) add(op Operator, depth uint16) Plan {
 		n.form = op.Quant.String()
 		children = [2]Operator{op.Left, op.Right}
 	case *ParallelHashJoin:
-		n.kind, children = nodeHashJoin, [2]Operator{op.Left, op.Right}
-		n.setHashJoin(op)
+		n.kind, n.outer, n.cols = nodeHashJoin, op.Outer, op.Out
+		n.l, n.r, n.nullEq, n.more = int32(op.LeftKey), int32(op.RightKey), op.NullEq, op.More
+		n.form = op.Quant.String()
+		children = [2]Operator{op.Left, op.Right}
 	case *NestedLoopJoin:
 		n.kind, n.outer, n.cols = nodeNestedLoopJoin, op.Outer, op.Out
 		n.name, n.n, children[0] = cmp.Or(op.RightName, op.Right.Name()), int32(op.Right.NumPages()), op.Left
@@ -147,10 +138,6 @@ func (p Plan) add(op Operator, depth uint16) Plan {
 		n.kind, n.outer, n.items = nodeGroupJoin, op.Outer, op.Items
 		n.l, n.r, n.nullEq, n.more = int32(op.LeftKey), int32(op.RightKey), op.NullEq, op.More
 		children = [2]Operator{op.Left, op.Right}
-	case *ExchangeMerge:
-		n.kind, n.n = nodeExchangeMerge, int32(op.Source.NumWorkers())
-		p = append(p, n)
-		return p.addSource(op.Source, depth+1)
 	default:
 		n.name = reflect.TypeOf(op).String()
 	}
@@ -161,30 +148,6 @@ func (p Plan) add(op Operator, depth uint16) Plan {
 		}
 	}
 	return p
-}
-
-// addSource records the parallel fragment under an ExchangeMerge.
-func (p Plan) addSource(src ParallelSource, depth uint16) Plan {
-	n := planNode{depth: depth}
-	switch src := src.(type) {
-	case *ParallelHashJoin:
-		n.kind = nodeParallelHashJoin
-		n.setHashJoin(src)
-		p = append(p, n)
-		return p.add(src.Left, depth+1).add(src.Right, depth+1)
-	case *ParallelHashGroup:
-		n.kind, n.cols, n.items, n.n = nodeParallelHashGroup, src.GroupCols, src.Items, int32(src.NumWorkers())
-		p = append(p, n)
-		return p.add(src.Child, depth+1)
-	}
-	n.name = reflect.TypeOf(src).String()
-	return append(p, n)
-}
-
-func (n *planNode) setHashJoin(j *ParallelHashJoin) {
-	n.outer, n.cols, n.n = j.Outer, j.Out, int32(j.NumWorkers())
-	n.l, n.r, n.nullEq, n.more = int32(j.LeftKey), int32(j.RightKey), j.NullEq, j.More
-	n.form = j.Quant.String()
 }
 
 // Describe renders a plan as an indented outline, the EXPLAIN view of a
@@ -224,8 +187,6 @@ func (n *planNode) describe(b *strings.Builder) {
 		n.describeJoin(b, "MergeJoin", n.key().String())
 	case nodeHashJoin:
 		n.describeJoin(b, "HashJoin", n.key().String())
-	case nodeParallelHashJoin:
-		n.describeJoin(b, "ParallelHashJoin", fmt.Sprintf("%s, workers=%d", n.key(), n.n))
 	case nodeNestedLoopJoin:
 		kind := "NestedLoopJoin"
 		if n.outer {
@@ -238,10 +199,6 @@ func (n *planNode) describe(b *strings.Builder) {
 		n.describeJoin(b, "GroupJoin", fmt.Sprintf("%s, out=[%s]", n.key(), describeItems(n.items)))
 	case nodeHashGroup:
 		fmt.Fprintf(b, "HashGroup(group=%v, out=[%s])\n", n.cols, describeItems(n.items))
-	case nodeParallelHashGroup:
-		fmt.Fprintf(b, "ParallelHashGroup(group=%v, out=[%s], workers=%d)\n", n.cols, describeItems(n.items), n.n)
-	case nodeExchangeMerge:
-		fmt.Fprintf(b, "ExchangeMerge(workers=%d)\n", n.n)
 	default:
 		b.WriteString(n.name + "\n")
 	}

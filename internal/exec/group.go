@@ -26,8 +26,8 @@ func aggSchema(items []GroupItem) RowSchema {
 
 // hashKey combines the hashes of t's key columns; over one column it is
 // that column's hash, over none it is 0. Values that are Equal (NULL with
-// NULL, int with equal float) hash identically, so a key never splits
-// across partitions.
+// NULL, int with equal float) hash identically, so they meet in one
+// bucket.
 func hashKey(t storage.Tuple, cols []int) uint64 {
 	var h uint64
 	for _, c := range cols {

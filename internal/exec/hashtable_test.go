@@ -24,11 +24,13 @@ func intRow(k, v int64) storage.Tuple { return row(value.NewInt(k), v) }
 func probeAll(t *testing.T, build, probe []storage.Tuple, nullEq, outer bool) []string {
 	t.Helper()
 	sch := make(RowSchema, 2)
-	j := &ParallelHashJoin{key: newJoinKey(0, 0, nullEq, nil), rows: newRowBuilder(nil, sch, sch), Outer: outer}
-	in := make(chan Morsel, 1)
-	in <- append(newMorsel(), probe...)
-	close(in)
-	p := prober{j: j, rows: j.rows, table: newHashTable(build, j.key.right), src: &source{in: in}}
+	var held Resident
+	for _, r := range probe {
+		held.rows.add(r)
+	}
+	j := &ParallelHashJoin{Left: &ResidentScan{Rows: &held}, Outer: outer,
+		key: newJoinKey(0, 0, nullEq, nil), rows: newRowBuilder(nil, sch, sch), build: build}
+	p := newProber(j)
 	var got []string
 	for {
 		r, ok, err := p.next()
@@ -105,19 +107,22 @@ func TestHashTableNulls(t *testing.T) {
 	wantRows(t, "plain =, outer", probeAll(t, build, probe, false, true), "(NULL, 90, NULL, NULL)")
 }
 
-// TestSourceRecyclesMorselOnce: a source asked again past its end of
-// stream puts nothing back a second time, so no two morsels handed out
-// later share a buffer.
-func TestSourceRecyclesMorselOnce(t *testing.T) {
-	in := make(chan Morsel, 1)
-	in <- append(newMorsel(), intRow(1, 10))
-	close(in)
-	src := source{in: in}
-	for i, want := range []bool{true, false, false, false} {
-		if _, ok, err := src.next(); ok != want || err != nil {
-			t.Fatalf("call %d: ok=%v err=%v, want ok=%v", i, ok, err, want)
-		}
+// TestMorselsRecycledOnce: collected rows flattened twice, and a resident
+// temp released twice, put each morsel back once, so no two morsels handed
+// out later share a buffer.
+func TestMorselsRecycledOnce(t *testing.T) {
+	var c rowChunks
+	c.add(intRow(1, 10))
+	if rows := c.flatten(); len(rows) != 1 {
+		t.Fatalf("first flatten: %d rows, want 1", len(rows))
 	}
+	if rows := c.flatten(); rows != nil {
+		t.Fatalf("second flatten: %d rows, want none", len(rows))
+	}
+	var r Resident
+	r.rows.add(intRow(2, 20))
+	r.Release(nil)
+	r.Release(nil)
 	a, b := newMorsel(), newMorsel()
 	if &a[:1][0] == &b[:1][0] {
 		t.Fatal("two morsels share one buffer: a morsel was put back twice")

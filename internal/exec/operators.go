@@ -198,7 +198,7 @@ func Materialize(op Operator, store *storage.Store, tuplesPerPage int) (*storage
 
 // MaterializeInto drains an operator into an existing (empty) heap file
 // and seals it. Close is deferred before Open so resources acquired by a
-// partially successful Open (sort runs, worker goroutines) are released
+// partially successful Open (sort runs, charged build rows) are released
 // even when Open itself errors or panics; Operator.Close is required to
 // be safe in that state (see DESIGN.md, "Operator lifecycle contract").
 //

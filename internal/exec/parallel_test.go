@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -16,10 +15,10 @@ import (
 	"repro/internal/value"
 )
 
-// Unit tests for the morsel-driven parallel operators. Every parallel
-// operator is checked for equivalence against its sequential counterpart
-// (MergeJoin, GroupAgg) across worker counts 1..8 — parallelism may only
-// reorder rows, so comparisons are over sorted bags of rendered tuples.
+// Unit tests for the hash operators, each checked for equivalence against
+// its sort-based counterpart (MergeJoin, GroupAgg). A hash aggregation
+// emits its groups in first-seen order, not key order, so comparisons are
+// over sorted bags of rendered tuples.
 
 // loadTuples creates a heap file from explicit tuples (NULLs allowed).
 func loadTuples(s *storage.Store, name string, tpp int, rows []storage.Tuple) *storage.HeapFile {
@@ -66,8 +65,7 @@ func randTuples(rng *rand.Rand, n, keyDomain int) []storage.Tuple {
 func TestParallelHashJoinEquivalence(t *testing.T) {
 	for _, outer := range []bool{false, true} {
 		for _, workers := range []int{1, 2, 3, 4, 8} {
-			name := fmt.Sprintf("outer=%v/workers=%d", outer, workers)
-			t.Run(name, func(t *testing.T) {
+			t.Run(fmt.Sprintf("outer=%v/workers=%d", outer, workers), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(workers)*100 + 7))
 				s := storage.NewStore(8)
 				left := loadTuples(s, "L", 2, randTuples(rng, 60, 8))
@@ -81,6 +79,8 @@ func TestParallelHashJoinEquivalence(t *testing.T) {
 					RightKey: 0,
 					Outer:    outer,
 				})
+				// As bench/'s exec.par_* probes build it: under the
+				// ExchangeMerge pass-through, the worker count ignored.
 				got := sortedBag(t, &exec.ExchangeMerge{Source: &exec.ParallelHashJoin{
 					Left:     scanOf(left, "L"),
 					Right:    scanOf(right, "R"),
@@ -90,17 +90,16 @@ func TestParallelHashJoinEquivalence(t *testing.T) {
 					Workers:  workers,
 				}})
 				if !eqStrings(got, want) {
-					t.Errorf("parallel join != merge join\n  want: %v\n  got:  %v", want, got)
+					t.Errorf("hash join != merge join\n  want: %v\n  got:  %v", want, got)
 				}
 			})
 		}
 	}
 }
 
-// TestParallelHashJoinPartitioning pins partitioning correctness directly:
-// with duplicate keys on both sides, each key's full cross product must
-// appear exactly once (every copy of a key lands on exactly one worker),
-// and under Outer each unmatched left row is padded exactly once.
+// TestParallelHashJoinPartitioning: with duplicate keys on both sides,
+// each key's full cross product appears exactly once, and under Outer each
+// unmatched left row, a NULL-keyed one included, is padded exactly once.
 func TestParallelHashJoinPartitioning(t *testing.T) {
 	s := storage.NewStore(8)
 	left := loadTuples(s, "L", 2, []storage.Tuple{
@@ -130,7 +129,7 @@ func TestParallelHashJoinPartitioning(t *testing.T) {
 	}
 	sort.Strings(want)
 	if !eqStrings(got, want) {
-		t.Errorf("partitioned outer join\n  want: %v\n  got:  %v", want, got)
+		t.Errorf("outer join over duplicate keys\n  want: %v\n  got:  %v", want, got)
 	}
 }
 
@@ -159,7 +158,7 @@ func TestParallelHashGroupEquivalence(t *testing.T) {
 				Items:     items,
 			}, workers))
 			if !eqStrings(got, want) {
-				t.Errorf("parallel group != sequential group\n  want: %v\n  got:  %v", want, got)
+				t.Errorf("hash group != sort group\n  want: %v\n  got:  %v", want, got)
 			}
 		})
 	}
@@ -167,39 +166,38 @@ func TestParallelHashGroupEquivalence(t *testing.T) {
 
 // TestParallelHashGroupGlobalEmpty pins the COUNT-bug invariant at the
 // operator level: a global aggregate over empty input emits exactly one
-// row (COUNT = 0, MAX = NULL) inline and however many workers run.
+// row (COUNT = 0, MAX = NULL).
 func TestParallelHashGroupGlobalEmpty(t *testing.T) {
-	for _, workers := range []int{0, 1, 4} {
-		s := storage.NewStore(4)
-		f := loadTuples(s, "E", 2, nil)
-		got := sortedBag(t, grouped(&exec.ParallelHashGroup{
-			Child: scanOf(f, "E"),
-			Items: []exec.GroupItem{
-				{Agg: value.AggCount, Col: 1, Out: exec.ColID{Column: "CNT"}},
-				{Agg: value.AggMax, Col: 1, Out: exec.ColID{Column: "MAX"}},
-			},
-		}, workers))
-		want := []string{"(0, NULL)"}
-		if !eqStrings(got, want) {
-			t.Errorf("workers=%d: global aggregate over empty input = %v, want %v", workers, got, want)
-		}
-		// A grouped aggregate over empty input emits nothing.
-		got = sortedBag(t, grouped(&exec.ParallelHashGroup{
-			Child:     scanOf(f, "E"),
-			GroupCols: []int{0},
-			Items: []exec.GroupItem{
-				{Agg: value.AggNone, Col: 0, Out: exec.ColID{Column: "K"}},
-				{Agg: value.AggCount, Col: 1, Out: exec.ColID{Column: "CNT"}},
-			},
-		}, workers))
-		if len(got) != 0 {
-			t.Errorf("workers=%d: grouped aggregate over empty input = %v, want none", workers, got)
-		}
+	s := storage.NewStore(4)
+	f := loadTuples(s, "E", 2, nil)
+	got := sortedBag(t, &exec.ParallelHashGroup{
+		Child: scanOf(f, "E"),
+		Items: []exec.GroupItem{
+			{Agg: value.AggCount, Col: 1, Out: exec.ColID{Column: "CNT"}},
+			{Agg: value.AggMax, Col: 1, Out: exec.ColID{Column: "MAX"}},
+		},
+	})
+	want := []string{"(0, NULL)"}
+	if !eqStrings(got, want) {
+		t.Errorf("global aggregate over empty input = %v, want %v", got, want)
+	}
+	// A grouped aggregate over empty input emits nothing.
+	got = sortedBag(t, &exec.ParallelHashGroup{
+		Child:     scanOf(f, "E"),
+		GroupCols: []int{0},
+		Items: []exec.GroupItem{
+			{Agg: value.AggNone, Col: 0, Out: exec.ColID{Column: "K"}},
+			{Agg: value.AggCount, Col: 1, Out: exec.ColID{Column: "CNT"}},
+		},
+	})
+	if len(got) != 0 {
+		t.Errorf("grouped aggregate over empty input = %v, want none", got)
 	}
 }
 
-// grouped is g as plans place it, inline, at workers = 0, and otherwise
-// behind an exchange of that many workers.
+// grouped is g as plans place it, inline, at workers = 0, and otherwise as
+// bench/'s exec.par_* probes build it: under the ExchangeMerge
+// pass-through, the worker count ignored.
 func grouped(g *exec.ParallelHashGroup, workers int) exec.Operator {
 	if workers == 0 {
 		return g
@@ -208,8 +206,8 @@ func grouped(g *exec.ParallelHashGroup, workers int) exec.Operator {
 	return &exec.ExchangeMerge{Source: g}
 }
 
-// TestInlineHashGroup pins the hash aggregation as plans place it, inline
-// on the caller's goroutine: its groups come out in first-seen order, NULL
+// TestInlineHashGroup pins the hash aggregation's output and charge: its
+// groups come out in first-seen order, NULL
 // keys in one group, each charged against the budget until Close; an
 // input over the budget fails with ErrMemoryBudget and leaves nothing
 // charged.
@@ -272,30 +270,28 @@ func TestInlineHashGroup(t *testing.T) {
 	}
 }
 
-// TestParallelEarlyCloseNoLeak closes an ExchangeMerge after consuming
-// only a few rows of a large join and checks every distributor/worker
-// goroutine shuts down. Close must also be idempotent and callable
-// without Next ever having been invoked.
+// TestParallelEarlyCloseNoLeak closes a large outer hash join under the
+// ExchangeMerge pass-through after only a few rows, or none, and checks
+// every charged byte is back in the budget. Close must also be idempotent
+// and callable without Next ever having been invoked.
 func TestParallelEarlyCloseNoLeak(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	s := storage.NewStore(8)
 	left := loadTuples(s, "L", 2, randTuples(rng, 4000, 16))
 	right := loadTuples(s, "R", 2, randTuples(rng, 2000, 16))
-	before := runtime.NumGoroutine()
-
-	newOp := func() *exec.ExchangeMerge {
-		return &exec.ExchangeMerge{Source: &exec.ParallelHashJoin{
-			Left: scanOf(left, "L"), Right: scanOf(right, "R"),
-			LeftKey: 0, RightKey: 0, Outer: true, Workers: 4,
-		}}
-	}
 	for round := range 20 {
-		op := newOp()
+		qc := qctx.New(qctx.Limits{MaxBytes: 1 << 30})
+		op := &exec.ExchangeMerge{Source: &exec.ParallelHashJoin{
+			Left: scanOf(left, "L"), Right: scanOf(right, "R"),
+			LeftKey: 0, RightKey: 0, Outer: true, Workers: 4, QC: qc,
+		}}
 		if err := op.Open(); err != nil {
 			t.Fatal(err)
 		}
-		// Consume a handful of rows — or none on every third round — so
-		// workers are still mid-flight when Close arrives.
+		if qc.BytesBuffered() == 0 {
+			t.Fatalf("round %d: the build side charged nothing", round)
+		}
+		// Consume a handful of rows, or none on every third round.
 		if round%3 != 0 {
 			for range 5 {
 				if _, ok, err := op.Next(); err != nil {
@@ -311,23 +307,14 @@ func TestParallelEarlyCloseNoLeak(t *testing.T) {
 		if err := op.Close(); err != nil { // idempotent
 			t.Fatal(err)
 		}
-	}
-	// Goroutine counts settle asynchronously; retry before declaring a leak.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		runtime.GC()
-		after := runtime.NumGoroutine()
-		if after <= before {
-			return
+		if n := qc.BytesBuffered(); n != 0 {
+			t.Errorf("round %d: %d bytes still charged after an early Close", round, n)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked after early Close: before=%d after=%d", before, after)
-		}
-		time.Sleep(10 * time.Millisecond)
+		qc.Finish()
 	}
 }
 
-// TestEarlyCloseThenNextQuery: the morsels an ExchangeMerge closed after
+// TestEarlyCloseThenNextQuery: the pooled buffers a hash join closed after
 // its first row puts back are reused by the next query, and neither the
 // row already taken nor the next query's result is touched by them.
 func TestEarlyCloseThenNextQuery(t *testing.T) {
@@ -335,10 +322,8 @@ func TestEarlyCloseThenNextQuery(t *testing.T) {
 	s := storage.NewStore(8)
 	left := loadTuples(s, "L", 2, randTuples(rng, 2000, 16))
 	right := loadTuples(s, "R", 2, randTuples(rng, 1000, 16))
-	join := func() *exec.ExchangeMerge {
-		return &exec.ExchangeMerge{Source: &exec.ParallelHashJoin{
-			Left: scanOf(left, "L"), Right: scanOf(right, "R"), LeftKey: 0, RightKey: 0, Outer: true, Workers: 2,
-		}}
+	join := func() *exec.ParallelHashJoin {
+		return &exec.ParallelHashJoin{Left: scanOf(left, "L"), Right: scanOf(right, "R"), Outer: true}
 	}
 	op := join()
 	if err := op.Open(); err != nil {
@@ -384,16 +369,13 @@ func (f *failingOp) Schema() exec.RowSchema {
 	return exec.RowSchema{{Table: "F", Column: "K"}, {Table: "F", Column: "V"}}
 }
 
-// TestExchangeMergeErrorPropagation makes a probe-side child fail mid-scan
-// and checks the error surfaces from Next (not a hang, not silence), with
-// Close still shutting everything down.
+// TestExchangeMergeErrorPropagation makes a hash join's probe-side child
+// fail mid-scan and checks the error surfaces from Next, not silence, with
+// Close still succeeding.
 func TestExchangeMergeErrorPropagation(t *testing.T) {
 	s := storage.NewStore(4)
 	right := loadTuples(s, "R", 2, []storage.Tuple{{intv(1), intv(100)}})
-	op := &exec.ExchangeMerge{Source: &exec.ParallelHashJoin{
-		Left: &failingOp{rows: 3}, Right: scanOf(right, "R"),
-		LeftKey: 0, RightKey: 0, Workers: 2,
-	}}
+	op := &exec.ParallelHashJoin{Left: &failingOp{rows: 3}, Right: scanOf(right, "R")}
 	if err := op.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -416,13 +398,13 @@ func TestExchangeMergeErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestParallelHashGroupWorkerErrorNoDeadlock pins the regression where a
-// worker-side aggregation error (MAX over mixed int/string values) killed a
-// worker without draining its input channel, leaving the distributor
-// blocked on a full channel forever and hanging ExchangeMerge.Next. The
-// input puts the error at the front of one group's stream and follows it
-// with far more rows than the worker channels can buffer, so the pre-fix
-// code deadlocks deterministically; post-fix, Next must surface the error.
+func eqStrings(a, b []string) bool { return storage.DiffCanon(a, b) == "" }
+
+// TestParallelHashGroupWorkerErrorNoDeadlock: an aggregation error (MAX
+// over mixed int/string values) at the front of one group's stream,
+// followed by far more rows of that key than a morsel holds, surfaces from
+// Drain instead of hanging or being dropped, inline and under the
+// ExchangeMerge pass-through.
 func TestParallelHashGroupWorkerErrorNoDeadlock(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -430,8 +412,6 @@ func TestParallelHashGroupWorkerErrorNoDeadlock(t *testing.T) {
 				{intv(1), intv(1)},
 				{intv(1), value.NewString("x")}, // MAX(int, string) errors
 			}
-			// Enough follow-on rows for the same key to overflow the dead
-			// worker's channel buffer (2 morsels) and block the distributor.
 			for range 4 * exec.MorselSize {
 				rows = append(rows, storage.Tuple{intv(1), intv(2)})
 			}
@@ -453,13 +433,11 @@ func TestParallelHashGroupWorkerErrorNoDeadlock(t *testing.T) {
 			select {
 			case err := <-done:
 				if err == nil {
-					t.Error("aggregation error not propagated from parallel group")
+					t.Error("aggregation error not propagated from the hash group")
 				}
 			case <-time.After(10 * time.Second):
-				t.Fatal("parallel group deadlocked after worker-side aggregation error")
+				t.Fatal("hash group hung after an aggregation error")
 			}
 		})
 	}
 }
-
-func eqStrings(a, b []string) bool { return storage.DiffCanon(a, b) == "" }

@@ -137,7 +137,7 @@ func TestQuantifiedFormsAgree(t *testing.T) {
 				sess := m.NewSession(fmt.Sprint(trial))
 				forms := map[string]exec.Operator{
 					"hash": &exec.ParallelHashJoin{Left: scanOf(lf, "L"), Right: scanOf(rf, "R"), NullEq: c.nullSafe,
-						Workers: 1, Quant: c.quantifier(false)},
+						Quant: c.quantifier(false)},
 					"merge": &exec.MergeJoin{Left: sorted(lf, "L"), Right: sorted(rf, "R"), NullEq: c.nullSafe,
 						Quant: c.quantifier(false)},
 					"merge-spilled": &exec.MergeJoin{Left: sorted(lf, "L"), Right: sorted(rf, "R"), NullEq: c.nullSafe,
@@ -196,7 +196,7 @@ func TestQuantifiedJoinAllocs(t *testing.T) {
 		}
 		lf := loadFile(s, fmt.Sprint("L", n), 100, lrows)
 		return testing.AllocsPerRun(10, func() {
-			op := &exec.ParallelHashJoin{Left: scanOf(lf, "L"), Right: scanOf(rf, "R"), Workers: 1, Quant: c.quantifier(false)}
+			op := &exec.ParallelHashJoin{Left: scanOf(lf, "L"), Right: scanOf(rf, "R"), Quant: c.quantifier(false)}
 			if err := op.Open(); err != nil {
 				t.Fatal(err)
 			}

@@ -7,9 +7,8 @@ import (
 
 // BatchSink receives result rows in bounded batches as an operator tree
 // produces them. A sink that blocks (a full network write buffer) blocks
-// the pull loop, so backpressure propagates into the executor: sequential
-// operators simply stop being pulled, and parallel operators stall on
-// their bounded exchange channels. A sink error aborts the drain and is
+// the pull loop, so backpressure propagates into the executor: the
+// operators simply stop being pulled. A sink error aborts the drain and is
 // returned to the caller unchanged.
 //
 // The sink must not retain the batch slice after returning; DrainInto

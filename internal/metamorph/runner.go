@@ -294,7 +294,7 @@ func regimeOptions(regime string, underTest engine.Strategy) engine.Options {
 	case RegimeNI:
 		opts.Strategy = engine.NestedIteration
 	case RegimePar:
-		opts.Planner = planner.Options{Parallelism: 2, ForceParallel: true}
+		opts.Planner = planner.Options{Parallelism: 2}
 	case RegimeMerge:
 		opts.Planner = planner.Options{TempJoin: planner.JoinMerge, FinalJoin: planner.JoinMerge}
 	case RegimeTight:

@@ -131,7 +131,7 @@ func (p *Planner) finishGroup(cur input, qb *ast.QueryBlock, label string) (inpu
 	// aggregation, which needs no GROUP BY sort and emits its groups in
 	// first-seen order, not key order.
 	inOrder := len(groupCols) == 1 && cur.sortedOn == groupCols[0]
-	hashGroup := len(groupCols) > 0 && p.parallelOK(cur.tuples) && !inOrder
+	hashGroup := len(groupCols) > 0 && p.opts.Parallelism > 1 && !inOrder
 	sortedOut := -1
 	if len(groupCols) > 0 {
 		sortedOut = itemOf(items, groupCols[0])

@@ -35,14 +35,13 @@ func (p *Planner) join(cur, right input, joinConjs []ast.Predicate, outer bool, 
 	// key; a keyless join is nested loops. It takes nested loops' place
 	// where the section 7 rule picks them because the right side fits the
 	// pool — the build side is then what nested loops would have kept
-	// resident — and, under Parallelism, any unquantified keyed join's
-	// whose inputs are worth it.
+	// resident — and, under Parallelism, any unquantified keyed join's.
 	method := force
 	if method == JoinAuto {
 		method = JoinNL
 		if keyed {
 			method = p.chooseMethod(cur, right)
-			if method == JoinNL && p.fitsPool(right) || q == nil && p.parallelOK(cur.tuples+right.tuples) {
+			if method == JoinNL && p.fitsPool(right) || q == nil && p.opts.Parallelism > 1 {
 				return p.hashJoin(cur, right, keys, rest, outer, q, label)
 			}
 		}
@@ -158,14 +157,6 @@ func keyPair(c ast.Predicate, left, right exec.RowSchema) (exec.KeyPair, bool) {
 		li, ri = left.Index(rc), right.Index(lc)
 	}
 	return exec.KeyPair{Left: li, Right: ri, NullEq: cmp.Op == value.OpEqNull}, li >= 0 && ri >= 0
-}
-
-// parallelOK reports whether Parallelism places a hash operator over an
-// input of the given estimated cardinality: it must be above 1 and the
-// input hold MinParallelTuplesPerWorker per worker (or ForceParallel set).
-func (p *Planner) parallelOK(tuples float64) bool {
-	w := p.opts.Parallelism
-	return w > 1 && (p.opts.ForceParallel || tuples >= float64(w*costmodel.MinParallelTuplesPerWorker))
 }
 
 // hashJoin builds a hash join on keys, run inline on the query's goroutine:

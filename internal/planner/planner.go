@@ -75,15 +75,14 @@ type Options struct {
 	// Indexes, when set, lets the planner replace a sequential scan with
 	// an index scan for selective single-column restrictions.
 	Indexes *index.Registry
-	// Parallelism > 1 swaps a method where the inputs are worth n workers
-	// (parallelOK), a hash join for a merge or loop and a hash aggregation
-	// for a sort, run inline all the same; it turns no operator off. Only
-	// callers inside the module set it (TestOneParallelSwitch), and it
-	// stays only while bench/ and cmd/benchpaper set it.
+	// Parallelism > 1 swaps a method, whatever the inputs' size: a hash
+	// join for a merge or loop and a hash aggregation for a sort, run
+	// inline all the same; it turns no operator off. Only callers inside
+	// the module set it (TestOneParallelSwitch), and it stays only while
+	// bench/ and cmd/benchpaper set it.
 	Parallelism int
-	// ForceParallel bypasses that cost gate so even small inputs hash —
-	// used by tests and the differential oracle to exercise the hash
-	// operators on tiny generated databases.
+	// ForceParallel is ignored: Parallelism alone swaps the method. It
+	// stays only while bench/ sets it.
 	ForceParallel bool
 	// QC, when set, threads lifecycle governance (cancellation, deadline,
 	// row and memory budgets) into every operator the planner builds.

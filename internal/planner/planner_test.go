@@ -207,7 +207,7 @@ func TestPlannerAutoChoice(t *testing.T) {
 // the COUNT = 0 groups (JC 10 and up) included: past the boundary it is
 // the outer join's NULL-padded rows that count to 0.
 func TestGroupJoinAtPoolBoundary(t *testing.T) {
-	par := planner.Options{Parallelism: 2, ForceParallel: true}
+	par := planner.Options{Parallelism: 2}
 	for _, c := range []struct {
 		keys  int
 		opts  planner.Options

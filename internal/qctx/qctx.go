@@ -221,10 +221,10 @@ func (qc *QueryContext) Finish() {
 	qc.timer.Stop()
 }
 
-// Done returns a channel closed on cancellation, for operators that
-// block on channel receives (ExchangeMerge) and need to wake up. A nil
-// context returns nil — a receive that never fires, which is exactly
-// the ungoverned behavior.
+// Done returns a channel closed on cancellation, for callers that wait
+// (the engine's retry delay, the coordinator's worker calls) and need to
+// wake up. A nil context returns nil — a receive that never fires, which
+// is exactly the ungoverned behavior.
 func (qc *QueryContext) Done() <-chan struct{} {
 	if qc == nil {
 		return nil
@@ -285,7 +285,7 @@ func (qc *QueryContext) tracking() bool {
 	return qc.maxBytes != 0 || qc.spillThreshold != 0
 }
 
-// AddBuffered charges n bytes of buffered state (hash-table partitions,
+// AddBuffered charges n bytes of buffered state (hash-join build rows,
 // sort runs) against the memory budget; ReleaseBuffered returns them. A
 // charge over the budget is rolled back and cancels with ErrMemoryBudget.
 func (qc *QueryContext) AddBuffered(n int64) error {
